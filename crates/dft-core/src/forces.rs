@@ -26,9 +26,10 @@
 //! [`force_poisson`] solve.
 
 use crate::math::erfc;
+use crate::scf::poisson_bc_of;
 use crate::system::AtomicSystem;
 use dft_fem::mesh::BoundaryCondition;
-use dft_fem::poisson::{solve_poisson, PoissonBc};
+use dft_fem::poisson::solve_poisson;
 use dft_fem::space::FeSpace;
 
 /// Why a force evaluation failed. Forces ride one extra electrostatic
@@ -75,17 +76,7 @@ pub fn force_poisson(
     assert_eq!(rho_e.len(), space.nnodes());
     let rho_ion = system.ion_density(space);
     let rho_charge: Vec<f64> = (0..space.nnodes()).map(|i| rho_ion[i] - rho_e[i]).collect();
-    let all_periodic = space
-        .mesh
-        .axes
-        .iter()
-        .all(|a| a.bc() == BoundaryCondition::Periodic);
-    let bc = if all_periodic {
-        PoissonBc::Periodic
-    } else {
-        PoissonBc::Dirichlet(&|_| 0.0)
-    };
-    let (phi, st) = solve_poisson(space, &rho_charge, bc, 1e-10, 20000);
+    let (phi, st) = solve_poisson(space, &rho_charge, poisson_bc_of(space), 1e-10, 20000);
     if !st.converged {
         return Err(ForceError::PoissonDiverged {
             iterations: st.iterations,

@@ -1,7 +1,11 @@
 //! The self-consistent field driver (the paper's Eq. 1 loop) and the total
 //! energy assembly.
 //!
-//! One SCF iteration:
+//! There is one SCF iteration, [`scf_loop`], and every solver in the
+//! workspace runs it: [`scf`] with a zero-sized serial [`ScfSeam`], the
+//! distributed solver of `dft-parallel` with a seam that knows this
+//! rank's share of rows, bands and k-points and how to reduce across
+//! ranks. One SCF iteration:
 //!
 //! 1. electrostatics — **one** FE Poisson solve for the potential of
 //!    `rho_ion - rho_e` (Gaussian-smeared nuclei make `v_N` and `v_H` a
@@ -19,8 +23,11 @@
 //! self-energy and short-ranged ion-ion corrections, and the smearing
 //! entropy.
 
-use crate::chebyshev::{chfes_profiled, lanczos_bounds, random_subspace, ChfesOptions};
-use crate::hamiltonian::KsHamiltonian;
+use crate::chebyshev::{
+    chfes_reduced, lanczos_bounds, random_subspace, CfFilter, ChfesOptions, NoReduce,
+    SubspaceReducer,
+};
+use crate::hamiltonian::{HamOperator, KsHamiltonian};
 use crate::mixing::AndersonMixer;
 use crate::occupation::fermi_occupations;
 use crate::system::AtomicSystem;
@@ -32,6 +39,7 @@ use dft_fem::space::FeSpace;
 use dft_hpc::profile::{Phase, PhaseScope, Profile, ScfProfile};
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::{Real, Scalar, C64};
+use std::convert::Infallible;
 
 /// One Brillouin-zone sampling point (fractional coordinates along each
 /// axis; only periodic axes matter) with its weight.
@@ -180,7 +188,8 @@ fn poisson_bytes(space: &FeSpace, cg_iterations: usize) -> u64 {
     cg_iterations as u64 * 10 * space.ndofs() as u64 * std::mem::size_of::<f64>() as u64
 }
 
-fn poisson_bc_of(space: &FeSpace) -> PoissonBc<'static> {
+/// The boundary treatment of the electrostatic solves on `space`.
+pub fn poisson_bc_of(space: &FeSpace) -> PoissonBc<'static> {
     let all_periodic = space
         .mesh
         .axes
@@ -192,6 +201,20 @@ fn poisson_bc_of(space: &FeSpace) -> PoissonBc<'static> {
         // neutral systems: monopole-free far field
         PoissonBc::Dirichlet(&|_| 0.0)
     }
+}
+
+/// The profiled electrostatic solve for the potential of `rho_charge`.
+fn solve_electrostatics(
+    space: &FeSpace,
+    rho_charge: &[f64],
+    tol: f64,
+    profile: Option<&Profile>,
+) -> (Vec<f64>, bool) {
+    let mut scope = PhaseScope::new(profile, Phase::Ep);
+    let (phi, stats) = solve_poisson(space, rho_charge, poisson_bc_of(space), tol, 20000);
+    scope.add_flops(poisson_flops(space, stats.iterations));
+    scope.add_bytes(poisson_bytes(space, stats.iterations));
+    (phi, stats.converged)
 }
 
 /// Run the SCF on `space` for `system` with functional `xc` at the given
@@ -209,9 +232,9 @@ pub fn scf(
     let _ = dft_linalg::autotune::load_from_disk();
     let gamma_only = kpts.len() == 1 && kpts[0].is_gamma();
     if gamma_only {
-        scf_impl::<f64>(space, system, xc, cfg, kpts)
+        scf_serial::<f64>(space, system, xc, cfg, kpts)
     } else {
-        scf_impl::<C64>(space, system, xc, cfg, kpts)
+        scf_serial::<C64>(space, system, xc, cfg, kpts)
     }
 }
 
@@ -224,181 +247,401 @@ pub fn scf_complex(
     cfg: &ScfConfig,
     kpts: &[KPoint],
 ) -> ScfResult {
-    scf_impl::<C64>(space, system, xc, cfg, kpts)
+    scf_serial::<C64>(space, system, xc, cfg, kpts)
 }
 
-use private_scalar_ext::ScalarExt;
-mod private_scalar_ext {
-    use super::*;
-    /// Object-safe helper so `scf_impl` can stay generic.
-    pub trait ScalarExt: Scalar {
-        /// The imaginary unit (panics for real scalars).
-        fn imag() -> Self;
+/// Scalars the SCF loop runs on: [`Scalar`] plus the imaginary unit the
+/// Bloch phases are built from.
+pub trait ScalarExt: Scalar {
+    /// The imaginary unit (panics for real scalars).
+    fn imag() -> Self;
+}
+impl ScalarExt for f64 {
+    fn imag() -> Self {
+        panic!("no imaginary unit in f64")
     }
-    impl ScalarExt for f64 {
-        fn imag() -> Self {
-            panic!("no imaginary unit in f64")
-        }
-    }
-    impl ScalarExt for C64 {
-        fn imag() -> Self {
-            C64::I
-        }
+}
+impl ScalarExt for C64 {
+    fn imag() -> Self {
+        C64::I
     }
 }
 
-fn scf_impl<T: Scalar + ScalarExt>(
+/// The places where a serial SCF and one rank of a distributed SCF really
+/// differ. [`scf_loop`] owns everything else — electrostatics, XC, the
+/// filter-window rule, occupations, the density and energy assembly, the
+/// residual, convergence and profiling — so the serial solver is the
+/// one-rank case of the distributed one, not a sibling implementation.
+pub trait ScfSeam<T: Scalar> {
+    /// What a seam operation fails with ([`Infallible`] serially).
+    type Error;
+
+    /// Number of wavefunction rows this rank stores out of `ndofs`.
+    fn n_rows(&self, ndofs: usize) -> usize;
+    /// Global DoF of local wavefunction row `l`.
+    fn dof_of_row(&self, l: usize) -> usize;
+    /// Whether this rank weighs FE node `node` in the Anderson inner
+    /// products (each node must weigh in on exactly one rank).
+    fn owns_node(&self, node: usize) -> bool;
+    /// The band columns `[j0, j1)` whose density this rank accumulates.
+    fn band_cols(&self, n_states: usize) -> (usize, usize);
+    /// The k-points `[k0, k1)` this rank solves, out of `nk`.
+    fn kpoints(&self, nk: usize) -> (usize, usize);
+    /// Whether this rank prints the `verbose` line.
+    fn is_root(&self) -> bool;
+
+    /// Hand `run` what one [`chfes_reduced`] pass at the potential `v_eff`
+    /// needs: the Rayleigh-Ritz operator on this rank's rows, the CF-stage
+    /// filter and the subspace reducer. `h_full` is the replicated
+    /// full-row operator at the same potential and phases.
+    fn with_operators<R>(
+        &self,
+        h_full: &KsHamiltonian<'_, T>,
+        v_eff: &[f64],
+        run: impl FnOnce(&dyn HamOperator<T>, CfFilter<'_, T>, &dyn SubspaceReducer<T>) -> R,
+    ) -> R;
+    /// Sum `buf` over all ranks in place (the density and the Anderson
+    /// Gram). Infallible in shape: a failure must stay observable by the
+    /// next [`Self::probe`].
+    fn sum_f64(&self, buf: &mut [f64]);
+    /// Replicate every k-point's eigenvalues and filter window across
+    /// k-point groups (occupations couple all k-points through `mu`).
+    fn exchange_kpoints(
+        &self,
+        iter: usize,
+        eigenvalues: &mut [Vec<f64>],
+        filter_window: &mut [Option<(f64, f64)>],
+        profile: Option<&Profile>,
+    ) -> Result<(), Self::Error>;
+    /// Surface a failure that the infallible-shaped operations above
+    /// (operator applies, reductions) could only record.
+    fn probe(&self, iter: usize) -> Result<(), Self::Error>;
+
+    /// Hook at the top of iteration `iter`, before any of its work
+    /// (preemption consensus, periodic snapshot, fault epoch).
+    fn iteration_top(
+        &self,
+        _iter: usize,
+        _state: &ScfState<T>,
+        _profile: Option<&Profile>,
+    ) -> Result<(), Self::Error> {
+        Ok(())
+    }
+    /// Hook after convergence, with the converged density.
+    fn export_converged(
+        &self,
+        _state: &ScfState<T>,
+        _rho_out: &[f64],
+        _profile: Option<&Profile>,
+    ) -> Result<(), Self::Error> {
+        Ok(())
+    }
+}
+
+/// The serial instantiation: all rows, all bands, all k-points, nothing to
+/// reduce, nothing that can fail.
+struct SerialSeam;
+
+impl<T: Scalar> ScfSeam<T> for SerialSeam {
+    type Error = Infallible;
+
+    fn n_rows(&self, ndofs: usize) -> usize {
+        ndofs
+    }
+    fn dof_of_row(&self, l: usize) -> usize {
+        l
+    }
+    fn owns_node(&self, _node: usize) -> bool {
+        true
+    }
+    fn band_cols(&self, n_states: usize) -> (usize, usize) {
+        (0, n_states)
+    }
+    fn kpoints(&self, nk: usize) -> (usize, usize) {
+        (0, nk)
+    }
+    fn is_root(&self) -> bool {
+        true
+    }
+    fn with_operators<R>(
+        &self,
+        h_full: &KsHamiltonian<'_, T>,
+        _v_eff: &[f64],
+        run: impl FnOnce(&dyn HamOperator<T>, CfFilter<'_, T>, &dyn SubspaceReducer<T>) -> R,
+    ) -> R {
+        run(h_full, CfFilter::Hamiltonian, &NoReduce)
+    }
+    fn sum_f64(&self, _buf: &mut [f64]) {}
+    fn exchange_kpoints(
+        &self,
+        _iter: usize,
+        _eigenvalues: &mut [Vec<f64>],
+        _filter_window: &mut [Option<(f64, f64)>],
+        _profile: Option<&Profile>,
+    ) -> Result<(), Infallible> {
+        Ok(())
+    }
+    fn probe(&self, _iter: usize) -> Result<(), Infallible> {
+        Ok(())
+    }
+}
+
+fn scf_serial<T: ScalarExt>(
     space: &FeSpace,
     system: &AtomicSystem,
     xc: &dyn XcFunctional,
     cfg: &ScfConfig,
     kpts: &[KPoint],
 ) -> ScfResult {
-    let nd = space.ndofs();
+    let state = ScfState::<T>::new(space, system, cfg, kpts, &SerialSeam);
+    match scf_loop(space, system, xc, cfg, kpts, &SerialSeam, state) {
+        Ok(r) => r,
+        Err(ScfLoopError::PoissonDiverged { iteration }) => {
+            panic!("Poisson solve failed at SCF iter {iteration}")
+        }
+        Err(ScfLoopError::Seam(never)) => match never {},
+    }
+}
+
+/// Why [`scf_loop`] stopped early.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ScfLoopError<E> {
+    /// The electrostatic solve of the input density did not reach
+    /// `poisson_tol` within its iteration cap.
+    PoissonDiverged {
+        /// Zero-based SCF iteration of the failed solve.
+        iteration: usize,
+    },
+    /// A seam operation failed.
+    Seam(E),
+}
+
+impl<E> From<E> for ScfLoopError<E> {
+    fn from(e: E) -> Self {
+        ScfLoopError::Seam(e)
+    }
+}
+
+/// The iterate [`scf_loop`] carries from one SCF iteration to the next —
+/// exactly what a restart snapshot has to capture.
+pub struct ScfState<T: Scalar> {
+    /// Iteration index the loop starts at (nonzero after a restart).
+    pub start_iter: usize,
+    /// Input density of the next iteration (nodal, replicated).
+    pub rho_in: Vec<f64>,
+    /// Chemical potential of the last completed iteration.
+    pub mu: f64,
+    /// Anderson mixer with its residual history.
+    pub mixer: AndersonMixer,
+    /// Per-k filter window (`a0` below the wanted spectrum, `a` just
+    /// above it); `None` until the k-point has been solved once.
+    pub filter_window: Vec<Option<(f64, f64)>>,
+    /// Density residual per completed iteration.
+    pub residual_history: Vec<f64>,
+    /// This rank's rows of the wavefunctions of its k-points, indexed
+    /// from the first k-point the seam assigns it.
+    pub psi: Vec<Matrix<T>>,
+}
+
+/// The rows of `full` that `seam` stores.
+pub fn restrict_rows<T: Scalar, S: ScfSeam<T>>(seam: &S, full: &Matrix<T>) -> Matrix<T> {
+    let mut local = Matrix::<T>::zeros(seam.n_rows(full.nrows()), full.ncols());
+    for j in 0..full.ncols() {
+        let src = full.col(j);
+        for (l, dst) in local.col_mut(j).iter_mut().enumerate() {
+            *dst = src[seam.dof_of_row(l)];
+        }
+    }
+    local
+}
+
+impl<T: Scalar> ScfState<T> {
+    /// The cold start: superposed atomic densities, an empty mixer, and a
+    /// random subspace seeded by the *global* k index — every layout of
+    /// ranks starts from the same wavefunctions and keeps its own rows.
+    pub fn new<S: ScfSeam<T>>(
+        space: &FeSpace,
+        system: &AtomicSystem,
+        cfg: &ScfConfig,
+        kpts: &[KPoint],
+        seam: &S,
+    ) -> Self {
+        let nd = space.ndofs();
+        assert!(
+            cfg.n_states * 2 >= system.n_electrons().ceil() as usize,
+            "not enough states"
+        );
+        assert!(cfg.n_states <= nd, "more states than DoFs");
+        let wsum: f64 = kpts.iter().map(|k| k.weight).sum();
+        assert!((wsum - 1.0).abs() < 1e-10, "k-point weights must sum to 1");
+
+        // each rank's weighted dots are partial sums over the nodes it
+        // owns; the Gram reduction reassembles the serial Gram
+        let weights = space
+            .mass_diag()
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| if seam.owns_node(i) { w } else { 0.0 })
+            .collect();
+        let (k0, k1) = seam.kpoints(kpts.len());
+        Self {
+            start_iter: 0,
+            rho_in: system.initial_density(space),
+            mu: 0.0,
+            mixer: AndersonMixer::new(cfg.mixing_alpha, cfg.anderson_depth, weights),
+            filter_window: vec![None; kpts.len()],
+            residual_history: Vec::new(),
+            psi: (k0..k1)
+                .map(|ik| {
+                    let full = random_subspace::<T>(nd, cfg.n_states, cfg.seed + ik as u64);
+                    restrict_rows(seam, &full)
+                })
+                .collect(),
+        }
+    }
+}
+
+/// The SCF iteration — the only one in the workspace. Runs from `state`
+/// (see [`ScfState::new`]) until the density residual meets `cfg.tol` or
+/// `cfg.max_iter` is reached; `seam` supplies what depends on how the
+/// problem is spread over ranks.
+pub fn scf_loop<T: ScalarExt, S: ScfSeam<T>>(
+    space: &FeSpace,
+    system: &AtomicSystem,
+    xc: &dyn XcFunctional,
+    cfg: &ScfConfig,
+    kpts: &[KPoint],
+    seam: &S,
+    mut st: ScfState<T>,
+) -> Result<ScfResult, ScfLoopError<S::Error>> {
+    let nn = space.nnodes();
+    let n_rows = seam.n_rows(space.ndofs());
     let n_el = system.n_electrons();
-    assert!(
-        cfg.n_states * 2 >= n_el.ceil() as usize,
-        "not enough states"
-    );
-    assert!(cfg.n_states <= nd, "more states than DoFs");
-    let wsum: f64 = kpts.iter().map(|k| k.weight).sum();
-    assert!((wsum - 1.0).abs() < 1e-10, "k-point weights must sum to 1");
-
     let rho_ion = system.ion_density(space);
-    let mut rho_in = system.initial_density(space);
-    let mut mixer = AndersonMixer::new(
-        cfg.mixing_alpha,
-        cfg.anderson_depth,
-        space.mass_diag().to_vec(),
-    );
-
-    // per-k state
-    let mut psi: Vec<Matrix<T>> = (0..kpts.len())
-        .map(|ik| random_subspace::<T>(nd, cfg.n_states, cfg.seed + ik as u64))
-        .collect();
-    // per-k filter window (a0 = below wanted spectrum, a = just above it)
-    let mut filter_window: Vec<Option<(f64, f64)>> = vec![None; kpts.len()];
+    let (k0, k1) = seam.kpoints(kpts.len());
 
     let mut result_energy = TotalEnergy::default();
     let mut eigenvalues: Vec<Vec<f64>> = vec![vec![]; kpts.len()];
     let mut occupations: Vec<Vec<f64>> = vec![vec![]; kpts.len()];
-    let mut mu = 0.0;
-    let mut vxc_nodes = vec![0.0; space.nnodes()];
-    let mut v_eff = vec![0.0; space.nnodes()];
-    let mut residual_history = Vec::new();
+    let mut vxc_nodes = vec![0.0; nn];
+    let mut v_eff = vec![0.0; nn];
     let mut converged = false;
     let mut iterations = 0;
-    let mut rho_out = rho_in.clone();
+    let mut rho_out = st.rho_in.clone();
     let e_ii_corr = system.ion_ion_correction(space);
     let kweights: Vec<f64> = kpts.iter().map(|k| k.weight).collect();
+    let opts = ChfesOptions {
+        cheb_degree: cfg.cheb_degree,
+        block_size: cfg.block_size,
+        mixed_precision: cfg.mixed_precision,
+    };
 
     // Profiled region: the SCF loop proper (setup above is excluded from
     // the total so phase times can be checked against it).
     let profile_store = cfg.profile.then(Profile::new);
     let profile = profile_store.as_ref();
 
-    for iter in 0..cfg.max_iter {
+    for iter in st.start_iter..cfg.max_iter {
         iterations = iter + 1;
         if let Some(p) = profile {
             p.begin_iteration();
         }
-        // ---- effective potential from rho_in --------------------------
-        let rho_charge: Vec<f64> = (0..space.nnodes())
-            .map(|i| rho_ion[i] - rho_in[i])
-            .collect();
-        let (phi, pst) = {
-            let mut scope = PhaseScope::new(profile, Phase::Ep);
-            let r = solve_poisson(
-                space,
-                &rho_charge,
-                poisson_bc_of(space),
-                cfg.poisson_tol,
-                20000,
-            );
-            scope.add_flops(poisson_flops(space, r.1.iterations));
-            scope.add_bytes(poisson_bytes(space, r.1.iterations));
-            r
-        };
-        assert!(pst.converged, "Poisson solve failed at SCF iter {iter}");
+        seam.iteration_top(iter, &st, profile)?;
+
+        // ---- effective potential from rho_in (replicated) --------------
+        let rho_charge: Vec<f64> = (0..nn).map(|i| rho_ion[i] - st.rho_in[i]).collect();
+        let (phi, poisson_ok) = solve_electrostatics(space, &rho_charge, cfg.poisson_tol, profile);
+        // the solve is replicated, so every rank takes this exit together
+        if !poisson_ok {
+            return Err(ScfLoopError::PoissonDiverged { iteration: iter });
+        }
         {
             let _scope = PhaseScope::new(profile, Phase::Dh);
-            let rho_in_field = NodalField::from_values(space, rho_in.clone());
-            let xce = evaluate_xc(space, &rho_in_field, xc);
-            vxc_nodes = xce.vxc.clone();
-            for i in 0..space.nnodes() {
+            let rho_in_field = NodalField::from_values(space, st.rho_in.clone());
+            vxc_nodes = evaluate_xc(space, &rho_in_field, xc).vxc;
+            for i in 0..nn {
                 v_eff[i] = -phi[i] + vxc_nodes[i];
             }
         }
 
-        // ---- eigenproblem per k-point ----------------------------------
-        for (ik, k) in kpts.iter().enumerate() {
-            let ph = phases_for::<T>(space, k);
-            let h = KsHamiltonian::<T>::new(space, &v_eff, ph);
-            let (tmin, tmax) = {
+        // ---- eigenproblem per k-point of this rank ---------------------
+        for ik in k0..k1 {
+            // spectral bounds from the replicated full-row operator: pure
+            // local recomputation, bit-identical on every rank
+            let (h_full, (tmin, tmax)) = {
                 let _scope = PhaseScope::new(profile, Phase::Other);
-                lanczos_bounds(&h, 10, cfg.seed + 1000 + ik as u64)
+                let h = KsHamiltonian::<T>::new(space, &v_eff, phases_for::<T>(space, &kpts[ik]));
+                let bounds = lanczos_bounds(&h, 10, cfg.seed + 1000 + ik as u64);
+                (h, bounds)
             };
             let passes = if iter == 0 {
                 cfg.first_iter_cf_passes
             } else {
                 1
             };
-            let opts = ChfesOptions {
-                cheb_degree: cfg.cheb_degree,
-                block_size: cfg.block_size,
-                mixed_precision: cfg.mixed_precision,
-            };
             let (mut a0, mut a) =
-                filter_window[ik].unwrap_or((tmin - 1.0, tmin + 0.1 * (tmax - tmin)));
+                st.filter_window[ik].unwrap_or((tmin - 1.0, tmin + 0.1 * (tmax - tmin)));
             // keep the window consistent with the fresh upper bound
             a0 = a0.min(tmin - 1.0);
             a = a.clamp(a0 + 1e-3 * (tmax - a0), 0.9 * tmax);
-            let mut evals = vec![];
-            for _ in 0..passes {
-                evals = chfes_profiled(&h, &mut psi[ik], (a0, a, tmax), &opts, profile);
-                // filter edge just above the wanted spectrum: amplifying a
-                // wide unwanted band stalls SCF convergence
-                let top = evals[cfg.n_states - 1];
-                let spread = (top - evals[0]).max(0.1);
-                let gap = (2.0 * cfg.kt).max(spread / cfg.n_states as f64);
-                a = (top + gap).min(0.9 * tmax);
-                a0 = evals[0] - 1.0;
-            }
-            filter_window[ik] = Some((a0, a));
-            eigenvalues[ik] = evals;
+            let psi = &mut st.psi[ik - k0];
+            eigenvalues[ik] = seam.with_operators(&h_full, &v_eff, |h, filter, reducer| {
+                let mut evals = vec![];
+                for _ in 0..passes {
+                    evals = chfes_reduced(h, filter, psi, (a0, a, tmax), &opts, profile, reducer);
+                    // filter edge just above the wanted spectrum: amplifying a
+                    // wide unwanted band stalls SCF convergence
+                    let top = evals[cfg.n_states - 1];
+                    let spread = (top - evals[0]).max(0.1);
+                    let gap = (2.0 * cfg.kt).max(spread / cfg.n_states as f64);
+                    a = (top + gap).min(0.9 * tmax);
+                    a0 = evals[0] - 1.0;
+                }
+                evals
+            });
+            st.filter_window[ik] = Some((a0, a));
+            // a failed rank leaves garbage Ritz values behind: stop before
+            // they reach the occupations
+            seam.probe(iter)?;
         }
+        seam.exchange_kpoints(iter, &mut eigenvalues, &mut st.filter_window, profile)?;
 
         // ---- occupations & density -------------------------------------
         let occ = {
             let _scope = PhaseScope::new(profile, Phase::Other);
             fermi_occupations(&eigenvalues, &kweights, n_el, cfg.kt)
         };
-        mu = occ.mu;
+        st.mu = occ.mu;
         occupations = occ.occupations.clone();
 
         {
             let mut scope = PhaseScope::new(profile, Phase::Dc);
-            rho_out = vec![0.0; space.nnodes()];
+            rho_out = vec![0.0; nn];
             let s = space.inv_sqrt_mass();
-            for ik in 0..kpts.len() {
+            // rows x band columns x k-points of the ranks partition the
+            // serial triple sum, so one global sum counts every term once
+            let (j0, j1) = seam.band_cols(cfg.n_states);
+            for ik in k0..k1 {
                 let w = kpts[ik].weight;
-                for i in 0..cfg.n_states {
+                for i in j0..j1 {
                     let f = occupations[ik][i];
                     if f < 1e-14 {
                         continue;
                     }
                     // per DoF: |psi|^2 (MUL_FLOPS), two mass scalings, the
                     // k/occupation weight, and the accumulate
-                    scope.add_flops(nd as u64 * (T::MUL_FLOPS + 4));
-                    scope.add_bytes(nd as u64 * std::mem::size_of::<T>() as u64);
-                    let col = psi[ik].col(i);
-                    for d in 0..nd {
-                        let amp = col[d].abs_sq().to_f64() * s[d] * s[d];
+                    scope.add_flops(n_rows as u64 * (T::MUL_FLOPS + 4));
+                    scope.add_bytes(n_rows as u64 * std::mem::size_of::<T>() as u64);
+                    for (l, &v) in st.psi[ik - k0].col(i).iter().enumerate() {
+                        let d = seam.dof_of_row(l);
+                        let amp = v.abs_sq().to_f64() * s[d] * s[d];
                         rho_out[space.node_of_dof(d)] += w * f * amp;
                     }
                 }
             }
+            seam.sum_f64(&mut rho_out);
         }
+        seam.probe(iter)?;
 
         // ---- total energy (with rho_out) --------------------------------
         let (band, rho_veff, rho_charge_out) = {
@@ -413,31 +656,13 @@ fn scf_impl<T: Scalar + ScalarExt>(
                             .sum::<f64>()
                 })
                 .sum();
-            let rho_veff: f64 = space.integrate(
-                &(0..space.nnodes())
-                    .map(|i| rho_out[i] * v_eff[i])
-                    .collect::<Vec<_>>(),
-            );
-            let rho_charge_out: Vec<f64> = (0..space.nnodes())
-                .map(|i| rho_ion[i] - rho_out[i])
-                .collect();
+            let rho_veff: f64 =
+                space.integrate(&(0..nn).map(|i| rho_out[i] * v_eff[i]).collect::<Vec<_>>());
+            let rho_charge_out: Vec<f64> = (0..nn).map(|i| rho_ion[i] - rho_out[i]).collect();
             (band, rho_veff, rho_charge_out)
         };
         let kinetic = band - rho_veff;
-        let (phi_out, pst_out) = {
-            let mut scope = PhaseScope::new(profile, Phase::Ep);
-            let r = solve_poisson(
-                space,
-                &rho_charge_out,
-                poisson_bc_of(space),
-                cfg.poisson_tol,
-                20000,
-            );
-            scope.add_flops(poisson_flops(space, r.1.iterations));
-            scope.add_bytes(poisson_bytes(space, r.1.iterations));
-            r
-        };
-        let _ = pst_out;
+        let (phi_out, _) = solve_electrostatics(space, &rho_charge_out, cfg.poisson_tol, profile);
         let xc_out = {
             let _scope = PhaseScope::new(profile, Phase::Dh);
             let rho_out_field = NodalField::from_values(space, rho_out.clone());
@@ -447,7 +672,7 @@ fn scf_impl<T: Scalar + ScalarExt>(
             let _scope = PhaseScope::new(profile, Phase::Other);
             let e_es_gauss = 0.5
                 * space.integrate(
-                    &(0..space.nnodes())
+                    &(0..nn)
                         .map(|i| rho_charge_out[i] * phi_out[i])
                         .collect::<Vec<_>>(),
                 );
@@ -465,16 +690,16 @@ fn scf_impl<T: Scalar + ScalarExt>(
             };
 
             // ---- convergence & mixing -----------------------------------
-            let diff: Vec<f64> = (0..space.nnodes())
-                .map(|i| (rho_out[i] - rho_in[i]).powi(2))
+            let diff: Vec<f64> = (0..nn)
+                .map(|i| (rho_out[i] - st.rho_in[i]).powi(2))
                 .collect();
             space.integrate(&diff).sqrt() / n_el
         };
-        residual_history.push(residual);
-        if cfg.verbose {
+        st.residual_history.push(residual);
+        if cfg.verbose && seam.is_root() {
             println!(
-                "SCF {iter:3}  E = {:+.8} Ha   resid = {residual:.3e}   mu = {mu:+.4}",
-                result_energy.free_energy
+                "SCF {iter:3}  E = {:+.8} Ha   resid = {residual:.3e}   mu = {:+.4}",
+                result_energy.free_energy, st.mu
             );
         }
         if residual < cfg.tol {
@@ -483,27 +708,34 @@ fn scf_impl<T: Scalar + ScalarExt>(
         }
         {
             let _scope = PhaseScope::new(profile, Phase::Other);
-            rho_in = mixer.mix(&rho_in, &rho_out);
+            st.rho_in = st
+                .mixer
+                .mix_with(&st.rho_in, &rho_out, &|gram| seam.sum_f64(gram));
         }
+        seam.probe(iter)?;
     }
 
-    ScfResult {
+    if converged {
+        seam.export_converged(&st, &rho_out, profile)?;
+    }
+
+    Ok(ScfResult {
         energy: result_energy,
         eigenvalues,
         occupations,
-        mu,
+        mu: st.mu,
         density: NodalField::from_values(space, rho_out),
         vxc: vxc_nodes,
         v_eff,
         iterations,
         converged,
-        residual_history,
+        residual_history: st.residual_history,
         profile: profile_store.map(|p| p.finish(None)),
-    }
+    })
 }
 
 /// Bloch phases `e^{i 2 pi f_d}` for k-point `k` in scalar type `T`.
-fn phases_for<T: Scalar + ScalarExt>(space: &FeSpace, k: &KPoint) -> [T; 3] {
+fn phases_for<T: ScalarExt>(space: &FeSpace, k: &KPoint) -> [T; 3] {
     let mut ph = [T::ONE; 3];
     for d in 0..3 {
         // dftlint:allow(L004, reason="exact Gamma-point sentinel: k.frac is set to literal 0.0, never computed")

@@ -1504,6 +1504,7 @@ mod tests {
                 // nothing posted yet on tag 77 from rank 1
                 let early = c.try_recv_f64(1, 77, WirePrecision::Fp32).unwrap();
                 assert!(early.is_none());
+                c.barrier().unwrap(); // rank 1 holds its isend until here
                 c.barrier().unwrap(); // rank 1 posts its isend before this barrier
                 loop {
                     if let Some(v) = c.try_recv_f64(1, 77, WirePrecision::Fp32).unwrap() {
@@ -1512,6 +1513,7 @@ mod tests {
                     std::hint::spin_loop();
                 }
             } else {
+                c.barrier().unwrap();
                 c.isend_f64(0, 77, &[6.5], WirePrecision::Fp32).unwrap();
                 c.barrier().unwrap();
                 6.5

@@ -3,11 +3,11 @@
 use dft_core::chebyshev::{chfes, lanczos_bounds, random_subspace, ChfesOptions};
 use dft_core::hamiltonian::KsHamiltonian;
 use dft_core::occupation::fermi_occupations;
+use dft_core::scf::poisson_bc_of;
 use dft_core::system::AtomicSystem;
 use dft_core::xc::{evaluate_xc, Lda};
 use dft_fem::field::NodalField;
-use dft_fem::mesh::BoundaryCondition;
-use dft_fem::poisson::{solve_poisson, PoissonBc};
+use dft_fem::poisson::solve_poisson;
 use dft_fem::space::FeSpace;
 use dft_linalg::blas1;
 use dft_linalg::iterative::{block_minres, DiagonalPrec};
@@ -76,19 +76,6 @@ pub struct InvDftResult {
     pub iterations: usize,
     /// Whether the tolerance was met.
     pub converged: bool,
-}
-
-fn poisson_bc_of(space: &FeSpace) -> PoissonBc<'static> {
-    let all_periodic = space
-        .mesh
-        .axes
-        .iter()
-        .all(|a| a.bc() == BoundaryCondition::Periodic);
-    if all_periodic {
-        PoissonBc::Periodic
-    } else {
-        PoissonBc::Dirichlet(&|_| 0.0)
-    }
 }
 
 /// Recover `v_xc` from a target density.
@@ -339,7 +326,7 @@ mod tests {
     use dft_core::scf::{scf, KPoint, ScfConfig};
     use dft_core::system::{Atom, AtomKind};
     use dft_core::xc::{SyntheticTruth, XcFunctional};
-    use dft_fem::mesh::{Axis, Mesh3d};
+    use dft_fem::mesh::{Axis, BoundaryCondition, Mesh3d};
 
     fn setup() -> (FeSpace, AtomicSystem) {
         let l = 10.0;

@@ -18,17 +18,18 @@
 //! are written via temp-file + rename, so a torn write is detected (or
 //! never visible) rather than silently resumed from.
 
+use crate::codec::{bad, fnv1a, push_f64, push_f64s, push_u64, verified_body, Cur};
 use crate::grid::GridShape;
 use crate::operator::WireScalar;
 use dft_linalg::matrix::Matrix;
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-/// On-disk format version (bumped on any layout change). Version 2 adds
-/// the writing run's process-grid shape and a per-shard list of the global
-/// k-point indices its wavefunction blocks cover (band replicas write no
-/// blocks at all); version 1 shards — every rank, every k — still load.
+/// On-disk format version (bumped on any layout change; only this version
+/// loads). Version 2 added the writing run's process-grid shape and a
+/// per-shard list of the global k-point indices its wavefunction blocks
+/// cover (band replicas write no blocks at all).
 pub const CHECKPOINT_VERSION: u32 = 2;
 
 const MAGIC: [u8; 8] = *b"DFTCKPT1";
@@ -63,8 +64,7 @@ pub struct LoadedCheckpoint<T> {
     pub psi_full: Vec<Matrix<T>>,
     /// Rank count of the run that wrote the snapshot.
     pub nranks_at_write: usize,
-    /// Process-grid shape of the writing run (version-1 snapshots report
-    /// the 1D slab shape).
+    /// Process-grid shape of the writing run.
     pub grid_at_write: GridShape,
 }
 
@@ -89,78 +89,6 @@ pub fn job_dir(root: &Path, job_id: u64) -> PathBuf {
 
 fn rank_file(root: &Path, iteration: usize, rank: usize) -> PathBuf {
     iter_dir(root, iteration).join(format!("rank-{rank}.ckpt"))
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn push_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
-    push_u64(buf, vs.len() as u64);
-    for &v in vs {
-        push_f64(buf, v);
-    }
-}
-
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// Byte-cursor reader with explicit bounds errors.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(bad("checkpoint truncated"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        // dftlint:allow(L001, reason="take(4) returns exactly 4 bytes or errors; try_into cannot fail")
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        // dftlint:allow(L001, reason="take(8) returns exactly 8 bytes or errors; try_into cannot fail")
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> io::Result<f64> {
-        // dftlint:allow(L001, reason="take(8) returns exactly 8 bytes or errors; try_into cannot fail")
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64s(&mut self) -> io::Result<Vec<f64>> {
-        let n = self.u64()? as usize;
-        if n > self.buf.len() / 8 + 1 {
-            return Err(bad("checkpoint length field out of range"));
-        }
-        (0..n).map(|_| self.f64()).collect()
-    }
 }
 
 /// Serialize and write this rank's shard of a snapshot on the 1D slab
@@ -355,10 +283,7 @@ pub fn latest_complete(root: &Path) -> Option<usize> {
 /// regardless of the restarting run's rank count.
 pub fn load<T: WireScalar>(root: &Path, iteration: usize) -> io::Result<LoadedCheckpoint<T>> {
     let first = read_verified(&rank_file(root, iteration, 0))?;
-    let mut cur = Cur {
-        buf: &first,
-        pos: 0,
-    };
+    let mut cur = Cur::new(&first);
     let header = parse_header::<T>(&mut cur, iteration)?;
     let state = parse_replicated(&mut cur, &header)?;
     let mut psi_full: Vec<Matrix<T>> = (0..header.nk)
@@ -368,10 +293,7 @@ pub fn load<T: WireScalar>(root: &Path, iteration: usize) -> io::Result<LoadedCh
 
     for rank in 1..header.nranks {
         let bytes = read_verified(&rank_file(root, iteration, rank))?;
-        let mut cur = Cur {
-            buf: &bytes,
-            pos: 0,
-        };
+        let mut cur = Cur::new(&bytes);
         let h = parse_header::<T>(&mut cur, iteration)?;
         if h.nranks != header.nranks
             || h.ndofs != header.ndofs
@@ -402,26 +324,16 @@ struct Header {
     ndofs: usize,
     n_states: usize,
     nk: usize,
-    /// Writing run's grid shape (slab for version-1 files).
+    /// Writing run's grid shape.
     shape: GridShape,
-    /// Global k indices of this shard's psi blocks, in block order
-    /// (version 1: all of `0..nk`).
+    /// Global k indices of this shard's psi blocks, in block order.
     ks: Vec<usize>,
 }
 
 fn read_verified(path: &Path) -> io::Result<Vec<u8>> {
-    let mut bytes = Vec::new();
-    fs::File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < MAGIC.len() + 8 {
-        return Err(bad("checkpoint file too short"));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    // dftlint:allow(L001, reason="split_at(len - 8) makes tail exactly 8 bytes; try_into cannot fail")
-    let stored = u64::from_le_bytes(tail.try_into().unwrap());
-    if fnv1a(body) != stored {
-        return Err(bad(format!("checksum mismatch in {}", path.display())));
-    }
-    bytes.truncate(bytes.len() - 8);
+    let mut bytes = fs::read(path)?;
+    let body = verified_body(&bytes).map_err(|e| bad(format!("{e} in {}", path.display())))?;
+    bytes.truncate(body.len());
     Ok(bytes)
 }
 
@@ -430,9 +342,9 @@ fn parse_header<T: WireScalar>(cur: &mut Cur<'_>, iteration: usize) -> io::Resul
         return Err(bad("bad checkpoint magic"));
     }
     let version = cur.u32()?;
-    if version == 0 || version > CHECKPOINT_VERSION {
+    if version != CHECKPOINT_VERSION {
         return Err(bad(format!(
-            "checkpoint version {version}, expected 1..={CHECKPOINT_VERSION}"
+            "unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}"
         )));
     }
     let _rank = cur.u32()?;
@@ -454,29 +366,24 @@ fn parse_header<T: WireScalar>(cur: &mut Cur<'_>, iteration: usize) -> io::Resul
     if nranks == 0 || nk == 0 {
         return Err(bad("degenerate checkpoint header"));
     }
-    let (shape, ks) = if version >= 2 {
-        let n_dom = cur.u32()? as usize;
-        let n_band = cur.u32()? as usize;
-        let n_kgrp = cur.u32()? as usize;
-        if n_dom == 0 || n_band == 0 || n_kgrp == 0 || n_dom * n_band * n_kgrp != nranks {
-            return Err(bad("checkpoint grid shape does not tile its rank count"));
+    let n_dom = cur.u32()? as usize;
+    let n_band = cur.u32()? as usize;
+    let n_kgrp = cur.u32()? as usize;
+    if n_dom == 0 || n_band == 0 || n_kgrp == 0 || n_dom * n_band * n_kgrp != nranks {
+        return Err(bad("checkpoint grid shape does not tile its rank count"));
+    }
+    let nks = cur.u64()? as usize;
+    if nks > nk {
+        return Err(bad("shard covers more k-points than the run has"));
+    }
+    let mut ks = Vec::with_capacity(nks);
+    for _ in 0..nks {
+        let ik = cur.u64()? as usize;
+        if ik >= nk {
+            return Err(bad("shard k index out of range"));
         }
-        let nks = cur.u64()? as usize;
-        if nks > nk {
-            return Err(bad("shard covers more k-points than the run has"));
-        }
-        let mut ks = Vec::with_capacity(nks);
-        for _ in 0..nks {
-            let ik = cur.u64()? as usize;
-            if ik >= nk {
-                return Err(bad("shard k index out of range"));
-            }
-            ks.push(ik);
-        }
-        (GridShape::new(n_dom, n_band, n_kgrp), ks)
-    } else {
-        (GridShape::slab(nranks), (0..nk).collect())
-    };
+        ks.push(ik);
+    }
     Ok(Header {
         nranks,
         iteration: it,
@@ -484,7 +391,7 @@ fn parse_header<T: WireScalar>(cur: &mut Cur<'_>, iteration: usize) -> io::Resul
         ndofs,
         n_states,
         nk,
-        shape,
+        shape: GridShape::new(n_dom, n_band, n_kgrp),
         ks,
     })
 }
@@ -535,8 +442,7 @@ fn absorb_shard<T: WireScalar>(
     }
     let mut owned = Vec::with_capacity(n_owned);
     for _ in 0..n_owned {
-        // dftlint:allow(L001, reason="take(4) returns exactly 4 bytes or errors; try_into cannot fail")
-        let d = u32::from_le_bytes(cur.take(4)?.try_into().unwrap());
+        let d = cur.u32()?;
         if d as usize >= h.ndofs {
             return Err(bad("owned DoF id out of range"));
         }

@@ -1,0 +1,97 @@
+//! The little-endian, FNV-1a-checksummed binary conventions shared by the
+//! on-disk formats of this crate (`DFTCKPT1` SCF snapshots in
+//! [`checkpoint`](crate::checkpoint), `DFTRELX1` relax state in
+//! [`relax`](crate::relax)): every `f64` travels as its own bit pattern,
+//! and a file ends in the checksum of everything before it.
+
+use std::io;
+
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+pub(crate) fn push_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(crate) fn push_f64(buf: &mut Vec<u8>, v: f64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(crate) fn push_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
+    push_u64(buf, vs.len() as u64);
+    for &v in vs {
+        push_f64(buf, v);
+    }
+}
+
+pub(crate) fn bad(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// Split the trailing FNV-1a checksum off `bytes` and verify it; returns
+/// the checksummed body.
+pub(crate) fn verified_body(bytes: &[u8]) -> io::Result<&[u8]> {
+    let Some((body, tail)) = bytes.split_last_chunk::<8>() else {
+        return Err(bad("file too short for a checksum"));
+    };
+    if fnv1a(body) != u64::from_le_bytes(*tail) {
+        return Err(bad("checksum mismatch"));
+    }
+    Ok(body)
+}
+
+/// Byte-cursor reader with explicit bounds errors.
+pub(crate) struct Cur<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cur<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Self { buf, pos: 0 }
+    }
+
+    pub(crate) fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
+        let Some(s) = self.buf.get(self.pos..).and_then(|rest| rest.get(..n)) else {
+            return Err(bad("file truncated"));
+        };
+        self.pos += n;
+        Ok(s)
+    }
+
+    fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        let mut a = [0; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
+
+    pub(crate) fn u8(&mut self) -> io::Result<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    pub(crate) fn u32(&mut self) -> io::Result<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    pub(crate) fn u64(&mut self) -> io::Result<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    pub(crate) fn f64(&mut self) -> io::Result<f64> {
+        self.array().map(f64::from_le_bytes)
+    }
+
+    pub(crate) fn f64s(&mut self) -> io::Result<Vec<f64>> {
+        let n = self.u64()? as usize;
+        if n > self.buf.len() / 8 + 1 {
+            return Err(bad("length field out of range"));
+        }
+        (0..n).map(|_| self.f64()).collect()
+    }
+}

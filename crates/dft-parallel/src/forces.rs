@@ -93,9 +93,7 @@ pub fn distributed_forces_profiled(
     grid: Option<GridShape>,
 ) -> Result<(Vec<[f64; 3]>, ForceAssemblyProfile), DistForceError> {
     let (rank, nranks) = (comm.rank(), comm.size());
-    let shape = grid
-        .or_else(GridShape::from_env)
-        .unwrap_or_else(|| GridShape::slab(nranks));
+    let shape = grid.unwrap_or_else(|| GridShape::slab(nranks));
     let pgrid = ProcessGrid::new(shape, rank, nranks);
     let dist = DistSpace::new_grid(space, &pgrid);
     let dec = &dist.dec;

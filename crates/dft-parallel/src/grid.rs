@@ -54,8 +54,7 @@ impl GridShape {
     }
 
     /// Parse a `"DOMxBANDxK"` spec, e.g. `"4x2x1"`; the k extent may be
-    /// omitted (`"4x2"` means one k-group). This is the format of the
-    /// `DFT_GRID` environment knob.
+    /// omitted (`"4x2"` means one k-group). The inverse of `Display`.
     pub fn parse(s: &str) -> Result<Self, String> {
         let parts: Vec<&str> = s.trim().split('x').collect();
         if parts.len() < 2 || parts.len() > 3 {
@@ -72,21 +71,6 @@ impl GridShape {
             }
         }
         Ok(Self::new(dims[0], dims[1], dims[2]))
-    }
-
-    /// The `DFT_GRID` environment knob, if set and non-empty. A malformed
-    /// spec aborts loudly — silently falling back to the slab layout would
-    /// make a typo look like a performance regression.
-    pub fn from_env() -> Option<Self> {
-        let s = std::env::var("DFT_GRID").ok()?;
-        if s.trim().is_empty() {
-            return None;
-        }
-        match Self::parse(&s) {
-            Ok(g) => Some(g),
-            // dftlint:allow(L001, reason="user-facing env knob read once at startup; a typo must abort, not be ignored")
-            Err(e) => panic!("DFT_GRID: {e}"),
-        }
     }
 }
 

@@ -17,17 +17,26 @@
 //!   boundary payloads (the paper's comm-halving trick);
 //! * [`reduce`] — the [`ClusterReducer`] that sums subspace matrices with
 //!   `allreduce_sum_f64`, leaving bit-identical results on every rank;
-//! * [`scf`] — the distributed SCF driver: replicated nodal fields and
-//!   Poisson solves, sharded eigensolver, density assembly by allreduce,
-//!   Anderson mixing with owned-node-masked Gram reduction, per-rank
-//!   [`ScfProfile`](dft_hpc::ScfProfile)s and a merged comm-volume report;
+//! * [`scf`] — the cluster side of the one SCF loop. The iteration itself
+//!   is [`dft_core::scf::scf_loop`], shared with the serial solver: it
+//!   owns the replicated electrostatics and XC, the filter-window rule,
+//!   occupations, density and energy assembly, residual, convergence and
+//!   profiling. This module supplies its [`ScfSeam`](dft_core::scf::ScfSeam)
+//!   — this rank's rows, band columns and k-points on the process grid,
+//!   the distributed operators and reducers for a ChFES pass, the density
+//!   / Anderson-Gram allreduce, the cross-k-group exchange, the
+//!   top-of-iteration preemption / snapshot / fault-epoch hook and the
+//!   failure probe — plus restart selection, per-rank
+//!   [`ScfProfile`](dft_hpc::ScfProfile)s and a comm-volume report;
 //! * [`checkpoint`] — versioned, checksummed per-rank SCF snapshots
 //!   (density, wavefunction shards, mixer history, chemical potential)
 //!   written atomically every `checkpoint_every` iterations;
-//! * [`recover`] — the restart drivers: on rank loss the survivors return
+//! * [`recover`] — one relaunch loop (run, classify errors, drop dead
+//!   ranks, pin the slab, restart) behind [`scf_with_recovery`] and
+//!   [`relax_with_recovery`]: on rank loss the survivors return
 //!   [`ScfError::RankLost`] within the communicator deadline (never a
-//!   hang), and [`scf_with_recovery`] / [`relax_with_recovery`] relaunch
-//!   from the newest complete snapshot at a reduced rank count;
+//!   hang) and the run resumes from the newest complete snapshot at a
+//!   reduced rank count;
 //! * [`forces`] — distributed Hellmann-Feynman force assembly: replicated
 //!   force Poisson solve, owned-node electrostatic quadrature plus a
 //!   rank-sharded ion-ion image sum, reassembled by one fixed-rank-order
@@ -44,6 +53,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod checkpoint;
+mod codec;
 pub mod decomp;
 pub mod forces;
 pub mod grid;
@@ -62,7 +72,7 @@ pub use grid::{GridShape, ProcessGrid};
 pub use operator::{
     ghost_tag_band, DistHamiltonian, DistSpace, PipelinedFilter, SharedComm, WireScalar,
 };
-pub use recover::{relax_with_recovery, scf_with_recovery, RecoveryReport, RelaxRecoveryReport};
+pub use recover::{relax_with_recovery, scf_with_recovery, RecoveryReport};
 pub use reduce::{ClusterReducer, CommVolume, GridReducer};
 pub use relax::{
     dist_md, dist_relax, DistMdResult, DistRelaxConfig, DistRelaxResult, MdConfig, MdStepRecord,

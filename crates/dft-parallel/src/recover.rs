@@ -1,5 +1,7 @@
-//! The restart driver: run a distributed SCF, and when ranks die, resume
-//! from the newest complete checkpoint at a reduced rank count.
+//! The restart drivers: run a distributed SCF or relaxation, and when ranks
+//! die, resume from the newest complete checkpoint at a reduced rank count.
+//! Both are one relaunch loop, told apart by the closure it runs on each
+//! rank and by how that closure's error classifies.
 //!
 //! Recovery needs no surviving process state — the snapshot on disk plus the
 //! deterministic [`Decomposition`](crate::decomp::Decomposition) derived
@@ -8,19 +10,21 @@
 //! from the checkpointed iteration and reconverges to the same free energy
 //! (bit-identical at the same rank count, to solver tolerance otherwise).
 
+use crate::grid::GridShape;
 use crate::relax::{dist_relax, DistRelaxConfig, DistRelaxResult, RelaxError};
 use crate::scf::{distributed_scf, DistScfConfig, DistScfResult, ScfError};
 use dft_core::scf::KPoint;
 use dft_core::system::AtomicSystem;
 use dft_core::xc::XcFunctional;
 use dft_fem::space::FeSpace;
-use dft_hpc::comm::{run_cluster_with, ClusterOptions, CommError, FaultPlan};
+use dft_hpc::comm::{run_cluster_with, ClusterOptions, CommError, FaultPlan, ThreadComm};
 use std::sync::Arc;
 
-/// What [`scf_with_recovery`] did to finish the SCF.
-pub struct RecoveryReport {
+/// What a recovery driver did to finish its run: `R` is the per-rank
+/// result ([`DistScfResult`] or [`DistRelaxResult`]), `E` its error.
+pub struct RecoveryReport<R, E> {
     /// Per-rank results of the *successful* attempt, in rank order.
-    pub results: Vec<DistScfResult>,
+    pub results: Vec<R>,
     /// Cluster launches performed (1 = no failure).
     pub attempts: usize,
     /// Rank count of the first launch.
@@ -28,18 +32,109 @@ pub struct RecoveryReport {
     /// Rank count of the successful launch.
     pub final_nranks: usize,
     /// The first per-rank error observed, if any attempt failed.
-    pub first_failure: Option<ScfError>,
+    pub first_failure: Option<E>,
+}
+
+/// What a per-rank error means for the relaunch loop.
+enum Fault {
+    /// This rank was killed: the relaunch runs without it.
+    Killed,
+    /// A peer went silent; a smaller cluster can resume.
+    Lost,
+    /// Relaunching cannot fix this.
+    Fatal,
+}
+
+fn scf_fault(e: &ScfError) -> Fault {
+    match e {
+        ScfError::RankLost {
+            cause: CommError::Killed { .. },
+            ..
+        } => Fault::Killed,
+        ScfError::RankLost { .. } => Fault::Lost,
+        // a broken snapshot store or a diverged (replicated) Poisson solve
+        // stays broken across relaunches; a cooperative preemption is a
+        // scheduling decision, not a failure — the job scheduler resumes
+        // the run itself, so relaunching here would override it
+        ScfError::Checkpoint { .. }
+        | ScfError::Preempted { .. }
+        | ScfError::PoissonDiverged { .. } => Fault::Fatal,
+    }
+}
+
+fn relax_fault(e: &RelaxError) -> Fault {
+    match e {
+        RelaxError::Scf(e) => scf_fault(e),
+        RelaxError::Comm(CommError::Killed { .. }) => Fault::Killed,
+        RelaxError::Comm(_) => Fault::Lost,
+        // a diverged force Poisson solve is replicated too
+        RelaxError::Force(_) => Fault::Fatal,
+    }
+}
+
+/// The relaunch loop both recovery drivers share: run → classify errors →
+/// drop dead ranks → pin slab → restart. Relaunches are fault-free (a kill
+/// rule fires once; replaying it would re-kill the restarted run), keep
+/// the original receive deadline, and replay the same explored schedule (a
+/// divergence found under seed S must stay reproducible under S).
+fn relaunch_loop<R: Send, E: Clone + Send>(
+    nranks: usize,
+    opts: &ClusterOptions,
+    cfg: &DistScfConfig,
+    max_restarts: usize,
+    fault: fn(&E) -> Fault,
+    run: impl Fn(&mut ThreadComm, &DistScfConfig) -> Result<R, E> + Send + Sync,
+) -> Result<RecoveryReport<R, E>, E> {
+    assert!(nranks >= 1);
+    let mut n = nranks;
+    let mut attempts = 0;
+    let mut first_failure: Option<E> = None;
+    let mut opts = opts.clone();
+    let mut cfg = cfg.clone();
+
+    loop {
+        attempts += 1;
+        let (outcomes, _) = run_cluster_with(n, &opts, |comm| run(comm, &cfg));
+        let killed = outcomes
+            .iter()
+            .filter(|r| matches!(r, Err(e) if matches!(fault(e), Fault::Killed)))
+            .count();
+        let err = match outcomes.into_iter().collect::<Result<Vec<R>, E>>() {
+            Ok(results) => {
+                return Ok(RecoveryReport {
+                    results,
+                    attempts,
+                    initial_nranks: nranks,
+                    final_nranks: n,
+                    first_failure,
+                })
+            }
+            Err(first) => first,
+        };
+        first_failure.get_or_insert_with(|| err.clone());
+        // survivors time out without a Killed cause when the dead rank never
+        // reports (it is gone, not erroring) — drop at least one rank
+        let drop_ranks = killed.max(1);
+        if matches!(fault(&err), Fault::Fatal) || attempts > max_restarts || n <= drop_ranks {
+            return Err(err);
+        }
+        n -= drop_ranks;
+        // the original grid shape cannot tile the reduced rank count, so the
+        // relaunch pins the 1D slab layout (checkpoints reshard across grid
+        // shapes); `restart` resumes from the newest complete snapshot
+        opts.faults = Arc::new(FaultPlan::default());
+        cfg.restart = true;
+        cfg.grid = Some(GridShape::slab(n));
+    }
 }
 
 /// Run the distributed SCF under `opts` (which may carry a fault plan) and,
 /// on rank loss, relaunch from the newest complete snapshot in
-/// `cfg.checkpoint_dir` with the dead ranks removed. Relaunches are
-/// fault-free (a kill rule fires once; replaying it would re-kill the
-/// restarted run) and keep the original receive deadline.
+/// `cfg.checkpoint_dir` with the dead ranks removed.
 ///
 /// Errors with the first failure when `max_restarts` is exhausted, when the
-/// cluster shrinks below one rank, or on checkpoint I/O failure (which a
-/// relaunch cannot fix).
+/// cluster shrinks below one rank, or on a failure a relaunch cannot fix
+/// (checkpoint I/O, preemption, a diverged Poisson solve).
 #[allow(clippy::too_many_arguments)]
 pub fn scf_with_recovery<X: XcFunctional + Sync>(
     nranks: usize,
@@ -50,112 +145,21 @@ pub fn scf_with_recovery<X: XcFunctional + Sync>(
     cfg: &DistScfConfig,
     kpts: &[KPoint],
     max_restarts: usize,
-) -> Result<RecoveryReport, ScfError> {
-    assert!(nranks >= 1);
-    let mut n = nranks;
-    let mut attempts = 0;
-    let mut first_failure: Option<ScfError> = None;
-    let mut current = ClusterOptions {
-        timeout: opts.timeout,
-        faults: Arc::clone(&opts.faults),
-        // a recovery relaunch replays the same explored schedule: a
-        // divergence found under seed S must stay reproducible under S
-        schedule: opts.schedule,
-    };
-    let mut cfg_attempt = cfg.clone();
-
-    loop {
-        attempts += 1;
-        let (results, _) = run_cluster_with(n, &current, |comm| {
-            distributed_scf(comm, space, system, xc, &cfg_attempt, kpts)
-        });
-
-        let mut ok = Vec::with_capacity(n);
-        let mut dead = 0usize;
-        let mut attempt_error: Option<ScfError> = None;
-        for r in results {
-            match r {
-                Ok(res) => ok.push(res),
-                Err(e) => {
-                    if matches!(
-                        e,
-                        ScfError::RankLost {
-                            cause: CommError::Killed { .. },
-                            ..
-                        }
-                    ) {
-                        dead += 1;
-                    }
-                    if attempt_error.is_none() {
-                        attempt_error = Some(e.clone());
-                    }
-                }
-            }
-        }
-
-        let Some(err) = attempt_error else {
-            return Ok(RecoveryReport {
-                results: ok,
-                attempts,
-                initial_nranks: nranks,
-                final_nranks: n,
-                first_failure,
-            });
-        };
-        if first_failure.is_none() {
-            first_failure = Some(err.clone());
-        }
-        // a broken snapshot store stays broken across relaunches; a
-        // cooperative preemption is a scheduling decision, not a failure —
-        // the job scheduler resumes the run itself, so relaunching here
-        // would override it
-        if matches!(
-            err,
-            ScfError::Checkpoint { .. } | ScfError::Preempted { .. }
-        ) {
-            return Err(err);
-        }
-        // survivors time out without a Killed cause when the dead rank never
-        // reports (it is gone, not erroring) — drop at least one rank
-        let drop_ranks = dead.max(1);
-        if attempts > max_restarts || n <= drop_ranks {
-            return Err(err);
-        }
-        n -= drop_ranks;
-        // relaunch fault-free from the newest complete snapshot; the
-        // original grid shape cannot tile the reduced rank count, so the
-        // relaunch pins the 1D slab layout explicitly (checkpoints reshard
-        // across grid shapes, and an ambient DFT_GRID knob must not apply
-        // to a shrunk cluster it cannot tile)
-        current.faults = Arc::new(FaultPlan::default());
-        cfg_attempt.restart = true;
-        cfg_attempt.grid = Some(crate::grid::GridShape::slab(n));
-    }
+) -> Result<RecoveryReport<DistScfResult, ScfError>, ScfError> {
+    relaunch_loop(nranks, opts, cfg, max_restarts, scf_fault, |comm, cfg| {
+        distributed_scf(comm, space, system, xc, cfg, kpts)
+    })
 }
 
-/// What [`relax_with_recovery`] did to finish the relaxation.
-pub struct RelaxRecoveryReport {
-    /// Per-rank results of the *successful* attempt, in rank order.
-    pub results: Vec<DistRelaxResult>,
-    /// Cluster launches performed (1 = no failure).
-    pub attempts: usize,
-    /// Rank count of the first launch.
-    pub initial_nranks: usize,
-    /// Rank count of the successful launch.
-    pub final_nranks: usize,
-    /// The first per-rank error observed, if any attempt failed.
-    pub first_failure: Option<RelaxError>,
-}
-
-/// [`scf_with_recovery`]'s sibling for the distributed relaxation driver:
-/// run [`dist_relax`] under `opts`, and on rank loss relaunch with the
-/// dead ranks removed. The relaunch resumes the *geometry* loop from the
+/// [`scf_with_recovery`] for the distributed relaxation driver: run
+/// [`dist_relax`] under `opts`, and on rank loss relaunch with the dead
+/// ranks removed. The relaunch resumes the *geometry* loop from the
 /// persisted relax state and the interrupted step's SCF from its newest
 /// complete snapshot — so a fault mid-trajectory repeats at most one
 /// step's un-checkpointed SCF iterations, not the whole relaxation.
 ///
-/// Preemption, checkpoint-store, and force-evaluation failures pass
-/// through untouched: none of them is fixed by relaunching.
+/// Force-evaluation failures pass through untouched like the SCF's
+/// unrecoverable ones: relaunching fixes none of them.
 #[allow(clippy::too_many_arguments)]
 pub fn relax_with_recovery<X: XcFunctional + Sync>(
     nranks: usize,
@@ -167,81 +171,54 @@ pub fn relax_with_recovery<X: XcFunctional + Sync>(
     relax_cfg: &DistRelaxConfig,
     kpts: &[KPoint],
     max_restarts: usize,
-) -> Result<RelaxRecoveryReport, RelaxError> {
-    assert!(nranks >= 1);
-    let mut n = nranks;
-    let mut attempts = 0;
-    let mut first_failure: Option<RelaxError> = None;
-    let mut current = ClusterOptions {
-        timeout: opts.timeout,
-        faults: Arc::clone(&opts.faults),
-        // a recovery relaunch replays the same explored schedule: a
-        // divergence found under seed S must stay reproducible under S
-        schedule: opts.schedule,
-    };
-    let mut cfg_attempt = cfg.clone();
+) -> Result<RecoveryReport<DistRelaxResult, RelaxError>, RelaxError> {
+    relaunch_loop(nranks, opts, cfg, max_restarts, relax_fault, |comm, cfg| {
+        dist_relax(comm, space, system, xc, cfg, relax_cfg, kpts)
+    })
+}
 
-    loop {
-        attempts += 1;
-        let (results, _) = run_cluster_with(n, &current, |comm| {
-            dist_relax(comm, space, system, xc, &cfg_attempt, relax_cfg, kpts)
-        });
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dft_core::forces::ForceError;
 
-        let mut ok = Vec::with_capacity(n);
-        let mut dead = 0usize;
-        let mut attempt_error: Option<RelaxError> = None;
-        for r in results {
-            match r {
-                Ok(res) => ok.push(res),
-                Err(e) => {
-                    if matches!(
-                        e,
-                        RelaxError::Scf(ScfError::RankLost {
-                            cause: CommError::Killed { .. },
-                            ..
-                        }) | RelaxError::Comm(CommError::Killed { .. })
-                    ) {
-                        dead += 1;
-                    }
-                    if attempt_error.is_none() {
-                        attempt_error = Some(e.clone());
-                    }
-                }
-            }
-        }
-
-        let Some(err) = attempt_error else {
-            return Ok(RelaxRecoveryReport {
-                results: ok,
-                attempts,
-                initial_nranks: nranks,
-                final_nranks: n,
-                first_failure,
-            });
+    /// Only a lost or killed rank is worth a relaunch; everything that
+    /// fails identically on every rank, and preemption, is handed back.
+    #[test]
+    fn only_rank_loss_is_relaunched() {
+        let lost = |cause| ScfError::RankLost {
+            rank: 1,
+            iteration: 3,
+            cause,
         };
-        if first_failure.is_none() {
-            first_failure = Some(err.clone());
+        let killed = CommError::Killed { rank: 1 };
+        let gone = CommError::PeerGone { peer: 0 };
+        assert!(matches!(scf_fault(&lost(killed)), Fault::Killed));
+        assert!(matches!(scf_fault(&lost(gone)), Fault::Lost));
+        for e in [
+            ScfError::Checkpoint { iteration: 2 },
+            ScfError::Preempted { iteration: 2 },
+            ScfError::PoissonDiverged { iteration: 2 },
+        ] {
+            assert!(matches!(scf_fault(&e), Fault::Fatal), "{e}");
+            assert!(matches!(relax_fault(&RelaxError::Scf(e)), Fault::Fatal));
         }
-        // preemption is a scheduling decision the caller resumes itself;
-        // a broken snapshot store or a diverged force Poisson solve stays
-        // broken across relaunches
-        if matches!(
-            err,
-            RelaxError::Scf(ScfError::Checkpoint { .. } | ScfError::Preempted { .. })
-                | RelaxError::Force(_)
-        ) {
-            return Err(err);
-        }
-        let drop_ranks = dead.max(1);
-        if attempts > max_restarts || n <= drop_ranks {
-            return Err(err);
-        }
-        n -= drop_ranks;
-        // fault-free relaunch on the 1D slab (as in `scf_with_recovery`);
-        // `restart` re-enters both the relax state and the interrupted
-        // step's SCF snapshots
-        current.faults = Arc::new(FaultPlan::default());
-        cfg_attempt.restart = true;
-        cfg_attempt.grid = Some(crate::grid::GridShape::slab(n));
+        assert!(matches!(
+            relax_fault(&RelaxError::Scf(lost(killed))),
+            Fault::Killed
+        ));
+        assert!(matches!(
+            relax_fault(&RelaxError::Comm(killed)),
+            Fault::Killed
+        ));
+        assert!(matches!(relax_fault(&RelaxError::Comm(gone)), Fault::Lost));
+        let diverged = ForceError::PoissonDiverged {
+            iterations: 20000,
+            residual: 1.0,
+        };
+        assert!(matches!(
+            relax_fault(&RelaxError::Force(diverged)),
+            Fault::Fatal
+        ));
     }
 }

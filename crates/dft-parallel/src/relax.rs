@@ -27,8 +27,8 @@
 //! own preemption/periodic SCF snapshots — so a preempted 300-step
 //! relaxation loses at most the SCF iterations since the last snapshot.
 
+use crate::codec::{bad, fnv1a, push_f64, push_u64, verified_body, Cur};
 use crate::forces::{distributed_forces, DistForceError};
-use crate::grid::GridShape;
 use crate::scf::{distributed_scf, performed_iterations, DistScfConfig, DistScfResult, ScfError};
 use dft_core::forces::{max_force, ForceError};
 use dft_core::relax::{FireState, RelaxConfig};
@@ -198,23 +198,6 @@ struct RelaxState {
     trajectory: Vec<RelaxStepRecord>,
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn push_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 fn state_path(root: &Path) -> PathBuf {
     root.join("relax_state.v1")
 }
@@ -256,42 +239,22 @@ fn write_relax_state(root: &Path, st: &RelaxState) -> io::Result<()> {
     fs::rename(&tmp, state_path(root))
 }
 
-/// Byte-cursor reader; any structural problem returns `None` (degrade to
-/// fresh start), mirroring the warm-start hint semantics.
-struct Cur<'a>(&'a [u8], usize);
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.0.get(self.1..self.1 + n)?;
-        self.1 += n;
-        Some(s)
-    }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-}
-
+/// Any structural problem reads as `None` (degrade to a fresh start),
+/// mirroring the warm-start hint semantics.
 fn load_relax_state(root: &Path, n_atoms: usize) -> Option<RelaxState> {
     let bytes = fs::read(state_path(root)).ok()?;
-    if bytes.len() < RELAX_MAGIC.len() + 8 {
-        return None;
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().ok()?);
-    if fnv1a(body) != stored {
-        return None;
-    }
-    let mut c = Cur(body, 0);
+    parse_relax_state(&bytes, n_atoms).ok()
+}
+
+fn parse_relax_state(bytes: &[u8], n_atoms: usize) -> io::Result<RelaxState> {
+    let mut c = Cur::new(verified_body(bytes)?);
     if c.take(8)? != RELAX_MAGIC {
-        return None;
+        return Err(bad("bad relax-state magic"));
     }
     let step = c.u64()? as usize;
     let n = c.u64()? as usize;
     if n != n_atoms {
-        return None;
+        return Err(bad("relax state is for another atom count"));
     }
     let mut positions = vec![[0.0; 3]; n];
     for p in positions.iter_mut() {
@@ -310,7 +273,7 @@ fn load_relax_state(root: &Path, n_atoms: usize) -> Option<RelaxState> {
     }
     let n_rec = c.u64()? as usize;
     if n_rec > step + 1 {
-        return None;
+        return Err(bad("relax trajectory longer than its step count"));
     }
     let mut trajectory = Vec::with_capacity(n_rec);
     for _ in 0..n_rec {
@@ -321,7 +284,7 @@ fn load_relax_state(root: &Path, n_atoms: usize) -> Option<RelaxState> {
             warm_started: c.u64()? != 0,
         });
     }
-    Some(RelaxState {
+    Ok(RelaxState {
         step,
         positions,
         fire: FireState {
@@ -371,6 +334,44 @@ fn step_cfg(
         cfg.final_state_dir = None;
     }
     cfg
+}
+
+/// Evaluates the geometries of one trajectory: everything about a step's
+/// electronic solve and forces that does not change from step to step.
+struct StepEvaluator<'a> {
+    space: &'a FeSpace,
+    xc: &'a dyn XcFunctional,
+    scf_cfg: &'a DistScfConfig,
+    kpts: &'a [KPoint],
+    /// Warm-start each step from the trajectory's `relax-warm` slot.
+    warm_start: bool,
+    /// The trajectory's first step (the only one that may still use the
+    /// caller's `restart_from` hint).
+    first_step: usize,
+    /// Names the driver's per-step snapshot directories.
+    label: &'static str,
+}
+
+impl StepEvaluator<'_> {
+    /// The SCF under [`step_cfg`], then the distributed Hellmann-Feynman
+    /// forces of its density; also reports whether the SCF actually
+    /// resumed from its warm hint.
+    fn evaluate(
+        &self,
+        comm: &mut ThreadComm,
+        sys: &AtomicSystem,
+        step: usize,
+        resume: bool,
+    ) -> Result<(DistScfResult, Vec<[f64; 3]>, bool), RelaxError> {
+        let root = self.scf_cfg.checkpoint_dir.as_deref();
+        let warm = self.warm_start && root.is_some_and(|r| r.join("relax-warm").exists());
+        let first = step == self.first_step;
+        let cfg_step = step_cfg(self.scf_cfg, root, step, warm, first, resume, self.label);
+        let r = distributed_scf(comm, self.space, sys, self.xc, &cfg_step, self.kpts)?;
+        let f = distributed_forces(comm, self.space, sys, &r.density.values, cfg_step.grid)?;
+        let warm_started = r.resumed_from.is_some() && cfg_step.restart_from.is_some();
+        Ok((r, f, warm_started))
+    }
 }
 
 /// Best-effort pruning of a finished step's snapshot directory (its warm
@@ -428,34 +429,14 @@ pub fn dist_relax(
         }
     }
 
-    let warm_dir_has_state =
-        |root: Option<&Path>| root.is_some_and(|r| r.join("relax-warm").exists());
-
-    let evaluate = |comm: &mut ThreadComm,
-                    sys: &AtomicSystem,
-                    step: usize,
-                    resume: bool|
-     -> Result<(DistScfResult, Vec<[f64; 3]>, bool), RelaxError> {
-        let warm = relax_cfg.warm_start && warm_dir_has_state(root);
-        let cfg_step = step_cfg(
-            scf_cfg,
-            root,
-            step,
-            warm,
-            step == start_step,
-            resume,
-            "fire",
-        );
-        let r = distributed_scf(comm, space, sys, xc, &cfg_step, kpts)?;
-        let f = distributed_forces(
-            comm,
-            space,
-            sys,
-            &r.density.values,
-            cfg_step.grid.or_else(GridShape::from_env),
-        )?;
-        let warm_started = r.resumed_from.is_some() && cfg_step.restart_from.is_some();
-        Ok((r, f, warm_started))
+    let steps = StepEvaluator {
+        space,
+        xc,
+        scf_cfg,
+        kpts,
+        warm_start: relax_cfg.warm_start,
+        first_step: start_step,
+        label: "fire",
     };
 
     // persist the integrator state *before* each evaluation: a
@@ -482,12 +463,8 @@ pub fn dist_relax(
     };
 
     persist(rank, start_step, &sys, &fire, &trajectory);
-    let (mut r, mut f, mut warm) = evaluate(
-        comm,
-        &sys,
-        start_step,
-        scf_cfg.restart && resumed_step.is_some(),
-    )?;
+    let resume = scf_cfg.restart && resumed_step.is_some();
+    let (mut r, mut f, mut warm) = steps.evaluate(comm, &sys, start_step, resume)?;
     let mut converged = false;
     let mut step = start_step;
     loop {
@@ -517,7 +494,7 @@ pub fn dist_relax(
         let prev = step;
         step += 1;
         persist(rank, step, &sys, &fire, &trajectory);
-        let out = evaluate(comm, &sys, step, false)?;
+        let out = steps.evaluate(comm, &sys, step, false)?;
         if rank == 0 {
             prune_step_dir(root, prev, "fire");
         }
@@ -556,27 +533,17 @@ pub fn dist_md(
     let dt = md_cfg.dt;
     let mut trajectory = Vec::with_capacity(md_cfg.steps + 1);
 
-    let warm_dir_has_state =
-        |root: Option<&Path>| root.is_some_and(|r| r.join("relax-warm").exists());
-    let evaluate = |comm: &mut ThreadComm,
-                    sys: &AtomicSystem,
-                    step: usize|
-     -> Result<(DistScfResult, Vec<[f64; 3]>, bool), RelaxError> {
-        let warm = md_cfg.warm_start && warm_dir_has_state(root);
-        let cfg_step = step_cfg(scf_cfg, root, step, warm, step == 0, false, "md");
-        let r = distributed_scf(comm, space, sys, xc, &cfg_step, kpts)?;
-        let f = distributed_forces(
-            comm,
-            space,
-            sys,
-            &r.density.values,
-            cfg_step.grid.or_else(GridShape::from_env),
-        )?;
-        let warm_started = r.resumed_from.is_some() && cfg_step.restart_from.is_some();
-        Ok((r, f, warm_started))
+    let steps = StepEvaluator {
+        space,
+        xc,
+        scf_cfg,
+        kpts,
+        warm_start: md_cfg.warm_start,
+        first_step: 0,
+        label: "md",
     };
 
-    let (mut r, mut f, mut warm) = evaluate(comm, &sys, 0)?;
+    let (mut r, mut f, mut warm) = steps.evaluate(comm, &sys, 0, false)?;
     for step in 0..md_cfg.steps {
         let kinetic: f64 = 0.5
             * v.iter()
@@ -597,7 +564,7 @@ pub fn dist_md(
                 sys.atoms[i].pos[k] += dt * v[i][k];
             }
         }
-        let out = evaluate(comm, &sys, step + 1)?;
+        let out = steps.evaluate(comm, &sys, step + 1, false)?;
         if rank == 0 {
             prune_step_dir(root, step, "md");
         }
@@ -617,7 +584,7 @@ pub fn dist_md(
         kinetic,
         total: r.energy.free_energy + kinetic,
         fmax: max_force(&f),
-        scf_iterations: r.iterations,
+        scf_iterations: performed_iterations(r.iterations, r.resumed_from),
         warm_started: warm,
     });
     Ok(DistMdResult {

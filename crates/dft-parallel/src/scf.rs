@@ -1,11 +1,14 @@
-//! The distributed-memory SCF driver.
+//! The distributed-memory SCF: one rank's side of the SCF loop.
 //!
-//! The data decomposition follows the paper's hierarchy at miniature scale:
-//! wavefunction blocks are sharded by owned DoF rows across ranks, while the
-//! *nodal* fields (density, potentials) are replicated — every rank carries
-//! the full `rho`, `v_eff`, and Poisson solution, recomputed identically
-//! from identical inputs, so those steps need no communication at all. The
-//! communication in one SCF iteration is exactly:
+//! The iteration itself lives in [`dft_core::scf::scf_loop`] and is the
+//! same code the serial solver runs; this module instantiates it on a
+//! cluster. What the loop owns is replicated: every rank carries the full
+//! `rho`, `v_eff`, and Poisson solution, recomputed identically from
+//! identical inputs, so those steps need no communication at all. What
+//! this module supplies through the loop's [`ScfSeam`] is the paper's
+//! data decomposition at miniature scale — wavefunction blocks sharded by
+//! owned DoF rows (and, on a process grid, band columns and k-points) —
+//! and with it all the communication of one SCF iteration:
 //!
 //! * ghost-DoF exchange inside every distributed Hamiltonian apply
 //!   (overlapped with interior compute, wire precision selectable);
@@ -19,30 +22,27 @@
 //! accumulation orders are fixed by rank (never by message arrival), so two
 //! runs at the same rank count produce bit-identical energies — and every
 //! rank of one run agrees on every replicated quantity to the last bit.
+//! Restart selection and the snapshot writer live here too.
 
 use crate::checkpoint::{self, ReplicatedScfState};
-use crate::decomp::Decomposition;
 use crate::grid::{GridShape, ProcessGrid};
 use crate::operator::{DistHamiltonian, DistSpace, PipelinedFilter, SharedComm, WireScalar};
 use crate::reduce::{ClusterReducer, CommVolume, GridReducer};
-use dft_core::chebyshev::{
-    chfes_reduced, lanczos_bounds, random_subspace, CfFilter, ChfesOptions, SubspaceReducer,
+use dft_core::chebyshev::{CfFilter, SubspaceReducer};
+use dft_core::hamiltonian::{HamOperator, KsHamiltonian};
+use dft_core::scf::{
+    restrict_rows, scf_loop, KPoint, ScalarExt, ScfConfig, ScfLoopError, ScfSeam, ScfState,
+    TotalEnergy,
 };
-use dft_core::hamiltonian::KsHamiltonian;
-use dft_core::mixing::AndersonMixer;
-use dft_core::occupation::fermi_occupations;
-use dft_core::scf::{KPoint, ScfConfig, TotalEnergy};
 use dft_core::system::AtomicSystem;
-use dft_core::xc::{evaluate_xc, XcFunctional};
+use dft_core::xc::XcFunctional;
 use dft_fem::field::NodalField;
-use dft_fem::mesh::BoundaryCondition;
-use dft_fem::poisson::{solve_poisson, PoissonBc};
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::{CommError, ThreadComm, WirePrecision};
 use dft_hpc::profile::{Phase, PhaseScope, Profile, ScfProfile};
 use dft_linalg::matrix::Matrix;
-use dft_linalg::scalar::{Real, C64};
-use std::path::PathBuf;
+use dft_linalg::scalar::C64;
+use std::path::{Path, PathBuf};
 
 /// Why a distributed SCF did not finish.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -76,6 +76,14 @@ pub enum ScfError {
         /// continues from here.
         iteration: usize,
     },
+    /// The electrostatic solve of the input density did not reach
+    /// `poisson_tol` within its iteration cap. The solve is replicated, so
+    /// every rank reports this at the same iteration; a relaunch would
+    /// diverge the same way.
+    PoissonDiverged {
+        /// Zero-based SCF iteration of the failed solve.
+        iteration: usize,
+    },
 }
 
 impl std::fmt::Display for ScfError {
@@ -94,6 +102,9 @@ impl std::fmt::Display for ScfError {
                     f,
                     "preempted at SCF iteration {iteration} (snapshot written)"
                 )
+            }
+            ScfError::PoissonDiverged { iteration } => {
+                write!(f, "Poisson solve failed at SCF iteration {iteration}")
             }
         }
     }
@@ -330,74 +341,340 @@ pub fn distributed_scf(
     let _ = dft_linalg::autotune::load_from_disk();
     let gamma_only = kpts.len() == 1 && kpts[0].is_gamma();
     if gamma_only {
-        dist_scf_impl::<f64>(comm, space, system, xc, cfg, kpts)
+        scf_on_cluster::<f64>(comm, space, system, xc, cfg, kpts)
     } else {
-        dist_scf_impl::<C64>(comm, space, system, xc, cfg, kpts)
+        scf_on_cluster::<C64>(comm, space, system, xc, cfg, kpts)
     }
 }
 
-/// Object-safe imaginary-unit shim (mirrors the private one in
-/// `dft_core::scf`, which is deliberately not exported).
-trait ScalarExt: WireScalar {
-    fn imag() -> Self;
-}
-impl ScalarExt for f64 {
-    fn imag() -> Self {
-        // dftlint:allow(L001, reason="guarded by T::IS_COMPLEX at the only call site; f64 path is unreachable")
-        panic!("no imaginary unit in f64")
-    }
-}
-impl ScalarExt for C64 {
-    fn imag() -> Self {
-        C64::I
-    }
+/// The subspace reducer of a run: all-rank sums on the 1D slab, grid-axis
+/// sums (optionally FP32 off the band diagonal) on a process grid.
+enum Reducer<'a, 'c> {
+    Cluster(ClusterReducer<'a, 'c>),
+    Grid(GridReducer<'a, 'c>),
 }
 
-/// Bloch phases `e^{i 2 pi f_d}` for k-point `k` (as in `dft_core::scf`).
-fn phases_for<T: ScalarExt>(space: &FeSpace, k: &KPoint) -> [T; 3] {
-    let mut ph = [T::ONE; 3];
-    for d in 0..3 {
-        // dftlint:allow(L004, reason="exact Gamma-point sentinel: k.frac is set to literal 0.0, never computed")
-        if space.mesh.axes[d].bc() == BoundaryCondition::Periodic && k.frac[d] != 0.0 {
-            let theta = 2.0 * std::f64::consts::PI * k.frac[d];
-            if T::IS_COMPLEX {
-                ph[d] = T::from_f64(theta.cos())
-                    + T::imag().scale(<T::Re as Real>::from_f64(theta.sin()));
-            } else {
-                let c = theta.cos().round();
-                assert!(
-                    (theta.sin()).abs() < 1e-12 && (c.abs() - 1.0).abs() < 1e-12,
-                    "real path supports only Γ / zone-boundary k-points"
-                );
-                ph[d] = T::from_f64(c);
-            }
+/// One rank's side of the [`ScfSeam`]: its slab of DoF rows, band columns
+/// and k-points on the process grid, the distributed operators, the
+/// collectives, and the snapshots.
+struct ClusterSeam<'a, 'c> {
+    cfg: &'a DistScfConfig,
+    shared: &'a SharedComm<'c>,
+    pgrid: &'a ProcessGrid,
+    dist: &'a DistSpace<'a>,
+    reducer: Reducer<'a, 'c>,
+}
+
+impl ClusterSeam<'_, '_> {
+    fn lost(&self, iteration: usize, cause: CommError) -> ScfError {
+        ScfError::RankLost {
+            rank: self.pgrid.rank,
+            iteration,
+            cause,
         }
     }
-    ph
-}
 
-fn poisson_flops(space: &FeSpace, cg_iterations: usize) -> u64 {
-    cg_iterations as u64 * (space.stiffness_apply_flops::<f64>(1) + 10 * space.ndofs() as u64)
-}
-
-fn poisson_bytes(space: &FeSpace, cg_iterations: usize) -> u64 {
-    cg_iterations as u64 * 10 * space.ndofs() as u64 * std::mem::size_of::<f64>() as u64
-}
-
-fn poisson_bc_of(space: &FeSpace) -> PoissonBc<'static> {
-    let all_periodic = space
-        .mesh
-        .axes
-        .iter()
-        .all(|a| a.bc() == BoundaryCondition::Periodic);
-    if all_periodic {
-        PoissonBc::Periodic
-    } else {
-        PoissonBc::Dirichlet(&|_| 0.0)
+    /// Write one complete cluster snapshot into `dir`, labeled `iteration`
+    /// and resuming from the density `rho_in` — shard write, cluster
+    /// barrier (which doubles as the failure detector), then a rank-0
+    /// `COMPLETE` marker with keep-last-2 pruning. Shared by the periodic
+    /// cadence, cooperative preemption, and the converged-state export.
+    /// Band replicas hold identical psi columns, so only the band-0 rank
+    /// of each (domain, k-group) slot writes wavefunction blocks, tagged
+    /// with the global k indices they cover.
+    fn snapshot<T: WireScalar>(
+        &self,
+        dir: &Path,
+        iteration: usize,
+        rho_in: &[f64],
+        residual_history: &[f64],
+        st: &ScfState<T>,
+        profile: Option<&Profile>,
+    ) -> Result<(), ScfError> {
+        let state = ReplicatedScfState {
+            iteration,
+            rho_in: rho_in.to_vec(),
+            mu: st.mu,
+            mixer_history: st.mixer.history().to_vec(),
+            filter_windows: st.filter_window.clone(),
+            residual_history: residual_history.to_vec(),
+        };
+        let (rank, shape) = (self.pgrid.rank, self.pgrid.shape);
+        let nk = st.filter_window.len();
+        let mut scope = PhaseScope::new(profile, Phase::Ck);
+        let k0 = self.pgrid.my_kpoints(nk).0;
+        let my_ks: Vec<usize> = (k0..k0 + st.psi.len()).collect();
+        let (ck_ks, ck_psi): (&[usize], &[Matrix<T>]) = if self.pgrid.band == 0 {
+            (&my_ks, &st.psi)
+        } else {
+            (&[], &[])
+        };
+        let bytes = checkpoint::write_rank_grid(
+            dir,
+            rank,
+            shape.nranks(),
+            self.dist.space.ndofs(),
+            &state,
+            &self.dist.dec.owned,
+            ck_psi,
+            ck_ks,
+            nk,
+            self.cfg.base.n_states,
+            shape,
+        )
+        .map_err(|_| ScfError::Checkpoint { iteration })?;
+        scope.add_bytes(bytes);
+        // every shard must land before the snapshot is declared complete
+        self.shared
+            .with(|c| c.barrier())
+            .map_err(|e| self.lost(iteration, e))?;
+        if rank == 0 {
+            checkpoint::finalize(dir, iteration, 2)
+                .map_err(|_| ScfError::Checkpoint { iteration })?;
+        }
+        Ok(())
     }
 }
 
-fn dist_scf_impl<T: ScalarExt>(
+impl<T: WireScalar> ScfSeam<T> for ClusterSeam<'_, '_> {
+    type Error = ScfError;
+
+    fn n_rows(&self, _ndofs: usize) -> usize {
+        self.dist.dec.n_owned()
+    }
+    fn dof_of_row(&self, l: usize) -> usize {
+        self.dist.dec.owned[l] as usize
+    }
+    // the (band 0, k-group 0) replica of each slab speaks for its nodes
+    fn owns_node(&self, node: usize) -> bool {
+        self.dist.dec.owned_node[node] && self.pgrid.owns_replicated_fields()
+    }
+    fn band_cols(&self, n_states: usize) -> (usize, usize) {
+        self.pgrid.my_band_cols(n_states)
+    }
+    fn kpoints(&self, nk: usize) -> (usize, usize) {
+        self.pgrid.my_kpoints(nk)
+    }
+    fn is_root(&self) -> bool {
+        self.pgrid.rank == 0
+    }
+
+    fn with_operators<R>(
+        &self,
+        h_full: &KsHamiltonian<'_, T>,
+        v_eff: &[f64],
+        run: impl FnOnce(&dyn HamOperator<T>, CfFilter<'_, T>, &dyn SubspaceReducer<T>) -> R,
+    ) -> R {
+        // FP64 operator for CholGS/RR; the filter twin carries the
+        // configured (possibly FP32) boundary wire
+        let ph = h_full.phases;
+        let h = DistHamiltonian::<T>::new(self.dist, self.shared, v_eff, ph, WirePrecision::Fp64);
+        let h_filter = DistHamiltonian::<T>::new(self.dist, self.shared, v_eff, ph, self.cfg.wire);
+        // overlap mode swaps the plain filter operator for the pipelined
+        // driver (same arithmetic, look-ahead ghost posts)
+        let pipelined;
+        let filter = if self.cfg.overlap {
+            pipelined = PipelinedFilter::new(&h_filter);
+            CfFilter::Driver(&pipelined)
+        } else {
+            CfFilter::Op(&h_filter)
+        };
+        let reducer: &dyn SubspaceReducer<T> = match &self.reducer {
+            Reducer::Cluster(r) => r,
+            Reducer::Grid(r) => r,
+        };
+        run(&h, filter, reducer)
+    }
+
+    fn sum_f64(&self, buf: &mut [f64]) {
+        let comm = self.shared;
+        // dftlint:allow(L007, reason="deliberate swallow: the failed allreduce has already poisoned the communicator, and the loop probes shared.failure() right after the sum")
+        let _ = comm.with(|c| c.allreduce_sum_f64(buf, WirePrecision::Fp64));
+    }
+
+    /// Each group's (dom 0, band 0) root contributes its ks to a k-root
+    /// allreduce, then broadcasts the assembled buffer into its plane
+    /// (the filter windows ride along so checkpoints stay replicated).
+    fn exchange_kpoints(
+        &self,
+        iter: usize,
+        eigenvalues: &mut [Vec<f64>],
+        filter_window: &mut [Option<(f64, f64)>],
+        profile: Option<&Profile>,
+    ) -> Result<(), ScfError> {
+        let pgrid = self.pgrid;
+        if pgrid.shape.n_kgrp == 1 {
+            return Ok(());
+        }
+        let _scope = PhaseScope::new(profile, Phase::Other);
+        let (n_states, nk) = (self.cfg.base.n_states, eigenvalues.len());
+        let stride = n_states + 2;
+        let mut buf = vec![0.0; nk * stride];
+        // dftlint:allow(L006, reason="intentional: only the (dom 0, band 0) roots are members of k_roots, every member runs the same sequence, and non-roots rejoin at the group_broadcast below")
+        if pgrid.dom == 0 && pgrid.band == 0 {
+            let (k0, k1) = pgrid.my_kpoints(nk);
+            for ik in k0..k1 {
+                let o = ik * stride;
+                buf[o..o + n_states].copy_from_slice(&eigenvalues[ik]);
+                if let Some((wa0, wa)) = filter_window[ik] {
+                    buf[o + n_states] = wa0;
+                    buf[o + n_states + 1] = wa;
+                }
+            }
+            self.shared
+                .with(|c| c.group_allreduce_sum_f64(&pgrid.k_roots, &mut buf, WirePrecision::Fp64))
+                .map_err(|e| self.lost(iter, e))?;
+        }
+        self.shared
+            .with(|c| c.group_broadcast_f64(&pgrid.kgrp_group, &mut buf, WirePrecision::Fp64))
+            .map_err(|e| self.lost(iter, e))?;
+        for ik in 0..nk {
+            let o = ik * stride;
+            eigenvalues[ik] = buf[o..o + n_states].to_vec();
+            filter_window[ik] = Some((buf[o + n_states], buf[o + n_states + 1]));
+        }
+        Ok(())
+    }
+
+    // a dead peer surfaces inside a ghost exchange or a reduction; the
+    // poisoned communicator makes the rest of that (garbage) step finish
+    // fast, and this is where the loop finds out
+    fn probe(&self, iter: usize) -> Result<(), ScfError> {
+        self.shared
+            .failure()
+            .map_or(Ok(()), |e| Err(self.lost(iter, e)))
+    }
+
+    fn iteration_top(
+        &self,
+        iter: usize,
+        st: &ScfState<T>,
+        profile: Option<&Profile>,
+    ) -> Result<(), ScfError> {
+        let cfg = self.cfg;
+        // ---- cooperative preemption consensus --------------------------
+        // One tiny allreduce(max) per iteration, present only when a token
+        // is attached (the default schedule stays bit-identical): a raise
+        // observed by any rank becomes a cluster-wide decision at this
+        // iteration, so every rank snapshots the same state and unwinds
+        // together.
+        if let Some(token) = &cfg.preempt {
+            let agreed = self
+                .shared
+                .with(|c| c.allreduce_max_u64(u64::from(token.is_requested())))
+                .map_err(|e| self.lost(iter, e))?;
+            if agreed != 0 {
+                if let Some(dir) = &cfg.checkpoint_dir {
+                    self.snapshot(dir, iter, &st.rho_in, &st.residual_history, st, profile)?;
+                }
+                return Err(ScfError::Preempted { iteration: iter });
+            }
+        }
+        // ---- checkpoint the top-of-iteration state ---------------------
+        // Written *before* the epoch advance, so a fault-injected "kill at
+        // iteration K" leaves iteration K's snapshot complete.
+        if let Some(dir) = &cfg.checkpoint_dir {
+            let every = cfg.base.checkpoint_every;
+            if every > 0 && iter > st.start_iter && iter.is_multiple_of(every) {
+                self.snapshot(dir, iter, &st.rho_in, &st.residual_history, st, profile)?;
+            }
+        }
+        // ---- fault-injection epoch: "kill rank R at iteration K" -------
+        self.shared
+            .with(|c| c.advance_epoch())
+            .map_err(|e| self.lost(iter, e))
+    }
+
+    /// The cache's write side. Labeled iteration 1 so a warm resume skips
+    /// the first-iteration multi-pass filtering: the resumed run starts
+    /// from the converged density, mixer history, and subspace, and
+    /// typically reconverges in a small handful of iterations instead of
+    /// a full cold SCF.
+    fn export_converged(
+        &self,
+        st: &ScfState<T>,
+        rho_out: &[f64],
+        profile: Option<&Profile>,
+    ) -> Result<(), ScfError> {
+        match &self.cfg.final_state_dir {
+            Some(dir) => self.snapshot(dir, 1, rho_out, &[], st, profile),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Point `st` at the newest complete snapshot, if `cfg.restart` asks for
+/// one; returns the snapshot iteration resumed from.
+///
+/// With both a `restart_from` warm-start hint and the job's own
+/// `checkpoint_dir` available, whichever holds the *newest* complete
+/// snapshot wins (own progress wins ties): a fresh submission reads the
+/// cache entry, while a rank-loss relaunch that has already progressed
+/// past it resumes from its own later checkpoints instead of repeating
+/// work. A warm-start snapshot that fails to load or does not match this
+/// run's dimensions degrades to a cold start — every rank reads the same
+/// bytes, so the fallback decision is identical cluster-wide; a
+/// `checkpoint_dir` restart failure stays fatal, since recovery
+/// correctness depends on it.
+fn restore<T: WireScalar>(
+    seam: &ClusterSeam<'_, '_>,
+    st: &mut ScfState<T>,
+) -> Result<Option<usize>, ScfError> {
+    let cfg = seam.cfg;
+    if !cfg.restart {
+        return Ok(None);
+    }
+    fn newest(dir: &Option<PathBuf>) -> Option<(&Path, usize)> {
+        let dir = dir.as_deref()?;
+        checkpoint::latest_complete(dir).map(|it| (dir, it))
+    }
+    let chosen = match (newest(&cfg.restart_from), newest(&cfg.checkpoint_dir)) {
+        (Some((wd, wi)), Some((_, oi))) if wi > oi => Some((wd, wi, true)),
+        (_, Some((od, oi))) => Some((od, oi, false)),
+        (Some((wd, wi)), None) => Some((wd, wi, true)),
+        (None, None) => None,
+    };
+    let Some((dir, it, warm_hint)) = chosen else {
+        return Ok(None);
+    };
+    let space = seam.dist.space;
+    let nk = st.filter_window.len();
+    let loaded = match checkpoint::load::<T>(dir, it) {
+        Ok(l)
+            if l.state.rho_in.len() == space.nnodes()
+                && l.psi_full.len() == nk
+                && l.psi_full[0].nrows() == space.ndofs()
+                && l.psi_full[0].ncols() == cfg.base.n_states
+                && l.state.filter_windows.len() == nk =>
+        {
+            l
+        }
+        _ if warm_hint => return Ok(None),
+        _ => return Err(ScfError::Checkpoint { iteration: it }),
+    };
+    // A `restart_from` hint is a *different* problem's converged state (a
+    // cache entry, or the previous geometry of a relaxation): its
+    // density/subspace/windows are excellent initial guesses, but its
+    // Anderson residual pairs point at the OLD fixed point and measurably
+    // slow reconvergence at the new one, so the mixer (and the reported
+    // residual history) start fresh. Own-checkpoint resumes are the same
+    // SCF continuing and restore both.
+    if !warm_hint {
+        st.mixer.restore_history(loaded.state.mixer_history);
+        st.residual_history = loaded.state.residual_history;
+    }
+    st.rho_in = loaded.state.rho_in;
+    st.mu = loaded.state.mu;
+    st.filter_window = loaded.state.filter_windows;
+    let k0 = seam.pgrid.my_kpoints(nk).0;
+    for (psi, full) in st.psi.iter_mut().zip(&loaded.psi_full[k0..]) {
+        *psi = restrict_rows(seam, full);
+    }
+    st.start_iter = loaded.state.iteration;
+    Ok(Some(it))
+}
+
+fn scf_on_cluster<T: WireScalar + ScalarExt>(
     comm: &mut ThreadComm,
     space: &FeSpace,
     system: &AtomicSystem,
@@ -406,629 +683,48 @@ fn dist_scf_impl<T: ScalarExt>(
     kpts: &[KPoint],
 ) -> Result<DistScfResult, ScfError> {
     let (rank, nranks) = (comm.rank(), comm.size());
-    let base = &cfg.base;
-    let nd = space.ndofs();
-    let n_el = system.n_electrons();
-    assert!(
-        base.n_states * 2 >= n_el.ceil() as usize,
-        "not enough states"
-    );
-    assert!(base.n_states <= nd, "more states than DoFs");
-    let wsum: f64 = kpts.iter().map(|k| k.weight).sum();
-    assert!((wsum - 1.0).abs() < 1e-10, "k-point weights must sum to 1");
-
-    // the process grid: config wins, then the DFT_GRID env knob; `None`
-    // degenerates to the 1D slab (every rank its own domain slot, identity
-    // groups) and keeps the original code route
-    let grid_requested = cfg.grid.or_else(GridShape::from_env);
-    let shape = grid_requested.unwrap_or_else(|| GridShape::slab(nranks));
+    // no grid degenerates to the 1D slab (every rank its own domain slot,
+    // identity groups) and keeps the all-rank reducer
+    let shape = cfg.grid.unwrap_or_else(|| GridShape::slab(nranks));
     let pgrid = ProcessGrid::new(shape, rank, nranks);
-    let grid_mode = grid_requested.is_some();
-
     let shared = SharedComm::new(comm);
     let dist = DistSpace::new_grid(space, &pgrid);
-    let dec = &dist.dec;
-    // grid mode reduces along the grid axes (and optionally ships FP32
-    // off-band-diagonal blocks); the 1D path keeps the PR-3 all-rank
-    // reducer bit-for-bit
-    let cluster_reducer;
-    let grid_reducer;
-    let reducer: &dyn SubspaceReducer<T> = if grid_mode {
-        grid_reducer = GridReducer::new(&shared, &pgrid, cfg.subspace_fp32);
-        &grid_reducer
-    } else {
-        cluster_reducer = ClusterReducer::new(&shared);
-        &cluster_reducer
+    let seam = ClusterSeam {
+        cfg,
+        shared: &shared,
+        pgrid: &pgrid,
+        dist: &dist,
+        reducer: if cfg.grid.is_some() {
+            Reducer::Grid(GridReducer::new(&shared, &pgrid, cfg.subspace_fp32))
+        } else {
+            Reducer::Cluster(ClusterReducer::new(&shared))
+        },
     };
     let comm_start = CommVolume::snapshot(&shared);
 
-    let rho_ion = system.ion_density(space);
-    let mut rho_in = system.initial_density(space);
-    // Anderson weights masked to owned nodes — and to the (band 0,
-    // k-group 0) replica of each slab, so every node weighs in exactly
-    // once: each rank's weighted dots are partial sums, and the Gram
-    // allreduce reassembles the serial Gram
-    let masked_weights: Vec<f64> = space
-        .mass_diag()
-        .iter()
-        .enumerate()
-        .map(|(i, &w)| {
-            if dec.owned_node[i] && pgrid.owns_replicated_fields() {
-                w
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    let mut mixer = AndersonMixer::new(base.mixing_alpha, base.anderson_depth, masked_weights);
-    // infallible closure shape: a failed allreduce poisons the communicator
-    // and is observed right after the mix
-    let reduce_gram = |b: &mut [f64]| {
-        // dftlint:allow(L007, reason="deliberate swallow: the failed allreduce has already poisoned the communicator, and shared.failure() is checked right after the mix")
-        let _ = shared.with(|c| c.allreduce_sum_f64(b, WirePrecision::Fp64));
-    };
+    let mut state = ScfState::<T>::new(space, system, &cfg.base, kpts, &seam);
+    let resumed_from = restore(&seam, &mut state)?;
+    let r = scf_loop(space, system, xc, &cfg.base, kpts, &seam, state).map_err(|e| match e {
+        ScfLoopError::PoissonDiverged { iteration } => ScfError::PoissonDiverged { iteration },
+        ScfLoopError::Seam(e) => e,
+    })?;
 
-    // this rank's k-points (the k-group's contiguous slice; all of them
-    // off grid mode) — psi is stored for those only, indexed `ik - k0`
-    let (k0, k1) = pgrid.my_kpoints(kpts.len());
-    // per-k state: every rank draws the identical full random subspace for
-    // its ks — seeded by the *global* k index, so any grid layout starts
-    // from the same wavefunctions — and keeps its owned rows
-    let mut psi: Vec<Matrix<T>> = (k0..k1)
-        .map(|ik| {
-            let full = random_subspace::<T>(nd, base.n_states, base.seed + ik as u64);
-            let mut local = Matrix::<T>::zeros(dec.n_owned(), base.n_states);
-            for j in 0..base.n_states {
-                let src = full.col(j);
-                for (l, dst) in local.col_mut(j).iter_mut().enumerate() {
-                    *dst = src[dec.owned[l] as usize];
-                }
-            }
-            local
-        })
-        .collect();
-    let mut filter_window: Vec<Option<(f64, f64)>> = vec![None; kpts.len()];
-
-    let mut result_energy = TotalEnergy::default();
-    let mut eigenvalues: Vec<Vec<f64>> = vec![vec![]; kpts.len()];
-    let mut occupations: Vec<Vec<f64>> = vec![vec![]; kpts.len()];
-    let mut mu = 0.0;
-    let mut v_eff = vec![0.0; space.nnodes()];
-    let mut residual_history = Vec::new();
-    let mut converged = false;
-    let mut iterations = 0;
-    let mut rho_out = rho_in.clone();
-    let e_ii_corr = system.ion_ion_correction(space);
-    let kweights: Vec<f64> = kpts.iter().map(|k| k.weight).collect();
-
-    // ---- restart from the newest complete snapshot, if asked ----------
-    // With both a `restart_from` warm-start hint and the job's own
-    // `checkpoint_dir` available, whichever holds the *newest* complete
-    // snapshot wins (own progress wins ties): a fresh submission reads the
-    // cache entry, while a rank-loss relaunch that has already progressed
-    // past it resumes from its own later checkpoints instead of repeating
-    // work. A warm-start snapshot that fails to load or does not match
-    // this run's dimensions degrades to a cold start — every rank reads
-    // the same bytes, so the fallback decision is identical cluster-wide;
-    // a `checkpoint_dir` restart failure stays fatal, since recovery
-    // correctness depends on it.
-    let mut start_iter = 0;
-    let mut resumed_from = None;
-    if cfg.restart {
-        let warm_newest = cfg
-            .restart_from
-            .as_ref()
-            .and_then(|d| checkpoint::latest_complete(d).map(|it| (d, it)));
-        let own_newest = cfg
-            .checkpoint_dir
-            .as_ref()
-            .and_then(|d| checkpoint::latest_complete(d).map(|it| (d, it)));
-        let chosen = match (warm_newest, own_newest) {
-            (Some((wd, wi)), Some((od, oi))) => {
-                if wi > oi {
-                    Some((wd, wi, true))
-                } else {
-                    Some((od, oi, false))
-                }
-            }
-            (Some((wd, wi)), None) => Some((wd, wi, true)),
-            (None, Some((od, oi))) => Some((od, oi, false)),
-            (None, None) => None,
-        };
-        if let Some((dir, it, warm_hint)) = chosen {
-            let loaded = match checkpoint::load::<T>(dir, it) {
-                Ok(l)
-                    if l.state.rho_in.len() == space.nnodes()
-                        && l.psi_full.len() == kpts.len()
-                        && l.psi_full[0].nrows() == nd
-                        && l.psi_full[0].ncols() == base.n_states
-                        && l.state.filter_windows.len() == kpts.len() =>
-                {
-                    Some(l)
-                }
-                _ if warm_hint => None,
-                _ => return Err(ScfError::Checkpoint { iteration: it }),
-            };
-            if let Some(loaded) = loaded {
-                rho_in = loaded.state.rho_in.clone();
-                mu = loaded.state.mu;
-                // A `restart_from` hint is a *different* problem's converged
-                // state (a cache entry, or the previous geometry of a
-                // relaxation): its density/subspace/windows are excellent
-                // initial guesses, but its Anderson residual pairs point at
-                // the OLD fixed point and measurably slow reconvergence at
-                // the new one, so the mixer (and the reported residual
-                // history) start fresh. Own-checkpoint resumes are the same
-                // SCF continuing and restore both.
-                if !warm_hint {
-                    mixer.restore_history(loaded.state.mixer_history.clone());
-                    residual_history = loaded.state.residual_history.clone();
-                }
-                filter_window = loaded.state.filter_windows.clone();
-                for ik in k0..k1 {
-                    let full = &loaded.psi_full[ik];
-                    for j in 0..base.n_states {
-                        let src = full.col(j);
-                        for (l, dst) in psi[ik - k0].col_mut(j).iter_mut().enumerate() {
-                            *dst = src[dec.owned[l] as usize];
-                        }
-                    }
-                }
-                start_iter = loaded.state.iteration;
-                resumed_from = Some(it);
-            }
-        }
-    }
-
-    let profile_store = base.profile.then(Profile::new);
-    let profile = profile_store.as_ref();
-    let lost = |iteration: usize, cause: CommError| ScfError::RankLost {
-        rank,
-        iteration,
-        cause,
-    };
-
-    for iter in start_iter..base.max_iter {
-        iterations = iter + 1;
-        if let Some(p) = profile {
-            p.begin_iteration();
-        }
-
-        // ---- cooperative preemption consensus --------------------------
-        // One tiny allreduce(max) per iteration, present only when a token
-        // is attached (the default schedule stays bit-identical): a raise
-        // observed by any rank becomes a cluster-wide decision at this
-        // iteration, so every rank snapshots the same state and unwinds
-        // together.
-        if let Some(token) = &cfg.preempt {
-            let agreed = shared
-                .with(|c| c.allreduce_max_u64(u64::from(token.is_requested())))
-                .map_err(|e| lost(iter, e))?;
-            if agreed != 0 {
-                if let Some(dir) = &cfg.checkpoint_dir {
-                    let state = ReplicatedScfState {
-                        iteration: iter,
-                        rho_in: rho_in.clone(),
-                        mu,
-                        mixer_history: mixer.history().to_vec(),
-                        filter_windows: filter_window.clone(),
-                        residual_history: residual_history.clone(),
-                    };
-                    snapshot_cluster(
-                        dir,
-                        &state,
-                        &shared,
-                        &pgrid,
-                        dec,
-                        &psi,
-                        k0,
-                        kpts.len(),
-                        base.n_states,
-                        nd,
-                        shape,
-                        profile,
-                    )?;
-                }
-                return Err(ScfError::Preempted { iteration: iter });
-            }
-        }
-
-        // ---- checkpoint the top-of-iteration state ---------------------
-        // Written *before* the epoch advance, so a fault-injected "kill at
-        // iteration K" leaves iteration K's snapshot complete.
-        if let Some(dir) = &cfg.checkpoint_dir {
-            if base.checkpoint_every > 0 && iter > start_iter && iter % base.checkpoint_every == 0 {
-                let state = ReplicatedScfState {
-                    iteration: iter,
-                    rho_in: rho_in.clone(),
-                    mu,
-                    mixer_history: mixer.history().to_vec(),
-                    filter_windows: filter_window.clone(),
-                    residual_history: residual_history.clone(),
-                };
-                snapshot_cluster(
-                    dir,
-                    &state,
-                    &shared,
-                    &pgrid,
-                    dec,
-                    &psi,
-                    k0,
-                    kpts.len(),
-                    base.n_states,
-                    nd,
-                    shape,
-                    profile,
-                )?;
-            }
-        }
-
-        // ---- fault-injection epoch: "kill rank R at iteration K" -------
-        shared
-            .with(|c| c.advance_epoch())
-            .map_err(|e| lost(iter, e))?;
-        // ---- effective potential from rho_in (replicated, no comm) -----
-        let rho_charge: Vec<f64> = (0..space.nnodes())
-            .map(|i| rho_ion[i] - rho_in[i])
-            .collect();
-        let (phi, pst) = {
-            let mut scope = PhaseScope::new(profile, Phase::Ep);
-            let r = solve_poisson(
-                space,
-                &rho_charge,
-                poisson_bc_of(space),
-                base.poisson_tol,
-                20000,
-            );
-            scope.add_flops(poisson_flops(space, r.1.iterations));
-            scope.add_bytes(poisson_bytes(space, r.1.iterations));
-            r
-        };
-        assert!(pst.converged, "Poisson solve failed at SCF iter {iter}");
-        {
-            let _scope = PhaseScope::new(profile, Phase::Dh);
-            let rho_in_field = NodalField::from_values(space, rho_in.clone());
-            let xce = evaluate_xc(space, &rho_in_field, xc);
-            for i in 0..space.nnodes() {
-                v_eff[i] = -phi[i] + xce.vxc[i];
-            }
-        }
-
-        // ---- distributed eigenproblem per owned k-point ----------------
-        for ik in k0..k1 {
-            let k = &kpts[ik];
-            let ph = phases_for::<T>(space, k);
-            // spectral bounds from the replicated serial operator: pure
-            // local recomputation, bit-identical on every rank, no comm
-            let (tmin, tmax) = {
-                let _scope = PhaseScope::new(profile, Phase::Other);
-                let h_full = KsHamiltonian::<T>::new(space, &v_eff, ph);
-                lanczos_bounds(&h_full, 10, base.seed + 1000 + ik as u64)
-            };
-            // FP64 operator for CholGS/RR; the filter twin carries the
-            // configured (possibly FP32) boundary wire
-            let h = DistHamiltonian::<T>::new(&dist, &shared, &v_eff, ph, WirePrecision::Fp64);
-            let h_filter = DistHamiltonian::<T>::new(&dist, &shared, &v_eff, ph, cfg.wire);
-            let passes = if iter == 0 {
-                base.first_iter_cf_passes
-            } else {
-                1
-            };
-            let opts = ChfesOptions {
-                cheb_degree: base.cheb_degree,
-                block_size: base.block_size,
-                mixed_precision: base.mixed_precision,
-            };
-            let (mut a0, mut a) =
-                filter_window[ik].unwrap_or((tmin - 1.0, tmin + 0.1 * (tmax - tmin)));
-            a0 = a0.min(tmin - 1.0);
-            a = a.clamp(a0 + 1e-3 * (tmax - a0), 0.9 * tmax);
-            // overlap mode swaps the plain filter operator for the
-            // pipelined driver (same arithmetic, look-ahead ghost posts)
-            let pipelined;
-            let filter = if cfg.overlap {
-                pipelined = PipelinedFilter::new(&h_filter);
-                CfFilter::Driver(&pipelined)
-            } else {
-                CfFilter::Op(&h_filter)
-            };
-            let mut evals = vec![];
-            for _ in 0..passes {
-                evals = chfes_reduced(
-                    &h,
-                    filter,
-                    &mut psi[ik - k0],
-                    (a0, a, tmax),
-                    &opts,
-                    profile,
-                    reducer,
-                );
-                let top = evals[base.n_states - 1];
-                let spread = (top - evals[0]).max(0.1);
-                let gap = (2.0 * base.kt).max(spread / base.n_states as f64);
-                a = (top + gap).min(0.9 * tmax);
-                a0 = evals[0] - 1.0;
-            }
-            filter_window[ik] = Some((a0, a));
-            eigenvalues[ik] = evals;
-            // a dead peer surfaces inside the filter's ghost exchange or
-            // the subspace allreduces; the poisoned communicator makes the
-            // rest of the (garbage) ChFES pass finish fast — check here
-            // before the garbage reaches occupations
-            if let Some(e) = shared.failure() {
-                return Err(lost(iter, e));
-            }
-        }
-
-        // ---- cross-k-group exchange ------------------------------------
-        // Occupations couple all k-points through the shared chemical
-        // potential, so every rank needs every k's eigenvalues (and the
-        // filter windows, so checkpoints stay fully replicated). Each
-        // group's (dom 0, band 0) root contributes its ks to a k-root
-        // allreduce, then broadcasts the assembled buffer into its plane.
-        if shape.n_kgrp > 1 {
-            let _scope = PhaseScope::new(profile, Phase::Other);
-            let stride = base.n_states + 2;
-            let mut buf = vec![0.0; kpts.len() * stride];
-            // dftlint:allow(L006, reason="intentional: only the (dom 0, band 0) roots are members of k_roots, every member runs the same sequence, and non-roots rejoin at the group_broadcast below")
-            if pgrid.dom == 0 && pgrid.band == 0 {
-                for ik in k0..k1 {
-                    let o = ik * stride;
-                    buf[o..o + base.n_states].copy_from_slice(&eigenvalues[ik]);
-                    if let Some((wa0, wa)) = filter_window[ik] {
-                        buf[o + base.n_states] = wa0;
-                        buf[o + base.n_states + 1] = wa;
-                    }
-                }
-                shared
-                    .with(|c| {
-                        c.group_allreduce_sum_f64(&pgrid.k_roots, &mut buf, WirePrecision::Fp64)
-                    })
-                    .map_err(|e| lost(iter, e))?;
-            }
-            shared
-                .with(|c| c.group_broadcast_f64(&pgrid.kgrp_group, &mut buf, WirePrecision::Fp64))
-                .map_err(|e| lost(iter, e))?;
-            for ik in 0..kpts.len() {
-                let o = ik * stride;
-                eigenvalues[ik] = buf[o..o + base.n_states].to_vec();
-                filter_window[ik] = Some((buf[o + base.n_states], buf[o + base.n_states + 1]));
-            }
-        }
-
-        // ---- occupations & density -------------------------------------
-        let occ = {
-            let _scope = PhaseScope::new(profile, Phase::Other);
-            fermi_occupations(&eigenvalues, &kweights, n_el, base.kt)
-        };
-        mu = occ.mu;
-        occupations = occ.occupations.clone();
-
-        {
-            let mut scope = PhaseScope::new(profile, Phase::Dc);
-            rho_out = vec![0.0; space.nnodes()];
-            let s = space.inv_sqrt_mass();
-            // each rank contributes its owned rows x its band columns x its
-            // ks: the three grid axes partition the serial triple sum, so
-            // the single global allreduce below counts every term exactly
-            // once (the cross-k-group density sum rides the same wire)
-            let (j0b, j1b) = pgrid.my_band_cols(base.n_states);
-            for ik in k0..k1 {
-                let w = kpts[ik].weight;
-                for i in j0b..j1b {
-                    let f = occupations[ik][i];
-                    if f < 1e-14 {
-                        continue;
-                    }
-                    scope.add_flops(dec.n_owned() as u64 * (T::MUL_FLOPS + 4));
-                    scope.add_bytes(dec.n_owned() as u64 * std::mem::size_of::<T>() as u64);
-                    let col = psi[ik - k0].col(i);
-                    for (l, &v) in col.iter().enumerate() {
-                        let d = dec.owned[l] as usize;
-                        let amp = v.abs_sq().to_f64() * s[d] * s[d];
-                        rho_out[space.node_of_dof(d)] += w * f * amp;
-                    }
-                }
-            }
-            // owned DoF rows partition the serial sum: one allreduce
-            // replicates the full density on every rank
-            shared
-                .with(|c| c.allreduce_sum_f64(&mut rho_out, WirePrecision::Fp64))
-                .map_err(|e| lost(iter, e))?;
-        }
-
-        // ---- total energy (replicated recomputation) --------------------
-        let (band, rho_veff, rho_charge_out) = {
-            let _scope = PhaseScope::new(profile, Phase::Other);
-            let band: f64 = (0..kpts.len())
-                .map(|ik| -> f64 {
-                    kpts[ik].weight
-                        * eigenvalues[ik]
-                            .iter()
-                            .zip(&occupations[ik])
-                            .map(|(&e, &f)| e * f)
-                            .sum::<f64>()
-                })
-                .sum();
-            let rho_veff: f64 = space.integrate(
-                &(0..space.nnodes())
-                    .map(|i| rho_out[i] * v_eff[i])
-                    .collect::<Vec<_>>(),
-            );
-            let rho_charge_out: Vec<f64> = (0..space.nnodes())
-                .map(|i| rho_ion[i] - rho_out[i])
-                .collect();
-            (band, rho_veff, rho_charge_out)
-        };
-        let kinetic = band - rho_veff;
-        let (phi_out, _pst_out) = {
-            let mut scope = PhaseScope::new(profile, Phase::Ep);
-            let r = solve_poisson(
-                space,
-                &rho_charge_out,
-                poisson_bc_of(space),
-                base.poisson_tol,
-                20000,
-            );
-            scope.add_flops(poisson_flops(space, r.1.iterations));
-            scope.add_bytes(poisson_bytes(space, r.1.iterations));
-            r
-        };
-        let xc_out = {
-            let _scope = PhaseScope::new(profile, Phase::Dh);
-            let rho_out_field = NodalField::from_values(space, rho_out.clone());
-            evaluate_xc(space, &rho_out_field, xc)
-        };
-        let residual = {
-            let _scope = PhaseScope::new(profile, Phase::Other);
-            let e_es_gauss = 0.5
-                * space.integrate(
-                    &(0..space.nnodes())
-                        .map(|i| rho_charge_out[i] * phi_out[i])
-                        .collect::<Vec<_>>(),
-                );
-            let electrostatic = e_es_gauss + e_ii_corr;
-            let total = kinetic + electrostatic + xc_out.energy;
-            let entropy_term = -base.kt * occ.entropy;
-            result_energy = TotalEnergy {
-                band,
-                kinetic,
-                electrostatic,
-                xc: xc_out.energy,
-                entropy_term,
-                total,
-                free_energy: total + entropy_term,
-            };
-            let diff: Vec<f64> = (0..space.nnodes())
-                .map(|i| (rho_out[i] - rho_in[i]).powi(2))
-                .collect();
-            space.integrate(&diff).sqrt() / n_el
-        };
-        residual_history.push(residual);
-        if base.verbose && rank == 0 {
-            println!(
-                "dSCF {iter:3} [{nranks}r]  E = {:+.8} Ha   resid = {residual:.3e}   mu = {mu:+.4}",
-                result_energy.free_energy
-            );
-        }
-        if residual < base.tol {
-            converged = true;
-            break;
-        }
-        {
-            let _scope = PhaseScope::new(profile, Phase::Other);
-            rho_in = mixer.mix_with(&rho_in, &rho_out, &reduce_gram);
-        }
-        if let Some(e) = shared.failure() {
-            return Err(lost(iter, e));
-        }
-    }
-
-    // ---- converged-state export (the cache's write side) ---------------
-    // Labeled iteration 1 so a warm resume skips the first-iteration
-    // multi-pass filtering: the resumed run starts from the converged
-    // density, mixer history, and subspace, and typically reconverges in a
-    // small handful of iterations instead of a full cold SCF.
-    if converged {
-        if let Some(dir) = &cfg.final_state_dir {
-            let state = ReplicatedScfState {
-                iteration: 1,
-                rho_in: rho_out.clone(),
-                mu,
-                mixer_history: mixer.history().to_vec(),
-                filter_windows: filter_window.clone(),
-                residual_history: Vec::new(),
-            };
-            snapshot_cluster(
-                dir,
-                &state,
-                &shared,
-                &pgrid,
-                dec,
-                &psi,
-                k0,
-                kpts.len(),
-                base.n_states,
-                nd,
-                shape,
-                profile,
-            )?;
-        }
-    }
-
-    let comm_vol = comm_start.delta(&CommVolume::snapshot(&shared));
     Ok(DistScfResult {
         rank,
         nranks,
-        energy: result_energy,
-        eigenvalues,
-        occupations,
-        mu,
-        density: NodalField::from_values(space, rho_out),
-        v_eff,
-        iterations,
-        converged,
+        energy: r.energy,
+        eigenvalues: r.eigenvalues,
+        occupations: r.occupations,
+        mu: r.mu,
+        density: r.density,
+        v_eff: r.v_eff,
+        iterations: r.iterations,
+        converged: r.converged,
         resumed_from,
-        residual_history,
-        profile: profile_store.map(|p| p.finish(None)),
-        comm: comm_vol,
+        residual_history: r.residual_history,
+        profile: r.profile,
+        comm: comm_start.delta(&CommVolume::snapshot(&shared)),
     })
-}
-
-/// Write one complete cluster snapshot of `state` plus this rank's psi
-/// shard into `dir` — shard write, cluster barrier (which doubles as the
-/// failure detector), then a rank-0 `COMPLETE` marker with keep-last-2
-/// pruning. Shared by the periodic cadence, cooperative preemption, and
-/// the converged-state export. Band replicas hold identical psi columns,
-/// so only the band-0 rank of each (domain, k-group) slot writes
-/// wavefunction blocks, tagged with the global k indices they cover.
-#[allow(clippy::too_many_arguments)]
-fn snapshot_cluster<T: ScalarExt>(
-    dir: &std::path::Path,
-    state: &ReplicatedScfState,
-    shared: &SharedComm<'_>,
-    pgrid: &ProcessGrid,
-    dec: &Decomposition,
-    psi: &[Matrix<T>],
-    k0: usize,
-    nk: usize,
-    n_states: usize,
-    nd: usize,
-    shape: GridShape,
-    profile: Option<&Profile>,
-) -> Result<(), ScfError> {
-    let (rank, nranks) = shared.with(|c| (c.rank(), c.size()));
-    let iter = state.iteration;
-    let mut scope = PhaseScope::new(profile, Phase::Ck);
-    let my_ks: Vec<usize> = (k0..k0 + psi.len()).collect();
-    let (ck_ks, ck_psi): (&[usize], &[Matrix<T>]) = if pgrid.band == 0 {
-        (&my_ks, psi)
-    } else {
-        (&[], &[])
-    };
-    let bytes = checkpoint::write_rank_grid(
-        dir, rank, nranks, nd, state, &dec.owned, ck_psi, ck_ks, nk, n_states, shape,
-    )
-    .map_err(|_| ScfError::Checkpoint { iteration: iter })?;
-    scope.add_bytes(bytes);
-    // every shard must land before the snapshot is declared complete
-    shared
-        .with(|c| c.barrier())
-        .map_err(|cause| ScfError::RankLost {
-            rank,
-            iteration: iter,
-            cause,
-        })?;
-    if rank == 0 {
-        checkpoint::finalize(dir, iter, 2).map_err(|_| ScfError::Checkpoint { iteration: iter })?;
-    }
-    Ok(())
-}
-
-/// A `Decomposition` accessor for callers that want the sharding of a
-/// finished run (e.g. benchmarks reporting rows per rank).
-pub fn decomposition_of(space: &FeSpace, rank: usize, nranks: usize) -> Decomposition {
-    Decomposition::new(space, rank, nranks)
 }
 
 /// SCF iterations a run *performed*, net of the snapshot label it resumed

@@ -194,6 +194,43 @@ fn distributed_scf_matches_serial_energy() {
     }
 }
 
+/// Serial is the 1-rank case of distributed: both run the same loop, so a
+/// one-rank cluster retraces the serial solve — on the real Γ path and on
+/// the complex two-k-point Bloch path.
+#[test]
+fn one_rank_cluster_retraces_the_serial_solve() {
+    let (space, sys) = parity_system();
+    let cfg = parity_cfg();
+    let two_k = [
+        KPoint {
+            frac: [0.0; 3],
+            weight: 0.5,
+        },
+        KPoint {
+            frac: [0.25, 0.0, 0.0],
+            weight: 0.5,
+        },
+    ];
+    for kpts in [&[KPoint::gamma()][..], &two_k[..]] {
+        let serial = scf(&space, &sys, &Lda, &cfg, kpts);
+        assert!(serial.converged);
+        let dcfg = DistScfConfig::new(cfg.clone());
+        let (results, _) = run_cluster(1, |comm| {
+            distributed_scf(comm, &space, &sys, &Lda, &dcfg, kpts).expect("scf")
+        });
+        let dist = &results[0];
+        assert_eq!(dist.iterations, serial.iterations);
+        assert_eq!(dist.residual_history.len(), serial.residual_history.len());
+        let d = (dist.energy.free_energy - serial.energy.free_energy).abs();
+        assert!(d <= 1e-10, "{} k-points: |dE| = {d:.3e}", kpts.len());
+        for (ed, es) in dist.eigenvalues.iter().zip(&serial.eigenvalues) {
+            for (a, b) in ed.iter().zip(es) {
+                assert!((a - b).abs() <= 1e-9, "eigenvalue {a} vs {b}");
+            }
+        }
+    }
+}
+
 #[test]
 fn identical_runs_are_bit_identical_at_four_ranks() {
     let (space, sys) = parity_system();

@@ -1,20 +1,27 @@
 //! Fault-tolerance integration tests: deterministic rank kills during the
 //! distributed SCF must surface as [`ScfError::RankLost`] on every rank
 //! within the communicator deadline (never a hang), and restarting from the
-//! on-disk checkpoint must reconverge to the uninterrupted free energy.
+//! on-disk checkpoint must reconverge to the uninterrupted free energy. The
+//! relaunch loop behind both recovery drivers is exercised through each
+//! wrapper: failures a relaunch cannot fix return at once, kills shrink the
+//! cluster by the number of ranks killed.
 
+use dft_core::relax::RelaxConfig;
 use dft_core::scf::{KPoint, ScfConfig};
 use dft_core::system::{Atom, AtomKind, AtomicSystem};
-use dft_core::xc::Lda;
+use dft_core::xc::{Lda, XcFunctional, XcPoint};
 use dft_fem::mesh::{Axis, BoundaryCondition as Bc, Mesh3d};
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::{
-    run_cluster, run_cluster_with, ClusterOptions, CommError, FaultPlan, COLLECTIVE_TAGS,
+    run_cluster, run_cluster_with, ClusterOptions, CommError, FaultPlan, KillRule, COLLECTIVE_TAGS,
 };
 use dft_parallel::scf::ScfError;
-use dft_parallel::{distributed_scf, ghost_tag_band, scf_with_recovery, DistScfConfig};
+use dft_parallel::{
+    checkpoint, distributed_scf, ghost_tag_band, relax_with_recovery, scf_with_recovery,
+    DistRelaxConfig, DistScfConfig, PreemptToken, RelaxError,
+};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 fn parity_system() -> (FeSpace, AtomicSystem) {
@@ -276,6 +283,181 @@ fn killed_rank_recovery_reconverges_to_uninterrupted_energy() {
             r.energy.free_energy,
             e_ref
         );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A Poisson tolerance the CG cannot reach within its iteration cap fails
+/// the run with the typed error on every rank (the solve is replicated, so
+/// all ranks leave at the same iteration and nobody waits on a collective),
+/// and the recovery driver does not relaunch a failure that would repeat.
+#[test]
+fn poisson_divergence_is_a_typed_error_on_every_rank() {
+    let (space, sys) = parity_system();
+    let dcfg = DistScfConfig::new(ScfConfig {
+        poisson_tol: 1e-300,
+        ..parity_cfg()
+    });
+    let opts = ClusterOptions::with_timeout(Duration::from_secs(2));
+    let t0 = Instant::now();
+    let (results, _) = run_cluster_with(2, &opts, |comm| {
+        distributed_scf(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()])
+    });
+    assert!(t0.elapsed() < Duration::from_secs(30), "{:?}", t0.elapsed());
+    for (r, res) in results.into_iter().enumerate() {
+        assert_eq!(
+            res.err(),
+            Some(ScfError::PoissonDiverged { iteration: 0 }),
+            "rank {r}"
+        );
+    }
+    let err = scf_with_recovery(2, &opts, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()], 2)
+        .err()
+        .expect("a diverged Poisson solve must fail the run");
+    assert_eq!(err, ScfError::PoissonDiverged { iteration: 0 });
+}
+
+/// LDA that counts its point evaluations, so a test can tell one cluster
+/// launch from several.
+struct CountingLda(AtomicUsize);
+
+impl XcFunctional for CountingLda {
+    fn name(&self) -> &'static str {
+        "counting-LDA"
+    }
+    fn needs_gradient(&self) -> bool {
+        false
+    }
+    fn eval_point(&self, rho: f64, grad_norm: f64) -> XcPoint {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        Lda.eval_point(rho, grad_norm)
+    }
+}
+
+/// A broken snapshot store stays broken across relaunches: the SCF wrapper
+/// returns the checkpoint error after exactly one launch's worth of work.
+#[test]
+fn checkpoint_failure_is_not_relaunched() {
+    let (space, sys) = parity_system();
+    // the snapshot root sits below a regular file, so no shard can land
+    let blocker = fresh_dir("blocked").join("file");
+    std::fs::write(&blocker, b"not a directory").expect("write");
+    let dcfg = DistScfConfig::new(parity_cfg()).with_checkpoints(blocker.join("ckpt"), 2);
+    let opts = ClusterOptions::with_timeout(Duration::from_secs(2));
+
+    let one_launch = CountingLda(AtomicUsize::new(0));
+    let (direct, _) = run_cluster_with(2, &opts, |comm| {
+        distributed_scf(comm, &space, &sys, &one_launch, &dcfg, &[KPoint::gamma()])
+    });
+    for res in direct {
+        assert_eq!(res.err(), Some(ScfError::Checkpoint { iteration: 2 }));
+    }
+
+    let recovered = CountingLda(AtomicUsize::new(0));
+    let kpts = [KPoint::gamma()];
+    let err = scf_with_recovery(2, &opts, &space, &sys, &recovered, &dcfg, &kpts, 2)
+        .err()
+        .expect("checkpoint I/O failure must fail the run");
+    assert_eq!(err, ScfError::Checkpoint { iteration: 2 });
+    assert_eq!(
+        recovered.0.load(Ordering::Relaxed),
+        one_launch.0.load(Ordering::Relaxed),
+        "the recovery driver relaunched an unfixable failure"
+    );
+}
+
+fn one_move_relax() -> DistRelaxConfig {
+    DistRelaxConfig {
+        fire: RelaxConfig {
+            max_steps: 1,
+            force_tol: 0.0,
+            ..RelaxConfig::default()
+        },
+        warm_start: true,
+    }
+}
+
+/// Preemption is the scheduler's decision: the relax wrapper hands it back
+/// without relaunching. A relaunch would have run on one rank fewer and
+/// rewritten the preemption snapshot from there.
+#[test]
+fn preempted_relaxation_is_not_relaunched() {
+    let (space, sys) = parity_system();
+    let dir = fresh_dir("relax-preempt");
+    let token = PreemptToken::new();
+    token.request();
+    let dcfg = DistScfConfig::new(parity_cfg())
+        .with_checkpoints(dir.clone(), 2)
+        .with_preempt(token);
+    let opts = ClusterOptions::with_timeout(Duration::from_secs(2));
+    let kpts = [KPoint::gamma()];
+    let err = relax_with_recovery(
+        2,
+        &opts,
+        &space,
+        &sys,
+        &Lda,
+        &dcfg,
+        &one_move_relax(),
+        &kpts,
+        2,
+    )
+    .err()
+    .expect("a raised token must stop the run");
+    assert!(
+        matches!(err, RelaxError::Scf(ScfError::Preempted { iteration: 0 })),
+        "{err:?}"
+    );
+    let snapshot = checkpoint::load::<f64>(&dir.join("fire-step-0000"), 0).expect("snapshot");
+    assert_eq!(snapshot.nranks_at_write, 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two of four ranks killed in the same SCF iteration: the relax wrapper
+/// relaunches once, on exactly the two survivors' worth of ranks, and the
+/// resumed trajectory finishes.
+#[test]
+fn relaxation_shrinks_by_the_number_of_ranks_killed() {
+    let (space, sys) = parity_system();
+    let dir = fresh_dir("relax-kill");
+    let dcfg = DistScfConfig::new(parity_cfg()).with_checkpoints(dir.clone(), 2);
+    let kill = |rank| KillRule {
+        rank,
+        epoch: 3,
+        tags: None,
+        after_matches: 0,
+    };
+    let opts = ClusterOptions {
+        timeout: Duration::from_secs(2),
+        faults: std::sync::Arc::new(FaultPlan {
+            kills: vec![kill(1), kill(3)],
+            delays: Vec::new(),
+        }),
+        schedule: None,
+    };
+    let kpts = [KPoint::gamma()];
+    let report = relax_with_recovery(
+        4,
+        &opts,
+        &space,
+        &sys,
+        &Lda,
+        &dcfg,
+        &one_move_relax(),
+        &kpts,
+        2,
+    )
+    .expect("recovery must succeed");
+    assert_eq!(report.attempts, 2);
+    assert_eq!((report.initial_nranks, report.final_nranks), (4, 2));
+    assert!(matches!(
+        report.first_failure,
+        Some(RelaxError::Scf(ScfError::RankLost { .. }))
+    ));
+    assert_eq!(report.results.len(), 2);
+    for r in &report.results {
+        assert!(r.scf.converged);
+        assert_eq!(r.trajectory.len(), 2, "both evaluations must be recorded");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

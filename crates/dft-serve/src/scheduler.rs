@@ -36,7 +36,7 @@ use dft_parallel::checkpoint::job_dir;
 use dft_parallel::scf::performed_iterations;
 use dft_parallel::{
     relax_with_recovery, scf_with_recovery, DistRelaxConfig, DistScfConfig, GridShape,
-    PreemptToken, RelaxError, ScfError,
+    PreemptToken, RecoveryReport, RelaxError, ScfError,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -570,6 +570,52 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "solver panicked".to_string())
 }
 
+/// How a solve that did not fail ended, in the terms both job families
+/// share.
+struct Solved {
+    /// Ranks alive at the end.
+    survivors: usize,
+    /// Cluster relaunches performed by recovery.
+    recoveries: usize,
+    /// SCF iterations performed by this dispatch.
+    performed: usize,
+    /// Whether the first solve resumed from its warm-start hint.
+    warm_used: bool,
+    free_energy: f64,
+    converged: bool,
+    /// Directory holding the exported converged state, when the job kind
+    /// is cacheable and the run converged.
+    published: Option<PathBuf>,
+    /// The relaxed geometry (empty for job kinds that move no atoms).
+    positions: Vec<[f64; 3]>,
+}
+
+/// Run one recovery-wrapped solve and hand back rank 0's result with the
+/// recovery accounting; every other way it can end becomes a
+/// [`Disposition`]. A panicking solver rank (numerical breakdown inside
+/// dft-core) must fail the job, never strand it: the scheduler still
+/// needs the Done event to release this gang's ranks.
+fn guarded<R, E: std::fmt::Display>(
+    preempted: fn(&E) -> bool,
+    solve: impl FnOnce() -> Result<RecoveryReport<R, E>, E>,
+) -> Result<(R, usize, usize), Disposition> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(solve)) {
+        Err(payload) => Err(Disposition::Failed(format!(
+            "solver panicked: {}",
+            panic_reason(payload)
+        ))),
+        Ok(Err(e)) if preempted(&e) => Err(Disposition::Preempted),
+        Ok(Err(e)) => Err(Disposition::Failed(e.to_string())),
+        Ok(Ok(report)) => {
+            let (recoveries, survivors) = (report.attempts - 1, report.final_nranks);
+            match report.results.into_iter().next() {
+                Some(first) => Ok((first, recoveries, survivors)),
+                None => Err(Disposition::Failed("empty cluster result".into())),
+            }
+        }
+    }
+}
+
 /// The worker thread body: run the job's solve on its granted ranks,
 /// mutating `job` with accumulated accounting, and report how it ended.
 /// Never panics; every failure becomes a [`Disposition`].
@@ -580,243 +626,141 @@ fn run_worker(
     token: PreemptToken,
     knobs: &WorkerKnobs,
 ) -> WorkerReport {
-    if let JobKind::Relax { steps } = job.req.kind {
-        return run_relax_worker(job, granted, space, token, knobs, steps);
-    }
-    // Scf / Screen: one electronic solve, publishable into the
-    // converged-state cache
-    let conv_dir = knobs.job_root.join("converged");
     let system = AtomicSystem::new(job.req.spec.atoms.clone());
     let spec = &job.req.spec;
     let mut cfg = DistScfConfig::new(base_scf_config(job))
         .with_checkpoints(&knobs.job_root, knobs.checkpoint_every)
         .with_grid(pick_grid(spec.grid_hint, granted, spec.kpts.len()))
-        .with_preempt(token.clone())
-        .with_final_state(&conv_dir);
-    // warm-start source: the converged-state cache entry; resumes
-    // additionally see their own (newer) checkpoints, which win
+        .with_preempt(token);
+    // warm-start source: the converged-state cache entry (for a Relax job
+    // it warm-starts the first step; later steps chain through the
+    // trajectory's own `relax-warm` slot); resumes additionally see their
+    // own (newer) checkpoints, which win
     if let Some(dir) = &job.warm_from {
         cfg = cfg.with_restart_from(dir);
     }
     if job.resume {
         cfg = cfg.with_restart();
     }
-
     let opts = ClusterOptions {
         timeout: knobs.timeout,
         faults: Arc::clone(&job.req.faults),
         schedule: None,
     };
 
-    // a panicking solver rank (numerical breakdown inside dft-core)
-    // must fail the job, never strand it: the scheduler still needs
-    // the Done event to release this gang's ranks
-    let solve = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        scf_with_recovery(
-            granted,
-            &opts,
-            space,
-            &system,
-            &spec.functional,
-            &cfg,
-            &spec.kpts,
-            knobs.max_restarts,
-        )
-    }));
-    let solve = match solve {
-        Ok(r) => r,
-        Err(payload) => {
-            return WorkerReport {
-                granted,
-                survivors: granted,
-                recoveries: 0,
-                performed: 0,
-                disposition: Disposition::Failed(format!(
-                    "solver panicked: {}",
-                    panic_reason(payload)
-                )),
-            };
-        }
-    };
-    match solve {
-        Ok(report) => {
-            let recoveries = report.attempts - 1;
-            let Some(first) = report.results.first() else {
-                return WorkerReport {
-                    granted,
-                    survivors: report.final_nranks,
-                    recoveries,
-                    performed: 0,
-                    disposition: Disposition::Failed("empty cluster result".into()),
-                };
-            };
-            let performed = performed_iterations(first.iterations, first.resumed_from);
-            if !job.resume && job.warm_from.is_some() {
-                job.cache_hit = first.resumed_from.is_some();
-            }
-            let converged = first.converged;
-            job.resume = false;
-            WorkerReport {
-                granted,
-                survivors: report.final_nranks,
-                recoveries,
-                performed,
-                disposition: Disposition::Finished {
-                    free_energy: first.energy.free_energy,
-                    converged,
-                    published: converged.then(|| conv_dir.clone()),
+    let solved = match job.req.kind {
+        // one `relax_with_recovery` call drives the whole FIRE trajectory —
+        // distributed forces, warm-started per-step SCFs, and a persisted
+        // integrator state that preemption and rank-loss relaunches resume
+        // from
+        JobKind::Relax { steps } => {
+            let relax_cfg = DistRelaxConfig {
+                fire: RelaxConfig {
+                    max_steps: steps.max(1),
+                    force_tol: knobs.relax_force_tol,
+                    ..RelaxConfig::default()
                 },
-            }
-        }
-        Err(ScfError::Preempted { .. }) => WorkerReport {
-            granted,
-            survivors: granted,
-            recoveries: 0,
-            performed: 0,
-            disposition: Disposition::Preempted,
-        },
-        Err(e) => WorkerReport {
-            granted,
-            survivors: granted,
-            recoveries: 0,
-            performed: 0,
-            disposition: Disposition::Failed(e.to_string()),
-        },
-    }
-}
-
-/// The Relax worker: one [`relax_with_recovery`] call drives the whole
-/// FIRE trajectory — distributed forces, warm-started per-step SCFs, and
-/// a persisted integrator state that preemption and rank-loss relaunches
-/// resume from. Replaces the old per-round steepest-descent loop (which
-/// recomputed forces serially on the scheduler thread between rounds).
-fn run_relax_worker(
-    job: &mut QueuedJob,
-    granted: usize,
-    space: &Arc<FeSpace>,
-    token: PreemptToken,
-    knobs: &WorkerKnobs,
-    steps: usize,
-) -> WorkerReport {
-    let system = AtomicSystem::new(job.req.spec.atoms.clone());
-    let spec = &job.req.spec;
-    let mut cfg = DistScfConfig::new(base_scf_config(job))
-        .with_checkpoints(&knobs.job_root, knobs.checkpoint_every)
-        .with_grid(pick_grid(spec.grid_hint, granted, spec.kpts.len()))
-        .with_preempt(token.clone());
-    // a cache entry for this geometry family warm-starts the first step;
-    // later steps chain through the trajectory's own `relax-warm` slot
-    if let Some(dir) = &job.warm_from {
-        cfg = cfg.with_restart_from(dir);
-    }
-    if job.resume {
-        cfg = cfg.with_restart();
-    }
-    let relax_cfg = DistRelaxConfig {
-        fire: RelaxConfig {
-            max_steps: steps.max(1),
-            force_tol: knobs.relax_force_tol,
-            ..RelaxConfig::default()
-        },
-        warm_start: true,
-    };
-
-    let opts = ClusterOptions {
-        timeout: knobs.timeout,
-        faults: Arc::clone(&job.req.faults),
-        schedule: None,
-    };
-
-    let solve = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        relax_with_recovery(
-            granted,
-            &opts,
-            space,
-            &system,
-            &spec.functional,
-            &cfg,
-            &relax_cfg,
-            &spec.kpts,
-            knobs.max_restarts,
-        )
-    }));
-    let solve = match solve {
-        Ok(r) => r,
-        Err(payload) => {
-            return WorkerReport {
-                granted,
-                survivors: granted,
-                recoveries: 0,
-                performed: 0,
-                disposition: Disposition::Failed(format!(
-                    "solver panicked: {}",
-                    panic_reason(payload)
-                )),
+                warm_start: true,
             };
-        }
-    };
-    match solve {
-        Ok(report) => {
-            let recoveries = report.attempts - 1;
-            let Some(first) = report.results.first() else {
-                return WorkerReport {
-                    granted,
-                    survivors: report.final_nranks,
+            guarded(
+                |e| matches!(e, RelaxError::Scf(ScfError::Preempted { .. })),
+                || {
+                    relax_with_recovery(
+                        granted,
+                        &opts,
+                        space,
+                        &system,
+                        &spec.functional,
+                        &cfg,
+                        &relax_cfg,
+                        &spec.kpts,
+                        knobs.max_restarts,
+                    )
+                },
+            )
+            .map(|(first, recoveries, survivors)| {
+                // net new SCF iterations this dispatch: records loaded from
+                // a resumed trajectory's state were paid for by earlier
+                // dispatches
+                let fresh = first.resumed_step.unwrap_or(0).min(first.trajectory.len());
+                Solved {
+                    survivors,
                     recoveries,
-                    performed: 0,
-                    disposition: Disposition::Failed("empty cluster result".into()),
-                };
-            };
-            // net new SCF iterations this dispatch: records loaded from a
-            // resumed trajectory's state were paid for by earlier
-            // dispatches
-            let fresh = first.resumed_step.unwrap_or(0).min(first.trajectory.len());
-            let performed: usize = first.trajectory[fresh..]
-                .iter()
-                .map(|t| t.scf_iterations)
-                .sum();
-            if !job.resume && job.warm_from.is_some() {
-                job.cache_hit = first.trajectory.first().is_some_and(|t| t.warm_started);
-            }
-            // the relaxed geometry is the job's deliverable
-            for (atom, relaxed) in job.req.spec.atoms.iter_mut().zip(&first.system.atoms) {
-                atom.pos = relaxed.pos;
-            }
-            job.resume = false;
-            WorkerReport {
-                granted,
-                survivors: report.final_nranks,
-                recoveries,
-                performed,
-                disposition: Disposition::Finished {
+                    performed: first.trajectory[fresh..]
+                        .iter()
+                        .map(|t| t.scf_iterations)
+                        .sum(),
+                    warm_used: first.trajectory.first().is_some_and(|t| t.warm_started),
                     // electronic convergence of the final geometry (the
                     // FIRE force verdict lives in the trajectory records)
                     free_energy: first.scf.energy.free_energy,
                     converged: first.scf.converged,
                     published: None,
+                    positions: first.system.atoms.iter().map(|a| a.pos).collect(),
+                }
+            })
+        }
+        // Scf / Screen: one electronic solve, publishable into the
+        // converged-state cache
+        JobKind::Scf | JobKind::Screen => {
+            let conv_dir = knobs.job_root.join("converged");
+            let cfg = cfg.with_final_state(&conv_dir);
+            guarded(
+                |e| matches!(e, ScfError::Preempted { .. }),
+                || {
+                    scf_with_recovery(
+                        granted,
+                        &opts,
+                        space,
+                        &system,
+                        &spec.functional,
+                        &cfg,
+                        &spec.kpts,
+                        knobs.max_restarts,
+                    )
+                },
+            )
+            .map(|(first, recoveries, survivors)| Solved {
+                survivors,
+                recoveries,
+                performed: performed_iterations(first.iterations, first.resumed_from),
+                warm_used: first.resumed_from.is_some(),
+                free_energy: first.energy.free_energy,
+                converged: first.converged,
+                published: first.converged.then_some(conv_dir),
+                positions: Vec::new(),
+            })
+        }
+    };
+
+    match solved {
+        Ok(s) => {
+            if !job.resume && job.warm_from.is_some() {
+                job.cache_hit = s.warm_used;
+            }
+            job.resume = false;
+            // the relaxed geometry is the job's deliverable
+            for (atom, pos) in job.req.spec.atoms.iter_mut().zip(s.positions) {
+                atom.pos = pos;
+            }
+            WorkerReport {
+                granted,
+                survivors: s.survivors,
+                recoveries: s.recoveries,
+                performed: s.performed,
+                disposition: Disposition::Finished {
+                    free_energy: s.free_energy,
+                    converged: s.converged,
+                    published: s.published,
                 },
             }
         }
-        Err(RelaxError::Scf(ScfError::Preempted { .. })) => WorkerReport {
+        Err(disposition) => WorkerReport {
             granted,
             survivors: granted,
             recoveries: 0,
             performed: 0,
-            disposition: Disposition::Preempted,
-        },
-        Err(RelaxError::Force(e)) => WorkerReport {
-            granted,
-            survivors: granted,
-            recoveries: 0,
-            performed: 0,
-            disposition: Disposition::Failed(format!("force evaluation failed: {e}")),
-        },
-        Err(e) => WorkerReport {
-            granted,
-            survivors: granted,
-            recoveries: 0,
-            performed: 0,
-            disposition: Disposition::Failed(e.to_string()),
+            disposition,
         },
     }
 }
