@@ -4,11 +4,41 @@
 //!
 //! Paper targets at B_f = 500: Summit 56.3%, Crusher 41.1%, Perlmutter
 //! 85.7% (FP64 tensor cores), rising with B_f in all cases.
+//!
+//! The last row is measured, not modelled: this host's throughput on the
+//! same kernel shape (the p = 5 cell-batched GEMM) at 8..128 columns.
 
 use dft_bench::{disloc_mg_y, section};
 use dft_hpc::event::pipelined_blocks;
 use dft_hpc::machine::{ClusterSpec, MachineModel};
 use dft_hpc::schedule::{DftSystemSpec, SolverOptions, CF_L1_PASSES};
+use dft_linalg::{batched_gemm, BatchLayout};
+use std::time::Instant;
+
+/// This host's GFLOP/s on the p = 5 cell-batched GEMM (m = k = 216, one
+/// H_c per cell) at `bf` columns per cell. The cell count is chosen so
+/// every `bf` multiplies ~1024 columns in total; best of three runs,
+/// since interference only ever slows a run down.
+fn measured_cell_gemm_gflops(bf: usize) -> f64 {
+    let m = 216;
+    let batch = 1024usize.div_ceil(bf);
+    let layout = BatchLayout::packed(m, bf, m, batch);
+    let a: Vec<f64> = (0..m * m * batch)
+        .map(|i| ((i % (m * m) * 3) as f64 * 0.004).sin())
+        .collect();
+    let b: Vec<f64> = (0..m * bf * batch)
+        .map(|i| ((i * 7) as f64 * 0.003).cos())
+        .collect();
+    let mut c = vec![0.0f64; m * bf * batch];
+    batched_gemm(layout, 1.0, &a, &b, 0.0, &mut c); // warm the pack buffers
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        batched_gemm(layout, 1.0, &a, &b, 0.0, &mut c);
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    layout.flops::<f64>() as f64 / best / 1e9
+}
 
 /// CF efficiency for one machine at a given block size (one filtered
 /// sweep over all states; same composition as the schedule's CF step).
@@ -72,4 +102,17 @@ fn main() {
         "shape: Perlmutter > Summit > Crusher: {}",
         at500[2] > at500[0] && at500[0] > at500[1]
     );
+
+    section("Fig. 4 analogue — this host (measured), p=5 cell-batched GEMM");
+    let host_bfs = [8usize, 16, 32, 48, 64, 96, 128];
+    print!("{:<8}", "B_f");
+    for bf in host_bfs {
+        print!("{bf:>8}");
+    }
+    println!();
+    print!("{:<8}", "GFLOPS");
+    for bf in host_bfs {
+        print!("{:>8.1}", measured_cell_gemm_gflops(bf));
+    }
+    println!();
 }

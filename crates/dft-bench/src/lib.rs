@@ -1,24 +1,17 @@
 //! # dft-bench
 //!
-//! The benchmark/reproduction harness: one binary per table and figure of
-//! the paper (see DESIGN.md Sec. 4 for the experiment index), plus shared
-//! benchmark-system definitions and the miniature invDFT->MLXC training
-//! pipeline used by several experiments.
+//! The paper-reproduction harness: one binary per table and figure of the
+//! paper (see DESIGN.md Sec. 4 for the experiment index), plus the shared
+//! system definitions and the miniature invDFT->MLXC training pipeline used
+//! by several experiments. How fast the solver itself runs is measured by
+//! `benchmark/` (see `benchmark/README.md`), not here.
 
 #![deny(unsafe_code)]
 
-pub mod md;
 pub mod pipeline;
-pub mod recovery;
-pub mod scaling;
-pub mod serve;
 pub mod systems;
 
-pub use md::MdBench;
 pub use pipeline::{train_mlxc_from_invdft, MiniSystem, PipelineConfig};
-pub use recovery::RecoveryBench;
-pub use scaling::{CommBytes, RankRun, ScalingReport, WireComparison, CHFES_PHASES};
-pub use serve::ServeBench;
 pub use systems::{
     disloc_mg_y, twin_disloc_mg_y_a, twin_disloc_mg_y_b, twin_disloc_mg_y_c, ybcd_quasicrystal,
 };

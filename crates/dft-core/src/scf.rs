@@ -227,9 +227,6 @@ pub fn scf(
     cfg: &ScfConfig,
     kpts: &[KPoint],
 ) -> ScfResult {
-    // Adopt the persisted GEMM blocking profile (if one was autotuned for
-    // this machine) before the kernel-heavy ChFES loop starts.
-    let _ = dft_linalg::autotune::load_from_disk();
     let gamma_only = kpts.len() == 1 && kpts[0].is_gamma();
     if gamma_only {
         scf_serial::<f64>(space, system, xc, cfg, kpts)

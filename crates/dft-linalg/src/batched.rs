@@ -8,7 +8,7 @@
 //! call. Here the batch is parallelised with rayon (standing in for the
 //! GPU's fine-grained parallelism).
 
-use crate::pack::{gemm_block, with_pack_buf};
+use crate::pack::{gemm_block, with_pack_buf, KC, MC, NC};
 use crate::scalar::Scalar;
 use rayon::prelude::*;
 
@@ -151,7 +151,22 @@ pub fn batched_gemm<T: Scalar>(
                 }
             }
             with_pack_buf(|buf| {
-                gemm_block(m, n, k, alpha, ai, m, false, bi, k, false, cm, m, buf);
+                gemm_block(
+                    (MC, KC, NC),
+                    m,
+                    n,
+                    k,
+                    alpha,
+                    ai,
+                    m,
+                    false,
+                    bi,
+                    k,
+                    false,
+                    cm,
+                    m,
+                    buf,
+                );
             });
         });
 }

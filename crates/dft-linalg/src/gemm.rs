@@ -9,7 +9,7 @@
 //! benchmarks.
 
 use crate::matrix::Matrix;
-use crate::pack::{gemm_block, with_pack_buf, with_scratch3};
+use crate::pack::{gemm_block, with_pack_buf, with_scratch3, KC, MC, NC};
 use crate::scalar::Scalar;
 use rayon::prelude::*;
 
@@ -102,16 +102,16 @@ pub fn gemm_slices<T: Scalar>(
         return;
     }
 
-    let nc_slab = crate::autotune::blocking().2;
-    c.par_chunks_mut(m * nc_slab)
+    c.par_chunks_mut(m * NC)
         .enumerate()
         .for_each(|(slab, cblk)| {
-            let jc = slab * nc_slab;
+            let jc = slab * NC;
             let ncb = cblk.len() / m;
             // Shift B so column jc of op(B) becomes column 0 of the slab.
             let boff = if b_trans { jc } else { jc * ldb };
             with_pack_buf(|buf| {
                 gemm_block(
+                    (MC, KC, NC),
                     m,
                     ncb,
                     k,

@@ -26,7 +26,6 @@
 // indexed loops deliberately mirror the paper's subscript notation
 #![allow(clippy::needless_range_loop)]
 
-pub mod autotune;
 pub mod batched;
 pub mod blas1;
 pub mod chol;

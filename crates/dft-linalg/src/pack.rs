@@ -32,13 +32,14 @@ use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-/// Default rows of `A` packed per cache block (`A` panel is `MC x KC`).
-/// The live value is [`crate::autotune::blocking`], which starts at these
-/// defaults and is overridden by the per-machine tuning profile.
+/// Rows of `A` packed per cache block (`A` panel is `MC x KC`). The
+/// blocking is a compile-time constant, not a per-machine profile: `KC`
+/// fixes the order in which the inner dimension is accumulated, so a fixed
+/// value is what makes a solve's bits independent of where it runs.
 pub const MC: usize = 128;
-/// Default depth of the shared inner dimension per cache block.
+/// Depth of the shared inner dimension per cache block.
 pub const KC: usize = 256;
-/// Default columns of `B` packed per cache block (`B` panel is `KC x NC`).
+/// Columns of `B` packed per cache block (`B` panel is `KC x NC`).
 pub const NC: usize = 512;
 
 /// Reused packing buffers for one thread: the `MC x KC` A-panel and the
@@ -329,10 +330,14 @@ fn macro_kernel<T: Scalar, const MR: usize, const NR: usize>(
 /// where `op` is identity or conjugate-transpose per operand. `C` is `m x n`
 /// with leading dimension `ldc`; the caller has already applied `beta`.
 ///
-/// Accumulation over `l` within one `KC` slab is strictly ascending (matching
-/// the seed axpy kernel's order bit-for-bit when `k <= KC`).
+/// `blk` is the `(mc, kc, nc)` cache blocking; [`crate::gemm`] and
+/// [`crate::batched`] pass `(MC, KC, NC)`.
+///
+/// Accumulation over `l` within one `kc` slab is strictly ascending (matching
+/// the seed axpy kernel's order bit-for-bit when `k <= kc`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_block<T: Scalar>(
+    blk: (usize, usize, usize),
     m: usize,
     n: usize,
     k: usize,
@@ -361,35 +366,35 @@ pub(crate) fn gemm_block<T: Scalar>(
     let tier = simd::active_tier();
     if T::IS_COMPLEX {
         gemm_block_tiled::<T, 4, 4>(
-            tier, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
+            tier, blk, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
         )
     } else if TypeId::of::<T>() == TypeId::of::<f64>() {
         match tier {
             SimdTier::Avx512 => gemm_block_tiled::<T, 16, 8>(
-                tier, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
+                tier, blk, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
             ),
             SimdTier::Avx2 => gemm_block_tiled::<T, 8, 6>(
-                tier, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
+                tier, blk, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
             ),
             SimdTier::Scalar => gemm_block_tiled::<T, 16, 4>(
-                tier, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
+                tier, blk, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
             ),
         }
     } else if TypeId::of::<T>() == TypeId::of::<f32>() {
         match tier {
             SimdTier::Avx512 => gemm_block_tiled::<T, 32, 8>(
-                tier, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
+                tier, blk, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
             ),
             SimdTier::Avx2 => gemm_block_tiled::<T, 16, 6>(
-                tier, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
+                tier, blk, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
             ),
             SimdTier::Scalar => gemm_block_tiled::<T, 16, 4>(
-                tier, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
+                tier, blk, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
             ),
         }
     } else {
         gemm_block_tiled::<T, 16, 4>(
-            tier, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
+            tier, blk, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
         )
     }
 }
@@ -398,6 +403,7 @@ pub(crate) fn gemm_block<T: Scalar>(
 #[allow(clippy::too_many_arguments)]
 fn gemm_block_tiled<T: Scalar, const MR: usize, const NR: usize>(
     tier: SimdTier,
+    (mc_blk, kc_blk, nc_blk): (usize, usize, usize),
     m: usize,
     n: usize,
     k: usize,
@@ -413,7 +419,6 @@ fn gemm_block_tiled<T: Scalar, const MR: usize, const NR: usize>(
     buf: &mut PackBuf<T>,
 ) {
     let PackBuf { a: pa, b: pb } = buf;
-    let (mc_blk, kc_blk, nc_blk) = crate::autotune::blocking();
     if m <= mc_blk && k <= kc_blk && n <= nc_blk {
         // Fast path for small problems — one packed panel pair, no blocking
         // loop. This is the FE cell-level shape (m = k = (p+1)^3, n = block).
@@ -456,6 +461,47 @@ mod tests {
         // A different scalar type gets its own buffer.
         let cap32 = with_pack_buf::<f32, _>(|buf| buf.a.capacity());
         assert!(cap32 < 1000);
+    }
+
+    /// The blocking only partitions the iteration space: any `(mc, kc, nc)`
+    /// — including one small enough that all three loops take several
+    /// trips with ragged edges — reproduces the unblocked reference.
+    #[test]
+    fn gemm_is_correct_under_any_blocking() {
+        use crate::gemm::{gemm_reference, Op};
+        use crate::matrix::Matrix;
+        let n = 70;
+        let a = Matrix::from_fn(n, n, |i, j| ((i * 3 + j) as f64 * 0.1).sin());
+        let b = Matrix::from_fn(n, n, |i, j| ((i + 5 * j) as f64 * 0.2).cos());
+        let mut want = Matrix::zeros(n, n);
+        gemm_reference(1.0, &a, Op::None, &b, Op::None, 0.0, &mut want);
+        for blk in [
+            (64, 128, 256),
+            (256, 512, 1024),
+            (64, 512, 256),
+            (32, 16, 24),
+        ] {
+            let mut got = Matrix::<f64>::zeros(n, n);
+            with_pack_buf(|buf| {
+                gemm_block(
+                    blk,
+                    n,
+                    n,
+                    n,
+                    1.0,
+                    a.as_slice(),
+                    n,
+                    false,
+                    b.as_slice(),
+                    n,
+                    false,
+                    got.as_mut_slice(),
+                    n,
+                    buf,
+                );
+            });
+            assert!(got.max_abs_diff(&want) < 1e-12, "blocking {blk:?}");
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub enum SimdTier {
 }
 
 impl SimdTier {
-    /// Stable lower-case name (used in the tuning profile and bench JSON).
+    /// Stable lower-case name (reported in the benchmark's `env` record).
     pub fn name(self) -> &'static str {
         match self {
             SimdTier::Scalar => "scalar",

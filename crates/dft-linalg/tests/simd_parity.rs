@@ -191,7 +191,7 @@ real_oracle!(oracle_f32, f32);
 #[test]
 fn gemm_f64_is_bit_identical_to_mul_add_oracle() {
     let fused = simd::active_tier() != SimdTier::Scalar;
-    let kc_blk = dft_linalg::autotune::blocking().1;
+    let kc_blk = dft_linalg::pack::KC;
     for &(m, n, k) in &SHAPES {
         for &(opa, opb) in &OPS {
             let (ar, ac) = dims(opa, m, k);
@@ -223,7 +223,7 @@ fn gemm_f64_is_bit_identical_to_mul_add_oracle() {
 #[test]
 fn gemm_f32_is_bit_identical_to_mul_add_oracle() {
     let fused = simd::active_tier() != SimdTier::Scalar;
-    let kc_blk = dft_linalg::autotune::blocking().1;
+    let kc_blk = dft_linalg::pack::KC;
     for &(m, n, k) in &SHAPES {
         for &(opa, opb) in &OPS {
             let (ar, ac) = dims(opa, m, k);
@@ -253,7 +253,7 @@ fn gemm_f32_is_bit_identical_to_mul_add_oracle() {
 /// unfused multiply-add with `alpha` folded into the B term — on every tier.
 #[test]
 fn gemm_c64_is_bit_identical_to_generic_tile_oracle() {
-    let kc_blk = dft_linalg::autotune::blocking().1;
+    let kc_blk = dft_linalg::pack::KC;
     for &(m, n, k) in &SHAPES[..6] {
         for &(opa, opb) in &OPS {
             let (ar, ac) = dims(opa, m, k);

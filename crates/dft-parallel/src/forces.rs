@@ -83,8 +83,8 @@ pub fn distributed_forces(
     distributed_forces_profiled(comm, space, system, rho_e, grid).map(|(f, _)| f)
 }
 
-/// [`distributed_forces`] with a per-rank timing breakdown (the
-/// force-assembly benchmark's measurement hook).
+/// [`distributed_forces`] with a per-rank timing breakdown; the
+/// `benchmark/` layer ladder's `parallel.forces` probe calls this entry.
 pub fn distributed_forces_profiled(
     comm: &mut ThreadComm,
     space: &FeSpace,

@@ -336,9 +336,6 @@ pub fn distributed_scf(
     cfg: &DistScfConfig,
     kpts: &[KPoint],
 ) -> Result<DistScfResult, ScfError> {
-    // Adopt the persisted GEMM blocking profile before the kernel-heavy
-    // loop; idempotent and rank-local, so safe to call from every rank.
-    let _ = dft_linalg::autotune::load_from_disk();
     let gamma_only = kpts.len() == 1 && kpts[0].is_gamma();
     if gamma_only {
         scf_on_cluster::<f64>(comm, space, system, xc, cfg, kpts)

@@ -2,8 +2,9 @@
 //! FIRE driver: every rank's [`distributed_forces`] output is checked
 //! against the serial [`compute_forces`] on periodic and Dirichlet
 //! goldens, across rank counts and process-grid shapes, for bitwise
-//! run-to-run determinism (L004), and the full `dist_relax` trajectory is
-//! checked against the serial `relax` driver.
+//! run-to-run determinism (L004), the full `dist_relax` trajectory is
+//! checked against the serial `relax` driver, and the `dist_md`
+//! velocity-Verlet trajectory for rank invariance and energy conservation.
 
 use dft_core::forces::compute_forces;
 use dft_core::relax::{relax, RelaxConfig};
@@ -13,7 +14,10 @@ use dft_core::xc::Lda;
 use dft_fem::mesh::Mesh3d;
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::run_cluster;
-use dft_parallel::{dist_relax, distributed_forces, DistRelaxConfig, DistScfConfig, GridShape};
+use dft_parallel::{
+    dist_md, dist_relax, distributed_forces, DistMdResult, DistRelaxConfig, DistScfConfig,
+    GridShape, MdConfig, MdStepRecord,
+};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -282,4 +286,80 @@ fn warm_started_relax_steps_reconverge_faster() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Velocity-Verlet BO-MD on the dimer: every step after the first
+/// warm-starts its SCF, the total energy is conserved to 2e-3 Ha over the
+/// run, the replicated trajectory is bit-identical on both ranks of a
+/// 2-rank run, and it matches the 1-rank trajectory to 1e-8 (not bitwise:
+/// the force quadrature is summed per rank shard, so forces agree across
+/// rank counts to ~1e-14, as in `check_force_oracle`).
+#[test]
+fn bo_md_conserves_energy_and_is_rank_invariant() {
+    let (space, sys) = relax_system();
+    let mcfg = MdConfig {
+        steps: 4,
+        dt: 0.25,
+        warm_start: true,
+    };
+    let run = |nranks: usize| {
+        let dir = fresh_dir("md");
+        let dcfg = DistScfConfig::new(relax_scf_cfg()).with_checkpoints(&dir, 50);
+        let (results, _) = run_cluster(nranks, |comm| {
+            dist_md(comm, &space, &sys, &Lda, &dcfg, &mcfg, &[KPoint::gamma()]).expect("dist md")
+        });
+        std::fs::remove_dir_all(&dir).ok();
+        results
+    };
+    let one = run(1).remove(0);
+    assert_eq!(one.trajectory.len(), 5, "4 steps = 5 evaluations");
+    assert!(!one.trajectory[0].warm_started, "first step must run cold");
+    let e0 = one.trajectory[0].total;
+    for (i, rec) in one.trajectory.iter().enumerate() {
+        assert!(i == 0 || rec.warm_started, "step {i} did not warm-start");
+        let drift = (rec.total - e0).abs();
+        assert!(drift <= 2e-3, "step {i}: |E_tot - E_tot[0]| = {drift:.3e}");
+    }
+    assert!(
+        one.trajectory[4].kinetic > 0.0,
+        "the off-equilibrium dimer must start moving"
+    );
+
+    let two = run(2);
+    let positions =
+        |r: &DistMdResult| -> Vec<[f64; 3]> { r.system.atoms.iter().map(|a| a.pos).collect() };
+    let bits = |r: &MdStepRecord| {
+        (
+            [r.free_energy, r.kinetic, r.total, r.fmax].map(f64::to_bits),
+            r.scf_iterations,
+            r.warm_started,
+        )
+    };
+    for (i, (a, b)) in two[1].trajectory.iter().zip(&two[0].trajectory).enumerate() {
+        assert_eq!(bits(a), bits(b), "step {i} differs between the two ranks");
+    }
+    assert_eq!(
+        positions(&two[1]),
+        positions(&two[0]),
+        "final positions differ between the two ranks"
+    );
+    assert_eq!(two[0].trajectory.len(), one.trajectory.len());
+    for (i, (a, b)) in two[0].trajectory.iter().zip(&one.trajectory).enumerate() {
+        assert_eq!(a.warm_started, b.warm_started, "step {i}");
+        for (x, y) in [
+            (a.free_energy, b.free_energy),
+            (a.kinetic, b.kinetic),
+            (a.fmax, b.fmax),
+        ] {
+            assert!(
+                (x - y).abs() <= 1e-8,
+                "step {i}: 2 ranks {a:?} vs 1 rank {b:?}"
+            );
+        }
+    }
+    let dp = max_component_err(&positions(&two[0]), &positions(&one));
+    assert!(
+        dp <= 1e-8,
+        "final positions: 2 ranks vs 1 rank differ by {dp:.3e}"
+    );
 }

@@ -19,7 +19,7 @@ mkdir -p target
 cargo run -q --offline --release -p dft-lint -- --workspace --json > target/dft-lint.json
 echo "    JSON artifact: target/dft-lint.json"
 
-echo "==> duplicate-definition guard (one SCF spine, one binary codec)"
+echo "==> duplicate-definition guard (one SCF spine, one binary codec, one measuring stack)"
 for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a; do
   n=$(grep -rhE "^\s*(pub(\([a-z]+\))? )?fn ${f}\b" crates/*/src | wc -l)
   if [ "$n" -ne 1 ]; then
@@ -27,15 +27,20 @@ for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a; do
     exit 1
   fi
 done
+# benchmark/ is the only yardstick and the GEMM blocking is a constant: the
+# retired artifact gate and tuning file may not come back. The pattern is
+# split so this script does not match itself.
+retired="DFT_T""UNE|dft_t""une\.json|BEN""CH_|DFT_BEN""CH_GATE"
+if grep -rnE "$retired" crates/*/src scripts; then
+  echo "    retired benchmark-gate / tuning-file names reappeared (see above)"
+  exit 1
+fi
 
 echo "==> cargo build --release"
 cargo build --offline --release --workspace
 
 echo "==> cargo test -q"
 cargo test -q --offline --workspace
-
-echo "==> distributed suite (oracle + SCF parity at 1/2/4 ranks)"
-cargo test -q --offline -p dft-parallel
 
 echo "==> fault-injection suite (kills, timeouts, checkpoint/restart recovery)"
 cargo test -q --offline --release -p dft-parallel --test fault_tolerance
@@ -66,25 +71,7 @@ echo "==> forced-fallback suite (DFT_SIMD=scalar: scalar tile must bit-match its
 DFT_SIMD=scalar cargo test -q --offline --release -p dft-linalg --test simd_parity
 DFT_SIMD=scalar cargo test -q --offline --release -p dft-fem
 
-echo "==> kernel perf-regression gate (skip with DFT_BENCH_GATE=off on loaded machines)"
-if [ "${DFT_BENCH_GATE:-on}" = "off" ]; then
-  echo "    skipped (DFT_BENCH_GATE=off)"
-else
-  cargo run -q --offline --release -p dft-bench --bin bench_kernels
-  cargo run -q --offline --release -p dft-bench --bin bench_gate -- \
-    BENCH_kernels.baseline.json BENCH_kernels.json --tol 0.15
-fi
-
-echo "==> BENCH_scaling.json schema check"
-cargo run -q --offline --release -p dft-bench --bin bench_scaling -- --check BENCH_scaling.json
-
-echo "==> BENCH_recovery.json schema check"
-cargo run -q --offline --release -p dft-bench --bin bench_recovery -- --check BENCH_recovery.json
-
-echo "==> BENCH_serve.json schema check"
-cargo run -q --offline --release -p dft-bench --bin bench_serve -- --check BENCH_serve.json
-
-echo "==> BENCH_md.json schema check"
-cargo run -q --offline --release -p dft-bench --bin bench_md -- --check BENCH_md.json
+echo "==> benchmark harness tests (benchmark/ is its own package; bash benchmark/run.sh is the yardstick)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> CI green"
