@@ -34,7 +34,7 @@ use crate::system::AtomicSystem;
 use crate::xc::{evaluate_xc, XcFunctional};
 use dft_fem::field::NodalField;
 use dft_fem::mesh::BoundaryCondition;
-use dft_fem::poisson::{solve_poisson, PoissonBc};
+use dft_fem::poisson::{fdm_apply_flops, solve_poisson, PoissonBc};
 use dft_fem::space::FeSpace;
 use dft_hpc::profile::{Phase, PhaseScope, Profile, ScfProfile};
 use dft_linalg::matrix::Matrix;
@@ -176,16 +176,25 @@ pub struct ScfResult {
     pub profile: Option<ScfProfile>,
 }
 
-/// Analytic FLOP count of a CG Poisson solve: per iteration one stiffness
-/// apply plus the BLAS-1 work (two dots, three axpys ≈ 10 flops per DoF).
+/// Analytic FLOP count of a Poisson solve that took `cg_iterations`: CG
+/// applies the stiffness once for the initial residual and once per
+/// iteration, and the tensor-product preconditioner once up front and once
+/// per iteration that does not converge; each iteration adds the BLAS-1
+/// work (two dots, a norm, three axpys ≈ 10 flops per DoF).
 fn poisson_flops(space: &FeSpace, cg_iterations: usize) -> u64 {
-    cg_iterations as u64 * (space.stiffness_apply_flops::<f64>(1) + 10 * space.ndofs() as u64)
+    let it = cg_iterations as u64;
+    (it + 1) * space.stiffness_apply_flops::<f64>(1)
+        + it.max(1) * fdm_apply_flops(space)
+        + it * 10 * space.ndofs() as u64
 }
 
-/// Main-memory traffic of a CG Poisson solve: per iteration the five
-/// working vectors streamed once each way.
+/// Main-memory traffic of the same solve: ten vector streams for CG's
+/// set-up and for each iteration (the five working vectors once each way),
+/// fourteen per preconditioner apply (six contractions and the spectral
+/// scale, each read once and written once).
 fn poisson_bytes(space: &FeSpace, cg_iterations: usize) -> u64 {
-    cg_iterations as u64 * 10 * space.ndofs() as u64 * std::mem::size_of::<f64>() as u64
+    let it = cg_iterations as u64;
+    ((it + 1) * 10 + it.max(1) * 14) * space.ndofs() as u64 * std::mem::size_of::<f64>() as u64
 }
 
 /// The boundary treatment of the electrostatic solves on `space`.
@@ -403,8 +412,8 @@ fn scf_serial<T: ScalarExt>(
 /// Why [`scf_loop`] stopped early.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ScfLoopError<E> {
-    /// The electrostatic solve of the input density did not reach
-    /// `poisson_tol` within its iteration cap.
+    /// An electrostatic solve (of the input or of the output density) did
+    /// not reach `poisson_tol` within its iteration cap.
     PoissonDiverged {
         /// Zero-based SCF iteration of the failed solve.
         iteration: usize,
@@ -659,7 +668,12 @@ pub fn scf_loop<T: ScalarExt, S: ScfSeam<T>>(
             (band, rho_veff, rho_charge_out)
         };
         let kinetic = band - rho_veff;
-        let (phi_out, _) = solve_electrostatics(space, &rho_charge_out, cfg.poisson_tol, profile);
+        let (phi_out, poisson_ok) =
+            solve_electrostatics(space, &rho_charge_out, cfg.poisson_tol, profile);
+        // replicated like the rho_in solve: every rank takes this exit together
+        if !poisson_ok {
+            return Err(ScfLoopError::PoissonDiverged { iteration: iter });
+        }
         let xc_out = {
             let _scope = PhaseScope::new(profile, Phase::Dh);
             let rho_out_field = NodalField::from_values(space, rho_out.clone());

@@ -19,7 +19,8 @@
 //!   dense per-cell Hamiltonian path that mirrors the paper's
 //!   `xGEMMStridedBatched` kernel;
 //! * [`poisson`] — FE Poisson solves for the Hartree and nuclear
-//!   electrostatic potentials (diagonally-preconditioned CG);
+//!   electrostatic potentials (CG verifying the exact tensor-product
+//!   fast-diagonalization inverse of the stiffness);
 //! * [`field`] — nodal scalar fields: integration, gradients (recovery),
 //!   interpolation/evaluation.
 //!

@@ -17,11 +17,14 @@
 
 use crate::basis::Lagrange1d;
 use crate::mesh::{BoundaryCondition, Mesh3d};
+use crate::poisson::FdmPrec;
 use dft_linalg::batched::{batched_gemm, BatchLayout};
+use dft_linalg::chol::LinalgError;
 use dft_linalg::iterative::LinearOperator;
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::{Real, Scalar};
 use rayon::prelude::*;
+use std::sync::OnceLock;
 
 /// A cell of the tensor mesh: integer coordinates and box dimensions.
 #[derive(Clone, Copy, Debug)]
@@ -62,6 +65,9 @@ pub struct FeSpace {
     /// (bit 0 = x wrap, bit 1 = y, bit 2 = z) selecting the Bloch phase
     /// product to apply on gather/scatter.
     cell_wrap: Vec<u8>,
+    /// Tensor-product inverse of the assembled stiffness, factored by the
+    /// first Poisson solve on this space.
+    stiffness_inverse: OnceLock<Result<FdmPrec, LinalgError>>,
 }
 
 /// Columns processed together by the blocked stiffness kernel: 8 f64 lanes
@@ -227,7 +233,17 @@ impl FeSpace {
             cell_node,
             cell_dof,
             cell_wrap,
+            stiffness_inverse: OnceLock::new(),
         }
+    }
+
+    /// The exact inverse of the assembled stiffness that preconditions the
+    /// Poisson solves, factored once per space on first use (three dense
+    /// eigendecompositions of the per-axis DoF count).
+    pub(crate) fn stiffness_inverse(&self) -> Result<&FdmPrec, &LinalgError> {
+        self.stiffness_inverse
+            .get_or_init(|| FdmPrec::new(&self.mesh, &self.basis))
+            .as_ref()
     }
 
     /// Index of a cell in [`Self::cells`] (cells are stored x-fastest).
@@ -866,8 +882,9 @@ impl FeSpace {
         }
     }
 
-    /// Diagonal of the assembled stiffness matrix on DoFs (for Jacobi /
-    /// inverse-diagonal-Laplacian preconditioning, Sec. 5.3.1 of the paper).
+    /// Diagonal of the assembled stiffness matrix on DoFs (for the
+    /// inverse-diagonal-Laplacian preconditioning of the invDFT adjoint
+    /// solve, Sec. 5.3.1 of the paper).
     pub fn stiffness_diagonal(&self) -> Vec<f64> {
         let n1 = self.mesh.degree + 1;
         let p = self.mesh.degree;

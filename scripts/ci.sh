@@ -74,4 +74,7 @@ DFT_SIMD=scalar cargo test -q --offline --release -p dft-fem
 echo "==> benchmark harness tests (benchmark/ is its own package; bash benchmark/run.sh is the yardstick)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "==> benchmark correctness gate (scf-poisson, seed 1: reference energy within 1e-8 Ha, pinned SCF iteration count)"
+bash benchmark/run.sh --workload scf-poisson --seed 1 --trace 0
+
 echo "==> CI green"
