@@ -177,13 +177,14 @@ pub struct ScfResult {
 }
 
 /// Analytic FLOP count of a Poisson solve that took `cg_iterations`: CG
-/// applies the stiffness once for the initial residual and once per
-/// iteration, and the tensor-product preconditioner once up front and once
-/// per iteration that does not converge; each iteration adds the BLAS-1
-/// work (two dots, a norm, three axpys ≈ 10 flops per DoF).
+/// starts from zero (the initial residual is the right-hand side, no
+/// apply), so it applies the stiffness once per iteration, and the
+/// tensor-product preconditioner once up front and once per iteration that
+/// does not converge; each iteration adds the BLAS-1 work (two dots, a
+/// norm, three axpys ≈ 10 flops per DoF).
 fn poisson_flops(space: &FeSpace, cg_iterations: usize) -> u64 {
     let it = cg_iterations as u64;
-    (it + 1) * space.stiffness_apply_flops::<f64>(1)
+    it * space.stiffness_apply_flops::<f64>(1)
         + it.max(1) * fdm_apply_flops(space)
         + it * 10 * space.ndofs() as u64
 }

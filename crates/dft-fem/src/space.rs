@@ -65,6 +65,8 @@ pub struct FeSpace {
     /// (bit 0 = x wrap, bit 1 = y, bit 2 = z) selecting the Bloch phase
     /// product to apply on gather/scatter.
     cell_wrap: Vec<u8>,
+    /// `0..cells.len()`: the cell list of the all-cells sweep.
+    all_cells: Vec<u32>,
     /// Tensor-product inverse of the assembled stiffness, factored by the
     /// first Poisson solve on this space.
     stiffness_inverse: OnceLock<Result<FdmPrec, LinalgError>>,
@@ -74,12 +76,33 @@ pub struct FeSpace {
 /// is one AVX-512 register per accumulator.
 const COL_BLOCK: usize = 8;
 
+/// Which cells one [`FeSpace::sweep_cells`] call visits and how their local
+/// nodes map to rows of the caller's vectors. The serial apply walks every
+/// cell through the space's own DoF table; a distributed rank walks its
+/// interior or boundary cells through a table localized to its
+/// owned-plus-ghost row numbering.
+#[derive(Clone, Copy)]
+pub struct CellSweep<'a> {
+    /// Rows of `cell_dof` to visit, in this order.
+    pub cells: &'a [u32],
+    /// Global index (into [`FeSpace::cells`]) of the cell that row 0 of
+    /// `cell_dof` describes.
+    pub first_cell: usize,
+    /// Per table row and local node, the vector row it reads and writes
+    /// (`-1` on eliminated Dirichlet nodes), layout `[row * nloc + l]`.
+    pub cell_dof: &'a [i32],
+    /// Leading dimension (rows per column) of the swept vectors.
+    pub ld: usize,
+    /// `Y = ...` instead of `Y += ...`: every column block of `y` is zeroed
+    /// right before its first cell lands in it (while it is about to be
+    /// cache-resident anyway), so the caller need not clear `y`.
+    pub overwrite: bool,
+}
+
 /// The 8 possible products of Bloch phases selected by a wrap bitmask
 /// (identity for mask 0). `conj` gives the scatter-side conjugate table.
-/// Public so distributed operators can run the same gather/scatter phase
-/// arithmetic on their localized cell tables.
 #[inline]
-pub fn phase_products<T: Scalar>(phases: [T; 3], conj: bool) -> [T; 8] {
+fn phase_products<T: Scalar>(phases: [T; 3], conj: bool) -> [T; 8] {
     let p = if conj {
         [phases[0].conj(), phases[1].conj(), phases[2].conj()]
     } else {
@@ -100,6 +123,84 @@ pub fn phase_products<T: Scalar>(phases: [T; 3], conj: bool) -> [T; 8] {
         *t = v;
     }
     tab
+}
+
+/// Gather [`COL_BLOCK`] interleaved column lanes of one cell
+/// (`loc[l*COL_BLOCK + t]` is local node `l`, block column `t`),
+/// optionally fusing a per-row real scale; unused lanes are zeroed.
+#[allow(clippy::too_many_arguments)]
+fn gather_block<T: Scalar>(
+    dofs: &[i32],
+    wraps: &[u8],
+    xblk: &[T],
+    ld: usize,
+    cb: usize,
+    tab: &[T; 8],
+    row_scale: Option<&[f64]>,
+    loc: &mut [T],
+) {
+    const CB: usize = COL_BLOCK;
+    for (l, (&d, &w)) in dofs.iter().zip(wraps).enumerate() {
+        let dst = &mut loc[l * CB..(l + 1) * CB];
+        if d < 0 {
+            dst.fill(T::ZERO);
+            continue;
+        }
+        let du = d as usize;
+        match row_scale {
+            None => {
+                for t in 0..cb {
+                    dst[t] = xblk[t * ld + du];
+                }
+            }
+            Some(s) => {
+                let sc = <T::Re as Real>::from_f64(s[du]);
+                for t in 0..cb {
+                    dst[t] = xblk[t * ld + du].scale(sc);
+                }
+            }
+        }
+        if w != 0 {
+            let ph = tab[w as usize];
+            for t in 0..cb {
+                dst[t] *= ph;
+            }
+        }
+        for t in cb..CB {
+            dst[t] = T::ZERO;
+        }
+    }
+}
+
+/// Scatter-add the interleaved column lanes back to the row block,
+/// conjugate phases on wraps (adjoint of [`gather_block`]).
+fn scatter_block<T: Scalar>(
+    dofs: &[i32],
+    wraps: &[u8],
+    out: &[T],
+    tabc: &[T; 8],
+    yblk: &mut [T],
+    ld: usize,
+    cb: usize,
+) {
+    const CB: usize = COL_BLOCK;
+    for (l, (&d, &w)) in dofs.iter().zip(wraps).enumerate() {
+        if d < 0 {
+            continue;
+        }
+        let du = d as usize;
+        let src = &out[l * CB..(l + 1) * CB];
+        if w == 0 {
+            for t in 0..cb {
+                yblk[t * ld + du] += src[t];
+            }
+        } else {
+            let ph = tabc[w as usize];
+            for t in 0..cb {
+                yblk[t * ld + du] += src[t] * ph;
+            }
+        }
+    }
 }
 
 impl FeSpace {
@@ -216,6 +317,7 @@ impl FeSpace {
             .map(|&n| 1.0 / mass_diag[n as usize].sqrt())
             .collect();
 
+        let ncells = cells.len();
         Self {
             mesh,
             basis,
@@ -233,6 +335,7 @@ impl FeSpace {
             cell_node,
             cell_dof,
             cell_wrap,
+            all_cells: (0..ncells as u32).collect(),
             stiffness_inverse: OnceLock::new(),
         }
     }
@@ -635,19 +738,57 @@ impl FeSpace {
     ) {
         assert_eq!(x.nrows(), self.ndofs);
         assert_eq!(y.shape(), x.shape());
-        let nd = self.ndofs;
+        let all = CellSweep {
+            cells: &self.all_cells,
+            first_cell: 0,
+            cell_dof: &self.cell_dof,
+            ld: self.ndofs,
+            overwrite: true,
+        };
+        self.sweep_cells(&all, x.as_slice(), y.as_mut_slice(), phases, row_scale);
+    }
+
+    /// The one cell sweep: `Y += K diag(s) X` (or `Y =`, see
+    /// [`CellSweep::overwrite`]) restricted to the cells of `sweep`, on
+    /// column-major `x` / `y` of leading dimension `sweep.ld` (`row_scale`,
+    /// indexed like the rows, is the optional fused `s`).
+    ///
+    /// Columns are processed [`COL_BLOCK`] at a time — one rayon item per
+    /// block — through an interleaved-lane local buffer: gather (DoF table,
+    /// Bloch phase on wraps, scale) → [`Self::cell_stiffness_apply_block`] →
+    /// scatter-add (conjugate phase). Each lane's arithmetic is independent
+    /// of the block and lane its column lands in, so a column's result does
+    /// not depend on how many columns ride along. Accumulating an empty
+    /// cell list, or sweeping at zero leading dimension, is a no-op.
+    pub fn sweep_cells<T: Scalar>(
+        &self,
+        sweep: &CellSweep<'_>,
+        x: &[T],
+        y: &mut [T],
+        phases: [T; 3],
+        row_scale: Option<&[f64]>,
+    ) {
+        let ld = sweep.ld;
+        assert_eq!(x.len(), y.len());
+        if ld == 0 || (sweep.cells.is_empty() && !sweep.overwrite) {
+            return;
+        }
+        assert_eq!(y.len() % ld, 0);
+        if let Some(s) = row_scale {
+            assert_eq!(s.len(), ld);
+        }
         let nloc = self.nloc;
-        let x_data = x.as_slice();
         let tab = phase_products(phases, false);
         let tabc = phase_products(phases, true);
-        y.as_mut_slice()
-            .par_chunks_mut(nd * COL_BLOCK)
+        y.par_chunks_mut(ld * COL_BLOCK)
             .enumerate()
             .for_each(|(jb, yblk)| {
-                yblk.fill(T::ZERO);
+                if sweep.overwrite {
+                    yblk.fill(T::ZERO);
+                }
                 let j0 = jb * COL_BLOCK;
-                let cb = yblk.len() / nd;
-                let xblk = &x_data[j0 * nd..(j0 + cb) * nd];
+                let cb = yblk.len() / ld;
+                let xblk = &x[j0 * ld..(j0 + cb) * ld];
                 dft_linalg::pack::with_scratch::<T, _>(|loc, out| {
                     let need = nloc * COL_BLOCK;
                     if loc.len() < need {
@@ -658,102 +799,18 @@ impl FeSpace {
                     }
                     let loc = &mut loc[..need];
                     let out = &mut out[..need];
-                    for ci in 0..self.cells.len() {
-                        self.gather_block(ci, xblk, nd, cb, &tab, row_scale, loc);
+                    for &row in sweep.cells {
+                        let row = row as usize;
+                        let ci = sweep.first_cell + row;
+                        let dofs = &sweep.cell_dof[row * nloc..(row + 1) * nloc];
+                        let wraps = self.cell_wraps(ci);
+                        gather_block(dofs, wraps, xblk, ld, cb, &tab, row_scale, loc);
                         out.fill(T::ZERO);
                         self.cell_stiffness_apply_block(self.cells[ci].h, loc, out);
-                        self.scatter_block(ci, out, &tabc, yblk, nd, cb);
+                        scatter_block(dofs, wraps, out, &tabc, yblk, ld, cb);
                     }
                 });
             });
-    }
-
-    /// Gather [`COL_BLOCK`] interleaved column lanes of one cell
-    /// (`loc[l*COL_BLOCK + t]` is local node `l`, block column `t`),
-    /// optionally fusing a per-DoF real scale; unused lanes are zeroed.
-    #[allow(clippy::too_many_arguments)]
-    fn gather_block<T: Scalar>(
-        &self,
-        ci: usize,
-        xblk: &[T],
-        nd: usize,
-        cb: usize,
-        tab: &[T; 8],
-        row_scale: Option<&[f64]>,
-        loc: &mut [T],
-    ) {
-        const CB: usize = COL_BLOCK;
-        let nloc = self.nloc;
-        let dofs = &self.cell_dof[ci * nloc..(ci + 1) * nloc];
-        let wraps = &self.cell_wrap[ci * nloc..(ci + 1) * nloc];
-        for l in 0..nloc {
-            let dst = &mut loc[l * CB..(l + 1) * CB];
-            let d = dofs[l];
-            if d < 0 {
-                dst.fill(T::ZERO);
-                continue;
-            }
-            let du = d as usize;
-            match row_scale {
-                None => {
-                    for t in 0..cb {
-                        dst[t] = xblk[t * nd + du];
-                    }
-                }
-                Some(s) => {
-                    let sc = <T::Re as Real>::from_f64(s[du]);
-                    for t in 0..cb {
-                        dst[t] = xblk[t * nd + du].scale(sc);
-                    }
-                }
-            }
-            let w = wraps[l] as usize;
-            if w != 0 {
-                let ph = tab[w];
-                for t in 0..cb {
-                    dst[t] *= ph;
-                }
-            }
-            for t in cb..CB {
-                dst[t] = T::ZERO;
-            }
-        }
-    }
-
-    /// Scatter-add the interleaved column lanes back to the DoF block,
-    /// conjugate phases on wraps (adjoint of [`Self::gather_block`]).
-    fn scatter_block<T: Scalar>(
-        &self,
-        ci: usize,
-        out: &[T],
-        tabc: &[T; 8],
-        yblk: &mut [T],
-        nd: usize,
-        cb: usize,
-    ) {
-        const CB: usize = COL_BLOCK;
-        let nloc = self.nloc;
-        let dofs = &self.cell_dof[ci * nloc..(ci + 1) * nloc];
-        let wraps = &self.cell_wrap[ci * nloc..(ci + 1) * nloc];
-        for l in 0..nloc {
-            let d = dofs[l];
-            if d < 0 {
-                continue;
-            }
-            let du = d as usize;
-            let src = &out[l * CB..(l + 1) * CB];
-            let w = wraps[l] as usize;
-            if w == 0 {
-                for t in 0..cb {
-                    yblk[t * nd + du] += src[t];
-                }
-            } else {
-                let ph = tabc[w];
-                for t in 0..cb {
-                    yblk[t * nd + du] += src[t] * ph;
-                }
-            }
-        }
     }
 
     /// Sum-factorized stiffness on [`COL_BLOCK`] interleaved column lanes:
@@ -1186,6 +1243,85 @@ mod tests {
             "RQ {rq} vs k^2 {}",
             k * k
         );
+    }
+
+    /// Visiting the cells in two calls (overwrite, then accumulate) adds
+    /// the same contributions to each row in the same order as one call,
+    /// so the split a distributed rank makes (interior, then boundary) is
+    /// invisible in the bits. An accumulating sweep of no cells and any
+    /// sweep at zero leading dimension (a rank with no cells) do nothing.
+    #[test]
+    fn sweep_in_two_calls_matches_one_and_empty_sweeps_do_nothing() {
+        let s = FeSpace::new(Mesh3d::periodic_cube(2, 4.0, 3));
+        let nd = s.ndofs();
+        let phases = [C64::cis(0.7), C64::cis(-0.3), C64::ONE];
+        let x = Matrix::<C64>::from_fn(nd, 9, |i, j| {
+            C64::new(((i * 5 + j * 3) as f64 * 0.3).sin(), (i as f64 * 0.2).cos())
+        });
+        let mut y = Matrix::<C64>::zeros(nd, 9);
+        s.apply_stiffness_scaled(&x, &mut y, phases, s.inv_sqrt_mass());
+
+        let cells: Vec<u32> = (0..s.cells().len() as u32).collect();
+        let part = |cells, overwrite| CellSweep {
+            cells,
+            first_cell: 0,
+            cell_dof: &s.cell_dof,
+            ld: nd,
+            overwrite,
+        };
+        let scale = Some(s.inv_sqrt_mass());
+        let mut y2 = vec![C64::new(7.0, -7.0); nd * 9];
+        s.sweep_cells(
+            &part(&cells[..3], true),
+            x.as_slice(),
+            &mut y2,
+            phases,
+            scale,
+        );
+        s.sweep_cells(
+            &part(&cells[3..], false),
+            x.as_slice(),
+            &mut y2,
+            phases,
+            scale,
+        );
+        s.sweep_cells(&part(&[], false), x.as_slice(), &mut y2, phases, scale);
+        assert!(y2 == y.as_slice());
+        // overwriting with no cells is `Y = 0` (a rank whose cells are all
+        // boundary cells starts its interior pass this way)
+        s.sweep_cells(&part(&[], true), x.as_slice(), &mut y2, phases, scale);
+        assert!(y2.iter().all(|&v| v == C64::ZERO));
+
+        let no_rows = CellSweep {
+            cells: &[],
+            first_cell: 0,
+            cell_dof: &[],
+            ld: 0,
+            overwrite: true,
+        };
+        s.sweep_cells::<C64>(&no_rows, &[], &mut [], phases, None);
+    }
+
+    /// Column `j` of a 1-, 7-, 8-, 9- and 17-column apply has the same
+    /// bits: the lane a column lands in and the columns beside it do not
+    /// enter its arithmetic.
+    #[test]
+    fn column_result_is_independent_of_block_width() {
+        let s = FeSpace::new(Mesh3d::cube(2, 4.0, 3));
+        let nd = s.ndofs();
+        let x = Matrix::<f64>::from_fn(nd, 17, |i, j| ((i * 13 + j * 5) as f64 * 0.19).cos());
+        let mut y = Matrix::<f64>::zeros(nd, 17);
+        s.apply_stiffness(&x, &mut y, [1.0; 3]);
+        for (first, width) in [(0, 1), (11, 1), (3, 7), (5, 8), (2, 9)] {
+            let span = first * nd..(first + width) * nd;
+            let xw = Matrix::from_vec(nd, width, x.as_slice()[span.clone()].to_vec());
+            let mut yw = Matrix::<f64>::zeros(nd, width);
+            s.apply_stiffness(&xw, &mut yw, [1.0; 3]);
+            assert!(
+                yw.as_slice() == &y.as_slice()[span],
+                "columns {first}..+{width}"
+            );
+        }
     }
 
     #[test]

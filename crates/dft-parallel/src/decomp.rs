@@ -40,6 +40,9 @@ pub struct Decomposition {
     /// Inbound exchange: `(peer, extended-local ghost indices)` to fill
     /// from the peer, ascending peers, ascending global ids within.
     pub recv_from: Vec<(usize, Vec<u32>)>,
+    /// `M^{-1/2}` at every extended-local row (owned, then ghosts): the
+    /// Hamiltonian's input scale, fused into the cell gather.
+    pub inv_sqrt_mass_ext: Vec<f64>,
     /// Per FE node: whether this rank owns it (first-touch) — the mask for
     /// distributed Anderson-mixing weights and density ownership.
     pub owned_node: Vec<bool>,
@@ -148,6 +151,9 @@ impl Decomposition {
         }
 
         let owned_node = node_owner.iter().map(|&o| o == me).collect();
+        let inv_sqrt_mass_ext = (owned.iter().chain(&ghosts))
+            .map(|&d| space.inv_sqrt_mass()[d as usize])
+            .collect();
 
         Self {
             rank,
@@ -160,6 +166,7 @@ impl Decomposition {
             boundary_cells,
             send_to,
             recv_from,
+            inv_sqrt_mass_ext,
             owned_node,
         }
     }

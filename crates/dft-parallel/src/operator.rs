@@ -23,19 +23,25 @@ use crate::decomp::Decomposition;
 use crate::grid::ProcessGrid;
 use dft_core::chebyshev::{CfDriver, CfScratch};
 use dft_core::hamiltonian::HamOperator;
-use dft_fem::space::{phase_products, FeSpace};
+use dft_fem::space::{CellSweep, FeSpace};
 use dft_hpc::comm::{wire_tag_band, CommError, ThreadComm, WirePrecision};
 use dft_linalg::iterative::LinearOperator;
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::{Real, Scalar, C64};
+use std::any::Any;
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use std::time::Instant;
 
 /// The per-rank communicator behind a [`Mutex`], so operators that must be
-/// [`Sync`] (the [`LinearOperator`] supertrait bound) can share it. Locks
-/// are uncontended — each rank is one thread — so this costs an atomic per
-/// exchange, not a wait.
+/// [`Sync`] (the [`LinearOperator`] supertrait bound) can share it. One rank
+/// is one thread, so the lock is never contended: it is taken once per
+/// exchange leg (post, each harvest poll, fold-back) and never waits. The
+/// apply's reused buffers sit behind the same kind of lock in the rank's
+/// [`DistSpace`]: only the rank's own thread ever takes it — the intra-rank
+/// cell-sweep workers borrow slices of the already-locked buffers and never
+/// touch the `Mutex` — so it makes the operators `Sync` without ever
+/// serializing anything.
 pub struct SharedComm<'a>(pub Mutex<&'a mut ThreadComm>);
 
 impl<'a> SharedComm<'a> {
@@ -192,6 +198,12 @@ pub struct DistSpace<'a> {
     /// equal global ranks on the 1D slab layout. Ghost exchange always
     /// stays inside this list (same band column, same k-group).
     pub rank_of_dom: Vec<usize>,
+    /// The rank's reused apply buffers: an [`ApplyWorkspace<T>`] of the
+    /// scalar type last applied (a run applies one), type-erased because
+    /// the slab view is not generic over the scalar. Shared by every
+    /// operator on this slab — the FP64 Hamiltonian and its FP32-wire
+    /// filter twin never apply at the same time.
+    ws: Mutex<Box<dyn Any + Send>>,
 }
 
 impl<'a> DistSpace<'a> {
@@ -202,6 +214,7 @@ impl<'a> DistSpace<'a> {
             space,
             dec: Decomposition::new(space, rank, nranks),
             rank_of_dom: (0..nranks).collect(),
+            ws: Mutex::new(Box::new(())),
         }
     }
 
@@ -213,6 +226,26 @@ impl<'a> DistSpace<'a> {
             space,
             dec: Decomposition::new(space, grid.dom, grid.shape.n_dom),
             rank_of_dom: grid.dom_group.clone(),
+            ws: Mutex::new(Box::new(())),
+        }
+    }
+
+    /// Run `f` on this rank's apply buffers. They are scratch, rewritten by
+    /// every apply, so a lock poisoned by a panicking apply stays usable.
+    fn with_workspace<T: WireScalar, R>(&self, f: impl FnOnce(&mut ApplyWorkspace<T>) -> R) -> R {
+        let mut slot = self
+            .ws
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        match slot.downcast_mut::<ApplyWorkspace<T>>() {
+            Some(ws) => f(ws),
+            None => {
+                let (x_ext, y_ext, pack) = (Vec::<T>::new(), Vec::<T>::new(), Vec::new());
+                let mut ws = ApplyWorkspace { x_ext, y_ext, pack };
+                let r = f(&mut ws);
+                *slot = Box::new(ws);
+                r
+            }
         }
     }
 
@@ -228,22 +261,38 @@ impl<'a> DistSpace<'a> {
         phases: [T; 3],
         wire: WirePrecision,
     ) -> Result<(), CommError> {
-        self.apply_cells(comm, x, y, phases, None, wire)
+        assert_eq!(y.shape(), x.shape());
+        self.with_workspace(|ws| {
+            self.post_ghost_sends(comm, &mut ws.pack, x, TAG_FWD, wire)?;
+            self.apply_cells_posted(comm, ws, x, phases, None, wire, TAG_FWD)?;
+            for j in 0..y.ncols() {
+                y.col_mut(j).copy_from_slice(ws.y_owned(&self.dec, j));
+            }
+            Ok(())
+        })
     }
 
-    /// The shared kernel: optional fused per-row `M^{-1/2}` input scaling
-    /// (indexed by *global* DoF, as in the serial fused path).
-    fn apply_cells<T: WireScalar>(
+    /// Pack rows `idxs` of every column of `src` (leading dimension `ld`)
+    /// into `pack`, column-major, and `isend` it: the one wire layout of
+    /// both exchange legs.
+    #[allow(clippy::too_many_arguments)]
+    fn send_rows<T: WireScalar>(
         &self,
-        comm: &SharedComm<'_>,
-        x: &Matrix<T>,
-        y: &mut Matrix<T>,
-        phases: [T; 3],
-        row_scale: Option<&[f64]>,
+        c: &mut ThreadComm,
+        pack: &mut Vec<f64>,
+        (peer, idxs): &(usize, Vec<u32>),
+        src: &[T],
+        ld: usize,
+        tag: u64,
         wire: WirePrecision,
     ) -> Result<(), CommError> {
-        self.post_ghost_sends(comm, x, TAG_FWD, wire)?;
-        self.apply_cells_posted(comm, x, y, phases, row_scale, wire, TAG_FWD)
+        pack.clear();
+        for col in src.chunks_exact(ld) {
+            for &l in idxs {
+                T::pack_into(col[l as usize], pack);
+            }
+        }
+        c.isend_f64(self.rank_of_dom[*peer], tag, pack, wire)
     }
 
     /// Step 1 of the apply, callable on its own: pack the owned boundary
@@ -255,35 +304,28 @@ impl<'a> DistSpace<'a> {
     fn post_ghost_sends<T: WireScalar>(
         &self,
         comm: &SharedComm<'_>,
+        pack: &mut Vec<f64>,
         x: &Matrix<T>,
         tag: u64,
         wire: WirePrecision,
     ) -> Result<(), CommError> {
-        let dec = &self.dec;
-        let nc = x.ncols();
-        comm.with(|c| -> Result<(), CommError> {
-            for (peer, idxs) in &dec.send_to {
-                let mut buf = Vec::with_capacity(idxs.len() * nc * T::COMPONENTS);
-                for j in 0..nc {
-                    let col = x.col(j);
-                    for &l in idxs {
-                        T::pack_into(col[l as usize], &mut buf);
-                    }
-                }
-                c.isend_f64(self.rank_of_dom[*peer], tag, &buf, wire)?;
-            }
-            Ok(())
+        comm.with(|c| {
+            (self.dec.send_to.iter())
+                .try_for_each(|to| self.send_rows(c, pack, to, x.as_slice(), x.nrows(), tag, wire))
         })
     }
 
     /// Steps 2-4 of the apply: the forward exchange of `x` must already be
-    /// in flight under `fwd` ([`Self::post_ghost_sends`]).
+    /// in flight under `fwd` ([`Self::post_ghost_sends`]). The result is
+    /// left in the owned rows of `ws.y_ext` ([`ApplyWorkspace::y_owned`]).
+    /// `row_scale` is the optional fused per-row input scale, indexed by
+    /// *extended-local* row like the cell tables.
     #[allow(clippy::too_many_arguments)]
     fn apply_cells_posted<T: WireScalar>(
         &self,
         comm: &SharedComm<'_>,
+        ws: &mut ApplyWorkspace<T>,
         x: &Matrix<T>,
-        y: &mut Matrix<T>,
         phases: [T; 3],
         row_scale: Option<&[f64]>,
         wire: WirePrecision,
@@ -293,139 +335,91 @@ impl<'a> DistSpace<'a> {
         let (n_owned, n_ext) = (dec.n_owned(), dec.n_ext());
         let nc = x.ncols();
         assert_eq!(x.nrows(), n_owned);
-        assert_eq!(y.shape(), (n_owned, nc));
+        let ApplyWorkspace { x_ext, y_ext, pack } = ws;
+        let ranks_of = |list: &[(usize, Vec<u32>)]| -> Vec<usize> {
+            list.iter().map(|(p, _)| self.rank_of_dom[*p]).collect()
+        };
 
-        // extended input: owned rows (scaled) now, ghosts after harvest
-        let mut x_ext = Matrix::<T>::zeros(n_ext, nc);
+        // extended input: owned rows now, ghosts after harvest. Every ghost
+        // row is refilled by its one owner before a boundary cell reads it,
+        // and the interior pass overwrites the output, so both buffers are
+        // reused without zeroing.
+        x_ext.resize(n_ext * nc, T::ZERO);
+        y_ext.resize(n_ext * nc, T::ZERO);
         for j in 0..nc {
-            let src = x.col(j);
-            let dst = &mut x_ext.col_mut(j)[..n_owned];
-            dst.copy_from_slice(src);
-            if let Some(s) = row_scale {
-                for (l, v) in dst.iter_mut().enumerate() {
-                    *v = v.scale(T::Re::from_f64(s[dec.owned[l] as usize]));
-                }
-            }
+            x_ext[j * n_ext..j * n_ext + n_owned].copy_from_slice(x.col(j));
         }
-        let mut y_ext = Matrix::<T>::zeros(n_ext, nc);
 
         // 2. interior cells while boundary payloads are in flight
-        self.run_cells(&dec.interior_cells, &x_ext, &mut y_ext, phases);
+        self.run_cells(&dec.interior_cells, true, x_ext, y_ext, phases, row_scale);
 
         // 3. harvest ghosts, then the boundary cells
-        let fwd_peers = dec
-            .recv_from
-            .iter()
-            .map(|(p, _)| self.rank_of_dom[*p])
-            .collect();
-        let bufs = harvest(comm, fwd_peers, fwd, wire)?;
+        let bufs = harvest(comm, ranks_of(&dec.recv_from), fwd, wire)?;
         for ((_, idxs), buf) in dec.recv_from.iter().zip(bufs.iter()) {
             assert_eq!(buf.len(), idxs.len() * nc * T::COMPONENTS);
-            for j in 0..nc {
-                let col = x_ext.col_mut(j);
+            for (j, col) in x_ext.chunks_exact_mut(n_ext).enumerate() {
                 for (k, &l) in idxs.iter().enumerate() {
-                    let mut v = T::unpack_at(buf, j * idxs.len() + k);
-                    if let Some(s) = row_scale {
-                        let g = dec.ghosts[l as usize - n_owned] as usize;
-                        v = v.scale(T::Re::from_f64(s[g]));
-                    }
-                    col[l as usize] = v;
+                    col[l as usize] = T::unpack_at(buf, j * idxs.len() + k);
                 }
             }
         }
-        self.run_cells(&dec.boundary_cells, &x_ext, &mut y_ext, phases);
+        self.run_cells(&dec.boundary_cells, false, x_ext, y_ext, phases, row_scale);
 
         // 4. fold ghost partial sums back to their owners; accumulate the
         //    incoming partials in ascending peer order (deterministic)
-        comm.with(|c| -> Result<(), CommError> {
-            for (peer, idxs) in &dec.recv_from {
-                let mut buf = Vec::with_capacity(idxs.len() * nc * T::COMPONENTS);
-                for j in 0..nc {
-                    let col = y_ext.col(j);
-                    for &l in idxs {
-                        T::pack_into(col[l as usize], &mut buf);
-                    }
-                }
-                c.isend_f64(self.rank_of_dom[*peer], TAG_REV, &buf, wire)?;
-            }
-            Ok(())
+        comm.with(|c| {
+            (dec.recv_from.iter())
+                .try_for_each(|to| self.send_rows(c, pack, to, y_ext, n_ext, TAG_REV, wire))
         })?;
-        let rev_peers = dec
-            .send_to
-            .iter()
-            .map(|(p, _)| self.rank_of_dom[*p])
-            .collect();
-        let bufs = harvest(comm, rev_peers, TAG_REV, wire)?;
+        let bufs = harvest(comm, ranks_of(&dec.send_to), TAG_REV, wire)?;
         for ((_, idxs), buf) in dec.send_to.iter().zip(bufs.iter()) {
             assert_eq!(buf.len(), idxs.len() * nc * T::COMPONENTS);
-            for j in 0..nc {
-                let col = y_ext.col_mut(j);
+            for (j, col) in y_ext.chunks_exact_mut(n_ext).enumerate() {
                 for (k, &l) in idxs.iter().enumerate() {
                     col[l as usize] += T::unpack_at(buf, j * idxs.len() + k);
                 }
             }
         }
-        for j in 0..nc {
-            y.col_mut(j).copy_from_slice(&y_ext.col(j)[..n_owned]);
-        }
         Ok(())
     }
 
-    /// Gather-kernel-scatter over the given slab-local cells, column-
-    /// parallel (columns are independent, so the rayon split cannot change
-    /// any accumulation order).
+    /// The slab's instance of the one blocked cell sweep
+    /// ([`FeSpace::sweep_cells`]): the given slab-local cells through the
+    /// extended-local DoF table, overwriting or accumulating into `y_ext`.
     fn run_cells<T: Scalar>(
         &self,
         cells: &[u32],
-        x_ext: &Matrix<T>,
-        y_ext: &mut Matrix<T>,
+        overwrite: bool,
+        x_ext: &[T],
+        y_ext: &mut [T],
         phases: [T; 3],
+        row_scale: Option<&[f64]>,
     ) {
-        use rayon::prelude::*;
-        let space = self.space;
-        let dec = &self.dec;
-        let nloc = space.nloc();
-        let n_ext = dec.n_ext();
-        if n_ext == 0 {
-            // empty-owned rank (nranks > ncells): nothing to gather or
-            // scatter, and par_chunks_mut(0) would panic
-            return;
-        }
-        let gather_tab = phase_products(phases, false);
-        let scatter_tab = phase_products(phases, true);
-        y_ext
-            .as_mut_slice()
-            .par_chunks_mut(n_ext)
-            .zip(x_ext.as_slice().par_chunks(n_ext))
-            .for_each(|(ycol, xcol)| {
-                let mut x_loc = vec![T::ZERO; nloc];
-                let mut y_loc = vec![T::ZERO; nloc];
-                for &lc in cells {
-                    let ci = dec.range.start + lc as usize;
-                    let tab = &dec.cell_dof_local[lc as usize * nloc..(lc as usize + 1) * nloc];
-                    let wraps = space.cell_wraps(ci);
-                    for l in 0..nloc {
-                        let d = tab[l];
-                        let mut v = if d >= 0 { xcol[d as usize] } else { T::ZERO };
-                        if wraps[l] != 0 {
-                            v *= gather_tab[wraps[l] as usize];
-                        }
-                        x_loc[l] = v;
-                    }
-                    y_loc.fill(T::ZERO);
-                    space.cell_stiffness_apply(space.cells()[ci].h, &x_loc, &mut y_loc);
-                    for l in 0..nloc {
-                        let d = tab[l];
-                        if d >= 0 {
-                            let mut v = y_loc[l];
-                            if wraps[l] != 0 {
-                                v *= scatter_tab[wraps[l] as usize];
-                            }
-                            ycol[d as usize] += v;
-                        }
-                    }
-                }
-            });
+        let sweep = CellSweep {
+            cells,
+            first_cell: self.dec.range.start,
+            cell_dof: &self.dec.cell_dof_local,
+            ld: self.dec.n_ext(),
+            overwrite,
+        };
+        self.space
+            .sweep_cells(&sweep, x_ext, y_ext, phases, row_scale);
+    }
+}
+
+/// Buffers one distributed apply reuses from call to call: the extended
+/// (owned + ghost) input and output blocks and the wire pack buffer. Grown
+/// on demand, never shrunk below the last block width.
+struct ApplyWorkspace<T> {
+    x_ext: Vec<T>,
+    y_ext: Vec<T>,
+    pack: Vec<f64>,
+}
+
+impl<T> ApplyWorkspace<T> {
+    /// Owned rows of result column `j` of the last apply on `dec`.
+    fn y_owned(&self, dec: &Decomposition, j: usize) -> &[T] {
+        &self.y_ext[j * dec.n_ext()..j * dec.n_ext() + dec.n_owned()]
     }
 }
 
@@ -469,7 +463,10 @@ impl<'a, 'c, T: WireScalar> DistHamiltonian<'a, 'c, T> {
     /// Post the forward ghost exchange of `x` under `tag` without running
     /// any compute — the pipelined filter's look-ahead leg.
     fn post_sends(&self, x: &Matrix<T>, tag: u64) -> Result<(), CommError> {
-        self.dist.post_ghost_sends(self.comm, x, tag, self.wire)
+        self.dist.with_workspace(|ws: &mut ApplyWorkspace<T>| {
+            self.dist
+                .post_ghost_sends(self.comm, &mut ws.pack, x, tag, self.wire)
+        })
     }
 
     /// One Hamiltonian apply whose forward exchange is already in flight
@@ -477,20 +474,22 @@ impl<'a, 'c, T: WireScalar> DistHamiltonian<'a, 'c, T> {
     /// transform of [`LinearOperator::apply`].
     fn apply_posted(&self, x: &Matrix<T>, y: &mut Matrix<T>, fwd: u64) -> Result<(), CommError> {
         let dec = &self.dist.dec;
-        let s = self.dist.space.inv_sqrt_mass();
-        self.dist
-            .apply_cells_posted(self.comm, x, y, self.phases, Some(s), self.wire, fwd)?;
-        // y = 1/2 M^{-1/2} y + v x
-        for j in 0..y.ncols() {
-            let xcol = x.col(j);
-            let ycol = y.col_mut(j);
-            for (l, (yv, &xv)) in ycol.iter_mut().zip(xcol.iter()).enumerate() {
-                let si = s[dec.owned[l] as usize];
-                *yv = yv.scale(T::Re::from_f64(0.5 * si))
-                    + xv.scale(T::Re::from_f64(self.v_eff_owned[l]));
+        let s = &dec.inv_sqrt_mass_ext;
+        assert_eq!(y.shape(), x.shape());
+        self.dist.with_workspace(|ws| {
+            let scale = Some(s.as_slice());
+            self.dist
+                .apply_cells_posted(self.comm, ws, x, self.phases, scale, self.wire, fwd)?;
+            // y = 1/2 M^{-1/2} (K M^{-1/2} x) + v x, read off the extended result
+            for j in 0..y.ncols() {
+                let rows = y.col_mut(j).iter_mut().zip(ws.y_owned(dec, j));
+                for (l, ((yv, &kv), &xv)) in rows.zip(x.col(j)).enumerate() {
+                    *yv = kv.scale(T::Re::from_f64(0.5 * s[l]))
+                        + xv.scale(T::Re::from_f64(self.v_eff_owned[l]));
+                }
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 }
 

@@ -11,9 +11,12 @@ use dft_core::xc::Lda;
 use dft_fem::mesh::Mesh3d;
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::{run_cluster, WirePrecision};
+use dft_linalg::iterative::LinearOperator;
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::{Real, Scalar, C64};
-use dft_parallel::{distributed_scf, DistScfConfig, DistSpace, SharedComm, WireScalar};
+use dft_parallel::{
+    distributed_scf, DistHamiltonian, DistScfConfig, DistSpace, SharedComm, WireScalar,
+};
 
 /// Restrict the rows of a replicated full-DoF block to a rank's owned rows.
 fn restrict_rows<T: Scalar>(dist: &DistSpace<'_>, full: &Matrix<T>) -> Matrix<T> {
@@ -40,62 +43,110 @@ fn max_err_vs_owned<T: Scalar>(dist: &DistSpace<'_>, local: &Matrix<T>, full: &M
     err
 }
 
-/// Run the distributed stiffness apply at `nranks` and compare every rank's
-/// owned rows against the serial `Y = K X`.
-fn check_apply_oracle<T: WireScalar>(
-    space: &FeSpace,
-    x: &Matrix<T>,
-    phases: [T; 3],
-    nranks: usize,
-) {
+/// Run the distributed stiffness apply at 1, 2 and 4 ranks and compare
+/// every rank's owned rows against the serial `Y = K X`: to 1e-12 across
+/// ranks (the fold-back adds partial sums in a different order), and bit
+/// for bit at one rank, where the slab is the mesh and both run the same
+/// sweep over the same cells.
+fn check_apply_oracle<T: WireScalar>(space: &FeSpace, x: &Matrix<T>, phases: [T; 3]) {
     let mut y_ref = Matrix::<T>::zeros(x.nrows(), x.ncols());
     space.apply_stiffness(x, &mut y_ref, phases);
-    let (errs, _) = run_cluster(nranks, |comm| {
-        let dist = DistSpace::new(space, comm.rank(), comm.size());
-        let shared = SharedComm::new(comm);
-        let x_local = restrict_rows(&dist, x);
-        let mut y_local = Matrix::<T>::zeros(dist.dec.n_owned(), x.ncols());
-        dist.apply_stiffness(&shared, &x_local, &mut y_local, phases, WirePrecision::Fp64)
-            .expect("apply");
-        max_err_vs_owned(&dist, &y_local, &y_ref)
-    });
-    for (r, e) in errs.iter().enumerate() {
-        assert!(e <= &1e-12, "rank {r}/{nranks}: apply error {e:.3e}");
+    for nranks in [1, 2, 4] {
+        let (errs, _) = run_cluster(nranks, |comm| {
+            let dist = DistSpace::new(space, comm.rank(), comm.size());
+            let shared = SharedComm::new(comm);
+            let x_local = restrict_rows(&dist, x);
+            let mut y_local = Matrix::<T>::zeros(dist.dec.n_owned(), x.ncols());
+            dist.apply_stiffness(&shared, &x_local, &mut y_local, phases, WirePrecision::Fp64)
+                .expect("apply");
+            if nranks == 1 {
+                assert!(y_local.as_slice() == y_ref.as_slice(), "1 rank != serial");
+            }
+            max_err_vs_owned(&dist, &y_local, &y_ref)
+        });
+        for (r, e) in errs.iter().enumerate() {
+            assert!(e <= &1e-12, "rank {r}/{nranks}: apply error {e:.3e}");
+        }
     }
 }
+
+// 9 columns: one full 8-lane block of the cell kernel plus a ragged one
 
 #[test]
 fn distributed_apply_matches_serial_periodic() {
     let space = FeSpace::new(Mesh3d::periodic_cube(2, 4.0, 3));
-    let x = Matrix::<f64>::from_fn(space.ndofs(), 2, |i, j| {
+    let x = Matrix::<f64>::from_fn(space.ndofs(), 9, |i, j| {
         ((i * 7 + j * 29) as f64 * 0.37).sin()
     });
-    for nranks in [2, 4] {
-        check_apply_oracle(&space, &x, [1.0; 3], nranks);
-    }
+    check_apply_oracle(&space, &x, [1.0; 3]);
 }
 
 #[test]
 fn distributed_apply_matches_serial_bloch() {
     let space = FeSpace::new(Mesh3d::periodic_cube(2, 4.0, 3));
     let phases = [C64::cis(0.7), C64::cis(-0.3), C64::ONE];
-    let x = Matrix::<C64>::from_fn(space.ndofs(), 2, |i, j| {
+    let x = Matrix::<C64>::from_fn(space.ndofs(), 9, |i, j| {
         C64::new(
             ((i * 5 + j * 3) as f64 * 0.3).sin(),
             ((i * 11 + j) as f64 * 0.2).cos(),
         )
     });
-    for nranks in [2, 4] {
-        check_apply_oracle(&space, &x, phases, nranks);
-    }
+    check_apply_oracle(&space, &x, phases);
 }
 
 #[test]
 fn distributed_apply_matches_serial_dirichlet() {
     let space = FeSpace::new(Mesh3d::cube(2, 4.0, 3));
-    let x = Matrix::<f64>::from_fn(space.ndofs(), 1, |i, _| ((i * 13) as f64 * 0.19).cos());
-    for nranks in [2, 4] {
-        check_apply_oracle(&space, &x, [1.0; 3], nranks);
+    let x = Matrix::<f64>::from_fn(space.ndofs(), 9, |i, j| {
+        ((i * 13 + j * 5) as f64 * 0.19).cos()
+    });
+    check_apply_oracle(&space, &x, [1.0; 3]);
+}
+
+/// The Hamiltonian (fused `M^{-1/2}` gather scale, output transform read
+/// from the extended result) at one rank is the serial `KsHamiltonian` bit
+/// for bit; and on two ranks a column has the same bits whether it is
+/// applied alone or inside a 7-, 8-, 9- or 17-column block, at whatever
+/// offset — the blocked kernel's per-lane arithmetic does not depend on the
+/// lane or the block, which is what lets band-split grids and restarts
+/// regroup columns.
+#[test]
+fn hamiltonian_apply_is_serial_at_one_rank_and_column_grouping_independent() {
+    let space = FeSpace::new(Mesh3d::periodic_cube(2, 4.0, 3));
+    let v_eff: Vec<f64> = (0..space.nnodes())
+        .map(|i| 0.3 * (i as f64 * 0.05).sin())
+        .collect();
+    let x = Matrix::<f64>::from_fn(space.ndofs(), 17, |i, j| {
+        ((i * 3 + j * 17) as f64 * 0.23).sin()
+    });
+    let mut y_ref = Matrix::<f64>::zeros(space.ndofs(), 17);
+    KsHamiltonian::<f64>::new(&space, &v_eff, [1.0; 3]).apply(&x, &mut y_ref);
+
+    for nranks in [1, 2] {
+        run_cluster(nranks, |comm| {
+            let dist = DistSpace::new(&space, comm.rank(), comm.size());
+            let shared = SharedComm::new(comm);
+            let h =
+                DistHamiltonian::<f64>::new(&dist, &shared, &v_eff, [1.0; 3], WirePrecision::Fp64);
+            let x_local = restrict_rows(&dist, &x);
+            let rows = dist.dec.n_owned();
+            let mut y_full = Matrix::<f64>::zeros(rows, 17);
+            h.apply(&x_local, &mut y_full);
+            if nranks == 1 {
+                assert!(y_full.as_slice() == y_ref.as_slice(), "1 rank != serial");
+            }
+            // columns first..first+width of the block, applied on their own
+            for (first, width) in [(0, 1), (11, 1), (3, 7), (5, 8), (2, 9)] {
+                let span = first * rows..(first + width) * rows;
+                let xw = Matrix::from_vec(rows, width, x_local.as_slice()[span.clone()].to_vec());
+                let mut yw = Matrix::<f64>::zeros(rows, width);
+                h.apply(&xw, &mut yw);
+                assert!(
+                    yw.as_slice() == &y_full.as_slice()[span],
+                    "{nranks} ranks: columns {first}..+{width} alone differ from the 17-column apply"
+                );
+            }
+        });
     }
 }
 
@@ -119,13 +170,8 @@ fn distributed_chebyshev_filter_matches_serial() {
         let (errs, _) = run_cluster(nranks, |comm| {
             let dist = DistSpace::new(&space, comm.rank(), comm.size());
             let shared = SharedComm::new(comm);
-            let h = dft_parallel::DistHamiltonian::<f64>::new(
-                &dist,
-                &shared,
-                &v_eff,
-                [1.0; 3],
-                WirePrecision::Fp64,
-            );
+            let h =
+                DistHamiltonian::<f64>::new(&dist, &shared, &v_eff, [1.0; 3], WirePrecision::Fp64);
             let mut x_local = restrict_rows(&dist, &x0);
             chebyshev_filter(&h, &mut x_local, m, a, b, a0);
             max_err_vs_owned(&dist, &x_local, &x_ref)

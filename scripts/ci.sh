@@ -19,7 +19,7 @@ mkdir -p target
 cargo run -q --offline --release -p dft-lint -- --workspace --json > target/dft-lint.json
 echo "    JSON artifact: target/dft-lint.json"
 
-echo "==> duplicate-definition guard (one SCF spine, one binary codec, one measuring stack)"
+echo "==> duplicate-definition guard (one SCF spine, one binary codec, one measuring stack, one cell sweep)"
 for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a; do
   n=$(grep -rhE "^\s*(pub(\([a-z]+\))? )?fn ${f}\b" crates/*/src | wc -l)
   if [ "$n" -ne 1 ]; then
@@ -33,6 +33,14 @@ done
 retired="DFT_T""UNE|dft_t""une\.json|BEN""CH_|DFT_BEN""CH_GATE"
 if grep -rnE "$retired" crates/*/src scripts; then
   echo "    retired benchmark-gate / tuning-file names reappeared (see above)"
+  exit 1
+fi
+
+# One blocked cell sweep (FeSpace::sweep_cells) serves the serial apply and
+# every rank's slab: the scalar seed kernel stays inside dft-fem as the
+# golden-value oracle and may not be called from the distributed operator.
+if grep -rn "cell_stiffness_apply(" crates --include='*.rs' | grep -v -e '^crates/dft-fem/src/' -e '/tests/'; then
+  echo "    cell_stiffness_apply( (the scalar seed kernel) is used outside crates/dft-fem/src and tests (see above)"
   exit 1
 fi
 
@@ -74,7 +82,8 @@ DFT_SIMD=scalar cargo test -q --offline --release -p dft-fem
 echo "==> benchmark harness tests (benchmark/ is its own package; bash benchmark/run.sh is the yardstick)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> benchmark correctness gate (scf-poisson, seed 1: reference energy within 1e-8 Ha, pinned SCF iteration count)"
+echo "==> benchmark correctness gate (scf-poisson and dist-2r, seed 1: reference energy within 1e-8 Ha, pinned SCF iteration count, |E_dist - E_serial| <= 1e-10 Ha)"
 bash benchmark/run.sh --workload scf-poisson --seed 1 --trace 0
+bash benchmark/run.sh --workload dist-2r --seed 1 --trace 0
 
 echo "==> CI green"
