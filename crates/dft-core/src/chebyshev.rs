@@ -139,15 +139,6 @@ impl<T: Scalar> CfScratch<T> {
             self.hy = Matrix::zeros(n, nc);
         }
     }
-
-    /// Shape and expose the two recurrence buffers (`Y`, `H Y`) — the hook
-    /// a custom [`CfDriver`] uses to run the three-term recurrence itself
-    /// with the same zero-allocation buffer rotation as
-    /// [`chebyshev_filter_scratch`].
-    pub fn buffers(&mut self, n: usize, nc: usize) -> (&mut Matrix<T>, &mut Matrix<T>) {
-        self.ensure(n, nc);
-        (&mut self.y, &mut self.hy)
-    }
 }
 
 impl<T: Scalar> Default for CfScratch<T> {
@@ -299,26 +290,6 @@ impl<T: Scalar> SubspaceReducer<T> for NoReduce {
     fn reduce_f64(&self, _v: &mut [f64]) {}
 }
 
-/// The CF-stage hook of [`chfes_reduced`]: applies the degree-`m`
-/// Chebyshev filter to one column block in place. A distributed driver can
-/// substitute a pipelined recurrence that posts the next degree step's
-/// ghost exchange while the current step's interior update is still
-/// running (the paper's dual-stream cross-iteration overlap); the default
-/// route is [`chebyshev_filter_scratch`] on a plain operator.
-pub trait CfDriver<T: Scalar>: Sync {
-    /// Filter the block `x` in place (same contract as
-    /// [`chebyshev_filter_scratch`]).
-    fn filter_block(
-        &self,
-        x: &mut Matrix<T>,
-        m: usize,
-        a: f64,
-        b: f64,
-        a0: f64,
-        scratch: &mut CfScratch<T>,
-    );
-}
-
 /// What [`chfes_reduced`] filters with during the CF phase.
 #[derive(Clone, Copy)]
 pub enum CfFilter<'a, T: Scalar> {
@@ -329,9 +300,6 @@ pub enum CfFilter<'a, T: Scalar> {
     /// one for Rayleigh-Ritz (the paper's "FP32 boundary wire, FP64 math"
     /// split, Sec. 5.4.2).
     Op(&'a dyn LinearOperator<T>),
-    /// A fully custom filter driver (e.g. the cross-iteration-overlapped
-    /// distributed filter).
-    Driver(&'a dyn CfDriver<T>),
 }
 
 /// Hermitian product `C = A† B` with the paper's mixed-precision layout:
@@ -464,29 +432,11 @@ pub fn chfes_reduced<T: Scalar>(
                 block = Matrix::zeros(nd, j1 - j0);
             }
             block.copy_cols_from(psi, j0);
-            match filter {
-                CfFilter::Driver(d) => {
-                    d.filter_block(&mut block, opts.cheb_degree, a, b, a0, &mut cf_scratch)
-                }
-                CfFilter::Op(op) => chebyshev_filter_scratch(
-                    op,
-                    &mut block,
-                    opts.cheb_degree,
-                    a,
-                    b,
-                    a0,
-                    &mut cf_scratch,
-                ),
-                CfFilter::Hamiltonian => chebyshev_filter_scratch(
-                    h,
-                    &mut block,
-                    opts.cheb_degree,
-                    a,
-                    b,
-                    a0,
-                    &mut cf_scratch,
-                ),
-            }
+            let op: &dyn LinearOperator<T> = match filter {
+                CfFilter::Op(op) => op,
+                CfFilter::Hamiltonian => h,
+            };
+            chebyshev_filter_scratch(op, &mut block, opts.cheb_degree, a, b, a0, &mut cf_scratch);
             psi.set_cols(j0, &block);
             scope.add_flops(chebyshev_filter_flops(h, j1 - j0, opts.cheb_degree));
             scope.add_bytes(2 * (nd * (j1 - j0)) as u64 * tsize * opts.cheb_degree as u64);

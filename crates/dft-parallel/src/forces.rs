@@ -14,7 +14,7 @@
 //! rank 0 and accumulates in ascending rank order regardless of arrival,
 //! so repeated runs are bit-identical (L004).
 
-use crate::grid::{GridShape, ProcessGrid};
+use crate::grid::GridShape;
 use crate::operator::DistSpace;
 use dft_core::forces::{
     electrostatic_force_partial, force_poisson, ion_ion_force_partial, ForceError,
@@ -71,8 +71,8 @@ pub struct ForceAssemblyProfile {
 /// `DistScfResult::density`). Call from every rank of a cluster with
 /// identical arguments; returns the full per-atom force table, replicated
 /// and bit-identical across ranks and across repeated runs. `grid`
-/// selects the decomposition (must match the rank count); `None` uses the
-/// 1D slab.
+/// selects the decomposition (must tile the rank count); `None` is the
+/// `n x 1 x 1` slab.
 pub fn distributed_forces(
     comm: &mut ThreadComm,
     space: &FeSpace,
@@ -93,9 +93,7 @@ pub fn distributed_forces_profiled(
     grid: Option<GridShape>,
 ) -> Result<(Vec<[f64; 3]>, ForceAssemblyProfile), DistForceError> {
     let (rank, nranks) = (comm.rank(), comm.size());
-    let shape = grid.unwrap_or_else(|| GridShape::slab(nranks));
-    let pgrid = ProcessGrid::new(shape, rank, nranks);
-    let dist = DistSpace::new_grid(space, &pgrid);
+    let dist = DistSpace::on_grid(space, grid, rank, nranks);
     let dec = &dist.dec;
     let mut prof = ForceAssemblyProfile::default();
 
@@ -111,7 +109,7 @@ pub fn distributed_forces_profiled(
     // node; the ion shard round-robins atoms over *global* ranks, so the
     // two partitions each tile their serial sum once.
     let t1 = Instant::now();
-    let owns = pgrid.owns_replicated_fields();
+    let owns = dist.grid.owns_replicated_fields();
     let mask: Vec<bool> = dec.owned_node.iter().map(|&o| o && owns).collect();
     let es = electrostatic_force_partial(space, system, &phi, Some(&mask));
     let ii = ion_ion_force_partial(space, system, rank, nranks);

@@ -5,8 +5,8 @@
 //! onto that grid and derives the communicator sub-groups each axis
 //! reduces over:
 //!
-//! - **domain** (fastest-varying): cell-slab decomposition of the FE mesh
-//!   (PR 3). Ghost exchange and domain reductions stay inside a *domain
+//! - **domain** (fastest-varying): cell-slab decomposition of the FE mesh.
+//!   Ghost exchange and domain reductions stay inside a *domain
 //!   row* — the ranks sharing this rank's band column and k-group.
 //! - **band**: contiguous column blocks of the wavefunction matrix. Each
 //!   band rank filters and projects only its own columns; full-column
@@ -15,8 +15,8 @@
 //!   parallel; fields (density, potentials) are replicated per group and
 //!   combined by a cross-group sum.
 //!
-//! `grid = None` in the SCF config (the default) preserves the PR-3 1D
-//! slab path bit-for-bit: every rank is its own band column and k-group.
+//! `grid = None` in the SCF config (the default) is the `n x 1 x 1` slab:
+//! every rank is its own band column and k-group, on the same code.
 
 use std::fmt;
 
@@ -43,7 +43,7 @@ impl GridShape {
         }
     }
 
-    /// The pure-domain shape PR 3 used: every rank is a slab.
+    /// The pure-domain shape: every rank is a slab.
     pub fn slab(nranks: usize) -> Self {
         Self::new(nranks, 1, 1)
     }

@@ -2,10 +2,13 @@
 //!
 //! The distributed-memory Kohn-Sham solver: the paper's massively parallel
 //! ChFES (Secs. 5.4.1-5.4.2) realized on the threaded MPI stand-in of
-//! [`dft_hpc::comm`]. The FE mesh is split into contiguous slabs of cells
-//! across ranks, wavefunction blocks are sharded by owned DoF rows, and the
-//! dense subspace steps (CholGS, Rayleigh-Ritz) run through the
-//! reduction-hooked [`dft_core::chfes_reduced`] with cross-rank allreduces.
+//! [`dft_hpc::comm`]. Ranks sit on one domain x band x k-group process
+//! grid ([`grid`]; the plain slab is its `n x 1 x 1` instance, not a
+//! second solver): the FE mesh is split into contiguous slabs of cells
+//! along the domain axis, wavefunction blocks are sharded by owned DoF
+//! rows and band columns, and the dense subspace steps (CholGS,
+//! Rayleigh-Ritz) run through the reduction-hooked
+//! [`dft_core::chfes_reduced`] with cross-rank reductions.
 //!
 //! * [`decomp`] — per-rank owned/ghost DoF maps derived deterministically
 //!   from [`dft_fem::partition`] (no setup communication);
@@ -15,8 +18,9 @@
 //!   reverse-accumulated in deterministic rank order — with
 //!   [`WirePrecision`](dft_hpc::WirePrecision) selecting FP64 or FP32
 //!   boundary payloads (the paper's comm-halving trick);
-//! * [`reduce`] — the [`ClusterReducer`] that sums subspace matrices with
-//!   `allreduce_sum_f64`, leaving bit-identical results on every rank;
+//! * [`reduce`] — the [`GridReducer`] that sums each rank's band block of
+//!   a subspace matrix along its grid row and reassembles the matrix along
+//!   its grid column, leaving bit-identical results on every rank;
 //! * [`scf`] — the cluster side of the one SCF loop. The iteration itself
 //!   is [`dft_core::scf::scf_loop`], shared with the serial solver: it
 //!   owns the replicated electrostatics and XC, the filter-window rule,
@@ -32,7 +36,7 @@
 //!   (density, wavefunction shards, mixer history, chemical potential)
 //!   written atomically every `checkpoint_every` iterations;
 //! * [`recover`] — one relaunch loop (run, classify errors, drop dead
-//!   ranks, pin the slab, restart) behind [`scf_with_recovery`] and
+//!   ranks, restart on the survivors' slab) behind [`scf_with_recovery`] and
 //!   [`relax_with_recovery`]: on rank loss the survivors return
 //!   [`ScfError::RankLost`] within the communicator deadline (never a
 //!   hang) and the run resumes from the newest complete snapshot at a
@@ -69,11 +73,9 @@ pub use forces::{
     distributed_forces, distributed_forces_profiled, DistForceError, ForceAssemblyProfile,
 };
 pub use grid::{GridShape, ProcessGrid};
-pub use operator::{
-    ghost_tag_band, DistHamiltonian, DistSpace, PipelinedFilter, SharedComm, WireScalar,
-};
+pub use operator::{ghost_tag_band, DistHamiltonian, DistSpace, SharedComm, WireScalar};
 pub use recover::{relax_with_recovery, scf_with_recovery, RecoveryReport};
-pub use reduce::{ClusterReducer, CommVolume, GridReducer};
+pub use reduce::{CommVolume, GridReducer};
 pub use relax::{
     dist_md, dist_relax, DistMdResult, DistRelaxConfig, DistRelaxResult, MdConfig, MdStepRecord,
     RelaxError, RelaxStepRecord,

@@ -20,8 +20,7 @@
 //! scheme (Sec. 5.4.2).
 
 use crate::decomp::Decomposition;
-use crate::grid::ProcessGrid;
-use dft_core::chebyshev::{CfDriver, CfScratch};
+use crate::grid::{GridShape, ProcessGrid};
 use dft_core::hamiltonian::HamOperator;
 use dft_fem::space::{CellSweep, FeSpace};
 use dft_hpc::comm::{wire_tag_band, CommError, ThreadComm, WirePrecision};
@@ -66,11 +65,11 @@ impl<'a> SharedComm<'a> {
 }
 
 /// The wire-tag band of the ghost exchange (forward + reverse legs, both
-/// step parities, both precision framings) — for
+/// precision framings) — for
 /// [`FaultPlan`](dft_hpc::comm::FaultPlan) rules that kill a rank
 /// mid-Hamiltonian-apply.
 pub fn ghost_tag_band() -> (u64, u64) {
-    (wire_tag_band(TAG_FWD).0, wire_tag_band(TAG_FWD2).1)
+    (wire_tag_band(TAG_FWD).0, wire_tag_band(TAG_REV).1)
 }
 
 /// Scalars that can cross the wire as `f64` components: `f64` is itself,
@@ -111,23 +110,8 @@ impl WireScalar for C64 {
 }
 
 /// Ghost-exchange message tags, in a band far from the collectives' tags.
-/// `TAG_FWD2` is the odd-step forward tag of the cross-iteration
-/// double-buffered ghost region: the pipelined filter posts degree step
-/// `k + 1`'s forward exchange while step `k`'s buffers may still be live,
-/// so consecutive steps alternate between the two forward tags.
 const TAG_FWD: u64 = 1 << 55;
 const TAG_REV: u64 = (1 << 55) + 1;
-const TAG_FWD2: u64 = (1 << 55) + 2;
-
-/// The forward ghost tag of Chebyshev degree-step parity `p`.
-#[inline]
-const fn fwd_tag(p: usize) -> u64 {
-    if p.is_multiple_of(2) {
-        TAG_FWD
-    } else {
-        TAG_FWD2
-    }
-}
 
 /// Poll `try_recv_f64` round-robin over `peers` until every payload has
 /// arrived; payloads are returned in the *list* order (not arrival order),
@@ -191,13 +175,13 @@ fn harvest(
 pub struct DistSpace<'a> {
     /// The (replicated) global FE space.
     pub space: &'a FeSpace,
+    /// This rank's place on the process grid. The decomposition's peer
+    /// indices are *domain* coordinates; `grid.dom_group` translates them
+    /// to global ranks, so ghost exchange always stays inside this rank's
+    /// grid row (same band column, same k-group).
+    pub grid: ProcessGrid,
     /// This rank's decomposition (over the domain axis).
     pub dec: Decomposition,
-    /// Global rank of each domain slot of this rank's grid row — the
-    /// decomposition's peer indices are *domain* coordinates, which only
-    /// equal global ranks on the 1D slab layout. Ghost exchange always
-    /// stays inside this list (same band column, same k-group).
-    pub rank_of_dom: Vec<usize>,
     /// The rank's reused apply buffers: an [`ApplyWorkspace<T>`] of the
     /// scalar type last applied (a run applies one), type-erased because
     /// the slab view is not generic over the scalar. Shared by every
@@ -207,25 +191,27 @@ pub struct DistSpace<'a> {
 }
 
 impl<'a> DistSpace<'a> {
-    /// Build rank `rank` of `nranks`'s view of `space` (1D slab layout:
-    /// every rank is its own domain slot).
+    /// Rank `rank` of `nranks`'s view of `space` on the `n x 1 x 1` slab:
+    /// every rank is its own domain slot.
     pub fn new(space: &'a FeSpace, rank: usize, nranks: usize) -> Self {
-        Self {
-            space,
-            dec: Decomposition::new(space, rank, nranks),
-            rank_of_dom: (0..nranks).collect(),
-            ws: Mutex::new(Box::new(())),
-        }
+        Self::on_grid(space, None, rank, nranks)
     }
 
-    /// Build this rank's slab view under a process grid: the mesh is
-    /// decomposed over the grid's domain axis only, and ghost-exchange
-    /// peers are the other domain slots of this rank's grid row.
-    pub fn new_grid(space: &'a FeSpace, grid: &ProcessGrid) -> Self {
+    /// Rank `rank` of `nranks`'s view of `space` on the process grid
+    /// `shape` (which must tile `nranks`; `None` is the slab): the mesh is
+    /// decomposed over the grid's domain axis only.
+    pub fn on_grid(
+        space: &'a FeSpace,
+        shape: Option<GridShape>,
+        rank: usize,
+        nranks: usize,
+    ) -> Self {
+        let shape = shape.unwrap_or_else(|| GridShape::slab(nranks));
+        let grid = ProcessGrid::new(shape, rank, nranks);
         Self {
             space,
-            dec: Decomposition::new(space, grid.dom, grid.shape.n_dom),
-            rank_of_dom: grid.dom_group.clone(),
+            dec: Decomposition::new(space, grid.dom, shape.n_dom),
+            grid,
             ws: Mutex::new(Box::new(())),
         }
     }
@@ -263,8 +249,7 @@ impl<'a> DistSpace<'a> {
     ) -> Result<(), CommError> {
         assert_eq!(y.shape(), x.shape());
         self.with_workspace(|ws| {
-            self.post_ghost_sends(comm, &mut ws.pack, x, TAG_FWD, wire)?;
-            self.apply_cells_posted(comm, ws, x, phases, None, wire, TAG_FWD)?;
+            self.apply_cells(comm, ws, x, phases, None, wire)?;
             for j in 0..y.ncols() {
                 y.col_mut(j).copy_from_slice(ws.y_owned(&self.dec, j));
             }
@@ -292,36 +277,14 @@ impl<'a> DistSpace<'a> {
                 T::pack_into(col[l as usize], pack);
             }
         }
-        c.isend_f64(self.rank_of_dom[*peer], tag, pack, wire)
+        c.isend_f64(self.grid.dom_group[*peer], tag, pack, wire)
     }
 
-    /// Step 1 of the apply, callable on its own: pack the owned boundary
-    /// rows of `x` and `isend` them (raw, unscaled — the receiver owns the
-    /// same global mass diagonal and scales locally) to every ghosting
-    /// peer under `tag`. The pipelined Chebyshev driver posts the *next*
-    /// degree step's exchange this way while the current step's interior
-    /// update is still running.
-    fn post_ghost_sends<T: WireScalar>(
-        &self,
-        comm: &SharedComm<'_>,
-        pack: &mut Vec<f64>,
-        x: &Matrix<T>,
-        tag: u64,
-        wire: WirePrecision,
-    ) -> Result<(), CommError> {
-        comm.with(|c| {
-            (self.dec.send_to.iter())
-                .try_for_each(|to| self.send_rows(c, pack, to, x.as_slice(), x.nrows(), tag, wire))
-        })
-    }
-
-    /// Steps 2-4 of the apply: the forward exchange of `x` must already be
-    /// in flight under `fwd` ([`Self::post_ghost_sends`]). The result is
-    /// left in the owned rows of `ws.y_ext` ([`ApplyWorkspace::y_owned`]).
+    /// The four steps of one apply (module docs). The result is left in
+    /// the owned rows of `ws.y_ext` ([`ApplyWorkspace::y_owned`]).
     /// `row_scale` is the optional fused per-row input scale, indexed by
     /// *extended-local* row like the cell tables.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_cells_posted<T: WireScalar>(
+    fn apply_cells<T: WireScalar>(
         &self,
         comm: &SharedComm<'_>,
         ws: &mut ApplyWorkspace<T>,
@@ -329,7 +292,6 @@ impl<'a> DistSpace<'a> {
         phases: [T; 3],
         row_scale: Option<&[f64]>,
         wire: WirePrecision,
-        fwd: u64,
     ) -> Result<(), CommError> {
         let dec = &self.dec;
         let (n_owned, n_ext) = (dec.n_owned(), dec.n_ext());
@@ -337,8 +299,16 @@ impl<'a> DistSpace<'a> {
         assert_eq!(x.nrows(), n_owned);
         let ApplyWorkspace { x_ext, y_ext, pack } = ws;
         let ranks_of = |list: &[(usize, Vec<u32>)]| -> Vec<usize> {
-            list.iter().map(|(p, _)| self.rank_of_dom[*p]).collect()
+            list.iter().map(|(p, _)| self.grid.dom_group[*p]).collect()
         };
+
+        // 1. post the owned boundary rows (raw, unscaled — the receiver
+        //    owns the same global mass diagonal and scales locally)
+        comm.with(|c| {
+            (dec.send_to.iter()).try_for_each(|to| {
+                self.send_rows(c, pack, to, x.as_slice(), n_owned, TAG_FWD, wire)
+            })
+        })?;
 
         // extended input: owned rows now, ghosts after harvest. Every ghost
         // row is refilled by its one owner before a boundary cell reads it,
@@ -354,7 +324,7 @@ impl<'a> DistSpace<'a> {
         self.run_cells(&dec.interior_cells, true, x_ext, y_ext, phases, row_scale);
 
         // 3. harvest ghosts, then the boundary cells
-        let bufs = harvest(comm, ranks_of(&dec.recv_from), fwd, wire)?;
+        let bufs = harvest(comm, ranks_of(&dec.recv_from), TAG_FWD, wire)?;
         for ((_, idxs), buf) in dec.recv_from.iter().zip(bufs.iter()) {
             assert_eq!(buf.len(), idxs.len() * nc * T::COMPONENTS);
             for (j, col) in x_ext.chunks_exact_mut(n_ext).enumerate() {
@@ -460,27 +430,17 @@ impl<'a, 'c, T: WireScalar> DistHamiltonian<'a, 'c, T> {
         }
     }
 
-    /// Post the forward ghost exchange of `x` under `tag` without running
-    /// any compute — the pipelined filter's look-ahead leg.
-    fn post_sends(&self, x: &Matrix<T>, tag: u64) -> Result<(), CommError> {
-        self.dist.with_workspace(|ws: &mut ApplyWorkspace<T>| {
-            self.dist
-                .post_ghost_sends(self.comm, &mut ws.pack, x, tag, self.wire)
-        })
-    }
-
-    /// One Hamiltonian apply whose forward exchange is already in flight
-    /// under `fwd`: cell kernels plus the `1/2 M^{-1/2} · + v_eff` output
-    /// transform of [`LinearOperator::apply`].
-    fn apply_posted(&self, x: &Matrix<T>, y: &mut Matrix<T>, fwd: u64) -> Result<(), CommError> {
+    /// `y = 1/2 M^{-1/2} K M^{-1/2} x + v_eff x` on owned rows (input
+    /// scaling fused into the cell gather, as serial).
+    fn try_apply(&self, x: &Matrix<T>, y: &mut Matrix<T>) -> Result<(), CommError> {
         let dec = &self.dist.dec;
         let s = &dec.inv_sqrt_mass_ext;
         assert_eq!(y.shape(), x.shape());
         self.dist.with_workspace(|ws| {
             let scale = Some(s.as_slice());
             self.dist
-                .apply_cells_posted(self.comm, ws, x, self.phases, scale, self.wire, fwd)?;
-            // y = 1/2 M^{-1/2} (K M^{-1/2} x) + v x, read off the extended result
+                .apply_cells(self.comm, ws, x, self.phases, scale, self.wire)?;
+            // read off the extended result
             for j in 0..y.ncols() {
                 let rows = y.col_mut(j).iter_mut().zip(ws.y_owned(dec, j));
                 for (l, ((yv, &kv), &xv)) in rows.zip(x.col(j)).enumerate() {
@@ -499,16 +459,11 @@ impl<'a, 'c, T: WireScalar> LinearOperator<T> for DistHamiltonian<'a, 'c, T> {
     }
 
     fn apply(&self, x: &Matrix<T>, y: &mut Matrix<T>) {
-        // y = K M^{-1/2} x on owned rows (input scaling fused, as serial).
         // The trait signature is infallible: on a comm failure the error is
         // already recorded in the (poisoned) communicator, so fill the
         // output with zeros and let the SCF loop observe the failure after
         // the phase.
-        if self
-            .post_sends(x, TAG_FWD)
-            .and_then(|()| self.apply_posted(x, y, TAG_FWD))
-            .is_err()
-        {
+        if self.try_apply(x, y).is_err() {
             y.as_mut_slice().fill(T::ZERO);
         }
     }
@@ -523,145 +478,5 @@ impl<'a, 'c, T: WireScalar> HamOperator<T> for DistHamiltonian<'a, 'c, T> {
         let per_cell_cols = space.stiffness_apply_flops::<T>(ncols) / space.cells().len() as u64;
         per_cell_cols * dec.range.len() as u64
             + (dec.n_owned() * ncols) as u64 * (3 * T::MUL_FLOPS + T::ADD_FLOPS)
-    }
-}
-
-/// One Chebyshev three-term elementwise update restricted to a row subset:
-/// step 1 is `y <- (y - c x) σ1/e`, later steps are
-/// `hy <- (hy - c y) 2σ2/e - (σ σ2) x` (pass `x2 = Some(x)`). Per-row
-/// arithmetic is independent, so splitting rows into boundary/interior
-/// sweeps cannot change a single bit of the result.
-fn cheb_update_rows<T: Scalar>(
-    out: &mut Matrix<T>,
-    prev: &Matrix<T>,
-    x2: Option<&Matrix<T>>,
-    rows: &[u32],
-    ce: T::Re,
-    se: T::Re,
-    ss2: T::Re,
-) {
-    for j in 0..out.ncols() {
-        let pcol = prev.col(j);
-        let xcol = x2.map(|x| x.col(j));
-        let ocol = out.col_mut(j);
-        for &l in rows {
-            let l = l as usize;
-            let mut v = (ocol[l] - pcol[l].scale(ce)).scale(se);
-            if let Some(xc) = xcol {
-                v -= xc[l].scale(ss2);
-            }
-            ocol[l] = v;
-        }
-    }
-}
-
-/// The cross-iteration-overlapped distributed Chebyshev filter (the
-/// paper's dual-stream scheme, Sec. 5.4.1): as soon as degree step `k` has
-/// updated the *boundary* rows of the next iterate, step `k + 1`'s forward
-/// ghost exchange is posted — so the wire carries it while step `k` is
-/// still updating interior rows and step `k + 1` is running its interior
-/// cell kernels. Consecutive steps alternate between two forward tag
-/// lanes ([`TAG_FWD`] / [`TAG_FWD2`], a double-buffered ghost region), and
-/// a step's look-ahead posts only after the previous step's reverse
-/// harvest completed, so every peer has already drained the older lane.
-///
-/// The recurrence arithmetic is element-for-element that of
-/// [`chebyshev_filter_scratch`] on [`DistHamiltonian`] — results are
-/// bit-identical with overlap on or off; only the wait time moves.
-pub struct PipelinedFilter<'h, 'a, 'c, T: Scalar> {
-    h: &'h DistHamiltonian<'a, 'c, T>,
-    /// Owned rows some peer ghosts (the forward-send payload), sorted.
-    boundary_rows: Vec<u32>,
-    /// The remaining owned rows, sorted.
-    interior_rows: Vec<u32>,
-}
-
-impl<'h, 'a, 'c, T: WireScalar> PipelinedFilter<'h, 'a, 'c, T> {
-    /// Wrap a distributed Hamiltonian for pipelined filtering.
-    pub fn new(h: &'h DistHamiltonian<'a, 'c, T>) -> Self {
-        let dec = &h.dist.dec;
-        let n_owned = dec.n_owned();
-        let mut is_boundary = vec![false; n_owned];
-        for (_, idxs) in &dec.send_to {
-            for &l in idxs {
-                is_boundary[l as usize] = true;
-            }
-        }
-        let (mut boundary_rows, mut interior_rows) = (Vec::new(), Vec::new());
-        for (l, &b) in is_boundary.iter().enumerate() {
-            if b {
-                boundary_rows.push(l as u32);
-            } else {
-                interior_rows.push(l as u32);
-            }
-        }
-        Self {
-            h,
-            boundary_rows,
-            interior_rows,
-        }
-    }
-}
-
-impl<T: WireScalar> CfDriver<T> for PipelinedFilter<'_, '_, '_, T> {
-    fn filter_block(
-        &self,
-        x: &mut Matrix<T>,
-        m: usize,
-        a: f64,
-        b: f64,
-        a0: f64,
-        scratch: &mut CfScratch<T>,
-    ) {
-        assert!(m >= 1 && b > a && a > a0);
-        let (n, nc) = x.shape();
-        let e = (b - a) / 2.0;
-        let c = (b + a) / 2.0;
-        let mut sigma = e / (a0 - c);
-        let sigma1 = sigma;
-        let gamma = 2.0 / sigma1;
-        let (y, hy) = scratch.buffers(n, nc);
-        let ce = T::Re::from_f64(c);
-
-        // On a comm failure the communicator is poisoned; zero the block
-        // (the infallible-apply convention) and let the SCF observe it.
-        macro_rules! or_bail {
-            ($r:expr) => {
-                if $r.is_err() {
-                    x.as_mut_slice().fill(T::ZERO);
-                    return;
-                }
-            };
-        }
-
-        // Step 1: Y = (H X - c X) σ1/e. Nothing is in flight yet, so post
-        // X's exchange here; every later exchange is posted mid-step below.
-        or_bail!(self.h.post_sends(x, fwd_tag(0)));
-        or_bail!(self.h.apply_posted(x, y, fwd_tag(0)));
-        let s1e = T::Re::from_f64(sigma1 / e);
-        let zero = T::Re::from_f64(0.0);
-        cheb_update_rows(y, x, None, &self.boundary_rows, ce, s1e, zero);
-        if m >= 2 {
-            // step 2's input is Y: its boundary rows are final, ship them
-            or_bail!(self.h.post_sends(y, fwd_tag(1)));
-        }
-        cheb_update_rows(y, x, None, &self.interior_rows, ce, s1e, zero);
-
-        for k in 2..=m {
-            let sigma2 = 1.0 / (gamma - sigma);
-            or_bail!(self.h.apply_posted(y, hy, fwd_tag(k - 1)));
-            let s2e = T::Re::from_f64(2.0 * sigma2 / e);
-            let ss2 = T::Re::from_f64(sigma * sigma2);
-            cheb_update_rows(hy, y, Some(x), &self.boundary_rows, ce, s2e, ss2);
-            if k < m {
-                // after the rotation below, HY is step k+1's input
-                or_bail!(self.h.post_sends(hy, fwd_tag(k)));
-            }
-            cheb_update_rows(hy, y, Some(x), &self.interior_rows, ce, s2e, ss2);
-            std::mem::swap(x, y);
-            std::mem::swap(y, hy);
-            sigma = sigma2;
-        }
-        std::mem::swap(x, y);
     }
 }

@@ -10,7 +10,6 @@
 //! from the checkpointed iteration and reconverges to the same free energy
 //! (bit-identical at the same rank count, to solver tolerance otherwise).
 
-use crate::grid::GridShape;
 use crate::relax::{dist_relax, DistRelaxConfig, DistRelaxResult, RelaxError};
 use crate::scf::{distributed_scf, DistScfConfig, DistScfResult, ScfError};
 use dft_core::scf::KPoint;
@@ -73,7 +72,7 @@ fn relax_fault(e: &RelaxError) -> Fault {
 }
 
 /// The relaunch loop both recovery drivers share: run → classify errors →
-/// drop dead ranks → pin slab → restart. Relaunches are fault-free (a kill
+/// drop dead ranks → restart on the survivors' slab. Relaunches are fault-free (a kill
 /// rule fires once; replaying it would re-kill the restarted run), keep
 /// the original receive deadline, and replay the same explored schedule (a
 /// divergence found under seed S must stay reproducible under S).
@@ -120,11 +119,12 @@ fn relaunch_loop<R: Send, E: Clone + Send>(
         }
         n -= drop_ranks;
         // the original grid shape cannot tile the reduced rank count, so the
-        // relaunch pins the 1D slab layout (checkpoints reshard across grid
-        // shapes); `restart` resumes from the newest complete snapshot
+        // relaunch runs on the slab of the survivors (checkpoints reshard
+        // across grid shapes); `restart` resumes from the newest complete
+        // snapshot
         opts.faults = Arc::new(FaultPlan::default());
         cfg.restart = true;
-        cfg.grid = Some(GridShape::slab(n));
+        cfg.grid = None;
     }
 }
 

@@ -1,101 +1,46 @@
 //! Cross-rank subspace reductions and communication-volume reporting.
 //!
-//! [`ClusterReducer`] plugs the threaded communicator into
-//! [`dft_core::chfes_reduced`]'s [`SubspaceReducer`] hooks: the `N x N`
-//! overlap / projected-Hamiltonian matrices computed from each rank's owned
-//! wavefunction rows are summed with `allreduce_sum_f64`, which gathers in
-//! rank order and broadcasts identical bytes — so every rank factorizes and
-//! diagonalizes the *same* matrix, bit for bit. Its reductions always
-//! travel in FP64.
+//! [`GridReducer`] plugs the threaded communicator into
+//! [`dft_core::chfes_reduced`]'s [`SubspaceReducer`] hooks on the process
+//! grid (Sec. 5.4.2): each rank computes only its band-column block of
+//! every `N x N` overlap / projected-Hamiltonian matrix from its owned
+//! wavefunction rows, the block is summed along the *grid row* (domain
+//! sub-group) and the full matrix reassembled by an allgather along the
+//! *grid column* (band sub-group). Both collectives gather in member order
+//! and hand every member identical bytes, so every rank factorizes and
+//! diagonalizes the *same* matrix, bit for bit. On the `n x 1 x 1` slab the
+//! band block is the whole matrix, the grid row is every rank and the grid
+//! column is the rank itself: one all-rank FP64 sum and nothing else.
 //!
-//! [`GridReducer`] is the 2D-process-grid generalization (Sec. 5.4.2):
-//! each rank computes only its band-column block of every subspace matrix,
-//! the block is summed along the *grid row* (domain sub-group) and the full
-//! matrix reassembled by an allgather along the *grid column* (band
-//! sub-group) — two small sub-communicator collectives instead of one
-//! all-rank reduce over the full `N x N`. Optionally the grid-row leg
-//! carries the off-band-diagonal rows in FP32 (the paper's mixed-precision
-//! subspace scheme); the band-diagonal square every Cholesky pivot lives in
-//! stays FP64, and [`SubspaceReducer::lossy_wire`] makes `chfes_reduced`
-//! run its FP64 orthonormality cleanup pass afterwards.
+//! The grid-row leg is one FP64 message per hop. Optionally it carries the
+//! off-band-diagonal rows in FP32 (the paper's mixed-precision subspace
+//! scheme) as a second message; the band-diagonal square every Cholesky
+//! pivot lives in stays FP64, and [`SubspaceReducer::lossy_wire`] makes
+//! `chfes_reduced` run its FP64 orthonormality cleanup pass afterwards.
 
 use crate::grid::ProcessGrid;
 use crate::operator::{SharedComm, WireScalar};
 use dft_core::chebyshev::SubspaceReducer;
-use dft_hpc::comm::WirePrecision;
+use dft_hpc::comm::{CommError, WirePrecision};
 use dft_linalg::matrix::Matrix;
 
-/// [`SubspaceReducer`] over a [`SharedComm`]: allreduce-sum in FP64.
-pub struct ClusterReducer<'a, 'c> {
-    comm: &'a SharedComm<'c>,
-}
-
-impl<'a, 'c> ClusterReducer<'a, 'c> {
-    /// Wrap a shared communicator.
-    pub fn new(comm: &'a SharedComm<'c>) -> Self {
-        Self { comm }
-    }
-}
-
-impl<'a, 'c, T: WireScalar> SubspaceReducer<T> for ClusterReducer<'a, 'c> {
-    fn reduce_matrix(&self, m: &mut Matrix<T>) {
-        let n = m.as_slice().len();
-        let mut buf = Vec::with_capacity(n * T::COMPONENTS);
-        for &v in m.as_slice() {
-            T::pack_into(v, &mut buf);
-        }
-        let reduced = self
-            .comm
-            .with(|c| c.allreduce_sum_f64(&mut buf, WirePrecision::Fp64));
-        if reduced.is_err() {
-            // comm failure (already recorded in the poisoned communicator):
-            // substitute the identity so the caller's Cholesky/eigensolve
-            // stays finite until the SCF loop observes the failure
-            for j in 0..m.ncols() {
-                for (i, v) in m.col_mut(j).iter_mut().enumerate() {
-                    *v = if i == j { T::ONE } else { T::ZERO };
-                }
-            }
-            return;
-        }
-        for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
-            *v = T::unpack_at(&buf, i);
-        }
-    }
-
-    fn reduce_f64(&self, v: &mut [f64]) {
-        if self
-            .comm
-            .with(|c| c.allreduce_sum_f64(v, WirePrecision::Fp64))
-            .is_err()
-        {
-            // safe substitute (norms of 1.0) on a poisoned communicator
-            v.fill(1.0);
-        }
-    }
-
-    fn is_distributed(&self) -> bool {
-        true
-    }
-}
-
-/// [`SubspaceReducer`] over a process grid: band-column-blocked compute,
+/// The cluster's [`SubspaceReducer`]: band-column-blocked compute,
 /// grid-row (domain) reduction, grid-column (band) reassembly. K-groups
 /// never meet here — each group reduces its own k-points' subspace
 /// matrices over its own plane.
 pub struct GridReducer<'a, 'c> {
     comm: &'a SharedComm<'c>,
-    grid: ProcessGrid,
+    grid: &'a ProcessGrid,
     /// Ship off-band-diagonal rows of the grid-row reduction in FP32.
     subspace_fp32: bool,
 }
 
 impl<'a, 'c> GridReducer<'a, 'c> {
     /// Wrap a shared communicator and this rank's grid view.
-    pub fn new(comm: &'a SharedComm<'c>, grid: &ProcessGrid, subspace_fp32: bool) -> Self {
+    pub fn new(comm: &'a SharedComm<'c>, grid: &'a ProcessGrid, subspace_fp32: bool) -> Self {
         Self {
             comm,
-            grid: grid.clone(),
+            grid,
             subspace_fp32,
         }
     }
@@ -111,77 +56,82 @@ impl<'a, 'c> GridReducer<'a, 'c> {
         }
     }
 
-    /// Sum this rank's `[j0, j1)` column block over the grid row and
-    /// reassemble the full matrix along the grid column. `lossy` selects
-    /// the FP32 off-diagonal wire (the band-diagonal square `[j0, j1) x
-    /// [j0, j1)` always travels FP64 — Cholesky pivots live there).
-    fn reduce_blocked<T: WireScalar>(&self, m: &mut Matrix<T>, lossy: bool) -> Result<(), ()> {
-        let n = m.ncols();
-        assert_eq!(m.nrows(), n, "subspace matrices are square");
-        let (j0, j1) = self.grid.my_band_cols(n);
-        let bw = j1 - j0;
-
-        // grid-row reduction of the owned block, split by wire precision:
-        // rows [j0, j1) of the block (the band-diagonal square) in FP64,
-        // the rest in FP32 when lossy
-        let mut diag = Vec::with_capacity(bw * bw * T::COMPONENTS);
-        let mut off = Vec::with_capacity(bw * (n - bw) * T::COMPONENTS);
+    /// This rank's `[j0, j1)` column block of `m`, column-major on the wire.
+    fn pack_band_block<T: WireScalar>(m: &Matrix<T>, (j0, j1): (usize, usize)) -> Vec<f64> {
+        let mut mine = Vec::with_capacity((j1 - j0) * m.nrows() * T::COMPONENTS);
         for j in j0..j1 {
-            let col = m.col(j);
-            for (i, &v) in col.iter().enumerate() {
-                if (j0..j1).contains(&i) {
-                    T::pack_into(v, &mut diag);
-                } else {
-                    T::pack_into(v, &mut off);
-                }
+            for &v in m.col(j) {
+                T::pack_into(v, &mut mine);
             }
         }
-        let row = &self.grid.dom_group;
-        let off_wire = if lossy {
-            WirePrecision::Fp32
-        } else {
-            WirePrecision::Fp64
-        };
-        self.comm
-            .with(|c| {
-                c.group_allreduce_sum_f64(row, &mut diag, WirePrecision::Fp64)?;
-                c.group_allreduce_sum_f64(row, &mut off, off_wire)
-            })
-            .map_err(|_| ())?;
+        mine
+    }
 
-        // re-interleave the reduced block into one column-major buffer for
-        // the grid-column allgather
-        let mut mine = Vec::with_capacity(bw * n * T::COMPONENTS);
-        let (mut di, mut oi) = (0, 0);
-        for _j in j0..j1 {
-            for i in 0..n {
-                if (j0..j1).contains(&i) {
-                    mine.extend_from_slice(&diag[di..di + T::COMPONENTS]);
-                    di += T::COMPONENTS;
-                } else {
-                    mine.extend_from_slice(&off[oi..oi + T::COMPONENTS]);
-                    oi += T::COMPONENTS;
-                }
-            }
-        }
+    /// Allgather the band blocks along the grid column and write every
+    /// slot's block into its columns of `m`: the bytes of slot `b`'s block
+    /// are identical on all its grid rows, so the assembled matrix is
+    /// bit-identical across the whole plane.
+    fn gather_band_blocks<T: WireScalar>(
+        &self,
+        mine: &[f64],
+        m: &mut Matrix<T>,
+    ) -> Result<(), CommError> {
+        let (nr, n) = m.shape();
         let blocks = self
             .comm
-            .with(|c| c.group_allgather_f64(&self.grid.band_group, &mine, WirePrecision::Fp64))
-            .map_err(|_| ())?;
-
-        // write every band slot's block: the bytes of slot `b`'s block are
-        // identical on all its grid rows, so the assembled matrix is
-        // bit-identical across the whole plane
+            .with(|c| c.group_allgather_f64(&self.grid.band_group, mine, WirePrecision::Fp64))?;
         for (b, block) in blocks.iter().enumerate() {
             let (g0, g1) = ProcessGrid::band_cols_of(n, self.grid.shape.n_band, b);
-            assert_eq!(block.len(), (g1 - g0) * n * T::COMPONENTS);
+            assert_eq!(block.len(), (g1 - g0) * nr * T::COMPONENTS);
             for j in g0..g1 {
                 for (i, v) in m.col_mut(j).iter_mut().enumerate() {
-                    *v = T::unpack_at(block, (j - g0) * n + i);
+                    *v = T::unpack_at(block, (j - g0) * nr + i);
                 }
             }
         }
         Ok(())
+    }
+
+    /// Sum this rank's `[j0, j1)` column block over the grid row and
+    /// reassemble the full matrix along the grid column. An exact wire
+    /// sums the whole block in one FP64 leg; `lossy` splits it by row: the
+    /// band-diagonal square `[j0, j1) x [j0, j1)` still travels FP64
+    /// (Cholesky pivots live there), the rest in FP32.
+    fn reduce_blocked<T: WireScalar>(
+        &self,
+        m: &mut Matrix<T>,
+        lossy: bool,
+    ) -> Result<(), CommError> {
+        let n = m.ncols();
+        assert_eq!(m.nrows(), n, "subspace matrices are square");
+        let (j0, j1) = self.grid.my_band_cols(n);
+        let row = &self.grid.dom_group;
+        let mut mine = Self::pack_band_block(m, (j0, j1));
+        if lossy {
+            let on_diag = |k: usize| (j0..j1).contains(&(k / T::COMPONENTS % n));
+            let (mut diag, mut off) = (Vec::new(), Vec::new());
+            for (k, &v) in mine.iter().enumerate() {
+                if on_diag(k) { &mut diag } else { &mut off }.push(v);
+            }
+            self.comm.with(|c| {
+                c.group_allreduce_sum_f64(row, &mut diag, WirePrecision::Fp64)?;
+                c.group_allreduce_sum_f64(row, &mut off, WirePrecision::Fp32)
+            })?;
+            let (mut di, mut oi) = (0, 0);
+            for (k, v) in mine.iter_mut().enumerate() {
+                let (leg, next) = if on_diag(k) {
+                    (&diag, &mut di)
+                } else {
+                    (&off, &mut oi)
+                };
+                *v = leg[*next];
+                *next += 1;
+            }
+        } else {
+            self.comm
+                .with(|c| c.group_allreduce_sum_f64(row, &mut mine, WirePrecision::Fp64))?;
+        }
+        self.gather_band_blocks(&mine, m)
     }
 }
 
@@ -208,6 +158,7 @@ impl<'a, 'c, T: WireScalar> SubspaceReducer<T> for GridReducer<'a, 'c> {
             .with(|c| c.group_allreduce_sum_f64(&self.grid.dom_group, v, WirePrecision::Fp64))
             .is_err()
         {
+            // safe substitute (norms of 1.0) on a poisoned communicator
             v.fill(1.0);
         }
     }
@@ -221,36 +172,13 @@ impl<'a, 'c, T: WireScalar> SubspaceReducer<T> for GridReducer<'a, 'c> {
     }
 
     fn assemble_cols(&self, m: &mut Matrix<T>) {
-        let n = m.ncols();
-        let (j0, j1) = self.grid.my_band_cols(n);
         if self.grid.shape.n_band == 1 {
             return;
         }
-        let nr = m.nrows();
-        let mut mine = Vec::with_capacity((j1 - j0) * nr * T::COMPONENTS);
-        for j in j0..j1 {
-            for &v in m.col(j) {
-                T::pack_into(v, &mut mine);
-            }
-        }
-        let blocks = match self
-            .comm
-            .with(|c| c.group_allgather_f64(&self.grid.band_group, &mine, WirePrecision::Fp64))
-        {
-            Ok(b) => b,
-            // poisoned communicator: leave the block as computed (the SCF
-            // loop observes the failure right after the phase)
-            Err(_) => return,
-        };
-        for (b, block) in blocks.iter().enumerate() {
-            let (g0, g1) = ProcessGrid::band_cols_of(n, self.grid.shape.n_band, b);
-            assert_eq!(block.len(), (g1 - g0) * nr * T::COMPONENTS);
-            for j in g0..g1 {
-                for (i, v) in m.col_mut(j).iter_mut().enumerate() {
-                    *v = T::unpack_at(block, (j - g0) * nr + i);
-                }
-            }
-        }
+        let mine = Self::pack_band_block(m, self.grid.my_band_cols(m.ncols()));
+        // poisoned communicator: the block stays as computed (the SCF loop
+        // observes the failure right after the phase)
+        let _ = self.gather_band_blocks(&mine, m);
     }
 
     fn lossy_wire(&self) -> bool {

@@ -12,8 +12,9 @@
 //!
 //! * ghost-DoF exchange inside every distributed Hamiltonian apply
 //!   (overlapped with interior compute, wire precision selectable);
-//! * `allreduce` of the dense subspace matrices in CholGS / Rayleigh-Ritz
-//!   via [`ClusterReducer`] (always FP64);
+//! * grid-row sums and grid-column allgathers of the dense subspace
+//!   matrices in CholGS / Rayleigh-Ritz via [`GridReducer`] (FP64; the
+//!   off-band-diagonal rows optionally FP32);
 //! * one `allreduce` of the partial density built from owned rows;
 //! * one `m x m` Gram `allreduce` inside Anderson mixing, whose weights are
 //!   masked to owned nodes so the summed Gram equals the serial one.
@@ -25,9 +26,9 @@
 //! Restart selection and the snapshot writer live here too.
 
 use crate::checkpoint::{self, ReplicatedScfState};
-use crate::grid::{GridShape, ProcessGrid};
-use crate::operator::{DistHamiltonian, DistSpace, PipelinedFilter, SharedComm, WireScalar};
-use crate::reduce::{ClusterReducer, CommVolume, GridReducer};
+use crate::grid::GridShape;
+use crate::operator::{DistHamiltonian, DistSpace, SharedComm, WireScalar};
+use crate::reduce::{CommVolume, GridReducer};
 use dft_core::chebyshev::{CfFilter, SubspaceReducer};
 use dft_core::hamiltonian::{HamOperator, KsHamiltonian};
 use dft_core::scf::{
@@ -163,18 +164,15 @@ pub struct DistScfConfig {
     /// and restricted to the freshly derived partition.
     pub restart: bool,
     /// Process-grid shape (domain x band x k-group; must tile the rank
-    /// count exactly). `None` — the default — runs the PR-3 1D slab path
-    /// bit-for-bit: domain decomposition only, [`ClusterReducer`]
-    /// all-rank reductions.
+    /// count exactly). `None` — the default — is
+    /// [`GridShape::slab`]`(nranks)`: domain decomposition only. It names
+    /// the same shape as `Some(GridShape::slab(nranks))` and runs the same
+    /// code, message for message.
     pub grid: Option<GridShape>,
-    /// Cross-iteration ghost overlap: filter with the pipelined Chebyshev
-    /// driver, which posts degree step `k + 1`'s boundary exchange while
-    /// step `k` is still updating interior rows. Bit-identical results;
-    /// only exposed ghost-wait time moves.
-    pub overlap: bool,
     /// Ship the off-band-diagonal rows of the CholGS overlap and
     /// Rayleigh-Ritz projected-Hamiltonian grid-row reductions in FP32
-    /// (Sec. 5.4.2). Only meaningful with `grid`; triggers the FP64
+    /// (Sec. 5.4.2). Moves FP32 bytes only when the grid has a band axis
+    /// (on a slab every row is band-diagonal); triggers the FP64
     /// orthonormality cleanup pass after CholGS.
     pub subspace_fp32: bool,
     /// Read-side override for `restart`: resume from the newest complete
@@ -208,7 +206,6 @@ impl Default for DistScfConfig {
             checkpoint_dir: None,
             restart: false,
             grid: None,
-            overlap: false,
             subspace_fp32: false,
             restart_from: None,
             final_state_dir: None,
@@ -265,12 +262,6 @@ impl DistScfConfig {
     /// Run on the given process-grid shape.
     pub fn with_grid(mut self, shape: GridShape) -> Self {
         self.grid = Some(shape);
-        self
-    }
-
-    /// Enable cross-iteration ghost overlap (pipelined Chebyshev filter).
-    pub fn with_overlap(mut self) -> Self {
-        self.overlap = true;
         self
     }
 
@@ -344,28 +335,20 @@ pub fn distributed_scf(
     }
 }
 
-/// The subspace reducer of a run: all-rank sums on the 1D slab, grid-axis
-/// sums (optionally FP32 off the band diagonal) on a process grid.
-enum Reducer<'a, 'c> {
-    Cluster(ClusterReducer<'a, 'c>),
-    Grid(GridReducer<'a, 'c>),
-}
-
 /// One rank's side of the [`ScfSeam`]: its slab of DoF rows, band columns
 /// and k-points on the process grid, the distributed operators, the
 /// collectives, and the snapshots.
 struct ClusterSeam<'a, 'c> {
     cfg: &'a DistScfConfig,
     shared: &'a SharedComm<'c>,
-    pgrid: &'a ProcessGrid,
     dist: &'a DistSpace<'a>,
-    reducer: Reducer<'a, 'c>,
+    reducer: GridReducer<'a, 'c>,
 }
 
 impl ClusterSeam<'_, '_> {
     fn lost(&self, iteration: usize, cause: CommError) -> ScfError {
         ScfError::RankLost {
-            rank: self.pgrid.rank,
+            rank: self.dist.grid.rank,
             iteration,
             cause,
         }
@@ -396,12 +379,13 @@ impl ClusterSeam<'_, '_> {
             filter_windows: st.filter_window.clone(),
             residual_history: residual_history.to_vec(),
         };
-        let (rank, shape) = (self.pgrid.rank, self.pgrid.shape);
+        let pgrid = &self.dist.grid;
+        let (rank, shape) = (pgrid.rank, pgrid.shape);
         let nk = st.filter_window.len();
         let mut scope = PhaseScope::new(profile, Phase::Ck);
-        let k0 = self.pgrid.my_kpoints(nk).0;
+        let k0 = pgrid.my_kpoints(nk).0;
         let my_ks: Vec<usize> = (k0..k0 + st.psi.len()).collect();
-        let (ck_ks, ck_psi): (&[usize], &[Matrix<T>]) = if self.pgrid.band == 0 {
+        let (ck_ks, ck_psi): (&[usize], &[Matrix<T>]) = if pgrid.band == 0 {
             (&my_ks, &st.psi)
         } else {
             (&[], &[])
@@ -444,16 +428,16 @@ impl<T: WireScalar> ScfSeam<T> for ClusterSeam<'_, '_> {
     }
     // the (band 0, k-group 0) replica of each slab speaks for its nodes
     fn owns_node(&self, node: usize) -> bool {
-        self.dist.dec.owned_node[node] && self.pgrid.owns_replicated_fields()
+        self.dist.dec.owned_node[node] && self.dist.grid.owns_replicated_fields()
     }
     fn band_cols(&self, n_states: usize) -> (usize, usize) {
-        self.pgrid.my_band_cols(n_states)
+        self.dist.grid.my_band_cols(n_states)
     }
     fn kpoints(&self, nk: usize) -> (usize, usize) {
-        self.pgrid.my_kpoints(nk)
+        self.dist.grid.my_kpoints(nk)
     }
     fn is_root(&self) -> bool {
-        self.pgrid.rank == 0
+        self.dist.grid.rank == 0
     }
 
     fn with_operators<R>(
@@ -467,20 +451,7 @@ impl<T: WireScalar> ScfSeam<T> for ClusterSeam<'_, '_> {
         let ph = h_full.phases;
         let h = DistHamiltonian::<T>::new(self.dist, self.shared, v_eff, ph, WirePrecision::Fp64);
         let h_filter = DistHamiltonian::<T>::new(self.dist, self.shared, v_eff, ph, self.cfg.wire);
-        // overlap mode swaps the plain filter operator for the pipelined
-        // driver (same arithmetic, look-ahead ghost posts)
-        let pipelined;
-        let filter = if self.cfg.overlap {
-            pipelined = PipelinedFilter::new(&h_filter);
-            CfFilter::Driver(&pipelined)
-        } else {
-            CfFilter::Op(&h_filter)
-        };
-        let reducer: &dyn SubspaceReducer<T> = match &self.reducer {
-            Reducer::Cluster(r) => r,
-            Reducer::Grid(r) => r,
-        };
-        run(&h, filter, reducer)
+        run(&h, CfFilter::Op(&h_filter), &self.reducer)
     }
 
     fn sum_f64(&self, buf: &mut [f64]) {
@@ -499,7 +470,7 @@ impl<T: WireScalar> ScfSeam<T> for ClusterSeam<'_, '_> {
         filter_window: &mut [Option<(f64, f64)>],
         profile: Option<&Profile>,
     ) -> Result<(), ScfError> {
-        let pgrid = self.pgrid;
+        let pgrid = &self.dist.grid;
         if pgrid.shape.n_kgrp == 1 {
             return Ok(());
         }
@@ -663,7 +634,7 @@ fn restore<T: WireScalar>(
     st.rho_in = loaded.state.rho_in;
     st.mu = loaded.state.mu;
     st.filter_window = loaded.state.filter_windows;
-    let k0 = seam.pgrid.my_kpoints(nk).0;
+    let k0 = seam.dist.grid.my_kpoints(nk).0;
     for (psi, full) in st.psi.iter_mut().zip(&loaded.psi_full[k0..]) {
         *psi = restrict_rows(seam, full);
     }
@@ -680,22 +651,13 @@ fn scf_on_cluster<T: WireScalar + ScalarExt>(
     kpts: &[KPoint],
 ) -> Result<DistScfResult, ScfError> {
     let (rank, nranks) = (comm.rank(), comm.size());
-    // no grid degenerates to the 1D slab (every rank its own domain slot,
-    // identity groups) and keeps the all-rank reducer
-    let shape = cfg.grid.unwrap_or_else(|| GridShape::slab(nranks));
-    let pgrid = ProcessGrid::new(shape, rank, nranks);
+    let dist = DistSpace::on_grid(space, cfg.grid, rank, nranks);
     let shared = SharedComm::new(comm);
-    let dist = DistSpace::new_grid(space, &pgrid);
     let seam = ClusterSeam {
         cfg,
         shared: &shared,
-        pgrid: &pgrid,
         dist: &dist,
-        reducer: if cfg.grid.is_some() {
-            Reducer::Grid(GridReducer::new(&shared, &pgrid, cfg.subspace_fp32))
-        } else {
-            Reducer::Cluster(ClusterReducer::new(&shared))
-        },
+        reducer: GridReducer::new(&shared, &dist.grid, cfg.subspace_fp32),
     };
     let comm_start = CommVolume::snapshot(&shared);
 

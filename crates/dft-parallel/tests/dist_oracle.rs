@@ -3,7 +3,7 @@
 //! `dft-fem/tests/golden_stiffness.rs` (periodic, Bloch-phase, Dirichlet),
 //! plus run-to-run bit-determinism and SCF energy parity.
 
-use dft_core::chebyshev::{chebyshev_filter, lanczos_bounds};
+use dft_core::chebyshev::{chebyshev_filter, chebyshev_filter_scratch, lanczos_bounds, CfScratch};
 use dft_core::hamiltonian::KsHamiltonian;
 use dft_core::scf::{scf, KPoint, ScfConfig};
 use dft_core::system::{Atom, AtomKind, AtomicSystem};
@@ -150,6 +150,13 @@ fn hamiltonian_apply_is_serial_at_one_rank_and_column_grouping_independent() {
     }
 }
 
+/// The one distributed filter route — `chebyshev_filter_scratch` on a
+/// `DistHamiltonian`, column block by column block on one reused scratch,
+/// as the CF phase runs it — against the blocking recurrence on the whole
+/// block: bit for bit at 1, 2 and 4 ranks on the FP64 wire (what lets
+/// `B_f` and band splits regroup columns). Against the serial filter it is
+/// bit for bit at one rank and within 1e-12 across ranks, where the
+/// fold-back adds partial sums in a different order.
 #[test]
 fn distributed_chebyshev_filter_matches_serial() {
     let space = FeSpace::new(Mesh3d::periodic_cube(2, 4.0, 3));
@@ -160,24 +167,37 @@ fn distributed_chebyshev_filter_matches_serial() {
     let (tmin, tmax) = lanczos_bounds(&h_ref, 10, 7);
     let (m, a, b, a0) = (8, tmin + 0.2 * (tmax - tmin), tmax, tmin - 1.0);
 
-    let mut x_ref = Matrix::<f64>::from_fn(space.ndofs(), 3, |i, j| {
+    let mut x_ref = Matrix::<f64>::from_fn(space.ndofs(), 5, |i, j| {
         ((i * 3 + j * 17) as f64 * 0.23).sin()
     });
     let x0 = x_ref.clone();
     chebyshev_filter(&h_ref, &mut x_ref, m, a, b, a0);
 
-    for nranks in [2, 4] {
+    for nranks in [1, 2, 4] {
         let (errs, _) = run_cluster(nranks, |comm| {
             let dist = DistSpace::new(&space, comm.rank(), comm.size());
             let shared = SharedComm::new(comm);
             let h =
                 DistHamiltonian::<f64>::new(&dist, &shared, &v_eff, [1.0; 3], WirePrecision::Fp64);
-            let mut x_local = restrict_rows(&dist, &x0);
-            chebyshev_filter(&h, &mut x_local, m, a, b, a0);
-            max_err_vs_owned(&dist, &x_local, &x_ref)
+            let mut whole = restrict_rows(&dist, &x0);
+            let mut blocked = whole.clone();
+            chebyshev_filter(&h, &mut whole, m, a, b, a0);
+            // blocks of 2, 2 and 1 columns through one scratch
+            let mut scratch = CfScratch::new();
+            for j0 in (0..blocked.ncols()).step_by(2) {
+                let mut block = blocked.cols_range(j0, (j0 + 2).min(blocked.ncols()));
+                chebyshev_filter_scratch(&h, &mut block, m, a, b, a0, &mut scratch);
+                blocked.set_cols(j0, &block);
+            }
+            assert!(
+                blocked.as_slice() == whole.as_slice(),
+                "{nranks} ranks: blocked filter != whole-block filter"
+            );
+            max_err_vs_owned(&dist, &whole, &x_ref)
         });
         for (r, e) in errs.iter().enumerate() {
-            assert!(e <= &1e-12, "rank {r}/{nranks}: filter error {e:.3e}");
+            let tol = if nranks == 1 { 0.0 } else { 1e-12 };
+            assert!(e <= &tol, "rank {r}/{nranks}: filter error {e:.3e}");
         }
     }
 }

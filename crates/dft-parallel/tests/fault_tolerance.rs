@@ -373,7 +373,6 @@ fn one_move_relax() -> DistRelaxConfig {
             force_tol: 0.0,
             ..RelaxConfig::default()
         },
-        warm_start: true,
     }
 }
 

@@ -190,7 +190,7 @@ fn fresh_dir(label: &str) -> PathBuf {
     d
 }
 
-/// A cold (no warm-start) distributed relaxation must walk the same FIRE
+/// A cold (no `checkpoint_dir`, so no warm-start) distributed relaxation must walk the same FIRE
 /// trajectory as the serial driver: same step count, matching energies
 /// and max-forces at every geometry, final energies to 1e-10 Ha.
 #[test]
@@ -206,10 +206,7 @@ fn dist_relax_matches_serial_relax_trajectory() {
     assert!(r_ser.scf.converged, "serial relax SCF did not converge");
 
     let dcfg = DistScfConfig::new(scf_cfg);
-    let rcfg = DistRelaxConfig {
-        fire,
-        warm_start: false,
-    };
+    let rcfg = DistRelaxConfig { fire };
     let (results, _) = run_cluster(2, |comm| {
         dist_relax(comm, &space, &sys, &Lda, &dcfg, &rcfg, &[KPoint::gamma()]).expect("dist relax")
     });
@@ -266,7 +263,6 @@ fn warm_started_relax_steps_reconverge_faster() {
             force_tol: 0.0, // never converges: all steps must execute
             ..RelaxConfig::default()
         },
-        warm_start: true,
     };
     let (results, _) = run_cluster(2, |comm| {
         dist_relax(comm, &space, &sys, &Lda, &dcfg, &rcfg, &[KPoint::gamma()]).expect("dist relax")
@@ -288,6 +284,46 @@ fn warm_started_relax_steps_reconverge_faster() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Restarting on the root of a *finished* relaxation re-evaluates its last
+/// geometry and hands back the same trajectory: one record per step (the
+/// state on disk already holds the last step's record — it must not be
+/// pushed twice), the same positions, the same verdict.
+#[test]
+fn restart_on_a_finished_relaxation_keeps_one_record_per_step() {
+    let (space, sys) = relax_system();
+    let dir = fresh_dir("finished");
+    let dcfg = DistScfConfig::new(relax_scf_cfg()).with_checkpoints(&dir, 50);
+    let rcfg = DistRelaxConfig {
+        fire: RelaxConfig {
+            max_steps: 2,
+            force_tol: 0.0,
+            ..RelaxConfig::default()
+        },
+    };
+    let run = |dcfg: &DistScfConfig| {
+        let (mut results, _) = run_cluster(2, |comm| {
+            dist_relax(comm, &space, &sys, &Lda, dcfg, &rcfg, &[KPoint::gamma()])
+                .expect("dist relax")
+        });
+        results.remove(0)
+    };
+    let first = run(&dcfg);
+    let again = run(&dcfg.clone().with_restart());
+    assert_eq!(first.resumed_step, None);
+    assert_eq!(again.resumed_step, Some(2));
+    assert_eq!(first.trajectory.len(), 3, "2 moves = 3 evaluations");
+    assert_eq!(again.trajectory.len(), first.trajectory.len());
+    assert_eq!(again.converged, first.converged);
+    for (a, b) in again.system.atoms.iter().zip(&first.system.atoms) {
+        assert_eq!(a.pos, b.pos);
+    }
+    for (i, (a, b)) in again.trajectory.iter().zip(&first.trajectory).enumerate() {
+        let de = (a.free_energy - b.free_energy).abs();
+        assert!(de <= 1e-6, "step {i}: |dE| = {de:.3e}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Velocity-Verlet BO-MD on the dimer: every step after the first
 /// warm-starts its SCF, the total energy is conserved to 2e-3 Ha over the
 /// run, the replicated trajectory is bit-identical on both ranks of a
@@ -297,11 +333,7 @@ fn warm_started_relax_steps_reconverge_faster() {
 #[test]
 fn bo_md_conserves_energy_and_is_rank_invariant() {
     let (space, sys) = relax_system();
-    let mcfg = MdConfig {
-        steps: 4,
-        dt: 0.25,
-        warm_start: true,
-    };
+    let mcfg = MdConfig { steps: 4, dt: 0.25 };
     let run = |nranks: usize| {
         let dir = fresh_dir("md");
         let dcfg = DistScfConfig::new(relax_scf_cfg()).with_checkpoints(&dir, 50);

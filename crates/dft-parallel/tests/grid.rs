@@ -1,16 +1,22 @@
 //! Process-grid oracle tests: SCF energies must be invariant under the
-//! rank layout — 1D slab, domain x band, domain x band x k-group — match
-//! the serial solver to 1e-10 Ha, and the cross-iteration ghost overlap
-//! and FP32 subspace wire must behave exactly as advertised (bit-identical
-//! and 1e-8-close, respectively).
+//! rank layout — slab, domain x band, domain x band x k-group — and match
+//! the serial solver to 1e-10 Ha; no grid and the slab grid must be one
+//! run, bits and messages; and the subspace reduction must send exactly
+//! the legs advertised (one FP64 leg, plus an FP32 one only when lossy,
+//! which stays 1e-8-close).
 
+use dft_core::chebyshev::SubspaceReducer;
 use dft_core::scf::{scf, KPoint, ScfConfig};
 use dft_core::system::{Atom, AtomKind, AtomicSystem};
 use dft_core::xc::Lda;
 use dft_fem::mesh::Mesh3d;
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::run_cluster;
-use dft_parallel::{distributed_scf, DistScfConfig, DistScfResult, GridShape};
+use dft_linalg::matrix::Matrix;
+use dft_parallel::{
+    distributed_scf, CommVolume, DistScfConfig, DistScfResult, GridReducer, GridShape, ProcessGrid,
+    SharedComm,
+};
 
 fn parity_system() -> (FeSpace, AtomicSystem) {
     let space = FeSpace::new(Mesh3d::periodic_cube(2, 6.0, 3));
@@ -123,55 +129,106 @@ fn three_axis_grid_matches_serial_two_kpoint_oracle() {
     assert!(d <= 1e-10, "8x1 vs 2x2x2 layout drift {d:.3e}");
 }
 
-/// The degenerate n x 1 x 1 grid takes the grid code path (group
-/// collectives, band-split ChFES bookkeeping) yet lands on exactly the
-/// same bits as the 1D slab path it generalizes.
+/// `grid: None` *is* the n x 1 x 1 grid: at 2 and 4 ranks it lands on the
+/// same bits as `Some(GridShape::slab(n))` and puts the same traffic on the
+/// wire — message count, bytes, and the split by precision.
 #[test]
-fn slab_shaped_grid_is_bit_identical_to_1d_path() {
-    let cfg = parity_cfg();
-    let d_1d = DistScfConfig::new(cfg.clone());
-    let d_grid = DistScfConfig::new(cfg).with_grid(GridShape::new(4, 1, 1));
-    let a = run_grid(&d_1d, 4, &[KPoint::gamma()]);
-    let b = run_grid(&d_grid, 4, &[KPoint::gamma()]);
-    for (ra, rb) in a.iter().zip(b.iter()) {
-        assert_eq!(
-            ra.energy.free_energy.to_bits(),
-            rb.energy.free_energy.to_bits(),
-            "rank {}: slab-shaped grid diverged from the 1D path",
-            ra.rank
-        );
-        assert_eq!(ra.eigenvalues, rb.eigenvalues);
-        assert_eq!(ra.residual_history, rb.residual_history);
-    }
-}
-
-/// Cross-iteration ghost overlap reorders only the wire traffic, never the
-/// arithmetic: energies, eigenvalues, and the residual trace are
-/// bit-identical with overlap on and off, on both the 1D and 2x2 layouts.
-#[test]
-fn overlap_is_bit_identical_on_and_off() {
-    let cfg = parity_cfg();
-    for grid in [None, Some(GridShape::new(2, 2, 1))] {
-        let make = |overlap: bool| {
-            let mut d = DistScfConfig::new(cfg.clone());
-            d.grid = grid;
-            if overlap {
-                d = d.with_overlap();
-            }
-            d
+fn no_grid_and_slab_grid_are_one_run_bits_and_messages() {
+    let (space, sys) = parity_system();
+    for nranks in [2, 4] {
+        let run = |grid: Option<GridShape>| {
+            let mut dcfg = DistScfConfig::new(parity_cfg());
+            dcfg.grid = grid;
+            let (results, stats) = run_cluster(nranks, |comm| {
+                distributed_scf(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()]).expect("scf")
+            });
+            (results, CommVolume::from_stats(&stats))
         };
-        let off = run_grid(&make(false), 4, &[KPoint::gamma()]);
-        let on = run_grid(&make(true), 4, &[KPoint::gamma()]);
-        for (ra, rb) in off.iter().zip(on.iter()) {
+        let (a, vol_a) = run(None);
+        let (b, vol_b) = run(Some(GridShape::slab(nranks)));
+        for (ra, rb) in a.iter().zip(b.iter()) {
             assert_eq!(
                 ra.energy.free_energy.to_bits(),
                 rb.energy.free_energy.to_bits(),
-                "rank {}: overlap changed the energy bits (grid {grid:?})",
+                "rank {} of {nranks}: the slab grid diverged from no grid",
                 ra.rank
             );
             assert_eq!(ra.eigenvalues, rb.eigenvalues);
             assert_eq!(ra.residual_history, rb.residual_history);
         }
+        assert_eq!(vol_a, vol_b, "{nranks} ranks: traffic differs");
+        assert_eq!(vol_a.bytes_fp32, 0);
+    }
+}
+
+/// More band slots than states (a shape `pick_grid` lets a tenant ask for):
+/// two of the six band blocks are empty, and the run still converges to
+/// the serial energy.
+#[test]
+fn empty_band_blocks_match_serial_oracle() {
+    let (space, sys) = parity_system();
+    let cfg = parity_cfg();
+    let r_ser = scf(&space, &sys, &Lda, &cfg, &[KPoint::gamma()]);
+    let shape = GridShape::new(1, 6, 1);
+    let dcfg = DistScfConfig::new(cfg).with_grid(shape);
+    for r in run_grid(&dcfg, shape.nranks(), &[KPoint::gamma()]) {
+        assert!(r.converged, "rank {} on {shape} did not converge", r.rank);
+        let d = (r.energy.free_energy - r_ser.energy.free_energy).abs();
+        assert!(d <= 1e-10, "{shape}: |dE| = {d:.3e}");
+    }
+}
+
+/// One subspace-matrix reduction, counted on the wire. Exact: one FP64 leg
+/// up and down each grid row plus the grid-column allgather, so the slab
+/// sends what one all-rank allreduce sends. Lossy: one more (FP32) leg per
+/// grid row, and only then any FP32 bytes. Either way every rank ends with
+/// the sum over its column's grid row.
+#[test]
+fn reduce_matrix_sends_one_fp64_leg_unless_lossy() {
+    const N: usize = 5;
+    // small integers: exact in FP32, so the lossy sum is checked exactly too
+    let entry = |rank: usize, i: usize, j: usize| (1 + rank * 100 + i * N + j) as f64;
+    for (shape, lossy, messages) in [
+        (GridShape::slab(4), false, 6),
+        (GridShape::new(2, 2, 1), false, 4 + 4),
+        (GridShape::new(2, 2, 1), true, 4 + 4 + 4),
+    ] {
+        let nranks = shape.nranks();
+        let (reduced, stats) = run_cluster(nranks, |comm| {
+            let grid = ProcessGrid::new(shape, comm.rank(), nranks);
+            let shared = SharedComm::new(comm);
+            let reducer = GridReducer::new(&shared, &grid, lossy);
+            let (j0, j1) = grid.my_band_cols(N);
+            let mut m = Matrix::<f64>::from_fn(N, N, |i, j| {
+                if (j0..j1).contains(&j) {
+                    entry(grid.rank, i, j)
+                } else {
+                    0.0
+                }
+            });
+            reducer.reduce_matrix(&mut m);
+            m
+        });
+        let want = Matrix::<f64>::from_fn(N, N, |i, j| {
+            (0..nranks)
+                .map(|r| ProcessGrid::new(shape, r, nranks))
+                .filter(|g| {
+                    let (j0, j1) = g.my_band_cols(N);
+                    (j0..j1).contains(&j)
+                })
+                .map(|g| entry(g.rank, i, j))
+                .sum()
+        });
+        for m in &reduced {
+            assert_eq!(m.as_slice(), want.as_slice(), "{shape} lossy {lossy}");
+        }
+        let vol = CommVolume::from_stats(&stats);
+        assert_eq!(vol.messages, messages, "{shape} lossy {lossy}: messages");
+        assert_eq!(
+            vol.bytes_fp32 > 0,
+            lossy,
+            "{shape} lossy {lossy}: FP32 bytes"
+        );
     }
 }
 
@@ -262,13 +319,14 @@ fn restart_reshards_8x1_snapshot_onto_4x2_grid() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Overlap drives the exposed ghost-wait down on the wire-heavy FP32
-/// filter; here we only check the counter plumbing — the wait counter
-/// accumulates at all — since wall-clock assertions are flaky in CI.
+/// The exposed ghost wait is what the boundary/interior overlap inside an
+/// apply is there to hide; here we only check the counter plumbing — the
+/// wait counter accumulates at all — since wall-clock assertions are flaky
+/// in CI.
 #[test]
 fn ghost_wait_counter_accumulates() {
     let cfg = parity_cfg();
-    let dcfg = DistScfConfig::new(cfg).with_overlap();
+    let dcfg = DistScfConfig::new(cfg);
     let (space, sys) = parity_system();
     let (results, stats) = run_cluster(2, |comm| {
         distributed_scf(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()]).expect("scf")

@@ -45,9 +45,6 @@ pub enum JobKind {
         /// Maximum FIRE geometry steps to perform.
         steps: usize,
     },
-    /// A cheap screening solve: the SCF runs with a 10x relaxed density
-    /// tolerance, for high-throughput candidate filtering.
-    Screen,
 }
 
 /// Exchange-correlation functional selector — a closed enum so job specs

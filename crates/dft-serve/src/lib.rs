@@ -5,8 +5,8 @@
 //! service" runs: many small-to-medium Kohn-Sham jobs from many tenants,
 //! multiplexed onto one bounded pool of ranks.
 //!
-//! * [`job`] — the typed API: [`JobRequest`]s (SCF / relaxation /
-//!   screening, structure + mesh + functional + grid hints) in,
+//! * [`job`] — the typed API: [`JobRequest`]s (SCF / relaxation,
+//!   structure + mesh + functional + grid hints) in,
 //!   [`JobOutcome`]s out, [`AdmissionError`]s at the door (bounded queue
 //!   depth and per-tenant quotas, with `retry_after` backoff hints);
 //! * [`scheduler`] — the gang scheduler: priority classes drain first,

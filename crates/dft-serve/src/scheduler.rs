@@ -543,17 +543,13 @@ fn pick_grid(hint: Option<GridShape>, granted: usize, nk: usize) -> GridShape {
     }
 }
 
-/// The serial SCF knobs for a job (Screen relaxes the tolerance tenfold).
+/// The serial SCF knobs for a job.
 fn base_scf_config(job: &QueuedJob) -> ScfConfig {
     let spec = &job.req.spec;
     ScfConfig {
         n_states: spec.n_states,
         kt: spec.kt,
-        tol: if matches!(job.req.kind, JobKind::Screen) {
-            spec.tol * 10.0
-        } else {
-            spec.tol
-        },
+        tol: spec.tol,
         max_iter: spec.max_iter,
         cheb_degree: spec.cheb_degree,
         first_iter_cf_passes: spec.first_iter_cf_passes,
@@ -660,7 +656,6 @@ fn run_worker(
                     force_tol: knobs.relax_force_tol,
                     ..RelaxConfig::default()
                 },
-                warm_start: true,
             };
             guarded(
                 |e| matches!(e, RelaxError::Scf(ScfError::Preempted { .. })),
@@ -700,9 +695,8 @@ fn run_worker(
                 }
             })
         }
-        // Scf / Screen: one electronic solve, publishable into the
-        // converged-state cache
-        JobKind::Scf | JobKind::Screen => {
+        // one electronic solve, publishable into the converged-state cache
+        JobKind::Scf => {
             let conv_dir = knobs.job_root.join("converged");
             let cfg = cfg.with_final_state(&conv_dir);
             guarded(

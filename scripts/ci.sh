@@ -19,7 +19,7 @@ mkdir -p target
 cargo run -q --offline --release -p dft-lint -- --workspace --json > target/dft-lint.json
 echo "    JSON artifact: target/dft-lint.json"
 
-echo "==> duplicate-definition guard (one SCF spine, one binary codec, one measuring stack, one cell sweep)"
+echo "==> duplicate-definition guard (one SCF spine, one binary codec, one measuring stack, one cell sweep, one distributed route)"
 for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a; do
   n=$(grep -rhE "^\s*(pub(\([a-z]+\))? )?fn ${f}\b" crates/*/src | wc -l)
   if [ "$n" -ne 1 ]; then
@@ -33,6 +33,17 @@ done
 retired="DFT_T""UNE|dft_t""une\.json|BEN""CH_|DFT_BEN""CH_GATE"
 if grep -rnE "$retired" crates/*/src scripts; then
   echo "    retired benchmark-gate / tuning-file names reappeared (see above)"
+  exit 1
+fi
+
+# One route through the distributed solver: the slab is the n x 1 x 1 grid
+# (one reducer), the Chebyshev filter has one driver (the pipelined one lost
+# its A/B, EXPERIMENTS.md PR 19), a relaxation step warm-starts iff its run
+# has a checkpoint_dir, and a screening job is an Scf job with the tolerance
+# its tenant sets. Patterns split so this script does not match itself.
+one_route="Cluster""Reducer|enum Red""ucer|grid\.is_so""me\(\)|JobKind::Scr""een|warm_st""art:|with_over""lap|Pipelined""Filter|Cf""Driver|CfFilter::Dri""ver"
+if grep -rnE "$one_route" crates/*/src scripts; then
+  echo "    a retired sibling path or the knob that selected it reappeared (see above)"
   exit 1
 fi
 
@@ -53,7 +64,7 @@ cargo test -q --offline --workspace
 echo "==> fault-injection suite (kills, timeouts, checkpoint/restart recovery)"
 cargo test -q --offline --release -p dft-parallel --test fault_tolerance
 
-echo "==> process-grid suite (2x2 and 2x2x2 layouts, overlap, FP32 subspace, reshard restart)"
+echo "==> process-grid suite (2x2 and 2x2x2 layouts, slab = no grid, reduce legs, FP32 subspace, reshard restart)"
 cargo test -q --offline --release -p dft-parallel --test grid
 
 echo "==> serve suite (multi-tenant scheduler: bursts, admission control, preemption, rank kill)"
@@ -82,8 +93,9 @@ DFT_SIMD=scalar cargo test -q --offline --release -p dft-fem
 echo "==> benchmark harness tests (benchmark/ is its own package; bash benchmark/run.sh is the yardstick)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> benchmark correctness gate (scf-poisson and dist-2r, seed 1: reference energy within 1e-8 Ha, pinned SCF iteration count, |E_dist - E_serial| <= 1e-10 Ha)"
+echo "==> benchmark correctness gate (scf-poisson, dist-2r and relax-warm-2r, seed 1: reference energy within 1e-8 Ha, pinned SCF iteration count, |E_dist - E_serial| <= 1e-10 Ha, every relaxation step after the first warm)"
 bash benchmark/run.sh --workload scf-poisson --seed 1 --trace 0
 bash benchmark/run.sh --workload dist-2r --seed 1 --trace 0
+bash benchmark/run.sh --workload relax-warm-2r --seed 1 --trace 0
 
 echo "==> CI green"
