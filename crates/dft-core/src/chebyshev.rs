@@ -6,17 +6,22 @@
 //!   `(-inf,-1)` (where they grow fast). Applied in column blocks of size
 //!   `B_f` through the matrix-free Hamiltonian.
 //! * **CholGS** — overlap `S = Psi_f† Psi_f`, Cholesky inverse, and the
-//!   orthonormalization GEMM. In mixed-precision mode the off-diagonal
-//!   blocks of `S` are computed in FP32 and the diagonal blocks in FP64
-//!   (paper Sec. 5.4.2).
-//! * **RR** — Rayleigh-Ritz: projected Hamiltonian, dense Hermitian
-//!   eigensolve, subspace rotation.
+//!   orthonormalization GEMM. In mixed-precision mode `S` and the GEMM are
+//!   FP32 except the `B_f x B_f` diagonal blocks of `S`, which stay FP64
+//!   (paper Sec. 5.4.2), and a second, all-FP64 pass removes the rounding.
+//! * **RR** — Rayleigh-Ritz: projected Hamiltonian (same FP32 / FP64
+//!   layout), dense Hermitian eigensolve, subspace rotation.
 //!
-//! Spectral bounds come from a few Lanczos steps ([`lanczos_bounds`]).
+//! There is one cycle, [`chfes_reduced`], written once over a rank's *band
+//! window* of the subspace columns. The serial solver and every
+//! `n x 1 x 1` slab are the window `(0, N)`; a band grid hands each rank a
+//! narrower one through [`SubspaceReducer`]. Spectral bounds come from a
+//! few Lanczos steps ([`lanczos_bounds`]).
 
 use crate::hamiltonian::HamOperator;
 use dft_hpc::profile::{Phase, PhaseScope, Profile};
 use dft_linalg::blas1;
+use dft_linalg::chol::{cholesky_inverse, LinalgError};
 use dft_linalg::eig::eigh;
 use dft_linalg::gemm::{gemm, gemm_flops, gemm_mixed, matmul, Op};
 use dft_linalg::iterative::LinearOperator;
@@ -25,6 +30,7 @@ use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::{Real, Scalar};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 
 /// Options of one ChFES cycle.
 #[derive(Clone, Debug)]
@@ -233,24 +239,22 @@ pub fn chebyshev_filter_flops<T: Scalar>(h: &dyn HamOperator<T>, ncols: usize, m
     m as u64 * (h.apply_flops(ncols) + recur)
 }
 
-/// The cross-rank reduction hook that makes ChFES distribution-agnostic:
-/// every dense subspace quantity (overlap `S`, projected Hamiltonian,
-/// squared column norms) is computed from the locally-owned wavefunction
-/// rows and then handed to the reducer, which sums it across ranks. The
-/// serial solver uses [`NoReduce`] and is arithmetically unchanged.
-///
-/// A reducer may additionally declare a *band split* ([`Self::band_cols`]):
-/// this rank then computes only a contiguous column block of every
-/// subspace quantity, [`Self::reduce_matrix`] receives a matrix whose
-/// other columns are zero and must assemble the full sum (grid-row
-/// reduction + grid-column allgather), and [`Self::assemble_cols`]
-/// reassembles full wavefunction columns after a column-blocked update.
+/// The cross-rank seam that makes ChFES distribution-agnostic. A rank holds
+/// its *owned* wavefunction rows of all `N` columns and computes one
+/// contiguous *band window* [`Self::band_cols`] of every subspace quantity:
+/// the filtered columns, the window's columns of the overlap `S` and of the
+/// projected Hamiltonian, the rotated columns. The reducer sums the `N x N`
+/// matrices over the ranks that share rows and reassembles full matrices and
+/// full wavefunction columns from the windows. The serial solver
+/// ([`NoReduce`]) and every `n x 1 x 1` slab are the window `(0, N)`: the
+/// same code with nothing to reassemble.
 pub trait SubspaceReducer<T: Scalar> {
-    /// Sum an `N x N` subspace matrix over all ranks, in place. Under a
-    /// band split the input holds only this rank's [`Self::band_cols`]
-    /// block (other columns zero) and the output is the fully assembled
-    /// matrix. Must leave bit-identical results on every rank.
-    fn reduce_matrix(&self, m: &mut Matrix<T>);
+    /// Sum an `N x N` subspace matrix over all ranks, in place: the input
+    /// holds this rank's [`Self::band_cols`] columns (the rest zero), the
+    /// output is the fully assembled matrix, bit-identical on every rank.
+    /// `exact` forbids a lossy wire encoding: the FP64 CholGS cleanup pass
+    /// must sum in full precision.
+    fn reduce_matrix(&self, m: &mut Matrix<T>, exact: bool);
     /// Sum a small `f64` buffer over all ranks, in place.
     fn reduce_f64(&self, v: &mut [f64]);
     /// Whether wavefunction rows are actually sharded (`true` forbids the
@@ -258,25 +262,19 @@ pub trait SubspaceReducer<T: Scalar> {
     fn is_distributed(&self) -> bool {
         false
     }
-    /// The contiguous column block `[j0, j1)` of an `n`-column subspace
-    /// this rank computes. The default — the full range — keeps the serial
-    /// and pure-domain paths on their original code route.
+    /// The contiguous column window `[j0, j1)` of an `n`-column subspace
+    /// this rank computes; the whole subspace by default.
     fn band_cols(&self, n: usize) -> (usize, usize) {
         (0, n)
     }
     /// Reassemble full columns of the owned-row block `m` after this rank
-    /// updated only its [`Self::band_cols`] block (allgather along the
-    /// band axis). No-op by default.
+    /// updated only its [`Self::band_cols`] window (allgather along the
+    /// band axis). Nothing to do when the window is the whole subspace.
     fn assemble_cols(&self, _m: &mut Matrix<T>) {}
-    /// [`Self::reduce_matrix`] with any lossy wire encoding disabled —
-    /// the orthonormality cleanup pass must sum in full precision.
-    fn reduce_matrix_exact(&self, m: &mut Matrix<T>) {
-        self.reduce_matrix(m);
-    }
-    /// Whether [`Self::reduce_matrix`] rounds on the wire (e.g. FP32
-    /// off-diagonal blocks, Sec. 5.4.2). When set, [`chfes_reduced`] runs
-    /// a full-precision orthonormality cleanup pass after CholGS even if
-    /// the local compute is pure FP64.
+    /// Whether a non-`exact` [`Self::reduce_matrix`] rounds on the wire
+    /// (e.g. FP32 off-diagonal blocks, Sec. 5.4.2). When set,
+    /// [`chfes_reduced`] runs its FP64 CholGS cleanup pass even if the
+    /// local compute is pure FP64.
     fn lossy_wire(&self) -> bool {
         false
     }
@@ -286,66 +284,8 @@ pub trait SubspaceReducer<T: Scalar> {
 pub struct NoReduce;
 
 impl<T: Scalar> SubspaceReducer<T> for NoReduce {
-    fn reduce_matrix(&self, _m: &mut Matrix<T>) {}
+    fn reduce_matrix(&self, _m: &mut Matrix<T>, _exact: bool) {}
     fn reduce_f64(&self, _v: &mut [f64]) {}
-}
-
-/// What [`chfes_reduced`] filters with during the CF phase.
-#[derive(Clone, Copy)]
-pub enum CfFilter<'a, T: Scalar> {
-    /// Filter with the Rayleigh-Ritz Hamiltonian itself (the serial path).
-    Hamiltonian,
-    /// Substitute operator for the CF recurrence only — the distributed
-    /// solver passes its FP32-wire Hamiltonian here while keeping the FP64
-    /// one for Rayleigh-Ritz (the paper's "FP32 boundary wire, FP64 math"
-    /// split, Sec. 5.4.2).
-    Op(&'a dyn LinearOperator<T>),
-}
-
-/// Hermitian product `C = A† B` with the paper's mixed-precision layout:
-/// FP32 everywhere except the `block x block` diagonal blocks, which are
-/// recomputed in FP64.
-pub fn adjoint_product_mixed<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, block: usize) -> Matrix<T> {
-    assert_eq!(a.ncols(), b.ncols(), "square Hermitian product expected");
-    let n = a.ncols();
-    let block = block.max(1);
-    let mut s = Matrix::<T>::zeros(n, n);
-    gemm_mixed(T::ONE, a, Op::ConjTrans, b, Op::None, T::ZERO, &mut s);
-    // redo the diagonal blocks in FP64
-    let mut j0 = 0;
-    while j0 < n {
-        let j1 = (j0 + block).min(n);
-        let ab = a.cols_range(j0, j1);
-        let bb = b.cols_range(j0, j1);
-        let d = matmul(&ab, Op::ConjTrans, &bb, Op::None);
-        for jj in 0..(j1 - j0) {
-            for ii in 0..(j1 - j0) {
-                s[(j0 + ii, j0 + jj)] = d[(ii, jj)];
-            }
-        }
-        j0 = j1;
-    }
-    s
-}
-
-/// Band-split variant of [`adjoint_product_mixed`]: `C = A† B` where `B`
-/// is the column block of the subspace starting at global column `col0`.
-/// FP32 GEMM everywhere except the band-diagonal square
-/// `C[col0 .. col0 + B.ncols(), :]`, which is recomputed in FP64 — the
-/// band-block analogue of the paper's "FP64 diagonal blocks" layout.
-pub fn adjoint_block_mixed<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, col0: usize) -> Matrix<T> {
-    let bs = b.ncols();
-    assert!(col0 + bs <= a.ncols(), "band block escapes the subspace");
-    let mut c = Matrix::<T>::zeros(a.ncols(), bs);
-    gemm_mixed(T::ONE, a, Op::ConjTrans, b, Op::None, T::ZERO, &mut c);
-    let ab = a.cols_range(col0, col0 + bs);
-    let d = matmul(&ab, Op::ConjTrans, b, Op::None);
-    for j in 0..bs {
-        for i in 0..bs {
-            c[(col0 + i, j)] = d[(i, j)];
-        }
-    }
-    c
 }
 
 /// One full ChFES cycle (Algorithm 1): filter, orthonormalize, Rayleigh-
@@ -360,47 +300,161 @@ pub fn chfes<T: Scalar>(
     bounds: (f64, f64, f64),
     opts: &ChfesOptions,
 ) -> Vec<f64> {
-    chfes_profiled(h, psi, bounds, opts, None)
+    chfes_reduced(h, h, psi, bounds, opts, None, &NoReduce)
 }
 
-/// [`chfes`] with per-phase profiling: each step of Algorithm 1 (CF,
-/// CholGS-S/CI/O, RR-P/D/SR) runs inside its own [`PhaseScope`], tagged
-/// with analytic FLOP and byte counts (CholGS-CI and RR-D are
-/// wall-time-only, matching the paper's Sec. 6.3 accounting). With
-/// `profile = None` this is exactly [`chfes`].
-pub fn chfes_profiled<T: Scalar>(
-    h: &dyn HamOperator<T>,
-    psi: &mut Matrix<T>,
-    bounds: (f64, f64, f64),
-    opts: &ChfesOptions,
-    profile: Option<&Profile>,
-) -> Vec<f64> {
-    chfes_reduced(
-        h,
-        CfFilter::Hamiltonian,
-        psi,
-        bounds,
-        opts,
-        profile,
-        &NoReduce,
-    )
+/// The one precision-selecting product of a cycle, `C = op(A) B`: the FP64
+/// GEMM, or under `fp32` the demote-multiply-promote one (Sec. 5.4.2).
+fn product<T: Scalar>(fp32: bool, a: &Matrix<T>, opa: Op, b: &Matrix<T>, c: &mut Matrix<T>) {
+    let mul = if fp32 { gemm_mixed } else { gemm };
+    mul(T::ONE, a, opa, b, Op::None, T::ZERO, c);
 }
 
-/// The distribution-agnostic ChFES cycle: `psi` holds this rank's *owned*
-/// wavefunction rows (all rows in the serial case), `reducer` sums subspace
-/// quantities across ranks, and `filter` selects what the CF recurrence
-/// runs through (see [`CfFilter`]). With [`CfFilter::Hamiltonian`] and
-/// [`NoReduce`] this is arithmetically identical to [`chfes_profiled`].
+/// Hermitian product `C = A† B` of the subspace `a` (`N` columns) with `b`,
+/// its column window starting at global column `col0`: the `N x w` block of
+/// columns `[col0, col0 + w)` of the overlap (`b` = those columns of `a`)
+/// or of the projected Hamiltonian (`b` = `H` applied to them).
 ///
-/// When the reducer declares a band split, this rank filters, projects and
-/// rotates only its own column block; overlap and projected-Hamiltonian
-/// matrices are assembled by grid-row reductions plus grid-column
-/// allgathers inside [`SubspaceReducer::reduce_matrix`], and wavefunction
-/// columns are reassembled via [`SubspaceReducer::assemble_cols`]. A
-/// reducer without a band split takes exactly the original code route.
+/// `fp64_block = None` is the FP64 product. `Some(bf)` is the paper's
+/// mixed-precision layout: FP32 everywhere except the entries whose row and
+/// global column fall in the same `B_f` block (`i / bf == j / bf`), which
+/// are recomputed in FP64. The partition is global, so an entry is FP64 or
+/// FP32 regardless of which window (which process grid) computes it.
+fn adjoint_window<T: Scalar>(
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    col0: usize,
+    fp64_block: Option<usize>,
+) -> Matrix<T> {
+    let (n, col1) = (a.ncols(), col0 + b.ncols());
+    assert!(col1 <= n, "column window escapes the subspace");
+    let mut c = Matrix::<T>::zeros(n, b.ncols());
+    product(fp64_block.is_some(), a, Op::ConjTrans, b, &mut c);
+    let Some(bf) = fp64_block else { return c };
+    let mut g0 = col0;
+    while g0 < col1 {
+        // rows [r0, r1): the B_f block of global column g0; columns
+        // [g0, g1): that block clipped to the window
+        let r0 = g0 / bf * bf;
+        let r1 = (r0 + bf).min(n);
+        let g1 = r1.min(col1);
+        let bb = b.cols_range(g0 - col0, g1 - col0);
+        let d = matmul(&a.cols_range(r0, r1), Op::ConjTrans, &bb, Op::None);
+        for j in g0..g1 {
+            c.col_mut(j - col0)[r0..r1].copy_from_slice(d.col(j - g0));
+        }
+        g0 = g1;
+    }
+    c
+}
+
+/// Columns `[j0, j1)` of `m`: `m` itself when that is all of them (the
+/// serial / slab window), a copy of the band block otherwise.
+fn window_cols<T: Scalar>(m: &Matrix<T>, (j0, j1): (usize, usize)) -> Cow<'_, Matrix<T>> {
+    if (j0, j1) == (0, m.ncols()) {
+        Cow::Borrowed(m)
+    } else {
+        Cow::Owned(m.cols_range(j0, j1))
+    }
+}
+
+/// Make `out` (`nd x (j1 - j0)`) the columns `[j0, j1)` of `psi` on every
+/// rank: a buffer swap when the window is the whole subspace (`out` keeps
+/// the retired block as scratch), else a column copy plus the reducer's
+/// reassembly along the band axis.
+fn install_window<T: Scalar>(
+    psi: &mut Matrix<T>,
+    out: &mut Matrix<T>,
+    (j0, j1): (usize, usize),
+    reducer: &dyn SubspaceReducer<T>,
+) {
+    if (j0, j1) == (0, psi.ncols()) {
+        std::mem::swap(psi, out);
+    } else {
+        psi.set_cols(j0, out);
+        reducer.assemble_cols(psi);
+    }
+}
+
+/// Assemble this rank's `N x w` column block (window starting at `j0`) of a
+/// Hermitian subspace matrix into the reduced `N x N` matrix every rank
+/// factorizes or diagonalizes.
+fn reduce_window<T: Scalar>(
+    block: &Matrix<T>,
+    j0: usize,
+    reducer: &dyn SubspaceReducer<T>,
+    exact: bool,
+) -> Matrix<T> {
+    let n = block.nrows();
+    let mut m = Matrix::<T>::zeros(n, n);
+    m.set_cols(j0, block);
+    reducer.reduce_matrix(&mut m, exact);
+    m.symmetrize_hermitian();
+    m
+}
+
+/// One CholGS pass over the band window `win` of `psi`: overlap block
+/// (CholGS-S) → reduce → Cholesky inverse (CholGS-CI) → orthonormalization
+/// GEMM into `work` → install (CholGS-O). `fp64_block` is the subspace
+/// precision (see [`adjoint_window`]), `exact` the reduction's. Fails,
+/// leaving `psi` as it was, when the overlap is not positive definite.
+fn cholgs_pass<T: Scalar>(
+    psi: &mut Matrix<T>,
+    work: &mut Matrix<T>,
+    win: (usize, usize),
+    fp64_block: Option<usize>,
+    exact: bool,
+    profile: Option<&Profile>,
+    reducer: &dyn SubspaceReducer<T>,
+) -> Result<(), LinalgError> {
+    let (nd, n) = psi.shape();
+    let (j0, w) = (win.0, win.1 - win.0);
+    let tsize = std::mem::size_of::<T>() as u64;
+    let block_bytes = (nd * n) as u64 * tsize;
+    let s = {
+        let mut scope = PhaseScope::new(profile, Phase::CholGsS);
+        scope.add_flops(gemm_flops::<T>(n, w, nd));
+        scope.add_bytes(block_bytes + (n * n) as u64 * tsize);
+        let sb = adjoint_window(psi, &window_cols(psi, win), j0, fp64_block);
+        reduce_window(&sb, j0, reducer, exact)
+    };
+    // factorization + triangular inverse (wall-time-only)
+    let linv = {
+        let mut scope = PhaseScope::new(profile, Phase::CholGsCi);
+        scope.add_bytes((n * n) as u64 * tsize);
+        cholesky_inverse(&s)?
+    };
+    // Psi_o[:, window] = Psi_f L^{-dagger}[:, window]
+    let mut scope = PhaseScope::new(profile, Phase::CholGsO);
+    scope.add_flops(gemm_flops::<T>(nd, w, n));
+    scope.add_bytes(2 * block_bytes);
+    let linv_h = linv.adjoint();
+    let lw = window_cols(&linv_h, win);
+    product(fp64_block.is_some(), psi, Op::None, &lw, work);
+    install_window(psi, work, win, reducer);
+    Ok(())
+}
+
+/// The ChFES cycle, once, for every caller: `psi` holds this rank's *owned*
+/// wavefunction rows (all rows serially), `h` is the Rayleigh-Ritz operator
+/// on them, `filter` what the CF recurrence runs through — `h` itself
+/// serially; the distributed solver passes its FP32-wire twin of `h` (the
+/// paper's "FP32 boundary wire, FP64 math" split, Sec. 5.4.2) — and
+/// `reducer` sums subspace quantities across ranks. [`chfes`] is this with
+/// `filter = h`, no profile and [`NoReduce`].
+///
+/// Every phase works on this rank's band window `[j0b, j1b)` of the
+/// subspace ([`SubspaceReducer::band_cols`]) as one `nd x (j1b - j0b)`
+/// block: filter it, form its columns of `S`, orthonormalize it, apply `H`
+/// to it, form its columns of `H_p`, rotate it. Whether the window is the
+/// whole subspace is known only to [`window_cols`] and [`install_window`].
+///
+/// Each phase (CF, CholGS-S/CI/O, RR-P/D/SR) runs inside its own
+/// [`PhaseScope`], tagged with analytic FLOP and byte counts (CholGS-CI and
+/// RR-D are wall-time-only, matching the paper's Sec. 6.3 accounting).
 pub fn chfes_reduced<T: Scalar>(
     h: &dyn HamOperator<T>,
-    filter: CfFilter<'_, T>,
+    filter: &dyn LinearOperator<T>,
     psi: &mut Matrix<T>,
     bounds: (f64, f64, f64),
     opts: &ChfesOptions,
@@ -408,21 +462,18 @@ pub fn chfes_reduced<T: Scalar>(
     reducer: &dyn SubspaceReducer<T>,
 ) -> Vec<f64> {
     let (a0, a, b) = bounds;
-    let n_states = psi.ncols();
-    let nd = psi.nrows();
+    let (nd, n_states) = psi.shape();
     let tsize = std::mem::size_of::<T>() as u64;
     let block_bytes = (nd * n_states) as u64 * tsize;
-    // this rank's band column block: the full range on the serial and
-    // pure-domain paths, which then take the original code route
-    let (j0b, j1b) = reducer.band_cols(n_states);
-    let band_split = (j0b, j1b) != (0, n_states);
+    let (bf, degree) = (opts.block_size.max(1), opts.cheb_degree);
+    let win = reducer.band_cols(n_states);
+    let (j0b, j1b) = win;
 
-    // [CF] blockwise filtering of this rank's band columns (plus the
-    // pre-CholGS column normalization). The filter scratch and the block
-    // buffer persist across blocks.
+    // [CF] blockwise filtering of the window's columns (plus the pre-CholGS
+    // column normalization). The filter scratch and the block buffer
+    // persist across blocks.
     {
         let mut scope = PhaseScope::new(profile, Phase::Cf);
-        let bf = opts.block_size.max(1);
         let mut cf_scratch = CfScratch::new();
         let mut block = Matrix::<T>::zeros(nd, bf.min(n_states));
         let mut j0 = j0b;
@@ -432,24 +483,17 @@ pub fn chfes_reduced<T: Scalar>(
                 block = Matrix::zeros(nd, j1 - j0);
             }
             block.copy_cols_from(psi, j0);
-            let op: &dyn LinearOperator<T> = match filter {
-                CfFilter::Op(op) => op,
-                CfFilter::Hamiltonian => h,
-            };
-            chebyshev_filter_scratch(op, &mut block, opts.cheb_degree, a, b, a0, &mut cf_scratch);
+            chebyshev_filter_scratch(filter, &mut block, degree, a, b, a0, &mut cf_scratch);
             psi.set_cols(j0, &block);
-            scope.add_flops(chebyshev_filter_flops(h, j1 - j0, opts.cheb_degree));
-            scope.add_bytes(2 * (nd * (j1 - j0)) as u64 * tsize * opts.cheb_degree as u64);
+            scope.add_flops(chebyshev_filter_flops(h, j1 - j0, degree));
+            scope.add_bytes(2 * (nd * (j1 - j0)) as u64 * tsize * degree as u64);
             j0 = j1;
         }
-        if band_split {
-            reducer.assemble_cols(psi);
-        }
+        reducer.assemble_cols(psi);
 
         // scale columns to unit norm to avoid overflow before CholGS: local
-        // sum of squares, cross-rank reduce, then sqrt — the serial path
-        // (identity reduce) accumulates in exactly the order of
-        // `blas1::nrm2`, so results are bit-identical to the pre-hook code
+        // sum of squares (accumulated in the order of `blas1::nrm2`),
+        // cross-rank reduce, then sqrt
         let mut sumsq = vec![0.0f64; n_states];
         for (j, sq) in sumsq.iter_mut().enumerate() {
             let mut acc = T::Re::ZERO;
@@ -468,180 +512,42 @@ pub fn chfes_reduced<T: Scalar>(
         }
     }
 
-    let bf = opts.block_size.max(1);
-    // One reusable ndofs x N work block serves CholGS-O, RR-P and RR-SR
-    // (results are swapped into `psi`, not copied). Band-split ranks work
-    // on `nd x band_width` blocks instead.
-    let mut work = Matrix::<T>::zeros(nd, if band_split { 0 } else { n_states });
+    // One reusable `nd x window` block receives every GEMM result and is
+    // then installed into `psi` (swapped, not copied, on a full window).
+    let mut work = Matrix::<T>::zeros(nd, j1b - j0b);
 
-    // [CholGS-S] overlap S = Psi_f† Psi_f (band ranks compute only their
-    // column block of S; the reducer assembles the grid-row sums along the
-    // band axis)
-    let s = {
-        let mut scope = PhaseScope::new(profile, Phase::CholGsS);
-        scope.add_flops(gemm_flops::<T>(n_states, j1b - j0b, nd));
-        scope.add_bytes(block_bytes + (n_states * n_states) as u64 * tsize);
-        let mut s = if band_split {
-            let psib = psi.cols_range(j0b, j1b);
-            let sb = if opts.mixed_precision {
-                adjoint_block_mixed(psi, &psib, j0b)
-            } else {
-                matmul(psi, Op::ConjTrans, &psib, Op::None)
-            };
-            let mut s = Matrix::<T>::zeros(n_states, n_states);
-            s.set_cols(j0b, &sb);
-            s
-        } else if opts.mixed_precision {
-            adjoint_product_mixed(psi, psi, bf)
-        } else {
-            matmul(psi, Op::ConjTrans, psi, Op::None)
-        };
-        reducer.reduce_matrix(&mut s);
-        s.symmetrize_hermitian();
-        s
-    };
-
-    // [CholGS-CI] factorization + triangular inverse (wall-time-only)
-    let linv = {
-        let mut scope = PhaseScope::new(profile, Phase::CholGsCi);
-        scope.add_bytes((n_states * n_states) as u64 * tsize);
-        dft_linalg::chol::cholesky_inverse(&s)
-    };
-
-    // [CholGS-O] orthonormalization GEMM (or the Löwdin fallback)
-    {
-        let mut scope = PhaseScope::new(profile, Phase::CholGsO);
-        scope.add_flops(gemm_flops::<T>(nd, j1b - j0b, n_states));
-        scope.add_bytes(2 * block_bytes);
-        match linv {
-            Ok(linv) => {
-                if band_split {
-                    // Psi_o[:, j0b..j1b] = Psi_f L^{-dagger}[:, j0b..j1b]
-                    let lb =
-                        Matrix::<T>::from_fn(n_states, j1b - j0b, |i, j| linv[(j0b + j, i)].conj());
-                    let mut wb = Matrix::<T>::zeros(nd, j1b - j0b);
-                    if opts.mixed_precision {
-                        gemm_mixed(T::ONE, psi, Op::None, &lb, Op::None, T::ZERO, &mut wb);
-                    } else {
-                        gemm(T::ONE, psi, Op::None, &lb, Op::None, T::ZERO, &mut wb);
-                    }
-                    psi.set_cols(j0b, &wb);
-                    reducer.assemble_cols(psi);
-                } else {
-                    // Psi_o = Psi_f L^{-dagger}
-                    if opts.mixed_precision {
-                        gemm_mixed(
-                            T::ONE,
-                            psi,
-                            Op::None,
-                            &linv,
-                            Op::ConjTrans,
-                            T::ZERO,
-                            &mut work,
-                        );
-                    } else {
-                        gemm(
-                            T::ONE,
-                            psi,
-                            Op::None,
-                            &linv,
-                            Op::ConjTrans,
-                            T::ZERO,
-                            &mut work,
-                        );
-                    }
-                    std::mem::swap(psi, &mut work);
-                }
-            }
-            Err(_) => {
-                // filter produced a (numerically) rank-deficient block: fall
-                // back to Löwdin orthonormalization. Löwdin diagonalizes the
-                // *local-row* Gram, so it is only valid on full columns —
-                // the distributed solver must not reach this path.
-                assert!(
-                    !reducer.is_distributed(),
-                    "rank-deficient filtered block in distributed CholGS \
-                     (no row-local Löwdin fallback exists)"
-                );
-                lowdin_orthonormalize(psi).expect("Löwdin fallback failed");
-            }
-        }
-        if opts.mixed_precision || reducer.lossy_wire() {
-            // FP32 rounding (in the orthonormalization GEMM or on the
-            // reduction wire) leaves O(1e-7) non-orthogonality; one cheap
-            // full-precision cleanup pass keeps RR well-posed.
-            if reducer.is_distributed() {
-                // distributed cleanup: a second (FP64) CholGS pass on the
-                // reduced overlap, which is valid on sharded rows
-                let mut s2 = if band_split {
-                    let psib = psi.cols_range(j0b, j1b);
-                    let sb = matmul(psi, Op::ConjTrans, &psib, Op::None);
-                    let mut s2 = Matrix::<T>::zeros(n_states, n_states);
-                    s2.set_cols(j0b, &sb);
-                    s2
-                } else {
-                    matmul(psi, Op::ConjTrans, psi, Op::None)
-                };
-                reducer.reduce_matrix_exact(&mut s2);
-                s2.symmetrize_hermitian();
-                let linv2 = dft_linalg::chol::cholesky_inverse(&s2)
-                    .expect("distributed mixed-precision cleanup");
-                if band_split {
-                    let lb = Matrix::<T>::from_fn(n_states, j1b - j0b, |i, j| {
-                        linv2[(j0b + j, i)].conj()
-                    });
-                    let mut wb = Matrix::<T>::zeros(nd, j1b - j0b);
-                    gemm(T::ONE, psi, Op::None, &lb, Op::None, T::ZERO, &mut wb);
-                    psi.set_cols(j0b, &wb);
-                    reducer.assemble_cols(psi);
-                } else {
-                    gemm(
-                        T::ONE,
-                        psi,
-                        Op::None,
-                        &linv2,
-                        Op::ConjTrans,
-                        T::ZERO,
-                        &mut work,
-                    );
-                    std::mem::swap(psi, &mut work);
-                }
-            } else {
-                lowdin_orthonormalize(psi).expect("mixed-precision cleanup");
-            }
-        }
+    // [CholGS] at the configured subspace precision, then — iff FP32
+    // rounding entered, in the products or on the reduction wire, leaving
+    // O(1e-7) non-orthogonality — once more in FP64 with an exact reduce,
+    // which keeps RR well-posed.
+    let subspace = opts.mixed_precision.then_some(bf);
+    if cholgs_pass(psi, &mut work, win, subspace, false, profile, reducer).is_err() {
+        // The filter produced a (numerically) rank-deficient block: fall
+        // back to Löwdin orthonormalization. Löwdin diagonalizes the
+        // *local-row* Gram, so it is only valid on full columns — the
+        // distributed solver must not reach this path.
+        assert!(
+            !reducer.is_distributed(),
+            "rank-deficient filtered block in distributed CholGS \
+             (no row-local Löwdin fallback exists)"
+        );
+        let _scope = PhaseScope::new(profile, Phase::CholGsO);
+        lowdin_orthonormalize(psi).expect("Löwdin fallback failed");
+    }
+    if subspace.is_some() || reducer.lossy_wire() {
+        cholgs_pass(psi, &mut work, win, None, true, profile, reducer)
+            .expect("FP64 CholGS cleanup pass");
     }
 
-    // [RR-P] projected Hamiltonian Hp = Psi† (H Psi) (band ranks apply H
-    // to their own columns only, so the apply cost splits along the band
-    // axis too)
+    // [RR-P] projected Hamiltonian Hp = Psi† (H Psi): H is applied to the
+    // window's columns only, so the apply cost splits along the band axis
     let hp = {
         let mut scope = PhaseScope::new(profile, Phase::RrP);
         scope.add_flops(h.apply_flops(j1b - j0b) + gemm_flops::<T>(n_states, j1b - j0b, nd));
         scope.add_bytes(2 * block_bytes);
-        let mut hp = if band_split {
-            let psib = psi.cols_range(j0b, j1b);
-            let mut wb = Matrix::<T>::zeros(nd, j1b - j0b);
-            h.apply(&psib, &mut wb);
-            let hb = if opts.mixed_precision {
-                adjoint_block_mixed(psi, &wb, j0b)
-            } else {
-                matmul(psi, Op::ConjTrans, &wb, Op::None)
-            };
-            let mut hp = Matrix::<T>::zeros(n_states, n_states);
-            hp.set_cols(j0b, &hb);
-            hp
-        } else {
-            h.apply(psi, &mut work);
-            if opts.mixed_precision {
-                adjoint_product_mixed(psi, &work, bf)
-            } else {
-                matmul(psi, Op::ConjTrans, &work, Op::None)
-            }
-        };
-        reducer.reduce_matrix(&mut hp);
-        hp.symmetrize_hermitian();
-        hp
+        h.apply(&window_cols(psi, win), &mut work);
+        let hb = adjoint_window(psi, &work, j0b, subspace);
+        reduce_window(&hb, j0b, reducer, false)
     };
 
     // [RR-D] dense diagonalization (wall-time-only)
@@ -652,29 +558,12 @@ pub fn chfes_reduced<T: Scalar>(
     };
 
     // [RR-SR] subspace rotation
-    {
-        let mut scope = PhaseScope::new(profile, Phase::RrSr);
-        scope.add_flops(gemm_flops::<T>(nd, j1b - j0b, n_states));
-        scope.add_bytes(2 * block_bytes);
-        if band_split {
-            let eb = e.eigenvectors.cols_range(j0b, j1b);
-            let mut wb = Matrix::<T>::zeros(nd, j1b - j0b);
-            gemm(T::ONE, psi, Op::None, &eb, Op::None, T::ZERO, &mut wb);
-            psi.set_cols(j0b, &wb);
-            reducer.assemble_cols(psi);
-        } else {
-            gemm(
-                T::ONE,
-                psi,
-                Op::None,
-                &e.eigenvectors,
-                Op::None,
-                T::ZERO,
-                &mut work,
-            );
-            std::mem::swap(psi, &mut work);
-        }
-    }
+    let mut scope = PhaseScope::new(profile, Phase::RrSr);
+    scope.add_flops(gemm_flops::<T>(nd, j1b - j0b, n_states));
+    scope.add_bytes(2 * block_bytes);
+    let eb = window_cols(&e.eigenvectors, win);
+    gemm(T::ONE, psi, Op::None, &eb, Op::None, T::ZERO, &mut work);
+    install_window(psi, &mut work, win, reducer);
     e.eigenvalues
 }
 
@@ -809,18 +698,112 @@ mod tests {
     fn chfes_eigenvalues_ascending_and_orthonormal_output() {
         let (space, v) = ho_setup(3, 2);
         let h = KsHamiltonian::<f64>::new(&space, &v, [1.0; 3]);
-        let mut psi = random_subspace::<f64>(h.dim(), 5, 23);
         let (tmin, tmax) = lanczos_bounds(&h, 10, 2);
-        let evals = chfes(
-            &h,
-            &mut psi,
-            (tmin - 1.0, tmin + 0.2 * (tmax - tmin), tmax),
-            &ChfesOptions::default(),
-        );
-        for w in evals.windows(2) {
-            assert!(w[0] <= w[1] + 1e-12);
+        // FP64, and mixed precision with B_f = 2 (FP32 off-diagonal blocks
+        // in S, H_p and the orthonormalization GEMM): the FP64 CholGS
+        // cleanup pass leaves the same orthonormality either way
+        for (block_size, mixed_precision) in [(64, false), (2, true)] {
+            let mut psi = random_subspace::<f64>(h.dim(), 5, 23);
+            let opts = ChfesOptions {
+                block_size,
+                mixed_precision,
+                ..ChfesOptions::default()
+            };
+            let window = (tmin - 1.0, tmin + 0.2 * (tmax - tmin), tmax);
+            let evals = chfes(&h, &mut psi, window, &opts);
+            for w in evals.windows(2) {
+                assert!(w[0] <= w[1] + 1e-12);
+            }
+            let g = matmul(&psi, Op::ConjTrans, &psi, Op::None);
+            let err = g.max_abs_diff(&Matrix::identity(5));
+            assert!(err <= 1e-12, "mixed {mixed_precision}: {err:.3e}");
         }
-        let g = matmul(&psi, Op::ConjTrans, &psi, Op::None);
-        assert!(g.max_abs_diff(&Matrix::identity(5)) < 1e-9);
+    }
+
+    /// The FP64 cleanup pass is a CholGS pass like the first and books its
+    /// work like the first: a mixed cycle opens every CholGS scope twice and
+    /// tallies twice an FP64 cycle's analytic FLOPs and bytes in each, so
+    /// no CholGS phase's GFLOPS are understated by unbooked work.
+    #[test]
+    fn mixed_cycle_books_the_cleanup_pass_in_its_own_phases() {
+        let (space, v) = ho_setup(3, 2);
+        let h = KsHamiltonian::<f64>::new(&space, &v, [1.0; 3]);
+        let (tmin, tmax) = lanczos_bounds(&h, 10, 2);
+        let window = (tmin - 1.0, tmin + 0.2 * (tmax - tmin), tmax);
+        let cycle = |mixed_precision| {
+            let profile = Profile::new();
+            let mut psi = random_subspace::<f64>(h.dim(), 5, 23);
+            let opts = ChfesOptions {
+                mixed_precision,
+                ..ChfesOptions::default()
+            };
+            chfes_reduced(&h, &h, &mut psi, window, &opts, Some(&profile), &NoReduce);
+            profile.finish(None).cumulative
+        };
+        let (fp64, mixed) = (cycle(false), cycle(true));
+        for (a, b) in fp64.iter().zip(&mixed) {
+            assert_eq!(a.phase, b.phase);
+            let passes = if a.phase.starts_with("CholGS") { 2 } else { 1 };
+            assert_eq!(b.calls, passes * a.calls, "{} scopes", a.phase);
+            assert_eq!(b.flops, passes * a.flops, "{} flops", a.phase);
+            assert_eq!(b.bytes, passes * a.bytes, "{} bytes", a.phase);
+        }
+        assert!(fp64.iter().any(|r| r.phase == "CholGS-O" && r.flops > 0));
+    }
+
+    /// A subspace `a` and a second block `b` of the same shape (what `H`
+    /// applied to it looks like to the product), 37 rows x 10 columns.
+    fn product_operands() -> (Matrix<f64>, Matrix<f64>) {
+        let a = Matrix::from_fn(37, 10, |i, j| ((i * 7 + j * 13) as f64 * 0.37).sin());
+        let b = Matrix::from_fn(37, 10, |i, j| ((i * 5 + j * 3) as f64 * 0.21).cos() + 0.1);
+        (a, b)
+    }
+
+    /// The full-window mixed product, entry by entry: the FP64 product's
+    /// bits where row and column share a `B_f` block, the FP32 GEMM's bits
+    /// elsewhere (FP32-close to FP64, and not equal to it).
+    #[test]
+    fn mixed_product_is_fp64_on_bf_diagonal_blocks_and_fp32_elsewhere() {
+        let (a, b) = product_operands();
+        let bf = 4;
+        let c = adjoint_window(&a, &b, 0, Some(bf));
+        let c64 = matmul(&a, Op::ConjTrans, &b, Op::None);
+        assert_eq!(adjoint_window(&a, &b, 0, None).as_slice(), c64.as_slice());
+        let mut c32 = Matrix::<f64>::zeros(10, 10);
+        gemm_mixed(1.0, &a, Op::ConjTrans, &b, Op::None, 0.0, &mut c32);
+        let mut rounded = 0;
+        for j in 0..10 {
+            for i in 0..10 {
+                let (got, exact) = (c[(i, j)], c64[(i, j)]);
+                if i / bf == j / bf {
+                    assert_eq!(got.to_bits(), exact.to_bits(), "({i},{j}) is not FP64");
+                } else {
+                    assert_eq!(got.to_bits(), c32[(i, j)].to_bits(), "({i},{j})");
+                    assert!((got - exact).abs() <= 1e-5 * exact.abs().max(1.0));
+                    rounded += usize::from(got != exact);
+                }
+            }
+        }
+        assert!(rounded > 0, "no off-diagonal entry carries FP32 rounding");
+    }
+
+    /// Which entries are FP64 is a property of the subspace, not of the
+    /// window: any column window of the product — straddling a `B_f`
+    /// boundary, narrower than `B_f`, empty — is those columns of the
+    /// full-window product, bit for bit.
+    #[test]
+    fn mixed_product_window_is_columns_of_the_full_product() {
+        let (a, b) = product_operands();
+        for bf in [4, 3, 16] {
+            let full = adjoint_window(&a, &b, 0, Some(bf));
+            for (j0, j1) in [(0, 10), (0, 5), (5, 10), (2, 7), (5, 6), (9, 10), (3, 3)] {
+                let win = adjoint_window(&a, &b.cols_range(j0, j1), j0, Some(bf));
+                assert_eq!(
+                    win.as_slice(),
+                    full.cols_range(j0, j1).as_slice(),
+                    "B_f = {bf}, window {j0}..{j1}"
+                );
+            }
+        }
     }
 }

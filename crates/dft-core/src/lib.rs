@@ -40,9 +40,8 @@ pub mod system;
 pub mod xc;
 
 pub use chebyshev::{
-    adjoint_block_mixed, adjoint_product_mixed, chebyshev_filter, chebyshev_filter_flops, chfes,
-    chfes_profiled, chfes_reduced, lanczos_bounds, CfFilter, CfScratch, ChfesOptions, NoReduce,
-    SubspaceReducer,
+    chebyshev_filter, chebyshev_filter_flops, chfes, chfes_reduced, lanczos_bounds, CfScratch,
+    ChfesOptions, NoReduce, SubspaceReducer,
 };
 pub use forces::{
     compute_forces, electrostatic_force_partial, force_poisson, ion_ion_force_partial, max_force,

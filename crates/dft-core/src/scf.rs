@@ -24,8 +24,7 @@
 //! entropy.
 
 use crate::chebyshev::{
-    chfes_reduced, lanczos_bounds, random_subspace, CfFilter, ChfesOptions, NoReduce,
-    SubspaceReducer,
+    chfes_reduced, lanczos_bounds, random_subspace, ChfesOptions, NoReduce, SubspaceReducer,
 };
 use crate::hamiltonian::{HamOperator, KsHamiltonian};
 use crate::mixing::AndersonMixer;
@@ -37,6 +36,7 @@ use dft_fem::mesh::BoundaryCondition;
 use dft_fem::poisson::{fdm_apply_flops, solve_poisson, PoissonBc};
 use dft_fem::space::FeSpace;
 use dft_hpc::profile::{Phase, PhaseScope, Profile, ScfProfile};
+use dft_linalg::iterative::LinearOperator;
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::{Real, Scalar, C64};
 use std::convert::Infallible;
@@ -305,7 +305,7 @@ pub trait ScfSeam<T: Scalar> {
         &self,
         h_full: &KsHamiltonian<'_, T>,
         v_eff: &[f64],
-        run: impl FnOnce(&dyn HamOperator<T>, CfFilter<'_, T>, &dyn SubspaceReducer<T>) -> R,
+        run: impl FnOnce(&dyn HamOperator<T>, &dyn LinearOperator<T>, &dyn SubspaceReducer<T>) -> R,
     ) -> R;
     /// Sum `buf` over all ranks in place (the density and the Anderson
     /// Gram). Infallible in shape: a failure must stay observable by the
@@ -374,9 +374,9 @@ impl<T: Scalar> ScfSeam<T> for SerialSeam {
         &self,
         h_full: &KsHamiltonian<'_, T>,
         _v_eff: &[f64],
-        run: impl FnOnce(&dyn HamOperator<T>, CfFilter<'_, T>, &dyn SubspaceReducer<T>) -> R,
+        run: impl FnOnce(&dyn HamOperator<T>, &dyn LinearOperator<T>, &dyn SubspaceReducer<T>) -> R,
     ) -> R {
-        run(h_full, CfFilter::Hamiltonian, &NoReduce)
+        run(h_full, h_full, &NoReduce)
     }
     fn sum_f64(&self, _buf: &mut [f64]) {}
     fn exchange_kpoints(

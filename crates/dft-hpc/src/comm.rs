@@ -49,6 +49,14 @@ impl WirePrecision {
             WirePrecision::Fp32 => 4,
         }
     }
+
+    /// `v` as a peer decodes it after one hop on this wire.
+    pub fn delivered(self, v: f64) -> f64 {
+        match self {
+            WirePrecision::Fp64 => v,
+            WirePrecision::Fp32 => v as f32 as f64,
+        }
+    }
 }
 
 /// A typed communication failure. `Copy` so a poisoned communicator can
@@ -943,7 +951,11 @@ impl ThreadComm {
             for r in 1..self.size {
                 self.send_f64(r, ALLREDUCE_BAND.tag(), &acc, wire)?;
             }
-            data.copy_from_slice(&acc);
+            // the root keeps what its peers decode: identical bits on every
+            // rank on a lossy wire too
+            for (d, &a) in data.iter_mut().zip(&acc) {
+                *d = wire.delivered(a);
+            }
         } else {
             self.send_f64(0, ALLREDUCE_BAND.for_rank(self.rank), data, wire)?;
             let red = self.recv_f64_deadline(0, ALLREDUCE_BAND.tag(), wire, deadline)?;
@@ -1092,7 +1104,9 @@ impl ThreadComm {
             for &m in &members[1..] {
                 self.send_f64(m, GROUP_REDUCE_BAND.for_rank(root), &acc, wire)?;
             }
-            data.copy_from_slice(&acc);
+            for (d, &a) in data.iter_mut().zip(&acc) {
+                *d = wire.delivered(a);
+            }
         } else {
             self.send_f64(root, GROUP_REDUCE_BAND.for_rank(self.rank), data, wire)?;
             let red =
@@ -1366,9 +1380,11 @@ mod tests {
             c.allreduce_sum_f64(&mut v, WirePrecision::Fp32).unwrap();
             v[0]
         });
-        for r in results {
+        for r in &results {
             assert!((r - 8e-3).abs() < 1e-8);
         }
+        // the root holds what it sent, as its peers decoded it
+        assert!(results.iter().all(|r| r.to_bits() == results[0].to_bits()));
     }
 
     #[test]
@@ -1863,15 +1879,18 @@ mod tests {
     }
 
     /// FP32 wire on the group reduce demotes the contributions and result
-    /// hops to exactly half the FP64 byte volume.
+    /// hops to exactly half the FP64 byte volume, and the root ends with
+    /// the bits its peer decoded, not its own unrounded sum.
     #[test]
     fn group_allreduce_fp32_wire_halves_bytes() {
         let len = 64usize;
         let run = |wire: WirePrecision| {
-            let (_, stats) = run_cluster(2, move |c| {
-                let mut v = vec![0.5; len];
+            let (sums, stats) = run_cluster(2, move |c| {
+                let mut v = vec![0.1; len];
                 c.group_allreduce_sum_f64(&[0, 1], &mut v, wire).unwrap();
+                v[0].to_bits()
             });
+            assert_eq!(sums[0], sums[1], "{wire:?}: members disagree");
             stats.snapshot()
         };
         let (b64, _, f64b, _) = run(WirePrecision::Fp64);

@@ -2,21 +2,25 @@
 //!
 //! [`GridReducer`] plugs the threaded communicator into
 //! [`dft_core::chfes_reduced`]'s [`SubspaceReducer`] hooks on the process
-//! grid (Sec. 5.4.2): each rank computes only its band-column block of
+//! grid (Sec. 5.4.2): each rank computes only its band window's columns of
 //! every `N x N` overlap / projected-Hamiltonian matrix from its owned
 //! wavefunction rows, the block is summed along the *grid row* (domain
 //! sub-group) and the full matrix reassembled by an allgather along the
 //! *grid column* (band sub-group). Both collectives gather in member order
 //! and hand every member identical bytes, so every rank factorizes and
 //! diagonalizes the *same* matrix, bit for bit. On the `n x 1 x 1` slab the
-//! band block is the whole matrix, the grid row is every rank and the grid
+//! band window is the whole matrix, the grid row is every rank and the grid
 //! column is the rank itself: one all-rank FP64 sum and nothing else.
 //!
 //! The grid-row leg is one FP64 message per hop. Optionally it carries the
 //! off-band-diagonal rows in FP32 (the paper's mixed-precision subspace
 //! scheme) as a second message; the band-diagonal square every Cholesky
 //! pivot lives in stays FP64, and [`SubspaceReducer::lossy_wire`] makes
-//! `chfes_reduced` run its FP64 orthonormality cleanup pass afterwards.
+//! `chfes_reduced` follow CholGS with its FP64, exactly-reduced cleanup
+//! pass. That FP64 square is a property of the *wire* and of the grid (one
+//! square per band slot). Which entries the *compute* side forms in FP64
+//! under `mixed_precision` is decided in `dft-core` and does not depend on
+//! the grid: the global `B_f x B_f` diagonal blocks, clipped to the window.
 
 use crate::grid::ProcessGrid;
 use crate::operator::{SharedComm, WireScalar};
@@ -24,7 +28,7 @@ use dft_core::chebyshev::SubspaceReducer;
 use dft_hpc::comm::{CommError, WirePrecision};
 use dft_linalg::matrix::Matrix;
 
-/// The cluster's [`SubspaceReducer`]: band-column-blocked compute,
+/// The cluster's [`SubspaceReducer`]: band-window compute,
 /// grid-row (domain) reduction, grid-column (band) reassembly. K-groups
 /// never meet here — each group reduces its own k-points' subspace
 /// matrices over its own plane.
@@ -136,14 +140,11 @@ impl<'a, 'c> GridReducer<'a, 'c> {
 }
 
 impl<'a, 'c, T: WireScalar> SubspaceReducer<T> for GridReducer<'a, 'c> {
-    fn reduce_matrix(&self, m: &mut Matrix<T>) {
-        if self.reduce_blocked(m, self.subspace_fp32).is_err() {
-            Self::identity_substitute(m);
-        }
-    }
-
-    fn reduce_matrix_exact(&self, m: &mut Matrix<T>) {
-        if self.reduce_blocked(m, false).is_err() {
+    fn reduce_matrix(&self, m: &mut Matrix<T>, exact: bool) {
+        if self
+            .reduce_blocked(m, self.subspace_fp32 && !exact)
+            .is_err()
+        {
             Self::identity_substitute(m);
         }
     }

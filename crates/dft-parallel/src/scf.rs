@@ -29,7 +29,7 @@ use crate::checkpoint::{self, ReplicatedScfState};
 use crate::grid::GridShape;
 use crate::operator::{DistHamiltonian, DistSpace, SharedComm, WireScalar};
 use crate::reduce::{CommVolume, GridReducer};
-use dft_core::chebyshev::{CfFilter, SubspaceReducer};
+use dft_core::chebyshev::SubspaceReducer;
 use dft_core::hamiltonian::{HamOperator, KsHamiltonian};
 use dft_core::scf::{
     restrict_rows, scf_loop, KPoint, ScalarExt, ScfConfig, ScfLoopError, ScfSeam, ScfState,
@@ -41,6 +41,7 @@ use dft_fem::field::NodalField;
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::{CommError, ThreadComm, WirePrecision};
 use dft_hpc::profile::{Phase, PhaseScope, Profile, ScfProfile};
+use dft_linalg::iterative::LinearOperator;
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::C64;
 use std::path::{Path, PathBuf};
@@ -444,14 +445,14 @@ impl<T: WireScalar> ScfSeam<T> for ClusterSeam<'_, '_> {
         &self,
         h_full: &KsHamiltonian<'_, T>,
         v_eff: &[f64],
-        run: impl FnOnce(&dyn HamOperator<T>, CfFilter<'_, T>, &dyn SubspaceReducer<T>) -> R,
+        run: impl FnOnce(&dyn HamOperator<T>, &dyn LinearOperator<T>, &dyn SubspaceReducer<T>) -> R,
     ) -> R {
         // FP64 operator for CholGS/RR; the filter twin carries the
         // configured (possibly FP32) boundary wire
         let ph = h_full.phases;
         let h = DistHamiltonian::<T>::new(self.dist, self.shared, v_eff, ph, WirePrecision::Fp64);
         let h_filter = DistHamiltonian::<T>::new(self.dist, self.shared, v_eff, ph, self.cfg.wire);
-        run(&h, CfFilter::Op(&h_filter), &self.reducer)
+        run(&h, &h_filter, &self.reducer)
     }
 
     fn sum_f64(&self, buf: &mut [f64]) {

@@ -260,13 +260,14 @@ fn distributed_scf_matches_serial_energy() {
     }
 }
 
-/// Serial is the 1-rank case of distributed: both run the same loop, so a
-/// one-rank cluster retraces the serial solve — on the real Γ path and on
-/// the complex two-k-point Bloch path.
+/// Serial is the 1-rank case of distributed: both run the same loop and the
+/// same ChFES cycle on the window `(0, N)`, so a one-rank cluster retraces
+/// the serial solve bit for bit — on the real Γ path and on the complex
+/// two-k-point Bloch path, in FP64 and in mixed precision (CholGS has one
+/// cleanup route whatever the reducer).
 #[test]
 fn one_rank_cluster_retraces_the_serial_solve() {
     let (space, sys) = parity_system();
-    let cfg = parity_cfg();
     let two_k = [
         KPoint {
             frac: [0.0; 3],
@@ -278,21 +279,37 @@ fn one_rank_cluster_retraces_the_serial_solve() {
         },
     ];
     for kpts in [&[KPoint::gamma()][..], &two_k[..]] {
-        let serial = scf(&space, &sys, &Lda, &cfg, kpts);
-        assert!(serial.converged);
-        let dcfg = DistScfConfig::new(cfg.clone());
-        let (results, _) = run_cluster(1, |comm| {
-            distributed_scf(comm, &space, &sys, &Lda, &dcfg, kpts).expect("scf")
-        });
-        let dist = &results[0];
-        assert_eq!(dist.iterations, serial.iterations);
-        assert_eq!(dist.residual_history.len(), serial.residual_history.len());
-        let d = (dist.energy.free_energy - serial.energy.free_energy).abs();
-        assert!(d <= 1e-10, "{} k-points: |dE| = {d:.3e}", kpts.len());
-        for (ed, es) in dist.eigenvalues.iter().zip(&serial.eigenvalues) {
-            for (a, b) in ed.iter().zip(es) {
-                assert!((a - b).abs() <= 1e-9, "eigenvalue {a} vs {b}");
+        for mixed_precision in [false, true] {
+            let cfg = ScfConfig {
+                mixed_precision,
+                ..parity_cfg()
+            };
+            let what = format!("{} k-points, mixed {mixed_precision}", kpts.len());
+            let serial = scf(&space, &sys, &Lda, &cfg, kpts);
+            assert!(serial.converged, "{what}");
+            let dcfg = DistScfConfig::new(cfg);
+            let (results, _) = run_cluster(1, |comm| {
+                distributed_scf(comm, &space, &sys, &Lda, &dcfg, kpts).expect("scf")
+            });
+            let dist = &results[0];
+            assert_eq!(dist.iterations, serial.iterations, "{what}");
+            assert_eq!(
+                dist.energy.free_energy.to_bits(),
+                serial.energy.free_energy.to_bits(),
+                "{what}: free energy {} vs {}",
+                dist.energy.free_energy,
+                serial.energy.free_energy
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(dist.eigenvalues.len(), serial.eigenvalues.len());
+            for (ed, es) in dist.eigenvalues.iter().zip(&serial.eigenvalues) {
+                assert_eq!(bits(ed), bits(es), "{what}: eigenvalues");
             }
+            assert_eq!(
+                bits(&dist.residual_history),
+                bits(&serial.residual_history),
+                "{what}: residual history"
+            );
         }
     }
 }

@@ -3,19 +3,23 @@
 //! the serial solver to 1e-10 Ha; no grid and the slab grid must be one
 //! run, bits and messages; and the subspace reduction must send exactly
 //! the legs advertised (one FP64 leg, plus an FP32 one only when lossy,
-//! which stays 1e-8-close).
+//! which stays 1e-8-close — as do FP32 subspace products, on any grid).
 
-use dft_core::chebyshev::SubspaceReducer;
+use dft_core::chebyshev::{
+    chfes_reduced, lanczos_bounds, random_subspace, ChfesOptions, SubspaceReducer,
+};
+use dft_core::hamiltonian::KsHamiltonian;
 use dft_core::scf::{scf, KPoint, ScfConfig};
 use dft_core::system::{Atom, AtomKind, AtomicSystem};
 use dft_core::xc::Lda;
 use dft_fem::mesh::Mesh3d;
 use dft_fem::space::FeSpace;
-use dft_hpc::comm::run_cluster;
+use dft_hpc::comm::{run_cluster, WirePrecision};
+use dft_linalg::gemm::{matmul, Op};
 use dft_linalg::matrix::Matrix;
 use dft_parallel::{
-    distributed_scf, CommVolume, DistScfConfig, DistScfResult, GridReducer, GridShape, ProcessGrid,
-    SharedComm,
+    distributed_scf, CommVolume, DistHamiltonian, DistScfConfig, DistScfResult, DistSpace,
+    GridReducer, GridShape, ProcessGrid, SharedComm,
 };
 
 fn parity_system() -> (FeSpace, AtomicSystem) {
@@ -163,18 +167,36 @@ fn no_grid_and_slab_grid_are_one_run_bits_and_messages() {
 
 /// More band slots than states (a shape `pick_grid` lets a tenant ask for):
 /// two of the six band blocks are empty, and the run still converges to
-/// the serial energy.
+/// the serial energy — in FP64 to 1e-10 Ha, and in mixed precision to the
+/// bits of the serial mixed solve, because a zero-width window is a no-op
+/// in every phase and the FP32 / FP64 layout of `S` and `H_p` does not
+/// depend on the grid.
 #[test]
 fn empty_band_blocks_match_serial_oracle() {
     let (space, sys) = parity_system();
-    let cfg = parity_cfg();
-    let r_ser = scf(&space, &sys, &Lda, &cfg, &[KPoint::gamma()]);
     let shape = GridShape::new(1, 6, 1);
-    let dcfg = DistScfConfig::new(cfg).with_grid(shape);
-    for r in run_grid(&dcfg, shape.nranks(), &[KPoint::gamma()]) {
-        assert!(r.converged, "rank {} on {shape} did not converge", r.rank);
-        let d = (r.energy.free_energy - r_ser.energy.free_energy).abs();
-        assert!(d <= 1e-10, "{shape}: |dE| = {d:.3e}");
+    for mixed_precision in [false, true] {
+        let cfg = ScfConfig {
+            mixed_precision,
+            ..parity_cfg()
+        };
+        let r_ser = scf(&space, &sys, &Lda, &cfg, &[KPoint::gamma()]);
+        let dcfg = DistScfConfig::new(cfg).with_grid(shape);
+        for r in run_grid(&dcfg, shape.nranks(), &[KPoint::gamma()]) {
+            assert!(r.converged, "rank {} on {shape} did not converge", r.rank);
+            let d = (r.energy.free_energy - r_ser.energy.free_energy).abs();
+            assert!(
+                d <= 1e-10,
+                "{shape} mixed {mixed_precision}: |dE| = {d:.3e}"
+            );
+            if mixed_precision {
+                assert_eq!(
+                    r.energy.free_energy.to_bits(),
+                    r_ser.energy.free_energy.to_bits(),
+                    "{shape}: mixed band grid left the serial mixed bits"
+                );
+            }
+        }
     }
 }
 
@@ -206,7 +228,7 @@ fn reduce_matrix_sends_one_fp64_leg_unless_lossy() {
                     0.0
                 }
             });
-            reducer.reduce_matrix(&mut m);
+            reducer.reduce_matrix(&mut m, false);
             m
         });
         let want = Matrix::<f64>::from_fn(N, N, |i, j| {
@@ -232,38 +254,106 @@ fn reduce_matrix_sends_one_fp64_leg_unless_lossy() {
     }
 }
 
-/// FP32 off-band-diagonal subspace reductions (Sec. 5.4.2): the converged
-/// energy stays within 1e-8 Ha of the all-FP64 grid run, and the run
-/// actually moves FP32 bytes while the FP64 control moves none.
+/// The two places FP32 enters the subspace (Sec. 5.4.2) — FP32
+/// off-diagonal-block products (`mixed_precision`) and FP32 off-band-
+/// diagonal reductions (`subspace_fp32`) — alone and together, on a
+/// domain x band grid and on a pure band grid: the converged energy stays
+/// within 1e-8 Ha of the all-FP64 run of the same grid, the ranks of a run
+/// agree bitwise, and FP32 bytes move iff the reduction is lossy and its
+/// grid row has someone to send to. (The ghost wire is FP64 throughout, so
+/// any FP32 traffic is the subspace's.)
 #[test]
 fn subspace_fp32_energy_within_tolerance_and_moves_fp32_bytes() {
     let (space, sys) = parity_system();
-    let cfg = parity_cfg();
-    let mut energies = Vec::new();
-    let mut fp32_bytes = Vec::new();
-    for subspace_fp32 in [false, true] {
-        let mut dcfg = DistScfConfig::new(cfg.clone()).with_grid(GridShape::new(2, 2, 1));
-        if subspace_fp32 {
-            dcfg = dcfg.with_subspace_fp32();
+    for shape in [GridShape::new(2, 2, 1), GridShape::new(1, 2, 1)] {
+        let mut e_fp64 = None;
+        for (mixed_precision, subspace_fp32) in
+            [(false, false), (false, true), (true, false), (true, true)]
+        {
+            let what = format!("{shape} mixed {mixed_precision} subspace_fp32 {subspace_fp32}");
+            let cfg = ScfConfig {
+                mixed_precision,
+                ..parity_cfg()
+            };
+            let mut dcfg = DistScfConfig::new(cfg).with_grid(shape);
+            if subspace_fp32 {
+                dcfg = dcfg.with_subspace_fp32();
+            }
+            let (results, stats) = run_cluster(shape.nranks(), |comm| {
+                distributed_scf(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()]).expect("scf")
+            });
+            assert!(results.iter().all(|r| r.converged), "{what}");
+            for r in &results[1..] {
+                assert_eq!(
+                    r.energy.free_energy.to_bits(),
+                    results[0].energy.free_energy.to_bits(),
+                    "{what}: rank {} disagrees with rank 0",
+                    r.rank
+                );
+                assert_eq!(r.eigenvalues, results[0].eigenvalues, "{what}");
+            }
+            let e = results[0].energy.free_energy;
+            let e_ref = *e_fp64.get_or_insert(e);
+            let d = (e - e_ref).abs();
+            assert!(d <= 1e-8, "{what}: {e} vs all-FP64 {e_ref} (|d| = {d:.3e})");
+            let (_, _, _, fp32_bytes) = stats.snapshot();
+            assert_eq!(
+                fp32_bytes > 0,
+                subspace_fp32 && shape.n_dom > 1,
+                "{what}: {fp32_bytes} FP32 bytes"
+            );
         }
-        let (results, stats) = run_cluster(4, |comm| {
-            distributed_scf(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()]).expect("scf")
-        });
-        assert!(results.iter().all(|r| r.converged));
-        energies.push(results[0].energy.free_energy);
-        let (_, _, _, fp32) = stats.snapshot();
-        fp32_bytes.push(fp32);
     }
-    let d = (energies[0] - energies[1]).abs();
-    assert!(
-        d <= 1e-8,
-        "fp64 subspace {} vs fp32 subspace {} (|d| = {d:.3e})",
-        energies[0],
-        energies[1]
-    );
-    assert_eq!(fp32_bytes[0], 0, "fp64 control moved fp32 bytes");
-    assert!(fp32_bytes[1] > 0, "fp32 subspace run moved no fp32 bytes");
-    // all-FP64 ghost wire in both runs: the FP32 traffic is subspace-only
+}
+
+/// One ChFES cycle straight on the grid, with FP32 rounding entering every
+/// way it can — in the subspace products on a full window (1x1x1), on band
+/// windows (one narrower than `B_f`, one straddling a `B_f` boundary), on
+/// the reduction wire, or both: the FP64 CholGS cleanup pass leaves
+/// max |Psi† Psi - I| <= 1e-12 on every rank.
+#[test]
+fn chfes_cycle_is_orthonormal_after_fp32_products_and_fp32_wire() {
+    const N: usize = 6;
+    let space = FeSpace::new(Mesh3d::periodic_cube(2, 6.0, 3));
+    let v_eff: Vec<f64> = (0..space.nnodes())
+        .map(|i| 0.3 * (i as f64 * 0.05).sin())
+        .collect();
+    let (tmin, tmax) = lanczos_bounds(&KsHamiltonian::<f64>::new(&space, &v_eff, [1.0; 3]), 10, 7);
+    let bounds = (tmin - 1.0, tmin + 0.2 * (tmax - tmin), tmax);
+    let psi0 = random_subspace::<f64>(space.ndofs(), N, 5);
+    for (shape, mixed_precision, lossy) in [
+        (GridShape::new(1, 1, 1), true, false),
+        (GridShape::new(2, 2, 1), true, false),
+        (GridShape::new(1, 2, 1), true, false),
+        (GridShape::new(2, 2, 1), false, true),
+        (GridShape::new(2, 2, 1), true, true),
+    ] {
+        let opts = ChfesOptions {
+            cheb_degree: 12,
+            block_size: 4,
+            mixed_precision,
+        };
+        let (errs, _) = run_cluster(shape.nranks(), |comm| {
+            let dist = DistSpace::on_grid(&space, Some(shape), comm.rank(), comm.size());
+            let shared = SharedComm::new(comm);
+            let reducer = GridReducer::new(&shared, &dist.grid, lossy);
+            let h =
+                DistHamiltonian::<f64>::new(&dist, &shared, &v_eff, [1.0; 3], WirePrecision::Fp64);
+            let mut psi = Matrix::<f64>::from_fn(dist.dec.n_owned(), N, |l, j| {
+                psi0[(dist.dec.owned[l] as usize, j)]
+            });
+            chfes_reduced(&h, &h, &mut psi, bounds, &opts, None, &reducer);
+            let mut gram = matmul(&psi, Op::ConjTrans, &psi, Op::None);
+            SubspaceReducer::<f64>::reduce_f64(&reducer, gram.as_mut_slice());
+            gram.max_abs_diff(&Matrix::identity(N))
+        });
+        for (rank, err) in errs.iter().enumerate() {
+            assert!(
+                *err <= 1e-12,
+                "{shape} mixed {mixed_precision} lossy {lossy}, rank {rank}: {err:.3e}"
+            );
+        }
+    }
 }
 
 /// Grid-reshard restart: a snapshot written on the 8x1 slab layout

@@ -19,7 +19,7 @@ mkdir -p target
 cargo run -q --offline --release -p dft-lint -- --workspace --json > target/dft-lint.json
 echo "    JSON artifact: target/dft-lint.json"
 
-echo "==> duplicate-definition guard (one SCF spine, one binary codec, one measuring stack, one cell sweep, one distributed route)"
+echo "==> duplicate-definition guard (one SCF spine, one binary codec, one measuring stack, one cell sweep, one distributed route, one ChFES cycle)"
 for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a; do
   n=$(grep -rhE "^\s*(pub(\([a-z]+\))? )?fn ${f}\b" crates/*/src | wc -l)
   if [ "$n" -ne 1 ]; then
@@ -41,9 +41,20 @@ fi
 # its A/B, EXPERIMENTS.md PR 19), a relaxation step warm-starts iff its run
 # has a checkpoint_dir, and a screening job is an Scf job with the tolerance
 # its tenant sets. Patterns split so this script does not match itself.
-one_route="Cluster""Reducer|enum Red""ucer|grid\.is_so""me\(\)|JobKind::Scr""een|warm_st""art:|with_over""lap|Pipelined""Filter|Cf""Driver|CfFilter::Dri""ver"
+one_route="Cluster""Reducer|enum Red""ucer|grid\.is_so""me\(\)|JobKind::Scr""een|warm_st""art:|with_over""lap|Pipelined""Filter|Cf""Driver"
 if grep -rnE "$one_route" crates/*/src scripts; then
   echo "    a retired sibling path or the knob that selected it reappeared (see above)"
+  exit 1
+fi
+
+# One ChFES cycle: chfes_reduced is written once over a rank's band window
+# (serial and the slab are the window (0, N)), CholGS has one cleanup route,
+# the mixed Hermitian product is one windowed function, the filter is a plain
+# operator argument and the reducer has one reduce_matrix. Patterns split so
+# this script does not match itself.
+one_cycle="band_sp""lit|adjoint_product_mi""xed|adjoint_block_mi""xed|chfes_prof""iled|CfFil""ter|reduce_matrix_ex""act"
+if grep -rnE "$one_cycle" crates/*/src scripts; then
+  echo "    a retired ChFES fork, shim or sibling product reappeared (see above)"
   exit 1
 fi
 
@@ -93,7 +104,8 @@ DFT_SIMD=scalar cargo test -q --offline --release -p dft-fem
 echo "==> benchmark harness tests (benchmark/ is its own package; bash benchmark/run.sh is the yardstick)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> benchmark correctness gate (scf-poisson, dist-2r and relax-warm-2r, seed 1: reference energy within 1e-8 Ha, pinned SCF iteration count, |E_dist - E_serial| <= 1e-10 Ha, every relaxation step after the first warm)"
+echo "==> benchmark correctness gate (scf-wide, scf-poisson, dist-2r and relax-warm-2r, seed 1: reference energy within 1e-8 Ha, pinned SCF iteration count, |E_dist - E_serial| <= 1e-10 Ha, every relaxation step after the first warm)"
+bash benchmark/run.sh --workload scf-wide --seed 1 --trace 0
 bash benchmark/run.sh --workload scf-poisson --seed 1 --trace 0
 bash benchmark/run.sh --workload dist-2r --seed 1 --trace 0
 bash benchmark/run.sh --workload relax-warm-2r --seed 1 --trace 0
