@@ -2,19 +2,70 @@
 //! CPU counterparts of the paper's GPU kernels (Sec. 5.4.1).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dft_core::chebyshev::{chebyshev_filter, lanczos_bounds, random_subspace};
+use dft_core::chebyshev::{
+    chebyshev_filter, chebyshev_filter_flops, chebyshev_filter_scratch, lanczos_bounds,
+    random_subspace, CfScratch,
+};
 use dft_core::hamiltonian::KsHamiltonian;
 use dft_fem::mesh::Mesh3d;
-use dft_fem::space::{CellDenseOperator, FeSpace};
+use dft_fem::space::{FeSpace, COL_BLOCK};
 use dft_linalg::batched::{batched_gemm, BatchLayout};
 use dft_linalg::gemm::{gemm, Op};
 use dft_linalg::iterative::LinearOperator;
 use dft_linalg::matrix::Matrix;
 use dft_mlxc::MlxcModel;
+use std::hint::black_box;
 use std::time::Duration;
 
 fn quick(c: &mut Criterion) -> &mut Criterion {
     c
+}
+
+/// The paper's dense cell-matrix operator: per-cell dense stiffness
+/// matrices applied with one strided-batched GEMM per block, then
+/// assembled — the "before" of the sum-factorized sweep the solver runs.
+struct CellDenseOperator {
+    nloc: usize,
+    /// Packed per-cell matrices, `nloc*nloc` each, cell-major.
+    cell_matrices: Vec<f64>,
+}
+
+impl CellDenseOperator {
+    /// Every cell of `space` gets its own dense `K_c`.
+    fn stiffness(space: &FeSpace) -> Self {
+        let nloc = space.nloc();
+        let mut cell_matrices = Vec::with_capacity(space.cells().len() * nloc * nloc);
+        for cell in space.cells() {
+            cell_matrices.extend_from_slice(space.dense_cell_stiffness(cell.h).as_slice());
+        }
+        Self {
+            nloc,
+            cell_matrices,
+        }
+    }
+
+    /// `Y = K X` on DoF vectors: gather -> batched GEMM -> scatter-add.
+    fn apply_block(&self, space: &FeSpace, x: &Matrix<f64>, y: &mut Matrix<f64>) {
+        let nloc = self.nloc;
+        let ncells = space.cells().len();
+        let ncols = x.ncols();
+        let block = nloc * ncols;
+        let mut xb = vec![0.0; ncells * block];
+        for (cell, xc) in space.cells().iter().zip(xb.chunks_exact_mut(block)) {
+            for (j, dst) in xc.chunks_exact_mut(nloc).enumerate() {
+                space.gather_cell_dofs(cell, x.col(j), [1.0; 3], dst);
+            }
+        }
+        let mut yb = vec![0.0; ncells * block];
+        let layout = BatchLayout::packed(nloc, ncols, nloc, ncells);
+        batched_gemm(layout, 1.0, &self.cell_matrices, &xb, 0.0, &mut yb);
+        y.as_mut_slice().fill(0.0);
+        for (cell, yc) in space.cells().iter().zip(yb.chunks_exact(block)) {
+            for (j, src) in yc.chunks_exact(nloc).enumerate() {
+                space.scatter_add_cell_dofs(cell, src, [1.0; 3], y.col_mut(j));
+            }
+        }
+    }
 }
 
 /// The paper's headline kernel: strided-batched dense cell GEMM
@@ -64,10 +115,33 @@ fn bench_hamiltonian_apply(c: &mut Criterion) {
     g.bench_function("sumfac_p4_16cols", |b| {
         b.iter(|| h.apply(&x, &mut y));
     });
-    let dense = CellDenseOperator::<f64>::stiffness(&space);
+    let dense = CellDenseOperator::stiffness(&space);
     g.bench_function("dense_cell_stiffness_p4_16cols", |b| {
-        b.iter(|| dense.apply_block(&space, &x, &mut y, [1.0; 3]));
+        b.iter(|| dense.apply_block(&space, &x, &mut y));
     });
+    g.finish();
+}
+
+/// The sum-factorized cell kernel alone, one cell's 8-lane block on the
+/// calling thread: throughput is FLOPs per second *per thread* (the sweep
+/// runs one such stream per rayon worker).
+fn bench_cell_kernel(c: &mut Criterion) {
+    let mut g = c.benchmark_group("cell_kernel");
+    g.warm_up_time(Duration::from_millis(300));
+    g.measurement_time(Duration::from_secs(1));
+    g.sample_size(10);
+    for p in [3usize, 4, 5] {
+        let space = FeSpace::new(Mesh3d::periodic_cube(2, 10.0, p));
+        let h = space.cells()[0].h;
+        let len = space.nloc() * COL_BLOCK;
+        let x: Vec<f64> = (0..len).map(|i| (i as f64 * 0.37).sin()).collect();
+        let mut y = vec![0.0; len];
+        let flops = space.stiffness_apply_flops::<f64>(COL_BLOCK) / space.cells().len() as u64;
+        g.throughput(Throughput::Elements(flops));
+        g.bench_function(BenchmarkId::from_parameter(format!("p{p}_f64")), |b| {
+            b.iter(|| space.cell_stiffness_apply_block(h, black_box(&x), &mut y));
+        });
+    }
     g.finish();
 }
 
@@ -123,6 +197,28 @@ fn bench_chfes_steps(c: &mut Criterion) {
             dft_linalg::eigh(&a).unwrap()
         });
     });
+    // the filter at the shape the solver runs it: 8,000 DoF (periodic 4^3
+    // cells, p = 5), one B_f = 64 block, degree 30, reused scratch (last in
+    // the group: the throughput it sets would stick to later benches)
+    {
+        let space = FeSpace::new(Mesh3d::periodic_cube(4, 10.0, 5));
+        let v: Vec<f64> = (0..space.nnodes())
+            .map(|i| 0.3 * (i as f64 * 0.05).sin())
+            .collect();
+        let h = KsHamiltonian::<f64>::new(&space, &v, [1.0; 3]);
+        let (tmin, tmax) = lanczos_bounds(&h, 10, 1);
+        let psi0 = random_subspace::<f64>(h.dim(), 64, 3);
+        let mut psi = psi0.clone();
+        let mut scratch = CfScratch::new();
+        g.throughput(Throughput::Elements(chebyshev_filter_flops(&h, 64, 30)));
+        g.bench_function("cf_degree30_64cols_p5", |b| {
+            b.iter(|| {
+                psi.as_mut_slice().copy_from_slice(psi0.as_slice());
+                let (a, a0) = (tmin + 0.2 * (tmax - tmin), tmin - 1.0);
+                chebyshev_filter_scratch(&h, &mut psi, 30, a, tmax, a0, &mut scratch);
+            });
+        });
+    }
     g.finish();
 }
 
@@ -151,6 +247,7 @@ fn bench_mlxc_inference(c: &mut Criterion) {
 fn all(c: &mut Criterion) {
     bench_batched_cell_gemm(quick(c));
     bench_hamiltonian_apply(c);
+    bench_cell_kernel(c);
     bench_chfes_steps(c);
     bench_mlxc_inference(c);
 }

@@ -24,7 +24,7 @@ use dft_linalg::blas1;
 use dft_linalg::chol::{cholesky_inverse, LinalgError};
 use dft_linalg::eig::eigh;
 use dft_linalg::gemm::{gemm, gemm_flops, gemm_mixed, matmul, Op};
-use dft_linalg::iterative::LinearOperator;
+use dft_linalg::iterative::{LinearOperator, Recurrence};
 use dft_linalg::lowdin::lowdin_orthonormalize;
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::{Real, Scalar};
@@ -173,8 +173,10 @@ pub fn chebyshev_filter<T: Scalar>(
 
 /// [`chebyshev_filter`] with caller-provided scratch. The recurrence keeps
 /// three live blocks (`X`, `Y`, `H Y`) and advances by pointer rotation
-/// (`std::mem::swap`), so per degree step the only work is one Hamiltonian
-/// apply and one fused element-wise update — no clones, no allocation.
+/// (`std::mem::swap`), so per degree step the only work is one
+/// [`LinearOperator::recurrence_step`] — for the Hamiltonians one sweep that
+/// applies and updates each column block while it is cache-resident — with
+/// no clones and no allocation.
 // dftlint:hot
 pub fn chebyshev_filter_scratch<T: Scalar>(
     op: &dyn LinearOperator<T>,
@@ -197,30 +199,20 @@ pub fn chebyshev_filter_scratch<T: Scalar>(
     let CfScratch { y, hy } = scratch;
 
     // Y = (H X - c X) * (sigma1 / e)
-    op.apply(x, y);
-    let ce = T::Re::from_f64(c);
-    let s1e = T::Re::from_f64(sigma1 / e);
-    for j in 0..nc {
-        let xcol = x.col(j);
-        for (yv, &xv) in y.col_mut(j).iter_mut().zip(xcol.iter()) {
-            *yv = (*yv - xv.scale(ce)).scale(s1e);
-        }
-    }
+    let mut step = Recurrence {
+        c: T::Re::from_f64(c),
+        alpha: T::Re::from_f64(sigma1 / e),
+        beta: T::Re::ZERO,
+    };
+    op.recurrence_step(x, None, step, y);
     for _k in 2..=m {
         let sigma2 = 1.0 / (gamma - sigma);
-        op.apply(y, hy);
         // Ynew = 2 (sigma2/e) (H Y - c Y) - (sigma * sigma2) X, written into
         // the HY buffer; then rotate X <- Y <- Ynew. The retired X buffer
-        // becomes the next HY, fully overwritten by the next apply.
-        let s2e = T::Re::from_f64(2.0 * sigma2 / e);
-        let ss2 = T::Re::from_f64(sigma * sigma2);
-        for j in 0..nc {
-            let xcol = x.col(j);
-            let ycol = y.col(j);
-            for ((hv, &yv), &xv) in hy.col_mut(j).iter_mut().zip(ycol.iter()).zip(xcol.iter()) {
-                *hv = (*hv - yv.scale(ce)).scale(s2e) - xv.scale(ss2);
-            }
-        }
+        // becomes the next HY, fully overwritten by the next step.
+        step.alpha = T::Re::from_f64(2.0 * sigma2 / e);
+        step.beta = T::Re::from_f64(sigma * sigma2);
+        op.recurrence_step(y, Some(x), step, hy);
         std::mem::swap(x, y);
         std::mem::swap(y, hy);
         sigma = sigma2;

@@ -15,9 +15,9 @@
 //!   DESIGN.md S4) and Dirichlet / periodic boundary conditions;
 //! * [`space`] — the [`space::FeSpace`]: global DoF numbering, the diagonal
 //!   GLL mass matrix (which *is* the Löwdin orthonormalization here),
-//!   cell-level stiffness application via tensor sum-factorization, and the
-//!   dense per-cell Hamiltonian path that mirrors the paper's
-//!   `xGEMMStridedBatched` kernel;
+//!   cell-level stiffness application via tensor sum-factorization (one
+//!   blocked cell sweep), and the dense per-cell matrices of the paper's
+//!   `xGEMMStridedBatched` kernel as its oracle;
 //! * [`poisson`] — FE Poisson solves for the Hartree and nuclear
 //!   electrostatic potentials (CG verifying the exact tensor-product
 //!   fast-diagonalization inverse of the stiffness);
@@ -46,4 +46,4 @@ pub use gll::{gauss_legendre, gauss_lobatto_legendre};
 pub use mesh::{Axis, BoundaryCondition, Mesh3d};
 pub use partition::{dof_owners, node_owners, partition_cells, CellRange};
 pub use poisson::{solve_poisson, PoissonBc};
-pub use space::{CellDenseOperator, CellSweep, FeSpace, StiffnessOperator};
+pub use space::{CellSweep, FeSpace, StiffnessOperator};

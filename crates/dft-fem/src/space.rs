@@ -1,15 +1,13 @@
 //! The global FE space: DoF numbering, diagonal GLL mass (Löwdin
 //! orthonormalization), and the cell-level operator kernels.
 //!
-//! Two application paths for the Laplacian are provided, mirroring the
-//! paper's implementation choices:
-//!
-//! * [`FeSpace::apply_stiffness`] — tensor **sum-factorization** (memory-free,
-//!   used for Poisson solves and as the default Hamiltonian kernel);
-//! * [`CellDenseOperator`] — dense per-cell matrices applied with the
-//!   strided-batched GEMM of [`dft_linalg::batched`], the faithful analogue
-//!   of the paper's `xGEMMStridedBatched` FE-cell-level linear algebra
-//!   (Sec. 5.4.1, `9^3 x 9^3` cell matrices at p = 8).
+//! The Laplacian is applied by tensor **sum-factorization**
+//! ([`FeSpace::apply_stiffness`]: memory-free, one blocked cell sweep for
+//! the Poisson solves, the Hamiltonian and every distributed rank). The
+//! dense per-cell matrices of the paper's `xGEMMStridedBatched` path
+//! (Sec. 5.4.1, `9^3 x 9^3` at p = 8) are available from
+//! [`FeSpace::dense_cell_stiffness`]; the batched-GEMM operator built on
+//! them lives with the kernel benchmarks that compare the two.
 //!
 //! Bloch phases: the periodic gather multiplies wrapped values by a per-axis
 //! phase, and the scatter by its conjugate — this implements the k-point
@@ -18,7 +16,6 @@
 use crate::basis::Lagrange1d;
 use crate::mesh::{BoundaryCondition, Mesh3d};
 use crate::poisson::FdmPrec;
-use dft_linalg::batched::{batched_gemm, BatchLayout};
 use dft_linalg::chol::LinalgError;
 use dft_linalg::iterative::LinearOperator;
 use dft_linalg::matrix::Matrix;
@@ -74,7 +71,7 @@ pub struct FeSpace {
 
 /// Columns processed together by the blocked stiffness kernel: 8 f64 lanes
 /// is one AVX-512 register per accumulator.
-const COL_BLOCK: usize = 8;
+pub const COL_BLOCK: usize = 8;
 
 /// Which cells one [`FeSpace::sweep_cells`] call visits and how their local
 /// nodes map to rows of the caller's vectors. The serial apply walks every
@@ -98,6 +95,11 @@ pub struct CellSweep<'a> {
     /// cache-resident anyway), so the caller need not clear `y`.
     pub overwrite: bool,
 }
+
+/// What [`FeSpace::sweep_cells`] runs on a column block once its last cell
+/// has been scattered: `(first column of the block, the block's columns of
+/// y)`, called from the worker that swept the block.
+pub type BlockEpilogue<'a, T> = dyn Fn(usize, &mut [T]) + Sync + 'a;
 
 /// The 8 possible products of Bloch phases selected by a wrap bitmask
 /// (identity for mask 0). `conj` gives the scatter-side conjugate table.
@@ -198,6 +200,62 @@ fn scatter_block<T: Scalar>(
             let ph = tabc[w as usize];
             for t in 0..cb {
                 yblk[t * ld + du] += src[t] * ph;
+            }
+        }
+    }
+}
+
+/// The body of [`FeSpace::cell_stiffness_apply_block`]: `y_loc += K_c x_loc`
+/// on [`COL_BLOCK`] interleaved lanes for a box of size `h`, `n1` nodes per
+/// axis. Each 1-D line of each direction (x, then y, then z) computes its
+/// outputs `TILE` at a time: one pass over the line's inputs feeds `TILE`
+/// independent accumulators, then each lands in `y_loc` with one scaled
+/// add. Every output still sums its `n1` terms in ascending input order, so
+/// the bits do not depend on `TILE`. Called with `n1 == TILE` as literals
+/// (and inlined) the loops unroll and a line is one tile.
+// dftlint:hot
+#[inline(always)]
+fn cell_kernel<T: Scalar, const TILE: usize>(
+    n1: usize,
+    basis: &Lagrange1d,
+    h: [f64; 3],
+    x_loc: &[T],
+    y_loc: &mut [T],
+) {
+    const CB: usize = COL_BLOCK;
+    let n2 = n1 * n1;
+    let khat = &basis.khat[..n2];
+    let w = &basis.weights[..n1];
+    let x_loc = &x_loc[..n2 * n1 * CB];
+    let y_loc = &mut y_loc[..n2 * n1 * CB];
+    // per direction: its local stride, the strides of the two other axes
+    // (ascending), and the metric factor of the box
+    let dirs = [
+        (1, n1, n2, h[1] * h[2] / (2.0 * h[0])),
+        (n1, 1, n2, h[0] * h[2] / (2.0 * h[1])),
+        (n2, 1, n1, h[0] * h[1] / (2.0 * h[2])),
+    ];
+    for (stride, su, sv, metric) in dirs {
+        for v in 0..n1 {
+            for u in 0..n1 {
+                let base = u * su + v * sv;
+                let scale = T::Re::from_f64(metric * w[u] * w[v]);
+                for i0 in (0..n1).step_by(TILE) {
+                    let tile = TILE.min(n1 - i0);
+                    let mut acc = [[T::ZERO; CB]; TILE];
+                    for j in 0..n1 {
+                        let l = base + j * stride;
+                        let xv: [T; CB] =
+                            x_loc[l * CB..(l + 1) * CB].try_into().expect("lane width");
+                        for (ii, a) in acc[..tile].iter_mut().enumerate() {
+                            T::lane_fma(a, &xv, T::Re::from_f64(khat[(i0 + ii) * n1 + j]));
+                        }
+                    }
+                    for (ii, a) in acc[..tile].iter().enumerate() {
+                        let l = base + (i0 + ii) * stride;
+                        T::lane_fma(&mut y_loc[l * CB..(l + 1) * CB], a, scale);
+                    }
+                }
             }
         }
     }
@@ -712,21 +770,25 @@ impl FeSpace {
     /// the sum-factorized sweeps vectorize across columns, and gather /
     /// scatter walk the precomputed DoF + wrap-mask tables.
     pub fn apply_stiffness<T: Scalar>(&self, x: &Matrix<T>, y: &mut Matrix<T>, phases: [T; 3]) {
-        self.apply_stiffness_impl(x, y, phases, None);
+        self.apply_stiffness_impl(x, y, phases, None, None);
     }
 
     /// `Y = K diag(s) X` for a real per-DoF scale `s`, fused into the cell
-    /// gather. This is the Hamiltonian's Löwdin `M^{-1/2}` input scaling —
-    /// fusing it removes a full copy of the wavefunction block per apply.
+    /// gather, then `epilogue` on each finished column block (see
+    /// [`Self::sweep_cells`]). This is the Hamiltonian's apply: the Löwdin
+    /// `M^{-1/2}` input scaling costs no copy of the wavefunction block, and
+    /// the output transform (and a Chebyshev recurrence update) costs no
+    /// further pass over it.
     pub fn apply_stiffness_scaled<T: Scalar>(
         &self,
         x: &Matrix<T>,
         y: &mut Matrix<T>,
         phases: [T; 3],
         row_scale: &[f64],
+        epilogue: Option<&BlockEpilogue<'_, T>>,
     ) {
         assert_eq!(row_scale.len(), self.ndofs);
-        self.apply_stiffness_impl(x, y, phases, Some(row_scale));
+        self.apply_stiffness_impl(x, y, phases, Some(row_scale), epilogue);
     }
 
     fn apply_stiffness_impl<T: Scalar>(
@@ -735,6 +797,7 @@ impl FeSpace {
         y: &mut Matrix<T>,
         phases: [T; 3],
         row_scale: Option<&[f64]>,
+        epilogue: Option<&BlockEpilogue<'_, T>>,
     ) {
         assert_eq!(x.nrows(), self.ndofs);
         assert_eq!(y.shape(), x.shape());
@@ -745,7 +808,8 @@ impl FeSpace {
             ld: self.ndofs,
             overwrite: true,
         };
-        self.sweep_cells(&all, x.as_slice(), y.as_mut_slice(), phases, row_scale);
+        let (x, y) = (x.as_slice(), y.as_mut_slice());
+        self.sweep_cells(&all, x, y, phases, row_scale, epilogue);
     }
 
     /// The one cell sweep: `Y += K diag(s) X` (or `Y =`, see
@@ -758,8 +822,13 @@ impl FeSpace {
     /// Bloch phase on wraps, scale) → [`Self::cell_stiffness_apply_block`] →
     /// scatter-add (conjugate phase). Each lane's arithmetic is independent
     /// of the block and lane its column lands in, so a column's result does
-    /// not depend on how many columns ride along. Accumulating an empty
-    /// cell list, or sweeping at zero leading dimension, is a no-op.
+    /// not depend on how many columns ride along. `epilogue(j0, yblk)` then
+    /// runs on the block's columns `j0..` inside the same item, right after
+    /// the block's last scatter, while they are still in cache — whatever
+    /// the caller does to the swept result element by element costs no
+    /// further pass over `y`. Accumulating an empty cell list with no
+    /// epilogue, or sweeping at zero leading dimension, is a no-op.
+    // dftlint:hot
     pub fn sweep_cells<T: Scalar>(
         &self,
         sweep: &CellSweep<'_>,
@@ -767,10 +836,11 @@ impl FeSpace {
         y: &mut [T],
         phases: [T; 3],
         row_scale: Option<&[f64]>,
+        epilogue: Option<&BlockEpilogue<'_, T>>,
     ) {
         let ld = sweep.ld;
         assert_eq!(x.len(), y.len());
-        if ld == 0 || (sweep.cells.is_empty() && !sweep.overwrite) {
+        if ld == 0 || (sweep.cells.is_empty() && !sweep.overwrite && epilogue.is_none()) {
             return;
         }
         assert_eq!(y.len() % ld, 0);
@@ -810,77 +880,36 @@ impl FeSpace {
                         scatter_block(dofs, wraps, out, &tabc, yblk, ld, cb);
                     }
                 });
+                if let Some(epilogue) = epilogue {
+                    epilogue(j0, yblk);
+                }
             });
     }
 
-    /// Sum-factorized stiffness on [`COL_BLOCK`] interleaved column lanes:
+    /// Sum-factorized stiffness on [`COL_BLOCK`] interleaved column lanes
+    /// (`x_loc[l * COL_BLOCK + t]` is local node `l`, block column `t`):
     /// the same three directional sweeps as [`Self::cell_stiffness_apply`],
     /// with each accumulator widened to a fixed lane array and the
     /// column-blocked inner products running through `Scalar::lane_fma`
     /// (packed FMA for f64/f32 via the `dft_linalg::simd` engine). Per lane
     /// the contraction order is identical to the single-column kernel; the
     /// fused multiply-adds round once per term instead of twice.
-    fn cell_stiffness_apply_block<T: Scalar>(&self, h: [f64; 3], x_loc: &[T], y_loc: &mut [T]) {
-        const CB: usize = COL_BLOCK;
-        let n1 = self.mesh.degree + 1;
+    ///
+    /// One body (`cell_kernel`), compiled once per `n1 = degree + 1` up
+    /// to 9 so its loops unroll and a 1-D line's `n1` accumulators live in
+    /// registers; beyond that the same body runs at run-time `n1`.
+    pub fn cell_stiffness_apply_block<T: Scalar>(&self, h: [f64; 3], x_loc: &[T], y_loc: &mut [T]) {
         let b = &self.basis;
-        let sx = h[1] * h[2] / (2.0 * h[0]);
-        let sy = h[0] * h[2] / (2.0 * h[1]);
-        let sz = h[0] * h[1] / (2.0 * h[2]);
-        let lane = |buf: &[T], l: usize| -> [T; CB] {
-            buf[l * CB..(l + 1) * CB].try_into().expect("lane width")
-        };
-        // x-direction: contiguous local stride 1
-        for c in 0..n1 {
-            for bb in 0..n1 {
-                let base = n1 * (bb + n1 * c);
-                let scale = T::Re::from_f64(sx * b.weights[bb] * b.weights[c]);
-                for i in 0..n1 {
-                    let mut acc = [T::ZERO; CB];
-                    for j in 0..n1 {
-                        let kij = T::Re::from_f64(b.k(i, j));
-                        let xv = lane(x_loc, base + j);
-                        T::lane_fma(&mut acc, &xv, kij);
-                    }
-                    let yv = &mut y_loc[(base + i) * CB..(base + i + 1) * CB];
-                    T::lane_fma(yv, &acc, scale);
-                }
-            }
-        }
-        // y-direction: local stride n1
-        for c in 0..n1 {
-            for a in 0..n1 {
-                let base = a + n1 * n1 * c;
-                let scale = T::Re::from_f64(sy * b.weights[a] * b.weights[c]);
-                for i in 0..n1 {
-                    let mut acc = [T::ZERO; CB];
-                    for j in 0..n1 {
-                        let kij = T::Re::from_f64(b.k(i, j));
-                        let xv = lane(x_loc, base + j * n1);
-                        T::lane_fma(&mut acc, &xv, kij);
-                    }
-                    let yv = &mut y_loc[(base + i * n1) * CB..(base + i * n1) * CB + CB];
-                    T::lane_fma(yv, &acc, scale);
-                }
-            }
-        }
-        // z-direction: local stride n1*n1
-        let n2 = n1 * n1;
-        for bb in 0..n1 {
-            for a in 0..n1 {
-                let base = a + n1 * bb;
-                let scale = T::Re::from_f64(sz * b.weights[a] * b.weights[bb]);
-                for i in 0..n1 {
-                    let mut acc = [T::ZERO; CB];
-                    for j in 0..n1 {
-                        let kij = T::Re::from_f64(b.k(i, j));
-                        let xv = lane(x_loc, base + j * n2);
-                        T::lane_fma(&mut acc, &xv, kij);
-                    }
-                    let yv = &mut y_loc[(base + i * n2) * CB..(base + i * n2) * CB + CB];
-                    T::lane_fma(yv, &acc, scale);
-                }
-            }
+        match b.n() {
+            2 => cell_kernel::<T, 2>(2, b, h, x_loc, y_loc),
+            3 => cell_kernel::<T, 3>(3, b, h, x_loc, y_loc),
+            4 => cell_kernel::<T, 4>(4, b, h, x_loc, y_loc),
+            5 => cell_kernel::<T, 5>(5, b, h, x_loc, y_loc),
+            6 => cell_kernel::<T, 6>(6, b, h, x_loc, y_loc),
+            7 => cell_kernel::<T, 7>(7, b, h, x_loc, y_loc),
+            8 => cell_kernel::<T, 8>(8, b, h, x_loc, y_loc),
+            9 => cell_kernel::<T, 9>(9, b, h, x_loc, y_loc),
+            n1 => cell_kernel::<T, COL_BLOCK>(n1, b, h, x_loc, y_loc),
         }
     }
 
@@ -977,7 +1006,7 @@ impl FeSpace {
 
     /// Dense cell stiffness matrix for a box of size `h`
     /// (`(p+1)^3 x (p+1)^3`, column-major) — the building block of the
-    /// paper-faithful batched dense path.
+    /// paper's batched dense path and the oracle of the sum-factorized one.
     pub fn dense_cell_stiffness(&self, h: [f64; 3]) -> Matrix<f64> {
         let n1 = self.mesh.degree + 1;
         let nloc = n1 * n1 * n1;
@@ -1025,90 +1054,11 @@ impl<'a> LinearOperator<f64> for StiffnessOperator<'a> {
     }
 }
 
-/// Paper-faithful dense cell-matrix operator: per-cell dense matrices
-/// `H_c` applied with one strided-batched GEMM per block, then assembled.
-///
-/// The caller supplies `H_c` (e.g. `-1/2 K_c + diag(m_c v_c)` for the
-/// Kohn-Sham Hamiltonian); this struct owns the packed batch buffer.
-pub struct CellDenseOperator<T> {
-    nloc: usize,
-    /// Packed per-cell matrices, `nloc*nloc` each, cell-major.
-    pub cell_matrices: Vec<T>,
-}
-
-impl<T: Scalar> CellDenseOperator<T> {
-    /// Pack per-cell dense matrices (one `nloc x nloc` column-major block
-    /// per cell, in cell order).
-    pub fn new(nloc: usize, cell_matrices: Vec<T>) -> Self {
-        assert_eq!(cell_matrices.len() % (nloc * nloc), 0);
-        Self {
-            nloc,
-            cell_matrices,
-        }
-    }
-
-    /// Build the pure-stiffness dense operator for `space` (every cell gets
-    /// its own dense `K_c`) — primarily for validating against the
-    /// sum-factorized path and for the kernel benchmarks.
-    pub fn stiffness(space: &FeSpace) -> CellDenseOperator<f64> {
-        let n1 = space.mesh.degree + 1;
-        let nloc = n1 * n1 * n1;
-        let mut cm = Vec::with_capacity(space.cells().len() * nloc * nloc);
-        for cell in space.cells() {
-            cm.extend_from_slice(space.dense_cell_stiffness(cell.h).as_slice());
-        }
-        CellDenseOperator {
-            nloc,
-            cell_matrices: cm,
-        }
-    }
-
-    /// `Y = (assembled H) X` on DoF vectors using gather -> batched GEMM ->
-    /// scatter. `phases` as in [`FeSpace::apply_stiffness`].
-    pub fn apply_block(&self, space: &FeSpace, x: &Matrix<T>, y: &mut Matrix<T>, phases: [T; 3]) {
-        let nloc = self.nloc;
-        let ncells = space.cells().len();
-        let ncols = x.ncols();
-        assert_eq!(self.cell_matrices.len(), ncells * nloc * nloc);
-
-        // Gather all cells for all columns: per cell, an nloc x ncols block.
-        let mut xb = vec![T::ZERO; ncells * nloc * ncols];
-        for (ci, cell) in space.cells().iter().enumerate() {
-            for j in 0..ncols {
-                let dst = &mut xb[ci * nloc * ncols + j * nloc..ci * nloc * ncols + (j + 1) * nloc];
-                // gather column j of x
-                space.gather_cell_dofs(cell, x.col(j), phases, dst);
-            }
-        }
-        let mut yb = vec![T::ZERO; ncells * nloc * ncols];
-        let layout = BatchLayout {
-            m: nloc,
-            n: ncols,
-            k: nloc,
-            batch: ncells,
-            stride_a: nloc * nloc,
-            stride_b: nloc * ncols,
-            stride_c: nloc * ncols,
-        };
-        batched_gemm(layout, T::ONE, &self.cell_matrices, &xb, T::ZERO, &mut yb);
-
-        // Assemble.
-        for col in y.as_mut_slice().chunks_mut(space.ndofs()) {
-            col.fill(T::ZERO);
-        }
-        for (ci, cell) in space.cells().iter().enumerate() {
-            for j in 0..ncols {
-                let src = &yb[ci * nloc * ncols + j * nloc..ci * nloc * ncols + (j + 1) * nloc];
-                space.scatter_add_cell_dofs(cell, src, phases, y.col_mut(j));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mesh::Axis;
+    use dft_linalg::gemm::{matmul, Op};
     use dft_linalg::scalar::C64;
 
     fn small_space(p: usize) -> FeSpace {
@@ -1259,7 +1209,7 @@ mod tests {
             C64::new(((i * 5 + j * 3) as f64 * 0.3).sin(), (i as f64 * 0.2).cos())
         });
         let mut y = Matrix::<C64>::zeros(nd, 9);
-        s.apply_stiffness_scaled(&x, &mut y, phases, s.inv_sqrt_mass());
+        s.apply_stiffness_scaled(&x, &mut y, phases, s.inv_sqrt_mass(), None);
 
         let cells: Vec<u32> = (0..s.cells().len() as u32).collect();
         let part = |cells, overwrite| CellSweep {
@@ -1277,6 +1227,7 @@ mod tests {
             &mut y2,
             phases,
             scale,
+            None,
         );
         s.sweep_cells(
             &part(&cells[3..], false),
@@ -1284,12 +1235,20 @@ mod tests {
             &mut y2,
             phases,
             scale,
+            None,
         );
-        s.sweep_cells(&part(&[], false), x.as_slice(), &mut y2, phases, scale);
+        s.sweep_cells(
+            &part(&[], false),
+            x.as_slice(),
+            &mut y2,
+            phases,
+            scale,
+            None,
+        );
         assert!(y2 == y.as_slice());
         // overwriting with no cells is `Y = 0` (a rank whose cells are all
         // boundary cells starts its interior pass this way)
-        s.sweep_cells(&part(&[], true), x.as_slice(), &mut y2, phases, scale);
+        s.sweep_cells(&part(&[], true), x.as_slice(), &mut y2, phases, scale, None);
         assert!(y2.iter().all(|&v| v == C64::ZERO));
 
         let no_rows = CellSweep {
@@ -1299,7 +1258,59 @@ mod tests {
             ld: 0,
             overwrite: true,
         };
-        s.sweep_cells::<C64>(&no_rows, &[], &mut [], phases, None);
+        s.sweep_cells::<C64>(&no_rows, &[], &mut [], phases, None, None);
+    }
+
+    /// The epilogue sees each column block exactly once, after the block's
+    /// last cell, with the block's first column index — also on the
+    /// accumulating pass of a two-call sweep, and on one that adds no cells.
+    #[test]
+    fn epilogue_runs_once_per_finished_column_block() {
+        let s = FeSpace::new(Mesh3d::periodic_cube(2, 4.0, 2));
+        let nd = s.ndofs();
+        let x = Matrix::<f64>::from_fn(nd, 17, |i, j| ((i * 13 + j * 5) as f64 * 0.19).cos());
+        let mut expect = Matrix::<f64>::zeros(nd, 17);
+        s.apply_stiffness(&x, &mut expect, [1.0; 3]);
+        for j in 0..17 {
+            for v in expect.col_mut(j) {
+                *v = *v * (j + 1) as f64 + 0.5;
+            }
+        }
+        let seen = std::sync::Mutex::new(Vec::new());
+        let epilogue = |j0: usize, yblk: &mut [f64]| {
+            seen.lock().unwrap().push((j0, yblk.len() / nd));
+            for (t, col) in yblk.chunks_exact_mut(nd).enumerate() {
+                for v in col {
+                    *v = *v * (j0 + t + 1) as f64 + 0.5;
+                }
+            }
+        };
+        let cells: Vec<u32> = (0..s.cells().len() as u32).collect();
+        let part = |cells, overwrite| CellSweep {
+            cells,
+            first_cell: 0,
+            cell_dof: &s.cell_dof,
+            ld: nd,
+            overwrite,
+        };
+        for split in [cells.len(), 3] {
+            let mut y = vec![7.0; nd * 17];
+            let (first, rest) = cells.split_at(split);
+            s.sweep_cells(
+                &part(first, true),
+                x.as_slice(),
+                &mut y,
+                [1.0; 3],
+                None,
+                None,
+            );
+            let last = part(rest, false);
+            s.sweep_cells(&last, x.as_slice(), &mut y, [1.0; 3], None, Some(&epilogue));
+            assert!(y == expect.as_slice(), "cells split at {split}");
+            let mut blocks = std::mem::take(&mut *seen.lock().unwrap());
+            blocks.sort_unstable();
+            assert_eq!(blocks, [(0, 8), (8, 8), (16, 1)]);
+        }
     }
 
     /// Column `j` of a 1-, 7-, 8-, 9- and 17-column apply has the same
@@ -1324,6 +1335,62 @@ mod tests {
         }
     }
 
+    /// Every per-degree instance of the cell kernel has the bits of the
+    /// same body at run-time `n1`, whatever the tile: a line's outputs are
+    /// independent chains, each summing its inputs in ascending order
+    /// (tile 1 is the loop order the kernel had before it was tiled; tile 3
+    /// and the fallback's [`COL_BLOCK`] leave ragged last tiles). Checked on
+    /// a gathered cell with wraps on all three axes, so the complex lanes
+    /// carry non-trivial Bloch phases.
+    #[test]
+    fn per_degree_kernel_instances_match_the_runtime_body_bitwise() {
+        fn check<T: Scalar>(p: usize, phases: [T; 3], val: impl Fn(usize, usize) -> T) {
+            const CB: usize = COL_BLOCK;
+            let s = FeSpace::new(Mesh3d::new(
+                [
+                    Axis::uniform(2, 0.0, 3.0, BoundaryCondition::Periodic),
+                    Axis::uniform(2, 0.0, 4.0, BoundaryCondition::Periodic),
+                    Axis::uniform(2, 0.0, 5.0, BoundaryCondition::Periodic),
+                ],
+                p,
+            ));
+            let (nd, nloc, n1) = (s.ndofs(), s.nloc(), std::hint::black_box(p + 1));
+            let x = Matrix::<T>::from_fn(nd, CB, val);
+            let ci = s.cells().len() - 1;
+            let h = s.cells()[ci].h;
+            let tab = phase_products(phases, false);
+            let mut loc = vec![T::ZERO; nloc * CB];
+            let scale = Some(s.inv_sqrt_mass());
+            let (dofs, wraps) = (s.cell_dofs(ci), s.cell_wraps(ci));
+            gather_block(dofs, wraps, x.as_slice(), nd, CB, &tab, scale, &mut loc);
+            assert!(wraps.contains(&7), "corner cell wraps on every axis");
+
+            let run = |kernel: &dyn Fn(&[T], &mut [T])| {
+                let mut out = vec![T::from_f64(0.25); nloc * CB];
+                kernel(&loc, &mut out);
+                out
+            };
+            let fixed = run(&|x, y| s.cell_stiffness_apply_block(h, x, y));
+            let tile1 = run(&|x, y| cell_kernel::<T, 1>(n1, &s.basis, h, x, y));
+            let tile3 = run(&|x, y| cell_kernel::<T, 3>(n1, &s.basis, h, x, y));
+            let tile8 = run(&|x, y| cell_kernel::<T, CB>(n1, &s.basis, h, x, y));
+            assert!(tile1 == fixed, "p = {p}: tile 1 at run-time n1");
+            assert!(tile3 == fixed, "p = {p}: tile 3 at run-time n1");
+            assert!(tile8 == fixed, "p = {p}: tile 8 at run-time n1");
+        }
+        for p in 1..=8 {
+            check::<f64>(p, [1.0; 3], |i, j| ((i * 7 + j * 29) as f64 * 0.37).sin());
+            check::<f32>(p, [1.0; 3], |i, j| ((i * 7 + j * 29) as f32 * 0.37).sin());
+            let phases = [C64::cis(0.7), C64::cis(-0.3), C64::cis(1.1)];
+            check::<C64>(p, phases, |i, j| {
+                C64::new(
+                    ((i * 5 + j * 3) as f64 * 0.3).sin(),
+                    ((i * 11 + j) as f64 * 0.2).cos(),
+                )
+            });
+        }
+    }
+
     #[test]
     fn dense_cell_operator_matches_sumfac() {
         let s = small_space(2);
@@ -1331,9 +1398,17 @@ mod tests {
         let x = Matrix::from_fn(n, 3, |i, j| ((i * 7 + j * 29) as f64 * 0.23).sin());
         let mut y1 = Matrix::zeros(n, 3);
         s.apply_stiffness(&x, &mut y1, [1.0; 3]);
-        let dense = CellDenseOperator::<f64>::stiffness(&s);
+        // gather -> dense K_c -> scatter-add, cell by cell
         let mut y2 = Matrix::zeros(n, 3);
-        dense.apply_block(&s, &x, &mut y2, [1.0; 3]);
+        let mut loc = Matrix::zeros(s.nloc(), 1);
+        for cell in s.cells() {
+            let kc = s.dense_cell_stiffness(cell.h);
+            for j in 0..3 {
+                s.gather_cell_dofs(cell, x.col(j), [1.0; 3], loc.col_mut(0));
+                let out = matmul(&kc, Op::None, &loc, Op::None);
+                s.scatter_add_cell_dofs(cell, out.col(0), [1.0; 3], y2.col_mut(j));
+            }
+        }
         assert!(y1.max_abs_diff(&y2) < 1e-10);
     }
 

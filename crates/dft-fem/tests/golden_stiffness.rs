@@ -122,7 +122,7 @@ fn scaled_apply_equals_scale_then_apply() {
         )
     });
     let mut y_fused = Matrix::zeros(n, 3);
-    space.apply_stiffness_scaled(&x, &mut y_fused, phases, &scale);
+    space.apply_stiffness_scaled(&x, &mut y_fused, phases, &scale, None);
     let mut xs = x.clone();
     for j in 0..3 {
         for (v, &s) in xs.col_mut(j).iter_mut().zip(scale.iter()) {

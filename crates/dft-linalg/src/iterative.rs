@@ -24,6 +24,64 @@ pub trait LinearOperator<T: Scalar>: Sync {
     fn dim(&self) -> usize;
     /// `y = A x` where `x`, `y` are `dim() x B` blocks.
     fn apply(&self, x: &Matrix<T>, y: &mut Matrix<T>);
+    /// One three-term recurrence step through the operator,
+    /// `out = (A y - c y) * alpha - beta * x_prev` (no `x_prev` term on the
+    /// first step of a recurrence) — the degree step of a Chebyshev filter.
+    /// The default applies, then updates; an operator that sweeps `out` in
+    /// cache-sized pieces overrides it to run [`recurrence_update`] on each
+    /// piece while it is still resident. Either way every element sees the
+    /// same operations in the same order, so the bits do not depend on
+    /// which one ran.
+    fn recurrence_step(
+        &self,
+        y: &Matrix<T>,
+        x_prev: Option<&Matrix<T>>,
+        k: Recurrence<T::Re>,
+        out: &mut Matrix<T>,
+    ) {
+        self.apply(y, out);
+        for j in 0..out.ncols() {
+            recurrence_update(out.col_mut(j), y.col(j), x_prev.map(|x| x.col(j)), k);
+        }
+    }
+}
+
+/// Coefficients of one [`LinearOperator::recurrence_step`].
+#[derive(Clone, Copy, Debug)]
+pub struct Recurrence<R> {
+    /// Spectral shift `c`.
+    pub c: R,
+    /// Scale `alpha` of the shifted apply.
+    pub alpha: R,
+    /// Weight `beta` of the previous iterate (unused without one).
+    pub beta: R,
+}
+
+/// The element-wise half of a recurrence step, in place on a slice that
+/// holds `A y`: `out = (out - c y) * alpha - beta * x_prev`. The only place
+/// this arithmetic is written.
+// dftlint:hot
+#[inline]
+pub fn recurrence_update<T: Scalar>(
+    out: &mut [T],
+    y: &[T],
+    x_prev: Option<&[T]>,
+    k: Recurrence<T::Re>,
+) {
+    assert_eq!(out.len(), y.len());
+    match x_prev {
+        None => {
+            for (o, &yv) in out.iter_mut().zip(y) {
+                *o = (*o - yv.scale(k.c)).scale(k.alpha);
+            }
+        }
+        Some(x) => {
+            assert_eq!(out.len(), x.len());
+            for ((o, &yv), &xv) in out.iter_mut().zip(y).zip(x) {
+                *o = (*o - yv.scale(k.c)).scale(k.alpha) - xv.scale(k.beta);
+            }
+        }
+    }
 }
 
 /// A preconditioner `z = M r` (M approximates `A^{-1}` and must be

@@ -362,14 +362,22 @@ fn hot_functions(
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| t.text.clone())
             .unwrap_or_else(|| "?".into());
+        // the body opens at the first `{`; a `;` ends a bodiless
+        // declaration unless it sits inside the signature's own brackets
+        // (an array type such as `[f64; 3]`)
         let mut k = fi;
         let mut open = None;
+        let mut depth = 0usize;
         while k < toks.len() {
-            if toks[k].is_op("{") {
+            let t = &toks[k];
+            if t.is_op("(") || t.is_op("[") {
+                depth += 1;
+            } else if t.is_op(")") || t.is_op("]") {
+                depth = depth.saturating_sub(1);
+            } else if t.is_op("{") {
                 open = Some(k);
                 break;
-            }
-            if toks[k].is_op(";") {
+            } else if t.is_op(";") && depth == 0 {
                 break;
             }
             k += 1;
@@ -1275,6 +1283,21 @@ fn cold() { let _ = vec![1]; }
 "#;
         let d = lint_source(&ctx("dft-linalg", "x.rs"), src);
         assert_eq!(d.iter().filter(|x| x.id == "L005").count(), 2, "{d:?}");
+        // an array type in the signature does not end the search for the
+        // body; a trait method without one is still reported
+        let src = r#"
+// dftlint:hot
+fn kernel<T, const N: usize>(h: [f64; 3], x: &[T]) -> [T; N] {
+    let v = x.to_vec();
+}
+trait K {
+    // dftlint:hot
+    fn declared(&self, h: [f64; 3]);
+}
+"#;
+        let d = lint_source(&ctx("dft-fem", "x.rs"), src);
+        assert_eq!(d.iter().filter(|x| x.id == "L005").count(), 1, "{d:?}");
+        assert_eq!(d.iter().filter(|x| x.id == "L000").count(), 1, "{d:?}");
     }
 
     #[test]

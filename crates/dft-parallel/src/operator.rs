@@ -24,7 +24,7 @@ use crate::grid::{GridShape, ProcessGrid};
 use dft_core::hamiltonian::HamOperator;
 use dft_fem::space::{CellSweep, FeSpace};
 use dft_hpc::comm::{wire_tag_band, CommError, ThreadComm, WirePrecision};
-use dft_linalg::iterative::LinearOperator;
+use dft_linalg::iterative::{recurrence_update, LinearOperator, Recurrence};
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::{Real, Scalar, C64};
 use std::any::Any;
@@ -373,7 +373,7 @@ impl<'a> DistSpace<'a> {
             overwrite,
         };
         self.space
-            .sweep_cells(&sweep, x_ext, y_ext, phases, row_scale);
+            .sweep_cells(&sweep, x_ext, y_ext, phases, row_scale, None);
     }
 }
 
@@ -430,26 +430,47 @@ impl<'a, 'c, T: WireScalar> DistHamiltonian<'a, 'c, T> {
         }
     }
 
-    /// `y = 1/2 M^{-1/2} K M^{-1/2} x + v_eff x` on owned rows (input
-    /// scaling fused into the cell gather, as serial).
-    fn try_apply(&self, x: &Matrix<T>, y: &mut Matrix<T>) -> Result<(), CommError> {
+    /// `out = 1/2 M^{-1/2} K M^{-1/2} x + v_eff x` on owned rows (input
+    /// scaling fused into the cell gather, as serial), then, given `k`,
+    /// the recurrence update against `x` and the previous iterate — folded
+    /// into the read-off of the extended result, which can only start once
+    /// the boundary partial sums are in. The trait signatures are
+    /// infallible: on a comm failure the error is already recorded in the
+    /// (poisoned) communicator, so `out` is filled with zeros — never an
+    /// update over a half-written workspace — and the SCF loop observes the
+    /// failure after the phase.
+    fn sweep(
+        &self,
+        x: &Matrix<T>,
+        x_prev: Option<&Matrix<T>>,
+        k: Option<Recurrence<T::Re>>,
+        out: &mut Matrix<T>,
+    ) {
         let dec = &self.dist.dec;
         let s = &dec.inv_sqrt_mass_ext;
-        assert_eq!(y.shape(), x.shape());
-        self.dist.with_workspace(|ws| {
+        assert_eq!(out.shape(), x.shape());
+        assert!(x_prev.is_none_or(|p| p.shape() == x.shape()));
+        let swept = self.dist.with_workspace(|ws| -> Result<(), CommError> {
             let scale = Some(s.as_slice());
             self.dist
                 .apply_cells(self.comm, ws, x, self.phases, scale, self.wire)?;
             // read off the extended result
-            for j in 0..y.ncols() {
-                let rows = y.col_mut(j).iter_mut().zip(ws.y_owned(dec, j));
-                for (l, ((yv, &kv), &xv)) in rows.zip(x.col(j)).enumerate() {
-                    *yv = kv.scale(T::Re::from_f64(0.5 * s[l]))
+            for j in 0..out.ncols() {
+                let ocol = out.col_mut(j);
+                let rows = ocol.iter_mut().zip(ws.y_owned(dec, j));
+                for (l, ((ov, &kv), &xv)) in rows.zip(x.col(j)).enumerate() {
+                    *ov = kv.scale(T::Re::from_f64(0.5 * s[l]))
                         + xv.scale(T::Re::from_f64(self.v_eff_owned[l]));
+                }
+                if let Some(k) = k {
+                    recurrence_update(ocol, x.col(j), x_prev.map(|p| p.col(j)), k);
                 }
             }
             Ok(())
-        })
+        });
+        if swept.is_err() {
+            out.as_mut_slice().fill(T::ZERO);
+        }
     }
 }
 
@@ -459,13 +480,17 @@ impl<'a, 'c, T: WireScalar> LinearOperator<T> for DistHamiltonian<'a, 'c, T> {
     }
 
     fn apply(&self, x: &Matrix<T>, y: &mut Matrix<T>) {
-        // The trait signature is infallible: on a comm failure the error is
-        // already recorded in the (poisoned) communicator, so fill the
-        // output with zeros and let the SCF loop observe the failure after
-        // the phase.
-        if self.try_apply(x, y).is_err() {
-            y.as_mut_slice().fill(T::ZERO);
-        }
+        self.sweep(x, None, None, y);
+    }
+
+    fn recurrence_step(
+        &self,
+        y: &Matrix<T>,
+        x_prev: Option<&Matrix<T>>,
+        k: Recurrence<T::Re>,
+        out: &mut Matrix<T>,
+    ) {
+        self.sweep(y, x_prev, Some(k), out);
     }
 }
 

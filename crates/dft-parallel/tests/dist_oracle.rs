@@ -11,7 +11,7 @@ use dft_core::xc::Lda;
 use dft_fem::mesh::Mesh3d;
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::{run_cluster, WirePrecision};
-use dft_linalg::iterative::LinearOperator;
+use dft_linalg::iterative::{LinearOperator, Recurrence};
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::{Real, Scalar, C64};
 use dft_parallel::{
@@ -103,13 +103,28 @@ fn distributed_apply_matches_serial_dirichlet() {
     check_apply_oracle(&space, &x, [1.0; 3]);
 }
 
+/// The operator's own apply only: its `recurrence_step` is the trait's
+/// provided default (apply, then the update column by column).
+struct ApplyOnly<'a>(&'a dyn LinearOperator<f64>);
+
+impl LinearOperator<f64> for ApplyOnly<'_> {
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+    fn apply(&self, x: &Matrix<f64>, y: &mut Matrix<f64>) {
+        self.0.apply(x, y);
+    }
+}
+
 /// The Hamiltonian (fused `M^{-1/2}` gather scale, output transform read
 /// from the extended result) at one rank is the serial `KsHamiltonian` bit
-/// for bit; and on two ranks a column has the same bits whether it is
-/// applied alone or inside a 7-, 8-, 9- or 17-column block, at whatever
-/// offset — the blocked kernel's per-lane arithmetic does not depend on the
-/// lane or the block, which is what lets band-split grids and restarts
-/// regroup columns.
+/// for bit, one apply and a whole degree-30 filter; on one and two ranks
+/// the recurrence step folded into the read-off has the bits of the
+/// provided default (apply, then update), first step and later steps; and
+/// on two ranks a column has the same bits whether it is applied alone or
+/// inside a 7-, 8-, 9- or 17-column block, at whatever offset — the blocked
+/// kernel's per-lane arithmetic does not depend on the lane or the block,
+/// which is what lets band-split grids and restarts regroup columns.
 #[test]
 fn hamiltonian_apply_is_serial_at_one_rank_and_column_grouping_independent() {
     let space = FeSpace::new(Mesh3d::periodic_cube(2, 4.0, 3));
@@ -119,8 +134,13 @@ fn hamiltonian_apply_is_serial_at_one_rank_and_column_grouping_independent() {
     let x = Matrix::<f64>::from_fn(space.ndofs(), 17, |i, j| {
         ((i * 3 + j * 17) as f64 * 0.23).sin()
     });
+    let h_ref = KsHamiltonian::<f64>::new(&space, &v_eff, [1.0; 3]);
     let mut y_ref = Matrix::<f64>::zeros(space.ndofs(), 17);
-    KsHamiltonian::<f64>::new(&space, &v_eff, [1.0; 3]).apply(&x, &mut y_ref);
+    h_ref.apply(&x, &mut y_ref);
+    let (tmin, tmax) = lanczos_bounds(&h_ref, 10, 7);
+    let (a, b, a0) = (tmin + 0.2 * (tmax - tmin), tmax, tmin - 1.0);
+    let mut f_ref = x.clone();
+    chebyshev_filter(&h_ref, &mut f_ref, 30, a, b, a0);
 
     for nranks in [1, 2] {
         run_cluster(nranks, |comm| {
@@ -134,6 +154,24 @@ fn hamiltonian_apply_is_serial_at_one_rank_and_column_grouping_independent() {
             h.apply(&x_local, &mut y_full);
             if nranks == 1 {
                 assert!(y_full.as_slice() == y_ref.as_slice(), "1 rank != serial");
+                let mut f = x_local.clone();
+                chebyshev_filter(&h, &mut f, 30, a, b, a0);
+                assert!(f.as_slice() == f_ref.as_slice(), "1-rank filter != serial");
+            }
+            let k = Recurrence {
+                c: 0.7,
+                alpha: -1.3,
+                beta: 0.45,
+            };
+            for prev in [None, Some(&y_full)] {
+                let mut fused = Matrix::<f64>::zeros(rows, 17);
+                let mut default = Matrix::<f64>::from_fn(rows, 17, |i, j| (i + j) as f64);
+                h.recurrence_step(&x_local, prev, k, &mut fused);
+                ApplyOnly(&h).recurrence_step(&x_local, prev, k, &mut default);
+                assert!(
+                    fused.as_slice() == default.as_slice(),
+                    "{nranks} ranks: folded recurrence step != apply + update"
+                );
             }
             // columns first..first+width of the block, applied on their own
             for (first, width) in [(0, 1), (11, 1), (3, 7), (5, 8), (2, 9)] {

@@ -6,6 +6,7 @@
 //! wrapper: failures a relaunch cannot fix return at once, kills shrink the
 //! cluster by the number of ranks killed.
 
+use dft_core::chebyshev::chebyshev_filter;
 use dft_core::relax::RelaxConfig;
 use dft_core::scf::{KPoint, ScfConfig};
 use dft_core::system::{Atom, AtomKind, AtomicSystem};
@@ -13,12 +14,15 @@ use dft_core::xc::{Lda, XcFunctional, XcPoint};
 use dft_fem::mesh::{Axis, BoundaryCondition as Bc, Mesh3d};
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::{
-    run_cluster, run_cluster_with, ClusterOptions, CommError, FaultPlan, KillRule, COLLECTIVE_TAGS,
+    run_cluster, run_cluster_with, ClusterOptions, CommError, FaultPlan, KillRule, WirePrecision,
+    COLLECTIVE_TAGS,
 };
+use dft_linalg::matrix::Matrix;
 use dft_parallel::scf::ScfError;
 use dft_parallel::{
     checkpoint, distributed_scf, ghost_tag_band, relax_with_recovery, scf_with_recovery,
-    DistRelaxConfig, DistScfConfig, PreemptToken, RelaxError,
+    DistHamiltonian, DistRelaxConfig, DistScfConfig, DistSpace, PreemptToken, RelaxError,
+    SharedComm,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -95,7 +99,11 @@ fn assert_all_lost(
 }
 
 /// Kill a rank on its first ghost-exchange send of SCF iteration 1 (mid
-/// Chebyshev filter): survivors must drain with `RankLost`, not hang.
+/// Chebyshev filter): survivors must drain with `RankLost`, not hang. Seen
+/// from inside the filter, the recurrence step whose exchange fails leaves
+/// zeros — never its update over a half-written workspace — the typed
+/// error stays in the communicator, and the rest of the filter runs out
+/// without a panic or a NaN.
 #[test]
 fn kill_mid_chebyshev_filter_drains_cleanly() {
     let (space, sys) = parity_system();
@@ -113,6 +121,37 @@ fn kill_mid_chebyshev_filter_drains_cleanly() {
     let (timeouts, kills, _) = stats.fault_snapshot();
     assert_eq!(kills, 1, "exactly one rank must have been killed");
     assert!(timeouts >= 1, "survivors must have timed out");
+
+    // rank 1 dies on its sixth ghost send, a few degree steps into the filter
+    let opts = ClusterOptions {
+        timeout: Duration::from_secs(1),
+        faults: std::sync::Arc::new(FaultPlan::kill_on_send(1, 0, ghost_tag_band(), 5)),
+        schedule: None,
+    };
+    let v_eff = vec![0.1; space.nnodes()];
+    let (outcomes, _) = run_cluster_with(4, &opts, |comm| {
+        let dist = DistSpace::new(&space, comm.rank(), comm.size());
+        let shared = SharedComm::new(comm);
+        let h = DistHamiltonian::<f64>::new(&dist, &shared, &v_eff, [1.0; 3], WirePrecision::Fp64);
+        let mut block = Matrix::<f64>::from_fn(dist.dec.n_owned(), 9, |i, j| {
+            ((i * 3 + j * 17) as f64 * 0.23).sin()
+        });
+        chebyshev_filter(&h, &mut block, 30, 0.5, 20.0, -1.0);
+        (shared.failure(), block)
+    });
+    for (r, (failure, block)) in outcomes.into_iter().enumerate() {
+        match failure {
+            Some(CommError::Killed { rank: 1 }) if r == 1 => {}
+            Some(CommError::Timeout { .. } | CommError::PeerGone { .. }) if r != 1 => {}
+            other => panic!("rank {r}: unexpected communicator state {other:?}"),
+        }
+        // the failed step and every later one zero-fill, and three steps
+        // rotate the zeros through all three recurrence blocks
+        assert!(
+            block.as_slice().iter().all(|&v| v == 0.0),
+            "rank {r}: the filter ran on over a failed exchange"
+        );
+    }
 }
 
 /// Kill a rank between the receive legs of a subspace allreduce: the ring

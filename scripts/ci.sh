@@ -19,8 +19,8 @@ mkdir -p target
 cargo run -q --offline --release -p dft-lint -- --workspace --json > target/dft-lint.json
 echo "    JSON artifact: target/dft-lint.json"
 
-echo "==> duplicate-definition guard (one SCF spine, one binary codec, one measuring stack, one cell sweep, one distributed route, one ChFES cycle)"
-for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a; do
+echo "==> duplicate-definition guard (one SCF spine, one binary codec, one measuring stack, one cell sweep, one distributed route, one ChFES cycle, one recurrence update)"
+for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a recurrence_update; do
   n=$(grep -rhE "^\s*(pub(\([a-z]+\))? )?fn ${f}\b" crates/*/src | wc -l)
   if [ "$n" -ne 1 ]; then
     echo "    fn $f is defined $n times under crates/*/src (expected exactly 1)"
