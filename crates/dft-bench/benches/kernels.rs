@@ -222,6 +222,50 @@ fn bench_chfes_steps(c: &mut Criterion) {
     g.finish();
 }
 
+/// Blocks narrower than a thread's worth of columns: one [`COL_BLOCK`]
+/// (or less) of states is a single column block, so the sweep cuts the rows
+/// into slabs to use a second thread — the shape of the 4-state
+/// nanoparticle SCF and of every one-column Lanczos / Poisson apply.
+fn bench_narrow_blocks(c: &mut Criterion) {
+    let mut g = c.benchmark_group("narrow_blocks");
+    g.warm_up_time(Duration::from_millis(300));
+    g.measurement_time(Duration::from_secs(1));
+    g.sample_size(10);
+    let dirichlet = FeSpace::new(Mesh3d::cube(7, 12.0, 4));
+    let periodic = FeSpace::new(Mesh3d::periodic_cube(4, 10.0, 5));
+    for (space, cols) in [(&dirichlet, 4), (&dirichlet, 1), (&periodic, 4)] {
+        let x = Matrix::from_fn(space.ndofs(), cols, |i, j| {
+            ((i + 31 * j) as f64 * 0.23).sin()
+        });
+        let mut y = Matrix::zeros(space.ndofs(), cols);
+        g.throughput(Throughput::Elements(
+            space.stiffness_apply_flops::<f64>(cols),
+        ));
+        let id = format!("apply_stiffness_{}x{cols}", space.ndofs());
+        g.bench_function(BenchmarkId::from_parameter(id), |b| {
+            b.iter(|| space.apply_stiffness(black_box(&x), &mut y, [1.0; 3]));
+        });
+    }
+    // last in its group: the throughput it sets would stick to later benches
+    let v: Vec<f64> = (0..dirichlet.nnodes())
+        .map(|i| 0.3 * (i as f64 * 0.05).sin())
+        .collect();
+    let h = KsHamiltonian::<f64>::new(&dirichlet, &v, [1.0; 3]);
+    let (tmin, tmax) = lanczos_bounds(&h, 10, 1);
+    let psi0 = random_subspace::<f64>(h.dim(), 4, 3);
+    let mut psi = psi0.clone();
+    let mut scratch = CfScratch::new();
+    g.throughput(Throughput::Elements(chebyshev_filter_flops(&h, 4, 30)));
+    g.bench_function("cf_degree30_4cols_p4", |b| {
+        b.iter(|| {
+            psi.as_mut_slice().copy_from_slice(psi0.as_slice());
+            let (a, a0) = (tmin + 0.2 * (tmax - tmin), tmin - 1.0);
+            chebyshev_filter_scratch(&h, &mut psi, 30, a, tmax, a0, &mut scratch);
+        });
+    });
+    g.finish();
+}
+
 /// MLXC inference: pointwise functional evaluation with input gradients.
 fn bench_mlxc_inference(c: &mut Criterion) {
     let mut g = c.benchmark_group("mlxc");
@@ -249,6 +293,7 @@ fn all(c: &mut Criterion) {
     bench_hamiltonian_apply(c);
     bench_cell_kernel(c);
     bench_chfes_steps(c);
+    bench_narrow_blocks(c);
     bench_mlxc_inference(c);
 }
 

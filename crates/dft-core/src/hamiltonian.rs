@@ -91,9 +91,9 @@ impl<'a, T: Scalar> KsHamiltonian<'a, T> {
     /// `out = Hhat x`, then (given `k`) the recurrence update against `x`
     /// and the previous iterate, in one cell sweep: `K M^{-1/2} x` with the
     /// input scaling fused into the cell gather (no copy of `x`), and the
-    /// rest as the sweep's epilogue on each column block while it is still
-    /// in cache. K is the grad-grad stiffness, i.e. the discrete -∇², so
-    /// the kinetic operator -1/2 ∇² is +1/2 K.
+    /// rest as the sweep's epilogue on each finished column piece while it
+    /// is still in cache. K is the grad-grad stiffness, i.e. the discrete
+    /// -∇², so the kinetic operator -1/2 ∇² is +1/2 K.
     fn sweep(
         &self,
         x: &Matrix<T>,
@@ -105,19 +105,18 @@ impl<'a, T: Scalar> KsHamiltonian<'a, T> {
         assert_eq!(x.nrows(), nd);
         assert!(x_prev.is_none_or(|p| p.shape() == x.shape()));
         let s = self.space.inv_sqrt_mass();
-        let epilogue = |j0: usize, oblk: &mut [T]| {
-            for (t, ocol) in oblk.chunks_exact_mut(nd).enumerate() {
-                let xcol = x.col(j0 + t);
-                for ((ov, &xv), (&si, &vi)) in ocol
-                    .iter_mut()
-                    .zip(xcol.iter())
-                    .zip(s.iter().zip(self.v_eff_dof.iter()))
-                {
-                    *ov = ov.scale(T::Re::from_f64(0.5 * si)) + xv.scale(T::Re::from_f64(vi));
-                }
-                if let Some(k) = k {
-                    recurrence_update(ocol, xcol, x_prev.map(|p| p.col(j0 + t)), k);
-                }
+        let epilogue = |j: usize, first_row: usize, ocol: &mut [T]| {
+            let rows = first_row..first_row + ocol.len();
+            let xcol = &x.col(j)[rows.clone()];
+            for ((ov, &xv), (&si, &vi)) in ocol
+                .iter_mut()
+                .zip(xcol.iter())
+                .zip(s[rows.clone()].iter().zip(&self.v_eff_dof[rows.clone()]))
+            {
+                *ov = ov.scale(T::Re::from_f64(0.5 * si)) + xv.scale(T::Re::from_f64(vi));
+            }
+            if let Some(k) = k {
+                recurrence_update(ocol, xcol, x_prev.map(|p| &p.col(j)[rows]), k);
             }
         };
         self.space

@@ -46,4 +46,4 @@ pub use gll::{gauss_legendre, gauss_lobatto_legendre};
 pub use mesh::{Axis, BoundaryCondition, Mesh3d};
 pub use partition::{dof_owners, node_owners, partition_cells, CellRange};
 pub use poisson::{solve_poisson, PoissonBc};
-pub use space::{CellSweep, FeSpace, StiffnessOperator};
+pub use space::{CellSweep, FeSpace, RowSlab, StiffnessOperator};

@@ -3,7 +3,8 @@
 //!
 //! The Laplacian is applied by tensor **sum-factorization**
 //! ([`FeSpace::apply_stiffness`]: memory-free, one blocked cell sweep for
-//! the Poisson solves, the Hamiltonian and every distributed rank). The
+//! the Poisson solves, the Hamiltonian and every distributed rank, whose
+//! parallel items are column blocks × [`RowSlab`]s). The
 //! dense per-cell matrices of the paper's `xGEMMStridedBatched` path
 //! (Sec. 5.4.1, `9^3 x 9^3` at p = 8) are available from
 //! [`FeSpace::dense_cell_stiffness`]; the batched-GEMM operator built on
@@ -21,6 +22,7 @@ use dft_linalg::iterative::LinearOperator;
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::{Real, Scalar};
 use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// A cell of the tensor mesh: integer coordinates and box dimensions.
@@ -62,8 +64,9 @@ pub struct FeSpace {
     /// (bit 0 = x wrap, bit 1 = y, bit 2 = z) selecting the Bloch phase
     /// product to apply on gather/scatter.
     cell_wrap: Vec<u8>,
-    /// `0..cells.len()`: the cell list of the all-cells sweep.
-    all_cells: Vec<u32>,
+    /// `slab_sets[s - 1]`: the all-cells sweep cut into `s` row slabs along
+    /// z, for every `s` a sweep may pick (`1..=max(1, z cell layers / 2)`).
+    slab_sets: Vec<SlabSet>,
     /// Tensor-product inverse of the assembled stiffness, factored by the
     /// first Poisson solve on this space.
     stiffness_inverse: OnceLock<Result<FdmPrec, LinalgError>>,
@@ -73,6 +76,39 @@ pub struct FeSpace {
 /// is one AVX-512 register per accumulator.
 pub const COL_BLOCK: usize = 8;
 
+/// The rows of every swept column that one item of
+/// [`FeSpace::sweep_cells`] owns, and the cells that reach them. An item
+/// writes no other rows, so the items of a column block need no
+/// synchronization; a cell that straddles two slabs is swept by both.
+#[derive(Clone, Debug)]
+pub struct RowSlab {
+    /// First owned row.
+    pub first_row: usize,
+    /// Owned rows.
+    pub rows: usize,
+    /// The slab's cells as a range of [`CellSweep::cells`]: every cell of
+    /// the sweep with a node on an owned row, in the sweep's order.
+    pub cells: Range<usize>,
+}
+
+impl RowSlab {
+    /// The one slab of an unsplit sweep: all `ld` rows, all `ncells` cells.
+    pub fn whole(ld: usize, ncells: usize) -> Self {
+        Self {
+            first_row: 0,
+            rows: ld,
+            cells: 0..ncells,
+        }
+    }
+}
+
+/// One way of cutting the all-cells sweep into row slabs: the slabs' cell
+/// lists back to back, and the slabs indexing into them.
+struct SlabSet {
+    cells: Vec<u32>,
+    slabs: Vec<RowSlab>,
+}
+
 /// Which cells one [`FeSpace::sweep_cells`] call visits and how their local
 /// nodes map to rows of the caller's vectors. The serial apply walks every
 /// cell through the space's own DoF table; a distributed rank walks its
@@ -80,8 +116,11 @@ pub const COL_BLOCK: usize = 8;
 /// owned-plus-ghost row numbering.
 #[derive(Clone, Copy)]
 pub struct CellSweep<'a> {
-    /// Rows of `cell_dof` to visit, in this order.
+    /// Rows of `cell_dof` to visit, slab after slab.
     pub cells: &'a [u32],
+    /// The row slabs, tiling `0..ld` in order; each is one item per column
+    /// block. A sweep over an arbitrary cell list is [`RowSlab::whole`].
+    pub slabs: &'a [RowSlab],
     /// Global index (into [`FeSpace::cells`]) of the cell that row 0 of
     /// `cell_dof` describes.
     pub first_cell: usize,
@@ -96,10 +135,10 @@ pub struct CellSweep<'a> {
     pub overwrite: bool,
 }
 
-/// What [`FeSpace::sweep_cells`] runs on a column block once its last cell
-/// has been scattered: `(first column of the block, the block's columns of
-/// y)`, called from the worker that swept the block.
-pub type BlockEpilogue<'a, T> = dyn Fn(usize, &mut [T]) + Sync + 'a;
+/// What [`FeSpace::sweep_cells`] runs on each column piece of an item once
+/// the item's last cell has been scattered: `(column, first row, those
+/// rows of y)`, called from the thread that swept them.
+pub type BlockEpilogue<'a, T> = dyn Fn(usize, usize, &mut [T]) + Sync + 'a;
 
 /// The 8 possible products of Bloch phases selected by a wrap bitmask
 /// (identity for mask 0). `conj` gives the scatter-side conjugate table.
@@ -174,32 +213,37 @@ fn gather_block<T: Scalar>(
     }
 }
 
-/// Scatter-add the interleaved column lanes back to the row block,
-/// conjugate phases on wraps (adjoint of [`gather_block`]).
+/// Scatter-add the interleaved column lanes into a slab's rows of the
+/// block's columns (`ycols[t]` is rows `first_row..` of block column `t`),
+/// conjugate phases on wraps (adjoint of [`gather_block`]). Local nodes on
+/// another slab's rows are dropped: that slab sweeps this cell too.
+// dftlint:hot
 fn scatter_block<T: Scalar>(
     dofs: &[i32],
     wraps: &[u8],
     out: &[T],
     tabc: &[T; 8],
-    yblk: &mut [T],
-    ld: usize,
-    cb: usize,
+    ycols: &mut [&mut [T]],
+    first_row: usize,
 ) {
     const CB: usize = COL_BLOCK;
+    let rows = ycols.first().map_or(0, |c| c.len());
     for (l, (&d, &w)) in dofs.iter().zip(wraps).enumerate() {
-        if d < 0 {
+        // an eliminated node (-1) and a row below the slab both wrap past
+        // `rows`
+        let r = (d as usize).wrapping_sub(first_row);
+        if r >= rows {
             continue;
         }
-        let du = d as usize;
         let src = &out[l * CB..(l + 1) * CB];
         if w == 0 {
-            for t in 0..cb {
-                yblk[t * ld + du] += src[t];
+            for (ycol, &v) in ycols.iter_mut().zip(src) {
+                ycol[r] += v;
             }
         } else {
             let ph = tabc[w as usize];
-            for t in 0..cb {
-                yblk[t * ld + du] += src[t] * ph;
+            for (ycol, &v) in ycols.iter_mut().zip(src) {
+                ycol[r] += v * ph;
             }
         }
     }
@@ -375,8 +419,7 @@ impl FeSpace {
             .map(|&n| 1.0 / mass_diag[n as usize].sqrt())
             .collect();
 
-        let ncells = cells.len();
-        Self {
+        let mut space = Self {
             mesh,
             basis,
             axis_nodes,
@@ -393,9 +436,60 @@ impl FeSpace {
             cell_node,
             cell_dof,
             cell_wrap,
-            all_cells: (0..ncells as u32).collect(),
+            slab_sets: Vec::new(),
             stiffness_inverse: OnceLock::new(),
+        };
+        let layers = space.mesh.axes[2].ncells();
+        space.slab_sets = (1..=(layers / 2).max(1))
+            .map(|ns| space.row_slabs(ns))
+            .collect();
+        space
+    }
+
+    /// The all-cells sweep cut into `ns` row slabs along z, the slowest
+    /// axis of both the cell and the DoF numbering (`1 <= ns <=` z cell
+    /// layers). A slab takes a contiguous run of cell layers and owns the
+    /// DoF rows of their node planes short of the closing one, which the
+    /// next slab owns (the last slab keeps the closing plane of a
+    /// non-periodic axis). It lists every cell with a node on those planes,
+    /// ascending: the layer below, its own layers, and for slab 0 of a
+    /// periodic axis the wrap layer. Every owned row therefore meets its
+    /// cells in the order of the unsplit sweep, and the result has that
+    /// sweep's bits for any `ns`; the price is one cell layer swept twice
+    /// per slab boundary.
+    fn row_slabs(&self, ns: usize) -> SlabSet {
+        let p = self.mesh.degree;
+        let layers = self.mesh.axes[2].ncells();
+        let layer_cells = self.cells.len() / layers;
+        let plane_nodes = self.n_axis[0] * self.n_axis[1];
+        let mut plane_row = vec![0usize; self.n_axis[2] + 1];
+        for (z, plane) in self.dof_of_node.chunks(plane_nodes).enumerate() {
+            plane_row[z + 1] = plane_row[z] + plane.iter().filter(|&&d| d >= 0).count();
         }
+        let mut set = SlabSet {
+            cells: Vec::new(),
+            slabs: Vec::with_capacity(ns),
+        };
+        let mut c0 = 0;
+        for s in 0..ns {
+            let c1 = c0 + layers / ns + usize::from(s < layers % ns);
+            let z1 = if s + 1 == ns { self.n_axis[2] } else { c1 * p };
+            let below = c0.checked_sub(1);
+            let wrap = (self.periodic[2] && c0 == 0 && c1 < layers).then_some(layers - 1);
+            let start = set.cells.len();
+            for layer in below.into_iter().chain(c0..c1).chain(wrap) {
+                let first = layer * layer_cells;
+                set.cells
+                    .extend((first..first + layer_cells).map(|c| c as u32));
+            }
+            set.slabs.push(RowSlab {
+                first_row: plane_row[c0 * p],
+                rows: plane_row[z1] - plane_row[c0 * p],
+                cells: start..set.cells.len(),
+            });
+            c0 = c1;
+        }
+        set
     }
 
     /// The exact inverse of the assembled stiffness that preconditions the
@@ -801,8 +895,15 @@ impl FeSpace {
     ) {
         assert_eq!(x.nrows(), self.ndofs);
         assert_eq!(y.shape(), x.shape());
+        // fewer column blocks than threads: cut the rows as well, into as
+        // many slabs as there are threads per block (at least two cell
+        // layers each, which `slab_sets` stops at)
+        let blocks = x.ncols().div_ceil(COL_BLOCK).max(1);
+        let ns = (rayon::current_num_threads() / blocks).clamp(1, self.slab_sets.len());
+        let set = &self.slab_sets[ns - 1];
         let all = CellSweep {
-            cells: &self.all_cells,
+            cells: &set.cells,
+            slabs: &set.slabs,
             first_cell: 0,
             cell_dof: &self.cell_dof,
             ld: self.ndofs,
@@ -817,17 +918,20 @@ impl FeSpace {
     /// column-major `x` / `y` of leading dimension `sweep.ld` (`row_scale`,
     /// indexed like the rows, is the optional fused `s`).
     ///
-    /// Columns are processed [`COL_BLOCK`] at a time — one rayon item per
-    /// block — through an interleaved-lane local buffer: gather (DoF table,
-    /// Bloch phase on wraps, scale) → [`Self::cell_stiffness_apply_block`] →
-    /// scatter-add (conjugate phase). Each lane's arithmetic is independent
-    /// of the block and lane its column lands in, so a column's result does
-    /// not depend on how many columns ride along. `epilogue(j0, yblk)` then
-    /// runs on the block's columns `j0..` inside the same item, right after
-    /// the block's last scatter, while they are still in cache — whatever
-    /// the caller does to the swept result element by element costs no
-    /// further pass over `y`. Accumulating an empty cell list with no
-    /// epilogue, or sweeping at zero leading dimension, is a no-op.
+    /// One rayon item per ([`COL_BLOCK`] columns, [`RowSlab`]): it walks the
+    /// slab's cells through an interleaved-lane local buffer — gather from
+    /// the shared `x` (DoF table, Bloch phase on wraps, scale) →
+    /// [`Self::cell_stiffness_apply_block`] → scatter-add (conjugate phase)
+    /// into its own rows of its own columns only. Each lane's arithmetic is
+    /// independent of the block and lane its column lands in, and each row
+    /// meets its cells in the sweep's order whichever slab owns it, so a
+    /// result depends neither on how many columns ride along nor on how the
+    /// rows are cut. `epilogue(j, first_row, rows of y)` then runs on each
+    /// of the item's column pieces, right after the item's last scatter,
+    /// while they are still in cache — whatever the caller does to the
+    /// swept result element by element costs no further pass over `y`.
+    /// Accumulating an empty cell list with no epilogue, or sweeping at zero
+    /// leading dimension, is a no-op.
     // dftlint:hot
     pub fn sweep_cells<T: Scalar>(
         &self,
@@ -838,6 +942,7 @@ impl FeSpace {
         row_scale: Option<&[f64]>,
         epilogue: Option<&BlockEpilogue<'_, T>>,
     ) {
+        const CB: usize = COL_BLOCK;
         let ld = sweep.ld;
         assert_eq!(x.len(), y.len());
         if ld == 0 || (sweep.cells.is_empty() && !sweep.overwrite && epilogue.is_none()) {
@@ -847,43 +952,90 @@ impl FeSpace {
         if let Some(s) = row_scale {
             assert_eq!(s.len(), ld);
         }
-        let nloc = self.nloc;
+        let tiled = sweep.slabs.iter().try_fold(0, |row, slab| {
+            (slab.first_row == row && slab.cells.end <= sweep.cells.len())
+                .then_some(row + slab.rows)
+        });
+        assert_eq!(tiled, Some(ld), "the row slabs must tile 0..ld in order");
         let tab = phase_products(phases, false);
         let tabc = phase_products(phases, true);
-        y.par_chunks_mut(ld * COL_BLOCK)
+        y.chunks_mut(ld * CB)
             .enumerate()
-            .for_each(|(jb, yblk)| {
-                if sweep.overwrite {
-                    yblk.fill(T::ZERO);
-                }
-                let j0 = jb * COL_BLOCK;
+            .flat_map(|(jb, yblk)| {
+                // the block's columns, each handing its next slab's rows to
+                // that slab's item
                 let cb = yblk.len() / ld;
+                let mut cols: [&mut [T]; CB] = Default::default();
+                for (col, ycol) in cols.iter_mut().zip(yblk.chunks_mut(ld)) {
+                    *col = ycol;
+                }
+                sweep.slabs.iter().map(move |slab| {
+                    let ycols: [&mut [T]; CB] = std::array::from_fn(|t| {
+                        let col = std::mem::take(&mut cols[t]);
+                        let (head, tail) = col.split_at_mut(slab.rows.min(col.len()));
+                        cols[t] = tail;
+                        head
+                    });
+                    (jb * CB, cb, slab, ycols)
+                })
+            })
+            .into_par_iter()
+            .for_each(|(j0, cb, slab, mut ycols)| {
                 let xblk = &x[j0 * ld..(j0 + cb) * ld];
-                dft_linalg::pack::with_scratch::<T, _>(|loc, out| {
-                    let need = nloc * COL_BLOCK;
-                    if loc.len() < need {
-                        loc.resize(need, T::ZERO);
-                    }
-                    if out.len() < need {
-                        out.resize(need, T::ZERO);
-                    }
-                    let loc = &mut loc[..need];
-                    let out = &mut out[..need];
-                    for &row in sweep.cells {
-                        let row = row as usize;
-                        let ci = sweep.first_cell + row;
-                        let dofs = &sweep.cell_dof[row * nloc..(row + 1) * nloc];
-                        let wraps = self.cell_wraps(ci);
-                        gather_block(dofs, wraps, xblk, ld, cb, &tab, row_scale, loc);
-                        out.fill(T::ZERO);
-                        self.cell_stiffness_apply_block(self.cells[ci].h, loc, out);
-                        scatter_block(dofs, wraps, out, &tabc, yblk, ld, cb);
-                    }
-                });
+                let ycols = &mut ycols[..cb];
+                self.sweep_item(sweep, slab, xblk, ycols, (&tab, &tabc), row_scale);
                 if let Some(epilogue) = epilogue {
-                    epilogue(j0, yblk);
+                    for (t, ycol) in ycols.iter_mut().enumerate() {
+                        epilogue(j0 + t, slab.first_row, ycol);
+                    }
                 }
             });
+    }
+
+    /// One item of [`Self::sweep_cells`]: the cells of `slab` on the block
+    /// columns `xblk`, into the slab's rows of those columns. Out of line so
+    /// that the cell loop is compiled once per scalar type, not once per
+    /// closure it would be inlined into: inlined, `scf-wide` moved by ± 5%
+    /// with unrelated edits to the callers.
+    // dftlint:hot
+    #[inline(never)]
+    fn sweep_item<T: Scalar>(
+        &self,
+        sweep: &CellSweep<'_>,
+        slab: &RowSlab,
+        xblk: &[T],
+        ycols: &mut [&mut [T]],
+        (tab, tabc): (&[T; 8], &[T; 8]),
+        row_scale: Option<&[f64]>,
+    ) {
+        const CB: usize = COL_BLOCK;
+        let (nloc, ld, cb) = (self.nloc, sweep.ld, ycols.len());
+        if sweep.overwrite {
+            for ycol in ycols.iter_mut() {
+                ycol.fill(T::ZERO);
+            }
+        }
+        dft_linalg::pack::with_scratch::<T, _>(|loc, out| {
+            let need = nloc * CB;
+            if loc.len() < need {
+                loc.resize(need, T::ZERO);
+            }
+            if out.len() < need {
+                out.resize(need, T::ZERO);
+            }
+            let loc = &mut loc[..need];
+            let out = &mut out[..need];
+            for &row in &sweep.cells[slab.cells.start..slab.cells.end] {
+                let row = row as usize;
+                let ci = sweep.first_cell + row;
+                let dofs = &sweep.cell_dof[row * nloc..(row + 1) * nloc];
+                let wraps = self.cell_wraps(ci);
+                gather_block(dofs, wraps, xblk, ld, cb, tab, row_scale, loc);
+                out.fill(T::ZERO);
+                self.cell_stiffness_apply_block(self.cells[ci].h, loc, out);
+                scatter_block(dofs, wraps, out, tabc, ycols, slab.first_row);
+            }
+        });
     }
 
     /// Sum-factorized stiffness on [`COL_BLOCK`] interleaved column lanes
@@ -1212,47 +1364,31 @@ mod tests {
         s.apply_stiffness_scaled(&x, &mut y, phases, s.inv_sqrt_mass(), None);
 
         let cells: Vec<u32> = (0..s.cells().len() as u32).collect();
-        let part = |cells, overwrite| CellSweep {
-            cells,
-            first_cell: 0,
-            cell_dof: &s.cell_dof,
-            ld: nd,
-            overwrite,
+        let sweep_part = |cells: &[u32], overwrite: bool, y: &mut [C64]| {
+            let part = CellSweep {
+                cells,
+                slabs: &[RowSlab::whole(nd, cells.len())],
+                first_cell: 0,
+                cell_dof: &s.cell_dof,
+                ld: nd,
+                overwrite,
+            };
+            let scale = Some(s.inv_sqrt_mass());
+            s.sweep_cells(&part, x.as_slice(), y, phases, scale, None);
         };
-        let scale = Some(s.inv_sqrt_mass());
         let mut y2 = vec![C64::new(7.0, -7.0); nd * 9];
-        s.sweep_cells(
-            &part(&cells[..3], true),
-            x.as_slice(),
-            &mut y2,
-            phases,
-            scale,
-            None,
-        );
-        s.sweep_cells(
-            &part(&cells[3..], false),
-            x.as_slice(),
-            &mut y2,
-            phases,
-            scale,
-            None,
-        );
-        s.sweep_cells(
-            &part(&[], false),
-            x.as_slice(),
-            &mut y2,
-            phases,
-            scale,
-            None,
-        );
+        sweep_part(&cells[..3], true, &mut y2);
+        sweep_part(&cells[3..], false, &mut y2);
+        sweep_part(&[], false, &mut y2);
         assert!(y2 == y.as_slice());
         // overwriting with no cells is `Y = 0` (a rank whose cells are all
         // boundary cells starts its interior pass this way)
-        s.sweep_cells(&part(&[], true), x.as_slice(), &mut y2, phases, scale, None);
+        sweep_part(&[], true, &mut y2);
         assert!(y2.iter().all(|&v| v == C64::ZERO));
 
         let no_rows = CellSweep {
             cells: &[],
+            slabs: &[],
             first_cell: 0,
             cell_dof: &[],
             ld: 0,
@@ -1261,8 +1397,8 @@ mod tests {
         s.sweep_cells::<C64>(&no_rows, &[], &mut [], phases, None, None);
     }
 
-    /// The epilogue sees each column block exactly once, after the block's
-    /// last cell, with the block's first column index — also on the
+    /// The epilogue sees each column exactly once, after the column's last
+    /// cell, with the column's index and whole row range — also on the
     /// accumulating pass of a two-call sweep, and on one that adds no cells.
     #[test]
     fn epilogue_runs_once_per_finished_column_block() {
@@ -1277,39 +1413,154 @@ mod tests {
             }
         }
         let seen = std::sync::Mutex::new(Vec::new());
-        let epilogue = |j0: usize, yblk: &mut [f64]| {
-            seen.lock().unwrap().push((j0, yblk.len() / nd));
-            for (t, col) in yblk.chunks_exact_mut(nd).enumerate() {
-                for v in col {
-                    *v = *v * (j0 + t + 1) as f64 + 0.5;
-                }
+        let epilogue = |j: usize, first_row: usize, ycol: &mut [f64]| {
+            seen.lock().unwrap().push((j, first_row, ycol.len()));
+            for v in ycol {
+                *v = *v * (j + 1) as f64 + 0.5;
             }
         };
         let cells: Vec<u32> = (0..s.cells().len() as u32).collect();
-        let part = |cells, overwrite| CellSweep {
-            cells,
-            first_cell: 0,
-            cell_dof: &s.cell_dof,
-            ld: nd,
-            overwrite,
-        };
         for split in [cells.len(), 3] {
             let mut y = vec![7.0; nd * 17];
             let (first, rest) = cells.split_at(split);
-            s.sweep_cells(
-                &part(first, true),
-                x.as_slice(),
-                &mut y,
-                [1.0; 3],
-                None,
-                None,
-            );
-            let last = part(rest, false);
-            s.sweep_cells(&last, x.as_slice(), &mut y, [1.0; 3], None, Some(&epilogue));
+            for (cells, overwrite, epilogue) in [
+                (first, true, None),
+                (rest, false, Some(&epilogue as &BlockEpilogue<'_, f64>)),
+            ] {
+                let part = CellSweep {
+                    cells,
+                    slabs: &[RowSlab::whole(nd, cells.len())],
+                    first_cell: 0,
+                    cell_dof: &s.cell_dof,
+                    ld: nd,
+                    overwrite,
+                };
+                s.sweep_cells(&part, x.as_slice(), &mut y, [1.0; 3], None, epilogue);
+            }
             assert!(y == expect.as_slice(), "cells split at {split}");
-            let mut blocks = std::mem::take(&mut *seen.lock().unwrap());
-            blocks.sort_unstable();
-            assert_eq!(blocks, [(0, 8), (8, 8), (16, 1)]);
+            let mut pieces = std::mem::take(&mut *seen.lock().unwrap());
+            pieces.sort_unstable();
+            let columns: Vec<_> = (0..17).map(|j| (j, 0, nd)).collect();
+            assert_eq!(pieces, columns);
+        }
+    }
+
+    /// Cutting the rows of a sweep into 2, 3 or 4 slabs changes no bit of
+    /// it: every row still adds up its cells in ascending order from zero,
+    /// whichever item owns it. Periodic (odd layer counts put the wrap layer
+    /// and the layer below in different slabs), Dirichlet and graded z axes
+    /// of 3 to 8 cell layers, degrees 1 to 5, a partial, a half and a full
+    /// column block, real, single and complex with Bloch phases, with the
+    /// fused input scale and a recurrence update as the epilogue, over a
+    /// `y` that held garbage.
+    #[test]
+    fn row_slab_sweeps_match_the_unsplit_sweep_bitwise() {
+        use dft_linalg::iterative::{recurrence_update, Recurrence};
+
+        fn check<T: Scalar>(s: &FeSpace, phases: [T; 3], val: impl Fn(usize, usize) -> T) {
+            let nd = s.ndofs();
+            let layers = s.mesh.axes[2].ncells();
+            for width in [1, 4, 8] {
+                let x = Matrix::<T>::from_fn(nd, width, &val);
+                let x_prev = Matrix::<T>::from_fn(nd, width, |i, j| val(i + 3, j + 1));
+                let k = Recurrence {
+                    c: T::Re::from_f64(0.3),
+                    alpha: T::Re::from_f64(1.7),
+                    beta: T::Re::from_f64(0.6),
+                };
+                let epilogue = |j: usize, first_row: usize, ycol: &mut [T]| {
+                    let rows = first_row..first_row + ycol.len();
+                    let prev = &x_prev.col(j)[rows.clone()];
+                    recurrence_update(ycol, &x.col(j)[rows], Some(prev), k);
+                };
+                let run = |ns: usize| {
+                    let set = s.row_slabs(ns);
+                    assert_eq!(set.slabs.len(), ns);
+                    let sweep = CellSweep {
+                        cells: &set.cells,
+                        slabs: &set.slabs,
+                        first_cell: 0,
+                        cell_dof: &s.cell_dof,
+                        ld: nd,
+                        overwrite: true,
+                    };
+                    let mut y = vec![T::from_f64(7.0); nd * width];
+                    let scale = Some(s.inv_sqrt_mass());
+                    s.sweep_cells(&sweep, x.as_slice(), &mut y, phases, scale, Some(&epilogue));
+                    y
+                };
+                let whole = run(1);
+                for ns in 2..=4usize.min(layers) {
+                    assert!(
+                        run(ns) == whole,
+                        "p = {}, {layers} layers, {width} columns, {ns} slabs",
+                        s.mesh.degree
+                    );
+                }
+            }
+        }
+
+        let z_axes = |layers: usize| {
+            [
+                Axis::uniform(layers, 0.0, 5.0, BoundaryCondition::Periodic),
+                Axis::uniform(layers, 0.0, 5.0, BoundaryCondition::Dirichlet),
+            ]
+        };
+        let graded = Axis::graded(
+            0.0,
+            6.0,
+            0.7,
+            1.6,
+            &[2.0],
+            2.5,
+            BoundaryCondition::Dirichlet,
+        );
+        assert!(graded.ncells() >= 4, "the graded axis must be splittable");
+        for p in 1..=5 {
+            let axes = [3, 4, 5, 7, 8].into_iter().flat_map(z_axes);
+            for z in axes.chain([graded.clone()]) {
+                let xy = |n| Axis::uniform(n, 0.0, 3.0, z.bc());
+                let s = FeSpace::new(Mesh3d::new([xy(2), xy(1), z.clone()], p));
+                check::<f64>(&s, [1.0; 3], |i, j| ((i * 7 + j * 29) as f64 * 0.37).sin());
+                check::<f32>(&s, [1.0; 3], |i, j| ((i * 7 + j * 29) as f32 * 0.37).sin());
+                let phases = [C64::cis(0.7), C64::cis(-0.3), C64::cis(1.1)];
+                check::<C64>(&s, phases, |i, j| {
+                    C64::new(
+                        ((i * 5 + j * 3) as f64 * 0.3).sin(),
+                        ((i * 11 + j) as f64 * 0.2).cos(),
+                    )
+                });
+            }
+        }
+    }
+
+    /// What the solver calls: `apply_stiffness` picks its slab count from
+    /// the thread cap it runs under and the block's width, and has the same
+    /// bits under every cap.
+    #[test]
+    fn apply_has_the_same_bits_under_any_thread_cap() {
+        let s = FeSpace::new(Mesh3d::cube(7, 6.0, 2));
+        assert_eq!(s.slab_sets.len(), 3);
+        let nd = s.ndofs();
+        for width in [1, 4, 9, 17] {
+            let x =
+                Matrix::<f64>::from_fn(nd, width, |i, j| ((i * 13 + j * 5) as f64 * 0.19).cos());
+            let apply = |threads: usize| {
+                let mut y = Matrix::<f64>::zeros(nd, width);
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("the thread cap")
+                    .install(|| s.apply_stiffness(&x, &mut y, [1.0; 3]));
+                y
+            };
+            let inline = apply(1);
+            for threads in [2, 3, 4, 8] {
+                assert!(
+                    apply(threads) == inline,
+                    "{width} columns, {threads} threads"
+                );
+            }
         }
     }
 

@@ -16,6 +16,7 @@
 
 use crate::grid::GridShape;
 use crate::operator::DistSpace;
+use crate::threads::rank_threads;
 use dft_core::forces::{
     electrostatic_force_partial, force_poisson, ion_ion_force_partial, ForceError,
 };
@@ -85,7 +86,20 @@ pub fn distributed_forces(
 
 /// [`distributed_forces`] with a per-rank timing breakdown; the
 /// `benchmark/` layer ladder's `parallel.forces` probe calls this entry.
+/// Runs on this rank's share of the cores ([`crate::threads`]).
 pub fn distributed_forces_profiled(
+    comm: &mut ThreadComm,
+    space: &FeSpace,
+    system: &AtomicSystem,
+    rho_e: &[f64],
+    grid: Option<GridShape>,
+) -> Result<(Vec<[f64; 3]>, ForceAssemblyProfile), DistForceError> {
+    rank_threads(comm, |comm| forces_rank(comm, space, system, rho_e, grid))
+}
+
+/// [`distributed_forces_profiled`] for a caller that already runs on its
+/// rank's thread share (a relaxation or MD step).
+pub(crate) fn forces_rank(
     comm: &mut ThreadComm,
     space: &FeSpace,
     system: &AtomicSystem,

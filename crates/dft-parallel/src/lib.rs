@@ -50,7 +50,12 @@
 //!   warm-starts from the previous step's converged density, mixer
 //!   history, and psi shards through the checkpoint/`restart_from`
 //!   machinery, with a checksummed integrator-state file making the whole
-//!   trajectory preemptible and fault-recoverable.
+//!   trajectory preemptible and fault-recoverable;
+//! * [`threads`] — ranks × threads ≤ cores: every rank entry point
+//!   ([`distributed_scf`], [`dist_relax`], [`dist_md`],
+//!   [`distributed_forces`]) runs on its `1 / size` share of the cores, and
+//!   a server's job thread on its gang's share of the pool
+//!   ([`with_thread_share`]).
 
 #![deny(unsafe_code)]
 // indexed loops deliberately mirror the paper's subscript notation
@@ -66,6 +71,7 @@ pub mod recover;
 pub mod reduce;
 pub mod relax;
 pub mod scf;
+pub mod threads;
 
 pub use checkpoint::{LoadedCheckpoint, ReplicatedScfState};
 pub use decomp::Decomposition;
@@ -81,3 +87,4 @@ pub use relax::{
     RelaxError, RelaxStepRecord,
 };
 pub use scf::{distributed_scf, DistScfConfig, DistScfResult, PreemptToken, ScfError};
+pub use threads::with_thread_share;

@@ -22,7 +22,7 @@
 use crate::decomp::Decomposition;
 use crate::grid::{GridShape, ProcessGrid};
 use dft_core::hamiltonian::HamOperator;
-use dft_fem::space::{CellSweep, FeSpace};
+use dft_fem::space::{CellSweep, FeSpace, RowSlab};
 use dft_hpc::comm::{wire_tag_band, CommError, ThreadComm, WirePrecision};
 use dft_linalg::iterative::{recurrence_update, LinearOperator, Recurrence};
 use dft_linalg::matrix::Matrix;
@@ -356,6 +356,8 @@ impl<'a> DistSpace<'a> {
     /// The slab's instance of the one blocked cell sweep
     /// ([`FeSpace::sweep_cells`]): the given slab-local cells through the
     /// extended-local DoF table, overwriting or accumulating into `y_ext`.
+    /// An arbitrary cell list is one row slab: the rank's threads share the
+    /// column blocks only.
     fn run_cells<T: Scalar>(
         &self,
         cells: &[u32],
@@ -367,6 +369,7 @@ impl<'a> DistSpace<'a> {
     ) {
         let sweep = CellSweep {
             cells,
+            slabs: &[RowSlab::whole(self.dec.n_ext(), cells.len())],
             first_cell: self.dec.range.start,
             cell_dof: &self.dec.cell_dof_local,
             ld: self.dec.n_ext(),

@@ -12,6 +12,7 @@
 
 use crate::relax::{dist_relax, DistRelaxConfig, DistRelaxResult, RelaxError};
 use crate::scf::{distributed_scf, DistScfConfig, DistScfResult, ScfError};
+use crate::threads::with_threads;
 use dft_core::scf::KPoint;
 use dft_core::system::AtomicSystem;
 use dft_core::xc::XcFunctional;
@@ -90,10 +91,14 @@ fn relaunch_loop<R: Send, E: Clone + Send>(
     let mut first_failure: Option<E> = None;
     let mut opts = opts.clone();
     let mut cfg = cfg.clone();
+    // the launching thread's budget (a server's job thread holds a share of
+    // the cores): rank threads are new threads and would plan for them all
+    let threads = rayon::current_num_threads();
 
     loop {
         attempts += 1;
-        let (outcomes, _) = run_cluster_with(n, &opts, |comm| run(comm, &cfg));
+        let (outcomes, _) =
+            run_cluster_with(n, &opts, |comm| with_threads(threads, || run(comm, &cfg)));
         let killed = outcomes
             .iter()
             .filter(|r| matches!(r, Err(e) if matches!(fault(e), Fault::Killed)))

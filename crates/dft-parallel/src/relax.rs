@@ -28,8 +28,9 @@
 //! relaxation loses at most the SCF iterations since the last snapshot.
 
 use crate::codec::{bad, fnv1a, push_f64, push_u64, verified_body, Cur};
-use crate::forces::{distributed_forces, DistForceError};
-use crate::scf::{distributed_scf, performed_iterations, DistScfConfig, DistScfResult, ScfError};
+use crate::forces::{forces_rank, DistForceError};
+use crate::scf::{performed_iterations, scf_rank, DistScfConfig, DistScfResult, ScfError};
+use crate::threads::rank_threads;
 use dft_core::forces::{max_force, ForceError};
 use dft_core::relax::{FireState, RelaxConfig};
 use dft_core::scf::KPoint;
@@ -351,8 +352,8 @@ impl StepEvaluator<'_> {
         let warm = root.is_some_and(|r| r.join("relax-warm").exists());
         let first = step == self.first_step;
         let cfg_step = step_cfg(self.scf_cfg, root, step, warm, first, resume, self.label);
-        let r = distributed_scf(comm, self.space, sys, self.xc, &cfg_step, self.kpts)?;
-        let f = distributed_forces(comm, self.space, sys, &r.density.values, cfg_step.grid)?;
+        let r = scf_rank(comm, self.space, sys, self.xc, &cfg_step, self.kpts)?;
+        let (f, _) = forces_rank(comm, self.space, sys, &r.density.values, cfg_step.grid)?;
         let warm_started = r.resumed_from.is_some() && cfg_step.restart_from.is_some();
         Ok((r, f, warm_started))
     }
@@ -377,8 +378,23 @@ fn prune_step_dir(root: Option<&Path>, step: usize, label: &str) {
 /// interrupted relaxation from that state; `scf_cfg.preempt` preempts the
 /// in-flight SCF step cooperatively (the driver surfaces
 /// [`ScfError::Preempted`] after the step's snapshot and the relax state
-/// are both on disk).
+/// are both on disk). Runs on this rank's share of the cores
+/// ([`crate::threads`]).
 pub fn dist_relax(
+    comm: &mut ThreadComm,
+    space: &FeSpace,
+    system: &AtomicSystem,
+    xc: &dyn XcFunctional,
+    scf_cfg: &DistScfConfig,
+    relax_cfg: &DistRelaxConfig,
+    kpts: &[KPoint],
+) -> Result<DistRelaxResult, RelaxError> {
+    rank_threads(comm, |comm| {
+        relax_rank(comm, space, system, xc, scf_cfg, relax_cfg, kpts)
+    })
+}
+
+fn relax_rank(
     comm: &mut ThreadComm,
     space: &FeSpace,
     system: &AtomicSystem,
@@ -501,8 +517,23 @@ pub fn dist_relax(
 /// masses and zero initial velocities, each step's SCF warm-started from
 /// the previous step's converged state. Replicated like [`dist_relax`];
 /// no mid-run persistence (MD runs are short and restartable from their
-/// initial conditions).
+/// initial conditions). Runs on this rank's share of the cores
+/// ([`crate::threads`]).
 pub fn dist_md(
+    comm: &mut ThreadComm,
+    space: &FeSpace,
+    system: &AtomicSystem,
+    xc: &dyn XcFunctional,
+    scf_cfg: &DistScfConfig,
+    md_cfg: &MdConfig,
+    kpts: &[KPoint],
+) -> Result<DistMdResult, RelaxError> {
+    rank_threads(comm, |comm| {
+        md_rank(comm, space, system, xc, scf_cfg, md_cfg, kpts)
+    })
+}
+
+fn md_rank(
     comm: &mut ThreadComm,
     space: &FeSpace,
     system: &AtomicSystem,

@@ -29,6 +29,7 @@ use crate::checkpoint::{self, ReplicatedScfState};
 use crate::grid::GridShape;
 use crate::operator::{DistHamiltonian, DistSpace, SharedComm, WireScalar};
 use crate::reduce::{CommVolume, GridReducer};
+use crate::threads::rank_threads;
 use dft_core::chebyshev::SubspaceReducer;
 use dft_core::hamiltonian::{HamOperator, KsHamiltonian};
 use dft_core::scf::{
@@ -319,8 +320,22 @@ pub struct DistScfResult {
 /// to the real (Γ-only) or complex (Bloch) scalar path like
 /// [`dft_core::scf::scf`]. Returns [`ScfError::RankLost`] — within the
 /// communicator's timeout, never a hang — when this rank is killed or a
-/// peer stops responding.
+/// peer stops responding. Runs on this rank's share of the cores
+/// ([`crate::threads`]).
 pub fn distributed_scf(
+    comm: &mut ThreadComm,
+    space: &FeSpace,
+    system: &AtomicSystem,
+    xc: &dyn XcFunctional,
+    cfg: &DistScfConfig,
+    kpts: &[KPoint],
+) -> Result<DistScfResult, ScfError> {
+    rank_threads(comm, |comm| scf_rank(comm, space, system, xc, cfg, kpts))
+}
+
+/// [`distributed_scf`] for a caller that already runs on its rank's thread
+/// share (a relaxation or MD step).
+pub(crate) fn scf_rank(
     comm: &mut ThreadComm,
     space: &FeSpace,
     system: &AtomicSystem,

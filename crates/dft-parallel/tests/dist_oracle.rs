@@ -352,6 +352,59 @@ fn one_rank_cluster_retraces_the_serial_solve() {
     }
 }
 
+/// The thread count is not an input of the solve: a serial SCF and a
+/// 2-rank SCF each give the same energy, iteration count and eigenvalue
+/// bits under a budget of 1, 2 and 4 threads. On this mesh (four cell
+/// layers, one narrow column block) 2 and 4 serial threads cut every sweep
+/// into two row slabs, while the two ranks split the budget (1, 1 and 2
+/// threads each, through the relaunch loop that hands a launching thread's
+/// budget to its ranks). `scripts/ci.sh` runs this with the pool at 1 and
+/// at 4 threads (`RAYON_NUM_THREADS`).
+#[test]
+fn energy_bits_do_not_depend_on_the_thread_count() {
+    use dft_hpc::comm::ClusterOptions;
+    use dft_parallel::scf_with_recovery;
+
+    let space = FeSpace::new(Mesh3d::periodic_cube(4, 6.0, 2));
+    let (_, sys) = parity_system();
+    let cfg = parity_cfg();
+    let dcfg = DistScfConfig::new(cfg.clone()).with_wire(WirePrecision::Fp64);
+    let kpts = [KPoint::gamma()];
+    let under = |threads: usize, two_ranks: bool| {
+        let cap = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("the thread cap");
+        cap.install(|| {
+            if two_ranks {
+                let opts = ClusterOptions::default();
+                let report = scf_with_recovery(2, &opts, &space, &sys, &Lda, &dcfg, &kpts, 0)
+                    .expect("2-rank scf");
+                let r = &report.results[0];
+                assert!(r.converged);
+                (
+                    r.energy.free_energy.to_bits(),
+                    r.iterations,
+                    r.eigenvalues.clone(),
+                )
+            } else {
+                let r = scf(&space, &sys, &Lda, &cfg, &kpts);
+                assert!(r.converged);
+                (r.energy.free_energy.to_bits(), r.iterations, r.eigenvalues)
+            }
+        })
+    };
+    for two_ranks in [false, true] {
+        let one = under(1, two_ranks);
+        for threads in [2, 4] {
+            let (bits, iterations, eigenvalues) = under(threads, two_ranks);
+            assert_eq!(bits, one.0, "{threads} threads, two ranks: {two_ranks}");
+            assert_eq!(iterations, one.1);
+            assert_eq!(eigenvalues, one.2);
+        }
+    }
+}
+
 #[test]
 fn identical_runs_are_bit_identical_at_four_ranks() {
     let (space, sys) = parity_system();

@@ -35,8 +35,8 @@ use dft_hpc::comm::{ClusterOptions, FaultPlan};
 use dft_parallel::checkpoint::job_dir;
 use dft_parallel::scf::performed_iterations;
 use dft_parallel::{
-    relax_with_recovery, scf_with_recovery, DistRelaxConfig, DistScfConfig, GridShape,
-    PreemptToken, RecoveryReport, RelaxError, ScfError,
+    relax_with_recovery, scf_with_recovery, with_thread_share, DistRelaxConfig, DistScfConfig,
+    GridShape, PreemptToken, RecoveryReport, RelaxError, ScfError,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -385,9 +385,14 @@ impl Scheduler {
         };
         let tx = self.events_tx.clone();
         let worker_token = token.clone();
+        let pool_ranks = self.cfg.pool_ranks;
         let handle = std::thread::spawn(move || {
             let mut job = job;
-            let report = run_worker(&mut job, granted, &space, worker_token, &knobs);
+            // this gang's share of the cores, so that busy slots together
+            // plan for the machine once
+            let report = with_thread_share(granted, pool_ranks, || {
+                run_worker(&mut job, granted, &space, worker_token, &knobs)
+            });
             let _ = tx.send(Event::Done { job, report });
         });
         self.running.insert(

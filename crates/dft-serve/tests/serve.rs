@@ -412,3 +412,54 @@ fn relaxation_moves_atoms_downhill() {
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.failed, 0);
 }
+
+/// A solver panic stays inside its job: the job ends `Failed`, the job
+/// running in the other slot completes, and the freed slot — on the same
+/// shared worker pool — serves the next job.
+#[test]
+fn solver_panic_fails_its_job_and_frees_the_slot() {
+    let mut cfg = ServerConfig::new(fresh_root("panic"));
+    cfg.pool_ranks = 2;
+    let server = DftServer::start(cfg).expect("start");
+
+    // valid by every admission rule, but more states than the 64-DoF mesh
+    // has dimensions: the first orthonormalization cannot succeed
+    let mut doomed = mini_spec(0);
+    doomed.n_states = 70;
+    let healthy = server
+        .submit(long_request("alice", Priority::Normal, 3))
+        .expect("admit the long job");
+    let failed = server
+        .submit(JobRequest::new(
+            "bob",
+            Priority::Normal,
+            JobKind::Scf,
+            doomed,
+        ))
+        .expect("admit the doomed job")
+        .wait()
+        .expect("the doomed job still delivers an outcome");
+    match &failed.status {
+        JobStatus::Failed(why) => assert!(why.contains("panicked"), "{why}"),
+        other => panic!("expected a failed job, got {other:?}"),
+    }
+
+    let next = server
+        .submit(JobRequest::new(
+            "bob",
+            Priority::Normal,
+            JobKind::Scf,
+            mini_spec(1),
+        ))
+        .expect("admit the next job")
+        .wait()
+        .expect("next outcome");
+    assert_eq!(next.status, JobStatus::Completed);
+    assert!(next.converged);
+    let healthy = healthy.wait().expect("long outcome");
+    assert_eq!(healthy.status, JobStatus::Completed);
+
+    let stats = server.drain();
+    assert_eq!(stats.failed, 1);
+    assert_eq!(stats.completed, 2);
+}

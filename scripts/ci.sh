@@ -66,6 +66,19 @@ if grep -rn "cell_stiffness_apply(" crates --include='*.rs' | grep -v -e '^crate
   exit 1
 fi
 
+# Every parallel region runs on the one persistent pool of the rayon shim:
+# no scoped spawn per region may come back. The only scoped threads are the
+# ranks of a cluster.
+scoped=$(grep -rn "thread::scope" vendor/rayon crates/*/src || true)
+launcher=$(grep -n "^pub fn run_cluster_with" crates/dft-hpc/src/comm.rs | cut -d: -f1)
+if [ "$(echo "$scoped" | grep -c .)" -ne 1 ] \
+  || [ "${scoped%%:*}" != "crates/dft-hpc/src/comm.rs" ] \
+  || [ "$(echo "$scoped" | cut -d: -f2)" -le "$launcher" ]; then
+  echo "    thread::scope under vendor/rayon or crates/*/src outside run_cluster_with:"
+  echo "$scoped"
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --offline --release --workspace
 
@@ -96,6 +109,15 @@ else
   cargo test -q --offline --release -p dft-parallel --test schedule
   cargo test -q --offline -p dft-parallel --features sanitize --test schedule
 fi
+
+echo "==> thread-count suite (pool of 1 and of 4 threads: shim contract, row-slab and thread-cap bit-identity, rank thread shares, a panicking job)"
+for nt in 1 4; do
+  RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p rayon
+  RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p dft-fem --lib space::tests
+  RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p dft-parallel --lib threads::
+  RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p dft-parallel --test dist_oracle
+  RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p dft-serve --test serve solver_panic
+done
 
 echo "==> forced-fallback suite (DFT_SIMD=scalar: scalar tile must bit-match its oracle)"
 DFT_SIMD=scalar cargo test -q --offline --release -p dft-linalg --test simd_parity
