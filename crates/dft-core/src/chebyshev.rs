@@ -9,6 +9,9 @@
 //!   orthonormalization GEMM. In mixed-precision mode `S` and the GEMM are
 //!   FP32 except the `B_f x B_f` diagonal blocks of `S`, which stay FP64
 //!   (paper Sec. 5.4.2), and a second, all-FP64 pass removes the rounding.
+//!   A rank-deficient filtered block (the factorization breaks down at a
+//!   pivot) trades the dependent column for `H` times itself and factorizes
+//!   again — the same rescue serially and on every process grid.
 //! * **RR** — Rayleigh-Ritz: projected Hamiltonian (same FP32 / FP64
 //!   layout), dense Hermitian eigensolve, subspace rotation.
 //!
@@ -249,11 +252,6 @@ pub trait SubspaceReducer<T: Scalar> {
     fn reduce_matrix(&self, m: &mut Matrix<T>, exact: bool);
     /// Sum a small `f64` buffer over all ranks, in place.
     fn reduce_f64(&self, v: &mut [f64]);
-    /// Whether wavefunction rows are actually sharded (`true` forbids the
-    /// row-local Löwdin fallback, which is only valid on full columns).
-    fn is_distributed(&self) -> bool {
-        false
-    }
     /// The contiguous column window `[j0, j1)` of an `n`-column subspace
     /// this rank computes; the whole subspace by default.
     fn band_cols(&self, n: usize) -> (usize, usize) {
@@ -385,11 +383,33 @@ fn reduce_window<T: Scalar>(
     m
 }
 
+/// Scale every column of the owned-row block `m` to unit norm: local sum of
+/// squares (accumulated in the order of `blas1::nrm2`), cross-rank reduce,
+/// then sqrt.
+fn unit_columns<T: Scalar>(m: &mut Matrix<T>, reducer: &dyn SubspaceReducer<T>) {
+    let mut sumsq = vec![0.0f64; m.ncols()];
+    for (j, sq) in sumsq.iter_mut().enumerate() {
+        let mut acc = T::Re::ZERO;
+        for v in m.col(j) {
+            acc += v.abs_sq();
+        }
+        *sq = acc.to_f64();
+    }
+    reducer.reduce_f64(&mut sumsq);
+    for (j, sq) in sumsq.iter().enumerate() {
+        let inv = T::Re::from_f64(1.0 / sq.sqrt().max(1e-300));
+        for v in m.col_mut(j) {
+            *v = v.scale(inv);
+        }
+    }
+}
+
 /// One CholGS pass over the band window `win` of `psi`: overlap block
 /// (CholGS-S) → reduce → Cholesky inverse (CholGS-CI) → orthonormalization
 /// GEMM into `work` → install (CholGS-O). `fp64_block` is the subspace
 /// precision (see [`adjoint_window`]), `exact` the reduction's. Fails,
-/// leaving `psi` as it was, when the overlap is not positive definite.
+/// leaving `psi` as it was and naming the pivot, when the overlap is not
+/// numerically positive definite.
 fn cholgs_pass<T: Scalar>(
     psi: &mut Matrix<T>,
     work: &mut Matrix<T>,
@@ -414,7 +434,17 @@ fn cholgs_pass<T: Scalar>(
     let linv = {
         let mut scope = PhaseScope::new(profile, Phase::CholGsCi);
         scope.add_bytes((n * n) as u64 * tsize);
-        cholesky_inverse(&s)?
+        let linv = cholesky_inverse(&s)?;
+        // a pivot (`1 / |L^{-1}_jj|^2`) within rounding of zero against its
+        // diagonal is a breakdown as well: its sign is noise, and which sign
+        // it takes depends on the layout's summation order
+        let noise = n as f64 * f64::EPSILON;
+        let pivot_ok =
+            |j: usize| noise * s[(j, j)].re().to_f64() * linv[(j, j)].abs_sq().to_f64() < 1.0;
+        if let Some(j) = (0..n).find(|&j| !pivot_ok(j)) {
+            return Err(LinalgError::NotPositiveDefinite(j));
+        }
+        linv
     };
     // Psi_o[:, window] = Psi_f L^{-dagger}[:, window]
     let mut scope = PhaseScope::new(profile, Phase::CholGsO);
@@ -483,25 +513,8 @@ pub fn chfes_reduced<T: Scalar>(
         }
         reducer.assemble_cols(psi);
 
-        // scale columns to unit norm to avoid overflow before CholGS: local
-        // sum of squares (accumulated in the order of `blas1::nrm2`),
-        // cross-rank reduce, then sqrt
-        let mut sumsq = vec![0.0f64; n_states];
-        for (j, sq) in sumsq.iter_mut().enumerate() {
-            let mut acc = T::Re::ZERO;
-            for v in psi.col(j) {
-                acc += v.abs_sq();
-            }
-            *sq = acc.to_f64();
-        }
-        reducer.reduce_f64(&mut sumsq);
-        for j in 0..n_states {
-            let nrm = sumsq[j].sqrt().max(1e-300);
-            let inv = T::Re::from_f64(1.0 / nrm);
-            for v in psi.col_mut(j) {
-                *v = v.scale(inv);
-            }
-        }
+        // scale columns to unit norm to avoid overflow before CholGS
+        unit_columns(psi, reducer);
     }
 
     // One reusable `nd x window` block receives every GEMM result and is
@@ -513,18 +526,24 @@ pub fn chfes_reduced<T: Scalar>(
     // O(1e-7) non-orthogonality — once more in FP64 with an exact reduce,
     // which keeps RR well-posed.
     let subspace = opts.mixed_precision.then_some(bf);
-    if cholgs_pass(psi, &mut work, win, subspace, false, profile, reducer).is_err() {
-        // The filter produced a (numerically) rank-deficient block: fall
-        // back to Löwdin orthonormalization. Löwdin diagonalizes the
-        // *local-row* Gram, so it is only valid on full columns — the
-        // distributed solver must not reach this path.
-        assert!(
-            !reducer.is_distributed(),
-            "rank-deficient filtered block in distributed CholGS \
-             (no row-local Löwdin fallback exists)"
-        );
+    let mut refills = 0;
+    while let Err(e) = cholgs_pass(psi, &mut work, win, subspace, false, profile, reducer) {
+        // The filtered block is (numerically) rank-deficient: the overlap —
+        // the same matrix on every rank — broke down at pivot `j`, so column
+        // `j` depends on its predecessors. Trade it for `H` times itself, a
+        // new direction every layout computes on its own rows, and factorize
+        // again. (A Löwdin factor cannot stand in: a singular overlap has no
+        // `S^{-1/2}`, and no right factor adds a direction to the span.)
+        let LinalgError::NotPositiveDefinite(j) = e else {
+            panic!("CholGS: {e}");
+        };
+        refills += 1;
+        assert!(refills <= n_states, "CholGS: block stays rank-deficient");
         let _scope = PhaseScope::new(profile, Phase::CholGsO);
-        lowdin_orthonormalize(psi).expect("Löwdin fallback failed");
+        let mut fresh = Matrix::<T>::zeros(nd, 1);
+        h.apply(&psi.cols_range(j, j + 1), &mut fresh);
+        unit_columns(&mut fresh, reducer);
+        psi.set_cols(j, &fresh);
     }
     if subspace.is_some() || reducer.lossy_wire() {
         cholgs_pass(psi, &mut work, win, None, true, profile, reducer)

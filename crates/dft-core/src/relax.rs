@@ -5,16 +5,10 @@
 //! molecular-statics driver: velocity-Verlet steps with adaptive
 //! time-step and a "power" criterion that kills uphill inertia.
 //!
-//! The integrator state lives in [`FireState`] so the distributed driver
-//! in `dft-parallel` can run the *identical* update rule (bit-for-bit:
-//! same accumulation order, same branches) on replicated forces and
-//! checkpoint/restore it across preemptions.
-
-use crate::forces::{compute_forces, max_force, ForceError};
-use crate::scf::{scf, KPoint, ScfConfig, ScfResult};
-use crate::system::AtomicSystem;
-use crate::xc::XcFunctional;
-use dft_fem::space::FeSpace;
+//! This module is the integrator only: [`FireState`] is pure data with one
+//! update rule, so the one relaxation driver (`dft_parallel::dist_relax`,
+//! on any number of ranks) runs it on replicated forces and checkpoints /
+//! restores it across preemptions.
 
 /// FIRE parameters (standard values).
 #[derive(Clone, Debug)]
@@ -142,128 +136,9 @@ impl FireState {
     }
 }
 
-/// Relaxation trajectory record.
-pub struct RelaxResult {
-    /// Relaxed system.
-    pub system: AtomicSystem,
-    /// Last SCF result.
-    pub scf: ScfResult,
-    /// (energy, max force) per accepted step, including the final
-    /// post-move evaluation.
-    pub trajectory: Vec<(f64, f64)>,
-    /// Whether the force tolerance was reached.
-    pub converged: bool,
-}
-
-/// Relax atomic positions with FIRE, running a full SCF at every step.
-pub fn relax(
-    space: &FeSpace,
-    system: &AtomicSystem,
-    xc: &dyn XcFunctional,
-    scf_cfg: &ScfConfig,
-    cfg: &RelaxConfig,
-) -> Result<RelaxResult, ForceError> {
-    let mut sys = system.clone();
-    let n = sys.atoms.len();
-    let mut fire = FireState::new(n, cfg);
-    let mut trajectory = Vec::new();
-
-    let mut r = scf(space, &sys, xc, scf_cfg, &[KPoint::gamma()]);
-    let mut f = compute_forces(space, &sys, &r.density.values)?;
-    let mut converged = false;
-
-    for _step in 0..cfg.max_steps {
-        let fmax = max_force(&f);
-        trajectory.push((r.energy.free_energy, fmax));
-        if fmax < cfg.force_tol {
-            converged = true;
-            break;
-        }
-        let dx = fire.step(&f, cfg);
-        for i in 0..n {
-            for k in 0..3 {
-                sys.atoms[i].pos[k] += dx[i][k];
-            }
-        }
-        r = scf(space, &sys, xc, scf_cfg, &[KPoint::gamma()]);
-        f = compute_forces(space, &sys, &r.density.values)?;
-    }
-    if !converged {
-        // the loop exhausted max_steps: the SCF + forces computed after
-        // the last accepted move still need their convergence verdict and
-        // trajectory record (previously both were discarded)
-        let fmax = max_force(&f);
-        trajectory.push((r.energy.free_energy, fmax));
-        converged = fmax < cfg.force_tol;
-    }
-    Ok(RelaxResult {
-        system: sys,
-        scf: r,
-        trajectory,
-        converged,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::{Atom, AtomKind};
-    use crate::xc::Lda;
-    use dft_fem::mesh::{Axis, BoundaryCondition, Mesh3d};
-
-    #[test]
-    fn compressed_dimer_expands_and_lowers_energy() {
-        let l = 12.0;
-        let c = l / 2.0;
-        // mesh graded over the whole bond region so atoms can move
-        let ax = || {
-            Axis::graded(
-                0.0,
-                l,
-                0.7,
-                2.5,
-                &[c - 1.5, c, c + 1.5],
-                2.5,
-                BoundaryCondition::Dirichlet,
-            )
-        };
-        let ay = || Axis::graded(0.0, l, 0.7, 2.5, &[c], 2.5, BoundaryCondition::Dirichlet);
-        let space = FeSpace::new(Mesh3d::new([ax(), ay(), ay()], 3));
-        let d0 = 1.0; // compressed
-        let sys = AtomicSystem::new(vec![
-            Atom {
-                kind: AtomKind::Pseudo { z: 2.0, r_c: 0.6 },
-                pos: [c - d0 / 2.0, c, c],
-            },
-            Atom {
-                kind: AtomKind::Pseudo { z: 2.0, r_c: 0.6 },
-                pos: [c + d0 / 2.0, c, c],
-            },
-        ]);
-        let scf_cfg = ScfConfig {
-            n_states: 5,
-            kt: 0.02,
-            tol: 1e-6,
-            max_iter: 40,
-            cheb_degree: 30,
-            first_iter_cf_passes: 5,
-            ..ScfConfig::default()
-        };
-        let relax_cfg = RelaxConfig {
-            max_steps: 8,
-            force_tol: 2e-2,
-            ..RelaxConfig::default()
-        };
-        let out = relax(&space, &sys, &Lda, &scf_cfg, &relax_cfg).expect("relax");
-        // bond expanded
-        let d_final = (out.system.atoms[1].pos[0] - out.system.atoms[0].pos[0]).abs();
-        assert!(d_final > d0 + 0.05, "bond {d0} -> {d_final}");
-        // energy decreased and forces shrank
-        let (e0, f0) = out.trajectory[0];
-        let (e1, f1) = *out.trajectory.last().unwrap();
-        assert!(e1 < e0, "energy {e0} -> {e1}");
-        assert!(f1 < f0, "max force {f0} -> {f1}");
-    }
 
     /// Regression for the trust-radius bug: a steep force must produce a
     /// step clamped by *norm* (direction preserved) with the velocity
@@ -300,44 +175,5 @@ mod tests {
         let dx2 = fire2.step(&g, &cfg);
         let dt_h = cfg.dt * 0.5;
         assert!((dx2[0][0] - dt_h * dt_h * 0.1).abs() < 1e-15);
-    }
-
-    /// Regression for the missing final-step convergence check: a run
-    /// whose force drops below tolerance only after the last allowed move
-    /// must still report converged, and the trajectory must include the
-    /// final evaluation. `max_steps: 0` isolates the post-loop path.
-    #[test]
-    fn final_step_convergence_is_evaluated() {
-        let l = 10.0;
-        let s = FeSpace::new(Mesh3d::cube(4, l, 4));
-        let sys = AtomicSystem::new(vec![Atom {
-            kind: AtomKind::Pseudo { z: 2.0, r_c: 0.8 },
-            pos: [l / 2.0; 3],
-        }]);
-        let scf_cfg = ScfConfig {
-            n_states: 4,
-            kt: 0.02,
-            tol: 1e-6,
-            max_iter: 40,
-            cheb_degree: 30,
-            first_iter_cf_passes: 5,
-            ..ScfConfig::default()
-        };
-        let relax_cfg = RelaxConfig {
-            max_steps: 0,
-            force_tol: 5e-3, // symmetric atom: force ~ 0
-            ..RelaxConfig::default()
-        };
-        let out = relax(&s, &sys, &Lda, &scf_cfg, &relax_cfg).expect("relax");
-        assert_eq!(
-            out.trajectory.len(),
-            1,
-            "final evaluation missing from trajectory"
-        );
-        assert!(
-            out.converged,
-            "convergence not evaluated after the last step (fmax {})",
-            out.trajectory[0].1
-        );
     }
 }

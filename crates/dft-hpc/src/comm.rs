@@ -6,6 +6,16 @@
 //! (Sec. 5.4.2: FP32 on FE partition boundaries halves traffic while
 //! retaining FP64 accuracy) are *testable* rather than asserted.
 //!
+//! # Collectives
+//!
+//! As in MPI, the world is one more communicator: a group is its ascending
+//! list of global ranks and the world is the group `0..size`. Every public
+//! collective is a few-line call of the one private routine
+//! `ThreadComm::rooted`, the only place a gather loop and a return loop are
+//! written: accumulation order (hence every bit), deadline, poisoning and
+//! the root's view of a lossy wire are decided there, once. Each collective
+//! owns one [`TagBand`].
+//!
 //! # Fault tolerance
 //!
 //! Production runs at the paper's scale (8,000 Frontier nodes for hours)
@@ -174,8 +184,8 @@ impl FaultPlan {
     }
 }
 
-/// The wire-tag band of every collective primitive (barrier, allreduce,
-/// broadcast, allgather) — for [`FaultPlan`] rules targeting collectives.
+/// The wire-tag band of every collective primitive — for [`FaultPlan`]
+/// rules targeting collectives.
 pub const COLLECTIVE_TAGS: (u64, u64) = (1 << 60, u64::MAX);
 
 /// Upper bound on cluster size, which bounds every rank-indexed tag band:
@@ -186,10 +196,10 @@ pub const COLLECTIVE_TAGS: (u64, u64) = (1 << 60, u64::MAX);
 pub const MAX_RANKS: u64 = 4000;
 
 /// A declared interval of collective tags. Every collective primitive draws
-/// its tags from exactly one band; no tag literal may appear outside this
-/// registry (lint L003). `raw` bands are sent via [`ThreadComm::send_bytes`]
-/// unshifted; framed bands pass through the precision encoding
-/// (`tag << 1 | fp32_bit`), which doubles their wire interval.
+/// its tags from exactly one band, indexed by the *sending* rank; no tag
+/// literal may appear outside this registry (lint L003). Every band passes
+/// through the precision encoding (`tag << 1 | fp32_bit`), which doubles its
+/// wire interval.
 #[derive(Debug, Clone, Copy)]
 pub struct TagBand {
     /// Human-readable band name (diagnostics only).
@@ -199,8 +209,6 @@ pub struct TagBand {
     /// Number of logical tags (`1` for single-tag bands, [`MAX_RANKS`] for
     /// rank-indexed bands).
     pub width: u64,
-    /// True when the tag hits the wire unshifted (no precision framing).
-    pub raw: bool,
 }
 
 impl TagBand {
@@ -219,11 +227,7 @@ impl TagBand {
 
     /// Half-open interval of wire tags this band can emit.
     pub const fn wire_range(&self) -> (u64, u64) {
-        if self.raw {
-            (self.base, self.base + self.width)
-        } else {
-            (self.base << 1, (self.base + self.width) << 1)
-        }
+        (self.base << 1, (self.base + self.width) << 1)
     }
 
     /// Whether an observed wire tag falls inside this band.
@@ -233,38 +237,20 @@ impl TagBand {
     }
 }
 
-/// Barrier control messages (raw bytes, no precision framing).
+/// Barrier: one tag for both legs — every message is empty and `(src, dst)`
+/// tells the members apart.
 pub const BARRIER_BAND: TagBand = TagBand {
     name: "barrier",
     base: (1 << 60) + 1,
     width: 1,
-    raw: true,
 };
 
 /// Allreduce: `base + rank` carries rank contributions to root, `base`
-/// carries the reduced result back.
+/// (rank 0's own tag) carries the reduced result back.
 pub const ALLREDUCE_BAND: TagBand = TagBand {
     name: "allreduce",
     base: (1 << 60) + 1000,
     width: MAX_RANKS,
-    raw: false,
-};
-
-/// Broadcast payload from rank 0.
-pub const BROADCAST_BAND: TagBand = TagBand {
-    name: "broadcast",
-    base: (1 << 60) + 5000,
-    width: 1,
-    raw: false,
-};
-
-/// Allgather: `base + rank` carries each rank's scalar to root (the
-/// result returns on [`BROADCAST_BAND`]).
-pub const GATHER_BAND: TagBand = TagBand {
-    name: "gather",
-    base: (1 << 60) + 7000,
-    width: MAX_RANKS,
-    raw: false,
 };
 
 /// Sub-group allreduce (process-grid rows/columns): `base + rank` carries a
@@ -275,7 +261,6 @@ pub const GROUP_REDUCE_BAND: TagBand = TagBand {
     name: "group-reduce",
     base: (1 << 60) + 11000,
     width: MAX_RANKS,
-    raw: false,
 };
 
 /// Sub-group allgather of variable-length blocks (band-axis assembly of
@@ -285,7 +270,6 @@ pub const GROUP_ASSEMBLE_BAND: TagBand = TagBand {
     name: "group-assemble",
     base: (1 << 60) + 16000,
     width: MAX_RANKS,
-    raw: false,
 };
 
 /// K-point-group broadcast: `base + root` carries the payload from each
@@ -295,7 +279,6 @@ pub const KGROUP_BAND: TagBand = TagBand {
     name: "kgroup",
     base: (1 << 60) + 21000,
     width: MAX_RANKS,
-    raw: false,
 };
 
 /// Preemption-consensus allreduce(max): `base + rank` carries each rank's
@@ -309,18 +292,15 @@ pub const PREEMPT_BAND: TagBand = TagBand {
     name: "preempt",
     base: (1 << 60) + 26000,
     width: MAX_RANKS,
-    raw: false,
 };
 
 /// The complete collective tag registry. The dft-lint L003 pass statically
 /// proves these bands pairwise disjoint on the wire and contained in
 /// [`COLLECTIVE_TAGS`]; the `sanitize` feature additionally asserts at
 /// runtime that every observed collective wire tag lands in one of them.
-pub const TAG_BANDS: [TagBand; 8] = [
+pub const TAG_BANDS: [TagBand; 6] = [
     BARRIER_BAND,
     ALLREDUCE_BAND,
-    BROADCAST_BAND,
-    GATHER_BAND,
     GROUP_REDUCE_BAND,
     GROUP_ASSEMBLE_BAND,
     KGROUP_BAND,
@@ -508,6 +488,9 @@ impl CommStats {
     }
 }
 
+/// How the root of a collective folds one member's payload into its own.
+type Fold<'a> = &'a mut dyn FnMut(&mut Vec<f64>, Vec<f64>);
+
 /// One rank's endpoint in a threaded cluster.
 pub struct ThreadComm {
     rank: usize,
@@ -582,6 +565,12 @@ impl ThreadComm {
             }
             self.failed = Some(err);
         }
+    }
+
+    /// [`Self::fail`] with `err` and return it as the operation's error.
+    fn poison<T>(&mut self, err: CommError) -> Result<T, CommError> {
+        self.fail(err);
+        Err(err)
     }
 
     /// Clear a recorded failure (drivers/tests that deliberately continue
@@ -683,9 +672,7 @@ impl ThreadComm {
         {
             #[cfg(feature = "sanitize")]
             self.stats.tracker.deliver(self.rank, dst, tag); // undo: nothing was sent
-            let e = CommError::PeerGone { peer: dst };
-            self.fail(e);
-            return Err(e);
+            return self.poison(CommError::PeerGone { peer: dst });
         }
         Ok(())
     }
@@ -746,32 +733,21 @@ impl ThreadComm {
             return Ok(data);
         }
         loop {
-            let now = Instant::now();
-            if now >= deadline {
-                let e = CommError::Timeout { src, tag };
-                self.fail(e);
-                return Err(e);
-            }
-            match self.receiver.recv_timeout(deadline - now) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let e = match self.receiver.recv_timeout(left) {
+                Ok(p) if p.src == src && p.tag == tag => {
+                    #[cfg(feature = "sanitize")]
+                    self.stats.tracker.deliver(p.src, self.rank, p.tag);
+                    return Ok(p.data);
+                }
                 Ok(p) => {
-                    if p.src == src && p.tag == tag {
-                        #[cfg(feature = "sanitize")]
-                        self.stats.tracker.deliver(p.src, self.rank, p.tag);
-                        return Ok(p.data);
-                    }
                     self.stash(p);
+                    continue;
                 }
-                Err(RecvTimeoutError::Timeout) => {
-                    let e = CommError::Timeout { src, tag };
-                    self.fail(e);
-                    return Err(e);
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    let e = CommError::PeerGone { peer: src };
-                    self.fail(e);
-                    return Err(e);
-                }
-            }
+                Err(RecvTimeoutError::Timeout) => CommError::Timeout { src, tag },
+                Err(RecvTimeoutError::Disconnected) => CommError::PeerGone { peer: src },
+            };
+            return self.poison(e);
         }
     }
 
@@ -796,9 +772,7 @@ impl ThreadComm {
             return Ok(Some(data));
         }
         if disconnected {
-            let e = CommError::PeerGone { peer: src };
-            self.fail(e);
-            return Err(e);
+            return self.poison(CommError::PeerGone { peer: src });
         }
         Ok(None)
     }
@@ -832,25 +806,20 @@ impl ThreadComm {
         data: &[f64],
         wire: WirePrecision,
     ) -> Result<(), CommError> {
-        let bytes = match wire {
+        let mut bytes = Vec::with_capacity(data.len() * wire.bytes());
+        let counter = match wire {
             WirePrecision::Fp64 => {
-                let mut b = Vec::with_capacity(data.len() * 8);
                 for v in data {
-                    b.extend_from_slice(&v.to_le_bytes());
+                    bytes.extend_from_slice(&v.to_le_bytes());
                 }
-                b
+                &self.stats.bytes_fp64
             }
             WirePrecision::Fp32 => {
-                let mut b = Vec::with_capacity(data.len() * 4);
                 for v in data {
-                    b.extend_from_slice(&(*v as f32).to_le_bytes());
+                    bytes.extend_from_slice(&(*v as f32).to_le_bytes());
                 }
-                b
+                &self.stats.bytes_fp32
             }
-        };
-        let counter = match wire {
-            WirePrecision::Fp64 => &self.stats.bytes_fp64,
-            WirePrecision::Fp32 => &self.stats.bytes_fp32,
         };
         counter.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         self.send_bytes(dst, Self::wire_tag(tag, wire), bytes)
@@ -907,60 +876,79 @@ impl ThreadComm {
             .map(|b| Self::decode_f64(&b, wire)))
     }
 
-    /// Barrier across all ranks (dissemination via rank 0). One shared
-    /// deadline covers the whole collective.
-    pub fn barrier(&mut self) -> Result<(), CommError> {
-        let tag = BARRIER_BAND.tag();
+    /// The one rooted collective; every public collective is a call of it.
+    /// Each non-root member sends `mine` to the root `members[0]`, which
+    /// receives in member order and `fold`s every contribution into its own
+    /// payload (`fold: None` skips the gather leg: a broadcast), returns the
+    /// result to every member and keeps what they decode
+    /// ([`WirePrecision::delivered`]), so all members end with identical
+    /// bits on a lossy wire too. Every message travels on `tag(sender)`: a
+    /// band is indexed by the sending rank, so disjoint groups, and a
+    /// collective's two directions, never collide on one `(src, dst)` pair.
+    /// One deadline covers all receive legs, and a failed leg has already
+    /// poisoned the communicator when it returns. A single member is its
+    /// own result and sends nothing.
+    fn rooted(
+        &mut self,
+        members: &[usize],
+        tag: impl Fn(usize) -> u64,
+        mine: &[f64],
+        wire: WirePrecision,
+        fold: Option<Fold<'_>>,
+    ) -> Result<Vec<f64>, CommError> {
+        self.check()?;
+        let (root, peers) = match members.split_first() {
+            Some((&root, peers)) if !peers.is_empty() => (root, peers),
+            _ => return Ok(mine.to_vec()),
+        };
         let deadline = Instant::now() + self.timeout;
-        if self.rank == 0 {
-            for r in 1..self.size {
-                let _ = self.recv_bytes_deadline(r, tag, deadline)?;
+        if self.rank != root {
+            if fold.is_some() {
+                self.send_f64(root, tag(self.rank), mine, wire)?;
             }
-            for r in 1..self.size {
-                self.send_bytes(r, tag, vec![])?;
-            }
-        } else {
-            self.send_bytes(0, tag, vec![])?;
-            let _ = self.recv_bytes_deadline(0, tag, deadline)?;
+            return self.recv_f64_deadline(root, tag(root), wire, deadline);
         }
+        let mut acc = mine.to_vec();
+        if let Some(fold) = fold {
+            for &m in peers {
+                let got = self.recv_f64_deadline(m, tag(m), wire, deadline)?;
+                fold(&mut acc, got);
+            }
+        }
+        for &m in peers {
+            self.send_f64(m, tag(root), &acc, wire)?;
+        }
+        for a in &mut acc {
+            *a = wire.delivered(*a);
+        }
+        Ok(acc)
+    }
+
+    /// Every rank: the world is the group `0..size`, rooted at rank 0.
+    fn world(&self) -> Vec<usize> {
+        (0..self.size).collect()
+    }
+
+    /// Barrier across all ranks: the empty payload, gathered and returned.
+    pub fn barrier(&mut self) -> Result<(), CommError> {
+        let tag = |_| BARRIER_BAND.tag();
+        let fold = &mut |_: &mut Vec<f64>, _| {};
+        self.rooted(&self.world(), tag, &[], WirePrecision::Fp64, Some(fold))?;
         Ok(())
     }
 
     /// In-place allreduce(sum) over `f64` buffers, with selectable wire
-    /// precision (gather-to-root + broadcast; the accumulation itself is
-    /// always FP64, matching the paper's "FP32 wire, FP64 math" scheme).
-    /// One shared deadline covers every receive leg.
+    /// precision. The root accumulates in rank order, always in FP64
+    /// (the paper's "FP32 wire, FP64 math" scheme).
     pub fn allreduce_sum_f64(
         &mut self,
         data: &mut [f64],
         wire: WirePrecision,
     ) -> Result<(), CommError> {
-        if self.size == 1 {
-            return self.check();
-        }
-        let deadline = Instant::now() + self.timeout;
-        if self.rank == 0 {
-            let mut acc = data.to_vec();
-            for r in 1..self.size {
-                let contrib =
-                    self.recv_f64_deadline(r, ALLREDUCE_BAND.for_rank(r), wire, deadline)?;
-                for (a, &c) in acc.iter_mut().zip(contrib.iter()) {
-                    *a += c;
-                }
-            }
-            for r in 1..self.size {
-                self.send_f64(r, ALLREDUCE_BAND.tag(), &acc, wire)?;
-            }
-            // the root keeps what its peers decode: identical bits on every
-            // rank on a lossy wire too
-            for (d, &a) in data.iter_mut().zip(&acc) {
-                *d = wire.delivered(a);
-            }
-        } else {
-            self.send_f64(0, ALLREDUCE_BAND.for_rank(self.rank), data, wire)?;
-            let red = self.recv_f64_deadline(0, ALLREDUCE_BAND.tag(), wire, deadline)?;
-            data.copy_from_slice(&red);
-        }
+        let tag = |r| ALLREDUCE_BAND.for_rank(r);
+        let sum = &mut zip_with(|a, c| a + c);
+        let out = self.rooted(&self.world(), tag, data, wire, Some(sum))?;
+        data.copy_from_slice(&out);
         Ok(())
     }
 
@@ -975,111 +963,19 @@ impl ThreadComm {
     pub fn allreduce_max_u64(&mut self, v: u64) -> Result<u64, CommError> {
         // dftlint:allow(L003, reason="2^53 is the exact-f64 range bound of the payload, not a wire tag")
         debug_assert!(v < (1 << 53), "control counter exceeds exact f64 range");
-        if self.size == 1 {
-            self.check()?;
-            return Ok(v);
-        }
-        let deadline = Instant::now() + self.timeout;
-        if self.rank == 0 {
-            let mut acc = v as f64;
-            for r in 1..self.size {
-                let contrib = self.recv_f64_deadline(
-                    r,
-                    PREEMPT_BAND.for_rank(r),
-                    WirePrecision::Fp64,
-                    deadline,
-                )?;
-                // max of non-negative integers is order-independent and
-                // exact in f64: deterministic regardless of arrival order
-                for &c in &contrib {
-                    if c > acc {
-                        acc = c;
-                    }
-                }
-            }
-            for r in 1..self.size {
-                self.send_f64(r, PREEMPT_BAND.tag(), &[acc], WirePrecision::Fp64)?;
-            }
-            Ok(acc as u64)
-        } else {
-            self.send_f64(
-                0,
-                PREEMPT_BAND.for_rank(self.rank),
-                &[v as f64],
-                WirePrecision::Fp64,
-            )?;
-            let red =
-                self.recv_f64_deadline(0, PREEMPT_BAND.tag(), WirePrecision::Fp64, deadline)?;
-            Ok(red.first().copied().unwrap_or(v as f64) as u64)
-        }
-    }
-
-    /// Broadcast from rank 0, with selectable wire precision (rank 0's data
-    /// is left untouched; FP32 wire rounds what the other ranks receive).
-    /// Each of the `size - 1` hops carries the full payload once.
-    pub fn broadcast_f64(
-        &mut self,
-        data: &mut [f64],
-        wire: WirePrecision,
-    ) -> Result<(), CommError> {
-        if self.size == 1 {
-            return self.check();
-        }
-        if self.rank == 0 {
-            for r in 1..self.size {
-                self.send_f64(r, BROADCAST_BAND.tag(), data, wire)?;
-            }
-        } else {
-            let v = self.recv_f64(0, BROADCAST_BAND.tag(), wire)?;
-            data.copy_from_slice(&v);
-        }
-        Ok(())
-    }
-
-    /// Gather per-rank scalars at every rank (small allgather):
-    /// gather-to-root then broadcast, so every hop moves only payload —
-    /// `size - 1` one-scalar hops in, `size - 1` full-vector hops out
-    /// (the former one-hot-allreduce implementation padded every hop to
-    /// `size` scalars, inflating the recorded wire volume).
-    pub fn allgather_scalar(&mut self, v: f64) -> Result<Vec<f64>, CommError> {
-        let mut buf = vec![0.0; self.size];
-        buf[self.rank] = v;
-        if self.size == 1 {
-            self.check()?;
-            return Ok(buf);
-        }
-        let deadline = Instant::now() + self.timeout;
-        if self.rank == 0 {
-            // r is the peer rank, not just an index into buf
-            #[allow(clippy::needless_range_loop)]
-            for r in 1..self.size {
-                let got = self.recv_f64_deadline(
-                    r,
-                    GATHER_BAND.for_rank(r),
-                    WirePrecision::Fp64,
-                    deadline,
-                )?;
-                buf[r] = got[0];
-            }
-        } else {
-            self.send_f64(
-                0,
-                GATHER_BAND.for_rank(self.rank),
-                &[v],
-                WirePrecision::Fp64,
-            )?;
-        }
-        self.broadcast_f64(&mut buf, WirePrecision::Fp64)?;
-        Ok(buf)
+        let tag = |r| PREEMPT_BAND.for_rank(r);
+        // max of non-negative integers is exact in f64
+        let max = &mut zip_with(f64::max);
+        let mine = [v as f64];
+        let out = self.rooted(&self.world(), tag, &mine, WirePrecision::Fp64, Some(max))?;
+        Ok(out.first().map_or(v, |&m| m as u64))
     }
 
     /// In-place allreduce(sum) over the communicator sub-group `members`
-    /// (ascending global ranks; must contain `self.rank`). The group root is
-    /// `members[0]`; contributions are accumulated in member order, always
-    /// in FP64 regardless of the wire precision. When `members` is the full
-    /// rank list `[0, n)` the arithmetic is bit-identical to
-    /// [`Self::allreduce_sum_f64`]. Disjoint groups (process-grid rows or
-    /// columns) may call this concurrently on the shared
+    /// (ascending global ranks; must contain `self.rank`): contributions
+    /// are accumulated in member order at `members[0]`, always in FP64
+    /// regardless of the wire precision. Disjoint groups (process-grid rows
+    /// or columns) may call this concurrently on the shared
     /// [`GROUP_REDUCE_BAND`].
     pub fn group_allreduce_sum_f64(
         &mut self,
@@ -1087,130 +983,81 @@ impl ThreadComm {
         data: &mut [f64],
         wire: WirePrecision,
     ) -> Result<(), CommError> {
-        if members.len() <= 1 {
-            return self.check();
-        }
-        let root = members[0];
-        let deadline = Instant::now() + self.timeout;
-        if self.rank == root {
-            let mut acc = data.to_vec();
-            for &m in &members[1..] {
-                let contrib =
-                    self.recv_f64_deadline(m, GROUP_REDUCE_BAND.for_rank(m), wire, deadline)?;
-                for (a, &c) in acc.iter_mut().zip(contrib.iter()) {
-                    *a += c;
-                }
-            }
-            for &m in &members[1..] {
-                self.send_f64(m, GROUP_REDUCE_BAND.for_rank(root), &acc, wire)?;
-            }
-            for (d, &a) in data.iter_mut().zip(&acc) {
-                *d = wire.delivered(a);
-            }
-        } else {
-            self.send_f64(root, GROUP_REDUCE_BAND.for_rank(self.rank), data, wire)?;
-            let red =
-                self.recv_f64_deadline(root, GROUP_REDUCE_BAND.for_rank(root), wire, deadline)?;
-            data.copy_from_slice(&red);
-        }
+        let tag = |m| GROUP_REDUCE_BAND.for_rank(m);
+        let sum = &mut zip_with(|a, c| a + c);
+        let out = self.rooted(members, tag, data, wire, Some(sum))?;
+        data.copy_from_slice(&out);
         Ok(())
     }
 
     /// Allgather of variable-length `f64` blocks over the sub-group
     /// `members`: returns every member's block in member order, on every
-    /// member. Gather-to-root then one framed return hop per member — the
-    /// frame is `[n, len_0.., blocks..]` (block counts and lengths are far
-    /// below 2^24, so they survive an FP32 wire exactly).
+    /// member. The root's payload is the return frame `[n, len_0.., block_0..]`
+    /// with its own block in place; the fold appends each member's block and
+    /// writes its length (block counts and lengths are far below 2^24, so
+    /// they survive an FP32 wire exactly).
     pub fn group_allgather_f64(
         &mut self,
         members: &[usize],
         mine: &[f64],
         wire: WirePrecision,
     ) -> Result<Vec<Vec<f64>>, CommError> {
-        if members.len() <= 1 {
-            self.check()?;
-            return Ok(vec![mine.to_vec()]);
+        let (n, root) = (members.len(), members.first().map_or(self.rank, |&r| r));
+        let mut payload = Vec::with_capacity(1 + n + mine.len());
+        if root == self.rank {
+            payload.extend([n as f64, mine.len() as f64]);
+            payload.resize(1 + n, 0.0);
         }
-        let root = members[0];
-        let deadline = Instant::now() + self.timeout;
-        if self.rank == root {
-            let mut blocks: Vec<Vec<f64>> = Vec::with_capacity(members.len());
-            blocks.push(mine.to_vec());
-            for &m in &members[1..] {
-                blocks.push(self.recv_f64_deadline(
-                    m,
-                    GROUP_ASSEMBLE_BAND.for_rank(m),
-                    wire,
-                    deadline,
-                )?);
-            }
-            let total: usize = blocks.iter().map(Vec::len).sum();
-            let mut framed = Vec::with_capacity(1 + blocks.len() + total);
-            framed.push(blocks.len() as f64);
-            for b in &blocks {
-                framed.push(b.len() as f64);
-            }
-            for b in &blocks {
-                framed.extend_from_slice(b);
-            }
-            for &m in &members[1..] {
-                self.send_f64(m, GROUP_ASSEMBLE_BAND.for_rank(root), &framed, wire)?;
-            }
-            Ok(blocks)
-        } else {
-            self.send_f64(root, GROUP_ASSEMBLE_BAND.for_rank(self.rank), mine, wire)?;
-            let framed =
-                self.recv_f64_deadline(root, GROUP_ASSEMBLE_BAND.for_rank(root), wire, deadline)?;
-            if framed.is_empty() {
-                let e = CommError::PeerGone { peer: root };
-                self.fail(e);
-                return Err(e);
-            }
-            let n = framed[0] as usize;
-            if framed.len() < 1 + n {
-                let e = CommError::PeerGone { peer: root };
-                self.fail(e);
-                return Err(e);
-            }
-            let mut blocks = Vec::with_capacity(n);
-            let mut off = 1 + n;
-            for i in 0..n {
-                let len = framed[1 + i] as usize;
-                if off + len > framed.len() {
-                    let e = CommError::PeerGone { peer: root };
-                    self.fail(e);
-                    return Err(e);
-                }
-                blocks.push(framed[off..off + len].to_vec());
-                off += len;
-            }
-            Ok(blocks)
-        }
+        payload.extend_from_slice(mine);
+        let mut slot = 1;
+        let fold = &mut |frame: &mut Vec<f64>, block: Vec<f64>| {
+            slot += 1;
+            frame[slot] = block.len() as f64;
+            frame.extend(block);
+        };
+        let tag = |m| GROUP_ASSEMBLE_BAND.for_rank(m);
+        let frame = self.rooted(members, tag, &payload, wire, Some(fold))?;
+        unframe(&frame).map_or_else(|| self.poison(CommError::PeerGone { peer: root }), Ok)
     }
 
     /// Broadcast from the sub-group root `members[0]` to the other members
-    /// (the root's `data` is left untouched). Concurrent broadcasts from
-    /// distinct roots (one per k-point group) share [`KGROUP_BAND`].
+    /// (an FP32 wire rounds the root's copy like everyone else's).
+    /// Concurrent broadcasts from distinct roots (one per k-point group)
+    /// share [`KGROUP_BAND`].
     pub fn group_broadcast_f64(
         &mut self,
         members: &[usize],
         data: &mut [f64],
         wire: WirePrecision,
     ) -> Result<(), CommError> {
-        if members.len() <= 1 {
-            return self.check();
-        }
-        let root = members[0];
-        if self.rank == root {
-            for &m in &members[1..] {
-                self.send_f64(m, KGROUP_BAND.for_rank(root), data, wire)?;
-            }
-        } else {
-            let v = self.recv_f64(root, KGROUP_BAND.for_rank(root), wire)?;
-            data.copy_from_slice(&v);
-        }
+        let tag = |m| KGROUP_BAND.for_rank(m);
+        let got = self.rooted(members, tag, data, wire, None)?;
+        data.copy_from_slice(&got);
         Ok(())
     }
+}
+
+/// The element-wise fold of an allreduce: FP64, in member order.
+fn zip_with(f: impl Fn(f64, f64) -> f64) -> impl FnMut(&mut Vec<f64>, Vec<f64>) {
+    move |acc, got| {
+        for (a, c) in acc.iter_mut().zip(got) {
+            *a = f(*a, c);
+        }
+    }
+}
+
+/// Split an allgather frame `[n, len_0.., blocks..]` into its blocks;
+/// `None` if the lengths do not fit the frame.
+fn unframe(frame: &[f64]) -> Option<Vec<Vec<f64>>> {
+    let (&n, body) = frame.split_first()?;
+    let (lens, mut rest) = body.split_at_checked(n as usize)?;
+    lens.iter()
+        .map(|&len| {
+            let (block, tail) = rest.split_at_checked(len as usize)?;
+            rest = tail;
+            Some(block.to_vec())
+        })
+        .collect()
 }
 
 /// Run `f` on `n` ranks (threads) and collect the per-rank results in rank
@@ -1402,14 +1249,6 @@ mod tests {
     }
 
     #[test]
-    fn allgather_scalar_collects_all() {
-        let (results, _) = run_cluster(3, |c| c.allgather_scalar((c.rank() * 10) as f64).unwrap());
-        for r in results {
-            assert_eq!(r, vec![0.0, 10.0, 20.0]);
-        }
-    }
-
-    #[test]
     fn out_of_order_tags_are_buffered() {
         let (results, _) = run_cluster(2, |c| {
             if c.rank() == 0 {
@@ -1432,7 +1271,6 @@ mod tests {
             let mut v = vec![3.5];
             c.allreduce_sum_f64(&mut v, WirePrecision::Fp64).unwrap();
             c.barrier().unwrap();
-            c.broadcast_f64(&mut v, WirePrecision::Fp64).unwrap();
             v[0]
         });
         assert_eq!(results[0], 3.5);
@@ -1555,17 +1393,6 @@ mod tests {
             }
         });
         assert_eq!(results[1], 21.0);
-    }
-
-    /// `allgather_scalar` wire volume: (n-1) one-scalar gather hops plus
-    /// (n-1) n-scalar broadcast hops, nothing more.
-    #[test]
-    fn allgather_scalar_moves_only_payload() {
-        let n = 4u64;
-        let (_, stats) = run_cluster(n as usize, |c| c.allgather_scalar(c.rank() as f64).unwrap());
-        let (bytes, msgs, _, _) = stats.snapshot();
-        assert_eq!(bytes, (n - 1) * 8 + (n - 1) * n * 8);
-        assert_eq!(msgs, 2 * (n - 1));
     }
 
     // -----------------------------------------------------------------
@@ -1782,25 +1609,6 @@ mod tests {
         );
     }
 
-    /// A full-group sub-communicator allreduce must reproduce the global
-    /// allreduce bit-for-bit: same root, same member-order accumulation.
-    #[test]
-    fn full_group_allreduce_matches_global_allreduce_bitwise() {
-        let (results, _) = run_cluster(4, |c| {
-            let members: Vec<usize> = (0..c.size()).collect();
-            let mut a = vec![(c.rank() as f64 + 1.0) * 0.1, 1.0 / 3.0];
-            let mut b = a.clone();
-            c.allreduce_sum_f64(&mut a, WirePrecision::Fp64).unwrap();
-            c.group_allreduce_sum_f64(&members, &mut b, WirePrecision::Fp64)
-                .unwrap();
-            (a, b)
-        });
-        for (a, b) in results {
-            assert_eq!(a[0].to_bits(), b[0].to_bits());
-            assert_eq!(a[1].to_bits(), b[1].to_bits());
-        }
-    }
-
     /// Row groups then column groups of a 2x2 process grid: disjoint
     /// sub-groups share a tag band concurrently, and each axis sums only
     /// its own members.
@@ -1983,6 +1791,172 @@ mod tests {
         assert_eq!(results, vec![0.0, 0.0, 200.0, 200.0]);
     }
 
+    /// The public collectives, as rows of the table test below.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Op {
+        Barrier,
+        Sum,
+        Max,
+        GroupSum,
+        GroupGather,
+        GroupBcast,
+    }
+
+    impl Op {
+        const ALL: [Op; 6] = [
+            Op::Barrier,
+            Op::Sum,
+            Op::Max,
+            Op::GroupSum,
+            Op::GroupGather,
+            Op::GroupBcast,
+        ];
+
+        /// World collectives run on every rank of the cluster.
+        fn on_world(self) -> bool {
+            matches!(self, Op::Barrier | Op::Sum | Op::Max)
+        }
+
+        /// Rank `r`'s input (all values exact in FP32).
+        fn input(self, r: usize) -> Vec<f64> {
+            match self {
+                Op::Barrier => vec![],
+                Op::Sum | Op::GroupSum => vec![r as f64 + 0.5, 1.0, -(r as f64)],
+                Op::Max => vec![(3 * r + 1) as f64],
+                Op::GroupGather => vec![r as f64; r + 1],
+                Op::GroupBcast => vec![(100 * r + 7) as f64, 0.25],
+            }
+        }
+
+        fn run(
+            self,
+            c: &mut ThreadComm,
+            members: &[usize],
+            wire: WirePrecision,
+        ) -> Result<Vec<f64>, CommError> {
+            let mut v = self.input(c.rank());
+            match self {
+                Op::Barrier => c.barrier()?,
+                Op::Sum => c.allreduce_sum_f64(&mut v, wire)?,
+                Op::Max => v[0] = c.allreduce_max_u64(v[0] as u64)? as f64,
+                Op::GroupSum => c.group_allreduce_sum_f64(members, &mut v, wire)?,
+                Op::GroupGather => {
+                    let blocks = c.group_allgather_f64(members, &v, wire)?;
+                    assert_eq!(blocks.len(), members.len());
+                    v = blocks.concat();
+                }
+                Op::GroupBcast => c.group_broadcast_f64(members, &mut v, wire)?,
+            }
+            Ok(v)
+        }
+
+        /// What every member must hold afterwards.
+        fn expect(self, members: &[usize]) -> Vec<f64> {
+            let inputs = || members.iter().map(|&m| self.input(m));
+            match self {
+                Op::Barrier => vec![],
+                Op::Sum | Op::GroupSum => (0..3).map(|i| inputs().map(|v| v[i]).sum()).collect(),
+                Op::Max => vec![inputs().map(|v| v[0]).fold(0.0, f64::max)],
+                Op::GroupGather => inputs().flatten().collect(),
+                Op::GroupBcast => self.input(members[0]),
+            }
+        }
+
+        /// Exact `(messages, payload scalars)` of one call over `members`.
+        fn traffic(self, members: &[usize]) -> (u64, u64) {
+            let k = members.len() as u64;
+            let len = |m: &usize| self.input(*m).len() as u64;
+            let up: u64 = members[1..].iter().map(len).sum();
+            let all: u64 = members.iter().map(len).sum();
+            match self {
+                _ if k == 1 => (0, 0),
+                Op::GroupBcast => (k - 1, (k - 1) * all / k),
+                Op::GroupGather => (2 * (k - 1), up + (k - 1) * (1 + k + all)),
+                _ => (2 * (k - 1), up + (k - 1) * all / k),
+            }
+        }
+
+        /// Which precision counter the payload lands in.
+        fn wire(self, asked: WirePrecision) -> WirePrecision {
+            match self {
+                Op::Barrier | Op::Max => WirePrecision::Fp64,
+                _ => asked,
+            }
+        }
+    }
+
+    /// Every public collective x {world, proper sub-group rooted at a
+    /// nonzero rank, single member} x {FP64, FP32 wire}: the result on
+    /// every member, and the exact message and per-precision byte counts.
+    #[test]
+    fn every_collective_on_every_group_shape() {
+        for op in Op::ALL {
+            let shapes: &[(usize, &[usize])] = if op.on_world() {
+                &[(4, &[0, 1, 2, 3]), (1, &[0])]
+            } else {
+                &[(4, &[0, 1, 2, 3]), (4, &[1, 3]), (4, &[2])]
+            };
+            for &(n, members) in shapes {
+                for asked in [WirePrecision::Fp64, WirePrecision::Fp32] {
+                    let (results, stats) = run_cluster(n, |c| {
+                        members
+                            .contains(&c.rank())
+                            .then(|| op.run(c, members, asked).unwrap())
+                    });
+                    let case = format!("{op:?} on {members:?} of {n}, {asked:?}");
+                    for (r, got) in results.iter().enumerate() {
+                        let want = members.contains(&r).then(|| op.expect(members));
+                        assert_eq!(*got, want, "{case}: rank {r}");
+                    }
+                    let (messages, scalars) = op.traffic(members);
+                    let bytes = scalars * op.wire(asked).bytes() as u64;
+                    let (b64, b32) = match op.wire(asked) {
+                        WirePrecision::Fp64 => (bytes, 0),
+                        WirePrecision::Fp32 => (0, bytes),
+                    };
+                    assert_eq!(stats.snapshot(), (bytes, messages, b64, b32), "{case}");
+                }
+            }
+        }
+    }
+
+    /// A member that never enters the collective (the root, for the
+    /// broadcast) times every other member out within the one deadline,
+    /// and a point-to-point message it posted beforehand is still
+    /// deliverable afterwards: nothing drained on the way is dropped.
+    #[test]
+    fn a_silent_member_times_every_collective_out_with_the_stash_intact() {
+        let opts = ClusterOptions::with_timeout(Duration::from_millis(60));
+        for op in Op::ALL {
+            let members: &[usize] = if op.on_world() {
+                &[0, 1, 2, 3]
+            } else {
+                &[1, 2, 3]
+            };
+            let silent = if op == Op::GroupBcast { 1 } else { 3 };
+            let t0 = Instant::now();
+            let (results, _) = run_cluster_with(4, &opts, |c| {
+                if c.rank() == silent {
+                    for &m in members.iter().filter(|&&m| m != silent) {
+                        c.send_f64(m, 41, &[m as f64], WirePrecision::Fp64).unwrap();
+                    }
+                    return true;
+                }
+                if !members.contains(&c.rank()) {
+                    return true;
+                }
+                let err = op.run(c, members, WirePrecision::Fp64).unwrap_err();
+                assert!(matches!(err, CommError::Timeout { .. }), "{op:?}: {err:?}");
+                assert_eq!(c.failure(), Some(err), "{op:?}: communicator not poisoned");
+                c.clear_failure();
+                c.recv_f64(silent, 41, WirePrecision::Fp64).unwrap() == [c.rank() as f64]
+            });
+            assert!(results.iter().all(|&ok| ok), "{op:?}: stash lost a message");
+            let elapsed = t0.elapsed();
+            assert!(elapsed < Duration::from_secs(5), "{op:?} took {elapsed:?}");
+        }
+    }
+
     /// The `sanitize` feature's message-leak detector and tag-band asserts.
     #[cfg(feature = "sanitize")]
     mod sanitizer {
@@ -1996,7 +1970,9 @@ mod tests {
                 c.barrier().unwrap();
                 let mut v = vec![c.rank() as f64];
                 c.allreduce_sum_f64(&mut v, WirePrecision::Fp64).unwrap();
-                let all = c.allgather_scalar(c.rank() as f64).unwrap();
+                let all = c
+                    .group_allgather_f64(&[0, 1, 2, 3], &v, WirePrecision::Fp64)
+                    .unwrap();
                 (v[0], all.len())
             });
             assert_eq!(results, vec![(6.0, 4); 4]);

@@ -22,11 +22,13 @@
 //!   `.ok()`/`.unwrap_or*()` chained onto a comm call, and
 //!   `Err(_) => continue` / `Err(_) => {}` arms over a comm-call scrutinee
 //!   are all flagged.
-//! * **L008** — inside `comm.rs` functions named `group_*`, every
-//!   point-to-point tag must be derived from a single registered `TagBand`
-//!   const (`BAND.for_rank(..)` / `BAND.tag()`); the band's bounds are the
-//!   ones the L003 const-evaluator already proves disjoint and
-//!   rank-indexable, so the sub-communicator offset cannot escape it.
+//! * **L008** — inside `comm.rs`, every collective (a function that calls
+//!   the one rooted routine `rooted`, or is named `group_*`) must derive
+//!   the tag it hands to `rooted` or to a point-to-point call from a single
+//!   registered `TagBand` const (`BAND.for_rank(..)` / `BAND.tag()`,
+//!   directly or through a local binding or closure); the band's bounds are
+//!   the ones the L003 const-evaluator already proves disjoint and
+//!   rank-indexable, so no world or sub-communicator offset can escape it.
 
 use crate::token::{Tok, TokKind};
 use std::collections::BTreeSet;
@@ -36,8 +38,6 @@ pub const COLLECTIVE_SEED: &[&str] = &[
     "barrier",
     "allreduce_sum_f64",
     "allreduce_max_u64",
-    "broadcast_f64",
-    "allgather_scalar",
     "group_allreduce_sum_f64",
     "group_allgather_f64",
     "group_broadcast_f64",
@@ -49,8 +49,6 @@ pub const COMM_FALLIBLE: &[&str] = &[
     "barrier",
     "allreduce_sum_f64",
     "allreduce_max_u64",
-    "broadcast_f64",
-    "allgather_scalar",
     "group_allreduce_sum_f64",
     "group_allgather_f64",
     "group_broadcast_f64",
@@ -66,8 +64,10 @@ pub const COMM_FALLIBLE: &[&str] = &[
     "advance_epoch",
 ];
 
-/// Point-to-point primitives whose second argument is the wire tag (L008).
+/// Calls whose second argument is the wire tag (L008): the one rooted
+/// collective routine (a tag per sending rank) and the point-to-point layer.
 const TAGGED_P2P: &[&str] = &[
+    "rooted",
     "send_bytes",
     "recv_bytes",
     "recv_bytes_deadline",
@@ -725,44 +725,64 @@ pub fn lint_poison_safety(toks: &[Tok], test: &[(usize, usize)], out: &mut Vec<R
 // L008: tag-band discipline in group contexts (comm.rs)
 // ---------------------------------------------------------------------------
 
-/// L008 over `comm.rs`: inside every `group_*` function each tagged
-/// point-to-point call must derive its tag from exactly one registered
-/// `TagBand` const via `.for_rank(..)` or `.tag()`. `band_consts` is the
-/// set of const names whose right-hand side declares a `TagBand` literal —
-/// the registry the L003 const-evaluator has already proven disjoint and
-/// wide enough for `base + rank` offsets.
+/// L008 over `comm.rs`: inside every collective — a function that calls
+/// `rooted` or is named `group_*` — each tagged call must derive its tag
+/// from exactly one registered `TagBand` const via `.for_rank(..)` or
+/// `.tag()`. `band_consts` is the set of const names whose right-hand side
+/// declares a `TagBand` literal — the registry the L003 const-evaluator has
+/// already proven disjoint and wide enough for `base + rank` offsets.
 pub fn lint_group_tag_discipline(
     toks: &[Tok],
     test: &[(usize, usize)],
     band_consts: &BTreeSet<String>,
     out: &mut Vec<RawDiag>,
 ) {
+    // the band a token slice starts deriving a tag from, if any
+    let band_of = |t: &[Tok]| match t {
+        [c, dot, m, ..]
+            if band_consts.contains(&c.text)
+                && dot.is_op(".")
+                && (m.is_ident("for_rank") || m.is_ident("tag")) =>
+        {
+            Some(c.text.clone())
+        }
+        _ => None,
+    };
     for f in fn_items(toks) {
-        if !f.name.starts_with("group_") {
+        let body = f.body.0..f.body.1.min(toks.len());
+        let calls_rooted = body
+            .clone()
+            .any(|i| toks[i].is_ident("rooted") && is_call(toks, i));
+        if !(calls_rooted || f.name.starts_with("group_")) {
             continue;
         }
         if test.iter().any(|&(a, b)| a <= f.body.0 && f.body.0 < b) {
             continue;
         }
-        // `let t = BAND.for_rank(..)` bindings usable as tag arguments
+        // `let t = BAND.for_rank(..)` / `let t = |m| BAND.for_rank(m)`
+        // bindings usable as tag arguments
         let mut bound: Vec<(String, String)> = Vec::new(); // (local, band)
-        for i in f.body.0..f.body.1.min(toks.len()) {
-            if toks[i].is_ident("let")
+        for i in body.clone() {
+            if !(toks[i].is_ident("let")
                 && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
-                && toks.get(i + 2).is_some_and(|t| t.is_op("="))
-                && toks
-                    .get(i + 3)
-                    .is_some_and(|t| band_consts.contains(&t.text))
-                && toks.get(i + 4).is_some_and(|t| t.is_op("."))
-                && toks
-                    .get(i + 5)
-                    .is_some_and(|t| t.is_ident("for_rank") || t.is_ident("tag"))
+                && toks.get(i + 2).is_some_and(|t| t.is_op("=")))
             {
-                bound.push((toks[i + 1].text.clone(), toks[i + 3].text.clone()));
+                continue;
+            }
+            // skip a one-parameter closure header `|m|`
+            let rhs = if toks.get(i + 3).is_some_and(|t| t.is_op("|"))
+                && toks.get(i + 5).is_some_and(|t| t.is_op("|"))
+            {
+                i + 6
+            } else {
+                i + 3
+            };
+            if let Some(band) = toks.get(rhs..).and_then(band_of) {
+                bound.push((toks[i + 1].text.clone(), band));
             }
         }
         let mut used: Vec<(String, u32, u32)> = Vec::new();
-        for i in f.body.0..f.body.1.min(toks.len()) {
+        for i in body {
             if !(is_call(toks, i)
                 && TAGGED_P2P.contains(&toks[i].text.as_str())
                 && i > 0
@@ -777,27 +797,20 @@ pub fn lint_group_tag_discipline(
                 continue;
             };
             let arg = &toks[open + 1 + a..open + 1 + b];
-            let band = match arg {
-                [c, dot, m, ..]
-                    if band_consts.contains(&c.text)
-                        && dot.is_op(".")
-                        && (m.is_ident("for_rank") || m.is_ident("tag")) =>
-                {
-                    Some(c.text.clone())
-                }
+            let band = band_of(arg).or_else(|| match arg {
                 [v] if v.kind == TokKind::Ident => bound
                     .iter()
                     .find(|(local, _)| *local == v.text)
                     .map(|(_, band)| band.clone()),
                 _ => None,
-            };
+            });
             match band {
                 Some(b) => used.push((b, toks[i].line, toks[i].col)),
                 None => out.push((
                     toks[i].line,
                     toks[i].col,
                     format!(
-                        "tag for `.{}()` in group context `{}` is not derived from a registered TagBand (`BAND.for_rank(..)`/`BAND.tag()`): sub-communicator tags must stay inside their L003-proven band",
+                        "tag for `.{}()` in collective `{}` is not derived from a registered TagBand (`BAND.for_rank(..)`/`BAND.tag()`): collective tags must stay inside their L003-proven band",
                         toks[i].text, f.name
                     ),
                 )),
@@ -809,7 +822,7 @@ pub fn lint_group_tag_discipline(
                     w[1].1,
                     w[1].2,
                     format!(
-                        "group context `{}` mixes tag bands `{}` and `{}`: one group collective must stay inside one registered band",
+                        "collective `{}` mixes tag bands `{}` and `{}`: one collective must stay inside one registered band",
                         f.name, w[0].0, w[1].0
                     ),
                 ));

@@ -16,7 +16,7 @@
 //! | L005 | no allocation (`Vec::new`, `vec![`, `.collect()`, `.clone()`, `.to_vec()`) inside functions marked `dftlint:hot` on the preceding line |
 //! | L006 | SPMD collective ordering: no collective under rank-dependent control flow with divergent per-branch sequences, no early exit (`return`/`?`/`break`/`continue`) in a rank-dependent branch when collectives follow — resolved through a workspace call-summary graph |
 //! | L007 | poison safety: a `CommError` is never swallowed (`let _ =`, `.ok()`, `.unwrap_or*()`, `Err(_) => continue`/`{}`) — it must reach the poison cascade or a typed error |
-//! | L008 | group-collective tag discipline in `comm.rs`: every `group_*` point-to-point tag derives from exactly one registered `TagBand` (`BAND.for_rank(..)`/`BAND.tag()`), whose bounds the L003 const-evaluator proves |
+//! | L008 | collective tag discipline in `comm.rs`: every collective (a caller of the one rooted routine `rooted`, or a `group_*` function) derives the tag it hands on from exactly one registered `TagBand` (`BAND.for_rank(..)`/`BAND.tag()`), whose bounds the L003 const-evaluator proves |
 //!
 //! A violation can be suppressed — with a mandatory justification — by a
 //! line comment on the same or the preceding line:
@@ -408,22 +408,16 @@ struct Band {
     name: String,
     base: u64,
     width: u64,
-    raw: bool,
     line: u32,
     col: u32,
 }
 
 impl Band {
-    /// The half-open interval of wire tags this band can emit: raw bands
-    /// hit the wire unshifted, framed bands pass through the precision
-    /// encoding `tag << 1 | precision_bit`.
+    /// The half-open interval of wire tags this band can emit: every tag
+    /// passes through the precision encoding `tag << 1 | precision_bit`.
     fn wire_range(&self) -> Option<(u64, u64)> {
         let hi = self.base.checked_add(self.width)?;
-        if self.raw {
-            Some((self.base, hi))
-        } else {
-            Some((self.base.checked_shl(1)?, hi.checked_shl(1)?))
-        }
+        Some((self.base.checked_shl(1)?, hi.checked_shl(1)?))
     }
 }
 
@@ -526,7 +520,7 @@ pub(crate) fn split_top_level(toks: &[Tok]) -> Vec<(usize, usize)> {
     parts
 }
 
-/// Parse every `TagBand { name: "..", base: .., width: .., raw: .. }`
+/// Parse every `TagBand { name: "..", base: .., width: .. }`
 /// struct literal in the token stream.
 fn tag_band_literals(
     toks: &[Tok],
@@ -558,7 +552,6 @@ fn tag_band_literals(
         let mut name = None;
         let mut base = None;
         let mut width = None;
-        let mut raw = None;
         for (a, b) in split_top_level(body) {
             let field = &body[a..b];
             if field.len() < 3 || field[0].kind != TokKind::Ident || !field[1].is_op(":") {
@@ -585,9 +578,6 @@ fn tag_band_literals(
                         format!("cannot evaluate TagBand `{}`: {e}", field[0].text),
                     )),
                 },
-                "raw" => {
-                    raw = value.first().map(|t| t.is_ident("true"));
-                }
                 _ => {}
             }
         }
@@ -596,7 +586,6 @@ fn tag_band_literals(
                 name,
                 base,
                 width,
-                raw: raw.unwrap_or(false),
                 line,
                 col,
             }),
@@ -1011,7 +1000,7 @@ pub fn lint_source_with(
         }
     }
 
-    // L008: group-collective tag discipline, comm.rs only. Band consts are
+    // L008: collective tag discipline, comm.rs only. Band consts are
     // the ones whose rhs declares a `TagBand` literal — the registry L003
     // has already proven disjoint and rank-indexable.
     if is_comm {
@@ -1306,16 +1295,12 @@ trait K {
 // dftlint:fixture(crate="dft-hpc", file="comm.rs")
 pub const MAX_RANKS: u64 = 4000;
 pub const COLLECTIVE_TAGS: (u64, u64) = (1 << 60, u64::MAX);
-pub const A: TagBand = TagBand { name: "a", base: (1 << 60) + 1, width: 1, raw: true };
-pub const B: TagBand = TagBand { name: "b", base: (1 << 60) + 1000, width: MAX_RANKS, raw: false };
+pub const A: TagBand = TagBand { name: "a", base: (1 << 60) + 1, width: 1 };
+pub const B: TagBand = TagBand { name: "b", base: (1 << 60) + 1000, width: MAX_RANKS };
 "#;
         let d = lint_source(&ctx("fixture", "f.rs"), ok);
         assert!(d.is_empty(), "{d:?}");
-        // raw vs framed bands occupy different wire intervals, so force
-        // both raw to construct a genuine wire collision
-        let overlap = ok
-            .replace("+ 1000", "+ 1")
-            .replace("raw: false", "raw: true");
+        let overlap = ok.replace("+ 1000", "+ 1");
         let d = lint_source(&ctx("fixture", "f.rs"), &overlap);
         assert!(
             d.iter()

@@ -9,7 +9,6 @@ pub const BARRIER_BAND: TagBand = TagBand {
     name: "barrier",
     base: (1 << 60) + 1,
     width: 1,
-    raw: true,
 };
 
 pub const TAG_BANDS: [TagBand; 1] = [BARRIER_BAND];

@@ -9,14 +9,12 @@ pub const ALLREDUCE_BAND: TagBand = TagBand {
     name: "allreduce",
     base: (1 << 60) + 1000,
     width: MAX_RANKS,
-    raw: false,
 };
 
 pub const ROGUE_BAND: TagBand = TagBand {
     name: "rogue",
     base: (1 << 60) + 2000,
     width: 1,
-    raw: false,
 };
 
 pub const TAG_BANDS: [TagBand; 2] = [ALLREDUCE_BAND, ROGUE_BAND];

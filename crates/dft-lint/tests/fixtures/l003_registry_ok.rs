@@ -10,24 +10,21 @@ pub const BARRIER_BAND: TagBand = TagBand {
     name: "barrier",
     base: (1 << 60) + 1,
     width: 1,
-    raw: true,
 };
 
 pub const ALLREDUCE_BAND: TagBand = TagBand {
     name: "allreduce",
     base: (1 << 60) + 1000,
     width: MAX_RANKS,
-    raw: false,
 };
 
-pub const BROADCAST_BAND: TagBand = TagBand {
-    name: "broadcast",
-    base: (1 << 60) + 5000,
-    width: 1,
-    raw: false,
+pub const KGROUP_BAND: TagBand = TagBand {
+    name: "kgroup",
+    base: (1 << 60) + 21000,
+    width: MAX_RANKS,
 };
 
-pub const TAG_BANDS: [TagBand; 3] = [BARRIER_BAND, ALLREDUCE_BAND, BROADCAST_BAND];
+pub const TAG_BANDS: [TagBand; 3] = [BARRIER_BAND, ALLREDUCE_BAND, KGROUP_BAND];
 
 fn barrier_tag() -> u64 {
     BARRIER_BAND.tag()

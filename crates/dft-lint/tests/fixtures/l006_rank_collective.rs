@@ -38,13 +38,13 @@ fn rank_conditional_helper(c: &mut ThreadComm, my_rank: usize) -> Result<(), Com
 
 /// Clean: both branches emit the same collective sequence, so every rank
 /// issues the same calls regardless of the branch it takes.
-fn same_sequence_both_branches(c: &mut ThreadComm, rank: usize) -> Result<(), CommError> {
+fn same_sequence_both_branches(c: &mut ThreadComm, rank: usize, group: &[usize]) -> Result<(), CommError> {
     let mut v = [0.0];
     if rank == 0 {
         fill_root(&mut v);
-        c.broadcast_f64(&mut v, WirePrecision::Fp64)?;
+        c.group_broadcast_f64(group, &mut v, WirePrecision::Fp64)?;
     } else {
-        c.broadcast_f64(&mut v, WirePrecision::Fp64)?;
+        c.group_broadcast_f64(group, &mut v, WirePrecision::Fp64)?;
     }
     Ok(())
 }

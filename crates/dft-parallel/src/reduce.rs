@@ -164,10 +164,6 @@ impl<'a, 'c, T: WireScalar> SubspaceReducer<T> for GridReducer<'a, 'c> {
         }
     }
 
-    fn is_distributed(&self) -> bool {
-        true
-    }
-
     fn band_cols(&self, n: usize) -> (usize, usize) {
         self.grid.my_band_cols(n)
     }

@@ -81,7 +81,7 @@ impl From<DistForceError> for RelaxError {
     }
 }
 
-/// The serial FIRE parameters, wrapped. A step's SCF warm-starts from the
+/// The FIRE parameters, wrapped. A step's SCF warm-starts from the
 /// previous step's converged state (density + psi shards) iff the SCF
 /// config has a `checkpoint_dir` to hold the `relax-warm` slot and the
 /// slot exists; without one every step runs cold. This one-field struct
@@ -90,7 +90,7 @@ impl From<DistForceError> for RelaxError {
 /// `benchmark/`.
 #[derive(Clone, Debug, Default)]
 pub struct DistRelaxConfig {
-    /// FIRE parameters (identical semantics to the serial driver).
+    /// FIRE parameters.
     pub fire: RelaxConfig,
 }
 

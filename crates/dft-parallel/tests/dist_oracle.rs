@@ -18,6 +18,9 @@ use dft_parallel::{
     distributed_scf, DistHamiltonian, DistScfConfig, DistSpace, SharedComm, WireScalar,
 };
 
+mod common;
+use common::assert_ranks_agree;
+
 /// Restrict the rows of a replicated full-DoF block to a rank's owned rows.
 fn restrict_rows<T: Scalar>(dist: &DistSpace<'_>, full: &Matrix<T>) -> Matrix<T> {
     let mut local = Matrix::<T>::zeros(dist.dec.n_owned(), full.ncols());
@@ -287,14 +290,7 @@ fn distributed_scf_matches_serial_energy() {
             );
             assert!((r.density.integrate(&space) - 2.0).abs() < 1e-6);
         }
-        // replicated quantities agree bitwise across the ranks of one run
-        for r in &results[1..] {
-            assert_eq!(
-                r.energy.free_energy.to_bits(),
-                results[0].energy.free_energy.to_bits()
-            );
-            assert_eq!(r.eigenvalues, results[0].eigenvalues);
-        }
+        assert_ranks_agree(&results, &format!("{nranks} ranks"));
     }
 }
 
@@ -380,6 +376,7 @@ fn energy_bits_do_not_depend_on_the_thread_count() {
                 let opts = ClusterOptions::default();
                 let report = scf_with_recovery(2, &opts, &space, &sys, &Lda, &dcfg, &kpts, 0)
                     .expect("2-rank scf");
+                assert_ranks_agree(&report.results, &format!("{threads} threads"));
                 let r = &report.results[0];
                 assert!(r.converged);
                 (
@@ -416,6 +413,7 @@ fn identical_runs_are_bit_identical_at_four_ranks() {
         results
     };
     let (a, b) = (run(), run());
+    assert_ranks_agree(&a, "four ranks");
     for (ra, rb) in a.iter().zip(b.iter()) {
         assert_eq!(
             ra.energy.free_energy.to_bits(),
@@ -442,6 +440,7 @@ fn fp32_wire_matches_fp64_energy_and_halves_boundary_bytes() {
             distributed_scf(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()]).expect("scf")
         });
         assert!(results.iter().all(|r| r.converged));
+        assert_ranks_agree(&results, &format!("{wire:?} wire"));
         energies.push(results[0].energy.free_energy);
         volumes.push(stats.snapshot());
     }

@@ -2,24 +2,27 @@
 //! FIRE driver: every rank's [`distributed_forces`] output is checked
 //! against the serial [`compute_forces`] on periodic and Dirichlet
 //! goldens, across rank counts and process-grid shapes, for bitwise
-//! run-to-run determinism (L004), the full `dist_relax` trajectory is
-//! checked against the serial `relax` driver, and the `dist_md`
+//! run-to-run determinism (L004), the `dist_relax` FIRE trajectory against
+//! a pinned golden (one rank) and across rank counts, and the `dist_md`
 //! velocity-Verlet trajectory for rank invariance and energy conservation.
 
 use dft_core::forces::compute_forces;
-use dft_core::relax::{relax, RelaxConfig};
+use dft_core::relax::RelaxConfig;
 use dft_core::scf::{KPoint, ScfConfig};
 use dft_core::system::{Atom, AtomKind, AtomicSystem};
 use dft_core::xc::Lda;
-use dft_fem::mesh::Mesh3d;
+use dft_fem::mesh::{Axis, BoundaryCondition, Mesh3d};
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::run_cluster;
 use dft_parallel::{
-    dist_md, dist_relax, distributed_forces, DistMdResult, DistRelaxConfig, DistScfConfig,
-    GridShape, MdConfig, MdStepRecord,
+    dist_md, dist_relax, distributed_forces, DistMdResult, DistRelaxConfig, DistRelaxResult,
+    DistScfConfig, GridShape, MdConfig, MdStepRecord,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+mod common;
+use common::assert_ranks_agree;
 
 /// Three asymmetric smeared ions — no force component is accidentally
 /// zero, so a sign or partition bug cannot hide behind symmetry.
@@ -51,8 +54,17 @@ fn max_component_err(a: &[[f64; 3]], b: &[[f64; 3]]) -> f64 {
     err
 }
 
+/// The replicated forces of one run are bit-identical on all of its ranks.
+fn assert_forces_agree(results: &[Vec<[f64; 3]>], what: &str) {
+    let bits = |f: &Vec<[f64; 3]>| f.iter().map(|c| c.map(f64::to_bits)).collect::<Vec<_>>();
+    for (r, f) in results.iter().enumerate().skip(1) {
+        assert_eq!(bits(f), bits(&results[0]), "{what}: rank {r} vs rank 0");
+    }
+}
+
 /// Distributed forces at `nranks` (slab grid) against the serial
-/// assembly: every rank must agree to 1e-12 per component.
+/// assembly: every rank must agree to 1e-12 per component, and with every
+/// other rank to the bit.
 fn check_force_oracle(space: &FeSpace, sys: &AtomicSystem, rho_e: &[f64], nranks: usize) {
     let f_ref = compute_forces(space, sys, rho_e).expect("serial forces");
     let (results, _) = run_cluster(nranks, |comm| {
@@ -62,6 +74,7 @@ fn check_force_oracle(space: &FeSpace, sys: &AtomicSystem, rho_e: &[f64], nranks
         let e = max_component_err(f, &f_ref);
         assert!(e <= 1e-12, "rank {r}/{nranks}: force error {e:.3e}");
     }
+    assert_forces_agree(&results, &format!("{nranks} ranks"));
 }
 
 #[test]
@@ -105,6 +118,7 @@ fn distributed_forces_match_serial_across_grid_shapes() {
             let e = max_component_err(f, &f_ref);
             assert!(e <= 1e-12, "grid {shape:?} rank {r}: force error {e:.3e}");
         }
+        assert_forces_agree(&results, &shape.to_string());
     }
 }
 
@@ -123,17 +137,7 @@ fn repeated_force_runs_are_bit_identical() {
         results
     };
     let (a, b) = (run(), run());
-    for (r, f) in a.iter().enumerate() {
-        for (ai, (fa, f0)) in f.iter().zip(a[0].iter()).enumerate() {
-            for k in 0..3 {
-                assert_eq!(
-                    fa[k].to_bits(),
-                    f0[k].to_bits(),
-                    "rank {r} atom {ai} axis {k} differs from rank 0 within one run"
-                );
-            }
-        }
-    }
+    assert_forces_agree(&a, "2x2x1");
     for (r, (fa, fb)) in a.iter().zip(b.iter()).enumerate() {
         for (ai, (va, vb)) in fa.iter().zip(fb.iter()).enumerate() {
             for k in 0..3 {
@@ -148,7 +152,7 @@ fn repeated_force_runs_are_bit_identical() {
 }
 
 // ---------------------------------------------------------------------------
-// dist_relax vs serial relax
+// dist_relax: the pinned FIRE trajectory, 1 rank as the oracle of 2
 // ---------------------------------------------------------------------------
 
 fn relax_system() -> (FeSpace, AtomicSystem) {
@@ -190,22 +194,85 @@ fn fresh_dir(label: &str) -> PathBuf {
     d
 }
 
-/// A cold (no `checkpoint_dir`, so no warm-start) distributed relaxation must walk the same FIRE
-/// trajectory as the serial driver: same step count, matching energies
-/// and max-forces at every geometry, final energies to 1e-10 Ha.
+/// The FIRE trajectory of [`relax_system`] under [`relax_scf_cfg`], two
+/// moves = three evaluations of (free energy, max force component), and the
+/// dimer's final x coordinates — recorded from the serial
+/// `dft_core::relax::relax` driver by the commit that retired it (a 1-rank
+/// `dist_relax` printed the same bits).
+const FIRE_GOLDEN: [(f64, f64); 3] = [
+    (-1.1053980275996576, 0.2178578669904553),
+    (-1.111474578910037, 0.22840114855353144),
+    (-1.124805962612571, 0.24939653180391982),
+];
+const FIRE_GOLDEN_X: [f64; 2] = [2.0584926948416116, 3.9415073051584026];
+
+/// The replicated trajectory, geometry and final SCF of one relaxation are
+/// bit-identical on all of its ranks.
+fn assert_relax_ranks_agree(results: &[DistRelaxResult], what: &str) {
+    assert_ranks_agree(results.iter().map(|r| &r.scf), what);
+    let bits = |r: &DistRelaxResult| {
+        let steps: Vec<_> = r
+            .trajectory
+            .iter()
+            .map(|s| (s.free_energy.to_bits(), s.fmax.to_bits(), s.scf_iterations))
+            .collect();
+        let atoms: Vec<_> = r
+            .system
+            .atoms
+            .iter()
+            .map(|a| a.pos.map(f64::to_bits))
+            .collect();
+        (steps, atoms, r.converged)
+    };
+    for (rank, r) in results.iter().enumerate().skip(1) {
+        assert_eq!(bits(r), bits(&results[0]), "{what}: rank {rank} vs rank 0");
+    }
+}
+
+/// One cold (no `checkpoint_dir`, so no warm start) relaxation on `nranks`
+/// ranks; the 1-rank run is the oracle of the FIRE tests below.
+fn relax_cold(
+    nranks: usize,
+    space: &FeSpace,
+    sys: &AtomicSystem,
+    scf_cfg: ScfConfig,
+    fire: RelaxConfig,
+) -> Vec<DistRelaxResult> {
+    let (dcfg, rcfg) = (DistScfConfig::new(scf_cfg), DistRelaxConfig { fire });
+    let (results, _) = run_cluster(nranks, |comm| {
+        dist_relax(comm, space, sys, &Lda, &dcfg, &rcfg, &[KPoint::gamma()]).expect("dist relax")
+    });
+    results
+}
+
+/// A cold relaxation walks the pinned FIRE trajectory: one rank lands on
+/// the golden (1e-9: the bits are this host's SIMD tier's), two ranks on the
+/// 1-rank run to 1e-8 at every geometry (the force quadrature is summed per
+/// rank shard) and to 1e-10 Ha at the end, and the replicated records agree
+/// bitwise across the ranks of one run.
 #[test]
-fn dist_relax_matches_serial_relax_trajectory() {
+fn dist_relax_walks_the_pinned_fire_trajectory() {
     let (space, sys) = relax_system();
-    let scf_cfg = relax_scf_cfg();
     let fire = RelaxConfig {
         max_steps: 2,
         ..RelaxConfig::default()
     };
+    let one = relax_cold(1, &space, &sys, relax_scf_cfg(), fire.clone()).remove(0);
+    assert!(one.scf.converged, "1-rank relax SCF did not converge");
+    assert!(!one.converged, "two moves do not relax the dimer");
+    assert_eq!(one.trajectory.len(), FIRE_GOLDEN.len());
+    for (i, (rec, (e, fmax))) in one.trajectory.iter().zip(FIRE_GOLDEN).enumerate() {
+        let (de, df) = ((rec.free_energy - e).abs(), (rec.fmax - fmax).abs());
+        assert!(
+            de <= 1e-9 && df <= 1e-9,
+            "step {i}: |dE| {de:.3e}, |d fmax| {df:.3e}"
+        );
+    }
+    for (atom, x) in one.system.atoms.iter().zip(FIRE_GOLDEN_X) {
+        assert!((atom.pos[0] - x).abs() <= 1e-9, "{:?} vs x = {x}", atom.pos);
+    }
 
-    let r_ser = relax(&space, &sys, &Lda, &scf_cfg, &fire).expect("serial relax");
-    assert!(r_ser.scf.converged, "serial relax SCF did not converge");
-
-    let dcfg = DistScfConfig::new(scf_cfg);
+    let dcfg = DistScfConfig::new(relax_scf_cfg());
     let rcfg = DistRelaxConfig { fire };
     let (results, _) = run_cluster(2, |comm| {
         dist_relax(comm, &space, &sys, &Lda, &dcfg, &rcfg, &[KPoint::gamma()]).expect("dist relax")
@@ -213,40 +280,97 @@ fn dist_relax_matches_serial_relax_trajectory() {
     for r in &results {
         assert_eq!(
             r.trajectory.len(),
-            r_ser.trajectory.len(),
-            "trajectory step counts differ"
+            one.trajectory.len(),
+            "step counts differ"
         );
-        assert_eq!(r.converged, r_ser.converged, "convergence verdicts differ");
-        for (i, (rec, &(e_ser, fmax_ser))) in
-            r.trajectory.iter().zip(r_ser.trajectory.iter()).enumerate()
-        {
-            let de = (rec.free_energy - e_ser).abs();
+        assert_eq!(r.converged, one.converged, "convergence verdicts differ");
+        for (i, (rec, want)) in r.trajectory.iter().zip(&one.trajectory).enumerate() {
+            let de = (rec.free_energy - want.free_energy).abs();
             assert!(de <= 1e-8, "step {i}: |dE| = {de:.3e}");
-            let df = (rec.fmax - fmax_ser).abs();
+            let df = (rec.fmax - want.fmax).abs();
             assert!(df <= 1e-8, "step {i}: |d fmax| = {df:.3e}");
         }
-        let de = (r.scf.energy.free_energy - r_ser.scf.energy.free_energy).abs();
+        let de = (r.scf.energy.free_energy - one.scf.energy.free_energy).abs();
         assert!(de <= 1e-10, "final relaxed energies differ by {de:.3e}");
-        for (ai, (a, b)) in r
-            .system
-            .atoms
-            .iter()
-            .zip(r_ser.system.atoms.iter())
-            .enumerate()
-        {
+        for (ai, (a, b)) in r.system.atoms.iter().zip(&one.system.atoms).enumerate() {
             for k in 0..3 {
                 let dp = (a.pos[k] - b.pos[k]).abs();
                 assert!(dp <= 1e-8, "atom {ai} axis {k}: |dx| = {dp:.3e}");
             }
         }
     }
-    // replicated trajectory agrees bitwise across the ranks of one run
-    for r in &results[1..] {
-        for (ra, r0) in r.trajectory.iter().zip(results[0].trajectory.iter()) {
-            assert_eq!(ra.free_energy.to_bits(), r0.free_energy.to_bits());
-            assert_eq!(ra.fmax.to_bits(), r0.fmax.to_bits());
-        }
-    }
+    assert_relax_ranks_agree(&results, "cold");
+}
+
+/// A compressed dimer on a mesh graded over the whole bond region: FIRE
+/// lengthens the bond, lowers the energy and shrinks the force.
+#[test]
+fn compressed_dimer_expands_and_lowers_energy() {
+    let l = 12.0;
+    let c = l / 2.0;
+    let ax = || {
+        Axis::graded(
+            0.0,
+            l,
+            0.7,
+            2.5,
+            &[c - 1.5, c, c + 1.5],
+            2.5,
+            BoundaryCondition::Dirichlet,
+        )
+    };
+    let ay = || Axis::graded(0.0, l, 0.7, 2.5, &[c], 2.5, BoundaryCondition::Dirichlet);
+    let space = FeSpace::new(Mesh3d::new([ax(), ay(), ay()], 3));
+    let d0 = 1.0; // compressed
+    let ion = |x: f64| Atom {
+        kind: AtomKind::Pseudo { z: 2.0, r_c: 0.6 },
+        pos: [x, c, c],
+    };
+    let sys = AtomicSystem::new(vec![ion(c - d0 / 2.0), ion(c + d0 / 2.0)]);
+    let scf_cfg = ScfConfig {
+        n_states: 5,
+        max_iter: 40,
+        ..relax_scf_cfg()
+    };
+    let fire = RelaxConfig {
+        max_steps: 8,
+        force_tol: 2e-2,
+        ..RelaxConfig::default()
+    };
+    let out = relax_cold(1, &space, &sys, scf_cfg, fire).remove(0);
+    let d_final = (out.system.atoms[1].pos[0] - out.system.atoms[0].pos[0]).abs();
+    assert!(d_final > d0 + 0.05, "bond {d0} -> {d_final}");
+    let (first, last) = (out.trajectory[0], *out.trajectory.last().unwrap());
+    assert!(
+        last.free_energy < first.free_energy,
+        "{first:?} -> {last:?}"
+    );
+    assert!(last.fmax < first.fmax, "{first:?} -> {last:?}");
+}
+
+/// A run whose force is below tolerance only at the evaluation after the
+/// last allowed move must still report converged, with that evaluation in
+/// the trajectory. `max_steps: 0` isolates the post-loop path.
+#[test]
+fn final_step_convergence_is_evaluated() {
+    let l = 10.0;
+    let space = FeSpace::new(Mesh3d::cube(4, l, 4));
+    let sys = AtomicSystem::new(vec![Atom {
+        kind: AtomKind::Pseudo { z: 2.0, r_c: 0.8 },
+        pos: [l / 2.0; 3],
+    }]);
+    let scf_cfg = ScfConfig {
+        max_iter: 40,
+        ..relax_scf_cfg()
+    };
+    let fire = RelaxConfig {
+        max_steps: 0,
+        force_tol: 5e-3, // symmetric atom: force ~ 0
+        ..RelaxConfig::default()
+    };
+    let out = relax_cold(1, &space, &sys, scf_cfg, fire).remove(0);
+    assert_eq!(out.trajectory.len(), 1, "final evaluation missing");
+    assert!(out.converged, "fmax {} not judged", out.trajectory[0].fmax);
 }
 
 /// With checkpoints enabled, every step after the first must warm-start
@@ -267,6 +391,7 @@ fn warm_started_relax_steps_reconverge_faster() {
     let (results, _) = run_cluster(2, |comm| {
         dist_relax(comm, &space, &sys, &Lda, &dcfg, &rcfg, &[KPoint::gamma()]).expect("dist relax")
     });
+    assert_relax_ranks_agree(&results, "warm");
     for r in &results {
         assert_eq!(r.trajectory.len(), 3, "2 moves = 3 evaluations");
         assert!(!r.trajectory[0].warm_started, "first step must run cold");
@@ -305,6 +430,7 @@ fn restart_on_a_finished_relaxation_keeps_one_record_per_step() {
             dist_relax(comm, &space, &sys, &Lda, dcfg, &rcfg, &[KPoint::gamma()])
                 .expect("dist relax")
         });
+        assert_relax_ranks_agree(&results, "restartable");
         results.remove(0)
     };
     let first = run(&dcfg);

@@ -6,7 +6,7 @@
 //! which stays 1e-8-close — as do FP32 subspace products, on any grid).
 
 use dft_core::chebyshev::{
-    chfes_reduced, lanczos_bounds, random_subspace, ChfesOptions, SubspaceReducer,
+    chfes_reduced, lanczos_bounds, random_subspace, ChfesOptions, NoReduce, SubspaceReducer,
 };
 use dft_core::hamiltonian::KsHamiltonian;
 use dft_core::scf::{scf, KPoint, ScfConfig};
@@ -21,6 +21,9 @@ use dft_parallel::{
     distributed_scf, CommVolume, DistHamiltonian, DistScfConfig, DistScfResult, DistSpace,
     GridReducer, GridShape, ProcessGrid, SharedComm,
 };
+
+mod common;
+use common::assert_ranks_agree;
 
 fn parity_system() -> (FeSpace, AtomicSystem) {
     let space = FeSpace::new(Mesh3d::periodic_cube(2, 6.0, 3));
@@ -87,15 +90,7 @@ fn band_grid_energies_match_serial_oracle() {
                 r_ser.energy.free_energy
             );
         }
-        for r in &results[1..] {
-            assert_eq!(
-                r.energy.free_energy.to_bits(),
-                results[0].energy.free_energy.to_bits(),
-                "rank {} disagrees with rank 0 on {shape}",
-                r.rank
-            );
-            assert_eq!(r.eigenvalues, results[0].eigenvalues);
-        }
+        assert_ranks_agree(&results, &shape.to_string());
     }
 }
 
@@ -127,6 +122,7 @@ fn three_axis_grid_matches_serial_two_kpoint_oracle() {
             assert_eq!(r.eigenvalues.len(), kpts.len());
             assert!(r.eigenvalues.iter().all(|e| e.len() == 4));
         }
+        assert_ranks_agree(&results, &shape.to_string());
         energies.push(results[0].energy.free_energy);
     }
     let d = (energies[0] - energies[1]).abs();
@@ -150,6 +146,7 @@ fn no_grid_and_slab_grid_are_one_run_bits_and_messages() {
         };
         let (a, vol_a) = run(None);
         let (b, vol_b) = run(Some(GridShape::slab(nranks)));
+        assert_ranks_agree(&a, &format!("{nranks} ranks, no grid"));
         for (ra, rb) in a.iter().zip(b.iter()) {
             assert_eq!(
                 ra.energy.free_energy.to_bits(),
@@ -182,7 +179,9 @@ fn empty_band_blocks_match_serial_oracle() {
         };
         let r_ser = scf(&space, &sys, &Lda, &cfg, &[KPoint::gamma()]);
         let dcfg = DistScfConfig::new(cfg).with_grid(shape);
-        for r in run_grid(&dcfg, shape.nranks(), &[KPoint::gamma()]) {
+        let results = run_grid(&dcfg, shape.nranks(), &[KPoint::gamma()]);
+        assert_ranks_agree(&results, &format!("{shape} mixed {mixed_precision}"));
+        for r in results {
             assert!(r.converged, "rank {} on {shape} did not converge", r.rank);
             let d = (r.energy.free_energy - r_ser.energy.free_energy).abs();
             assert!(
@@ -283,15 +282,7 @@ fn subspace_fp32_energy_within_tolerance_and_moves_fp32_bytes() {
                 distributed_scf(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()]).expect("scf")
             });
             assert!(results.iter().all(|r| r.converged), "{what}");
-            for r in &results[1..] {
-                assert_eq!(
-                    r.energy.free_energy.to_bits(),
-                    results[0].energy.free_energy.to_bits(),
-                    "{what}: rank {} disagrees with rank 0",
-                    r.rank
-                );
-                assert_eq!(r.eigenvalues, results[0].eigenvalues, "{what}");
-            }
+            assert_ranks_agree(&results, &what);
             let e = results[0].energy.free_energy;
             let e_ref = *e_fp64.get_or_insert(e);
             let d = (e - e_ref).abs();
@@ -356,6 +347,74 @@ fn chfes_cycle_is_orthonormal_after_fp32_products_and_fp32_wire() {
     }
 }
 
+/// A rank-deficient filtered block — column 4 is a copy of column 1, so the
+/// overlap is singular and CholGS breaks down at pivot 4 — is rescued the
+/// same way on every layout (the dependent column is traded for `H` times
+/// itself): no panic, orthonormal Ritz vectors, ranks agree, and the 1-rank
+/// cluster lands on the serial solver's bits. Serially this input used to
+/// die in the Löwdin fallback (a singular overlap has no `S^{-1/2}`) and on
+/// any cluster, one rank included, in an assert.
+#[test]
+fn duplicated_column_is_rescued_serially_and_on_ranks() {
+    const N: usize = 6;
+    let space = FeSpace::new(Mesh3d::periodic_cube(2, 6.0, 3));
+    let v_eff: Vec<f64> = (0..space.nnodes())
+        .map(|i| 0.3 * (i as f64 * 0.05).sin())
+        .collect();
+    let h_ser = KsHamiltonian::<f64>::new(&space, &v_eff, [1.0; 3]);
+    let (tmin, tmax) = lanczos_bounds(&h_ser, 10, 7);
+    let bounds = (tmin - 1.0, tmin + 0.2 * (tmax - tmin), tmax);
+    let mut psi0 = random_subspace::<f64>(space.ndofs(), N, 5);
+    let dup = psi0.col(1).to_vec();
+    psi0.col_mut(4).copy_from_slice(&dup);
+    let opts = ChfesOptions {
+        cheb_degree: 12,
+        block_size: 4,
+        mixed_precision: false,
+    };
+
+    let mut psi_ser = psi0.clone();
+    let ev_ser = chfes_reduced(&h_ser, &h_ser, &mut psi_ser, bounds, &opts, None, &NoReduce);
+    let gram = matmul(&psi_ser, Op::ConjTrans, &psi_ser, Op::None);
+    let err = gram.max_abs_diff(&Matrix::identity(N));
+    assert!(err <= 1e-10, "serial: max |Psi^T Psi - I| = {err:.3e}");
+
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for shape in [
+        GridShape::new(1, 1, 1),
+        GridShape::new(2, 1, 1),
+        GridShape::new(1, 2, 1),
+    ] {
+        let (out, _) = run_cluster(shape.nranks(), |comm| {
+            let dist = DistSpace::on_grid(&space, Some(shape), comm.rank(), comm.size());
+            let shared = SharedComm::new(comm);
+            let reducer = GridReducer::new(&shared, &dist.grid, false);
+            let h =
+                DistHamiltonian::<f64>::new(&dist, &shared, &v_eff, [1.0; 3], WirePrecision::Fp64);
+            let mut psi = Matrix::<f64>::from_fn(dist.dec.n_owned(), N, |l, j| {
+                psi0[(dist.dec.owned[l] as usize, j)]
+            });
+            let ev = chfes_reduced(&h, &h, &mut psi, bounds, &opts, None, &reducer);
+            let mut gram = matmul(&psi, Op::ConjTrans, &psi, Op::None);
+            SubspaceReducer::<f64>::reduce_f64(&reducer, gram.as_mut_slice());
+            (ev, psi, gram.max_abs_diff(&Matrix::identity(N)))
+        });
+        for (rank, (ev, _, err)) in out.iter().enumerate() {
+            assert!(*err <= 1e-10, "{shape}, rank {rank}: {err:.3e}");
+            assert_eq!(bits(ev), bits(&out[0].0), "{shape}: rank {rank} disagrees");
+        }
+        if shape.nranks() == 1 {
+            assert_eq!(
+                bits(&out[0].0),
+                bits(&ev_ser),
+                "1 rank vs serial Ritz values"
+            );
+            let (psi, want) = (out[0].1.as_slice(), psi_ser.as_slice());
+            assert_eq!(bits(psi), bits(want), "1 rank vs serial Ritz vectors");
+        }
+    }
+}
+
 /// Grid-reshard restart: a snapshot written on the 8x1 slab layout
 /// restores onto a 4x2 domain x band grid (same rank count, different
 /// shape) and reconverges to the uninterrupted slab run's free energy to
@@ -380,6 +439,7 @@ fn restart_reshards_8x1_snapshot_onto_4x2_grid() {
     let dcfg_ref = DistScfConfig::new(parity_cfg()).with_grid(GridShape::new(8, 1, 1));
     let reference = run_grid(&dcfg_ref, 8, &[KPoint::gamma()]);
     assert!(reference[0].converged);
+    assert_ranks_agree(&reference, "8x1 reference");
 
     // truncated 8x1 run: snapshots every 2 iterations, stopped after 3
     let mut base = parity_cfg();
@@ -395,6 +455,7 @@ fn restart_reshards_8x1_snapshot_onto_4x2_grid() {
         .with_grid(GridShape::new(4, 2, 1))
         .with_restart_from(dir.clone());
     let resumed = run_grid(&dcfg_resume, 8, &[KPoint::gamma()]);
+    assert_ranks_agree(&resumed, "resumed on 4x2");
     for r in &resumed {
         assert_eq!(r.resumed_from, Some(2), "rank {} did not resume", r.rank);
         assert!(r.converged, "rank {} did not reconverge", r.rank);

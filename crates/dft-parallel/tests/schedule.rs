@@ -1,5 +1,6 @@
-//! Schedule-exploration gate: the distributed SCF and force kernels must
-//! be bit-identical under every seeded message-delivery schedule.
+//! Schedule-exploration gate: the distributed SCF, the force kernels and
+//! the FIRE relaxation built on them must be bit-identical under every
+//! seeded message-delivery schedule.
 //!
 //! The solvers claim determinism *by construction* — collectives
 //! accumulate in fixed rank order, ghost harvests fill slots in list
@@ -14,6 +15,7 @@
 //! default of 8 schedules) — the same escape hatch `scripts/ci.sh`
 //! documents.
 
+use dft_core::relax::RelaxConfig;
 use dft_core::scf::{KPoint, ScfConfig};
 use dft_core::system::{Atom, AtomKind, AtomicSystem};
 use dft_core::xc::Lda;
@@ -22,7 +24,9 @@ use dft_fem::space::FeSpace;
 use dft_hpc::comm::WirePrecision;
 use dft_hpc::explore::{explore_schedules, schedules_from_env, SchedulePlan};
 use dft_hpc::ClusterOptions;
-use dft_parallel::{distributed_forces, distributed_scf, DistScfConfig};
+use dft_parallel::{
+    dist_relax, distributed_forces, distributed_scf, DistRelaxConfig, DistScfConfig,
+};
 
 const NRANKS: usize = 4;
 const N_SCHEDULES: usize = 8;
@@ -116,4 +120,51 @@ fn fp32_wire_scf_is_bit_identical_across_seeded_schedules() {
         },
     )
     .unwrap_or_else(|d| panic!("FP32-wire SCF is schedule-sensitive: {d}"));
+}
+
+/// The relaxation path: two FIRE moves of an off-equilibrium dimer on two
+/// ranks — three SCF solves with a force reduction and a replicated
+/// integrator step between them — leave the same trajectory, geometry and
+/// density bits under every schedule. Cold (no `checkpoint_dir`), so no
+/// schedule finds another's warm slot on disk.
+#[test]
+fn relaxation_is_bit_identical_across_seeded_schedules() {
+    let n_schedules = schedules_from_env(N_SCHEDULES);
+    if n_schedules == 0 {
+        eprintln!("DFT_SCHED_EXPLORE=off: skipping schedule exploration");
+        return;
+    }
+    let (space, _) = parity_system();
+    let ion = |x: f64| Atom {
+        kind: AtomKind::Pseudo { z: 1.0, r_c: 0.7 },
+        pos: [x, 3.0, 3.0],
+    };
+    let sys = AtomicSystem::new(vec![ion(2.1), ion(3.9)]);
+    let dcfg = DistScfConfig::new(short_cfg());
+    let rcfg = DistRelaxConfig {
+        fire: RelaxConfig {
+            max_steps: 2,
+            force_tol: 0.0, // never converges: both moves execute
+            ..RelaxConfig::default()
+        },
+    };
+    let fingerprints = explore_schedules(
+        2,
+        n_schedules,
+        0xF12E,
+        SchedulePlan::new,
+        &ClusterOptions::default(),
+        |comm| {
+            let r = dist_relax(comm, &space, &sys, &Lda, &dcfg, &rcfg, &[KPoint::gamma()])
+                .expect("relaxation under explored schedule");
+            assert_eq!(r.trajectory.len(), 3, "2 moves = 3 evaluations");
+            let steps = r.trajectory.iter().flat_map(|s| [s.free_energy, s.fmax]);
+            let atoms = r.system.atoms.iter().flat_map(|a| a.pos);
+            let mut bits: Vec<u64> = steps.chain(atoms).map(f64::to_bits).collect();
+            bits.extend(r.scf.density.values.iter().map(|v| v.to_bits()));
+            bits
+        },
+    )
+    .unwrap_or_else(|d| panic!("distributed relaxation is schedule-sensitive: {d}"));
+    assert_eq!(fingerprints[1], fingerprints[0], "ranks disagree");
 }

@@ -64,7 +64,7 @@ pub struct ServerConfig {
     pub max_restarts: usize,
     /// Force tolerance (Ha/Bohr) at which a `Relax` job's FIRE trajectory
     /// stops early; `0.0` disables early stopping (every requested step
-    /// runs). Defaults to the serial driver's tolerance.
+    /// runs). Defaults to `RelaxConfig`'s tolerance.
     pub relax_force_tol: f64,
 }
 

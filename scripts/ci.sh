@@ -19,7 +19,7 @@ mkdir -p target
 cargo run -q --offline --release -p dft-lint -- --workspace --json > target/dft-lint.json
 echo "    JSON artifact: target/dft-lint.json"
 
-echo "==> duplicate-definition guard (one SCF spine, one binary codec, one measuring stack, one cell sweep, one distributed route, one ChFES cycle, one recurrence update)"
+echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep, one distributed route, one ChFES cycle, one recurrence update, one rooted collective)"
 for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a recurrence_update; do
   n=$(grep -rhE "^\s*(pub(\([a-z]+\))? )?fn ${f}\b" crates/*/src | wc -l)
   if [ "$n" -ne 1 ]; then
@@ -27,36 +27,31 @@ for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a recurrence_u
     exit 1
   fi
 done
-# benchmark/ is the only yardstick and the GEMM blocking is a constant: the
-# retired artifact gate and tuning file may not come back. The pattern is
-# split so this script does not match itself.
-retired="DFT_T""UNE|dft_t""une\.json|BEN""CH_|DFT_BEN""CH_GATE"
-if grep -rnE "$retired" crates/*/src scripts; then
-  echo "    retired benchmark-gate / tuning-file names reappeared (see above)"
-  exit 1
-fi
-
-# One route through the distributed solver: the slab is the n x 1 x 1 grid
-# (one reducer), the Chebyshev filter has one driver (the pipelined one lost
-# its A/B, EXPERIMENTS.md PR 19), a relaxation step warm-starts iff its run
-# has a checkpoint_dir, and a screening job is an Scf job with the tolerance
-# its tenant sets. Patterns split so this script does not match itself.
-one_route="Cluster""Reducer|enum Red""ucer|grid\.is_so""me\(\)|JobKind::Scr""een|warm_st""art:|with_over""lap|Pipelined""Filter|Cf""Driver"
-if grep -rnE "$one_route" crates/*/src scripts; then
-  echo "    a retired sibling path or the knob that selected it reappeared (see above)"
-  exit 1
-fi
-
-# One ChFES cycle: chfes_reduced is written once over a rank's band window
-# (serial and the slab are the window (0, N)), CholGS has one cleanup route,
-# the mixed Hermitian product is one windowed function, the filter is a plain
-# operator argument and the reducer has one reduce_matrix. Patterns split so
-# this script does not match itself.
-one_cycle="band_sp""lit|adjoint_product_mi""xed|adjoint_block_mi""xed|chfes_prof""iled|CfFil""ter|reduce_matrix_ex""act"
-if grep -rnE "$one_cycle" crates/*/src scripts; then
-  echo "    a retired ChFES fork, shim or sibling product reappeared (see above)"
-  exit 1
-fi
+# Retired names may not come back under crates/*/src or scripts. One list,
+# "what it was|pattern"; every pattern is split so this script does not match
+# itself.
+#  - benchmark/ is the only yardstick and the GEMM blocking is a constant
+#    (the artifact gate and the tuning file, PR 16);
+#  - one route through the distributed solver: the slab is the n x 1 x 1
+#    grid, one filter driver, a relaxation step warm-starts iff its run has a
+#    checkpoint_dir, a screening job is an Scf job (PR 19);
+#  - one ChFES cycle over a rank's band window, one CholGS cleanup route,
+#    one windowed mixed product, one reduce_matrix (PR 20);
+#  - one rooted collective: the world is the group 0..n (no world-only
+#    broadcast / scalar allgather, no bands for them), ChFES does not ask the
+#    reducer whether it is distributed, and dist_relax is the relax driver.
+retired=(
+  "benchmark-gate / tuning-file name|DFT_T""UNE|dft_t""une\.json|BEN""CH_|DFT_BEN""CH_GATE"
+  "sibling path of the distributed solver, or the knob that selected it|Cluster""Reducer|enum Red""ucer|grid\.is_so""me\(\)|JobKind::Scr""een|warm_st""art:|with_over""lap|Pipelined""Filter|Cf""Driver"
+  "ChFES fork, shim or sibling product|band_sp""lit|adjoint_product_mi""xed|adjoint_block_mi""xed|chfes_prof""iled|CfFil""ter|reduce_matrix_ex""act"
+  "world-only collective, its tag band, the is-distributed fork or the serial relax driver|allgather_sc""alar|\bbroadcast_f""64|GATHER_BA""ND|BROADCAST_BA""ND|is_distri""buted|fn rel""ax\("
+)
+for entry in "${retired[@]}"; do
+  if grep -rnE "${entry#*|}" crates/*/src scripts; then
+    echo "    retired ${entry%%|*} reappeared (see above)"
+    exit 1
+  fi
+done
 
 # One blocked cell sweep (FeSpace::sweep_cells) serves the serial apply and
 # every rank's slab: the scalar seed kernel stays inside dft-fem as the
@@ -94,7 +89,7 @@ cargo test -q --offline --release -p dft-parallel --test grid
 echo "==> serve suite (multi-tenant scheduler: bursts, admission control, preemption, rank kill)"
 cargo test -q --offline --release -p dft-serve
 
-echo "==> relax/MD suite (distributed force parity/determinism, FIRE trajectory parity, warm starts)"
+echo "==> relax/MD suite (distributed force parity/determinism, the pinned FIRE trajectory, warm starts)"
 cargo test -q --offline --release -p dft-parallel --test forces
 
 echo "==> comm sanitizer (debug profile): message-leak + tag-band runtime checks"
