@@ -6,6 +6,7 @@
 
 use dft_bench::pipeline::MiniSystem;
 use dft_bench::section;
+use dft_core::forces::ForceError;
 use dft_core::hamiltonian::KsHamiltonian;
 use dft_core::scf::{scf, KPoint};
 use dft_core::xc::SyntheticTruth;
@@ -13,7 +14,7 @@ use dft_invdft::{invert, InvDftConfig};
 use dft_linalg::iterative::{block_minres, DiagonalPrec, IdentityPrec};
 use dft_linalg::matrix::Matrix;
 
-fn main() {
+fn main() -> Result<(), ForceError> {
     section("Sec. 5.3.1 — adjoint MINRES preconditioning (real miniature solves)");
     let ms = &MiniSystem::training_set()[1];
     let space = ms.space();
@@ -58,12 +59,13 @@ fn main() {
         precondition,
         ..InvDftConfig::default()
     };
-    let with = invert(&space, &sys, &truth.density, &mk(true));
-    let without = invert(&space, &sys, &truth.density, &mk(false));
+    let with = invert(&space, &sys, &truth.density, &mk(true))?;
+    let without = invert(&space, &sys, &truth.density, &mk(false))?;
     println!(
         "inverse-DFT adjoint solves (5 outer iterations): {} vs {} MINRES iterations ({:.1}x)",
         without.minres_iterations,
         with.minres_iterations,
         without.minres_iterations as f64 / with.minres_iterations as f64
     );
+    Ok(())
 }

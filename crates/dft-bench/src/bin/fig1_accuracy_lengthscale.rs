@@ -13,11 +13,12 @@
 
 use dft_bench::pipeline::{train_mlxc_from_invdft, MiniSystem, PipelineConfig};
 use dft_bench::section;
+use dft_core::forces::ForceError;
 use dft_core::scf::{scf, KPoint};
 use dft_core::xc::{Lda, MlxcFunctional, Pbe, SyntheticTruth, XcFunctional};
 use dft_qmb::scaling::{projected_fci_dimension, qmb_scaling_ladder};
 
-fn main() {
+fn main() -> Result<(), ForceError> {
     section("Fig. 1 — the QMB wall (measured FCI ladder)");
     println!(
         "{:<8} {:>10} {:>14} {:>12} {:>16}",
@@ -71,7 +72,7 @@ fn main() {
         epochs: 250,
         ..PipelineConfig::default()
     };
-    let (model, _, _) = train_mlxc_from_invdft(&MiniSystem::training_set()[..2], &cfg);
+    let (model, _, _) = train_mlxc_from_invdft(&MiniSystem::training_set()[..2], &cfg)?;
     let mlxc = MlxcFunctional::new(model);
     let funcs: [(&str, &dyn XcFunctional); 3] = [
         ("Level 1  LDA", &Lda),
@@ -96,4 +97,5 @@ fn main() {
                 / ms.atoms.len() as f64
         );
     }
+    Ok(())
 }

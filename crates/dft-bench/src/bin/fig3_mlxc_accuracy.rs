@@ -9,10 +9,11 @@
 
 use dft_bench::pipeline::{train_mlxc_from_invdft, MiniSystem, PipelineConfig};
 use dft_bench::section;
+use dft_core::forces::ForceError;
 use dft_core::scf::{scf, KPoint};
 use dft_core::xc::{Lda, MlxcFunctional, Pbe, SyntheticTruth, XcFunctional};
 
-fn main() {
+fn main() -> Result<(), ForceError> {
     section("Fig. 3 — MLXC vs conventional functionals (miniature pipeline)");
     println!("training MLXC from invDFT data (this runs the real pipeline)...");
     let cfg = PipelineConfig {
@@ -21,7 +22,7 @@ fn main() {
         verbose: true,
         ..PipelineConfig::default()
     };
-    let (model, loss, diags) = train_mlxc_from_invdft(&MiniSystem::training_set(), &cfg);
+    let (model, loss, diags) = train_mlxc_from_invdft(&MiniSystem::training_set(), &cfg)?;
     println!(
         "training loss: {:.3e} -> {:.3e}",
         loss[0],
@@ -76,4 +77,5 @@ fn main() {
         mae[2] < mae[0],
         mae[2] < mae[1]
     );
+    Ok(())
 }

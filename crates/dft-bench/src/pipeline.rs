@@ -7,6 +7,7 @@
 //! paper's composite energy+potential loss. Several experiment binaries
 //! and the integration tests share this module.
 
+use dft_core::forces::ForceError;
 use dft_core::scf::{scf, KPoint, ScfConfig};
 use dft_core::system::{Atom, AtomKind, AtomicSystem};
 use dft_core::xc::{evaluate_xc, FeDivergence, SyntheticTruth};
@@ -14,7 +15,7 @@ use dft_fem::mesh::{Axis, BoundaryCondition, Mesh3d};
 use dft_fem::space::FeSpace;
 use dft_invdft::{invert, InvDftConfig};
 use dft_mlxc::nn::Mlp;
-use dft_mlxc::train::{train, Dataset, DivergenceOp, SystemSample, TrainConfig};
+use dft_mlxc::train::{train, Dataset, SystemSample, TrainConfig};
 use dft_mlxc::MlxcModel;
 use std::sync::Arc;
 
@@ -168,19 +169,6 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Divergence operator owning its space (the training set outlives the
-/// local `FeSpace` bindings).
-struct ArcFeDivergence(Arc<FeSpace>);
-
-impl DivergenceOp for ArcFeDivergence {
-    fn divergence(&self, vx: &[f64], vy: &[f64], vz: &[f64]) -> Vec<f64> {
-        FeDivergence { space: &self.0 }.divergence(vx, vy, vz)
-    }
-    fn adjoint(&self, lambda: &[f64]) -> [Vec<f64>; 3] {
-        FeDivergence { space: &self.0 }.adjoint(lambda)
-    }
-}
-
 /// Per-system pipeline diagnostics.
 #[derive(Clone, Debug)]
 pub struct PipelineDiag {
@@ -195,11 +183,12 @@ pub struct PipelineDiag {
 }
 
 /// Run the full data-generation + training pipeline; returns the trained
-/// model, the training loss history, and per-system diagnostics.
+/// model, the training loss history, and per-system diagnostics, or the
+/// failed electrostatics of a system's inverse-DFT target.
 pub fn train_mlxc_from_invdft(
     systems: &[MiniSystem],
     cfg: &PipelineConfig,
-) -> (MlxcModel, Vec<f64>, Vec<PipelineDiag>) {
+) -> Result<(MlxcModel, Vec<f64>, Vec<PipelineDiag>), ForceError> {
     let mut data: Dataset = Vec::new();
     let mut diags = Vec::new();
     for ms in systems {
@@ -225,7 +214,7 @@ pub fn train_mlxc_from_invdft(
             verbose: cfg.verbose,
             ..InvDftConfig::default()
         };
-        let inv = invert(&space, &sys, &truth.density, &inv_cfg);
+        let inv = invert(&space, &sys, &truth.density, &inv_cfg)?;
         if cfg.verbose {
             println!(
                 "invDFT[{}]: |drho| {:.2e} -> {:.2e} in {} iters",
@@ -255,7 +244,7 @@ pub fn train_mlxc_from_invdft(
             weights: space.mass_diag().to_vec(),
             vxc_target: inv.vxc.clone(),
             exc_target,
-            div_op: Box::new(ArcFeDivergence(Arc::clone(&space))),
+            div_op: Box::new(FeDivergence(Arc::clone(&space))),
         });
     }
 
@@ -272,5 +261,5 @@ pub fn train_mlxc_from_invdft(
         w_potential: 1.0,
     };
     let report = train(&mut model, &data, &tc);
-    (model, report.loss_history, diags)
+    Ok((model, report.loss_history, diags))
 }

@@ -578,6 +578,56 @@ pub fn chfes_reduced<T: Scalar>(
     e.eigenvalues
 }
 
+/// The Kohn–Sham eigensolve step of one k-point — what the SCF runs per
+/// k-point and iteration, and inverse DFT per outer iteration: `passes`
+/// ChFES cycles ([`chfes_reduced`] on `h`, `filter`, `reducer`) over the
+/// filter window `(a0, a)` carried in `window`.
+///
+/// The window opens from the previous step's or, when `window` is `None`,
+/// from a first guess between the `lanczos_seed` bounds `(t_min, t_max)`
+/// of `h_full`; it is then kept below `0.9 t_max` and its lower edge below
+/// `t_min - 1`. After every cycle the filter edge `a` moves just above the
+/// wanted spectrum — amplifying a wide unwanted band stalls SCF
+/// convergence — by at least `2 kT` (`kt`) and at least the mean level
+/// spacing, and `a0` to one below the lowest Ritz value. `h_full` is the
+/// full-row operator at the same potential: `h` itself serially, the
+/// replicated one on a rank, so the bounds agree bitwise across ranks.
+/// Returns the last cycle's Ritz values.
+#[allow(clippy::too_many_arguments)]
+pub fn ks_eigensolve<T: Scalar>(
+    h_full: &dyn LinearOperator<T>,
+    lanczos_seed: u64,
+    (h, filter, reducer): (
+        &dyn HamOperator<T>,
+        &dyn LinearOperator<T>,
+        &dyn SubspaceReducer<T>,
+    ),
+    psi: &mut Matrix<T>,
+    window: &mut Option<(f64, f64)>,
+    passes: usize,
+    kt: f64,
+    opts: &ChfesOptions,
+    profile: Option<&Profile>,
+) -> Vec<f64> {
+    let (tmin, tmax) = {
+        let _scope = PhaseScope::new(profile, Phase::Other);
+        lanczos_bounds(h_full, 10, lanczos_seed)
+    };
+    let (mut a0, mut a) = window.unwrap_or((tmin - 1.0, tmin + 0.1 * (tmax - tmin)));
+    a0 = a0.min(tmin - 1.0);
+    a = a.clamp(a0 + 1e-3 * (tmax - a0), 0.9 * tmax);
+    let mut evals = vec![];
+    for _ in 0..passes {
+        evals = chfes_reduced(h, filter, psi, (a0, a, tmax), opts, profile, reducer);
+        let n = evals.len();
+        let spread = (evals[n - 1] - evals[0]).max(0.1);
+        a = (evals[n - 1] + (2.0 * kt).max(spread / n as f64)).min(0.9 * tmax);
+        a0 = evals[0] - 1.0;
+    }
+    *window = Some((a0, a));
+    evals
+}
+
 /// Random orthonormal initial subspace.
 pub fn random_subspace<T: Scalar>(ndofs: usize, n_states: usize, seed: u64) -> Matrix<T> {
     let mut rng = StdRng::seed_from_u64(seed);

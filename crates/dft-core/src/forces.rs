@@ -32,14 +32,15 @@ use dft_fem::mesh::BoundaryCondition;
 use dft_fem::poisson::solve_poisson;
 use dft_fem::space::FeSpace;
 
-/// Why a force evaluation failed. Forces ride one extra electrostatic
-/// solve; if that solve diverges the Hellmann-Feynman term is garbage, and
-/// callers (the relaxation drivers, the job server) must surface a typed
-/// failure instead of unwinding through a panic.
+/// Why a force evaluation — or any other use of [`force_poisson`], such as
+/// inverse DFT's fixed electrostatics — failed. Forces ride one extra
+/// electrostatic solve; if that solve diverges the Hellmann-Feynman term is
+/// garbage, and callers (the relaxation drivers, the job server, inverse
+/// DFT) must surface a typed failure instead of unwinding through a panic.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ForceError {
-    /// The electrostatic Poisson solve for the force potential did not
-    /// reach its tolerance within the iteration budget.
+    /// The electrostatic Poisson solve for the potential of a fixed density
+    /// did not reach its tolerance within the iteration budget.
     PoissonDiverged {
         /// CG iterations performed before giving up.
         iterations: usize,
@@ -56,7 +57,7 @@ impl std::fmt::Display for ForceError {
                 residual,
             } => write!(
                 f,
-                "force electrostatics diverged: Poisson residual {residual:.3e} after {iterations} CG iterations"
+                "fixed-density electrostatics diverged: Poisson residual {residual:.3e} after {iterations} CG iterations"
             ),
         }
     }
@@ -65,7 +66,8 @@ impl std::fmt::Display for ForceError {
 impl std::error::Error for ForceError {}
 
 /// Solve for the total electrostatic potential `phi` of `rho_ion - rho_e`
-/// (the one extra Poisson solve behind every force evaluation). Pure
+/// (the one extra Poisson solve behind every force evaluation, and inverse
+/// DFT's electrostatics of its target density). Pure
 /// recomputation from replicated inputs — the distributed assembly calls
 /// this identically on every rank.
 pub fn force_poisson(

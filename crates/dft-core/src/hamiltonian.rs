@@ -69,16 +69,6 @@ impl<'a, T: Scalar> KsHamiltonian<'a, T> {
         let nc = ncols as u64;
         self.space.stiffness_apply_flops::<T>(ncols) + nd * nc * (3 * T::MUL_FLOPS + T::ADD_FLOPS)
     }
-
-    /// Diagonal of `Hhat` (for preconditioning and spectral estimates):
-    /// `1/2 s_d^2 K_dd + v_d` (the kinetic diagonal is positive).
-    pub fn diagonal(&self) -> Vec<f64> {
-        let kdiag = self.space.stiffness_diagonal();
-        let s = self.space.inv_sqrt_mass();
-        (0..self.space.ndofs())
-            .map(|d| 0.5 * s[d] * s[d] * kdiag[d] + self.v_eff_dof[d])
-            .collect()
-    }
 }
 
 impl<'a, T: Scalar> HamOperator<T> for KsHamiltonian<'a, T> {
@@ -286,27 +276,6 @@ mod tests {
                     ((i * 7 + j * 5) as f64 * 0.2).cos(),
                 )
             });
-        }
-    }
-
-    #[test]
-    fn diagonal_matches_unit_vector_probe() {
-        let s = space();
-        let v: Vec<f64> = (0..s.nnodes()).map(|n| 0.2 * n as f64 / 100.0).collect();
-        let h = KsHamiltonian::<f64>::new(&s, &v, [1.0; 3]);
-        let n = h.dim();
-        let diag = h.diagonal();
-        for probe in [0, n / 3, n - 1] {
-            let mut e = Matrix::zeros(n, 1);
-            e[(probe, 0)] = 1.0;
-            let mut he = Matrix::zeros(n, 1);
-            h.apply(&e, &mut he);
-            assert!(
-                (he[(probe, 0)] - diag[probe]).abs() < 1e-10,
-                "probe {probe}: {} vs {}",
-                he[(probe, 0)],
-                diag[probe]
-            );
         }
     }
 }

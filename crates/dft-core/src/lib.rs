@@ -17,7 +17,9 @@
 //!   and complex (Bloch k-point) scalars;
 //! * [`chebyshev`] — ChFES, Algorithm 1 verbatim: Chebyshev filtering (CF),
 //!   Cholesky Gram-Schmidt (CholGS) and Rayleigh-Ritz (RR), with the
-//!   paper's mixed-precision variants;
+//!   paper's mixed-precision variants, and [`ks_eigensolve`], the one
+//!   Kohn-Sham eigensolve step (spectral bounds, filter window, ChFES
+//!   passes) the SCF and inverse DFT share;
 //! * [`occupation`] — Fermi-Dirac smearing with chemical-potential
 //!   bisection and the smearing entropy;
 //! * [`mixing`] — Anderson (Pulay) density mixing;
@@ -40,8 +42,8 @@ pub mod system;
 pub mod xc;
 
 pub use chebyshev::{
-    chebyshev_filter, chebyshev_filter_flops, chfes, chfes_reduced, lanczos_bounds, CfScratch,
-    ChfesOptions, NoReduce, SubspaceReducer,
+    chebyshev_filter, chebyshev_filter_flops, chfes, chfes_reduced, ks_eigensolve, lanczos_bounds,
+    CfScratch, ChfesOptions, NoReduce, SubspaceReducer,
 };
 pub use forces::{
     compute_forces, electrostatic_force_partial, force_poisson, ion_ion_force_partial, max_force,

@@ -23,9 +23,7 @@
 //! self-energy and short-ranged ion-ion corrections, and the smearing
 //! entropy.
 
-use crate::chebyshev::{
-    chfes_reduced, lanczos_bounds, random_subspace, ChfesOptions, NoReduce, SubspaceReducer,
-};
+use crate::chebyshev::{ks_eigensolve, random_subspace, ChfesOptions, NoReduce, SubspaceReducer};
 use crate::hamiltonian::{HamOperator, KsHamiltonian};
 use crate::mixing::AndersonMixer;
 use crate::occupation::fermi_occupations;
@@ -40,6 +38,7 @@ use dft_linalg::iterative::LinearOperator;
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::{Real, Scalar, C64};
 use std::convert::Infallible;
+use std::ops::Range;
 
 /// One Brillouin-zone sampling point (fractional coordinates along each
 /// axis; only periodic axes matter) with its weight.
@@ -297,10 +296,10 @@ pub trait ScfSeam<T: Scalar> {
     /// Whether this rank prints the `verbose` line.
     fn is_root(&self) -> bool;
 
-    /// Hand `run` what one [`chfes_reduced`] pass at the potential `v_eff`
-    /// needs: the Rayleigh-Ritz operator on this rank's rows, the CF-stage
-    /// filter and the subspace reducer. `h_full` is the replicated
-    /// full-row operator at the same potential and phases.
+    /// Hand `run` what one [`crate::chebyshev::chfes_reduced`] pass at the
+    /// potential `v_eff` needs: the Rayleigh-Ritz operator on this rank's
+    /// rows, the CF-stage filter and the subspace reducer. `h_full` is the
+    /// replicated full-row operator at the same potential and phases.
     fn with_operators<R>(
         &self,
         h_full: &KsHamiltonian<'_, T>,
@@ -573,40 +572,29 @@ pub fn scf_loop<T: ScalarExt, S: ScfSeam<T>>(
 
         // ---- eigenproblem per k-point of this rank ---------------------
         for ik in k0..k1 {
-            // spectral bounds from the replicated full-row operator: pure
-            // local recomputation, bit-identical on every rank
-            let (h_full, (tmin, tmax)) = {
+            let h_full = {
                 let _scope = PhaseScope::new(profile, Phase::Other);
-                let h = KsHamiltonian::<T>::new(space, &v_eff, phases_for::<T>(space, &kpts[ik]));
-                let bounds = lanczos_bounds(&h, 10, cfg.seed + 1000 + ik as u64);
-                (h, bounds)
+                KsHamiltonian::<T>::new(space, &v_eff, phases_for::<T>(space, &kpts[ik]))
             };
             let passes = if iter == 0 {
                 cfg.first_iter_cf_passes
             } else {
                 1
             };
-            let (mut a0, mut a) =
-                st.filter_window[ik].unwrap_or((tmin - 1.0, tmin + 0.1 * (tmax - tmin)));
-            // keep the window consistent with the fresh upper bound
-            a0 = a0.min(tmin - 1.0);
-            a = a.clamp(a0 + 1e-3 * (tmax - a0), 0.9 * tmax);
-            let psi = &mut st.psi[ik - k0];
+            let (psi, window) = (&mut st.psi[ik - k0], &mut st.filter_window[ik]);
             eigenvalues[ik] = seam.with_operators(&h_full, &v_eff, |h, filter, reducer| {
-                let mut evals = vec![];
-                for _ in 0..passes {
-                    evals = chfes_reduced(h, filter, psi, (a0, a, tmax), &opts, profile, reducer);
-                    // filter edge just above the wanted spectrum: amplifying a
-                    // wide unwanted band stalls SCF convergence
-                    let top = evals[cfg.n_states - 1];
-                    let spread = (top - evals[0]).max(0.1);
-                    let gap = (2.0 * cfg.kt).max(spread / cfg.n_states as f64);
-                    a = (top + gap).min(0.9 * tmax);
-                    a0 = evals[0] - 1.0;
-                }
-                evals
+                ks_eigensolve(
+                    &h_full,
+                    cfg.seed + 1000 + ik as u64,
+                    (h, filter, reducer),
+                    psi,
+                    window,
+                    passes,
+                    cfg.kt,
+                    &opts,
+                    profile,
+                )
             });
-            st.filter_window[ik] = Some((a0, a));
             // a failed rank leaves garbage Ritz values behind: stop before
             // they reach the occupations
             seam.probe(iter)?;
@@ -624,27 +612,18 @@ pub fn scf_loop<T: ScalarExt, S: ScfSeam<T>>(
         {
             let mut scope = PhaseScope::new(profile, Phase::Dc);
             rho_out = vec![0.0; nn];
-            let s = space.inv_sqrt_mass();
             // rows x band columns x k-points of the ranks partition the
             // serial triple sum, so one global sum counts every term once
             let (j0, j1) = seam.band_cols(cfg.n_states);
             for ik in k0..k1 {
-                let w = kpts[ik].weight;
-                for i in j0..j1 {
-                    let f = occupations[ik][i];
-                    if f < 1e-14 {
-                        continue;
-                    }
-                    // per DoF: |psi|^2 (MUL_FLOPS), two mass scalings, the
-                    // k/occupation weight, and the accumulate
-                    scope.add_flops(n_rows as u64 * (T::MUL_FLOPS + 4));
-                    scope.add_bytes(n_rows as u64 * std::mem::size_of::<T>() as u64);
-                    for (l, &v) in st.psi[ik - k0].col(i).iter().enumerate() {
-                        let d = seam.dof_of_row(l);
-                        let amp = v.abs_sq().to_f64() * s[d] * s[d];
-                        rho_out[space.node_of_dof(d)] += w * f * amp;
-                    }
-                }
+                let (psi, w, occ) = (&st.psi[ik - k0], kpts[ik].weight, &occupations[ik]);
+                let rows = |l| seam.dof_of_row(l);
+                let added = accumulate_density(space, psi, rows, w, occ, j0..j1, &mut rho_out);
+                // per DoF: |psi|^2 (MUL_FLOPS), two mass scalings, the
+                // k/occupation weight, and the accumulate
+                let elems = added as u64 * n_rows as u64;
+                scope.add_flops(elems * (T::MUL_FLOPS + 4));
+                scope.add_bytes(elems * std::mem::size_of::<T>() as u64);
             }
             seam.sum_f64(&mut rho_out);
         }
@@ -744,6 +723,38 @@ pub fn scf_loop<T: ScalarExt, S: ScfSeam<T>>(
         residual_history: st.residual_history,
         profile: profile_store.map(|p| p.finish(None)),
     })
+}
+
+/// Add one k-point's share `w sum_i f_i |psi_i|^2` of the electron density,
+/// over the columns `cols` of `psi` with occupations `occupations[i]`, to
+/// the nodal `rho` — the density build of the SCF and of inverse DFT. Row
+/// `l` of `psi` is DoF `dof_of_row(l)` of the orthonormalized basis, so
+/// its amplitude is scaled back by `M^{-1/2}` twice. Columns with a
+/// negligible occupation are skipped; returns how many were added.
+pub fn accumulate_density<T: Scalar>(
+    space: &FeSpace,
+    psi: &Matrix<T>,
+    dof_of_row: impl Fn(usize) -> usize,
+    w: f64,
+    occupations: &[f64],
+    cols: Range<usize>,
+    rho: &mut [f64],
+) -> usize {
+    let s = space.inv_sqrt_mass();
+    let mut added = 0;
+    for i in cols {
+        let f = occupations[i];
+        if f < 1e-14 {
+            continue;
+        }
+        added += 1;
+        for (l, &v) in psi.col(i).iter().enumerate() {
+            let d = dof_of_row(l);
+            let amp = v.abs_sq().to_f64() * s[d] * s[d];
+            rho[space.node_of_dof(d)] += w * f * amp;
+        }
+    }
+    added
 }
 
 /// Bloch phases `e^{i 2 pi f_d}` for k-point `k` in scalar type `T`.

@@ -16,13 +16,14 @@
 //!
 //! GGA potentials use `v = de/drho - div(de/d|grad rho| * grad rho /
 //! |grad rho|)` with the divergence assembled by mass-weighted FE recovery
-//! ([`FeDivergence`]), whose exact adjoint is also provided for MLXC
-//! training.
+//! ([`FeSpace::divergence`]); [`FeDivergence`] hands it and its exact
+//! adjoint to MLXC training.
 
 use dft_fem::field::NodalField;
 use dft_fem::space::FeSpace;
 use dft_mlxc::functional::MlxcModel;
 use dft_mlxc::train::DivergenceOp;
+use std::sync::Arc;
 
 /// Pointwise functional data: energy density and its partials.
 #[derive(Clone, Copy, Debug, Default)]
@@ -99,7 +100,7 @@ pub fn evaluate_xc(space: &FeSpace, rho: &NodalField, xc: &dyn XcFunctional) -> 
                 vz[i] = c * g[2].values[i];
             }
         }
-        let div = FeDivergence { space }.divergence(&vx, &vy, &vz);
+        let div = space.divergence([&vx, &vy, &vz]);
         (0..n).map(|i| vloc[i] - div[i]).collect()
     } else {
         vloc
@@ -167,109 +168,84 @@ impl XcFunctional for Lda {
 // ---------------------------------------------------------------------------
 
 /// Parameters of a PBE-form GGA.
-#[derive(Clone, Copy, Debug)]
-pub struct GgaParams {
+struct GgaParams {
     /// Exchange enhancement limit kappa.
-    pub kappa: f64,
+    kappa: f64,
     /// Exchange gradient coefficient mu.
-    pub mu: f64,
+    mu: f64,
     /// Correlation gradient coefficient beta.
-    pub beta: f64,
+    beta: f64,
     /// Overall correlation scaling (1.0 for genuine PBE).
-    pub c_scale: f64,
+    c_scale: f64,
 }
 
-/// PBE-form GGA energy density (unpolarized). The potential partials are
-/// produced by differencing the smooth `e(rho, g)` — robust and exact to
-/// ~1e-8, avoiding pages of analytic chain rule.
-pub struct GgaForm {
-    nm: &'static str,
-    p: GgaParams,
-}
+const PBE: GgaParams = GgaParams {
+    kappa: 0.804,
+    mu: 0.219_514_972_764_517_1,
+    beta: 0.066_725,
+    c_scale: 1.0,
+};
+
+/// Same functional *form* as PBE, different physics: a stand-in for the
+/// quantum many-body answer.
+const TRUTH: GgaParams = GgaParams {
+    kappa: 0.62,
+    mu: 0.31,
+    beta: 0.046,
+    c_scale: 1.08,
+};
 
 /// Level-2 PBE.
 pub struct Pbe;
 /// The hidden many-body "truth" of this reproduction (DESIGN.md S2).
 pub struct SyntheticTruth;
 
-impl GgaForm {
-    /// PBE parameters.
-    pub fn pbe() -> Self {
-        GgaForm {
-            nm: "PBE",
-            p: GgaParams {
-                kappa: 0.804,
-                mu: 0.219_514_972_764_517_1,
-                beta: 0.066_725,
-                c_scale: 1.0,
-            },
-        }
-    }
-    /// Hidden-truth parameters: same functional *form*, different physics —
-    /// a stand-in for the quantum many-body answer.
-    pub fn truth() -> Self {
-        GgaForm {
-            nm: "SyntheticTruth",
-            p: GgaParams {
-                kappa: 0.62,
-                mu: 0.31,
-                beta: 0.046,
-                c_scale: 1.08,
-            },
-        }
-    }
-
-    fn energy_density(&self, rho: f64, g: f64) -> f64 {
-        let rho = rho.max(RHO_FLOOR);
-        let pi = std::f64::consts::PI;
-        // exchange
-        let kf = (3.0 * pi * pi * rho).powf(1.0 / 3.0);
-        let s = g / (2.0 * kf * rho);
-        let fx = 1.0 + self.p.kappa - self.p.kappa / (1.0 + self.p.mu * s * s / self.p.kappa);
-        let cx = -(3.0 / 4.0) * (3.0 / pi).powf(1.0 / 3.0);
-        let ex = cx * rho.powf(4.0 / 3.0) * fx;
-        // correlation with gradient term H
-        let rs = rs_of_rho(rho);
-        let ec_unif = pw92_ec(rs);
-        let gamma = (1.0 - (2.0f64).ln()) / (pi * pi);
-        let ks = (4.0 * kf / pi).sqrt();
-        let t2 = (g / (2.0 * ks * rho)).powi(2);
-        let expo = (-ec_unif / gamma).exp();
-        let a = if expo > 1.0 + 1e-14 {
-            self.p.beta / gamma / (expo - 1.0)
-        } else {
-            1e10
-        };
-        let num = 1.0 + a * t2;
-        let den = 1.0 + a * t2 + a * a * t2 * t2;
-        let h = gamma * (1.0 + self.p.beta / gamma * t2 * num / den).ln();
-        ex + self.p.c_scale * rho * (ec_unif + h)
-    }
+/// PBE-form GGA energy density (unpolarized).
+fn gga_energy_density(p: &GgaParams, rho: f64, g: f64) -> f64 {
+    let rho = rho.max(RHO_FLOOR);
+    let pi = std::f64::consts::PI;
+    // exchange
+    let kf = (3.0 * pi * pi * rho).powf(1.0 / 3.0);
+    let s = g / (2.0 * kf * rho);
+    let fx = 1.0 + p.kappa - p.kappa / (1.0 + p.mu * s * s / p.kappa);
+    let cx = -(3.0 / 4.0) * (3.0 / pi).powf(1.0 / 3.0);
+    let ex = cx * rho.powf(4.0 / 3.0) * fx;
+    // correlation with gradient term H
+    let rs = rs_of_rho(rho);
+    let ec_unif = pw92_ec(rs);
+    let gamma = (1.0 - (2.0f64).ln()) / (pi * pi);
+    let ks = (4.0 * kf / pi).sqrt();
+    let t2 = (g / (2.0 * ks * rho)).powi(2);
+    let expo = (-ec_unif / gamma).exp();
+    let a = if expo > 1.0 + 1e-14 {
+        p.beta / gamma / (expo - 1.0)
+    } else {
+        1e10
+    };
+    let num = 1.0 + a * t2;
+    let den = 1.0 + a * t2 + a * a * t2 * t2;
+    let h = gamma * (1.0 + p.beta / gamma * t2 * num / den).ln();
+    ex + p.c_scale * rho * (ec_unif + h)
 }
 
-impl XcFunctional for GgaForm {
-    fn name(&self) -> &'static str {
-        self.nm
-    }
-    fn needs_gradient(&self) -> bool {
-        true
-    }
-    fn eval_point(&self, rho: f64, grad_norm: f64) -> XcPoint {
-        let rho = rho.max(RHO_FLOOR);
-        let e = self.energy_density(rho, grad_norm);
-        let hr = rho * 1e-6 + 1e-12;
-        let hg = grad_norm * 1e-6 + 1e-10;
-        let de_drho = (self.energy_density(rho + hr, grad_norm)
-            - self.energy_density((rho - hr).max(RHO_FLOOR), grad_norm))
-            / (rho + hr - (rho - hr).max(RHO_FLOOR));
-        let de_dgrad = (self.energy_density(rho, grad_norm + hg)
-            - self.energy_density(rho, (grad_norm - hg).max(0.0)))
-            / (grad_norm + hg - (grad_norm - hg).max(0.0));
-        XcPoint {
-            e,
-            de_drho,
-            de_dgrad,
-        }
+/// A PBE-form GGA at one point. The potential partials are produced by
+/// differencing the smooth `e(rho, g)` — robust and exact to ~1e-8,
+/// avoiding pages of analytic chain rule.
+fn gga_point(p: &GgaParams, rho: f64, grad_norm: f64) -> XcPoint {
+    let rho = rho.max(RHO_FLOOR);
+    let e = gga_energy_density(p, rho, grad_norm);
+    let hr = rho * 1e-6 + 1e-12;
+    let hg = grad_norm * 1e-6 + 1e-10;
+    let de_drho = (gga_energy_density(p, rho + hr, grad_norm)
+        - gga_energy_density(p, (rho - hr).max(RHO_FLOOR), grad_norm))
+        / (rho + hr - (rho - hr).max(RHO_FLOOR));
+    let de_dgrad = (gga_energy_density(p, rho, grad_norm + hg)
+        - gga_energy_density(p, rho, (grad_norm - hg).max(0.0)))
+        / (grad_norm + hg - (grad_norm - hg).max(0.0));
+    XcPoint {
+        e,
+        de_drho,
+        de_dgrad,
     }
 }
 
@@ -281,7 +257,7 @@ impl XcFunctional for Pbe {
         true
     }
     fn eval_point(&self, rho: f64, grad_norm: f64) -> XcPoint {
-        GgaForm::pbe().eval_point(rho, grad_norm)
+        gga_point(&PBE, rho, grad_norm)
     }
 }
 
@@ -293,7 +269,7 @@ impl XcFunctional for SyntheticTruth {
         true
     }
     fn eval_point(&self, rho: f64, grad_norm: f64) -> XcPoint {
-        GgaForm::truth().eval_point(rho, grad_norm)
+        gga_point(&TRUTH, rho, grad_norm)
     }
 }
 
@@ -336,128 +312,27 @@ impl XcFunctional for MlxcFunctional {
 // FE divergence with exact adjoint (for GGA potentials and MLXC training)
 // ---------------------------------------------------------------------------
 
-/// Mass-weighted FE divergence of nodal vector fields, with its exact
-/// adjoint (needed to backpropagate the MLXC potential loss).
-pub struct FeDivergence<'a> {
-    /// The FE space.
-    pub space: &'a FeSpace,
-}
+/// The FE divergence `M^{-1} sum_d A_d v_d` of a space as an MLXC
+/// [`DivergenceOp`], with its exact adjoint `A_d^T (M^{-1} lambda)` (needed
+/// to backpropagate the MLXC potential loss). It owns its space because a
+/// training sample outlives the solve that produced it.
+pub struct FeDivergence(pub Arc<FeSpace>);
 
-impl<'a> FeDivergence<'a> {
-    /// `A_d v`: assembled mass-weighted cell derivative along axis `d`
-    /// (before the `M^{-1}` of the recovery).
-    fn apply_deriv_mass(&self, d: usize, v: &[f64]) -> Vec<f64> {
-        let space = self.space;
-        let n1 = space.mesh.degree + 1;
-        let nloc = n1 * n1 * n1;
-        let b = &space.basis;
-        let mut out = vec![0.0; space.nnodes()];
-        let mut loc = vec![0.0; nloc];
-        for cell in space.cells() {
-            space.gather_cell_nodes(cell, v, [1.0; 3], &mut loc);
-            let jd = 2.0 / cell.h[d];
-            let jac = cell.h[0] * cell.h[1] * cell.h[2] / 8.0;
-            for c in 0..n1 {
-                for bb in 0..n1 {
-                    for a in 0..n1 {
-                        let mut dv = 0.0;
-                        for j in 0..n1 {
-                            let idx = match d {
-                                0 => j + n1 * (bb + n1 * c),
-                                1 => a + n1 * (j + n1 * c),
-                                _ => a + n1 * (bb + n1 * j),
-                            };
-                            let dmat = match d {
-                                0 => b.d(a, j),
-                                1 => b.d(bb, j),
-                                _ => b.d(c, j),
-                            };
-                            dv += dmat * loc[idx];
-                        }
-                        let w = b.weights[a] * b.weights[bb] * b.weights[c] * jac;
-                        let node = space.cell_local_to_node(cell, a, bb, c);
-                        out[node] += w * jd * dv;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// `A_d^T lambda`: the exact transpose of [`Self::apply_deriv_mass`]
-    /// (gather/scatter roles swapped, derivative matrix transposed).
-    fn apply_deriv_mass_t(&self, d: usize, lambda: &[f64]) -> Vec<f64> {
-        let space = self.space;
-        let n1 = space.mesh.degree + 1;
-        let nloc = n1 * n1 * n1;
-        let b = &space.basis;
-        let mut out = vec![0.0; space.nnodes()];
-        let mut loc = vec![0.0; nloc];
-        let mut contrib = vec![0.0; nloc];
-        for cell in space.cells() {
-            space.gather_cell_nodes(cell, lambda, [1.0; 3], &mut loc);
-            let jd = 2.0 / cell.h[d];
-            let jac = cell.h[0] * cell.h[1] * cell.h[2] / 8.0;
-            contrib.fill(0.0);
-            for c in 0..n1 {
-                for bb in 0..n1 {
-                    for a in 0..n1 {
-                        let w = b.weights[a] * b.weights[bb] * b.weights[c] * jac;
-                        let lam = loc[a + n1 * (bb + n1 * c)] * w * jd;
-                        // transpose: scatter into the j-indexed positions
-                        for j in 0..n1 {
-                            let (idx, dmat) = match d {
-                                0 => (j + n1 * (bb + n1 * c), b.d(a, j)),
-                                1 => (a + n1 * (j + n1 * c), b.d(bb, j)),
-                                _ => (a + n1 * (bb + n1 * j), b.d(c, j)),
-                            };
-                            contrib[idx] += dmat * lam;
-                        }
-                    }
-                }
-            }
-            // scatter contributions to global nodes
-            let mut idx = 0;
-            for c in 0..n1 {
-                for bb in 0..n1 {
-                    for a in 0..n1 {
-                        let node = space.cell_local_to_node(cell, a, bb, c);
-                        out[node] += contrib[idx];
-                        idx += 1;
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
-impl<'a> DivergenceOp for FeDivergence<'a> {
+impl DivergenceOp for FeDivergence {
     fn divergence(&self, vx: &[f64], vy: &[f64], vz: &[f64]) -> Vec<f64> {
-        let m = self.space.mass_diag();
-        let mut out = self.apply_deriv_mass(0, vx);
-        let oy = self.apply_deriv_mass(1, vy);
-        let oz = self.apply_deriv_mass(2, vz);
-        for i in 0..out.len() {
-            out[i] = (out[i] + oy[i] + oz[i]) / m[i];
-        }
-        out
+        self.0.divergence([vx, vy, vz])
     }
     fn adjoint(&self, lambda: &[f64]) -> [Vec<f64>; 3] {
-        let m = self.space.mass_diag();
+        let m = self.0.mass_diag();
         let lm: Vec<f64> = lambda.iter().zip(m.iter()).map(|(&l, &w)| l / w).collect();
-        [
-            self.apply_deriv_mass_t(0, &lm),
-            self.apply_deriv_mass_t(1, &lm),
-            self.apply_deriv_mass_t(2, &lm),
-        ]
+        self.0.deriv_mass_t([&lm, &lm, &lm])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dft_fem::mesh::Mesh3d;
+    use dft_fem::mesh::{Axis, BoundaryCondition, Mesh3d};
 
     #[test]
     fn lda_exchange_only_limit() {
@@ -538,58 +413,106 @@ mod tests {
         }
     }
 
+    /// Dirichlet box of edge `l` whose cells shrink toward an off-centre
+    /// point.
+    fn graded_space(l: f64, p: usize) -> FeSpace {
+        let ax = || {
+            Axis::graded(
+                0.0,
+                l,
+                0.6,
+                1.6,
+                &[0.3 * l],
+                1.5,
+                BoundaryCondition::Dirichlet,
+            )
+        };
+        FeSpace::new(Mesh3d::new([ax(), ax(), ax()], p))
+    }
+
+    /// The components of `f` at every node of `space`.
+    fn sample(space: &FeSpace, f: impl Fn([f64; 3]) -> [f64; 3]) -> [Vec<f64>; 3] {
+        let at: Vec<[f64; 3]> = (0..space.nnodes())
+            .map(|i| f(space.node_coord(i)))
+            .collect();
+        [0, 1, 2].map(|d| at.iter().map(|v| v[d]).collect())
+    }
+
     #[test]
     fn fe_divergence_of_linear_field_is_constant() {
-        let space = FeSpace::new(Mesh3d::cube(2, 4.0, 3));
-        let d = FeDivergence { space: &space };
-        // v = (x, 2y, -z) -> div = 2
-        let n = space.nnodes();
-        let mut vx = vec![0.0; n];
-        let mut vy = vec![0.0; n];
-        let mut vz = vec![0.0; n];
-        for i in 0..n {
-            let c = space.node_coord(i);
-            vx[i] = c[0];
-            vy[i] = 2.0 * c[1];
-            vz[i] = -c[2];
+        for space in [FeSpace::new(Mesh3d::cube(2, 4.0, 3)), graded_space(4.0, 3)] {
+            let d = FeDivergence(Arc::new(space));
+            // v = (x, 2y, -z) -> div = 2
+            let [vx, vy, vz] = sample(&d.0, |[x, y, z]| [x, 2.0 * y, -z]);
+            let div = d.divergence(&vx, &vy, &vz);
+            for &v in &div {
+                assert!((v - 2.0).abs() < 1e-9, "{v}");
+            }
         }
+        // A linear field is not periodic: on the fully periodic mesh, a
+        // resolved trigonometric one, whose divergence is accurate at the
+        // seam only if the cells there read the wrapped nodes.
+        let d = FeDivergence(Arc::new(FeSpace::new(Mesh3d::periodic_cube(3, 6.0, 6))));
+        let k = std::f64::consts::PI / 3.0;
+        let [vx, vy, vz] = sample(&d.0, |[x, y, z]| {
+            [(k * x).sin(), (k * y).sin(), (k * z).cos()]
+        });
         let div = d.divergence(&vx, &vy, &vz);
-        for &v in &div {
-            assert!((v - 2.0).abs() < 1e-9, "{v}");
+        for (i, &v) in div.iter().enumerate() {
+            let [x, y, z] = d.0.node_coord(i);
+            let exact = k * ((k * x).cos() + (k * y).cos() - (k * z).sin());
+            assert!(
+                (v - exact).abs() < 2e-3,
+                "periodic: {v} vs {exact} at node {i}"
+            );
         }
     }
 
     #[test]
     fn fe_divergence_adjoint_identity() {
-        let space = FeSpace::new(Mesh3d::cube(2, 3.0, 2));
-        let d = FeDivergence { space: &space };
-        let n = space.nnodes();
-        let vx: Vec<f64> = (0..n).map(|i| ((i * 7) as f64 * 0.13).sin()).collect();
-        let vy: Vec<f64> = (0..n).map(|i| ((i * 3) as f64 * 0.29).cos()).collect();
-        let vz: Vec<f64> = (0..n).map(|i| ((i * 11) as f64 * 0.17).sin()).collect();
-        let lam: Vec<f64> = (0..n).map(|i| ((i * 5) as f64 * 0.37).cos()).collect();
-        let div = d.divergence(&vx, &vy, &vz);
-        let lhs: f64 = lam.iter().zip(div.iter()).map(|(a, b)| a * b).sum();
-        let adj = d.adjoint(&lam);
-        let rhs: f64 = adj[0]
-            .iter()
-            .zip(vx.iter())
-            .map(|(a, b)| a * b)
-            .sum::<f64>()
-            + adj[1]
-                .iter()
-                .zip(vy.iter())
-                .map(|(a, b)| a * b)
-                .sum::<f64>()
-            + adj[2]
-                .iter()
-                .zip(vz.iter())
-                .map(|(a, b)| a * b)
-                .sum::<f64>();
-        assert!(
-            (lhs - rhs).abs() < 1e-10 * lhs.abs().max(1.0),
-            "{lhs} vs {rhs}"
-        );
+        for space in [
+            FeSpace::new(Mesh3d::cube(2, 3.0, 2)),
+            FeSpace::new(Mesh3d::periodic_cube(2, 3.0, 3)),
+            graded_space(3.0, 2),
+        ] {
+            let n = space.nnodes();
+            let d = FeDivergence(Arc::new(space));
+            let vx: Vec<f64> = (0..n).map(|i| ((i * 7) as f64 * 0.13).sin()).collect();
+            let vy: Vec<f64> = (0..n).map(|i| ((i * 3) as f64 * 0.29).cos()).collect();
+            let vz: Vec<f64> = (0..n).map(|i| ((i * 11) as f64 * 0.17).sin()).collect();
+            let lam: Vec<f64> = (0..n).map(|i| ((i * 5) as f64 * 0.37).cos()).collect();
+            let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
+            let lhs = dot(&lam, &d.divergence(&vx, &vy, &vz));
+            let adj = d.adjoint(&lam);
+            let rhs = dot(&adj[0], &vx) + dot(&adj[1], &vy) + dot(&adj[2], &vz);
+            assert!(
+                (lhs - rhs).abs() < 1e-10 * lhs.abs().max(1.0),
+                "{lhs} vs {rhs}"
+            );
+        }
+    }
+
+    /// The GGA point evaluation keeps the bits it had when PBE and the
+    /// hidden truth were separate `XcFunctional` bodies: the hash folds
+    /// `to_bits` of `e`, `de/drho` and `de/d|grad rho|` over a grid of
+    /// `(rho, |grad rho|)` spanning the density floor to core densities.
+    #[test]
+    fn gga_point_values_keep_their_bits() {
+        for (f, pinned) in [
+            (&Pbe as &dyn XcFunctional, 0x99e3_bebb_50c5_4fd5u64),
+            (&SyntheticTruth, 0xc8fa_26dd_a09c_abdb),
+        ] {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for rho in [0.0, 1e-13, 1e-9, 1e-3, 0.05, 0.4, 1.7, 12.0] {
+                for g in [0.0, 1e-11, 1e-6, 0.3, 2.5, 40.0] {
+                    let p = f.eval_point(rho, g);
+                    for x in [p.e, p.de_drho, p.de_dgrad] {
+                        h = (h ^ x.to_bits()).wrapping_mul(0x100_0000_01b3);
+                    }
+                }
+            }
+            assert_eq!(h, pinned, "{}", f.name());
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! fields; the PBE/MLXC descriptors additionally need `|grad rho|`, which is
 //! computed by mass-weighted cell-gradient recovery.
 
-use crate::space::FeSpace;
+use crate::space::{for_each_local_node, FeSpace};
 
 /// A real scalar field stored at every FE node (including Dirichlet
 /// boundary nodes).
@@ -66,68 +66,16 @@ impl NodalField {
     }
 
     /// Nodal gradient by mass-weighted recovery of cell-level collocation
-    /// derivatives. Returns `[d/dx, d/dy, d/dz]` nodal fields.
+    /// derivatives, `M^{-1} A_d f`. Returns `[d/dx, d/dy, d/dz]` nodal
+    /// fields.
     pub fn gradient(&self, space: &FeSpace) -> [NodalField; 3] {
-        let n1 = space.mesh.degree + 1;
-        let nloc = n1 * n1 * n1;
-        let b = &space.basis;
-        let mut gx = vec![0.0; space.nnodes()];
-        let mut gy = vec![0.0; space.nnodes()];
-        let mut gz = vec![0.0; space.nnodes()];
-        let mut loc = vec![0.0; nloc];
-        let one = [1.0f64; 3];
-        // temporary per-cell derivative values + per-node global indices
-        let mut dfydx = vec![0.0; nloc];
-        let mut dfdy = vec![0.0; nloc];
-        let mut dfdz = vec![0.0; nloc];
-        for cell in space.cells() {
-            space.gather_cell_nodes(cell, &self.values, one, &mut loc);
-            let (jx, jy, jz) = (2.0 / cell.h[0], 2.0 / cell.h[1], 2.0 / cell.h[2]);
-            for c in 0..n1 {
-                for bb in 0..n1 {
-                    for a in 0..n1 {
-                        let idx = a + n1 * (bb + n1 * c);
-                        let mut dx = 0.0;
-                        let mut dy = 0.0;
-                        let mut dz = 0.0;
-                        for j in 0..n1 {
-                            dx += b.d(a, j) * loc[j + n1 * (bb + n1 * c)];
-                            dy += b.d(bb, j) * loc[a + n1 * (j + n1 * c)];
-                            dz += b.d(c, j) * loc[a + n1 * (bb + n1 * j)];
-                        }
-                        dfydx[idx] = dx * jx;
-                        dfdy[idx] = dy * jy;
-                        dfdz[idx] = dz * jz;
-                    }
-                }
+        let f = self.values.as_slice();
+        space.deriv_mass([f, f, f]).map(|mut g| {
+            for (x, &m) in g.iter_mut().zip(space.mass_diag()) {
+                *x /= m;
             }
-            // mass-weighted scatter
-            let jac = cell.h[0] * cell.h[1] * cell.h[2] / 8.0;
-            let mut idx = 0;
-            for c in 0..n1 {
-                for bb in 0..n1 {
-                    for a in 0..n1 {
-                        let w = b.weights[a] * b.weights[bb] * b.weights[c] * jac;
-                        let node = space.cell_local_to_node(cell, a, bb, c);
-                        gx[node] += w * dfydx[idx];
-                        gy[node] += w * dfdy[idx];
-                        gz[node] += w * dfdz[idx];
-                        idx += 1;
-                    }
-                }
-            }
-        }
-        let m = space.mass_diag();
-        for i in 0..gx.len() {
-            gx[i] /= m[i];
-            gy[i] /= m[i];
-            gz[i] /= m[i];
-        }
-        [
-            NodalField { values: gx },
-            NodalField { values: gy },
-            NodalField { values: gz },
-        ]
+            NodalField { values: g }
+        })
     }
 
     /// `|grad f|` as a nodal field.
@@ -148,54 +96,102 @@ impl NodalField {
     /// Evaluate the FE interpolant at an arbitrary point inside the domain.
     pub fn eval(&self, space: &FeSpace, point: [f64; 3]) -> f64 {
         let (cell_idx, xi) = space.locate(point);
-        let n1 = space.mesh.degree + 1;
         let lx = space.basis.eval_all(xi[0]);
         let ly = space.basis.eval_all(xi[1]);
         let lz = space.basis.eval_all(xi[2]);
-        let cell = &space.cells()[cell_idx];
-        let mut loc = vec![0.0; n1 * n1 * n1];
-        space.gather_cell_nodes(cell, &self.values, [1.0; 3], &mut loc);
+        let nodes = space.cell_nodes(cell_idx);
         let mut acc = 0.0;
-        let mut idx = 0;
-        for c in 0..n1 {
-            for b in 0..n1 {
-                for a in 0..n1 {
-                    acc += loc[idx] * lx[a] * ly[b] * lz[c];
-                    idx += 1;
-                }
-            }
-        }
+        for_each_local_node(
+            &space.basis,
+            space.cells()[cell_idx].h,
+            |l, _, [a, b, c]| {
+                acc += self.values[nodes[l] as usize] * lx[a] * ly[b] * lz[c];
+            },
+        );
         acc
     }
 }
 
 impl FeSpace {
-    /// Global node index of local node `(a, b, c)` in `cell` (wrapping
-    /// periodically).
-    pub fn cell_local_to_node(
-        &self,
-        cell: &crate::space::Cell,
-        a: usize,
-        b: usize,
-        c: usize,
-    ) -> usize {
-        let p = self.mesh.degree;
-        let na = self.n_axis();
-        let w = |ci: usize, l: usize, n: usize, per: bool| -> usize {
-            let g = ci * p + l;
-            if per && g >= n {
-                g - n
-            } else {
-                g
+    /// `A_d v_d` for the three axes `d` in one cell sweep: the assembled,
+    /// mass-weighted collocation derivative `(A_d v)_i = sum_cells w_i
+    /// (dv/dx_d)(x_i)`, before the `M^{-1}` of the recovery. Cells reach
+    /// their nodes through the precomputed [`Self::cell_nodes`] table, so
+    /// periodic wraps need no arithmetic here.
+    pub fn deriv_mass(&self, v: [&[f64]; 3]) -> [Vec<f64>; 3] {
+        let (n1, nloc) = (self.mesh.degree + 1, self.nloc());
+        let stride = [1, n1, n1 * n1];
+        let b = &self.basis;
+        let mut out = [(); 3].map(|_| vec![0.0; self.nnodes()]);
+        let mut loc = [(); 3].map(|_| vec![0.0; nloc]);
+        for (ci, cell) in self.cells().iter().enumerate() {
+            let nodes = self.cell_nodes(ci);
+            for (ld, vd) in loc.iter_mut().zip(v) {
+                for (x, &n) in ld.iter_mut().zip(nodes) {
+                    *x = vd[n as usize];
+                }
             }
-        };
-        let perx = self.mesh.axes[0].bc() == crate::mesh::BoundaryCondition::Periodic;
-        let pery = self.mesh.axes[1].bc() == crate::mesh::BoundaryCondition::Periodic;
-        let perz = self.mesh.axes[2].bc() == crate::mesh::BoundaryCondition::Periodic;
-        let gx = w(cell.c[0], a, na[0], perx);
-        let gy = w(cell.c[1], b, na[1], pery);
-        let gz = w(cell.c[2], c, na[2], perz);
-        gx + na[0] * (gy + na[1] * gz)
+            let jd = cell.h.map(|h| 2.0 / h);
+            for_each_local_node(b, cell.h, |l, w, idx| {
+                for d in 0..3 {
+                    let first = l - idx[d] * stride[d];
+                    let dv = (0..n1).fold(0.0, |acc, j| {
+                        acc + b.d(idx[d], j) * loc[d][first + j * stride[d]]
+                    });
+                    out[d][nodes[l] as usize] += w * (dv * jd[d]);
+                }
+            });
+        }
+        out
+    }
+
+    /// `A_d^T lambda_d` for the three axes: the exact transpose of
+    /// [`Self::deriv_mass`] (gather and scatter roles swapped, derivative
+    /// matrix transposed).
+    pub fn deriv_mass_t(&self, lambda: [&[f64]; 3]) -> [Vec<f64>; 3] {
+        let (n1, nloc) = (self.mesh.degree + 1, self.nloc());
+        let stride = [1, n1, n1 * n1];
+        let b = &self.basis;
+        let mut out = [(); 3].map(|_| vec![0.0; self.nnodes()]);
+        let mut loc = [(); 3].map(|_| vec![0.0; nloc]);
+        let mut contrib = [(); 3].map(|_| vec![0.0; nloc]);
+        for (ci, cell) in self.cells().iter().enumerate() {
+            let nodes = self.cell_nodes(ci);
+            for (ld, ldm) in loc.iter_mut().zip(lambda) {
+                for (x, &n) in ld.iter_mut().zip(nodes) {
+                    *x = ldm[n as usize];
+                }
+            }
+            for cd in &mut contrib {
+                cd.fill(0.0);
+            }
+            let jd = cell.h.map(|h| 2.0 / h);
+            for_each_local_node(b, cell.h, |l, w, idx| {
+                for d in 0..3 {
+                    let first = l - idx[d] * stride[d];
+                    let lam = loc[d][l] * w * jd[d];
+                    for j in 0..n1 {
+                        contrib[d][first + j * stride[d]] += b.d(idx[d], j) * lam;
+                    }
+                }
+            });
+            for (od, cd) in out.iter_mut().zip(&contrib) {
+                for (&n, &x) in nodes.iter().zip(cd) {
+                    od[n as usize] += x;
+                }
+            }
+        }
+        out
+    }
+
+    /// Mass-weighted FE divergence `M^{-1} sum_d A_d v_d` of a nodal vector
+    /// field — the GGA potential's divergence term.
+    pub fn divergence(&self, v: [&[f64]; 3]) -> Vec<f64> {
+        let [mut out, oy, oz] = self.deriv_mass(v);
+        for (i, (x, &m)) in out.iter_mut().zip(self.mass_diag()).enumerate() {
+            *x = (*x + oy[i] + oz[i]) / m;
+        }
+        out
     }
 
     /// Locate the cell containing `point` and the reference coordinates
@@ -234,10 +230,27 @@ impl FeSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mesh::Mesh3d;
+    use crate::mesh::{Axis, BoundaryCondition, Mesh3d};
+    use std::f64::consts::PI;
 
     fn space(p: usize) -> FeSpace {
         FeSpace::new(Mesh3d::cube(2, 4.0, p))
+    }
+
+    /// Dirichlet box of edge 4 whose cells shrink toward an off-centre point.
+    fn graded_space(p: usize) -> FeSpace {
+        let ax = || {
+            Axis::graded(
+                0.0,
+                4.0,
+                0.6,
+                1.6,
+                &[1.3],
+                1.5,
+                BoundaryCondition::Dirichlet,
+            )
+        };
+        FeSpace::new(Mesh3d::new([ax(), ax(), ax()], p))
     }
 
     #[test]
@@ -249,15 +262,41 @@ mod tests {
 
     #[test]
     fn gradient_of_polynomial_is_exact() {
-        let s = space(3);
-        // f = x^2 y + z (degree <= p in each variable)
-        let f = NodalField::from_fn(&s, |[x, y, z]| x * x * y + z);
+        for s in [space(3), graded_space(3)] {
+            // f = x^2 y + z (degree <= p in each variable)
+            let f = NodalField::from_fn(&s, |[x, y, z]| x * x * y + z);
+            let [gx, gy, gz] = f.gradient(&s);
+            for n in 0..s.nnodes() {
+                let [x, y, _] = s.node_coord(n);
+                assert!((gx.values[n] - 2.0 * x * y).abs() < 1e-9, "gx at node {n}");
+                assert!((gy.values[n] - x * x).abs() < 1e-9, "gy at node {n}");
+                assert!((gz.values[n] - 1.0).abs() < 1e-9, "gz at node {n}");
+            }
+        }
+        // No polynomial but a constant is periodic, so the fully periodic
+        // mesh gets a resolved trigonometric field: the cells at the seam
+        // read wrapped nodes through the tables, and a wrong wrap would
+        // leave an O(1) error there instead of the interpolation error.
+        let s = FeSpace::new(Mesh3d::periodic_cube(3, 6.0, 6));
+        let k = PI / 3.0;
+        let f = NodalField::from_fn(&s, |[x, y, z]| {
+            (k * x).sin() + (k * y).cos() * (k * z).sin()
+        });
         let [gx, gy, gz] = f.gradient(&s);
         for n in 0..s.nnodes() {
-            let [x, y, _] = s.node_coord(n);
-            assert!((gx.values[n] - 2.0 * x * y).abs() < 1e-9, "gx at node {n}");
-            assert!((gy.values[n] - x * x).abs() < 1e-9, "gy at node {n}");
-            assert!((gz.values[n] - 1.0).abs() < 1e-9, "gz at node {n}");
+            let [x, y, z] = s.node_coord(n);
+            let exact = [
+                k * (k * x).cos(),
+                -k * (k * y).sin() * (k * z).sin(),
+                k * (k * y).cos() * (k * z).cos(),
+            ];
+            for (g, e) in [&gx, &gy, &gz].iter().zip(exact) {
+                assert!(
+                    (g.values[n] - e).abs() < 2e-3,
+                    "periodic: {} vs {e} at node {n}",
+                    g.values[n]
+                );
+            }
         }
     }
 

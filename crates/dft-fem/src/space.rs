@@ -305,6 +305,29 @@ fn cell_kernel<T: Scalar, const TILE: usize>(
     }
 }
 
+/// Visit the local nodes of a cell of size `h` in table order
+/// `l = a + n1 (b + n1 c)`, with each node's GLL mass weight and its index
+/// `(a, b, c)`: the scaffolding of every table-driven nodal cell loop (mass
+/// assembly, stiffness diagonal, the collocation derivative and its
+/// transpose), which reaches global nodes through `cell_nodes`.
+pub(crate) fn for_each_local_node(
+    basis: &Lagrange1d,
+    h: [f64; 3],
+    mut visit: impl FnMut(usize, f64, [usize; 3]),
+) {
+    let (n1, w) = (basis.degree + 1, &basis.weights);
+    let jac = h[0] * h[1] * h[2] / 8.0;
+    let mut l = 0;
+    for c in 0..n1 {
+        for b in 0..n1 {
+            for a in 0..n1 {
+                visit(l, w[a] * w[b] * w[c] * jac, [a, b, c]);
+                l += 1;
+            }
+        }
+    }
+}
+
 impl FeSpace {
     /// Build the space: node numbering, Dirichlet DoF elimination, diagonal
     /// mass assembly.
@@ -400,19 +423,8 @@ impl FeSpace {
 
         // Diagonal GLL mass matrix over all nodes.
         let mut mass_diag = vec![0.0; nnodes];
-        for cell in &cells {
-            let jac = cell.h[0] * cell.h[1] * cell.h[2] / 8.0;
-            for c in 0..n1 {
-                for b in 0..n1 {
-                    for a in 0..n1 {
-                        let w = basis.weights[a] * basis.weights[b] * basis.weights[c] * jac;
-                        let (gx, _) = Self::axis_node(cell.c[0], a, p, n_axis[0], periodic[0]);
-                        let (gy, _) = Self::axis_node(cell.c[1], b, p, n_axis[1], periodic[1]);
-                        let (gz, _) = Self::axis_node(cell.c[2], c, p, n_axis[2], periodic[2]);
-                        mass_diag[gx + n_axis[0] * (gy + n_axis[1] * gz)] += w;
-                    }
-                }
-            }
+        for (cell, nodes) in cells.iter().zip(cell_node.chunks(nloc)) {
+            for_each_local_node(&basis, cell.h, |l, w, _| mass_diag[nodes[l] as usize] += w);
         }
         let inv_sqrt_mass_dof = node_of_dof
             .iter()
@@ -630,33 +642,6 @@ impl FeSpace {
     pub fn nodes_to_dofs<T: Scalar>(&self, x: &[T]) -> Vec<T> {
         assert_eq!(x.len(), self.nnodes);
         self.node_of_dof.iter().map(|&n| x[n as usize]).collect()
-    }
-
-    /// Gather the local values of one cell from a *full nodal* vector,
-    /// applying Bloch `phases` on periodic wraps. Local index layout is
-    /// `a + n1*(b + n1*c)`. Table-driven: one indexed load plus a masked
-    /// phase multiply per local node.
-    pub fn gather_cell_nodes<T: Scalar>(
-        &self,
-        cell: &Cell,
-        x_nodes: &[T],
-        phases: [T; 3],
-        out: &mut [T],
-    ) {
-        let nloc = self.nloc;
-        debug_assert_eq!(out.len(), nloc);
-        let ci = self.cell_index(cell);
-        let nodes = &self.cell_node[ci * nloc..(ci + 1) * nloc];
-        let wraps = &self.cell_wrap[ci * nloc..(ci + 1) * nloc];
-        let tab = phase_products(phases, false);
-        for l in 0..nloc {
-            let mut v = x_nodes[nodes[l] as usize];
-            let w = wraps[l];
-            if w != 0 {
-                v *= tab[w as usize];
-            }
-            out[l] = v;
-        }
     }
 
     /// Gather cell values from a *DoF* vector (Dirichlet nodes read as 0).
@@ -1124,31 +1109,19 @@ impl FeSpace {
     /// inverse-diagonal-Laplacian preconditioning of the invDFT adjoint
     /// solve, Sec. 5.3.1 of the paper).
     pub fn stiffness_diagonal(&self) -> Vec<f64> {
-        let n1 = self.mesh.degree + 1;
-        let p = self.mesh.degree;
         let b = &self.basis;
         let mut diag_nodes = vec![0.0; self.nnodes];
-        for cell in &self.cells {
+        for (ci, cell) in self.cells.iter().enumerate() {
             let h = cell.h;
             let sx = h[1] * h[2] / (2.0 * h[0]);
             let sy = h[0] * h[2] / (2.0 * h[1]);
             let sz = h[0] * h[1] / (2.0 * h[2]);
-            for c in 0..n1 {
-                let (gz, _) = Self::axis_node(cell.c[2], c, p, self.n_axis[2], self.periodic[2]);
-                for bb in 0..n1 {
-                    let (gy, _) =
-                        Self::axis_node(cell.c[1], bb, p, self.n_axis[1], self.periodic[1]);
-                    for a in 0..n1 {
-                        let (gx, _) =
-                            Self::axis_node(cell.c[0], a, p, self.n_axis[0], self.periodic[0]);
-                        let n = gx + self.n_axis[0] * (gy + self.n_axis[1] * gz);
-                        let d = sx * b.weights[bb] * b.weights[c] * b.k(a, a)
-                            + sy * b.weights[a] * b.weights[c] * b.k(bb, bb)
-                            + sz * b.weights[a] * b.weights[bb] * b.k(c, c);
-                        diag_nodes[n] += d;
-                    }
-                }
-            }
+            let nodes = self.cell_nodes(ci);
+            for_each_local_node(b, h, |l, _, [a, bb, c]| {
+                diag_nodes[nodes[l] as usize] += sx * b.weights[bb] * b.weights[c] * b.k(a, a)
+                    + sy * b.weights[a] * b.weights[c] * b.k(bb, bb)
+                    + sz * b.weights[a] * b.weights[bb] * b.k(c, c);
+            });
         }
         self.node_of_dof
             .iter()

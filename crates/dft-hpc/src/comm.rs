@@ -538,11 +538,6 @@ impl ThreadComm {
         self.timeout
     }
 
-    /// Override the receive deadline.
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
-    }
-
     /// The failure that poisoned this communicator, if any.
     #[inline]
     pub fn failure(&self) -> Option<CommError> {

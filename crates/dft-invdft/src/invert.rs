@@ -1,13 +1,13 @@
 //! The PDE-constrained optimization loop of inverse DFT.
 
-use dft_core::chebyshev::{chfes, lanczos_bounds, random_subspace, ChfesOptions};
+use dft_core::chebyshev::{ks_eigensolve, random_subspace, ChfesOptions, NoReduce};
+use dft_core::forces::{force_poisson, ForceError};
 use dft_core::hamiltonian::KsHamiltonian;
 use dft_core::occupation::fermi_occupations;
-use dft_core::scf::poisson_bc_of;
+use dft_core::scf::accumulate_density;
 use dft_core::system::AtomicSystem;
 use dft_core::xc::{evaluate_xc, Lda};
 use dft_fem::field::NodalField;
-use dft_fem::poisson::solve_poisson;
 use dft_fem::space::FeSpace;
 use dft_linalg::blas1;
 use dft_linalg::iterative::{block_minres, DiagonalPrec};
@@ -81,22 +81,21 @@ pub struct InvDftResult {
 /// Recover `v_xc` from a target density.
 ///
 /// The electrostatic part `v_N + v_H` is evaluated once from `rho*` (it is
-/// an explicit density functional); only the XC potential is unknown.
+/// an explicit density functional); only the XC potential is unknown. That
+/// solve is the one forces ride on, and it fails the same way: a Poisson
+/// solve that misses its tolerance is [`ForceError::PoissonDiverged`].
 pub fn invert(
     space: &FeSpace,
     system: &AtomicSystem,
     rho_target: &NodalField,
     cfg: &InvDftConfig,
-) -> InvDftResult {
+) -> Result<InvDftResult, ForceError> {
     let nd = space.ndofs();
     let n_el = system.n_electrons();
     let nn = space.nnodes();
 
     // fixed electrostatics of the target density
-    let rho_ion = system.ion_density(space);
-    let rho_charge: Vec<f64> = (0..nn).map(|i| rho_ion[i] - rho_target.values[i]).collect();
-    let (phi, pst) = solve_poisson(space, &rho_charge, poisson_bc_of(space), 1e-10, 20000);
-    assert!(pst.converged, "electrostatics of the target density failed");
+    let phi = force_poisson(space, system, &rho_target.values)?;
     let v_fixed: Vec<f64> = phi.iter().map(|&p| -p).collect();
 
     // v_xc initialized from LDA of the target density (standard warm start)
@@ -113,6 +112,11 @@ pub fn invert(
     let prec = DiagonalPrec::from_diagonal(&lap_diag);
     let identity_prec = dft_linalg::iterative::IdentityPrec;
 
+    let opts = ChfesOptions {
+        cheb_degree: cfg.cheb_degree,
+        block_size: cfg.n_states,
+        mixed_precision: false,
+    };
     let mut psi = random_subspace::<f64>(nd, cfg.n_states, cfg.seed);
     let mut window: Option<(f64, f64)> = None;
     let mut history = Vec::new();
@@ -131,43 +135,36 @@ pub fn invert(
         // effective potential with the current v_xc
         let v_eff: Vec<f64> = (0..nn).map(|i| v_fixed[i] + vxc[i]).collect();
         let h = KsHamiltonian::<f64>::new(space, &v_eff, [1.0; 3]);
-        let (tmin, tmax) = lanczos_bounds(&h, 10, cfg.seed + 1);
-        let (mut a0, mut a) = window.unwrap_or((tmin - 1.0, tmin + 0.1 * (tmax - tmin)));
-        a0 = a0.min(tmin - 1.0);
-        a = a.clamp(a0 + 1e-3 * (tmax - a0), 0.9 * tmax);
-        let opts = ChfesOptions {
-            cheb_degree: cfg.cheb_degree,
-            block_size: cfg.n_states,
-            mixed_precision: false,
-        };
         let passes = if iter == 0 {
             cfg.eig_passes + 3
         } else {
             cfg.eig_passes
         };
-        let mut evals = vec![];
-        for _ in 0..passes {
-            evals = chfes(&h, &mut psi, (a0, a, tmax), &opts);
-            let top = evals[cfg.n_states - 1];
-            let spread = (top - evals[0]).max(0.1);
-            a = (top + (2.0 * cfg.kt).max(spread / cfg.n_states as f64)).min(0.9 * tmax);
-            a0 = evals[0] - 1.0;
-        }
-        window = Some((a0, a));
+        let evals = ks_eigensolve(
+            &h,
+            cfg.seed + 1,
+            (&h, &h, &NoReduce),
+            &mut psi,
+            &mut window,
+            passes,
+            cfg.kt,
+            &opts,
+            None,
+        );
 
         // occupations and KS density
-        let occ = fermi_occupations(&[evals.clone()], &[1.0], n_el, cfg.kt);
+        let occ = fermi_occupations(std::slice::from_ref(&evals), &[1.0], n_el, cfg.kt);
         rho_ks_nodes.fill(0.0);
-        for i in 0..cfg.n_states {
-            let f = occ.occupations[0][i];
-            if f < 1e-12 {
-                continue;
-            }
-            let col = psi.col(i);
-            for d in 0..nd {
-                rho_ks_nodes[space.node_of_dof(d)] += f * col[d] * col[d] * s[d] * s[d];
-            }
-        }
+        let f = &occ.occupations[0];
+        accumulate_density(
+            space,
+            &psi,
+            |d| d,
+            1.0,
+            f,
+            0..cfg.n_states,
+            &mut rho_ks_nodes,
+        );
 
         // mismatch
         let diff2: Vec<f64> = (0..nn)
@@ -310,14 +307,14 @@ pub fn invert(
     if let Some((_, v_best)) = best {
         vxc = v_best;
     }
-    InvDftResult {
+    Ok(InvDftResult {
         vxc,
         rho_ks: NodalField::from_values(space, rho_ks_nodes),
         history,
         minres_iterations,
         iterations,
         converged,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -370,7 +367,7 @@ mod tests {
             tol: 2e-4,
             ..InvDftConfig::default()
         };
-        let r = invert(&space, &sys, &rho_star, &cfg);
+        let r = invert(&space, &sys, &rho_star, &cfg).expect("target electrostatics");
         let first = r.history[0];
         let last = *r.history.last().unwrap();
         assert!(
@@ -413,8 +410,8 @@ mod tests {
             precondition,
             ..InvDftConfig::default()
         };
-        let with = invert(&space, &sys, &rho_star, &mk(true));
-        let without = invert(&space, &sys, &rho_star, &mk(false));
+        let with = invert(&space, &sys, &rho_star, &mk(true)).expect("target electrostatics");
+        let without = invert(&space, &sys, &rho_star, &mk(false)).expect("target electrostatics");
         assert!(
             (with.minres_iterations as f64) < 0.6 * without.minres_iterations as f64,
             "preconditioned {} vs plain {}",
@@ -451,11 +448,31 @@ mod tests {
             tol: 1e-6,
             ..InvDftConfig::default()
         };
-        let r = invert(&space, &sys, &truth.density, &cfg);
+        let r = invert(&space, &sys, &truth.density, &cfg).expect("target electrostatics");
         // LDA vxc[rho*] is (nearly) the right answer; mismatch must be tiny
         // from the first iterations onward
         assert!(r.history[0] < 5e-3, "initial mismatch {}", r.history[0]);
         assert!(*r.history.last().unwrap() <= r.history[0] * 1.05);
         let _ = SyntheticTruth.name();
+    }
+
+    #[test]
+    fn diverged_target_electrostatics_is_a_typed_error() {
+        // NaN cell boundaries leave the Poisson solve's tensor-product
+        // factorization unconverged, so the target's electrostatics fail
+        let bad = Axis::uniform(2, f64::NAN, 4.0, BoundaryCondition::Dirichlet);
+        let ok = || Axis::uniform(2, 0.0, 4.0, BoundaryCondition::Dirichlet);
+        let space = FeSpace::new(Mesh3d::new([ok(), bad, ok()], 2));
+        let sys = AtomicSystem::new(vec![Atom {
+            kind: AtomKind::Pseudo { z: 2.0, r_c: 0.6 },
+            pos: [2.0; 3],
+        }]);
+        let rho = NodalField::from_fn(&space, |_| 0.1);
+        let r = invert(&space, &sys, &rho, &InvDftConfig::default());
+        assert!(
+            matches!(r, Err(ForceError::PoissonDiverged { iterations: 0, .. })),
+            "expected a typed divergence, got {:?}",
+            r.err()
+        );
     }
 }

@@ -14,7 +14,9 @@
 //!
 //! subject to the KS eigenproblem. Each outer iteration:
 //!
-//! 1. solve the KS eigenproblem at the current `v_xc` (ChFES);
+//! 1. solve the KS eigenproblem at the current `v_xc` with the SCF's own
+//!    eigensolve step (`dft_core::chebyshev::ks_eigensolve`: Lanczos
+//!    bounds, filter window, ChFES passes) and density build;
 //! 2. build the adjoint right-hand sides
 //!    `g_i = -2 f_i P_i^perp (delta_rho . psi_i)`;
 //! 3. solve the shifted adjoint systems `(H - eps_i) p_i = g_i` with the

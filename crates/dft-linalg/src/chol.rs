@@ -85,12 +85,6 @@ pub fn cholesky_inverse<T: Scalar>(s: &Matrix<T>) -> Result<Matrix<T>, LinalgErr
     Ok(tri_inv_lower(&cholesky(s)?))
 }
 
-/// FLOP estimate for an order-`n` Cholesky factorization (n^3/3 MACs).
-pub fn cholesky_flops<T: Scalar>(n: usize) -> u64 {
-    let n = n as u64;
-    n * n * n / 3 * (T::MUL_FLOPS + T::ADD_FLOPS)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -121,14 +121,6 @@ fn sort_eig<T: Scalar>(m: Matrix<T>, v: Matrix<T>) -> Eigh<T> {
     }
 }
 
-/// FLOP estimate for diagonalizing an order-`n` Hermitian matrix
-/// (conventional `~9 n^3` real-arithmetic count used by the paper's RR-D
-/// accounting of "minor" steps).
-pub fn eigh_flops<T: Scalar>(n: usize) -> u64 {
-    let n = n as u64;
-    9 * n * n * n * if T::IS_COMPLEX { 4 } else { 1 }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -198,14 +198,6 @@ impl<T: Scalar> Matrix<T> {
             .fold(0.0, f64::max)
     }
 
-    /// Largest entrywise modulus.
-    pub fn max_abs(&self) -> f64 {
-        self.data
-            .iter()
-            .map(|v| v.abs().to_f64())
-            .fold(0.0, f64::max)
-    }
-
     /// Hermitian symmetrization `(A + A†)/2` (useful to clean up roundoff
     /// before Cholesky / eigensolves).
     pub fn symmetrize_hermitian(&mut self) {
@@ -279,15 +271,6 @@ impl<T: Scalar> std::fmt::Debug for Matrix<T> {
             writeln!(f, "  ...")?;
         }
         write!(f, "]")
-    }
-}
-
-/// Convenience: real part / promotion helpers used around mixed-precision
-/// boundaries.
-impl Matrix<f64> {
-    /// Exact element-wise conversion into a complex matrix.
-    pub fn to_complex(&self) -> Matrix<crate::scalar::C64> {
-        self.map(crate::scalar::C64::from_f64)
     }
 }
 

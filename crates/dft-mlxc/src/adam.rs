@@ -32,11 +32,6 @@ impl Adam {
         self.lr
     }
 
-    /// Set the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-
     /// One parameter update from accumulated gradients.
     pub fn step(&mut self, mlp: &mut Mlp, grads: &ParamGrads) {
         self.t += 1;

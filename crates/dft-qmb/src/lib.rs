@@ -5,9 +5,13 @@
 //! *scaling wall* and its *reference densities* are real, not asserted.
 //!
 //! The paper's invDFT consumes CI/CC densities of H2, LiH, Li, N, Ne.
-//! Full 3D Gaussian-basis CI is out of scope (DESIGN.md S2), so this crate
-//! implements the standard model universe of ML-XC research: **1D
-//! soft-Coulomb quantum chemistry**,
+//! Full 3D Gaussian-basis CI is out of scope (DESIGN.md S2). This crate's
+//! 1D densities do **not** feed this reproduction's invDFT: its 3D targets
+//! are ground states of the hidden-truth functional
+//! (`dft_core::xc::SyntheticTruth`, see `dft_bench::pipeline`), and the FCI
+//! here is reached only by Fig. 1's cost-scaling ladder. What it implements
+//! is the standard model universe of ML-XC research: **1D soft-Coulomb
+//! quantum chemistry**,
 //!
 //! ```text
 //! H = sum_i [-1/2 d^2/dx_i^2 + v_ext(x_i)] + sum_{i<j} 1/sqrt((x_i-x_j)^2 + 1)

@@ -120,6 +120,10 @@ fn admission_bounds_reject_with_retry_hints() {
     cfg.pool_ranks = 1;
     cfg.max_queued = 2;
     cfg.max_queued_per_tenant = 1;
+    // unreachable force tolerance: the hog runs all of its steps, so the
+    // slot is still busy when the queue is probed (a hog that converged
+    // early freed it, dispatched `a1`, and the quota never tripped)
+    cfg.relax_force_tol = 0.0;
     let server = DftServer::start(cfg).expect("start");
 
     // an invalid spec bounces before touching the queue

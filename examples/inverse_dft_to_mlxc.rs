@@ -10,11 +10,12 @@
 //! cargo run --release --example inverse_dft_to_mlxc
 //! ```
 
+use dft_fe_mlxc::core::forces::ForceError;
 use dft_fe_mlxc::core::scf::{scf, KPoint};
 use dft_fe_mlxc::core::xc::{Lda, MlxcFunctional, SyntheticTruth};
 use dft_fe_mlxc::qmb::scaling::projected_fci_dimension;
 
-fn main() {
+fn main() -> Result<(), ForceError> {
     // dft-bench hosts the shared pipeline driver
     use dft_bench_pipeline::*;
     let cfg = PipelineConfig {
@@ -25,7 +26,7 @@ fn main() {
     };
     println!("training systems: hidden-truth SCF -> invDFT -> MLXC training");
     let train_set = MiniSystem::training_set();
-    let (model, loss, diags) = train_mlxc_from_invdft(&train_set[..3], &cfg);
+    let (model, loss, diags) = train_mlxc_from_invdft(&train_set[..3], &cfg)?;
     println!(
         "\ntraining loss {:.3e} -> {:.3e}",
         loss[0],
@@ -70,6 +71,7 @@ fn main() {
          determinant space of ~{:.1e} — the Fig. 1 wall)",
         projected_fci_dimension(4)
     );
+    Ok(())
 }
 
 /// Re-export the shared pipeline (lives in the benchmark crate).

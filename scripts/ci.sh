@@ -19,8 +19,8 @@ mkdir -p target
 cargo run -q --offline --release -p dft-lint -- --workspace --json > target/dft-lint.json
 echo "    JSON artifact: target/dft-lint.json"
 
-echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep, one distributed route, one ChFES cycle, one recurrence update, one rooted collective)"
-for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a recurrence_update; do
+echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep, one distributed route, one ChFES cycle, one recurrence update, one rooted collective, one KS eigensolve step, one FE derivative)"
+for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a recurrence_update ks_eigensolve accumulate_density deriv_mass deriv_mass_t; do
   n=$(grep -rhE "^\s*(pub(\([a-z]+\))? )?fn ${f}\b" crates/*/src | wc -l)
   if [ "$n" -ne 1 ]; then
     echo "    fn $f is defined $n times under crates/*/src (expected exactly 1)"
@@ -39,12 +39,17 @@ done
 #    one windowed mixed product, one reduce_matrix (PR 20);
 #  - one rooted collective: the world is the group 0..n (no world-only
 #    broadcast / scalar allgather, no bands for them), ChFES does not ask the
-#    reducer whether it is distributed, and dist_relax is the relax driver.
+#    reducer whether it is distributed, and dist_relax is the relax driver;
+#  - one FE derivative and one GGA body: the collocation derivative and its
+#    transpose live in dft-fem and reach nodes through the cell tables, the
+#    MLXC divergence adapter owns its space, PBE and the hidden truth are
+#    parameter sets of one energy density.
 retired=(
   "benchmark-gate / tuning-file name|DFT_T""UNE|dft_t""une\.json|BEN""CH_|DFT_BEN""CH_GATE"
   "sibling path of the distributed solver, or the knob that selected it|Cluster""Reducer|enum Red""ucer|grid\.is_so""me\(\)|JobKind::Scr""een|warm_st""art:|with_over""lap|Pipelined""Filter|Cf""Driver"
   "ChFES fork, shim or sibling product|band_sp""lit|adjoint_product_mi""xed|adjoint_block_mi""xed|chfes_prof""iled|CfFil""ter|reduce_matrix_ex""act"
   "world-only collective, its tag band, the is-distributed fork or the serial relax driver|allgather_sc""alar|\bbroadcast_f""64|GATHER_BA""ND|BROADCAST_BA""ND|is_distri""buted|fn rel""ax\("
+  "private copy of the FE derivative, its node map, its adapter shim or a per-functional GGA body|cell_local_to_""node|apply_deriv_""mass|ArcFeDiver""gence|GgaFo""rm"
 )
 for entry in "${retired[@]}"; do
   if grep -rnE "${entry#*|}" crates/*/src scripts; then
@@ -52,6 +57,13 @@ for entry in "${retired[@]}"; do
     exit 1
   fi
 done
+
+# Inverse DFT runs the SCF's Kohn-Sham eigensolve step (ks_eigensolve): no
+# Lanczos bounds, ChFES call or filter-window rule of its own.
+if grep -rnE "lanczos_bounds\(|chfes\(" crates/dft-invdft/src; then
+  echo "    crates/dft-invdft/src calls the eigensolver directly instead of through ks_eigensolve (see above)"
+  exit 1
+fi
 
 # One blocked cell sweep (FeSpace::sweep_cells) serves the serial apply and
 # every rank's slab: the scalar seed kernel stays inside dft-fem as the
@@ -121,9 +133,10 @@ DFT_SIMD=scalar cargo test -q --offline --release -p dft-fem
 echo "==> benchmark harness tests (benchmark/ is its own package; bash benchmark/run.sh is the yardstick)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> benchmark correctness gate (scf-wide, scf-poisson, dist-2r and relax-warm-2r, seed 1: reference energy within 1e-8 Ha, pinned SCF iteration count, |E_dist - E_serial| <= 1e-10 Ha, every relaxation step after the first warm)"
+echo "==> benchmark correctness gate (scf-wide, scf-poisson, scf-2k, dist-2r and relax-warm-2r, seed 1: reference energy within 1e-8 Ha, pinned SCF iteration count, |E_dist - E_serial| <= 1e-10 Ha, every relaxation step after the first warm)"
 bash benchmark/run.sh --workload scf-wide --seed 1 --trace 0
 bash benchmark/run.sh --workload scf-poisson --seed 1 --trace 0
+bash benchmark/run.sh --workload scf-2k --seed 1 --trace 0
 bash benchmark/run.sh --workload dist-2r --seed 1 --trace 0
 bash benchmark/run.sh --workload relax-warm-2r --seed 1 --trace 0
 

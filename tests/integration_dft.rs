@@ -73,7 +73,8 @@ fn full_pipeline_mlxc_beats_lda_against_hidden_truth() {
         ..PipelineConfig::default()
     };
     let train_set = MiniSystem::training_set();
-    let (model, loss, diags) = train_mlxc_from_invdft(&train_set[..2], &cfg);
+    let (model, loss, diags) =
+        train_mlxc_from_invdft(&train_set[..2], &cfg).expect("target electrostatics");
     // training made progress
     assert!(
         loss.last().unwrap() < &(0.5 * loss[0]),
