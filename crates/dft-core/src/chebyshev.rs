@@ -290,7 +290,7 @@ pub fn chfes<T: Scalar>(
     bounds: (f64, f64, f64),
     opts: &ChfesOptions,
 ) -> Vec<f64> {
-    chfes_reduced(h, h, psi, bounds, opts, None, &NoReduce)
+    chfes_reduced(h, psi, bounds, opts, None, &NoReduce)
 }
 
 /// The one precision-selecting product of a cycle, `C = op(A) B`: the FP64
@@ -458,12 +458,13 @@ fn cholgs_pass<T: Scalar>(
 }
 
 /// The ChFES cycle, once, for every caller: `psi` holds this rank's *owned*
-/// wavefunction rows (all rows serially), `h` is the Rayleigh-Ritz operator
-/// on them, `filter` what the CF recurrence runs through — `h` itself
-/// serially; the distributed solver passes its FP32-wire twin of `h` (the
-/// paper's "FP32 boundary wire, FP64 math" split, Sec. 5.4.2) — and
+/// wavefunction rows (all rows serially), `h` the operator on them — the CF
+/// recurrence runs through [`LinearOperator::recurrence_step`], Rayleigh-
+/// Ritz and the rank-deficiency rescue through `apply`, so a distributed
+/// `h` can exchange the filter's ghosts on an FP32 wire and RR's in FP64
+/// (the paper's "FP32 boundary wire, FP64 math" split, Sec. 5.4.2) — and
 /// `reducer` sums subspace quantities across ranks. [`chfes`] is this with
-/// `filter = h`, no profile and [`NoReduce`].
+/// no profile and [`NoReduce`].
 ///
 /// Every phase works on this rank's band window `[j0b, j1b)` of the
 /// subspace ([`SubspaceReducer::band_cols`]) as one `nd x (j1b - j0b)`
@@ -476,7 +477,6 @@ fn cholgs_pass<T: Scalar>(
 /// RR-D are wall-time-only, matching the paper's Sec. 6.3 accounting).
 pub fn chfes_reduced<T: Scalar>(
     h: &dyn HamOperator<T>,
-    filter: &dyn LinearOperator<T>,
     psi: &mut Matrix<T>,
     bounds: (f64, f64, f64),
     opts: &ChfesOptions,
@@ -505,7 +505,7 @@ pub fn chfes_reduced<T: Scalar>(
                 block = Matrix::zeros(nd, j1 - j0);
             }
             block.copy_cols_from(psi, j0);
-            chebyshev_filter_scratch(filter, &mut block, degree, a, b, a0, &mut cf_scratch);
+            chebyshev_filter_scratch(h, &mut block, degree, a, b, a0, &mut cf_scratch);
             psi.set_cols(j0, &block);
             scope.add_flops(chebyshev_filter_flops(h, j1 - j0, degree));
             scope.add_bytes(2 * (nd * (j1 - j0)) as u64 * tsize * degree as u64);
@@ -580,8 +580,8 @@ pub fn chfes_reduced<T: Scalar>(
 
 /// The Kohn–Sham eigensolve step of one k-point — what the SCF runs per
 /// k-point and iteration, and inverse DFT per outer iteration: `passes`
-/// ChFES cycles ([`chfes_reduced`] on `h`, `filter`, `reducer`) over the
-/// filter window `(a0, a)` carried in `window`.
+/// ChFES cycles ([`chfes_reduced`] on `h` and `reducer`) over the filter
+/// window `(a0, a)` carried in `window`.
 ///
 /// The window opens from the previous step's or, when `window` is `None`,
 /// from a first guess between the `lanczos_seed` bounds `(t_min, t_max)`
@@ -597,11 +597,7 @@ pub fn chfes_reduced<T: Scalar>(
 pub fn ks_eigensolve<T: Scalar>(
     h_full: &dyn LinearOperator<T>,
     lanczos_seed: u64,
-    (h, filter, reducer): (
-        &dyn HamOperator<T>,
-        &dyn LinearOperator<T>,
-        &dyn SubspaceReducer<T>,
-    ),
+    (h, reducer): (&dyn HamOperator<T>, &dyn SubspaceReducer<T>),
     psi: &mut Matrix<T>,
     window: &mut Option<(f64, f64)>,
     passes: usize,
@@ -618,7 +614,7 @@ pub fn ks_eigensolve<T: Scalar>(
     a = a.clamp(a0 + 1e-3 * (tmax - a0), 0.9 * tmax);
     let mut evals = vec![];
     for _ in 0..passes {
-        evals = chfes_reduced(h, filter, psi, (a0, a, tmax), opts, profile, reducer);
+        evals = chfes_reduced(h, psi, (a0, a, tmax), opts, profile, reducer);
         let n = evals.len();
         let spread = (evals[n - 1] - evals[0]).max(0.1);
         a = (evals[n - 1] + (2.0 * kt).max(spread / n as f64)).min(0.9 * tmax);
@@ -798,7 +794,7 @@ mod tests {
                 mixed_precision,
                 ..ChfesOptions::default()
             };
-            chfes_reduced(&h, &h, &mut psi, window, &opts, Some(&profile), &NoReduce);
+            chfes_reduced(&h, &mut psi, window, &opts, Some(&profile), &NoReduce);
             profile.finish(None).cumulative
         };
         let (fp64, mixed) = (cycle(false), cycle(true));

@@ -52,7 +52,7 @@ pub use forces::{
 pub use hamiltonian::{HamOperator, KsHamiltonian};
 pub use mixing::AndersonMixer;
 pub use occupation::{fermi_occupations, OccupationResult};
-pub use relax::{FireState, RelaxConfig};
+pub use relax::{FireState, RelaxConfig, VerletState};
 pub use scf::{scf, KPoint, ScfConfig, ScfResult, TotalEnergy};
 pub use system::{Atom, AtomKind, AtomicSystem};
 pub use xc::{FeDivergence, Lda, MlxcFunctional, Pbe, SyntheticTruth, XcEvaluation, XcFunctional};

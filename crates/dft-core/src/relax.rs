@@ -1,14 +1,13 @@
-//! FIRE structural relaxation on Hellmann-Feynman forces.
+//! The integrators that move atoms on Hellmann-Feynman forces.
 //!
 //! The paper's quasicrystal stability study requires relaxed nanoparticle
 //! geometries; FIRE (fast inertial relaxation engine) is the standard
 //! molecular-statics driver: velocity-Verlet steps with adaptive
-//! time-step and a "power" criterion that kills uphill inertia.
-//!
-//! This module is the integrator only: [`FireState`] is pure data with one
-//! update rule, so the one relaxation driver (`dft_parallel::dist_relax`,
-//! on any number of ranks) runs it on replicated forces and checkpoints /
-//! restores it across preemptions.
+//! time-step and a "power" criterion that kills uphill inertia. Plain
+//! velocity Verlet integrates Born-Oppenheimer MD. [`FireState`] and
+//! [`VerletState`] are pure data with one update rule each, so the one
+//! trajectory loop (`dft_parallel::dist_relax` / `dist_md`) steps either
+//! on replicated forces and persists / restores it across preemptions.
 
 /// FIRE parameters (standard values).
 #[derive(Clone, Debug)]
@@ -133,6 +132,57 @@ impl FireState {
             }
         }
         dx
+    }
+}
+
+/// Velocity-Verlet state (unit masses, zero initial velocities). After a
+/// move `v` is the half-step velocity that still owes the move its second
+/// half-kick, which [`Self::kinetic`] and the next `step` pay on the forces
+/// at the new geometry.
+#[derive(Clone, Debug)]
+pub struct VerletState {
+    /// Per-atom velocities (unit masses).
+    pub v: Vec<[f64; 3]>,
+    /// Time step (atomic units).
+    pub dt: f64,
+    /// Whether a move has been made, i.e. `v` owes its second half-kick.
+    pub moved: bool,
+}
+
+impl VerletState {
+    /// Atoms at rest, before the first move.
+    pub fn new(n_atoms: usize, dt: f64) -> Self {
+        Self {
+            v: vec![[0.0; 3]; n_atoms],
+            dt,
+            moved: false,
+        }
+    }
+
+    /// Velocities at the current geometry, whose forces are `f`.
+    fn settled(&self, f: &[[f64; 3]]) -> Vec<[f64; 3]> {
+        let kick =
+            |(v, f): (&[f64; 3], &[f64; 3])| std::array::from_fn(|k| v[k] + 0.5 * self.dt * f[k]);
+        if !self.moved {
+            return self.v.clone();
+        }
+        self.v.iter().zip(f).map(kick).collect()
+    }
+
+    /// Kinetic energy at the current geometry, whose forces are `f`.
+    pub fn kinetic(&self, f: &[[f64; 3]]) -> f64 {
+        let sq = |v: &[f64; 3]| v.iter().map(|&c| c * c).sum::<f64>();
+        0.5 * self.settled(f).iter().map(sq).sum::<f64>()
+    }
+
+    /// One move on the forces `f` at the current geometry: the owed
+    /// half-kick (none before the first move), the next half-kick and the
+    /// drift; returns the displacements.
+    pub fn step(&mut self, f: &[[f64; 3]]) -> Vec<[f64; 3]> {
+        self.v = self.settled(f);
+        self.moved = true;
+        self.v = self.settled(f);
+        self.v.iter().map(|v| v.map(|c| self.dt * c)).collect()
     }
 }
 

@@ -34,7 +34,6 @@ use dft_fem::mesh::BoundaryCondition;
 use dft_fem::poisson::{fdm_apply_flops, solve_poisson, PoissonBc};
 use dft_fem::space::FeSpace;
 use dft_hpc::profile::{Phase, PhaseScope, Profile, ScfProfile};
-use dft_linalg::iterative::LinearOperator;
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::{Real, Scalar, C64};
 use std::convert::Infallible;
@@ -297,14 +296,14 @@ pub trait ScfSeam<T: Scalar> {
     fn is_root(&self) -> bool;
 
     /// Hand `run` what one [`crate::chebyshev::chfes_reduced`] pass at the
-    /// potential `v_eff` needs: the Rayleigh-Ritz operator on this rank's
-    /// rows, the CF-stage filter and the subspace reducer. `h_full` is the
-    /// replicated full-row operator at the same potential and phases.
+    /// potential `v_eff` needs: the operator on this rank's rows and the
+    /// subspace reducer. `h_full` is the replicated full-row operator at the
+    /// same potential and phases.
     fn with_operators<R>(
         &self,
         h_full: &KsHamiltonian<'_, T>,
         v_eff: &[f64],
-        run: impl FnOnce(&dyn HamOperator<T>, &dyn LinearOperator<T>, &dyn SubspaceReducer<T>) -> R,
+        run: impl FnOnce(&dyn HamOperator<T>, &dyn SubspaceReducer<T>) -> R,
     ) -> R;
     /// Sum `buf` over all ranks in place (the density and the Anderson
     /// Gram). Infallible in shape: a failure must stay observable by the
@@ -373,9 +372,9 @@ impl<T: Scalar> ScfSeam<T> for SerialSeam {
         &self,
         h_full: &KsHamiltonian<'_, T>,
         _v_eff: &[f64],
-        run: impl FnOnce(&dyn HamOperator<T>, &dyn LinearOperator<T>, &dyn SubspaceReducer<T>) -> R,
+        run: impl FnOnce(&dyn HamOperator<T>, &dyn SubspaceReducer<T>) -> R,
     ) -> R {
-        run(h_full, h_full, &NoReduce)
+        run(h_full, &NoReduce)
     }
     fn sum_f64(&self, _buf: &mut [f64]) {}
     fn exchange_kpoints(
@@ -582,11 +581,11 @@ pub fn scf_loop<T: ScalarExt, S: ScfSeam<T>>(
                 1
             };
             let (psi, window) = (&mut st.psi[ik - k0], &mut st.filter_window[ik]);
-            eigenvalues[ik] = seam.with_operators(&h_full, &v_eff, |h, filter, reducer| {
+            eigenvalues[ik] = seam.with_operators(&h_full, &v_eff, |h, reducer| {
                 ks_eigensolve(
                     &h_full,
                     cfg.seed + 1000 + ik as u64,
-                    (h, filter, reducer),
+                    (h, reducer),
                     psi,
                     window,
                     passes,

@@ -143,7 +143,7 @@ pub fn invert(
         let evals = ks_eigensolve(
             &h,
             cfg.seed + 1,
-            (&h, &h, &NoReduce),
+            (&h, &NoReduce),
             &mut psi,
             &mut window,
             passes,

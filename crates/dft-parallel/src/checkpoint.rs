@@ -15,15 +15,16 @@
 //! The format is deliberately exact: every `f64` travels as its own
 //! little-endian bit pattern (no text round-trip), so a same-rank-count
 //! resume replays bit-identically. Files end in an FNV-1a checksum and
-//! are written via temp-file + rename, so a torn write is detected (or
-//! never visible) rather than silently resumed from.
+//! are written through the crate's one durable writer (temp file,
+//! `sync_all`, rename), so a torn write is detected (or never visible)
+//! rather than silently resumed from.
 
-use crate::codec::{bad, fnv1a, push_f64, push_f64s, push_u64, verified_body, Cur};
+use crate::codec::{bad, push_f64, push_f64s, push_u64, read_durable, write_durable, Cur};
 use crate::grid::GridShape;
 use crate::operator::WireScalar;
 use dft_linalg::matrix::Matrix;
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// On-disk format version (bumped on any layout change; only this version
@@ -139,9 +140,6 @@ pub fn write_rank_grid<T: WireScalar>(
     n_states: usize,
     shape: GridShape,
 ) -> io::Result<u64> {
-    let dir = iter_dir(root, state.iteration);
-    fs::create_dir_all(&dir)?;
-
     assert_eq!(psi_local.len(), ks.len(), "one block per listed k");
     assert!(ks.iter().all(|&ik| ik < nk), "k index out of range");
     let mut buf = Vec::new();
@@ -207,18 +205,7 @@ pub fn write_rank_grid<T: WireScalar>(
         }
     }
 
-    let sum = fnv1a(&buf);
-    push_u64(&mut buf, sum);
-
-    let path = rank_file(root, state.iteration, rank);
-    let tmp = path.with_extension(format!("tmp.{rank}"));
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&buf)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, &path)?;
-    Ok(buf.len() as u64)
+    write_durable(&rank_file(root, state.iteration, rank), buf)
 }
 
 /// Mark `iteration`'s snapshot complete (call from rank 0 only, after a
@@ -282,7 +269,7 @@ pub fn latest_complete(root: &Path) -> Option<usize> {
 /// assemble the full wavefunction block from every rank's shard. Works
 /// regardless of the restarting run's rank count.
 pub fn load<T: WireScalar>(root: &Path, iteration: usize) -> io::Result<LoadedCheckpoint<T>> {
-    let first = read_verified(&rank_file(root, iteration, 0))?;
+    let first = read_durable(&rank_file(root, iteration, 0))?;
     let mut cur = Cur::new(&first);
     let header = parse_header::<T>(&mut cur, iteration)?;
     let state = parse_replicated(&mut cur, &header)?;
@@ -292,7 +279,7 @@ pub fn load<T: WireScalar>(root: &Path, iteration: usize) -> io::Result<LoadedCh
     absorb_shard::<T>(&mut cur, &header, &mut psi_full)?;
 
     for rank in 1..header.nranks {
-        let bytes = read_verified(&rank_file(root, iteration, rank))?;
+        let bytes = read_durable(&rank_file(root, iteration, rank))?;
         let mut cur = Cur::new(&bytes);
         let h = parse_header::<T>(&mut cur, iteration)?;
         if h.nranks != header.nranks
@@ -328,13 +315,6 @@ struct Header {
     shape: GridShape,
     /// Global k indices of this shard's psi blocks, in block order.
     ks: Vec<usize>,
-}
-
-fn read_verified(path: &Path) -> io::Result<Vec<u8>> {
-    let mut bytes = fs::read(path)?;
-    let body = verified_body(&bytes).map_err(|e| bad(format!("{e} in {}", path.display())))?;
-    bytes.truncate(body.len());
-    Ok(bytes)
 }
 
 fn parse_header<T: WireScalar>(cur: &mut Cur<'_>, iteration: usize) -> io::Result<Header> {

@@ -1,12 +1,16 @@
 //! The little-endian, FNV-1a-checksummed binary conventions shared by the
 //! on-disk formats of this crate (`DFTCKPT1` SCF snapshots in
-//! [`checkpoint`](crate::checkpoint), `DFTRELX1` relax state in
+//! [`checkpoint`](crate::checkpoint), `DFTRELX2` trajectory state in
 //! [`relax`](crate::relax)): every `f64` travels as its own bit pattern,
-//! and a file ends in the checksum of everything before it.
+//! and a file ends in the checksum of everything before it. Both formats
+//! reach the disk through the one durable writer [`write_durable`] and come
+//! back through [`read_durable`].
 
-use std::io;
+use std::fs;
+use std::io::{self, Write};
+use std::path::Path;
 
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -34,16 +38,34 @@ pub(crate) fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Split the trailing FNV-1a checksum off `bytes` and verify it; returns
-/// the checksummed body.
-pub(crate) fn verified_body(bytes: &[u8]) -> io::Result<&[u8]> {
-    let Some((body, tail)) = bytes.split_last_chunk::<8>() else {
-        return Err(bad("file too short for a checksum"));
-    };
-    if fnv1a(body) != u64::from_le_bytes(*tail) {
-        return Err(bad("checksum mismatch"));
+/// Write `body` to `path` durably: create its directory, append the
+/// checksum, write a temp file beside `path`, `sync_all` it and rename it
+/// over `path`, so a torn write is never visible. Returns the bytes
+/// written.
+pub(crate) fn write_durable(path: &Path, mut body: Vec<u8>) -> io::Result<u64> {
+    if let Some(dir) = path.parent() {
+        fs::create_dir_all(dir)?;
     }
-    Ok(body)
+    let sum = fnv1a(&body);
+    push_u64(&mut body, sum);
+    let tmp = path.with_extension("tmp");
+    let mut f = fs::File::create(&tmp)?;
+    f.write_all(&body)?;
+    f.sync_all()?;
+    drop(f);
+    fs::rename(&tmp, path)?;
+    Ok(body.len() as u64)
+}
+
+/// Read a file written by [`write_durable`] and verify its checksum;
+/// returns the checksummed body.
+pub(crate) fn read_durable(path: &Path) -> io::Result<Vec<u8>> {
+    let mut bytes = fs::read(path)?;
+    let sum = bytes.split_off(bytes.len().saturating_sub(8));
+    if sum[..] != fnv1a(&bytes).to_le_bytes() {
+        return Err(bad(format!("checksum mismatch in {}", path.display())));
+    }
+    Ok(bytes)
 }
 
 /// Byte-cursor reader with explicit bounds errors.

@@ -34,7 +34,8 @@
 //!   [`ScfProfile`](dft_hpc::ScfProfile)s and a comm-volume report;
 //! * [`checkpoint`] — versioned, checksummed per-rank SCF snapshots
 //!   (density, wavefunction shards, mixer history, chemical potential)
-//!   written atomically every `checkpoint_every` iterations;
+//!   written every `checkpoint_every` iterations through the crate's one
+//!   durable-file writer, which the trajectory state shares;
 //! * [`recover`] — one relaunch loop (run, classify errors, drop dead
 //!   ranks, restart on the survivors' slab) behind [`scf_with_recovery`] and
 //!   [`relax_with_recovery`]: on rank loss the survivors return
@@ -45,14 +46,14 @@
 //!   force Poisson solve, owned-node electrostatic quadrature plus a
 //!   rank-sharded ion-ion image sum, reassembled by one fixed-rank-order
 //!   allreduce (bit-identical across ranks and repeated runs);
-//! * [`relax`] — distributed FIRE relaxation and velocity-Verlet BO-MD
-//!   with wavefunction extrapolation: each geometry step's SCF
-//!   warm-starts from the previous step's converged density, mixer
-//!   history, and psi shards through the checkpoint/`restart_from`
-//!   machinery, with a checksummed integrator-state file making the whole
-//!   trajectory preemptible and fault-recoverable;
+//! * [`relax`] — one trajectory loop with wavefunction extrapolation,
+//!   stepping FIRE ([`dist_relax`]) or velocity-Verlet BO-MD
+//!   ([`dist_md`]): each geometry step's SCF warm-starts from the previous
+//!   step's converged density and psi shards through the
+//!   checkpoint/`restart_from` machinery, and a checksummed loop-state
+//!   file makes either trajectory preemptible and fault-recoverable;
 //! * [`threads`] — ranks × threads ≤ cores: every rank entry point
-//!   ([`distributed_scf`], [`dist_relax`], [`dist_md`],
+//!   ([`distributed_scf`], the two trajectory entry points,
 //!   [`distributed_forces`]) runs on its `1 / size` share of the cores, and
 //!   a server's job thread on its gang's share of the pool
 //!   ([`with_thread_share`]).
@@ -83,8 +84,7 @@ pub use operator::{ghost_tag_band, DistHamiltonian, DistSpace, SharedComm, WireS
 pub use recover::{relax_with_recovery, scf_with_recovery, RecoveryReport};
 pub use reduce::{CommVolume, GridReducer};
 pub use relax::{
-    dist_md, dist_relax, DistMdResult, DistRelaxConfig, DistRelaxResult, MdConfig, MdStepRecord,
-    RelaxError, RelaxStepRecord,
+    dist_md, dist_relax, DistRelaxConfig, DistRelaxResult, MdConfig, RelaxError, RelaxStepRecord,
 };
 pub use scf::{distributed_scf, DistScfConfig, DistScfResult, PreemptToken, ScfError};
 pub use threads::with_thread_share;

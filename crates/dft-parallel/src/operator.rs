@@ -14,10 +14,11 @@
 //!    incoming partials into owned rows *in ascending peer order*, so the
 //!    result is independent of message arrival order (deterministic runs).
 //!
-//! Wire precision is selectable per operator: the distributed SCF keeps an
-//! FP64 Hamiltonian for Rayleigh-Ritz and an FP32-wire twin for the
-//! Chebyshev filter, the paper's "FP32 boundary communication, FP64 math"
-//! scheme (Sec. 5.4.2).
+//! Wire precision is selectable per operator and applies to the Chebyshev
+//! filter's recurrence steps only: a [`DistHamiltonian`] built with an FP32
+//! wire exchanges the filter's boundary rows in FP32 and every plain apply
+//! (Rayleigh-Ritz, the rank-deficiency rescue) in FP64 — the paper's "FP32
+//! boundary communication, FP64 math" scheme (Sec. 5.4.2).
 
 use crate::decomp::Decomposition;
 use crate::grid::{GridShape, ProcessGrid};
@@ -185,8 +186,7 @@ pub struct DistSpace<'a> {
     /// The rank's reused apply buffers: an [`ApplyWorkspace<T>`] of the
     /// scalar type last applied (a run applies one), type-erased because
     /// the slab view is not generic over the scalar. Shared by every
-    /// operator on this slab — the FP64 Hamiltonian and its FP32-wire
-    /// filter twin never apply at the same time.
+    /// operator on this slab, one apply at a time.
     ws: Mutex<Box<dyn Any + Send>>,
 }
 
@@ -405,6 +405,7 @@ pub struct DistHamiltonian<'a, 'c, T: Scalar> {
     v_eff_owned: Vec<f64>,
     /// Bloch phases per axis.
     pub phases: [T; 3],
+    /// Wire of the filter's recurrence steps; plain applies exchange in FP64.
     wire: WirePrecision,
 }
 
@@ -437,7 +438,8 @@ impl<'a, 'c, T: WireScalar> DistHamiltonian<'a, 'c, T> {
     /// scaling fused into the cell gather, as serial), then, given `k`,
     /// the recurrence update against `x` and the previous iterate — folded
     /// into the read-off of the extended result, which can only start once
-    /// the boundary partial sums are in. The trait signatures are
+    /// the boundary partial sums are in. A recurrence step exchanges at the
+    /// operator's wire, a plain apply in FP64. The trait signatures are
     /// infallible: on a comm failure the error is already recorded in the
     /// (poisoned) communicator, so `out` is filled with zeros — never an
     /// update over a half-written workspace — and the SCF loop observes the
@@ -453,10 +455,11 @@ impl<'a, 'c, T: WireScalar> DistHamiltonian<'a, 'c, T> {
         let s = &dec.inv_sqrt_mass_ext;
         assert_eq!(out.shape(), x.shape());
         assert!(x_prev.is_none_or(|p| p.shape() == x.shape()));
+        let wire = k.map_or(WirePrecision::Fp64, |_| self.wire);
         let swept = self.dist.with_workspace(|ws| -> Result<(), CommError> {
             let scale = Some(s.as_slice());
             self.dist
-                .apply_cells(self.comm, ws, x, self.phases, scale, self.wire)?;
+                .apply_cells(self.comm, ws, x, self.phases, scale, wire)?;
             // read off the extended result
             for j in 0..out.ncols() {
                 let ocol = out.col_mut(j);

@@ -42,7 +42,6 @@ use dft_fem::field::NodalField;
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::{CommError, ThreadComm, WirePrecision};
 use dft_hpc::profile::{Phase, PhaseScope, Profile, ScfProfile};
-use dft_linalg::iterative::LinearOperator;
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::C64;
 use std::path::{Path, PathBuf};
@@ -460,14 +459,13 @@ impl<T: WireScalar> ScfSeam<T> for ClusterSeam<'_, '_> {
         &self,
         h_full: &KsHamiltonian<'_, T>,
         v_eff: &[f64],
-        run: impl FnOnce(&dyn HamOperator<T>, &dyn LinearOperator<T>, &dyn SubspaceReducer<T>) -> R,
+        run: impl FnOnce(&dyn HamOperator<T>, &dyn SubspaceReducer<T>) -> R,
     ) -> R {
-        // FP64 operator for CholGS/RR; the filter twin carries the
-        // configured (possibly FP32) boundary wire
-        let ph = h_full.phases;
-        let h = DistHamiltonian::<T>::new(self.dist, self.shared, v_eff, ph, WirePrecision::Fp64);
-        let h_filter = DistHamiltonian::<T>::new(self.dist, self.shared, v_eff, ph, self.cfg.wire);
-        run(&h, &h_filter, &self.reducer)
+        // the configured (possibly FP32) wire carries the filter's ghosts;
+        // CholGS/RR applies always exchange in FP64
+        let h =
+            DistHamiltonian::<T>::new(self.dist, self.shared, v_eff, h_full.phases, self.cfg.wire);
+        run(&h, &self.reducer)
     }
 
     fn sum_f64(&self, buf: &mut [f64]) {

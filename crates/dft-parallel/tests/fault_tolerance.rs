@@ -446,7 +446,7 @@ fn preempted_relaxation_is_not_relaunched() {
         matches!(err, RelaxError::Scf(ScfError::Preempted { iteration: 0 })),
         "{err:?}"
     );
-    let snapshot = checkpoint::load::<f64>(&dir.join("fire-step-0000"), 0).expect("snapshot");
+    let snapshot = checkpoint::load::<f64>(&dir.join("step-0000"), 0).expect("snapshot");
     assert_eq!(snapshot.nranks_at_write, 2);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,8 +3,9 @@
 //! against the serial [`compute_forces`] on periodic and Dirichlet
 //! goldens, across rank counts and process-grid shapes, for bitwise
 //! run-to-run determinism (L004), the `dist_relax` FIRE trajectory against
-//! a pinned golden (one rank) and across rank counts, and the `dist_md`
-//! velocity-Verlet trajectory for rank invariance and energy conservation.
+//! a pinned golden (one rank) and across rank counts, the `dist_md`
+//! velocity-Verlet trajectory against its own golden, for rank invariance
+//! and energy conservation, and both through persistence and resume.
 
 use dft_core::forces::compute_forces;
 use dft_core::relax::RelaxConfig;
@@ -15,8 +16,8 @@ use dft_fem::mesh::{Axis, BoundaryCondition, Mesh3d};
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::run_cluster;
 use dft_parallel::{
-    dist_md, dist_relax, distributed_forces, DistMdResult, DistRelaxConfig, DistRelaxResult,
-    DistScfConfig, GridShape, MdConfig, MdStepRecord,
+    dist_md, dist_relax, distributed_forces, DistRelaxConfig, DistRelaxResult, DistScfConfig,
+    GridShape, MdConfig, RelaxStepRecord,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -205,6 +206,32 @@ const FIRE_GOLDEN: [(f64, f64); 3] = [
     (-1.124805962612571, 0.24939653180391982),
 ];
 const FIRE_GOLDEN_X: [f64; 2] = [2.0584926948416116, 3.9415073051584026];
+
+/// The 1-rank BO-MD trajectory of [`relax_system`] under [`relax_scf_cfg`]
+/// (4 velocity-Verlet steps of 0.25 = five evaluations of (free energy,
+/// kinetic energy, max force component)) and the dimer's final x
+/// coordinates — recorded from `dist_md` before it shared the relaxation's
+/// trajectory loop.
+const MD_GOLDEN: [(f64, f64, f64); 5] = [
+    (-1.1053980275996576, 0.0, 0.2178578669904553),
+    (
+        -1.1084004063363606,
+        0.0030387720963253075,
+        0.22314260258396648,
+    ),
+    (
+        -1.1179941460446348,
+        0.012745802092273058,
+        0.2390353896672257,
+    ),
+    (-1.1359928947271987, 0.03093169169338097, 0.2647787811734192),
+    (
+        -1.1653725041302039,
+        0.06050404497178373,
+        0.29603418585654623,
+    ),
+];
+const MD_GOLDEN_X: [f64; 2] = [1.9845004311099816, 4.015499568890028];
 
 /// The replicated trajectory, geometry and final SCF of one relaxation are
 /// bit-identical on all of its ranks.
@@ -450,32 +477,92 @@ fn restart_on_a_finished_relaxation_keeps_one_record_per_step() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Velocity-Verlet BO-MD on the dimer: every step after the first
-/// warm-starts its SCF, the total energy is conserved to 2e-3 Ha over the
-/// run, the replicated trajectory is bit-identical on both ranks of a
-/// 2-rank run, and it matches the 1-rank trajectory to 1e-8 (not bitwise:
-/// the force quadrature is summed per rank shard, so forces agree across
-/// rank counts to ~1e-14, as in `check_force_oracle`).
+/// A fresh relaxation (`restart` unset) on a root an earlier run used
+/// starts cold: it reads neither that run's warm slot nor its trajectory
+/// state, and walks the earlier run's records bit for bit.
+#[test]
+fn fresh_relaxation_on_a_reused_root_starts_cold() {
+    let (space, sys) = relax_system();
+    let dir = fresh_dir("reused");
+    let dcfg = DistScfConfig::new(relax_scf_cfg()).with_checkpoints(&dir, 0);
+    let rcfg = DistRelaxConfig {
+        fire: RelaxConfig {
+            max_steps: 1,
+            force_tol: 0.0,
+            ..RelaxConfig::default()
+        },
+    };
+    let run = || {
+        let (mut results, _) = run_cluster(2, |comm| {
+            dist_relax(comm, &space, &sys, &Lda, &dcfg, &rcfg, &[KPoint::gamma()])
+                .expect("dist relax")
+        });
+        assert_relax_ranks_agree(&results, "reused root");
+        results.remove(0)
+    };
+    let (first, second) = (run(), run());
+    assert!(
+        !second.trajectory[0].warm_started,
+        "a fresh run warm-started from an earlier run's slot"
+    );
+    assert_eq!(second.resumed_step, None);
+    let bits = |r: &DistRelaxResult| -> Vec<_> {
+        let steps = r.trajectory.iter();
+        steps
+            .map(|s| (s.free_energy.to_bits(), s.scf_iterations, s.warm_started))
+            .collect()
+    };
+    assert_eq!(bits(&second), bits(&first));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One BO-MD run of `steps` on `nranks` ranks under `dcfg`.
+fn md_run(nranks: usize, dcfg: &DistScfConfig, steps: usize) -> Vec<DistRelaxResult> {
+    let (space, sys) = relax_system();
+    let mcfg = MdConfig { steps, dt: 0.25 };
+    let (results, _) = run_cluster(nranks, |comm| {
+        dist_md(comm, &space, &sys, &Lda, dcfg, &mcfg, &[KPoint::gamma()]).expect("dist md")
+    });
+    results
+}
+
+/// Velocity-Verlet BO-MD on the dimer: one rank walks the pinned golden
+/// (1e-9, as FIRE's), every step after the first warm-starts its SCF, the
+/// total energy is conserved to 2e-3 Ha over the run, the replicated
+/// trajectory is bit-identical on both ranks of a 2-rank run, and it
+/// matches the 1-rank trajectory to 1e-8 (not bitwise: the force
+/// quadrature is summed per rank shard, so forces agree across rank counts
+/// to ~1e-14, as in `check_force_oracle`).
 #[test]
 fn bo_md_conserves_energy_and_is_rank_invariant() {
-    let (space, sys) = relax_system();
-    let mcfg = MdConfig { steps: 4, dt: 0.25 };
     let run = |nranks: usize| {
         let dir = fresh_dir("md");
         let dcfg = DistScfConfig::new(relax_scf_cfg()).with_checkpoints(&dir, 50);
-        let (results, _) = run_cluster(nranks, |comm| {
-            dist_md(comm, &space, &sys, &Lda, &dcfg, &mcfg, &[KPoint::gamma()]).expect("dist md")
-        });
+        let results = md_run(nranks, &dcfg, 4);
         std::fs::remove_dir_all(&dir).ok();
         results
     };
     let one = run(1).remove(0);
-    assert_eq!(one.trajectory.len(), 5, "4 steps = 5 evaluations");
+    assert_eq!(
+        one.trajectory.len(),
+        MD_GOLDEN.len(),
+        "4 steps = 5 evaluations"
+    );
+    for (i, (rec, (e, kin, fmax))) in one.trajectory.iter().zip(MD_GOLDEN).enumerate() {
+        let d = [rec.free_energy - e, rec.kinetic - kin, rec.fmax - fmax].map(f64::abs);
+        assert!(
+            d.iter().all(|&x| x <= 1e-9),
+            "step {i}: |d(E, K, fmax)| {d:?}"
+        );
+    }
+    for (atom, x) in one.system.atoms.iter().zip(MD_GOLDEN_X) {
+        assert!((atom.pos[0] - x).abs() <= 1e-9, "{:?} vs x = {x}", atom.pos);
+    }
     assert!(!one.trajectory[0].warm_started, "first step must run cold");
-    let e0 = one.trajectory[0].total;
+    let e0 = one.trajectory[0].total();
     for (i, rec) in one.trajectory.iter().enumerate() {
         assert!(i == 0 || rec.warm_started, "step {i} did not warm-start");
-        let drift = (rec.total - e0).abs();
+        let drift = (rec.total() - e0).abs();
         assert!(drift <= 2e-3, "step {i}: |E_tot - E_tot[0]| = {drift:.3e}");
     }
     assert!(
@@ -485,10 +572,10 @@ fn bo_md_conserves_energy_and_is_rank_invariant() {
 
     let two = run(2);
     let positions =
-        |r: &DistMdResult| -> Vec<[f64; 3]> { r.system.atoms.iter().map(|a| a.pos).collect() };
-    let bits = |r: &MdStepRecord| {
+        |r: &DistRelaxResult| -> Vec<[f64; 3]> { r.system.atoms.iter().map(|a| a.pos).collect() };
+    let bits = |r: &RelaxStepRecord| {
         (
-            [r.free_energy, r.kinetic, r.total, r.fmax].map(f64::to_bits),
+            [r.free_energy, r.kinetic, r.total(), r.fmax].map(f64::to_bits),
             r.scf_iterations,
             r.warm_started,
         )
@@ -520,4 +607,70 @@ fn bo_md_conserves_energy_and_is_rank_invariant() {
         dp <= 1e-8,
         "final positions: 2 ranks vs 1 rank differ by {dp:.3e}"
     );
+}
+
+/// BO-MD persists and resumes as FIRE does: a 2-step run, then a restart
+/// on its root asking for 4 steps, resumes at step 2 with the two loaded
+/// records bit for bit, evaluates step 2 again, and lands on an
+/// uninterrupted 4-step run — one record per step, energies within 1e-6
+/// and final positions within 1e-8. Step 2's second SCF reconverges from
+/// its own converged state, so the two runs' step-2 forces agree only to
+/// the SCF tolerance, which is tightened here to keep the last two moves
+/// within the position bound.
+#[test]
+fn bo_md_resumes_from_its_persisted_state() {
+    let (dir, straight_dir) = (fresh_dir("md-resume"), fresh_dir("md-straight"));
+    let scf_cfg = ScfConfig {
+        tol: 1e-9,
+        ..relax_scf_cfg()
+    };
+    let dcfg = DistScfConfig::new(scf_cfg.clone()).with_checkpoints(&dir, 50);
+    let run = |dcfg: &DistScfConfig, steps| {
+        let mut results = md_run(2, dcfg, steps);
+        assert_relax_ranks_agree(&results, "md");
+        results.remove(0)
+    };
+    let head = run(&dcfg, 2);
+    let resumed = run(&dcfg.clone().with_restart(), 4);
+    let straight = run(
+        &DistScfConfig::new(scf_cfg).with_checkpoints(&straight_dir, 50),
+        4,
+    );
+    assert_eq!(head.resumed_step, None);
+    assert_eq!(resumed.resumed_step, Some(2));
+    let bits = |r: &RelaxStepRecord| {
+        (
+            [r.free_energy, r.kinetic, r.fmax].map(f64::to_bits),
+            r.scf_iterations,
+            r.warm_started,
+        )
+    };
+    for i in 0..2 {
+        assert_eq!(
+            bits(&resumed.trajectory[i]),
+            bits(&head.trajectory[i]),
+            "loaded record {i}"
+        );
+    }
+    assert!(
+        resumed.trajectory[2].warm_started,
+        "the resumed step was not evaluated again from its warm slot"
+    );
+    assert_eq!(resumed.trajectory.len(), straight.trajectory.len());
+    for (i, (a, b)) in resumed
+        .trajectory
+        .iter()
+        .zip(&straight.trajectory)
+        .enumerate()
+    {
+        for (x, y) in [(a.free_energy, b.free_energy), (a.kinetic, b.kinetic)] {
+            assert!((x - y).abs() <= 1e-6, "step {i}: {a:?} vs {b:?}");
+        }
+    }
+    for (a, b) in resumed.system.atoms.iter().zip(&straight.system.atoms) {
+        let dp = max_component_err(&[a.pos], &[b.pos]);
+        assert!(dp <= 1e-8, "final positions differ by {dp:.3e}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&straight_dir).ok();
 }

@@ -333,7 +333,7 @@ fn chfes_cycle_is_orthonormal_after_fp32_products_and_fp32_wire() {
             let mut psi = Matrix::<f64>::from_fn(dist.dec.n_owned(), N, |l, j| {
                 psi0[(dist.dec.owned[l] as usize, j)]
             });
-            chfes_reduced(&h, &h, &mut psi, bounds, &opts, None, &reducer);
+            chfes_reduced(&h, &mut psi, bounds, &opts, None, &reducer);
             let mut gram = matmul(&psi, Op::ConjTrans, &psi, Op::None);
             SubspaceReducer::<f64>::reduce_f64(&reducer, gram.as_mut_slice());
             gram.max_abs_diff(&Matrix::identity(N))
@@ -374,7 +374,7 @@ fn duplicated_column_is_rescued_serially_and_on_ranks() {
     };
 
     let mut psi_ser = psi0.clone();
-    let ev_ser = chfes_reduced(&h_ser, &h_ser, &mut psi_ser, bounds, &opts, None, &NoReduce);
+    let ev_ser = chfes_reduced(&h_ser, &mut psi_ser, bounds, &opts, None, &NoReduce);
     let gram = matmul(&psi_ser, Op::ConjTrans, &psi_ser, Op::None);
     let err = gram.max_abs_diff(&Matrix::identity(N));
     assert!(err <= 1e-10, "serial: max |Psi^T Psi - I| = {err:.3e}");
@@ -394,7 +394,7 @@ fn duplicated_column_is_rescued_serially_and_on_ranks() {
             let mut psi = Matrix::<f64>::from_fn(dist.dec.n_owned(), N, |l, j| {
                 psi0[(dist.dec.owned[l] as usize, j)]
             });
-            let ev = chfes_reduced(&h, &h, &mut psi, bounds, &opts, None, &reducer);
+            let ev = chfes_reduced(&h, &mut psi, bounds, &opts, None, &reducer);
             let mut gram = matmul(&psi, Op::ConjTrans, &psi, Op::None);
             SubspaceReducer::<f64>::reduce_f64(&reducer, gram.as_mut_slice());
             (ev, psi, gram.max_abs_diff(&Matrix::identity(N)))

@@ -19,8 +19,8 @@ mkdir -p target
 cargo run -q --offline --release -p dft-lint -- --workspace --json > target/dft-lint.json
 echo "    JSON artifact: target/dft-lint.json"
 
-echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep, one distributed route, one ChFES cycle, one recurrence update, one rooted collective, one KS eigensolve step, one FE derivative)"
-for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a recurrence_update ks_eigensolve accumulate_density deriv_mass deriv_mass_t; do
+echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep, one distributed route, one ChFES cycle, one recurrence update, one rooted collective, one KS eigensolve step, one FE derivative, one trajectory loop, one durable writer)"
+for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a recurrence_update ks_eigensolve accumulate_density deriv_mass deriv_mass_t trajectory_rank write_durable read_durable; do
   n=$(grep -rhE "^\s*(pub(\([a-z]+\))? )?fn ${f}\b" crates/*/src | wc -l)
   if [ "$n" -ne 1 ]; then
     echo "    fn $f is defined $n times under crates/*/src (expected exactly 1)"
@@ -43,13 +43,17 @@ done
 #  - one FE derivative and one GGA body: the collocation derivative and its
 #    transpose live in dft-fem and reach nodes through the cell tables, the
 #    MLXC divergence adapter owns its space, PBE and the hidden truth are
-#    parameter sets of one energy density.
+#    parameter sets of one energy density;
+#  - one trajectory loop: BO-MD is velocity Verlet stepped by the loop that
+#    steps FIRE, with one record and one result type, and the distributed
+#    Hamiltonian carries the filter's wire itself (no FP32-wire twin).
 retired=(
   "benchmark-gate / tuning-file name|DFT_T""UNE|dft_t""une\.json|BEN""CH_|DFT_BEN""CH_GATE"
   "sibling path of the distributed solver, or the knob that selected it|Cluster""Reducer|enum Red""ucer|grid\.is_so""me\(\)|JobKind::Scr""een|warm_st""art:|with_over""lap|Pipelined""Filter|Cf""Driver"
   "ChFES fork, shim or sibling product|band_sp""lit|adjoint_product_mi""xed|adjoint_block_mi""xed|chfes_prof""iled|CfFil""ter|reduce_matrix_ex""act"
   "world-only collective, its tag band, the is-distributed fork or the serial relax driver|allgather_sc""alar|\bbroadcast_f""64|GATHER_BA""ND|BROADCAST_BA""ND|is_distri""buted|fn rel""ax\("
   "private copy of the FE derivative, its node map, its adapter shim or a per-functional GGA body|cell_local_to_""node|apply_deriv_""mass|ArcFeDiver""gence|GgaFo""rm"
+  "second trajectory loop, its record and result types, or the filter twin of the Hamiltonian|md_r""ank|MdStep""Record|DistMd""Result|h_fil""ter"
 )
 for entry in "${retired[@]}"; do
   if grep -rnE "${entry#*|}" crates/*/src scripts; then
@@ -57,6 +61,15 @@ for entry in "${retired[@]}"; do
     exit 1
   fi
 done
+
+# One durable writer (codec::write_durable): every on-disk format reaches the
+# disk through it, so it holds the only fsync of the solver crates.
+n=$(grep -rF "sync_all(" crates/*/src | wc -l)
+if [ "$n" -ne 1 ]; then
+  echo "    sync_all( appears $n times under crates/*/src (expected exactly 1, in the one durable writer)"
+  grep -rnF "sync_all(" crates/*/src
+  exit 1
+fi
 
 # Inverse DFT runs the SCF's Kohn-Sham eigensolve step (ks_eigensolve): no
 # Lanczos bounds, ChFES call or filter-window rule of its own.
