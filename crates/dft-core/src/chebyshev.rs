@@ -3,8 +3,9 @@
 //! * **CF** — Chebyshev polynomial filtering of a wavefunction block: the
 //!   scaled-and-shifted recurrence maps the unwanted spectrum into `[-1,1]`
 //!   (where Chebyshev polynomials stay small) and the wanted low end to
-//!   `(-inf,-1)` (where they grow fast). Applied in column blocks of size
-//!   `B_f` through the matrix-free Hamiltonian.
+//!   `(-inf,-1)` (where they grow fast). Applied in column blocks of at
+//!   most `B_f` through the matrix-free Hamiltonian — a local Hamiltonian
+//!   carries one cell-kernel column block per thread.
 //! * **CholGS** — overlap `S = Psi_f† Psi_f`, Cholesky inverse, and the
 //!   orthonormalization GEMM. In mixed-precision mode `S` and the GEMM are
 //!   FP32 except the `B_f x B_f` diagonal blocks of `S`, which stay FP64
@@ -40,7 +41,10 @@ use std::borrow::Cow;
 pub struct ChfesOptions {
     /// Chebyshev polynomial degree `m`.
     pub cheb_degree: usize,
-    /// Wavefunction block size `B_f` for the filter.
+    /// Wavefunction block size `B_f`: the widest block the filter carries
+    /// (a local operator carries one column block per thread, see
+    /// [`HamOperator::max_filter_block`]) and the FP64 diagonal block of
+    /// the mixed-precision subspace products.
     pub block_size: usize,
     /// Use the paper's mixed-precision CholGS/RR variants.
     pub mixed_precision: bool,
@@ -491,16 +495,18 @@ pub fn chfes_reduced<T: Scalar>(
     let win = reducer.band_cols(n_states);
     let (j0b, j1b) = win;
 
-    // [CF] blockwise filtering of the window's columns (plus the pre-CholGS
+    // [CF] blockwise filtering of the window's columns, at most `B_f` and
+    // at most the operator's widest block at a time (plus the pre-CholGS
     // column normalization). The filter scratch and the block buffer
-    // persist across blocks.
+    // persist across blocks and are dropped before `work` is allocated.
     {
         let mut scope = PhaseScope::new(profile, Phase::Cf);
+        let width = bf.min(h.max_filter_block()).max(1);
         let mut cf_scratch = CfScratch::new();
-        let mut block = Matrix::<T>::zeros(nd, bf.min(n_states));
+        let mut block = Matrix::<T>::zeros(nd, width.min(n_states));
         let mut j0 = j0b;
         while j0 < j1b {
-            let j1 = (j0 + bf).min(j1b);
+            let j1 = (j0 + width).min(j1b);
             if block.ncols() != j1 - j0 {
                 block = Matrix::zeros(nd, j1 - j0);
             }
@@ -806,6 +812,49 @@ mod tests {
             assert_eq!(b.bytes, passes * a.bytes, "{} bytes", a.phase);
         }
         assert!(fp64.iter().any(|r| r.phase == "CholGS-O" && r.flops > 0));
+    }
+
+    /// A column's bits do not depend on the filter block it rides in: one
+    /// FP64 cycle on 24 columns — three cell-kernel blocks — gives the same
+    /// Ritz values and vectors at `B_f` = 1, 8, 16 and 64, and under a
+    /// 1-thread cap (where the Hamiltonian asks for 8-column blocks), on
+    /// the real path and on the complex Bloch path.
+    #[test]
+    fn cycle_bits_do_not_depend_on_the_filter_width() {
+        use crate::threads::with_threads;
+        use dft_linalg::scalar::C64;
+
+        fn check<T: Scalar>(space: &FeSpace, phases: [T; 3]) {
+            let v: Vec<f64> = (0..space.nnodes())
+                .map(|n| (space.node_coord(n)[1] * 0.5).sin())
+                .collect();
+            let h = KsHamiltonian::<T>::new(space, &v, phases);
+            let (tmin, tmax) = lanczos_bounds(&h, 10, 2);
+            let window = (tmin - 1.0, tmin + 0.3 * (tmax - tmin), tmax);
+            let cycle = |block_size| {
+                let mut psi = random_subspace::<T>(h.dim(), 24, 5);
+                let opts = ChfesOptions {
+                    block_size,
+                    ..ChfesOptions::default()
+                };
+                let evals = chfes_reduced(&h, &mut psi, window, &opts, None, &NoReduce);
+                let bits: Vec<u64> = evals.iter().map(|e| e.to_bits()).collect();
+                (bits, psi)
+            };
+            let (bits, psi) = cycle(64);
+            let narrow = with_threads(1, || cycle(64));
+            for (what, (b, p)) in [1, 8, 16]
+                .map(|bf| (format!("B_f = {bf}"), cycle(bf)))
+                .into_iter()
+                .chain([("one thread".to_string(), narrow)])
+            {
+                assert_eq!(b, bits, "{what}: Ritz values");
+                assert!(p.as_slice() == psi.as_slice(), "{what}: Ritz vectors");
+            }
+        }
+        check::<f64>(&FeSpace::new(Mesh3d::cube(2, 6.0, 3)), [1.0; 3]);
+        let bloch = [C64::cis(0.4), C64::cis(-0.9), C64::ONE];
+        check::<C64>(&FeSpace::new(Mesh3d::periodic_cube(2, 5.0, 3)), bloch);
     }
 
     /// A subspace `a` and a second block `b` of the same shape (what `H`

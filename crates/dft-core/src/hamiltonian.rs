@@ -14,7 +14,7 @@
 //! through the cell-level kernels of [`dft_fem::space::FeSpace`], with
 //! Bloch phases carrying the k-point dependence for complex scalars.
 
-use dft_fem::space::FeSpace;
+use dft_fem::space::{FeSpace, COL_BLOCK};
 use dft_linalg::iterative::{recurrence_update, LinearOperator, Recurrence};
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::{Real, Scalar};
@@ -27,6 +27,14 @@ use dft_linalg::scalar::{Real, Scalar};
 pub trait HamOperator<T: Scalar>: LinearOperator<T> {
     /// Analytic FLOP count of one apply on `ncols` columns.
     fn apply_flops(&self, ncols: usize) -> u64;
+
+    /// The widest column block the Chebyshev filter should carry through
+    /// this operator; the CF phase filters `min(B_f, this)` columns at a
+    /// time. Unlimited by default: an operator whose every recurrence step
+    /// pays a fixed cost per block (a ghost exchange) wants `B_f`.
+    fn max_filter_block(&self) -> usize {
+        usize::MAX
+    }
 }
 
 /// The discrete KS Hamiltonian for one k-point.
@@ -74,6 +82,13 @@ impl<'a, T: Scalar> KsHamiltonian<'a, T> {
 impl<'a, T: Scalar> HamOperator<T> for KsHamiltonian<'a, T> {
     fn apply_flops(&self, ncols: usize) -> u64 {
         KsHamiltonian::apply_flops(self, ncols)
+    }
+
+    /// One [`COL_BLOCK`] per thread: every thread of a recurrence step
+    /// sweeps its own cache-sized block, and the filter's three live blocks
+    /// stay a thread's worth of columns wide.
+    fn max_filter_block(&self) -> usize {
+        COL_BLOCK * rayon::current_num_threads()
     }
 }
 

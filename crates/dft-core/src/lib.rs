@@ -24,7 +24,9 @@
 //!   bisection and the smearing entropy;
 //! * [`mixing`] — Anderson (Pulay) density mixing;
 //! * [`scf`] — the self-consistent field driver and the total (free)
-//!   energy assembly with Gaussian-nucleus electrostatics.
+//!   energy assembly with Gaussian-nucleus electrostatics;
+//! * [`threads`] — the one thread-cap helper: a rank, a server job or a
+//!   k-point lane runs on its share of the one shared worker pool.
 
 #![deny(unsafe_code)]
 // indexed loops deliberately mirror the paper's subscript notation
@@ -39,6 +41,7 @@ pub mod occupation;
 pub mod relax;
 pub mod scf;
 pub mod system;
+pub mod threads;
 pub mod xc;
 
 pub use chebyshev::{

@@ -12,7 +12,9 @@
 //!    single neutral solve, valid for isolated and periodic systems);
 //! 2. exchange-correlation — any [`crate::xc::XcFunctional`] (LDA, PBE,
 //!    MLXC, hidden truth);
-//! 3. ChFES per k-point (complex Bloch path via phases);
+//! 3. ChFES per k-point (complex Bloch path via phases) — serially in
+//!    k-point *lanes*: up to one per thread, side by side on equal shares
+//!    of the thread budget ([`ScfSeam::kpoint_lanes`]);
 //! 4. Fermi-Dirac occupations with a common chemical potential;
 //! 5. density build, Anderson mixing, convergence check on the density
 //!    residual.
@@ -28,6 +30,7 @@ use crate::hamiltonian::{HamOperator, KsHamiltonian};
 use crate::mixing::AndersonMixer;
 use crate::occupation::fermi_occupations;
 use crate::system::AtomicSystem;
+use crate::threads::with_threads;
 use crate::xc::{evaluate_xc, XcFunctional};
 use dft_fem::field::NodalField;
 use dft_fem::mesh::BoundaryCondition;
@@ -36,8 +39,10 @@ use dft_fem::space::FeSpace;
 use dft_hpc::profile::{Phase, PhaseScope, Profile, ScfProfile};
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::{Real, Scalar, C64};
+use rayon::prelude::*;
 use std::convert::Infallible;
 use std::ops::Range;
+use std::time::Instant;
 
 /// One Brillouin-zone sampling point (fractional coordinates along each
 /// axis; only periodic axes matter) with its weight.
@@ -85,7 +90,10 @@ pub struct ScfConfig {
     /// Extra ChFES cycles in the first SCF iteration (the paper's
     /// "multiple passes of Chebyshev filtering in the initial SCF step").
     pub first_iter_cf_passes: usize,
-    /// Filter wavefunction block size `B_f`.
+    /// Filter wavefunction block size `B_f`: the cap on the columns the
+    /// Chebyshev filter carries at once (a local Hamiltonian carries one
+    /// column block per thread below it) and the FP64 diagonal block of
+    /// the mixed-precision subspace products.
     pub block_size: usize,
     /// Mixed-precision CholGS / RR (Sec. 5.4.2).
     pub mixed_precision: bool,
@@ -292,6 +300,15 @@ pub trait ScfSeam<T: Scalar> {
     fn band_cols(&self, n_states: usize) -> (usize, usize);
     /// The k-points `[k0, k1)` this rank solves, out of `nk`.
     fn kpoints(&self, nk: usize) -> (usize, usize);
+    /// How many (at least one) of this rank's `nk` k-point eigensolves run
+    /// side by side, each on its equal share of the calling thread's
+    /// budget, claiming k-points in index order. One by default — the
+    /// k-points one after another on the whole budget, which a rank needs:
+    /// its eigensolves share one communicator, and concurrent collectives
+    /// would interleave.
+    fn kpoint_lanes(&self, _nk: usize) -> usize {
+        1
+    }
     /// Whether this rank prints the `verbose` line.
     fn is_root(&self) -> bool;
 
@@ -364,6 +381,11 @@ impl<T: Scalar> ScfSeam<T> for SerialSeam {
     }
     fn kpoints(&self, nk: usize) -> (usize, usize) {
         (0, nk)
+    }
+    // a k-point's bits do not depend on its thread count, so the lanes
+    // retrace the one-after-another solve
+    fn kpoint_lanes(&self, nk: usize) -> usize {
+        nk.min(rayon::current_num_threads())
     }
     fn is_root(&self) -> bool {
         true
@@ -510,7 +532,16 @@ impl<T: Scalar> ScfState<T> {
 /// (see [`ScfState::new`]) until the density residual meets `cfg.tol` or
 /// `cfg.max_iter` is reached; `seam` supplies what depends on how the
 /// problem is spread over ranks.
-pub fn scf_loop<T: ScalarExt, S: ScfSeam<T>>(
+///
+/// The k-point eigensolves of an iteration run in
+/// [`ScfSeam::kpoint_lanes`] lanes on the one shared pool, each under a
+/// cap of `threads / lanes` and with its own [`KsHamiltonian`]; a k-point
+/// keeps its Lanczos seed, filter window and eigenvalue slot, and its bits
+/// do not depend on its thread count, so every lane shape retraces the
+/// one-after-another solve. Profiled lanes fold into the iteration's
+/// bucket ([`Profile::fold_lanes`]); the seam's failure probe runs after
+/// the lanes join.
+pub fn scf_loop<T: ScalarExt, S: ScfSeam<T> + Sync>(
     space: &FeSpace,
     system: &AtomicSystem,
     xc: &dyn XcFunctional,
@@ -569,35 +600,61 @@ pub fn scf_loop<T: ScalarExt, S: ScfSeam<T>>(
             }
         }
 
-        // ---- eigenproblem per k-point of this rank ---------------------
-        for ik in k0..k1 {
-            let h_full = {
-                let _scope = PhaseScope::new(profile, Phase::Other);
-                KsHamiltonian::<T>::new(space, &v_eff, phases_for::<T>(space, &kpts[ik]))
-            };
-            let passes = if iter == 0 {
-                cfg.first_iter_cf_passes
-            } else {
-                1
-            };
-            let (psi, window) = (&mut st.psi[ik - k0], &mut st.filter_window[ik]);
-            eigenvalues[ik] = seam.with_operators(&h_full, &v_eff, |h, reducer| {
-                ks_eigensolve(
-                    &h_full,
-                    cfg.seed + 1000 + ik as u64,
-                    (h, reducer),
-                    psi,
-                    window,
-                    passes,
-                    cfg.kt,
-                    &opts,
-                    profile,
-                )
-            });
-            // a failed rank leaves garbage Ritz values behind: stop before
-            // they reach the occupations
-            seam.probe(iter)?;
+        // ---- eigenproblem per k-point of this rank, in lanes -----------
+        let passes = if iter == 0 {
+            cfg.first_iter_cf_passes
+        } else {
+            1
+        };
+        let lanes = seam.kpoint_lanes(k1 - k0);
+        let share = rayon::current_num_threads() / lanes;
+        // one lane records into the loop's profile; side-by-side lanes each
+        // into their own, folded into a breakdown of the region's wall time
+        let split = lanes > 1 && profile.is_some();
+        let region = split.then(Instant::now);
+        let slots = st.psi.iter_mut().zip(&mut st.filter_window[k0..k1]);
+        let lane_profiles: Vec<Option<Profile>> = with_threads(lanes, || {
+            (k0..k1)
+                .zip(slots)
+                .zip(&mut eigenvalues[k0..k1])
+                .into_par_iter()
+                .map(|((ik, (psi, window)), evals)| {
+                    let own = split.then(Profile::new);
+                    let profile = if split { own.as_ref() } else { profile };
+                    with_threads(share, || {
+                        let h_full = {
+                            let _scope = PhaseScope::new(profile, Phase::Other);
+                            KsHamiltonian::<T>::new(
+                                space,
+                                &v_eff,
+                                phases_for::<T>(space, &kpts[ik]),
+                            )
+                        };
+                        *evals = seam.with_operators(&h_full, &v_eff, |h, reducer| {
+                            ks_eigensolve(
+                                &h_full,
+                                cfg.seed + 1000 + ik as u64,
+                                (h, reducer),
+                                psi,
+                                window,
+                                passes,
+                                cfg.kt,
+                                &opts,
+                                profile,
+                            )
+                        });
+                    });
+                    own
+                })
+                .collect()
+        });
+        if let (Some(p), Some(t0)) = (profile, region) {
+            let lane_profiles: Vec<Profile> = lane_profiles.into_iter().flatten().collect();
+            p.fold_lanes(&lane_profiles, t0.elapsed().as_secs_f64());
         }
+        // a failed rank leaves garbage Ritz values behind: stop before they
+        // reach the occupations
+        seam.probe(iter)?;
         seam.exchange_kpoints(iter, &mut eigenvalues, &mut st.filter_window, profile)?;
 
         // ---- occupations & density -------------------------------------
@@ -925,6 +982,53 @@ mod tests {
         let d0 = (r.eigenvalues[0][0] - r.eigenvalues[1][0]).abs();
         assert!(d0 > 1e-6, "k-dispersion expected, got {d0}");
         assert!((r.density.integrate(&space) - 2.0).abs() < 1e-6);
+    }
+
+    /// Two k-points in two lanes book what one lane books — every phase's
+    /// flops, bytes and calls — and their folded seconds keep the profile
+    /// a wall-clock breakdown of the loop, with the same bits as one lane.
+    #[test]
+    fn lanes_book_what_one_lane_books() {
+        use crate::threads::with_threads;
+
+        let space = FeSpace::new(Mesh3d::periodic_cube(2, 6.0, 3));
+        let sys = AtomicSystem::new(vec![Atom {
+            kind: AtomKind::Pseudo { z: 2.0, r_c: 0.8 },
+            pos: [3.0, 3.0, 3.0],
+        }]);
+        let cfg = ScfConfig {
+            profile: true,
+            ..quick_cfg(4)
+        };
+        let half = |z| KPoint {
+            frac: [0.0, 0.0, z],
+            weight: 0.5,
+        };
+        let kpts = [half(0.0), half(0.25)];
+        let (one, two) = (
+            with_threads(1, || scf(&space, &sys, &Lda, &cfg, &kpts)),
+            with_threads(2, || scf(&space, &sys, &Lda, &cfg, &kpts)),
+        );
+        assert_eq!(
+            one.energy.free_energy.to_bits(),
+            two.energy.free_energy.to_bits()
+        );
+        let (p1, p2) = (one.profile.unwrap(), two.profile.unwrap());
+        let ledger = |p: &ScfProfile| -> Vec<_> {
+            p.cumulative
+                .iter()
+                .map(|r| (r.phase.clone(), r.flops, r.bytes, r.calls))
+                .collect()
+        };
+        assert_eq!(ledger(&p1), ledger(&p2));
+        assert_eq!(p1.iterations.len(), p2.iterations.len());
+        assert!(
+            p2.measured_seconds() <= p2.total_seconds * (1.0 + 1e-9),
+            "folded {} exceeds the loop's {}",
+            p2.measured_seconds(),
+            p2.total_seconds
+        );
+        assert!(p2.coverage() > 0.95, "coverage {:.3}", p2.coverage());
     }
 
     #[test]

@@ -100,6 +100,28 @@ struct PhaseAcc {
     calls: u64,
 }
 
+impl PhaseAcc {
+    fn add(&mut self, other: &PhaseAcc) {
+        self.seconds += other.seconds;
+        self.flops += other.flops;
+        self.bytes += other.bytes;
+        self.calls += other.calls;
+    }
+}
+
+/// One phase row summed over every bucket of `rows`.
+fn sum_rows<'a>(
+    rows: impl IntoIterator<Item = &'a [PhaseAcc; Phase::ALL.len()]>,
+) -> [PhaseAcc; Phase::ALL.len()] {
+    let mut sum: [PhaseAcc; Phase::ALL.len()] = Default::default();
+    for row in rows {
+        for (s, r) in sum.iter_mut().zip(row) {
+            s.add(r);
+        }
+    }
+    sum
+}
+
 #[derive(Default)]
 struct ProfileInner {
     /// One accumulator row per phase, per SCF iteration.
@@ -135,13 +157,15 @@ impl Profile {
         }
     }
 
-    /// Open a new per-iteration bucket; subsequent scopes accumulate there.
-    pub fn begin_iteration(&self) {
+    fn lock(&self) -> std::sync::MutexGuard<'_, ProfileInner> {
         self.inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iterations
-            .push(Default::default());
+    }
+
+    /// Open a new per-iteration bucket; subsequent scopes accumulate there.
+    pub fn begin_iteration(&self) {
+        self.lock().iterations.push(Default::default());
     }
 
     /// RAII scope timing `phase`; commit happens on drop.
@@ -150,15 +174,36 @@ impl Profile {
     }
 
     fn record(&self, phase: Phase, seconds: f64, flops: u64, bytes: u64) {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let acc = &mut inner.current()[phase.index()];
-        acc.seconds += seconds;
-        acc.flops += flops;
-        acc.bytes += bytes;
-        acc.calls += 1;
+        self.lock().current()[phase.index()].add(&PhaseAcc {
+            seconds,
+            flops,
+            bytes,
+            calls: 1,
+        });
+    }
+
+    /// Fold the profiles of `lanes` that ran side by side for `wall`
+    /// seconds into the current bucket, as a wall-clock breakdown of that
+    /// region: each phase's flops, bytes and calls summed over the lanes,
+    /// and its seconds `wall` × (its seconds ÷ all the lanes' seconds).
+    /// Lanes run on equal thread shares, so their seconds weigh the phases
+    /// as thread-seconds would. The folded seconds sum to `wall`, and a
+    /// phase's GFLOPS become the lanes' aggregate throughput.
+    pub fn fold_lanes(&self, lanes: &[Profile], wall: f64) {
+        let guards: Vec<_> = lanes.iter().map(Profile::lock).collect();
+        let mut sum = sum_rows(guards.iter().flat_map(|g| &g.iterations));
+        let busy: f64 = sum.iter().map(|acc| acc.seconds).sum();
+        for acc in &mut sum {
+            acc.seconds = if busy > 0.0 {
+                wall * acc.seconds / busy
+            } else {
+                0.0
+            };
+        }
+        let mut inner = self.lock();
+        for (acc, lane) in inner.current().iter_mut().zip(&sum) {
+            acc.add(lane);
+        }
     }
 
     /// Freeze into a report. `total_seconds` defaults to the wall clock
@@ -167,10 +212,7 @@ impl Profile {
         let total = total_seconds
             .or_else(|| self.started.map(|t0| t0.elapsed().as_secs_f64()))
             .unwrap_or(0.0);
-        let inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let inner = self.lock();
         let iterations: Vec<IterationProfile> = inner
             .iterations
             .iter()
@@ -180,15 +222,7 @@ impl Profile {
                 phases: row_records(row),
             })
             .collect();
-        let mut cum: [PhaseAcc; Phase::ALL.len()] = Default::default();
-        for row in &inner.iterations {
-            for (c, r) in cum.iter_mut().zip(row) {
-                c.seconds += r.seconds;
-                c.flops += r.flops;
-                c.bytes += r.bytes;
-                c.calls += r.calls;
-            }
-        }
+        let cum = sum_rows(&inner.iterations);
         ScfProfile {
             total_seconds: total,
             iterations,
@@ -433,6 +467,57 @@ mod tests {
         assert!(cf.seconds >= 0.002);
         assert_eq!(rep.phase_flops("CF"), 150);
         assert!(rep.total_seconds >= rep.iterations[0].phases[0].seconds);
+    }
+
+    /// Two lanes fold into the current bucket as a breakdown of the
+    /// region's wall time: flops, bytes and calls are the lanes' sums, the
+    /// folded seconds sum to the given wall time, and each phase gets its
+    /// share of the lanes' busy seconds.
+    #[test]
+    fn lanes_fold_into_a_wall_clock_breakdown() {
+        let (a, b) = (Profile::new(), Profile::new());
+        {
+            let mut s = a.scope(Phase::Cf);
+            s.add_flops(100);
+            s.add_bytes(8);
+            std::thread::sleep(std::time::Duration::from_millis(3));
+        }
+        a.scope(Phase::RrD);
+        {
+            let mut s = b.scope(Phase::Cf);
+            s.add_flops(50);
+            s.add_bytes(2);
+            std::thread::sleep(std::time::Duration::from_millis(3));
+        }
+        {
+            let mut s = b.scope(Phase::CholGsS);
+            s.add_flops(7);
+        }
+        let lane_seconds = |label| {
+            [&a, &b]
+                .iter()
+                .map(|p| p.finish(Some(1.0)).phase_seconds(label))
+                .sum::<f64>()
+        };
+        let busy: f64 = ["CF", "RR-D", "CholGS-S"].map(lane_seconds).iter().sum();
+        let cf_share = lane_seconds("CF") / busy;
+
+        let p = Profile::new();
+        p.begin_iteration();
+        p.begin_iteration();
+        p.fold_lanes(&[a, b], 0.5);
+        let rep = p.finish(Some(0.5));
+        assert_eq!(rep.iterations.len(), 2);
+        assert!(rep.iterations[0].phases.is_empty());
+        let cf = &rep.cumulative[0];
+        assert_eq!(
+            (cf.phase.as_str(), cf.flops, cf.bytes, cf.calls),
+            ("CF", 150, 10, 2)
+        );
+        assert_eq!(rep.phase_flops("CholGS-S"), 7);
+        assert_eq!(rep.cumulative.iter().map(|r| r.calls).sum::<u64>(), 4);
+        assert!((rep.measured_seconds() - 0.5).abs() < 1e-12);
+        assert!((rep.phase_seconds("CF") - 0.5 * cf_share).abs() < 1e-12);
     }
 
     #[test]

@@ -56,7 +56,8 @@
 //!   ([`distributed_scf`], the two trajectory entry points,
 //!   [`distributed_forces`]) runs on its `1 / size` share of the cores, and
 //!   a server's job thread on its gang's share of the pool
-//!   ([`with_thread_share`]).
+//!   ([`with_thread_share`], re-exported from [`dft_core::threads`], the
+//!   one cap helper that the serial solver's k-point lanes also use).
 
 #![deny(unsafe_code)]
 // indexed loops deliberately mirror the paper's subscript notation

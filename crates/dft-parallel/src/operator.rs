@@ -500,6 +500,9 @@ impl<'a, 'c, T: WireScalar> LinearOperator<T> for DistHamiltonian<'a, 'c, T> {
     }
 }
 
+// The filter block keeps the provided unlimited width, i.e. `B_f`: every
+// recurrence step exchanges ghosts once per block, so a wider block
+// amortises the exchange, and the message and byte counts stay those of B_f.
 impl<'a, 'c, T: WireScalar> HamOperator<T> for DistHamiltonian<'a, 'c, T> {
     /// Rank-local analytic FLOPs: the slab's share of the sum-factorized
     /// cell work plus the owned rows' scaling/potential arithmetic.

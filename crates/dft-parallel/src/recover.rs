@@ -12,9 +12,9 @@
 
 use crate::relax::{dist_relax, DistRelaxConfig, DistRelaxResult, RelaxError};
 use crate::scf::{distributed_scf, DistScfConfig, DistScfResult, ScfError};
-use crate::threads::with_threads;
 use dft_core::scf::KPoint;
 use dft_core::system::AtomicSystem;
+use dft_core::threads::with_threads;
 use dft_core::xc::XcFunctional;
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::{run_cluster_with, ClusterOptions, CommError, FaultPlan, ThreadComm};

@@ -3,33 +3,14 @@
 //! Every rank is a thread of its own, and so is every job slot of the
 //! server; each opens parallel regions (GEMM slabs, cell-sweep blocks) on
 //! the one shared worker pool. Left alone, each would plan those regions
-//! for the whole machine. The helpers here hand a thread its share
-//! instead, as a cap that `rayon::current_num_threads()` reports to
-//! everything it calls: `R` ranks on `C` cores run `max(1, C / R)` threads
-//! each, and a region under a cap of one runs inline. No option and no
-//! environment variable: the share follows from the rank count.
+//! for the whole machine. A rank gets its share instead, through the one
+//! cap helper ([`dft_core::threads`]): `R` ranks on `C` cores run
+//! `max(1, C / R)` threads each, and a region under a cap of one runs
+//! inline. No option and no environment variable: the share follows from
+//! the rank count.
 
+pub use dft_core::threads::with_thread_share;
 use dft_hpc::comm::ThreadComm;
-
-/// Run `f` with every parallel region it opens capped at `n` threads (at
-/// least one).
-pub(crate) fn with_threads<R: Send>(n: usize, f: impl FnOnce() -> R + Send) -> R {
-    match rayon::ThreadPoolBuilder::new()
-        .num_threads(n.max(1))
-        .build()
-    {
-        Ok(cap) => cap.install(f),
-        // no cap is a slower run, not a wrong one
-        Err(_) => f(),
-    }
-}
-
-/// Run `f` on `share / of` of the calling thread's own thread budget — a
-/// job that holds `share` of a pool's `of` ranks gets that fraction of the
-/// cores, so two busy slots do not each plan for all of them.
-pub fn with_thread_share<R: Send>(share: usize, of: usize, f: impl FnOnce() -> R + Send) -> R {
-    with_threads(rayon::current_num_threads() * share / of.max(1), f)
-}
 
 /// A rank entry point's prologue: run `f` on this rank's `1 / comm.size()`
 /// of the budget its thread was started with.
@@ -44,6 +25,7 @@ pub(crate) fn rank_threads<R: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dft_core::threads::with_threads;
     use dft_hpc::comm::run_cluster;
 
     /// Ranks × threads ≤ cores: inside a 1-rank cluster a rank plans for

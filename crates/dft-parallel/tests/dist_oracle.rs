@@ -294,15 +294,9 @@ fn distributed_scf_matches_serial_energy() {
     }
 }
 
-/// Serial is the 1-rank case of distributed: both run the same loop and the
-/// same ChFES cycle on the window `(0, N)`, so a one-rank cluster retraces
-/// the serial solve bit for bit — on the real Γ path and on the complex
-/// two-k-point Bloch path, in FP64 and in mixed precision (CholGS has one
-/// cleanup route whatever the reducer).
-#[test]
-fn one_rank_cluster_retraces_the_serial_solve() {
-    let (space, sys) = parity_system();
-    let two_k = [
+/// The two-k-point Bloch set: Γ and a quarter of the zone along x.
+fn two_k() -> [KPoint; 2] {
+    [
         KPoint {
             frac: [0.0; 3],
             weight: 0.5,
@@ -311,15 +305,40 @@ fn one_rank_cluster_retraces_the_serial_solve() {
             frac: [0.25, 0.0, 0.0],
             weight: 0.5,
         },
+    ]
+}
+
+/// Serial is the 1-rank case of distributed: both run the same loop and the
+/// same ChFES cycle on the window `(0, N)`, so a one-rank cluster retraces
+/// the serial solve bit for bit — on the real Γ path and on the complex
+/// two- and three-k-point Bloch paths, in FP64 and in mixed precision
+/// (CholGS has one cleanup route whatever the reducer). The serial side
+/// solves its k-points in lanes side by side, the rank one after another;
+/// the three k-points run on 2 threads, so 2 lanes and one k-point waits.
+#[test]
+fn one_rank_cluster_retraces_the_serial_solve() {
+    let (space, sys) = parity_system();
+    let third = |frac| KPoint {
+        frac,
+        weight: 1.0 / 3.0,
+    };
+    let three_k = [
+        third([0.0; 3]),
+        third([0.25, 0.0, 0.0]),
+        third([0.0, 0.25, 0.25]),
     ];
-    for kpts in [&[KPoint::gamma()][..], &two_k[..]] {
+    for kpts in [&[KPoint::gamma()][..], &two_k()[..], &three_k[..]] {
         for mixed_precision in [false, true] {
             let cfg = ScfConfig {
                 mixed_precision,
                 ..parity_cfg()
             };
             let what = format!("{} k-points, mixed {mixed_precision}", kpts.len());
-            let serial = scf(&space, &sys, &Lda, &cfg, kpts);
+            let on_two = rayon::ThreadPoolBuilder::new()
+                .num_threads(2)
+                .build()
+                .expect("the thread cap");
+            let serial = on_two.install(|| scf(&space, &sys, &Lda, &cfg, kpts));
             assert!(serial.converged, "{what}");
             let dcfg = DistScfConfig::new(cfg);
             let (results, _) = run_cluster(1, |comm| {
@@ -354,8 +373,10 @@ fn one_rank_cluster_retraces_the_serial_solve() {
 /// layers, one narrow column block) 2 and 4 serial threads cut every sweep
 /// into two row slabs, while the two ranks split the budget (1, 1 and 2
 /// threads each, through the relaunch loop that hands a launching thread's
-/// budget to its ranks). `scripts/ci.sh` runs this with the pool at 1 and
-/// at 4 threads (`RAYON_NUM_THREADS`).
+/// budget to its ranks). The serial two-k-point complex problem runs its
+/// k-points in 1 lane, in 2 lanes of 1 thread and in 2 lanes of 2 threads.
+/// `scripts/ci.sh` runs this with the pool at 1 and at 4 threads
+/// (`RAYON_NUM_THREADS`).
 #[test]
 fn energy_bits_do_not_depend_on_the_thread_count() {
     use dft_hpc::comm::ClusterOptions;
@@ -365,8 +386,9 @@ fn energy_bits_do_not_depend_on_the_thread_count() {
     let (_, sys) = parity_system();
     let cfg = parity_cfg();
     let dcfg = DistScfConfig::new(cfg.clone()).with_wire(WirePrecision::Fp64);
-    let kpts = [KPoint::gamma()];
-    let under = |threads: usize, two_ranks: bool| {
+    let gamma = [KPoint::gamma()];
+    let two_k = two_k();
+    let under = |threads: usize, two_ranks: bool, kpts: &[KPoint]| {
         let cap = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
@@ -374,7 +396,7 @@ fn energy_bits_do_not_depend_on_the_thread_count() {
         cap.install(|| {
             if two_ranks {
                 let opts = ClusterOptions::default();
-                let report = scf_with_recovery(2, &opts, &space, &sys, &Lda, &dcfg, &kpts, 0)
+                let report = scf_with_recovery(2, &opts, &space, &sys, &Lda, &dcfg, kpts, 0)
                     .expect("2-rank scf");
                 assert_ranks_agree(&report.results, &format!("{threads} threads"));
                 let r = &report.results[0];
@@ -385,19 +407,23 @@ fn energy_bits_do_not_depend_on_the_thread_count() {
                     r.eigenvalues.clone(),
                 )
             } else {
-                let r = scf(&space, &sys, &Lda, &cfg, &kpts);
+                let r = scf(&space, &sys, &Lda, &cfg, kpts);
                 assert!(r.converged);
                 (r.energy.free_energy.to_bits(), r.iterations, r.eigenvalues)
             }
         })
     };
-    for two_ranks in [false, true] {
-        let one = under(1, two_ranks);
+    for (two_ranks, kpts) in [(false, &gamma[..]), (true, &gamma[..]), (false, &two_k[..])] {
+        let one = under(1, two_ranks, kpts);
         for threads in [2, 4] {
-            let (bits, iterations, eigenvalues) = under(threads, two_ranks);
-            assert_eq!(bits, one.0, "{threads} threads, two ranks: {two_ranks}");
-            assert_eq!(iterations, one.1);
-            assert_eq!(eigenvalues, one.2);
+            let (bits, iterations, eigenvalues) = under(threads, two_ranks, kpts);
+            let what = format!(
+                "{threads} threads, two ranks: {two_ranks}, {} k",
+                kpts.len()
+            );
+            assert_eq!(bits, one.0, "{what}");
+            assert_eq!(iterations, one.1, "{what}");
+            assert_eq!(eigenvalues, one.2, "{what}");
         }
     }
 }
