@@ -5,7 +5,8 @@
 //!   (where Chebyshev polynomials stay small) and the wanted low end to
 //!   `(-inf,-1)` (where they grow fast). Applied in column blocks of at
 //!   most `B_f` through the matrix-free Hamiltonian — a local Hamiltonian
-//!   carries one cell-kernel column block per thread.
+//!   carries one cell-kernel column block per thread. Given the last Fermi
+//!   level, only the columns the density sees run the full degree.
 //! * **CholGS** — overlap `S = Psi_f† Psi_f`, Cholesky inverse, and the
 //!   orthonormalization GEMM. In mixed-precision mode `S` and the GEMM are
 //!   FP32 except the `B_f x B_f` diagonal blocks of `S`, which stay FP64
@@ -23,6 +24,7 @@
 //! few Lanczos steps ([`lanczos_bounds`]).
 
 use crate::hamiltonian::HamOperator;
+use crate::occupation::{fermi, DENSITY_CUTOFF};
 use dft_hpc::profile::{Phase, PhaseScope, Profile};
 use dft_linalg::blas1;
 use dft_linalg::chol::{cholesky_inverse, LinalgError};
@@ -39,7 +41,8 @@ use std::borrow::Cow;
 /// Options of one ChFES cycle.
 #[derive(Clone, Debug)]
 pub struct ChfesOptions {
-    /// Chebyshev polynomial degree `m`.
+    /// Chebyshev polynomial degree `m` of every filtered column (a column
+    /// [`chfes_reduced`] leaves unfiltered runs one step, see there).
     pub cheb_degree: usize,
     /// Wavefunction block size `B_f`: the widest block the filter carries
     /// (a local operator carries one column block per thread, see
@@ -194,6 +197,24 @@ pub fn chebyshev_filter_scratch<T: Scalar>(
     a0: f64,
     scratch: &mut CfScratch<T>,
 ) {
+    chebyshev_filter_gated(op, x, m, (a0, a, b), scratch, |_, _, _| true);
+}
+
+/// The recurrence of [`chebyshev_filter_scratch`] with the bounds in
+/// [`chfes`] order `(a0, a, b)`, asking `go_on` after the first step
+/// whether to run on to degree `m`; returns whether it did. `go_on` sees
+/// the block `X`, the first iterate `Y = (sigma1 / e) (H X - c X)` and the
+/// map `(c, e / sigma1)` that turns `Re<x_j, y_j> / <x_j, x_j>` into column
+/// `j`'s Rayleigh quotient. A block that stops keeps its input bits.
+// dftlint:hot
+fn chebyshev_filter_gated<T: Scalar>(
+    op: &dyn LinearOperator<T>,
+    x: &mut Matrix<T>,
+    m: usize,
+    (a0, a, b): (f64, f64, f64),
+    scratch: &mut CfScratch<T>,
+    go_on: impl FnOnce(&Matrix<T>, &Matrix<T>, (f64, f64)) -> bool,
+) -> bool {
     assert!(m >= 1 && b > a && a > a0);
     let n = x.nrows();
     let nc = x.ncols();
@@ -212,6 +233,9 @@ pub fn chebyshev_filter_scratch<T: Scalar>(
         beta: T::Re::ZERO,
     };
     op.recurrence_step(x, None, step, y);
+    if !go_on(x, y, (c, e / sigma1)) {
+        return false;
+    }
     for _k in 2..=m {
         let sigma2 = 1.0 / (gamma - sigma);
         // Ynew = 2 (sigma2/e) (H Y - c Y) - (sigma * sigma2) X, written into
@@ -225,6 +249,7 @@ pub fn chebyshev_filter_scratch<T: Scalar>(
         sigma = sigma2;
     }
     std::mem::swap(x, y);
+    true
 }
 
 /// Analytic FLOP count of one [`chebyshev_filter`] call of degree `m` on
@@ -294,7 +319,7 @@ pub fn chfes<T: Scalar>(
     bounds: (f64, f64, f64),
     opts: &ChfesOptions,
 ) -> Vec<f64> {
-    chfes_reduced(h, psi, bounds, opts, None, &NoReduce)
+    chfes_reduced(h, psi, bounds, opts, None, None, &NoReduce)
 }
 
 /// The one precision-selecting product of a cycle, `C = op(A) B`: the FP64
@@ -408,6 +433,34 @@ fn unit_columns<T: Scalar>(m: &mut Matrix<T>, reducer: &dyn SubspaceReducer<T>) 
     }
 }
 
+/// Which columns of a filter block the density sees at the Fermi level
+/// `(mu, kT)`: column `j` is seen iff its Rayleigh quotient at `H`,
+/// `c + (e / sigma1) Re<x_j, y_j> / <x_j, x_j>` read off the block `x` and
+/// the filter's first iterate `y` (`rq = (c, e / sigma1)`, both sums
+/// reduced over the ranks that share the rows), is occupied at or above
+/// [`DENSITY_CUTOFF`]. A column's verdict depends on that column alone.
+fn seen_columns<T: Scalar>(
+    x: &Matrix<T>,
+    y: &Matrix<T>,
+    (c, scale): (f64, f64),
+    (mu, kt): (f64, f64),
+    reducer: &dyn SubspaceReducer<T>,
+) -> Vec<bool> {
+    let nc = x.ncols();
+    let mut sums = vec![0.0f64; 2 * nc];
+    for j in 0..nc {
+        sums[j] = blas1::dot(x.col(j), y.col(j)).re().to_f64();
+        sums[nc + j] = blas1::dot(x.col(j), x.col(j)).re().to_f64();
+    }
+    reducer.reduce_f64(&mut sums);
+    (0..nc)
+        .map(|j| {
+            let rq = c + scale * sums[j] / sums[nc + j].max(1e-300);
+            2.0 * fermi(rq, mu, kt) >= DENSITY_CUTOFF
+        })
+        .collect()
+}
+
 /// One CholGS pass over the band window `win` of `psi`: overlap block
 /// (CholGS-S) → reduce → Cholesky inverse (CholGS-CI) → orthonormalization
 /// GEMM into `work` → install (CholGS-O). `fp64_block` is the subspace
@@ -476,18 +529,31 @@ fn cholgs_pass<T: Scalar>(
 /// to it, form its columns of `H_p`, rotate it. Whether the window is the
 /// whole subspace is known only to [`window_cols`] and [`install_window`].
 ///
+/// Given the Fermi level `occupied_at = (mu, kT)` of the last occupations,
+/// CF filters to full degree only the columns the density sees: each filter
+/// block runs its first recurrence step, reads every column's Rayleigh
+/// quotient at `h` off it ([`seen_columns`]), stops there if no column is
+/// occupied at or above [`DENSITY_CUTOFF`], and otherwise runs to
+/// `cheb_degree` and writes back only its seen columns. Unseen columns keep
+/// their input bits — the search-space extras only have to span, and
+/// Rayleigh–Ritz refreshes them — and every column still goes through
+/// CholGS and RR. A column's result depends on that column alone, so the
+/// bits do not depend on the filter width, the band window or the rank
+/// count. `None` filters every column.
+///
 /// Each phase (CF, CholGS-S/CI/O, RR-P/D/SR) runs inside its own
 /// [`PhaseScope`], tagged with analytic FLOP and byte counts (CholGS-CI and
-/// RR-D are wall-time-only, matching the paper's Sec. 6.3 accounting).
+/// RR-D are wall-time-only, matching the paper's Sec. 6.3 accounting); CF
+/// books the degree steps it runs, one for a block that stopped.
 pub fn chfes_reduced<T: Scalar>(
     h: &dyn HamOperator<T>,
     psi: &mut Matrix<T>,
     bounds: (f64, f64, f64),
     opts: &ChfesOptions,
+    occupied_at: Option<(f64, f64)>,
     profile: Option<&Profile>,
     reducer: &dyn SubspaceReducer<T>,
 ) -> Vec<f64> {
-    let (a0, a, b) = bounds;
     let (nd, n_states) = psi.shape();
     let tsize = std::mem::size_of::<T>() as u64;
     let block_bytes = (nd * n_states) as u64 * tsize;
@@ -511,10 +577,30 @@ pub fn chfes_reduced<T: Scalar>(
                 block = Matrix::zeros(nd, j1 - j0);
             }
             block.copy_cols_from(psi, j0);
-            chebyshev_filter_scratch(h, &mut block, degree, a, b, a0, &mut cf_scratch);
-            psi.set_cols(j0, &block);
-            scope.add_flops(chebyshev_filter_flops(h, j1 - j0, degree));
-            scope.add_bytes(2 * (nd * (j1 - j0)) as u64 * tsize * degree as u64);
+            let mut seen: Option<Vec<bool>> = None;
+            let full = chebyshev_filter_gated(
+                h,
+                &mut block,
+                degree,
+                bounds,
+                &mut cf_scratch,
+                |x, y, rq| {
+                    occupied_at.is_none_or(|level| {
+                        seen.insert(seen_columns(x, y, rq, level, reducer))
+                            .contains(&true)
+                    })
+                },
+            );
+            if full {
+                for j in 0..j1 - j0 {
+                    if seen.as_ref().is_none_or(|s| s[j]) {
+                        psi.col_mut(j0 + j).copy_from_slice(block.col(j));
+                    }
+                }
+            }
+            let steps = if full { degree } else { 1 };
+            scope.add_flops(chebyshev_filter_flops(h, j1 - j0, steps));
+            scope.add_bytes(2 * (nd * (j1 - j0)) as u64 * tsize * steps as u64);
             j0 = j1;
         }
         reducer.assemble_cols(psi);
@@ -598,7 +684,13 @@ pub fn chfes_reduced<T: Scalar>(
 /// spacing, and `a0` to one below the lowest Ritz value. `h_full` is the
 /// full-row operator at the same potential: `h` itself serially, the
 /// replicated one on a rank, so the bounds agree bitwise across ranks.
-/// Returns the last cycle's Ritz values.
+///
+/// `mu` is the chemical potential of the last occupations. When it is given
+/// and the k-point has been solved before (`window` arrives `Some`), every
+/// cycle filters to full degree only the columns occupied at `(mu, kt)`
+/// (see [`chfes_reduced`]); a first solve, all of its `passes`, and a call
+/// without `mu` (inverse DFT) filter every column. Returns the last cycle's
+/// Ritz values.
 #[allow(clippy::too_many_arguments)]
 pub fn ks_eigensolve<T: Scalar>(
     h_full: &dyn LinearOperator<T>,
@@ -608,6 +700,7 @@ pub fn ks_eigensolve<T: Scalar>(
     window: &mut Option<(f64, f64)>,
     passes: usize,
     kt: f64,
+    mu: Option<f64>,
     opts: &ChfesOptions,
     profile: Option<&Profile>,
 ) -> Vec<f64> {
@@ -615,12 +708,13 @@ pub fn ks_eigensolve<T: Scalar>(
         let _scope = PhaseScope::new(profile, Phase::Other);
         lanczos_bounds(h_full, 10, lanczos_seed)
     };
+    let occupied_at = mu.filter(|_| window.is_some()).map(|mu| (mu, kt));
     let (mut a0, mut a) = window.unwrap_or((tmin - 1.0, tmin + 0.1 * (tmax - tmin)));
     a0 = a0.min(tmin - 1.0);
     a = a.clamp(a0 + 1e-3 * (tmax - a0), 0.9 * tmax);
     let mut evals = vec![];
     for _ in 0..passes {
-        evals = chfes_reduced(h, psi, (a0, a, tmax), opts, profile, reducer);
+        evals = chfes_reduced(h, psi, (a0, a, tmax), opts, occupied_at, profile, reducer);
         let n = evals.len();
         let spread = (evals[n - 1] - evals[0]).max(0.1);
         a = (evals[n - 1] + (2.0 * kt).max(spread / n as f64)).min(0.9 * tmax);
@@ -800,7 +894,7 @@ mod tests {
                 mixed_precision,
                 ..ChfesOptions::default()
             };
-            chfes_reduced(&h, &mut psi, window, &opts, Some(&profile), &NoReduce);
+            chfes_reduced(&h, &mut psi, window, &opts, None, Some(&profile), &NoReduce);
             profile.finish(None).cumulative
         };
         let (fp64, mixed) = (cycle(false), cycle(true));
@@ -818,7 +912,10 @@ mod tests {
     /// FP64 cycle on 24 columns — three cell-kernel blocks — gives the same
     /// Ritz values and vectors at `B_f` = 1, 8, 16 and 64, and under a
     /// 1-thread cap (where the Hamiltonian asks for 8-column blocks), on
-    /// the real path and on the complex Bloch path.
+    /// the real path and on the complex Bloch path. So does a second cycle
+    /// from those Ritz vectors at a Fermi level on the tenth Ritz value:
+    /// at `B_f` = 8 it filters two blocks and stops the third after one
+    /// step.
     #[test]
     fn cycle_bits_do_not_depend_on_the_filter_width() {
         use crate::threads::with_threads;
@@ -831,26 +928,40 @@ mod tests {
             let h = KsHamiltonian::<T>::new(space, &v, phases);
             let (tmin, tmax) = lanczos_bounds(&h, 10, 2);
             let window = (tmin - 1.0, tmin + 0.3 * (tmax - tmin), tmax);
-            let cycle = |block_size| {
-                let mut psi = random_subspace::<T>(h.dim(), 24, 5);
+            let cycle = |block_size, start: &Matrix<T>, occupied_at, profile| {
+                let mut psi = start.clone();
                 let opts = ChfesOptions {
                     block_size,
                     ..ChfesOptions::default()
                 };
-                let evals = chfes_reduced(&h, &mut psi, window, &opts, None, &NoReduce);
-                let bits: Vec<u64> = evals.iter().map(|e| e.to_bits()).collect();
-                (bits, psi)
+                let evals =
+                    chfes_reduced(&h, &mut psi, window, &opts, occupied_at, profile, &NoReduce);
+                (evals, psi)
             };
-            let (bits, psi) = cycle(64);
-            let narrow = with_threads(1, || cycle(64));
-            for (what, (b, p)) in [1, 8, 16]
-                .map(|bf| (format!("B_f = {bf}"), cycle(bf)))
-                .into_iter()
-                .chain([("one thread".to_string(), narrow)])
-            {
-                assert_eq!(b, bits, "{what}: Ritz values");
-                assert!(p.as_slice() == psi.as_slice(), "{what}: Ritz vectors");
+            let random = random_subspace::<T>(h.dim(), 24, 5);
+            let (ritz_values, ritz) = cycle(64, &random, None, None);
+            let level = Some((ritz_values[9], 1e-3));
+            for (start, occupied_at) in [(&random, None), (&ritz, level)] {
+                let (evals, psi) = cycle(64, start, occupied_at, None);
+                let narrow = with_threads(1, || cycle(64, start, occupied_at, None));
+                for (what, (e, p)) in [1, 8, 16]
+                    .map(|bf| (format!("B_f = {bf}"), cycle(bf, start, occupied_at, None)))
+                    .into_iter()
+                    .chain([("one thread".to_string(), narrow)])
+                {
+                    let what = format!("{what}, Fermi level {occupied_at:?}");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&e), bits(&evals), "{what}: Ritz values");
+                    assert!(p.as_slice() == psi.as_slice(), "{what}: Ritz vectors");
+                }
             }
+            let profile = Profile::new();
+            cycle(8, &ritz, level, Some(&profile));
+            let booked = profile.finish(None).cumulative[0].flops;
+            assert_eq!(
+                booked,
+                chebyshev_filter_flops(&h, 16, 30) + chebyshev_filter_flops(&h, 8, 1)
+            );
         }
         check::<f64>(&FeSpace::new(Mesh3d::cube(2, 6.0, 3)), [1.0; 3]);
         let bloch = [C64::cis(0.4), C64::cis(-0.9), C64::ONE];

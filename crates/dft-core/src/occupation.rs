@@ -14,7 +14,13 @@ pub struct OccupationResult {
     pub entropy: f64,
 }
 
-fn fermi(e: f64, mu: f64, kt: f64) -> f64 {
+/// The smallest occupation (spin factor 2 included) the density build adds
+/// a state for; below it a state is invisible to the density.
+pub const DENSITY_CUTOFF: f64 = 1e-14;
+
+/// The Fermi–Dirac occupation `1 / (1 + e^{(e - mu) / kT})` of one spin
+/// channel, exactly 0 or 1 beyond 40 `kT` from `mu`.
+pub fn fermi(e: f64, mu: f64, kt: f64) -> f64 {
     let x = (e - mu) / kt;
     if x > 40.0 {
         0.0

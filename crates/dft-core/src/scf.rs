@@ -28,7 +28,7 @@
 use crate::chebyshev::{ks_eigensolve, random_subspace, ChfesOptions, NoReduce, SubspaceReducer};
 use crate::hamiltonian::{HamOperator, KsHamiltonian};
 use crate::mixing::AndersonMixer;
-use crate::occupation::fermi_occupations;
+use crate::occupation::{fermi_occupations, DENSITY_CUTOFF};
 use crate::system::AtomicSystem;
 use crate::threads::with_threads;
 use crate::xc::{evaluate_xc, XcFunctional};
@@ -85,7 +85,10 @@ pub struct ScfConfig {
     pub mixing_alpha: f64,
     /// Anderson history depth.
     pub anderson_depth: usize,
-    /// Chebyshev filter degree per ChFES cycle.
+    /// Chebyshev filter degree of every filtered column per ChFES cycle.
+    /// After a k-point's first solve only columns occupied at the last
+    /// chemical potential are filtered (see
+    /// [`crate::chebyshev::ks_eigensolve`]).
     pub cheb_degree: usize,
     /// Extra ChFES cycles in the first SCF iteration (the paper's
     /// "multiple passes of Chebyshev filtering in the initial SCF step").
@@ -606,6 +609,10 @@ pub fn scf_loop<T: ScalarExt, S: ScfSeam<T> + Sync>(
         } else {
             1
         };
+        // a solved k-point filters only what the last occupations see
+        let mu = Some(st.mu);
+        #[cfg(test)]
+        let mu = mu.filter(|_| !tests::WITHHOLD_MU.get());
         let lanes = seam.kpoint_lanes(k1 - k0);
         let share = rayon::current_num_threads() / lanes;
         // one lane records into the loop's profile; side-by-side lanes each
@@ -639,6 +646,7 @@ pub fn scf_loop<T: ScalarExt, S: ScfSeam<T> + Sync>(
                                 window,
                                 passes,
                                 cfg.kt,
+                                mu,
                                 &opts,
                                 profile,
                             )
@@ -785,8 +793,8 @@ pub fn scf_loop<T: ScalarExt, S: ScfSeam<T> + Sync>(
 /// over the columns `cols` of `psi` with occupations `occupations[i]`, to
 /// the nodal `rho` — the density build of the SCF and of inverse DFT. Row
 /// `l` of `psi` is DoF `dof_of_row(l)` of the orthonormalized basis, so
-/// its amplitude is scaled back by `M^{-1/2}` twice. Columns with a
-/// negligible occupation are skipped; returns how many were added.
+/// its amplitude is scaled back by `M^{-1/2}` twice. Columns occupied below
+/// [`DENSITY_CUTOFF`] are skipped; returns how many were added.
 pub fn accumulate_density<T: Scalar>(
     space: &FeSpace,
     psi: &Matrix<T>,
@@ -800,7 +808,7 @@ pub fn accumulate_density<T: Scalar>(
     let mut added = 0;
     for i in cols {
         let f = occupations[i];
-        if f < 1e-14 {
+        if f < DENSITY_CUTOFF {
             continue;
         }
         added += 1;
@@ -842,6 +850,13 @@ mod tests {
     use crate::system::{Atom, AtomKind};
     use crate::xc::{Lda, SyntheticTruth};
     use dft_fem::mesh::{Axis, Mesh3d};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Withholds the chemical potential from the eigensolves of SCF
+        /// loops run on this thread, so they filter every column.
+        pub(super) static WITHHOLD_MU: Cell<bool> = const { Cell::new(false) };
+    }
 
     fn atom_space(l: f64, n: usize, p: usize) -> FeSpace {
         let c = l / 2.0;
@@ -1029,6 +1044,73 @@ mod tests {
             p2.total_seconds
         );
         assert!(p2.coverage() > 0.95, "coverage {:.3}", p2.coverage());
+    }
+
+    /// Where the occupied-column rule skips filter blocks: 24 states for 2
+    /// electrons on a periodic cube, filtered 8 columns at a time, so after
+    /// the first solve only the lowest blocks hold a column the density
+    /// sees.
+    fn wide_problem() -> (FeSpace, AtomicSystem, ScfConfig) {
+        let space = FeSpace::new(Mesh3d::periodic_cube(2, 6.0, 3));
+        let sys = AtomicSystem::new(vec![Atom {
+            kind: AtomKind::Pseudo { z: 2.0, r_c: 0.8 },
+            pos: [3.0, 3.0, 3.0],
+        }]);
+        let cfg = ScfConfig {
+            block_size: 8,
+            ..quick_cfg(24)
+        };
+        (space, sys, cfg)
+    }
+
+    /// The rule books what it runs: iteration 0 (a first solve) filters
+    /// every column in each of its passes, and every later iteration books
+    /// less than one all-column filter.
+    #[test]
+    fn occupied_filter_books_less_after_the_first_solve() {
+        use crate::chebyshev::chebyshev_filter_flops;
+
+        let (space, sys, cfg) = wide_problem();
+        let cfg = ScfConfig {
+            profile: true,
+            ..cfg
+        };
+        let r = scf(&space, &sys, &Lda, &cfg, &[KPoint::gamma()]);
+        assert!(r.converged);
+        let prof = r.profile.expect("profile requested");
+        let v0 = vec![0.0; space.nnodes()];
+        let h = KsHamiltonian::<f64>::new(&space, &v0, [1.0; 3]);
+        let every = chebyshev_filter_flops(&h, cfg.n_states, cfg.cheb_degree);
+        let cf = |i: usize| {
+            let phases = &prof.iterations[i].phases;
+            phases.iter().find(|p| p.phase == "CF").expect("CF").flops
+        };
+        assert_eq!(cf(0), cfg.first_iter_cf_passes as u64 * every);
+        assert!(r.iterations > 2);
+        for i in 1..r.iterations {
+            assert!(cf(i) < every, "iteration {i}: {} of {every}", cf(i));
+        }
+    }
+
+    /// Filtering only the seen columns moves the energy by no more than
+    /// the SCF tolerance allows: within 1e-8 Ha of the same SCF with the
+    /// chemical potential withheld, which filters every column.
+    #[test]
+    fn occupied_filter_energy_matches_filtering_every_column() {
+        let (space, sys, cfg) = wide_problem();
+        let gamma = [KPoint::gamma()];
+        let rule = scf(&space, &sys, &Lda, &cfg, &gamma);
+        WITHHOLD_MU.set(true);
+        let every = scf(&space, &sys, &Lda, &cfg, &gamma);
+        WITHHOLD_MU.set(false);
+        assert!(rule.converged && every.converged);
+        let d = (rule.energy.free_energy - every.energy.free_energy).abs();
+        assert!(
+            d <= 1e-8,
+            "rule {} vs every column {} (|d| = {d:.3e})",
+            rule.energy.free_energy,
+            every.energy.free_energy
+        );
     }
 
     #[test]

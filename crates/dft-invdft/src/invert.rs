@@ -148,6 +148,7 @@ pub fn invert(
             &mut window,
             passes,
             cfg.kt,
+            None,
             &opts,
             None,
         );

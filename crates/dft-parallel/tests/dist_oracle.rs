@@ -268,6 +268,16 @@ fn parity_cfg() -> ScfConfig {
     }
 }
 
+/// The parity problem with 24 states for its 2 electrons: after the first
+/// solve only the lowest filter blocks hold a column occupied at the last
+/// chemical potential, so ChFES stops the others after one step.
+fn wide_cfg() -> ScfConfig {
+    ScfConfig {
+        n_states: 24,
+        ..parity_cfg()
+    }
+}
+
 #[test]
 fn distributed_scf_matches_serial_energy() {
     let (space, sys) = parity_system();
@@ -315,6 +325,9 @@ fn two_k() -> [KPoint; 2] {
 /// (CholGS has one cleanup route whatever the reducer). The serial side
 /// solves its k-points in lanes side by side, the rank one after another;
 /// the three k-points run on 2 threads, so 2 lanes and one k-point waits.
+/// The 24-state problem holds the same on Γ and on two k-points: serially
+/// ChFES filters 16 columns at a time and stops the last block after one
+/// step, the rank filters all 24 at once and writes back the seen ones.
 #[test]
 fn one_rank_cluster_retraces_the_serial_solve() {
     let (space, sys) = parity_system();
@@ -327,43 +340,56 @@ fn one_rank_cluster_retraces_the_serial_solve() {
         third([0.25, 0.0, 0.0]),
         third([0.0, 0.25, 0.25]),
     ];
-    for kpts in [&[KPoint::gamma()][..], &two_k()[..], &three_k[..]] {
+    let gamma = [KPoint::gamma()];
+    let mut cases = Vec::new();
+    for kpts in [&gamma[..], &two_k()[..], &three_k[..]] {
         for mixed_precision in [false, true] {
             let cfg = ScfConfig {
                 mixed_precision,
                 ..parity_cfg()
             };
-            let what = format!("{} k-points, mixed {mixed_precision}", kpts.len());
-            let on_two = rayon::ThreadPoolBuilder::new()
-                .num_threads(2)
-                .build()
-                .expect("the thread cap");
-            let serial = on_two.install(|| scf(&space, &sys, &Lda, &cfg, kpts));
-            assert!(serial.converged, "{what}");
-            let dcfg = DistScfConfig::new(cfg);
-            let (results, _) = run_cluster(1, |comm| {
-                distributed_scf(comm, &space, &sys, &Lda, &dcfg, kpts).expect("scf")
-            });
-            let dist = &results[0];
-            assert_eq!(dist.iterations, serial.iterations, "{what}");
-            assert_eq!(
-                dist.energy.free_energy.to_bits(),
-                serial.energy.free_energy.to_bits(),
-                "{what}: free energy {} vs {}",
-                dist.energy.free_energy,
-                serial.energy.free_energy
-            );
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(dist.eigenvalues.len(), serial.eigenvalues.len());
-            for (ed, es) in dist.eigenvalues.iter().zip(&serial.eigenvalues) {
-                assert_eq!(bits(ed), bits(es), "{what}: eigenvalues");
-            }
-            assert_eq!(
-                bits(&dist.residual_history),
-                bits(&serial.residual_history),
-                "{what}: residual history"
-            );
+            cases.push((kpts.to_vec(), cfg));
         }
+    }
+    for kpts in [&gamma[..], &two_k()[..]] {
+        cases.push((kpts.to_vec(), wide_cfg()));
+    }
+    for (kpts, cfg) in &cases {
+        let what = format!(
+            "{} k-points, {} states, mixed {}",
+            kpts.len(),
+            cfg.n_states,
+            cfg.mixed_precision
+        );
+        let on_two = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .expect("the thread cap");
+        let serial = on_two.install(|| scf(&space, &sys, &Lda, cfg, kpts));
+        assert!(serial.converged, "{what}");
+        let dcfg = DistScfConfig::new(cfg.clone());
+        let (results, _) = run_cluster(1, |comm| {
+            distributed_scf(comm, &space, &sys, &Lda, &dcfg, kpts).expect("scf")
+        });
+        let dist = &results[0];
+        assert_eq!(dist.iterations, serial.iterations, "{what}");
+        assert_eq!(
+            dist.energy.free_energy.to_bits(),
+            serial.energy.free_energy.to_bits(),
+            "{what}: free energy {} vs {}",
+            dist.energy.free_energy,
+            serial.energy.free_energy
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(dist.eigenvalues.len(), serial.eigenvalues.len());
+        for (ed, es) in dist.eigenvalues.iter().zip(&serial.eigenvalues) {
+            assert_eq!(bits(ed), bits(es), "{what}: eigenvalues");
+        }
+        assert_eq!(
+            bits(&dist.residual_history),
+            bits(&serial.residual_history),
+            "{what}: residual history"
+        );
     }
 }
 
@@ -375,51 +401,61 @@ fn one_rank_cluster_retraces_the_serial_solve() {
 /// threads each, through the relaunch loop that hands a launching thread's
 /// budget to its ranks). The serial two-k-point complex problem runs its
 /// k-points in 1 lane, in 2 lanes of 1 thread and in 2 lanes of 2 threads.
-/// `scripts/ci.sh` runs this with the pool at 1 and at 4 threads
-/// (`RAYON_NUM_THREADS`).
+/// The 24-state problem on the 2-cell cube runs serially at filter widths
+/// 8, 16 and 32 (one column block per thread): the first two stop their
+/// unoccupied blocks after one step, the last filters one block of all 24
+/// columns and writes back the seen ones. `scripts/ci.sh` runs this with
+/// the pool at 1 and at 4 threads (`RAYON_NUM_THREADS`).
 #[test]
 fn energy_bits_do_not_depend_on_the_thread_count() {
     use dft_hpc::comm::ClusterOptions;
     use dft_parallel::scf_with_recovery;
 
-    let space = FeSpace::new(Mesh3d::periodic_cube(4, 6.0, 2));
-    let (_, sys) = parity_system();
-    let cfg = parity_cfg();
-    let dcfg = DistScfConfig::new(cfg.clone()).with_wire(WirePrecision::Fp64);
+    let layers = FeSpace::new(Mesh3d::periodic_cube(4, 6.0, 2));
+    let (cube, sys) = parity_system();
+    let (narrow, wide) = (parity_cfg(), wide_cfg());
     let gamma = [KPoint::gamma()];
     let two_k = two_k();
-    let under = |threads: usize, two_ranks: bool, kpts: &[KPoint]| {
-        let cap = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("the thread cap");
-        cap.install(|| {
-            if two_ranks {
-                let opts = ClusterOptions::default();
-                let report = scf_with_recovery(2, &opts, &space, &sys, &Lda, &dcfg, kpts, 0)
-                    .expect("2-rank scf");
-                assert_ranks_agree(&report.results, &format!("{threads} threads"));
-                let r = &report.results[0];
-                assert!(r.converged);
-                (
-                    r.energy.free_energy.to_bits(),
-                    r.iterations,
-                    r.eigenvalues.clone(),
-                )
-            } else {
-                let r = scf(&space, &sys, &Lda, &cfg, kpts);
-                assert!(r.converged);
-                (r.energy.free_energy.to_bits(), r.iterations, r.eigenvalues)
-            }
-        })
-    };
-    for (two_ranks, kpts) in [(false, &gamma[..]), (true, &gamma[..]), (false, &two_k[..])] {
-        let one = under(1, two_ranks, kpts);
+    let under =
+        |threads: usize, two_ranks: bool, space: &FeSpace, cfg: &ScfConfig, kpts: &[KPoint]| {
+            let cap = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("the thread cap");
+            cap.install(|| {
+                if two_ranks {
+                    let opts = ClusterOptions::default();
+                    let dcfg = DistScfConfig::new(cfg.clone()).with_wire(WirePrecision::Fp64);
+                    let report = scf_with_recovery(2, &opts, space, &sys, &Lda, &dcfg, kpts, 0)
+                        .expect("2-rank scf");
+                    assert_ranks_agree(&report.results, &format!("{threads} threads"));
+                    let r = &report.results[0];
+                    assert!(r.converged);
+                    (
+                        r.energy.free_energy.to_bits(),
+                        r.iterations,
+                        r.eigenvalues.clone(),
+                    )
+                } else {
+                    let r = scf(space, &sys, &Lda, cfg, kpts);
+                    assert!(r.converged);
+                    (r.energy.free_energy.to_bits(), r.iterations, r.eigenvalues)
+                }
+            })
+        };
+    for (two_ranks, space, cfg, kpts) in [
+        (false, &layers, &narrow, &gamma[..]),
+        (true, &layers, &narrow, &gamma[..]),
+        (false, &layers, &narrow, &two_k[..]),
+        (false, &cube, &wide, &gamma[..]),
+    ] {
+        let one = under(1, two_ranks, space, cfg, kpts);
         for threads in [2, 4] {
-            let (bits, iterations, eigenvalues) = under(threads, two_ranks, kpts);
+            let (bits, iterations, eigenvalues) = under(threads, two_ranks, space, cfg, kpts);
             let what = format!(
-                "{threads} threads, two ranks: {two_ranks}, {} k",
-                kpts.len()
+                "{threads} threads, two ranks: {two_ranks}, {} k, {} states",
+                kpts.len(),
+                cfg.n_states
             );
             assert_eq!(bits, one.0, "{what}");
             assert_eq!(iterations, one.1, "{what}");

@@ -218,49 +218,62 @@ fn scf_with_empty_ranks_matches_fewer_rank_energy() {
 
 /// Same-rank-count restart contract: stop a checkpointing run early, resume
 /// it, and the completed trajectory must be *bit-identical* to a run that
-/// was never interrupted.
+/// was never interrupted — also for 24 states filtered 8 columns at a time,
+/// where the resumed iterations stop the unoccupied filter blocks at the
+/// snapshot's chemical potential and filter windows.
 #[test]
 fn resume_at_same_rank_count_is_bit_identical() {
     let (space, sys) = parity_system();
-    let dir = fresh_dir("resume");
+    let wide = ScfConfig {
+        n_states: 24,
+        block_size: 8,
+        ..parity_cfg()
+    };
+    for cfg in [parity_cfg(), wide] {
+        let dir = fresh_dir("resume");
+        let what = format!("{} states", cfg.n_states);
 
-    // uninterrupted reference (no checkpointing)
-    let dcfg_ref = DistScfConfig::new(parity_cfg());
-    let (reference, _) = run_cluster(4, |comm| {
-        distributed_scf(comm, &space, &sys, &Lda, &dcfg_ref, &[KPoint::gamma()]).expect("scf")
-    });
-    assert!(reference[0].converged);
+        // uninterrupted reference (no checkpointing)
+        let dcfg_ref = DistScfConfig::new(cfg.clone());
+        let (reference, _) = run_cluster(4, |comm| {
+            distributed_scf(comm, &space, &sys, &Lda, &dcfg_ref, &[KPoint::gamma()]).expect("scf")
+        });
+        assert!(reference[0].converged, "{what}");
 
-    // truncated run: snapshots every 2 iterations, stopped after 3
-    let mut base = parity_cfg();
-    base.max_iter = 3;
-    let dcfg_cut = DistScfConfig::new(base).with_checkpoints(dir.clone(), 2);
-    let (cut, _) = run_cluster(4, |comm| {
-        distributed_scf(comm, &space, &sys, &Lda, &dcfg_cut, &[KPoint::gamma()]).expect("scf")
-    });
-    assert!(!cut[0].converged, "3 iterations must not converge");
+        // truncated run: snapshots every 2 iterations, stopped after 3
+        let dcfg_cut = DistScfConfig::new(ScfConfig {
+            max_iter: 3,
+            ..cfg.clone()
+        })
+        .with_checkpoints(dir.clone(), 2);
+        let (cut, _) = run_cluster(4, |comm| {
+            distributed_scf(comm, &space, &sys, &Lda, &dcfg_cut, &[KPoint::gamma()]).expect("scf")
+        });
+        assert!(!cut[0].converged, "{what}: 3 iterations must not converge");
 
-    // resume to completion
-    let dcfg_resume = DistScfConfig::new(parity_cfg())
-        .with_checkpoints(dir.clone(), 2)
-        .with_restart();
-    let (resumed, _) = run_cluster(4, |comm| {
-        distributed_scf(comm, &space, &sys, &Lda, &dcfg_resume, &[KPoint::gamma()]).expect("scf")
-    });
-    for (r, (a, b)) in reference.iter().zip(resumed.iter()).enumerate() {
-        assert_eq!(b.resumed_from, Some(2), "rank {r} did not resume");
-        assert_eq!(
-            a.energy.free_energy.to_bits(),
-            b.energy.free_energy.to_bits(),
-            "rank {r}: resumed energy differs from uninterrupted"
-        );
-        assert_eq!(a.iterations, b.iterations);
-        assert_eq!(
-            a.residual_history, b.residual_history,
-            "rank {r}: resumed residual trajectory differs"
-        );
+        // resume to completion
+        let dcfg_resume = DistScfConfig::new(cfg)
+            .with_checkpoints(dir.clone(), 2)
+            .with_restart();
+        let (resumed, _) = run_cluster(4, |comm| {
+            distributed_scf(comm, &space, &sys, &Lda, &dcfg_resume, &[KPoint::gamma()])
+                .expect("scf")
+        });
+        for (r, (a, b)) in reference.iter().zip(resumed.iter()).enumerate() {
+            assert_eq!(b.resumed_from, Some(2), "{what}: rank {r} did not resume");
+            assert_eq!(
+                a.energy.free_energy.to_bits(),
+                b.energy.free_energy.to_bits(),
+                "{what}: rank {r}: resumed energy differs from uninterrupted"
+            );
+            assert_eq!(a.iterations, b.iterations, "{what}");
+            assert_eq!(
+                a.residual_history, b.residual_history,
+                "{what}: rank {r}: resumed residual trajectory differs"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The acceptance scenario: a 4-rank SCF with rank 2 killed at iteration 3

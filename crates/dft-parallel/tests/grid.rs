@@ -16,6 +16,7 @@ use dft_fem::mesh::Mesh3d;
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::{run_cluster, WirePrecision};
 use dft_linalg::gemm::{matmul, Op};
+use dft_linalg::iterative::LinearOperator;
 use dft_linalg::matrix::Matrix;
 use dft_parallel::{
     distributed_scf, CommVolume, DistHamiltonian, DistScfConfig, DistScfResult, DistSpace,
@@ -89,6 +90,34 @@ fn band_grid_energies_match_serial_oracle() {
                 r.energy.free_energy,
                 r_ser.energy.free_energy
             );
+        }
+        assert_ranks_agree(&results, &shape.to_string());
+    }
+}
+
+/// With 24 states for 2 electrons, filtered 8 columns at a time, ChFES
+/// stops the filter blocks that hold no occupied column after one step. A
+/// domain split (2x1x1, whose ranks reduce each column's Rayleigh quotient
+/// before they decide) and a band split (1x2x1, 12 columns per rank) both
+/// reproduce the serial free energy to 1e-10 Ha, and their ranks agree
+/// bitwise.
+#[test]
+fn occupied_filter_grids_match_serial_oracle() {
+    let (space, sys) = parity_system();
+    let cfg = ScfConfig {
+        n_states: 24,
+        block_size: 8,
+        ..parity_cfg()
+    };
+    let r_ser = scf(&space, &sys, &Lda, &cfg, &[KPoint::gamma()]);
+    assert!(r_ser.converged);
+    for shape in [GridShape::new(2, 1, 1), GridShape::new(1, 2, 1)] {
+        let dcfg = DistScfConfig::new(cfg.clone()).with_grid(shape);
+        let results = run_grid(&dcfg, shape.nranks(), &[KPoint::gamma()]);
+        for r in &results {
+            assert!(r.converged, "rank {} on {shape} did not converge", r.rank);
+            let d = (r.energy.free_energy - r_ser.energy.free_energy).abs();
+            assert!(d <= 1e-10, "{shape}: |dE| = {d:.3e}");
         }
         assert_ranks_agree(&results, &shape.to_string());
     }
@@ -333,7 +362,7 @@ fn chfes_cycle_is_orthonormal_after_fp32_products_and_fp32_wire() {
             let mut psi = Matrix::<f64>::from_fn(dist.dec.n_owned(), N, |l, j| {
                 psi0[(dist.dec.owned[l] as usize, j)]
             });
-            chfes_reduced(&h, &mut psi, bounds, &opts, None, &reducer);
+            chfes_reduced(&h, &mut psi, bounds, &opts, None, None, &reducer);
             let mut gram = matmul(&psi, Op::ConjTrans, &psi, Op::None);
             SubspaceReducer::<f64>::reduce_f64(&reducer, gram.as_mut_slice());
             gram.max_abs_diff(&Matrix::identity(N))
@@ -374,7 +403,7 @@ fn duplicated_column_is_rescued_serially_and_on_ranks() {
     };
 
     let mut psi_ser = psi0.clone();
-    let ev_ser = chfes_reduced(&h_ser, &mut psi_ser, bounds, &opts, None, &NoReduce);
+    let ev_ser = chfes_reduced(&h_ser, &mut psi_ser, bounds, &opts, None, None, &NoReduce);
     let gram = matmul(&psi_ser, Op::ConjTrans, &psi_ser, Op::None);
     let err = gram.max_abs_diff(&Matrix::identity(N));
     assert!(err <= 1e-10, "serial: max |Psi^T Psi - I| = {err:.3e}");
@@ -394,7 +423,7 @@ fn duplicated_column_is_rescued_serially_and_on_ranks() {
             let mut psi = Matrix::<f64>::from_fn(dist.dec.n_owned(), N, |l, j| {
                 psi0[(dist.dec.owned[l] as usize, j)]
             });
-            let ev = chfes_reduced(&h, &mut psi, bounds, &opts, None, &reducer);
+            let ev = chfes_reduced(&h, &mut psi, bounds, &opts, None, None, &reducer);
             let mut gram = matmul(&psi, Op::ConjTrans, &psi, Op::None);
             SubspaceReducer::<f64>::reduce_f64(&reducer, gram.as_mut_slice());
             (ev, psi, gram.max_abs_diff(&Matrix::identity(N)))
@@ -411,6 +440,70 @@ fn duplicated_column_is_rescued_serially_and_on_ranks() {
             );
             let (psi, want) = (out[0].1.as_slice(), psi_ser.as_slice());
             assert_eq!(bits(psi), bits(want), "1 rank vs serial Ritz vectors");
+        }
+    }
+}
+
+/// Which columns run the full filter degree is decided cluster-wide.
+/// Column 0 lives on rank 0's rows of a 2x1x1 grid only, so rank 1 holds
+/// none of its Rayleigh-quotient sums, and it is occupied at the Fermi
+/// level while the filter's midpoint is not. Each rank reduces the sums
+/// before it decides, so both filter column 0 to full degree — one column
+/// per block, where a split verdict would leave one rank exchanging ghosts
+/// the other never sends — agree bitwise, and match the serial cycle.
+#[test]
+fn occupied_verdict_is_reduced_over_the_domain_group() {
+    const N: usize = 4;
+    let space = FeSpace::new(Mesh3d::periodic_cube(2, 6.0, 3));
+    let v_eff: Vec<f64> = (0..space.nnodes())
+        .map(|i| 0.3 * (i as f64 * 0.05).sin())
+        .collect();
+    let h_ser = KsHamiltonian::<f64>::new(&space, &v_eff, [1.0; 3]);
+    let (tmin, tmax) = lanczos_bounds(&h_ser, 10, 7);
+    let bounds = (tmin - 1.0, tmin + 0.2 * (tmax - tmin), tmax);
+    let shape = GridShape::new(2, 1, 1);
+    let rank1 = DistSpace::on_grid(&space, Some(shape), 1, 2);
+    let mut psi0 = random_subspace::<f64>(space.ndofs(), N, 5);
+    psi0.col_mut(0).fill(1.0);
+    for &d in &rank1.dec.owned {
+        psi0[(d as usize, 0)] = 0.0;
+    }
+    let x = psi0.cols_range(0, 1);
+    let mut hx = Matrix::<f64>::zeros(space.ndofs(), 1);
+    h_ser.apply(&x, &mut hx);
+    let rq = matmul(&x, Op::ConjTrans, &hx, Op::None)[(0, 0)]
+        / matmul(&x, Op::ConjTrans, &x, Op::None)[(0, 0)];
+    let mu = rq + 1.0;
+    assert!(
+        mu + 1.0 < (bounds.1 + bounds.2) / 2.0,
+        "column 0 (RQ {rq}) is not below the filter's midpoint"
+    );
+    let level = Some((mu, 0.01));
+    let opts = ChfesOptions {
+        cheb_degree: 12,
+        block_size: 1,
+        mixed_precision: false,
+    };
+    let mut psi_ser = psi0.clone();
+    let ev_ser = chfes_reduced(&h_ser, &mut psi_ser, bounds, &opts, level, None, &NoReduce);
+
+    let (out, _) = run_cluster(shape.nranks(), |comm| {
+        let dist = DistSpace::on_grid(&space, Some(shape), comm.rank(), comm.size());
+        let shared = SharedComm::new(comm);
+        let reducer = GridReducer::new(&shared, &dist.grid, false);
+        let h = DistHamiltonian::<f64>::new(&dist, &shared, &v_eff, [1.0; 3], WirePrecision::Fp64);
+        let mut psi = Matrix::<f64>::from_fn(dist.dec.n_owned(), N, |l, j| {
+            psi0[(dist.dec.owned[l] as usize, j)]
+        });
+        let ev = chfes_reduced(&h, &mut psi, bounds, &opts, level, None, &reducer);
+        (ev, shared.failure())
+    });
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (rank, (ev, failure)) in out.iter().enumerate() {
+        assert!(failure.is_none(), "rank {rank}: {failure:?}");
+        assert_eq!(bits(ev), bits(&out[0].0), "rank {rank} disagrees");
+        for (e, s) in ev.iter().zip(&ev_ser) {
+            assert!((e - s).abs() <= 1e-10, "rank {rank}: {e} vs serial {s}");
         }
     }
 }

@@ -19,8 +19,8 @@ mkdir -p target
 cargo run -q --offline --release -p dft-lint -- --workspace --json > target/dft-lint.json
 echo "    JSON artifact: target/dft-lint.json"
 
-echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep, one distributed route, one ChFES cycle, one recurrence update, one rooted collective, one KS eigensolve step, one FE derivative, one trajectory loop, one durable writer, one thread-cap helper)"
-for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a recurrence_update ks_eigensolve accumulate_density deriv_mass deriv_mass_t trajectory_rank write_durable read_durable with_threads with_thread_share; do
+echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep, one distributed route, one ChFES cycle, one recurrence update, one rooted collective, one KS eigensolve step, one Fermi-Dirac function, one FE derivative, one trajectory loop, one durable writer, one thread-cap helper)"
+for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a recurrence_update ks_eigensolve accumulate_density fermi deriv_mass deriv_mass_t trajectory_rank write_durable read_durable with_threads with_thread_share; do
   n=$(grep -rhE "^\s*(pub(\([a-z]+\))? )?fn ${f}\b" crates/*/src | wc -l)
   if [ "$n" -ne 1 ]; then
     echo "    fn $f is defined $n times under crates/*/src (expected exactly 1)"
@@ -130,7 +130,7 @@ else
   cargo test -q --offline -p dft-parallel --features sanitize --test schedule
 fi
 
-echo "==> thread-count suite (pool of 1 and of 4 threads: shim contract, row-slab, filter-width, k-point-lane and thread-cap bit-identity, rank thread shares, a panicking job, scf-2k's reference energy and iteration pin at every lane shape)"
+echo "==> thread-count suite (pool of 1 and of 4 threads: shim contract, row-slab, filter-width, k-point-lane and thread-cap bit-identity, rank thread shares, a panicking job, scf-2k's reference energy and iteration pin at every lane shape, scf-wide's at filter widths 8 and 32)"
 for nt in 1 4; do
   RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p rayon
   RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p dft-fem --lib space::tests
@@ -139,6 +139,7 @@ for nt in 1 4; do
   RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p dft-parallel --test dist_oracle
   RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p dft-serve --test serve solver_panic
   RAYON_NUM_THREADS=$nt bash benchmark/run.sh --workload scf-2k --seed 1 --trace 0
+  RAYON_NUM_THREADS=$nt bash benchmark/run.sh --workload scf-wide --seed 1 --trace 0
 done
 
 echo "==> forced-fallback suite (DFT_SIMD=scalar: scalar tile must bit-match its oracle)"
