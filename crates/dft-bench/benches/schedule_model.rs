@@ -2,7 +2,7 @@
 //! schedule evaluation must stay cheap enough for interactive sweeps).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dft_hpc::event::{pipelined_blocks, Stream, Timeline};
+use dft_hpc::event::pipelined_blocks;
 use dft_hpc::machine::{ClusterSpec, MachineModel};
 use dft_hpc::schedule::{scf_step, DftSystemSpec, SolverOptions};
 use std::time::Duration;
@@ -17,26 +17,6 @@ fn bench_schedule(c: &mut Criterion) {
     let opts = SolverOptions::default();
     g.bench_function("scf_step_twindisloc_c", |b| {
         b.iter(|| scf_step(&sys, &opts, &cluster));
-    });
-    g.bench_function("timeline_10k_tasks", |b| {
-        b.iter(|| {
-            let mut tl = Timeline::new();
-            let mut prev = None;
-            for i in 0..10_000 {
-                let deps: Vec<_> = prev.into_iter().collect();
-                let t = tl.add(
-                    if i % 2 == 0 {
-                        Stream::Compute
-                    } else {
-                        Stream::Comm
-                    },
-                    1e-3,
-                    &deps,
-                );
-                prev = Some(t);
-            }
-            tl.makespan()
-        });
     });
     g.bench_function("pipelined_blocks_1000", |b| {
         b.iter(|| pipelined_blocks(1000, 1e-3, 8e-4, true));

@@ -6,7 +6,7 @@
 //!
 //! * [`system`] — atoms with Gaussian-smeared local pseudopotentials (the
 //!   ONCV substitution of DESIGN.md S3) or all-electron-style nuclei;
-//! * [`math`] — special functions (erf/erfc) the electrostatics needs;
+//! * [`math`] — the special function (erfc) the electrostatics needs;
 //! * [`xc`] — exchange-correlation: LDA (PW92), GGA (PBE), the
 //!   **hidden-truth** functional that stands in for quantum many-body
 //!   reference data (DESIGN.md S2), and the MLXC adapter wrapping

@@ -1,4 +1,5 @@
-//! Special functions: `erf`/`erfc` (Rust's std has neither).
+//! Special functions: `erfc` (Rust's std has none; the tests check it
+//! against `erf = 1 - erfc`).
 //!
 //! Implementation: W. J. Cody-style rational Chebyshev approximation via the
 //! Numerical Recipes `erfc` kernel, |relative error| < 1.2e-7 — ample for
@@ -27,31 +28,14 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Error function.
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
-}
-
-/// The well-behaved ratio `erf(a r) / r`, finite at `r = 0` (limit
-/// `2 a / sqrt(pi)`), which is the potential of a unit Gaussian charge.
-/// For small `a r` the rational `erf` approximation loses relative
-/// accuracy, so the Maclaurin series of `erf(x)/x` is used instead.
-pub fn erf_over_r(a: f64, r: f64) -> f64 {
-    let x = a * r;
-    if x < 0.3 {
-        // erf(x)/x = 2/sqrt(pi) (1 - x^2/3 + x^4/10 - x^6/42 + x^8/216)
-        let x2 = x * x;
-        let series =
-            1.0 - x2 / 3.0 + x2 * x2 / 10.0 - x2 * x2 * x2 / 42.0 + x2 * x2 * x2 * x2 / 216.0;
-        2.0 * a / std::f64::consts::PI.sqrt() * series
-    } else {
-        erf(x) / r
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Error function.
+    fn erf(x: f64) -> f64 {
+        1.0 - erfc(x)
+    }
 
     #[test]
     fn erf_known_values() {
@@ -77,15 +61,6 @@ mod tests {
         for &x in &[-2.0, -0.3, 0.0, 0.7, 1.9, 4.0] {
             assert!((erf(x) + erfc(x) - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn erf_over_r_limit_at_origin() {
-        let a = 1.7;
-        let exact = 2.0 * a / std::f64::consts::PI.sqrt();
-        assert!((erf_over_r(a, 0.0) - exact).abs() < 1e-12);
-        // continuity: small r approaches the limit
-        assert!((erf_over_r(a, 1e-6) - exact).abs() < 1e-6);
     }
 
     #[test]

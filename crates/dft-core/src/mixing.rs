@@ -30,12 +30,7 @@ impl AndersonMixer {
     }
 
     /// Produce the next input density from `(rho_in, rho_out)` of the
-    /// current SCF step.
-    pub fn mix(&mut self, rho_in: &[f64], rho_out: &[f64]) -> Vec<f64> {
-        self.mix_with(rho_in, rho_out, &|_| {})
-    }
-
-    /// [`Self::mix`] with a cross-rank reduction hook for the `m x m`
+    /// current SCF step, with a cross-rank reduction hook for the `m x m`
     /// residual Gram matrix: a distributed SCF passes weights masked to its
     /// owned nodes and sums the partial Grams with `reduce_gram` (an
     /// allreduce), after which every rank solves the same small system and
@@ -91,11 +86,6 @@ impl AndersonMixer {
             }
         }
         out
-    }
-
-    /// Drop the history (e.g. after a big change in the Hamiltonian).
-    pub fn reset(&mut self) {
-        self.history.clear();
     }
 
     /// The retained `(rho_in, residual)` history, oldest first — what a
@@ -176,6 +166,13 @@ fn solve_constrained(b: &[f64], m: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AndersonMixer {
+        /// The serial mixing step: no cross-rank Gram reduction.
+        fn mix(&mut self, rho_in: &[f64], rho_out: &[f64]) -> Vec<f64> {
+            self.mix_with(rho_in, rho_out, &|_| {})
+        }
+    }
 
     #[test]
     fn first_step_is_linear_mixing() {
@@ -262,15 +259,5 @@ mod tests {
         ]);
         assert_eq!(c.history().len(), 2);
         assert_eq!(c.history()[0].0, vec![1.0; 3]);
-    }
-
-    #[test]
-    fn reset_clears_history() {
-        let mut mx = AndersonMixer::new(0.4, 4, vec![1.0; 2]);
-        let _ = mx.mix(&[1.0, 2.0], &[1.5, 1.5]);
-        mx.reset();
-        // behaves like first step again
-        let mixed = mx.mix(&[1.0, 2.0], &[2.0, 1.0]);
-        assert!((mixed[0] - (1.0 + 0.4)).abs() < 1e-14);
     }
 }

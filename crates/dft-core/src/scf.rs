@@ -254,18 +254,6 @@ pub fn scf(
     }
 }
 
-/// Force the complex-scalar code path regardless of the k-point set
-/// (used by tests to validate the Bloch machinery at Γ).
-pub fn scf_complex(
-    space: &FeSpace,
-    system: &AtomicSystem,
-    xc: &dyn XcFunctional,
-    cfg: &ScfConfig,
-    kpts: &[KPoint],
-) -> ScfResult {
-    scf_serial::<C64>(space, system, xc, cfg, kpts)
-}
-
 /// Scalars the SCF loop runs on: [`Scalar`] plus the imaginary unit the
 /// Bloch phases are built from.
 pub trait ScalarExt: Scalar {
@@ -961,7 +949,7 @@ mod tests {
         }]);
         let cfg = quick_cfg(4);
         let r_real = scf(&space, &sys, &Lda, &cfg, &[KPoint::gamma()]);
-        let r_cplx = scf_complex(&space, &sys, &Lda, &cfg, &[KPoint::gamma()]);
+        let r_cplx = scf_serial::<C64>(&space, &sys, &Lda, &cfg, &[KPoint::gamma()]);
         assert!(r_real.converged && r_cplx.converged);
         assert!(
             (r_real.energy.free_energy - r_cplx.energy.free_energy).abs() < 1e-5,
@@ -1221,10 +1209,6 @@ mod tests {
         // the merged tail row carries the Poisson + density FLOPs
         assert!(prof.phase_flops("EP") > 0);
         assert!(prof.phase_flops("DC") > 0);
-
-        // the report survives a JSON round trip bit-for-bit
-        let back = ScfProfile::from_json(&prof.to_json()).unwrap();
-        assert_eq!(back, prof);
         assert_eq!(prof.table3_rows().len(), 9);
     }
 }

@@ -1,4 +1,5 @@
-//! Gauss-Legendre and Gauss-Lobatto-Legendre quadrature on `[-1, 1]`.
+//! Gauss-Lobatto-Legendre quadrature on `[-1, 1]` (the tests cross-check
+//! the shared Legendre recurrence with a Gauss-Legendre rule).
 //!
 //! GLL collocation is the heart of the spectral-element method: placing the
 //! Lagrange nodes *at* the quadrature points renders the FE mass matrix
@@ -31,39 +32,6 @@ pub fn legendre(n: usize, x: f64) -> (f64, f64) {
         sign * (n * (n + 1)) as f64 / 2.0
     };
     (p1, dp)
-}
-
-/// Gauss-Legendre quadrature: `n` nodes and weights, exact for polynomials
-/// of degree `2n - 1`.
-pub fn gauss_legendre(n: usize) -> (Vec<f64>, Vec<f64>) {
-    assert!(n >= 1);
-    let mut nodes = vec![0.0; n];
-    let mut weights = vec![0.0; n];
-    for i in 0..n {
-        // Chebyshev initial guess, refined by Newton on P_n.
-        let mut x = (std::f64::consts::PI * (i as f64 + 0.75) / (n as f64 + 0.5)).cos();
-        for _ in 0..100 {
-            let (p, dp) = legendre(n, x);
-            let dx = p / dp;
-            x -= dx;
-            if dx.abs() < 1e-15 {
-                break;
-            }
-        }
-        let (_, dp) = legendre(n, x);
-        nodes[n - 1 - i] = x;
-        weights[n - 1 - i] = 2.0 / ((1.0 - x * x) * dp * dp);
-    }
-    nodes.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    // weights are symmetric; recompute in sorted order
-    let weights = nodes
-        .iter()
-        .map(|&x| {
-            let (_, dp) = legendre(n, x);
-            2.0 / ((1.0 - x * x) * dp * dp)
-        })
-        .collect();
-    (nodes, weights)
 }
 
 /// Gauss-Lobatto-Legendre quadrature with `n >= 2` nodes (endpoints
@@ -107,6 +75,39 @@ pub fn gauss_lobatto_legendre(n: usize) -> (Vec<f64>, Vec<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Gauss-Legendre quadrature: `n` nodes and weights, exact for polynomials
+    /// of degree `2n - 1` — a second rule on the shared [`legendre`] helper.
+    fn gauss_legendre(n: usize) -> (Vec<f64>, Vec<f64>) {
+        assert!(n >= 1);
+        let mut nodes = vec![0.0; n];
+        let mut weights = vec![0.0; n];
+        for i in 0..n {
+            // Chebyshev initial guess, refined by Newton on P_n.
+            let mut x = (std::f64::consts::PI * (i as f64 + 0.75) / (n as f64 + 0.5)).cos();
+            for _ in 0..100 {
+                let (p, dp) = legendre(n, x);
+                let dx = p / dp;
+                x -= dx;
+                if dx.abs() < 1e-15 {
+                    break;
+                }
+            }
+            let (_, dp) = legendre(n, x);
+            nodes[n - 1 - i] = x;
+            weights[n - 1 - i] = 2.0 / ((1.0 - x * x) * dp * dp);
+        }
+        nodes.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        // weights are symmetric; recompute in sorted order
+        let weights = nodes
+            .iter()
+            .map(|&x| {
+                let (_, dp) = legendre(n, x);
+                2.0 / ((1.0 - x * x) * dp * dp)
+            })
+            .collect();
+        (nodes, weights)
+    }
 
     fn integrate(nodes: &[f64], weights: &[f64], f: impl Fn(f64) -> f64) -> f64 {
         nodes.iter().zip(weights).map(|(&x, &w)| w * f(x)).sum()

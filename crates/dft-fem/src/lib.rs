@@ -7,7 +7,7 @@
 //! adaptive spectral FE basis of polynomial degree p = 6-8 (Sec. 5.4.1).
 //! This crate reproduces that substrate:
 //!
-//! * [`gll`] — Gauss-Legendre and Gauss-Lobatto-Legendre (GLL) quadrature;
+//! * [`gll`] — Gauss-Lobatto-Legendre (GLL) quadrature;
 //! * [`basis`] — 1D Lagrange bases on GLL nodes with barycentric
 //!   differentiation matrices;
 //! * [`mesh`] — tensor-product hexahedral meshes with per-axis grading
@@ -42,7 +42,7 @@ pub mod space;
 
 pub use basis::Lagrange1d;
 pub use field::NodalField;
-pub use gll::{gauss_legendre, gauss_lobatto_legendre};
+pub use gll::gauss_lobatto_legendre;
 pub use mesh::{Axis, BoundaryCondition, Mesh3d};
 pub use partition::{dof_owners, node_owners, partition_cells, CellRange};
 pub use poisson::{solve_poisson, PoissonBc};

@@ -628,22 +628,6 @@ impl FeSpace {
             .sum()
     }
 
-    /// Expand a DoF vector to a full nodal vector (Dirichlet nodes get 0).
-    pub fn dofs_to_nodes<T: Scalar>(&self, x: &[T]) -> Vec<T> {
-        assert_eq!(x.len(), self.ndofs);
-        let mut out = vec![T::ZERO; self.nnodes];
-        for (d, &n) in self.node_of_dof.iter().enumerate() {
-            out[n as usize] = x[d];
-        }
-        out
-    }
-
-    /// Restrict a full nodal vector to DoFs.
-    pub fn nodes_to_dofs<T: Scalar>(&self, x: &[T]) -> Vec<T> {
-        assert_eq!(x.len(), self.nnodes);
-        self.node_of_dof.iter().map(|&n| x[n as usize]).collect()
-    }
-
     /// Gather cell values from a *DoF* vector (Dirichlet nodes read as 0).
     pub fn gather_cell_dofs<T: Scalar>(
         &self,
@@ -1054,6 +1038,7 @@ impl FeSpace {
     /// re-derivation, per-column scratch allocation) — retained as the
     /// golden-value oracle for [`Self::apply_stiffness`] and as the "before"
     /// baseline of the kernel benchmarks.
+    // dftlint:allow(L009, reason="golden-value oracle of dft-fem/tests/golden_stiffness.rs and space::tests")
     pub fn apply_stiffness_reference<T: Scalar>(
         &self,
         x: &Matrix<T>,

@@ -74,13 +74,4 @@ proptest! {
         }
         prop_assert!((b[0] - 0.0).abs() < 1e-12 && (b[b.len()-1] - 10.0).abs() < 1e-12);
     }
-
-    #[test]
-    fn dofs_to_nodes_round_trip(p in arb_degree()) {
-        let s = FeSpace::new(Mesh3d::cube(2, 3.0, p));
-        let x: Vec<f64> = (0..s.ndofs()).map(|i| (i as f64 * 0.37).sin()).collect();
-        let full = s.dofs_to_nodes(&x);
-        let back = s.nodes_to_dofs(&full);
-        prop_assert_eq!(back, x);
-    }
 }

@@ -151,6 +151,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// Kill `rank` as soon as its epoch counter reaches `epoch`.
+    // dftlint:allow(L009, reason="fault injection of dft-parallel/tests/fault_tolerance.rs and dft-serve/tests/serve.rs")
     pub fn kill_at_epoch(rank: usize, epoch: u64) -> Self {
         Self {
             kills: vec![KillRule {
@@ -165,6 +166,7 @@ impl FaultPlan {
 
     /// Kill `rank` on its `(after_matches + 1)`-th send with a wire tag in
     /// `tags`, once its epoch counter has reached `epoch`.
+    // dftlint:allow(L009, reason="fault injection of dft-parallel/tests/fault_tolerance.rs")
     pub fn kill_on_send(rank: usize, epoch: u64, tags: (u64, u64), after_matches: u64) -> Self {
         Self {
             kills: vec![KillRule {
@@ -175,12 +177,6 @@ impl FaultPlan {
             }],
             delays: Vec::new(),
         }
-    }
-
-    /// Add a delay rule to this plan (builder style).
-    pub fn with_delay(mut self, rank: Option<usize>, tags: (u64, u64), delay: Duration) -> Self {
-        self.delays.push(DelayRule { rank, tags, delay });
-        self
     }
 }
 
@@ -339,6 +335,7 @@ impl Default for ClusterOptions {
 
 impl ClusterOptions {
     /// Fault-free options with the given receive timeout.
+    // dftlint:allow(L009, reason="short deadlines of dft-parallel/tests/fault_tolerance.rs")
     pub fn with_timeout(timeout: Duration) -> Self {
         Self {
             timeout,
@@ -479,6 +476,7 @@ impl CommStats {
     }
 
     /// Snapshot of the fault counters `(timeouts, kills, delayed sends)`.
+    // dftlint:allow(L009, reason="fault accounting of dft-parallel/tests/fault_tolerance.rs")
     pub fn fault_snapshot(&self) -> (u64, u64, u64) {
         (
             self.timeouts.load(Ordering::Relaxed),
@@ -566,12 +564,6 @@ impl ThreadComm {
     fn poison<T>(&mut self, err: CommError) -> Result<T, CommError> {
         self.fail(err);
         Err(err)
-    }
-
-    /// Clear a recorded failure (drivers/tests that deliberately continue
-    /// after a fault, e.g. to drain state before a restart).
-    pub fn clear_failure(&mut self) {
-        self.failed = None;
     }
 
     #[inline]
@@ -1129,6 +1121,21 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultPlan {
+        /// Add a delay rule to this plan (builder style).
+        fn with_delay(mut self, rank: Option<usize>, tags: (u64, u64), delay: Duration) -> Self {
+            self.delays.push(DelayRule { rank, tags, delay });
+            self
+        }
+    }
+
+    impl ThreadComm {
+        /// Clear a recorded failure, to go on after a deliberate fault.
+        fn clear_failure(&mut self) {
+            self.failed = None;
+        }
+    }
 
     #[test]
     fn ring_pass_point_to_point() {

@@ -1,171 +1,109 @@
-//! Dual-stream discrete-event timeline.
+//! Two-stream compute/communication overlap, in closed form.
 //!
 //! The paper overlaps GPU compute with data movement by issuing work on two
 //! GPU streams (Sec. 5.4.3): while block `k` of `H X` is being computed, the
-//! partition-boundary communication of block `k-1` is in flight. This module
-//! reproduces that execution model: tasks are bound to a [`Stream`], run in
-//! issue order within their stream, and may additionally depend on tasks in
-//! other streams. The makespan of such a DAG is exactly the walltime the
-//! overlap schedule would achieve.
+//! partition-boundary communication of block `k-1` is in flight. The one
+//! schedule the performance model prices this way is a pipeline of equal
+//! blocks, and its makespan has a closed form ([`pipelined_blocks`]); the
+//! tests check it against a discrete-event queue.
 
-/// Execution stream of a task.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum Stream {
-    /// GPU compute stream.
-    Compute,
-    /// Data-movement stream (MPI / NCCL / host-device copies).
-    Comm,
-    /// Host (CPU) serial work.
-    Host,
-}
-
-/// Identifier returned by [`Timeline::add`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct TaskId(usize);
-
-struct Task {
-    stream: Stream,
-    duration: f64,
-    deps: Vec<TaskId>,
-    finish: f64,
-}
-
-/// An append-only task DAG with per-stream FIFO ordering.
-#[derive(Default)]
-pub struct Timeline {
-    tasks: Vec<Task>,
-}
-
-impl Timeline {
-    /// Empty timeline.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a task of `duration` seconds on `stream`, ordered after all
-    /// earlier tasks on the same stream and after every task in `deps`.
-    /// Durations must be non-negative.
-    pub fn add(&mut self, stream: Stream, duration: f64, deps: &[TaskId]) -> TaskId {
-        assert!(duration >= 0.0 && duration.is_finite());
-        // compute finish time eagerly: stream-FIFO + dep edges
-        let stream_ready = self
-            .tasks
-            .iter()
-            .filter(|t| t.stream == stream)
-            .map(|t| t.finish)
-            .fold(0.0, f64::max);
-        let dep_ready = deps
-            .iter()
-            .map(|d| self.tasks[d.0].finish)
-            .fold(0.0, f64::max);
-        let start = stream_ready.max(dep_ready);
-        let finish = start + duration;
-        self.tasks.push(Task {
-            stream,
-            duration,
-            deps: deps.to_vec(),
-            finish,
-        });
-        TaskId(self.tasks.len() - 1)
-    }
-
-    /// Finish time of a specific task.
-    pub fn finish_of(&self, id: TaskId) -> f64 {
-        self.tasks[id.0].finish
-    }
-
-    /// Total makespan (finish time of the last-finishing task).
-    pub fn makespan(&self) -> f64 {
-        self.tasks.iter().map(|t| t.finish).fold(0.0, f64::max)
-    }
-
-    /// Sum of all task durations (the walltime a fully serial schedule
-    /// would take) — useful for quantifying overlap benefit.
-    pub fn serial_time(&self) -> f64 {
-        self.tasks.iter().map(|t| t.duration).sum()
-    }
-
-    /// Busy time per stream.
-    pub fn stream_time(&self, stream: Stream) -> f64 {
-        self.tasks
-            .iter()
-            .filter(|t| t.stream == stream)
-            .map(|t| t.duration)
-            .sum()
-    }
-
-    /// Number of tasks.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// True when no tasks have been added.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// Consistency check used in tests: every task finishes no earlier than
-    /// each of its dependencies plus its own duration.
-    pub fn validate(&self) -> bool {
-        self.tasks.iter().all(|t| {
-            t.deps
-                .iter()
-                .all(|d| t.finish >= self.tasks[d.0].finish + t.duration - 1e-12)
-        })
-    }
-}
-
-/// Build the classic pipelined block schedule: `n` blocks, each with a
-/// compute task and a communication task that depends on its compute; with
-/// `overlap`, comm of block `k` proceeds while compute of block `k+1` runs
-/// (two streams), otherwise everything serializes on one stream.
+/// Makespan of the pipelined block schedule: `n` blocks, each a compute
+/// task of `t_compute` followed by a communication task of `t_comm` that
+/// depends on it.
 ///
-/// Returns the makespan. This is the paper's Sec. 5.4.3 pattern for the
-/// `H X` boundary exchange and for the CholGS-S / RR-P allreduce pipelines.
+/// Without `overlap` everything serializes on one stream:
+/// `n (t_compute + t_comm)`. With `overlap` the communication of block `k`
+/// runs on a second stream while block `k+1` computes, so the busier stream
+/// sets the pace and only the other stream's first (or last) task is
+/// exposed: `min(t_compute, t_comm) + n max(t_compute, t_comm)`. No blocks
+/// take no time.
+///
+/// This is the paper's Sec. 5.4.3 pattern for the `H X` boundary exchange
+/// and for the CholGS-S / RR-P allreduce pipelines.
 pub fn pipelined_blocks(n: usize, t_compute: f64, t_comm: f64, overlap: bool) -> f64 {
-    let mut tl = Timeline::new();
-    for _ in 0..n {
-        let comm_stream = if overlap {
-            Stream::Comm
-        } else {
-            Stream::Compute
-        };
-        let c = tl.add(Stream::Compute, t_compute, &[]);
-        tl.add(comm_stream, t_comm, &[c]);
+    if n == 0 {
+        return 0.0;
     }
-    tl.makespan()
+    let n = n as f64;
+    if overlap {
+        t_compute.min(t_comm) + n * t_compute.max(t_comm)
+    } else {
+        n * (t_compute + t_comm)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const COMPUTE: usize = 0;
+    const COMM: usize = 1;
+
+    /// The discrete-event oracle: a task starts once every earlier task on
+    /// its stream and every dependency has finished.
+    #[derive(Default)]
+    struct Queue {
+        /// `(stream, finish time)` of every task, in issue order.
+        tasks: Vec<(usize, f64)>,
+    }
+
+    impl Queue {
+        fn add(&mut self, stream: usize, duration: f64, deps: &[usize]) -> usize {
+            let stream_ready = self.tasks.iter().filter(|t| t.0 == stream).map(|t| t.1);
+            let start = deps
+                .iter()
+                .map(|&d| self.tasks[d].1)
+                .chain(stream_ready)
+                .fold(0.0, f64::max);
+            self.tasks.push((stream, start + duration));
+            self.tasks.len() - 1
+        }
+
+        fn finish(&self, id: usize) -> f64 {
+            self.tasks[id].1
+        }
+
+        fn makespan(&self) -> f64 {
+            self.tasks.iter().map(|t| t.1).fold(0.0, f64::max)
+        }
+    }
+
+    /// The event-queue schedule that [`pipelined_blocks`] is the closed
+    /// form of.
+    fn pipelined_oracle(n: usize, t_compute: f64, t_comm: f64, overlap: bool) -> f64 {
+        let mut q = Queue::default();
+        for _ in 0..n {
+            let c = q.add(COMPUTE, t_compute, &[]);
+            q.add(if overlap { COMM } else { COMPUTE }, t_comm, &[c]);
+        }
+        q.makespan()
+    }
+
     #[test]
     fn serial_chain_adds_up() {
-        let mut tl = Timeline::new();
-        let a = tl.add(Stream::Compute, 1.0, &[]);
-        let b = tl.add(Stream::Compute, 2.0, &[a]);
-        tl.add(Stream::Compute, 3.0, &[b]);
-        assert!((tl.makespan() - 6.0).abs() < 1e-12);
-        assert!(tl.validate());
+        let mut q = Queue::default();
+        let a = q.add(COMPUTE, 1.0, &[]);
+        let b = q.add(COMPUTE, 2.0, &[a]);
+        q.add(COMPUTE, 3.0, &[b]);
+        assert!((q.makespan() - 6.0).abs() < 1e-12);
     }
 
     #[test]
     fn independent_streams_overlap() {
-        let mut tl = Timeline::new();
-        tl.add(Stream::Compute, 5.0, &[]);
-        tl.add(Stream::Comm, 3.0, &[]);
-        assert!((tl.makespan() - 5.0).abs() < 1e-12);
-        assert!((tl.serial_time() - 8.0).abs() < 1e-12);
+        let mut q = Queue::default();
+        let a = q.add(COMPUTE, 5.0, &[]);
+        let b = q.add(COMM, 3.0, &[]);
+        assert!((q.makespan() - 5.0).abs() < 1e-12);
+        assert!((q.finish(a) - 5.0).abs() < 1e-12 && (q.finish(b) - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn cross_stream_dependency_respected() {
-        let mut tl = Timeline::new();
-        let a = tl.add(Stream::Compute, 2.0, &[]);
-        let b = tl.add(Stream::Comm, 1.0, &[a]);
-        let c = tl.add(Stream::Compute, 1.0, &[b]);
-        assert!((tl.finish_of(c) - 4.0).abs() < 1e-12);
+        let mut q = Queue::default();
+        let a = q.add(COMPUTE, 2.0, &[]);
+        let b = q.add(COMM, 1.0, &[a]);
+        let c = q.add(COMPUTE, 1.0, &[b]);
+        assert!((q.finish(c) - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -186,18 +124,18 @@ mod tests {
     }
 
     #[test]
-    fn stream_times_partition_serial_time() {
-        let mut tl = Timeline::new();
-        tl.add(Stream::Compute, 1.5, &[]);
-        tl.add(Stream::Comm, 2.5, &[]);
-        tl.add(Stream::Host, 0.5, &[]);
-        assert!(
-            (tl.stream_time(Stream::Compute)
-                + tl.stream_time(Stream::Comm)
-                + tl.stream_time(Stream::Host)
-                - tl.serial_time())
-            .abs()
-                < 1e-12
-        );
+    fn closed_form_matches_the_event_queue() {
+        for n in [0, 1, 2, 7, 1000] {
+            for (t_compute, t_comm) in [(0.3, 1.1), (0.7, 0.7), (1.3, 0.2)] {
+                for overlap in [false, true] {
+                    let got = pipelined_blocks(n, t_compute, t_comm, overlap);
+                    let want = pipelined_oracle(n, t_compute, t_comm, overlap);
+                    assert!(
+                        (got - want).abs() <= 1e-12 * want,
+                        "n={n} t_c={t_compute} t_m={t_comm} overlap={overlap}: {got} vs {want}"
+                    );
+                }
+            }
+        }
     }
 }

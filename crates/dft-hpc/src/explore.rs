@@ -69,17 +69,6 @@ impl SchedulePlan {
             delay_one_in: 8,
         }
     }
-
-    /// An aggressive plan for explorer self-tests: delay every send, with
-    /// a larger cap, so arrival order is dominated by the seeded delays.
-    #[must_use]
-    pub fn aggressive(seed: u64) -> Self {
-        Self {
-            seed,
-            max_delay: Duration::from_millis(4),
-            delay_one_in: 1,
-        }
-    }
 }
 
 /// Per-rank perturbation state derived from a [`SchedulePlan`].
@@ -166,6 +155,7 @@ pub fn schedule_seed(base_seed: u64, k: usize) -> u64 {
 /// [`ScheduleDivergence`] found. `proto` supplies timeout/fault settings;
 /// its own `schedule` field is overridden per iteration. With
 /// `n_schedules == 0` the closure runs once, unperturbed.
+// dftlint:allow(L009, reason="the schedule explorer of dft-parallel/tests/schedule.rs")
 pub fn explore_schedules<T, F>(
     n_ranks: usize,
     n_schedules: usize,
@@ -207,6 +197,7 @@ where
 /// `default_n`, `off`/`0` disables exploration, any other value is parsed
 /// as the count (falling back to `default_n`).
 #[must_use]
+// dftlint:allow(L009, reason="schedule count of dft-parallel/tests/schedule.rs")
 pub fn schedules_from_env(default_n: usize) -> usize {
     match std::env::var("DFT_SCHED_EXPLORE") {
         Err(_) => default_n,
@@ -219,6 +210,19 @@ pub fn schedules_from_env(default_n: usize) -> usize {
 mod tests {
     use super::*;
     use crate::comm::WirePrecision;
+
+    impl SchedulePlan {
+        /// An aggressive plan for explorer self-tests: delay every send,
+        /// with a larger cap, so arrival order is dominated by the seeded
+        /// delays.
+        fn aggressive(seed: u64) -> Self {
+            Self {
+                seed,
+                max_delay: Duration::from_millis(4),
+                delay_one_in: 1,
+            }
+        }
+    }
 
     /// An order-DEPENDENT comm program: rank 0 polls ranks 1 and 2 with
     /// `try_recv_bytes` and records arrival order. The seeded send delays

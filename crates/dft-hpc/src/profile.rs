@@ -347,21 +347,10 @@ pub struct ScfProfile {
 }
 
 impl ScfProfile {
-    /// Serialize to JSON.
-    pub fn to_json(&self) -> String {
-        // dftlint:allow(L001, reason="plain-data struct; serde_json serialization is infallible here")
-        serde_json::to_string(self).expect("serializable")
-    }
-
     /// Serialize to pretty-printed JSON.
     pub fn to_json_pretty(&self) -> String {
         // dftlint:allow(L001, reason="plain-data struct; serde_json serialization is infallible here")
         serde_json::to_string_pretty(self).expect("serializable")
-    }
-
-    /// Parse from JSON.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
     }
 
     /// Cumulative seconds of the phase labeled `label` (0 if absent).
@@ -550,10 +539,8 @@ mod tests {
         }
         p.scope(Phase::RrSr);
         let rep = p.finish(Some(0.5));
-        let back = ScfProfile::from_json(&rep.to_json()).unwrap();
+        let back: ScfProfile = serde_json::from_str(&rep.to_json_pretty()).unwrap();
         assert_eq!(back, rep);
-        let back2 = ScfProfile::from_json(&rep.to_json_pretty()).unwrap();
-        assert_eq!(back2, rep);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Cusp correction of target densities.
+//! Cusp correction of target densities, checked in the tests only: no
+//! invDFT path feeds it a Gaussian-basis density yet.
 //!
 //! The paper mitigates Gaussian-basis artifacts in QMB densities by adding
 //! a nuclear cusp correction near each nucleus (Sec. 5.1): exact densities
@@ -8,69 +9,68 @@
 //! ball around each nucleus, preserving the total charge by global
 //! renormalization.
 
-use dft_fem::field::NodalField;
-use dft_fem::space::FeSpace;
-
-/// Apply a Kato-cusp correction around each `(z, position)` nucleus within
-/// radius `r_cusp`. Returns the corrected (renormalized) density.
-pub fn cusp_correct_density(
-    space: &FeSpace,
-    rho: &NodalField,
-    nuclei: &[(f64, [f64; 3])],
-    r_cusp: f64,
-) -> NodalField {
-    let mut out = rho.values.clone();
-    for &(z, pos) in nuclei {
-        // density value at the blend radius (FE interpolation)
-        for n in 0..space.nnodes() {
-            let c = space.node_coord(n);
-            let r = ((c[0] - pos[0]).powi(2) + (c[1] - pos[1]).powi(2) + (c[2] - pos[2]).powi(2))
-                .sqrt();
-            if r < r_cusp {
-                // rho_cusp(r) = rho(r_cusp) * exp(-2 Z (r - r_cusp)) gives
-                // the exact log-derivative -2Z; blend smoothly
-                let edge = sample_radial(space, rho, pos, r_cusp);
-                let cusp = edge * (-2.0 * z * (r - r_cusp)).exp();
-                let t = r / r_cusp; // 0 at nucleus, 1 at the edge
-                let blend = t * t * (3.0 - 2.0 * t); // smoothstep
-                out[n] = blend * out[n] + (1.0 - blend) * cusp;
-            }
-        }
-    }
-    // renormalize total charge
-    let q_old = space.integrate(&rho.values);
-    let q_new = space.integrate(&out);
-    if q_new > 1e-12 {
-        let s = q_old / q_new;
-        for v in out.iter_mut() {
-            *v *= s;
-        }
-    }
-    NodalField::from_values(space, out)
-}
-
-fn sample_radial(space: &FeSpace, rho: &NodalField, pos: [f64; 3], r: f64) -> f64 {
-    // spherical average over a few directions
-    let dirs = [
-        [1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, -1.0, 0.0],
-        [0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0],
-    ];
-    let mut acc = 0.0;
-    for d in dirs {
-        let p = [pos[0] + r * d[0], pos[1] + r * d[1], pos[2] + r * d[2]];
-        acc += rho.eval(space, p);
-    }
-    acc / dirs.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use dft_fem::field::NodalField;
     use dft_fem::mesh::Mesh3d;
+    use dft_fem::space::FeSpace;
+
+    /// Apply a Kato-cusp correction around each `(z, position)` nucleus within
+    /// radius `r_cusp`. Returns the corrected (renormalized) density.
+    fn cusp_correct_density(
+        space: &FeSpace,
+        rho: &NodalField,
+        nuclei: &[(f64, [f64; 3])],
+        r_cusp: f64,
+    ) -> NodalField {
+        let mut out = rho.values.clone();
+        for &(z, pos) in nuclei {
+            // density value at the blend radius (FE interpolation)
+            for n in 0..space.nnodes() {
+                let c = space.node_coord(n);
+                let r =
+                    ((c[0] - pos[0]).powi(2) + (c[1] - pos[1]).powi(2) + (c[2] - pos[2]).powi(2))
+                        .sqrt();
+                if r < r_cusp {
+                    // rho_cusp(r) = rho(r_cusp) * exp(-2 Z (r - r_cusp)) gives
+                    // the exact log-derivative -2Z; blend smoothly
+                    let edge = sample_radial(space, rho, pos, r_cusp);
+                    let cusp = edge * (-2.0 * z * (r - r_cusp)).exp();
+                    let t = r / r_cusp; // 0 at nucleus, 1 at the edge
+                    let blend = t * t * (3.0 - 2.0 * t); // smoothstep
+                    out[n] = blend * out[n] + (1.0 - blend) * cusp;
+                }
+            }
+        }
+        // renormalize total charge
+        let q_old = space.integrate(&rho.values);
+        let q_new = space.integrate(&out);
+        if q_new > 1e-12 {
+            let s = q_old / q_new;
+            for v in out.iter_mut() {
+                *v *= s;
+            }
+        }
+        NodalField::from_values(space, out)
+    }
+
+    fn sample_radial(space: &FeSpace, rho: &NodalField, pos: [f64; 3], r: f64) -> f64 {
+        // spherical average over a few directions
+        let dirs = [
+            [1.0, 0.0, 0.0],
+            [-1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, -1.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [0.0, 0.0, -1.0],
+        ];
+        let mut acc = 0.0;
+        for d in dirs {
+            let p = [pos[0] + r * d[0], pos[1] + r * d[1], pos[2] + r * d[2]];
+            acc += rho.eval(space, p);
+        }
+        acc / dirs.len() as f64
+    }
 
     #[test]
     fn cusp_preserves_charge_and_sharpens_center() {

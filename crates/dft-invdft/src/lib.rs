@@ -36,8 +36,7 @@
 // indexed loops deliberately mirror the paper's subscript notation
 #![allow(clippy::needless_range_loop)]
 
-pub mod cusp;
+mod cusp;
 pub mod invert;
 
-pub use cusp::cusp_correct_density;
 pub use invert::{invert, InvDftConfig, InvDftResult};

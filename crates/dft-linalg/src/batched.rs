@@ -173,6 +173,7 @@ pub fn batched_gemm<T: Scalar>(
 
 /// The seed per-member axpy batched GEMM, kept as the correctness reference
 /// and benchmark baseline (see [`crate::gemm::gemm_reference`]).
+// dftlint:allow(L009, reason="oracle of batched::tests")
 pub fn batched_gemm_reference<T: Scalar>(
     layout: BatchLayout,
     alpha: T,

@@ -15,23 +15,6 @@ pub fn axpy<T: Scalar>(a: T, x: &[T], y: &mut [T]) {
     }
 }
 
-/// `y = a * x + b * y` (scaled update used by the Chebyshev recurrence).
-#[inline]
-pub fn axpby<T: Scalar>(a: T, x: &[T], b: T, y: &mut [T]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, &xi) in y.iter_mut().zip(x.iter()) {
-        *yi = a * xi + b * *yi;
-    }
-}
-
-/// `x *= a`.
-#[inline]
-pub fn scal<T: Scalar>(a: T, x: &mut [T]) {
-    for xi in x.iter_mut() {
-        *xi *= a;
-    }
-}
-
 /// Conjugated inner product `<x, y> = sum_i conj(x_i) y_i`.
 #[inline]
 pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
@@ -53,13 +36,6 @@ pub fn nrm2<T: Scalar>(x: &[T]) -> T::Re {
     acc.sqrt()
 }
 
-/// Entrywise copy (shape-checked in debug builds).
-#[inline]
-pub fn copy<T: Scalar>(x: &[T], y: &mut [T]) {
-    debug_assert_eq!(x.len(), y.len());
-    y.copy_from_slice(x);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,14 +47,6 @@ mod tests {
         let mut y = vec![10.0, 20.0, 30.0];
         axpy(2.0, &x, &mut y);
         assert_eq!(y, vec![12.0, 24.0, 36.0]);
-    }
-
-    #[test]
-    fn axpby_matches_manual() {
-        let x = vec![1.0, -1.0];
-        let mut y = vec![3.0, 5.0];
-        axpby(2.0, &x, -1.0, &mut y);
-        assert_eq!(y, vec![-1.0, -7.0]);
     }
 
     #[test]

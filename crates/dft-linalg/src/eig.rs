@@ -129,7 +129,8 @@ mod tests {
 
     #[test]
     fn diag_matrix_is_fixed_point() {
-        let a = Matrix::from_diag(&[3.0_f64, -1.0, 2.0]);
+        let d = [3.0_f64, -1.0, 2.0];
+        let a = Matrix::from_fn(3, 3, |i, j| if i == j { d[i] } else { 0.0 });
         let e = eigh(&a).unwrap();
         assert_eq!(e.eigenvalues, vec![-1.0, 2.0, 3.0]);
     }

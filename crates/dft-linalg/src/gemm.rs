@@ -133,6 +133,7 @@ pub fn gemm_slices<T: Scalar>(
 /// The seed unblocked column-axpy/dot GEMM, kept verbatim as the
 /// correctness reference for the blocked engine and as the "before"
 /// baseline of the kernel benchmarks. Semantics are identical to [`gemm`].
+// dftlint:allow(L009, reason="oracle of dft-linalg/tests/simd_parity.rs and pack::tests")
 pub fn gemm_reference<T: Scalar>(
     alpha: T,
     a: &Matrix<T>,
@@ -406,8 +407,8 @@ mod tests {
         let mut c = test_mat(3, 3, 2.0);
         let c0 = c.clone();
         gemm(2.0, &a, Op::None, &b, Op::None, -1.0, &mut c);
-        let mut expected = naive(&a, &b);
-        expected.scale_inplace(2.0);
+        let mut expected = Matrix::zeros(3, 3);
+        expected.axpy_inplace(2.0, &naive(&a, &b));
         expected.axpy_inplace(-1.0, &c0);
         assert!(c.max_abs_diff(&expected) < 1e-13);
     }

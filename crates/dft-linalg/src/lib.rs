@@ -18,8 +18,7 @@
 //!   (Householder tridiagonalization + implicit-shift QL for the real path,
 //!   cyclic Jacobi for the complex Hermitian path);
 //! * [`iterative`] — CG (Hartree/Poisson solves), MINRES and the
-//!   preconditioned **block**-MINRES of the paper's adjoint solve (Sec. 5.3.1);
-//! * [`lowdin`] — Löwdin (symmetric) orthonormalization.
+//!   preconditioned **block**-MINRES of the paper's adjoint solve (Sec. 5.3.1).
 
 #![deny(unsafe_code)]
 // simd.rs opts back in locally for std::arch intrinsics
@@ -32,19 +31,17 @@ pub mod chol;
 pub mod eig;
 pub mod gemm;
 pub mod iterative;
-pub mod lowdin;
 pub mod matrix;
 pub mod pack;
 pub mod scalar;
 pub mod simd;
 
 pub use batched::{batched_gemm, batched_gemm_reference, BatchLayout};
-pub use blas1::{axpy, dot, nrm2, scal};
+pub use blas1::{axpy, dot, nrm2};
 pub use chol::{cholesky, cholesky_inverse, tri_inv_lower};
 pub use eig::{eigh, Eigh};
 pub use gemm::{gemm, gemm_mixed, gemm_reference, Op};
 pub use iterative::{block_minres, cg, minres, IterStats, LinearOperator, Preconditioner};
-pub use lowdin::lowdin_orthonormalize;
 pub use matrix::Matrix;
 pub use pack::{with_pack_buf, with_scratch, with_scratch3, PackBuf};
 pub use scalar::{Real, Scalar, C32, C64};

@@ -51,15 +51,6 @@ impl<T: Scalar> Matrix<T> {
         Self { data, nrows, ncols }
     }
 
-    /// Diagonal matrix from a slice.
-    pub fn from_diag(d: &[T]) -> Self {
-        let mut m = Self::zeros(d.len(), d.len());
-        for (i, &v) in d.iter().enumerate() {
-            m[(i, i)] = v;
-        }
-        m
-    }
-
     /// Number of rows.
     #[inline]
     pub fn nrows(&self) -> usize {
@@ -107,19 +98,6 @@ impl<T: Scalar> Matrix<T> {
         &mut self.data[j * self.nrows..(j + 1) * self.nrows]
     }
 
-    /// Two distinct mutable columns at once.
-    pub fn cols_mut2(&mut self, j0: usize, j1: usize) -> (&mut [T], &mut [T]) {
-        assert_ne!(j0, j1);
-        let n = self.nrows;
-        if j0 < j1 {
-            let (a, b) = self.data.split_at_mut(j1 * n);
-            (&mut a[j0 * n..j0 * n + n], &mut b[..n])
-        } else {
-            let (a, b) = self.data.split_at_mut(j0 * n);
-            (&mut b[..n], &mut a[j1 * n..j1 * n + n])
-        }
-    }
-
     /// Copy of the contiguous column range `[j0, j1)` as a new matrix.
     pub fn cols_range(&self, j0: usize, j1: usize) -> Matrix<T> {
         assert!(j0 <= j1 && j1 <= self.ncols);
@@ -154,21 +132,9 @@ impl<T: Scalar> Matrix<T> {
         self.data.fill(v);
     }
 
-    /// (Conjugate-free) transpose.
-    pub fn transpose(&self) -> Matrix<T> {
-        Matrix::from_fn(self.ncols, self.nrows, |i, j| self[(j, i)])
-    }
-
     /// Conjugate (Hermitian) transpose.
     pub fn adjoint(&self) -> Matrix<T> {
         Matrix::from_fn(self.ncols, self.nrows, |i, j| self[(j, i)].conj())
-    }
-
-    /// In-place scaling by a scalar.
-    pub fn scale_inplace(&mut self, a: T) {
-        for v in &mut self.data {
-            *v *= a;
-        }
     }
 
     /// `self += a * other` entrywise.
@@ -189,6 +155,7 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Largest entrywise modulus of `self - other`.
+    // dftlint:allow(L009, reason="comparison helper of the dft-linalg, dft-fem and dft-parallel test suites")
     pub fn max_abs_diff(&self, other: &Matrix<T>) -> f64 {
         assert_eq!(self.shape(), other.shape());
         self.data
@@ -279,6 +246,13 @@ mod tests {
     use super::*;
     use crate::scalar::C64;
 
+    impl<T: Scalar> Matrix<T> {
+        /// (Conjugate-free) transpose.
+        pub(crate) fn transpose(&self) -> Matrix<T> {
+            Matrix::from_fn(self.ncols, self.nrows, |i, j| self[(j, i)])
+        }
+    }
+
     #[test]
     fn index_round_trip_column_major() {
         let mut m = Matrix::<f64>::zeros(3, 2);
@@ -296,21 +270,6 @@ mod tests {
         assert_eq!(t.shape(), (3, 2));
         assert_eq!(t[(2, 1)], C64::new(1.0, 2.0));
         assert_eq!(a[(2, 1)], C64::new(1.0, -2.0));
-    }
-
-    #[test]
-    fn cols_mut2_both_orders() {
-        let mut m = Matrix::from_fn(4, 3, |i, j| (i + 10 * j) as f64);
-        {
-            let (a, b) = m.cols_mut2(0, 2);
-            a[0] = -1.0;
-            b[3] = -2.0;
-        }
-        assert_eq!(m[(0, 0)], -1.0);
-        assert_eq!(m[(3, 2)], -2.0);
-        let (b, a) = m.cols_mut2(2, 0);
-        assert_eq!(a[0], -1.0);
-        assert_eq!(b[3], -2.0);
     }
 
     #[test]

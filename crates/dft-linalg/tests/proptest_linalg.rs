@@ -3,8 +3,8 @@
 use dft_linalg::gemm::{gemm, matmul};
 use dft_linalg::iterative::{DenseOperator, IdentityPrec};
 use dft_linalg::{
-    batched_gemm, cg, cholesky, dot, eigh, lowdin_orthonormalize, minres, nrm2, tri_inv_lower,
-    BatchLayout, Matrix, Op, C64,
+    batched_gemm, cg, cholesky, dot, eigh, minres, nrm2, tri_inv_lower, BatchLayout, Matrix, Op,
+    C64,
 };
 use proptest::prelude::*;
 
@@ -80,19 +80,6 @@ proptest! {
         prop_assert!(g.max_abs_diff(&Matrix::identity(5)) < 1e-9);
         // HPD => positive eigenvalues
         prop_assert!(e.eigenvalues.iter().all(|&l| l > 0.0));
-    }
-
-    #[test]
-    fn lowdin_idempotent_on_its_output(m in mat_strategy(12, 4)) {
-        // Skip near-singular frames.
-        let s = matmul(&m, Op::ConjTrans, &m, Op::None);
-        let e = eigh(&s).unwrap();
-        prop_assume!(e.eigenvalues[0] > 1e-6);
-        let mut psi = m.clone();
-        lowdin_orthonormalize(&mut psi).unwrap();
-        let before = psi.clone();
-        lowdin_orthonormalize(&mut psi).unwrap();
-        prop_assert!(psi.max_abs_diff(&before) < 1e-8);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! | L006 | SPMD collective ordering: no collective under rank-dependent control flow with divergent per-branch sequences, no early exit (`return`/`?`/`break`/`continue`) in a rank-dependent branch when collectives follow — resolved through a workspace call-summary graph |
 //! | L007 | poison safety: a `CommError` is never swallowed (`let _ =`, `.ok()`, `.unwrap_or*()`, `Err(_) => continue`/`{}`) — it must reach the poison cascade or a typed error |
 //! | L008 | collective tag discipline in `comm.rs`: every collective (a caller of the one rooted routine `rooted`, or a `group_*` function) derives the tag it hands on from exactly one registered `TagBand` (`BAND.for_rank(..)`/`BAND.tag()`), whose bounds the L003 const-evaluator proves |
+//! | L009 | production code is what production calls: every `pub fn` under `crates/*/src` is referenced by name from non-test code — the crates' `src/` (bins included) and `benches/`, the root `src/` and `examples/`, and `benchmark/src`; test support and oracles carry an allow naming the suite they serve |
 //!
 //! A violation can be suppressed — with a mandatory justification — by a
 //! line comment on the same or the preceding line:
@@ -50,7 +51,7 @@ pub struct Diagnostic {
     pub line: u32,
     /// 1-based column.
     pub col: u32,
-    /// Stable lint ID (`L000`..`L008`).
+    /// Stable lint ID (`L000`..`L009`).
     pub id: &'static str,
     /// Human-readable description of the violated invariant.
     pub message: String,
@@ -84,8 +85,23 @@ const FAULT_TOLERANT_CRATES: &[&str] = &["dft-hpc", "dft-parallel", "dft-serve"]
 
 /// All known lint IDs (for `allow` validation and `--summary` buckets).
 pub const LINT_IDS: &[&str] = &[
-    "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008",
+    "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008", "L009",
 ];
+
+/// The root package: its `src/` is read for L009 callers, but its items
+/// are the public facade and are not held to L009.
+const ROOT_PACKAGE: &str = "dft-fe-mlxc";
+
+/// Workspace-wide facts the per-file lints resolve against.
+#[derive(Debug, Default)]
+pub struct WorkspaceFacts {
+    /// L006: function names that transitively issue a collective, plus the
+    /// `ThreadComm` primitives.
+    pub emitters: BTreeSet<String>,
+    /// L009: every name that non-test code anywhere in the workspace refers
+    /// to as a function.
+    pub callers: BTreeSet<String>,
+}
 
 // ---------------------------------------------------------------------------
 // Directives (parsed from line comments)
@@ -397,6 +413,69 @@ fn hot_functions(
         });
     }
     out
+}
+
+// ---------------------------------------------------------------------------
+// L009: production callers
+// ---------------------------------------------------------------------------
+
+/// Token ranges of `use` items: an import or re-export names an item
+/// without calling it.
+fn use_regions(toks: &[Tok]) -> Regions {
+    let mut regions = Regions::new();
+    for (i, t) in toks.iter().enumerate() {
+        if t.is_ident("use") {
+            let end = toks[i..]
+                .iter()
+                .position(|t| t.is_op(";"))
+                .map_or(toks.len(), |k| i + k + 1);
+            regions.push((i, end));
+        }
+    }
+    regions
+}
+
+/// The names one file's non-test code refers to as functions: every
+/// identifier outside test regions and `use` items, except an item's own
+/// name after `fn`, a field access (`.x` with no call) and a field or
+/// parameter label (`x:`). Comments and strings are not tokens.
+fn production_references(toks: &[Tok]) -> BTreeSet<String> {
+    let test = test_regions(toks);
+    let uses = use_regions(toks);
+    let next_is = |i: usize, op: &str| toks.get(i + 1).is_some_and(|n| n.is_op(op));
+    toks.iter()
+        .enumerate()
+        .filter(|&(i, t)| {
+            let prev_is = |s: &str| i > 0 && (toks[i - 1].is_op(s) || toks[i - 1].is_ident(s));
+            let definition = prev_is("fn");
+            let field = prev_is(".") && !next_is(i, "(") && !next_is(i, "::");
+            let label = next_is(i, ":");
+            let skipped = definition || field || label;
+            t.kind == TokKind::Ident && !skipped && !in_regions(&test, i) && !in_regions(&uses, i)
+        })
+        .map(|(_, t)| t.text.clone())
+        .collect()
+}
+
+/// The name tokens of the `pub fn` items outside test regions
+/// (`pub(crate)` and narrower are not public API).
+fn pub_fn_names<'t>(toks: &'t [Tok], test: &Regions) -> Vec<&'t Tok> {
+    (0..toks.len())
+        .filter(|&i| toks[i].is_ident("pub") && !in_regions(test, i))
+        .filter_map(|i| {
+            let mut k = i + 1;
+            while toks
+                .get(k)
+                .is_some_and(|t| t.is_ident("const") || t.is_ident("unsafe") || t.is_ident("async"))
+            {
+                k += 1;
+            }
+            toks.get(k)
+                .filter(|t| t.is_ident("fn"))
+                .and_then(|_| toks.get(k + 1))
+                .filter(|t| t.kind == TokKind::Ident)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -810,20 +889,19 @@ fn float_operand(toks: &[Tok], i: usize) -> bool {
 /// Lint one file's source under the given context. Fixture files may
 /// override the context with a `dftlint:fixture(...)` directive.
 ///
-/// L006 call summaries are computed from this file alone; use
-/// [`lint_source_with`] (as [`lint_workspace`] does) to resolve calls to
-/// collective-emitting functions defined in *other* files.
+/// The file is its own workspace: L006 call summaries and L009 callers
+/// come from this file alone. Use [`lint_source_with`] (as
+/// [`lint_workspace`] does) to resolve both against every file.
 pub fn lint_source(ctx: &FileCtx, src: &str) -> Vec<Diagnostic> {
     lint_source_with(ctx, src, None)
 }
 
-/// [`lint_source`] with an optional workspace-wide collective-emitter set
-/// (function names that transitively issue a collective, plus the
-/// `ThreadComm` primitives). `None` closes over this file's own functions.
+/// [`lint_source`] against optional [`WorkspaceFacts`]. `None` closes both
+/// the collective emitters and the L009 callers over this file alone.
 pub fn lint_source_with(
     ctx: &FileCtx,
     src: &str,
-    emitters: Option<&BTreeSet<String>>,
+    facts: Option<&WorkspaceFacts>,
 ) -> Vec<Diagnostic> {
     let (toks, comments) = tokenize(src);
     let mut directives = parse_directives(&comments, &toks);
@@ -980,8 +1058,8 @@ pub fn lint_source_with(
     if fault_tolerant {
         if !is_comm {
             let local_emitters;
-            let emitters = match emitters {
-                Some(e) => e,
+            let emitters = match facts {
+                Some(f) => &f.emitters,
                 None => {
                     local_emitters = flow::close_over_collectives(&flow::direct_calls(&toks));
                     &local_emitters
@@ -1017,6 +1095,31 @@ pub fn lint_source_with(
         flow::lint_group_tag_discipline(&toks, &test, &band_consts, &mut l8);
         for (line, col, msg) in l8 {
             raw.push((line, col, "L008", msg));
+        }
+    }
+
+    // L009: a `pub fn` under `crates/*/src` that only test code calls
+    if crate_name != ROOT_PACKAGE {
+        let local_callers;
+        let callers = match facts {
+            Some(f) => &f.callers,
+            None => {
+                local_callers = production_references(&toks);
+                &local_callers
+            }
+        };
+        for name in pub_fn_names(&toks, &test) {
+            if !callers.contains(&name.text) {
+                raw.push((
+                    name.line,
+                    name.col,
+                    "L009",
+                    format!(
+                        "`pub fn {}` has no caller outside test code: delete it, move it into the test module that uses it, or allow it naming the suite it serves",
+                        name.text
+                    ),
+                ));
+            }
         }
     }
 
@@ -1144,30 +1247,59 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<(PathBuf, FileCtx)>> {
         .collect())
 }
 
+/// Files read for L009 callers only, never linted: the crates' `benches/`,
+/// the root `examples/` and the out-of-workspace `benchmark/src`.
+fn caller_only_files(root: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut dirs = vec![root.join("examples"), root.join("benchmark").join("src")];
+    let crates_dir = root.join("crates");
+    if crates_dir.is_dir() {
+        for entry in fs::read_dir(&crates_dir)? {
+            dirs.push(entry?.path().join("benches"));
+        }
+    }
+    let mut files = Vec::new();
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        collect_rs(dir, &mut files)?;
+    }
+    Ok(files)
+}
+
 /// Lint every project source file under the workspace at `root`.
 ///
-/// Two passes: the first builds the L006 call-summary graph over the
-/// fault-tolerant crates (every function name that transitively reaches a
-/// `ThreadComm` collective), the second lints each file against it — so a
-/// rank-conditional call to a *local helper* that allreduces three frames
-/// down is flagged exactly like a direct rank-conditional allreduce.
+/// Two passes: the first gathers the [`WorkspaceFacts`] — the L006
+/// call-summary graph over the fault-tolerant crates (every function name
+/// that transitively reaches a `ThreadComm` collective) and the L009
+/// production references of every project file — and the second lints
+/// each file against them. So a rank-conditional call to a *local helper*
+/// that allreduces three frames down is flagged exactly like a direct
+/// rank-conditional allreduce, and a `pub fn` called from another crate is
+/// not dead code.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
     let mut sources = Vec::new();
     for (path, ctx) in workspace_files(root)? {
         let src = fs::read_to_string(&path)?;
         sources.push((ctx, src));
     }
-    let mut facts = Vec::new();
+    let mut calls = Vec::new();
+    let mut callers = BTreeSet::new();
     for (ctx, src) in &sources {
+        let (toks, _) = tokenize(src);
         if FAULT_TOLERANT_CRATES.contains(&ctx.crate_name.as_str()) {
-            let (toks, _) = tokenize(src);
-            facts.extend(flow::direct_calls(&toks));
+            calls.extend(flow::direct_calls(&toks));
         }
+        callers.extend(production_references(&toks));
     }
-    let emitters = flow::close_over_collectives(&facts);
+    for path in caller_only_files(root)? {
+        let (toks, _) = tokenize(&fs::read_to_string(&path)?);
+        callers.extend(production_references(&toks));
+    }
+    let facts = WorkspaceFacts {
+        emitters: flow::close_over_collectives(&calls),
+        callers,
+    };
     let mut diags = Vec::new();
     for (ctx, src) in &sources {
-        diags.extend(lint_source_with(ctx, src, Some(&emitters)));
+        diags.extend(lint_source_with(ctx, src, Some(&facts)));
     }
     Ok(diags)
 }
@@ -1287,6 +1419,22 @@ trait K {
         let d = lint_source(&ctx("dft-fem", "x.rs"), src);
         assert_eq!(d.iter().filter(|x| x.id == "L005").count(), 1, "{d:?}");
         assert_eq!(d.iter().filter(|x| x.id == "L000").count(), 1, "{d:?}");
+    }
+
+    #[test]
+    fn l009_resolves_callers_across_the_workspace() {
+        let src = "pub fn helper() {}\n";
+        let d = lint_source(&ctx("dft-core", "x.rs"), src);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!((d[0].id, d[0].line, d[0].col), ("L009", 1, 8));
+        // a call from another file of the workspace is a caller
+        let facts = WorkspaceFacts {
+            callers: BTreeSet::from(["helper".to_string()]),
+            ..WorkspaceFacts::default()
+        };
+        assert!(lint_source_with(&ctx("dft-core", "x.rs"), src, Some(&facts)).is_empty());
+        // the root package's facade is read for callers, not linted
+        assert!(lint_source(&ctx(ROOT_PACKAGE, "lib.rs"), src).is_empty());
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn fixture_set_covers_every_lint_id() {
         }
     }
     for id in [
-        "L000", "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008",
+        "L000", "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008", "L009",
     ] {
         assert!(seen.contains(&id), "no fixture exercises {id}");
     }

@@ -1,4 +1,5 @@
-//! Extended defects: screw dislocations, reflection twins, random solutes.
+//! Extended defects: screw dislocations and random solutes (the tests
+//! build the reflection twin).
 //!
 //! These generate the paper's Mg-Y benchmark family: "DislocMgY" (a
 //! pyramidal II ⟨c+a⟩ screw dislocation with a Y solute in the core) and
@@ -19,41 +20,6 @@ pub fn screw_dislocation_z(s: &mut Structure, x0: f64, y0: f64, b: f64) {
     for p in s.positions.iter_mut() {
         let theta = (p[1] - y0).atan2(p[0] - x0);
         p[2] += b * theta / (2.0 * std::f64::consts::PI);
-    }
-}
-
-/// The screw displacement field itself (for tests and elasticity checks).
-pub fn screw_uz(x: f64, y: f64, x0: f64, y0: f64, b: f64) -> f64 {
-    b * (y - y0).atan2(x - x0) / (2.0 * std::f64::consts::PI)
-}
-
-/// Build a reflection twin with a coherent boundary at `z = z_plane`: the
-/// lower half of the input crystal is kept, the upper half is replaced by
-/// the **mirror image** of the lower half. Atoms within `merge_tol` of the
-/// plane sit on the boundary and are kept once.
-pub fn reflection_twin_z(s: &Structure, z_plane: f64, merge_tol: f64) -> Structure {
-    let mut positions = Vec::new();
-    let mut species = Vec::new();
-    for (p, &sp) in s.positions.iter().zip(&s.species) {
-        if p[2] <= z_plane + merge_tol {
-            positions.push(*p);
-            species.push(sp);
-            // mirror partner above the plane (skip boundary atoms — they
-            // map onto themselves)
-            if p[2] < z_plane - merge_tol {
-                let zm = 2.0 * z_plane - p[2];
-                if zm <= s.cell[2] + merge_tol {
-                    positions.push([p[0], p[1], zm]);
-                    species.push(sp);
-                }
-            }
-        }
-    }
-    Structure {
-        positions,
-        species,
-        cell: s.cell,
-        periodic: s.periodic,
     }
 }
 
@@ -85,6 +51,11 @@ pub fn random_solutes(
 mod tests {
     use super::*;
     use crate::mg::hcp_supercell;
+
+    /// The screw displacement field itself.
+    fn screw_uz(x: f64, y: f64, x0: f64, y0: f64, b: f64) -> f64 {
+        b * (y - y0).atan2(x - x0) / (2.0 * std::f64::consts::PI)
+    }
 
     #[test]
     fn burgers_circuit_closes_to_b() {
@@ -150,6 +121,36 @@ mod tests {
 mod twin_tests {
     use super::*;
     use crate::mg::hcp_supercell;
+
+    /// Build a reflection twin with a coherent boundary at `z = z_plane`: the
+    /// lower half of the input crystal is kept, the upper half is replaced by
+    /// the **mirror image** of the lower half. Atoms within `merge_tol` of the
+    /// plane sit on the boundary and are kept once.
+    fn reflection_twin_z(s: &Structure, z_plane: f64, merge_tol: f64) -> Structure {
+        let mut positions = Vec::new();
+        let mut species = Vec::new();
+        for (p, &sp) in s.positions.iter().zip(&s.species) {
+            if p[2] <= z_plane + merge_tol {
+                positions.push(*p);
+                species.push(sp);
+                // mirror partner above the plane (skip boundary atoms — they
+                // map onto themselves)
+                if p[2] < z_plane - merge_tol {
+                    let zm = 2.0 * z_plane - p[2];
+                    if zm <= s.cell[2] + merge_tol {
+                        positions.push([p[0], p[1], zm]);
+                        species.push(sp);
+                    }
+                }
+            }
+        }
+        Structure {
+            positions,
+            species,
+            cell: s.cell,
+            periodic: s.periodic,
+        }
+    }
 
     #[test]
     fn twin_is_mirror_symmetric_about_the_plane() {

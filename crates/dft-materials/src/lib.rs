@@ -9,11 +9,10 @@
 //!   study);
 //! * [`mg`] — HCP magnesium supercells;
 //! * [`defects`] — pyramidal ⟨c+a⟩ **screw dislocations** (Volterra
-//!   fields), **reflection twin boundaries**, and random Y **solutes** at
-//!   1 at.% (the DislocMgY / TwinDislocMgY benchmark family);
-//! * [`requests`] — request-side generators deriving whole job-server
-//!   burst families (strain scans, solute substitutions, jitter
-//!   ensembles) from one base structure;
+//!   fields) and random Y **solutes** at 1 at.% (the DislocMgY /
+//!   TwinDislocMgY benchmark family);
+//! * [`requests`] — the strain-scan burst family a job server sees, derived
+//!   from one base structure;
 //! * [`structure`] — the shared [`structure::Structure`] type.
 //!
 //! All generators are deterministic given their seeds.
@@ -28,8 +27,8 @@ pub mod quasicrystal;
 pub mod requests;
 pub mod structure;
 
-pub use defects::{random_solutes, reflection_twin_z, screw_dislocation_z};
+pub use defects::{random_solutes, screw_dislocation_z};
 pub use mg::hcp_supercell;
 pub use quasicrystal::{icosahedral_quasicrystal, nanoparticle, QcParams};
-pub use requests::{jitter_ensemble, strain_scan, substitution_scan};
+pub use requests::strain_scan;
 pub use structure::Structure;

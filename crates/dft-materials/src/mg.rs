@@ -47,6 +47,21 @@ pub fn hcp_supercell(nx: usize, ny: usize, nz: usize, periodic: [bool; 3]) -> St
 mod tests {
     use super::*;
 
+    impl Structure {
+        /// Smallest interatomic distance (periodic-aware, brute force — meant
+        /// for validation on moderate systems).
+        fn min_distance(&self) -> f64 {
+            let n = self.n_atoms();
+            let mut dmin = f64::INFINITY;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    dmin = dmin.min(self.distance(i, j));
+                }
+            }
+            dmin
+        }
+    }
+
     #[test]
     fn atom_count_is_four_per_cell() {
         let s = hcp_supercell(3, 2, 2, [true; 3]);

@@ -174,32 +174,32 @@ pub fn nanoparticle(p: &QcParams, r: f64, vacuum: f64) -> Structure {
     }
 }
 
-/// Rotation matrix by angle `t` about unit axis `u` (Rodrigues).
-pub fn rotation_about(u: [f64; 3], t: f64) -> [[f64; 3]; 3] {
-    let (c, s) = (t.cos(), t.sin());
-    let mut r = [[0.0; 3]; 3];
-    for i in 0..3 {
-        for j in 0..3 {
-            let eps = |i: usize, j: usize, k: usize| -> f64 {
-                match (i, j, k) {
-                    (0, 1, 2) | (1, 2, 0) | (2, 0, 1) => 1.0,
-                    (0, 2, 1) | (2, 1, 0) | (1, 0, 2) => -1.0,
-                    _ => 0.0,
-                }
-            };
-            let mut cross = 0.0;
-            for k in 0..3 {
-                cross += eps(i, j, k) * u[k];
-            }
-            r[i][j] = c * if i == j { 1.0 } else { 0.0 } + (1.0 - c) * u[i] * u[j] - s * cross;
-        }
-    }
-    r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Rotation matrix by angle `t` about unit axis `u` (Rodrigues).
+    fn rotation_about(u: [f64; 3], t: f64) -> [[f64; 3]; 3] {
+        let (c, s) = (t.cos(), t.sin());
+        let mut r = [[0.0; 3]; 3];
+        for i in 0..3 {
+            for j in 0..3 {
+                let eps = |i: usize, j: usize, k: usize| -> f64 {
+                    match (i, j, k) {
+                        (0, 1, 2) | (1, 2, 0) | (2, 0, 1) => 1.0,
+                        (0, 2, 1) | (2, 1, 0) | (1, 0, 2) => -1.0,
+                        _ => 0.0,
+                    }
+                };
+                let mut cross = 0.0;
+                for k in 0..3 {
+                    cross += eps(i, j, k) * u[k];
+                }
+                r[i][j] = c * if i == j { 1.0 } else { 0.0 } + (1.0 - c) * u[i] * u[j] - s * cross;
+            }
+        }
+        r
+    }
 
     fn small_params() -> QcParams {
         // small lattice constant so several shells fall inside the test

@@ -11,6 +11,7 @@ use crate::structure::Structure;
 /// Isotropic strain scan: one structure per strain `e`, with the cell and
 /// every Cartesian position scaled by `1 + e` (fractional coordinates are
 /// preserved). The classic equation-of-state burst.
+// dftlint:allow(L009, reason="request family of dft-serve/tests/serve.rs")
 pub fn strain_scan(base: &Structure, strains: &[f64]) -> Vec<Structure> {
     strains
         .iter()
@@ -30,56 +31,56 @@ pub fn strain_scan(base: &Structure, strains: &[f64]) -> Vec<Structure> {
         .collect()
 }
 
-/// Substitution scan for dilute-solute screening: one structure per listed
-/// site, with that site's species replaced by `solute`. Submitting the
-/// family probes every symmetry-inequivalent substitution of a supercell.
-pub fn substitution_scan(
-    base: &Structure,
-    solute: &'static str,
-    sites: &[usize],
-) -> Vec<Structure> {
-    sites
-        .iter()
-        .map(|&i| {
-            let mut out = base.clone();
-            out.species[i] = solute;
-            out
-        })
-        .collect()
-}
-
-/// Deterministic thermal-jitter ensemble: `count` copies of `base` with
-/// every coordinate displaced by at most `amp` (Bohr), driven by a
-/// splitmix64 stream seeded from `seed` — the same inputs always produce
-/// the same ensemble, so resubmitted bursts hit the converged-state cache.
-pub fn jitter_ensemble(base: &Structure, amp: f64, count: usize, seed: u64) -> Vec<Structure> {
-    let mut state = seed;
-    let mut next_unit = || {
-        // splitmix64: cheap, reproducible, no external RNG dependency
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        // map to [-1, 1)
-        (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0
-    };
-    (0..count)
-        .map(|_| {
-            let mut out = base.clone();
-            for p in &mut out.positions {
-                for k in 0..3 {
-                    p[k] += amp * next_unit();
-                }
-            }
-            out
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Substitution scan for dilute-solute screening: one structure per listed
+    /// site, with that site's species replaced by `solute`. Submitting the
+    /// family probes every symmetry-inequivalent substitution of a supercell.
+    fn substitution_scan(
+        base: &Structure,
+        solute: &'static str,
+        sites: &[usize],
+    ) -> Vec<Structure> {
+        sites
+            .iter()
+            .map(|&i| {
+                let mut out = base.clone();
+                out.species[i] = solute;
+                out
+            })
+            .collect()
+    }
+
+    /// Deterministic thermal-jitter ensemble: `count` copies of `base` with
+    /// every coordinate displaced by at most `amp` (Bohr), driven by a
+    /// splitmix64 stream seeded from `seed` — the same inputs always produce
+    /// the same ensemble, so resubmitted bursts hit the converged-state cache.
+    fn jitter_ensemble(base: &Structure, amp: f64, count: usize, seed: u64) -> Vec<Structure> {
+        let mut state = seed;
+        let mut next_unit = || {
+            // splitmix64: cheap, reproducible, no external RNG dependency
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            // map to [-1, 1)
+            (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        };
+        (0..count)
+            .map(|_| {
+                let mut out = base.clone();
+                for p in &mut out.positions {
+                    for k in 0..3 {
+                        p[k] += amp * next_unit();
+                    }
+                }
+                out
+            })
+            .collect()
+    }
 
     fn base() -> Structure {
         Structure {

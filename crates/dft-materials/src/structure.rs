@@ -25,54 +25,26 @@ impl Structure {
     pub fn count(&self, sp: &str) -> usize {
         self.species.iter().filter(|&&s| s == sp).count()
     }
-
-    /// Smallest interatomic distance (periodic-aware, brute force — meant
-    /// for validation on moderate systems).
-    pub fn min_distance(&self) -> f64 {
-        let n = self.n_atoms();
-        let mut dmin = f64::INFINITY;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                dmin = dmin.min(self.distance(i, j));
-            }
-        }
-        dmin
-    }
-
-    /// Periodic-aware distance between atoms `i` and `j`.
-    pub fn distance(&self, i: usize, j: usize) -> f64 {
-        let mut d2 = 0.0;
-        for k in 0..3 {
-            let mut dx = self.positions[i][k] - self.positions[j][k];
-            if self.periodic[k] {
-                dx -= (dx / self.cell[k]).round() * self.cell[k];
-            }
-            d2 += dx * dx;
-        }
-        d2.sqrt()
-    }
-
-    /// Geometric centroid.
-    pub fn centroid(&self) -> [f64; 3] {
-        let n = self.n_atoms().max(1) as f64;
-        let mut c = [0.0; 3];
-        for p in &self.positions {
-            for k in 0..3 {
-                c[k] += p[k] / n;
-            }
-        }
-        c
-    }
-
-    /// Electron count given a map from species to valence charge.
-    pub fn electron_count(&self, z_of: impl Fn(&str) -> f64) -> f64 {
-        self.species.iter().map(|s| z_of(s)).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Structure {
+        /// Periodic-aware distance between atoms `i` and `j`.
+        pub(crate) fn distance(&self, i: usize, j: usize) -> f64 {
+            let mut d2 = 0.0;
+            for k in 0..3 {
+                let mut dx = self.positions[i][k] - self.positions[j][k];
+                if self.periodic[k] {
+                    dx -= (dx / self.cell[k]).round() * self.cell[k];
+                }
+                d2 += dx * dx;
+            }
+            d2.sqrt()
+        }
+    }
 
     fn two_atoms() -> Structure {
         Structure {
@@ -97,7 +69,5 @@ mod tests {
         let s = two_atoms();
         assert_eq!(s.count("Mg"), 1);
         assert_eq!(s.count("Y"), 1);
-        let ne = s.electron_count(|sp| if sp == "Mg" { 2.0 } else { 3.0 });
-        assert_eq!(ne, 5.0);
     }
 }

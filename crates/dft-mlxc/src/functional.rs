@@ -20,7 +20,6 @@
 
 use crate::nn::{BatchedMlp, Mlp, ParamGrads};
 use dft_linalg::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Reduced-gradient prefactor `(3 pi^2)^{1/3} / 2`.
 pub const KS: f64 = 1.546_833_863_140_067_8;
@@ -51,7 +50,7 @@ pub struct PointAdjoint {
 }
 
 /// The machine-learned XC functional.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MlxcModel {
     /// The underlying network, inputs `[ln(1+rho), xi, s/(1+s)]`.
     pub net: Mlp,
@@ -183,16 +182,6 @@ impl MlxcModel {
         let g = self.net.grad_params(&t, ybar, &gbar);
         grads.add_assign(&g);
     }
-
-    /// Serialize to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("serializable")
-    }
-
-    /// Deserialize from JSON.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
 }
 
 #[cfg(test)]
@@ -314,15 +303,5 @@ mod tests {
                 grads.w[l][k]
             );
         }
-    }
-
-    #[test]
-    fn model_json_round_trip() {
-        let m = MlxcModel::new(33);
-        let j = m.to_json();
-        let back = MlxcModel::from_json(&j).unwrap();
-        let p1 = m.eval_point(0.3, 0.0, 0.1);
-        let p2 = back.eval_point(0.3, 0.0, 0.1);
-        assert_eq!(p1.e, p2.e);
     }
 }

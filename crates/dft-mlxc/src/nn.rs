@@ -22,7 +22,6 @@ use dft_linalg::gemm::gemm_slices;
 use dft_linalg::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// ELU activation and its first two derivatives.
 #[inline]
@@ -51,7 +50,7 @@ fn elu2(z: f64) -> f64 {
 }
 
 /// One dense layer (row-major weights: `w[o * n_in + i]`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Dense {
     /// Output dimension.
     pub n_out: usize,
@@ -138,7 +137,7 @@ impl ParamGrads {
 
 /// Scalar-output multilayer perceptron with ELU hidden activations and a
 /// linear output layer.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Mlp {
     /// Layers, input to output; the last layer has `n_out == 1`.
     pub layers: Vec<Dense>,
@@ -187,16 +186,6 @@ impl Mlp {
         self.layers[0].n_in
     }
 
-    /// Number of layers.
-    pub fn n_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Total parameter count.
-    pub fn n_params(&self) -> usize {
-        self.layers.iter().map(|l| l.w.len() + l.b.len()).sum()
-    }
-
     fn forward_cache(&self, x: &[f64]) -> ForwardCache {
         let nl = self.layers.len();
         let mut z = Vec::with_capacity(nl);
@@ -214,11 +203,6 @@ impl Mlp {
             h.push(hl);
         }
         ForwardCache { z, h }
-    }
-
-    /// Scalar output `y = F(x)`.
-    pub fn forward(&self, x: &[f64]) -> f64 {
-        self.forward_cache(x).h.last().unwrap()[0]
     }
 
     /// `(y, g)` with `g = dF/dx`.
@@ -333,16 +317,6 @@ impl Mlp {
         }
         grads
     }
-
-    /// Serialize to JSON (for persisting trained MLXC models).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("serializable")
-    }
-
-    /// Deserialize from JSON.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
 }
 
 /// Batched MLP inference: evaluate the network on many input points at
@@ -440,6 +414,13 @@ impl BatchedMlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Mlp {
+        /// Scalar output `y = F(x)`.
+        pub(crate) fn forward(&self, x: &[f64]) -> f64 {
+            self.forward_cache(x).h.last().unwrap()[0]
+        }
+    }
 
     fn tiny_net(seed: u64) -> Mlp {
         Mlp::new(&[3, 7, 5, 1], seed)
@@ -600,18 +581,10 @@ mod tests {
     #[test]
     fn paper_architecture_shape() {
         let net = Mlp::paper_architecture(3, 0);
-        assert_eq!(net.n_layers(), 6);
+        assert_eq!(net.layers.len(), 6);
         assert_eq!(net.n_inputs(), 3);
         // params: 3*80+80 + 4*(80*80+80) + 80+1
-        assert_eq!(net.n_params(), 3 * 80 + 80 + 4 * (80 * 80 + 80) + 80 + 1);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let net = tiny_net(42);
-        let s = net.to_json();
-        let back = Mlp::from_json(&s).unwrap();
-        let x = [0.2, 0.4, 0.6];
-        assert_eq!(net.forward(&x), back.forward(&x));
+        let n_params: usize = net.layers.iter().map(|l| l.w.len() + l.b.len()).sum();
+        assert_eq!(n_params, 3 * 80 + 80 + 4 * (80 * 80 + 80) + 80 + 1);
     }
 }

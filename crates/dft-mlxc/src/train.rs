@@ -91,29 +91,6 @@ pub struct TrainReport {
     pub final_loss: f64,
 }
 
-/// Evaluate the full MLXC potential `v_xc` on one system (local part minus
-/// the divergence of the gradient correction).
-pub fn evaluate_vxc(model: &MlxcModel, sys: &SystemSample) -> Vec<f64> {
-    let n = sys.rho.len();
-    let gn = sys.grad_norm();
-    let mut a = vec![0.0; n];
-    let mut vx = vec![0.0; n];
-    let mut vy = vec![0.0; n];
-    let mut vz = vec![0.0; n];
-    for i in 0..n {
-        let p = model.eval_point(sys.rho[i], sys.xi[i], gn[i]);
-        a[i] = p.de_drho;
-        if gn[i] > 1e-12 {
-            let c = p.de_dgrad / gn[i];
-            vx[i] = c * sys.grad[0][i];
-            vy[i] = c * sys.grad[1][i];
-            vz[i] = c * sys.grad[2][i];
-        }
-    }
-    let div = sys.div_op.divergence(&vx, &vy, &vz);
-    (0..n).map(|i| a[i] - div[i]).collect()
-}
-
 /// Composite loss and its parameter gradient over the whole dataset.
 pub fn loss_and_grads(model: &MlxcModel, data: &Dataset, cfg: &TrainConfig) -> (f64, ParamGrads) {
     let mut grads = ParamGrads::zeros(&model.net);
@@ -228,6 +205,29 @@ impl DivergenceOp for PeriodicFd1d {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Evaluate the full MLXC potential `v_xc` on one system (local part minus
+    /// the divergence of the gradient correction).
+    fn evaluate_vxc(model: &MlxcModel, sys: &SystemSample) -> Vec<f64> {
+        let n = sys.rho.len();
+        let gn = sys.grad_norm();
+        let mut a = vec![0.0; n];
+        let mut vx = vec![0.0; n];
+        let mut vy = vec![0.0; n];
+        let mut vz = vec![0.0; n];
+        for i in 0..n {
+            let p = model.eval_point(sys.rho[i], sys.xi[i], gn[i]);
+            a[i] = p.de_drho;
+            if gn[i] > 1e-12 {
+                let c = p.de_dgrad / gn[i];
+                vx[i] = c * sys.grad[0][i];
+                vy[i] = c * sys.grad[1][i];
+                vz[i] = c * sys.grad[2][i];
+            }
+        }
+        let div = sys.div_op.divergence(&vx, &vy, &vz);
+        (0..n).map(|i| a[i] - div[i]).collect()
+    }
 
     fn toy_system(model_teacher: &MlxcModel) -> SystemSample {
         // 1D periodic density profile; targets generated by a hidden

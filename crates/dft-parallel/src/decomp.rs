@@ -182,11 +182,6 @@ impl Decomposition {
     pub fn n_ext(&self) -> usize {
         self.owned.len() + self.ghosts.len()
     }
-
-    /// Restrict a replicated full-DoF vector to this rank's owned rows.
-    pub fn restrict<T: Copy>(&self, full: &[T]) -> Vec<T> {
-        self.owned.iter().map(|&d| full[d as usize]).collect()
-    }
 }
 
 #[cfg(test)]

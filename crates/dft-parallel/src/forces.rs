@@ -74,6 +74,7 @@ pub struct ForceAssemblyProfile {
 /// and bit-identical across ranks and across repeated runs. `grid`
 /// selects the decomposition (must tile the rank count); `None` is the
 /// `n x 1 x 1` slab.
+// dftlint:allow(L009, reason="the force oracle of dft-parallel/tests/forces.rs and tests/schedule.rs")
 pub fn distributed_forces(
     comm: &mut ThreadComm,
     space: &FeSpace,

@@ -214,19 +214,6 @@ impl CommVolume {
         })
     }
 
-    /// Read a [`CommStats`](dft_hpc::CommStats) directly (e.g. the handle
-    /// [`run_cluster`](dft_hpc::run_cluster) returns after the run, which
-    /// holds the authoritative cluster totals).
-    pub fn from_stats(stats: &dft_hpc::CommStats) -> Self {
-        let (bytes_total, messages, bytes_fp64, bytes_fp32) = stats.snapshot();
-        Self {
-            bytes_total,
-            messages,
-            bytes_fp64,
-            bytes_fp32,
-        }
-    }
-
     /// Volume accrued between two snapshots (`later - self`).
     pub fn delta(&self, later: &CommVolume) -> CommVolume {
         CommVolume {

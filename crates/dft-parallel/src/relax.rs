@@ -340,6 +340,7 @@ pub fn dist_relax(
 /// starts, persistence and resume as [`dist_relax`]; the result's
 /// `converged` is always false. Runs on this rank's share of the cores
 /// ([`crate::threads`]).
+// dftlint:allow(L009, reason="BO-MD of dft-parallel/tests/forces.rs (MD_GOLDEN and the energy-drift test)")
 pub fn dist_md(
     comm: &mut ThreadComm,
     space: &FeSpace,

@@ -226,12 +226,6 @@ impl DistScfConfig {
         }
     }
 
-    /// Set the boundary-exchange wire precision.
-    pub fn with_wire(mut self, wire: WirePrecision) -> Self {
-        self.wire = wire;
-        self
-    }
-
     /// Enable snapshots into `dir` every `every` SCF iterations.
     pub fn with_checkpoints(mut self, dir: impl Into<PathBuf>, every: usize) -> Self {
         self.checkpoint_dir = Some(dir.into());

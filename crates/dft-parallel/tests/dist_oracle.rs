@@ -284,7 +284,10 @@ fn distributed_scf_matches_serial_energy() {
     let cfg = parity_cfg();
     let r_ser = scf(&space, &sys, &Lda, &cfg, &[KPoint::gamma()]);
     assert!(r_ser.converged);
-    let dcfg = DistScfConfig::new(cfg).with_wire(WirePrecision::Fp64);
+    let dcfg = DistScfConfig {
+        wire: WirePrecision::Fp64,
+        ..DistScfConfig::new(cfg)
+    };
     for nranks in [2, 4] {
         let (results, _) = run_cluster(nranks, |comm| {
             distributed_scf(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()]).expect("scf")
@@ -425,7 +428,10 @@ fn energy_bits_do_not_depend_on_the_thread_count() {
             cap.install(|| {
                 if two_ranks {
                     let opts = ClusterOptions::default();
-                    let dcfg = DistScfConfig::new(cfg.clone()).with_wire(WirePrecision::Fp64);
+                    let dcfg = DistScfConfig {
+                        wire: WirePrecision::Fp64,
+                        ..DistScfConfig::new(cfg.clone())
+                    };
                     let report = scf_with_recovery(2, &opts, space, &sys, &Lda, &dcfg, kpts, 0)
                         .expect("2-rank scf");
                     assert_ranks_agree(&report.results, &format!("{threads} threads"));
@@ -467,7 +473,10 @@ fn energy_bits_do_not_depend_on_the_thread_count() {
 #[test]
 fn identical_runs_are_bit_identical_at_four_ranks() {
     let (space, sys) = parity_system();
-    let dcfg = DistScfConfig::new(parity_cfg()).with_wire(WirePrecision::Fp64);
+    let dcfg = DistScfConfig {
+        wire: WirePrecision::Fp64,
+        ..DistScfConfig::new(parity_cfg())
+    };
     let run = || {
         let (results, _) = run_cluster(4, |comm| {
             distributed_scf(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()]).expect("scf")
@@ -497,7 +506,10 @@ fn fp32_wire_matches_fp64_energy_and_halves_boundary_bytes() {
     let mut volumes = Vec::new();
     let mut energies = Vec::new();
     for wire in [WirePrecision::Fp64, WirePrecision::Fp32] {
-        let dcfg = DistScfConfig::new(base.clone()).with_wire(wire);
+        let dcfg = DistScfConfig {
+            wire,
+            ..DistScfConfig::new(base.clone())
+        };
         let (results, stats) = run_cluster(2, |comm| {
             distributed_scf(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()]).expect("scf")
         });

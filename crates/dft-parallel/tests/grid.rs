@@ -14,7 +14,7 @@ use dft_core::system::{Atom, AtomKind, AtomicSystem};
 use dft_core::xc::Lda;
 use dft_fem::mesh::Mesh3d;
 use dft_fem::space::FeSpace;
-use dft_hpc::comm::{run_cluster, WirePrecision};
+use dft_hpc::comm::{run_cluster, CommStats, WirePrecision};
 use dft_linalg::gemm::{matmul, Op};
 use dft_linalg::iterative::LinearOperator;
 use dft_linalg::matrix::Matrix;
@@ -25,6 +25,17 @@ use dft_parallel::{
 
 mod common;
 use common::assert_ranks_agree;
+
+/// The cluster totals a finished run's [`CommStats`] hold.
+fn volume(stats: &CommStats) -> CommVolume {
+    let (bytes_total, messages, bytes_fp64, bytes_fp32) = stats.snapshot();
+    CommVolume {
+        bytes_total,
+        messages,
+        bytes_fp64,
+        bytes_fp32,
+    }
+}
 
 fn parity_system() -> (FeSpace, AtomicSystem) {
     let space = FeSpace::new(Mesh3d::periodic_cube(2, 6.0, 3));
@@ -171,7 +182,7 @@ fn no_grid_and_slab_grid_are_one_run_bits_and_messages() {
             let (results, stats) = run_cluster(nranks, |comm| {
                 distributed_scf(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()]).expect("scf")
             });
-            (results, CommVolume::from_stats(&stats))
+            (results, volume(&stats))
         };
         let (a, vol_a) = run(None);
         let (b, vol_b) = run(Some(GridShape::slab(nranks)));
@@ -272,7 +283,7 @@ fn reduce_matrix_sends_one_fp64_leg_unless_lossy() {
         for m in &reduced {
             assert_eq!(m.as_slice(), want.as_slice(), "{shape} lossy {lossy}");
         }
-        let vol = CommVolume::from_stats(&stats);
+        let vol = volume(&stats);
         assert_eq!(vol.messages, messages, "{shape} lossy {lossy}: messages");
         assert_eq!(
             vol.bytes_fp32 > 0,

@@ -63,7 +63,10 @@ fn scf_and_forces_are_bit_identical_across_seeded_schedules() {
         return;
     }
     let (space, sys) = parity_system();
-    let dcfg = DistScfConfig::new(short_cfg()).with_wire(WirePrecision::Fp64);
+    let dcfg = DistScfConfig {
+        wire: WirePrecision::Fp64,
+        ..DistScfConfig::new(short_cfg())
+    };
 
     let fingerprints = explore_schedules(
         NRANKS,
@@ -106,7 +109,10 @@ fn fp32_wire_scf_is_bit_identical_across_seeded_schedules() {
         return;
     }
     let (space, sys) = parity_system();
-    let dcfg = DistScfConfig::new(short_cfg()).with_wire(WirePrecision::Fp32);
+    let dcfg = DistScfConfig {
+        wire: WirePrecision::Fp32,
+        ..DistScfConfig::new(short_cfg())
+    };
     explore_schedules(
         NRANKS,
         n_schedules,

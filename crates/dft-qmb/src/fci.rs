@@ -507,7 +507,7 @@ mod tests {
 
     #[test]
     fn h2_molecule_binds() {
-        let h2 = SoftCoulombSystem::h2(1.6);
+        let h2 = SoftCoulombSystem::new("H2", vec![(1.0, -0.8), (1.0, 0.8)], 1, 1);
         let ints = h2.integrals(10, 140, 24.0);
         let fci = FciProblem::new(&ints, 1, 1);
         let r = fci.solve(1e-9, 400);

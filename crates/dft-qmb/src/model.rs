@@ -44,14 +44,6 @@ impl SoftCoulombSystem {
     pub fn be_atom() -> Self {
         Self::new("Be", vec![(4.0, 0.0)], 2, 2)
     }
-    /// 1D H2 molecule at bond length `r`.
-    pub fn h2(r: f64) -> Self {
-        Self::new("H2", vec![(1.0, -r / 2.0), (1.0, r / 2.0)], 1, 1)
-    }
-    /// 1D LiH molecule at bond length `r`.
-    pub fn lih(r: f64) -> Self {
-        Self::new("LiH", vec![(3.0, -r / 2.0), (1.0, r / 2.0)], 2, 2)
-    }
 
     /// Total electrons.
     pub fn n_electrons(&self) -> usize {
@@ -108,7 +100,7 @@ mod tests {
 
     #[test]
     fn nuclear_repulsion_of_h2() {
-        let h2 = SoftCoulombSystem::h2(2.0);
+        let h2 = SoftCoulombSystem::new("H2", vec![(1.0, -1.0), (1.0, 1.0)], 1, 1);
         assert!((h2.nuclear_repulsion() - soft_coulomb(2.0)).abs() < 1e-14);
         assert_eq!(SoftCoulombSystem::h_atom().nuclear_repulsion(), 0.0);
     }
@@ -119,6 +111,5 @@ mod tests {
         assert_eq!(SoftCoulombSystem::he_atom().n_electrons(), 2);
         assert_eq!(SoftCoulombSystem::li_atom().n_electrons(), 3);
         assert_eq!(SoftCoulombSystem::be_atom().n_electrons(), 4);
-        assert_eq!(SoftCoulombSystem::lih(3.0).n_electrons(), 4);
     }
 }

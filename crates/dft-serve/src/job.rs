@@ -112,6 +112,23 @@ impl MeshSpec {
         }
     }
 
+    /// The DoF count of the FE space on this mesh, without building it:
+    /// `cells · degree` nodes on a periodic axis, and on a Dirichlet axis
+    /// one closing node more minus the two eliminated boundary nodes.
+    /// Saturates at `usize::MAX` for meshes no host could build.
+    pub fn ndofs(&self) -> usize {
+        (0..3)
+            .map(|d| {
+                let nodes = self.cells[d].saturating_mul(self.degree);
+                if self.periodic[d] {
+                    nodes
+                } else {
+                    nodes.saturating_sub(1)
+                }
+            })
+            .fold(1, usize::saturating_mul)
+    }
+
     /// Materialize the mesh.
     pub fn build(&self) -> Mesh3d {
         let axis = |i: usize| {
@@ -186,6 +203,7 @@ impl JobSpec {
     /// inheriting its periodicity; `pseudo_of` maps each species label to
     /// its pseudopotential `(valence charge, smearing radius)`. Electronic
     /// knobs start at the miniature defaults — adjust on the returned spec.
+    // dftlint:allow(L009, reason="structure-built jobs of dft-serve/tests/serve.rs")
     pub fn from_structure(
         s: &Structure,
         cells_per_axis: usize,
@@ -243,6 +261,23 @@ impl JobSpec {
         if self.mesh.lengths.iter().any(|&l| !(l > 0.0)) {
             return Err("mesh has a non-positive cell length".into());
         }
+        // more states than DoFs have no orthonormal basis
+        let ndofs = self.mesh.ndofs();
+        if self.n_states > ndofs {
+            return Err(format!(
+                "{} states exceed the mesh's {ndofs} degrees of freedom",
+                self.n_states
+            ));
+        }
+        // doubly occupied states must hold every electron
+        let electrons: f64 = self.atoms.iter().map(|a| a.kind.z()).sum();
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if !(electrons <= 2.0 * self.n_states as f64) {
+            return Err(format!(
+                "{} states cannot hold {electrons} electrons",
+                self.n_states
+            ));
+        }
         Ok(())
     }
 }
@@ -276,6 +311,7 @@ impl JobRequest {
     }
 
     /// Attach a fault plan (testing hook).
+    // dftlint:allow(L009, reason="fault injection of dft-serve/tests/serve.rs")
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = Arc::new(faults);
         self
@@ -382,4 +418,65 @@ pub struct JobOutcome {
     pub wait_ms: f64,
     /// Admission-to-completion latency (milliseconds).
     pub latency_ms: f64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dft_fem::space::FeSpace;
+
+    fn spec() -> JobSpec {
+        let atom = Atom {
+            kind: AtomKind::Pseudo { z: 2.0, r_c: 0.8 },
+            pos: [2.0, 3.0, 3.0],
+        };
+        JobSpec::miniature(vec![atom], 6.0)
+    }
+
+    #[test]
+    fn dof_count_matches_the_built_space() {
+        let meshes = [
+            MeshSpec::cube(2, 6.0, 2),
+            MeshSpec {
+                periodic: [false; 3],
+                ..MeshSpec::cube(3, 6.0, 2)
+            },
+            MeshSpec {
+                cells: [1, 2, 3],
+                lengths: [4.0, 5.0, 6.0],
+                degree: 3,
+                periodic: [true, false, true],
+            },
+            MeshSpec {
+                cells: [1, 1, 2],
+                degree: 1,
+                periodic: [false, true, false],
+                ..MeshSpec::cube(1, 6.0, 1)
+            },
+        ];
+        for mesh in meshes {
+            assert_eq!(mesh.ndofs(), FeSpace::new(mesh.build()).ndofs(), "{mesh:?}");
+        }
+    }
+
+    #[test]
+    fn more_states_than_dofs_are_rejected() {
+        // the miniature mesh is 2^3 periodic cells of degree 2: 4^3 DoFs
+        let mut s = spec();
+        s.n_states = 64;
+        assert!(s.validate().is_ok());
+        s.n_states = 65;
+        let why = s.validate().unwrap_err();
+        assert!(why.contains("degrees of freedom"), "{why}");
+    }
+
+    #[test]
+    fn too_few_states_for_the_electrons_are_rejected() {
+        let mut s = spec();
+        s.atoms[0].kind = AtomKind::Pseudo { z: 4.0, r_c: 0.8 };
+        assert!(s.validate().is_ok(), "2 states hold 4 electrons");
+        s.atoms[0].kind = AtomKind::Pseudo { z: 5.0, r_c: 0.8 };
+        let why = s.validate().unwrap_err();
+        assert!(why.contains("cannot hold"), "{why}");
+    }
 }

@@ -36,11 +36,6 @@ impl RankPool {
         self.free
     }
 
-    /// Slots currently held by running gangs.
-    pub fn in_use(&self) -> usize {
-        self.total - self.free
-    }
-
     /// Ranks permanently lost to faults since start.
     pub fn burned(&self) -> usize {
         self.burned
@@ -82,7 +77,7 @@ mod tests {
         assert_eq!(pool.alloc(3), Some(3));
         assert_eq!(pool.alloc(100), Some(5)); // clamped to what's free
         assert_eq!(pool.alloc(1), None); // exhausted
-        assert_eq!(pool.in_use(), 8);
+        assert_eq!(pool.total() - pool.free(), 8);
 
         // a gang of 3 comes back with one rank dead
         pool.release(2);
@@ -93,6 +88,6 @@ mod tests {
 
         pool.release(5);
         assert_eq!(pool.free(), 7);
-        assert_eq!(pool.in_use(), 0);
+        assert_eq!(pool.total() - pool.free(), 0);
     }
 }

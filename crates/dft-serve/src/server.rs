@@ -25,11 +25,6 @@ impl JobTicket {
     pub fn wait(&self) -> Option<JobOutcome> {
         self.rx.recv().ok()
     }
-
-    /// Non-blocking poll.
-    pub fn poll(&self) -> Option<JobOutcome> {
-        self.rx.try_recv().ok()
-    }
 }
 
 /// The multi-tenant DFT job server. `start` spins up the scheduler thread;

@@ -426,10 +426,10 @@ fn solver_panic_fails_its_job_and_frees_the_slot() {
     cfg.pool_ranks = 2;
     let server = DftServer::start(cfg).expect("start");
 
-    // valid by every admission rule, but more states than the 64-DoF mesh
-    // has dimensions: the first orthonormalization cannot succeed
+    // valid by every admission rule, but its one atom carries a negative
+    // charge: the occupations reject a negative electron count
     let mut doomed = mini_spec(0);
-    doomed.n_states = 70;
+    doomed.atoms[0].kind = AtomKind::Pseudo { z: -2.0, r_c: 0.8 };
     let healthy = server
         .submit(long_request("alice", Priority::Normal, 3))
         .expect("admit the long job");

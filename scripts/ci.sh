@@ -13,14 +13,14 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo bench --no-run"
 cargo bench --offline --workspace --no-run
 
-echo "==> dft-lint (project invariants: L001-L008, incl. the L006-L008 collective-protocol prover)"
+echo "==> dft-lint (project invariants: L001-L009, incl. the L006-L008 collective-protocol prover and the L009 production-caller check)"
 cargo run -q --offline --release -p dft-lint -- --workspace --deny-all --summary
 mkdir -p target
 cargo run -q --offline --release -p dft-lint -- --workspace --json > target/dft-lint.json
 echo "    JSON artifact: target/dft-lint.json"
 
-echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep, one distributed route, one ChFES cycle, one recurrence update, one rooted collective, one KS eigensolve step, one Fermi-Dirac function, one FE derivative, one trajectory loop, one durable writer, one thread-cap helper)"
-for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a recurrence_update ks_eigensolve accumulate_density fermi deriv_mass deriv_mass_t trajectory_rank write_durable read_durable with_threads with_thread_share; do
+echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep, one distributed route, one ChFES cycle, one recurrence update, one rooted collective, one KS eigensolve step, one Fermi-Dirac function, one FE derivative, one trajectory loop, one durable writer, one thread-cap helper, one overlap model, one initial subspace)"
+for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a recurrence_update ks_eigensolve accumulate_density fermi deriv_mass deriv_mass_t trajectory_rank write_durable read_durable with_threads with_thread_share pipelined_blocks random_subspace; do
   n=$(grep -rhE "^\s*(pub(\([a-z]+\))? )?fn ${f}\b" crates/*/src | wc -l)
   if [ "$n" -ne 1 ]; then
     echo "    fn $f is defined $n times under crates/*/src (expected exactly 1)"
@@ -46,7 +46,10 @@ done
 #    parameter sets of one energy density;
 #  - one trajectory loop: BO-MD is velocity Verlet stepped by the loop that
 #    steps FIRE, with one record and one result type, and the distributed
-#    Hamiltonian carries the filter's wire itself (no FP32-wire twin).
+#    Hamiltonian carries the filter's wire itself (no FP32-wire twin);
+#  - production code is what production calls: the two-stream overlap is
+#    its closed form (no event queue), CholGS is the one orthonormalization
+#    (no Löwdin, no inverse square root), and scf() picks the scalar path.
 retired=(
   "benchmark-gate / tuning-file name|DFT_T""UNE|dft_t""une\.json|BEN""CH_|DFT_BEN""CH_GATE"
   "sibling path of the distributed solver, or the knob that selected it|Cluster""Reducer|enum Red""ucer|grid\.is_so""me\(\)|JobKind::Scr""een|warm_st""art:|with_over""lap|Pipelined""Filter|Cf""Driver"
@@ -54,6 +57,7 @@ retired=(
   "world-only collective, its tag band, the is-distributed fork or the serial relax driver|allgather_sc""alar|\bbroadcast_f""64|GATHER_BA""ND|BROADCAST_BA""ND|is_distri""buted|fn rel""ax\("
   "private copy of the FE derivative, its node map, its adapter shim or a per-functional GGA body|cell_local_to_""node|apply_deriv_""mass|ArcFeDiver""gence|GgaFo""rm"
   "second trajectory loop, its record and result types, or the filter twin of the Hamiltonian|md_r""ank|MdStep""Record|DistMd""Result|h_fil""ter"
+  "discrete-event timeline, second orthonormalization or forced-complex SCF entry|Time""line|Task""Id|low""din|\binv_s""qrt\b|scf_com""plex"
 )
 for entry in "${retired[@]}"; do
   if grep -rnE "${entry#*|}" crates/*/src scripts; then
