@@ -139,6 +139,10 @@ impl MiniSystem {
     }
 }
 
+/// Layer widths of the network the pipeline trains: a reduced net that
+/// trains in seconds, in place of the paper's 5x80.
+const NET_WIDTHS: [usize; 4] = [3, 24, 24, 1];
+
 /// Pipeline configuration.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
@@ -148,8 +152,6 @@ pub struct PipelineConfig {
     pub epochs: usize,
     /// Adam learning rate.
     pub lr: f64,
-    /// Use a reduced network (fast CI runs) instead of the paper's 5x80.
-    pub quick_net: bool,
     /// RNG seed.
     pub seed: u64,
     /// Print progress.
@@ -162,7 +164,6 @@ impl Default for PipelineConfig {
             invdft_iters: 50,
             epochs: 300,
             lr: 3e-3,
-            quick_net: true,
             seed: 11,
             verbose: false,
         }
@@ -249,11 +250,7 @@ pub fn train_mlxc_from_invdft(
     }
 
     // (4) train MLXC on the {rho, v_xc, E_xc} data
-    let mut model = if cfg.quick_net {
-        MlxcModel::from_net(Mlp::new(&[3, 24, 24, 1], cfg.seed))
-    } else {
-        MlxcModel::new(cfg.seed)
-    };
+    let mut model = MlxcModel::from_net(Mlp::new(&NET_WIDTHS, cfg.seed));
     let tc = TrainConfig {
         epochs: cfg.epochs,
         lr: cfg.lr,

@@ -52,16 +52,6 @@ pub struct ChfesOptions {
     pub mixed_precision: bool,
 }
 
-impl Default for ChfesOptions {
-    fn default() -> Self {
-        Self {
-            cheb_degree: 30,
-            block_size: 64,
-            mixed_precision: false,
-        }
-    }
-}
-
 /// Estimate spectral bounds of a Hermitian operator with `k` Lanczos steps:
 /// returns `(theta_min, upper_bound)` where `upper_bound` is a safe upper
 /// bound on the largest eigenvalue (largest Ritz value plus the residual).
@@ -904,9 +894,9 @@ mod tests {
         for (block_size, mixed_precision) in [(64, false), (2, true)] {
             let mut psi = random_subspace::<f64>(h.dim(), 5, 23);
             let opts = ChfesOptions {
+                cheb_degree: 30,
                 block_size,
                 mixed_precision,
-                ..ChfesOptions::default()
             };
             let window = (tmin - 1.0, tmin + 0.2 * (tmax - tmin), tmax);
             let evals = chfes(&h, &mut psi, window, &opts);
@@ -933,8 +923,9 @@ mod tests {
             let profile = Profile::new();
             let mut psi = random_subspace::<f64>(h.dim(), 5, 23);
             let opts = ChfesOptions {
+                cheb_degree: 30,
+                block_size: 64,
                 mixed_precision,
-                ..ChfesOptions::default()
             };
             chfes_reduced(&h, &mut psi, window, &opts, None, Some(&profile), &NoReduce);
             profile.finish(None).cumulative
@@ -973,8 +964,9 @@ mod tests {
             let cycle = |block_size, start: &Matrix<T>, occupied_at, profile| {
                 let mut psi = start.clone();
                 let opts = ChfesOptions {
+                    cheb_degree: 30,
                     block_size,
-                    ..ChfesOptions::default()
+                    mixed_precision: false,
                 };
                 let evals =
                     chfes_reduced(&h, &mut psi, window, &opts, occupied_at, profile, &NoReduce);

@@ -9,7 +9,14 @@
 //! trajectory loop (`dft_parallel::dist_relax` / `dist_md`) steps either
 //! on replicated forces and persists / restores it across preemptions.
 
-/// FIRE parameters (standard values).
+/// FIRE's initial time step.
+const FIRE_DT: f64 = 0.5;
+/// FIRE's maximum time step.
+const FIRE_DT_MAX: f64 = 2.0;
+/// Maximum displacement per FIRE step (trust radius, Bohr).
+const MAX_DISP: f64 = 0.25;
+
+/// When a relaxation stops.
 #[derive(Clone, Debug)]
 pub struct RelaxConfig {
     /// Maximum relaxation steps.
@@ -17,12 +24,6 @@ pub struct RelaxConfig {
     /// Converged when the largest force component falls below this
     /// (Ha/Bohr; the paper's discretization target is 1e-4).
     pub force_tol: f64,
-    /// Initial time step.
-    pub dt: f64,
-    /// Maximum time step.
-    pub dt_max: f64,
-    /// Maximum displacement per step (trust radius, Bohr).
-    pub max_disp: f64,
 }
 
 impl Default for RelaxConfig {
@@ -30,9 +31,6 @@ impl Default for RelaxConfig {
         Self {
             max_steps: 20,
             force_tol: 5e-3,
-            dt: 0.5,
-            dt_max: 2.0,
-            max_disp: 0.25,
         }
     }
 }
@@ -55,11 +53,11 @@ pub struct FireState {
 }
 
 impl FireState {
-    /// Fresh state for `n_atoms` atoms with the configured initial dt.
-    pub fn new(n_atoms: usize, cfg: &RelaxConfig) -> Self {
+    /// Fresh state for `n_atoms` atoms at the initial time step.
+    pub fn new(n_atoms: usize) -> Self {
         Self {
             v: vec![[0.0; 3]; n_atoms],
-            dt: cfg.dt,
+            dt: FIRE_DT,
             alpha: 0.1,
             n_pos: 0,
         }
@@ -75,7 +73,7 @@ impl FireState {
     /// `P = F.v` sees a velocity consistent with the move actually
     /// applied. (The old per-component clamp both bent the step direction
     /// and left `v` describing a move that never happened.)
-    pub fn step(&mut self, f: &[[f64; 3]], cfg: &RelaxConfig) -> Vec<[f64; 3]> {
+    pub fn step(&mut self, f: &[[f64; 3]]) -> Vec<[f64; 3]> {
         let n = f.len();
         assert_eq!(self.v.len(), n);
         // FIRE: P = F . v
@@ -100,7 +98,7 @@ impl FireState {
             }
             self.n_pos += 1;
             if self.n_pos > 5 {
-                self.dt = (self.dt * 1.1).min(cfg.dt_max);
+                self.dt = (self.dt * 1.1).min(FIRE_DT_MAX);
                 self.alpha *= 0.99;
             }
         } else {
@@ -122,8 +120,8 @@ impl FireState {
             max_norm = max_norm.max(d2.sqrt());
         }
         // trust radius: uniform rescale of step AND velocity
-        if max_norm > cfg.max_disp {
-            let s = cfg.max_disp / max_norm;
+        if max_norm > MAX_DISP {
+            let s = MAX_DISP / max_norm;
             for i in 0..n {
                 for k in 0..3 {
                     dx[i][k] *= s;
@@ -195,16 +193,15 @@ mod tests {
     /// rescaled to match the applied displacement exactly.
     #[test]
     fn trust_radius_clamps_by_norm_and_rescales_velocity() {
-        let cfg = RelaxConfig::default();
-        let mut fire = FireState::new(2, &cfg);
+        let mut fire = FireState::new(2);
         // steep, direction-mixing force: the old per-component clamp
-        // would saturate x and y at max_disp and bend the direction
+        // would saturate x and y at MAX_DISP and bend the direction
         let f = [[40.0, 10.0, 0.0], [-40.0, -10.0, 0.0]];
-        let dx = fire.step(&f, &cfg);
+        let dx = fire.step(&f);
         for i in 0..2 {
             let norm = (0..3).map(|k| dx[i][k] * dx[i][k]).sum::<f64>().sqrt();
             assert!(
-                norm <= cfg.max_disp * (1.0 + 1e-12),
+                norm <= MAX_DISP * (1.0 + 1e-12),
                 "atom {i} step norm {norm} exceeds trust radius"
             );
             // direction preserved: dx parallel to f (v started at zero)
@@ -220,10 +217,10 @@ mod tests {
         }
         // and an unclamped gentle step is untouched (first step has
         // P = 0 so FIRE halves dt before integrating: dx = (dt/2)^2 f)
-        let mut fire2 = FireState::new(1, &cfg);
+        let mut fire2 = FireState::new(1);
         let g = [[0.1, 0.0, 0.0]];
-        let dx2 = fire2.step(&g, &cfg);
-        let dt_h = cfg.dt * 0.5;
+        let dx2 = fire2.step(&g);
+        let dt_h = FIRE_DT * 0.5;
         assert!((dx2[0][0] - dt_h * dt_h * 0.1).abs() < 1e-15);
     }
 }

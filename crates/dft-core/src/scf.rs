@@ -69,6 +69,9 @@ impl KPoint {
     }
 }
 
+/// Anderson mixing fraction of every SCF.
+const MIXING_ALPHA: f64 = 0.3;
+
 /// SCF configuration.
 #[derive(Clone, Debug)]
 pub struct ScfConfig {
@@ -81,8 +84,6 @@ pub struct ScfConfig {
     pub tol: f64,
     /// Maximum SCF iterations.
     pub max_iter: usize,
-    /// Anderson mixing fraction.
-    pub mixing_alpha: f64,
     /// Anderson history depth.
     pub anderson_depth: usize,
     /// Chebyshev filter degree of every filtered column per ChFES cycle.
@@ -104,16 +105,10 @@ pub struct ScfConfig {
     pub poisson_tol: f64,
     /// RNG seed for the initial subspace.
     pub seed: u64,
-    /// Print per-iteration diagnostics.
-    pub verbose: bool,
     /// Collect the per-phase Table-3 profile of the SCF loop into
     /// [`ScfResult::profile`]. Off by default; when off the solver path
     /// carries no measurable instrumentation overhead.
     pub profile: bool,
-    /// Write an SCF restart snapshot every `checkpoint_every` iterations
-    /// (0 = never). Consumed by the distributed driver; the serial solver
-    /// ignores it.
-    pub checkpoint_every: usize,
 }
 
 impl Default for ScfConfig {
@@ -123,7 +118,6 @@ impl Default for ScfConfig {
             kt: 0.01,
             tol: 1e-6,
             max_iter: 40,
-            mixing_alpha: 0.3,
             anderson_depth: 6,
             cheb_degree: 40,
             first_iter_cf_passes: 4,
@@ -131,9 +125,7 @@ impl Default for ScfConfig {
             mixed_precision: false,
             poisson_tol: 1e-10,
             seed: 42,
-            verbose: false,
             profile: false,
-            checkpoint_every: 0,
         }
     }
 }
@@ -300,8 +292,6 @@ pub trait ScfSeam<T: Scalar> {
     fn kpoint_lanes(&self, _nk: usize) -> usize {
         1
     }
-    /// Whether this rank prints the `verbose` line.
-    fn is_root(&self) -> bool;
 
     /// Hand `run` what one [`crate::chebyshev::chfes_reduced`] pass at the
     /// potential `v_eff` needs: the operator on this rank's rows and the
@@ -377,9 +367,6 @@ impl<T: Scalar> ScfSeam<T> for SerialSeam {
     // retrace the one-after-another solve
     fn kpoint_lanes(&self, nk: usize) -> usize {
         nk.min(rayon::current_num_threads())
-    }
-    fn is_root(&self) -> bool {
-        true
     }
     fn with_operators<R>(
         &self,
@@ -506,7 +493,7 @@ impl<T: Scalar> ScfState<T> {
             start_iter: 0,
             rho_in: system.initial_density(space),
             mu: 0.0,
-            mixer: AndersonMixer::new(cfg.mixing_alpha, cfg.anderson_depth, weights),
+            mixer: AndersonMixer::new(MIXING_ALPHA, cfg.anderson_depth, weights),
             filter_window: vec![None; kpts.len()],
             residual_history: Vec::new(),
             psi: (k0..k1)
@@ -739,12 +726,6 @@ pub fn scf_loop<T: ScalarExt, S: ScfSeam<T> + Sync>(
             space.integrate(&diff).sqrt() / n_el
         };
         st.residual_history.push(residual);
-        if cfg.verbose && seam.is_root() {
-            println!(
-                "SCF {iter:3}  E = {:+.8} Ha   resid = {residual:.3e}   mu = {:+.4}",
-                result_energy.free_energy, st.mu
-            );
-        }
         if residual < cfg.tol {
             converged = true;
             break;

@@ -14,10 +14,8 @@
 //! * RCCL + AWS-OFI plugin: "order of magnitude" higher allreduce bus
 //!   bandwidth than Cray MPICH (Sec. 5.4.4), unstable beyond ~1,000 nodes.
 
-use serde::Serialize;
-
 /// One GPU (the paper counts an MI250X — two GCDs — as one GPU).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct GpuModel {
     /// Marketing name.
     pub name: &'static str,
@@ -64,7 +62,7 @@ impl GpuModel {
 }
 
 /// A machine (interconnect + node composition).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct MachineModel {
     /// Machine name.
     pub name: &'static str,
@@ -204,7 +202,7 @@ impl MachineModel {
 }
 
 /// A machine plus a node count.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ClusterSpec {
     /// The machine model.
     pub machine: MachineModel,

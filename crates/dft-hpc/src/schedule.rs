@@ -25,14 +25,13 @@
 
 use crate::event::pipelined_blocks;
 use crate::machine::ClusterSpec;
-use serde::Serialize;
 
 /// Ratio of Kohn-Sham states per k-point to electrons in the supercell
 /// slice, inferred from the paper's Table 3 FLOP counts.
 pub const STATES_PER_ELECTRON: f64 = 0.289;
 
 /// A DFT benchmark system, in the units the schedule needs.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct DftSystemSpec {
     /// Human-readable name.
     pub name: String,
@@ -111,24 +110,25 @@ impl DftSystemSpec {
     }
 }
 
+/// Column block size inside the CholGS/RR GEMM pipelines.
+const SUB_BLOCK: f64 = 2000.0;
+/// Whether the subspace reductions ride NCCL/RCCL collectives (Sec. 5.4.4)
+/// instead of MPI's.
+const USE_CCL: bool = false;
+
 /// Solver/implementation options (the knobs of Secs. 5.4.2-5.4.4).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct SolverOptions {
     /// Chebyshev-filter wavefunction block size `B_f`.
     pub block_size: f64,
     /// Chebyshev polynomial degree per SCF iteration.
     pub cheb_degree: f64,
-    /// Column block size used inside the CholGS/RR GEMM pipelines.
-    pub sub_block: f64,
     /// Mixed FP32/FP64 precision (Sec. 5.4.2).
     pub mixed_precision: bool,
     /// Asynchronous compute/communication overlap (Sec. 5.4.3).
     pub async_overlap: bool,
     /// GPU-aware point-to-point MPI (Sec. 5.4.4).
     pub gpu_aware: bool,
-    /// GPU-aware NCCL/RCCL collectives (Sec. 5.4.4; auto-disabled by the
-    /// machine model beyond its stability node count).
-    pub use_ccl: bool,
 }
 
 impl Default for SolverOptions {
@@ -136,11 +136,9 @@ impl Default for SolverOptions {
         Self {
             block_size: 250.0,
             cheb_degree: 23.0,
-            sub_block: 2000.0,
             mixed_precision: true,
             async_overlap: true,
             gpu_aware: true,
-            use_ccl: false,
         }
     }
 }
@@ -158,7 +156,7 @@ impl SolverOptions {
 }
 
 /// One priced step of the SCF iteration.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct StepTiming {
     /// Step label (Table 3 names).
     pub name: &'static str,
@@ -176,7 +174,7 @@ impl StepTiming {
 }
 
 /// A priced SCF iteration.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ScfStepReport {
     /// System name.
     pub system: String,
@@ -312,7 +310,7 @@ pub fn scf_step(sys: &DftSystemSpec, opts: &SolverOptions, cluster: &ClusterSpec
     });
 
     // ---- CholGS-S: overlap matrix (full GEMM executed, alpha=1 counted) --
-    let bs = opts.sub_block.min(n);
+    let bs = SUB_BLOCK.min(n);
     let s_blocks = (n / bs).ceil() as usize;
     let fp32_frac = if opts.mixed_precision {
         1.0 - bs / n
@@ -325,7 +323,7 @@ pub fn scf_step(sys: &DftSystemSpec, opts: &SolverOptions, cluster: &ClusterSpec
     let wire = if opts.mixed_precision { 4.0 } else { 8.0 } * if sys.complex { 2.0 } else { 1.0 };
     let t_s_ar = cluster
         .machine
-        .allreduce_seconds(n * bs * wire, wg.group_nodes, opts.use_ccl);
+        .allreduce_seconds(n * bs * wire, wg.group_nodes, USE_CCL);
     let t_chs = pipelined_blocks(s_blocks, t_s_gemm, t_s_ar, opts.async_overlap);
     let chs_pflop = 1.0 * gf * m * n * n * kpts / 1e15; // alpha = 1
     steps.push(StepTiming {
@@ -363,7 +361,7 @@ pub fn scf_step(sys: &DftSystemSpec, opts: &SolverOptions, cluster: &ClusterSpec
         gpu.gemm_seconds(p_exec_flops_gpu, bs, fp32_frac) + cluster.machine.kernel_overhead_s;
     let t_p_ar = cluster
         .machine
-        .allreduce_seconds(n * bs * wire, wg.group_nodes, opts.use_ccl);
+        .allreduce_seconds(n * bs * wire, wg.group_nodes, USE_CCL);
     let t_rrp = t_hpsi + pipelined_blocks(s_blocks, t_p_gemm, t_p_ar, opts.async_overlap);
     let rrp_pflop = 1.0 * gf * m * n * n * kpts / 1e15;
     steps.push(StepTiming {

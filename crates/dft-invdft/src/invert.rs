@@ -13,6 +13,15 @@ use dft_linalg::blas1;
 use dft_linalg::iterative::{block_minres, DiagonalPrec};
 use dft_linalg::matrix::Matrix;
 
+/// Initial steepest-descent step on `v_xc`.
+const INITIAL_STEP: f64 = 0.15;
+/// ChFES cycles per outer iteration (three more in the first).
+const EIG_PASSES: usize = 2;
+/// Relative tolerance of the block-MINRES adjoint solve.
+const MINRES_TOL: f64 = 1e-7;
+/// Iteration cap of the adjoint solve.
+const MINRES_MAX_ITER: usize = 400;
+
 /// Configuration of the inverse solve.
 #[derive(Clone, Debug)]
 pub struct InvDftConfig {
@@ -23,18 +32,10 @@ pub struct InvDftConfig {
     pub kt: f64,
     /// Outer optimization iterations.
     pub max_iter: usize,
-    /// Initial steepest-descent step on `v_xc`.
-    pub step: f64,
     /// Stop when `||rho_KS - rho*||_L2 / N_e` falls below this.
     pub tol: f64,
     /// Chebyshev degree per eigensolve cycle.
     pub cheb_degree: usize,
-    /// ChFES cycles per outer iteration.
-    pub eig_passes: usize,
-    /// Relative tolerance of the block-MINRES adjoint solve.
-    pub minres_tol: f64,
-    /// Iteration cap of the adjoint solve.
-    pub minres_max_iter: usize,
     /// Use the inverse-diagonal-Laplacian preconditioner (Sec. 5.3.1).
     pub precondition: bool,
     /// RNG seed.
@@ -49,12 +50,8 @@ impl Default for InvDftConfig {
             n_states: 6,
             kt: 0.005,
             max_iter: 80,
-            step: 0.15,
             tol: 1e-4,
             cheb_degree: 35,
-            eig_passes: 2,
-            minres_tol: 1e-7,
-            minres_max_iter: 400,
             precondition: true,
             seed: 7,
             verbose: false,
@@ -123,7 +120,7 @@ pub fn invert(
     let mut minres_iterations = 0;
     let mut converged = false;
     let mut iterations = 0;
-    let mut step = cfg.step;
+    let mut step = INITIAL_STEP;
     let mut rho_ks_nodes = vec![0.0; nn];
     let mut best: Option<(f64, Vec<f64>)> = None;
     // Barzilai-Borwein state: previous control and previous gradient field
@@ -136,9 +133,9 @@ pub fn invert(
         let v_eff: Vec<f64> = (0..nn).map(|i| v_fixed[i] + vxc[i]).collect();
         let h = KsHamiltonian::<f64>::new(space, &v_eff, [1.0; 3]);
         let passes = if iter == 0 {
-            cfg.eig_passes + 3
+            EIG_PASSES + 3
         } else {
-            cfg.eig_passes
+            EIG_PASSES
         };
         let evals = ks_eigensolve(
             &h,
@@ -227,15 +224,7 @@ pub fn invert(
         }
         let mut p = Matrix::<f64>::zeros(nd, nb);
         let stats = if cfg.precondition {
-            block_minres(
-                &h,
-                &prec,
-                &shifts,
-                &g,
-                &mut p,
-                cfg.minres_tol,
-                cfg.minres_max_iter,
-            )
+            block_minres(&h, &prec, &shifts, &g, &mut p, MINRES_TOL, MINRES_MAX_ITER)
         } else {
             block_minres(
                 &h,
@@ -243,8 +232,8 @@ pub fn invert(
                 &shifts,
                 &g,
                 &mut p,
-                cfg.minres_tol,
-                cfg.minres_max_iter,
+                MINRES_TOL,
+                MINRES_MAX_ITER,
             )
         };
         minres_iterations += stats.iterations;

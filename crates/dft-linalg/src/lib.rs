@@ -14,9 +14,8 @@
 //!   dense linear algebra (Sec. 5.4.1);
 //! * [`chol`] — Cholesky factorization / triangular inversion for the
 //!   CholGS-CI step;
-//! * [`eig`] — Hermitian/symmetric eigensolvers for the RR-D step
-//!   (Householder tridiagonalization + implicit-shift QL for the real path,
-//!   cyclic Jacobi for the complex Hermitian path);
+//! * [`eig`] — the Hermitian/symmetric eigensolver of the RR-D step: one
+//!   cyclic Jacobi method for the real and the complex Hermitian path;
 //! * [`iterative`] — CG (Hartree/Poisson solves), MINRES and the
 //!   preconditioned **block**-MINRES of the paper's adjoint solve (Sec. 5.3.1).
 

@@ -79,7 +79,7 @@ impl From<DistForceError> for RelaxError {
     }
 }
 
-/// The FIRE parameters, wrapped. A step's SCF warm-starts from the
+/// The relaxation's stop test, wrapped. A step's SCF warm-starts from the
 /// previous step's converged state (density + psi shards) iff the SCF
 /// config has a `checkpoint_dir` to hold the `relax-warm` slot; without
 /// one every step runs cold. This one-field struct survives only because
@@ -87,7 +87,7 @@ impl From<DistForceError> for RelaxError {
 /// [`RelaxConfig`] belongs to a PR that may edit `benchmark/`.
 #[derive(Clone, Debug, Default)]
 pub struct DistRelaxConfig {
-    /// FIRE parameters.
+    /// When the FIRE relaxation stops.
     pub fire: RelaxConfig,
 }
 
@@ -164,9 +164,9 @@ impl Integrator {
     }
 
     /// One move on the forces `f`; returns the displacements.
-    fn step(&mut self, f: &[[f64; 3]], cfg: &RelaxConfig) -> Vec<[f64; 3]> {
+    fn step(&mut self, f: &[[f64; 3]]) -> Vec<[f64; 3]> {
         match self {
-            Integrator::Fire(s) => s.step(f, cfg),
+            Integrator::Fire(s) => s.step(f),
             Integrator::Verlet(s) => s.step(f),
         }
     }
@@ -329,7 +329,7 @@ pub fn dist_relax(
     kpts: &[KPoint],
 ) -> Result<DistRelaxResult, RelaxError> {
     let limits = &relax_cfg.fire;
-    let fire = Integrator::Fire(FireState::new(system.atoms.len(), limits));
+    let fire = Integrator::Fire(FireState::new(system.atoms.len()));
     rank_threads(comm, |comm| {
         trajectory_rank(comm, space, system, xc, scf_cfg, kpts, limits, fire)
     })
@@ -354,7 +354,6 @@ pub fn dist_md(
     let limits = RelaxConfig {
         max_steps: md_cfg.steps,
         force_tol: 0.0,
-        ..RelaxConfig::default()
     };
     let verlet = Integrator::Verlet(VerletState::new(system.atoms.len(), md_cfg.dt));
     rank_threads(comm, |comm| {
@@ -365,7 +364,7 @@ pub fn dist_md(
 /// The one trajectory loop: resume from the persisted state, then
 /// evaluate → record → stop test → move, persisting the state before every
 /// evaluation and pruning each finished step's snapshots. `limits` carries
-/// the stop test (`force_tol`, `max_steps`) and FIRE's parameters.
+/// the stop test (`force_tol`, `max_steps`).
 #[allow(clippy::too_many_arguments)]
 fn trajectory_rank(
     comm: &mut ThreadComm,
@@ -460,7 +459,7 @@ fn trajectory_rank(
         if t.step >= last {
             break;
         }
-        let dx = t.integrator.step(&f, limits);
+        let dx = t.integrator.step(&f);
         for (a, d) in t.sys.atoms.iter_mut().zip(&dx) {
             for k in 0..3 {
                 a.pos[k] += d[k];
@@ -529,7 +528,7 @@ mod tests {
             records: vec![rec],
         };
         write_durable(&root.join(STATE_FILE), written.encode()).unwrap();
-        let t = fresh(Integrator::Fire(FireState::new(1, &RelaxConfig::default())));
+        let t = fresh(Integrator::Fire(FireState::new(1)));
         let got = t.resumed(&root).expect("the current version loads");
         assert_eq!(got.encode(), written.encode(), "round trip");
         let md = fresh(Integrator::Verlet(VerletState::new(1, 0.25)));

@@ -151,14 +151,16 @@ impl PreemptToken {
 /// CholGS/RR reductions and all collectives stay FP64 regardless).
 #[derive(Clone, Debug)]
 pub struct DistScfConfig {
-    /// The serial SCF knobs, applied unchanged (`base.checkpoint_every`
-    /// sets the snapshot cadence; 0 disables).
+    /// The serial SCF knobs, applied unchanged.
     pub base: ScfConfig,
     /// Wire precision of the boundary exchange during Chebyshev filtering.
     pub wire: WirePrecision,
     /// Root directory for SCF restart snapshots; `None` disables
-    /// checkpointing regardless of `base.checkpoint_every`.
+    /// checkpointing regardless of `checkpoint_every`.
     pub checkpoint_dir: Option<PathBuf>,
+    /// Write a snapshot into `checkpoint_dir` every `checkpoint_every` SCF
+    /// iterations (0 = never).
+    pub checkpoint_every: usize,
     /// Resume from the newest complete snapshot in `checkpoint_dir` (falls
     /// back to a fresh start when none exists). The restart rank count and
     /// grid shape may differ from the writing run's: shards are reassembled
@@ -205,6 +207,7 @@ impl Default for DistScfConfig {
             base: ScfConfig::default(),
             wire: WirePrecision::Fp64,
             checkpoint_dir: None,
+            checkpoint_every: 0,
             restart: false,
             grid: None,
             subspace_fp32: false,
@@ -229,7 +232,7 @@ impl DistScfConfig {
     /// Enable snapshots into `dir` every `every` SCF iterations.
     pub fn with_checkpoints(mut self, dir: impl Into<PathBuf>, every: usize) -> Self {
         self.checkpoint_dir = Some(dir.into());
-        self.base.checkpoint_every = every;
+        self.checkpoint_every = every;
         self
     }
 
@@ -445,9 +448,6 @@ impl<T: WireScalar> ScfSeam<T> for ClusterSeam<'_, '_> {
     fn kpoints(&self, nk: usize) -> (usize, usize) {
         self.dist.grid.my_kpoints(nk)
     }
-    fn is_root(&self) -> bool {
-        self.dist.grid.rank == 0
-    }
 
     fn with_operators<R>(
         &self,
@@ -550,7 +550,7 @@ impl<T: WireScalar> ScfSeam<T> for ClusterSeam<'_, '_> {
         // Written *before* the epoch advance, so a fault-injected "kill at
         // iteration K" leaves iteration K's snapshot complete.
         if let Some(dir) = &cfg.checkpoint_dir {
-            let every = cfg.base.checkpoint_every;
+            let every = cfg.checkpoint_every;
             if every > 0 && iter > st.start_iter && iter.is_multiple_of(every) {
                 self.snapshot(dir, iter, &st.rho_in, &st.residual_history, st, profile)?;
             }

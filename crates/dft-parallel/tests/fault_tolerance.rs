@@ -423,7 +423,6 @@ fn one_move_relax() -> DistRelaxConfig {
         fire: RelaxConfig {
             max_steps: 1,
             force_tol: 0.0,
-            ..RelaxConfig::default()
         },
     }
 }

@@ -362,7 +362,6 @@ fn compressed_dimer_expands_and_lowers_energy() {
     let fire = RelaxConfig {
         max_steps: 8,
         force_tol: 2e-2,
-        ..RelaxConfig::default()
     };
     let out = relax_cold(1, &space, &sys, scf_cfg, fire).remove(0);
     let d_final = (out.system.atoms[1].pos[0] - out.system.atoms[0].pos[0]).abs();
@@ -393,7 +392,6 @@ fn final_step_convergence_is_evaluated() {
     let fire = RelaxConfig {
         max_steps: 0,
         force_tol: 5e-3, // symmetric atom: force ~ 0
-        ..RelaxConfig::default()
     };
     let out = relax_cold(1, &space, &sys, scf_cfg, fire).remove(0);
     assert_eq!(out.trajectory.len(), 1, "final evaluation missing");
@@ -412,7 +410,6 @@ fn warm_started_relax_steps_reconverge_faster() {
         fire: RelaxConfig {
             max_steps: 2,
             force_tol: 0.0, // never converges: all steps must execute
-            ..RelaxConfig::default()
         },
     };
     let (results, _) = run_cluster(2, |comm| {
@@ -449,7 +446,6 @@ fn restart_on_a_finished_relaxation_keeps_one_record_per_step() {
         fire: RelaxConfig {
             max_steps: 2,
             force_tol: 0.0,
-            ..RelaxConfig::default()
         },
     };
     let run = |dcfg: &DistScfConfig| {
@@ -489,7 +485,6 @@ fn fresh_relaxation_on_a_reused_root_starts_cold() {
         fire: RelaxConfig {
             max_steps: 1,
             force_tol: 0.0,
-            ..RelaxConfig::default()
         },
     };
     let run = || {

@@ -151,7 +151,6 @@ fn relaxation_is_bit_identical_across_seeded_schedules() {
         fire: RelaxConfig {
             max_steps: 2,
             force_tol: 0.0, // never converges: both moves execute
-            ..RelaxConfig::default()
         },
     };
     let fingerprints = explore_schedules(

@@ -257,6 +257,24 @@ impl JobSpec {
         if self.cheb_degree == 0 {
             return Err("zero Chebyshev filter degree".into());
         }
+        // the first iteration's eigenvalues come from these passes alone
+        if self.first_iter_cf_passes == 0 {
+            return Err("zero first-iteration filter passes".into());
+        }
+        // the SCF asserts finite Bloch phases and weights summing to 1
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if self
+            .kpts
+            .iter()
+            .any(|k| k.frac.iter().any(|f| !f.is_finite()) || !(k.weight >= 0.0))
+        {
+            return Err("k-point with a non-finite coordinate or a negative or NaN weight".into());
+        }
+        let wsum: f64 = self.kpts.iter().map(|k| k.weight).sum();
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if !((wsum - 1.0).abs() < 1e-10) {
+            return Err(format!("k-point weights sum to {wsum}, not 1"));
+        }
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         if self.mesh.lengths.iter().any(|&l| !(l > 0.0)) {
             return Err("mesh has a non-positive cell length".into());
@@ -478,5 +496,34 @@ mod tests {
         s.atoms[0].kind = AtomKind::Pseudo { z: 5.0, r_c: 0.8 };
         let why = s.validate().unwrap_err();
         assert!(why.contains("cannot hold"), "{why}");
+    }
+
+    #[test]
+    fn zero_first_iteration_passes_are_rejected() {
+        let mut s = spec();
+        s.first_iter_cf_passes = 1;
+        assert!(s.validate().is_ok());
+        s.first_iter_cf_passes = 0;
+        let why = s.validate().unwrap_err();
+        assert!(why.contains("filter passes"), "{why}");
+    }
+
+    #[test]
+    fn malformed_kpoints_are_rejected() {
+        let k = |frac, weight| KPoint { frac, weight };
+        let mut s = spec();
+        s.kpts = vec![k([0.0; 3], 0.25), k([0.5, 0.0, 0.0], 0.75)];
+        assert!(s.validate().is_ok());
+        let bad = [
+            vec![k([f64::NAN, 0.0, 0.0], 1.0)],
+            vec![k([0.0, f64::INFINITY, 0.0], 1.0)],
+            vec![k([0.0; 3], f64::NAN)],
+            vec![k([0.0; 3], 1.5), k([0.5, 0.0, 0.0], -0.5)],
+            vec![k([0.0; 3], 0.5), k([0.5, 0.0, 0.0], 0.4)],
+        ];
+        for kpts in bad {
+            s.kpts = kpts;
+            assert!(s.validate().is_err(), "{:?} admitted", s.kpts);
+        }
     }
 }

@@ -44,6 +44,9 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Rank-loss relaunch budget per solve.
+const MAX_RESTARTS: usize = 2;
+
 /// Server-wide knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -60,8 +63,6 @@ pub struct ServerConfig {
     pub checkpoint_every: usize,
     /// Blocking-receive deadline inside each job's cluster.
     pub timeout: Duration,
-    /// Rank-loss relaunch budget per solve.
-    pub max_restarts: usize,
     /// Force tolerance (Ha/Bohr) at which a `Relax` job's FIRE trajectory
     /// stops early; `0.0` disables early stopping (every requested step
     /// runs). Defaults to `RelaxConfig`'s tolerance.
@@ -78,7 +79,6 @@ impl ServerConfig {
             checkpoint_root: checkpoint_root.into(),
             checkpoint_every: 2,
             timeout: Duration::from_secs(30),
-            max_restarts: 2,
             relax_force_tol: RelaxConfig::default().force_tol,
         }
     }
@@ -380,7 +380,6 @@ impl Scheduler {
             job_root: job_dir(&self.cfg.checkpoint_root, id),
             checkpoint_every: self.cfg.checkpoint_every,
             timeout: self.cfg.timeout,
-            max_restarts: self.cfg.max_restarts,
             relax_force_tol: self.cfg.relax_force_tol,
         };
         let tx = self.events_tx.clone();
@@ -529,7 +528,6 @@ struct WorkerKnobs {
     job_root: PathBuf,
     checkpoint_every: usize,
     timeout: Duration,
-    max_restarts: usize,
     relax_force_tol: f64,
 }
 
@@ -659,7 +657,6 @@ fn run_worker(
                 fire: RelaxConfig {
                     max_steps: steps.max(1),
                     force_tol: knobs.relax_force_tol,
-                    ..RelaxConfig::default()
                 },
             };
             guarded(
@@ -674,7 +671,7 @@ fn run_worker(
                         &cfg,
                         &relax_cfg,
                         &spec.kpts,
-                        knobs.max_restarts,
+                        MAX_RESTARTS,
                     )
                 },
             )
@@ -715,7 +712,7 @@ fn run_worker(
                         &spec.functional,
                         &cfg,
                         &spec.kpts,
-                        knobs.max_restarts,
+                        MAX_RESTARTS,
                     )
                 },
             )

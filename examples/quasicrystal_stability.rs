@@ -78,10 +78,12 @@ fn main() {
             max_iter: 40,
             cheb_degree: 30,
             first_iter_cf_passes: 5,
-            verbose: true,
             ..ScfConfig::default()
         };
         let r = scf(&space, &system, &Lda, &cfg, &[KPoint::gamma()]);
+        for (iter, resid) in r.residual_history.iter().enumerate() {
+            println!("  SCF {iter:3}  resid = {resid:.3e}");
+        }
         let e_per_atom = r.energy.free_energy / np.n_atoms() as f64;
         println!(
             "  -> converged: {}, E = {:+.4} Ha, E/atom = {:+.4} Ha\n",

@@ -41,11 +41,13 @@ fn main() {
 
     let cfg = ScfConfig {
         n_states: 4,
-        verbose: true,
         ..ScfConfig::default()
     };
     let r = scf(&space, &system, &Lda, &cfg, &[KPoint::gamma()]);
 
+    for (iter, resid) in r.residual_history.iter().enumerate() {
+        println!("SCF {iter:3}  resid = {resid:.3e}");
+    }
     println!();
     println!("converged: {} in {} iterations", r.converged, r.iterations);
     println!("free energy:     {:+.6} Ha", r.energy.free_energy);

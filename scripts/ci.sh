@@ -49,7 +49,13 @@ done
 #    Hamiltonian carries the filter's wire itself (no FP32-wire twin);
 #  - production code is what production calls: the two-stream overlap is
 #    its closed form (no event queue), CholGS is the one orthonormalization
-#    (no Löwdin, no inverse square root), and scf() picks the scalar path.
+#    (no Löwdin, no inverse square root), and scf() picks the scalar path;
+#  - every knob has a second value: the single-valued solver knobs are
+#    constants (Anderson fraction, invDFT step / passes / MINRES limits,
+#    FIRE time steps and trust radius, the pipeline's net, the server's
+#    restart budget, the schedule's sub-block and CCL switch), the SCF does
+#    not print (no root-rank query for it), and the snapshot cadence lives
+#    in the distributed config.
 retired=(
   "benchmark-gate / tuning-file name|DFT_T""UNE|dft_t""une\.json|BEN""CH_|DFT_BEN""CH_GATE"
   "sibling path of the distributed solver, or the knob that selected it|Cluster""Reducer|enum Red""ucer|grid\.is_so""me\(\)|JobKind::Scr""een|warm_st""art:|with_over""lap|Pipelined""Filter|Cf""Driver"
@@ -58,6 +64,7 @@ retired=(
   "private copy of the FE derivative, its node map, its adapter shim or a per-functional GGA body|cell_local_to_""node|apply_deriv_""mass|ArcFeDiver""gence|GgaFo""rm"
   "second trajectory loop, its record and result types, or the filter twin of the Hamiltonian|md_r""ank|MdStep""Record|DistMd""Result|h_fil""ter"
   "discrete-event timeline, second orthonormalization or forced-complex SCF entry|Time""line|Task""Id|low""din|\binv_s""qrt\b|scf_com""plex"
+  "single-valued solver knob, the SCF's root-rank query or the serial snapshot cadence|mixing_al""pha|base\.checkpoint_ev""ery|fn is_ro""ot|cfg\.st""ep\b|eig_pa""sses|minres_t""ol|minres_max_it""er|dt_m""ax|max_di""sp|FireState::new\(.*,|quick_n""et|cfg\.max_resta""rts|knobs\.max_resta""rts|sub_blo""ck|opts\.use_c""cl"
 )
 for entry in "${retired[@]}"; do
   if grep -rnE "${entry#*|}" crates/*/src scripts; then
@@ -79,6 +86,13 @@ fi
 # Lanczos bounds, ChFES call or filter-window rule of its own.
 if grep -rnE "lanczos_bounds\(|chfes\(" crates/dft-invdft/src; then
   echo "    crates/dft-invdft/src calls the eigensolver directly instead of through ks_eigensolve (see above)"
+  exit 1
+fi
+
+# The SCF does not print: a run reports through its result (residual
+# history, profile), so the solver crates hold no print.
+if grep -rnE "\bprint(ln)?!" crates/dft-core/src crates/dft-parallel/src; then
+  echo "    a print in crates/dft-core/src or crates/dft-parallel/src (see above)"
   exit 1
 fi
 
