@@ -28,7 +28,7 @@ use crate::occupation::{fermi, DENSITY_CUTOFF};
 use dft_hpc::profile::{Phase, PhaseScope, Profile};
 use dft_linalg::blas1;
 use dft_linalg::chol::{cholesky_inverse, LinalgError};
-use dft_linalg::eig::eigh;
+use dft_linalg::eig::{eigh, tridiagonal_ql};
 use dft_linalg::gemm::{gemm, gemm_flops, gemm_mixed, matmul, Op};
 use dft_linalg::iterative::{LinearOperator, Recurrence};
 use dft_linalg::matrix::Matrix;
@@ -102,20 +102,12 @@ pub fn lanczos_bounds<T: Scalar>(op: &dyn LinearOperator<T>, k: usize, seed: u64
             *x = x.scale(inv);
         }
     }
-    // tridiagonal eigenvalues
+    // eigenvalues of the Lanczos tridiagonal: the QL stage of eigh, without
+    // eigenvectors (the last beta is the residual, not an off-diagonal)
     let m = alphas.len();
-    let mut tri = Matrix::<f64>::zeros(m, m);
-    for i in 0..m {
-        tri[(i, i)] = alphas[i];
-        if i + 1 < m {
-            tri[(i, i + 1)] = betas[i];
-            tri[(i + 1, i)] = betas[i];
-        }
-    }
-    let e = eigh(&tri).expect("tridiagonal eigensolve");
-    let theta_min = e.eigenvalues[0];
-    let theta_max = e.eigenvalues[m - 1];
-    (theta_min, theta_max + betas[m - 1].abs())
+    let residual = betas[m - 1].abs();
+    tridiagonal_ql(&mut alphas, &mut betas, None).expect("tridiagonal eigensolve");
+    (alphas[0], alphas[m - 1] + residual)
 }
 
 /// Reused scratch for [`chebyshev_filter_scratch`]: the two auxiliary

@@ -14,8 +14,9 @@
 //!   dense linear algebra (Sec. 5.4.1);
 //! * [`chol`] — Cholesky factorization / triangular inversion for the
 //!   CholGS-CI step;
-//! * [`eig`] — the Hermitian/symmetric eigensolver of the RR-D step: one
-//!   cyclic Jacobi method for the real and the complex Hermitian path;
+//! * [`eig`] — the Hermitian/symmetric eigensolver of the RR-D step:
+//!   Householder tridiagonalization plus implicit-shift QL for the real and
+//!   the complex Hermitian path (cyclic Jacobi is its test oracle);
 //! * [`iterative`] — CG (Hartree/Poisson solves), MINRES and the
 //!   preconditioned **block**-MINRES of the paper's adjoint solve (Sec. 5.3.1).
 

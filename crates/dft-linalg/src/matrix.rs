@@ -146,6 +146,7 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Frobenius norm.
+    // dftlint:allow(L009, reason="norm of the dft-linalg eig_oracle and proptest suites and the dft-fem space tests")
     pub fn norm_fro(&self) -> f64 {
         self.data
             .iter()

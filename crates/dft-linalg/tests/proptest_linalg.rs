@@ -18,6 +18,13 @@ fn cmat_strategy(m: usize, n: usize) -> impl Strategy<Value = Matrix<C64>> {
     })
 }
 
+/// A square complex matrix of random order `1..=max_n` (the leading block
+/// of a `max_n x max_n` draw).
+fn square_cmat_strategy(max_n: usize) -> impl Strategy<Value = Matrix<C64>> {
+    (1..=max_n, cmat_strategy(max_n, max_n))
+        .prop_map(|(n, big)| Matrix::from_fn(n, n, |i, j| big[(i, j)]))
+}
+
 fn hpd(m: &Matrix<C64>) -> Matrix<C64> {
     let n = m.nrows();
     let mut a = matmul(m, Op::ConjTrans, m, Op::None);
@@ -68,16 +75,17 @@ proptest! {
     }
 
     #[test]
-    fn eigh_trace_and_orthogonality(b in cmat_strategy(5, 5)) {
+    fn eigh_trace_and_orthogonality(b in square_cmat_strategy(40)) {
+        let n = b.nrows();
         let a = hpd(&b);
         let e = eigh(&a).unwrap();
         // trace preserved
-        let tr: f64 = (0..5).map(|i| a[(i, i)].re).sum();
+        let tr: f64 = (0..n).map(|i| a[(i, i)].re).sum();
         let s: f64 = e.eigenvalues.iter().sum();
         prop_assert!((tr - s).abs() < 1e-8 * tr.abs().max(1.0));
         // orthonormal eigenvectors
         let g = matmul(&e.eigenvectors, Op::ConjTrans, &e.eigenvectors, Op::None);
-        prop_assert!(g.max_abs_diff(&Matrix::identity(5)) < 1e-9);
+        prop_assert!(g.max_abs_diff(&Matrix::identity(n)) < 1e-9);
         // HPD => positive eigenvalues
         prop_assert!(e.eigenvalues.iter().all(|&l| l > 0.0));
     }
