@@ -6,7 +6,8 @@
 //!   `(-inf,-1)` (where they grow fast). Applied in column blocks of at
 //!   most `B_f` through the matrix-free Hamiltonian — a local Hamiltonian
 //!   carries one cell-kernel column block per thread. Given the last Fermi
-//!   level, only the columns the density sees run the full degree.
+//!   level, a block narrows in place after its first recurrence step to the
+//!   columns the density sees, and only those run the full degree.
 //! * **CholGS** — overlap `S = Psi_f† Psi_f`, Cholesky inverse, and the
 //!   orthonormalization GEMM. In mixed-precision mode `S` and the GEMM are
 //!   FP32 except the `B_f x B_f` diagonal blocks of `S`, which stay FP64
@@ -128,13 +129,11 @@ impl<T: Scalar> CfScratch<T> {
         }
     }
 
+    /// Shape both blocks `n x nc`, growing their buffers only past the
+    /// widest block so far: a narrower block reuses the capacity.
     fn ensure(&mut self, n: usize, nc: usize) {
-        if self.y.shape() != (n, nc) {
-            self.y = Matrix::zeros(n, nc);
-        }
-        if self.hy.shape() != (n, nc) {
-            self.hy = Matrix::zeros(n, nc);
-        }
+        self.y.resize(n, nc);
+        self.hy.resize(n, nc);
     }
 }
 
@@ -178,15 +177,19 @@ pub fn chebyshev_filter_scratch<T: Scalar>(
     a0: f64,
     scratch: &mut CfScratch<T>,
 ) {
-    chebyshev_filter_gated(op, x, m, (a0, a, b), scratch, |_, _, _| true);
+    chebyshev_filter_gated(op, x, m, (a0, a, b), scratch, |_, _, _| None);
 }
 
 /// The recurrence of [`chebyshev_filter_scratch`] with the bounds in
-/// [`chfes`] order `(a0, a, b)`, asking `go_on` after the first step
-/// whether to run on to degree `m`; returns whether it did. `go_on` sees
-/// the block `X`, the first iterate `Y = (sigma1 / e) (H X - c X)` and the
-/// map `(c, e / sigma1)` that turns `Re<x_j, y_j> / <x_j, x_j>` into column
-/// `j`'s Rayleigh quotient. A block that stops keeps its input bits.
+/// [`chfes`] order `(a0, a, b)`, asking `seen` after the first step which
+/// columns run on to degree `m`: strictly increasing indices, or `None` for
+/// every column. `seen` sees the block `X`, the first iterate
+/// `Y = (sigma1 / e) (H X - c X)` and the map `(c, e / sigma1)` that turns
+/// `Re<x_j, y_j> / <x_j, x_j>` into column `j`'s Rayleigh quotient. With no
+/// column named the block stops and keeps its input bits. Otherwise `X` and
+/// `Y` narrow in place to the named columns, moved in their order to the
+/// front, and steps `2..=m` run on those alone: `X` returns them filtered,
+/// as wide as their count. Returns what `seen` named.
 // dftlint:hot
 fn chebyshev_filter_gated<T: Scalar>(
     op: &dyn LinearOperator<T>,
@@ -194,8 +197,8 @@ fn chebyshev_filter_gated<T: Scalar>(
     m: usize,
     (a0, a, b): (f64, f64, f64),
     scratch: &mut CfScratch<T>,
-    go_on: impl FnOnce(&Matrix<T>, &Matrix<T>, (f64, f64)) -> bool,
-) -> bool {
+    seen: impl FnOnce(&Matrix<T>, &Matrix<T>, (f64, f64)) -> Option<Vec<usize>>,
+) -> Option<Vec<usize>> {
     assert!(m >= 1 && b > a && a > a0);
     let n = x.nrows();
     let nc = x.ncols();
@@ -214,8 +217,16 @@ fn chebyshev_filter_gated<T: Scalar>(
         beta: T::Re::ZERO,
     };
     op.recurrence_step(x, None, step, y);
-    if !go_on(x, y, (c, e / sigma1)) {
-        return false;
+    let seen = seen(x, y, (c, e / sigma1));
+    if let Some(cols) = &seen {
+        if cols.is_empty() {
+            return seen;
+        }
+        if cols.len() < nc {
+            x.retain_cols(cols);
+            y.retain_cols(cols);
+            hy.resize(n, cols.len());
+        }
     }
     for _k in 2..=m {
         let sigma2 = 1.0 / (gamma - sigma);
@@ -230,7 +241,7 @@ fn chebyshev_filter_gated<T: Scalar>(
         sigma = sigma2;
     }
     std::mem::swap(x, y);
-    true
+    seen
 }
 
 /// Analytic FLOP count of one [`chebyshev_filter`] call of degree `m` on
@@ -426,7 +437,7 @@ fn seen_columns<T: Scalar>(
     (c, scale): (f64, f64),
     (mu, kt): (f64, f64),
     reducer: &dyn SubspaceReducer<T>,
-) -> Vec<bool> {
+) -> Vec<usize> {
     let nc = x.ncols();
     let mut sums = vec![0.0f64; 2 * nc];
     for j in 0..nc {
@@ -435,7 +446,7 @@ fn seen_columns<T: Scalar>(
     }
     reducer.reduce_f64(&mut sums);
     (0..nc)
-        .map(|j| {
+        .filter(|&j| {
             let rq = c + scale * sums[j] / sums[nc + j].max(1e-300);
             2.0 * fermi(rq, mu, kt) >= DENSITY_CUTOFF
         })
@@ -513,9 +524,10 @@ fn cholgs_pass<T: Scalar>(
 /// Given the Fermi level `occupied_at = (mu, kT)` of the last occupations,
 /// CF filters to full degree only the columns the density sees: each filter
 /// block runs its first recurrence step, reads every column's Rayleigh
-/// quotient at `h` off it ([`seen_columns`]), stops there if no column is
-/// occupied at or above [`DENSITY_CUTOFF`], and otherwise runs to
-/// `cheb_degree` and writes back only its seen columns. Unseen columns keep
+/// quotient at `h` off it ([`seen_columns`]), narrows in place to the
+/// columns occupied at or above [`DENSITY_CUTOFF`], runs those alone to
+/// `cheb_degree` (a distributed `h` exchanges only their ghosts) and writes
+/// them back by index; a block with none stops there. Unseen columns keep
 /// their input bits — the search-space extras only have to span, and
 /// Rayleigh–Ritz refreshes them — and every column still goes through
 /// CholGS and RR. A column's result depends on that column alone, so the
@@ -525,7 +537,7 @@ fn cholgs_pass<T: Scalar>(
 /// Each phase (CF, CholGS-S/CI/O, RR-P/D/SR) runs inside its own
 /// [`PhaseScope`], tagged with analytic FLOP and byte counts (CholGS-CI and
 /// RR-D are wall-time-only, matching the paper's Sec. 6.3 accounting); CF
-/// books the degree steps it runs, one for a block that stopped.
+/// books one step on each block and `cheb_degree - 1` on its seen columns.
 pub fn chfes_reduced<T: Scalar>(
     h: &dyn HamOperator<T>,
     psi: &mut Matrix<T>,
@@ -550,38 +562,38 @@ pub fn chfes_reduced<T: Scalar>(
         let mut scope = PhaseScope::new(profile, Phase::Cf);
         let width = bf.min(h.max_filter_block()).max(1);
         let mut cf_scratch = CfScratch::new();
-        let mut block = Matrix::<T>::zeros(nd, width.min(n_states));
+        let mut block = Matrix::<T>::zeros(nd, width.min(j1b - j0b));
         let mut j0 = j0b;
         while j0 < j1b {
             let j1 = (j0 + width).min(j1b);
-            if block.ncols() != j1 - j0 {
-                block = Matrix::zeros(nd, j1 - j0);
-            }
+            block.resize(nd, j1 - j0);
             block.copy_cols_from(psi, j0);
-            let mut seen: Option<Vec<bool>> = None;
-            let full = chebyshev_filter_gated(
+            let seen = chebyshev_filter_gated(
                 h,
                 &mut block,
                 degree,
                 bounds,
                 &mut cf_scratch,
-                |x, y, rq| {
-                    occupied_at.is_none_or(|level| {
-                        seen.insert(seen_columns(x, y, rq, level, reducer))
-                            .contains(&true)
-                    })
-                },
+                |x, y, rq| occupied_at.map(|level| seen_columns(x, y, rq, level, reducer)),
             );
-            if full {
-                for j in 0..j1 - j0 {
-                    if seen.as_ref().is_none_or(|s| s[j]) {
-                        psi.col_mut(j0 + j).copy_from_slice(block.col(j));
-                    }
+            let k = match &seen {
+                None => {
+                    psi.set_cols(j0, &block);
+                    j1 - j0
                 }
-            }
-            let steps = if full { degree } else { 1 };
-            scope.add_flops(chebyshev_filter_flops(h, j1 - j0, steps));
-            scope.add_bytes(2 * (nd * (j1 - j0)) as u64 * tsize * steps as u64);
+                Some(cols) => {
+                    for (i, &j) in cols.iter().enumerate() {
+                        psi.col_mut(j0 + j).copy_from_slice(block.col(i));
+                    }
+                    cols.len()
+                }
+            };
+            // one step on the block, `degree - 1` on its seen columns
+            let col_steps = (j1 - j0) + k * (degree - 1);
+            scope.add_flops(
+                chebyshev_filter_flops(h, j1 - j0, 1) + chebyshev_filter_flops(h, k, degree - 1),
+            );
+            scope.add_bytes(2 * (nd * col_steps) as u64 * tsize);
             j0 = j1;
         }
         reducer.assemble_cols(psi);
@@ -938,9 +950,11 @@ mod tests {
     /// Ritz values and vectors at `B_f` = 1, 8, 16 and 64, and under a
     /// 1-thread cap (where the Hamiltonian asks for 8-column blocks), on
     /// the real path and on the complex Bloch path. So does a second cycle
-    /// from those Ritz vectors at a Fermi level on the tenth Ritz value:
-    /// at `B_f` = 8 it filters two blocks and stops the third after one
-    /// step.
+    /// from those Ritz vectors at a Fermi level on the tenth Ritz value,
+    /// which narrows each block to its seen columns after one step, and
+    /// one from the Ritz vectors last to first, whose seen columns end
+    /// their block rather than lead it. CF books one step on each block
+    /// and `m - 1` on its seen columns.
     #[test]
     fn cycle_bits_do_not_depend_on_the_filter_width() {
         use crate::threads::with_threads;
@@ -966,8 +980,10 @@ mod tests {
             };
             let random = random_subspace::<T>(h.dim(), 24, 5);
             let (ritz_values, ritz) = cycle(64, &random, None, None);
-            let level = Some((ritz_values[9], 1e-3));
-            for (start, occupied_at) in [(&random, None), (&ritz, level)] {
+            let (mu, kt) = (ritz_values[9], 1e-3);
+            let level = Some((mu, kt));
+            let reversed = Matrix::from_fn(h.dim(), 24, |i, j| ritz[(i, 23 - j)]);
+            for (start, occupied_at) in [(&random, None), (&ritz, level), (&reversed, level)] {
                 let (evals, psi) = cycle(64, start, occupied_at, None);
                 let narrow = with_threads(1, || cycle(64, start, occupied_at, None));
                 for (what, (e, p)) in [1, 8, 16]
@@ -981,13 +997,18 @@ mod tests {
                     assert!(p.as_slice() == psi.as_slice(), "{what}: Ritz vectors");
                 }
             }
-            let profile = Profile::new();
-            cycle(8, &ritz, level, Some(&profile));
-            let booked = profile.finish(None).cumulative[0].flops;
-            assert_eq!(
-                booked,
-                chebyshev_filter_flops(&h, 16, 30) + chebyshev_filter_flops(&h, 8, 1)
-            );
+            let occupied = |e: &&f64| 2.0 * fermi(**e, mu, kt) >= DENSITY_CUTOFF;
+            let seen = ritz_values.iter().filter(occupied).count();
+            assert!(0 < seen && seen < 24, "{seen} seen columns");
+            let profiles = [Profile::new(), Profile::new()];
+            for (start, profile) in [&ritz, &reversed].into_iter().zip(&profiles) {
+                cycle(8, start, level, Some(profile));
+                let booked = profile.finish(None).cumulative[0].flops;
+                assert_eq!(
+                    booked,
+                    chebyshev_filter_flops(&h, 24, 1) + chebyshev_filter_flops(&h, seen, 29)
+                );
+            }
         }
         check::<f64>(&FeSpace::new(Mesh3d::cube(2, 6.0, 3)), [1.0; 3]);
         let bloch = [C64::cis(0.4), C64::cis(-0.9), C64::ONE];

@@ -87,9 +87,9 @@ pub struct ScfConfig {
     /// Anderson history depth.
     pub anderson_depth: usize,
     /// Chebyshev filter degree of every filtered column per ChFES cycle.
-    /// After a k-point's first solve only columns occupied at the last
-    /// chemical potential are filtered (see
-    /// [`crate::chebyshev::ks_eigensolve`]).
+    /// After a k-point's first solve each filter block runs one step and
+    /// then only its columns occupied at the last chemical potential run
+    /// on to this degree (see [`crate::chebyshev::chfes_reduced`]).
     pub cheb_degree: usize,
     /// Extra ChFES cycles in the first SCF iteration (the paper's
     /// "multiple passes of Chebyshev filtering in the initial SCF step").

@@ -127,6 +127,30 @@ impl<T: Scalar> Matrix<T> {
         self.data[j0 * n..(j0 + block.ncols) * n].copy_from_slice(&block.data);
     }
 
+    /// Reshape to `nrows x ncols` in place, keeping the buffer: it grows
+    /// only past the largest shape it has held and never shrinks. With
+    /// `nrows` unchanged the leading columns keep their entries; new
+    /// entries are zero.
+    pub fn resize(&mut self, nrows: usize, ncols: usize) {
+        let len = nrows * ncols;
+        self.data.reserve_exact(len.saturating_sub(self.data.len()));
+        self.data.resize(len, T::ZERO);
+        (self.nrows, self.ncols) = (nrows, ncols);
+    }
+
+    /// Keep only the columns `keep` (strictly increasing), moved in their
+    /// order to the front of the buffer, which is kept.
+    pub fn retain_cols(&mut self, keep: &[usize]) {
+        let n = self.nrows;
+        for (i, &j) in keep.iter().enumerate() {
+            assert!(j < self.ncols && (i == 0 || keep[i - 1] < j));
+            if i != j {
+                self.data.copy_within(j * n..(j + 1) * n, i * n);
+            }
+        }
+        self.resize(n, keep.len());
+    }
+
     /// Fill every entry with `v`.
     pub fn fill(&mut self, v: T) {
         self.data.fill(v);
@@ -261,6 +285,25 @@ mod tests {
         // column-major: column 1, row 2 lands at offset 1 * nrows + 2 = 5
         assert_eq!(m.as_slice()[5], 7.0);
         assert_eq!(m.col(1)[2], 7.0);
+    }
+
+    /// Narrowing to a column subset and widening back reuse one buffer, and
+    /// the kept columns arrive at the front in their order.
+    #[test]
+    fn retain_cols_and_resize_keep_the_buffer() {
+        let mut m = Matrix::from_fn(3, 5, |i, j| (10 * j + i) as f64);
+        let (ptr, cap) = (m.as_slice().as_ptr(), m.data.capacity());
+        m.retain_cols(&[1, 3, 4]);
+        assert_eq!(m.shape(), (3, 3));
+        assert_eq!(m.col(0), [10.0, 11.0, 12.0]);
+        assert_eq!(m.col(1), [30.0, 31.0, 32.0]);
+        assert_eq!(m.col(2), [40.0, 41.0, 42.0]);
+        m.resize(3, 5);
+        assert_eq!(m.col(1), [30.0, 31.0, 32.0]);
+        assert_eq!(m.col(4), [0.0; 3]);
+        m.retain_cols(&[]);
+        m.resize(5, 3);
+        assert_eq!((m.as_slice().as_ptr(), m.data.capacity()), (ptr, cap));
     }
 
     #[test]

@@ -269,8 +269,8 @@ fn parity_cfg() -> ScfConfig {
 }
 
 /// The parity problem with 24 states for its 2 electrons: after the first
-/// solve only the lowest filter blocks hold a column occupied at the last
-/// chemical potential, so ChFES stops the others after one step.
+/// solve only the lowest columns are occupied at the last chemical
+/// potential, so ChFES narrows every filter block to them after one step.
 fn wide_cfg() -> ScfConfig {
     ScfConfig {
         n_states: 24,
@@ -329,8 +329,8 @@ fn two_k() -> [KPoint; 2] {
 /// solves its k-points in lanes side by side, the rank one after another;
 /// the three k-points run on 2 threads, so 2 lanes and one k-point waits.
 /// The 24-state problem holds the same on Γ and on two k-points: serially
-/// ChFES filters 16 columns at a time and stops the last block after one
-/// step, the rank filters all 24 at once and writes back the seen ones.
+/// ChFES filters 16 columns at a time, the rank all 24 at once, and each
+/// block narrows in place to its seen columns after one step.
 #[test]
 fn one_rank_cluster_retraces_the_serial_solve() {
     let (space, sys) = parity_system();
@@ -405,9 +405,8 @@ fn one_rank_cluster_retraces_the_serial_solve() {
 /// budget to its ranks). The serial two-k-point complex problem runs its
 /// k-points in 1 lane, in 2 lanes of 1 thread and in 2 lanes of 2 threads.
 /// The 24-state problem on the 2-cell cube runs serially at filter widths
-/// 8, 16 and 32 (one column block per thread): the first two stop their
-/// unoccupied blocks after one step, the last filters one block of all 24
-/// columns and writes back the seen ones. `scripts/ci.sh` runs this with
+/// 8, 16 and 32 (one column block per thread): every block narrows to its
+/// seen columns after one step, and one with none stops there. `scripts/ci.sh` runs this with
 /// the pool at 1 and at 4 threads (`RAYON_NUM_THREADS`).
 #[test]
 fn energy_bits_do_not_depend_on_the_thread_count() {

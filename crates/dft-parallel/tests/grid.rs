@@ -106,32 +106,99 @@ fn band_grid_energies_match_serial_oracle() {
     }
 }
 
-/// With 24 states for 2 electrons, filtered 8 columns at a time, ChFES
-/// stops the filter blocks that hold no occupied column after one step. A
-/// domain split (2x1x1, whose ranks reduce each column's Rayleigh quotient
-/// before they decide) and a band split (1x2x1, 12 columns per rank) both
-/// reproduce the serial free energy to 1e-10 Ha, and their ranks agree
-/// bitwise.
+/// With 24 states for 2 electrons, ChFES narrows every filter block to
+/// its occupied columns after one step, filtered 8 columns at a time or
+/// (at `B_f` = 64, the `dist-2r` shape) as one window-wide block per rank.
+/// A domain split (2x1x1, whose ranks reduce each column's Rayleigh
+/// quotient before they decide) and a band split (1x2x1, 12 columns per
+/// rank) both reproduce the serial free energy to 1e-10 Ha, and their ranks
+/// agree bitwise.
 #[test]
 fn occupied_filter_grids_match_serial_oracle() {
     let (space, sys) = parity_system();
-    let cfg = ScfConfig {
-        n_states: 24,
-        block_size: 8,
-        ..parity_cfg()
-    };
-    let r_ser = scf(&space, &sys, &Lda, &cfg, &[KPoint::gamma()]);
-    assert!(r_ser.converged);
-    for shape in [GridShape::new(2, 1, 1), GridShape::new(1, 2, 1)] {
-        let dcfg = DistScfConfig::new(cfg.clone()).with_grid(shape);
-        let results = run_grid(&dcfg, shape.nranks(), &[KPoint::gamma()]);
-        for r in &results {
-            assert!(r.converged, "rank {} on {shape} did not converge", r.rank);
-            let d = (r.energy.free_energy - r_ser.energy.free_energy).abs();
-            assert!(d <= 1e-10, "{shape}: |dE| = {d:.3e}");
+    for block_size in [8, 64] {
+        let cfg = ScfConfig {
+            n_states: 24,
+            block_size,
+            ..parity_cfg()
+        };
+        let r_ser = scf(&space, &sys, &Lda, &cfg, &[KPoint::gamma()]);
+        assert!(r_ser.converged);
+        for shape in [GridShape::new(2, 1, 1), GridShape::new(1, 2, 1)] {
+            let what = format!("{shape}, B_f = {block_size}");
+            let dcfg = DistScfConfig::new(cfg.clone()).with_grid(shape);
+            let results = run_grid(&dcfg, shape.nranks(), &[KPoint::gamma()]);
+            for r in &results {
+                assert!(r.converged, "rank {} on {what} did not converge", r.rank);
+                let d = (r.energy.free_energy - r_ser.energy.free_energy).abs();
+                assert!(d <= 1e-10, "{what}: |dE| = {d:.3e}");
+            }
+            assert_ranks_agree(&results, &what);
         }
-        assert_ranks_agree(&results, &shape.to_string());
     }
+}
+
+/// Narrowing a filter block to its seen columns thins the ghost exchange
+/// without splitting it: one ChFES cycle on 2x1x1 at `B_f` = 64, from Ritz
+/// vectors with a Fermi level on the fourth Ritz value, sends as many
+/// messages as the same cycle at a Fermi level above every Ritz value,
+/// which sees every column and runs it to full degree, and strictly fewer
+/// bytes. Its Ritz values agree across ranks and match the
+/// serial narrowed cycle to 1e-10.
+#[test]
+fn narrowed_filter_sends_the_same_messages_and_fewer_bytes() {
+    const N: usize = 24;
+    let space = FeSpace::new(Mesh3d::periodic_cube(2, 6.0, 3));
+    let v_eff: Vec<f64> = (0..space.nnodes())
+        .map(|i| 0.3 * (i as f64 * 0.05).sin())
+        .collect();
+    let h_ser = KsHamiltonian::<f64>::new(&space, &v_eff, [1.0; 3]);
+    let (tmin, tmax) = lanczos_bounds(&h_ser, 10, 7);
+    let bounds = (tmin - 1.0, tmin + 0.2 * (tmax - tmin), tmax);
+    let opts = ChfesOptions {
+        cheb_degree: 12,
+        block_size: 64,
+        mixed_precision: false,
+    };
+    let mut ritz = random_subspace::<f64>(space.ndofs(), N, 5);
+    let ritz_values = chfes_reduced(&h_ser, &mut ritz, bounds, &opts, None, None, &NoReduce);
+    let level = Some((ritz_values[3], 1e-3));
+    let mut psi_ser = ritz.clone();
+    let ev_ser = chfes_reduced(&h_ser, &mut psi_ser, bounds, &opts, level, None, &NoReduce);
+
+    let shape = GridShape::new(2, 1, 1);
+    let cycle = |occupied_at| {
+        let (out, stats) = run_cluster(shape.nranks(), |comm| {
+            let dist = DistSpace::on_grid(&space, Some(shape), comm.rank(), comm.size());
+            let shared = SharedComm::new(comm);
+            let reducer = GridReducer::new(&shared, &dist.grid, false);
+            let h =
+                DistHamiltonian::<f64>::new(&dist, &shared, &v_eff, [1.0; 3], WirePrecision::Fp64);
+            let mut psi = Matrix::<f64>::from_fn(dist.dec.n_owned(), N, |l, j| {
+                ritz[(dist.dec.owned[l] as usize, j)]
+            });
+            let ev = chfes_reduced(&h, &mut psi, bounds, &opts, occupied_at, None, &reducer);
+            (ev, shared.failure())
+        });
+        (out, volume(&stats))
+    };
+    let (_, full) = cycle(Some((ritz_values[N - 1] + 1.0, 1e-3)));
+    let (out, narrowed) = cycle(level);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (rank, (ev, failure)) in out.iter().enumerate() {
+        assert!(failure.is_none(), "rank {rank}: {failure:?}");
+        assert_eq!(bits(ev), bits(&out[0].0), "rank {rank} disagrees");
+        for (e, s) in ev.iter().zip(&ev_ser) {
+            assert!((e - s).abs() <= 1e-10, "rank {rank}: {e} vs serial {s}");
+        }
+    }
+    assert_eq!(narrowed.messages, full.messages);
+    assert!(
+        narrowed.bytes_total < full.bytes_total,
+        "narrowed {} B, full width {} B",
+        narrowed.bytes_total,
+        full.bytes_total
+    );
 }
 
 /// The full 3-axis grid: two k-points on eight ranks as 2x2x2 match the
