@@ -225,15 +225,29 @@ fn bench_chfes_steps(c: &mut Criterion) {
 /// Blocks narrower than a thread's worth of columns: one [`COL_BLOCK`]
 /// (or less) of states is a single column block, so the sweep cuts the rows
 /// into slabs to use a second thread — the shape of the 4-state
-/// nanoparticle SCF and of every one-column Lanczos / Poisson apply.
+/// nanoparticle SCF and of every one-column Lanczos / Poisson apply. A
+/// block of `cb < COL_BLOCK` columns shares each kernel call with the next
+/// cells of equal size: on the periodic cube (one cell size) 1, 2, 3 and 4
+/// columns run 8, 4, 2 and 2 cells per call; on the Dirichlet cubes of 7
+/// cells per axis (non-dyadic sizes, so 244 of 342 neighbours differ) the
+/// runs break early. `cube(7, 10.0, 4)` is the `scf-poisson` mesh.
 fn bench_narrow_blocks(c: &mut Criterion) {
     let mut g = c.benchmark_group("narrow_blocks");
     g.warm_up_time(Duration::from_millis(300));
     g.measurement_time(Duration::from_secs(1));
     g.sample_size(10);
     let dirichlet = FeSpace::new(Mesh3d::cube(7, 12.0, 4));
+    let poisson = FeSpace::new(Mesh3d::cube(7, 10.0, 4));
     let periodic = FeSpace::new(Mesh3d::periodic_cube(4, 10.0, 5));
-    for (space, cols) in [(&dirichlet, 4), (&dirichlet, 1), (&periodic, 4)] {
+    for (mesh, space, cols) in [
+        ("cube7_l12", &dirichlet, 4),
+        ("cube7_l12", &dirichlet, 1),
+        ("cube7_l10", &poisson, 1),
+        ("periodic4", &periodic, 4),
+        ("periodic4", &periodic, 3),
+        ("periodic4", &periodic, 2),
+        ("periodic4", &periodic, 1),
+    ] {
         let x = Matrix::from_fn(space.ndofs(), cols, |i, j| {
             ((i + 31 * j) as f64 * 0.23).sin()
         });
@@ -241,7 +255,7 @@ fn bench_narrow_blocks(c: &mut Criterion) {
         g.throughput(Throughput::Elements(
             space.stiffness_apply_flops::<f64>(cols),
         ));
-        let id = format!("apply_stiffness_{}x{cols}", space.ndofs());
+        let id = format!("apply_stiffness_{mesh}_{}x{cols}", space.ndofs());
         g.bench_function(BenchmarkId::from_parameter(id), |b| {
             b.iter(|| space.apply_stiffness(black_box(&x), &mut y, [1.0; 3]));
         });

@@ -247,11 +247,11 @@ fn chebyshev_filter_gated<T: Scalar>(
 /// Analytic FLOP count of one [`chebyshev_filter`] call of degree `m` on
 /// `ncols` columns of `h`: `m` Hamiltonian applies plus the three-term
 /// recurrence update (per element and degree step, roughly three scalings
-/// and two additions). For a distributed operator both terms count the
-/// rank-local work (`h.dim()` = owned DoFs).
+/// by real coefficients and two additions). For a distributed operator
+/// both terms count the rank-local work (`h.dim()` = owned DoFs).
 pub fn chebyshev_filter_flops<T: Scalar>(h: &dyn HamOperator<T>, ncols: usize, m: usize) -> u64 {
     let elems = (h.dim() * ncols) as u64;
-    let recur = elems * (3 * T::MUL_FLOPS + 2 * T::ADD_FLOPS);
+    let recur = elems * (3 * T::SCALE_FLOPS + 2 * T::ADD_FLOPS);
     m as u64 * (h.apply_flops(ncols) + recur)
 }
 

@@ -70,12 +70,13 @@ impl<'a, T: Scalar> KsHamiltonian<'a, T> {
     /// columns: the sum-factorized stiffness sweep plus, per element, the
     /// `M^{-1/2}` input scale (booked once per element; the gather it is
     /// fused into applies it once per cell-local node) and the sweep
-    /// epilogue's `1/2 s y + v x` (two scales and an add). A booked count:
-    /// fusing passes changes the time it is divided by, not the count.
+    /// epilogue's `1/2 s y + v x` (two scales and an add), all three scales
+    /// by real factors. A booked count: fusing passes changes the time it
+    /// is divided by, not the count.
     pub fn apply_flops(&self, ncols: usize) -> u64 {
         let nd = self.space.ndofs() as u64;
         let nc = ncols as u64;
-        self.space.stiffness_apply_flops::<T>(ncols) + nd * nc * (3 * T::MUL_FLOPS + T::ADD_FLOPS)
+        self.space.stiffness_apply_flops::<T>(ncols) + nd * nc * (3 * T::SCALE_FLOPS + T::ADD_FLOPS)
     }
 }
 

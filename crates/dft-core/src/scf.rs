@@ -658,10 +658,12 @@ pub fn scf_loop<T: ScalarExt, S: ScfSeam<T> + Sync>(
                 let (psi, w, occ) = (&st.psi[ik - k0], kpts[ik].weight, &occupations[ik]);
                 let rows = |l| seam.dof_of_row(l);
                 let added = accumulate_density(space, psi, rows, w, occ, j0..j1, &mut rho_out);
-                // per DoF: |psi|^2 (MUL_FLOPS), two mass scalings, the
-                // k/occupation weight, and the accumulate
+                // per DoF: |psi|^2 (the squared components and, complex,
+                // their sum), two mass scalings, the k/occupation weight,
+                // and the accumulate
                 let elems = added as u64 * n_rows as u64;
-                scope.add_flops(elems * (T::MUL_FLOPS + 4));
+                let abs_sq = T::SCALE_FLOPS + u64::from(T::IS_COMPLEX);
+                scope.add_flops(elems * (abs_sq + 4));
                 scope.add_bytes(elems * std::mem::size_of::<T>() as u64);
             }
             seam.sum_f64(&mut rho_out);

@@ -72,8 +72,10 @@ pub struct FeSpace {
     stiffness_inverse: OnceLock<Result<FdmPrec, LinalgError>>,
 }
 
-/// Columns processed together by the blocked stiffness kernel: 8 f64 lanes
-/// is one AVX-512 register per accumulator.
+/// Lanes of the blocked stiffness kernel: 8 f64 lanes is one AVX-512
+/// register per accumulator. A lane holds one (column, cell) pair: a column
+/// block is at most this wide, and a narrower one fills the lanes with the
+/// next cells of its sweep (see [`FeSpace::sweep_cells`]).
 pub const COL_BLOCK: usize = 8;
 
 /// The rows of every swept column that one item of
@@ -166,9 +168,17 @@ fn phase_products<T: Scalar>(phases: [T; 3], conj: bool) -> [T; 8] {
     tab
 }
 
-/// Gather [`COL_BLOCK`] interleaved column lanes of one cell
-/// (`loc[l*COL_BLOCK + t]` is local node `l`, block column `t`),
-/// optionally fusing a per-row real scale; unused lanes are zeroed.
+/// Gather one cell's `cb` block columns into the interleaved local buffer
+/// (`loc[l*COL_BLOCK + t]` is local node `l`, lane `t`), optionally fusing
+/// a per-row real scale. The cell owns the lanes `lanes`: its columns land
+/// in the first `cb` of them and the rest are zeroed. A cell alone owns
+/// `0..COL_BLOCK`; the cells sharing a kernel call own consecutive
+/// `cb`-lane groups, the last of them also the unused lanes after its own.
+/// Each node is written through a [`COL_BLOCK`]-wide window that starts at
+/// the cell's first lane, so `loc` must extend `lanes.start` values past
+/// its last node: a window of fixed width lets the per-lane loops unroll
+/// (through a slice of just the cell's own lanes they do not, and an
+/// 8-column apply ran about a fifth slower).
 #[allow(clippy::too_many_arguments)]
 fn gather_block<T: Scalar>(
     dofs: &[i32],
@@ -176,15 +186,23 @@ fn gather_block<T: Scalar>(
     xblk: &[T],
     ld: usize,
     cb: usize,
+    lanes: Range<usize>,
     tab: &[T; 8],
     row_scale: Option<&[f64]>,
     loc: &mut [T],
 ) {
     const CB: usize = COL_BLOCK;
-    for (l, (&d, &w)) in dofs.iter().zip(wraps).enumerate() {
-        let dst = &mut loc[l * CB..(l + 1) * CB];
+    let own = lanes.len();
+    assert!(
+        loc.len() >= dofs.len() * CB + lanes.start,
+        "a window per node"
+    );
+    let windows = loc[lanes.start..].chunks_exact_mut(CB);
+    for ((&d, &w), dst) in dofs.iter().zip(wraps).zip(windows) {
         if d < 0 {
-            dst.fill(T::ZERO);
+            for t in 0..own {
+                dst[t] = T::ZERO;
+            }
             continue;
         }
         let du = d as usize;
@@ -207,35 +225,39 @@ fn gather_block<T: Scalar>(
                 dst[t] *= ph;
             }
         }
-        for t in cb..CB {
+        for t in cb..own {
             dst[t] = T::ZERO;
         }
     }
 }
 
-/// Scatter-add the interleaved column lanes into a slab's rows of the
-/// block's columns (`ycols[t]` is rows `first_row..` of block column `t`),
-/// conjugate phases on wraps (adjoint of [`gather_block`]). Local nodes on
+/// Scatter-add one cell's interleaved lanes `lane0..lane0 + cb` into a
+/// slab's rows of the block's `cb` columns (`ycols[t]` is rows
+/// `first_row..` of block column `t`), conjugate phases on wraps (adjoint
+/// of [`gather_block`], and read through the same fixed-width window, so
+/// `out` extends `lane0` values past its last node). Local nodes on
 /// another slab's rows are dropped: that slab sweeps this cell too.
 // dftlint:hot
 fn scatter_block<T: Scalar>(
     dofs: &[i32],
     wraps: &[u8],
     out: &[T],
+    lane0: usize,
     tabc: &[T; 8],
     ycols: &mut [&mut [T]],
     first_row: usize,
 ) {
     const CB: usize = COL_BLOCK;
     let rows = ycols.first().map_or(0, |c| c.len());
-    for (l, (&d, &w)) in dofs.iter().zip(wraps).enumerate() {
+    assert!(out.len() >= dofs.len() * CB + lane0, "a window per node");
+    let windows = out[lane0..].chunks_exact(CB);
+    for ((&d, &w), src) in dofs.iter().zip(wraps).zip(windows) {
         // an eliminated node (-1) and a row below the slab both wrap past
         // `rows`
         let r = (d as usize).wrapping_sub(first_row);
         if r >= rows {
             continue;
         }
-        let src = &out[l * CB..(l + 1) * CB];
         if w == 0 {
             for (ycol, &v) in ycols.iter_mut().zip(src) {
                 ycol[r] += v;
@@ -814,11 +836,11 @@ impl FeSpace {
     /// Analytic FLOP count of one [`FeSpace::apply_stiffness`] call on
     /// `ncols` columns: per cell and column the sum-factorized kernel does
     /// three directional sweeps, each `n1^3` outputs of an `n1`-term
-    /// multiply-add plus one scale-and-accumulate (gather/scatter phase
-    /// multiplies are not counted).
+    /// multiply-add plus one scale-and-accumulate, every multiply by a real
+    /// factor (gather/scatter phase multiplies are not counted).
     pub fn stiffness_apply_flops<T: Scalar>(&self, ncols: usize) -> u64 {
         let n1 = (self.mesh.degree + 1) as u64;
-        let mac = T::MUL_FLOPS + T::ADD_FLOPS;
+        let mac = T::SCALE_FLOPS + T::ADD_FLOPS;
         let per_cell = 3 * n1 * n1 * n1 * (n1 + 1) * mac;
         per_cell * self.cells.len() as u64 * ncols as u64
     }
@@ -891,11 +913,14 @@ impl FeSpace {
     /// slab's cells through an interleaved-lane local buffer — gather from
     /// the shared `x` (DoF table, Bloch phase on wraps, scale) →
     /// [`Self::cell_stiffness_apply_block`] → scatter-add (conjugate phase)
-    /// into its own rows of its own columns only. Each lane's arithmetic is
-    /// independent of the block and lane its column lands in, and each row
-    /// meets its cells in the sweep's order whichever slab owns it, so a
-    /// result depends neither on how many columns ride along nor on how the
-    /// rows are cut. `epilogue(j, first_row, rows of y)` then runs on each
+    /// into its own rows of its own columns only. A block of `cb` columns
+    /// narrower than the lanes takes up to `COL_BLOCK / cb` consecutive
+    /// cells of bit-equal size per kernel call, `cb` lanes each, and
+    /// scatters them in the slab's order. Each lane's arithmetic is
+    /// independent of the block, the lane and the cells beside it, and each
+    /// row meets its cells in the sweep's order whichever slab owns it, so
+    /// a result depends neither on how many columns ride along nor on how
+    /// the rows are cut. `epilogue(j, first_row, rows of y)` then runs on each
     /// of the item's column pieces, right after the item's last scatter,
     /// while they are still in cache — whatever the caller does to the
     /// swept result element by element costs no further pass over `y`.
@@ -985,7 +1010,9 @@ impl FeSpace {
             }
         }
         dft_linalg::pack::with_scratch::<T, _>(|loc, out| {
-            let need = nloc * CB;
+            // one node's lanes of padding for the lane windows of
+            // `gather_block` and `scatter_block`
+            let need = (nloc + 1) * CB;
             if loc.len() < need {
                 loc.resize(need, T::ZERO);
             }
@@ -994,15 +1021,32 @@ impl FeSpace {
             }
             let loc = &mut loc[..need];
             let out = &mut out[..need];
-            for &row in &sweep.cells[slab.cells.start..slab.cells.end] {
-                let row = row as usize;
-                let ci = sweep.first_cell + row;
-                let dofs = &sweep.cell_dof[row * nloc..(row + 1) * nloc];
-                let wraps = self.cell_wraps(ci);
-                gather_block(dofs, wraps, xblk, ld, cb, tab, row_scale, loc);
-                out.fill(T::ZERO);
-                self.cell_stiffness_apply_block(self.cells[ci].h, loc, out);
-                scatter_block(dofs, wraps, out, tabc, ycols, slab.first_row);
+            let cell_of = |row: u32| sweep.first_cell + row as usize;
+            let table = |row: u32| {
+                let r = row as usize;
+                let dofs = &sweep.cell_dof[r * nloc..(r + 1) * nloc];
+                (dofs, self.cell_wraps(cell_of(row)))
+            };
+            let h_bits = |row: u32| self.cells[cell_of(row)].h.map(f64::to_bits);
+            let cells = &sweep.cells[slab.cells.start..slab.cells.end];
+            // runs of consecutive cells of bit-equal `h` share one kernel
+            // call, `cb` lanes each: the kernel's arithmetic per lane depends
+            // on `h` alone, so a lane has the bits of its cell swept alone
+            for same_h in cells.chunk_by(|&a, &b| h_bits(a) == h_bits(b)) {
+                for run in same_h.chunks(CB / cb) {
+                    for (k, &row) in run.iter().enumerate() {
+                        let (dofs, wraps) = table(row);
+                        let end = if k + 1 == run.len() { CB } else { (k + 1) * cb };
+                        gather_block(dofs, wraps, xblk, ld, cb, k * cb..end, tab, row_scale, loc);
+                    }
+                    out.fill(T::ZERO);
+                    self.cell_stiffness_apply_block(self.cells[cell_of(run[0])].h, loc, out);
+                    // in sweep order, so each row adds its cells in that order
+                    for (k, &row) in run.iter().enumerate() {
+                        let (dofs, wraps) = table(row);
+                        scatter_block(dofs, wraps, out, k * cb, tabc, ycols, slab.first_row);
+                    }
+                }
             }
         });
     }
@@ -1544,6 +1588,104 @@ mod tests {
         }
     }
 
+    /// A block narrower than [`COL_BLOCK`] shares each kernel call with the
+    /// next cells of equal `h`, so where a column's cells sit among the
+    /// lanes depends on the block width, the mesh and the row slab. None of
+    /// it reaches the bits: under thread caps 1, 2 and 4 (1 to 3 row slabs),
+    /// column `g` of a 1- to 16-column scaled apply with an epilogue equals
+    /// column `g` applied alone (eight cells per call) and inside a full
+    /// 8-column block (one cell per call). On a dyadic periodic cube with
+    /// Bloch phases (every run full), a Dirichlet cube of 7 cells per axis
+    /// (non-dyadic sizes, so runs break often) and a graded mesh.
+    #[test]
+    fn column_bits_do_not_depend_on_how_cells_share_the_lanes() {
+        use dft_linalg::iterative::{recurrence_update, Recurrence};
+
+        fn check<T: Scalar>(s: &FeSpace, phases: [T; 3], val: impl Fn(usize, usize) -> T) {
+            const CB: usize = COL_BLOCK;
+            let nd = s.ndofs();
+            let x = Matrix::<T>::from_fn(nd, 2 * CB, &val);
+            let x_prev = Matrix::<T>::from_fn(nd, 2 * CB, |i, j| val(i + 3, j + 1));
+            let k = Recurrence {
+                c: T::Re::from_f64(0.3),
+                alpha: T::Re::from_f64(1.7),
+                beta: T::Re::from_f64(0.6),
+            };
+            // columns g0.. of x, under a thread cap
+            let apply = |g0: usize, width: usize, threads: usize| {
+                let xw =
+                    Matrix::from_vec(nd, width, x.as_slice()[g0 * nd..][..width * nd].to_vec());
+                let epilogue = |j: usize, first_row: usize, ycol: &mut [T]| {
+                    let rows = first_row..first_row + ycol.len();
+                    let prev = &x_prev.col(g0 + j)[rows.clone()];
+                    recurrence_update(ycol, &x.col(g0 + j)[rows], Some(prev), k);
+                };
+                let mut y = Matrix::<T>::from_fn(nd, width, |_, _| T::from_f64(7.0));
+                let scale = s.inv_sqrt_mass();
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("the thread cap")
+                    .install(|| {
+                        s.apply_stiffness_scaled(&xw, &mut y, phases, scale, Some(&epilogue))
+                    });
+                y
+            };
+            let alone: Vec<_> = (0..2 * CB).map(|g| apply(g, 1, 1)).collect();
+            let blocks = [apply(0, CB, 1), apply(CB, CB, 1)];
+            for g in 0..2 * CB {
+                assert!(alone[g].col(0) == blocks[g / CB].col(g % CB), "column {g}");
+            }
+            for threads in [1, 2, 4] {
+                for width in [1, 2, 3, 4, 5, 7, 8, 9, 12, 16] {
+                    let y = apply(0, width, threads);
+                    for g in 0..width {
+                        assert!(
+                            y.col(g) == alone[g].col(0),
+                            "p = {}: column {g} of {width}, {threads} threads",
+                            s.mesh.degree
+                        );
+                    }
+                }
+            }
+        }
+
+        let dyadic = FeSpace::new(Mesh3d::periodic_cube(4, 8.0, 3));
+        let phases = [C64::cis(0.7), C64::cis(-0.3), C64::cis(1.1)];
+        check::<C64>(&dyadic, phases, |i, j| {
+            C64::new(
+                ((i * 5 + j * 3) as f64 * 0.3).sin(),
+                ((i * 11 + j) as f64 * 0.2).cos(),
+            )
+        });
+
+        let dirichlet = FeSpace::new(Mesh3d::cube(7, 10.0, 4));
+        let h_bits = |c: &Cell| c.h.map(f64::to_bits);
+        let sizes: std::collections::HashSet<_> = dirichlet.cells().iter().map(h_bits).collect();
+        assert_eq!(sizes.len(), 64, "four cell sizes per axis");
+        let breaks = dirichlet
+            .cells()
+            .windows(2)
+            .filter(|w| h_bits(&w[0]) != h_bits(&w[1]))
+            .count();
+        assert_eq!(breaks, 244, "of 342 adjacent cell pairs");
+        let val = |i: usize, j: usize| ((i * 7 + j * 29) as f64 * 0.37).sin();
+        check::<f64>(&dirichlet, [1.0; 3], val);
+
+        let graded = Axis::graded(
+            0.0,
+            6.0,
+            0.7,
+            1.6,
+            &[2.0],
+            2.5,
+            BoundaryCondition::Dirichlet,
+        );
+        let uniform = Axis::uniform(2, 0.0, 3.0, BoundaryCondition::Dirichlet);
+        let s = FeSpace::new(Mesh3d::new([graded.clone(), uniform, graded], 2));
+        check::<f64>(&s, [1.0; 3], val);
+    }
+
     /// Every per-degree instance of the cell kernel has the bits of the
     /// same body at run-time `n1`, whatever the tile: a line's outputs are
     /// independent chains, each summing its inputs in ascending order
@@ -1571,7 +1713,17 @@ mod tests {
             let mut loc = vec![T::ZERO; nloc * CB];
             let scale = Some(s.inv_sqrt_mass());
             let (dofs, wraps) = (s.cell_dofs(ci), s.cell_wraps(ci));
-            gather_block(dofs, wraps, x.as_slice(), nd, CB, &tab, scale, &mut loc);
+            gather_block(
+                dofs,
+                wraps,
+                x.as_slice(),
+                nd,
+                CB,
+                0..CB,
+                &tab,
+                scale,
+                &mut loc,
+            );
             assert!(wraps.contains(&7), "corner cell wraps on every axis");
 
             let run = |kernel: &dyn Fn(&[T], &mut [T])| {
@@ -1619,6 +1771,17 @@ mod tests {
             }
         }
         assert!(y1.max_abs_diff(&y2) < 1e-10);
+    }
+
+    /// `K` is real, so a complex column costs two real columns' flops.
+    #[test]
+    fn complex_stiffness_flops_are_two_real_columns() {
+        let s = small_space(3);
+        assert_eq!(s.stiffness_apply_flops::<f64>(1), 3 * 64 * 5 * 2 * 8);
+        assert_eq!(
+            s.stiffness_apply_flops::<C64>(3),
+            2 * s.stiffness_apply_flops::<f64>(3)
+        );
     }
 
     #[test]

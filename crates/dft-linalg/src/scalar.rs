@@ -133,6 +133,10 @@ pub trait Scalar:
     const MUL_FLOPS: u64;
     /// FLOPs in one add of this scalar type (1 real, 2 complex).
     const ADD_FLOPS: u64;
+    /// FLOPs in one multiply of this scalar type by a real factor (1 real,
+    /// 2 complex): the stiffness entries, mass scalings, potentials and
+    /// recurrence coefficients are all real.
+    const SCALE_FLOPS: u64;
 
     /// Embed a real value.
     fn from_re(x: Self::Re) -> Self;
@@ -181,6 +185,7 @@ impl Scalar for f64 {
     const IS_COMPLEX: bool = false;
     const MUL_FLOPS: u64 = 1;
     const ADD_FLOPS: u64 = 1;
+    const SCALE_FLOPS: u64 = 1;
     #[inline]
     fn from_re(x: f64) -> Self {
         x
@@ -235,6 +240,7 @@ impl Scalar for f32 {
     const IS_COMPLEX: bool = false;
     const MUL_FLOPS: u64 = 1;
     const ADD_FLOPS: u64 = 1;
+    const SCALE_FLOPS: u64 = 1;
     #[inline]
     fn from_re(x: f32) -> Self {
         x
@@ -397,6 +403,7 @@ impl Scalar for C64 {
     const IS_COMPLEX: bool = true;
     const MUL_FLOPS: u64 = 6;
     const ADD_FLOPS: u64 = 2;
+    const SCALE_FLOPS: u64 = 2;
     #[inline]
     fn from_re(x: f64) -> Self {
         Self::new(x, 0.0)
@@ -447,6 +454,7 @@ impl Scalar for C32 {
     const IS_COMPLEX: bool = true;
     const MUL_FLOPS: u64 = 6;
     const ADD_FLOPS: u64 = 2;
+    const SCALE_FLOPS: u64 = 2;
     #[inline]
     fn from_re(x: f32) -> Self {
         Self::new(x, 0.0)
@@ -532,5 +540,7 @@ mod tests {
         assert_eq!(f64::MUL_FLOPS, 1);
         assert_eq!(C64::MUL_FLOPS, 6);
         assert_eq!(C64::ADD_FLOPS, 2);
+        assert_eq!(f64::SCALE_FLOPS, 1);
+        assert_eq!(C64::SCALE_FLOPS, 2);
     }
 }

@@ -511,6 +511,6 @@ impl<'a, 'c, T: WireScalar> HamOperator<T> for DistHamiltonian<'a, 'c, T> {
         let dec = &self.dist.dec;
         let per_cell_cols = space.stiffness_apply_flops::<T>(ncols) / space.cells().len() as u64;
         per_cell_cols * dec.range.len() as u64
-            + (dec.n_owned() * ncols) as u64 * (3 * T::MUL_FLOPS + T::ADD_FLOPS)
+            + (dec.n_owned() * ncols) as u64 * (3 * T::SCALE_FLOPS + T::ADD_FLOPS)
     }
 }

@@ -152,7 +152,7 @@ else
   cargo test -q --offline -p dft-parallel --features sanitize --test schedule
 fi
 
-echo "==> thread-count suite (pool of 1 and of 4 threads: shim contract, row-slab, filter-width, k-point-lane and thread-cap bit-identity, rank thread shares, a panicking job, scf-2k's reference energy and iteration pin at every lane shape, scf-wide's at filter widths 8 and 32, dist-2r's pins and its dist-vs-serial gate wherever the thread cap splits its narrowed filter blocks into column blocks and row slabs)"
+echo "==> thread-count suite (pool of 1 and of 4 threads: shim contract, row-slab, filter-width, k-point-lane and thread-cap bit-identity, rank thread shares, a panicking job, scf-2k's reference energy and iteration pin at every lane shape, scf-wide's at filter widths 8 and 32, scf-poisson's wherever the thread cap moves the boundaries of the cell runs that share a kernel call, dist-2r's pins and its dist-vs-serial gate wherever the thread cap splits its narrowed filter blocks into column blocks and row slabs)"
 for nt in 1 4; do
   RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p rayon
   RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p dft-fem --lib space::tests
@@ -162,6 +162,7 @@ for nt in 1 4; do
   RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p dft-serve --test serve solver_panic
   RAYON_NUM_THREADS=$nt bash benchmark/run.sh --workload scf-2k --seed 1 --trace 0
   RAYON_NUM_THREADS=$nt bash benchmark/run.sh --workload scf-wide --seed 1 --trace 0
+  RAYON_NUM_THREADS=$nt bash benchmark/run.sh --workload scf-poisson --seed 1 --trace 0
   RAYON_NUM_THREADS=$nt bash benchmark/run.sh --workload dist-2r --seed 1 --trace 0
 done
 
