@@ -3,10 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dft_core::chebyshev::{
-    chebyshev_filter, chebyshev_filter_flops, chebyshev_filter_scratch, lanczos_bounds,
-    random_subspace, CfScratch,
+    chebyshev_filter, chebyshev_filter_flops, chebyshev_filter_scratch, chfes, lanczos_bounds,
+    random_subspace, CfScratch, ChfesOptions,
 };
 use dft_core::hamiltonian::KsHamiltonian;
+use dft_core::threads::with_threads;
 use dft_fem::mesh::Mesh3d;
 use dft_fem::space::{FeSpace, COL_BLOCK};
 use dft_linalg::batched::{batched_gemm, BatchLayout};
@@ -197,6 +198,34 @@ fn bench_chfes_steps(c: &mut Criterion) {
             dft_linalg::eigh(&a).unwrap()
         });
     });
+    // one ChFES cycle at `scf-wide`'s shape (periodic 4^3 cells, p = 5,
+    // 8,000 DoF, 96 columns, degree 30, B_f = 64): CF filters twelve
+    // 8-column tasks, one thread carrying each through all 30 steps, under
+    // thread caps 1 and 2
+    {
+        let space = FeSpace::new(Mesh3d::periodic_cube(4, 10.0, 5));
+        let v: Vec<f64> = (0..space.nnodes())
+            .map(|i| 0.3 * (i as f64 * 0.05).sin())
+            .collect();
+        let h = KsHamiltonian::<f64>::new(&space, &v, [1.0; 3]);
+        let (tmin, tmax) = lanczos_bounds(&h, 10, 1);
+        let psi0 = random_subspace::<f64>(h.dim(), 96, 3);
+        let opts = ChfesOptions {
+            cheb_degree: 30,
+            block_size: 64,
+            mixed_precision: false,
+        };
+        let window = (tmin - 1.0, tmin + 0.1 * (tmax - tmin), tmax);
+        for threads in [1, 2] {
+            let id = BenchmarkId::new("chfes_cycle_96cols_p5", format!("{threads}threads"));
+            g.bench_function(id, |b| {
+                b.iter(|| {
+                    let mut psi = psi0.clone();
+                    with_threads(threads, || chfes(&h, &mut psi, window, &opts))
+                });
+            });
+        }
+    }
     // the filter at the shape the solver runs it: 8,000 DoF (periodic 4^3
     // cells, p = 5), one B_f = 64 block, degree 30, reused scratch (last in
     // the group: the throughput it sets would stick to later benches)

@@ -3,11 +3,14 @@
 //! * **CF** — Chebyshev polynomial filtering of a wavefunction block: the
 //!   scaled-and-shifted recurrence maps the unwanted spectrum into `[-1,1]`
 //!   (where Chebyshev polynomials stay small) and the wanted low end to
-//!   `(-inf,-1)` (where they grow fast). Applied in column blocks of at
-//!   most `B_f` through the matrix-free Hamiltonian — a local Hamiltonian
-//!   carries one cell-kernel column block per thread. Given the last Fermi
-//!   level, a block narrows in place after its first recurrence step to the
-//!   columns the density sees, and only those run the full degree.
+//!   `(-inf,-1)` (where they grow fast). Applied in filter tasks of at most
+//!   `B_f` columns through the matrix-free Hamiltonian: a local Hamiltonian
+//!   runs tasks of at most eight columns side by side, one thread carrying
+//!   each through every degree step in lane panels; a distributed one runs
+//!   its `B_f` blocks one after another, every step a ghost exchange. Given
+//!   the last Fermi level, a task narrows in place after its first
+//!   recurrence step to the columns the density sees, and only those run
+//!   the full degree.
 //! * **CholGS** — overlap `S = Psi_f† Psi_f`, Cholesky inverse, and the
 //!   orthonormalization GEMM. In mixed-precision mode `S` and the GEMM are
 //!   FP32 except the `B_f x B_f` diagonal blocks of `S`, which stay FP64
@@ -24,8 +27,10 @@
 //! narrower one through [`SubspaceReducer`]. Spectral bounds come from a
 //! few Lanczos steps ([`lanczos_bounds`]).
 
-use crate::hamiltonian::HamOperator;
+use crate::hamiltonian::{HamOperator, PanelOperator};
 use crate::occupation::{fermi, DENSITY_CUTOFF};
+use crate::threads::with_threads;
+use dft_fem::space::{LanePanel, COL_BLOCK};
 use dft_hpc::profile::{Phase, PhaseScope, Profile};
 use dft_linalg::blas1;
 use dft_linalg::chol::{cholesky_inverse, LinalgError};
@@ -36,7 +41,9 @@ use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::{Real, Scalar};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rayon::prelude::*;
 use std::borrow::Cow;
+use std::sync::{Mutex, PoisonError};
 
 /// Options of one ChFES cycle.
 #[derive(Clone, Debug)]
@@ -45,9 +52,9 @@ pub struct ChfesOptions {
     /// [`chfes_reduced`] leaves unfiltered runs one step, see there).
     pub cheb_degree: usize,
     /// Wavefunction block size `B_f`: the widest block the filter carries
-    /// (a local operator carries one column block per thread, see
-    /// [`HamOperator::max_filter_block`]) and the FP64 diagonal block of
-    /// the mixed-precision subspace products.
+    /// (a local operator's filter tasks are also at most
+    /// [`COL_BLOCK`] wide, see [`HamOperator::panels`]) and the FP64
+    /// diagonal block of the mixed-precision subspace products.
     pub block_size: usize,
     /// Use the paper's mixed-precision CholGS/RR variants.
     pub mixed_precision: bool,
@@ -128,13 +135,6 @@ impl<T: Scalar> CfScratch<T> {
             hy: Matrix::zeros(0, 0),
         }
     }
-
-    /// Shape both blocks `n x nc`, growing their buffers only past the
-    /// widest block so far: a narrower block reuses the capacity.
-    fn ensure(&mut self, n: usize, nc: usize) {
-        self.y.resize(n, nc);
-        self.hy.resize(n, nc);
-    }
 }
 
 impl<T: Scalar> Default for CfScratch<T> {
@@ -161,12 +161,11 @@ pub fn chebyshev_filter<T: Scalar>(
     chebyshev_filter_scratch(op, x, m, a, b, a0, &mut scratch);
 }
 
-/// [`chebyshev_filter`] with caller-provided scratch. The recurrence keeps
-/// three live blocks (`X`, `Y`, `H Y`) and advances by pointer rotation
-/// (`std::mem::swap`), so per degree step the only work is one
-/// [`LinearOperator::recurrence_step`] — for the Hamiltonians one sweep that
-/// applies and updates each column block while it is cache-resident — with
-/// no clones and no allocation.
+/// [`chebyshev_filter`] with caller-provided scratch: every column of `x`
+/// as one filter task of the column-major recurrence, each degree step one
+/// [`LinearOperator::recurrence_step`] — for the Hamiltonians one sweep
+/// that applies and updates each column block while it is cache-resident —
+/// with no clones and no allocation.
 // dftlint:hot
 pub fn chebyshev_filter_scratch<T: Scalar>(
     op: &dyn LinearOperator<T>,
@@ -177,55 +176,137 @@ pub fn chebyshev_filter_scratch<T: Scalar>(
     a0: f64,
     scratch: &mut CfScratch<T>,
 ) {
-    chebyshev_filter_gated(op, x, m, (a0, a, b), scratch, |_, _, _| None);
+    let CfScratch { y, hy } = scratch;
+    let step = |y: &Matrix<T>, x_prev: Option<&Matrix<T>>, k, out: &mut Matrix<T>| {
+        op.recurrence_step(y, x_prev, k, out)
+    };
+    chebyshev_filter_gated(x, (y, hy), m, (a0, a, b), step, |_, _, _| None);
 }
 
-/// The recurrence of [`chebyshev_filter_scratch`] with the bounds in
-/// [`chfes`] order `(a0, a, b)`, asking `seen` after the first step which
-/// columns run on to degree `m`: strictly increasing indices, or `None` for
-/// every column. `seen` sees the block `X`, the first iterate
-/// `Y = (sigma1 / e) (H X - c X)` and the map `(c, e / sigma1)` that turns
-/// `Re<x_j, y_j> / <x_j, x_j>` into column `j`'s Rayleigh quotient. With no
-/// column named the block stops and keeps its input bits. Otherwise `X` and
-/// `Y` narrow in place to the named columns, moved in their order to the
-/// front, and steps `2..=m` run on those alone: `X` returns them filtered,
-/// as wide as their count. Returns what `seen` named.
+/// A filter task's columns as the recurrence holds them: a column-major
+/// [`Matrix`] stepped through [`LinearOperator::recurrence_step`], or a
+/// [`LanePanel`] stepped through [`PanelOperator::panel_step`].
+trait FilterBlock<T: Scalar> {
+    /// `(rows, columns)`.
+    fn shape(&self) -> (usize, usize);
+    /// Become the column-major columns `cols`, `shape = (rows, columns)`.
+    fn load(&mut self, cols: &[T], shape: (usize, usize));
+    /// Copy column `j` out into `col`.
+    fn store_col(&self, j: usize, col: &mut [T]);
+    /// Reshape to `rows x nc`, keeping the buffer; the entries are
+    /// unspecified until written.
+    fn reshape(&mut self, rows: usize, nc: usize);
+    /// Keep only the columns `keep` (strictly increasing), moved in their
+    /// order to the front.
+    fn retain(&mut self, keep: &[usize]);
+    /// `Re<x_j, y_j>` for every column `j`, then `<x_j, x_j>`, each summed
+    /// over the rows in order as [`blas1::dot`] sums them.
+    fn rq_sums(x: &Self, y: &Self) -> Vec<f64>;
+}
+
+impl<T: Scalar> FilterBlock<T> for Matrix<T> {
+    fn shape(&self) -> (usize, usize) {
+        Matrix::shape(self)
+    }
+    fn load(&mut self, cols: &[T], (rows, w): (usize, usize)) {
+        self.resize(rows, w);
+        self.as_mut_slice().copy_from_slice(cols);
+    }
+    fn store_col(&self, j: usize, col: &mut [T]) {
+        col.copy_from_slice(self.col(j));
+    }
+    fn reshape(&mut self, rows: usize, nc: usize) {
+        self.resize(rows, nc);
+    }
+    fn retain(&mut self, keep: &[usize]) {
+        self.retain_cols(keep);
+    }
+    fn rq_sums(x: &Self, y: &Self) -> Vec<f64> {
+        let nc = x.ncols();
+        let xy = (0..nc).map(|j| blas1::dot(x.col(j), y.col(j)));
+        let xx = (0..nc).map(|j| blas1::dot(x.col(j), x.col(j)));
+        xy.chain(xx).map(|v| v.re().to_f64()).collect()
+    }
+}
+
+impl<T: Scalar> FilterBlock<T> for LanePanel<T> {
+    fn shape(&self) -> (usize, usize) {
+        (self.rows(), self.lanes())
+    }
+    fn load(&mut self, cols: &[T], (rows, w): (usize, usize)) {
+        self.load_cols(cols, (rows, w));
+    }
+    fn store_col(&self, j: usize, col: &mut [T]) {
+        self.store_lane(j, col);
+    }
+    fn reshape(&mut self, rows: usize, nc: usize) {
+        self.resize(rows, nc);
+    }
+    fn retain(&mut self, keep: &[usize]) {
+        self.retain_lanes(keep);
+    }
+    fn rq_sums(x: &Self, y: &Self) -> Vec<f64> {
+        let nc = x.lanes();
+        let (mut xy, mut xx) = (vec![T::ZERO; nc], vec![T::ZERO; nc]);
+        for i in 0..x.rows() {
+            let (xr, yr) = (x.row(i), y.row(i));
+            for t in 0..nc {
+                xy[t] += xr[t].conj() * yr[t];
+                xx[t] += xr[t].conj() * xr[t];
+            }
+        }
+        xy.iter().chain(&xx).map(|v| v.re().to_f64()).collect()
+    }
+}
+
+/// The one Chebyshev recurrence, on a filter task's block `x` with the
+/// scratch blocks `(y, hy)`, each degree step one call of `step(y, x_prev,
+/// k, out)`, the bounds in [`chfes`] order `(a0, a, b)`. Asks `seen` after
+/// the first step which columns run on to degree `m`: strictly increasing
+/// indices, or `None` for every column. `seen` sees the block `X`, the
+/// first iterate `Y = (sigma1 / e) (H X - c X)` and the map
+/// `(c, e / sigma1)` that turns `Re<x_j, y_j> / <x_j, x_j>` into column
+/// `j`'s Rayleigh quotient. With no column named the block stops and keeps
+/// its input bits. Otherwise `X` and `Y` narrow in place to the named
+/// columns, moved in their order to the front, and steps `2..=m` run on
+/// those alone: `X` returns them filtered, as wide as their count. The
+/// blocks advance by pointer rotation (`std::mem::swap`). Returns what
+/// `seen` named.
 // dftlint:hot
-fn chebyshev_filter_gated<T: Scalar>(
-    op: &dyn LinearOperator<T>,
-    x: &mut Matrix<T>,
+fn chebyshev_filter_gated<T: Scalar, B: FilterBlock<T>>(
+    x: &mut B,
+    (y, hy): (&mut B, &mut B),
     m: usize,
     (a0, a, b): (f64, f64, f64),
-    scratch: &mut CfScratch<T>,
-    seen: impl FnOnce(&Matrix<T>, &Matrix<T>, (f64, f64)) -> Option<Vec<usize>>,
+    mut step: impl FnMut(&B, Option<&B>, Recurrence<T::Re>, &mut B),
+    seen: impl FnOnce(&B, &B, (f64, f64)) -> Option<Vec<usize>>,
 ) -> Option<Vec<usize>> {
     assert!(m >= 1 && b > a && a > a0);
-    let n = x.nrows();
-    let nc = x.ncols();
+    let (n, nc) = x.shape();
     let e = (b - a) / 2.0;
     let c = (b + a) / 2.0;
     let mut sigma = e / (a0 - c);
     let sigma1 = sigma;
     let gamma = 2.0 / sigma1;
-    scratch.ensure(n, nc);
-    let CfScratch { y, hy } = scratch;
+    y.reshape(n, nc);
+    hy.reshape(n, nc);
 
     // Y = (H X - c X) * (sigma1 / e)
-    let mut step = Recurrence {
+    let mut k = Recurrence {
         c: T::Re::from_f64(c),
         alpha: T::Re::from_f64(sigma1 / e),
         beta: T::Re::ZERO,
     };
-    op.recurrence_step(x, None, step, y);
+    step(x, None, k, y);
     let seen = seen(x, y, (c, e / sigma1));
     if let Some(cols) = &seen {
         if cols.is_empty() {
             return seen;
         }
         if cols.len() < nc {
-            x.retain_cols(cols);
-            y.retain_cols(cols);
-            hy.resize(n, cols.len());
+            x.retain(cols);
+            y.retain(cols);
+            hy.reshape(n, cols.len());
         }
     }
     for _k in 2..=m {
@@ -233,15 +314,44 @@ fn chebyshev_filter_gated<T: Scalar>(
         // Ynew = 2 (sigma2/e) (H Y - c Y) - (sigma * sigma2) X, written into
         // the HY buffer; then rotate X <- Y <- Ynew. The retired X buffer
         // becomes the next HY, fully overwritten by the next step.
-        step.alpha = T::Re::from_f64(2.0 * sigma2 / e);
-        step.beta = T::Re::from_f64(sigma * sigma2);
-        op.recurrence_step(y, Some(x), step, hy);
+        k.alpha = T::Re::from_f64(2.0 * sigma2 / e);
+        k.beta = T::Re::from_f64(sigma * sigma2);
+        step(y, Some(x), k, hy);
         std::mem::swap(x, y);
         std::mem::swap(y, hy);
         sigma = sigma2;
     }
     std::mem::swap(x, y);
     seen
+}
+
+/// One CF task: the `w` columns `cols` (column-major, `nd` rows each)
+/// loaded into `x`, filtered by [`chebyshev_filter_gated`] with `step` and
+/// the scratch blocks `y`, `hy`, and written back in place — every column,
+/// or at the Fermi level `level` only the seen ones, by index. Returns how
+/// many columns ran the full degree.
+// dftlint:hot
+#[allow(clippy::too_many_arguments)]
+fn filter_task<T: Scalar, B: FilterBlock<T>>(
+    cols: &mut [T],
+    (nd, w): (usize, usize),
+    (x, y, hy): (&mut B, &mut B, &mut B),
+    degree: usize,
+    bounds: (f64, f64, f64),
+    step: impl FnMut(&B, Option<&B>, Recurrence<T::Re>, &mut B),
+    level: Option<(f64, f64)>,
+    reducer: &dyn SubspaceReducer<T>,
+) -> usize {
+    x.load(cols, (nd, w));
+    let seen = chebyshev_filter_gated(x, (y, hy), degree, bounds, step, |x, y, rq| {
+        level.map(|level| seen_columns(B::rq_sums(x, y), rq, level, reducer))
+    });
+    let mut store = |i: usize, j: usize| x.store_col(i, &mut cols[j * nd..(j + 1) * nd]);
+    match seen {
+        None => (0..w).for_each(|j| store(j, j)),
+        Some(ref kept) => kept.iter().enumerate().for_each(|(i, &j)| store(i, j)),
+    }
+    seen.map_or(w, |kept| kept.len())
 }
 
 /// Analytic FLOP count of one [`chebyshev_filter`] call of degree `m` on
@@ -428,22 +538,18 @@ fn unit_columns<T: Scalar>(m: &mut Matrix<T>, reducer: &dyn SubspaceReducer<T>) 
 /// Which columns of a filter block the density sees at the Fermi level
 /// `(mu, kT)`: column `j` is seen iff its Rayleigh quotient at `H`,
 /// `c + (e / sigma1) Re<x_j, y_j> / <x_j, x_j>` read off the block `x` and
-/// the filter's first iterate `y` (`rq = (c, e / sigma1)`, both sums
-/// reduced over the ranks that share the rows), is occupied at or above
-/// [`DENSITY_CUTOFF`]. A column's verdict depends on that column alone.
+/// the filter's first iterate `y` (`sums` holds the first sums of every
+/// column, then the second, [`FilterBlock::rq_sums`]; `rq = (c, e /
+/// sigma1)`; both sums reduced over the ranks that share the rows), is
+/// occupied at or above [`DENSITY_CUTOFF`]. A column's verdict depends on
+/// that column alone.
 fn seen_columns<T: Scalar>(
-    x: &Matrix<T>,
-    y: &Matrix<T>,
+    mut sums: Vec<f64>,
     (c, scale): (f64, f64),
     (mu, kt): (f64, f64),
     reducer: &dyn SubspaceReducer<T>,
 ) -> Vec<usize> {
-    let nc = x.ncols();
-    let mut sums = vec![0.0f64; 2 * nc];
-    for j in 0..nc {
-        sums[j] = blas1::dot(x.col(j), y.col(j)).re().to_f64();
-        sums[nc + j] = blas1::dot(x.col(j), x.col(j)).re().to_f64();
-    }
+    let nc = sums.len() / 2;
     reducer.reduce_f64(&mut sums);
     (0..nc)
         .filter(|&j| {
@@ -506,10 +612,83 @@ fn cholgs_pass<T: Scalar>(
     Ok(())
 }
 
+/// Cut the `n` column-major columns `cols` (`nd` rows each) into filter
+/// tasks of at most `width` columns: `(columns, their values)`, in order.
+fn split_tasks<T>(cols: &mut [T], (nd, n): (usize, usize), width: usize) -> Vec<(usize, &mut [T])> {
+    let mut rest = cols;
+    (0..n)
+        .step_by(width)
+        .map(|j0| {
+            let w = width.min(n - j0);
+            let (task, tail) = std::mem::take(&mut rest).split_at_mut(w * nd);
+            rest = tail;
+            (w, task)
+        })
+        .collect()
+}
+
+/// The CF tasks of a local operator: the `n` columns `cols` (`nd` rows
+/// each) in tasks of at most [`COL_BLOCK`] and at most `B_f` columns, run
+/// as one parallel region, each on `max(1, threads / tasks)` threads (more
+/// than one cuts its sweeps into row slabs). A thread carries its task
+/// through every degree step in lane panels, one task's three at a time;
+/// the panel sets are allocated here, one per task that can run at once,
+/// and dropped on return. The local operator holds every row of its
+/// columns, so the seen-column sums need no reduction. Returns each task's
+/// `(columns, seen columns)`.
+fn filter_panels<T: Scalar>(
+    local: &dyn PanelOperator<T>,
+    cols: &mut [T],
+    (nd, n): (usize, usize),
+    bf: usize,
+    degree: usize,
+    bounds: (f64, f64, f64),
+    level: Option<(f64, f64)>,
+) -> Vec<(usize, usize)> {
+    let width = bf.min(COL_BLOCK);
+    let tasks = split_tasks(cols, (nd, n), width);
+    let threads = rayon::current_num_threads();
+    let share = (threads / tasks.len().max(1)).max(1);
+    // as wide as the widest task: a buffer the allocator hands out again
+    // arrives dirty and is zeroed in full, used lanes or not
+    let panels = |_| [0; 3].map(|_| LanePanel::<T>::zeros(nd, width.min(n)));
+    let sets = Mutex::new(
+        (0..tasks.len().min(threads))
+            .map(panels)
+            .collect::<Vec<_>>(),
+    );
+    let take = || sets.lock().unwrap_or_else(PoisonError::into_inner);
+    let step = |y: &LanePanel<T>, x_prev: Option<&LanePanel<T>>, k, out: &mut LanePanel<T>| {
+        local.panel_step(y, x_prev, k, out)
+    };
+    tasks
+        .into_par_iter()
+        .map(|(w, task)| {
+            let mut set = take().pop().expect("a panel set per running task");
+            let [x, y, hy] = &mut set;
+            let k = with_threads(share, || {
+                filter_task(
+                    task,
+                    (nd, w),
+                    (x, y, hy),
+                    degree,
+                    bounds,
+                    step,
+                    level,
+                    &NoReduce,
+                )
+            });
+            take().push(set);
+            (w, k)
+        })
+        .collect()
+}
+
 /// The ChFES cycle, once, for every caller: `psi` holds this rank's *owned*
 /// wavefunction rows (all rows serially), `h` the operator on them — the CF
-/// recurrence runs through [`LinearOperator::recurrence_step`], Rayleigh-
-/// Ritz and the rank-deficiency rescue through `apply`, so a distributed
+/// recurrence runs through [`LinearOperator::recurrence_step`] (or, on a
+/// local operator, [`PanelOperator::panel_step`]), Rayleigh-Ritz and the
+/// rank-deficiency rescue through `apply`, so a distributed
 /// `h` can exchange the filter's ghosts on an FP32 wire and RR's in FP64
 /// (the paper's "FP32 boundary wire, FP64 math" split, Sec. 5.4.2) — and
 /// `reducer` sums subspace quantities across ranks. [`chfes`] is this with
@@ -521,23 +700,28 @@ fn cholgs_pass<T: Scalar>(
 /// to it, form its columns of `H_p`, rotate it. Whether the window is the
 /// whole subspace is known only to [`window_cols`] and [`install_window`].
 ///
-/// Given the Fermi level `occupied_at = (mu, kT)` of the last occupations,
-/// CF filters to full degree only the columns the density sees: each filter
-/// block runs its first recurrence step, reads every column's Rayleigh
-/// quotient at `h` off it ([`seen_columns`]), narrows in place to the
-/// columns occupied at or above [`DENSITY_CUTOFF`], runs those alone to
-/// `cheb_degree` (a distributed `h` exchanges only their ghosts) and writes
-/// them back by index; a block with none stops there. Unseen columns keep
+/// CF cuts the window into filter tasks: on a local operator
+/// ([`HamOperator::panels`]) tasks of at most [`COL_BLOCK`] and at most
+/// `B_f` columns, run side by side, each carried by its own thread(s)
+/// through every degree step ([`filter_panels`]); otherwise blocks of `B_f`,
+/// one after another. Given the Fermi level `occupied_at = (mu, kT)` of the
+/// last occupations, CF filters to full degree only the columns the
+/// density sees: each task runs its first recurrence step, reads every
+/// column's Rayleigh quotient at `h` off it ([`seen_columns`]), narrows in
+/// place to the columns occupied at or above [`DENSITY_CUTOFF`], runs those
+/// alone to `cheb_degree` (a distributed `h` exchanges only their ghosts)
+/// and writes them back by index; a task with none stops there. Unseen columns keep
 /// their input bits — the search-space extras only have to span, and
 /// Rayleigh–Ritz refreshes them — and every column still goes through
 /// CholGS and RR. A column's result depends on that column alone, so the
-/// bits do not depend on the filter width, the band window or the rank
-/// count. `None` filters every column.
+/// bits do not depend on the filter width, the task layout, the thread
+/// count, the band window or the rank count. `None` filters every column.
 ///
 /// Each phase (CF, CholGS-S/CI/O, RR-P/D/SR) runs inside its own
 /// [`PhaseScope`], tagged with analytic FLOP and byte counts (CholGS-CI and
 /// RR-D are wall-time-only, matching the paper's Sec. 6.3 accounting); CF
-/// books one step on each block and `cheb_degree - 1` on its seen columns.
+/// books, once its tasks are done, one step on each task's columns and
+/// `cheb_degree - 1` on its seen columns.
 pub fn chfes_reduced<T: Scalar>(
     h: &dyn HamOperator<T>,
     psi: &mut Matrix<T>,
@@ -554,47 +738,48 @@ pub fn chfes_reduced<T: Scalar>(
     let win = reducer.band_cols(n_states);
     let (j0b, j1b) = win;
 
-    // [CF] blockwise filtering of the window's columns, at most `B_f` and
-    // at most the operator's widest block at a time (plus the pre-CholGS
-    // column normalization). The filter scratch and the block buffer
-    // persist across blocks and are dropped before `work` is allocated.
+    // [CF] the window's columns in filter tasks, in place (plus the
+    // pre-CholGS column normalization); the scratch is dropped before
+    // `work` is allocated
     {
         let mut scope = PhaseScope::new(profile, Phase::Cf);
-        let width = bf.min(h.max_filter_block()).max(1);
-        let mut cf_scratch = CfScratch::new();
-        let mut block = Matrix::<T>::zeros(nd, width.min(j1b - j0b));
-        let mut j0 = j0b;
-        while j0 < j1b {
-            let j1 = (j0 + width).min(j1b);
-            block.resize(nd, j1 - j0);
-            block.copy_cols_from(psi, j0);
-            let seen = chebyshev_filter_gated(
-                h,
-                &mut block,
-                degree,
-                bounds,
-                &mut cf_scratch,
-                |x, y, rq| occupied_at.map(|level| seen_columns(x, y, rq, level, reducer)),
-            );
-            let k = match &seen {
-                None => {
-                    psi.set_cols(j0, &block);
-                    j1 - j0
-                }
-                Some(cols) => {
-                    for (i, &j) in cols.iter().enumerate() {
-                        psi.col_mut(j0 + j).copy_from_slice(block.col(i));
-                    }
-                    cols.len()
-                }
-            };
-            // one step on the block, `degree - 1` on its seen columns
-            let col_steps = (j1 - j0) + k * (degree - 1);
+        let cols = &mut psi.as_mut_slice()[j0b * nd..j1b * nd];
+        let shape = (nd, j1b - j0b);
+        let filtered = match h.panels() {
+            Some(local) => filter_panels(local, cols, shape, bf, degree, bounds, occupied_at),
+            None => {
+                // one B_f block after another: each step exchanges ghosts
+                let mut x = Matrix::<T>::zeros(nd, 0);
+                let CfScratch { mut y, mut hy } = CfScratch::new();
+                let step = |y: &Matrix<T>, x_prev: Option<&Matrix<T>>, k, out: &mut Matrix<T>| {
+                    h.recurrence_step(y, x_prev, k, out)
+                };
+                let mut run = |(w, task): (usize, &mut [T])| {
+                    let bufs = (&mut x, &mut y, &mut hy);
+                    let k = filter_task(
+                        task,
+                        (nd, w),
+                        bufs,
+                        degree,
+                        bounds,
+                        step,
+                        occupied_at,
+                        reducer,
+                    );
+                    (w, k)
+                };
+                split_tasks(cols, shape, bf)
+                    .into_iter()
+                    .map(&mut run)
+                    .collect()
+            }
+        };
+        // one step on each task column, `degree - 1` on its seen columns
+        for (w, k) in filtered {
             scope.add_flops(
-                chebyshev_filter_flops(h, j1 - j0, 1) + chebyshev_filter_flops(h, k, degree - 1),
+                chebyshev_filter_flops(h, w, 1) + chebyshev_filter_flops(h, k, degree - 1),
             );
-            scope.add_bytes(2 * (nd * col_steps) as u64 * tsize);
-            j0 = j1;
+            scope.add_bytes(2 * (nd * (w + k * (degree - 1))) as u64 * tsize);
         }
         reducer.assemble_cols(psi);
 
@@ -670,8 +855,8 @@ pub fn chfes_reduced<T: Scalar>(
 ///
 /// The window opens from the previous step's or, when `window` is `None`,
 /// from a first guess between the `lanczos_seed` bounds `(t_min, t_max)`
-/// of `h_full`; it is then kept below `0.9 t_max` and its lower edge below
-/// `t_min - 1`. After every cycle the filter edge `a` moves just above the
+/// of `h_full`; its lower edge is then kept below `t_min - 1`, and the
+/// filter edge `a` at most nine tenths of the way from `a0` to `t_max`. After every cycle the filter edge `a` moves just above the
 /// wanted spectrum — amplifying a wide unwanted band stalls SCF
 /// convergence — by at least `2 kT` (`kt`) and at least the mean level
 /// spacing, and `a0` to one below the lowest Ritz value. `h_full` is the
@@ -704,14 +889,17 @@ pub fn ks_eigensolve<T: Scalar>(
     let occupied_at = mu.filter(|_| window.is_some()).map(|mu| (mu, kt));
     let (mut a0, mut a) = window.unwrap_or((tmin - 1.0, tmin + 0.1 * (tmax - tmin)));
     a0 = a0.min(tmin - 1.0);
-    a = a.clamp(a0 + 1e-3 * (tmax - a0), 0.9 * tmax);
+    // the edge stays nine tenths of the way from `a0` to `t_max`, inside
+    // `(a0, t_max)` wherever the spectrum sits
+    let cap = |a0: f64| a0 + 0.9 * (tmax - a0);
+    a = a.clamp(a0 + 1e-3 * (tmax - a0), cap(a0));
     let mut evals = vec![];
     for _ in 0..passes {
         evals = chfes_reduced(h, psi, (a0, a, tmax), opts, occupied_at, profile, reducer);
         let n = evals.len();
         let spread = (evals[n - 1] - evals[0]).max(0.1);
-        a = (evals[n - 1] + (2.0 * kt).max(spread / n as f64)).min(0.9 * tmax);
         a0 = evals[0] - 1.0;
+        a = (evals[n - 1] + (2.0 * kt).max(spread / n as f64)).min(cap(a0));
     }
     *window = Some((a0, a));
     evals
@@ -945,16 +1133,51 @@ mod tests {
         assert!(fp64.iter().any(|r| r.phase == "CholGS-O" && r.flops > 0));
     }
 
-    /// A column's bits do not depend on the filter block it rides in: one
-    /// FP64 cycle on 24 columns — three cell-kernel blocks — gives the same
-    /// Ritz values and vectors at `B_f` = 1, 8, 16 and 64, and under a
-    /// 1-thread cap (where the Hamiltonian asks for 8-column blocks), on
-    /// the real path and on the complex Bloch path. So does a second cycle
-    /// from those Ritz vectors at a Fermi level on the tenth Ritz value,
-    /// which narrows each block to its seen columns after one step, and
-    /// one from the Ritz vectors last to first, whose seen columns end
-    /// their block rather than lead it. CF books one step on each block
-    /// and `m - 1` on its seen columns.
+    /// The local operator without its panels: CF runs its column-major
+    /// `B_f` blocks through `recurrence_step`, the route of a distributed
+    /// operator.
+    struct Blocks<'a, T: Scalar>(&'a KsHamiltonian<'a, T>);
+
+    impl<T: Scalar> LinearOperator<T> for Blocks<'_, T> {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn apply(&self, x: &Matrix<T>, y: &mut Matrix<T>) {
+            self.0.apply(x, y);
+        }
+        fn recurrence_step(
+            &self,
+            y: &Matrix<T>,
+            x_prev: Option<&Matrix<T>>,
+            k: Recurrence<T::Re>,
+            out: &mut Matrix<T>,
+        ) {
+            self.0.recurrence_step(y, x_prev, k, out);
+        }
+    }
+
+    impl<T: Scalar> HamOperator<T> for Blocks<'_, T> {
+        fn apply_flops(&self, ncols: usize) -> u64 {
+            self.0.apply_flops(ncols)
+        }
+    }
+
+    /// A column's bits do not depend on the filter task it rides in, nor on
+    /// how many threads share the tasks: one FP64 cycle on 24 columns gives
+    /// the Ritz values and vectors of the one-thread, `B_f` = 1 cycle bit for
+    /// bit under thread caps 1 to 4 and at `B_f` = 1, 3, 8, 16 and 64 — on
+    /// a real Γ, a complex Bloch and a real Dirichlet space. So does a
+    /// second cycle from those Ritz vectors at a Fermi level between the
+    /// twelfth and thirteenth Ritz values, which narrows each task to its
+    /// seen columns after one step (at `B_f` = 8: one task all seen, one
+    /// with 4 of its 8 columns seen, one unseen), and one from the Ritz
+    /// vectors last to first, whose seen columns end their task rather than
+    /// lead it. A cycle on 8 columns, one task, whose sweeps cut the rows of
+    /// the four-layer Dirichlet space into slabs under caps above one, does
+    /// too, and so does every cycle filtered as a distributed operator
+    /// filters: `B_f` = 64 columns at a time in column-major blocks. CF
+    /// books, every time, one step on every column and `m - 1` on each
+    /// seen one.
     #[test]
     fn cycle_bits_do_not_depend_on_the_filter_width() {
         use crate::threads::with_threads;
@@ -967,52 +1190,101 @@ mod tests {
             let h = KsHamiltonian::<T>::new(space, &v, phases);
             let (tmin, tmax) = lanczos_bounds(&h, 10, 2);
             let window = (tmin - 1.0, tmin + 0.3 * (tmax - tmin), tmax);
-            let cycle = |block_size, start: &Matrix<T>, occupied_at, profile| {
+            let blocks = Blocks(&h);
+            let cycle = |threads, block_size: usize, start: &Matrix<T>, occupied_at| {
+                let h: &dyn HamOperator<T> = if block_size == 0 { &blocks } else { &h };
+                let block_size = block_size.max(1);
                 let mut psi = start.clone();
                 let opts = ChfesOptions {
                     cheb_degree: 30,
                     block_size,
                     mixed_precision: false,
                 };
-                let evals =
-                    chfes_reduced(&h, &mut psi, window, &opts, occupied_at, profile, &NoReduce);
-                (evals, psi)
+                let profile = Profile::new();
+                let evals = with_threads(threads, || {
+                    let p = Some(&profile);
+                    chfes_reduced(h, &mut psi, window, &opts, occupied_at, p, &NoReduce)
+                });
+                let booked = profile.finish(None).cumulative[0].flops;
+                (evals, psi, booked)
             };
             let random = random_subspace::<T>(h.dim(), 24, 5);
-            let (ritz_values, ritz) = cycle(64, &random, None, None);
-            let (mu, kt) = (ritz_values[9], 1e-3);
+            let (ritz_values, ritz, _) = cycle(1, 64, &random, None);
+            let (mu, kt) = ((ritz_values[11] + ritz_values[12]) / 2.0, 1e-5);
+            let occupied = |e: &&f64| 2.0 * fermi(**e, mu, kt) >= DENSITY_CUTOFF;
+            assert_eq!(ritz_values.iter().filter(occupied).count(), 12);
             let level = Some((mu, kt));
             let reversed = Matrix::from_fn(h.dim(), 24, |i, j| ritz[(i, 23 - j)]);
-            for (start, occupied_at) in [(&random, None), (&ritz, level), (&reversed, level)] {
-                let (evals, psi) = cycle(64, start, occupied_at, None);
-                let narrow = with_threads(1, || cycle(64, start, occupied_at, None));
-                for (what, (e, p)) in [1, 8, 16]
-                    .map(|bf| (format!("B_f = {bf}"), cycle(bf, start, occupied_at, None)))
-                    .into_iter()
-                    .chain([("one thread".to_string(), narrow)])
-                {
-                    let what = format!("{what}, Fermi level {occupied_at:?}");
-                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&e), bits(&evals), "{what}: Ritz values");
-                    assert!(p.as_slice() == psi.as_slice(), "{what}: Ritz vectors");
+            let first8 = random.cols_range(0, 8);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (start, occupied_at, seen) in [
+                (&random, None, 24),
+                (&ritz, level, 12),
+                (&reversed, level, 12),
+                (&first8, None, 8),
+            ] {
+                let n = start.ncols();
+                let (evals, psi, _) = cycle(1, 1, start, occupied_at);
+                let expect =
+                    chebyshev_filter_flops(&h, n, 1) + chebyshev_filter_flops(&h, seen, 29);
+                for threads in 1..=4 {
+                    // 0: B_f = 64 in column-major blocks, as a distributed
+                    // operator filters
+                    for bf in [1, 3, 8, 16, 64, 0] {
+                        let what = format!("{threads} threads, B_f = {bf}, Fermi level {occupied_at:?}, {n} columns");
+                        let (e, p, booked) = cycle(threads, bf, start, occupied_at);
+                        assert_eq!(bits(&e), bits(&evals), "{what}: Ritz values");
+                        assert!(p.as_slice() == psi.as_slice(), "{what}: Ritz vectors");
+                        assert_eq!(booked, expect, "{what}: booked flops");
+                    }
                 }
             }
-            let occupied = |e: &&f64| 2.0 * fermi(**e, mu, kt) >= DENSITY_CUTOFF;
-            let seen = ritz_values.iter().filter(occupied).count();
-            assert!(0 < seen && seen < 24, "{seen} seen columns");
-            let profiles = [Profile::new(), Profile::new()];
-            for (start, profile) in [&ritz, &reversed].into_iter().zip(&profiles) {
-                cycle(8, start, level, Some(profile));
-                let booked = profile.finish(None).cumulative[0].flops;
-                assert_eq!(
-                    booked,
-                    chebyshev_filter_flops(&h, 24, 1) + chebyshev_filter_flops(&h, seen, 29)
-                );
-            }
         }
-        check::<f64>(&FeSpace::new(Mesh3d::cube(2, 6.0, 3)), [1.0; 3]);
+        check::<f64>(&FeSpace::new(Mesh3d::periodic_cube(2, 5.0, 3)), [1.0; 3]);
         let bloch = [C64::cis(0.4), C64::cis(-0.9), C64::ONE];
         check::<C64>(&FeSpace::new(Mesh3d::periodic_cube(2, 5.0, 3)), bloch);
+        check::<f64>(&FeSpace::new(Mesh3d::cube(4, 8.0, 2)), [1.0; 3]);
+    }
+
+    /// The filter edge stays inside `(a0, t_max)` wherever the spectrum
+    /// sits: on 8 DoF of constant potential +50 Ha (a spectrum high and
+    /// narrow, where `0.9 t_max` fell below `a0`) and -50 Ha (below zero,
+    /// where a later pass put `a` under `a0`), repeated eigensolves return
+    /// the exact spectrum, whose lowest value is the potential.
+    #[test]
+    fn ks_eigensolve_keeps_the_filter_edge_inside_the_spectrum() {
+        let space = FeSpace::new(Mesh3d::periodic_cube(2, 4.0, 1));
+        assert_eq!(space.ndofs(), 8);
+        let opts = ChfesOptions {
+            cheb_degree: 10,
+            block_size: 64,
+            mixed_precision: false,
+        };
+        for (v0, n_states) in [(50.0, 2), (-50.0, 6)] {
+            let v = vec![v0; space.nnodes()];
+            let h = KsHamiltonian::<f64>::new(&space, &v, [1.0; 3]);
+            let mut psi = random_subspace::<f64>(h.dim(), n_states, 1);
+            let mut window = None;
+            for solve in 0..4 {
+                let (hr, red): (&dyn HamOperator<f64>, &dyn SubspaceReducer<f64>) = (&h, &NoReduce);
+                let evals = ks_eigensolve(
+                    &h,
+                    7,
+                    (hr, red),
+                    &mut psi,
+                    &mut window,
+                    3,
+                    1e-3,
+                    None,
+                    &opts,
+                    None,
+                );
+                let what = format!("v = {v0}, solve {solve}: {evals:?}");
+                assert!(evals.iter().all(|e| e.is_finite()), "{what}");
+                assert!(evals.windows(2).all(|w| w[0] <= w[1]), "{what}");
+                assert!((evals[0] - v0).abs() < 1e-9, "{what}");
+            }
+        }
     }
 
     /// A subspace `a` and a second block `b` of the same shape (what `H`

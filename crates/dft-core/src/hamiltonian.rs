@@ -14,7 +14,7 @@
 //! through the cell-level kernels of [`dft_fem::space::FeSpace`], with
 //! Bloch phases carrying the k-point dependence for complex scalars.
 
-use dft_fem::space::{FeSpace, COL_BLOCK};
+use dft_fem::space::{FeSpace, LanePanel};
 use dft_linalg::iterative::{recurrence_update, LinearOperator, Recurrence};
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::{Real, Scalar};
@@ -28,13 +28,30 @@ pub trait HamOperator<T: Scalar>: LinearOperator<T> {
     /// Analytic FLOP count of one apply on `ncols` columns.
     fn apply_flops(&self, ncols: usize) -> u64;
 
-    /// The widest column block the Chebyshev filter should carry through
-    /// this operator; the CF phase filters `min(B_f, this)` columns at a
-    /// time. Unlimited by default: an operator whose every recurrence step
-    /// pays a fixed cost per block (a ghost exchange) wants `B_f`.
-    fn max_filter_block(&self) -> usize {
-        usize::MAX
+    /// The operator as a [`PanelOperator`], when it steps a filter task's
+    /// lane panels on the task's own threads: then the CF phase filters
+    /// tasks of at most [`dft_fem::space::COL_BLOCK`] columns side by side,
+    /// one thread carrying each through every degree step. `None` by
+    /// default: an operator whose every recurrence step is a ghost exchange
+    /// filters `B_f` columns at a time, one block after another, through
+    /// [`LinearOperator::recurrence_step`].
+    fn panels(&self) -> Option<&dyn PanelOperator<T>> {
+        None
     }
+}
+
+/// One recurrence step of a Chebyshev filter task on its lane panels:
+/// `out = (A y - c y) * alpha - beta * x_prev`, with the bits of
+/// [`LinearOperator::recurrence_step`] on the same columns.
+pub trait PanelOperator<T: Scalar>: Sync {
+    /// The step on panels of the operator's `dim()` rows.
+    fn panel_step(
+        &self,
+        y: &LanePanel<T>,
+        x_prev: Option<&LanePanel<T>>,
+        k: Recurrence<T::Re>,
+        out: &mut LanePanel<T>,
+    );
 }
 
 /// The discrete KS Hamiltonian for one k-point.
@@ -85,11 +102,35 @@ impl<'a, T: Scalar> HamOperator<T> for KsHamiltonian<'a, T> {
         KsHamiltonian::apply_flops(self, ncols)
     }
 
-    /// One [`COL_BLOCK`] per thread: every thread of a recurrence step
-    /// sweeps its own cache-sized block, and the filter's three live blocks
-    /// stay a thread's worth of columns wide.
-    fn max_filter_block(&self) -> usize {
-        COL_BLOCK * rayon::current_num_threads()
+    fn panels(&self) -> Option<&dyn PanelOperator<T>> {
+        Some(self)
+    }
+}
+
+/// The output transform of every sweep of [`KsHamiltonian`], on one
+/// finished piece `o` of `K M^{-1/2} x`: `o = 1/2 s o + v x`, then (given
+/// `k`) the recurrence update against `x` and the previous iterate. The
+/// factors `sv = (s_i, v_i)` come one per row, and each row's elements are
+/// `run` consecutive values of the piece: one for a column's rows, the lane
+/// count for a panel's rows. One body for both layouts, so they share their
+/// bits.
+#[inline(always)]
+fn finish<T: Scalar>(
+    o: &mut [T],
+    x: &[T],
+    x_prev: Option<&[T]>,
+    (sv, run): (impl Iterator<Item = (f64, f64)>, usize),
+    k: Option<Recurrence<T::Re>>,
+) {
+    let rows = o.chunks_exact_mut(run).zip(x.chunks_exact(run));
+    for ((orow, xrow), (si, vi)) in rows.zip(sv) {
+        let (a, b) = (T::Re::from_f64(0.5 * si), T::Re::from_f64(vi));
+        for (ov, &xv) in orow.iter_mut().zip(xrow) {
+            *ov = ov.scale(a) + xv.scale(b);
+        }
+    }
+    if let Some(k) = k {
+        recurrence_update(o, x, x_prev, k);
     }
 }
 
@@ -97,9 +138,9 @@ impl<'a, T: Scalar> KsHamiltonian<'a, T> {
     /// `out = Hhat x`, then (given `k`) the recurrence update against `x`
     /// and the previous iterate, in one cell sweep: `K M^{-1/2} x` with the
     /// input scaling fused into the cell gather (no copy of `x`), and the
-    /// rest as the sweep's epilogue on each finished column piece while it
-    /// is still in cache. K is the grad-grad stiffness, i.e. the discrete
-    /// -∇², so the kinetic operator -1/2 ∇² is +1/2 K.
+    /// rest ([`finish`]) as the sweep's epilogue on each finished column
+    /// piece while it is still in cache. K is the grad-grad stiffness, i.e.
+    /// the discrete -∇², so the kinetic operator -1/2 ∇² is +1/2 K.
     fn sweep(
         &self,
         x: &Matrix<T>,
@@ -113,20 +154,41 @@ impl<'a, T: Scalar> KsHamiltonian<'a, T> {
         let s = self.space.inv_sqrt_mass();
         let epilogue = |j: usize, first_row: usize, ocol: &mut [T]| {
             let rows = first_row..first_row + ocol.len();
-            let xcol = &x.col(j)[rows.clone()];
-            for ((ov, &xv), (&si, &vi)) in ocol
-                .iter_mut()
-                .zip(xcol.iter())
-                .zip(s[rows.clone()].iter().zip(&self.v_eff_dof[rows.clone()]))
-            {
-                *ov = ov.scale(T::Re::from_f64(0.5 * si)) + xv.scale(T::Re::from_f64(vi));
-            }
-            if let Some(k) = k {
-                recurrence_update(ocol, xcol, x_prev.map(|p| &p.col(j)[rows]), k);
-            }
+            let sv = s[rows.clone()].iter().zip(&self.v_eff_dof[rows.clone()]);
+            let sv = sv.map(|(&s, &v)| (s, v));
+            let prev = x_prev.map(|p| &p.col(j)[rows.clone()]);
+            finish(ocol, &x.col(j)[rows], prev, (sv, 1), k);
         };
         self.space
             .apply_stiffness_scaled(x, out, self.phases, s, Some(&epilogue));
+    }
+}
+
+impl<'a, T: Scalar> PanelOperator<T> for KsHamiltonian<'a, T> {
+    /// The step as one [`dft_fem::space::Lanes`] sweep: [`finish`] runs on
+    /// each run of rows once the last cell that reaches them has been
+    /// scattered, while they are still in cache.
+    // dftlint:hot
+    fn panel_step(
+        &self,
+        y: &LanePanel<T>,
+        x_prev: Option<&LanePanel<T>>,
+        k: Recurrence<T::Re>,
+        out: &mut LanePanel<T>,
+    ) {
+        assert!(x_prev.is_none_or(|p| (p.rows(), p.lanes()) == (y.rows(), y.lanes())));
+        let s = self.space.inv_sqrt_mass();
+        let w = y.lanes();
+        let epilogue = |_: usize, i0: usize, orows: &mut [T]| {
+            let (i1, lanes) = (i0 + orows.len() / w, i0 * w..i0 * w + orows.len());
+            let sv = s[i0..i1].iter().zip(&self.v_eff_dof[i0..i1]);
+            let sv = sv.map(|(&s, &v)| (s, v));
+            let prev = x_prev.map(|p| &p.as_slice()[i0 * w..i1 * w]);
+            finish(orows, &y.as_slice()[lanes], prev, (sv, w), Some(k));
+        };
+        out.resize(y.rows(), y.lanes());
+        self.space
+            .apply_panel_scaled(y, out, self.phases, s, Some(&epilogue));
     }
 }
 

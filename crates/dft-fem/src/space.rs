@@ -105,10 +105,36 @@ impl RowSlab {
 }
 
 /// One way of cutting the all-cells sweep into row slabs: the slabs' cell
-/// lists back to back, and the slabs indexing into them.
+/// lists back to back, the slabs indexing into them, and how each slab's
+/// rows start and finish.
 struct SlabSet {
     cells: Vec<u32>,
     slabs: Vec<RowSlab>,
+    touch: TouchTable,
+}
+
+/// [`TouchTable`] flag: the first of its slab's (cell, local node) pairs,
+/// in sweep order, that reaches the node's row.
+const FIRST_TOUCH: u8 = 1;
+/// [`TouchTable`] flag: the last pair that reaches the row.
+const LAST_TOUCH: u8 = 2;
+
+/// How the rows of a row-slab sweep start and finish, for a [`Lanes`]
+/// sweep, which stores where a row is first reached and finishes a row
+/// once it is reached no more. Built once per slab set by
+/// [`FeSpace::new`].
+pub struct TouchTable {
+    /// Per listed cell and local node, `[i * nloc + l]` for entry `i` of the
+    /// sweep's cells: [`FIRST_TOUCH`] and/or [`LAST_TOUCH`], one byte.
+    flags: Vec<u8>,
+    /// Entry `i` of the sweep's cells finishes, once scattered, the row
+    /// runs `finish[finish_at[i]..finish_at[i + 1]]`.
+    finish_at: Vec<u32>,
+    /// `(first row, rows)`: runs of consecutive rows whose last touch is
+    /// behind them. A row is finished at the end of the row of cells (the
+    /// cells of one y and z index) that touches it last: a few lines of
+    /// nodes at a time, still in cache, and long enough to vectorize.
+    finish: Vec<(u32, u32)>,
 }
 
 /// Which cells one [`FeSpace::sweep_cells`] call visits and how their local
@@ -135,12 +161,231 @@ pub struct CellSweep<'a> {
     /// right before its first cell lands in it (while it is about to be
     /// cache-resident anyway), so the caller need not clear `y`.
     pub overwrite: bool,
+    /// Where each row starts and finishes, for the row-slab sweeps of
+    /// [`FeSpace`] that have one. Read by [`Lanes`] sweeps only, which need
+    /// it.
+    pub touch: Option<&'a TouchTable>,
 }
 
-/// What [`FeSpace::sweep_cells`] runs on each column piece of an item once
-/// the item's last cell has been scattered: `(column, first row, those
-/// rows of y)`, called from the thread that swept them.
+/// What [`FeSpace::sweep_cells`] runs on each finished piece of its
+/// result, from the thread that swept it: `(column, row, piece)`, the piece
+/// starting at that row and column. A [`ColMajor`] piece is one column's
+/// rows of an item, run once the item's last cell has been scattered; a
+/// [`Lanes`] piece is the lanes of a run of consecutive rows, run once the
+/// last cell that touches them has been scattered (see [`TouchTable`]).
 pub type BlockEpilogue<'a, T> = dyn Fn(usize, usize, &mut [T]) + Sync + 'a;
+
+/// An item of [`FeSpace::sweep_cells`]: first column, width, row slab, and
+/// its share of `y` as strips ([`BlockLayout::row`] reads them).
+type SweepItem<'a, T> = (usize, usize, &'a RowSlab, [&'a mut [T]; COL_BLOCK]);
+
+/// How the blocks that [`FeSpace::sweep_cells`] sweeps hold their columns:
+/// [`ColMajor`] columns of `ld` rows, or one [`Lanes`] panel. The cell loop,
+/// the lane sharing and the kernel are the same for both; a layout says
+/// where an element lives, how the items share out `y`, and how a swept
+/// row starts and finishes.
+pub trait BlockLayout: Copy + Send + Sync {
+    /// Rows start and finish by the sweep's [`TouchTable`]: the kernel's
+    /// first direction stores instead of accumulating, the first cell that
+    /// reaches a row stores into it, later ones add, and the epilogue runs
+    /// on the row's lanes once the last has been scattered. Otherwise an
+    /// item zeroes its pieces (on an overwriting sweep) and finishes them
+    /// after its last cell.
+    const TOUCH: bool;
+    /// Offset of row `d`, column `t` in a block of `cb` columns of `ld` rows.
+    fn at(ld: usize, cb: usize, d: usize, t: usize) -> usize;
+    /// Cut `y` (`ld` rows) into the sweep's items, one per column block and
+    /// row slab.
+    fn items<'a, T>(y: &'a mut [T], ld: usize, slabs: &'a [RowSlab]) -> Vec<SweepItem<'a, T>>;
+    /// The lanes of slab row `r` in an item's strips, in column order.
+    fn row<'s, T>(
+        strips: &'s mut [&mut [T]],
+        r: usize,
+        cb: usize,
+    ) -> impl Iterator<Item = &'s mut T>;
+}
+
+/// Column-major blocks: column `t` is the `ld` values at `t * ld`. The
+/// serial apply, the Poisson solves and a rank's sweep.
+#[derive(Clone, Copy, Debug)]
+pub struct ColMajor;
+
+/// One [`LanePanel`] of at most [`COL_BLOCK`] lanes: row `d` is the `cb`
+/// values at `d * cb`, so gathering a node's lanes is one contiguous load.
+/// A filter task's sweep.
+#[derive(Clone, Copy, Debug)]
+pub struct Lanes;
+
+impl BlockLayout for ColMajor {
+    const TOUCH: bool = false;
+    #[inline(always)]
+    fn at(ld: usize, _cb: usize, d: usize, t: usize) -> usize {
+        t * ld + d
+    }
+    fn items<'a, T>(y: &'a mut [T], ld: usize, slabs: &'a [RowSlab]) -> Vec<SweepItem<'a, T>> {
+        const CB: usize = COL_BLOCK;
+        y.chunks_mut(ld * CB)
+            .enumerate()
+            .flat_map(|(jb, yblk)| {
+                // the block's columns, each handing its next slab's rows to
+                // that slab's item
+                let cb = yblk.len() / ld;
+                let mut cols: [&mut [T]; CB] = Default::default();
+                for (col, ycol) in cols.iter_mut().zip(yblk.chunks_mut(ld)) {
+                    *col = ycol;
+                }
+                slabs.iter().map(move |slab| {
+                    let ycols: [&mut [T]; CB] = std::array::from_fn(|t| {
+                        let col = std::mem::take(&mut cols[t]);
+                        let (head, tail) = col.split_at_mut(slab.rows.min(col.len()));
+                        cols[t] = tail;
+                        head
+                    });
+                    (jb * CB, cb, slab, ycols)
+                })
+            })
+            .collect()
+    }
+    #[inline(always)]
+    fn row<'s, T>(
+        strips: &'s mut [&mut [T]],
+        r: usize,
+        cb: usize,
+    ) -> impl Iterator<Item = &'s mut T> {
+        strips[..cb].iter_mut().map(move |col| &mut col[r])
+    }
+}
+
+impl BlockLayout for Lanes {
+    const TOUCH: bool = true;
+    #[inline(always)]
+    fn at(_ld: usize, cb: usize, d: usize, t: usize) -> usize {
+        d * cb + t
+    }
+    fn items<'a, T>(y: &'a mut [T], ld: usize, slabs: &'a [RowSlab]) -> Vec<SweepItem<'a, T>> {
+        let cb = y.len() / ld;
+        assert!(cb <= COL_BLOCK, "a panel holds at most COL_BLOCK lanes");
+        let mut rest = y;
+        slabs
+            .iter()
+            .map(|slab| {
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(slab.rows * cb);
+                rest = tail;
+                let mut strips: [&mut [T]; COL_BLOCK] = Default::default();
+                strips[0] = head;
+                (0, cb, slab, strips)
+            })
+            .collect()
+    }
+    #[inline(always)]
+    fn row<'s, T>(
+        strips: &'s mut [&mut [T]],
+        r: usize,
+        cb: usize,
+    ) -> impl Iterator<Item = &'s mut T> {
+        strips[0][r * cb..(r + 1) * cb].iter_mut()
+    }
+}
+
+/// At most [`COL_BLOCK`] columns of `rows` rows held lane-interleaved,
+/// `[row][lane]`: row `i` is the `lanes` values at `i * lanes`. What a
+/// Chebyshev filter task carries through all its degree steps, swept as
+/// [`Lanes`]. The buffer grows past the widest shape it has held only.
+#[derive(Clone, Debug)]
+pub struct LanePanel<T> {
+    data: Vec<T>,
+    rows: usize,
+    lanes: usize,
+}
+
+impl<T: Scalar> LanePanel<T> {
+    /// A zero panel of `rows x lanes`.
+    pub fn zeros(rows: usize, lanes: usize) -> Self {
+        assert!(lanes <= COL_BLOCK, "a panel holds at most COL_BLOCK lanes");
+        Self {
+            data: vec![T::ZERO; rows * lanes],
+            rows,
+            lanes,
+        }
+    }
+
+    /// Rows.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Lanes (columns).
+    #[inline]
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Reshape to `rows x lanes`, keeping the buffer; the entries are
+    /// unspecified until written.
+    pub fn resize(&mut self, rows: usize, lanes: usize) {
+        assert!(lanes <= COL_BLOCK, "a panel holds at most COL_BLOCK lanes");
+        let len = rows * lanes;
+        self.data.reserve_exact(len.saturating_sub(self.data.len()));
+        self.data.resize(len, T::ZERO);
+        (self.rows, self.lanes) = (rows, lanes);
+    }
+
+    /// Row `i`'s lanes.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[T] {
+        &self.data[i * self.lanes..(i + 1) * self.lanes]
+    }
+
+    /// The panel, row after row.
+    #[inline]
+    pub fn as_slice(&self) -> &[T] {
+        &self.data
+    }
+
+    /// The panel, row after row.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        &mut self.data
+    }
+
+    /// Become the `lanes` column-major columns `cols` of `rows` rows each,
+    /// one lane per column.
+    pub fn load_cols(&mut self, cols: &[T], (rows, lanes): (usize, usize)) {
+        assert_eq!(cols.len(), rows * lanes);
+        self.resize(rows, lanes);
+        for t in 0..lanes {
+            for (i, &v) in cols[t * rows..(t + 1) * rows].iter().enumerate() {
+                self.data[i * lanes + t] = v;
+            }
+        }
+    }
+
+    /// Copy lane `t` out into the column `col`.
+    pub fn store_lane(&self, t: usize, col: &mut [T]) {
+        assert!(t < self.lanes && col.len() == self.rows);
+        for (i, v) in col.iter_mut().enumerate() {
+            *v = self.data[i * self.lanes + t];
+        }
+    }
+
+    /// Keep only the lanes `keep` (strictly increasing), packed in their
+    /// order to the front of every row.
+    pub fn retain_lanes(&mut self, keep: &[usize]) {
+        let (w, k) = (self.lanes, keep.len());
+        for (i, &t) in keep.iter().enumerate() {
+            assert!(t < w && (i == 0 || keep[i - 1] < t));
+        }
+        // row by row, front to back: every write lands at or before the
+        // read it comes from and after every read already done
+        for r in 0..self.rows {
+            for (i, &t) in keep.iter().enumerate() {
+                self.data[r * k + i] = self.data[r * w + t];
+            }
+        }
+        self.resize(self.rows, k);
+    }
+}
 
 /// The 8 possible products of Bloch phases selected by a wrap bitmask
 /// (identity for mask 0). `conj` gives the scatter-side conjugate table.
@@ -168,19 +413,20 @@ fn phase_products<T: Scalar>(phases: [T; 3], conj: bool) -> [T; 8] {
     tab
 }
 
-/// Gather one cell's `cb` block columns into the interleaved local buffer
-/// (`loc[l*COL_BLOCK + t]` is local node `l`, lane `t`), optionally fusing
-/// a per-row real scale. The cell owns the lanes `lanes`: its columns land
-/// in the first `cb` of them and the rest are zeroed. A cell alone owns
-/// `0..COL_BLOCK`; the cells sharing a kernel call own consecutive
-/// `cb`-lane groups, the last of them also the unused lanes after its own.
-/// Each node is written through a [`COL_BLOCK`]-wide window that starts at
-/// the cell's first lane, so `loc` must extend `lanes.start` values past
-/// its last node: a window of fixed width lets the per-lane loops unroll
-/// (through a slice of just the cell's own lanes they do not, and an
-/// 8-column apply ran about a fifth slower).
+/// Gather one cell's `cb` block columns (laid out as `L`) into the
+/// interleaved local buffer (`loc[l*COL_BLOCK + t]` is local node `l`, lane
+/// `t`), optionally fusing a per-row real scale. The cell owns the lanes
+/// `lanes`: its columns land in the first `cb` of them and the rest are
+/// zeroed. A cell alone owns `0..COL_BLOCK`; the cells sharing a kernel call
+/// own consecutive `cb`-lane groups, the last of them also the unused lanes
+/// after its own. Each node is written through a [`COL_BLOCK`]-wide window
+/// that starts at the cell's first lane, so `loc` must extend `lanes.start`
+/// values past its last node: a window of fixed width lets the per-lane
+/// loops unroll (through a slice of just the cell's own lanes they do not,
+/// and an 8-column apply ran about a fifth slower).
+// dftlint:hot
 #[allow(clippy::too_many_arguments)]
-fn gather_block<T: Scalar>(
+fn gather_block<T: Scalar, L: BlockLayout>(
     dofs: &[i32],
     wraps: &[u8],
     xblk: &[T],
@@ -209,13 +455,13 @@ fn gather_block<T: Scalar>(
         match row_scale {
             None => {
                 for t in 0..cb {
-                    dst[t] = xblk[t * ld + du];
+                    dst[t] = xblk[L::at(ld, cb, du, t)];
                 }
             }
             Some(s) => {
                 let sc = <T::Re as Real>::from_f64(s[du]);
                 for t in 0..cb {
-                    dst[t] = xblk[t * ld + du].scale(sc);
+                    dst[t] = xblk[L::at(ld, cb, du, t)].scale(sc);
                 }
             }
         }
@@ -231,57 +477,66 @@ fn gather_block<T: Scalar>(
     }
 }
 
-/// Scatter-add one cell's interleaved lanes `lane0..lane0 + cb` into a
-/// slab's rows of the block's `cb` columns (`ycols[t]` is rows
-/// `first_row..` of block column `t`), conjugate phases on wraps (adjoint
-/// of [`gather_block`], and read through the same fixed-width window, so
-/// `out` extends `lane0` values past its last node). Local nodes on
-/// another slab's rows are dropped: that slab sweeps this cell too.
+/// Scatter one cell's interleaved lanes `lane0..lane0 + cb` into a slab's
+/// rows of the block's `cb` columns (the item's strips, read as `L`),
+/// conjugate phases on wraps (adjoint of [`gather_block`], and read through
+/// the same fixed-width window, so `out` extends `lane0` values past its
+/// last node). Local nodes on another slab's rows are dropped: that slab
+/// sweeps this cell too. Under [`BlockLayout::TOUCH`] the cell's `touch`
+/// flags make it store into a row it reaches first; otherwise it adds.
 // dftlint:hot
-fn scatter_block<T: Scalar>(
+#[allow(clippy::too_many_arguments)]
+fn scatter_block<T: Scalar, L: BlockLayout>(
     dofs: &[i32],
     wraps: &[u8],
+    touch: &[u8],
     out: &[T],
     lane0: usize,
     tabc: &[T; 8],
     ycols: &mut [&mut [T]],
-    first_row: usize,
+    (first_row, rows, cb): (usize, usize, usize),
 ) {
     const CB: usize = COL_BLOCK;
-    let rows = ycols.first().map_or(0, |c| c.len());
     assert!(out.len() >= dofs.len() * CB + lane0, "a window per node");
+    assert!(
+        !L::TOUCH || touch.len() == dofs.len(),
+        "a touch flag per node"
+    );
     let windows = out[lane0..].chunks_exact(CB);
-    for ((&d, &w), src) in dofs.iter().zip(wraps).zip(windows) {
+    for (l, ((&d, &w), src)) in dofs.iter().zip(wraps).zip(windows).enumerate() {
         // an eliminated node (-1) and a row below the slab both wrap past
         // `rows`
         let r = (d as usize).wrapping_sub(first_row);
         if r >= rows {
             continue;
         }
+        let src = &src[..cb];
+        // a row's first touch stores (`0 + v` is `v`), with no branch on it
+        let first = L::TOUCH && touch[l] & FIRST_TOUCH != 0;
+        let start = |y: &T| if first { T::ZERO } else { *y };
+        let lanes = L::row(ycols, r, cb);
         if w == 0 {
-            for (ycol, &v) in ycols.iter_mut().zip(src) {
-                ycol[r] += v;
-            }
+            lanes.zip(src).for_each(|(y, &v)| *y = start(y) + v);
         } else {
             let ph = tabc[w as usize];
-            for (ycol, &v) in ycols.iter_mut().zip(src) {
-                ycol[r] += v * ph;
-            }
+            lanes.zip(src).for_each(|(y, &v)| *y = start(y) + v * ph);
         }
     }
 }
 
 /// The body of [`FeSpace::cell_stiffness_apply_block`]: `y_loc += K_c x_loc`
-/// on [`COL_BLOCK`] interleaved lanes for a box of size `h`, `n1` nodes per
-/// axis. Each 1-D line of each direction (x, then y, then z) computes its
-/// outputs `TILE` at a time: one pass over the line's inputs feeds `TILE`
-/// independent accumulators, then each lands in `y_loc` with one scaled
-/// add. Every output still sums its `n1` terms in ascending input order, so
-/// the bits do not depend on `TILE`. Called with `n1 == TILE` as literals
-/// (and inlined) the loops unroll and a line is one tile.
+/// (under `STORE`, `y_loc = K_c x_loc`: the first direction stores, so
+/// `y_loc` need not be cleared) on [`COL_BLOCK`] interleaved lanes for a
+/// box of size `h`, `n1` nodes per axis. Each 1-D line of each direction
+/// (x, then y, then z, [`cell_direction`]) computes its outputs `TILE` at a
+/// time: one pass over the line's inputs feeds `TILE` independent
+/// accumulators, then each lands in `y_loc` with one scaled add. Every
+/// output still sums its `n1` terms in ascending input order, so the bits
+/// do not depend on `TILE`. Called with `n1 == TILE` as literals (and
+/// inlined) the loops unroll and a line is one tile.
 // dftlint:hot
 #[inline(always)]
-fn cell_kernel<T: Scalar, const TILE: usize>(
+fn cell_kernel<T: Scalar, const TILE: usize, const STORE: bool>(
     n1: usize,
     basis: &Lagrange1d,
     h: [f64; 3],
@@ -290,36 +545,57 @@ fn cell_kernel<T: Scalar, const TILE: usize>(
 ) {
     const CB: usize = COL_BLOCK;
     let n2 = n1 * n1;
-    let khat = &basis.khat[..n2];
-    let w = &basis.weights[..n1];
     let x_loc = &x_loc[..n2 * n1 * CB];
     let y_loc = &mut y_loc[..n2 * n1 * CB];
     // per direction: its local stride, the strides of the two other axes
     // (ascending), and the metric factor of the box
-    let dirs = [
-        (1, n1, n2, h[1] * h[2] / (2.0 * h[0])),
-        (n1, 1, n2, h[0] * h[2] / (2.0 * h[1])),
-        (n2, 1, n1, h[0] * h[1] / (2.0 * h[2])),
-    ];
-    for (stride, su, sv, metric) in dirs {
-        for v in 0..n1 {
-            for u in 0..n1 {
-                let base = u * su + v * sv;
-                let scale = T::Re::from_f64(metric * w[u] * w[v]);
-                for i0 in (0..n1).step_by(TILE) {
-                    let tile = TILE.min(n1 - i0);
-                    let mut acc = [[T::ZERO; CB]; TILE];
-                    for j in 0..n1 {
-                        let l = base + j * stride;
-                        let xv: [T; CB] =
-                            x_loc[l * CB..(l + 1) * CB].try_into().expect("lane width");
-                        for (ii, a) in acc[..tile].iter_mut().enumerate() {
-                            T::lane_fma(a, &xv, T::Re::from_f64(khat[(i0 + ii) * n1 + j]));
-                        }
+    let (hx, hy, hz) = (h[0], h[1], h[2]);
+    let dir = (n1, basis, x_loc);
+    cell_direction::<T, TILE, STORE>(dir, (1, n1, n2, hy * hz / (2.0 * hx)), y_loc);
+    cell_direction::<T, TILE, false>(dir, (n1, 1, n2, hx * hz / (2.0 * hy)), y_loc);
+    cell_direction::<T, TILE, false>(dir, (n2, 1, n1, hx * hy / (2.0 * hz)), y_loc);
+}
+
+/// One direction of [`cell_kernel`]: every 1-D line along `stride`, the
+/// lines indexed by the other two axes' strides `su`, `sv`, scaled by
+/// `metric` and the GLL weights of the line. Under `STORE` the results are
+/// stored, not added (the first direction of a kernel that need not find
+/// `y_loc` cleared): a second copy of the loop rather than a branch inside
+/// it, which cost the kernel about a third of its speed.
+// dftlint:hot
+#[inline(always)]
+fn cell_direction<T: Scalar, const TILE: usize, const STORE: bool>(
+    (n1, basis, x_loc): (usize, &Lagrange1d, &[T]),
+    (stride, su, sv, metric): (usize, usize, usize, f64),
+    y_loc: &mut [T],
+) {
+    const CB: usize = COL_BLOCK;
+    let khat = &basis.khat[..n1 * n1];
+    let w = &basis.weights[..n1];
+    for v in 0..n1 {
+        for u in 0..n1 {
+            let base = u * su + v * sv;
+            let scale = T::Re::from_f64(metric * w[u] * w[v]);
+            for i0 in (0..n1).step_by(TILE) {
+                let tile = TILE.min(n1 - i0);
+                let mut acc = [[T::ZERO; CB]; TILE];
+                for j in 0..n1 {
+                    let l = base + j * stride;
+                    let xv: [T; CB] = x_loc[l * CB..(l + 1) * CB].try_into().expect("lane width");
+                    for (ii, a) in acc[..tile].iter_mut().enumerate() {
+                        T::lane_fma(a, &xv, T::Re::from_f64(khat[(i0 + ii) * n1 + j]));
                     }
-                    for (ii, a) in acc[..tile].iter().enumerate() {
-                        let l = base + (i0 + ii) * stride;
-                        T::lane_fma(&mut y_loc[l * CB..(l + 1) * CB], a, scale);
+                }
+                for (ii, a) in acc[..tile].iter().enumerate() {
+                    let l = base + (i0 + ii) * stride;
+                    let y = &mut y_loc[l * CB..(l + 1) * CB];
+                    if STORE {
+                        // `0 + a s` rounded once is `a s` rounded once
+                        for (yv, av) in y.iter_mut().zip(a) {
+                            *yv = av.scale(scale);
+                        }
+                    } else {
+                        T::lane_fma(y, a, scale);
                     }
                 }
             }
@@ -490,7 +766,8 @@ impl FeSpace {
     /// periodic axis the wrap layer. Every owned row therefore meets its
     /// cells in the order of the unsplit sweep, and the result has that
     /// sweep's bits for any `ns`; the price is one cell layer swept twice
-    /// per slab boundary.
+    /// per slab boundary. The touch flags mark, per slab and owned row, the
+    /// first and the last (listed cell, local node) pair that reaches it.
     fn row_slabs(&self, ns: usize) -> SlabSet {
         let p = self.mesh.degree;
         let layers = self.mesh.axes[2].ncells();
@@ -503,6 +780,11 @@ impl FeSpace {
         let mut set = SlabSet {
             cells: Vec::new(),
             slabs: Vec::with_capacity(ns),
+            touch: TouchTable {
+                flags: Vec::new(),
+                finish_at: vec![0],
+                finish: Vec::new(),
+            },
         };
         let mut c0 = 0;
         for s in 0..ns {
@@ -516,14 +798,66 @@ impl FeSpace {
                 set.cells
                     .extend((first..first + layer_cells).map(|c| c as u32));
             }
-            set.slabs.push(RowSlab {
+            let slab = RowSlab {
                 first_row: plane_row[c0 * p],
                 rows: plane_row[z1] - plane_row[c0 * p],
                 cells: start..set.cells.len(),
-            });
+            };
+            self.mark_touches(&set.cells, &slab, &mut set.touch);
+            set.slabs.push(slab);
             c0 = c1;
         }
         set
+    }
+
+    /// Append `slab`'s cells (entries `slab.cells` of `cells`) to the touch
+    /// table: walking the (cell, local node) pairs in sweep order, flag the
+    /// first and the last that reach each owned row, and finish each row at
+    /// the end of the row of cells that reaches it last (the last cell of
+    /// the slab ends a row of cells too).
+    fn mark_touches(&self, cells: &[u32], slab: &RowSlab, touch: &mut TouchTable) {
+        let nloc = self.nloc;
+        let ncx = self.mesh.axes[0].ncells();
+        let base = touch.flags.len();
+        touch.flags.resize(base + slab.cells.len() * nloc, 0);
+        let mut last = vec![usize::MAX; slab.rows];
+        for (i, &c) in cells[slab.cells.clone()].iter().enumerate() {
+            for (l, &d) in self.cell_dofs(c as usize).iter().enumerate() {
+                let r = (d as usize).wrapping_sub(slab.first_row);
+                if r < slab.rows {
+                    let at = base + i * nloc + l;
+                    if last[r] == usize::MAX {
+                        touch.flags[at] |= FIRST_TOUCH;
+                    }
+                    last[r] = at;
+                }
+            }
+        }
+        // `entry << 32 | row`: the slab entry that finishes each row, sorted
+        // into finishing order
+        let n = slab.cells.len();
+        let mut done: Vec<u64> = (last.iter().zip(slab.first_row..))
+            .map(|(&at, row)| {
+                assert_ne!(at, usize::MAX, "a slab's cells reach every row it owns");
+                touch.flags[at] |= LAST_TOUCH;
+                let i = (at - base) / nloc;
+                let entry = ((i / ncx + 1) * ncx - 1).min(n - 1);
+                ((entry as u64) << 32) | row as u64
+            })
+            .collect();
+        done.sort_unstable();
+        let mut next = done.iter().peekable();
+        for i in 0..n as u64 {
+            let open = touch.finish.len();
+            while let Some(&key) = next.next_if(|&&key| key >> 32 == i) {
+                let row = key as u32;
+                match touch.finish[open..].last_mut() {
+                    Some((r0, len)) if *r0 + *len == row => *len += 1,
+                    _ => touch.finish.push((row, 1)),
+                }
+            }
+            touch.finish_at.push(touch.finish.len() as u32);
+        }
     }
 
     /// The exact inverse of the assembled stiffness that preconditions the
@@ -855,7 +1189,9 @@ impl FeSpace {
     /// the sum-factorized sweeps vectorize across columns, and gather /
     /// scatter walk the precomputed DoF + wrap-mask tables.
     pub fn apply_stiffness<T: Scalar>(&self, x: &Matrix<T>, y: &mut Matrix<T>, phases: [T; 3]) {
-        self.apply_stiffness_impl(x, y, phases, None, None);
+        assert_eq!(x.nrows(), self.ndofs);
+        assert_eq!(y.shape(), x.shape());
+        self.apply_stiffness_impl(ColMajor, x.as_slice(), y.as_mut_slice(), phases, None, None);
     }
 
     /// `Y = K diag(s) X` for a real per-DoF scale `s`, fused into the cell
@@ -872,24 +1208,42 @@ impl FeSpace {
         row_scale: &[f64],
         epilogue: Option<&BlockEpilogue<'_, T>>,
     ) {
-        assert_eq!(row_scale.len(), self.ndofs);
-        self.apply_stiffness_impl(x, y, phases, Some(row_scale), epilogue);
+        assert_eq!(x.nrows(), self.ndofs);
+        assert_eq!(y.shape(), x.shape());
+        let (x, y) = (x.as_slice(), y.as_mut_slice());
+        self.apply_stiffness_impl(ColMajor, x, y, phases, Some(row_scale), epilogue);
     }
 
-    fn apply_stiffness_impl<T: Scalar>(
+    /// [`Self::apply_stiffness_scaled`] on lane panels: `Y = K diag(s) X`
+    /// swept as [`Lanes`], `epilogue(0, row, its lanes)` right after the
+    /// last cell that reaches each row. A filter task's recurrence step.
+    pub fn apply_panel_scaled<T: Scalar>(
         &self,
-        x: &Matrix<T>,
-        y: &mut Matrix<T>,
+        x: &LanePanel<T>,
+        y: &mut LanePanel<T>,
+        phases: [T; 3],
+        row_scale: &[f64],
+        epilogue: Option<&BlockEpilogue<'_, T>>,
+    ) {
+        assert_eq!(x.rows(), self.ndofs);
+        assert_eq!((y.rows(), y.lanes()), (x.rows(), x.lanes()));
+        let (x, y) = (x.as_slice(), y.as_mut_slice());
+        self.apply_stiffness_impl(Lanes, x, y, phases, Some(row_scale), epilogue);
+    }
+
+    fn apply_stiffness_impl<T: Scalar, L: BlockLayout>(
+        &self,
+        layout: L,
+        x: &[T],
+        y: &mut [T],
         phases: [T; 3],
         row_scale: Option<&[f64]>,
         epilogue: Option<&BlockEpilogue<'_, T>>,
     ) {
-        assert_eq!(x.nrows(), self.ndofs);
-        assert_eq!(y.shape(), x.shape());
         // fewer column blocks than threads: cut the rows as well, into as
         // many slabs as there are threads per block (at least two cell
         // layers each, which `slab_sets` stops at)
-        let blocks = x.ncols().div_ceil(COL_BLOCK).max(1);
+        let blocks = (x.len() / self.ndofs.max(1)).div_ceil(COL_BLOCK).max(1);
         let ns = (rayon::current_num_threads() / blocks).clamp(1, self.slab_sets.len());
         let set = &self.slab_sets[ns - 1];
         let all = CellSweep {
@@ -899,44 +1253,46 @@ impl FeSpace {
             cell_dof: &self.cell_dof,
             ld: self.ndofs,
             overwrite: true,
+            touch: Some(&set.touch),
         };
-        let (x, y) = (x.as_slice(), y.as_mut_slice());
-        self.sweep_cells(&all, x, y, phases, row_scale, epilogue);
+        self.sweep_cells(&all, layout, x, y, phases, row_scale, epilogue);
     }
 
     /// The one cell sweep: `Y += K diag(s) X` (or `Y =`, see
     /// [`CellSweep::overwrite`]) restricted to the cells of `sweep`, on
-    /// column-major `x` / `y` of leading dimension `sweep.ld` (`row_scale`,
+    /// blocks `x` / `y` of `sweep.ld` rows laid out as `L` (`row_scale`,
     /// indexed like the rows, is the optional fused `s`).
     ///
-    /// One rayon item per ([`COL_BLOCK`] columns, [`RowSlab`]): it walks the
-    /// slab's cells through an interleaved-lane local buffer — gather from
-    /// the shared `x` (DoF table, Bloch phase on wraps, scale) →
-    /// [`Self::cell_stiffness_apply_block`] → scatter-add (conjugate phase)
-    /// into its own rows of its own columns only. A block of `cb` columns
-    /// narrower than the lanes takes up to `COL_BLOCK / cb` consecutive
-    /// cells of bit-equal size per kernel call, `cb` lanes each, and
-    /// scatters them in the slab's order. Each lane's arithmetic is
-    /// independent of the block, the lane and the cells beside it, and each
-    /// row meets its cells in the sweep's order whichever slab owns it, so
-    /// a result depends neither on how many columns ride along nor on how
-    /// the rows are cut. `epilogue(j, first_row, rows of y)` then runs on each
-    /// of the item's column pieces, right after the item's last scatter,
-    /// while they are still in cache — whatever the caller does to the
-    /// swept result element by element costs no further pass over `y`.
-    /// Accumulating an empty cell list with no epilogue, or sweeping at zero
-    /// leading dimension, is a no-op.
+    /// One rayon item per (column block of at most [`COL_BLOCK`], a
+    /// [`Lanes`] panel being one, [`RowSlab`]): it walks the slab's cells
+    /// through an interleaved-lane local buffer — gather from the shared
+    /// `x` (DoF table, Bloch phase on wraps, scale) → the cell kernel →
+    /// scatter (conjugate phase) into its own rows of its own columns only.
+    /// A block of `cb` columns narrower than the lanes takes up to
+    /// `COL_BLOCK / cb` consecutive cells of bit-equal size per kernel call,
+    /// `cb` lanes each, and scatters them in the slab's order. Each lane's
+    /// arithmetic is independent of the block, the lane and the cells beside
+    /// it, and each row meets its cells in the sweep's order whichever slab
+    /// owns it, starting from zero, so a result depends neither on the
+    /// layout, nor on how many columns ride along, nor on how the rows are
+    /// cut. The epilogue (see [`BlockEpilogue`]) runs on each finished piece
+    /// while it is still in cache — whatever the caller does to the swept
+    /// result element by element costs no further pass over `y`. A
+    /// [`Lanes`] sweep overwrites and needs the sweep's touch table.
+    /// Accumulating an empty cell list with no epilogue, or sweeping at
+    /// zero leading dimension, is a no-op.
     // dftlint:hot
-    pub fn sweep_cells<T: Scalar>(
+    #[allow(clippy::too_many_arguments)]
+    pub fn sweep_cells<T: Scalar, L: BlockLayout>(
         &self,
         sweep: &CellSweep<'_>,
+        _layout: L,
         x: &[T],
         y: &mut [T],
         phases: [T; 3],
         row_scale: Option<&[f64]>,
         epilogue: Option<&BlockEpilogue<'_, T>>,
     ) {
-        const CB: usize = COL_BLOCK;
         let ld = sweep.ld;
         assert_eq!(x.len(), y.len());
         if ld == 0 || (sweep.cells.is_empty() && !sweep.overwrite && epilogue.is_none()) {
@@ -946,6 +1302,11 @@ impl FeSpace {
         if let Some(s) = row_scale {
             assert_eq!(s.len(), ld);
         }
+        if L::TOUCH {
+            assert!(sweep.overwrite, "a lane-panel sweep overwrites");
+            let touch = sweep.touch.expect("a lane-panel sweep has a touch table");
+            assert_eq!(touch.flags.len(), sweep.cells.len() * self.nloc);
+        }
         let tiled = sweep.slabs.iter().try_fold(0, |row, slab| {
             (slab.first_row == row && slab.cells.end <= sweep.cells.len())
                 .then_some(row + slab.rows)
@@ -953,62 +1314,53 @@ impl FeSpace {
         assert_eq!(tiled, Some(ld), "the row slabs must tile 0..ld in order");
         let tab = phase_products(phases, false);
         let tabc = phase_products(phases, true);
-        y.chunks_mut(ld * CB)
-            .enumerate()
-            .flat_map(|(jb, yblk)| {
-                // the block's columns, each handing its next slab's rows to
-                // that slab's item
-                let cb = yblk.len() / ld;
-                let mut cols: [&mut [T]; CB] = Default::default();
-                for (col, ycol) in cols.iter_mut().zip(yblk.chunks_mut(ld)) {
-                    *col = ycol;
-                }
-                sweep.slabs.iter().map(move |slab| {
-                    let ycols: [&mut [T]; CB] = std::array::from_fn(|t| {
-                        let col = std::mem::take(&mut cols[t]);
-                        let (head, tail) = col.split_at_mut(slab.rows.min(col.len()));
-                        cols[t] = tail;
-                        head
-                    });
-                    (jb * CB, cb, slab, ycols)
-                })
-            })
+        L::items(y, ld, sweep.slabs)
             .into_par_iter()
             .for_each(|(j0, cb, slab, mut ycols)| {
                 let xblk = &x[j0 * ld..(j0 + cb) * ld];
-                let ycols = &mut ycols[..cb];
-                self.sweep_item(sweep, slab, xblk, ycols, (&tab, &tabc), row_scale);
-                if let Some(epilogue) = epilogue {
-                    for (t, ycol) in ycols.iter_mut().enumerate() {
-                        epilogue(j0 + t, slab.first_row, ycol);
-                    }
-                }
+                let strips = if L::TOUCH { 1 } else { cb };
+                let item = (j0, cb, slab);
+                let ycols = &mut ycols[..strips];
+                self.sweep_item::<T, L>(
+                    sweep,
+                    item,
+                    xblk,
+                    ycols,
+                    (&tab, &tabc),
+                    row_scale,
+                    epilogue,
+                );
             });
     }
 
-    /// One item of [`Self::sweep_cells`]: the cells of `slab` on the block
-    /// columns `xblk`, into the slab's rows of those columns. Out of line so
-    /// that the cell loop is compiled once per scalar type, not once per
-    /// closure it would be inlined into: inlined, `scf-wide` moved by ± 5%
-    /// with unrelated edits to the callers.
+    /// One item of [`Self::sweep_cells`]: the cells of `slab` on the `cb`
+    /// block columns `xblk` from column `j0`, into the slab's rows of those
+    /// columns. Out of line so that the cell loop is compiled once per
+    /// scalar type and layout, not once per closure it would be inlined
+    /// into: inlined, `scf-wide` moved by ± 5% with unrelated edits to the
+    /// callers.
     // dftlint:hot
     #[inline(never)]
-    fn sweep_item<T: Scalar>(
+    #[allow(clippy::too_many_arguments)]
+    fn sweep_item<T: Scalar, L: BlockLayout>(
         &self,
         sweep: &CellSweep<'_>,
-        slab: &RowSlab,
+        (j0, cb, slab): (usize, usize, &RowSlab),
         xblk: &[T],
         ycols: &mut [&mut [T]],
         (tab, tabc): (&[T; 8], &[T; 8]),
         row_scale: Option<&[f64]>,
+        epilogue: Option<&BlockEpilogue<'_, T>>,
     ) {
         const CB: usize = COL_BLOCK;
-        let (nloc, ld, cb) = (self.nloc, sweep.ld, ycols.len());
-        if sweep.overwrite {
+        let (nloc, ld) = (self.nloc, sweep.ld);
+        if sweep.overwrite && !L::TOUCH {
             for ycol in ycols.iter_mut() {
                 ycol.fill(T::ZERO);
             }
         }
+        let rows = (slab.first_row, slab.rows, cb);
+        let touch = sweep.touch.filter(|_| L::TOUCH);
         dft_linalg::pack::with_scratch::<T, _>(|loc, out| {
             // one node's lanes of padding for the lane windows of
             // `gather_block` and `scatter_block`
@@ -1027,8 +1379,11 @@ impl FeSpace {
                 let dofs = &sweep.cell_dof[r * nloc..(r + 1) * nloc];
                 (dofs, self.cell_wraps(cell_of(row)))
             };
+            let flags = |i: usize| touch.map_or(&[][..], |t| &t.flags[i * nloc..(i + 1) * nloc]);
             let h_bits = |row: u32| self.cells[cell_of(row)].h.map(f64::to_bits);
             let cells = &sweep.cells[slab.cells.start..slab.cells.end];
+            // the entry of `sweep.cells` the next run starts at
+            let mut at = slab.cells.start;
             // runs of consecutive cells of bit-equal `h` share one kernel
             // call, `cb` lanes each: the kernel's arithmetic per lane depends
             // on `h` alone, so a lane has the bits of its cell swept alone
@@ -1037,18 +1392,50 @@ impl FeSpace {
                     for (k, &row) in run.iter().enumerate() {
                         let (dofs, wraps) = table(row);
                         let end = if k + 1 == run.len() { CB } else { (k + 1) * cb };
-                        gather_block(dofs, wraps, xblk, ld, cb, k * cb..end, tab, row_scale, loc);
+                        let lanes = k * cb..end;
+                        gather_block::<T, L>(dofs, wraps, xblk, ld, cb, lanes, tab, row_scale, loc);
                     }
-                    out.fill(T::ZERO);
-                    self.cell_stiffness_apply_block(self.cells[cell_of(run[0])].h, loc, out);
+                    let h = self.cells[cell_of(run[0])].h;
+                    if L::TOUCH {
+                        self.cell_block::<T, true>(h, loc, out);
+                    } else {
+                        out.fill(T::ZERO);
+                        self.cell_block::<T, false>(h, loc, out);
+                    }
                     // in sweep order, so each row adds its cells in that order
                     for (k, &row) in run.iter().enumerate() {
                         let (dofs, wraps) = table(row);
-                        scatter_block(dofs, wraps, out, k * cb, tabc, ycols, slab.first_row);
+                        let lane0 = k * cb;
+                        scatter_block::<T, L>(
+                            dofs,
+                            wraps,
+                            flags(at + k),
+                            out,
+                            lane0,
+                            tabc,
+                            ycols,
+                            rows,
+                        );
                     }
+                    // then the rows the run has finished
+                    if let (Some(t), Some(epilogue)) = (touch, epilogue) {
+                        let ends = &t.finish_at[at..=at + run.len()];
+                        let runs = ends[0] as usize..ends[run.len()] as usize;
+                        for &(r0, n) in &t.finish[runs] {
+                            let r = r0 as usize - slab.first_row;
+                            let piece = &mut ycols[0][r * cb..(r + n as usize) * cb];
+                            epilogue(j0, r0 as usize, piece);
+                        }
+                    }
+                    at += run.len();
                 }
             }
         });
+        if let Some(epilogue) = epilogue.filter(|_| !L::TOUCH) {
+            for (t, ycol) in ycols.iter_mut().enumerate() {
+                epilogue(j0 + t, slab.first_row, ycol);
+            }
+        }
     }
 
     /// Sum-factorized stiffness on [`COL_BLOCK`] interleaved column lanes
@@ -1064,17 +1451,24 @@ impl FeSpace {
     /// to 9 so its loops unroll and a 1-D line's `n1` accumulators live in
     /// registers; beyond that the same body runs at run-time `n1`.
     pub fn cell_stiffness_apply_block<T: Scalar>(&self, h: [f64; 3], x_loc: &[T], y_loc: &mut [T]) {
+        self.cell_block::<T, false>(h, x_loc, y_loc);
+    }
+
+    /// [`Self::cell_stiffness_apply_block`], or under `STORE` its `y_loc =`
+    /// form.
+    #[inline]
+    fn cell_block<T: Scalar, const STORE: bool>(&self, h: [f64; 3], x_loc: &[T], y_loc: &mut [T]) {
         let b = &self.basis;
         match b.n() {
-            2 => cell_kernel::<T, 2>(2, b, h, x_loc, y_loc),
-            3 => cell_kernel::<T, 3>(3, b, h, x_loc, y_loc),
-            4 => cell_kernel::<T, 4>(4, b, h, x_loc, y_loc),
-            5 => cell_kernel::<T, 5>(5, b, h, x_loc, y_loc),
-            6 => cell_kernel::<T, 6>(6, b, h, x_loc, y_loc),
-            7 => cell_kernel::<T, 7>(7, b, h, x_loc, y_loc),
-            8 => cell_kernel::<T, 8>(8, b, h, x_loc, y_loc),
-            9 => cell_kernel::<T, 9>(9, b, h, x_loc, y_loc),
-            n1 => cell_kernel::<T, COL_BLOCK>(n1, b, h, x_loc, y_loc),
+            2 => cell_kernel::<T, 2, STORE>(2, b, h, x_loc, y_loc),
+            3 => cell_kernel::<T, 3, STORE>(3, b, h, x_loc, y_loc),
+            4 => cell_kernel::<T, 4, STORE>(4, b, h, x_loc, y_loc),
+            5 => cell_kernel::<T, 5, STORE>(5, b, h, x_loc, y_loc),
+            6 => cell_kernel::<T, 6, STORE>(6, b, h, x_loc, y_loc),
+            7 => cell_kernel::<T, 7, STORE>(7, b, h, x_loc, y_loc),
+            8 => cell_kernel::<T, 8, STORE>(8, b, h, x_loc, y_loc),
+            9 => cell_kernel::<T, 9, STORE>(9, b, h, x_loc, y_loc),
+            n1 => cell_kernel::<T, COL_BLOCK, STORE>(n1, b, h, x_loc, y_loc),
         }
     }
 
@@ -1374,9 +1768,10 @@ mod tests {
                 cell_dof: &s.cell_dof,
                 ld: nd,
                 overwrite,
+                touch: None,
             };
             let scale = Some(s.inv_sqrt_mass());
-            s.sweep_cells(&part, x.as_slice(), y, phases, scale, None);
+            s.sweep_cells(&part, ColMajor, x.as_slice(), y, phases, scale, None);
         };
         let mut y2 = vec![C64::new(7.0, -7.0); nd * 9];
         sweep_part(&cells[..3], true, &mut y2);
@@ -1395,8 +1790,9 @@ mod tests {
             cell_dof: &[],
             ld: 0,
             overwrite: true,
+            touch: None,
         };
-        s.sweep_cells::<C64>(&no_rows, &[], &mut [], phases, None, None);
+        s.sweep_cells::<C64, _>(&no_rows, ColMajor, &[], &mut [], phases, None, None);
     }
 
     /// The epilogue sees each column exactly once, after the column's last
@@ -1436,8 +1832,17 @@ mod tests {
                     cell_dof: &s.cell_dof,
                     ld: nd,
                     overwrite,
+                    touch: None,
                 };
-                s.sweep_cells(&part, x.as_slice(), &mut y, [1.0; 3], None, epilogue);
+                s.sweep_cells(
+                    &part,
+                    ColMajor,
+                    x.as_slice(),
+                    &mut y,
+                    [1.0; 3],
+                    None,
+                    epilogue,
+                );
             }
             assert!(y == expect.as_slice(), "cells split at {split}");
             let mut pieces = std::mem::take(&mut *seen.lock().unwrap());
@@ -1485,10 +1890,12 @@ mod tests {
                         cell_dof: &s.cell_dof,
                         ld: nd,
                         overwrite: true,
+                        touch: Some(&set.touch),
                     };
                     let mut y = vec![T::from_f64(7.0); nd * width];
                     let scale = Some(s.inv_sqrt_mass());
-                    s.sweep_cells(&sweep, x.as_slice(), &mut y, phases, scale, Some(&epilogue));
+                    let xs = x.as_slice();
+                    s.sweep_cells(&sweep, ColMajor, xs, &mut y, phases, scale, Some(&epilogue));
                     y
                 };
                 let whole = run(1);
@@ -1686,6 +2093,203 @@ mod tests {
         check::<f64>(&s, [1.0; 3], val);
     }
 
+    /// Every row a slab owns is reached first by exactly one of its (cell,
+    /// local node) pairs and last by exactly one, and no pair reaches it
+    /// after the last in sweep order; it is finished exactly once, by the
+    /// cell of its last touch or a later one. On a periodic cube, the
+    /// non-dyadic Dirichlet cube and a graded mesh, for every slab count.
+    #[test]
+    fn touch_tables_start_and_finish_every_row_once() {
+        let graded = Axis::graded(
+            0.0,
+            6.0,
+            0.7,
+            1.6,
+            &[2.0],
+            2.5,
+            BoundaryCondition::Dirichlet,
+        );
+        let uniform = Axis::uniform(2, 0.0, 3.0, BoundaryCondition::Dirichlet);
+        let spaces = [
+            FeSpace::new(Mesh3d::periodic_cube(4, 8.0, 3)),
+            FeSpace::new(Mesh3d::cube(7, 10.0, 4)),
+            FeSpace::new(Mesh3d::new([graded.clone(), uniform, graded], 2)),
+        ];
+        for s in &spaces {
+            let nloc = s.nloc();
+            assert!(s.slab_sets.len() >= 2, "more than one slab count");
+            for set in &s.slab_sets {
+                let t = &set.touch;
+                assert_eq!(t.flags.len(), set.cells.len() * nloc);
+                assert_eq!(t.finish_at.len(), set.cells.len() + 1);
+                for slab in &set.slabs {
+                    let what = format!("p = {}, {} slabs", s.mesh.degree, set.slabs.len());
+                    let (mut first, mut last) = (vec![None; slab.rows], vec![None; slab.rows]);
+                    let mut seen = vec![false; slab.rows];
+                    for i in slab.cells.clone() {
+                        let dofs = s.cell_dofs(set.cells[i] as usize);
+                        for (l, &d) in dofs.iter().enumerate() {
+                            let r = (d as usize).wrapping_sub(slab.first_row);
+                            if r >= slab.rows {
+                                continue;
+                            }
+                            let flags = t.flags[i * nloc + l];
+                            assert!(last[r].is_none(), "{what}: row {r} touched after its last");
+                            if flags & FIRST_TOUCH != 0 {
+                                assert!(!seen[r], "{what}: row {r} has a second first touch");
+                                first[r] = Some(i);
+                            }
+                            assert!(
+                                first[r].is_some(),
+                                "{what}: row {r} touched before its first"
+                            );
+                            if flags & LAST_TOUCH != 0 {
+                                last[r] = Some(i);
+                            }
+                            seen[r] = true;
+                        }
+                    }
+                    assert!(
+                        last.iter().all(Option::is_some),
+                        "{what}: a row without a last touch"
+                    );
+                    let mut finished = vec![false; slab.rows];
+                    for i in slab.cells.clone() {
+                        let runs = t.finish_at[i] as usize..t.finish_at[i + 1] as usize;
+                        for &(r0, n) in &t.finish[runs] {
+                            for row in r0 as usize..(r0 + n) as usize {
+                                let r = row - slab.first_row;
+                                assert!(
+                                    r < slab.rows,
+                                    "{what}: row {row} finished by another slab"
+                                );
+                                assert!(!finished[r], "{what}: row {row} finished twice");
+                                assert!(last[r] <= Some(i), "{what}: row {row} finished early");
+                                finished[r] = true;
+                            }
+                        }
+                    }
+                    assert!(finished.iter().all(|&f| f), "{what}: a row never finished");
+                }
+            }
+        }
+    }
+
+    /// A lane-panel apply — rows stored at their first touch, finished once
+    /// their last cell has passed — has the bits of the column-major apply
+    /// with the same epilogue, a recurrence update: at every width from 1
+    /// to 8 lanes (the narrow ones sharing kernel calls), under thread caps
+    /// 1, 2 and 4 (1 to 3 row slabs), real, single and complex with Bloch
+    /// phases, on a periodic cube, a Dirichlet cube and a graded mesh, over
+    /// outputs that held garbage.
+    #[test]
+    fn panel_sweeps_match_column_sweeps_bitwise() {
+        use dft_linalg::iterative::{recurrence_update, Recurrence};
+
+        fn check<T: Scalar>(s: &FeSpace, phases: [T; 3], val: impl Fn(usize, usize) -> T) {
+            let nd = s.ndofs();
+            let k = Recurrence {
+                c: T::Re::from_f64(0.3),
+                alpha: T::Re::from_f64(1.7),
+                beta: T::Re::from_f64(0.6),
+            };
+            for width in 1..=COL_BLOCK {
+                let x = Matrix::<T>::from_fn(nd, width, &val);
+                let x_prev = Matrix::<T>::from_fn(nd, width, |i, j| val(i + 3, j + 1));
+                let (mut xp, mut pp) = (LanePanel::zeros(0, 0), LanePanel::zeros(0, 0));
+                xp.load_cols(x.as_slice(), (nd, width));
+                pp.load_cols(x_prev.as_slice(), (nd, width));
+                let column = |j: usize, first_row: usize, ycol: &mut [T]| {
+                    let rows = first_row..first_row + ycol.len();
+                    let prev = &x_prev.col(j)[rows.clone()];
+                    recurrence_update(ycol, &x.col(j)[rows], Some(prev), k);
+                };
+                let panel = |_: usize, i0: usize, rows: &mut [T]| {
+                    for (i, row) in (i0..).zip(rows.chunks_exact_mut(width)) {
+                        recurrence_update(row, xp.row(i), Some(pp.row(i)), k);
+                    }
+                };
+                let scale = s.inv_sqrt_mass();
+                for threads in [1, 2, 4] {
+                    let cap = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+                    let cap = cap.expect("the thread cap");
+                    let mut y = Matrix::<T>::from_fn(nd, width, |_, _| T::from_f64(7.0));
+                    let mut yp = LanePanel::zeros(nd, width);
+                    yp.as_mut_slice().fill(T::from_f64(-3.0));
+                    cap.install(|| {
+                        s.apply_stiffness_scaled(&x, &mut y, phases, scale, Some(&column));
+                        s.apply_panel_scaled(&xp, &mut yp, phases, scale, Some(&panel));
+                    });
+                    let mut lane = vec![T::ZERO; nd];
+                    for j in 0..width {
+                        yp.store_lane(j, &mut lane);
+                        assert!(
+                            lane == y.col(j),
+                            "p = {}: lane {j} of {width}, {threads} threads",
+                            s.mesh.degree
+                        );
+                    }
+                }
+            }
+        }
+
+        let periodic = FeSpace::new(Mesh3d::periodic_cube(4, 8.0, 3));
+        let phases = [C64::cis(0.7), C64::cis(-0.3), C64::cis(1.1)];
+        check::<C64>(&periodic, phases, |i, j| {
+            C64::new(
+                ((i * 5 + j * 3) as f64 * 0.3).sin(),
+                ((i * 11 + j) as f64 * 0.2).cos(),
+            )
+        });
+        check::<f64>(&periodic, [1.0; 3], |i, j| {
+            ((i * 7 + j * 29) as f64 * 0.37).sin()
+        });
+        let dirichlet = FeSpace::new(Mesh3d::cube(6, 10.0, 2));
+        check::<f32>(&dirichlet, [1.0; 3], |i, j| {
+            ((i * 7 + j * 29) as f32 * 0.37).sin()
+        });
+        let graded = Axis::graded(
+            0.0,
+            6.0,
+            0.7,
+            1.6,
+            &[2.0],
+            2.5,
+            BoundaryCondition::Dirichlet,
+        );
+        let uniform = Axis::uniform(2, 0.0, 3.0, BoundaryCondition::Dirichlet);
+        let s = FeSpace::new(Mesh3d::new([graded.clone(), uniform, graded], 2));
+        check::<f64>(&s, [1.0; 3], |i, j| ((i * 7 + j * 29) as f64 * 0.37).sin());
+    }
+
+    /// A panel loads columns as lanes and gives them back, keeps the lanes
+    /// it is told to in order, and reuses its buffer.
+    #[test]
+    fn lane_panel_loads_stores_and_narrows() {
+        let (rows, lanes) = (5, 6);
+        let cols = Matrix::<f64>::from_fn(rows, lanes, |i, j| (10 * j + i) as f64);
+        let mut p = LanePanel::zeros(0, 0);
+        p.load_cols(cols.as_slice(), (rows, lanes));
+        assert_eq!((p.rows(), p.lanes()), (rows, lanes));
+        assert_eq!(p.row(2), [2.0, 12.0, 22.0, 32.0, 42.0, 52.0]);
+        let mut col = vec![0.0; rows];
+        p.store_lane(4, &mut col);
+        assert_eq!(col, cols.col(4));
+        let ptr = p.as_slice().as_ptr();
+        p.retain_lanes(&[1, 3, 4]);
+        assert_eq!((p.rows(), p.lanes()), (rows, 3));
+        for i in 0..rows {
+            assert_eq!(
+                p.row(i),
+                [(10 + i) as f64, (30 + i) as f64, (40 + i) as f64]
+            );
+        }
+        p.resize(rows, lanes);
+        assert_eq!(p.as_slice().as_ptr(), ptr, "the buffer is kept");
+        p.retain_lanes(&[]);
+        assert_eq!(p.lanes(), 0);
+    }
+
     /// Every per-degree instance of the cell kernel has the bits of the
     /// same body at run-time `n1`, whatever the tile: a line's outputs are
     /// independent chains, each summing its inputs in ascending order
@@ -1713,7 +2317,7 @@ mod tests {
             let mut loc = vec![T::ZERO; nloc * CB];
             let scale = Some(s.inv_sqrt_mass());
             let (dofs, wraps) = (s.cell_dofs(ci), s.cell_wraps(ci));
-            gather_block(
+            gather_block::<T, ColMajor>(
                 dofs,
                 wraps,
                 x.as_slice(),
@@ -1732,12 +2336,22 @@ mod tests {
                 out
             };
             let fixed = run(&|x, y| s.cell_stiffness_apply_block(h, x, y));
-            let tile1 = run(&|x, y| cell_kernel::<T, 1>(n1, &s.basis, h, x, y));
-            let tile3 = run(&|x, y| cell_kernel::<T, 3>(n1, &s.basis, h, x, y));
-            let tile8 = run(&|x, y| cell_kernel::<T, CB>(n1, &s.basis, h, x, y));
+            let tile1 = run(&|x, y| cell_kernel::<T, 1, false>(n1, &s.basis, h, x, y));
+            let tile3 = run(&|x, y| cell_kernel::<T, 3, false>(n1, &s.basis, h, x, y));
+            let tile8 = run(&|x, y| cell_kernel::<T, CB, false>(n1, &s.basis, h, x, y));
             assert!(tile1 == fixed, "p = {p}: tile 1 at run-time n1");
             assert!(tile3 == fixed, "p = {p}: tile 3 at run-time n1");
             assert!(tile8 == fixed, "p = {p}: tile 8 at run-time n1");
+            // the storing form over garbage is the accumulating one from zero
+            let mut from_zero = vec![T::ZERO; nloc * CB];
+            s.cell_stiffness_apply_block(h, &loc, &mut from_zero);
+            let stored = run(&|x, y| s.cell_block::<T, true>(h, x, y));
+            let stored1 = run(&|x, y| cell_kernel::<T, 1, true>(n1, &s.basis, h, x, y));
+            assert!(stored == from_zero, "p = {p}: the first direction stores");
+            assert!(
+                stored1 == from_zero,
+                "p = {p}: tile 1 stores at run-time n1"
+            );
         }
         for p in 1..=8 {
             check::<f64>(p, [1.0; 3], |i, j| ((i * 7 + j * 29) as f64 * 0.37).sin());

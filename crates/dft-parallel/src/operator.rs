@@ -23,7 +23,7 @@
 use crate::decomp::Decomposition;
 use crate::grid::{GridShape, ProcessGrid};
 use dft_core::hamiltonian::HamOperator;
-use dft_fem::space::{CellSweep, FeSpace, RowSlab};
+use dft_fem::space::{CellSweep, ColMajor, FeSpace, RowSlab};
 use dft_hpc::comm::{wire_tag_band, CommError, ThreadComm, WirePrecision};
 use dft_linalg::iterative::{recurrence_update, LinearOperator, Recurrence};
 use dft_linalg::matrix::Matrix;
@@ -374,9 +374,10 @@ impl<'a> DistSpace<'a> {
             cell_dof: &self.dec.cell_dof_local,
             ld: self.dec.n_ext(),
             overwrite,
+            touch: None,
         };
         self.space
-            .sweep_cells(&sweep, x_ext, y_ext, phases, row_scale, None);
+            .sweep_cells(&sweep, ColMajor, x_ext, y_ext, phases, row_scale, None);
     }
 }
 

@@ -19,8 +19,8 @@ mkdir -p target
 cargo run -q --offline --release -p dft-lint -- --workspace --json > target/dft-lint.json
 echo "    JSON artifact: target/dft-lint.json"
 
-echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep, one distributed route, one ChFES cycle, one recurrence update, one rooted collective, one KS eigensolve step, one Fermi-Dirac function, one FE derivative, one trajectory loop, one durable writer, one thread-cap helper, one overlap model, one initial subspace, one dense eigensolver)"
-for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a recurrence_update ks_eigensolve accumulate_density fermi deriv_mass deriv_mass_t trajectory_rank write_durable read_durable with_threads with_thread_share pipelined_blocks random_subspace eigh; do
+echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep whatever the block layout, one distributed route, one ChFES cycle, one Chebyshev recurrence, one recurrence update, one rooted collective, one KS eigensolve step, one Fermi-Dirac function, one FE derivative, one trajectory loop, one durable writer, one thread-cap helper, one overlap model, one initial subspace, one dense eigensolver)"
+for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a sweep_item chebyshev_filter_gated recurrence_update ks_eigensolve accumulate_density fermi deriv_mass deriv_mass_t trajectory_rank write_durable read_durable with_threads with_thread_share pipelined_blocks random_subspace eigh; do
   n=$(grep -rhE "^\s*(pub(\([a-z]+\))? )?fn ${f}\b" crates/*/src | wc -l)
   if [ "$n" -ne 1 ]; then
     echo "    fn $f is defined $n times under crates/*/src (expected exactly 1)"
@@ -58,7 +58,10 @@ done
 #    in the distributed config;
 #  - one dense eigensolver: eigh is Householder tridiagonalization plus
 #    implicit QL, and the cyclic Jacobi sweep lives only in the test oracle
-#    (crates/dft-linalg/tests/eig_oracle.rs).
+#    (crates/dft-linalg/tests/eig_oracle.rs);
+#  - each thread filters its own panel: a local operator's CF phase runs
+#    whole-degree tasks of at most eight columns side by side, so no
+#    operator sizes a per-step filter block any more.
 retired=(
   "benchmark-gate / tuning-file name|DFT_T""UNE|dft_t""une\.json|BEN""CH_|DFT_BEN""CH_GATE"
   "sibling path of the distributed solver, or the knob that selected it|Cluster""Reducer|enum Red""ucer|grid\.is_so""me\(\)|JobKind::Scr""een|warm_st""art:|with_over""lap|Pipelined""Filter|Cf""Driver"
@@ -68,6 +71,7 @@ retired=(
   "second trajectory loop, its record and result types, or the filter twin of the Hamiltonian|md_r""ank|MdStep""Record|DistMd""Result|h_fil""ter"
   "discrete-event timeline, second orthonormalization or forced-complex SCF entry|Time""line|Task""Id|low""din|\binv_s""qrt\b|scf_com""plex"
   "cyclic Jacobi sweep or its eigenpair sort (the eigh oracle lives in tests)|max_swe""eps|fn sort_e""ig"
+  "per-step filter block rule of the local operator|max_filter_bl""ock"
   "single-valued solver knob, the SCF's root-rank query or the serial snapshot cadence|mixing_al""pha|base\.checkpoint_ev""ery|fn is_ro""ot|cfg\.st""ep\b|eig_pa""sses|minres_t""ol|minres_max_it""er|dt_m""ax|max_di""sp|FireState::new\(.*,|quick_n""et|cfg\.max_resta""rts|knobs\.max_resta""rts|sub_blo""ck|opts\.use_c""cl"
 )
 for entry in "${retired[@]}"; do
@@ -152,7 +156,7 @@ else
   cargo test -q --offline -p dft-parallel --features sanitize --test schedule
 fi
 
-echo "==> thread-count suite (pool of 1 and of 4 threads: shim contract, row-slab, filter-width, k-point-lane and thread-cap bit-identity, rank thread shares, a panicking job, scf-2k's reference energy and iteration pin at every lane shape, scf-wide's at filter widths 8 and 32, scf-poisson's wherever the thread cap moves the boundaries of the cell runs that share a kernel call, dist-2r's pins and its dist-vs-serial gate wherever the thread cap splits its narrowed filter blocks into column blocks and row slabs)"
+echo "==> thread-count suite (pool of 1 and of 4 threads: shim contract, row-slab, lane-panel, touch-table, filter-task, k-point-lane and thread-cap bit-identity, rank thread shares, a panicking job, scf-2k's reference energy and iteration pin at every lane shape, scf-wide's with its twelve filter tasks on 1 or 4 threads, scf-poisson's with its one task cut into as many row slabs as the cap allows, dist-2r's pins and its dist-vs-serial gate wherever the thread cap splits its narrowed filter blocks into column blocks and row slabs)"
 for nt in 1 4; do
   RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p rayon
   RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p dft-fem --lib space::tests
