@@ -227,8 +227,9 @@ fn bench_chfes_steps(c: &mut Criterion) {
         }
     }
     // the filter at the shape the solver runs it: 8,000 DoF (periodic 4^3
-    // cells, p = 5), one B_f = 64 block, degree 30, reused scratch (last in
-    // the group: the throughput it sets would stick to later benches)
+    // cells, p = 5), one B_f = 64 block (eight lane-panel tasks, as the CF
+    // phase runs them), degree 30 (last in the group: the throughput it
+    // sets would stick to later benches)
     {
         let space = FeSpace::new(Mesh3d::periodic_cube(4, 10.0, 5));
         let v: Vec<f64> = (0..space.nnodes())

@@ -27,7 +27,7 @@
 //! narrower one through [`SubspaceReducer`]. Spectral bounds come from a
 //! few Lanczos steps ([`lanczos_bounds`]).
 
-use crate::hamiltonian::{HamOperator, PanelOperator};
+use crate::hamiltonian::HamOperator;
 use crate::occupation::{fermi, DENSITY_CUTOFF};
 use crate::threads::with_threads;
 use dft_fem::space::{LanePanel, COL_BLOCK};
@@ -118,11 +118,13 @@ pub fn lanczos_bounds<T: Scalar>(op: &dyn LinearOperator<T>, k: usize, seed: u64
     (alphas[0], alphas[m - 1] + residual)
 }
 
-/// Reused scratch for [`chebyshev_filter_scratch`]: the two auxiliary
-/// wavefunction blocks of the three-term recurrence, recycled across filter
-/// calls (and across the column blocks of one ChFES cycle) so the hot loop
-/// performs no allocation.
+/// Reused scratch of the column-major filter route (an operator without
+/// [`HamOperator::panels`], i.e. a rank's): a filter task's block and the
+/// two auxiliary blocks of the three-term recurrence, recycled across
+/// [`chebyshev_filter_scratch`] calls so the hot loop performs no
+/// allocation. A local operator's lane panels need none of it.
 pub struct CfScratch<T: Scalar> {
+    x: Matrix<T>,
     y: Matrix<T>,
     hy: Matrix<T>,
 }
@@ -131,6 +133,7 @@ impl<T: Scalar> CfScratch<T> {
     /// Empty scratch; buffers are shaped on first use.
     pub fn new() -> Self {
         Self {
+            x: Matrix::zeros(0, 0),
             y: Matrix::zeros(0, 0),
             hy: Matrix::zeros(0, 0),
         }
@@ -150,7 +153,7 @@ impl<T: Scalar> Default for CfScratch<T> {
 /// scratch.
 // dftlint:hot
 pub fn chebyshev_filter<T: Scalar>(
-    op: &dyn LinearOperator<T>,
+    op: &dyn HamOperator<T>,
     x: &mut Matrix<T>,
     m: usize,
     a: f64,
@@ -161,14 +164,13 @@ pub fn chebyshev_filter<T: Scalar>(
     chebyshev_filter_scratch(op, x, m, a, b, a0, &mut scratch);
 }
 
-/// [`chebyshev_filter`] with caller-provided scratch: every column of `x`
-/// as one filter task of the column-major recurrence, each degree step one
-/// [`LinearOperator::recurrence_step`] — for the Hamiltonians one sweep
-/// that applies and updates each column block while it is cache-resident —
-/// with no clones and no allocation.
+/// [`chebyshev_filter`] with caller-provided scratch: the CF phase of a
+/// ChFES cycle ([`filter_phase`]) on the columns of `x` as one `B_f`
+/// block, every column filtered — lane-panel tasks on a local operator, one
+/// column-major block through `scratch` on a rank.
 // dftlint:hot
 pub fn chebyshev_filter_scratch<T: Scalar>(
-    op: &dyn LinearOperator<T>,
+    op: &dyn HamOperator<T>,
     x: &mut Matrix<T>,
     m: usize,
     a: f64,
@@ -176,16 +178,16 @@ pub fn chebyshev_filter_scratch<T: Scalar>(
     a0: f64,
     scratch: &mut CfScratch<T>,
 ) {
-    let CfScratch { y, hy } = scratch;
-    let step = |y: &Matrix<T>, x_prev: Option<&Matrix<T>>, k, out: &mut Matrix<T>| {
-        op.recurrence_step(y, x_prev, k, out)
-    };
-    chebyshev_filter_gated(x, (y, hy), m, (a0, a, b), step, |_, _, _| None);
+    let shape = x.shape();
+    let (filter, bounds) = ((shape.1.max(1), m), (a0, a, b));
+    let cols = x.as_mut_slice();
+    filter_phase(op, cols, shape, filter, bounds, None, &NoReduce, scratch);
 }
 
 /// A filter task's columns as the recurrence holds them: a column-major
 /// [`Matrix`] stepped through [`LinearOperator::recurrence_step`], or a
-/// [`LanePanel`] stepped through [`PanelOperator::panel_step`].
+/// [`LanePanel`] stepped through
+/// [`crate::hamiltonian::PanelOperator::panel_step`].
 trait FilterBlock<T: Scalar> {
     /// `(rows, columns)`.
     fn shape(&self) -> (usize, usize);
@@ -627,24 +629,48 @@ fn split_tasks<T>(cols: &mut [T], (nd, n): (usize, usize), width: usize) -> Vec<
         .collect()
 }
 
-/// The CF tasks of a local operator: the `n` columns `cols` (`nd` rows
-/// each) in tasks of at most [`COL_BLOCK`] and at most `B_f` columns, run
-/// as one parallel region, each on `max(1, threads / tasks)` threads (more
-/// than one cuts its sweeps into row slabs). A thread carries its task
-/// through every degree step in lane panels, one task's three at a time;
-/// the panel sets are allocated here, one per task that can run at once,
-/// and dropped on return. The local operator holds every row of its
-/// columns, so the seen-column sums need no reduction. Returns each task's
-/// `(columns, seen columns)`.
-fn filter_panels<T: Scalar>(
-    local: &dyn PanelOperator<T>,
+/// The one CF phase, behind every filter call: the `n` column-major
+/// columns `cols` (`nd` rows each) filtered in place to degree `degree`
+/// over `bounds`, in tasks of at most `bf` columns — given the Fermi level
+/// `level`, only the seen columns of each past its first step (see
+/// [`chfes_reduced`]). Returns each task's `(columns, seen columns)` for
+/// the booking.
+///
+/// An operator without [`HamOperator::panels`] (a rank's) runs column-major
+/// blocks of `bf` one after another on `scratch`, each step exchanging
+/// ghosts, the seen-column sums reduced by `reducer`. A local operator runs
+/// tasks of at most [`COL_BLOCK`] and `bf` columns as one parallel region,
+/// each on `max(1, threads / tasks)` threads (more than one cuts its sweeps
+/// into row slabs): a thread carries its task through every degree step in
+/// lane panels, one task's three at a time, allocated here, one set per
+/// task that can run at once, and dropped on return. It holds every row of
+/// its columns, so its seen-column sums need no reduction.
+#[allow(clippy::too_many_arguments)]
+fn filter_phase<T: Scalar>(
+    h: &dyn HamOperator<T>,
     cols: &mut [T],
     (nd, n): (usize, usize),
-    bf: usize,
-    degree: usize,
+    (bf, degree): (usize, usize),
     bounds: (f64, f64, f64),
     level: Option<(f64, f64)>,
+    reducer: &dyn SubspaceReducer<T>,
+    scratch: &mut CfScratch<T>,
 ) -> Vec<(usize, usize)> {
+    let Some(local) = h.panels() else {
+        let CfScratch { x, y, hy } = scratch;
+        let step = |y: &Matrix<T>, x_prev: Option<&Matrix<T>>, k, out: &mut Matrix<T>| {
+            h.recurrence_step(y, x_prev, k, out)
+        };
+        let mut run = |(w, task): (usize, &mut [T])| {
+            let bufs = (&mut *x, &mut *y, &mut *hy);
+            let k = filter_task(task, (nd, w), bufs, degree, bounds, step, level, reducer);
+            (w, k)
+        };
+        return split_tasks(cols, (nd, n), bf)
+            .into_iter()
+            .map(&mut run)
+            .collect();
+    };
     let width = bf.min(COL_BLOCK);
     let tasks = split_tasks(cols, (nd, n), width);
     let threads = rayon::current_num_threads();
@@ -666,17 +692,9 @@ fn filter_panels<T: Scalar>(
         .map(|(w, task)| {
             let mut set = take().pop().expect("a panel set per running task");
             let [x, y, hy] = &mut set;
+            let bufs = (x, y, hy);
             let k = with_threads(share, || {
-                filter_task(
-                    task,
-                    (nd, w),
-                    (x, y, hy),
-                    degree,
-                    bounds,
-                    step,
-                    level,
-                    &NoReduce,
-                )
+                filter_task(task, (nd, w), bufs, degree, bounds, step, level, &NoReduce)
             });
             take().push(set);
             (w, k)
@@ -687,9 +705,9 @@ fn filter_panels<T: Scalar>(
 /// The ChFES cycle, once, for every caller: `psi` holds this rank's *owned*
 /// wavefunction rows (all rows serially), `h` the operator on them — the CF
 /// recurrence runs through [`LinearOperator::recurrence_step`] (or, on a
-/// local operator, [`PanelOperator::panel_step`]), Rayleigh-Ritz and the
-/// rank-deficiency rescue through `apply`, so a distributed
-/// `h` can exchange the filter's ghosts on an FP32 wire and RR's in FP64
+/// local operator, [`crate::hamiltonian::PanelOperator::panel_step`]),
+/// Rayleigh-Ritz and the rank-deficiency rescue through `apply`, so a
+/// distributed `h` can exchange the filter's ghosts on an FP32 wire and RR's in FP64
 /// (the paper's "FP32 boundary wire, FP64 math" split, Sec. 5.4.2) — and
 /// `reducer` sums subspace quantities across ranks. [`chfes`] is this with
 /// no profile and [`NoReduce`].
@@ -700,20 +718,20 @@ fn filter_panels<T: Scalar>(
 /// to it, form its columns of `H_p`, rotate it. Whether the window is the
 /// whole subspace is known only to [`window_cols`] and [`install_window`].
 ///
-/// CF cuts the window into filter tasks: on a local operator
-/// ([`HamOperator::panels`]) tasks of at most [`COL_BLOCK`] and at most
-/// `B_f` columns, run side by side, each carried by its own thread(s)
-/// through every degree step ([`filter_panels`]); otherwise blocks of `B_f`,
-/// one after another. Given the Fermi level `occupied_at = (mu, kT)` of the
-/// last occupations, CF filters to full degree only the columns the
-/// density sees: each task runs its first recurrence step, reads every
-/// column's Rayleigh quotient at `h` off it ([`seen_columns`]), narrows in
-/// place to the columns occupied at or above [`DENSITY_CUTOFF`], runs those
-/// alone to `cheb_degree` (a distributed `h` exchanges only their ghosts)
-/// and writes them back by index; a task with none stops there. Unseen columns keep
-/// their input bits — the search-space extras only have to span, and
-/// Rayleigh–Ritz refreshes them — and every column still goes through
-/// CholGS and RR. A column's result depends on that column alone, so the
+/// CF ([`filter_phase`], the one CF phase of every filter call) cuts the
+/// window into filter tasks: on a local operator ([`HamOperator::panels`])
+/// tasks of at most [`COL_BLOCK`] and at most `B_f` columns, run side by
+/// side, each carried by its own thread(s) through every degree step;
+/// otherwise blocks of `B_f`, one after another. Given the Fermi level
+/// `occupied_at = (mu, kT)` of the last occupations, CF filters to full
+/// degree only the columns the density sees: each task runs its first
+/// recurrence step, reads every column's Rayleigh quotient at `h` off it
+/// ([`seen_columns`]), narrows in place to the columns occupied at or above
+/// [`DENSITY_CUTOFF`], runs those alone to `cheb_degree` (a distributed `h`
+/// exchanges only their ghosts) and writes them back by index; a task with
+/// none stops there. Unseen columns keep their input bits — the
+/// search-space extras only have to span, and Rayleigh–Ritz refreshes
+/// them — and every column still goes through CholGS and RR. A column's result depends on that column alone, so the
 /// bits do not depend on the filter width, the task layout, the thread
 /// count, the band window or the rank count. `None` filters every column.
 ///
@@ -745,35 +763,18 @@ pub fn chfes_reduced<T: Scalar>(
         let mut scope = PhaseScope::new(profile, Phase::Cf);
         let cols = &mut psi.as_mut_slice()[j0b * nd..j1b * nd];
         let shape = (nd, j1b - j0b);
-        let filtered = match h.panels() {
-            Some(local) => filter_panels(local, cols, shape, bf, degree, bounds, occupied_at),
-            None => {
-                // one B_f block after another: each step exchanges ghosts
-                let mut x = Matrix::<T>::zeros(nd, 0);
-                let CfScratch { mut y, mut hy } = CfScratch::new();
-                let step = |y: &Matrix<T>, x_prev: Option<&Matrix<T>>, k, out: &mut Matrix<T>| {
-                    h.recurrence_step(y, x_prev, k, out)
-                };
-                let mut run = |(w, task): (usize, &mut [T])| {
-                    let bufs = (&mut x, &mut y, &mut hy);
-                    let k = filter_task(
-                        task,
-                        (nd, w),
-                        bufs,
-                        degree,
-                        bounds,
-                        step,
-                        occupied_at,
-                        reducer,
-                    );
-                    (w, k)
-                };
-                split_tasks(cols, shape, bf)
-                    .into_iter()
-                    .map(&mut run)
-                    .collect()
-            }
-        };
+        let filter = (bf, degree);
+        let scratch = &mut CfScratch::new();
+        let filtered = filter_phase(
+            h,
+            cols,
+            shape,
+            filter,
+            bounds,
+            occupied_at,
+            reducer,
+            scratch,
+        );
         // one step on each task column, `degree - 1` on its seen columns
         for (w, k) in filtered {
             scope.add_flops(

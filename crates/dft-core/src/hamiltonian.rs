@@ -67,33 +67,18 @@ impl<'a, T: Scalar> KsHamiltonian<'a, T> {
     /// Build from a full nodal effective potential (restricted to DoFs
     /// internally).
     pub fn new(space: &'a FeSpace, v_eff_nodes: &[f64], phases: [T; 3]) -> Self {
-        assert_eq!(v_eff_nodes.len(), space.nnodes());
-        let v_eff_dof = (0..space.ndofs())
-            .map(|d| v_eff_nodes[space.node_of_dof(d)])
-            .collect();
         Self {
             space,
-            v_eff_dof,
+            v_eff_dof: dof_potential(space, v_eff_nodes, 0..space.ndofs()),
             phases,
         }
     }
 
-    /// The FE space.
-    pub fn space(&self) -> &FeSpace {
-        self.space
-    }
-
     /// Analytic FLOP count of one [`KsHamiltonian::apply`] on `ncols`
-    /// columns: the sum-factorized stiffness sweep plus, per element, the
-    /// `M^{-1/2}` input scale (booked once per element; the gather it is
-    /// fused into applies it once per cell-local node) and the sweep
-    /// epilogue's `1/2 s y + v x` (two scales and an add), all three scales
-    /// by real factors. A booked count: fusing passes changes the time it
-    /// is divided by, not the count.
+    /// columns ([`ham_apply_flops`] over every cell and DoF).
     pub fn apply_flops(&self, ncols: usize) -> u64 {
-        let nd = self.space.ndofs() as u64;
-        let nc = ncols as u64;
-        self.space.stiffness_apply_flops::<T>(ncols) + nd * nc * (3 * T::SCALE_FLOPS + T::ADD_FLOPS)
+        let (cells, rows) = (self.space.cells().len(), self.space.ndofs());
+        ham_apply_flops::<T>(self.space, (cells, rows), ncols)
     }
 }
 
@@ -107,67 +92,84 @@ impl<'a, T: Scalar> HamOperator<T> for KsHamiltonian<'a, T> {
     }
 }
 
-/// The output transform of every sweep of [`KsHamiltonian`], on one
-/// finished piece `o` of `K M^{-1/2} x`: `o = 1/2 s o + v x`, then (given
-/// `k`) the recurrence update against `x` and the previous iterate. The
-/// factors `sv = (s_i, v_i)` come one per row, and each row's elements are
-/// `run` consecutive values of the piece: one for a column's rows, the lane
-/// count for a panel's rows. One body for both layouts, so they share their
-/// bits.
+/// The nodal potential `v_nodes` at the DoFs `dofs`, in their order: the
+/// diagonal a Hamiltonian adds on its rows (every DoF serially, the owned
+/// ones on a rank).
+pub fn dof_potential(
+    space: &FeSpace,
+    v_nodes: &[f64],
+    dofs: impl Iterator<Item = usize>,
+) -> Vec<f64> {
+    assert_eq!(v_nodes.len(), space.nnodes());
+    dofs.map(|d| v_nodes[space.node_of_dof(d)]).collect()
+}
+
+/// Analytic FLOP count of one Hamiltonian apply on `ncols` columns that
+/// sweeps `cells` of `space`'s cells and writes `rows` rows: the
+/// sum-factorized stiffness work of those cells plus, per row and column,
+/// the `M^{-1/2}` input scale (booked once per element; the gather it is
+/// fused into applies it once per cell-local node) and the
+/// [`output_transform`]'s `1/2 s y + v x` (two scales and an add), all
+/// three scales by real factors. A booked count: fusing passes changes the
+/// time it is divided by, not the count.
+pub fn ham_apply_flops<T: Scalar>(
+    space: &FeSpace,
+    (cells, rows): (usize, usize),
+    ncols: usize,
+) -> u64 {
+    let per_cell = space.stiffness_apply_flops::<T>(ncols) / space.cells().len().max(1) as u64;
+    per_cell * cells as u64 + (rows * ncols) as u64 * (3 * T::SCALE_FLOPS + T::ADD_FLOPS)
+}
+
+/// The output transform of every Hamiltonian apply, local or on a rank, on
+/// one finished piece `out` of its result: `out = 1/2 s (K s x) + v x`,
+/// then (given `k`) the recurrence update against `x` and the previous
+/// iterate. `K s x` is `kx` when given (a rank reads it off its extended
+/// result), else `out` itself. The factors `s_i` and `v_i` come one per
+/// row, and each row's elements are `run` consecutive values of the piece:
+/// one for a column's rows, the lane count for a panel's rows. One body for
+/// every layout and route, so they share their bits.
 #[inline(always)]
-fn finish<T: Scalar>(
-    o: &mut [T],
+pub fn output_transform<T: Scalar>(
+    (out, kx): (&mut [T], Option<&[T]>),
     x: &[T],
     x_prev: Option<&[T]>,
-    (sv, run): (impl Iterator<Item = (f64, f64)>, usize),
+    (s, v, run): (&[f64], &[f64], usize),
     k: Option<Recurrence<T::Re>>,
 ) {
-    let rows = o.chunks_exact_mut(run).zip(x.chunks_exact(run));
-    for ((orow, xrow), (si, vi)) in rows.zip(sv) {
-        let (a, b) = (T::Re::from_f64(0.5 * si), T::Re::from_f64(vi));
-        for (ov, &xv) in orow.iter_mut().zip(xrow) {
-            *ov = ov.scale(a) + xv.scale(b);
+    let body = |kv: T, xv: T, (a, b): (T::Re, T::Re)| kv.scale(a) + xv.scale(b);
+    let factors = |(&si, &vi): (&f64, &f64)| (T::Re::from_f64(0.5 * si), T::Re::from_f64(vi));
+    let rows = out.chunks_exact_mut(run).zip(x.chunks_exact(run));
+    let rows = rows.zip(s.iter().zip(v));
+    // two loops, not a per-element choice of source: that read 3x slower
+    // on a rank's column read-off and 15% slower on a panel's rows
+    match kx {
+        None => {
+            for ((orow, xrow), f) in rows {
+                let f = factors(f);
+                for (ov, &xv) in orow.iter_mut().zip(xrow) {
+                    *ov = body(*ov, xv, f);
+                }
+            }
+        }
+        Some(kx) => {
+            for (((orow, xrow), f), krow) in rows.zip(kx.chunks_exact(run)) {
+                let f = factors(f);
+                for ((ov, &kv), &xv) in orow.iter_mut().zip(krow).zip(xrow) {
+                    *ov = body(kv, xv, f);
+                }
+            }
         }
     }
     if let Some(k) = k {
-        recurrence_update(o, x, x_prev, k);
-    }
-}
-
-impl<'a, T: Scalar> KsHamiltonian<'a, T> {
-    /// `out = Hhat x`, then (given `k`) the recurrence update against `x`
-    /// and the previous iterate, in one cell sweep: `K M^{-1/2} x` with the
-    /// input scaling fused into the cell gather (no copy of `x`), and the
-    /// rest ([`finish`]) as the sweep's epilogue on each finished column
-    /// piece while it is still in cache. K is the grad-grad stiffness, i.e.
-    /// the discrete -∇², so the kinetic operator -1/2 ∇² is +1/2 K.
-    fn sweep(
-        &self,
-        x: &Matrix<T>,
-        x_prev: Option<&Matrix<T>>,
-        k: Option<Recurrence<T::Re>>,
-        out: &mut Matrix<T>,
-    ) {
-        let nd = self.space.ndofs();
-        assert_eq!(x.nrows(), nd);
-        assert!(x_prev.is_none_or(|p| p.shape() == x.shape()));
-        let s = self.space.inv_sqrt_mass();
-        let epilogue = |j: usize, first_row: usize, ocol: &mut [T]| {
-            let rows = first_row..first_row + ocol.len();
-            let sv = s[rows.clone()].iter().zip(&self.v_eff_dof[rows.clone()]);
-            let sv = sv.map(|(&s, &v)| (s, v));
-            let prev = x_prev.map(|p| &p.col(j)[rows.clone()]);
-            finish(ocol, &x.col(j)[rows], prev, (sv, 1), k);
-        };
-        self.space
-            .apply_stiffness_scaled(x, out, self.phases, s, Some(&epilogue));
+        recurrence_update(out, x, x_prev, k);
     }
 }
 
 impl<'a, T: Scalar> PanelOperator<T> for KsHamiltonian<'a, T> {
-    /// The step as one [`dft_fem::space::Lanes`] sweep: [`finish`] runs on
-    /// each run of rows once the last cell that reaches them has been
-    /// scattered, while they are still in cache.
+    /// The step as one [`dft_fem::space::Lanes`] sweep: [`output_transform`]
+    /// runs on each run of rows once the last cell that reaches them has
+    /// been scattered, while they are still in cache.
     // dftlint:hot
     fn panel_step(
         &self,
@@ -181,10 +183,9 @@ impl<'a, T: Scalar> PanelOperator<T> for KsHamiltonian<'a, T> {
         let w = y.lanes();
         let epilogue = |_: usize, i0: usize, orows: &mut [T]| {
             let (i1, lanes) = (i0 + orows.len() / w, i0 * w..i0 * w + orows.len());
-            let sv = s[i0..i1].iter().zip(&self.v_eff_dof[i0..i1]);
-            let sv = sv.map(|(&s, &v)| (s, v));
+            let sv = (&s[i0..i1], &self.v_eff_dof[i0..i1], w);
             let prev = x_prev.map(|p| &p.as_slice()[i0 * w..i1 * w]);
-            finish(orows, &y.as_slice()[lanes], prev, (sv, w), Some(k));
+            output_transform((orows, None), &y.as_slice()[lanes], prev, sv, Some(k));
         };
         out.resize(y.rows(), y.lanes());
         self.space
@@ -197,18 +198,21 @@ impl<'a, T: Scalar> LinearOperator<T> for KsHamiltonian<'a, T> {
         self.space.ndofs()
     }
 
+    /// `y = Hhat x` in one cell sweep: `K M^{-1/2} x` with the input
+    /// scaling fused into the cell gather (no copy of `x`), and
+    /// [`output_transform`] as the sweep's epilogue on each finished column
+    /// piece while it is still in cache. K is the grad-grad stiffness, i.e.
+    /// the discrete -∇², so the kinetic operator -1/2 ∇² is +1/2 K.
     fn apply(&self, x: &Matrix<T>, y: &mut Matrix<T>) {
-        self.sweep(x, None, None, y);
-    }
-
-    fn recurrence_step(
-        &self,
-        y: &Matrix<T>,
-        x_prev: Option<&Matrix<T>>,
-        k: Recurrence<T::Re>,
-        out: &mut Matrix<T>,
-    ) {
-        self.sweep(y, x_prev, Some(k), out);
+        assert_eq!(x.nrows(), self.space.ndofs());
+        let s = self.space.inv_sqrt_mass();
+        let epilogue = |j: usize, first_row: usize, ocol: &mut [T]| {
+            let rows = first_row..first_row + ocol.len();
+            let sv = (&s[rows.clone()], &self.v_eff_dof[rows.clone()], 1);
+            output_transform((ocol, None), &x.col(j)[rows], None, sv, None);
+        };
+        self.space
+            .apply_stiffness_scaled(x, y, self.phases, s, Some(&epilogue));
     }
 }
 
@@ -296,64 +300,5 @@ mod tests {
         let a = blas1::dot(z.col(0), hx.col(0));
         let b = blas1::dot(hz.col(0), x.col(0));
         assert!((a - b).abs() < 1e-10, "<z,Hx> = {a:?}, <Hz,x> = {b:?}");
-    }
-
-    /// The operator's own apply only: its `recurrence_step` is the trait's
-    /// provided default (apply, then `recurrence_update` column by column).
-    struct ApplyOnly<'a, T: Scalar>(&'a dyn LinearOperator<T>);
-
-    impl<T: Scalar> LinearOperator<T> for ApplyOnly<'_, T> {
-        fn dim(&self) -> usize {
-            self.0.dim()
-        }
-        fn apply(&self, x: &Matrix<T>, y: &mut Matrix<T>) {
-            self.0.apply(x, y);
-        }
-    }
-
-    /// The recurrence step fused into the cell sweep has the bits of the
-    /// provided default, first step and later steps, at every block width
-    /// (one lane, a ragged block, a full block, a full block plus one, many
-    /// blocks).
-    #[test]
-    fn fused_recurrence_step_matches_the_provided_default_bitwise() {
-        fn check<T: Scalar>(s: &FeSpace, phases: [T; 3], val: impl Fn(usize, usize) -> T) {
-            let v: Vec<f64> = (0..s.nnodes())
-                .map(|n| (s.node_coord(n)[1] * 0.5).sin())
-                .collect();
-            let h = KsHamiltonian::<T>::new(s, &v, phases);
-            let n = h.dim();
-            let k = Recurrence {
-                c: T::Re::from_f64(0.7),
-                alpha: T::Re::from_f64(-1.3),
-                beta: T::Re::from_f64(0.45),
-            };
-            for nc in [1, 7, 8, 9, 64] {
-                let y = Matrix::<T>::from_fn(n, nc, &val);
-                let x_prev = Matrix::<T>::from_fn(n, nc, |i, j| val(i + 3, j + 1));
-                for prev in [None, Some(&x_prev)] {
-                    let mut fused = Matrix::<T>::from_fn(n, nc, |i, j| val(j, i));
-                    let mut default = Matrix::<T>::zeros(n, nc);
-                    h.recurrence_step(&y, prev, k, &mut fused);
-                    ApplyOnly(&h).recurrence_step(&y, prev, k, &mut default);
-                    assert!(
-                        fused.as_slice() == default.as_slice(),
-                        "{nc} columns, later step: {}",
-                        prev.is_some()
-                    );
-                }
-            }
-        }
-        for space in [space(), FeSpace::new(Mesh3d::periodic_cube(2, 5.0, 2))] {
-            check::<f64>(&space, [1.0; 3], |i, j| {
-                ((i * 3 + j * 17) as f64 * 0.41).sin()
-            });
-            check::<C64>(&space, [C64::cis(0.4), C64::cis(-0.9), C64::ONE], |i, j| {
-                C64::new(
-                    ((i * 3 + j) as f64 * 0.5).sin(),
-                    ((i * 7 + j * 5) as f64 * 0.2).cos(),
-                )
-            });
-        }
     }
 }

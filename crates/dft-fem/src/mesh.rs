@@ -130,19 +130,26 @@ impl Axis {
     }
 }
 
+/// The spectral degrees a [`Mesh3d`] admits. Job admission reads it too,
+/// so no spec reaches [`Mesh3d::new`] with another.
+pub const SUPPORTED_DEGREES: std::ops::RangeInclusive<usize> = 1..=10;
+
 /// A 3D tensor-product hexahedral mesh with a common spectral degree.
 #[derive(Clone, Debug)]
 pub struct Mesh3d {
     /// Per-axis discretizations.
     pub axes: [Axis; 3],
-    /// Spectral polynomial degree `p` (1..=8 supported and tested).
+    /// Spectral polynomial degree `p`, in [`SUPPORTED_DEGREES`].
     pub degree: usize,
 }
 
 impl Mesh3d {
     /// Assemble a mesh from three axes and a degree.
     pub fn new(axes: [Axis; 3], degree: usize) -> Self {
-        assert!((1..=10).contains(&degree), "unsupported degree {degree}");
+        assert!(
+            SUPPORTED_DEGREES.contains(&degree),
+            "unsupported degree {degree}"
+        );
         Self { axes, degree }
     }
 

@@ -22,12 +22,12 @@
 
 use crate::decomp::Decomposition;
 use crate::grid::{GridShape, ProcessGrid};
-use dft_core::hamiltonian::HamOperator;
+use dft_core::hamiltonian::{dof_potential, ham_apply_flops, output_transform, HamOperator};
 use dft_fem::space::{CellSweep, ColMajor, FeSpace, RowSlab};
 use dft_hpc::comm::{wire_tag_band, CommError, ThreadComm, WirePrecision};
-use dft_linalg::iterative::{recurrence_update, LinearOperator, Recurrence};
+use dft_linalg::iterative::{LinearOperator, Recurrence};
 use dft_linalg::matrix::Matrix;
-use dft_linalg::scalar::{Real, Scalar, C64};
+use dft_linalg::scalar::{Scalar, C64};
 use std::any::Any;
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
@@ -419,13 +419,8 @@ impl<'a, 'c, T: WireScalar> DistHamiltonian<'a, 'c, T> {
         phases: [T; 3],
         wire: WirePrecision,
     ) -> Self {
-        assert_eq!(v_eff_nodes.len(), dist.space.nnodes());
-        let v_eff_owned = dist
-            .dec
-            .owned
-            .iter()
-            .map(|&d| v_eff_nodes[dist.space.node_of_dof(d as usize)])
-            .collect();
+        let owned = dist.dec.owned.iter().map(|&d| d as usize);
+        let v_eff_owned = dof_potential(dist.space, v_eff_nodes, owned);
         Self {
             dist,
             comm,
@@ -437,9 +432,10 @@ impl<'a, 'c, T: WireScalar> DistHamiltonian<'a, 'c, T> {
 
     /// `out = 1/2 M^{-1/2} K M^{-1/2} x + v_eff x` on owned rows (input
     /// scaling fused into the cell gather, as serial), then, given `k`,
-    /// the recurrence update against `x` and the previous iterate — folded
-    /// into the read-off of the extended result, which can only start once
-    /// the boundary partial sums are in. A recurrence step exchanges at the
+    /// the recurrence update against `x` and the previous iterate: the
+    /// serial operator's [`output_transform`], run as the one read-off pass
+    /// from the extended result into `out`, which can only start once the
+    /// boundary partial sums are in. A recurrence step exchanges at the
     /// operator's wire, a plain apply in FP64. The trait signatures are
     /// infallible: on a comm failure the error is already recorded in the
     /// (poisoned) communicator, so `out` is filled with zeros — never an
@@ -463,15 +459,10 @@ impl<'a, 'c, T: WireScalar> DistHamiltonian<'a, 'c, T> {
                 .apply_cells(self.comm, ws, x, self.phases, scale, wire)?;
             // read off the extended result
             for j in 0..out.ncols() {
-                let ocol = out.col_mut(j);
-                let rows = ocol.iter_mut().zip(ws.y_owned(dec, j));
-                for (l, ((ov, &kv), &xv)) in rows.zip(x.col(j)).enumerate() {
-                    *ov = kv.scale(T::Re::from_f64(0.5 * s[l]))
-                        + xv.scale(T::Re::from_f64(self.v_eff_owned[l]));
-                }
-                if let Some(k) = k {
-                    recurrence_update(ocol, x.col(j), x_prev.map(|p| p.col(j)), k);
-                }
+                let (ocol, kx) = (out.col_mut(j), Some(ws.y_owned(dec, j)));
+                let prev = x_prev.map(|p| p.col(j));
+                let sv = (s.as_slice(), self.v_eff_owned.as_slice(), 1);
+                output_transform((ocol, kx), x.col(j), prev, sv, k);
             }
             Ok(())
         });
@@ -501,17 +492,14 @@ impl<'a, 'c, T: WireScalar> LinearOperator<T> for DistHamiltonian<'a, 'c, T> {
     }
 }
 
-// The filter block keeps the provided unlimited width, i.e. `B_f`: every
-// recurrence step exchanges ghosts once per block, so a wider block
-// amortises the exchange, and the message and byte counts stay those of B_f.
+// No `panels`: the CF phase runs this operator's `B_f` blocks whole, one after
+// another. Every recurrence step exchanges ghosts once per block, so a wider
+// block amortises the exchange, and message and byte counts stay B_f's.
 impl<'a, 'c, T: WireScalar> HamOperator<T> for DistHamiltonian<'a, 'c, T> {
-    /// Rank-local analytic FLOPs: the slab's share of the sum-factorized
-    /// cell work plus the owned rows' scaling/potential arithmetic.
+    /// Rank-local analytic FLOPs: [`ham_apply_flops`] over the slab's
+    /// cells and the owned rows.
     fn apply_flops(&self, ncols: usize) -> u64 {
-        let space = self.dist.space;
         let dec = &self.dist.dec;
-        let per_cell_cols = space.stiffness_apply_flops::<T>(ncols) / space.cells().len() as u64;
-        per_cell_cols * dec.range.len() as u64
-            + (dec.n_owned() * ncols) as u64 * (3 * T::SCALE_FLOPS + T::ADD_FLOPS)
+        ham_apply_flops::<T>(self.dist.space, (dec.range.len(), dec.n_owned()), ncols)
     }
 }

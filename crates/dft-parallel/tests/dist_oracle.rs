@@ -4,7 +4,7 @@
 //! plus run-to-run bit-determinism and SCF energy parity.
 
 use dft_core::chebyshev::{chebyshev_filter, chebyshev_filter_scratch, lanczos_bounds, CfScratch};
-use dft_core::hamiltonian::KsHamiltonian;
+use dft_core::hamiltonian::{HamOperator, KsHamiltonian};
 use dft_core::scf::{scf, KPoint, ScfConfig};
 use dft_core::system::{Atom, AtomKind, AtomicSystem};
 use dft_core::xc::Lda;
@@ -195,9 +195,11 @@ fn hamiltonian_apply_is_serial_at_one_rank_and_column_grouping_independent() {
 /// `DistHamiltonian`, column block by column block on one reused scratch,
 /// as the CF phase runs it — against the blocking recurrence on the whole
 /// block: bit for bit at 1, 2 and 4 ranks on the FP64 wire (what lets
-/// `B_f` and band splits regroup columns). Against the serial filter it is
-/// bit for bit at one rank and within 1e-12 across ranks, where the
-/// fold-back adds partial sums in a different order.
+/// `B_f` and band splits regroup columns). The serial `KsHamiltonian`'s
+/// lane-panel route regroups the same way: 2-column blocks through one
+/// scratch equal its whole-block filter bit for bit. Against the serial
+/// filter the ranks are bit for bit at one rank and within 1e-12 across
+/// ranks, where the fold-back adds partial sums in a different order.
 #[test]
 fn distributed_chebyshev_filter_matches_serial() {
     let space = FeSpace::new(Mesh3d::periodic_cube(2, 4.0, 3));
@@ -213,6 +215,21 @@ fn distributed_chebyshev_filter_matches_serial() {
     });
     let x0 = x_ref.clone();
     chebyshev_filter(&h_ref, &mut x_ref, m, a, b, a0);
+    // blocks of 2, 2 and 1 columns through one scratch
+    let in_pairs = |h: &dyn HamOperator<f64>, x: &mut Matrix<f64>| {
+        let mut scratch = CfScratch::new();
+        for j0 in (0..x.ncols()).step_by(2) {
+            let mut block = x.cols_range(j0, (j0 + 2).min(x.ncols()));
+            chebyshev_filter_scratch(h, &mut block, m, a, b, a0, &mut scratch);
+            x.set_cols(j0, &block);
+        }
+    };
+    let mut blocked_ref = x0.clone();
+    in_pairs(&h_ref, &mut blocked_ref);
+    assert!(
+        blocked_ref.as_slice() == x_ref.as_slice(),
+        "serial: blocked filter != whole-block filter"
+    );
 
     for nranks in [1, 2, 4] {
         let (errs, _) = run_cluster(nranks, |comm| {
@@ -223,13 +240,7 @@ fn distributed_chebyshev_filter_matches_serial() {
             let mut whole = restrict_rows(&dist, &x0);
             let mut blocked = whole.clone();
             chebyshev_filter(&h, &mut whole, m, a, b, a0);
-            // blocks of 2, 2 and 1 columns through one scratch
-            let mut scratch = CfScratch::new();
-            for j0 in (0..blocked.ncols()).step_by(2) {
-                let mut block = blocked.cols_range(j0, (j0 + 2).min(blocked.ncols()));
-                chebyshev_filter_scratch(&h, &mut block, m, a, b, a0, &mut scratch);
-                blocked.set_cols(j0, &block);
-            }
+            in_pairs(&h, &mut blocked);
             assert!(
                 blocked.as_slice() == whole.as_slice(),
                 "{nranks} ranks: blocked filter != whole-block filter"

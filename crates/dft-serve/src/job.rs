@@ -10,7 +10,7 @@
 use dft_core::scf::KPoint;
 use dft_core::system::{Atom, AtomKind};
 use dft_core::xc::{Lda, Pbe, XcFunctional, XcPoint};
-use dft_fem::mesh::{Axis, BoundaryCondition, Mesh3d};
+use dft_fem::mesh::{Axis, BoundaryCondition, Mesh3d, SUPPORTED_DEGREES};
 use dft_hpc::comm::FaultPlan;
 use dft_materials::Structure;
 use dft_parallel::GridShape;
@@ -246,8 +246,16 @@ impl JobSpec {
         if self.ranks == 0 {
             return Err("spec requests a zero-rank gang".into());
         }
-        if self.mesh.cells.contains(&0) || self.mesh.degree == 0 {
-            return Err("mesh has an empty axis or zero degree".into());
+        if self.mesh.cells.contains(&0) {
+            return Err("mesh has an empty axis".into());
+        }
+        // the space is built on the scheduler thread, which a panicking
+        // `Mesh3d::new` would take down with every later job
+        if !SUPPORTED_DEGREES.contains(&self.mesh.degree) {
+            return Err(format!(
+                "mesh degree {} outside the supported {SUPPORTED_DEGREES:?}",
+                self.mesh.degree
+            ));
         }
         // `!(x > 0.0)` (not `x <= 0.0`) so NaN inputs are rejected too.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -506,6 +514,20 @@ mod tests {
         s.first_iter_cf_passes = 0;
         let why = s.validate().unwrap_err();
         assert!(why.contains("filter passes"), "{why}");
+    }
+
+    #[test]
+    fn degrees_outside_the_supported_range_are_rejected() {
+        let mut s = spec();
+        for degree in [1, 10] {
+            s.mesh.degree = degree;
+            assert!(s.validate().is_ok(), "degree {degree}");
+        }
+        for degree in [0, 11, usize::MAX] {
+            s.mesh.degree = degree;
+            let why = s.validate().unwrap_err();
+            assert!(why.contains("degree"), "{why}");
+        }
     }
 
     #[test]

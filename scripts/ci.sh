@@ -19,8 +19,8 @@ mkdir -p target
 cargo run -q --offline --release -p dft-lint -- --workspace --json > target/dft-lint.json
 echo "    JSON artifact: target/dft-lint.json"
 
-echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep whatever the block layout, one distributed route, one ChFES cycle, one Chebyshev recurrence, one recurrence update, one rooted collective, one KS eigensolve step, one Fermi-Dirac function, one FE derivative, one trajectory loop, one durable writer, one thread-cap helper, one overlap model, one initial subspace, one dense eigensolver)"
-for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a sweep_item chebyshev_filter_gated recurrence_update ks_eigensolve accumulate_density fermi deriv_mass deriv_mass_t trajectory_rank write_durable read_durable with_threads with_thread_share pipelined_blocks random_subspace eigh; do
+echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep whatever the block layout, one distributed route, one ChFES cycle, one Chebyshev recurrence, one recurrence update, one rooted collective, one KS eigensolve step, one Fermi-Dirac function, one FE derivative, one trajectory loop, one durable writer, one thread-cap helper, one overlap model, one initial subspace, one dense eigensolver, one cell kernel, one Hamiltonian body)"
+for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a sweep_item chebyshev_filter_gated recurrence_update ks_eigensolve accumulate_density fermi deriv_mass deriv_mass_t trajectory_rank write_durable read_durable with_threads with_thread_share pipelined_blocks random_subspace eigh output_transform dof_potential ham_apply_flops filter_phase; do
   n=$(grep -rhE "^\s*(pub(\([a-z]+\))? )?fn ${f}\b" crates/*/src | wc -l)
   if [ "$n" -ne 1 ]; then
     echo "    fn $f is defined $n times under crates/*/src (expected exactly 1)"
@@ -61,7 +61,11 @@ done
 #    (crates/dft-linalg/tests/eig_oracle.rs);
 #  - each thread filters its own panel: a local operator's CF phase runs
 #    whole-degree tasks of at most eight columns side by side, so no
-#    operator sizes a per-step filter block any more.
+#    operator sizes a per-step filter block any more;
+#  - one cell kernel: every apply, the nodal one included, runs the blocked
+#    sweep, so the scalar seed kernel and the seed-era reference apply with
+#    its axis-rederiving gather and scatter are gone (their oracle role is
+#    the dense cell assembly in crates/dft-fem/tests/golden_stiffness.rs).
 retired=(
   "benchmark-gate / tuning-file name|DFT_T""UNE|dft_t""une\.json|BEN""CH_|DFT_BEN""CH_GATE"
   "sibling path of the distributed solver, or the knob that selected it|Cluster""Reducer|enum Red""ucer|grid\.is_so""me\(\)|JobKind::Scr""een|warm_st""art:|with_over""lap|Pipelined""Filter|Cf""Driver"
@@ -72,6 +76,7 @@ retired=(
   "discrete-event timeline, second orthonormalization or forced-complex SCF entry|Time""line|Task""Id|low""din|\binv_s""qrt\b|scf_com""plex"
   "cyclic Jacobi sweep or its eigenpair sort (the eigh oracle lives in tests)|max_swe""eps|fn sort_e""ig"
   "per-step filter block rule of the local operator|max_filter_bl""ock"
+  "scalar seed cell kernel or the seed-era reference apply|fn cell_stiffness_ap""ply<|apply_stiffness_refer""ence|gather_cell_dofs_r""ef|scatter_add_cell_dofs_r""ef"
   "single-valued solver knob, the SCF's root-rank query or the serial snapshot cadence|mixing_al""pha|base\.checkpoint_ev""ery|fn is_ro""ot|cfg\.st""ep\b|eig_pa""sses|minres_t""ol|minres_max_it""er|dt_m""ax|max_di""sp|FireState::new\(.*,|quick_n""et|cfg\.max_resta""rts|knobs\.max_resta""rts|sub_blo""ck|opts\.use_c""cl"
 )
 for entry in "${retired[@]}"; do
@@ -104,11 +109,12 @@ if grep -rnE "\bprint(ln)?!" crates/dft-core/src crates/dft-parallel/src; then
   exit 1
 fi
 
-# One blocked cell sweep (FeSpace::sweep_cells) serves the serial apply and
-# every rank's slab: the scalar seed kernel stays inside dft-fem as the
-# golden-value oracle and may not be called from the distributed operator.
-if grep -rn "cell_stiffness_apply(" crates --include='*.rs' | grep -v -e '^crates/dft-fem/src/' -e '/tests/'; then
-  echo "    cell_stiffness_apply( (the scalar seed kernel) is used outside crates/dft-fem/src and tests (see above)"
+# One cell kernel: the blocked cell sweep (FeSpace::sweep_cells) serves the
+# serial apply, the nodal apply, the Poisson solves and every rank's slab.
+# The scalar seed kernel is gone from every src (retired above), and no
+# test or bench may carry a copy of it either.
+if grep -rnE "cell_stiffness_ap""ply(\(|<)" crates --include='*.rs'; then
+  echo "    the scalar seed cell kernel is back under crates/ (see above)"
   exit 1
 fi
 
