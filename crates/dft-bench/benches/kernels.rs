@@ -11,7 +11,8 @@ use dft_core::threads::with_threads;
 use dft_fem::mesh::Mesh3d;
 use dft_fem::space::{FeSpace, COL_BLOCK};
 use dft_linalg::batched::{batched_gemm, BatchLayout};
-use dft_linalg::gemm::{gemm, Op};
+use dft_linalg::gemm::Shape::{LowerC, UpperB};
+use dft_linalg::gemm::{gemm, gemm_shaped, Op};
 use dft_linalg::iterative::LinearOperator;
 use dft_linalg::matrix::Matrix;
 use dft_mlxc::MlxcModel;
@@ -179,14 +180,34 @@ fn bench_chfes_steps(c: &mut Criterion) {
     let m = 4000;
     let n = 48;
     let psi = Matrix::from_fn(m, n, |i, j| ((i * 3 + j * 17 + i * j) as f64 * 0.13).sin());
+    // the route the cycle ships: S as its lower triangle, mirrored, and
+    // Psi L^{-dagger} with L^{-dagger} upper triangular
     g.bench_function("cholgs_4000x48", |b| {
         b.iter(|| {
             let mut s = Matrix::zeros(n, n);
-            gemm(1.0, &psi, Op::ConjTrans, &psi, Op::None, 0.0, &mut s);
-            s.symmetrize_hermitian();
-            let linv = dft_linalg::cholesky_inverse(&s).unwrap();
+            gemm_shaped(
+                1.0,
+                &psi,
+                Op::ConjTrans,
+                &psi,
+                Op::None,
+                0.0,
+                &mut s,
+                LowerC(0),
+            );
+            s.hermitian_from_lower();
+            let linv_h = dft_linalg::cholesky_inverse(&s).unwrap().adjoint();
             let mut out = Matrix::zeros(m, n);
-            gemm(1.0, &psi, Op::None, &linv, Op::ConjTrans, 0.0, &mut out);
+            gemm_shaped(
+                1.0,
+                &psi,
+                Op::None,
+                &linv_h,
+                Op::None,
+                0.0,
+                &mut out,
+                UpperB(0),
+            );
             out
         });
     });
@@ -222,6 +243,97 @@ fn bench_chfes_steps(c: &mut Criterion) {
                 b.iter(|| {
                     let mut psi = psi0.clone();
                     with_threads(threads, || chfes(&h, &mut psi, window, &opts))
+                });
+            });
+        }
+    }
+    // the subspace half's four GEMMs at `scf-wide`'s shape (8,000 DoF, 96
+    // columns) as the cycle runs them, under thread caps 1 and 2: CholGS-S
+    // (the lower triangle of Psi†Psi, mirrored), CholGS-O (Psi L^{-dagger},
+    // L^{-dagger} upper triangular), the RR-P product (the lower triangle of
+    // Psi†(H Psi), H Psi given) and RR-SR (Psi Q, Q dense)
+    {
+        let space = FeSpace::new(Mesh3d::periodic_cube(4, 10.0, 5));
+        let v: Vec<f64> = (0..space.nnodes())
+            .map(|i| 0.3 * (i as f64 * 0.05).sin())
+            .collect();
+        let h = KsHamiltonian::<f64>::new(&space, &v, [1.0; 3]);
+        let (nd, n) = (h.dim(), 96);
+        let psi = random_subspace::<f64>(nd, n, 3);
+        let mut hpsi = Matrix::zeros(nd, n);
+        h.apply(&psi, &mut hpsi);
+        let mut s = Matrix::zeros(n, n);
+        gemm(1.0, &psi, Op::ConjTrans, &psi, Op::None, 0.0, &mut s);
+        s.symmetrize_hermitian();
+        let linv_h = dft_linalg::cholesky_inverse(&s).unwrap().adjoint();
+        let q = Matrix::from_fn(n, n, |i, j| ((i * 7 + j * 3) as f64 * 0.11).sin());
+        let mut small = Matrix::zeros(n, n);
+        let mut tall = Matrix::zeros(nd, n);
+        for threads in [1, 2] {
+            let id = |step: &str| {
+                BenchmarkId::new(
+                    format!("subspace_96cols_p5/{step}"),
+                    format!("{threads}threads"),
+                )
+            };
+            g.bench_function(id("S"), |b| {
+                b.iter(|| {
+                    with_threads(threads, || {
+                        let lower = LowerC(0);
+                        gemm_shaped(
+                            1.0,
+                            &psi,
+                            Op::ConjTrans,
+                            &psi,
+                            Op::None,
+                            0.0,
+                            &mut small,
+                            lower,
+                        );
+                        small.hermitian_from_lower();
+                    })
+                });
+            });
+            g.bench_function(id("O"), |b| {
+                b.iter(|| {
+                    with_threads(threads, || {
+                        let upper = UpperB(0);
+                        gemm_shaped(
+                            1.0,
+                            &psi,
+                            Op::None,
+                            &linv_h,
+                            Op::None,
+                            0.0,
+                            &mut tall,
+                            upper,
+                        );
+                    })
+                });
+            });
+            g.bench_function(id("Hp"), |b| {
+                b.iter(|| {
+                    with_threads(threads, || {
+                        let lower = LowerC(0);
+                        gemm_shaped(
+                            1.0,
+                            &psi,
+                            Op::ConjTrans,
+                            &hpsi,
+                            Op::None,
+                            0.0,
+                            &mut small,
+                            lower,
+                        );
+                        small.hermitian_from_lower();
+                    })
+                });
+            });
+            g.bench_function(id("SR"), |b| {
+                b.iter(|| {
+                    with_threads(threads, || {
+                        gemm(1.0, &psi, Op::None, &q, Op::None, 0.0, &mut tall);
+                    })
                 });
             });
         }

@@ -35,7 +35,7 @@ use dft_hpc::profile::{Phase, PhaseScope, Profile};
 use dft_linalg::blas1;
 use dft_linalg::chol::{cholesky_inverse, LinalgError};
 use dft_linalg::eig::{eigh, tridiagonal_ql};
-use dft_linalg::gemm::{gemm, gemm_flops, gemm_mixed, matmul, Op};
+use dft_linalg::gemm::{gemm, gemm_flops, gemm_mixed, gemm_shaped, matmul, Op, Shape};
 use dft_linalg::iterative::{LinearOperator, Recurrence};
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::{Real, Scalar};
@@ -427,10 +427,21 @@ pub fn chfes<T: Scalar>(
 }
 
 /// The one precision-selecting product of a cycle, `C = op(A) B`: the FP64
-/// GEMM, or under `fp32` the demote-multiply-promote one (Sec. 5.4.2).
-fn product<T: Scalar>(fp32: bool, a: &Matrix<T>, opa: Op, b: &Matrix<T>, c: &mut Matrix<T>) {
-    let mul = if fp32 { gemm_mixed } else { gemm };
-    mul(T::ONE, a, opa, b, Op::None, T::ZERO, c);
+/// GEMM forming the part of `C` that `shape` names, or under `fp32` the
+/// demote-multiply-promote one (Sec. 5.4.2), which forms all of it.
+fn product<T: Scalar>(
+    fp32: bool,
+    a: &Matrix<T>,
+    opa: Op,
+    b: &Matrix<T>,
+    c: &mut Matrix<T>,
+    shape: Shape,
+) {
+    if fp32 {
+        gemm_mixed(T::ONE, a, opa, b, Op::None, T::ZERO, c);
+    } else {
+        gemm_shaped(T::ONE, a, opa, b, Op::None, T::ZERO, c, shape);
+    }
 }
 
 /// Hermitian product `C = A† B` of the subspace `a` (`N` columns) with `b`,
@@ -438,11 +449,14 @@ fn product<T: Scalar>(fp32: bool, a: &Matrix<T>, opa: Op, b: &Matrix<T>, c: &mut
 /// columns `[col0, col0 + w)` of the overlap (`b` = those columns of `a`)
 /// or of the projected Hamiltonian (`b` = `H` applied to them).
 ///
-/// `fp64_block = None` is the FP64 product. `Some(bf)` is the paper's
-/// mixed-precision layout: FP32 everywhere except the entries whose row and
-/// global column fall in the same `B_f` block (`i / bf == j / bf`), which
-/// are recomputed in FP64. The partition is global, so an entry is FP64 or
-/// FP32 regardless of which window (which process grid) computes it.
+/// `fp64_block = None` is the FP64 product, formed as its lower triangle
+/// only (rows at or below each global column; [`Shape::LowerC`]): the
+/// entries above are unspecified, and [`reduce_window`] mirrors the lower
+/// ones into them. `Some(bf)` is the paper's mixed-precision layout, formed
+/// whole: FP32 everywhere except the entries whose row and global column
+/// fall in the same `B_f` block (`i / bf == j / bf`), which are recomputed
+/// in FP64. The partition is global, so an entry is FP64 or FP32
+/// regardless of which window (which process grid) computes it.
 fn adjoint_window<T: Scalar>(
     a: &Matrix<T>,
     b: &Matrix<T>,
@@ -452,7 +466,8 @@ fn adjoint_window<T: Scalar>(
     let (n, col1) = (a.ncols(), col0 + b.ncols());
     assert!(col1 <= n, "column window escapes the subspace");
     let mut c = Matrix::<T>::zeros(n, b.ncols());
-    product(fp64_block.is_some(), a, Op::ConjTrans, b, &mut c);
+    let lower = Shape::LowerC(col0);
+    product(fp64_block.is_some(), a, Op::ConjTrans, b, &mut c, lower);
     let Some(bf) = fp64_block else { return c };
     let mut g0 = col0;
     while g0 < col1 {
@@ -501,7 +516,8 @@ fn install_window<T: Scalar>(
 
 /// Assemble this rank's `N x w` column block (window starting at `j0`) of a
 /// Hermitian subspace matrix into the reduced `N x N` matrix every rank
-/// factorizes or diagonalizes.
+/// factorizes or diagonalizes: the summed lower triangle, mirrored into the
+/// upper one ([`Matrix::hermitian_from_lower`]).
 fn reduce_window<T: Scalar>(
     block: &Matrix<T>,
     j0: usize,
@@ -512,7 +528,7 @@ fn reduce_window<T: Scalar>(
     let mut m = Matrix::<T>::zeros(n, n);
     m.set_cols(j0, block);
     reducer.reduce_matrix(&mut m, exact);
-    m.symmetrize_hermitian();
+    m.hermitian_from_lower();
     m
 }
 
@@ -603,13 +619,15 @@ fn cholgs_pass<T: Scalar>(
         }
         linv
     };
-    // Psi_o[:, window] = Psi_f L^{-dagger}[:, window]
+    // Psi_o[:, window] = Psi_f L^{-dagger}[:, window], L^{-dagger} upper
+    // triangular
     let mut scope = PhaseScope::new(profile, Phase::CholGsO);
     scope.add_flops(gemm_flops::<T>(nd, w, n));
     scope.add_bytes(2 * block_bytes);
     let linv_h = linv.adjoint();
     let lw = window_cols(&linv_h, win);
-    product(fp64_block.is_some(), psi, Op::None, &lw, work);
+    let upper = Shape::UpperB(j0);
+    product(fp64_block.is_some(), psi, Op::None, &lw, work, upper);
     install_window(psi, work, win, reducer);
     Ok(())
 }
@@ -1247,6 +1265,54 @@ mod tests {
         check::<f64>(&FeSpace::new(Mesh3d::cube(4, 8.0, 2)), [1.0; 3]);
     }
 
+    /// The subspace GEMMs split over threads once a product reaches
+    /// [`SPLIT_MACS`]: on 1,728 DoF and 32 columns (S and `H_p` as column
+    /// ranges of their lower triangle, CholGS-O and RR-SR as row blocks),
+    /// one FP64 cycle gives the Ritz values and vectors of the one-thread
+    /// cycle bit for bit under thread caps 2 and 4, on a real Γ and a
+    /// complex Bloch space.
+    #[test]
+    fn cycle_bits_do_not_depend_on_the_gemm_split() {
+        use crate::threads::with_threads;
+        use dft_linalg::gemm::SPLIT_MACS;
+        use dft_linalg::scalar::C64;
+
+        fn check<T: Scalar>(phases: [T; 3]) {
+            let space = FeSpace::new(Mesh3d::periodic_cube(4, 6.0, 3));
+            let n = 32;
+            assert!(n * n * space.ndofs() >= SPLIT_MACS, "the split engages");
+            let v: Vec<f64> = (0..space.nnodes())
+                .map(|i| (space.node_coord(i)[0] * 0.7).cos())
+                .collect();
+            let h = KsHamiltonian::<T>::new(&space, &v, phases);
+            let (tmin, tmax) = lanczos_bounds(&h, 10, 2);
+            let window = (tmin - 1.0, tmin + 0.3 * (tmax - tmin), tmax);
+            let opts = ChfesOptions {
+                cheb_degree: 12,
+                block_size: 64,
+                mixed_precision: false,
+            };
+            let start = random_subspace::<T>(h.dim(), n, 9);
+            let cycle = |threads| {
+                let mut psi = start.clone();
+                let e = with_threads(threads, || chfes(&h, &mut psi, window, &opts));
+                let bits: Vec<u64> = e.iter().map(|x| x.to_bits()).collect();
+                (bits, psi)
+            };
+            let (evals, psi) = cycle(1);
+            for threads in [2, 4] {
+                let (e, p) = cycle(threads);
+                assert_eq!(e, evals, "{threads} threads: Ritz values");
+                assert!(
+                    p.as_slice() == psi.as_slice(),
+                    "{threads} threads: Ritz vectors"
+                );
+            }
+        }
+        check::<f64>([1.0; 3]);
+        check::<C64>([C64::cis(0.4), C64::cis(-0.9), C64::ONE]);
+    }
+
     /// The filter edge stays inside `(a0, t_max)` wherever the spectrum
     /// sits: on 8 DoF of constant potential +50 Ha (a spectrum high and
     /// narrow, where `0.9 t_max` fell below `a0`) and -50 Ha (below zero,
@@ -1298,14 +1364,18 @@ mod tests {
 
     /// The full-window mixed product, entry by entry: the FP64 product's
     /// bits where row and column share a `B_f` block, the FP32 GEMM's bits
-    /// elsewhere (FP32-close to FP64, and not equal to it).
+    /// elsewhere (FP32-close to FP64, and not equal to it). The FP64 window
+    /// forms the lower triangle, with the full product's bits.
     #[test]
     fn mixed_product_is_fp64_on_bf_diagonal_blocks_and_fp32_elsewhere() {
         let (a, b) = product_operands();
         let bf = 4;
         let c = adjoint_window(&a, &b, 0, Some(bf));
         let c64 = matmul(&a, Op::ConjTrans, &b, Op::None);
-        assert_eq!(adjoint_window(&a, &b, 0, None).as_slice(), c64.as_slice());
+        let lower = adjoint_window(&a, &b, 0, None);
+        for j in 0..10 {
+            assert_eq!(lower.col(j)[j..], c64.col(j)[j..], "column {j}");
+        }
         let mut c32 = Matrix::<f64>::zeros(10, 10);
         gemm_mixed(1.0, &a, Op::ConjTrans, &b, Op::None, 0.0, &mut c32);
         let mut rounded = 0;

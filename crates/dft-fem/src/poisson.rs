@@ -18,7 +18,7 @@ use crate::mesh::{Axis, BoundaryCondition, Mesh3d};
 use crate::space::{FeSpace, StiffnessOperator};
 use dft_linalg::chol::LinalgError;
 use dft_linalg::eig::eigh;
-use dft_linalg::gemm::gemm_slices;
+use dft_linalg::gemm::{gemm_slices, Shape};
 use dft_linalg::iterative::{cg, IterStats, LinearOperator, Preconditioner};
 use dft_linalg::matrix::Matrix;
 use dft_linalg::pack::with_scratch;
@@ -73,7 +73,17 @@ fn contract_rotate(inp: &[f64], out: &mut [f64], s: &Matrix<f64>, s_trans: bool)
     let n = s.nrows();
     let rest = inp.len() / n.max(1);
     let s = s.as_slice();
-    gemm_slices(rest, n, n, 1.0, inp, n, true, s, n, s_trans, 0.0, out);
+    gemm_slices(
+        rest,
+        n,
+        n,
+        1.0,
+        (inp, n, true),
+        (s, n, s_trans),
+        0.0,
+        out,
+        Shape::Full,
+    );
 }
 
 /// Exact inverse of the assembled stiffness by fast diagonalization (the

@@ -660,6 +660,12 @@ impl FeSpace {
                 || (!periodic[1] && (iy == 0 || iy == n_axis[1] - 1))
                 || (!periodic[2] && (iz == 0 || iz == n_axis[2] - 1))
         };
+        // the cell tables index nodes as u32 and DoFs as i32 (-1 marks a
+        // Dirichlet node): a mesh past either bound is refused, not wrapped
+        let node_index =
+            |n: usize| u32::try_from(n).expect("FeSpace: mesh has more nodes than u32 indexes");
+        let dof_index =
+            |d: i64| i32::try_from(d).expect("FeSpace: mesh has more DoFs than i32 indexes");
         let mut dof_of_node = vec![-1i64; nnodes];
         let mut node_of_dof = Vec::new();
         let mut idx = 0i64;
@@ -669,7 +675,7 @@ impl FeSpace {
                     let n = ix + n_axis[0] * (iy + n_axis[1] * iz);
                     if !is_boundary(ix, iy, iz) {
                         dof_of_node[n] = idx;
-                        node_of_dof.push(n as u32);
+                        node_of_dof.push(node_index(n));
                         idx += 1;
                     }
                 }
@@ -711,8 +717,8 @@ impl FeSpace {
                     for a in 0..n1 {
                         let (gx, wx) = Self::axis_node(cell.c[0], a, p, n_axis[0], periodic[0]);
                         let node = gx + n_axis[0] * (gy + n_axis[1] * gz);
-                        cell_node.push(node as u32);
-                        cell_dof.push(dof_of_node[node] as i32);
+                        cell_node.push(node_index(node));
+                        cell_dof.push(dof_index(dof_of_node[node]));
                         cell_wrap.push(u8::from(wx) | (u8::from(wy) << 1) | (u8::from(wz) << 2));
                     }
                 }

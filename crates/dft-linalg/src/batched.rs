@@ -8,8 +8,9 @@
 //! call. Here the batch is parallelised with rayon (standing in for the
 //! GPU's fine-grained parallelism).
 
-use crate::pack::{gemm_block, with_pack_buf, KC, MC, NC};
+use crate::pack::{gemm_block, with_pack_buf, Shape, KC, MC, NC};
 use crate::scalar::Scalar;
+use crate::simd::MatMut;
 use rayon::prelude::*;
 
 /// Shape and stride description for a strided-batched GEMM.
@@ -151,22 +152,9 @@ pub fn batched_gemm<T: Scalar>(
                 }
             }
             with_pack_buf(|buf| {
-                gemm_block(
-                    (MC, KC, NC),
-                    m,
-                    n,
-                    k,
-                    alpha,
-                    ai,
-                    m,
-                    false,
-                    bi,
-                    k,
-                    false,
-                    cm,
-                    m,
-                    buf,
-                );
+                let cm = MatMut::new(cm, m, n, m);
+                let (a, b) = ((ai, m, false), (bi, k, false));
+                gemm_block((MC, KC, NC), k, alpha, a, b, cm, Shape::Full, buf);
             });
         });
 }

@@ -9,8 +9,10 @@
 //! benchmarks.
 
 use crate::matrix::Matrix;
+pub use crate::pack::Shape;
 use crate::pack::{gemm_block, with_pack_buf, with_scratch3, KC, MC, NC};
 use crate::scalar::Scalar;
+use crate::simd::MatMut;
 use rayon::prelude::*;
 
 /// Transposition op applied to a GEMM operand.
@@ -26,8 +28,8 @@ pub enum Op {
 /// `C = alpha * op(A) * op(B) + beta * C`.
 ///
 /// Shapes are checked; `op(A)` is `m x k`, `op(B)` is `k x n`, `C` is `m x n`.
-/// Runs on the packed-panel microkernel engine, parallel over `NC`-wide
-/// column slabs of `C`.
+/// Runs on the packed-panel microkernel engine, split over the calling
+/// thread's budget (see [`gemm_slices`]).
 pub fn gemm<T: Scalar>(
     alpha: T,
     a: &Matrix<T>,
@@ -36,6 +38,24 @@ pub fn gemm<T: Scalar>(
     opb: Op,
     beta: T,
     c: &mut Matrix<T>,
+) {
+    gemm_shaped(alpha, a, opa, b, opb, beta, c, Shape::Full);
+}
+
+/// [`gemm`] forming only the part of `C` that `shape` names: the lower
+/// triangle of a Hermitian product ([`Shape::LowerC`]; the entries above
+/// it are unspecified) or the product with an upper-triangular `op(B)`
+/// ([`Shape::UpperB`]). Every entry formed has the bits [`gemm`] gives it.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_shaped<T: Scalar>(
+    alpha: T,
+    a: &Matrix<T>,
+    opa: Op,
+    b: &Matrix<T>,
+    opb: Op,
+    beta: T,
+    c: &mut Matrix<T>,
+    shape: Shape,
 ) {
     let (m, n) = c.shape();
     let (am, ak) = match opa {
@@ -49,29 +69,42 @@ pub fn gemm<T: Scalar>(
     assert_eq!(am, m, "gemm: row mismatch");
     assert_eq!(bn, n, "gemm: col mismatch");
     assert_eq!(ak, bk, "gemm: inner-dimension mismatch");
-    let k = ak;
-
     gemm_slices(
         m,
         n,
-        k,
+        ak,
         alpha,
-        a.as_slice(),
-        a.nrows(),
-        opa == Op::ConjTrans,
-        b.as_slice(),
-        b.nrows(),
-        opb == Op::ConjTrans,
+        (a.as_slice(), a.nrows(), opa == Op::ConjTrans),
+        (b.as_slice(), b.nrows(), opb == Op::ConjTrans),
         beta,
         c.as_mut_slice(),
+        shape,
     );
 }
 
+/// Fewest multiply-adds (`m n k`) a product needs before [`gemm_slices`]
+/// splits it over threads: about 50 µs of one core's work, well above the
+/// cost of a region on the pool, so the 4-state products of small jobs and
+/// the FE cell-level ones stay inline.
+pub const SPLIT_MACS: usize = 1 << 20;
+
 /// Slice-level GEMM driver: `C = alpha * op(A) * op(B) + beta * C` on raw
-/// column-major storage, with `C` packed (`ldc == m`). This is [`gemm`]
-/// minus the shape bookkeeping; the mixed-precision path calls it directly
-/// on scratch buffers so it never has to build low-precision `Matrix`
+/// column-major storage, each operand given as `(storage, leading
+/// dimension, whether op conjugate-transposes it)`, with `C` packed
+/// (`ldc == m`) and `shape` as in [`gemm_shaped`]. This is [`gemm`] minus
+/// the shape bookkeeping; the mixed-precision path calls it directly on
+/// scratch buffers so it never has to build low-precision `Matrix`
 /// temporaries.
+///
+/// `C` is cut into pieces that run on the pool, each applying `beta` to
+/// its own entries first: `NC`-wide column slabs when `n > NC`; otherwise,
+/// once the product reaches [`SPLIT_MACS`] and the calling thread's budget
+/// ([`rayon::current_num_threads`]) is more than one, one piece per
+/// thread — column ranges of equal triangle area under [`Shape::LowerC`]
+/// or when `m < n` (so each thread packs only its columns of `op(B)`),
+/// row blocks of a tall `C` otherwise (so each thread packs only its rows
+/// of `op(A)`, the tall operand). Every piece runs the same engine on the
+/// same `KC` slabs, so the bits do not depend on the cut.
 // dftlint:hot
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_slices<T: Scalar>(
@@ -79,55 +112,80 @@ pub fn gemm_slices<T: Scalar>(
     n: usize,
     k: usize,
     alpha: T,
-    a: &[T],
-    lda: usize,
-    a_trans: bool,
-    b: &[T],
-    ldb: usize,
-    b_trans: bool,
+    a: (&[T], usize, bool),
+    b: (&[T], usize, bool),
     beta: T,
     c: &mut [T],
+    shape: Shape,
 ) {
     debug_assert_eq!(c.len(), m * n, "gemm_slices: C must be packed m x n");
-    // beta pass over all of C first, so the blocked accumulation below is a
-    // pure `C += ...` regardless of how k is sliced into KC slabs.
-    if beta == T::ZERO {
-        c.fill(T::ZERO);
-    } else if beta != T::ONE {
-        for v in c.iter_mut() {
-            *v *= beta;
+    let c = MatMut::new(c, m, n, m);
+    // one piece: rows from `i0`, columns from `j0` of C
+    let piece = |(i0, j0, mut c): (usize, usize, MatMut<'_, T>)| {
+        if beta != T::ONE {
+            for j in 0..c.shape().1 {
+                for v in c.col_mut(j) {
+                    *v = if beta == T::ZERO { T::ZERO } else { *v * beta };
+                }
+            }
         }
+        let (a, lda, a_trans) = a;
+        let (b, ldb, b_trans) = b;
+        let a = (&a[if a_trans { i0 * lda } else { i0 }..], lda, a_trans);
+        let b = (&b[if b_trans { j0 } else { j0 * ldb }..], ldb, b_trans);
+        let shape = shape.shifted(j0);
+        debug_assert!(i0 == 0 || !matches!(shape, Shape::LowerC(_)));
+        with_pack_buf(|buf| {
+            buf.fit(m, n, k);
+            gemm_block((MC, KC, NC), k, alpha, a, b, c, shape, buf);
+        });
+    };
+    let macs = m.saturating_mul(n).saturating_mul(k);
+    let threads = rayon::current_num_threads();
+    let parts = if macs == 0 || alpha == T::ZERO {
+        1
+    } else if n > NC {
+        n.div_ceil(NC)
+    } else if threads > 1 && macs >= SPLIT_MACS {
+        threads
+    } else {
+        1
+    };
+    if parts == 1 {
+        return piece((0, 0, c));
     }
-    if m == 0 || n == 0 || k == 0 || alpha == T::ZERO {
+    if n <= NC && m >= n && !matches!(shape, Shape::LowerC(_)) {
+        c.blocks((1..=parts).map(|p| m * p / parts), MatMut::split_rows)
+            .map(|(i0, c)| (i0, 0, c))
+            .into_par_iter()
+            .for_each(piece);
         return;
     }
-
-    c.par_chunks_mut(m * NC)
-        .enumerate()
-        .for_each(|(slab, cblk)| {
-            let jc = slab * NC;
-            let ncb = cblk.len() / m;
-            // Shift B so column jc of op(B) becomes column 0 of the slab.
-            let boff = if b_trans { jc } else { jc * ldb };
-            with_pack_buf(|buf| {
-                gemm_block(
-                    (MC, KC, NC),
-                    m,
-                    ncb,
-                    k,
-                    alpha,
-                    a,
-                    lda,
-                    a_trans,
-                    &b[boff..],
-                    ldb,
-                    b_trans,
-                    cblk,
-                    m,
-                    buf,
-                );
-            });
-        });
+    // the entries of column j that are formed, and the first column by
+    // which `p / parts` of them are
+    let need = |j: usize| m - shape.first_row(j).min(m);
+    let area: usize = (0..n).map(need).sum();
+    let cut = |p: usize| {
+        let (mut j, mut done) = (0, 0);
+        while j < n && done * parts < area * p {
+            done += need(j);
+            j += 1;
+        }
+        j
+    };
+    let end = |p: usize| {
+        if n > NC {
+            (p * NC).min(n)
+        } else if p == parts {
+            n
+        } else {
+            cut(p)
+        }
+    };
+    c.blocks((1..=parts).map(end), MatMut::split_cols)
+        .map(|(j0, c)| (0, j0, c))
+        .into_par_iter()
+        .for_each(piece);
 }
 
 /// The seed unblocked column-axpy/dot GEMM, kept verbatim as the
@@ -304,14 +362,11 @@ pub fn gemm_mixed<T: Scalar>(
             n,
             k,
             <T::Low as Scalar>::ONE,
-            &al[..a_data.len()],
-            a.nrows(),
-            opa == Op::ConjTrans,
-            &bl[..b_data.len()],
-            b.nrows(),
-            opb == Op::ConjTrans,
+            (&al[..a_data.len()], a.nrows(), opa == Op::ConjTrans),
+            (&bl[..b_data.len()], b.nrows(), opb == Op::ConjTrans),
             <T::Low as Scalar>::ZERO,
             &mut cl[..m * n],
+            Shape::Full,
         );
         // Promote and combine in one pass: c = beta * c + alpha * promote(cl).
         let cs = c.as_mut_slice();

@@ -204,6 +204,24 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
+    /// Make the matrix Hermitian from its lower triangle: every entry above
+    /// the diagonal becomes the conjugate of its mirror below, and the
+    /// diagonal its real part (as the conjugate of a real value, so a
+    /// complex diagonal carries the `-0` imaginary part
+    /// [`Self::symmetrize_hermitian`] leaves). Reads only the lower triangle
+    /// — what a [`crate::gemm::Shape::LowerC`] product forms. On a matrix
+    /// whose two triangles are already exact adjoints of each other this
+    /// gives the bits of [`Self::symmetrize_hermitian`].
+    pub fn hermitian_from_lower(&mut self) {
+        assert_eq!(self.nrows, self.ncols);
+        for j in 0..self.ncols {
+            self[(j, j)] = T::from_re(self[(j, j)].re()).conj();
+            for i in j + 1..self.nrows {
+                self[(j, i)] = self[(i, j)].conj();
+            }
+        }
+    }
+
     /// Demote every entry to the low-precision counterpart type.
     pub fn to_low(&self) -> Matrix<T::Low> {
         Matrix {

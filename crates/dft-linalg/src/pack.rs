@@ -22,12 +22,19 @@
 //! allocate.
 //!
 //! Small problems (in particular the `(p+1)^3`-sized FE cell-level products
-//! of the batched path) take a dedicated single-block fast path that skips
-//! the blocking loop entirely: one `B` pack, one `A` pack, one macro-kernel
-//! sweep.
+//! of the batched path) take one trip through each blocking loop: one `B`
+//! pack, one `A` pack, one macro-kernel sweep.
+//!
+//! One [`Shape`] argument lets the same loops form only what a caller reads:
+//! the lower triangle of a Hermitian product ([`Shape::LowerC`], skipping
+//! the register tiles above the diagonal and the `A` rows above the first
+//! column's diagonal) or a product with an upper-triangular `B`
+//! ([`Shape::UpperB`], stopping each tile's inner loop at its columns'
+//! last nonzero row) — half the flops of the full product either way, as
+//! LAPACK's `herk` and `trmm` save them.
 
 use crate::scalar::Scalar;
-use crate::simd::{self, SimdTier};
+use crate::simd::{self, MatMut, SimdTier};
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -55,6 +62,28 @@ impl<T> PackBuf<T> {
         Self {
             a: Vec::new(),
             b: Vec::new(),
+        }
+    }
+}
+
+impl<T: Scalar> PackBuf<T> {
+    /// Grow both panels to what the whole `m x n x k` product packs (for
+    /// any register tile: `MR <= 32`, `NR <= 8`). A split product runs its
+    /// pieces on whichever threads claim them, so sized by the piece a
+    /// thread's buffers would grow again whenever it drew a larger one —
+    /// a reallocation late in a solve, which can land between the free and
+    /// the reallocation of a solve's `N`-column work block and leave the
+    /// heap a whole block larger. Sized for the whole product they grow at
+    /// the first product of each shape, whatever piece comes first.
+    pub(crate) fn fit(&mut self, m: usize, n: usize, k: usize) {
+        let kc = k.min(KC);
+        let a = m.min(MC).next_multiple_of(32) * kc;
+        let b = (n.min(NC) + 8) * kc;
+        if self.a.len() < a {
+            self.a.resize(a, T::ZERO);
+        }
+        if self.b.len() < b {
+            self.b.resize(b, T::ZERO);
         }
     }
 }
@@ -172,17 +201,17 @@ fn pack_a<T: Scalar, const MR: usize>(
                 w += MR;
             }
         } else {
-            // op(A)(i, l) = conj(a[i*lda + l]): read rows of the stored
-            // matrix contiguously, write strided into the panel.
-            for r in 0..mr {
-                let row = &a[(i0 + r) * lda + pc..(i0 + r) * lda + pc + kc];
-                for l in 0..kc {
-                    buf[w + l * MR + r] = row[l].conj();
-                }
-            }
-            for l in 0..kc {
-                for r in mr..MR {
-                    buf[w + l * MR + r] = T::ZERO;
+            // op(A)(i, l) = conj(a[i*lda + l]): one read stream per panel
+            // row (a column of the stored matrix), and each inner index's
+            // MR entries written together (padding rows read the last
+            // valid row and store zero)
+            let rows: [&[T]; MR] = std::array::from_fn(|r| {
+                let at = (i0 + r.min(mr - 1)) * lda + pc;
+                &a[at..at + kc]
+            });
+            for (l, dst) in buf[w..w + MR * kc].chunks_exact_mut(MR).enumerate() {
+                for (r, d) in dst.iter_mut().enumerate() {
+                    *d = if r < mr { rows[r][l].conj() } else { T::ZERO };
                 }
             }
             w += MR * kc;
@@ -217,11 +246,16 @@ fn pack_b<T: Scalar, const NR: usize>(
         let j0 = jc + pj * NR;
         let nr = NR.min(jc + nc - j0);
         if !trans {
-            // op(B)(l, j) = b[j*ldb + l]: columns of the stored matrix.
-            for q in 0..nr {
-                let col = &b[(j0 + q) * ldb + pc..(j0 + q) * ldb + pc + kc];
-                for l in 0..kc {
-                    buf[w + l * NR + q] = alpha * col[l];
+            // op(B)(l, j) = b[j*ldb + l]: one read stream per panel
+            // column, each inner index's entries written together (the
+            // padding columns are zeroed below)
+            let cols: [&[T]; NR] = std::array::from_fn(|q| {
+                let at = (j0 + q.min(nr - 1)) * ldb + pc;
+                &b[at..at + kc]
+            });
+            for (l, dst) in buf[w..w + NR * kc].chunks_exact_mut(NR).enumerate() {
+                for (q, d) in dst.iter_mut().enumerate().take(nr) {
+                    *d = alpha * cols[q][l];
                 }
             }
         } else {
@@ -242,32 +276,82 @@ fn pack_b<T: Scalar, const NR: usize>(
     }
 }
 
-/// The register-tile microkernel: `C[0..mr, 0..nr] += Apanel * Bpanel` over
-/// a depth-`kc` packed panel pair. A matching SIMD kernel from
+/// Which part of a product `C = op(A) op(B)` the engine forms — its one
+/// triangle-shape argument (see [`crate::gemm::gemm_shaped`]). Each shape
+/// names a triangle through the global column `d` at which `C` (resp.
+/// `op(B)`) starts inside the square matrix whose triangle it is, so a
+/// column window of a Hermitian product or of a triangular factor carries
+/// its place with it. Every entry that is formed keeps its `KC`-slab
+/// accumulation order, so it has the bits the full product gives it.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Shape {
+    /// Every entry of `C`; `op(B)` dense.
+    Full,
+    /// Only `C(i, j)` with `i >= j + d` is read (the lower triangle of a
+    /// Hermitian `A†A` or `A†HA`): register tiles strictly above that
+    /// diagonal are skipped and keep what `beta` left in them; the tiles
+    /// that cross it are formed whole.
+    LowerC(usize),
+    /// `op(B)(l, j) == 0` for `l > j + d` (the columns of an upper-
+    /// triangular factor such as `L^{-†}` from column `d` on): each tile's
+    /// inner loop stops at its last column's last nonzero row, reading a
+    /// prefix of the packed panels.
+    UpperB(usize),
+}
+
+impl Shape {
+    /// The shape of the columns from `j` on.
+    pub(crate) fn shifted(self, j: usize) -> Self {
+        match self {
+            Shape::Full => Shape::Full,
+            Shape::LowerC(d) => Shape::LowerC(d + j),
+            Shape::UpperB(d) => Shape::UpperB(d + j),
+        }
+    }
+
+    /// The first row of `C` read in column `j` (and every later column).
+    pub(crate) fn first_row(self, j: usize) -> usize {
+        match self {
+            Shape::LowerC(d) => j + d,
+            _ => 0,
+        }
+    }
+
+    /// How many of the inner indices `0..k` columns `0..j1` of `op(B)`
+    /// reach (exact zeros below contribute nothing).
+    fn depth(self, j1: usize, k: usize) -> usize {
+        match self {
+            Shape::UpperB(d) => k.min(j1 + d),
+            _ => k,
+        }
+    }
+}
+
+/// The register-tile microkernel: `c += Apanel * Bpanel` over a depth-`kc`
+/// packed panel pair, `c` the `mr x nr` tile. A matching SIMD kernel from
 /// [`crate::simd`] runs when the active tier provides one for this
 /// `(T, MR, NR)`; otherwise the portable generic tile below runs — its
 /// `MR x NR` accumulator lives in fixed-size arrays so the compiler keeps
-/// it in vector registers. Edge tiles simply write back the valid `mr x nr`
+/// it in vector registers. Edge tiles write back the valid `mr x nr`
 /// corner (panels are zero-padded, so the extra lanes accumulate exact
 /// zeros).
 // dftlint:hot
 #[inline]
-#[allow(clippy::too_many_arguments)]
 fn microkernel<T: Scalar, const MR: usize, const NR: usize>(
     tier: SimdTier,
     ap: &[T],
     bp: &[T],
-    c: &mut [T],
-    ldc: usize,
+    mut c: MatMut<'_, T>,
     kc: usize,
-    mr: usize,
-    nr: usize,
 ) {
-    if simd::microkernel_simd::<T, MR, NR>(tier, ap, bp, c, ldc, kc, mr, nr) {
+    if simd::microkernel_simd::<T, MR, NR>(tier, ap, bp, &mut c, kc) {
         return;
     }
     let mut acc = [[T::ZERO; MR]; NR];
-    for (av, bv) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
+    for (av, bv) in ap[..MR * kc]
+        .chunks_exact(MR)
+        .zip(bp[..NR * kc].chunks_exact(NR))
+    {
         let av: &[T; MR] = av.try_into().expect("A panel width");
         let bv: &[T; NR] = bv.try_into().expect("B panel width");
         for q in 0..NR {
@@ -277,81 +361,76 @@ fn microkernel<T: Scalar, const MR: usize, const NR: usize>(
             }
         }
     }
-    if mr == MR && nr == NR {
-        for q in 0..NR {
-            let col = &mut c[q * ldc..q * ldc + MR];
-            for r in 0..MR {
-                col[r] += acc[q][r];
-            }
-        }
-    } else {
-        for q in 0..nr {
-            let col = &mut c[q * ldc..q * ldc + mr];
-            for r in 0..mr {
-                col[r] += acc[q][r];
-            }
+    let nr = c.shape().1;
+    for (q, acc) in acc.iter().enumerate().take(nr) {
+        for (cv, &av) in c.col_mut(q).iter_mut().zip(acc) {
+            *cv += av;
         }
     }
 }
 
 /// Sweep the `MR x NR` microkernel over one packed `mc x kc` A-panel times
-/// `kc x nc` B-panel pair, accumulating into `C` at offset `(ic, jc)`.
+/// `kc x nc` B-panel pair, accumulating into `C` at `(ic, jc)`; the panels
+/// hold rows `pc..pc + kc` of the inner dimension. Tiles outside `shape`
+/// are skipped, and under [`Shape::UpperB`] each tile stops at the depth
+/// its columns reach.
 // dftlint:hot
-#[allow(clippy::too_many_arguments)]
 fn macro_kernel<T: Scalar, const MR: usize, const NR: usize>(
     tier: SimdTier,
-    mc: usize,
-    nc: usize,
-    kc: usize,
+    shape: Shape,
+    (mc, nc, kc): (usize, usize, usize),
     ap: &[T],
     bp: &[T],
-    c: &mut [T],
-    ldc: usize,
-    ic: usize,
-    jc: usize,
+    c: &mut MatMut<'_, T>,
+    (ic, jc, pc): (usize, usize, usize),
 ) {
-    let mpan = mc.div_ceil(MR);
-    let npan = nc.div_ceil(NR);
-    for pj in 0..npan {
-        let j0 = pj * NR;
-        let nr = NR.min(nc - j0);
-        let bpan = &bp[pj * NR * kc..(pj + 1) * NR * kc];
-        for pi in 0..mpan {
-            let i0 = pi * MR;
-            let mr = MR.min(mc - i0);
-            let apan = &ap[pi * MR * kc..(pi + 1) * MR * kc];
-            let coff = (jc + j0) * ldc + ic + i0;
-            microkernel::<T, MR, NR>(tier, apan, bpan, &mut c[coff..], ldc, kc, mr, nr);
+    for (pj, bpan) in bp.chunks_exact(NR * kc).take(nc.div_ceil(NR)).enumerate() {
+        let j = jc + pj * NR;
+        let nr = NR.min(jc + nc - j);
+        let depth = shape.depth(j + nr, pc + kc).saturating_sub(pc);
+        if depth == 0 {
+            continue;
+        }
+        for (pi, apan) in ap.chunks_exact(MR * kc).take(mc.div_ceil(MR)).enumerate() {
+            let i = ic + pi * MR;
+            let mr = MR.min(ic + mc - i);
+            if i + mr <= shape.first_row(j) {
+                continue;
+            }
+            microkernel::<T, MR, NR>(tier, apan, bpan, c.block(i, j, mr, nr), depth);
         }
     }
 }
 
-/// Blocked GEMM on raw column-major slices: `C += alpha * op(A) * op(B)`
-/// where `op` is identity or conjugate-transpose per operand. `C` is `m x n`
-/// with leading dimension `ldc`; the caller has already applied `beta`.
+/// An operand as the engine reads it: storage, leading dimension, whether
+/// `op` conjugate-transposes it.
+type Operand<'a, T> = (&'a [T], usize, bool);
+
+/// Blocked GEMM on raw column-major operands: `C += alpha * op(A) * op(B)`
+/// where `op` is identity or conjugate-transpose per operand, `C` the
+/// `m x n` view `c`; the caller has already applied `beta`. `shape` says
+/// which part to form (see [`Shape`]); writes reach only the entries of
+/// `c`.
 ///
 /// `blk` is the `(mc, kc, nc)` cache blocking; [`crate::gemm`] and
 /// [`crate::batched`] pass `(MC, KC, NC)`.
 ///
 /// Accumulation over `l` within one `kc` slab is strictly ascending (matching
-/// the seed axpy kernel's order bit-for-bit when `k <= kc`).
+/// the seed axpy kernel's order bit-for-bit when `k <= kc`), and the slabs
+/// start at multiples of `kc` whatever the shape and however the caller
+/// cut `C`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_block<T: Scalar>(
     blk: (usize, usize, usize),
-    m: usize,
-    n: usize,
     k: usize,
     alpha: T,
-    a: &[T],
-    lda: usize,
-    a_trans: bool,
-    b: &[T],
-    ldb: usize,
-    b_trans: bool,
-    c: &mut [T],
-    ldc: usize,
+    a: Operand<'_, T>,
+    b: Operand<'_, T>,
+    c: MatMut<'_, T>,
+    shape: Shape,
     buf: &mut PackBuf<T>,
 ) {
+    let (m, n) = c.shape();
     if m == 0 || n == 0 || k == 0 || alpha == T::ZERO {
         return;
     }
@@ -364,86 +443,64 @@ pub(crate) fn gemm_block<T: Scalar>(
     //   (AVX-512 16x8 / 32x8, AVX2 8x6 / 16x6);
     // * the scalar tier keeps the generic 16x4 tile.
     let tier = simd::active_tier();
+    let args = (tier, blk, k, alpha, a, b, c, shape, buf);
     if T::IS_COMPLEX {
-        gemm_block_tiled::<T, 4, 4>(
-            tier, blk, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
-        )
+        gemm_block_tiled::<T, 4, 4>(args)
     } else if TypeId::of::<T>() == TypeId::of::<f64>() {
         match tier {
-            SimdTier::Avx512 => gemm_block_tiled::<T, 16, 8>(
-                tier, blk, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
-            ),
-            SimdTier::Avx2 => gemm_block_tiled::<T, 8, 6>(
-                tier, blk, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
-            ),
-            SimdTier::Scalar => gemm_block_tiled::<T, 16, 4>(
-                tier, blk, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
-            ),
+            SimdTier::Avx512 => gemm_block_tiled::<T, 16, 8>(args),
+            SimdTier::Avx2 => gemm_block_tiled::<T, 8, 6>(args),
+            SimdTier::Scalar => gemm_block_tiled::<T, 16, 4>(args),
         }
     } else if TypeId::of::<T>() == TypeId::of::<f32>() {
         match tier {
-            SimdTier::Avx512 => gemm_block_tiled::<T, 32, 8>(
-                tier, blk, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
-            ),
-            SimdTier::Avx2 => gemm_block_tiled::<T, 16, 6>(
-                tier, blk, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
-            ),
-            SimdTier::Scalar => gemm_block_tiled::<T, 16, 4>(
-                tier, blk, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
-            ),
+            SimdTier::Avx512 => gemm_block_tiled::<T, 32, 8>(args),
+            SimdTier::Avx2 => gemm_block_tiled::<T, 16, 6>(args),
+            SimdTier::Scalar => gemm_block_tiled::<T, 16, 4>(args),
         }
     } else {
-        gemm_block_tiled::<T, 16, 4>(
-            tier, blk, m, n, k, alpha, a, lda, a_trans, b, ldb, b_trans, c, ldc, buf,
-        )
+        gemm_block_tiled::<T, 16, 4>(args)
     }
 }
 
+/// Everything [`gemm_block`] hands its tiled body.
+type BlockArgs<'a, 'c, T> = (
+    SimdTier,
+    (usize, usize, usize),
+    usize,
+    T,
+    Operand<'a, T>,
+    Operand<'a, T>,
+    MatMut<'c, T>,
+    Shape,
+    &'a mut PackBuf<T>,
+);
+
 // dftlint:hot
-#[allow(clippy::too_many_arguments)]
 fn gemm_block_tiled<T: Scalar, const MR: usize, const NR: usize>(
-    tier: SimdTier,
-    (mc_blk, kc_blk, nc_blk): (usize, usize, usize),
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: &[T],
-    lda: usize,
-    a_trans: bool,
-    b: &[T],
-    ldb: usize,
-    b_trans: bool,
-    c: &mut [T],
-    ldc: usize,
-    buf: &mut PackBuf<T>,
+    (tier, (mc_blk, kc_blk, nc_blk), k, alpha, a, b, mut c, shape, buf): BlockArgs<'_, '_, T>,
 ) {
+    let (m, n) = c.shape();
+    let (a, lda, a_trans) = a;
+    let (b, ldb, b_trans) = b;
     let PackBuf { a: pa, b: pb } = buf;
-    if m <= mc_blk && k <= kc_blk && n <= nc_blk {
-        // Fast path for small problems — one packed panel pair, no blocking
-        // loop. This is the FE cell-level shape (m = k = (p+1)^3, n = block).
-        pack_b::<T, NR>(pb, b, ldb, b_trans, alpha, 0, k, 0, n);
-        pack_a::<T, MR>(pa, a, lda, a_trans, 0, m, 0, k);
-        macro_kernel::<T, MR, NR>(tier, m, n, k, pa, pb, c, ldc, 0, 0);
-        return;
-    }
-    let mut jc = 0;
-    while jc < n {
+    for jc in (0..n).step_by(nc_blk) {
         let nc = nc_blk.min(n - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kc = kc_blk.min(k - pc);
+        // the inner indices these columns reach, and the first row of C
+        // they read: a small problem (the FE cell-level shape) is one trip
+        // of each loop
+        let k_end = shape.depth(jc + nc, k);
+        let i_start = shape.first_row(jc).min(m);
+        for pc in (0..k_end).step_by(kc_blk) {
+            let kc = kc_blk.min(k_end - pc);
             pack_b::<T, NR>(pb, b, ldb, b_trans, alpha, pc, kc, jc, nc);
-            let mut ic = 0;
-            while ic < m {
+            for ic in (i_start..m).step_by(mc_blk) {
                 let mc = mc_blk.min(m - ic);
                 pack_a::<T, MR>(pa, a, lda, a_trans, ic, mc, pc, kc);
-                macro_kernel::<T, MR, NR>(tier, mc, nc, kc, pa, pb, c, ldc, ic, jc);
-                ic += mc;
+                let at = (ic, jc, pc);
+                macro_kernel::<T, MR, NR>(tier, shape, (mc, nc, kc), pa, pb, &mut c, at);
             }
-            pc += kc;
         }
-        jc += nc;
     }
 }
 
@@ -483,22 +540,9 @@ mod tests {
         ] {
             let mut got = Matrix::<f64>::zeros(n, n);
             with_pack_buf(|buf| {
-                gemm_block(
-                    blk,
-                    n,
-                    n,
-                    n,
-                    1.0,
-                    a.as_slice(),
-                    n,
-                    false,
-                    b.as_slice(),
-                    n,
-                    false,
-                    got.as_mut_slice(),
-                    n,
-                    buf,
-                );
+                let c = MatMut::new(got.as_mut_slice(), n, n, n);
+                let (a, b) = ((a.as_slice(), n, false), (b.as_slice(), n, false));
+                gemm_block(blk, n, 1.0, a, b, c, Shape::Full, buf);
             });
             assert!(got.max_abs_diff(&want) < 1e-12, "blocking {blk:?}");
         }

@@ -24,6 +24,7 @@
 
 use crate::scalar::Scalar;
 use std::any::TypeId;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Instruction-set tier the microkernel dispatch runs on.
@@ -109,80 +110,182 @@ fn cast<T: 'static, U: 'static>(s: &[T]) -> Option<&[U]> {
     }
 }
 
-fn cast_mut<T: 'static, U: 'static>(s: &mut [T]) -> Option<&mut [U]> {
-    if TypeId::of::<T>() == TypeId::of::<U>() {
-        // SAFETY: as in `cast` — identical types.
-        Some(unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr() as *mut U, s.len()) })
-    } else {
-        None
+fn cast_ptr<T: 'static, U: 'static>(p: *mut T) -> Option<*mut U> {
+    (TypeId::of::<T>() == TypeId::of::<U>()).then_some(p as *mut U)
+}
+
+/// A mutable view of the `rows x cols` block of a column-major matrix with
+/// leading dimension `ld`: what the GEMM engine writes `C` through. It
+/// borrows its entries as uniquely as `&mut [T]` would, but splits by rows
+/// as well as by columns — the row blocks of one column-major matrix
+/// interleave in memory (each column holds a piece of every block), so no
+/// set of disjoint slices can express them, and the threads that fill a
+/// tall `C` each get one.
+pub(crate) struct MatMut<'a, T> {
+    ptr: *mut T,
+    rows: usize,
+    cols: usize,
+    ld: usize,
+    _entries: PhantomData<&'a mut [T]>,
+}
+
+// SAFETY: a view reaches exactly rows `0..rows` of columns `0..cols` of the
+// storage it was made from, and every way to make one from another
+// (`split_rows`, `split_cols`, `block`) hands out views of disjoint entries
+// (or reborrows `&mut self`), so moving a view to another thread moves a
+// unique borrow, as sending `&mut [T]` does.
+unsafe impl<T: Send> Send for MatMut<'_, T> {}
+
+impl<'a, T> MatMut<'a, T> {
+    /// The `rows x cols` column-major matrix stored in `c` with leading
+    /// dimension `ld`.
+    pub(crate) fn new(c: &'a mut [T], rows: usize, cols: usize, ld: usize) -> Self {
+        assert!(rows <= ld || cols <= 1, "MatMut: leading dimension");
+        assert!(
+            rows == 0 || cols == 0 || (cols - 1) * ld + rows <= c.len(),
+            "MatMut: storage too short"
+        );
+        Self {
+            ptr: c.as_mut_ptr(),
+            rows,
+            cols,
+            ld,
+            _entries: PhantomData,
+        }
+    }
+
+    /// `(rows, cols)`.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    fn at(&self, i: usize, j: usize, rows: usize, cols: usize) -> Self {
+        Self {
+            // wrapping: an empty view may point one block past the end
+            ptr: self.ptr.wrapping_add(j * self.ld + i),
+            rows,
+            cols,
+            ld: self.ld,
+            _entries: PhantomData,
+        }
+    }
+
+    /// Rows `0..r` and rows `r..` (two views of disjoint entries).
+    pub(crate) fn split_rows(self, r: usize) -> (Self, Self) {
+        assert!(r <= self.rows, "MatMut: row split out of range");
+        let cols = self.cols;
+        (self.at(0, 0, r, cols), self.at(r, 0, self.rows - r, cols))
+    }
+
+    /// Columns `0..j` and columns `j..` (two views of disjoint entries).
+    pub(crate) fn split_cols(self, j: usize) -> (Self, Self) {
+        assert!(j <= self.cols, "MatMut: column split out of range");
+        let rows = self.rows;
+        (self.at(0, 0, rows, j), self.at(0, j, rows, self.cols - j))
+    }
+
+    /// Consecutive blocks ending at each of `ends` (ascending, the last the
+    /// full extent), cut by `split` ([`Self::split_rows`] or
+    /// [`Self::split_cols`]): `(first row or column, block)`.
+    pub(crate) fn blocks(
+        self,
+        ends: impl Iterator<Item = usize>,
+        split: fn(Self, usize) -> (Self, Self),
+    ) -> impl Iterator<Item = (usize, Self)> {
+        let mut rest = Some((0, self));
+        ends.map(move |end| {
+            let (at, view) = rest.take().expect("ends past the last block");
+            let (head, tail) = split(view, end - at);
+            rest = Some((end, tail));
+            (at, head)
+        })
+    }
+
+    /// The `rows x cols` block at `(i, j)`, borrowed from this view.
+    pub(crate) fn block(&mut self, i: usize, j: usize, rows: usize, cols: usize) -> MatMut<'_, T> {
+        assert!(
+            i + rows <= self.rows && j + cols <= self.cols,
+            "MatMut: block out of range"
+        );
+        self.at(i, j, rows, cols)
+    }
+
+    /// Column `j`'s `rows` entries.
+    pub(crate) fn col_mut(&mut self, j: usize) -> &mut [T] {
+        assert!(j < self.cols, "MatMut: column out of range");
+        if self.rows == 0 {
+            return &mut [];
+        }
+        // SAFETY: `new` checked that column `j < cols` of the storage holds
+        // `rows` valid entries from `ptr + j * ld` (splits and blocks only
+        // narrow that), these belong to this view alone, and the slice
+        // borrows the view mutably for its lifetime.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(j * self.ld), self.rows) }
     }
 }
 
 /// Run the SIMD microkernel matching `(T, MR, NR, tier)` on one packed
-/// panel pair, accumulating into the `mr x nr` corner of `c` (leading
-/// dimension `ldc`). Returns `false` when no vector kernel applies — the
-/// caller then runs the portable scalar tile. Panel layout is exactly
-/// `pack_a`/`pack_b`'s: `kc` steps of `MR` (resp. `NR`) contiguous,
-/// zero-padded scalars.
+/// panel pair, accumulating into the tile `c` (`mr x nr`). Returns `false`
+/// when no vector kernel applies — the caller then runs the portable
+/// scalar tile. Panel layout is exactly `pack_a`/`pack_b`'s: `kc` steps of
+/// `MR` (resp. `NR`) contiguous, zero-padded scalars.
 #[inline]
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn microkernel_simd<T: Scalar, const MR: usize, const NR: usize>(
     tier: SimdTier,
     ap: &[T],
     bp: &[T],
-    c: &mut [T],
-    ldc: usize,
+    c: &mut MatMut<'_, T>,
     kc: usize,
-    mr: usize,
-    nr: usize,
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        debug_assert!(ap.len() >= MR * kc && bp.len() >= NR * kc);
-        debug_assert!(c.len() >= (nr.max(1) - 1) * ldc + mr);
+        let (mr, nr) = c.shape();
+        assert!(ap.len() >= MR * kc && bp.len() >= NR * kc && mr <= MR && nr <= NR);
+        let ldc = c.ld;
         match tier {
             SimdTier::Avx512 if MR == 16 && NR == 8 => {
-                if let (Some(a), Some(b), Some(cc)) = (
+                if let (Some(a), Some(b), Some(cp)) = (
                     cast::<T, f64>(ap),
                     cast::<T, f64>(bp),
-                    cast_mut::<T, f64>(c),
+                    cast_ptr::<T, f64>(c.ptr),
                 ) {
                     // SAFETY: tier == Avx512 certifies avx512f at runtime;
-                    // slice bounds checked above.
-                    unsafe { x86::f64_avx512_16x8(kc, a, b, cc, ldc, mr, nr) };
+                    // panel lengths checked above, and the tile `c` is this
+                    // call's alone: `mr x nr` entries at stride `ldc`.
+                    unsafe { x86::f64_avx512_16x8(kc, a, b, cp, ldc, mr, nr) };
                     return true;
                 }
             }
             SimdTier::Avx512 if MR == 32 && NR == 8 => {
-                if let (Some(a), Some(b), Some(cc)) = (
+                if let (Some(a), Some(b), Some(cp)) = (
                     cast::<T, f32>(ap),
                     cast::<T, f32>(bp),
-                    cast_mut::<T, f32>(c),
+                    cast_ptr::<T, f32>(c.ptr),
                 ) {
                     // SAFETY: as above.
-                    unsafe { x86::f32_avx512_32x8(kc, a, b, cc, ldc, mr, nr) };
+                    unsafe { x86::f32_avx512_32x8(kc, a, b, cp, ldc, mr, nr) };
                     return true;
                 }
             }
             SimdTier::Avx2 if MR == 8 && NR == 6 => {
-                if let (Some(a), Some(b), Some(cc)) = (
+                if let (Some(a), Some(b), Some(cp)) = (
                     cast::<T, f64>(ap),
                     cast::<T, f64>(bp),
-                    cast_mut::<T, f64>(c),
+                    cast_ptr::<T, f64>(c.ptr),
                 ) {
                     // SAFETY: tier == Avx2 certifies avx2+fma at runtime.
-                    unsafe { x86::f64_avx2_8x6(kc, a, b, cc, ldc, mr, nr) };
+                    unsafe { x86::f64_avx2_8x6(kc, a, b, cp, ldc, mr, nr) };
                     return true;
                 }
             }
             SimdTier::Avx2 if MR == 16 && NR == 6 => {
-                if let (Some(a), Some(b), Some(cc)) = (
+                if let (Some(a), Some(b), Some(cp)) = (
                     cast::<T, f32>(ap),
                     cast::<T, f32>(bp),
-                    cast_mut::<T, f32>(c),
+                    cast_ptr::<T, f32>(c.ptr),
                 ) {
                     // SAFETY: as above.
-                    unsafe { x86::f32_avx2_16x6(kc, a, b, cc, ldc, mr, nr) };
+                    unsafe { x86::f32_avx2_16x6(kc, a, b, cp, ldc, mr, nr) };
                     return true;
                 }
             }
@@ -191,7 +294,7 @@ pub(crate) fn microkernel_simd<T: Scalar, const MR: usize, const NR: usize>(
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (tier, ap, bp, c, ldc, kc, mr, nr);
+        let _ = (tier, ap, bp, c, kc);
     }
     false
 }
@@ -228,22 +331,24 @@ mod x86 {
     ///
     /// # Safety
     /// Caller must have verified `avx512f` at runtime and that
-    /// `ap.len() >= 16*kc`, `bp.len() >= 8*kc`,
-    /// `c.len() >= (nr-1)*ldc + mr` with `mr <= 16`, `nr <= 8`.
+    /// `ap.len() >= 16*kc`, `bp.len() >= 8*kc`, and that `cp` is valid for
+    /// reads and writes of rows `0..16` of columns `0..8` at stride `ldc`
+    /// when `mr == 16 && nr == 8`, of rows `0..mr` of columns `0..nr`
+    /// otherwise (`mr <= 16`, `nr <= 8`), with no other thread touching
+    /// them.
     // dftlint:hot
     #[target_feature(enable = "avx512f")]
     pub unsafe fn f64_avx512_16x8(
         kc: usize,
         ap: &[f64],
         bp: &[f64],
-        c: &mut [f64],
+        cp: *mut f64,
         ldc: usize,
         mr: usize,
         nr: usize,
     ) {
         let a = ap.as_ptr();
         let b = bp.as_ptr();
-        let cp = c.as_mut_ptr();
         let mut acc = [[_mm512_setzero_pd(); 2]; 8];
         // Unrolled by 4 with an 8-step prefetch lead: ~20% measured over the
         // rolled loop on this Xeon (loop overhead amortized, panel lines in
@@ -310,14 +415,13 @@ mod x86 {
         kc: usize,
         ap: &[f32],
         bp: &[f32],
-        c: &mut [f32],
+        cp: *mut f32,
         ldc: usize,
         mr: usize,
         nr: usize,
     ) {
         let a = ap.as_ptr();
         let b = bp.as_ptr();
-        let cp = c.as_mut_ptr();
         let mut acc = [[_mm512_setzero_ps(); 2]; 8];
         // Same unroll-by-4 + prefetch-ahead structure as the f64 kernel;
         // identical bit-exactness argument.
@@ -382,14 +486,13 @@ mod x86 {
         kc: usize,
         ap: &[f64],
         bp: &[f64],
-        c: &mut [f64],
+        cp: *mut f64,
         ldc: usize,
         mr: usize,
         nr: usize,
     ) {
         let a = ap.as_ptr();
         let b = bp.as_ptr();
-        let cp = c.as_mut_ptr();
         let mut acc = [[_mm256_setzero_pd(); 2]; 6];
         for l in 0..kc {
             let a0 = _mm256_loadu_pd(a.add(l * 8));
@@ -433,14 +536,13 @@ mod x86 {
         kc: usize,
         ap: &[f32],
         bp: &[f32],
-        c: &mut [f32],
+        cp: *mut f32,
         ldc: usize,
         mr: usize,
         nr: usize,
     ) {
         let a = ap.as_ptr();
         let b = bp.as_ptr();
-        let cp = c.as_mut_ptr();
         let mut acc = [[_mm256_setzero_ps(); 2]; 6];
         for l in 0..kc {
             let a0 = _mm256_loadu_ps(a.add(l * 16));

@@ -17,7 +17,7 @@
 //! | L006 | SPMD collective ordering: no collective under rank-dependent control flow with divergent per-branch sequences, no early exit (`return`/`?`/`break`/`continue`) in a rank-dependent branch when collectives follow — resolved through a workspace call-summary graph |
 //! | L007 | poison safety: a `CommError` is never swallowed (`let _ =`, `.ok()`, `.unwrap_or*()`, `Err(_) => continue`/`{}`) — it must reach the poison cascade or a typed error |
 //! | L008 | collective tag discipline in `comm.rs`: every collective (a caller of the one rooted routine `rooted`, or a `group_*` function) derives the tag it hands on from exactly one registered `TagBand` (`BAND.for_rank(..)`/`BAND.tag()`), whose bounds the L003 const-evaluator proves |
-//! | L009 | production code is what production calls: every `pub fn` under `crates/*/src` is referenced by name from non-test code — the crates' `src/` (bins included) and `benches/`, the root `src/` and `examples/`, and `benchmark/src`; test support and oracles carry an allow naming the suite they serve |
+//! | L009 | production code is what production calls: every `pub fn` under `crates/*/src` is referenced by name from non-test code — the crates' `src/` (bins included) and `benches/`, the root `src/` and `examples/`, and `benchmark/src`; test support and oracles carry an allow naming the suite they serve. Callers are matched by bare name, so a method that shares its name with one production calls on another type passes unseen |
 //!
 //! A violation can be suppressed — with a mandatory justification — by a
 //! line comment on the same or the preceding line:

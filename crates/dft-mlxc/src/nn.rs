@@ -18,7 +18,7 @@
 //!
 //! All of it is validated against finite differences in the tests.
 
-use dft_linalg::gemm::gemm_slices;
+use dft_linalg::gemm::{gemm_slices, Shape};
 use dft_linalg::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -380,14 +380,11 @@ impl BatchedMlp {
                 np,
                 n_in,
                 1.0,
-                wt.as_slice(),
-                wt.nrows(),
-                true,
-                &cur[..n_in * np],
-                n_in,
-                false,
+                (wt.as_slice(), wt.nrows(), true),
+                (&cur[..n_in * np], n_in, false),
                 0.0,
                 &mut nxt[..n_out * np],
+                Shape::Full,
             );
             let last = l + 1 == nl;
             for col in nxt[..n_out * np].chunks_exact_mut(n_out) {

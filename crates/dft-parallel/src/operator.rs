@@ -235,28 +235,6 @@ impl<'a> DistSpace<'a> {
         }
     }
 
-    /// Distributed `Y = K X` on owned DoF rows (the distributed
-    /// counterpart of [`FeSpace::apply_stiffness`]): `x` and `y` are
-    /// `n_owned x ncols`. Fails (and poisons the communicator) if a ghost
-    /// exchange times out or a peer is lost.
-    pub fn apply_stiffness<T: WireScalar>(
-        &self,
-        comm: &SharedComm<'_>,
-        x: &Matrix<T>,
-        y: &mut Matrix<T>,
-        phases: [T; 3],
-        wire: WirePrecision,
-    ) -> Result<(), CommError> {
-        assert_eq!(y.shape(), x.shape());
-        self.with_workspace(|ws| {
-            self.apply_cells(comm, ws, x, phases, None, wire)?;
-            for j in 0..y.ncols() {
-                y.col_mut(j).copy_from_slice(ws.y_owned(&self.dec, j));
-            }
-            Ok(())
-        })
-    }
-
     /// Pack rows `idxs` of every column of `src` (leading dimension `ld`)
     /// into `pack`, column-major, and `isend` it: the one wire layout of
     /// both exchange legs.

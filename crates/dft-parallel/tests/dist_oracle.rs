@@ -46,22 +46,25 @@ fn max_err_vs_owned<T: Scalar>(dist: &DistSpace<'_>, local: &Matrix<T>, full: &M
     err
 }
 
-/// Run the distributed stiffness apply at 1, 2 and 4 ranks and compare
-/// every rank's owned rows against the serial `Y = K X`: to 1e-12 across
-/// ranks (the fold-back adds partial sums in a different order), and bit
-/// for bit at one rank, where the slab is the mesh and both run the same
-/// sweep over the same cells.
+/// Run the distributed Hamiltonian apply at 1, 2 and 4 ranks and compare
+/// every rank's owned rows against the serial `KsHamiltonian::apply`: to
+/// 1e-12 across ranks (the fold-back adds partial sums in a different
+/// order), and bit for bit at one rank, where the slab is the mesh and both
+/// run the same sweep over the same cells.
 fn check_apply_oracle<T: WireScalar>(space: &FeSpace, x: &Matrix<T>, phases: [T; 3]) {
+    let v_eff: Vec<f64> = (0..space.nnodes())
+        .map(|i| 0.3 * (i as f64 * 0.05).sin())
+        .collect();
     let mut y_ref = Matrix::<T>::zeros(x.nrows(), x.ncols());
-    space.apply_stiffness(x, &mut y_ref, phases);
+    KsHamiltonian::<T>::new(space, &v_eff, phases).apply(x, &mut y_ref);
     for nranks in [1, 2, 4] {
         let (errs, _) = run_cluster(nranks, |comm| {
             let dist = DistSpace::new(space, comm.rank(), comm.size());
             let shared = SharedComm::new(comm);
+            let h = DistHamiltonian::<T>::new(&dist, &shared, &v_eff, phases, WirePrecision::Fp64);
             let x_local = restrict_rows(&dist, x);
             let mut y_local = Matrix::<T>::zeros(dist.dec.n_owned(), x.ncols());
-            dist.apply_stiffness(&shared, &x_local, &mut y_local, phases, WirePrecision::Fp64)
-                .expect("apply");
+            h.apply(&x_local, &mut y_local);
             if nranks == 1 {
                 assert!(y_local.as_slice() == y_ref.as_slice(), "1 rank != serial");
             }

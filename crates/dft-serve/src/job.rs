@@ -129,6 +129,19 @@ impl MeshSpec {
             .fold(1, usize::saturating_mul)
     }
 
+    /// The node count of the FE space on this mesh (Dirichlet boundary
+    /// nodes included), without building it: `cells · degree` per periodic
+    /// axis, one closing node more per Dirichlet axis. Saturates like
+    /// [`Self::ndofs`].
+    pub fn nnodes(&self) -> usize {
+        (0..3)
+            .map(|d| {
+                let nodes = self.cells[d].saturating_mul(self.degree);
+                nodes.saturating_add(usize::from(!self.periodic[d]))
+            })
+            .fold(1, usize::saturating_mul)
+    }
+
     /// Materialize the mesh.
     pub fn build(&self) -> Mesh3d {
         let axis = |i: usize| {
@@ -287,8 +300,16 @@ impl JobSpec {
         if self.mesh.lengths.iter().any(|&l| !(l > 0.0)) {
             return Err("mesh has a non-positive cell length".into());
         }
+        // the space's cell tables index nodes as u32 and DoFs as i32; a
+        // larger mesh would wrap them (the bound is the index types')
+        let (nnodes, ndofs) = (self.mesh.nnodes(), self.mesh.ndofs());
+        if nnodes > u32::MAX as usize || ndofs > i32::MAX as usize {
+            return Err(format!(
+                "mesh of {nnodes} nodes and {ndofs} degrees of freedom exceeds the \
+                 space's index range (u32 nodes, i32 degrees of freedom)"
+            ));
+        }
         // more states than DoFs have no orthonormal basis
-        let ndofs = self.mesh.ndofs();
         if self.n_states > ndofs {
             return Err(format!(
                 "{} states exceed the mesh's {ndofs} degrees of freedom",
@@ -481,8 +502,30 @@ mod tests {
             },
         ];
         for mesh in meshes {
-            assert_eq!(mesh.ndofs(), FeSpace::new(mesh.build()).ndofs(), "{mesh:?}");
+            let space = FeSpace::new(mesh.build());
+            assert_eq!(mesh.ndofs(), space.ndofs(), "{mesh:?}");
+            assert_eq!(mesh.nnodes(), space.nnodes(), "{mesh:?}");
         }
+    }
+
+    /// A mesh whose node count passes `u32` (2048^3 periodic nodes at
+    /// p = 1) is refused at admission: its space would wrap the cell
+    /// tables' indices, so it is never built.
+    #[test]
+    fn meshes_past_the_index_range_are_rejected() {
+        let mut s = spec();
+        s.mesh = MeshSpec::cube(2048, 6.0, 1);
+        let why = s.validate().unwrap_err();
+        assert!(why.contains("index range"), "{why}");
+        // DoFs past i32 with nodes inside u32
+        s.mesh = MeshSpec::cube(1291, 6.0, 1);
+        assert!(s.mesh.nnodes() <= u32::MAX as usize);
+        assert!(s.mesh.ndofs() > i32::MAX as usize);
+        let why = s.validate().unwrap_err();
+        assert!(why.contains("index range"), "{why}");
+        // saturating counts: no overflow on absurd meshes
+        s.mesh = MeshSpec::cube(usize::MAX, 6.0, 10);
+        assert!(s.validate().unwrap_err().contains("index range"));
     }
 
     #[test]

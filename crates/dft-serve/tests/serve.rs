@@ -5,7 +5,8 @@ use dft_core::system::{Atom, AtomKind};
 use dft_hpc::comm::FaultPlan;
 use dft_materials::{requests, Structure};
 use dft_serve::{
-    AdmissionError, DftServer, JobKind, JobRequest, JobSpec, JobStatus, Priority, ServerConfig,
+    AdmissionError, DftServer, JobKind, JobRequest, JobSpec, JobStatus, MeshSpec, Priority,
+    ServerConfig,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -197,6 +198,25 @@ fn admission_bounds_reject_with_retry_hints() {
     let stats = server.drain();
     assert_eq!(stats.completed, 3);
     assert_eq!(stats.rejected, 3);
+}
+
+/// A mesh past the FE space's index range (2048^3 nodes at p = 1 pass
+/// `u32`) bounces at admission: its space, whose cell tables would wrap,
+/// is never built, and nothing runs.
+#[test]
+fn meshes_past_the_index_range_bounce_before_a_space_is_built() {
+    let server = DftServer::start(ServerConfig::new(fresh_root("huge-mesh"))).expect("start");
+    let mut huge = mini_spec(0);
+    huge.mesh = MeshSpec::cube(2048, 6.0, 1);
+    match server.submit(JobRequest::new("x", Priority::Normal, JobKind::Scf, huge)) {
+        Err(AdmissionError::InvalidSpec(why)) => assert!(why.contains("index range"), "{why}"),
+        other => panic!("expected InvalidSpec, got {other:?}", other = other.err()),
+    }
+    let stats = server.drain();
+    assert_eq!(
+        (stats.rejected, stats.completed, stats.spaces_built),
+        (1, 0, 0)
+    );
 }
 
 #[test]

@@ -19,8 +19,8 @@ mkdir -p target
 cargo run -q --offline --release -p dft-lint -- --workspace --json > target/dft-lint.json
 echo "    JSON artifact: target/dft-lint.json"
 
-echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep whatever the block layout, one distributed route, one ChFES cycle, one Chebyshev recurrence, one recurrence update, one rooted collective, one KS eigensolve step, one Fermi-Dirac function, one FE derivative, one trajectory loop, one durable writer, one thread-cap helper, one overlap model, one initial subspace, one dense eigensolver, one cell kernel, one Hamiltonian body)"
-for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a sweep_item chebyshev_filter_gated recurrence_update ks_eigensolve accumulate_density fermi deriv_mass deriv_mass_t trajectory_rank write_durable read_durable with_threads with_thread_share pipelined_blocks random_subspace eigh output_transform dof_potential ham_apply_flops filter_phase; do
+echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep whatever the block layout, one distributed route, one ChFES cycle, one Chebyshev recurrence, one recurrence update, one rooted collective, one KS eigensolve step, one Fermi-Dirac function, one FE derivative, one trajectory loop, one durable writer, one thread-cap helper, one overlap model, one initial subspace, one dense eigensolver, one cell kernel, one Hamiltonian body, one shaped GEMM entry point and one triangle mirror)"
+for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a sweep_item chebyshev_filter_gated recurrence_update ks_eigensolve accumulate_density fermi deriv_mass deriv_mass_t trajectory_rank write_durable read_durable with_threads with_thread_share pipelined_blocks random_subspace eigh output_transform dof_potential ham_apply_flops filter_phase gemm_shaped hermitian_from_lower; do
   n=$(grep -rhE "^\s*(pub(\([a-z]+\))? )?fn ${f}\b" crates/*/src | wc -l)
   if [ "$n" -ne 1 ]; then
     echo "    fn $f is defined $n times under crates/*/src (expected exactly 1)"
@@ -162,9 +162,10 @@ else
   cargo test -q --offline -p dft-parallel --features sanitize --test schedule
 fi
 
-echo "==> thread-count suite (pool of 1 and of 4 threads: shim contract, row-slab, lane-panel, touch-table, filter-task, k-point-lane and thread-cap bit-identity, rank thread shares, a panicking job, scf-2k's reference energy and iteration pin at every lane shape, scf-wide's with its twelve filter tasks on 1 or 4 threads, scf-poisson's with its one task cut into as many row slabs as the cap allows, dist-2r's pins and its dist-vs-serial gate wherever the thread cap splits its narrowed filter blocks into column blocks and row slabs)"
+echo "==> thread-count suite (pool of 1 and of 4 threads: shim contract, the GEMM engine's thread split and triangle shapes, row-slab, lane-panel, touch-table, filter-task, k-point-lane and thread-cap bit-identity, rank thread shares, a panicking job, scf-2k's reference energy and iteration pin at every lane shape, scf-wide's with its twelve filter tasks on 1 or 4 threads, scf-poisson's with its one task cut into as many row slabs as the cap allows, dist-2r's pins and its dist-vs-serial gate wherever the thread cap splits its narrowed filter blocks into column blocks and row slabs)"
 for nt in 1 4; do
   RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p rayon
+  RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p dft-linalg
   RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p dft-fem --lib space::tests
   RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p dft-core --lib
   RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p dft-parallel --lib threads::
