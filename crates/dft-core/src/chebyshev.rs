@@ -444,6 +444,25 @@ fn product<T: Scalar>(
     }
 }
 
+/// Flops of a [`product`] over the global column window `[g0, g1)` of an
+/// `n`-column subspace, `nd` deep: per column `g` the `n - g` rows of a
+/// [`Shape::LowerC`] or `g + 1` inner terms of a [`Shape::UpperB`] one,
+/// the whole `n` under `fp32`, which forms all of it.
+fn product_flops<T: Scalar>(
+    fp32: bool,
+    shape: Shape,
+    nd: usize,
+    n: usize,
+    (g0, g1): (usize, usize),
+) -> u64 {
+    let terms = |g: usize| match shape {
+        Shape::LowerC(_) if !fp32 => n - g,
+        Shape::UpperB(_) if !fp32 => g + 1,
+        _ => n,
+    };
+    (g0..g1).map(|g| gemm_flops::<T>(terms(g), 1, nd)).sum()
+}
+
 /// Hermitian product `C = A† B` of the subspace `a` (`N` columns) with `b`,
 /// its column window starting at global column `col0`: the `N x w` block of
 /// columns `[col0, col0 + w)` of the overlap (`b` = those columns of `a`)
@@ -593,12 +612,13 @@ fn cholgs_pass<T: Scalar>(
     reducer: &dyn SubspaceReducer<T>,
 ) -> Result<(), LinalgError> {
     let (nd, n) = psi.shape();
-    let (j0, w) = (win.0, win.1 - win.0);
+    let j0 = win.0;
     let tsize = std::mem::size_of::<T>() as u64;
     let block_bytes = (nd * n) as u64 * tsize;
     let s = {
         let mut scope = PhaseScope::new(profile, Phase::CholGsS);
-        scope.add_flops(gemm_flops::<T>(n, w, nd));
+        let lower = Shape::LowerC(j0);
+        scope.add_flops(product_flops::<T>(fp64_block.is_some(), lower, nd, n, win));
         scope.add_bytes(block_bytes + (n * n) as u64 * tsize);
         let sb = adjoint_window(psi, &window_cols(psi, win), j0, fp64_block);
         reduce_window(&sb, j0, reducer, exact)
@@ -622,12 +642,12 @@ fn cholgs_pass<T: Scalar>(
     // Psi_o[:, window] = Psi_f L^{-dagger}[:, window], L^{-dagger} upper
     // triangular
     let mut scope = PhaseScope::new(profile, Phase::CholGsO);
-    scope.add_flops(gemm_flops::<T>(nd, w, n));
+    let (fp32, upper) = (fp64_block.is_some(), Shape::UpperB(j0));
+    scope.add_flops(product_flops::<T>(fp32, upper, nd, n, win));
     scope.add_bytes(2 * block_bytes);
     let linv_h = linv.adjoint();
     let lw = window_cols(&linv_h, win);
-    let upper = Shape::UpperB(j0);
-    product(fp64_block.is_some(), psi, Op::None, &lw, work, upper);
+    product(fp32, psi, Op::None, &lw, work, upper);
     install_window(psi, work, win, reducer);
     Ok(())
 }
@@ -843,7 +863,9 @@ pub fn chfes_reduced<T: Scalar>(
     // window's columns only, so the apply cost splits along the band axis
     let hp = {
         let mut scope = PhaseScope::new(profile, Phase::RrP);
-        scope.add_flops(h.apply_flops(j1b - j0b) + gemm_flops::<T>(n_states, j1b - j0b, nd));
+        let lower = Shape::LowerC(j0b);
+        let formed = product_flops::<T>(subspace.is_some(), lower, nd, n_states, win);
+        scope.add_flops(h.apply_flops(j1b - j0b) + formed);
         scope.add_bytes(2 * block_bytes);
         h.apply(&window_cols(psi, win), &mut work);
         let hb = adjoint_window(psi, &work, j0b, subspace);
@@ -1122,8 +1144,10 @@ mod tests {
 
     /// The FP64 cleanup pass is a CholGS pass like the first and books its
     /// work like the first: a mixed cycle opens every CholGS scope twice and
-    /// tallies twice an FP64 cycle's analytic FLOPs and bytes in each, so
-    /// no CholGS phase's GFLOPS are understated by unbooked work.
+    /// tallies twice an FP64 cycle's analytic bytes in each, and twice its
+    /// FLOPs but for the products the mixed pass forms whole (CholGS-S,
+    /// CholGS-O and RR-P) where FP64 forms a triangle, so no CholGS phase's
+    /// GFLOPS are understated by unbooked work.
     #[test]
     fn mixed_cycle_books_the_cleanup_pass_in_its_own_phases() {
         let (space, v) = ho_setup(3, 2);
@@ -1142,11 +1166,15 @@ mod tests {
             profile.finish(None).cumulative
         };
         let (fp64, mixed) = (cycle(false), cycle(true));
+        let (nd, n) = (h.dim(), 5);
+        let untriangled = gemm_flops::<f64>(n, n, nd) - gemm_flops::<f64>(n * (n + 1) / 2, 1, nd);
         for (a, b) in fp64.iter().zip(&mixed) {
             assert_eq!(a.phase, b.phase);
             let passes = if a.phase.starts_with("CholGS") { 2 } else { 1 };
+            let whole = matches!(a.phase.as_str(), "CholGS-S" | "CholGS-O" | "RR-P");
+            let extra = if whole { untriangled } else { 0 };
             assert_eq!(b.calls, passes * a.calls, "{} scopes", a.phase);
-            assert_eq!(b.flops, passes * a.flops, "{} flops", a.phase);
+            assert_eq!(b.flops, passes * a.flops + extra, "{} flops", a.phase);
             assert_eq!(b.bytes, passes * a.bytes, "{} bytes", a.phase);
         }
         assert!(fp64.iter().any(|r| r.phase == "CholGS-O" && r.flops > 0));
@@ -1351,6 +1379,27 @@ mod tests {
                 assert!(evals.windows(2).all(|w| w[0] <= w[1]), "{what}");
                 assert!((evals[0] - v0).abs() < 1e-9, "{what}");
             }
+        }
+    }
+
+    /// At the full window an FP64 triangle product books `n (n + 1) / 2`
+    /// of its `n^2` entries (or inner terms) per row of depth, the same
+    /// for the overlap's `LowerC` and CholGS-O's `UpperB` and for both
+    /// scalars; a mixed-precision product, formed whole, books all `n^2`;
+    /// and two windows that tile the columns book what the full one does.
+    #[test]
+    fn triangle_products_book_the_triangle_they_form() {
+        let (nd, n) = (37, 10);
+        let half = gemm_flops::<f64>(n * (n + 1) / 2, 1, nd);
+        for shape in [Shape::LowerC(0), Shape::UpperB(0)] {
+            assert_eq!(product_flops::<f64>(false, shape, nd, n, (0, n)), half);
+            let whole = product_flops::<f64>(true, shape, nd, n, (0, n));
+            assert_eq!(whole, gemm_flops::<f64>(n, n, nd));
+            let z = product_flops::<C64>(false, shape, nd, n, (0, n));
+            assert_eq!(z, gemm_flops::<C64>(n * (n + 1) / 2, 1, nd));
+            let split = product_flops::<f64>(false, shape, nd, n, (0, 4))
+                + product_flops::<f64>(false, shape, nd, n, (4, n));
+            assert_eq!(split, half);
         }
     }
 

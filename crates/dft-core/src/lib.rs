@@ -23,8 +23,11 @@
 //! * [`occupation`] — Fermi-Dirac smearing with chemical-potential
 //!   bisection and the smearing entropy;
 //! * [`mixing`] — Anderson (Pulay) density mixing;
-//! * [`scf`] — the self-consistent field driver and the total (free)
-//!   energy assembly with Gaussian-nucleus electrostatics;
+//! * [`scf`] — the self-consistent field loop and the total (free)
+//!   energy assembly with Gaussian-nucleus electrostatics; [`scf()`] is
+//!   its solve on a one-rank cluster;
+//! * [`cluster`] — the rank's half of the solver, from the domain
+//!   decomposition to the rank's side of the SCF loop and its snapshots;
 //! * [`threads`] — the one thread-cap helper: a rank, a server job or a
 //!   k-point lane runs on its share of the one shared worker pool.
 
@@ -33,6 +36,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod chebyshev;
+pub mod cluster;
 pub mod forces;
 pub mod hamiltonian;
 pub mod math;

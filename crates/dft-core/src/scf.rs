@@ -1,11 +1,10 @@
 //! The self-consistent field driver (the paper's Eq. 1 loop) and the total
 //! energy assembly.
 //!
-//! There is one SCF iteration, [`scf_loop`], and every solver in the
-//! workspace runs it: [`scf`] with a zero-sized serial [`ScfSeam`], the
-//! distributed solver of `dft-parallel` with a seam that knows this
-//! rank's share of rows, bands and k-points and how to reduce across
-//! ranks. One SCF iteration:
+//! There is one SCF iteration, `scf_loop`, and one solver runs it: a rank
+//! of a cluster ([`crate::cluster::scf`]), whose seam knows the rank's
+//! share of rows, bands and k-points and how to reduce across ranks.
+//! [`scf`] is that solver on a one-rank cluster. One SCF iteration:
 //!
 //! 1. electrostatics — **one** FE Poisson solve for the potential of
 //!    `rho_ion - rho_e` (Gaussian-smeared nuclei make `v_N` and `v_H` a
@@ -13,8 +12,8 @@
 //! 2. exchange-correlation — any [`crate::xc::XcFunctional`] (LDA, PBE,
 //!    MLXC, hidden truth);
 //! 3. ChFES per k-point (complex Bloch path via phases) — serially in
-//!    k-point *lanes*: up to one per thread, side by side on equal shares
-//!    of the thread budget ([`ScfSeam::kpoint_lanes`]);
+//!    k-point *lanes*: on a rank that holds the whole problem up to one
+//!    per thread, side by side on equal shares of the thread budget;
 //! 4. Fermi-Dirac occupations with a common chemical potential;
 //! 5. density build, Anderson mixing, convergence check on the density
 //!    residual.
@@ -25,8 +24,10 @@
 //! self-energy and short-ranged ion-ion corrections, and the smearing
 //! entropy.
 
-use crate::chebyshev::{ks_eigensolve, random_subspace, ChfesOptions, NoReduce, SubspaceReducer};
-use crate::hamiltonian::{HamOperator, KsHamiltonian};
+use crate::chebyshev::{ks_eigensolve, random_subspace, ChfesOptions};
+use crate::cluster::operator::WireScalar;
+use crate::cluster::scf::{solve, ClusterSeam, DistScfConfig, ScfError};
+use crate::hamiltonian::KsHamiltonian;
 use crate::mixing::AndersonMixer;
 use crate::occupation::{fermi_occupations, DENSITY_CUTOFF};
 use crate::system::AtomicSystem;
@@ -36,11 +37,11 @@ use dft_fem::field::NodalField;
 use dft_fem::mesh::BoundaryCondition;
 use dft_fem::poisson::{fdm_apply_flops, solve_poisson, PoissonBc};
 use dft_fem::space::FeSpace;
+use dft_hpc::comm::run_cluster;
 use dft_hpc::profile::{Phase, PhaseScope, Profile, ScfProfile};
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::{Real, Scalar, C64};
 use rayon::prelude::*;
-use std::convert::Infallible;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -229,8 +230,9 @@ fn solve_electrostatics(
 }
 
 /// Run the SCF on `space` for `system` with functional `xc` at the given
-/// k-points. Dispatches to the real (Γ-only) or complex (Bloch) scalar
-/// path.
+/// k-points: the rank solve on a one-rank cluster, on the calling thread
+/// and its thread budget, without checkpoints. Panics if an electrostatic
+/// solve diverges.
 pub fn scf(
     space: &FeSpace,
     system: &AtomicSystem,
@@ -238,17 +240,19 @@ pub fn scf(
     cfg: &ScfConfig,
     kpts: &[KPoint],
 ) -> ScfResult {
-    let gamma_only = kpts.len() == 1 && kpts[0].is_gamma();
-    if gamma_only {
-        scf_serial::<f64>(space, system, xc, cfg, kpts)
-    } else {
-        scf_serial::<C64>(space, system, xc, cfg, kpts)
+    let cfg = DistScfConfig::new(cfg.clone());
+    let (mut ranks, _) = run_cluster(1, |comm| solve(comm, space, system, xc, &cfg, kpts));
+    match ranks.remove(0) {
+        Ok((r, _, _)) => r,
+        // with no peer, snapshot directory or preemption token, only a
+        // diverged Poisson solve stops the rank
+        Err(e) => panic!("{e}"),
     }
 }
 
 /// Scalars the SCF loop runs on: [`Scalar`] plus the imaginary unit the
 /// Bloch phases are built from.
-pub trait ScalarExt: Scalar {
+pub(crate) trait ScalarExt: Scalar {
     /// The imaginary unit (panics for real scalars).
     fn imag() -> Self;
 }
@@ -263,173 +267,9 @@ impl ScalarExt for C64 {
     }
 }
 
-/// The places where a serial SCF and one rank of a distributed SCF really
-/// differ. [`scf_loop`] owns everything else — electrostatics, XC, the
-/// filter-window rule, occupations, the density and energy assembly, the
-/// residual, convergence and profiling — so the serial solver is the
-/// one-rank case of the distributed one, not a sibling implementation.
-pub trait ScfSeam<T: Scalar> {
-    /// What a seam operation fails with ([`Infallible`] serially).
-    type Error;
-
-    /// Number of wavefunction rows this rank stores out of `ndofs`.
-    fn n_rows(&self, ndofs: usize) -> usize;
-    /// Global DoF of local wavefunction row `l`.
-    fn dof_of_row(&self, l: usize) -> usize;
-    /// Whether this rank weighs FE node `node` in the Anderson inner
-    /// products (each node must weigh in on exactly one rank).
-    fn owns_node(&self, node: usize) -> bool;
-    /// The band columns `[j0, j1)` whose density this rank accumulates.
-    fn band_cols(&self, n_states: usize) -> (usize, usize);
-    /// The k-points `[k0, k1)` this rank solves, out of `nk`.
-    fn kpoints(&self, nk: usize) -> (usize, usize);
-    /// How many (at least one) of this rank's `nk` k-point eigensolves run
-    /// side by side, each on its equal share of the calling thread's
-    /// budget, claiming k-points in index order. One by default — the
-    /// k-points one after another on the whole budget, which a rank needs:
-    /// its eigensolves share one communicator, and concurrent collectives
-    /// would interleave.
-    fn kpoint_lanes(&self, _nk: usize) -> usize {
-        1
-    }
-
-    /// Hand `run` what one [`crate::chebyshev::chfes_reduced`] pass at the
-    /// potential `v_eff` needs: the operator on this rank's rows and the
-    /// subspace reducer. `h_full` is the replicated full-row operator at the
-    /// same potential and phases.
-    fn with_operators<R>(
-        &self,
-        h_full: &KsHamiltonian<'_, T>,
-        v_eff: &[f64],
-        run: impl FnOnce(&dyn HamOperator<T>, &dyn SubspaceReducer<T>) -> R,
-    ) -> R;
-    /// Sum `buf` over all ranks in place (the density and the Anderson
-    /// Gram). Infallible in shape: a failure must stay observable by the
-    /// next [`Self::probe`].
-    fn sum_f64(&self, buf: &mut [f64]);
-    /// Replicate every k-point's eigenvalues and filter window across
-    /// k-point groups (occupations couple all k-points through `mu`).
-    fn exchange_kpoints(
-        &self,
-        iter: usize,
-        eigenvalues: &mut [Vec<f64>],
-        filter_window: &mut [Option<(f64, f64)>],
-        profile: Option<&Profile>,
-    ) -> Result<(), Self::Error>;
-    /// Surface a failure that the infallible-shaped operations above
-    /// (operator applies, reductions) could only record.
-    fn probe(&self, iter: usize) -> Result<(), Self::Error>;
-
-    /// Hook at the top of iteration `iter`, before any of its work
-    /// (preemption consensus, periodic snapshot, fault epoch).
-    fn iteration_top(
-        &self,
-        _iter: usize,
-        _state: &ScfState<T>,
-        _profile: Option<&Profile>,
-    ) -> Result<(), Self::Error> {
-        Ok(())
-    }
-    /// Hook after convergence, with the converged density.
-    fn export_converged(
-        &self,
-        _state: &ScfState<T>,
-        _rho_out: &[f64],
-        _profile: Option<&Profile>,
-    ) -> Result<(), Self::Error> {
-        Ok(())
-    }
-}
-
-/// The serial instantiation: all rows, all bands, all k-points, nothing to
-/// reduce, nothing that can fail.
-struct SerialSeam;
-
-impl<T: Scalar> ScfSeam<T> for SerialSeam {
-    type Error = Infallible;
-
-    fn n_rows(&self, ndofs: usize) -> usize {
-        ndofs
-    }
-    fn dof_of_row(&self, l: usize) -> usize {
-        l
-    }
-    fn owns_node(&self, _node: usize) -> bool {
-        true
-    }
-    fn band_cols(&self, n_states: usize) -> (usize, usize) {
-        (0, n_states)
-    }
-    fn kpoints(&self, nk: usize) -> (usize, usize) {
-        (0, nk)
-    }
-    // a k-point's bits do not depend on its thread count, so the lanes
-    // retrace the one-after-another solve
-    fn kpoint_lanes(&self, nk: usize) -> usize {
-        nk.min(rayon::current_num_threads())
-    }
-    fn with_operators<R>(
-        &self,
-        h_full: &KsHamiltonian<'_, T>,
-        _v_eff: &[f64],
-        run: impl FnOnce(&dyn HamOperator<T>, &dyn SubspaceReducer<T>) -> R,
-    ) -> R {
-        run(h_full, &NoReduce)
-    }
-    fn sum_f64(&self, _buf: &mut [f64]) {}
-    fn exchange_kpoints(
-        &self,
-        _iter: usize,
-        _eigenvalues: &mut [Vec<f64>],
-        _filter_window: &mut [Option<(f64, f64)>],
-        _profile: Option<&Profile>,
-    ) -> Result<(), Infallible> {
-        Ok(())
-    }
-    fn probe(&self, _iter: usize) -> Result<(), Infallible> {
-        Ok(())
-    }
-}
-
-fn scf_serial<T: ScalarExt>(
-    space: &FeSpace,
-    system: &AtomicSystem,
-    xc: &dyn XcFunctional,
-    cfg: &ScfConfig,
-    kpts: &[KPoint],
-) -> ScfResult {
-    let state = ScfState::<T>::new(space, system, cfg, kpts, &SerialSeam);
-    match scf_loop(space, system, xc, cfg, kpts, &SerialSeam, state) {
-        Ok(r) => r,
-        Err(ScfLoopError::PoissonDiverged { iteration }) => {
-            panic!("Poisson solve failed at SCF iter {iteration}")
-        }
-        Err(ScfLoopError::Seam(never)) => match never {},
-    }
-}
-
-/// Why [`scf_loop`] stopped early.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ScfLoopError<E> {
-    /// An electrostatic solve (of the input or of the output density) did
-    /// not reach `poisson_tol` within its iteration cap.
-    PoissonDiverged {
-        /// Zero-based SCF iteration of the failed solve.
-        iteration: usize,
-    },
-    /// A seam operation failed.
-    Seam(E),
-}
-
-impl<E> From<E> for ScfLoopError<E> {
-    fn from(e: E) -> Self {
-        ScfLoopError::Seam(e)
-    }
-}
-
 /// The iterate [`scf_loop`] carries from one SCF iteration to the next —
 /// exactly what a restart snapshot has to capture.
-pub struct ScfState<T: Scalar> {
+pub(crate) struct ScfState<T: Scalar> {
     /// Iteration index the loop starts at (nonzero after a restart).
     pub start_iter: usize,
     /// Input density of the next iteration (nodal, replicated).
@@ -448,9 +288,9 @@ pub struct ScfState<T: Scalar> {
     pub psi: Vec<Matrix<T>>,
 }
 
-/// The rows of `full` that `seam` stores.
-pub fn restrict_rows<T: Scalar, S: ScfSeam<T>>(seam: &S, full: &Matrix<T>) -> Matrix<T> {
-    let mut local = Matrix::<T>::zeros(seam.n_rows(full.nrows()), full.ncols());
+/// The rows of `full` that `seam`'s rank stores.
+pub(crate) fn restrict_rows<T: Scalar>(seam: &ClusterSeam<'_, '_>, full: &Matrix<T>) -> Matrix<T> {
+    let mut local = Matrix::<T>::zeros(seam.n_rows(), full.ncols());
     for j in 0..full.ncols() {
         let src = full.col(j);
         for (l, dst) in local.col_mut(j).iter_mut().enumerate() {
@@ -464,12 +304,12 @@ impl<T: Scalar> ScfState<T> {
     /// The cold start: superposed atomic densities, an empty mixer, and a
     /// random subspace seeded by the *global* k index — every layout of
     /// ranks starts from the same wavefunctions and keeps its own rows.
-    pub fn new<S: ScfSeam<T>>(
+    pub(crate) fn new(
         space: &FeSpace,
         system: &AtomicSystem,
         cfg: &ScfConfig,
         kpts: &[KPoint],
-        seam: &S,
+        seam: &ClusterSeam<'_, '_>,
     ) -> Self {
         let nd = space.ndofs();
         assert!(
@@ -512,24 +352,24 @@ impl<T: Scalar> ScfState<T> {
 /// problem is spread over ranks.
 ///
 /// The k-point eigensolves of an iteration run in
-/// [`ScfSeam::kpoint_lanes`] lanes on the one shared pool, each under a
+/// [`ClusterSeam::kpoint_lanes`] lanes on the one shared pool, each under a
 /// cap of `threads / lanes` and with its own [`KsHamiltonian`]; a k-point
 /// keeps its Lanczos seed, filter window and eigenvalue slot, and its bits
 /// do not depend on its thread count, so every lane shape retraces the
 /// one-after-another solve. Profiled lanes fold into the iteration's
 /// bucket ([`Profile::fold_lanes`]); the seam's failure probe runs after
 /// the lanes join.
-pub fn scf_loop<T: ScalarExt, S: ScfSeam<T> + Sync>(
+pub(crate) fn scf_loop<T: WireScalar + ScalarExt>(
     space: &FeSpace,
     system: &AtomicSystem,
     xc: &dyn XcFunctional,
     cfg: &ScfConfig,
     kpts: &[KPoint],
-    seam: &S,
+    seam: &ClusterSeam<'_, '_>,
     mut st: ScfState<T>,
-) -> Result<ScfResult, ScfLoopError<S::Error>> {
+) -> Result<ScfResult, ScfError> {
     let nn = space.nnodes();
-    let n_rows = seam.n_rows(space.ndofs());
+    let n_rows = seam.n_rows();
     let n_el = system.n_electrons();
     let rho_ion = system.ion_density(space);
     let (k0, k1) = seam.kpoints(kpts.len());
@@ -567,7 +407,7 @@ pub fn scf_loop<T: ScalarExt, S: ScfSeam<T> + Sync>(
         let (phi, poisson_ok) = solve_electrostatics(space, &rho_charge, cfg.poisson_tol, profile);
         // the solve is replicated, so every rank takes this exit together
         if !poisson_ok {
-            return Err(ScfLoopError::PoissonDiverged { iteration: iter });
+            return Err(ScfError::PoissonDiverged { iteration: iter });
         }
         {
             let _scope = PhaseScope::new(profile, Phase::Dh);
@@ -588,8 +428,11 @@ pub fn scf_loop<T: ScalarExt, S: ScfSeam<T> + Sync>(
         let mu = Some(st.mu);
         #[cfg(test)]
         let mu = mu.filter(|_| !tests::WITHHOLD_MU.get());
+        let threads = rayon::current_num_threads();
+        #[cfg(test)]
+        tests::LOOP_THREADS.set(threads);
         let lanes = seam.kpoint_lanes(k1 - k0);
-        let share = rayon::current_num_threads() / lanes;
+        let share = threads / lanes;
         // one lane records into the loop's profile; side-by-side lanes each
         // into their own, folded into a breakdown of the region's wall time
         let split = lanes > 1 && profile.is_some();
@@ -693,7 +536,7 @@ pub fn scf_loop<T: ScalarExt, S: ScfSeam<T> + Sync>(
             solve_electrostatics(space, &rho_charge_out, cfg.poisson_tol, profile);
         // replicated like the rho_in solve: every rank takes this exit together
         if !poisson_ok {
-            return Err(ScfLoopError::PoissonDiverged { iteration: iter });
+            return Err(ScfError::PoissonDiverged { iteration: iter });
         }
         let xc_out = {
             let _scope = PhaseScope::new(profile, Phase::Dh);
@@ -818,6 +661,7 @@ fn phases_for<T: ScalarExt>(space: &FeSpace, k: &KPoint) -> [T; 3] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::scf::solve_on;
     use crate::system::{Atom, AtomKind};
     use crate::xc::{Lda, SyntheticTruth};
     use dft_fem::mesh::{Axis, Mesh3d};
@@ -827,6 +671,8 @@ mod tests {
         /// Withholds the chemical potential from the eigensolves of SCF
         /// loops run on this thread, so they filter every column.
         pub(super) static WITHHOLD_MU: Cell<bool> = const { Cell::new(false) };
+        /// The thread budget the last SCF iteration run on this thread saw.
+        pub(super) static LOOP_THREADS: Cell<usize> = const { Cell::new(0) };
     }
 
     fn atom_space(l: f64, n: usize, p: usize) -> FeSpace {
@@ -932,7 +778,11 @@ mod tests {
         }]);
         let cfg = quick_cfg(4);
         let r_real = scf(&space, &sys, &Lda, &cfg, &[KPoint::gamma()]);
-        let r_cplx = scf_serial::<C64>(&space, &sys, &Lda, &cfg, &[KPoint::gamma()]);
+        let dcfg = DistScfConfig::new(cfg.clone());
+        let (mut ranks, _) = run_cluster(1, |comm| {
+            solve_on::<C64>(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()])
+        });
+        let r_cplx = ranks.pop().unwrap().unwrap().0;
         assert!(r_real.converged && r_cplx.converged);
         assert!(
             (r_real.energy.free_energy - r_cplx.energy.free_energy).abs() < 1e-5,
@@ -973,6 +823,8 @@ mod tests {
     /// Two k-points in two lanes book what one lane books — every phase's
     /// flops, bytes and calls — and their folded seconds keep the profile
     /// a wall-clock breakdown of the loop, with the same bits as one lane.
+    /// Each solve sees the cap it was started under, so it ran on the
+    /// calling thread.
     #[test]
     fn lanes_book_what_one_lane_books() {
         use crate::threads::with_threads;
@@ -991,10 +843,13 @@ mod tests {
             weight: 0.5,
         };
         let kpts = [half(0.0), half(0.25)];
-        let (one, two) = (
-            with_threads(1, || scf(&space, &sys, &Lda, &cfg, &kpts)),
-            with_threads(2, || scf(&space, &sys, &Lda, &cfg, &kpts)),
-        );
+        let under = |cap: usize| {
+            LOOP_THREADS.set(0);
+            let r = with_threads(cap, || scf(&space, &sys, &Lda, &cfg, &kpts));
+            assert_eq!(LOOP_THREADS.get(), cap, "the loop's thread budget");
+            r
+        };
+        let (one, two) = (under(1), under(2));
         assert_eq!(
             one.energy.free_energy.to_bits(),
             two.energy.free_energy.to_bits()
@@ -1065,16 +920,28 @@ mod tests {
 
     /// Filtering only the seen columns moves the energy by no more than
     /// the SCF tolerance allows: within 1e-8 Ha of the same SCF with the
-    /// chemical potential withheld, which filters every column.
+    /// chemical potential withheld, which filters every column — and so
+    /// books more CF flops, which shows the switch reached the loop.
     #[test]
     fn occupied_filter_energy_matches_filtering_every_column() {
         let (space, sys, cfg) = wide_problem();
+        let cfg = ScfConfig {
+            profile: true,
+            ..cfg
+        };
         let gamma = [KPoint::gamma()];
         let rule = scf(&space, &sys, &Lda, &cfg, &gamma);
         WITHHOLD_MU.set(true);
         let every = scf(&space, &sys, &Lda, &cfg, &gamma);
         WITHHOLD_MU.set(false);
         assert!(rule.converged && every.converged);
+        let cf = |r: &ScfResult| r.profile.as_ref().expect("profiled").phase_flops("CF");
+        assert!(
+            cf(&every) > cf(&rule),
+            "withheld {} vs rule {} CF flops",
+            cf(&every),
+            cf(&rule)
+        );
         let d = (rule.energy.free_energy - every.energy.free_energy).abs();
         assert!(
             d <= 1e-8,
@@ -1170,17 +1037,14 @@ mod tests {
             prof.phase_flops("CF"),
             calls * chebyshev_filter_flops(&h, n, cfg.cheb_degree)
         );
-        assert_eq!(
-            prof.phase_flops("CholGS-S"),
-            calls * gemm_flops::<f64>(n, n, nd)
-        );
-        assert_eq!(
-            prof.phase_flops("CholGS-O"),
-            calls * gemm_flops::<f64>(nd, n, n)
-        );
+        // CholGS-S, CholGS-O and RR-P form a triangle: n (n + 1) / 2 of the
+        // n^2 entries (or inner terms) per row of depth
+        let triangle = gemm_flops::<f64>(n * (n + 1) / 2, 1, nd);
+        assert_eq!(prof.phase_flops("CholGS-S"), calls * triangle);
+        assert_eq!(prof.phase_flops("CholGS-O"), calls * triangle);
         assert_eq!(
             prof.phase_flops("RR-P"),
-            calls * (h.apply_flops(n) + gemm_flops::<f64>(n, n, nd))
+            calls * (h.apply_flops(n) + triangle)
         );
         assert_eq!(
             prof.phase_flops("RR-SR"),

@@ -1047,8 +1047,9 @@ fn unframe(frame: &[f64]) -> Option<Vec<Vec<f64>>> {
         .collect()
 }
 
-/// Run `f` on `n` ranks (threads) and collect the per-rank results in rank
-/// order. Returns the results and the shared traffic statistics.
+/// Run `f` on `n` ranks (threads; one rank runs on the calling thread) and
+/// collect the per-rank results in rank order. Returns the results and the
+/// shared traffic statistics.
 /// Fault-free, with the default (generous) receive deadline; see
 /// [`run_cluster_with`] for timeouts and fault injection.
 pub fn run_cluster<T, F>(n: usize, f: F) -> (Vec<T>, Arc<CommStats>)
@@ -1101,14 +1102,18 @@ where
         .collect();
     drop(senders);
 
-    let results: Vec<T> = std::thread::scope(|scope| {
-        let handles: Vec<_> = comms.iter_mut().map(|c| scope.spawn(|| f(c))).collect();
-        handles
-            .into_iter()
-            // dftlint:allow(L001, reason="re-raise a rank thread's panic on the driver; rank panics are bugs, not recoverable comm faults")
-            .map(|h| h.join().unwrap())
-            .collect()
-    });
+    let results: Vec<T> = match comms.as_mut_slice() {
+        // no spawn: the caller's thread cap and thread-locals reach the rank
+        [solo] => vec![f(solo)],
+        _ => std::thread::scope(|scope| {
+            let handles: Vec<_> = comms.iter_mut().map(|c| scope.spawn(|| f(c))).collect();
+            handles
+                .into_iter()
+                // dftlint:allow(L001, reason="re-raise a rank thread's panic on the driver; rank panics are bugs, not recoverable comm faults")
+                .map(|h| h.join().unwrap())
+                .collect()
+        }),
+    };
     // leak check only on clean shutdown: a failed rank (kill/timeout)
     // legitimately strands messages addressed to it
     #[cfg(feature = "sanitize")]

@@ -9,10 +9,10 @@
 //!
 //! | ID   | Invariant |
 //! |------|-----------|
-//! | L001 | no `unwrap`/`expect`/`panic!`/`unreachable!` in non-test code of `dft-hpc`/`dft-parallel`/`dft-serve` (failures must surface as `CommError`/`ScfError`/`JobStatus::Failed`) |
+//! | L001 | no `unwrap`/`expect`/`panic!`/`unreachable!` in non-test code of `dft-hpc`/`dft-parallel`/`dft-serve` and `dft-core`'s `src/cluster/` (failures must surface as `CommError`/`ScfError`/`JobStatus::Failed`) |
 //! | L002 | no raw blocking receive (`recv_bytes`/`recv_f64`) outside `comm.rs` internals — use the `_deadline` or `try_` variants |
 //! | L003 | every wire tag in `comm.rs` comes from the declared `TagBand` registry, and the declared bands are statically proven pairwise disjoint, bounded by `MAX_RANKS`, and inside `COLLECTIVE_TAGS` |
-//! | L004 | determinism: no `==`/`!=` on float expressions (workspace-wide), no `HashMap`/`HashSet` in the deterministic reduction crates `dft-hpc`/`dft-parallel` |
+//! | L004 | determinism: no `==`/`!=` on float expressions (workspace-wide), no `HashMap`/`HashSet` in the deterministic reduction code of `dft-hpc`/`dft-parallel`/`dft-serve` and `dft-core`'s `src/cluster/` |
 //! | L005 | no allocation (`Vec::new`, `vec![`, `.collect()`, `.clone()`, `.to_vec()`) inside functions marked `dftlint:hot` on the preceding line |
 //! | L006 | SPMD collective ordering: no collective under rank-dependent control flow with divergent per-branch sequences, no early exit (`return`/`?`/`break`/`continue`) in a rank-dependent branch when collectives follow — resolved through a workspace call-summary graph |
 //! | L007 | poison safety: a `CommError` is never swallowed (`let _ =`, `.ok()`, `.unwrap_or*()`, `Err(_) => continue`/`{}`) — it must reach the poison cascade or a typed error |
@@ -28,7 +28,9 @@
 //!
 //! An `allow` with a missing/empty reason or an unknown lint ID is itself
 //! reported as `L000`. Fixture files may pin their lint context with
-//! `dftlint:fixture(crate="dft-hpc", file="comm.rs")` as the first comment.
+//! `dftlint:fixture(crate="dft-hpc", file="comm.rs")` as the first comment;
+//! `file` may be a workspace-relative path
+//! (`file="crates/dft-core/src/cluster/scf.rs"`).
 
 pub mod expr;
 pub mod flow;
@@ -67,21 +69,28 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Lint context for one file: which crate it belongs to and its file name
-/// (several lints are scoped per crate or per file).
+/// Lint context for one file: which crate it belongs to and its path
+/// (several lints are scoped per crate, per directory or per file name).
 #[derive(Debug, Clone)]
 pub struct FileCtx {
     /// Workspace crate name (e.g. `dft-hpc`), or `fixture` for test inputs.
     pub crate_name: String,
-    /// Bare file name (e.g. `comm.rs`).
-    pub file_name: String,
-    /// Path used in diagnostics.
+    /// Path used in diagnostics and for scoping (workspace-relative when
+    /// walked).
     pub display: String,
 }
 
 /// Crates whose non-test code must stay panic-free (L001) and
-/// `HashMap`-free (L004): the fault-tolerant distributed stack.
+/// `HashMap`-free (L004), and whose collectives L006/L007 check: the
+/// fault-tolerant distributed stack, and (by path) the rank's half of the
+/// solver that `dft-core` holds.
 const FAULT_TOLERANT_CRATES: &[&str] = &["dft-hpc", "dft-parallel", "dft-serve"];
+const FAULT_TOLERANT_DIRS: &[&str] = &["crates/dft-core/src/cluster/"];
+
+fn is_fault_tolerant(crate_name: &str, path: &str) -> bool {
+    FAULT_TOLERANT_CRATES.contains(&crate_name)
+        || FAULT_TOLERANT_DIRS.iter().any(|d| path.contains(d))
+}
 
 /// All known lint IDs (for `allow` validation and `--summary` buckets).
 pub const LINT_IDS: &[&str] = &[
@@ -906,14 +915,15 @@ pub fn lint_source_with(
     let (toks, comments) = tokenize(src);
     let mut directives = parse_directives(&comments, &toks);
 
-    let (crate_name, file_name) = match &directives.fixture {
+    let (crate_name, path) = match &directives.fixture {
         Some((k, f)) => (k.clone(), f.clone()),
-        None => (ctx.crate_name.clone(), ctx.file_name.clone()),
+        None => (ctx.crate_name.clone(), ctx.display.clone()),
     };
+    let file_name = path.rsplit('/').next().unwrap_or_default();
     let test = test_regions(&toks);
     let hot = hot_functions(&directives.hot_lines, &toks, &mut directives.errors);
 
-    let fault_tolerant = FAULT_TOLERANT_CRATES.contains(&crate_name.as_str());
+    let fault_tolerant = is_fault_tolerant(&crate_name, &path);
     let is_comm = file_name == "comm.rs";
 
     let mut raw: Vec<(u32, u32, &'static str, String)> = Vec::new();
@@ -1231,15 +1241,10 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<(PathBuf, FileCtx)>> {
                 .unwrap_or(&p)
                 .to_string_lossy()
                 .into_owned();
-            let file_name = p
-                .file_name()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_default();
             (
                 p,
                 FileCtx {
                     crate_name,
-                    file_name,
                     display,
                 },
             )
@@ -1284,7 +1289,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
     let mut callers = BTreeSet::new();
     for (ctx, src) in &sources {
         let (toks, _) = tokenize(src);
-        if FAULT_TOLERANT_CRATES.contains(&ctx.crate_name.as_str()) {
+        if is_fault_tolerant(&ctx.crate_name, &ctx.display) {
             calls.extend(flow::direct_calls(&toks));
         }
         callers.extend(production_references(&toks));
@@ -1344,7 +1349,6 @@ mod tests {
     fn ctx(crate_name: &str, file_name: &str) -> FileCtx {
         FileCtx {
             crate_name: crate_name.into(),
-            file_name: file_name.into(),
             display: format!("{crate_name}/{file_name}"),
         }
     }

@@ -36,10 +36,6 @@ fn lint_one_path(path: &Path) -> Result<Vec<Diagnostic>, String> {
         .unwrap_or_else(|| "unknown".to_string());
     let ctx = FileCtx {
         crate_name,
-        file_name: path
-            .file_name()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default(),
         display: path.display().to_string(),
     };
     Ok(lint_source(&ctx, &src))

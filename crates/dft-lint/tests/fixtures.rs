@@ -38,7 +38,6 @@ fn lint_fixture(path: &Path) -> Vec<Diagnostic> {
     // via its own `dftlint:fixture(...)` directive
     let ctx = FileCtx {
         crate_name: "fixture".into(),
-        file_name: name.clone(),
         display: name,
     };
     lint_source(&ctx, &src)

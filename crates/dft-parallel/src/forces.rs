@@ -16,11 +16,11 @@
 
 use crate::grid::GridShape;
 use crate::operator::DistSpace;
-use crate::threads::rank_threads;
 use dft_core::forces::{
     electrostatic_force_partial, force_poisson, ion_ion_force_partial, ForceError,
 };
 use dft_core::system::AtomicSystem;
+use dft_core::threads::rank_threads;
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::{CommError, ThreadComm, WirePrecision};
 use std::time::Instant;
@@ -87,7 +87,7 @@ pub fn distributed_forces(
 
 /// [`distributed_forces`] with a per-rank timing breakdown; the
 /// `benchmark/` layer ladder's `parallel.forces` probe calls this entry.
-/// Runs on this rank's share of the cores ([`crate::threads`]).
+/// Runs on this rank's share of the cores ([`dft_core::threads`]).
 pub fn distributed_forces_profiled(
     comm: &mut ThreadComm,
     space: &FeSpace,

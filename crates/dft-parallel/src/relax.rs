@@ -25,14 +25,14 @@
 //! snapshots — so a preempted 300-step run loses at most the SCF
 //! iterations since the last snapshot.
 
-use crate::codec::{bad, push_f64, push_u64, read_durable, write_durable, Cur};
 use crate::forces::{forces_rank, DistForceError};
 use crate::scf::{performed_iterations, scf_rank, DistScfConfig, DistScfResult, ScfError};
-use crate::threads::rank_threads;
+use dft_core::cluster::codec::{bad, push_f64, push_u64, read_durable, write_durable, Cur};
 use dft_core::forces::{max_force, ForceError};
 use dft_core::relax::{FireState, RelaxConfig, VerletState};
 use dft_core::scf::KPoint;
 use dft_core::system::AtomicSystem;
+use dft_core::threads::rank_threads;
 use dft_core::xc::XcFunctional;
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::{CommError, ThreadComm};
@@ -318,7 +318,7 @@ impl Trajectory {
 /// trajectory from that state; `scf_cfg.preempt` preempts the in-flight
 /// SCF step cooperatively (the loop surfaces [`ScfError::Preempted`] after
 /// the step's snapshot and the loop state are both on disk). Runs on this
-/// rank's share of the cores ([`crate::threads`]).
+/// rank's share of the cores ([`dft_core::threads`]).
 pub fn dist_relax(
     comm: &mut ThreadComm,
     space: &FeSpace,
@@ -339,7 +339,7 @@ pub fn dist_relax(
 /// (unit masses, zero initial velocities) through the same loop, warm
 /// starts, persistence and resume as [`dist_relax`]; the result's
 /// `converged` is always false. Runs on this rank's share of the cores
-/// ([`crate::threads`]).
+/// ([`dft_core::threads`]).
 // dftlint:allow(L009, reason="BO-MD of dft-parallel/tests/forces.rs (MD_GOLDEN and the energy-drift test)")
 pub fn dist_md(
     comm: &mut ThreadComm,

@@ -335,16 +335,40 @@ fn two_k() -> [KPoint; 2] {
     ]
 }
 
-/// Serial is the 1-rank case of distributed: both run the same loop and the
-/// same ChFES cycle on the window `(0, N)`, so a one-rank cluster retraces
-/// the serial solve bit for bit — on the real Γ path and on the complex
-/// two- and three-k-point Bloch paths, in FP64 and in mixed precision
-/// (CholGS has one cleanup route whatever the reducer). The serial side
-/// solves its k-points in lanes side by side, the rank one after another;
-/// the three k-points run on 2 threads, so 2 lanes and one k-point waits.
-/// The 24-state problem holds the same on Γ and on two k-points: serially
-/// ChFES filters 16 columns at a time, the rank all 24 at once, and each
-/// block narrows in place to its seen columns after one step.
+/// FNV-1a over the bit patterns of every eigenvalue, k-point by k-point.
+fn eigenvalue_digest(eigenvalues: &[Vec<f64>]) -> u64 {
+    eigenvalues
+        .iter()
+        .flatten()
+        .fold(0xcbf2_9ce4_8422_2325, |h, e| {
+            (h ^ e.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// What the serial solve gave when it was a route of its own, beside the
+/// rank route, case by case in the order of
+/// `one_rank_cluster_retraces_the_serial_solve`: (SCF iterations, free
+/// energy bits, [`eigenvalue_digest`]). The same on 1 and 2 threads.
+const ONE_RANK_GOLDEN: [(usize, u64, u64); 8] = [
+    (7, 0xbfffc87e079cbdf0, 0xecc383e874214944),
+    (7, 0xbfffc87e079cbdcd, 0x96e37d196b4295a8),
+    (7, 0xbfff6018c6af9bb2, 0x5f2c38248ef9719a),
+    (7, 0xbfff6018c6af9bb3, 0xb278881fa243a324),
+    (7, 0xbffef94070cbbf0d, 0xefe7f5661ddfa35c),
+    (7, 0xbffef94070cbbefe, 0x9a967def82384b9c),
+    (7, 0xbfffc87e07f368ef, 0xd7ec7c36719a049c),
+    (7, 0xbfff6018c6b43222, 0x58b7639f5ee78db3),
+];
+
+/// Serial is the 1-rank case of distributed: `scf` is the rank solve on a
+/// one-rank cluster, so `distributed_scf` on one rank retraces it bit for
+/// bit, and both reproduce [`ONE_RANK_GOLDEN`] — on the real Γ path and on
+/// the complex two- and three-k-point Bloch paths, in FP64 and in mixed
+/// precision. `scf` runs on the caller's 2 threads, so it solves the three
+/// k-points in 2 lanes and one k-point waits; `distributed_scf` runs on
+/// the test thread's whole budget. The 24-state problem holds the same on Γ
+/// and on two k-points: each filter block narrows in place to its seen
+/// columns after one step.
 #[test]
 fn one_rank_cluster_retraces_the_serial_solve() {
     let (space, sys) = parity_system();
@@ -371,7 +395,8 @@ fn one_rank_cluster_retraces_the_serial_solve() {
     for kpts in [&gamma[..], &two_k()[..]] {
         cases.push((kpts.to_vec(), wide_cfg()));
     }
-    for (kpts, cfg) in &cases {
+    assert_eq!(cases.len(), ONE_RANK_GOLDEN.len());
+    for ((kpts, cfg), golden) in cases.iter().zip(ONE_RANK_GOLDEN) {
         let what = format!(
             "{} k-points, {} states, mixed {}",
             kpts.len(),
@@ -384,6 +409,12 @@ fn one_rank_cluster_retraces_the_serial_solve() {
             .expect("the thread cap");
         let serial = on_two.install(|| scf(&space, &sys, &Lda, cfg, kpts));
         assert!(serial.converged, "{what}");
+        let pinned = (
+            serial.iterations,
+            serial.energy.free_energy.to_bits(),
+            eigenvalue_digest(&serial.eigenvalues),
+        );
+        assert_eq!(pinned, golden, "{what}: against the golden");
         let dcfg = DistScfConfig::new(cfg.clone());
         let (results, _) = run_cluster(1, |comm| {
             distributed_scf(comm, &space, &sys, &Lda, &dcfg, kpts).expect("scf")
@@ -406,6 +437,44 @@ fn one_rank_cluster_retraces_the_serial_solve() {
             bits(&dist.residual_history),
             bits(&serial.residual_history),
             "{what}: residual history"
+        );
+    }
+}
+
+/// The served route is the serial one: a job runs `scf_with_recovery` on
+/// one rank, which returns `scf`'s iterations, free energy, eigenvalues
+/// and density to the bit, on the real and on the complex path.
+#[test]
+fn one_rank_recovery_run_returns_the_serial_bits() {
+    use dft_hpc::comm::ClusterOptions;
+    use dft_parallel::scf_with_recovery;
+
+    let (space, sys) = parity_system();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for kpts in [&[KPoint::gamma()][..], &two_k()[..]] {
+        let cfg = parity_cfg();
+        let serial = scf(&space, &sys, &Lda, &cfg, kpts);
+        let dcfg = DistScfConfig::new(cfg);
+        let opts = ClusterOptions::default();
+        let report =
+            scf_with_recovery(1, &opts, &space, &sys, &Lda, &dcfg, kpts, 0).expect("1-rank scf");
+        assert_eq!((report.attempts, report.final_nranks), (1, 1));
+        let served = &report.results[0];
+        let what = format!("{} k-points", kpts.len());
+        assert!(served.converged, "{what}");
+        assert_eq!(served.iterations, serial.iterations, "{what}");
+        assert_eq!(
+            served.energy.free_energy.to_bits(),
+            serial.energy.free_energy.to_bits(),
+            "{what}: free energy"
+        );
+        for (a, b) in served.eigenvalues.iter().zip(&serial.eigenvalues) {
+            assert_eq!(bits(a), bits(b), "{what}: eigenvalues");
+        }
+        assert_eq!(
+            bits(&served.density.values),
+            bits(&serial.density.values),
+            "{what}: density"
         );
     }
 }
