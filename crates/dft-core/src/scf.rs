@@ -29,7 +29,7 @@ use crate::cluster::operator::WireScalar;
 use crate::cluster::scf::{solve, ClusterSeam, DistScfConfig, ScfError};
 use crate::hamiltonian::KsHamiltonian;
 use crate::mixing::AndersonMixer;
-use crate::occupation::{fermi_occupations, DENSITY_CUTOFF};
+use crate::occupation::{fermi_occupations, occupied_states, DENSITY_CUTOFF};
 use crate::system::AtomicSystem;
 use crate::threads::with_threads;
 use crate::xc::{evaluate_xc, XcFunctional};
@@ -92,8 +92,10 @@ pub struct ScfConfig {
     /// then only its columns occupied at the last chemical potential run
     /// on to this degree (see [`crate::chebyshev::chfes_reduced`]).
     pub cheb_degree: usize,
-    /// Extra ChFES cycles in the first SCF iteration (the paper's
-    /// "multiple passes of Chebyshev filtering in the initial SCF step").
+    /// The most ChFES cycles of a k-point's first solve (the paper's
+    /// "multiple passes of Chebyshev filtering in the initial SCF step"):
+    /// it stops earlier once its occupied states have converged (see
+    /// [`crate::chebyshev::ks_eigensolve`]).
     pub first_iter_cf_passes: usize,
     /// Filter wavefunction block size `B_f`: the cap on the columns the
     /// Chebyshev filter carries at once (a local Hamiltonian carries one
@@ -371,6 +373,7 @@ pub(crate) fn scf_loop<T: WireScalar + ScalarExt>(
     let nn = space.nnodes();
     let n_rows = seam.n_rows();
     let n_el = system.n_electrons();
+    let occupied = occupied_states(n_el, cfg.n_states);
     let rho_ion = system.ion_density(space);
     let (k0, k1) = seam.kpoints(kpts.len());
 
@@ -463,6 +466,7 @@ pub(crate) fn scf_loop<T: WireScalar + ScalarExt>(
                                 psi,
                                 window,
                                 passes,
+                                occupied,
                                 cfg.kt,
                                 mu,
                                 &opts,
@@ -890,8 +894,8 @@ mod tests {
     }
 
     /// The rule books what it runs: iteration 0 (a first solve) filters
-    /// every column in each of its passes, and every later iteration books
-    /// less than one all-column filter.
+    /// every column in each of its cycles, between one and the cap of them,
+    /// and every later iteration books less than one all-column filter.
     #[test]
     fn occupied_filter_books_less_after_the_first_solve() {
         use crate::chebyshev::chebyshev_filter_flops;
@@ -911,7 +915,9 @@ mod tests {
             let phases = &prof.iterations[i].phases;
             phases.iter().find(|p| p.phase == "CF").expect("CF").flops
         };
-        assert_eq!(cf(0), cfg.first_iter_cf_passes as u64 * every);
+        assert_eq!(cf(0) % every, 0, "whole all-column filters");
+        let cycles = cf(0) / every;
+        assert!((1..=cfg.first_iter_cf_passes as u64).contains(&cycles));
         assert!(r.iterations > 2);
         for i in 1..r.iterations {
             assert!(cf(i) < every, "iteration {i}: {} of {every}", cf(i));
@@ -994,6 +1000,7 @@ mod tests {
     #[test]
     fn profiled_scf_matches_analytic_flops_and_wall_clock() {
         use crate::chebyshev::chebyshev_filter_flops;
+        use dft_hpc::profile::PhaseRecord;
         use dft_linalg::gemm::gemm_flops;
 
         let space = atom_space(12.0, 3, 3);
@@ -1028,9 +1035,19 @@ mod tests {
         );
 
         // FLOP tallies must equal the analytic per-call counts exactly:
-        // ChFES runs first_iter_cf_passes times at iteration 0, once after
+        // ChFES runs once per RR-D call, between one and
+        // first_iter_cf_passes times at iteration 0 and once after
         let (n, nd) = (cfg.n_states, space.ndofs());
-        let calls = (cfg.first_iter_cf_passes + r.iterations - 1) as u64;
+        let rr_d = |phases: &[PhaseRecord]| {
+            phases
+                .iter()
+                .find(|p| p.phase == "RR-D")
+                .map_or(0, |p| p.calls)
+        };
+        let first = rr_d(&prof.iterations[0].phases);
+        assert!((1..=cfg.first_iter_cf_passes as u64).contains(&first));
+        let calls = first + (r.iterations - 1) as u64;
+        assert_eq!(calls, rr_d(&prof.cumulative));
         let v0 = vec![0.0; space.nnodes()];
         let h = KsHamiltonian::<f64>::new(&space, &v0, [1.0; 3]);
         assert_eq!(

@@ -874,7 +874,8 @@ impl ThreadComm {
     /// collective's two directions, never collide on one `(src, dst)` pair.
     /// One deadline covers all receive legs, and a failed leg has already
     /// poisoned the communicator when it returns. A single member is its
-    /// own result and sends nothing.
+    /// own result: it sends nothing, and `None` tells the caller that
+    /// `mine` already holds the result, so nothing is copied.
     fn rooted(
         &mut self,
         members: &[usize],
@@ -882,18 +883,20 @@ impl ThreadComm {
         mine: &[f64],
         wire: WirePrecision,
         fold: Option<Fold<'_>>,
-    ) -> Result<Vec<f64>, CommError> {
+    ) -> Result<Option<Vec<f64>>, CommError> {
         self.check()?;
         let (root, peers) = match members.split_first() {
             Some((&root, peers)) if !peers.is_empty() => (root, peers),
-            _ => return Ok(mine.to_vec()),
+            _ => return Ok(None),
         };
         let deadline = Instant::now() + self.timeout;
         if self.rank != root {
             if fold.is_some() {
                 self.send_f64(root, tag(self.rank), mine, wire)?;
             }
-            return self.recv_f64_deadline(root, tag(root), wire, deadline);
+            return self
+                .recv_f64_deadline(root, tag(root), wire, deadline)
+                .map(Some);
         }
         let mut acc = mine.to_vec();
         if let Some(fold) = fold {
@@ -908,7 +911,7 @@ impl ThreadComm {
         for a in &mut acc {
             *a = wire.delivered(*a);
         }
-        Ok(acc)
+        Ok(Some(acc))
     }
 
     /// Every rank: the world is the group `0..size`, rooted at rank 0.
@@ -934,8 +937,9 @@ impl ThreadComm {
     ) -> Result<(), CommError> {
         let tag = |r| ALLREDUCE_BAND.for_rank(r);
         let sum = &mut zip_with(|a, c| a + c);
-        let out = self.rooted(&self.world(), tag, data, wire, Some(sum))?;
-        data.copy_from_slice(&out);
+        if let Some(out) = self.rooted(&self.world(), tag, data, wire, Some(sum))? {
+            data.copy_from_slice(&out);
+        }
         Ok(())
     }
 
@@ -955,7 +959,7 @@ impl ThreadComm {
         let max = &mut zip_with(f64::max);
         let mine = [v as f64];
         let out = self.rooted(&self.world(), tag, &mine, WirePrecision::Fp64, Some(max))?;
-        Ok(out.first().map_or(v, |&m| m as u64))
+        Ok(out.and_then(|o| o.first().copied()).map_or(v, |m| m as u64))
     }
 
     /// In-place allreduce(sum) over the communicator sub-group `members`
@@ -972,8 +976,9 @@ impl ThreadComm {
     ) -> Result<(), CommError> {
         let tag = |m| GROUP_REDUCE_BAND.for_rank(m);
         let sum = &mut zip_with(|a, c| a + c);
-        let out = self.rooted(members, tag, data, wire, Some(sum))?;
-        data.copy_from_slice(&out);
+        if let Some(out) = self.rooted(members, tag, data, wire, Some(sum))? {
+            data.copy_from_slice(&out);
+        }
         Ok(())
     }
 
@@ -1004,7 +1009,8 @@ impl ThreadComm {
         };
         let tag = |m| GROUP_ASSEMBLE_BAND.for_rank(m);
         let frame = self.rooted(members, tag, &payload, wire, Some(fold))?;
-        unframe(&frame).map_or_else(|| self.poison(CommError::PeerGone { peer: root }), Ok)
+        unframe(frame.as_deref().unwrap_or(&payload))
+            .map_or_else(|| self.poison(CommError::PeerGone { peer: root }), Ok)
     }
 
     /// Broadcast from the sub-group root `members[0]` to the other members
@@ -1018,8 +1024,9 @@ impl ThreadComm {
         wire: WirePrecision,
     ) -> Result<(), CommError> {
         let tag = |m| KGROUP_BAND.for_rank(m);
-        let got = self.rooted(members, tag, data, wire, None)?;
-        data.copy_from_slice(&got);
+        if let Some(got) = self.rooted(members, tag, data, wire, None)? {
+            data.copy_from_slice(&got);
+        }
         Ok(())
     }
 }
@@ -1691,6 +1698,39 @@ mod tests {
         assert_eq!(bytes, expect_f64);
         assert_eq!(msgs, 8);
         assert_eq!(f32b, 0);
+    }
+
+    /// A one-member collective is the member's own payload in place: the
+    /// sums, broadcast and gather of rank 0 alone return its values, on an
+    /// FP32 wire too (nothing is sent, so nothing rounds), and put nothing
+    /// on the wire. A poisoned communicator still fails them.
+    #[test]
+    fn one_member_collectives_are_in_place_and_still_check() {
+        let (_, stats) = run_cluster(1, |c| {
+            let mine = [0.1, -2.5, 1e300];
+            let mut v = mine;
+            c.allreduce_sum_f64(&mut v, WirePrecision::Fp32).unwrap();
+            c.group_allreduce_sum_f64(&[0], &mut v, WirePrecision::Fp32)
+                .unwrap();
+            c.group_broadcast_f64(&[0], &mut v, WirePrecision::Fp32)
+                .unwrap();
+            assert_eq!(v, mine);
+            let blocks = c
+                .group_allgather_f64(&[0], &mine, WirePrecision::Fp32)
+                .unwrap();
+            assert_eq!(blocks, vec![mine.to_vec()]);
+            assert_eq!(c.allreduce_max_u64(7).unwrap(), 7);
+            c.barrier().unwrap();
+
+            let gone = CommError::PeerGone { peer: 0 };
+            c.fail(gone);
+            assert_eq!(c.allreduce_sum_f64(&mut v, WirePrecision::Fp64), Err(gone));
+            let r = c.group_allreduce_sum_f64(&[0], &mut v, WirePrecision::Fp64);
+            assert_eq!(r, Err(gone));
+            let r = c.group_allgather_f64(&[0], &mine, WirePrecision::Fp64);
+            assert_eq!(r, Err(gone));
+        });
+        assert_eq!(stats.snapshot(), (0, 0, 0, 0));
     }
 
     /// FP32 wire on the group reduce demotes the contributions and result

@@ -3,7 +3,7 @@
 use dft_core::chebyshev::{ks_eigensolve, random_subspace, ChfesOptions, NoReduce};
 use dft_core::forces::{force_poisson, ForceError};
 use dft_core::hamiltonian::KsHamiltonian;
-use dft_core::occupation::fermi_occupations;
+use dft_core::occupation::{fermi_occupations, occupied_states};
 use dft_core::scf::accumulate_density;
 use dft_core::system::AtomicSystem;
 use dft_core::xc::{evaluate_xc, Lda};
@@ -144,6 +144,7 @@ pub fn invert(
             &mut psi,
             &mut window,
             passes,
+            occupied_states(n_el, cfg.n_states),
             cfg.kt,
             None,
             &opts,

@@ -176,7 +176,8 @@ pub struct JobSpec {
     /// Chebyshev filter degree per ChFES cycle. Size this to the problem:
     /// an aggressive filter on a tiny spectrum collapses the block.
     pub cheb_degree: usize,
-    /// Extra filter passes in the first SCF iteration.
+    /// The most ChFES cycles of a first solve, which stops earlier once
+    /// its occupied states have converged.
     pub first_iter_cf_passes: usize,
     /// Brillouin-zone samples (weights summing to 1).
     pub kpts: Vec<KPoint>,

@@ -187,11 +187,12 @@ DFT_SIMD=scalar cargo test -q --offline --release -p dft-fem
 echo "==> benchmark harness tests (benchmark/ is its own package; bash benchmark/run.sh is the yardstick)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> benchmark correctness gate (scf-wide, scf-poisson, scf-2k, dist-2r and relax-warm-2r, seed 1: reference energy within 1e-8 Ha, pinned SCF iteration count, |E_dist - E_serial| <= 1e-10 Ha, every relaxation step after the first warm)"
+echo "==> benchmark correctness gate (scf-wide, scf-poisson, scf-2k, dist-2r, relax-warm-2r and serve-burst, seed 1: reference energy within 1e-8 Ha, pinned SCF iteration count, |E_dist - E_serial| <= 1e-10 Ha, every relaxation step after the first warm, every served job converged at its structure's cold energy)"
 bash benchmark/run.sh --workload scf-wide --seed 1 --trace 0
 bash benchmark/run.sh --workload scf-poisson --seed 1 --trace 0
 bash benchmark/run.sh --workload scf-2k --seed 1 --trace 0
 bash benchmark/run.sh --workload dist-2r --seed 1 --trace 0
 bash benchmark/run.sh --workload relax-warm-2r --seed 1 --trace 0
+bash benchmark/run.sh --workload serve-burst --seed 1 --trace 0
 
 echo "==> CI green"
