@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dft_core::chebyshev::{
-    chebyshev_filter, chebyshev_filter_flops, chebyshev_filter_scratch, chfes, lanczos_bounds,
-    random_subspace, CfScratch, ChfesOptions,
+    chebyshev_filter_flops, chebyshev_filter_scratch, chfes, lanczos_bounds, random_subspace,
+    CfScratch, ChfesOptions,
 };
 use dft_core::hamiltonian::KsHamiltonian;
 use dft_core::threads::with_threads;
@@ -166,13 +166,14 @@ fn bench_chfes_steps(c: &mut Criterion) {
     g.bench_function("cf_degree20_8states", |b| {
         b.iter(|| {
             let mut psi = psi0.clone();
-            chebyshev_filter(
+            chebyshev_filter_scratch(
                 &h,
                 &mut psi,
                 20,
                 tmin + 0.2 * (tmax - tmin),
                 tmax,
                 tmin - 1.0,
+                &mut CfScratch::new(),
             );
         });
     });

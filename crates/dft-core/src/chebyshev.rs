@@ -25,7 +25,7 @@
 //! window* of the subspace columns. The serial solver and every
 //! `n x 1 x 1` slab are the window `(0, N)`; a band grid hands each rank a
 //! narrower one through [`SubspaceReducer`]. Spectral bounds come from a
-//! few Lanczos steps ([`lanczos_bounds`]).
+//! few Lanczos steps on the same operator and reducer ([`lanczos_reduced`]).
 
 use crate::hamiltonian::HamOperator;
 use crate::occupation::{fermi, COLD_START_RESIDUAL, DENSITY_CUTOFF};
@@ -60,55 +60,76 @@ pub struct ChfesOptions {
     pub mixed_precision: bool,
 }
 
+/// Lanczos steps of the spectral bounds [`ks_eigensolve`] opens with.
+pub const LANCZOS_STEPS: usize = 10;
+
 /// Estimate spectral bounds of a Hermitian operator with `k` Lanczos steps:
 /// returns `(theta_min, upper_bound)` where `upper_bound` is a safe upper
 /// bound on the largest eigenvalue (largest Ritz value plus the residual).
 pub fn lanczos_bounds<T: Scalar>(op: &dyn LinearOperator<T>, k: usize, seed: u64) -> (f64, f64) {
     let n = op.dim();
-    let k = k.min(n).max(2);
+    let (v, k) = lanczos_start((n, k, seed), 0..n);
+    lanczos_reduced(op, v, k, &NoReduce)
+}
+
+/// The start of `k` Lanczos steps on an `n`-DoF problem: the `rows` (ascending)
+/// of a seeded draw over all `n` DoFs, and `k` clamped to `[2, n]`.
+pub fn lanczos_start<T: Scalar>(
+    (n, k, seed): (usize, usize, u64),
+    rows: impl Iterator<Item = usize>,
+) -> (Matrix<T>, usize) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut v = Matrix::<T>::zeros(n, 1);
-    for x in v.col_mut(0) {
-        *x = T::from_f64(rng.gen::<f64>() - 0.5);
-    }
-    let nrm = blas1::nrm2(v.col(0)).to_f64();
-    for x in v.col_mut(0) {
-        *x = x.scale(T::Re::from_f64(1.0 / nrm));
-    }
-    let mut v_prev = Matrix::<T>::zeros(n, 1);
-    let mut alphas = Vec::with_capacity(k);
-    let mut betas = Vec::with_capacity(k);
-    let mut beta = 0.0f64;
-    let mut w = Matrix::<T>::zeros(n, 1);
+    let mut draws = (0..n).map(|_| rng.gen::<f64>() - 0.5).enumerate();
+    let v: Vec<T> = rows
+        .map(|d| T::from_f64(draws.find(|&(i, _)| i == d).expect("rows ascend below n").1))
+        .collect();
+    (Matrix::from_vec(v.len(), 1, v), k.min(n).max(2))
+}
+
+/// [`lanczos_bounds`] on this rank's rows: `k` steps of `op` from `v`, a rank's
+/// [`lanczos_start`]. Each inner product and squared norm is a local sum in
+/// `blas1::dot` / `nrm2` order, summed by `reducer` (once, then twice a step)
+/// and rooted in `T::Re`, so the ranks that share the rows run one recurrence.
+pub fn lanczos_reduced<T: Scalar>(
+    op: &dyn LinearOperator<T>,
+    mut v: Matrix<T>,
+    k: usize,
+    reducer: &dyn SubspaceReducer<T>,
+) -> (f64, f64) {
+    let norm = |x: &Matrix<T>| {
+        let mut sq = [sum_sq(x.col(0))];
+        reducer.reduce_f64(&mut sq);
+        T::Re::from_f64(sq[0]).sqrt().to_f64()
+    };
+    let mut v_prev = Matrix::<T>::zeros(v.nrows(), 1);
+    let mut w = Matrix::<T>::zeros(v.nrows(), 1);
+    let (mut alphas, mut betas) = (Vec::with_capacity(k), Vec::with_capacity(k));
+    let (mut nrm, mut beta) = (norm(&v), 0.0f64);
     for _ in 0..k {
-        op.apply(&v, &mut w);
-        let alpha = blas1::dot(v.col(0), w.col(0)).re().to_f64();
-        alphas.push(alpha);
-        // w = w - alpha v - beta v_prev
-        let ar = T::Re::from_f64(alpha);
-        let br = T::Re::from_f64(beta);
-        {
-            let vc = v.col(0);
-            let pc = v_prev.col(0);
-            for ((wv, &vv), &pv) in w.col_mut(0).iter_mut().zip(vc.iter()).zip(pc.iter()) {
-                *wv = *wv - vv.scale(ar) - pv.scale(br);
-            }
+        let inv = T::Re::from_f64(1.0 / nrm);
+        for x in v.col_mut(0) {
+            *x = x.scale(inv);
         }
-        beta = blas1::nrm2(w.col(0)).to_f64();
+        op.apply(&v, &mut w);
+        let mut alpha = [blas1::dot(v.col(0), w.col(0)).re().to_f64()];
+        reducer.reduce_f64(&mut alpha);
+        alphas.push(alpha[0]);
+        // w = w - alpha v - beta v_prev
+        let (ar, br) = (T::Re::from_f64(alpha[0]), T::Re::from_f64(beta));
+        for ((wv, &vv), &pv) in w.col_mut(0).iter_mut().zip(v.col(0)).zip(v_prev.col(0)) {
+            *wv = *wv - vv.scale(ar) - pv.scale(br);
+        }
+        beta = norm(&w);
         betas.push(beta);
         if beta < 1e-12 {
             break;
         }
-        // Ping-pong buffer rotation instead of cloning: the old `v` becomes
-        // `v_prev`, the residual `w` becomes the new `v` (normalized in
-        // place), and the retired `v_prev` buffer is recycled as `w` for the
-        // next apply, which overwrites it entirely.
+        // ping-pong buffers instead of clones: `v` becomes `v_prev`, the
+        // residual `w` the next `v` (normalized at the next step's top), and
+        // the retired `v_prev` the next apply's `w`, which it overwrites
         std::mem::swap(&mut v_prev, &mut v);
         std::mem::swap(&mut v, &mut w);
-        let inv = T::Re::from_f64(1.0 / beta);
-        for x in v.col_mut(0) {
-            *x = x.scale(inv);
-        }
+        nrm = beta;
     }
     // eigenvalues of the Lanczos tridiagonal: the QL stage of eigh, without
     // eigenvectors (the last beta is the residual, not an off-diagonal)
@@ -147,27 +168,11 @@ impl<T: Scalar> Default for CfScratch<T> {
 }
 
 /// CF: apply the degree-`m` Chebyshev filter to the block `x` in place.
-/// Amplifies the spectrum below `a` (toward `a0`) and damps `[a, b]`.
-///
-/// Convenience wrapper over [`chebyshev_filter_scratch`] with one-shot
-/// scratch.
-// dftlint:hot
-pub fn chebyshev_filter<T: Scalar>(
-    op: &dyn HamOperator<T>,
-    x: &mut Matrix<T>,
-    m: usize,
-    a: f64,
-    b: f64,
-    a0: f64,
-) {
-    let mut scratch = CfScratch::new();
-    chebyshev_filter_scratch(op, x, m, a, b, a0, &mut scratch);
-}
-
-/// [`chebyshev_filter`] with caller-provided scratch: the CF phase of a
-/// ChFES cycle ([`filter_phase`]) on the columns of `x` as one `B_f`
-/// block, every column filtered — lane-panel tasks on a local operator, one
-/// column-major block through `scratch` on a rank.
+/// Amplifies the spectrum below `a` (toward `a0`) and damps `[a, b]`: the
+/// CF phase of a ChFES cycle ([`filter_phase`]) on the columns of `x` as
+/// one `B_f` block, every column filtered — lane-panel tasks on a local
+/// operator, one column-major block through the caller's reused `scratch`
+/// on a rank.
 // dftlint:hot
 pub fn chebyshev_filter_scratch<T: Scalar>(
     op: &dyn HamOperator<T>,
@@ -356,7 +361,7 @@ fn filter_task<T: Scalar, B: FilterBlock<T>>(
     seen.map_or(w, |kept| kept.len())
 }
 
-/// Analytic FLOP count of one [`chebyshev_filter`] call of degree `m` on
+/// Analytic FLOP count of one [`chebyshev_filter_scratch`] call of degree `m` on
 /// `ncols` columns of `h`: `m` Hamiltonian applies plus the three-term
 /// recurrence update (per element and degree step, roughly three scalings
 /// by real coefficients and two additions). For a distributed operator
@@ -551,18 +556,17 @@ fn reduce_window<T: Scalar>(
     m
 }
 
+/// `sum_i |x_i|^2` over local rows in `blas1::nrm2` order: a norm's partial sum.
+fn sum_sq<T: Scalar>(x: &[T]) -> f64 {
+    x.iter()
+        .fold(T::Re::ZERO, |acc, v| acc + v.abs_sq())
+        .to_f64()
+}
+
 /// Scale every column of the owned-row block `m` to unit norm: local sum of
-/// squares (accumulated in the order of `blas1::nrm2`), cross-rank reduce,
-/// then sqrt.
+/// squares ([`sum_sq`]), cross-rank reduce, then sqrt.
 fn unit_columns<T: Scalar>(m: &mut Matrix<T>, reducer: &dyn SubspaceReducer<T>) {
-    let mut sumsq = vec![0.0f64; m.ncols()];
-    for (j, sq) in sumsq.iter_mut().enumerate() {
-        let mut acc = T::Re::ZERO;
-        for v in m.col(j) {
-            acc += v.abs_sq();
-        }
-        *sq = acc.to_f64();
-    }
+    let mut sumsq: Vec<f64> = (0..m.ncols()).map(|j| sum_sq(m.col(j))).collect();
     reducer.reduce_f64(&mut sumsq);
     for (j, sq) in sumsq.iter().enumerate() {
         let inv = T::Re::from_f64(1.0 / sq.sqrt().max(1e-300));
@@ -902,15 +906,15 @@ pub fn chfes_reduced<T: Scalar>(
 /// reads the same sums and so runs the same cycles. A solve that arrives
 /// with a window runs exactly `passes` cycles.
 ///
-/// The window opens from the previous step's or, when `window` is `None`,
-/// from a first guess between the `lanczos_seed` bounds `(t_min, t_max)`
-/// of `h_full`; its lower edge is then kept below `t_min - 1`, and the
-/// filter edge `a` at most nine tenths of the way from `a0` to `t_max`. After every cycle the filter edge `a` moves just above the
-/// wanted spectrum — amplifying a wide unwanted band stalls SCF
-/// convergence — by at least `2 kT` (`kt`) and at least the mean level
-/// spacing, and `a0` to one below the lowest Ritz value. `h_full` is the
-/// full-row operator at the same potential: `h` itself serially, the
-/// replicated one on a rank, so the bounds agree bitwise across ranks.
+/// The bounds `(t_min, t_max)` are `steps` of [`lanczos_reduced`] on `h` and
+/// `reducer` from `start`, this rank's rows of a [`lanczos_start`]: the same
+/// on every rank, [`lanczos_bounds`]' on a whole problem. The window opens
+/// from the previous step's or, when `window` is `None`, from a first guess
+/// between them; its lower edge is then kept below `t_min - 1`, and the filter
+/// edge `a` at most nine tenths of the way from `a0` to `t_max`. After every
+/// cycle `a` moves just above the wanted spectrum — amplifying a wide unwanted
+/// band stalls SCF convergence — by at least `2 kT` (`kt`) and at least the
+/// mean level spacing, and `a0` to one below the lowest Ritz value.
 ///
 /// `mu` is the chemical potential of the last occupations. When it is given
 /// and the k-point has been solved before (`window` arrives `Some`), every
@@ -920,9 +924,8 @@ pub fn chfes_reduced<T: Scalar>(
 /// Ritz values.
 #[allow(clippy::too_many_arguments)]
 pub fn ks_eigensolve<T: Scalar>(
-    h_full: &dyn LinearOperator<T>,
-    lanczos_seed: u64,
     (h, reducer): (&dyn HamOperator<T>, &dyn SubspaceReducer<T>),
+    (start, steps): (Matrix<T>, usize),
     psi: &mut Matrix<T>,
     window: &mut Option<(f64, f64)>,
     passes: usize,
@@ -934,7 +937,7 @@ pub fn ks_eigensolve<T: Scalar>(
 ) -> Vec<f64> {
     let (tmin, tmax) = {
         let _scope = PhaseScope::new(profile, Phase::Other);
-        lanczos_bounds(h_full, 10, lanczos_seed)
+        lanczos_reduced(h, start, steps, reducer)
     };
     let cold = window.is_none();
     let occupied_at = mu.filter(|_| !cold).map(|mu| (mu, kt));
@@ -1154,7 +1157,7 @@ mod tests {
         let gs: Vec<f64> = psi_ref.col(0).to_vec();
         let mut x = random_subspace::<f64>(h.dim(), 1, 17);
         let before = blas1::dot(&gs, x.col(0)).abs();
-        chebyshev_filter(&h, &mut x, 20, a, tmax, tmin - 1.0);
+        chebyshev_filter_scratch(&h, &mut x, 20, a, tmax, tmin - 1.0, &mut CfScratch::new());
         let nrm = blas1::nrm2(x.col(0));
         let after = blas1::dot(&gs, x.col(0)).abs() / nrm;
         // the filtered vector should be almost entirely in the wanted
@@ -1412,9 +1415,8 @@ mod tests {
             for solve in 0..4 {
                 let (hr, red): (&dyn HamOperator<f64>, &dyn SubspaceReducer<f64>) = (&h, &NoReduce);
                 let evals = ks_eigensolve(
-                    &h,
-                    7,
                     (hr, red),
+                    lanczos_start((h.dim(), LANCZOS_STEPS, 7), 0..h.dim()),
                     &mut psi,
                     &mut window,
                     3,
@@ -1445,9 +1447,8 @@ mod tests {
         let p = Profile::new();
         let (hr, red): (&dyn HamOperator<f64>, &dyn SubspaceReducer<f64>) = (h, &NoReduce);
         let evals = ks_eigensolve(
-            h,
-            7,
             (hr, red),
+            lanczos_start((h.dim(), LANCZOS_STEPS, 7), 0..h.dim()),
             psi,
             window,
             passes,

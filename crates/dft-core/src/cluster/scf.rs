@@ -11,6 +11,7 @@
 //!
 //! * ghost-DoF exchange inside every distributed Hamiltonian apply
 //!   (overlapped with interior compute, wire precision selectable);
+//! * grid-row sums of the Lanczos bounds' scalars (one, then two a step);
 //! * grid-row sums and grid-column allgathers of the dense subspace
 //!   matrices in CholGS / Rayleigh-Ritz via [`GridReducer`] (FP64; the
 //!   off-band-diagonal rows optionally FP32);
@@ -18,8 +19,9 @@
 //! * one `m x m` Gram `allreduce` inside Anderson mixing, whose weights are
 //!   masked to owned nodes so the summed Gram equals the serial one.
 //!
-//! A rank whose grid is one rank holds the whole problem: it runs the
-//! local [`KsHamiltonian`] with [`NoReduce`], its k-points in lanes.
+//! A rank builds one Hamiltonian per k-point and iteration, its rows'
+//! [`DistHamiltonian`]; a one-rank grid (the whole problem) runs the local
+//! [`KsHamiltonian`] with [`NoReduce`], its k-points in lanes.
 //!
 //! Every collective leaves bit-identical bytes on all ranks, and all
 //! accumulation orders are fixed by rank (never by message arrival), so two
@@ -435,23 +437,27 @@ impl ClusterSeam<'_, '_> {
         }
     }
 
-    /// Hand `run` the operator on this rank's rows and the subspace reducer
-    /// of one [`crate::chebyshev::chfes_reduced`] pass at `v_eff`: `h_full`
-    /// (the full-row operator there) with nothing to reduce on a whole
-    /// problem.
+    /// Build the one operator on this rank's rows at `v_eff` and `phases`
+    /// (booked under [`Phase::Other`]) and hand it to `run` with its reducer:
+    /// the local [`KsHamiltonian`] with nothing to reduce on a whole problem,
+    /// the [`DistHamiltonian`] with the grid's reducer otherwise.
     pub(crate) fn with_operators<T: WireScalar, R>(
         &self,
-        h_full: &KsHamiltonian<'_, T>,
         v_eff: &[f64],
+        phases: [T; 3],
+        profile: Option<&Profile>,
         run: impl FnOnce(&dyn HamOperator<T>, &dyn SubspaceReducer<T>) -> R,
     ) -> R {
+        let scope = PhaseScope::new(profile, Phase::Other);
         if self.whole() {
-            return run(h_full, &NoReduce);
+            let h = KsHamiltonian::new(self.dist.space, v_eff, phases);
+            drop(scope);
+            return run(&h, &NoReduce);
         }
         // the configured (possibly FP32) wire carries the filter's ghosts;
-        // CholGS/RR applies always exchange in FP64
-        let h =
-            DistHamiltonian::<T>::new(self.dist, self.shared, v_eff, h_full.phases, self.cfg.wire);
+        // the Lanczos, CholGS and RR applies always exchange in FP64
+        let h = DistHamiltonian::new(self.dist, self.shared, v_eff, phases, self.cfg.wire);
+        drop(scope);
         run(&h, &self.reducer)
     }
 

@@ -22,8 +22,8 @@ use dft_linalg::scalar::{Real, Scalar};
 /// A Kohn-Sham Hamiltonian-shaped operator: a [`LinearOperator`] that also
 /// knows the analytic FLOP cost of one apply, which is what the ChFES phase
 /// profiling records. Implemented by the shared-memory [`KsHamiltonian`]
-/// and by the distributed operator of `dft-parallel` (whose `dim` is the
-/// rank-local owned-DoF count and whose FLOPs are the rank-local work).
+/// and a rank's [`crate::cluster::operator::DistHamiltonian`] (whose `dim`
+/// is the owned-DoF count and whose FLOPs are the rank-local work).
 pub trait HamOperator<T: Scalar>: LinearOperator<T> {
     /// Analytic FLOP count of one apply on `ncols` columns.
     fn apply_flops(&self, ncols: usize) -> u64;

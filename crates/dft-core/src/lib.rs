@@ -49,8 +49,8 @@ pub mod threads;
 pub mod xc;
 
 pub use chebyshev::{
-    chebyshev_filter, chebyshev_filter_flops, chfes, chfes_reduced, ks_eigensolve, lanczos_bounds,
-    CfScratch, ChfesOptions, NoReduce, SubspaceReducer,
+    chebyshev_filter_flops, chfes, chfes_reduced, ks_eigensolve, lanczos_bounds, CfScratch,
+    ChfesOptions, NoReduce, SubspaceReducer,
 };
 pub use forces::{
     compute_forces, electrostatic_force_partial, force_poisson, ion_ion_force_partial, max_force,

@@ -24,10 +24,11 @@
 //! self-energy and short-ranged ion-ion corrections, and the smearing
 //! entropy.
 
-use crate::chebyshev::{ks_eigensolve, random_subspace, ChfesOptions};
+use crate::chebyshev::{
+    ks_eigensolve, lanczos_start, random_subspace, ChfesOptions, LANCZOS_STEPS,
+};
 use crate::cluster::operator::WireScalar;
 use crate::cluster::scf::{solve, ClusterSeam, DistScfConfig, ScfError};
-use crate::hamiltonian::KsHamiltonian;
 use crate::mixing::AndersonMixer;
 use crate::occupation::{fermi_occupations, occupied_states, DENSITY_CUTOFF};
 use crate::system::AtomicSystem;
@@ -355,8 +356,8 @@ impl<T: Scalar> ScfState<T> {
 ///
 /// The k-point eigensolves of an iteration run in
 /// [`ClusterSeam::kpoint_lanes`] lanes on the one shared pool, each under a
-/// cap of `threads / lanes` and with its own [`KsHamiltonian`]; a k-point
-/// keeps its Lanczos seed, filter window and eigenvalue slot, and its bits
+/// cap of `threads / lanes` and with its own operator; a k-point keeps its
+/// Lanczos start, filter window and eigenvalue slot, and its bits
 /// do not depend on its thread count, so every lane shape retraces the
 /// one-after-another solve. Profiled lanes fold into the iteration's
 /// bucket ([`Profile::fold_lanes`]); the seam's failure probe runs after
@@ -450,19 +451,13 @@ pub(crate) fn scf_loop<T: WireScalar + ScalarExt>(
                     let own = split.then(Profile::new);
                     let profile = if split { own.as_ref() } else { profile };
                     with_threads(share, || {
-                        let h_full = {
-                            let _scope = PhaseScope::new(profile, Phase::Other);
-                            KsHamiltonian::<T>::new(
-                                space,
-                                &v_eff,
-                                phases_for::<T>(space, &kpts[ik]),
-                            )
-                        };
-                        *evals = seam.with_operators(&h_full, &v_eff, |h, reducer| {
+                        let phases = phases_for::<T>(space, &kpts[ik]);
+                        let lanczos = (space.ndofs(), LANCZOS_STEPS, cfg.seed + 1000 + ik as u64);
+                        *evals = seam.with_operators(&v_eff, phases, profile, |h, reducer| {
+                            let rows = (0..seam.n_rows()).map(|l| seam.dof_of_row(l));
                             ks_eigensolve(
-                                &h_full,
-                                cfg.seed + 1000 + ik as u64,
                                 (h, reducer),
+                                lanczos_start(lanczos, rows),
                                 psi,
                                 window,
                                 passes,
@@ -666,6 +661,7 @@ fn phases_for<T: ScalarExt>(space: &FeSpace, k: &KPoint) -> [T; 3] {
 mod tests {
     use super::*;
     use crate::cluster::scf::solve_on;
+    use crate::hamiltonian::KsHamiltonian;
     use crate::system::{Atom, AtomKind};
     use crate::xc::{Lda, SyntheticTruth};
     use dft_fem::mesh::{Axis, Mesh3d};

@@ -1,6 +1,7 @@
 //! The PDE-constrained optimization loop of inverse DFT.
 
-use dft_core::chebyshev::{ks_eigensolve, random_subspace, ChfesOptions, NoReduce};
+use dft_core::chebyshev::{ks_eigensolve, lanczos_start, random_subspace};
+use dft_core::chebyshev::{ChfesOptions, NoReduce, LANCZOS_STEPS};
 use dft_core::forces::{force_poisson, ForceError};
 use dft_core::hamiltonian::KsHamiltonian;
 use dft_core::occupation::{fermi_occupations, occupied_states};
@@ -138,9 +139,8 @@ pub fn invert(
             EIG_PASSES
         };
         let evals = ks_eigensolve(
-            &h,
-            cfg.seed + 1,
             (&h, &NoReduce),
+            lanczos_start((nd, LANCZOS_STEPS, cfg.seed + 1), 0..nd),
             &mut psi,
             &mut window,
             passes,

@@ -20,14 +20,11 @@
 // indexed loops deliberately mirror the paper's subscript notation
 #![allow(clippy::needless_range_loop)]
 
-pub mod checkpoint;
-pub mod decomp;
 pub mod forces;
-pub mod grid;
 pub mod recover;
 pub mod relax;
 
-pub use dft_core::cluster::{operator, reduce, scf};
+pub use dft_core::cluster::{checkpoint, decomp, grid, operator, reduce, scf};
 pub use dft_core::threads::with_thread_share;
 
 pub use checkpoint::{LoadedCheckpoint, ReplicatedScfState};

@@ -3,7 +3,7 @@
 //! `dft-fem/tests/golden_stiffness.rs` (periodic, Bloch-phase, Dirichlet),
 //! plus run-to-run bit-determinism and SCF energy parity.
 
-use dft_core::chebyshev::{chebyshev_filter, chebyshev_filter_scratch, lanczos_bounds, CfScratch};
+use dft_core::chebyshev::{chebyshev_filter_scratch, lanczos_bounds, CfScratch};
 use dft_core::hamiltonian::{HamOperator, KsHamiltonian};
 use dft_core::scf::{scf, KPoint, ScfConfig};
 use dft_core::system::{Atom, AtomKind, AtomicSystem};
@@ -147,7 +147,7 @@ fn hamiltonian_apply_is_serial_at_one_rank_and_column_grouping_independent() {
     let (tmin, tmax) = lanczos_bounds(&h_ref, 10, 7);
     let (a, b, a0) = (tmin + 0.2 * (tmax - tmin), tmax, tmin - 1.0);
     let mut f_ref = x.clone();
-    chebyshev_filter(&h_ref, &mut f_ref, 30, a, b, a0);
+    chebyshev_filter_scratch(&h_ref, &mut f_ref, 30, a, b, a0, &mut CfScratch::new());
 
     for nranks in [1, 2] {
         run_cluster(nranks, |comm| {
@@ -162,7 +162,7 @@ fn hamiltonian_apply_is_serial_at_one_rank_and_column_grouping_independent() {
             if nranks == 1 {
                 assert!(y_full.as_slice() == y_ref.as_slice(), "1 rank != serial");
                 let mut f = x_local.clone();
-                chebyshev_filter(&h, &mut f, 30, a, b, a0);
+                chebyshev_filter_scratch(&h, &mut f, 30, a, b, a0, &mut CfScratch::new());
                 assert!(f.as_slice() == f_ref.as_slice(), "1-rank filter != serial");
             }
             let k = Recurrence {
@@ -218,7 +218,7 @@ fn distributed_chebyshev_filter_matches_serial() {
         ((i * 3 + j * 17) as f64 * 0.23).sin()
     });
     let x0 = x_ref.clone();
-    chebyshev_filter(&h_ref, &mut x_ref, m, a, b, a0);
+    chebyshev_filter_scratch(&h_ref, &mut x_ref, m, a, b, a0, &mut CfScratch::new());
     // blocks of 2, 2 and 1 columns through one scratch
     let in_pairs = |h: &dyn HamOperator<f64>, x: &mut Matrix<f64>| {
         let mut scratch = CfScratch::new();
@@ -243,7 +243,7 @@ fn distributed_chebyshev_filter_matches_serial() {
                 DistHamiltonian::<f64>::new(&dist, &shared, &v_eff, [1.0; 3], WirePrecision::Fp64);
             let mut whole = restrict_rows(&dist, &x0);
             let mut blocked = whole.clone();
-            chebyshev_filter(&h, &mut whole, m, a, b, a0);
+            chebyshev_filter_scratch(&h, &mut whole, m, a, b, a0, &mut CfScratch::new());
             in_pairs(&h, &mut blocked);
             assert!(
                 blocked.as_slice() == whole.as_slice(),

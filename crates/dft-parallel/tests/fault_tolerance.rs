@@ -6,7 +6,7 @@
 //! wrapper: failures a relaunch cannot fix return at once, kills shrink the
 //! cluster by the number of ranks killed.
 
-use dft_core::chebyshev::chebyshev_filter;
+use dft_core::chebyshev::{chebyshev_filter_scratch, CfScratch};
 use dft_core::relax::RelaxConfig;
 use dft_core::scf::{KPoint, ScfConfig};
 use dft_core::system::{Atom, AtomKind, AtomicSystem};
@@ -98,8 +98,9 @@ fn assert_all_lost(
     }
 }
 
-/// Kill a rank on its first ghost-exchange send of SCF iteration 1 (mid
-/// Chebyshev filter): survivors must drain with `RankLost`, not hang. Seen
+/// Kill a rank on its first ghost-exchange send of SCF iteration 1 (in the
+/// Lanczos bounds that open the eigensolve): survivors must drain with
+/// `RankLost`, not hang. Seen
 /// from inside the filter, the recurrence step whose exchange fails leaves
 /// zeros — never its update over a half-written workspace — the typed
 /// error stays in the communicator, and the rest of the filter runs out
@@ -136,7 +137,7 @@ fn kill_mid_chebyshev_filter_drains_cleanly() {
         let mut block = Matrix::<f64>::from_fn(dist.dec.n_owned(), 9, |i, j| {
             ((i * 3 + j * 17) as f64 * 0.23).sin()
         });
-        chebyshev_filter(&h, &mut block, 30, 0.5, 20.0, -1.0);
+        chebyshev_filter_scratch(&h, &mut block, 30, 0.5, 20.0, -1.0, &mut CfScratch::new());
         (shared.failure(), block)
     });
     for (r, (failure, block)) in outcomes.into_iter().enumerate() {

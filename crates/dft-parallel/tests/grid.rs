@@ -662,3 +662,74 @@ fn ghost_wait_counter_accumulates() {
         "ghost-wait counter never accumulated"
     );
 }
+
+/// The Lanczos bounds an eigensolve opens with, on the operator each rank
+/// filters with: this rank's rows of the whole-problem start vector, every
+/// sum reduced over the grid row. One rank reads `lanczos_bounds` on the
+/// serial operator bit for bit; 2 and 4 slab ranks, a 2x2x1 grid, and 3
+/// slab ranks on a 2-cell mesh (the third rank owns no rows, yet takes
+/// every step and collective) agree with it to 1e-12 relative; and the
+/// ranks of every run agree bit for bit.
+#[test]
+fn lanczos_bounds_agree_across_layouts() {
+    use dft_core::chebyshev::{lanczos_reduced, lanczos_start};
+    use dft_fem::mesh::{Axis, BoundaryCondition as Bc};
+    let two_cells = FeSpace::new(Mesh3d::new(
+        [
+            Axis::uniform(2, 0.0, 6.0, Bc::Periodic),
+            Axis::uniform(1, 0.0, 3.0, Bc::Dirichlet),
+            Axis::uniform(1, 0.0, 3.0, Bc::Dirichlet),
+        ],
+        3,
+    ));
+    assert_eq!(two_cells.cells().len(), 2);
+    let cube = FeSpace::new(Mesh3d::periodic_cube(2, 6.0, 3));
+    for (space, shape) in [
+        (&cube, GridShape::slab(1)),
+        (&cube, GridShape::slab(2)),
+        (&cube, GridShape::slab(4)),
+        (&cube, GridShape::new(2, 2, 1)),
+        (&two_cells, GridShape::slab(3)),
+    ] {
+        let v_eff: Vec<f64> = (0..space.nnodes())
+            .map(|i| 0.3 * (i as f64 * 0.05).sin())
+            .collect();
+        let serial = lanczos_bounds(&KsHamiltonian::<f64>::new(space, &v_eff, [1.0; 3]), 10, 7);
+        let (out, _) = run_cluster(shape.nranks(), |comm| {
+            let dist = DistSpace::on_grid(space, Some(shape), comm.rank(), comm.size());
+            let shared = SharedComm::new(comm);
+            let reducer = GridReducer::new(&shared, &dist.grid, false);
+            let h =
+                DistHamiltonian::<f64>::new(&dist, &shared, &v_eff, [1.0; 3], WirePrecision::Fp64);
+            let rows = dist.dec.owned.iter().map(|&d| d as usize);
+            let (start, steps) = lanczos_start::<f64>((space.ndofs(), 10, 7), rows);
+            let bounds = lanczos_reduced(&h, start, steps, &reducer);
+            (bounds, dist.dec.n_owned(), shared.failure())
+        });
+        let bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
+        for (rank, &(bounds, _, failure)) in out.iter().enumerate() {
+            assert!(failure.is_none(), "{shape}, rank {rank}: {failure:?}");
+            assert_eq!(
+                bits(bounds),
+                bits(out[0].0),
+                "{shape}: rank {rank} disagrees"
+            );
+        }
+        let empty = out.iter().filter(|o| o.1 == 0).count();
+        assert_eq!(
+            empty > 0,
+            std::ptr::eq(space, &two_cells),
+            "{shape}: {empty} empty ranks"
+        );
+        let (got, want) = (out[0].0, serial);
+        if shape.nranks() == 1 {
+            assert_eq!(bits(got), bits(want), "1 rank: {got:?} vs serial {want:?}");
+        }
+        for (g, w) in [(got.0, want.0), (got.1, want.1)] {
+            assert!(
+                (g - w).abs() <= 1e-12 * w.abs(),
+                "{shape}: {got:?} vs serial {want:?}"
+            );
+        }
+    }
+}
