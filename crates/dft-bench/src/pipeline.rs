@@ -212,7 +212,6 @@ pub fn train_mlxc_from_invdft(
             n_states: ms.scf_config().n_states,
             max_iter: cfg.invdft_iters,
             tol: 1e-5,
-            verbose: cfg.verbose,
             ..InvDftConfig::default()
         };
         let inv = invert(&space, &sys, &truth.density, &inv_cfg)?;

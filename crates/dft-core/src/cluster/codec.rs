@@ -10,13 +10,37 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a 64-bit over a byte stream — deterministic, dependency-free,
+/// stable across runs. The file checksum here and `dft-serve`'s cache keys.
+pub struct Fnv1a(pub u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a {
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    pub fn write_i64(&mut self, v: i64) {
+        self.write(&v.to_le_bytes());
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.0
 }
 
 pub fn push_u64(buf: &mut Vec<u8>, v: u64) {
@@ -40,21 +64,23 @@ pub fn bad(msg: impl Into<String>) -> io::Error {
 }
 
 /// Write `body` to `path` durably: create its directory, append the
-/// checksum, write a temp file beside `path`, `sync_all` it and rename it
-/// over `path`, so a torn write is never visible. Returns the bytes
-/// written.
+/// checksum, write a temp file beside `path`, `sync_all` it, rename it over
+/// `path` and `sync_all` the directory, so a torn write is never visible
+/// and a file written later (a snapshot's `COMPLETE` marker) cannot
+/// outlive this one's rename in a crash. Returns the bytes written.
 pub fn write_durable(path: &Path, mut body: Vec<u8>) -> io::Result<u64> {
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    let dir = dir.unwrap_or(Path::new("."));
+    fs::create_dir_all(dir)?;
     let sum = fnv1a(&body);
     push_u64(&mut body, sum);
     let tmp = path.with_extension("tmp");
+    let sync = |f: fs::File| f.sync_all();
     let mut f = fs::File::create(&tmp)?;
     f.write_all(&body)?;
-    f.sync_all()?;
-    drop(f);
+    sync(f)?;
     fs::rename(&tmp, path)?;
+    sync(fs::File::open(dir)?)?;
     Ok(body.len() as u64)
 }
 
@@ -116,5 +142,23 @@ impl<'a> Cur<'a> {
             return Err(bad("length field out of range"));
         }
         (0..n).map(|_| self.f64()).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The published FNV-1a-64 vectors: the offset basis for no input, and
+    /// `b"a"`; a streamed write equals the one-shot hash.
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        let mut h = Fnv1a::default();
+        h.write(b"fo");
+        h.write(b"obar");
+        assert_eq!(h.0, fnv1a(b"foobar"));
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

@@ -4,12 +4,15 @@
 //! [`grid`] places ranks on a domain x band x k-group grid, [`operator`]
 //! applies the Hamiltonian with overlapped ghost exchange, [`reduce`]
 //! reduces the subspace matrices along the grid, [`scf`] is the rank's side
-//! of the SCF loop, and [`checkpoint`] / [`codec`] write its snapshots.
-//! The serial [`crate::scf::scf`] is the solve on a one-rank grid.
+//! of the SCF loop, [`checkpoint`] / [`codec`] write its snapshots, and
+//! [`forces`] is the one Hellmann-Feynman force assembly. The serial
+//! [`crate::scf::scf`] and [`crate::forces::compute_forces`] are these on a
+//! one-rank grid.
 
 pub mod checkpoint;
 pub mod codec;
 pub mod decomp;
+pub mod forces;
 pub mod grid;
 pub mod operator;
 pub mod reduce;

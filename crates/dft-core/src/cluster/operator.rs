@@ -216,6 +216,14 @@ impl<'a> DistSpace<'a> {
         }
     }
 
+    /// Whether this rank speaks for FE node `node` in a sum over nodes (the
+    /// Anderson inner products, the force quadrature): the (band 0,
+    /// k-group 0) replica of the slab that owns it, so each node counts
+    /// exactly once.
+    pub fn owns_node(&self, node: usize) -> bool {
+        self.dec.owned_node[node] && self.grid.owns_replicated_fields()
+    }
+
     /// Run `f` on this rank's apply buffers. They are scratch, rewritten by
     /// every apply, so a lock poisoned by a panicking apply stays usable.
     fn with_workspace<T: WireScalar, R>(&self, f: impl FnOnce(&mut ApplyWorkspace<T>) -> R) -> R {

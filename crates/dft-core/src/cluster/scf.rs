@@ -385,7 +385,7 @@ pub(crate) fn solve(
 pub(crate) struct ClusterSeam<'a, 'c> {
     cfg: &'a DistScfConfig,
     shared: &'a SharedComm<'c>,
-    dist: &'a DistSpace<'a>,
+    pub(crate) dist: &'a DistSpace<'a>,
     reducer: GridReducer<'a, 'c>,
 }
 
@@ -410,11 +410,6 @@ impl ClusterSeam<'_, '_> {
     /// Global DoF of local wavefunction row `l`.
     pub(crate) fn dof_of_row(&self, l: usize) -> usize {
         self.dist.dec.owned[l] as usize
-    }
-    /// Whether this rank weighs FE node `node` in the Anderson inner
-    /// products: the (band 0, k-group 0) replica of each slab speaks for it.
-    pub(crate) fn owns_node(&self, node: usize) -> bool {
-        self.dist.dec.owned_node[node] && self.dist.grid.owns_replicated_fields()
     }
     /// The band columns `[j0, j1)` whose density this rank accumulates.
     pub(crate) fn band_cols(&self, n_states: usize) -> (usize, usize) {

@@ -19,18 +19,18 @@
 //!
 //! Both physical terms are exposed as *partial* sums —
 //! [`electrostatic_force_partial`] over a node subset and
-//! [`ion_ion_force_partial`] over a round-robin atom shard — so the
-//! distributed assembly in `dft-parallel` can give each rank its owned
-//! share and reassemble the total with one deterministic reduction. The
-//! serial [`compute_forces`] is exactly the two full partials glued to the
-//! [`force_poisson`] solve.
+//! [`ion_ion_force_partial`] over a round-robin atom shard — so the one
+//! force assembly, [`crate::cluster::forces`], can give each rank its owned
+//! share and reassemble the total with one deterministic reduction.
+//! [`compute_forces`] is that assembly on a one-rank cluster.
 
+use crate::cluster::forces::forces_rank;
 use crate::math::erfc;
-use crate::scf::poisson_bc_of;
+use crate::scf::solve_electrostatics;
 use crate::system::AtomicSystem;
 use dft_fem::mesh::BoundaryCondition;
-use dft_fem::poisson::solve_poisson;
 use dft_fem::space::FeSpace;
+use dft_hpc::comm::{run_cluster, CommError};
 
 /// Why a force evaluation — or any other use of [`force_poisson`], such as
 /// inverse DFT's fixed electrostatics — failed. Forces ride one extra
@@ -40,13 +40,16 @@ use dft_fem::space::FeSpace;
 #[derive(Clone, Debug, PartialEq)]
 pub enum ForceError {
     /// The electrostatic Poisson solve for the potential of a fixed density
-    /// did not reach its tolerance within the iteration budget.
+    /// did not reach its tolerance within the iteration budget — on every
+    /// rank together, since the solve is replicated.
     PoissonDiverged {
         /// CG iterations performed before giving up.
         iterations: usize,
         /// Residual at the final iteration.
         residual: f64,
     },
+    /// The force reduction lost a peer.
+    Comm(CommError),
 }
 
 impl std::fmt::Display for ForceError {
@@ -59,6 +62,7 @@ impl std::fmt::Display for ForceError {
                 f,
                 "fixed-density electrostatics diverged: Poisson residual {residual:.3e} after {iterations} CG iterations"
             ),
+            ForceError::Comm(e) => write!(f, "force reduction failed: {e}"),
         }
     }
 }
@@ -67,9 +71,10 @@ impl std::error::Error for ForceError {}
 
 /// Solve for the total electrostatic potential `phi` of `rho_ion - rho_e`
 /// (the one extra Poisson solve behind every force evaluation, and inverse
-/// DFT's electrostatics of its target density). Pure
-/// recomputation from replicated inputs — the distributed assembly calls
-/// this identically on every rank.
+/// DFT's electrostatics of its target density): the SCF's electrostatic
+/// solve, unprofiled, at tolerance 1e-10. Pure recomputation from
+/// replicated inputs — every rank of the force assembly calls this
+/// identically.
 pub fn force_poisson(
     space: &FeSpace,
     system: &AtomicSystem,
@@ -78,31 +83,21 @@ pub fn force_poisson(
     assert_eq!(rho_e.len(), space.nnodes());
     let rho_ion = system.ion_density(space);
     let rho_charge: Vec<f64> = (0..space.nnodes()).map(|i| rho_ion[i] - rho_e[i]).collect();
-    let (phi, st) = solve_poisson(space, &rho_charge, poisson_bc_of(space), 1e-10, 20000);
-    if !st.converged {
-        return Err(ForceError::PoissonDiverged {
-            iterations: st.iterations,
-            residual: st.final_residuals.iter().copied().fold(0.0, f64::max),
-        });
-    }
-    Ok(phi)
+    solve_electrostatics(space, &rho_charge, 1e-10, None)
 }
 
 /// The electrostatic Hellmann-Feynman term accumulated over a node subset:
 /// nodes where `node_mask` is `false` contribute nothing, so masked calls
 /// on disjoint node sets sum (in any association) to the full-mask result.
-/// `None` sums every node — the serial path. Nodal quadrature, fixed
-/// ascending-node accumulation order.
+/// Nodal quadrature, fixed ascending-node accumulation order.
 pub fn electrostatic_force_partial(
     space: &FeSpace,
     system: &AtomicSystem,
     phi: &[f64],
-    node_mask: Option<&[bool]>,
+    node_mask: &[bool],
 ) -> Vec<[f64; 3]> {
     assert_eq!(phi.len(), space.nnodes());
-    if let Some(m) = node_mask {
-        assert_eq!(m.len(), space.nnodes());
-    }
+    assert_eq!(node_mask.len(), space.nnodes());
     let lengths = axis_lengths(space);
     let periodic = axis_periodic(space);
     let mass = space.mass_diag();
@@ -114,10 +109,8 @@ pub fn electrostatic_force_partial(
         let norm = z * (alpha / std::f64::consts::PI).powf(1.5);
         let rcut2 = 20.0 / alpha;
         for n in 0..space.nnodes() {
-            if let Some(m) = node_mask {
-                if !m[n] {
-                    continue;
-                }
+            if !node_mask[n] {
+                continue;
             }
             let c = space.node_coord(n);
             let mut d = [0.0f64; 3];
@@ -235,23 +228,17 @@ fn axis_periodic(space: &FeSpace) -> [bool; 3] {
 }
 
 /// Compute forces (Ha/Bohr) on every atom for a converged density
-/// `rho_e` (full nodal vector). Errors — instead of panicking — when the
-/// force Poisson solve diverges, so drivers can fail the surrounding job
-/// with a reason.
+/// `rho_e` (full nodal vector): the force assembly on a one-rank cluster,
+/// on the calling thread and its thread budget. Errors — instead of
+/// panicking — when the force Poisson solve diverges, so drivers can fail
+/// the surrounding job with a reason.
 pub fn compute_forces(
     space: &FeSpace,
     system: &AtomicSystem,
     rho_e: &[f64],
 ) -> Result<Vec<[f64; 3]>, ForceError> {
-    let phi = force_poisson(space, system, rho_e)?;
-    let mut forces = electrostatic_force_partial(space, system, &phi, None);
-    let ion = ion_ion_force_partial(space, system, 0, 1);
-    for (f, g) in forces.iter_mut().zip(ion.iter()) {
-        for k in 0..3 {
-            f[k] += g[k];
-        }
-    }
-    Ok(forces)
+    let (mut ranks, _) = run_cluster(1, |comm| forces_rank(comm, space, system, rho_e, None));
+    ranks.remove(0).map(|(forces, _)| forces)
 }
 
 /// Largest force component magnitude (the relaxation convergence metric).
@@ -390,14 +377,14 @@ mod tests {
         ]);
         let rho_e = sys.initial_density(&s);
         let phi = force_poisson(&s, &sys, &rho_e).expect("phi");
-        let full_es = electrostatic_force_partial(&s, &sys, &phi, None);
+        let full_es = electrostatic_force_partial(&s, &sys, &phi, &vec![true; s.nnodes()]);
         let full_ii = ion_ion_force_partial(&s, &sys, 0, 1);
 
         // two complementary node masks
         let mask_a: Vec<bool> = (0..s.nnodes()).map(|n| n % 3 == 0).collect();
         let mask_b: Vec<bool> = mask_a.iter().map(|&m| !m).collect();
-        let es_a = electrostatic_force_partial(&s, &sys, &phi, Some(&mask_a));
-        let es_b = electrostatic_force_partial(&s, &sys, &phi, Some(&mask_b));
+        let es_a = electrostatic_force_partial(&s, &sys, &phi, &mask_a);
+        let es_b = electrostatic_force_partial(&s, &sys, &phi, &mask_b);
         for ai in 0..3 {
             for k in 0..3 {
                 let sum = es_a[ai][k] + es_b[ai][k];

@@ -27,7 +27,9 @@
 //!   energy assembly with Gaussian-nucleus electrostatics; [`scf()`] is
 //!   its solve on a one-rank cluster;
 //! * [`cluster`] — the rank's half of the solver, from the domain
-//!   decomposition to the rank's side of the SCF loop and its snapshots;
+//!   decomposition to the rank's side of the SCF loop and its snapshots,
+//!   and the one force assembly ([`forces`] holds its partial sums;
+//!   [`compute_forces`] is it on a one-rank cluster);
 //! * [`threads`] — the one thread-cap helper: a rank, a server job or a
 //!   k-point lane runs on its share of the one shared worker pool.
 

@@ -29,6 +29,7 @@ use crate::chebyshev::{
 };
 use crate::cluster::operator::WireScalar;
 use crate::cluster::scf::{solve, ClusterSeam, DistScfConfig, ScfError};
+use crate::forces::ForceError;
 use crate::mixing::AndersonMixer;
 use crate::occupation::{fermi_occupations, occupied_states, DENSITY_CUTOFF};
 use crate::system::AtomicSystem;
@@ -204,7 +205,7 @@ fn poisson_bytes(space: &FeSpace, cg_iterations: usize) -> u64 {
 }
 
 /// The boundary treatment of the electrostatic solves on `space`.
-pub fn poisson_bc_of(space: &FeSpace) -> PoissonBc<'static> {
+fn poisson_bc_of(space: &FeSpace) -> PoissonBc<'static> {
     let all_periodic = space
         .mesh
         .axes
@@ -218,18 +219,26 @@ pub fn poisson_bc_of(space: &FeSpace) -> PoissonBc<'static> {
     }
 }
 
-/// The profiled electrostatic solve for the potential of `rho_charge`.
-fn solve_electrostatics(
+/// The one electrostatic solve for the potential of `rho_charge` (the
+/// SCF's two per iteration and the forces' one), booked under EP when
+/// `profile` is given.
+pub(crate) fn solve_electrostatics(
     space: &FeSpace,
     rho_charge: &[f64],
     tol: f64,
     profile: Option<&Profile>,
-) -> (Vec<f64>, bool) {
+) -> Result<Vec<f64>, ForceError> {
     let mut scope = PhaseScope::new(profile, Phase::Ep);
     let (phi, stats) = solve_poisson(space, rho_charge, poisson_bc_of(space), tol, 20000);
     scope.add_flops(poisson_flops(space, stats.iterations));
     scope.add_bytes(poisson_bytes(space, stats.iterations));
-    (phi, stats.converged)
+    if !stats.converged {
+        return Err(ForceError::PoissonDiverged {
+            iterations: stats.iterations,
+            residual: stats.final_residuals.iter().copied().fold(0.0, f64::max),
+        });
+    }
+    Ok(phi)
 }
 
 /// Run the SCF on `space` for `system` with functional `xc` at the given
@@ -329,7 +338,7 @@ impl<T: Scalar> ScfState<T> {
             .mass_diag()
             .iter()
             .enumerate()
-            .map(|(i, &w)| if seam.owns_node(i) { w } else { 0.0 })
+            .map(|(i, &w)| if seam.dist.owns_node(i) { w } else { 0.0 })
             .collect();
         let (k0, k1) = seam.kpoints(kpts.len());
         Self {
@@ -408,11 +417,10 @@ pub(crate) fn scf_loop<T: WireScalar + ScalarExt>(
 
         // ---- effective potential from rho_in (replicated) --------------
         let rho_charge: Vec<f64> = (0..nn).map(|i| rho_ion[i] - st.rho_in[i]).collect();
-        let (phi, poisson_ok) = solve_electrostatics(space, &rho_charge, cfg.poisson_tol, profile);
         // the solve is replicated, so every rank takes this exit together
-        if !poisson_ok {
-            return Err(ScfError::PoissonDiverged { iteration: iter });
-        }
+        let diverged = |_| ScfError::PoissonDiverged { iteration: iter };
+        let phi =
+            solve_electrostatics(space, &rho_charge, cfg.poisson_tol, profile).map_err(diverged)?;
         {
             let _scope = PhaseScope::new(profile, Phase::Dh);
             let rho_in_field = NodalField::from_values(space, st.rho_in.clone());
@@ -531,12 +539,8 @@ pub(crate) fn scf_loop<T: WireScalar + ScalarExt>(
             (band, rho_veff, rho_charge_out)
         };
         let kinetic = band - rho_veff;
-        let (phi_out, poisson_ok) =
-            solve_electrostatics(space, &rho_charge_out, cfg.poisson_tol, profile);
-        // replicated like the rho_in solve: every rank takes this exit together
-        if !poisson_ok {
-            return Err(ScfError::PoissonDiverged { iteration: iter });
-        }
+        let phi_out = solve_electrostatics(space, &rho_charge_out, cfg.poisson_tol, profile)
+            .map_err(diverged)?;
         let xc_out = {
             let _scope = PhaseScope::new(profile, Phase::Dh);
             let rho_out_field = NodalField::from_values(space, rho_out.clone());

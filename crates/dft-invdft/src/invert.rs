@@ -41,8 +41,6 @@ pub struct InvDftConfig {
     pub precondition: bool,
     /// RNG seed.
     pub seed: u64,
-    /// Print progress.
-    pub verbose: bool,
 }
 
 impl Default for InvDftConfig {
@@ -55,7 +53,6 @@ impl Default for InvDftConfig {
             cheb_degree: 35,
             precondition: true,
             seed: 7,
-            verbose: false,
         }
     }
 }
@@ -171,9 +168,6 @@ pub fn invert(
             .collect();
         let resid = space.integrate(&diff2).sqrt() / n_el;
         history.push(resid);
-        if cfg.verbose {
-            println!("invDFT {iter:3}: |drho| = {resid:.4e}  step = {step:.3e}");
-        }
         // step control: revert on significant regression
         match &best {
             Some((r_best, v_best)) if resid > 1.3 * r_best => {

@@ -196,7 +196,8 @@ pub fn fn_items(toks: &[Tok]) -> Vec<FnItem> {
 /// Does this token slice depend on the local rank? The heuristic names the
 /// project's rank-identity spellings — `rank`, `my_rank`, `*_rank`,
 /// `is_root`, the process-grid coordinate fields (`.dom`/`.band`/`.kgrp`),
-/// ownership predicates (`owns_replicated_fields`, `owned_node`) — and
+/// ownership predicates (`owns_replicated_fields`, `owned_node`,
+/// `owns_node`) — and
 /// deliberately excludes uniform values (`nranks`, `n_ranks`, `n_band`,
 /// `size`): a condition on the cluster *shape* is replicated.
 fn slice_is_rank_dep(toks: &[Tok]) -> bool {
@@ -209,6 +210,7 @@ fn slice_is_rank_dep(toks: &[Tok]) -> bool {
             || t.text == "is_root"
             || t.text == "owns_replicated_fields"
             || t.text == "owned_node"
+            || t.text == "owns_node"
             || (t.text.ends_with("_rank") && t.text != "n_rank")
         {
             return true;

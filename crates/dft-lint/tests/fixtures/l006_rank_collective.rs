@@ -66,3 +66,13 @@ fn group_root_reduce(c: &mut ThreadComm, rank: usize, roots: &[usize]) -> Result
     }
     Ok(())
 }
+
+/// Seeded violation: the node rule is rank identity — only the rank that
+/// speaks for node 0 would enter the allreduce.
+fn node_owner_collective(c: &mut ThreadComm, dist: &DistSpace) -> Result<(), CommError> {
+    let mut v = [0.0];
+    if dist.owns_node(0) {
+        c.allreduce_sum_f64(&mut v, WirePrecision::Fp64)?;
+    }
+    Ok(())
+}

@@ -1,11 +1,10 @@
 //! # dft-parallel
 //!
-//! The distributed drivers around the rank solver of [`dft_core::cluster`],
-//! which this crate re-exports at its established paths ([`checkpoint`],
-//! [`decomp`], [`grid`], [`operator`], [`reduce`], [`scf`], the root):
+//! The distributed drivers around the rank solver and the force assembly
+//! of [`dft_core::cluster`], which this crate re-exports at their
+//! established paths ([`checkpoint`], [`decomp`], [`forces`], [`grid`],
+//! [`operator`], [`reduce`], [`scf`], the root):
 //!
-//! * [`forces`] — distributed Hellmann-Feynman force assembly, reassembled
-//!   by one fixed-rank-order allreduce (bit-identical across ranks);
 //! * [`relax`] — one trajectory loop, stepping FIRE ([`dist_relax`]) or
 //!   velocity-Verlet BO-MD ([`dist_md`]), each step's SCF warm-started
 //!   from the previous one's snapshot, preemptible and fault-recoverable;
@@ -20,18 +19,15 @@
 // indexed loops deliberately mirror the paper's subscript notation
 #![allow(clippy::needless_range_loop)]
 
-pub mod forces;
 pub mod recover;
 pub mod relax;
 
-pub use dft_core::cluster::{checkpoint, decomp, grid, operator, reduce, scf};
+pub use dft_core::cluster::{checkpoint, decomp, forces, grid, operator, reduce, scf};
 pub use dft_core::threads::with_thread_share;
 
 pub use checkpoint::{LoadedCheckpoint, ReplicatedScfState};
 pub use decomp::Decomposition;
-pub use forces::{
-    distributed_forces, distributed_forces_profiled, DistForceError, ForceAssemblyProfile,
-};
+pub use forces::{distributed_forces, distributed_forces_profiled, ForceAssemblyProfile};
 pub use grid::{GridShape, ProcessGrid};
 pub use operator::{ghost_tag_band, DistHamiltonian, DistSpace, SharedComm, WireScalar};
 pub use recover::{relax_with_recovery, scf_with_recovery, RecoveryReport};

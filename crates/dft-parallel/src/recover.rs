@@ -12,6 +12,7 @@
 
 use crate::relax::{dist_relax, DistRelaxConfig, DistRelaxResult, RelaxError};
 use crate::scf::{distributed_scf, DistScfConfig, DistScfResult, ScfError};
+use dft_core::forces::ForceError;
 use dft_core::scf::KPoint;
 use dft_core::system::AtomicSystem;
 use dft_core::threads::with_threads;
@@ -65,10 +66,10 @@ fn scf_fault(e: &ScfError) -> Fault {
 fn relax_fault(e: &RelaxError) -> Fault {
     match e {
         RelaxError::Scf(e) => scf_fault(e),
-        RelaxError::Comm(CommError::Killed { .. }) => Fault::Killed,
-        RelaxError::Comm(_) => Fault::Lost,
+        RelaxError::Force(ForceError::Comm(CommError::Killed { .. })) => Fault::Killed,
+        RelaxError::Force(ForceError::Comm(_)) => Fault::Lost,
         // a diverged force Poisson solve is replicated too
-        RelaxError::Force(_) => Fault::Fatal,
+        RelaxError::Force(ForceError::PoissonDiverged { .. }) => Fault::Fatal,
     }
 }
 
@@ -185,7 +186,6 @@ pub fn relax_with_recovery<X: XcFunctional + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dft_core::forces::ForceError;
 
     /// Only a lost or killed rank is worth a relaunch; everything that
     /// fails identically on every rank, and preemption, is handed back.
@@ -213,10 +213,13 @@ mod tests {
             Fault::Killed
         ));
         assert!(matches!(
-            relax_fault(&RelaxError::Comm(killed)),
+            relax_fault(&RelaxError::Force(ForceError::Comm(killed))),
             Fault::Killed
         ));
-        assert!(matches!(relax_fault(&RelaxError::Comm(gone)), Fault::Lost));
+        assert!(matches!(
+            relax_fault(&RelaxError::Force(ForceError::Comm(gone))),
+            Fault::Lost
+        ));
         let diverged = ForceError::PoissonDiverged {
             iterations: 20000,
             residual: 1.0,

@@ -25,7 +25,7 @@
 //! snapshots — so a preempted 300-step run loses at most the SCF
 //! iterations since the last snapshot.
 
-use crate::forces::{forces_rank, DistForceError};
+use crate::forces::forces_rank;
 use crate::scf::{performed_iterations, scf_rank, DistScfConfig, DistScfResult, ScfError};
 use dft_core::cluster::codec::{bad, push_f64, push_u64, read_durable, write_durable, Cur};
 use dft_core::forces::{max_force, ForceError};
@@ -35,7 +35,7 @@ use dft_core::system::AtomicSystem;
 use dft_core::threads::rank_threads;
 use dft_core::xc::XcFunctional;
 use dft_fem::space::FeSpace;
-use dft_hpc::comm::{CommError, ThreadComm};
+use dft_hpc::comm::ThreadComm;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -46,10 +46,9 @@ pub enum RelaxError {
     /// An SCF step failed or was preempted; `ScfError::Preempted` is the
     /// cooperative-stop path — the relax state on disk resumes the run.
     Scf(ScfError),
-    /// A force evaluation failed (diverged force Poisson solve).
+    /// A force evaluation failed: a diverged force Poisson solve, or a
+    /// force reduction that lost a peer outside the SCF.
     Force(ForceError),
-    /// The force reduction lost a peer outside the SCF.
-    Comm(CommError),
 }
 
 impl std::fmt::Display for RelaxError {
@@ -57,7 +56,6 @@ impl std::fmt::Display for RelaxError {
         match self {
             RelaxError::Scf(e) => write!(f, "relaxation SCF failed: {e}"),
             RelaxError::Force(e) => write!(f, "relaxation force evaluation failed: {e}"),
-            RelaxError::Comm(e) => write!(f, "relaxation communication failed: {e}"),
         }
     }
 }
@@ -70,12 +68,9 @@ impl From<ScfError> for RelaxError {
     }
 }
 
-impl From<DistForceError> for RelaxError {
-    fn from(e: DistForceError) -> Self {
-        match e {
-            DistForceError::Force(fe) => RelaxError::Force(fe),
-            DistForceError::Comm(ce) => RelaxError::Comm(ce),
-        }
+impl From<ForceError> for RelaxError {
+    fn from(e: ForceError) -> Self {
+        RelaxError::Force(e)
     }
 }
 

@@ -1,11 +1,12 @@
-//! Oracle tests for the distributed force assembly and the distributed
-//! FIRE driver: every rank's [`distributed_forces`] output is checked
-//! against the serial [`compute_forces`] on periodic and Dirichlet
-//! goldens, across rank counts and process-grid shapes, for bitwise
-//! run-to-run determinism (L004), the `dist_relax` FIRE trajectory against
-//! a pinned golden (one rank) and across rank counts, the `dist_md`
-//! velocity-Verlet trajectory against its own golden, for rank invariance
-//! and energy conservation, and both through persistence and resume.
+//! Oracle tests for the force assembly and the distributed FIRE driver:
+//! [`compute_forces`] (the assembly on one rank) against pinned bits, every
+//! rank's [`distributed_forces`] output against that 1-rank route on
+//! periodic and Dirichlet systems, across rank counts and process-grid
+//! shapes, for bitwise run-to-run determinism (L004), the `dist_relax`
+//! FIRE trajectory against a pinned golden (one rank) and across rank
+//! counts, the `dist_md` velocity-Verlet trajectory against its own golden,
+//! for rank invariance and energy conservation, and both through
+//! persistence and resume.
 
 use dft_core::forces::compute_forces;
 use dft_core::relax::RelaxConfig;
@@ -16,8 +17,8 @@ use dft_fem::mesh::{Axis, BoundaryCondition, Mesh3d};
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::run_cluster;
 use dft_parallel::{
-    dist_md, dist_relax, distributed_forces, DistRelaxConfig, DistRelaxResult, DistScfConfig,
-    GridShape, MdConfig, RelaxStepRecord,
+    dist_md, dist_relax, distributed_forces, distributed_forces_profiled, DistRelaxConfig,
+    DistRelaxResult, DistScfConfig, GridShape, MdConfig, RelaxStepRecord,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,9 +64,9 @@ fn assert_forces_agree(results: &[Vec<[f64; 3]>], what: &str) {
     }
 }
 
-/// Distributed forces at `nranks` (slab grid) against the serial
-/// assembly: every rank must agree to 1e-12 per component, and with every
-/// other rank to the bit.
+/// Distributed forces at `nranks` (slab grid) against the 1-rank route of
+/// the same assembly (`compute_forces`): every rank must agree to 1e-12
+/// per component, and with every other rank to the bit.
 fn check_force_oracle(space: &FeSpace, sys: &AtomicSystem, rho_e: &[f64], nranks: usize) {
     let f_ref = compute_forces(space, sys, rho_e).expect("serial forces");
     let (results, _) = run_cluster(nranks, |comm| {
@@ -120,6 +121,48 @@ fn distributed_forces_match_serial_across_grid_shapes() {
             assert!(e <= 1e-12, "grid {shape:?} rank {r}: force error {e:.3e}");
         }
         assert_forces_agree(&results, &shape.to_string());
+    }
+}
+
+/// The component bits of [`compute_forces`] on the periodic and the
+/// Dirichlet oracle system, recorded when the serial assembly was still its
+/// own loop: the 1-rank route must return them exactly.
+const FORCE_GOLDEN: [[[u64; 3]; 3]; 2] = [
+    [
+        [0xbff05341fc79894d, 0x3fd39a36640bead2, 0xbfcffc7bfe6a87a6],
+        [0x3fe8410364653149, 0x3fb895ec1fdb954a, 0xbfbcf00e6d3f879e],
+        [0x3fd0c29f41407c41, 0xbfe32b201dce3f46, 0x3fe3780e512f264a],
+    ],
+    [
+        [0xbff06c7c35e04eec, 0x3fd1c38702e28984, 0xbfcd1ccc41f35222],
+        [0x3fe84378d7261294, 0x3fb35650fc25e7c4, 0xbfb6b9e3cbaf3ff0],
+        [0x3fcf5c81c174ea76, 0xbfe1e740b4af54e6, 0x3fe232c675b34f3d],
+    ],
+];
+
+/// `compute_forces` returns the pinned bits, and a 1-rank
+/// `distributed_forces_profiled` returns the same bits: serial forces are
+/// the 1-rank case of the one assembly.
+#[test]
+fn compute_forces_returns_the_pinned_golden() {
+    let sys = force_system();
+    let spaces = [
+        FeSpace::new(Mesh3d::periodic_cube(2, 4.0, 3)),
+        FeSpace::new(Mesh3d::cube(2, 4.0, 3)),
+    ];
+    let bits = |f: &[[f64; 3]]| f.iter().map(|c| c.map(f64::to_bits)).collect::<Vec<_>>();
+    for (space, golden) in spaces.iter().zip(FORCE_GOLDEN) {
+        let rho_e = sys.initial_density(space);
+        let f = compute_forces(space, &sys, &rho_e).expect("serial forces");
+        assert_eq!(bits(&f), golden.to_vec(), "compute_forces left its golden");
+        let (one, _) = run_cluster(1, |comm| {
+            distributed_forces_profiled(comm, space, &sys, &rho_e, None).expect("1-rank forces")
+        });
+        assert_eq!(
+            bits(&one[0].0),
+            golden.to_vec(),
+            "1-rank route vs compute_forces"
+        );
     }
 }
 

@@ -14,28 +14,8 @@
 //! computed, not what it is, and a warm start is only an optimization hint.
 
 use crate::job::{JobSpec, MeshSpec};
+use dft_core::cluster::codec::Fnv1a;
 use dft_core::system::AtomKind;
-
-/// FNV-1a 64-bit — deterministic, dependency-free, stable across runs.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn write_i64(&mut self, v: i64) {
-        self.write(&v.to_le_bytes());
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-}
 
 /// Charge-model quantization: 1e-9 on charges and smearing lengths.
 fn quant_charge(x: f64) -> i64 {
@@ -78,7 +58,7 @@ fn atom_tuple(kind: &AtomKind, pos: [f64; 3], mesh: &MeshSpec) -> (u8, i64, i64,
 /// (with its precomputed gather/scatter tables) among all jobs on the same
 /// mesh, whatever their atoms.
 pub fn mesh_key(mesh: &MeshSpec) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::default();
     h.write(b"mesh-v1");
     for ax in 0..3 {
         h.write_u64(mesh.cells[ax] as u64);
@@ -92,7 +72,7 @@ pub fn mesh_key(mesh: &MeshSpec) -> u64 {
 /// The converged-state cache key: canonical hash of (structure, mesh,
 /// functional, electronic knobs).
 pub fn cache_key(spec: &JobSpec) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::default();
     h.write(b"job-v1");
     h.write_u64(mesh_key(&spec.mesh));
     h.write(spec.functional.tag().as_bytes());
@@ -216,6 +196,14 @@ mod tests {
         b.cheb_degree += 10;
         b.first_iter_cf_passes += 1;
         assert_eq!(cache_key(&a), cache_key(&b));
+    }
+
+    /// The key of one fixed spec is stable across builds: a changed hasher,
+    /// field order or quantization would silently orphan every cached state.
+    #[test]
+    fn cache_key_of_a_fixed_spec_is_pinned() {
+        assert_eq!(cache_key(&demo_spec()), 0x2248_249c_f033_424f);
+        assert_eq!(mesh_key(&demo_spec().mesh), 0x3de6_0f20_dba1_a175);
     }
 
     /// Different meshes never collide with each other's FeSpace entry.

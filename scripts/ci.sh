@@ -19,8 +19,8 @@ mkdir -p target
 cargo run -q --offline --release -p dft-lint -- --workspace --json > target/dft-lint.json
 echo "    JSON artifact: target/dft-lint.json"
 
-echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep whatever the block layout, one distributed route, one ChFES cycle, one Chebyshev recurrence, one recurrence update, one rooted collective, one KS eigensolve step, one Fermi-Dirac function, one FE derivative, one trajectory loop, one durable writer, one thread-cap helper, one overlap model, one initial subspace, one dense eigensolver, one cell kernel, one Hamiltonian body, one shaped GEMM entry point, one triangle mirror, one SCF loop, one rank solver and one Lanczos recurrence with one start vector)"
-for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a sweep_item chebyshev_filter_gated recurrence_update ks_eigensolve accumulate_density fermi deriv_mass deriv_mass_t trajectory_rank write_durable read_durable with_threads with_thread_share pipelined_blocks random_subspace eigh output_transform dof_potential ham_apply_flops filter_phase gemm_shaped hermitian_from_lower scf_loop distributed_scf lanczos_reduced lanczos_start; do
+echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep whatever the block layout, one distributed route, one ChFES cycle, one Chebyshev recurrence, one recurrence update, one rooted collective, one KS eigensolve step, one Fermi-Dirac function, one FE derivative, one trajectory loop, one durable writer, one thread-cap helper, one overlap model, one initial subspace, one dense eigensolver, one cell kernel, one Hamiltonian body, one shaped GEMM entry point, one triangle mirror, one SCF loop, one rank solver, one Lanczos recurrence with one start vector, one force assembly and one electrostatic solve)"
+for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a sweep_item chebyshev_filter_gated recurrence_update ks_eigensolve accumulate_density fermi deriv_mass deriv_mass_t trajectory_rank write_durable read_durable with_threads with_thread_share pipelined_blocks random_subspace eigh output_transform dof_potential ham_apply_flops filter_phase gemm_shaped hermitian_from_lower scf_loop distributed_scf lanczos_reduced lanczos_start forces_rank solve_electrostatics; do
   n=$(grep -rhE "^\s*(pub(\([a-z]+\))? )?fn ${f}\b" crates/*/src | wc -l)
   if [ "$n" -ne 1 ]; then
     echo "    fn $f is defined $n times under crates/*/src (expected exactly 1)"
@@ -71,7 +71,10 @@ done
 #    own error type and the serial entry behind scf() are gone;
 #  - one Hamiltonian per rank: the Lanczos bounds run on the operator the
 #    rank filters with, its sums reduced over the grid row, so no rank
-#    builds the replicated full-row operator for them.
+#    builds the replicated full-row operator for them;
+#  - one force assembly: compute_forces is the rank's assembly on a one-rank
+#    cluster, and a lost force reduction is a ForceError, not an error type
+#    of its own.
 retired=(
   "benchmark-gate / tuning-file name|DFT_T""UNE|dft_t""une\.json|BEN""CH_|DFT_BEN""CH_GATE"
   "sibling path of the distributed solver, or the knob that selected it|Cluster""Reducer|enum Red""ucer|grid\.is_so""me\(\)|JobKind::Scr""een|warm_st""art:|with_over""lap|Pipelined""Filter|Cf""Driver"
@@ -85,6 +88,7 @@ retired=(
   "scalar seed cell kernel or the seed-era reference apply|fn cell_stiffness_ap""ply<|apply_stiffness_refer""ence|gather_cell_dofs_r""ef|scatter_add_cell_dofs_r""ef"
   "serial seam, the seam trait, the loop's error type or the serial entry|Serial""Seam|Scf""Seam|ScfLoop""Error|scf_se""rial"
   "replicated full-row operator of a rank's Lanczos bounds|h_f""ull"
+  "second force error type of the rank's assembly|DistForce""Error"
   "single-valued solver knob, the SCF's root-rank query or the serial snapshot cadence|mixing_al""pha|base\.checkpoint_ev""ery|fn is_ro""ot|cfg\.st""ep\b|eig_pa""sses|minres_t""ol|minres_max_it""er|dt_m""ax|max_di""sp|FireState::new\(.*,|quick_n""et|cfg\.max_resta""rts|knobs\.max_resta""rts|sub_blo""ck|opts\.use_c""cl"
 )
 for entry in "${retired[@]}"; do
@@ -110,10 +114,10 @@ if grep -rnE "lanczos_bounds\(|chfes\(" crates/dft-invdft/src; then
   exit 1
 fi
 
-# The SCF does not print: a run reports through its result (residual
-# history, profile), so the solver crates hold no print.
-if grep -rnE "\bprint(ln)?!" crates/dft-core/src crates/dft-parallel/src; then
-  echo "    a print in crates/dft-core/src or crates/dft-parallel/src (see above)"
+# The SCF and inverse DFT do not print: a run reports through its result
+# (residual history, profile), so the solver crates hold no print.
+if grep -rnE "\bprint(ln)?!" crates/dft-core/src crates/dft-parallel/src crates/dft-invdft/src; then
+  echo "    a print in crates/dft-core/src, crates/dft-parallel/src or crates/dft-invdft/src (see above)"
   exit 1
 fi
 
