@@ -10,22 +10,17 @@ use dft_core::hamiltonian::KsHamiltonian;
 use dft_core::threads::with_threads;
 use dft_fem::mesh::Mesh3d;
 use dft_fem::space::{FeSpace, COL_BLOCK};
-use dft_linalg::batched::{batched_gemm, BatchLayout};
-use dft_linalg::gemm::Shape::{LowerC, UpperB};
-use dft_linalg::gemm::{gemm, gemm_shaped, Op};
+use dft_linalg::gemm::Shape::{Full, LowerC, UpperB};
+use dft_linalg::gemm::{gemm, gemm_shaped, gemm_slices, Op};
 use dft_linalg::iterative::LinearOperator;
 use dft_linalg::matrix::Matrix;
 use dft_mlxc::MlxcModel;
 use std::hint::black_box;
 use std::time::Duration;
 
-fn quick(c: &mut Criterion) -> &mut Criterion {
-    c
-}
-
 /// The paper's dense cell-matrix operator: per-cell dense stiffness
-/// matrices applied with one strided-batched GEMM per block, then
-/// assembled — the "before" of the sum-factorized sweep the solver runs.
+/// matrices, each applied with one GEMM, then assembled — the "before" of
+/// the sum-factorized sweep the solver runs.
 struct CellDenseOperator {
     nloc: usize,
     /// Packed per-cell matrices, `nloc*nloc` each, cell-major.
@@ -46,23 +41,20 @@ impl CellDenseOperator {
         }
     }
 
-    /// `Y = K X` on DoF vectors: gather -> batched GEMM -> scatter-add.
+    /// `Y = K X` on DoF vectors: per cell, gather -> `K_c X_c` -> scatter-add.
     fn apply_block(&self, space: &FeSpace, x: &Matrix<f64>, y: &mut Matrix<f64>) {
         let nloc = self.nloc;
-        let ncells = space.cells().len();
         let ncols = x.ncols();
-        let block = nloc * ncols;
-        let mut xb = vec![0.0; ncells * block];
-        for (cell, xc) in space.cells().iter().zip(xb.chunks_exact_mut(block)) {
+        let mut xc = vec![0.0; nloc * ncols];
+        let mut yc = vec![0.0; nloc * ncols];
+        y.as_mut_slice().fill(0.0);
+        let cells = space.cells().iter();
+        for (cell, kc) in cells.zip(self.cell_matrices.chunks_exact(nloc * nloc)) {
             for (j, dst) in xc.chunks_exact_mut(nloc).enumerate() {
                 space.gather_cell_dofs(cell, x.col(j), [1.0; 3], dst);
             }
-        }
-        let mut yb = vec![0.0; ncells * block];
-        let layout = BatchLayout::packed(nloc, ncols, nloc, ncells);
-        batched_gemm(layout, 1.0, &self.cell_matrices, &xb, 0.0, &mut yb);
-        y.as_mut_slice().fill(0.0);
-        for (cell, yc) in space.cells().iter().zip(yb.chunks_exact(block)) {
+            let (k, xs) = ((kc, nloc, false), (xc.as_slice(), nloc, false));
+            gemm_slices(nloc, ncols, nloc, 1.0, k, xs, 0.0, &mut yc, Full);
             for (j, src) in yc.chunks_exact(nloc).enumerate() {
                 space.scatter_add_cell_dofs(cell, src, [1.0; 3], y.col_mut(j));
             }
@@ -70,38 +62,8 @@ impl CellDenseOperator {
     }
 }
 
-/// The paper's headline kernel: strided-batched dense cell GEMM
-/// (`xGEMMStridedBatched` analogue), `nloc x nloc` cell matrices times
-/// `nloc x B_f` wavefunction blocks.
-fn bench_batched_cell_gemm(c: &mut Criterion) {
-    let mut g = c.benchmark_group("batched_cell_gemm");
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(1));
-    g.sample_size(10);
-    for (p, bf, cells) in [(4usize, 32usize, 64usize), (6, 32, 16), (6, 128, 16)] {
-        let nloc = (p + 1).pow(3);
-        let a: Vec<f64> = (0..nloc * nloc * cells)
-            .map(|i| ((i * 13) as f64 * 0.1).sin())
-            .collect();
-        let b: Vec<f64> = (0..nloc * bf * cells)
-            .map(|i| ((i * 7) as f64 * 0.2).cos())
-            .collect();
-        let mut out = vec![0.0; nloc * bf * cells];
-        let layout = BatchLayout::packed(nloc, bf, nloc, cells);
-        g.throughput(Throughput::Elements(layout.flops::<f64>()));
-        g.bench_with_input(
-            BenchmarkId::from_parameter(format!("p{p}_bf{bf}_cells{cells}")),
-            &layout,
-            |bch, &layout| {
-                bch.iter(|| batched_gemm(layout, 1.0, &a, &b, 0.0, &mut out));
-            },
-        );
-    }
-    g.finish();
-}
-
-/// Matrix-free sum-factorized Hamiltonian apply vs the dense-cell batched
-/// path (the paper's kernel choice trade-off).
+/// Matrix-free sum-factorized Hamiltonian apply vs the dense-cell path, one
+/// GEMM per cell (the paper's kernel choice trade-off).
 fn bench_hamiltonian_apply(c: &mut Criterion) {
     let mut g = c.benchmark_group("hamiltonian_apply");
     g.warm_up_time(Duration::from_millis(300));
@@ -446,7 +408,6 @@ fn bench_mlxc_inference(c: &mut Criterion) {
 }
 
 fn all(c: &mut Criterion) {
-    bench_batched_cell_gemm(quick(c));
     bench_hamiltonian_apply(c);
     bench_cell_kernel(c);
     bench_chfes_steps(c);

@@ -10,8 +10,8 @@ use dft_core::forces::ForceError;
 use dft_core::hamiltonian::KsHamiltonian;
 use dft_core::scf::{scf, KPoint};
 use dft_core::xc::SyntheticTruth;
-use dft_invdft::{invert, InvDftConfig};
-use dft_linalg::iterative::{block_minres, DiagonalPrec, IdentityPrec};
+use dft_invdft::{invert, laplacian_diagonal_prec, InvDftConfig};
+use dft_linalg::iterative::{block_minres, IdentityPrec};
 use dft_linalg::matrix::Matrix;
 
 fn main() -> Result<(), ForceError> {
@@ -33,12 +33,7 @@ fn main() -> Result<(), ForceError> {
     let nd = space.ndofs();
     let b = Matrix::from_fn(nd, 2, |i, j| ((i * 7 + j * 13) as f64 * 0.37).sin());
     let shifts = [truth.eigenvalues[0][0], truth.eigenvalues[0][1]];
-    let kdiag = space.stiffness_diagonal();
-    let s = space.inv_sqrt_mass();
-    let lap: Vec<f64> = (0..nd)
-        .map(|d| (0.5 * s[d] * s[d] * kdiag[d]).max(1e-3))
-        .collect();
-    let prec = DiagonalPrec::from_diagonal(&lap);
+    let prec = laplacian_diagonal_prec(&space);
 
     let mut x0 = Matrix::zeros(nd, 2);
     let plain = block_minres(&h, &IdentityPrec, &shifts, &b, &mut x0, 1e-8, 4000);

@@ -6,38 +6,55 @@
 //! 85.7% (FP64 tensor cores), rising with B_f in all cases.
 //!
 //! The last row is measured, not modelled: this host's throughput on the
-//! same kernel shape (the p = 5 cell-batched GEMM) at 8..128 columns.
+//! filter the solver runs (`chebyshev_filter_scratch` on the Kohn-Sham
+//! Hamiltonian of `scf-wide`'s space) at 8..128 columns.
 
 use dft_bench::{disloc_mg_y, section};
+use dft_core::chebyshev::{
+    chebyshev_filter_flops, chebyshev_filter_scratch, lanczos_bounds, random_subspace, CfScratch,
+};
+use dft_core::hamiltonian::KsHamiltonian;
+use dft_fem::mesh::Mesh3d;
+use dft_fem::space::FeSpace;
 use dft_hpc::event::pipelined_blocks;
 use dft_hpc::machine::{ClusterSpec, MachineModel};
 use dft_hpc::schedule::{DftSystemSpec, SolverOptions, CF_L1_PASSES};
-use dft_linalg::{batched_gemm, BatchLayout};
 use std::time::Instant;
 
-/// This host's GFLOP/s on the p = 5 cell-batched GEMM (m = k = 216, one
-/// H_c per cell) at `bf` columns per cell. The cell count is chosen so
-/// every `bf` multiplies ~1024 columns in total; best of three runs,
-/// since interference only ever slows a run down.
-fn measured_cell_gemm_gflops(bf: usize) -> f64 {
-    let m = 216;
-    let batch = 1024usize.div_ceil(bf);
-    let layout = BatchLayout::packed(m, bf, m, batch);
-    let a: Vec<f64> = (0..m * m * batch)
-        .map(|i| ((i % (m * m) * 3) as f64 * 0.004).sin())
+/// Chebyshev degree of the measured filter (the benchmark workloads' degree).
+const CF_DEGREE: usize = 30;
+
+/// This host's GFLOP/s on one degree-30 Chebyshev filter of `bf` columns
+/// for each `bf` in `bfs`, on the periodic p = 5 space of `cells`^3 cells
+/// (`scf-wide`'s at 4: 8,000 DoF), with the filter window set from
+/// `lanczos_bounds` as the `chfes_steps` criterion group sets it. The flops
+/// are `chebyshev_filter_flops`; the time is the best of three runs after a
+/// warm-up, since interference only ever slows a run down.
+fn measured_cf_gflops(cells: usize, bfs: &[usize]) -> Vec<f64> {
+    let space = FeSpace::new(Mesh3d::periodic_cube(cells, 10.0, 5));
+    let v: Vec<f64> = (0..space.nnodes())
+        .map(|i| 0.3 * (i as f64 * 0.05).sin())
         .collect();
-    let b: Vec<f64> = (0..m * bf * batch)
-        .map(|i| ((i * 7) as f64 * 0.003).cos())
-        .collect();
-    let mut c = vec![0.0f64; m * bf * batch];
-    batched_gemm(layout, 1.0, &a, &b, 0.0, &mut c); // warm the pack buffers
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        batched_gemm(layout, 1.0, &a, &b, 0.0, &mut c);
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    layout.flops::<f64>() as f64 / best / 1e9
+    let h = KsHamiltonian::<f64>::new(&space, &v, [1.0; 3]);
+    let (tmin, tmax) = lanczos_bounds(&h, 10, 1);
+    let (a, a0) = (tmin + 0.2 * (tmax - tmin), tmin - 1.0);
+    let mut scratch = CfScratch::new();
+    bfs.iter()
+        .map(|&bf| {
+            let psi0 = random_subspace::<f64>(space.ndofs(), bf, 3);
+            let mut psi = psi0.clone();
+            let mut best = f64::INFINITY;
+            for run in 0..4 {
+                psi.as_mut_slice().copy_from_slice(psi0.as_slice());
+                let t0 = Instant::now();
+                chebyshev_filter_scratch(&h, &mut psi, CF_DEGREE, a, tmax, a0, &mut scratch);
+                if run > 0 {
+                    best = best.min(t0.elapsed().as_secs_f64());
+                }
+            }
+            chebyshev_filter_flops(&h, bf, CF_DEGREE) as f64 / best / 1e9
+        })
+        .collect()
 }
 
 /// CF efficiency for one machine at a given block size (one filtered
@@ -103,7 +120,7 @@ fn main() {
         at500[2] > at500[0] && at500[0] > at500[1]
     );
 
-    section("Fig. 4 analogue — this host (measured), p=5 cell-batched GEMM");
+    section("Fig. 4 analogue — this host (measured), degree-30 CF, p=5, 8,000 DoF");
     let host_bfs = [8usize, 16, 32, 48, 64, 96, 128];
     print!("{:<8}", "B_f");
     for bf in host_bfs {
@@ -111,8 +128,20 @@ fn main() {
     }
     println!();
     print!("{:<8}", "GFLOPS");
-    for bf in host_bfs {
-        print!("{:>8.1}", measured_cell_gemm_gflops(bf));
+    for gflops in measured_cf_gflops(4, &host_bfs) {
+        print!("{gflops:>8.1}");
     }
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn measured_cf_rate_is_positive_and_finite() {
+        let gflops = measured_cf_gflops(2, &[8]);
+        assert_eq!(gflops.len(), 1);
+        assert!(gflops[0].is_finite() && gflops[0] > 0.0, "{gflops:?}");
+    }
 }

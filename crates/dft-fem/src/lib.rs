@@ -16,8 +16,9 @@
 //! * [`space`] — the [`space::FeSpace`]: global DoF numbering, the diagonal
 //!   GLL mass matrix (which *is* the Löwdin orthonormalization here),
 //!   cell-level stiffness application via tensor sum-factorization (one
-//!   blocked cell sweep), and the dense per-cell matrices of the paper's
-//!   `xGEMMStridedBatched` kernel as its oracle;
+//!   blocked cell sweep, the only route any apply takes), and the dense
+//!   per-cell matrices that the paper's `xGEMMStridedBatched` kernel
+//!   multiplies, kept here as the sweep's oracle;
 //! * [`poisson`] — FE Poisson solves for the Hartree and nuclear
 //!   electrostatic potentials (CG verifying the exact tensor-product
 //!   fast-diagonalization inverse of the stiffness);

@@ -7,8 +7,9 @@
 //! parallel items are column blocks × [`RowSlab`]s). The
 //! dense per-cell matrices of the paper's `xGEMMStridedBatched` path
 //! (Sec. 5.4.1, `9^3 x 9^3` at p = 8) are available from
-//! [`FeSpace::dense_cell_stiffness`]; the batched-GEMM operator built on
-//! them lives with the kernel benchmarks that compare the two.
+//! [`FeSpace::dense_cell_stiffness`] as the sweep's oracle; no solve
+//! multiplies by them, and the dense-cell operator built on them (one GEMM
+//! per cell) lives only in the kernel benchmark that compares the two.
 //!
 //! Bloch phases: the periodic gather multiplies wrapped values by a per-axis
 //! phase, and the scatter by its conjugate — this implements the k-point
@@ -939,6 +940,7 @@ impl FeSpace {
 
     /// Unique node counts per axis.
     #[inline]
+    // dftlint:allow(L009, reason="node-grid shape of dft-fem/tests/golden_stiffness.rs and space::tests")
     pub fn n_axis(&self) -> [usize; 3] {
         self.n_axis
     }
@@ -1393,8 +1395,9 @@ impl FeSpace {
     }
 
     /// Dense cell stiffness matrix for a box of size `h`
-    /// (`(p+1)^3 x (p+1)^3`, column-major) — the building block of the
-    /// paper's batched dense path and the oracle of the sum-factorized one.
+    /// (`(p+1)^3 x (p+1)^3`, column-major) — the operand of the paper's
+    /// batched dense path (which no solve here runs) and the oracle of the
+    /// sum-factorized one.
     pub fn dense_cell_stiffness(&self, h: [f64; 3]) -> Matrix<f64> {
         let n1 = self.mesh.degree + 1;
         let nloc = n1 * n1 * n1;

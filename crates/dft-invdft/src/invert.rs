@@ -11,7 +11,7 @@ use dft_core::xc::{evaluate_xc, Lda};
 use dft_fem::field::NodalField;
 use dft_fem::space::FeSpace;
 use dft_linalg::blas1;
-use dft_linalg::iterative::{block_minres, DiagonalPrec};
+use dft_linalg::iterative::{block_minres, DiagonalPrec, IdentityPrec, Preconditioner};
 use dft_linalg::matrix::Matrix;
 
 /// Initial steepest-descent step on `v_xc`.
@@ -73,6 +73,18 @@ pub struct InvDftResult {
     pub converged: bool,
 }
 
+/// The adjoint solve's preconditioner (Sec. 5.3.1): the inverse diagonal of
+/// the orthonormalized FE Laplacian `1/2 M^{-1/2} K M^{-1/2}`, each entry
+/// floored at 1e-3 so the preconditioner stays SPD.
+pub fn laplacian_diagonal_prec(space: &FeSpace) -> DiagonalPrec {
+    let kdiag = space.stiffness_diagonal();
+    let s = space.inv_sqrt_mass();
+    let lap_diag: Vec<f64> = (0..space.ndofs())
+        .map(|d| (0.5 * s[d] * s[d] * kdiag[d]).max(1e-3))
+        .collect();
+    DiagonalPrec::from_diagonal(&lap_diag)
+}
+
 /// Recover `v_xc` from a target density.
 ///
 /// The electrostatic part `v_N + v_H` is evaluated once from `rho*` (it is
@@ -97,15 +109,12 @@ pub fn invert(
     let lda = evaluate_xc(space, rho_target, &Lda);
     let mut vxc = lda.vxc;
 
-    // adjoint preconditioner: inverse diagonal of the (orthonormalized)
-    // FE Laplacian, floored to stay SPD
-    let kdiag = space.stiffness_diagonal();
-    let s = space.inv_sqrt_mass();
-    let lap_diag: Vec<f64> = (0..nd)
-        .map(|d| (0.5 * s[d] * s[d] * kdiag[d]).max(1e-3))
-        .collect();
-    let prec = DiagonalPrec::from_diagonal(&lap_diag);
-    let identity_prec = dft_linalg::iterative::IdentityPrec;
+    let lap_prec = laplacian_diagonal_prec(space);
+    let prec: &dyn Preconditioner<f64> = if cfg.precondition {
+        &lap_prec
+    } else {
+        &IdentityPrec
+    };
 
     let opts = ChfesOptions {
         cheb_degree: cfg.cheb_degree,
@@ -218,19 +227,7 @@ pub fn invert(
             }
         }
         let mut p = Matrix::<f64>::zeros(nd, nb);
-        let stats = if cfg.precondition {
-            block_minres(&h, &prec, &shifts, &g, &mut p, MINRES_TOL, MINRES_MAX_ITER)
-        } else {
-            block_minres(
-                &h,
-                &identity_prec,
-                &shifts,
-                &g,
-                &mut p,
-                MINRES_TOL,
-                MINRES_MAX_ITER,
-            )
-        };
+        let stats = block_minres(&h, prec, &shifts, &g, &mut p, MINRES_TOL, MINRES_MAX_ITER);
         minres_iterations += stats.iterations;
         // re-project the adjoints orthogonal to their states
         for (bj, &i) in occ_idx.iter().enumerate() {

@@ -39,4 +39,4 @@
 mod cusp;
 pub mod invert;
 
-pub use invert::{invert, InvDftConfig, InvDftResult};
+pub use invert::{invert, laplacian_diagonal_prec, InvDftConfig, InvDftResult};

@@ -5,8 +5,7 @@
 //! [`crate::pack`] (packed operand panels, `MC/KC/NC` blocking, `MR x NR`
 //! register tile) for all four `Op` combinations. The seed column-axpy/dot
 //! kernel is retained as [`gemm_reference`] — it is the correctness oracle
-//! for the property tests and the "before" baseline of the kernel
-//! benchmarks.
+//! of the SIMD parity tests and of the blocking tests.
 
 use crate::matrix::Matrix;
 pub use crate::pack::Shape;
@@ -189,8 +188,8 @@ pub fn gemm_slices<T: Scalar>(
 }
 
 /// The seed unblocked column-axpy/dot GEMM, kept verbatim as the
-/// correctness reference for the blocked engine and as the "before"
-/// baseline of the kernel benchmarks. Semantics are identical to [`gemm`].
+/// correctness reference for the blocked engine. Semantics are identical
+/// to [`gemm`].
 // dftlint:allow(L009, reason="oracle of dft-linalg/tests/simd_parity.rs and pack::tests")
 pub fn gemm_reference<T: Scalar>(
     alpha: T,

@@ -2,12 +2,12 @@
 //!
 //! * [`cg`] — preconditioned conjugate gradients, used for the FE Poisson
 //!   (Hartree / nuclear electrostatics) solves;
-//! * [`minres`] / [`block_minres`] — the preconditioned MINRES of the
-//!   paper's inverse-DFT adjoint solve (Sec. 5.3.1). The *block* variant
-//!   runs one Lanczos/QR recurrence per column in lockstep while applying
-//!   the operator to the whole block at once, which is exactly how the
-//!   paper converts the adjoint solve into high-arithmetic-intensity FE
-//!   cell-level dense linear algebra. Each column may carry its own
+//! * [`block_minres`] — the preconditioned MINRES of the paper's
+//!   inverse-DFT adjoint solve (Sec. 5.3.1). It runs one Lanczos/QR
+//!   recurrence per column in lockstep while applying the operator to the
+//!   whole block at once, which is how the paper converts the adjoint solve
+//!   into high-arithmetic-intensity FE cell-level work (one column is the
+//!   single-system solve). Each column may carry its own
 //!   spectral shift `sigma_i` (the adjoint systems are `(H - eps_i) p_i =
 //!   g_i` with per-state eigenvalues).
 
@@ -17,8 +17,9 @@ use crate::scalar::{Real, Scalar};
 
 /// A linear operator applied to blocks of column vectors.
 ///
-/// Implementations are matrix-free: the FE Hamiltonian applies itself via
-/// cell-level batched GEMM + assembly without ever forming the sparse matrix.
+/// Implementations are matrix-free: the FE Hamiltonian applies itself by a
+/// sum-factorized cell sweep + assembly without ever forming the sparse
+/// matrix.
 pub trait LinearOperator<T: Scalar>: Sync {
     /// Dimension of the (square) operator.
     fn dim(&self) -> usize;
@@ -223,25 +224,6 @@ pub fn cg<T: Scalar>(
         final_residuals: vec![resid],
         converged: resid <= tol,
     }
-}
-
-/// Preconditioned MINRES for a single Hermitian (possibly indefinite)
-/// system `(A - sigma I) x = b`.
-pub fn minres<T: Scalar>(
-    op: &dyn LinearOperator<T>,
-    prec: &dyn Preconditioner<T>,
-    sigma: f64,
-    b: &[T],
-    x: &mut [T],
-    tol: f64,
-    max_iter: usize,
-) -> IterStats {
-    let n = op.dim();
-    let bm = Matrix::from_vec(n, 1, b.to_vec());
-    let mut xm = Matrix::from_vec(n, 1, x.to_vec());
-    let stats = block_minres(op, prec, &[sigma], &bm, &mut xm, tol, max_iter);
-    x.copy_from_slice(xm.col(0));
-    stats
 }
 
 /// Lockstep preconditioned block-MINRES: solves `(A - sigma_j I) x_j = b_j`
@@ -576,9 +558,10 @@ mod tests {
             b.col_mut(0)[i] -= sigma * xs[i];
         }
         let op = DenseOperator::new(a);
-        let mut x = vec![0.0; n];
-        let st = minres(&op, &IdentityPrec, sigma, b.col(0), &mut x, 1e-12, 2000);
+        let mut x = Matrix::zeros(n, 1);
+        let st = block_minres(&op, &IdentityPrec, &[sigma], &b, &mut x, 1e-12, 2000);
         assert!(st.converged);
+        let x = x.col(0);
         for i in 0..n {
             assert!((x[i] - xs[i]).abs() < 1e-7, "i={i}: {} vs {}", x[i], xs[i]);
         }
@@ -649,13 +632,13 @@ mod tests {
             }
         }
         let diag: Vec<f64> = (0..n).map(|i| a[(i, i)]).collect();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).sin()).collect();
+        let b = Matrix::from_fn(n, 1, |i, _| (i as f64 * 0.9).sin());
         let op = DenseOperator::new(a);
-        let mut x0 = vec![0.0; n];
-        let plain = minres(&op, &IdentityPrec, 0.0, &b, &mut x0, 1e-10, 5000);
-        let mut x1 = vec![0.0; n];
+        let mut x0 = Matrix::zeros(n, 1);
+        let plain = block_minres(&op, &IdentityPrec, &[0.0], &b, &mut x0, 1e-10, 5000);
+        let mut x1 = Matrix::zeros(n, 1);
         let prec = DiagonalPrec::from_diagonal(&diag);
-        let precd = minres(&op, &prec, 0.0, &b, &mut x1, 1e-10, 5000);
+        let precd = block_minres(&op, &prec, &[0.0], &b, &mut x1, 1e-10, 5000);
         assert!(plain.converged && precd.converged);
         assert!(
             (precd.iterations as f64) < 0.7 * plain.iterations as f64,
@@ -669,9 +652,9 @@ mod tests {
     fn zero_rhs_converges_immediately() {
         let n = 8;
         let op = DenseOperator::new(spd(n));
-        let b = vec![0.0_f64; n];
-        let mut x = vec![0.0; n];
-        let st = minres(&op, &IdentityPrec, 0.0, &b, &mut x, 1e-10, 100);
+        let b = Matrix::<f64>::zeros(n, 1);
+        let mut x = Matrix::zeros(n, 1);
+        let st = block_minres(&op, &IdentityPrec, &[0.0], &b, &mut x, 1e-10, 100);
         assert!(st.converged);
         assert_eq!(st.iterations, 0);
     }

@@ -1,9 +1,10 @@
 //! Cache-blocked, register-tiled GEMM engine with packed operand panels.
 //!
 //! This is the repo's analogue of the BLIS/GotoBLAS microkernel design that
-//! vendor BLAS libraries (and the cuBLAS kernels behind the paper's
-//! Sec. 5.4.1 strided-batched cell GEMMs) use to reach near-peak dense
-//! throughput:
+//! vendor BLAS libraries use to reach near-peak dense throughput (the
+//! paper's Sec. 5.4.1 strided-batched cell GEMMs run on such kernels; here
+//! the cell work is a sum-factorized sweep, and this engine serves the
+//! subspace products):
 //!
 //! * the `k` dimension is split into `KC`-deep slabs, the `m` dimension into
 //!   `MC`-tall slabs and the `n` dimension into `NC`-wide slabs so every
@@ -21,9 +22,8 @@
 //! keyed by scalar type, so steady-state GEMMs — the ChFES hot loop — do not
 //! allocate.
 //!
-//! Small problems (in particular the `(p+1)^3`-sized FE cell-level products
-//! of the batched path) take one trip through each blocking loop: one `B`
-//! pack, one `A` pack, one macro-kernel sweep.
+//! Small problems take one trip through each blocking loop: one `B` pack,
+//! one `A` pack, one macro-kernel sweep.
 //!
 //! One [`Shape`] argument lets the same loops form only what a caller reads:
 //! the lower triangle of a Hermitian product ([`Shape::LowerC`], skipping
@@ -412,8 +412,8 @@ type Operand<'a, T> = (&'a [T], usize, bool);
 /// which part to form (see [`Shape`]); writes reach only the entries of
 /// `c`.
 ///
-/// `blk` is the `(mc, kc, nc)` cache blocking; [`crate::gemm`] and
-/// [`crate::batched`] pass `(MC, KC, NC)`.
+/// `blk` is the `(mc, kc, nc)` cache blocking; [`crate::gemm`] passes
+/// `(MC, KC, NC)`, and the tests pass small blockings to cross every edge.
 ///
 /// Accumulation over `l` within one `kc` slab is strictly ascending (matching
 /// the seed axpy kernel's order bit-for-bit when `k <= kc`), and the slabs

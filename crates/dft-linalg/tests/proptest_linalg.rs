@@ -1,11 +1,8 @@
 //! Property-based tests for the dense linear algebra invariants.
 
-use dft_linalg::gemm::{gemm, matmul};
+use dft_linalg::gemm::matmul;
 use dft_linalg::iterative::{DenseOperator, IdentityPrec};
-use dft_linalg::{
-    batched_gemm, cg, cholesky, dot, eigh, minres, nrm2, tri_inv_lower, BatchLayout, Matrix, Op,
-    C64,
-};
+use dft_linalg::{block_minres, cg, cholesky, dot, eigh, nrm2, tri_inv_lower, Matrix, Op, C64};
 use proptest::prelude::*;
 
 fn mat_strategy(m: usize, n: usize) -> impl Strategy<Value = Matrix<f64>> {
@@ -113,29 +110,12 @@ proptest! {
         let op = DenseOperator::new(a.clone());
         let mut x_cg = vec![0.0; n];
         cg(&op, &IdentityPrec, &rhs, &mut x_cg, 1e-13, 1000);
-        let mut x_mr = vec![0.0; n];
-        let st = minres(&op, &IdentityPrec, 0.0, &rhs, &mut x_mr, 1e-13, 1000);
+        let b = Matrix::from_vec(n, 1, rhs);
+        let mut x_mr = Matrix::zeros(n, 1);
+        let st = block_minres(&op, &IdentityPrec, &[0.0], &b, &mut x_mr, 1e-13, 1000);
         prop_assert!(st.converged);
-        for i in 0..n {
-            prop_assert!((x_cg[i] - x_mr[i]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn batched_gemm_matches_loop_of_gemm(
-        a in proptest::collection::vec(-1.0..1.0f64, 4 * 3 * 5),
-        bb in proptest::collection::vec(-1.0..1.0f64, 3 * 2 * 5),
-    ) {
-        let layout = BatchLayout::packed(4, 2, 3, 5);
-        let mut c = vec![0.0f64; 4 * 2 * 5];
-        batched_gemm(layout, 1.0, &a, &bb, 0.0, &mut c);
-        for i in 0..5 {
-            let ai = Matrix::from_vec(4, 3, a[i * 12..(i + 1) * 12].to_vec());
-            let bi = Matrix::from_vec(3, 2, bb[i * 6..(i + 1) * 6].to_vec());
-            let mut ci = Matrix::zeros(4, 2);
-            gemm(1.0, &ai, Op::None, &bi, Op::None, 0.0, &mut ci);
-            let got = Matrix::from_vec(4, 2, c[i * 8..(i + 1) * 8].to_vec());
-            prop_assert!(got.max_abs_diff(&ci) < 1e-12);
+        for (c, m) in x_cg.iter().zip(x_mr.col(0)) {
+            prop_assert!((c - m).abs() < 1e-6);
         }
     }
 }

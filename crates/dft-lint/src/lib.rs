@@ -17,7 +17,7 @@
 //! | L006 | SPMD collective ordering: no collective under rank-dependent control flow with divergent per-branch sequences, no early exit (`return`/`?`/`break`/`continue`) in a rank-dependent branch when collectives follow — resolved through a workspace call-summary graph |
 //! | L007 | poison safety: a `CommError` is never swallowed (`let _ =`, `.ok()`, `.unwrap_or*()`, `Err(_) => continue`/`{}`) — it must reach the poison cascade or a typed error |
 //! | L008 | collective tag discipline in `comm.rs`: every collective (a caller of the one rooted routine `rooted`, or a `group_*` function) derives the tag it hands on from exactly one registered `TagBand` (`BAND.for_rank(..)`/`BAND.tag()`), whose bounds the L003 const-evaluator proves |
-//! | L009 | production code is what production calls: every `pub fn` under `crates/*/src` is referenced by name from non-test code — the crates' `src/` (bins included) and `benches/`, the root `src/` and `examples/`, and `benchmark/src`; test support and oracles carry an allow naming the suite they serve. Callers are matched by bare name, so a method that shares its name with one production calls on another type passes unseen |
+//! | L009 | production code is what production calls: every `pub fn` under `crates/*/src` is referenced by name from non-test code — the crates' `src/` (bins included) and `benches/`, the root `src/` and `examples/`, and `benchmark/src`; test support and oracles carry an allow naming the suite they serve. Callers are matched by bare name, so a method that shares its name with one production calls on another type passes unseen; in a file that binds `let [mut] x`, a bare `x` that is not called is that local, not a caller |
 //!
 //! A violation can be suppressed — with a mandatory justification — by a
 //! line comment on the same or the preceding line:
@@ -446,12 +446,22 @@ fn use_regions(toks: &[Tok]) -> Regions {
 
 /// The names one file's non-test code refers to as functions: every
 /// identifier outside test regions and `use` items, except an item's own
-/// name after `fn`, a field access (`.x` with no call) and a field or
-/// parameter label (`x:`). Comments and strings are not tokens.
+/// name after `fn`, a field access (`.x` with no call), a field or
+/// parameter label (`x:`) and, in a file whose non-test code binds
+/// `let [mut] x`, a bare `x` not called (`x(`): that is the local. Comments
+/// and strings are not tokens.
 fn production_references(toks: &[Tok]) -> BTreeSet<String> {
     let test = test_regions(toks);
     let uses = use_regions(toks);
     let next_is = |i: usize, op: &str| toks.get(i + 1).is_some_and(|n| n.is_op(op));
+    let bound: BTreeSet<&str> = (0..toks.len())
+        .filter(|&i| toks[i].is_ident("let") && !in_regions(&test, i))
+        .filter_map(|i| {
+            let k = i + 1 + usize::from(toks.get(i + 1)?.is_ident("mut"));
+            toks.get(k).filter(|t| t.kind == TokKind::Ident)
+        })
+        .map(|t| t.text.as_str())
+        .collect();
     toks.iter()
         .enumerate()
         .filter(|&(i, t)| {
@@ -459,7 +469,11 @@ fn production_references(toks: &[Tok]) -> BTreeSet<String> {
             let definition = prev_is("fn");
             let field = prev_is(".") && !next_is(i, "(") && !next_is(i, "::");
             let label = next_is(i, ":");
-            let skipped = definition || field || label;
+            let local = bound.contains(t.text.as_str())
+                && !prev_is("::")
+                && !next_is(i, "(")
+                && !next_is(i, "::");
+            let skipped = definition || field || label || local;
             t.kind == TokKind::Ident && !skipped && !in_regions(&test, i) && !in_regions(&uses, i)
         })
         .map(|(_, t)| t.text.clone())

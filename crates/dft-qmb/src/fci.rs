@@ -384,6 +384,7 @@ impl<'a> FciProblem<'a> {
     }
 
     /// Real-space density on the grid from the CI vector.
+    // dftlint:allow(L009, reason="the FCI density of fci::tests; no pipeline feeds a QMB density to invDFT")
     pub fn density(&self, c: &[f64]) -> Vec<f64> {
         let d = self.one_rdm(c);
         let no = self.ints.n_orb;

@@ -6,7 +6,7 @@
 //! Re-exports the workspace crates so examples and downstream users can
 //! depend on a single crate:
 //!
-//! * [`linalg`] — dense / batched / mixed-precision linear algebra
+//! * [`linalg`] — dense / mixed-precision linear algebra
 //! * [`fem`] — adaptive higher-order spectral finite elements
 //! * [`hpc`] — simulated exascale runtime + machine performance models
 //! * [`qmb`] — model quantum many-body (full CI) solver
