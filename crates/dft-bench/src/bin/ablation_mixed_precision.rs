@@ -7,10 +7,11 @@
 
 use dft_bench::pipeline::MiniSystem;
 use dft_bench::section;
+use dft_core::cluster::grid::GridShape;
+use dft_core::cluster::scf::{distributed_scf, DistScfConfig};
 use dft_core::scf::{scf, KPoint};
 use dft_core::xc::Lda;
 use dft_hpc::comm::{run_cluster, WirePrecision};
-use dft_parallel::{distributed_scf, DistScfConfig, GridShape};
 use std::sync::atomic::Ordering;
 
 fn main() {

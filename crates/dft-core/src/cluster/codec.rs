@@ -1,8 +1,9 @@
 //! The little-endian, FNV-1a-checksummed binary conventions shared by the
 //! solver's on-disk formats (`DFTCKPT1` SCF snapshots in
 //! [`checkpoint`](super::checkpoint), `DFTRELX2` trajectory state in
-//! `dft-parallel`'s relaxation loop): every `f64` travels as its own bit pattern,
-//! and a file ends in the checksum of everything before it. Both formats
+//! the relaxation loop of [`relax`](super::relax)): every `f64` travels as
+//! its own bit pattern, and a file ends in the checksum of everything
+//! before it. Both formats
 //! reach the disk through the one durable writer [`write_durable`] and come
 //! back through [`read_durable`].
 

@@ -4,19 +4,19 @@
 //! rank and by how that closure's error classifies.
 //!
 //! Recovery needs no surviving process state — the snapshot on disk plus the
-//! deterministic [`Decomposition`](crate::decomp::Decomposition) derived
+//! deterministic [`Decomposition`](super::decomp::Decomposition) derived
 //! from the *new* rank count are enough. The reassembled wavefunction shards
 //! are restricted to the fresh partition, so the restarted SCF continues
 //! from the checkpointed iteration and reconverges to the same free energy
 //! (bit-identical at the same rank count, to solver tolerance otherwise).
 
-use crate::relax::{dist_relax, DistRelaxConfig, DistRelaxResult, RelaxError};
-use crate::scf::{distributed_scf, DistScfConfig, DistScfResult, ScfError};
-use dft_core::forces::ForceError;
-use dft_core::scf::KPoint;
-use dft_core::system::AtomicSystem;
-use dft_core::threads::with_threads;
-use dft_core::xc::XcFunctional;
+use super::relax::{dist_relax, DistRelaxConfig, DistRelaxResult, RelaxError};
+use super::scf::{distributed_scf, DistScfConfig, DistScfResult, ScfError};
+use crate::forces::ForceError;
+use crate::scf::KPoint;
+use crate::system::AtomicSystem;
+use crate::threads::with_threads;
+use crate::xc::XcFunctional;
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::{run_cluster_with, ClusterOptions, CommError, FaultPlan, ThreadComm};
 use std::sync::Arc;

@@ -1,10 +1,10 @@
 //! Distributed FIRE relaxation and Born-Oppenheimer MD: one trajectory
-//! loop stepping one of the two integrators of [`dft_core::relax`], FIRE
+//! loop stepping one of the two integrators of [`crate::relax`], FIRE
 //! ([`dist_relax`]) or velocity Verlet ([`dist_md`]).
 //!
 //! The loop runs *replicated*: every rank holds the full atom set and the
 //! full integrator state, feeds them the bit-identical forces from
-//! [`distributed_forces`](crate::forces::distributed_forces), and
+//! [`distributed_forces`](super::forces::distributed_forces), and
 //! therefore moves the atoms identically with zero extra communication.
 //!
 //! Between geometry steps the SCF is *warm-started* from the previous
@@ -25,15 +25,15 @@
 //! snapshots — so a preempted 300-step run loses at most the SCF
 //! iterations since the last snapshot.
 
-use crate::forces::forces_rank;
-use crate::scf::{performed_iterations, scf_rank, DistScfConfig, DistScfResult, ScfError};
-use dft_core::cluster::codec::{bad, push_f64, push_u64, read_durable, write_durable, Cur};
-use dft_core::forces::{max_force, ForceError};
-use dft_core::relax::{FireState, RelaxConfig, VerletState};
-use dft_core::scf::KPoint;
-use dft_core::system::AtomicSystem;
-use dft_core::threads::rank_threads;
-use dft_core::xc::XcFunctional;
+use super::codec::{bad, push_f64, push_u64, read_durable, write_durable, Cur};
+use super::forces::forces_rank;
+use super::scf::{performed_iterations, scf_rank, DistScfConfig, DistScfResult, ScfError};
+use crate::forces::{max_force, ForceError};
+use crate::relax::{FireState, RelaxConfig, VerletState};
+use crate::scf::KPoint;
+use crate::system::AtomicSystem;
+use crate::threads::rank_threads;
+use crate::xc::XcFunctional;
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::ThreadComm;
 use std::fs;
@@ -313,7 +313,7 @@ impl Trajectory {
 /// trajectory from that state; `scf_cfg.preempt` preempts the in-flight
 /// SCF step cooperatively (the loop surfaces [`ScfError::Preempted`] after
 /// the step's snapshot and the loop state are both on disk). Runs on this
-/// rank's share of the cores ([`dft_core::threads`]).
+/// rank's share of the cores ([`crate::threads`]).
 pub fn dist_relax(
     comm: &mut ThreadComm,
     space: &FeSpace,
@@ -334,8 +334,8 @@ pub fn dist_relax(
 /// (unit masses, zero initial velocities) through the same loop, warm
 /// starts, persistence and resume as [`dist_relax`]; the result's
 /// `converged` is always false. Runs on this rank's share of the cores
-/// ([`dft_core::threads`]).
-// dftlint:allow(L009, reason="BO-MD of dft-parallel/tests/forces.rs (MD_GOLDEN and the energy-drift test)")
+/// ([`crate::threads`]).
+// dftlint:allow(L009, reason="BO-MD of dft-core/tests/forces.rs (MD_GOLDEN and the energy-drift test)")
 pub fn dist_md(
     comm: &mut ThreadComm,
     space: &FeSpace,
@@ -484,7 +484,7 @@ fn trajectory_rank(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dft_core::system::{Atom, AtomKind};
+    use crate::system::{Atom, AtomKind};
 
     /// A state file round-trips bit for bit for its own integrator, and a
     /// version-1 file (FIRE scalars before the velocities, no integrator

@@ -26,10 +26,14 @@
 //! * [`scf`] — the self-consistent field loop and the total (free)
 //!   energy assembly with Gaussian-nucleus electrostatics; [`scf()`] is
 //!   its solve on a one-rank cluster;
+//! * [`relax`] — the FIRE and velocity-Verlet integrators that move atoms
+//!   on Hellmann-Feynman forces;
 //! * [`cluster`] — the rank's half of the solver, from the domain
 //!   decomposition to the rank's side of the SCF loop and its snapshots,
-//!   and the one force assembly ([`forces`] holds its partial sums;
-//!   [`compute_forces`] is it on a one-rank cluster);
+//!   the one force assembly ([`forces`] holds its partial sums;
+//!   [`compute_forces`] is it on a one-rank cluster), the one trajectory
+//!   loop that steps those integrators, and the relaunch loop that
+//!   recovers a run from rank loss;
 //! * [`threads`] — the one thread-cap helper: a rank, a server job or a
 //!   k-point lane runs on its share of the one shared worker pool.
 

@@ -6,8 +6,12 @@
 //! time-step and a "power" criterion that kills uphill inertia. Plain
 //! velocity Verlet integrates Born-Oppenheimer MD. [`FireState`] and
 //! [`VerletState`] are pure data with one update rule each, so the one
-//! trajectory loop (`dft_parallel::dist_relax` / `dist_md`) steps either
-//! on replicated forces and persists / restores it across preemptions.
+//! trajectory loop of [`crate::cluster::relax`] ([`dist_relax`] /
+//! [`dist_md`]) steps either on replicated forces and persists / restores
+//! it across preemptions.
+//!
+//! [`dist_relax`]: crate::cluster::relax::dist_relax
+//! [`dist_md`]: crate::cluster::relax::dist_md
 
 /// FIRE's initial time step.
 const FIRE_DT: f64 = 0.5;

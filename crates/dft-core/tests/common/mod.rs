@@ -1,7 +1,7 @@
 //! Shared by the multi-rank suites: what a run replicates, it replicates to
 //! the bit.
 
-use dft_parallel::DistScfResult;
+use dft_core::cluster::scf::DistScfResult;
 
 /// The free energy, every eigenvalue and the density of one run are
 /// bit-identical on all of its ranks.

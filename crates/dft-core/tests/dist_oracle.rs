@@ -4,6 +4,9 @@
 //! plus run-to-run bit-determinism and SCF energy parity.
 
 use dft_core::chebyshev::{chebyshev_filter_scratch, lanczos_bounds, CfScratch};
+use dft_core::cluster::grid::GridShape;
+use dft_core::cluster::operator::{DistHamiltonian, DistSpace, SharedComm, WireScalar};
+use dft_core::cluster::scf::{distributed_scf, DistScfConfig};
 use dft_core::hamiltonian::{HamOperator, KsHamiltonian};
 use dft_core::scf::{scf, KPoint, ScfConfig};
 use dft_core::system::{Atom, AtomKind, AtomicSystem};
@@ -15,9 +18,6 @@ use dft_hpc::profile::ScfProfile;
 use dft_linalg::iterative::{LinearOperator, Recurrence};
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::{Real, Scalar, C64};
-use dft_parallel::{
-    distributed_scf, DistHamiltonian, DistScfConfig, DistSpace, GridShape, SharedComm, WireScalar,
-};
 
 mod common;
 use common::assert_ranks_agree;
@@ -502,8 +502,8 @@ fn one_rank_cluster_retraces_the_serial_solve() {
 /// and density to the bit, on the real and on the complex path.
 #[test]
 fn one_rank_recovery_run_returns_the_serial_bits() {
+    use dft_core::cluster::recover::scf_with_recovery;
     use dft_hpc::comm::ClusterOptions;
-    use dft_parallel::scf_with_recovery;
 
     let (space, sys) = parity_system();
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -549,8 +549,8 @@ fn one_rank_recovery_run_returns_the_serial_bits() {
 /// the pool at 1 and at 4 threads (`RAYON_NUM_THREADS`).
 #[test]
 fn energy_bits_do_not_depend_on_the_thread_count() {
+    use dft_core::cluster::recover::scf_with_recovery;
     use dft_hpc::comm::ClusterOptions;
-    use dft_parallel::scf_with_recovery;
 
     let layers = FeSpace::new(Mesh3d::periodic_cube(4, 6.0, 2));
     let (cube, sys) = parity_system();

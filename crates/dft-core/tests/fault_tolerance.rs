@@ -7,6 +7,13 @@
 //! cluster by the number of ranks killed.
 
 use dft_core::chebyshev::{chebyshev_filter_scratch, CfScratch};
+use dft_core::cluster::checkpoint;
+use dft_core::cluster::operator::{ghost_tag_band, DistHamiltonian, DistSpace, SharedComm};
+use dft_core::cluster::recover::{relax_with_recovery, scf_with_recovery};
+use dft_core::cluster::relax::{DistRelaxConfig, RelaxError};
+use dft_core::cluster::scf::{
+    distributed_scf, DistScfConfig, DistScfResult, PreemptToken, ScfError,
+};
 use dft_core::relax::RelaxConfig;
 use dft_core::scf::{KPoint, ScfConfig};
 use dft_core::system::{Atom, AtomKind, AtomicSystem};
@@ -18,12 +25,6 @@ use dft_hpc::comm::{
     COLLECTIVE_TAGS,
 };
 use dft_linalg::matrix::Matrix;
-use dft_parallel::scf::ScfError;
-use dft_parallel::{
-    checkpoint, distributed_scf, ghost_tag_band, relax_with_recovery, scf_with_recovery,
-    DistHamiltonian, DistRelaxConfig, DistScfConfig, DistSpace, PreemptToken, RelaxError,
-    SharedComm,
-};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -64,7 +65,7 @@ fn fresh_dir(label: &str) -> PathBuf {
 /// `Killed` cause, the survivors with a `Timeout`/`PeerGone` cause — within
 /// a small multiple of the communicator deadline.
 fn assert_all_lost(
-    results: Vec<Result<dft_parallel::DistScfResult, ScfError>>,
+    results: Vec<Result<DistScfResult, ScfError>>,
     victim: usize,
     elapsed: Duration,
     budget: Duration,

@@ -8,6 +8,12 @@
 //! for rank invariance and energy conservation, and both through
 //! persistence and resume.
 
+use dft_core::cluster::forces::{distributed_forces, distributed_forces_profiled};
+use dft_core::cluster::grid::GridShape;
+use dft_core::cluster::relax::{
+    dist_md, dist_relax, DistRelaxConfig, DistRelaxResult, MdConfig, RelaxStepRecord,
+};
+use dft_core::cluster::scf::DistScfConfig;
 use dft_core::forces::compute_forces;
 use dft_core::relax::RelaxConfig;
 use dft_core::scf::{KPoint, ScfConfig};
@@ -16,10 +22,6 @@ use dft_core::xc::Lda;
 use dft_fem::mesh::{Axis, BoundaryCondition, Mesh3d};
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::run_cluster;
-use dft_parallel::{
-    dist_md, dist_relax, distributed_forces, distributed_forces_profiled, DistRelaxConfig,
-    DistRelaxResult, DistScfConfig, GridShape, MdConfig, RelaxStepRecord,
-};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 

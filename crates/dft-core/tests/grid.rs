@@ -8,6 +8,10 @@
 use dft_core::chebyshev::{
     chfes_reduced, lanczos_bounds, random_subspace, ChfesOptions, NoReduce, SubspaceReducer,
 };
+use dft_core::cluster::grid::{GridShape, ProcessGrid};
+use dft_core::cluster::operator::{DistHamiltonian, DistSpace, SharedComm};
+use dft_core::cluster::reduce::{CommVolume, GridReducer};
+use dft_core::cluster::scf::{distributed_scf, DistScfConfig, DistScfResult};
 use dft_core::hamiltonian::KsHamiltonian;
 use dft_core::scf::{scf, KPoint, ScfConfig};
 use dft_core::system::{Atom, AtomKind, AtomicSystem};
@@ -18,10 +22,6 @@ use dft_hpc::comm::{run_cluster, CommStats, WirePrecision};
 use dft_linalg::gemm::{matmul, Op};
 use dft_linalg::iterative::LinearOperator;
 use dft_linalg::matrix::Matrix;
-use dft_parallel::{
-    distributed_scf, CommVolume, DistHamiltonian, DistScfConfig, DistScfResult, DistSpace,
-    GridReducer, GridShape, ProcessGrid, SharedComm,
-};
 
 mod common;
 use common::assert_ranks_agree;

@@ -15,6 +15,9 @@
 //! default of 8 schedules) — the same escape hatch `scripts/ci.sh`
 //! documents.
 
+use dft_core::cluster::forces::distributed_forces;
+use dft_core::cluster::relax::{dist_relax, DistRelaxConfig};
+use dft_core::cluster::scf::{distributed_scf, DistScfConfig};
 use dft_core::relax::RelaxConfig;
 use dft_core::scf::{KPoint, ScfConfig};
 use dft_core::system::{Atom, AtomKind, AtomicSystem};
@@ -24,9 +27,6 @@ use dft_fem::space::FeSpace;
 use dft_hpc::comm::WirePrecision;
 use dft_hpc::explore::{explore_schedules, schedules_from_env, SchedulePlan};
 use dft_hpc::ClusterOptions;
-use dft_parallel::{
-    dist_relax, distributed_forces, distributed_scf, DistRelaxConfig, DistScfConfig,
-};
 
 const NRANKS: usize = 4;
 const N_SCHEDULES: usize = 8;

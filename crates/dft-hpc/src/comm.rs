@@ -151,7 +151,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// Kill `rank` as soon as its epoch counter reaches `epoch`.
-    // dftlint:allow(L009, reason="fault injection of dft-parallel/tests/fault_tolerance.rs and dft-serve/tests/serve.rs")
+    // dftlint:allow(L009, reason="fault injection of dft-core/tests/fault_tolerance.rs and dft-serve/tests/serve.rs")
     pub fn kill_at_epoch(rank: usize, epoch: u64) -> Self {
         Self {
             kills: vec![KillRule {
@@ -166,7 +166,7 @@ impl FaultPlan {
 
     /// Kill `rank` on its `(after_matches + 1)`-th send with a wire tag in
     /// `tags`, once its epoch counter has reached `epoch`.
-    // dftlint:allow(L009, reason="fault injection of dft-parallel/tests/fault_tolerance.rs")
+    // dftlint:allow(L009, reason="fault injection of dft-core/tests/fault_tolerance.rs")
     pub fn kill_on_send(rank: usize, epoch: u64, tags: (u64, u64), after_matches: u64) -> Self {
         Self {
             kills: vec![KillRule {
@@ -335,7 +335,7 @@ impl Default for ClusterOptions {
 
 impl ClusterOptions {
     /// Fault-free options with the given receive timeout.
-    // dftlint:allow(L009, reason="short deadlines of dft-parallel/tests/fault_tolerance.rs")
+    // dftlint:allow(L009, reason="short deadlines of dft-core/tests/fault_tolerance.rs")
     pub fn with_timeout(timeout: Duration) -> Self {
         Self {
             timeout,
@@ -476,7 +476,7 @@ impl CommStats {
     }
 
     /// Snapshot of the fault counters `(timeouts, kills, delayed sends)`.
-    // dftlint:allow(L009, reason="fault accounting of dft-parallel/tests/fault_tolerance.rs")
+    // dftlint:allow(L009, reason="fault accounting of dft-core/tests/fault_tolerance.rs")
     pub fn fault_snapshot(&self) -> (u64, u64, u64) {
         (
             self.timeouts.load(Ordering::Relaxed),

@@ -155,7 +155,7 @@ pub fn schedule_seed(base_seed: u64, k: usize) -> u64 {
 /// [`ScheduleDivergence`] found. `proto` supplies timeout/fault settings;
 /// its own `schedule` field is overridden per iteration. With
 /// `n_schedules == 0` the closure runs once, unperturbed.
-// dftlint:allow(L009, reason="the schedule explorer of dft-parallel/tests/schedule.rs")
+// dftlint:allow(L009, reason="the schedule explorer of dft-core/tests/schedule.rs")
 pub fn explore_schedules<T, F>(
     n_ranks: usize,
     n_schedules: usize,
@@ -197,7 +197,7 @@ where
 /// `default_n`, `off`/`0` disables exploration, any other value is parsed
 /// as the count (falling back to `default_n`).
 #[must_use]
-// dftlint:allow(L009, reason="schedule count of dft-parallel/tests/schedule.rs")
+// dftlint:allow(L009, reason="schedule count of dft-core/tests/schedule.rs")
 pub fn schedules_from_env(default_n: usize) -> usize {
     match std::env::var("DFT_SCHED_EXPLORE") {
         Err(_) => default_n,

@@ -36,7 +36,6 @@
 // indexed loops deliberately mirror the paper's subscript notation
 #![allow(clippy::needless_range_loop)]
 
-mod cusp;
 pub mod invert;
 
 pub use invert::{invert, laplacian_diagonal_prec, InvDftConfig, InvDftResult};

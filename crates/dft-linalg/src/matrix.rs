@@ -180,7 +180,7 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Largest entrywise modulus of `self - other`.
-    // dftlint:allow(L009, reason="comparison helper of the dft-linalg, dft-fem and dft-parallel test suites")
+    // dftlint:allow(L009, reason="comparison helper of the dft-linalg, dft-fem and dft-core test suites")
     pub fn max_abs_diff(&self, other: &Matrix<T>) -> f64 {
         assert_eq!(self.shape(), other.shape());
         self.data

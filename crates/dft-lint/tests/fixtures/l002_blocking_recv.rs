@@ -1,4 +1,4 @@
-// dftlint:fixture(crate="dft-parallel", file="exchange.rs")
+// dftlint:fixture(crate="dft-core", file="crates/dft-core/src/cluster/operator.rs")
 // L002: raw blocking receives are comm.rs-internal; everyone else must
 // use the `_deadline` variants (shared collective deadline) or polling.
 

@@ -1,4 +1,4 @@
-// dftlint:fixture(crate="dft-parallel", file="scf.rs")
+// dftlint:fixture(crate="dft-core", file="crates/dft-core/src/cluster/scf.rs")
 //! L006: collectives under rank-dependent control flow.
 
 /// Seeded violation: only rank 0 enters the allreduce — every other rank

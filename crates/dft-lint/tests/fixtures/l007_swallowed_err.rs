@@ -1,4 +1,4 @@
-// dftlint:fixture(crate="dft-parallel", file="relax.rs")
+// dftlint:fixture(crate="dft-core", file="crates/dft-core/src/cluster/relax.rs")
 //! L007: CommError paths that never reach the poison cascade.
 
 /// Swallowed with `let _ =`: the failure is invisible to the SCF loop.

@@ -10,7 +10,7 @@
 //!
 //! The entry points directly at the *donor job's* directory — snapshots
 //! are never copied into a shared directory, so the two-writers-prune-
-//! each-other hazard of [`dft_parallel::checkpoint::finalize`] cannot
+//! each-other hazard of [`dft_core::cluster::checkpoint::finalize`] cannot
 //! arise (readers only read; each directory has exactly one writer).
 //!
 //! Separately, [`SpaceCache`] shares one [`FeSpace`] — with its

@@ -7,13 +7,13 @@
 //! the server is over capacity; accepted jobs eventually deliver exactly one
 //! [`JobOutcome`] on the ticket channel.
 
+use dft_core::cluster::grid::GridShape;
 use dft_core::scf::KPoint;
 use dft_core::system::{Atom, AtomKind};
 use dft_core::xc::{Lda, Pbe, XcFunctional, XcPoint};
 use dft_fem::mesh::{Axis, BoundaryCondition, Mesh3d, SUPPORTED_DEGREES};
 use dft_hpc::comm::FaultPlan;
 use dft_materials::Structure;
-use dft_parallel::GridShape;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -36,7 +36,7 @@ pub enum Priority {
 pub enum JobKind {
     /// A single self-consistent ground-state solve.
     Scf,
-    /// FIRE structural relaxation driven by `dft_parallel::dist_relax`:
+    /// FIRE structural relaxation driven by `dft_core::cluster::relax::dist_relax`:
     /// up to `steps` geometry steps with distributed Hellmann-Feynman
     /// forces, each SCF warm-started from the previous step's converged
     /// state (wavefunction extrapolation). Stops early once the maximum

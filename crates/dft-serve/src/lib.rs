@@ -1,7 +1,7 @@
 //! # dft-serve
 //!
 //! A multi-tenant, asynchronous DFT job server over the distributed solver
-//! of [`dft_parallel`] — the serving layer a shared "materials-screening
+//! of [`dft_core::cluster`] — the serving layer a shared "materials-screening
 //! service" runs: many small-to-medium Kohn-Sham jobs from many tenants,
 //! multiplexed onto one bounded pool of ranks.
 //!
@@ -12,7 +12,7 @@
 //! * [`scheduler`] — the gang scheduler: priority classes drain first,
 //!   tenants round-robin within a class, gangs get `min(requested, free)`
 //!   ranks, and a saturated pool preempts its cheapest victim through a
-//!   cluster-consensus [`PreemptToken`](dft_parallel::PreemptToken) —
+//!   cluster-consensus [`PreemptToken`](dft_core::cluster::scf::PreemptToken) —
 //!   the victim snapshots and is requeued to resume from its own
 //!   checkpoints on whatever rank count is free later (checkpoints
 //!   reshard across rank counts and grid shapes);

@@ -27,17 +27,17 @@
 use crate::cache::{ConvergedCache, SpaceCache};
 use crate::job::{JobKind, JobOutcome, JobRequest, JobStatus, Priority};
 use crate::pool::RankPool;
+use dft_core::cluster::checkpoint::job_dir;
+use dft_core::cluster::grid::GridShape;
+use dft_core::cluster::recover::{relax_with_recovery, scf_with_recovery, RecoveryReport};
+use dft_core::cluster::relax::{DistRelaxConfig, RelaxError};
+use dft_core::cluster::scf::{performed_iterations, DistScfConfig, PreemptToken, ScfError};
 use dft_core::relax::RelaxConfig;
 use dft_core::scf::ScfConfig;
 use dft_core::system::AtomicSystem;
+use dft_core::threads::with_thread_share;
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::{ClusterOptions, FaultPlan};
-use dft_parallel::checkpoint::job_dir;
-use dft_parallel::scf::performed_iterations;
-use dft_parallel::{
-    relax_with_recovery, scf_with_recovery, with_thread_share, DistRelaxConfig, DistScfConfig,
-    GridShape, PreemptToken, RecoveryReport, RelaxError, ScfError,
-};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender};
@@ -763,7 +763,7 @@ fn run_worker(
 
 #[cfg(test)]
 mod tests {
-    use dft_parallel::scf::performed_iterations;
+    use dft_core::cluster::scf::performed_iterations;
 
     /// The warm-resume-converges-immediately edge: a run resumed from a
     /// snapshot labeled N that performs no further loop iterations

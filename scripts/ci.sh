@@ -120,8 +120,22 @@ fi
 
 # The SCF and inverse DFT do not print: a run reports through its result
 # (residual history, profile), so the solver crates hold no print.
-if grep -rnE "\bprint(ln)?!" crates/dft-core/src crates/dft-parallel/src crates/dft-invdft/src; then
-  echo "    a print in crates/dft-core/src, crates/dft-parallel/src or crates/dft-invdft/src (see above)"
+if grep -rnE "\bprint(ln)?!" crates/dft-core/src crates/dft-invdft/src; then
+  echo "    a print in crates/dft-core/src or crates/dft-invdft/src (see above)"
+  exit 1
+fi
+
+# One home for the ranks: everything a rank runs lives in dft-core's
+# cluster module. The old crate survives only as re-exports for benchmark/,
+# so nothing else may name it, and it may hold no code of its own.
+old_crate="dft[-_]para""llel"
+if grep -rnE "$old_crate" crates/*/src crates/*/Cargo.toml src tests examples scripts \
+  | grep -v "^crates/dft-para""llel/"; then
+  echo "    the code-free re-export crate is named outside itself (see above); import from dft_core::cluster"
+  exit 1
+fi
+if grep -rnE "\b(fn|struct|enum|trait|impl)\b" "crates/dft-para""llel/src"; then
+  echo "    crates/dft-para""llel/src holds code (see above); it may only re-export dft_core names"
   exit 1
 fi
 
@@ -154,28 +168,28 @@ echo "==> cargo test -q"
 cargo test -q --offline --workspace
 
 echo "==> fault-injection suite (kills, timeouts, checkpoint/restart recovery)"
-cargo test -q --offline --release -p dft-parallel --test fault_tolerance
+cargo test -q --offline --release -p dft-core --test fault_tolerance
 
 echo "==> process-grid suite (2x2 and 2x2x2 layouts, slab = no grid, reduce legs, FP32 subspace, reshard restart)"
-cargo test -q --offline --release -p dft-parallel --test grid
+cargo test -q --offline --release -p dft-core --test grid
 
 echo "==> serve suite (multi-tenant scheduler: bursts, admission control, preemption, rank kill)"
 cargo test -q --offline --release -p dft-serve
 
 echo "==> relax/MD suite (distributed force parity/determinism, the pinned FIRE trajectory, warm starts)"
-cargo test -q --offline --release -p dft-parallel --test forces
+cargo test -q --offline --release -p dft-core --test forces
 
 echo "==> comm sanitizer (debug profile): message-leak + tag-band runtime checks"
 cargo test -q --offline -p dft-hpc --features sanitize comm::
-cargo test -q --offline -p dft-parallel --features sanitize --test fault_tolerance
+cargo test -q --offline -p dft-core --features sanitize --test fault_tolerance
 
 echo "==> schedule-exploration gate (8 seeded delivery schedules, bit-identity; skip with DFT_SCHED_EXPLORE=off)"
 if [ "${DFT_SCHED_EXPLORE:-on}" = "off" ]; then
   echo "    skipped (DFT_SCHED_EXPLORE=off)"
 else
   cargo test -q --offline --release -p dft-hpc explore::
-  cargo test -q --offline --release -p dft-parallel --test schedule
-  cargo test -q --offline -p dft-parallel --features sanitize --test schedule
+  cargo test -q --offline --release -p dft-core --test schedule
+  cargo test -q --offline -p dft-core --features sanitize --test schedule
 fi
 
 echo "==> thread-count suite (pool of 1 and of 4 threads: shim contract, the GEMM engine's thread split and triangle shapes, row-slab, lane-panel, touch-table, filter-task, k-point-lane and thread-cap bit-identity, rank thread shares (dft-core's threads:: tests), a panicking job, scf-2k's reference energy and iteration pin at every lane shape, scf-wide's with its twelve filter tasks on 1 or 4 threads, scf-poisson's with its one task cut into as many row slabs as the cap allows, dist-2r's pins and its dist-vs-serial gate wherever the thread cap splits its narrowed filter blocks into column blocks and row slabs)"
@@ -184,7 +198,7 @@ for nt in 1 4; do
   RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p dft-linalg
   RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p dft-fem --lib space::tests
   RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p dft-core --lib
-  RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p dft-parallel --test dist_oracle
+  RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p dft-core --test dist_oracle
   RAYON_NUM_THREADS=$nt cargo test -q --offline --release -p dft-serve --test serve solver_panic
   RAYON_NUM_THREADS=$nt bash benchmark/run.sh --workload scf-2k --seed 1 --trace 0
   RAYON_NUM_THREADS=$nt bash benchmark/run.sh --workload scf-wide --seed 1 --trace 0
