@@ -7,9 +7,9 @@ use dft_core::chebyshev::{
     CfScratch, ChfesOptions,
 };
 use dft_core::hamiltonian::KsHamiltonian;
-use dft_core::threads::with_threads;
 use dft_fem::mesh::Mesh3d;
 use dft_fem::space::{FeSpace, COL_BLOCK};
+use dft_hpc::threads::with_threads;
 use dft_linalg::gemm::Shape::{Full, LowerC, UpperB};
 use dft_linalg::gemm::{gemm, gemm_shaped, gemm_slices, Op};
 use dft_linalg::iterative::LinearOperator;

@@ -29,9 +29,9 @@
 
 use crate::hamiltonian::HamOperator;
 use crate::occupation::{fermi, COLD_START_RESIDUAL, DENSITY_CUTOFF};
-use crate::threads::with_threads;
 use dft_fem::space::{LanePanel, COL_BLOCK};
 use dft_hpc::profile::{Phase, PhaseScope, Profile};
+use dft_hpc::threads::with_threads;
 use dft_linalg::blas1;
 use dft_linalg::chol::{cholesky_inverse, LinalgError};
 use dft_linalg::eig::{eigh, tridiagonal_ql};
@@ -1279,7 +1279,7 @@ mod tests {
     /// seen one.
     #[test]
     fn cycle_bits_do_not_depend_on_the_filter_width() {
-        use crate::threads::with_threads;
+        use dft_hpc::threads::with_threads;
         use dft_linalg::scalar::C64;
 
         fn check<T: Scalar>(space: &FeSpace, phases: [T; 3]) {
@@ -1353,7 +1353,7 @@ mod tests {
     /// complex Bloch space.
     #[test]
     fn cycle_bits_do_not_depend_on_the_gemm_split() {
-        use crate::threads::with_threads;
+        use dft_hpc::threads::with_threads;
         use dft_linalg::gemm::SPLIT_MACS;
         use dft_linalg::scalar::C64;
 

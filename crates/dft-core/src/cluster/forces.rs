@@ -22,7 +22,6 @@ use crate::forces::{
     electrostatic_force_partial, force_poisson, ion_ion_force_partial, ForceError,
 };
 use crate::system::AtomicSystem;
-use crate::threads::rank_threads;
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::{ThreadComm, WirePrecision};
 use std::time::Instant;
@@ -44,38 +43,14 @@ pub struct ForceAssemblyProfile {
 
 /// Hellmann-Feynman forces for a converged replicated density `rho_e`
 /// (full nodal field, identical on every rank — e.g.
-/// `DistScfResult::density`). Call from every rank of a cluster with
+/// [`ScfResult::density`](crate::scf::ScfResult::density)), with this
+/// rank's timing breakdown. Call from every rank of a cluster with
 /// identical arguments; returns the full per-atom force table, replicated
-/// and bit-identical across ranks and across repeated runs. `grid`
-/// selects the decomposition (must tile the rank count); `None` is the
-/// `n x 1 x 1` slab.
-// dftlint:allow(L009, reason="the force oracle of dft-core/tests/forces.rs and tests/schedule.rs")
-pub fn distributed_forces(
-    comm: &mut ThreadComm,
-    space: &FeSpace,
-    system: &AtomicSystem,
-    rho_e: &[f64],
-    grid: Option<GridShape>,
-) -> Result<Vec<[f64; 3]>, ForceError> {
-    distributed_forces_profiled(comm, space, system, rho_e, grid).map(|(f, _)| f)
-}
-
-/// [`distributed_forces`] with a per-rank timing breakdown; the
-/// `benchmark/` layer ladder's `parallel.forces` probe calls this entry.
-/// Runs on this rank's share of the cores ([`crate::threads`]).
+/// and bit-identical across ranks and across repeated runs. `grid` selects
+/// the decomposition (must tile the rank count); `None` is the `n x 1 x 1`
+/// slab. The `benchmark/` layer ladder's `parallel.forces` probe calls this
+/// entry.
 pub fn distributed_forces_profiled(
-    comm: &mut ThreadComm,
-    space: &FeSpace,
-    system: &AtomicSystem,
-    rho_e: &[f64],
-    grid: Option<GridShape>,
-) -> Result<(Vec<[f64; 3]>, ForceAssemblyProfile), ForceError> {
-    rank_threads(comm, |comm| forces_rank(comm, space, system, rho_e, grid))
-}
-
-/// [`distributed_forces_profiled`] for a caller that already runs on its
-/// rank's thread share (a relaxation or MD step, a one-rank cluster).
-pub fn forces_rank(
     comm: &mut ThreadComm,
     space: &FeSpace,
     system: &AtomicSystem,

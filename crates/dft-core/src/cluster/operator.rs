@@ -3,14 +3,15 @@
 //!
 //! One apply runs the paper's boundary/interior split (Sec. 5.4.1):
 //!
-//! 1. **post** — pack this rank's owned boundary rows and `isend` them to
-//!    every ghosting peer (nonblocking: the channel transport buffers);
+//! 1. **post** — pack this rank's owned boundary rows and `send_f64` them
+//!    to every ghosting peer (it never waits: the channel transport
+//!    buffers);
 //! 2. **interior** — sum-factorized cell kernels over cells whose DoFs are
 //!    all owned, while the boundary messages are in flight;
 //! 3. **harvest** — `try_recv`-poll the ghost payloads, fill the extended
 //!    vector, and run the boundary cells;
 //! 4. **fold back** — ghost rows of the result hold partial sums belonging
-//!    to other ranks: `isend` them to their owners and accumulate the
+//!    to other ranks: `send_f64` them to their owners and accumulate the
 //!    incoming partials into owned rows *in ascending peer order*, so the
 //!    result is independent of message arrival order (deterministic runs).
 //!
@@ -244,7 +245,7 @@ impl<'a> DistSpace<'a> {
     }
 
     /// Pack rows `idxs` of every column of `src` (leading dimension `ld`)
-    /// into `pack`, column-major, and `isend` it: the one wire layout of
+    /// into `pack`, column-major, and `send_f64` it: the one wire layout of
     /// both exchange legs.
     #[allow(clippy::too_many_arguments)]
     fn send_rows<T: WireScalar>(
@@ -263,7 +264,7 @@ impl<'a> DistSpace<'a> {
                 T::pack_into(col[l as usize], pack);
             }
         }
-        c.isend_f64(self.grid.dom_group[*peer], tag, pack, wire)
+        c.send_f64(self.grid.dom_group[*peer], tag, pack, wire)
     }
 
     /// The four steps of one apply (module docs). The result is left in

@@ -11,18 +11,17 @@
 //! (bit-identical at the same rank count, to solver tolerance otherwise).
 
 use super::relax::{dist_relax, DistRelaxConfig, DistRelaxResult, RelaxError};
-use super::scf::{distributed_scf, DistScfConfig, DistScfResult, ScfError};
+use super::scf::{distributed_scf, DistScfConfig, ScfError};
 use crate::forces::ForceError;
-use crate::scf::KPoint;
+use crate::scf::{KPoint, ScfResult};
 use crate::system::AtomicSystem;
-use crate::threads::with_threads;
 use crate::xc::XcFunctional;
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::{run_cluster_with, ClusterOptions, CommError, FaultPlan, ThreadComm};
 use std::sync::Arc;
 
 /// What a recovery driver did to finish its run: `R` is the per-rank
-/// result ([`DistScfResult`] or [`DistRelaxResult`]), `E` its error.
+/// result ([`ScfResult`] or [`DistRelaxResult`]), `E` its error.
 pub struct RecoveryReport<R, E> {
     /// Per-rank results of the *successful* attempt, in rank order.
     pub results: Vec<R>,
@@ -77,7 +76,9 @@ fn relax_fault(e: &RelaxError) -> Fault {
 /// drop dead ranks → restart on the survivors' slab. Relaunches are fault-free (a kill
 /// rule fires once; replaying it would re-kill the restarted run), keep
 /// the original receive deadline, and replay the same explored schedule (a
-/// divergence found under seed S must stay reproducible under S).
+/// divergence found under seed S must stay reproducible under S). Every
+/// launch splits the calling thread's budget over its ranks
+/// ([`run_cluster_with`]), so a relaunch on fewer ranks gives each more.
 fn relaunch_loop<R: Send, E: Clone + Send>(
     nranks: usize,
     opts: &ClusterOptions,
@@ -92,14 +93,10 @@ fn relaunch_loop<R: Send, E: Clone + Send>(
     let mut first_failure: Option<E> = None;
     let mut opts = opts.clone();
     let mut cfg = cfg.clone();
-    // the launching thread's budget (a server's job thread holds a share of
-    // the cores): rank threads are new threads and would plan for them all
-    let threads = rayon::current_num_threads();
 
     loop {
         attempts += 1;
-        let (outcomes, _) =
-            run_cluster_with(n, &opts, |comm| with_threads(threads, || run(comm, &cfg)));
+        let (outcomes, _) = run_cluster_with(n, &opts, |comm| run(comm, &cfg));
         let killed = outcomes
             .iter()
             .filter(|r| matches!(r, Err(e) if matches!(fault(e), Fault::Killed)))
@@ -151,7 +148,7 @@ pub fn scf_with_recovery<X: XcFunctional + Sync>(
     cfg: &DistScfConfig,
     kpts: &[KPoint],
     max_restarts: usize,
-) -> Result<RecoveryReport<DistScfResult, ScfError>, ScfError> {
+) -> Result<RecoveryReport<ScfResult, ScfError>, ScfError> {
     relaunch_loop(nranks, opts, cfg, max_restarts, scf_fault, |comm, cfg| {
         distributed_scf(comm, space, system, xc, cfg, kpts)
     })
@@ -186,6 +183,45 @@ pub fn relax_with_recovery<X: XcFunctional + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dft_hpc::threads::with_threads;
+    use std::sync::Mutex;
+
+    /// Each launch splits the caller's budget over the ranks it runs: under
+    /// a cap of 8, the two ranks of the first launch plan for 4 threads
+    /// each, and the one rank left after the injected kill for all 8.
+    #[test]
+    fn a_relaunch_gives_its_ranks_their_share() {
+        let opts = ClusterOptions {
+            faults: Arc::new(FaultPlan::kill_at_epoch(1, 1)),
+            ..ClusterOptions::default()
+        };
+        let seen = Mutex::new(Vec::new());
+        let report = with_threads(8, || {
+            relaunch_loop(
+                2,
+                &opts,
+                &DistScfConfig::default(),
+                1,
+                scf_fault,
+                |comm, _| {
+                    let threads = rayon::current_num_threads();
+                    seen.lock().unwrap().push((comm.size(), threads));
+                    comm.advance_epoch().map_err(|cause| ScfError::RankLost {
+                        rank: comm.rank(),
+                        iteration: 0,
+                        cause,
+                    })?;
+                    Ok(threads)
+                },
+            )
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!((report.attempts, report.final_nranks), (2, 1));
+        assert_eq!(report.results, vec![8]);
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![(1, 8), (2, 4), (2, 4)]);
+    }
 
     /// Only a lost or killed rank is worth a relaunch; everything that
     /// fails identically on every rank, and preemption, is handed back.

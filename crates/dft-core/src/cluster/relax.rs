@@ -4,7 +4,7 @@
 //!
 //! The loop runs *replicated*: every rank holds the full atom set and the
 //! full integrator state, feeds them the bit-identical forces from
-//! [`distributed_forces`](super::forces::distributed_forces), and
+//! [`distributed_forces_profiled`], and
 //! therefore moves the atoms identically with zero extra communication.
 //!
 //! Between geometry steps the SCF is *warm-started* from the previous
@@ -26,13 +26,12 @@
 //! iterations since the last snapshot.
 
 use super::codec::{bad, push_f64, push_u64, read_durable, write_durable, Cur};
-use super::forces::forces_rank;
-use super::scf::{performed_iterations, scf_rank, DistScfConfig, DistScfResult, ScfError};
+use super::forces::distributed_forces_profiled;
+use super::scf::{distributed_scf, performed_iterations, DistScfConfig, ScfError};
 use crate::forces::{max_force, ForceError};
 use crate::relax::{FireState, RelaxConfig, VerletState};
-use crate::scf::KPoint;
+use crate::scf::{KPoint, ScfResult};
 use crate::system::AtomicSystem;
-use crate::threads::rank_threads;
 use crate::xc::XcFunctional;
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::ThreadComm;
@@ -134,7 +133,7 @@ pub struct DistRelaxResult {
     /// The system at the last evaluated geometry.
     pub system: AtomicSystem,
     /// The final geometry's SCF result.
-    pub scf: DistScfResult,
+    pub scf: ScfResult,
     /// Per-evaluation records, including the final post-move evaluation.
     pub trajectory: Vec<RelaxStepRecord>,
     /// Whether the force tolerance was reached (never, for MD).
@@ -312,8 +311,7 @@ impl Trajectory {
 /// still be resumed from. `scf_cfg.restart` resumes an interrupted
 /// trajectory from that state; `scf_cfg.preempt` preempts the in-flight
 /// SCF step cooperatively (the loop surfaces [`ScfError::Preempted`] after
-/// the step's snapshot and the loop state are both on disk). Runs on this
-/// rank's share of the cores ([`crate::threads`]).
+/// the step's snapshot and the loop state are both on disk).
 pub fn dist_relax(
     comm: &mut ThreadComm,
     space: &FeSpace,
@@ -325,16 +323,13 @@ pub fn dist_relax(
 ) -> Result<DistRelaxResult, RelaxError> {
     let limits = &relax_cfg.fire;
     let fire = Integrator::Fire(FireState::new(system.atoms.len()));
-    rank_threads(comm, |comm| {
-        trajectory_rank(comm, space, system, xc, scf_cfg, kpts, limits, fire)
-    })
+    trajectory_rank(comm, space, system, xc, scf_cfg, kpts, limits, fire)
 }
 
 /// Distributed Born-Oppenheimer MD: `md_cfg.steps` velocity-Verlet moves
 /// (unit masses, zero initial velocities) through the same loop, warm
 /// starts, persistence and resume as [`dist_relax`]; the result's
-/// `converged` is always false. Runs on this rank's share of the cores
-/// ([`crate::threads`]).
+/// `converged` is always false.
 // dftlint:allow(L009, reason="BO-MD of dft-core/tests/forces.rs (MD_GOLDEN and the energy-drift test)")
 pub fn dist_md(
     comm: &mut ThreadComm,
@@ -351,9 +346,7 @@ pub fn dist_md(
         force_tol: 0.0,
     };
     let verlet = Integrator::Verlet(VerletState::new(system.atoms.len(), md_cfg.dt));
-    rank_threads(comm, |comm| {
-        trajectory_rank(comm, space, system, xc, scf_cfg, kpts, &limits, verlet)
-    })
+    trajectory_rank(comm, space, system, xc, scf_cfg, kpts, &limits, verlet)
 }
 
 /// The one trajectory loop: resume from the persisted state, then
@@ -414,8 +407,8 @@ fn trajectory_rank(
         } else {
             (cfg.restart, cfg.restart_from, cfg.final_state_dir) = (false, None, None);
         }
-        let r = scf_rank(comm, space, &t.sys, xc, &cfg, kpts)?;
-        let (f, _) = forces_rank(comm, space, &t.sys, &r.density.values, cfg.grid)?;
+        let r = distributed_scf(comm, space, &t.sys, xc, &cfg, kpts)?;
+        let (f, _) = distributed_forces_profiled(comm, space, &t.sys, &r.density.values, cfg.grid)?;
         let warm_started = r.resumed_from.is_some() && cfg.restart_from.is_some();
         Ok::<_, RelaxError>((r, f, warm_started))
     };

@@ -35,16 +35,12 @@ use super::operator::{DistHamiltonian, DistSpace, SharedComm, WireScalar};
 use super::reduce::{CommVolume, GridReducer};
 use crate::chebyshev::{NoReduce, SubspaceReducer};
 use crate::hamiltonian::{HamOperator, KsHamiltonian};
-use crate::scf::{
-    restrict_rows, scf_loop, KPoint, ScalarExt, ScfConfig, ScfResult, ScfState, TotalEnergy,
-};
+use crate::scf::{restrict_rows, scf_loop, KPoint, ScalarExt, ScfConfig, ScfResult, ScfState};
 use crate::system::AtomicSystem;
-use crate::threads::rank_threads;
 use crate::xc::XcFunctional;
-use dft_fem::field::NodalField;
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::{CommError, ThreadComm, WirePrecision};
-use dft_hpc::profile::{Phase, PhaseScope, Profile, ScfProfile};
+use dft_hpc::profile::{Phase, PhaseScope, Profile};
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::C64;
 use std::path::{Path, PathBuf};
@@ -279,46 +275,13 @@ impl DistScfConfig {
     }
 }
 
-/// One rank's outcome of a distributed SCF. Replicated quantities (energy,
-/// eigenvalues, occupations, density, convergence) are bit-identical across
-/// the ranks of a run; `profile` and `comm` are per-rank.
-pub struct DistScfResult {
-    /// This rank.
-    pub rank: usize,
-    /// Ranks in the run.
-    pub nranks: usize,
-    /// Energy decomposition (replicated).
-    pub energy: TotalEnergy,
-    /// Eigenvalues per k-point, ascending (replicated).
-    pub eigenvalues: Vec<Vec<f64>>,
-    /// Occupations per k-point (replicated).
-    pub occupations: Vec<Vec<f64>>,
-    /// Chemical potential (replicated).
-    pub mu: f64,
-    /// Converged electron density, full nodal field (replicated).
-    pub density: NodalField,
-    /// Final effective potential (replicated).
-    pub v_eff: Vec<f64>,
-    /// SCF iterations performed.
-    pub iterations: usize,
-    /// Whether the density residual met the tolerance.
-    pub converged: bool,
-    /// The snapshot iteration this run resumed from (`None` = fresh start).
-    pub resumed_from: Option<usize>,
-    /// Residual per iteration (replicated).
-    pub residual_history: Vec<f64>,
-    /// This rank's per-phase profile (`Some` iff `base.profile`).
-    pub profile: Option<ScfProfile>,
-    /// Cluster-wide communication volume accrued over this rank's SCF loop
-    /// (the [`run_cluster`](dft_hpc::run_cluster) counters are shared).
-    pub comm: CommVolume,
-}
-
 /// Run the distributed SCF on this rank's communicator. Call from every
-/// rank of a [`dft_hpc::run_cluster`] with identical arguments. Returns
+/// rank of a [`dft_hpc::run_cluster`] with identical arguments; the rank's
+/// result is its index in the cluster's output. Returns
 /// [`ScfError::RankLost`] — within the communicator's timeout, never a
-/// hang — when this rank is killed or a peer stops responding. Runs on this
-/// rank's share of the cores ([`rank_threads`]).
+/// hang — when this rank is killed or a peer stops responding. This is the
+/// one place the SCF picks the real (Γ-only) or the complex (Bloch) scalar
+/// path.
 pub fn distributed_scf(
     comm: &mut ThreadComm,
     space: &FeSpace,
@@ -326,51 +289,7 @@ pub fn distributed_scf(
     xc: &dyn XcFunctional,
     cfg: &DistScfConfig,
     kpts: &[KPoint],
-) -> Result<DistScfResult, ScfError> {
-    rank_threads(comm, |comm| scf_rank(comm, space, system, xc, cfg, kpts))
-}
-
-/// [`distributed_scf`] for a caller that already runs on its rank's thread
-/// share (a relaxation or MD step).
-pub fn scf_rank(
-    comm: &mut ThreadComm,
-    space: &FeSpace,
-    system: &AtomicSystem,
-    xc: &dyn XcFunctional,
-    cfg: &DistScfConfig,
-    kpts: &[KPoint],
-) -> Result<DistScfResult, ScfError> {
-    let (rank, nranks) = (comm.rank(), comm.size());
-    let (r, resumed_from, comm) = solve(comm, space, system, xc, cfg, kpts)?;
-    Ok(DistScfResult {
-        rank,
-        nranks,
-        energy: r.energy,
-        eigenvalues: r.eigenvalues,
-        occupations: r.occupations,
-        mu: r.mu,
-        density: r.density,
-        v_eff: r.v_eff,
-        iterations: r.iterations,
-        converged: r.converged,
-        resumed_from,
-        residual_history: r.residual_history,
-        profile: r.profile,
-        comm,
-    })
-}
-
-/// This rank's solve, on the real (Γ-only) or the complex (Bloch) scalar
-/// path — the one place the SCF picks it: the loop's result, the snapshot
-/// iteration it resumed from, and the communication it cost.
-pub(crate) fn solve(
-    comm: &mut ThreadComm,
-    space: &FeSpace,
-    system: &AtomicSystem,
-    xc: &dyn XcFunctional,
-    cfg: &DistScfConfig,
-    kpts: &[KPoint],
-) -> Result<(ScfResult, Option<usize>, CommVolume), ScfError> {
+) -> Result<ScfResult, ScfError> {
     let gamma_only = kpts.len() == 1 && kpts[0].is_gamma();
     if gamma_only {
         solve_on::<f64>(comm, space, system, xc, cfg, kpts)
@@ -710,7 +629,7 @@ fn restore<T: WireScalar>(
     Ok(Some(it))
 }
 
-/// [`solve`] on the scalar path `T`.
+/// [`distributed_scf`] on the scalar path `T`.
 pub(crate) fn solve_on<T: WireScalar + ScalarExt>(
     comm: &mut ThreadComm,
     space: &FeSpace,
@@ -718,7 +637,7 @@ pub(crate) fn solve_on<T: WireScalar + ScalarExt>(
     xc: &dyn XcFunctional,
     cfg: &DistScfConfig,
     kpts: &[KPoint],
-) -> Result<(ScfResult, Option<usize>, CommVolume), ScfError> {
+) -> Result<ScfResult, ScfError> {
     let dist = DistSpace::on_grid(space, cfg.grid, comm.rank(), comm.size());
     let shared = SharedComm::new(comm);
     let seam = ClusterSeam {
@@ -731,12 +650,10 @@ pub(crate) fn solve_on<T: WireScalar + ScalarExt>(
 
     let mut state = ScfState::<T>::new(space, system, &cfg.base, kpts, &seam);
     let resumed_from = restore(&seam, &mut state)?;
-    let r = scf_loop(space, system, xc, &cfg.base, kpts, &seam, state)?;
-    Ok((
-        r,
-        resumed_from,
-        comm_start.delta(&CommVolume::snapshot(&shared)),
-    ))
+    let mut r = scf_loop(space, system, xc, &cfg.base, kpts, &seam, state)?;
+    r.resumed_from = resumed_from;
+    r.comm = comm_start.delta(&CommVolume::snapshot(&shared));
+    Ok(r)
 }
 
 /// SCF iterations a run *performed*, net of the snapshot label it resumed

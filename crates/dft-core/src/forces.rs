@@ -24,7 +24,7 @@
 //! share and reassemble the total with one deterministic reduction.
 //! [`compute_forces`] is that assembly on a one-rank cluster.
 
-use crate::cluster::forces::forces_rank;
+use crate::cluster::forces::distributed_forces_profiled;
 use crate::math::erfc;
 use crate::scf::solve_electrostatics;
 use crate::system::AtomicSystem;
@@ -228,8 +228,8 @@ fn axis_periodic(space: &FeSpace) -> [bool; 3] {
 }
 
 /// Compute forces (Ha/Bohr) on every atom for a converged density
-/// `rho_e` (full nodal vector): the force assembly on a one-rank cluster,
-/// on the calling thread and its thread budget. Errors — instead of
+/// `rho_e` (full nodal vector): [`distributed_forces_profiled`] on a
+/// one-rank cluster, on the calling thread and its thread budget. Errors — instead of
 /// panicking — when the force Poisson solve diverges, so drivers can fail
 /// the surrounding job with a reason.
 pub fn compute_forces(
@@ -237,7 +237,9 @@ pub fn compute_forces(
     system: &AtomicSystem,
     rho_e: &[f64],
 ) -> Result<Vec<[f64; 3]>, ForceError> {
-    let (mut ranks, _) = run_cluster(1, |comm| forces_rank(comm, space, system, rho_e, None));
+    let (mut ranks, _) = run_cluster(1, |comm| {
+        distributed_forces_profiled(comm, space, system, rho_e, None)
+    });
     ranks.remove(0).map(|(forces, _)| forces)
 }
 

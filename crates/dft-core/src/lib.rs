@@ -33,9 +33,7 @@
 //!   the one force assembly ([`forces`] holds its partial sums;
 //!   [`compute_forces`] is it on a one-rank cluster), the one trajectory
 //!   loop that steps those integrators, and the relaunch loop that
-//!   recovers a run from rank loss;
-//! * [`threads`] — the one thread-cap helper: a rank, a server job or a
-//!   k-point lane runs on its share of the one shared worker pool.
+//!   recovers a run from rank loss.
 
 #![deny(unsafe_code)]
 // indexed loops deliberately mirror the paper's subscript notation
@@ -51,7 +49,6 @@ pub mod occupation;
 pub mod relax;
 pub mod scf;
 pub mod system;
-pub mod threads;
 pub mod xc;
 
 pub use chebyshev::{

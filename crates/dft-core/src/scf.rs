@@ -28,12 +28,12 @@ use crate::chebyshev::{
     ks_eigensolve, lanczos_start, random_subspace, ChfesOptions, LANCZOS_STEPS,
 };
 use crate::cluster::operator::WireScalar;
-use crate::cluster::scf::{solve, ClusterSeam, DistScfConfig, ScfError};
+use crate::cluster::reduce::CommVolume;
+use crate::cluster::scf::{distributed_scf, ClusterSeam, DistScfConfig, ScfError};
 use crate::forces::ForceError;
 use crate::mixing::AndersonMixer;
 use crate::occupation::{fermi_occupations, occupied_states, DENSITY_CUTOFF};
 use crate::system::AtomicSystem;
-use crate::threads::with_threads;
 use crate::xc::{evaluate_xc, XcFunctional};
 use dft_fem::field::NodalField;
 use dft_fem::mesh::BoundaryCondition;
@@ -41,6 +41,7 @@ use dft_fem::poisson::{fdm_apply_flops, solve_poisson, PoissonBc};
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::run_cluster;
 use dft_hpc::profile::{Phase, PhaseScope, Profile, ScfProfile};
+use dft_hpc::threads::with_threads;
 use dft_linalg::matrix::Matrix;
 use dft_linalg::scalar::{Real, Scalar, C64};
 use rayon::prelude::*;
@@ -155,7 +156,9 @@ pub struct TotalEnergy {
     pub free_energy: f64,
 }
 
-/// SCF outcome.
+/// One rank's SCF outcome ([`scf`]'s is its one-rank cluster's). Every
+/// field but `profile` and `comm` is replicated: bit-identical across the
+/// ranks of a run. `profile` and `comm` are per-rank.
 pub struct ScfResult {
     /// Energy decomposition.
     pub energy: TotalEnergy,
@@ -165,21 +168,27 @@ pub struct ScfResult {
     pub occupations: Vec<Vec<f64>>,
     /// Chemical potential.
     pub mu: f64,
-    /// Converged electron density (nodal).
+    /// Converged electron density, full nodal field.
     pub density: NodalField,
     /// Final XC potential (nodal).
     pub vxc: Vec<f64>,
     /// Final effective potential (nodal).
     pub v_eff: Vec<f64>,
-    /// SCF iterations performed.
+    /// SCF iterations performed, counted from the snapshot label a run
+    /// resumed from.
     pub iterations: usize,
     /// Whether the density residual met the tolerance.
     pub converged: bool,
+    /// The snapshot iteration this run resumed from (`None` = fresh start).
+    pub resumed_from: Option<usize>,
     /// Residual per iteration.
     pub residual_history: Vec<f64>,
-    /// Measured per-phase Table-3 breakdown of the SCF loop
+    /// This rank's measured per-phase Table-3 breakdown of the SCF loop
     /// (`Some` iff [`ScfConfig::profile`] was set).
     pub profile: Option<ScfProfile>,
+    /// Cluster-wide communication volume accrued over this rank's SCF loop
+    /// (the [`run_cluster`] counters are shared).
+    pub comm: CommVolume,
 }
 
 /// Analytic FLOP count of a Poisson solve that took `cg_iterations`: CG
@@ -242,9 +251,9 @@ pub(crate) fn solve_electrostatics(
 }
 
 /// Run the SCF on `space` for `system` with functional `xc` at the given
-/// k-points: the rank solve on a one-rank cluster, on the calling thread
-/// and its thread budget, without checkpoints. Panics if an electrostatic
-/// solve diverges.
+/// k-points: [`distributed_scf`] on a one-rank cluster, on the calling
+/// thread and its thread budget, without checkpoints. Panics if an
+/// electrostatic solve diverges.
 pub fn scf(
     space: &FeSpace,
     system: &AtomicSystem,
@@ -253,9 +262,11 @@ pub fn scf(
     kpts: &[KPoint],
 ) -> ScfResult {
     let cfg = DistScfConfig::new(cfg.clone());
-    let (mut ranks, _) = run_cluster(1, |comm| solve(comm, space, system, xc, &cfg, kpts));
+    let (mut ranks, _) = run_cluster(1, |comm| {
+        distributed_scf(comm, space, system, xc, &cfg, kpts)
+    });
     match ranks.remove(0) {
-        Ok((r, _, _)) => r,
+        Ok(r) => r,
         // with no peer, snapshot directory or preemption token, only a
         // diverged Poisson solve stops the rank
         Err(e) => panic!("{e}"),
@@ -601,8 +612,11 @@ pub(crate) fn scf_loop<T: WireScalar + ScalarExt>(
         v_eff,
         iterations,
         converged,
+        // the rank solve fills these in from its seam
+        resumed_from: None,
         residual_history: st.residual_history,
         profile: profile_store.map(|p| p.finish(None)),
+        comm: CommVolume::default(),
     })
 }
 
@@ -786,7 +800,7 @@ mod tests {
         let (mut ranks, _) = run_cluster(1, |comm| {
             solve_on::<C64>(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()])
         });
-        let r_cplx = ranks.pop().unwrap().unwrap().0;
+        let r_cplx = ranks.pop().unwrap().unwrap();
         assert!(r_real.converged && r_cplx.converged);
         assert!(
             (r_real.energy.free_energy - r_cplx.energy.free_energy).abs() < 1e-5,
@@ -831,8 +845,6 @@ mod tests {
     /// calling thread.
     #[test]
     fn lanes_book_what_one_lane_books() {
-        use crate::threads::with_threads;
-
         let space = FeSpace::new(Mesh3d::periodic_cube(2, 6.0, 3));
         let sys = AtomicSystem::new(vec![Atom {
             kind: AtomKind::Pseudo { z: 2.0, r_c: 0.8 },

@@ -307,8 +307,8 @@ fn distributed_scf_matches_serial_energy() {
         let (results, _) = run_cluster(nranks, |comm| {
             distributed_scf(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()]).expect("scf")
         });
-        for r in &results {
-            assert!(r.converged, "rank {} of {nranks} did not converge", r.rank);
+        for (rank, r) in results.iter().enumerate() {
+            assert!(r.converged, "rank {rank} of {nranks} did not converge");
             let d = (r.energy.free_energy - r_ser.energy.free_energy).abs();
             assert!(
                 d <= 1e-10,
@@ -360,8 +360,8 @@ fn cold_start_cycles_agree_across_ranks_and_grids() {
             let (results, _) = run_cluster(shape.nranks(), |comm| {
                 distributed_scf(comm, &space, &sys, &Lda, &dcfg, &gamma).expect("scf")
             });
-            for r in &results {
-                let who = format!("{what}, rank {}", r.rank);
+            for (rank, r) in results.iter().enumerate() {
+                let who = format!("{what}, rank {rank}");
                 assert_eq!(first_cycles(r.profile.as_ref()), cycles, "{who}");
                 assert!(r.converged, "{who}");
                 let (e, e_ser) = (r.energy.free_energy, r_ser.energy.free_energy);
@@ -623,12 +623,11 @@ fn identical_runs_are_bit_identical_at_four_ranks() {
     };
     let (a, b) = (run(), run());
     assert_ranks_agree(&a, "four ranks");
-    for (ra, rb) in a.iter().zip(b.iter()) {
+    for (rank, (ra, rb)) in a.iter().zip(b.iter()).enumerate() {
         assert_eq!(
             ra.energy.free_energy.to_bits(),
             rb.energy.free_energy.to_bits(),
-            "rank {} energies differ between identical runs",
-            ra.rank
+            "rank {rank} energies differ between identical runs"
         );
         assert_eq!(ra.energy.total.to_bits(), rb.energy.total.to_bits());
         assert_eq!(ra.eigenvalues, rb.eigenvalues);

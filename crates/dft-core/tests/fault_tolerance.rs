@@ -11,11 +11,9 @@ use dft_core::cluster::checkpoint;
 use dft_core::cluster::operator::{ghost_tag_band, DistHamiltonian, DistSpace, SharedComm};
 use dft_core::cluster::recover::{relax_with_recovery, scf_with_recovery};
 use dft_core::cluster::relax::{DistRelaxConfig, RelaxError};
-use dft_core::cluster::scf::{
-    distributed_scf, DistScfConfig, DistScfResult, PreemptToken, ScfError,
-};
+use dft_core::cluster::scf::{distributed_scf, DistScfConfig, PreemptToken, ScfError};
 use dft_core::relax::RelaxConfig;
-use dft_core::scf::{KPoint, ScfConfig};
+use dft_core::scf::{KPoint, ScfConfig, ScfResult};
 use dft_core::system::{Atom, AtomKind, AtomicSystem};
 use dft_core::xc::{Lda, XcFunctional, XcPoint};
 use dft_fem::mesh::{Axis, BoundaryCondition as Bc, Mesh3d};
@@ -65,7 +63,7 @@ fn fresh_dir(label: &str) -> PathBuf {
 /// `Killed` cause, the survivors with a `Timeout`/`PeerGone` cause — within
 /// a small multiple of the communicator deadline.
 fn assert_all_lost(
-    results: Vec<Result<DistScfResult, ScfError>>,
+    results: Vec<Result<ScfResult, ScfError>>,
     victim: usize,
     elapsed: Duration,
     budget: Duration,
@@ -120,7 +118,7 @@ fn kill_mid_chebyshev_filter_drains_cleanly() {
         distributed_scf(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()])
     });
     assert_all_lost(results, 1, t0.elapsed(), Duration::from_secs(30));
-    let (timeouts, kills, _) = stats.fault_snapshot();
+    let (timeouts, kills) = stats.fault_snapshot();
     assert_eq!(kills, 1, "exactly one rank must have been killed");
     assert!(timeouts >= 1, "survivors must have timed out");
 
@@ -206,8 +204,8 @@ fn scf_with_empty_ranks_matches_fewer_rank_energy() {
         let (results, _) = run_cluster(nranks, |comm| {
             distributed_scf(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()]).expect("scf")
         });
-        for r in &results {
-            assert!(r.converged, "rank {}/{nranks} did not converge", r.rank);
+        for (rank, r) in results.iter().enumerate() {
+            assert!(r.converged, "rank {rank}/{nranks} did not converge");
         }
         results[0].energy.free_energy
     };
@@ -323,8 +321,8 @@ fn killed_rank_recovery_reconverges_to_uninterrupted_energy() {
         report.first_failure
     );
     assert_eq!(report.results.len(), 3);
-    for r in &report.results {
-        assert!(r.converged, "restarted rank {} did not converge", r.rank);
+    for (rank, r) in report.results.iter().enumerate() {
+        assert!(r.converged, "restarted rank {rank} did not converge");
         assert_eq!(
             r.resumed_from,
             Some(2),
@@ -483,7 +481,6 @@ fn relaxation_shrinks_by_the_number_of_ranks_killed() {
         timeout: Duration::from_secs(2),
         faults: std::sync::Arc::new(FaultPlan {
             kills: vec![kill(1), kill(3)],
-            delays: Vec::new(),
         }),
         schedule: None,
     };

@@ -1,6 +1,6 @@
 //! Oracle tests for the force assembly and the distributed FIRE driver:
 //! [`compute_forces`] (the assembly on one rank) against pinned bits, every
-//! rank's [`distributed_forces`] output against that 1-rank route on
+//! rank's [`distributed_forces_profiled`] output against that 1-rank route on
 //! periodic and Dirichlet systems, across rank counts and process-grid
 //! shapes, for bitwise run-to-run determinism (L004), the `dist_relax`
 //! FIRE trajectory against a pinned golden (one rank) and across rank
@@ -8,7 +8,7 @@
 //! for rank invariance and energy conservation, and both through
 //! persistence and resume.
 
-use dft_core::cluster::forces::{distributed_forces, distributed_forces_profiled};
+use dft_core::cluster::forces::distributed_forces_profiled;
 use dft_core::cluster::grid::GridShape;
 use dft_core::cluster::relax::{
     dist_md, dist_relax, DistRelaxConfig, DistRelaxResult, MdConfig, RelaxStepRecord,
@@ -72,7 +72,9 @@ fn assert_forces_agree(results: &[Vec<[f64; 3]>], what: &str) {
 fn check_force_oracle(space: &FeSpace, sys: &AtomicSystem, rho_e: &[f64], nranks: usize) {
     let f_ref = compute_forces(space, sys, rho_e).expect("serial forces");
     let (results, _) = run_cluster(nranks, |comm| {
-        distributed_forces(comm, space, sys, rho_e, None).expect("dist forces")
+        distributed_forces_profiled(comm, space, sys, rho_e, None)
+            .expect("dist forces")
+            .0
     });
     for (r, f) in results.iter().enumerate() {
         let e = max_component_err(f, &f_ref);
@@ -116,7 +118,9 @@ fn distributed_forces_match_serial_across_grid_shapes() {
         GridShape::new(1, 2, 2),
     ] {
         let (results, _) = run_cluster(4, |comm| {
-            distributed_forces(comm, &space, &sys, &rho_e, Some(shape)).expect("dist forces")
+            distributed_forces_profiled(comm, &space, &sys, &rho_e, Some(shape))
+                .expect("dist forces")
+                .0
         });
         for (r, f) in results.iter().enumerate() {
             let e = max_component_err(f, &f_ref);
@@ -177,8 +181,9 @@ fn repeated_force_runs_are_bit_identical() {
     let rho_e = sys.initial_density(&space);
     let run = || {
         let (results, _) = run_cluster(4, |comm| {
-            distributed_forces(comm, &space, &sys, &rho_e, Some(GridShape::new(2, 2, 1)))
+            distributed_forces_profiled(comm, &space, &sys, &rho_e, Some(GridShape::new(2, 2, 1)))
                 .expect("dist forces")
+                .0
         });
         results
     };

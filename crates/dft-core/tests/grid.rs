@@ -11,9 +11,9 @@ use dft_core::chebyshev::{
 use dft_core::cluster::grid::{GridShape, ProcessGrid};
 use dft_core::cluster::operator::{DistHamiltonian, DistSpace, SharedComm};
 use dft_core::cluster::reduce::{CommVolume, GridReducer};
-use dft_core::cluster::scf::{distributed_scf, DistScfConfig, DistScfResult};
+use dft_core::cluster::scf::{distributed_scf, DistScfConfig};
 use dft_core::hamiltonian::KsHamiltonian;
-use dft_core::scf::{scf, KPoint, ScfConfig};
+use dft_core::scf::{scf, KPoint, ScfConfig, ScfResult};
 use dft_core::system::{Atom, AtomKind, AtomicSystem};
 use dft_core::xc::Lda;
 use dft_fem::mesh::Mesh3d;
@@ -72,7 +72,7 @@ fn two_kpoints() -> Vec<KPoint> {
     ]
 }
 
-fn run_grid(dcfg: &DistScfConfig, nranks: usize, kpts: &[KPoint]) -> Vec<DistScfResult> {
+fn run_grid(dcfg: &DistScfConfig, nranks: usize, kpts: &[KPoint]) -> Vec<ScfResult> {
     let (space, sys) = parity_system();
     let (results, _) = run_cluster(nranks, |comm| {
         distributed_scf(comm, &space, &sys, &Lda, dcfg, kpts).expect("scf")
@@ -92,8 +92,8 @@ fn band_grid_energies_match_serial_oracle() {
     for shape in [GridShape::new(4, 1, 1), GridShape::new(2, 2, 1)] {
         let dcfg = DistScfConfig::new(cfg.clone()).with_grid(shape);
         let results = run_grid(&dcfg, shape.nranks(), &[KPoint::gamma()]);
-        for r in &results {
-            assert!(r.converged, "rank {} on {shape} did not converge", r.rank);
+        for (rank, r) in results.iter().enumerate() {
+            assert!(r.converged, "rank {rank} on {shape} did not converge");
             let d = (r.energy.free_energy - r_ser.energy.free_energy).abs();
             assert!(
                 d <= 1e-10,
@@ -128,8 +128,8 @@ fn occupied_filter_grids_match_serial_oracle() {
             let what = format!("{shape}, B_f = {block_size}");
             let dcfg = DistScfConfig::new(cfg.clone()).with_grid(shape);
             let results = run_grid(&dcfg, shape.nranks(), &[KPoint::gamma()]);
-            for r in &results {
-                assert!(r.converged, "rank {} on {what} did not converge", r.rank);
+            for (rank, r) in results.iter().enumerate() {
+                assert!(r.converged, "rank {rank} on {what} did not converge");
                 let d = (r.energy.free_energy - r_ser.energy.free_energy).abs();
                 assert!(d <= 1e-10, "{what}: |dE| = {d:.3e}");
             }
@@ -215,8 +215,8 @@ fn three_axis_grid_matches_serial_two_kpoint_oracle() {
     for shape in [GridShape::new(8, 1, 1), GridShape::new(2, 2, 2)] {
         let dcfg = DistScfConfig::new(cfg.clone()).with_grid(shape);
         let results = run_grid(&dcfg, 8, &kpts);
-        for r in &results {
-            assert!(r.converged, "rank {} on {shape} did not converge", r.rank);
+        for (rank, r) in results.iter().enumerate() {
+            assert!(r.converged, "rank {rank} on {shape} did not converge");
             let d = (r.energy.free_energy - r_ser.energy.free_energy).abs();
             assert!(
                 d <= 1e-10,
@@ -254,12 +254,11 @@ fn no_grid_and_slab_grid_are_one_run_bits_and_messages() {
         let (a, vol_a) = run(None);
         let (b, vol_b) = run(Some(GridShape::slab(nranks)));
         assert_ranks_agree(&a, &format!("{nranks} ranks, no grid"));
-        for (ra, rb) in a.iter().zip(b.iter()) {
+        for (rank, (ra, rb)) in a.iter().zip(b.iter()).enumerate() {
             assert_eq!(
                 ra.energy.free_energy.to_bits(),
                 rb.energy.free_energy.to_bits(),
-                "rank {} of {nranks}: the slab grid diverged from no grid",
-                ra.rank
+                "rank {rank} of {nranks}: the slab grid diverged from no grid"
             );
             assert_eq!(ra.eigenvalues, rb.eigenvalues);
             assert_eq!(ra.residual_history, rb.residual_history);
@@ -288,8 +287,8 @@ fn empty_band_blocks_match_serial_oracle() {
         let dcfg = DistScfConfig::new(cfg).with_grid(shape);
         let results = run_grid(&dcfg, shape.nranks(), &[KPoint::gamma()]);
         assert_ranks_agree(&results, &format!("{shape} mixed {mixed_precision}"));
-        for r in results {
-            assert!(r.converged, "rank {} on {shape} did not converge", r.rank);
+        for (rank, r) in results.into_iter().enumerate() {
+            assert!(r.converged, "rank {rank} on {shape} did not converge");
             let d = (r.energy.free_energy - r_ser.energy.free_energy).abs();
             assert!(
                 d <= 1e-10,
@@ -627,9 +626,9 @@ fn restart_reshards_8x1_snapshot_onto_4x2_grid() {
         .with_restart_from(dir.clone());
     let resumed = run_grid(&dcfg_resume, 8, &[KPoint::gamma()]);
     assert_ranks_agree(&resumed, "resumed on 4x2");
-    for r in &resumed {
-        assert_eq!(r.resumed_from, Some(2), "rank {} did not resume", r.rank);
-        assert!(r.converged, "rank {} did not reconverge", r.rank);
+    for (rank, r) in resumed.iter().enumerate() {
+        assert_eq!(r.resumed_from, Some(2), "rank {rank} did not resume");
+        assert!(r.converged, "rank {rank} did not reconverge");
         let d = (r.energy.free_energy - reference[0].energy.free_energy).abs();
         assert!(
             d <= 1e-10,

@@ -15,7 +15,7 @@
 //! default of 8 schedules) — the same escape hatch `scripts/ci.sh`
 //! documents.
 
-use dft_core::cluster::forces::distributed_forces;
+use dft_core::cluster::forces::distributed_forces_profiled;
 use dft_core::cluster::relax::{dist_relax, DistRelaxConfig};
 use dft_core::cluster::scf::{distributed_scf, DistScfConfig};
 use dft_core::relax::RelaxConfig;
@@ -77,8 +77,9 @@ fn scf_and_forces_are_bit_identical_across_seeded_schedules() {
         |comm| {
             let r = distributed_scf(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()])
                 .expect("scf under explored schedule");
-            let forces = distributed_forces(comm, &space, &sys, &r.density.values, None)
-                .expect("forces under explored schedule");
+            let (forces, _) =
+                distributed_forces_profiled(comm, &space, &sys, &r.density.values, None)
+                    .expect("forces under explored schedule");
             // everything replicated, as bits: any arrival-order sensitivity
             // anywhere in the pipeline shows up as a differing fingerprint
             let mut bits: Vec<u64> = vec![r.energy.free_energy.to_bits(), r.mu.to_bits()];

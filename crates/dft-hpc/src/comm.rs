@@ -31,10 +31,11 @@
 //! A deterministic fault-injection layer ([`FaultPlan`]) drives the
 //! recovery tests: a rule can kill a rank at an application-declared epoch
 //! (e.g. "SCF iteration 3") or on its n-th send whose wire tag falls in a
-//! band (e.g. "mid ghost exchange", "mid allreduce"), and can delay
-//! messages matching a tag band to model slow links.
+//! band (e.g. "mid ghost exchange", "mid allreduce"). Slow links are the
+//! schedule explorer's seeded send delays ([`crate::explore`]).
 
 use crate::explore::{SchedState, SchedulePlan};
+use crate::threads::with_threads;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -125,28 +126,14 @@ pub struct KillRule {
     pub after_matches: u64,
 }
 
-/// One fault-injection delay rule: sleep before delivering matching sends.
-#[derive(Clone, Debug)]
-pub struct DelayRule {
-    /// Sender rank the rule applies to (`None` = every rank).
-    pub rank: Option<usize>,
-    /// Wire-tag band `lo <= tag < hi` to delay.
-    pub tags: (u64, u64),
-    /// Injected latency per matching send.
-    pub delay: Duration,
-}
-
 /// A deterministic fault plan threaded through every [`ThreadComm`] of a
 /// cluster: kill rules turn a rank dead ([`CommError::Killed`]) at a
-/// reproducible point, delay rules add latency to matching messages. The
-/// plan is pure data — no clocks, no randomness — so a faulted run is
+/// reproducible point. The plan is pure data — no clocks, no randomness — so a faulted run is
 /// exactly repeatable.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     /// Kill rules (each fires at most once).
     pub kills: Vec<KillRule>,
-    /// Delay rules (applied to every matching send).
-    pub delays: Vec<DelayRule>,
 }
 
 impl FaultPlan {
@@ -160,7 +147,6 @@ impl FaultPlan {
                 tags: None,
                 after_matches: 0,
             }],
-            delays: Vec::new(),
         }
     }
 
@@ -175,7 +161,6 @@ impl FaultPlan {
                 tags: Some(tags),
                 after_matches,
             }],
-            delays: Vec::new(),
         }
     }
 }
@@ -359,7 +344,7 @@ struct Packet {
 /// down by wire precision (`bytes_fp64` / `bytes_fp32`), which is what
 /// makes the paper's "FP32 boundary exchange halves traffic" claim
 /// (Sec. 5.4.2) directly measurable. Fault-tolerance events (receive
-/// timeouts, injected kills, injected delays) are tallied alongside.
+/// timeouts, injected kills) are tallied alongside.
 /// Debug-build message-leak detector (`sanitize` feature): the dynamic
 /// complement of the static L003 tag prover. Every successful
 /// [`ThreadComm::send_bytes`] records its `(src, dst, wire_tag)` triple;
@@ -460,8 +445,6 @@ pub struct CommStats {
     pub timeouts: AtomicU64,
     /// Ranks killed by fault injection.
     pub kills: AtomicU64,
-    /// Sends delayed by fault injection.
-    pub delayed: AtomicU64,
 }
 
 impl CommStats {
@@ -475,13 +458,12 @@ impl CommStats {
         )
     }
 
-    /// Snapshot of the fault counters `(timeouts, kills, delayed sends)`.
+    /// Snapshot of the fault counters `(timeouts, kills)`.
     // dftlint:allow(L009, reason="fault accounting of dft-core/tests/fault_tolerance.rs")
-    pub fn fault_snapshot(&self) -> (u64, u64, u64) {
+    pub fn fault_snapshot(&self) -> (u64, u64) {
         (
             self.timeouts.load(Ordering::Relaxed),
             self.kills.load(Ordering::Relaxed),
-            self.delayed.load(Ordering::Relaxed),
         )
     }
 }
@@ -594,10 +576,10 @@ impl ThreadComm {
         self.epoch
     }
 
-    /// Evaluate tag-gated kill and delay rules for a send carrying
-    /// `wire_tag`. Returns the kill error if a rule fires.
+    /// Evaluate tag-gated kill rules for a send carrying `wire_tag`.
+    /// Returns the kill error if a rule fires.
     fn fault_on_send(&mut self, wire_tag: u64) -> Result<(), CommError> {
-        if self.faults.kills.is_empty() && self.faults.delays.is_empty() {
+        if self.faults.kills.is_empty() {
             return Ok(());
         }
         let faults = Arc::clone(&self.faults);
@@ -614,15 +596,6 @@ impl ThreadComm {
                         return self.check();
                     }
                 }
-            }
-        }
-        for rule in &faults.delays {
-            if rule.rank.is_none_or(|r| r == self.rank)
-                && wire_tag >= rule.tags.0
-                && wire_tag < rule.tags.1
-            {
-                self.stats.delayed.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(rule.delay);
             }
         }
         Ok(())
@@ -741,7 +714,7 @@ impl ThreadComm {
     /// Nonblocking receive: drain everything that has already arrived into
     /// the pending queue and return the first match for `(src, tag)` if one
     /// is there, `Ok(None)` otherwise. The counterpart of
-    /// [`Self::isend_f64`] for comm/compute overlap — poll between
+    /// [`Self::send_f64`] for comm/compute overlap — poll between
     /// interior-compute chunks. Already-stashed packets are checked before
     /// any error is raised, so a disconnect never drops buffered messages.
     pub fn try_recv_bytes(&mut self, src: usize, tag: u64) -> Result<Option<Vec<u8>>, CommError> {
@@ -785,7 +758,10 @@ impl ThreadComm {
         }
     }
 
-    /// Send an `f64` slice, demoting to the requested wire precision.
+    /// Send an `f64` slice, demoting to the requested wire precision. The
+    /// channel transport is buffered, so posting the send never waits on the
+    /// receiver: post boundary sends first, overlap interior compute, then
+    /// harvest with [`Self::try_recv_f64`] / [`Self::recv_f64`].
     pub fn send_f64(
         &mut self,
         dst: usize,
@@ -810,20 +786,6 @@ impl ThreadComm {
         };
         counter.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         self.send_bytes(dst, Self::wire_tag(tag, wire), bytes)
-    }
-
-    /// Nonblocking (immediately returning) send of an `f64` slice. The
-    /// channel transport is buffered, so posting the send never waits on the
-    /// receiver: issue boundary `isend`s first, overlap interior compute,
-    /// then harvest with [`Self::try_recv_f64`] / [`Self::recv_f64`].
-    pub fn isend_f64(
-        &mut self,
-        dst: usize,
-        tag: u64,
-        data: &[f64],
-        wire: WirePrecision,
-    ) -> Result<(), CommError> {
-        self.send_f64(dst, tag, data, wire)
     }
 
     /// Receive an `f64` slice sent with [`Self::send_f64`] (promoting FP32
@@ -1056,7 +1018,9 @@ fn unframe(frame: &[f64]) -> Option<Vec<Vec<f64>>> {
 
 /// Run `f` on `n` ranks (threads; one rank runs on the calling thread) and
 /// collect the per-rank results in rank order. Returns the results and the
-/// shared traffic statistics.
+/// shared traffic statistics. Each rank runs on its share of the launching
+/// thread's budget: spawned ranks under a cap of `max(1, threads / n)`, a
+/// solo rank under its caller's own cap ([`crate::threads`]).
 /// Fault-free, with the default (generous) receive deadline; see
 /// [`run_cluster_with`] for timeouts and fault injection.
 pub fn run_cluster<T, F>(n: usize, f: F) -> (Vec<T>, Arc<CommStats>)
@@ -1113,7 +1077,13 @@ where
         // no spawn: the caller's thread cap and thread-locals reach the rank
         [solo] => vec![f(solo)],
         _ => std::thread::scope(|scope| {
-            let handles: Vec<_> = comms.iter_mut().map(|c| scope.spawn(|| f(c))).collect();
+            // a rank thread is a new thread and would plan for the whole pool
+            let share = rayon::current_num_threads() / n;
+            let f = &f;
+            let handles: Vec<_> = comms
+                .iter_mut()
+                .map(|c| scope.spawn(move || with_threads(share, || f(c))))
+                .collect();
             handles
                 .into_iter()
                 // dftlint:allow(L001, reason="re-raise a rank thread's panic on the driver; rank panics are bugs, not recoverable comm faults")
@@ -1133,14 +1103,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl FaultPlan {
-        /// Add a delay rule to this plan (builder style).
-        fn with_delay(mut self, rank: Option<usize>, tags: (u64, u64), delay: Duration) -> Self {
-            self.delays.push(DelayRule { rank, tags, delay });
-            self
-        }
-    }
 
     impl ThreadComm {
         /// Clear a recorded failure, to go on after a deliberate fault.
@@ -1363,7 +1325,7 @@ mod tests {
         assert_eq!(results[1], vec![0.0, 1.0, 2.0, 3.0]);
     }
 
-    /// isend/try_recv contract: `try_recv_f64` returns `None` before the
+    /// send/try_recv contract: `try_recv_f64` returns `None` before the
     /// message is posted and `Some` after, without ever blocking.
     #[test]
     fn isend_try_recv_roundtrip() {
@@ -1372,8 +1334,8 @@ mod tests {
                 // nothing posted yet on tag 77 from rank 1
                 let early = c.try_recv_f64(1, 77, WirePrecision::Fp32).unwrap();
                 assert!(early.is_none());
-                c.barrier().unwrap(); // rank 1 holds its isend until here
-                c.barrier().unwrap(); // rank 1 posts its isend before this barrier
+                c.barrier().unwrap(); // rank 1 holds its send until here
+                c.barrier().unwrap(); // rank 1 posts its send before this barrier
                 loop {
                     if let Some(v) = c.try_recv_f64(1, 77, WirePrecision::Fp32).unwrap() {
                         return v[0];
@@ -1382,7 +1344,7 @@ mod tests {
                 }
             } else {
                 c.barrier().unwrap();
-                c.isend_f64(0, 77, &[6.5], WirePrecision::Fp32).unwrap();
+                c.send_f64(0, 77, &[6.5], WirePrecision::Fp32).unwrap();
                 c.barrier().unwrap();
                 6.5
             }
@@ -1532,7 +1494,7 @@ mod tests {
             "completed".to_string()
         });
         assert_eq!(results, vec!["lost-peer@3", "killed@3"]);
-        let (timeouts, kills, _) = stats.fault_snapshot();
+        let (timeouts, kills) = stats.fault_snapshot();
         assert_eq!(kills, 1);
         assert!(timeouts >= 1);
     }
@@ -1562,35 +1524,6 @@ mod tests {
         // the second one kills rank 1 mid-collective and rank 0 times out
         assert_eq!(results[1], 1);
         assert!(results[0] <= 2);
-    }
-
-    /// Delay rule: a matching message is late but arrives (slow != dead)
-    /// when the delay is below the timeout.
-    #[test]
-    fn delayed_message_still_arrives_within_timeout() {
-        let mut opts = ClusterOptions::with_timeout(Duration::from_millis(500));
-        opts.faults = Arc::new(FaultPlan::default().with_delay(
-            Some(0),
-            wire_tag_band(15),
-            Duration::from_millis(40),
-        ));
-        let (results, stats) = run_cluster_with(2, &opts, |c| {
-            if c.rank() == 0 {
-                let t0 = Instant::now();
-                c.send_f64(1, 15, &[2.5], WirePrecision::Fp64).unwrap();
-                t0.elapsed().as_secs_f64()
-            } else {
-                let v = c.recv_f64(0, 15, WirePrecision::Fp64).unwrap();
-                assert_eq!(v, vec![2.5]);
-                0.0
-            }
-        });
-        assert!(
-            results[0] >= 0.035,
-            "send was not delayed: {:.3}s",
-            results[0]
-        );
-        assert_eq!(stats.fault_snapshot().2, 1, "delay not counted");
     }
 
     /// A cluster-wide cascade: one rank killed, every survivor of a

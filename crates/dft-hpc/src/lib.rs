@@ -10,7 +10,8 @@
 //!    point-to-point sends and collectives move actual bytes over crossbeam
 //!    channels, and the FP32 *wire precision* of the paper's mixed-precision
 //!    boundary communication (Sec. 5.4.2) is implemented for real — byte
-//!    counters let tests verify the claimed ~2x traffic reduction.
+//!    counters let tests verify the claimed ~2x traffic reduction. Each rank
+//!    runs on its share of the launching thread's cores ([`threads`]).
 //! 2. **A calibrated performance model** ([`machine`], [`event`],
 //!    [`schedule`]): machine descriptions with the paper's Sec. 6.1
 //!    constants, roofline + alpha-beta (Hockney) kernel costs, the
@@ -28,10 +29,11 @@ pub mod explore;
 pub mod machine;
 pub mod profile;
 pub mod schedule;
+pub mod threads;
 
 pub use comm::{
-    run_cluster, run_cluster_with, ClusterOptions, CommError, CommStats, DelayRule, FaultPlan,
-    KillRule, ThreadComm, WirePrecision,
+    run_cluster, run_cluster_with, ClusterOptions, CommError, CommStats, FaultPlan, KillRule,
+    ThreadComm, WirePrecision,
 };
 pub use explore::{
     explore_schedules, schedule_seed, schedules_from_env, ScheduleDivergence, SchedulePlan,

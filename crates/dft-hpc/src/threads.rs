@@ -2,13 +2,13 @@
 //!
 //! Every parallel region (GEMM slabs, cell-sweep blocks) runs on the one
 //! persistent pool and plans for [`rayon::current_num_threads`] threads.
-//! Whatever splits the machine — the ranks of a cluster, the job slots of
-//! the server, the k-point lanes of the serial SCF — hands each part its
-//! share through these helpers instead, as a cap that everything the part
-//! calls sees. A region under a cap of one runs inline. No option and no
-//! environment variable: a share follows from how many parts there are.
-
-use dft_hpc::comm::ThreadComm;
+//! Whatever splits the machine — the ranks of a cluster
+//! ([`run_cluster_with`](crate::comm::run_cluster_with) caps each at
+//! `max(1, threads / ranks)`), the job slots of the server, the k-point
+//! lanes of the SCF — hands each part its share through these helpers, as a
+//! cap that everything the part calls sees. A region under a cap of one
+//! runs inline. No option and no environment variable: a share follows
+//! from how many parts there are.
 
 /// Run `f` with every parallel region it opens capped at `n` threads (at
 /// least one).
@@ -30,35 +30,28 @@ pub fn with_thread_share<R: Send>(share: usize, of: usize, f: impl FnOnce() -> R
     with_threads(rayon::current_num_threads() * share / of.max(1), f)
 }
 
-/// A rank entry point's prologue: run `f` on this rank's `1 / comm.size()`
-/// of the budget its thread was started with.
-pub fn rank_threads<R: Send>(
-    comm: &mut ThreadComm,
-    f: impl FnOnce(&mut ThreadComm) -> R + Send,
-) -> R {
-    with_thread_share(1, comm.size(), || f(comm))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dft_hpc::comm::run_cluster;
+    use crate::comm::run_cluster;
 
-    /// Ranks × threads ≤ cores: inside a 1-rank cluster a rank plans for
-    /// the whole host, inside an `n`-rank cluster for its `1 / n` of it (2
-    /// and 1 on a 2-thread host), never for less than one thread; a share
-    /// nests by multiplying, and the cap ends with the call.
+    /// Ranks × threads ≤ cores: a 1-rank cluster's rank plans for its
+    /// caller's whole budget, an `n`-rank cluster's for its `1 / n` of it
+    /// (2 and 1 on a 2-thread host), never for less than one thread; the
+    /// launcher's own cap is what is split, a share nests by multiplying,
+    /// and the cap ends with the call.
     #[test]
     fn a_rank_plans_for_its_share_of_the_host() {
         let host = rayon::current_num_threads();
         for nranks in [1, 2, 3] {
-            let (seen, _) = run_cluster(nranks, |comm| {
-                rank_threads(comm, |_| rayon::current_num_threads())
-            });
+            let (seen, _) = run_cluster(nranks, |_| rayon::current_num_threads());
             assert_eq!(seen, vec![(host / nranks).max(1); nranks]);
         }
         with_threads(8, || {
-            assert_eq!(rayon::current_num_threads(), 8);
+            let (seen, _) = run_cluster(2, |_| rayon::current_num_threads());
+            assert_eq!(seen, vec![4, 4]);
+            let (solo, _) = run_cluster(1, |_| rayon::current_num_threads());
+            assert_eq!(solo, vec![8]);
             with_thread_share(1, 2, || {
                 assert_eq!(rayon::current_num_threads(), 4);
                 with_thread_share(1, 8, || assert_eq!(rayon::current_num_threads(), 1));

@@ -57,7 +57,6 @@ pub const COMM_FALLIBLE: &[&str] = &[
     "recv_bytes_deadline",
     "try_recv_bytes",
     "send_f64",
-    "isend_f64",
     "recv_f64",
     "recv_f64_deadline",
     "try_recv_f64",
@@ -73,7 +72,6 @@ const TAGGED_P2P: &[&str] = &[
     "recv_bytes_deadline",
     "try_recv_bytes",
     "send_f64",
-    "isend_f64",
     "recv_f64",
     "recv_f64_deadline",
     "try_recv_f64",

@@ -6,5 +6,6 @@ pub use dft_core::cluster::decomp::Decomposition;
 pub use dft_core::cluster::forces::distributed_forces_profiled;
 pub use dft_core::cluster::operator::{DistHamiltonian, DistSpace, SharedComm};
 pub use dft_core::cluster::relax::{dist_relax, DistRelaxConfig, DistRelaxResult};
-pub use dft_core::cluster::scf::{distributed_scf, DistScfConfig, DistScfResult};
+pub use dft_core::cluster::scf::{distributed_scf, DistScfConfig};
 pub use dft_core::cluster::{checkpoint, operator};
+pub use dft_core::scf::ScfResult as DistScfResult;

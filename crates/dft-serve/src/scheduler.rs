@@ -35,9 +35,9 @@ use dft_core::cluster::scf::{performed_iterations, DistScfConfig, PreemptToken, 
 use dft_core::relax::RelaxConfig;
 use dft_core::scf::ScfConfig;
 use dft_core::system::AtomicSystem;
-use dft_core::threads::with_thread_share;
 use dft_fem::space::FeSpace;
 use dft_hpc::comm::{ClusterOptions, FaultPlan};
+use dft_hpc::threads::with_thread_share;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender};

@@ -20,7 +20,7 @@ cargo run -q --offline --release -p dft-lint -- --workspace --json > target/dft-
 echo "    JSON artifact: target/dft-lint.json"
 
 echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep whatever the block layout, one distributed route, one ChFES cycle, one Chebyshev recurrence, one recurrence update, one rooted collective, one KS eigensolve step, one Fermi-Dirac function, one FE derivative, one trajectory loop, one durable writer, one thread-cap helper, one overlap model, one initial subspace, one dense eigensolver, one cell kernel, one Hamiltonian body, one shaped GEMM entry point, one triangle mirror, one SCF loop, one rank solver, one Lanczos recurrence with one start vector, one force assembly, one electrostatic solve, one block-MINRES and one invDFT adjoint preconditioner)"
-for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a sweep_item chebyshev_filter_gated recurrence_update ks_eigensolve accumulate_density fermi deriv_mass deriv_mass_t trajectory_rank write_durable read_durable with_threads with_thread_share pipelined_blocks random_subspace eigh output_transform dof_potential ham_apply_flops filter_phase gemm_shaped hermitian_from_lower scf_loop distributed_scf lanczos_reduced lanczos_start forces_rank solve_electrostatics block_minres laplacian_diagonal_prec; do
+for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a sweep_item chebyshev_filter_gated recurrence_update ks_eigensolve accumulate_density fermi deriv_mass deriv_mass_t trajectory_rank write_durable read_durable with_threads with_thread_share pipelined_blocks random_subspace eigh output_transform dof_potential ham_apply_flops filter_phase gemm_shaped hermitian_from_lower scf_loop distributed_scf lanczos_reduced lanczos_start distributed_forces_profiled solve_electrostatics block_minres laplacian_diagonal_prec; do
   n=$(grep -rhE "^\s*(pub(\([a-z]+\))? )?fn ${f}\b" crates/*/src | wc -l)
   if [ "$n" -ne 1 ]; then
     echo "    fn $f is defined $n times under crates/*/src (expected exactly 1)"
@@ -77,7 +77,13 @@ done
 #    of its own;
 #  - the dense cell-batched route no solve runs: every apply is the
 #    sum-factorized sweep, and the one dense-cell operator left is the
-#    criterion bench's per-cell GEMM arm.
+#    criterion bench's per-cell GEMM arm;
+#  - ranks get their share of the cores where they are made: run_cluster
+#    caps each rank, so no rank entry caps itself and no entry has an
+#    already-capped twin, a rank's SCF result is the ScfResult (the
+#    re-export crate keeps only an alias for benchmark/), one send has one
+#    name, and slow links are the schedule explorer's seeded delays, not a
+#    fault rule.
 retired=(
   "benchmark-gate / tuning-file name|DFT_T""UNE|dft_t""une\.json|BEN""CH_|DFT_BEN""CH_GATE"
   "sibling path of the distributed solver, or the knob that selected it|Cluster""Reducer|enum Red""ucer|grid\.is_so""me\(\)|JobKind::Scr""een|warm_st""art:|with_over""lap|Pipelined""Filter|Cf""Driver"
@@ -93,6 +99,7 @@ retired=(
   "replicated full-row operator of a rank's Lanczos bounds|h_f""ull"
   "second force error type of the rank's assembly|DistForce""Error"
   "dense cell-batched GEMM route|batched_ge""mm|BatchLay""out"
+  "rank entry that caps itself, its capped twin, the SCF result copy, the second send name or the fault delay rule|rank_thr""eads|scf_ra""nk|forces_ra""nk|fn distributed_for""ces\(|struct DistScf""Result|isend_f""64|DelayR""ule"
   "single-valued solver knob, the SCF's root-rank query or the serial snapshot cadence|mixing_al""pha|base\.checkpoint_ev""ery|fn is_ro""ot|cfg\.st""ep\b|eig_pa""sses|minres_t""ol|minres_max_it""er|dt_m""ax|max_di""sp|FireState::new\(.*,|quick_n""et|cfg\.max_resta""rts|knobs\.max_resta""rts|sub_blo""ck|opts\.use_c""cl"
 )
 for entry in "${retired[@]}"; do
