@@ -120,13 +120,6 @@ pub struct RelaxStepRecord {
     pub warm_started: bool,
 }
 
-impl RelaxStepRecord {
-    /// Potential plus kinetic energy: what velocity Verlet conserves.
-    pub fn total(&self) -> f64 {
-        self.free_energy + self.kinetic
-    }
-}
-
 /// Outcome of a distributed trajectory on one rank. Everything except
 /// `scf` (whose profile/comm members are per-rank) is replicated.
 pub struct DistRelaxResult {

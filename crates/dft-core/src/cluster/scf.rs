@@ -138,11 +138,6 @@ impl PreemptToken {
     pub fn is_requested(&self) -> bool {
         self.0.load(std::sync::atomic::Ordering::SeqCst)
     }
-
-    /// Lower the flag (e.g. before resuming the preempted job).
-    pub fn clear(&self) {
-        self.0.store(false, std::sync::atomic::Ordering::SeqCst);
-    }
 }
 
 /// Distributed SCF configuration: the serial knobs plus the wire precision

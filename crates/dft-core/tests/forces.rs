@@ -604,10 +604,10 @@ fn bo_md_conserves_energy_and_is_rank_invariant() {
         assert!((atom.pos[0] - x).abs() <= 1e-9, "{:?} vs x = {x}", atom.pos);
     }
     assert!(!one.trajectory[0].warm_started, "first step must run cold");
-    let e0 = one.trajectory[0].total();
+    let e0 = one.trajectory[0].free_energy + one.trajectory[0].kinetic;
     for (i, rec) in one.trajectory.iter().enumerate() {
         assert!(i == 0 || rec.warm_started, "step {i} did not warm-start");
-        let drift = (rec.total() - e0).abs();
+        let drift = (rec.free_energy + rec.kinetic - e0).abs();
         assert!(drift <= 2e-3, "step {i}: |E_tot - E_tot[0]| = {drift:.3e}");
     }
     assert!(
@@ -620,7 +620,7 @@ fn bo_md_conserves_energy_and_is_rank_invariant() {
         |r: &DistRelaxResult| -> Vec<[f64; 3]> { r.system.atoms.iter().map(|a| a.pos).collect() };
     let bits = |r: &RelaxStepRecord| {
         (
-            [r.free_energy, r.kinetic, r.total(), r.fmax].map(f64::to_bits),
+            [r.free_energy, r.kinetic, r.free_energy + r.kinetic, r.fmax].map(f64::to_bits),
             r.scf_iterations,
             r.warm_started,
         )

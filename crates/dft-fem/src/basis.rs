@@ -1,4 +1,4 @@
-//! 1D Lagrange bases on GLL nodes, with barycentric evaluation and the
+//! 1D Lagrange bases on GLL nodes: barycentric weights and the
 //! collocation differentiation matrix.
 
 use crate::gll::gauss_lobatto_legendre;
@@ -76,29 +76,6 @@ impl Lagrange1d {
         self.degree + 1
     }
 
-    /// Evaluate all basis functions at `x` in `[-1, 1]` (barycentric form).
-    pub fn eval_all(&self, x: f64) -> Vec<f64> {
-        let n = self.n();
-        let mut vals = vec![0.0; n];
-        // exact node hit
-        for i in 0..n {
-            if (x - self.nodes[i]).abs() < 1e-14 {
-                vals[i] = 1.0;
-                return vals;
-            }
-        }
-        let mut denom = 0.0;
-        for i in 0..n {
-            let t = self.bary[i] / (x - self.nodes[i]);
-            vals[i] = t;
-            denom += t;
-        }
-        for v in &mut vals {
-            *v /= denom;
-        }
-        vals
-    }
-
     /// Entry of the differentiation matrix: `l_j'(x_i)`.
     #[inline]
     pub fn d(&self, i: usize, j: usize) -> f64 {
@@ -115,27 +92,6 @@ impl Lagrange1d {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn partition_of_unity() {
-        let b = Lagrange1d::new(5);
-        for &x in &[-0.9, -0.3, 0.0, 0.47, 0.99] {
-            let v = b.eval_all(x);
-            assert!((v.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn kronecker_delta_at_nodes() {
-        let b = Lagrange1d::new(4);
-        for i in 0..b.n() {
-            let v = b.eval_all(b.nodes[i]);
-            for j in 0..b.n() {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((v[j] - expect).abs() < 1e-12);
-            }
-        }
-    }
 
     #[test]
     fn differentiation_matrix_exact_on_polynomials() {

@@ -1,5 +1,5 @@
-//! Nodal scalar fields on an [`FeSpace`]: construction, integration,
-//! gradients, point evaluation.
+//! Nodal scalar fields on an [`FeSpace`]: construction, integration and
+//! gradients.
 //!
 //! Electron densities, potentials and XC energy densities are all nodal
 //! fields; the PBE/MLXC descriptors additionally need `|grad rho|`, which is
@@ -16,14 +16,8 @@ pub struct NodalField {
 }
 
 impl NodalField {
-    /// Zero field.
-    pub fn zeros(space: &FeSpace) -> Self {
-        Self {
-            values: vec![0.0; space.nnodes()],
-        }
-    }
-
     /// Sample an analytic function at every node.
+    // dftlint:allow(L009, reason="test fields of field::tests, poisson::tests, dft-fem/tests/proptest_fem.rs, dft-core xc::tests and dft-invdft invert::tests")
     pub fn from_fn(space: &FeSpace, f: impl Fn([f64; 3]) -> f64) -> Self {
         Self {
             values: (0..space.nnodes())
@@ -41,16 +35,6 @@ impl NodalField {
     /// `integral f dV`.
     pub fn integrate(&self, space: &FeSpace) -> f64 {
         space.integrate(&self.values)
-    }
-
-    /// `integral f g dV` (diagonal-mass inner product).
-    pub fn inner(&self, space: &FeSpace, other: &NodalField) -> f64 {
-        self.values
-            .iter()
-            .zip(other.values.iter())
-            .zip(space.mass_diag().iter())
-            .map(|((&a, &b), &m)| a * b * m)
-            .sum()
     }
 
     /// Pointwise map.
@@ -71,24 +55,6 @@ impl NodalField {
             }
             NodalField { values: g }
         })
-    }
-
-    /// Evaluate the FE interpolant at an arbitrary point inside the domain.
-    pub fn eval(&self, space: &FeSpace, point: [f64; 3]) -> f64 {
-        let (cell_idx, xi) = space.locate(point);
-        let lx = space.basis.eval_all(xi[0]);
-        let ly = space.basis.eval_all(xi[1]);
-        let lz = space.basis.eval_all(xi[2]);
-        let nodes = space.cell_nodes(cell_idx);
-        let mut acc = 0.0;
-        for_each_local_node(
-            &space.basis,
-            space.cells()[cell_idx].h,
-            |l, _, [a, b, c]| {
-                acc += self.values[nodes[l] as usize] * lx[a] * ly[b] * lz[c];
-            },
-        );
-        acc
     }
 }
 
@@ -172,38 +138,6 @@ impl FeSpace {
             *x = (*x + oy[i] + oz[i]) / m;
         }
         out
-    }
-
-    /// Locate the cell containing `point` and the reference coordinates
-    /// `xi in [-1,1]^3` within it.
-    pub fn locate(&self, point: [f64; 3]) -> (usize, [f64; 3]) {
-        let mut cidx = [0usize; 3];
-        let mut xi = [0.0f64; 3];
-        for d in 0..3 {
-            let bnd = self.mesh.axes[d].boundaries();
-            let x = point[d]
-                .max(bnd[0])
-                .min(bnd[bnd.len() - 1] - 1e-14 * (1.0 + bnd[bnd.len() - 1].abs()));
-            // binary search for the cell
-            let mut lo = 0usize;
-            let mut hi = bnd.len() - 2;
-            while lo < hi {
-                let mid = (lo + hi).div_ceil(2);
-                if bnd[mid] <= x {
-                    lo = mid;
-                } else {
-                    hi = mid - 1;
-                }
-            }
-            cidx[d] = lo;
-            xi[d] = 2.0 * (x - bnd[lo]) / (bnd[lo + 1] - bnd[lo]) - 1.0;
-        }
-        let nc = [
-            self.mesh.axes[0].ncells(),
-            self.mesh.axes[1].ncells(),
-            self.mesh.axes[2].ncells(),
-        ];
-        (cidx[0] + nc[0] * (cidx[1] + nc[1] * cidx[2]), xi)
     }
 }
 
@@ -289,35 +223,5 @@ mod tests {
             let v = (gx.values[n].powi(2) + gy.values[n].powi(2) + gz.values[n].powi(2)).sqrt();
             assert!((v - 5.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn eval_reproduces_polynomial_between_nodes() {
-        let s = space(4);
-        let f = NodalField::from_fn(&s, |[x, y, z]| x * y * z + x * x);
-        for pt in [[0.7, 1.3, 2.9], [3.99, 0.01, 1.5], [2.0, 2.0, 2.0]] {
-            let exact = pt[0] * pt[1] * pt[2] + pt[0] * pt[0];
-            assert!((f.eval(&s, pt) - exact).abs() < 1e-9, "at {pt:?}");
-        }
-    }
-
-    #[test]
-    fn locate_finds_correct_cell() {
-        let s = space(2);
-        let (c, xi) = s.locate([1.0, 3.0, 0.5]);
-        // cells are [0,2] and [2,4] per axis; expect cell (0,1,0) = 0+2*(1+2*0)=2
-        assert_eq!(c, 2);
-        assert!((xi[0] - 0.0).abs() < 1e-12); // 1.0 is midpoint of [0,2]
-        assert!((xi[1] - 0.0).abs() < 1e-12);
-        assert!((xi[2] + 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inner_product_symmetry_and_positivity() {
-        let s = space(2);
-        let f = NodalField::from_fn(&s, |[x, y, z]| (x - y).sin() + z);
-        let g = NodalField::from_fn(&s, |[x, y, z]| x + y * z);
-        assert!((f.inner(&s, &g) - g.inner(&s, &f)).abs() < 1e-12);
-        assert!(f.inner(&s, &f) > 0.0);
     }
 }

@@ -105,12 +105,6 @@ impl Axis {
         self.boundaries[self.ncells()] - self.boundaries[0]
     }
 
-    /// Start coordinate.
-    #[inline]
-    pub fn start(&self) -> f64 {
-        self.boundaries[0]
-    }
-
     /// The ascending cell boundaries.
     #[inline]
     pub fn boundaries(&self) -> &[f64] {
@@ -248,7 +242,7 @@ mod tests {
         for w in a.boundaries().windows(2) {
             assert!(w[1] > w[0]);
         }
-        assert!((a.start() + 5.0).abs() < 1e-14);
+        assert!((a.boundaries()[0] + 5.0).abs() < 1e-14);
     }
 
     #[test]

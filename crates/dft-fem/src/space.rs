@@ -1237,7 +1237,7 @@ impl FeSpace {
         }
         let rows = (slab.first_row, slab.rows, cb);
         let touch = sweep.touch.filter(|_| L::TOUCH);
-        dft_linalg::pack::with_scratch::<T, _>(|loc, out| {
+        dft_linalg::pack::with_scratch(|(loc, out): &mut (Vec<T>, Vec<T>)| {
             // one node's lanes of padding for the lane windows of
             // `gather_block` and `scatter_block`
             let need = (nloc + 1) * CB;

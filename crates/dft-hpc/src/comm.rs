@@ -570,12 +570,6 @@ impl ThreadComm {
         self.check()
     }
 
-    /// Current application epoch.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Evaluate tag-gated kill rules for a send carrying `wire_tag`.
     /// Returns the kill error if a rule fires.
     fn fault_on_send(&mut self, wire_tag: u64) -> Result<(), CommError> {

@@ -62,6 +62,7 @@ pub struct SchedulePlan {
 impl SchedulePlan {
     /// The CI-gate defaults: 50 microsecond delay cap on ~1/8 of sends.
     #[must_use]
+    // dftlint:allow(L009, reason="the plan of every schedule run of dft-core/tests/schedule.rs")
     pub fn new(seed: u64) -> Self {
         Self {
             seed,

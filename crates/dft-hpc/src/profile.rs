@@ -168,11 +168,6 @@ impl Profile {
         self.lock().iterations.push(Default::default());
     }
 
-    /// RAII scope timing `phase`; commit happens on drop.
-    pub fn scope(&self, phase: Phase) -> PhaseScope<'_> {
-        PhaseScope::new(Some(self), phase)
-    }
-
     fn record(&self, phase: Phase, seconds: f64, flops: u64, bytes: u64) {
         self.lock().current()[phase.index()].add(&PhaseAcc {
             seconds,
@@ -435,17 +430,17 @@ mod tests {
         let p = Profile::new();
         p.begin_iteration();
         {
-            let mut s = p.scope(Phase::Cf);
+            let mut s = PhaseScope::new(Some(&p), Phase::Cf);
             s.add_flops(100);
             s.add_bytes(8);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         {
-            let mut s = p.scope(Phase::Cf);
+            let mut s = PhaseScope::new(Some(&p), Phase::Cf);
             s.add_flops(50);
         }
         p.begin_iteration();
-        p.scope(Phase::RrD);
+        PhaseScope::new(Some(&p), Phase::RrD);
         let rep = p.finish(None);
         assert_eq!(rep.iterations.len(), 2);
         let cf = &rep.iterations[0].phases[0];
@@ -466,20 +461,20 @@ mod tests {
     fn lanes_fold_into_a_wall_clock_breakdown() {
         let (a, b) = (Profile::new(), Profile::new());
         {
-            let mut s = a.scope(Phase::Cf);
+            let mut s = PhaseScope::new(Some(&a), Phase::Cf);
             s.add_flops(100);
             s.add_bytes(8);
             std::thread::sleep(std::time::Duration::from_millis(3));
         }
-        a.scope(Phase::RrD);
+        PhaseScope::new(Some(&a), Phase::RrD);
         {
-            let mut s = b.scope(Phase::Cf);
+            let mut s = PhaseScope::new(Some(&b), Phase::Cf);
             s.add_flops(50);
             s.add_bytes(2);
             std::thread::sleep(std::time::Duration::from_millis(3));
         }
         {
-            let mut s = b.scope(Phase::CholGsS);
+            let mut s = PhaseScope::new(Some(&b), Phase::CholGsS);
             s.add_flops(7);
         }
         let lane_seconds = |label| {
@@ -522,7 +517,7 @@ mod tests {
     #[test]
     fn record_before_begin_iteration_lands_in_bucket_zero() {
         let p = Profile::new();
-        p.scope(Phase::Ep);
+        PhaseScope::new(Some(&p), Phase::Ep);
         let rep = p.finish(Some(1.0));
         assert_eq!(rep.iterations.len(), 1);
         assert_eq!(rep.iterations[0].phases[0].phase, "EP");
@@ -533,11 +528,11 @@ mod tests {
         let p = Profile::new();
         p.begin_iteration();
         {
-            let mut s = p.scope(Phase::CholGsS);
+            let mut s = PhaseScope::new(Some(&p), Phase::CholGsS);
             s.add_flops(12345);
             s.add_bytes(99);
         }
-        p.scope(Phase::RrSr);
+        PhaseScope::new(Some(&p), Phase::RrSr);
         let rep = p.finish(Some(0.5));
         let back: ScfProfile = serde_json::from_str(&rep.to_json_pretty()).unwrap();
         assert_eq!(back, rep);
@@ -547,11 +542,11 @@ mod tests {
     fn table3_rows_merge_tail_phases() {
         let p = Profile::new();
         p.begin_iteration();
-        p.scope(Phase::Dh);
-        p.scope(Phase::Ep);
-        p.scope(Phase::Other);
+        PhaseScope::new(Some(&p), Phase::Dh);
+        PhaseScope::new(Some(&p), Phase::Ep);
+        PhaseScope::new(Some(&p), Phase::Other);
         {
-            let mut s = p.scope(Phase::Cf);
+            let mut s = PhaseScope::new(Some(&p), Phase::Cf);
             s.add_flops(7);
         }
         let rep = p.finish(Some(1.0));
@@ -570,7 +565,7 @@ mod tests {
         let p = Profile::new();
         p.begin_iteration();
         {
-            let _s = p.scope(Phase::Cf);
+            let _s = PhaseScope::new(Some(&p), Phase::Cf);
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         let rep = p.finish(None);

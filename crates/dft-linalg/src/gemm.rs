@@ -9,7 +9,7 @@
 
 use crate::matrix::Matrix;
 pub use crate::pack::Shape;
-use crate::pack::{gemm_block, with_pack_buf, with_scratch3, KC, MC, NC};
+use crate::pack::{gemm_block, with_scratch, PackBuf, KC, MC, NC};
 use crate::scalar::Scalar;
 use crate::simd::MatMut;
 use rayon::prelude::*;
@@ -22,6 +22,23 @@ pub enum Op {
     /// Use the conjugate (Hermitian) transpose; plain transpose for real
     /// scalars.
     ConjTrans,
+}
+
+/// `(m, n, k)` of `op(A) * op(B)`, where `op(A)` is `m x k` and `op(B)` is
+/// `k x n`; panics if the inner dimensions differ.
+fn product_dims<T: Scalar>(
+    a: &Matrix<T>,
+    opa: Op,
+    b: &Matrix<T>,
+    opb: Op,
+) -> (usize, usize, usize) {
+    let op_shape = |x: &Matrix<T>, op: Op| match op {
+        Op::None => x.shape(),
+        Op::ConjTrans => (x.ncols(), x.nrows()),
+    };
+    let ((m, ak), (bk, n)) = (op_shape(a, opa), op_shape(b, opb));
+    assert_eq!(ak, bk, "gemm: inner-dimension mismatch");
+    (m, n, ak)
 }
 
 /// `C = alpha * op(A) * op(B) + beta * C`.
@@ -56,22 +73,12 @@ pub fn gemm_shaped<T: Scalar>(
     c: &mut Matrix<T>,
     shape: Shape,
 ) {
-    let (m, n) = c.shape();
-    let (am, ak) = match opa {
-        Op::None => a.shape(),
-        Op::ConjTrans => (a.ncols(), a.nrows()),
-    };
-    let (bk, bn) = match opb {
-        Op::None => b.shape(),
-        Op::ConjTrans => (b.ncols(), b.nrows()),
-    };
-    assert_eq!(am, m, "gemm: row mismatch");
-    assert_eq!(bn, n, "gemm: col mismatch");
-    assert_eq!(ak, bk, "gemm: inner-dimension mismatch");
+    let (m, n, k) = product_dims(a, opa, b, opb);
+    assert_eq!(c.shape(), (m, n), "gemm: output shape mismatch");
     gemm_slices(
         m,
         n,
-        ak,
+        k,
         alpha,
         (a.as_slice(), a.nrows(), opa == Op::ConjTrans),
         (b.as_slice(), b.nrows(), opb == Op::ConjTrans),
@@ -134,7 +141,7 @@ pub fn gemm_slices<T: Scalar>(
         let b = (&b[if b_trans { j0 } else { j0 * ldb }..], ldb, b_trans);
         let shape = shape.shifted(j0);
         debug_assert!(i0 == 0 || !matches!(shape, Shape::LowerC(_)));
-        with_pack_buf(|buf| {
+        with_scratch(|buf: &mut PackBuf<T>| {
             buf.fit(m, n, k);
             gemm_block((MC, KC, NC), k, alpha, a, b, c, shape, buf);
         });
@@ -289,14 +296,7 @@ pub fn gemm_reference<T: Scalar>(
 
 /// Convenience: `C = op(A) * op(B)` freshly allocated.
 pub fn matmul<T: Scalar>(a: &Matrix<T>, opa: Op, b: &Matrix<T>, opb: Op) -> Matrix<T> {
-    let m = match opa {
-        Op::None => a.nrows(),
-        Op::ConjTrans => a.ncols(),
-    };
-    let n = match opb {
-        Op::None => b.ncols(),
-        Op::ConjTrans => b.nrows(),
-    };
+    let (m, n, _) = product_dims(a, opa, b, opb);
     let mut c = Matrix::zeros(m, n);
     gemm(T::ONE, a, opa, b, opb, T::ZERO, &mut c);
     c
@@ -311,7 +311,7 @@ pub fn matmul<T: Scalar>(a: &Matrix<T>, opa: Op, b: &Matrix<T>, opb: Op) -> Matr
 /// halving bandwidth and (on real GPUs) doubling throughput.
 ///
 /// Demotion, the low-precision product and the promotion all run through
-/// this thread's recycled [`with_scratch3`] buffers, so the steady-state
+/// this thread's recycled [`with_scratch`] buffers, so the steady-state
 /// mixed-precision CF loop performs zero heap allocations here (the seed
 /// version built two full temporary matrices per call).
 // dftlint:hot
@@ -324,23 +324,12 @@ pub fn gemm_mixed<T: Scalar>(
     beta: T,
     c: &mut Matrix<T>,
 ) {
-    let (m, n) = c.shape();
-    let (am, ak) = match opa {
-        Op::None => a.shape(),
-        Op::ConjTrans => (a.ncols(), a.nrows()),
-    };
-    let (bk, bn) = match opb {
-        Op::None => b.shape(),
-        Op::ConjTrans => (b.ncols(), b.nrows()),
-    };
-    assert_eq!(am, m, "gemm: row mismatch");
-    assert_eq!(bn, n, "gemm: col mismatch");
-    assert_eq!(ak, bk, "gemm: inner-dimension mismatch");
-    let k = ak;
+    let (m, n, k) = product_dims(a, opa, b, opb);
+    assert_eq!(c.shape(), (m, n), "gemm: output shape mismatch");
 
     let a_data = a.as_slice();
     let b_data = b.as_slice();
-    with_scratch3::<T::Low, _>(|al, bl, cl| {
+    with_scratch::<(Vec<T::Low>, Vec<T::Low>, Vec<T::Low>), _>(|(al, bl, cl)| {
         if al.len() < a_data.len() {
             al.resize(a_data.len(), <T::Low as Scalar>::ZERO);
         }

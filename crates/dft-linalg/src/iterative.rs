@@ -425,6 +425,7 @@ pub struct DenseOperator<T> {
 
 impl<T: Scalar> DenseOperator<T> {
     /// Wrap a square dense matrix.
+    // dftlint:allow(L009, reason="operator of iterative::tests and dft-linalg/tests/proptest_linalg.rs")
     pub fn new(a: Matrix<T>) -> Self {
         assert_eq!(a.nrows(), a.ncols());
         Self { a }

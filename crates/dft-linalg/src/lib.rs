@@ -40,6 +40,6 @@ pub use eig::{eigh, Eigh};
 pub use gemm::{gemm, gemm_mixed, gemm_reference, Op};
 pub use iterative::{block_minres, cg, IterStats, LinearOperator, Preconditioner};
 pub use matrix::Matrix;
-pub use pack::{with_pack_buf, with_scratch, with_scratch3, PackBuf};
+pub use pack::{with_scratch, PackBuf};
 pub use scalar::{Real, Scalar, C32, C64};
 pub use simd::SimdTier;

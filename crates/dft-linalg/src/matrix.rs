@@ -231,15 +231,6 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// Promote a low-precision matrix into this scalar type.
-    pub fn from_low(m: &Matrix<T::Low>) -> Matrix<T> {
-        Matrix {
-            data: m.data.iter().map(|&v| T::from_low(v)).collect(),
-            nrows: m.nrows,
-            ncols: m.ncols,
-        }
-    }
-
     /// Map entrywise into a new matrix (possibly of a different scalar type).
     pub fn map<U: Scalar>(&self, f: impl Fn(T) -> U) -> Matrix<U> {
         Matrix {
@@ -361,7 +352,7 @@ mod tests {
     #[test]
     fn low_precision_round_trip_small_values() {
         let m = Matrix::from_fn(3, 3, |i, j| (i as f64 + 2.0 * j as f64) * 0.25);
-        let r = Matrix::<f64>::from_low(&m.to_low());
+        let r = m.to_low().map(f64::from_low);
         assert!(m.max_abs_diff(&r) < 1e-7);
     }
 }

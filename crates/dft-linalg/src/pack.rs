@@ -95,73 +95,27 @@ impl<T> Default for PackBuf<T> {
 }
 
 thread_local! {
-    /// Per-thread pool of packing buffers, keyed by scalar type.
-    static PACK_POOL: RefCell<HashMap<TypeId, Box<dyn Any>>> = RefCell::new(HashMap::new());
-    /// Per-thread pool of generic scratch vector pairs (FE cell gather /
-    /// apply scratch), keyed by scalar type.
+    /// Per-thread pool of scratch buffers, keyed by buffer type.
     static SCRATCH_POOL: RefCell<HashMap<TypeId, Box<dyn Any>>> = RefCell::new(HashMap::new());
 }
 
-/// Run `f` with this thread's recycled [`PackBuf`] for scalar type `T`.
+/// Run `f` with this thread's recycled buffer of type `B`: a GEMM's
+/// [`PackBuf`], the FE cell kernels' gather / apply pair
+/// `(Vec<T>, Vec<T>)`, or the mixed-precision GEMM's demoted `A`/`B` and
+/// low-precision `C` accumulator `(Vec<T>, Vec<T>, Vec<T>)`, so their hot
+/// paths never allocate.
 ///
 /// The buffer is checked out of a thread-local pool for the duration of the
-/// call, so nested use with the *same* scalar type would see a fresh buffer
+/// call, so nested use with the *same* buffer type would see a fresh buffer
 /// (correct, just not recycled); the GEMM drivers never nest.
-pub fn with_pack_buf<T: Scalar, R>(f: impl FnOnce(&mut PackBuf<T>) -> R) -> R {
-    PACK_POOL.with(|pool| {
-        let mut boxed = pool
-            .borrow_mut()
-            .remove(&TypeId::of::<T>())
-            .unwrap_or_else(|| Box::new(PackBuf::<T>::new()));
-        let out = f(boxed.downcast_mut::<PackBuf<T>>().expect("pack pool type"));
-        pool.borrow_mut().insert(TypeId::of::<T>(), boxed);
-        out
-    })
-}
-
-/// Run `f` with this thread's recycled pair of scratch vectors for scalar
-/// type `T` (used by the FE cell kernels for local gather / apply buffers).
-pub fn with_scratch<T: Scalar, R>(f: impl FnOnce(&mut Vec<T>, &mut Vec<T>) -> R) -> R {
+pub fn with_scratch<B: Default + 'static, R>(f: impl FnOnce(&mut B) -> R) -> R {
     SCRATCH_POOL.with(|pool| {
         let mut boxed = pool
             .borrow_mut()
-            .remove(&TypeId::of::<T>())
-            .unwrap_or_else(|| Box::new((Vec::<T>::new(), Vec::<T>::new())));
-        let out = {
-            let (x, y) = boxed
-                .downcast_mut::<(Vec<T>, Vec<T>)>()
-                .expect("scratch pool type");
-            f(x, y)
-        };
-        pool.borrow_mut().insert(TypeId::of::<T>(), boxed);
-        out
-    })
-}
-
-thread_local! {
-    /// Per-thread pool of scratch vector triples (mixed-precision GEMM
-    /// demote/promote buffers), keyed by scalar type.
-    static SCRATCH3_POOL: RefCell<HashMap<TypeId, Box<dyn Any>>> = RefCell::new(HashMap::new());
-}
-
-/// Run `f` with this thread's recycled triple of scratch vectors for scalar
-/// type `T` (the mixed-precision GEMM's demoted `A`/`B` and low-precision
-/// `C` accumulator live here so the hot path never allocates).
-pub fn with_scratch3<T: Scalar, R>(
-    f: impl FnOnce(&mut Vec<T>, &mut Vec<T>, &mut Vec<T>) -> R,
-) -> R {
-    SCRATCH3_POOL.with(|pool| {
-        let mut boxed = pool
-            .borrow_mut()
-            .remove(&TypeId::of::<T>())
-            .unwrap_or_else(|| Box::new((Vec::<T>::new(), Vec::<T>::new(), Vec::<T>::new())));
-        let out = {
-            let (x, y, z) = boxed
-                .downcast_mut::<(Vec<T>, Vec<T>, Vec<T>)>()
-                .expect("scratch3 pool type");
-            f(x, y, z)
-        };
-        pool.borrow_mut().insert(TypeId::of::<T>(), boxed);
+            .remove(&TypeId::of::<B>())
+            .unwrap_or_else(|| Box::new(B::default()));
+        let out = f(boxed.downcast_mut::<B>().expect("scratch pool type"));
+        pool.borrow_mut().insert(TypeId::of::<B>(), boxed);
         out
     })
 }
@@ -510,13 +464,13 @@ mod tests {
 
     #[test]
     fn pack_buf_pool_recycles_capacity() {
-        with_pack_buf::<f64, _>(|buf| {
+        with_scratch(|buf: &mut PackBuf<f64>| {
             buf.a.resize(1000, 0.0);
         });
-        let cap = with_pack_buf::<f64, _>(|buf| buf.a.capacity());
+        let cap = with_scratch(|buf: &mut PackBuf<f64>| buf.a.capacity());
         assert!(cap >= 1000, "buffer should be recycled, got cap {cap}");
         // A different scalar type gets its own buffer.
-        let cap32 = with_pack_buf::<f32, _>(|buf| buf.a.capacity());
+        let cap32 = with_scratch(|buf: &mut PackBuf<f32>| buf.a.capacity());
         assert!(cap32 < 1000);
     }
 
@@ -539,7 +493,7 @@ mod tests {
             (32, 16, 24),
         ] {
             let mut got = Matrix::<f64>::zeros(n, n);
-            with_pack_buf(|buf| {
+            with_scratch(|buf: &mut PackBuf<f64>| {
                 let c = MatMut::new(got.as_mut_slice(), n, n, n);
                 let (a, b) = ((a.as_slice(), n, false), (b.as_slice(), n, false));
                 gemm_block(blk, n, 1.0, a, b, c, Shape::Full, buf);
@@ -550,11 +504,11 @@ mod tests {
 
     #[test]
     fn scratch_pool_gives_two_independent_vecs() {
-        with_scratch::<f64, _>(|x, y| {
+        with_scratch(|(x, y): &mut (Vec<f64>, Vec<f64>)| {
             x.resize(8, 1.0);
             y.resize(4, 2.0);
         });
-        with_scratch::<f64, _>(|x, y| {
+        with_scratch(|(x, y): &mut (Vec<f64>, Vec<f64>)| {
             assert!(x.capacity() >= 8);
             assert!(y.capacity() >= 4);
         });

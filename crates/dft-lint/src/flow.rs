@@ -30,6 +30,7 @@
 //!   the ones the L003 const-evaluator already proves disjoint and
 //!   rank-indexable, so no world or sub-communicator offset can escape it.
 
+use crate::matching_brace;
 use crate::token::{Tok, TokKind};
 use std::collections::BTreeSet;
 
@@ -91,23 +92,6 @@ pub struct FnItem {
     pub body: (usize, usize),
     /// Body ranges of nested `fn` items inside `body`.
     pub inner: Vec<(usize, usize)>,
-}
-
-/// Index of the `}` matching the `{` at `open` (crate-local copy of the
-/// engine helper, kept here so the module is self-contained for tests).
-fn matching_brace(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0usize;
-    for (k, t) in toks.iter().enumerate().skip(open) {
-        if t.is_op("{") {
-            depth += 1;
-        } else if t.is_op("}") {
-            depth -= 1;
-            if depth == 0 {
-                return k;
-            }
-        }
-    }
-    toks.len() - 1
 }
 
 /// Index of the `)` matching the `(` at `open`.

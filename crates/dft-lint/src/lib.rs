@@ -17,7 +17,7 @@
 //! | L006 | SPMD collective ordering: no collective under rank-dependent control flow with divergent per-branch sequences, no early exit (`return`/`?`/`break`/`continue`) in a rank-dependent branch when collectives follow — resolved through a workspace call-summary graph |
 //! | L007 | poison safety: a `CommError` is never swallowed (`let _ =`, `.ok()`, `.unwrap_or*()`, `Err(_) => continue`/`{}`) — it must reach the poison cascade or a typed error |
 //! | L008 | collective tag discipline in `comm.rs`: every collective (a caller of the one rooted routine `rooted`, or a `group_*` function) derives the tag it hands on from exactly one registered `TagBand` (`BAND.for_rank(..)`/`BAND.tag()`), whose bounds the L003 const-evaluator proves |
-//! | L009 | production code is what production calls: every `pub fn` under `crates/*/src` is referenced by name from non-test code — the crates' `src/` (bins included) and `benches/`, the root `src/` and `examples/`, and `benchmark/src`; test support and oracles carry an allow naming the suite they serve. Callers are matched by bare name, so a method that shares its name with one production calls on another type passes unseen; in a file that binds `let [mut] x`, a bare `x` that is not called is that local, not a caller |
+//! | L009 | production code is what production calls: every `pub fn` under `crates/*/src` is reached from non-test code — the crates' `src/` (bins included) and `benches/`, the root `src/` and `examples/`, and `benchmark/src`; test support and oracles carry an allow naming the suite they serve. A method of an inherent `impl T` is reached through `T`: a path `T::m`, `T::<..>::m`, or `Self::m`/`self.m(` inside an `impl T`, or a call `.m(` — anywhere when no other type, trait or common std type has an `m`, otherwise only in a file that names `T` or `T`'s crate (`dft_x`, or `x` through the root facade). A free `pub fn` is reached by any bare or path reference, not by a `.f(` call; in a file that binds `let [mut] x`, a bare `x` that is not called is that local, not a caller |
 //!
 //! A violation can be suppressed — with a mandatory justification — by a
 //! line comment on the same or the preceding line:
@@ -37,7 +37,7 @@ pub mod flow;
 pub mod token;
 
 use expr::ConstEnv;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -100,6 +100,7 @@ pub const LINT_IDS: &[&str] = &[
 /// The root package: its `src/` is read for L009 callers, but its items
 /// are the public facade and are not held to L009.
 const ROOT_PACKAGE: &str = "dft-fe-mlxc";
+const ROOT_IDENT: &str = "dft_fe_mlxc";
 
 /// Workspace-wide facts the per-file lints resolve against.
 #[derive(Debug, Default)]
@@ -107,9 +108,10 @@ pub struct WorkspaceFacts {
     /// L006: function names that transitively issue a collective, plus the
     /// `ThreadComm` primitives.
     pub emitters: BTreeSet<String>,
-    /// L009: every name that non-test code anywhere in the workspace refers
-    /// to as a function.
-    pub callers: BTreeSet<String>,
+    /// L009: the production references of every file read.
+    pub refs: Vec<FileRefs>,
+    /// L009: every method name, with the types and traits that define it.
+    pub methods: BTreeMap<String, BTreeSet<String>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -250,7 +252,7 @@ fn in_regions(regions: &Regions, i: usize) -> bool {
 }
 
 /// Index of the `}` matching the `{` at `open`, or the end of the stream.
-fn matching_brace(toks: &[Tok], open: usize) -> usize {
+pub(crate) fn matching_brace(toks: &[Tok], open: usize) -> usize {
     let mut depth = 0usize;
     for (k, t) in toks.iter().enumerate().skip(open) {
         if t.is_op("{") {
@@ -428,6 +430,114 @@ fn hot_functions(
 // L009: production callers
 // ---------------------------------------------------------------------------
 
+/// Methods of the std types production code holds everywhere (`Vec`,
+/// slices, `Option`, maps, iterators, locks, atomics, threads): a `.m(`
+/// call of one of these may be on such a value, so it resolves to a
+/// workspace method only in a file that reaches the method's type.
+const STD_METHODS: &[&str] = &[
+    "abs", "clear", "contains", "extend", "fill", "first", "get", "get_mut", "insert", "is_empty",
+    "iter", "iter_mut", "join", "last", "len", "load", "lock", "map", "max", "min", "name", "pop",
+    "push", "remove", "replace", "resize", "sort", "sqrt", "store", "sum", "swap", "take", "wait",
+];
+
+/// An `impl` or `trait` item: the index of the type (or trait) its `Self`
+/// is in its header, and its body.
+#[derive(Debug)]
+struct SelfBlock {
+    at: usize,
+    /// An inherent `impl T`, the one kind of block that holds `pub fn`s.
+    inherent: bool,
+    body: (usize, usize),
+}
+
+/// Net `<` nesting a token opens (`>>` closes two).
+fn angle_step(t: &Tok) -> i64 {
+    match t.text.as_str() {
+        "<" if t.kind == TokKind::Op => 1,
+        ">" if t.kind == TokKind::Op => -1,
+        ">>" if t.kind == TokKind::Op => -2,
+        _ => 0,
+    }
+}
+
+/// Every `impl` and `trait` item with a body. An `impl` is an item (not
+/// `impl Trait` in a type) when it opens a statement; its self type is the
+/// last identifier outside generics before the body, `where` or (for a
+/// trait impl) after `for`.
+fn self_blocks(toks: &[Tok]) -> Vec<SelfBlock> {
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        let opens_item = i == 0
+            || ["}", ";", "]", "{"].iter().any(|s| toks[i - 1].is_op(s))
+            || toks[i - 1].is_ident("unsafe");
+        let item_impl = t.is_ident("impl") && opens_item;
+        let item_trait =
+            t.is_ident("trait") && toks.get(i + 1).is_some_and(|n| n.kind == TokKind::Ident);
+        if !item_impl && !item_trait {
+            continue;
+        }
+        let mut owner = item_trait.then_some(i + 1);
+        let (mut depth, mut inherent, mut in_where, mut open) = (0i64, item_impl, false, None);
+        for (k, h) in toks.iter().enumerate().skip(i + 1) {
+            depth += angle_step(h);
+            if depth == 0 && h.is_op("{") {
+                open = Some(k);
+                break;
+            }
+            if depth == 0 && h.is_op(";") {
+                break;
+            }
+            if !item_impl || depth != 0 || in_where || h.kind != TokKind::Ident {
+                continue;
+            }
+            match h.text.as_str() {
+                "where" => in_where = true,
+                "for" => inherent = false,
+                "dyn" | "mut" => {}
+                _ => owner = Some(k),
+            }
+        }
+        // `impl $name` in a macro names no type this file can resolve
+        let owner = owner.filter(|&at| !toks[at - 1].is_op("$"));
+        if let (Some(at), Some(open)) = (owner, open) {
+            out.push(SelfBlock {
+                at,
+                inherent,
+                body: (open, matching_brace(toks, open) + 1),
+            });
+        }
+    }
+    out
+}
+
+/// The innermost block whose body holds token `i`.
+fn block_of(blocks: &[SelfBlock], i: usize) -> Option<&SelfBlock> {
+    blocks
+        .iter()
+        .filter(|b| b.body.0 < i && i < b.body.1)
+        .max_by_key(|b| b.body.0)
+}
+
+/// The qualifier of the path segment at `i` (`toks[i - 1]` is `::`): `T`
+/// in `T::m`, `T::<U>::m` and `<T as Tr>::m`.
+fn path_qualifier(toks: &[Tok], i: usize) -> Option<&str> {
+    let q = toks.get(i.checked_sub(2)?)?;
+    if q.kind == TokKind::Ident {
+        return Some(&q.text);
+    }
+    let mut j = i - 2;
+    let mut depth = angle_step(q);
+    while depth < 0 {
+        j = j.checked_sub(1)?;
+        depth += angle_step(&toks[j]);
+    }
+    if j >= 2 && toks[j - 1].is_op("::") {
+        Some(&toks[j - 2].text)
+    } else {
+        toks.get(j + 1).map(|t| t.text.as_str())
+    }
+}
+
 /// Token ranges of `use` items: an import or re-export names an item
 /// without calling it.
 fn use_regions(toks: &[Tok]) -> Regions {
@@ -444,15 +554,32 @@ fn use_regions(toks: &[Tok]) -> Regions {
     regions
 }
 
-/// The names one file's non-test code refers to as functions: every
-/// identifier outside test regions and `use` items, except an item's own
-/// name after `fn`, a field access (`.x` with no call), a field or
-/// parameter label (`x:`) and, in a file whose non-test code binds
-/// `let [mut] x`, a bare `x` not called (`x(`): that is the local. Comments
-/// and strings are not tokens.
-fn production_references(toks: &[Tok]) -> BTreeSet<String> {
+/// What one file's non-test code refers to. Comments and strings are not
+/// tokens.
+#[derive(Debug, Default)]
+pub struct FileRefs {
+    /// Names referred to other than by a `.m(` call: bare uses and path
+    /// segments, outside `use` items, except an item's own name after `fn`,
+    /// a field access (`.x` with no call), a field or parameter label (`x:`)
+    /// and, in a file whose non-test code binds `let [mut] x`, a bare `x`
+    /// not called (`x(`): that is the local.
+    pub names: BTreeSet<String>,
+    /// Method paths `(T, m)`: `T::m`, `T::<..>::m`, and `Self::m` or
+    /// `self.m(` resolved through the enclosing `impl`.
+    pub paths: BTreeSet<(String, String)>,
+    /// Method calls `.m(` and `.m::<..>(`.
+    pub calls: BTreeSet<String>,
+    /// Every identifier except the names a `struct`, `enum`, `trait` or
+    /// `impl` header defines: the types and crates the file reaches.
+    pub named: BTreeSet<String>,
+}
+
+/// One file's [`FileRefs`], plus every method name its non-test `impl` and
+/// `trait` bodies define, with the type or trait defining it.
+fn file_refs(toks: &[Tok]) -> (FileRefs, Vec<(String, String)>) {
     let test = test_regions(toks);
     let uses = use_regions(toks);
+    let blocks = self_blocks(toks);
     let next_is = |i: usize, op: &str| toks.get(i + 1).is_some_and(|n| n.is_op(op));
     let bound: BTreeSet<&str> = (0..toks.len())
         .filter(|&i| toks[i].is_ident("let") && !in_regions(&test, i))
@@ -462,27 +589,71 @@ fn production_references(toks: &[Tok]) -> BTreeSet<String> {
         })
         .map(|t| t.text.as_str())
         .collect();
-    toks.iter()
-        .enumerate()
-        .filter(|&(i, t)| {
-            let prev_is = |s: &str| i > 0 && (toks[i - 1].is_op(s) || toks[i - 1].is_ident(s));
-            let definition = prev_is("fn");
-            let field = prev_is(".") && !next_is(i, "(") && !next_is(i, "::");
-            let label = next_is(i, ":");
-            let local = bound.contains(t.text.as_str())
-                && !prev_is("::")
-                && !next_is(i, "(")
-                && !next_is(i, "::");
-            let skipped = definition || field || label || local;
-            t.kind == TokKind::Ident && !skipped && !in_regions(&test, i) && !in_regions(&uses, i)
-        })
-        .map(|(_, t)| t.text.clone())
-        .collect()
+    let mut refs = FileRefs::default();
+    let mut defs = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if t.kind != TokKind::Ident || in_regions(&test, i) {
+            continue;
+        }
+        let prev_is = |s: &str| i > 0 && (toks[i - 1].is_op(s) || toks[i - 1].is_ident(s));
+        let header = ["struct", "enum", "trait"].iter().any(|s| prev_is(s))
+            || blocks.iter().any(|b| b.at == i);
+        if !header {
+            refs.named.insert(t.text.clone());
+        }
+        // the root facade re-exports each `dft_x` crate as `x`
+        if prev_is("::") && i >= 2 && toks[i - 2].is_ident(ROOT_IDENT) {
+            refs.named.insert(format!("dft_{}", t.text));
+        }
+        if in_regions(&uses, i) {
+            continue;
+        }
+        let block = block_of(&blocks, i);
+        if prev_is("fn") {
+            if let Some(b) = block {
+                defs.push((t.text.clone(), toks[b.at].text.clone()));
+            }
+            continue;
+        }
+        let called = next_is(i, "(") || next_is(i, "::");
+        if prev_is(".") {
+            let on_self = i >= 2
+                && toks[i - 2].is_ident("self")
+                && !(i >= 3 && (toks[i - 3].is_op(".") || toks[i - 3].is_op("::")));
+            match block.filter(|_| on_self && called) {
+                Some(b) => refs.paths.insert((toks[b.at].text.clone(), t.text.clone())),
+                None if called => refs.calls.insert(t.text.clone()),
+                None => false,
+            };
+            continue;
+        }
+        if prev_is("::") {
+            if let Some(q) = path_qualifier(toks, i) {
+                let q = match (q, block) {
+                    ("Self", Some(b)) => &toks[b.at].text,
+                    _ => q,
+                };
+                refs.paths.insert((q.to_string(), t.text.clone()));
+            }
+        }
+        let label = next_is(i, ":");
+        let local = bound.contains(t.text.as_str()) && !prev_is("::") && !called;
+        if !label && !local {
+            refs.names.insert(t.text.clone());
+        }
+    }
+    (refs, defs)
 }
 
-/// The name tokens of the `pub fn` items outside test regions
-/// (`pub(crate)` and narrower are not public API).
-fn pub_fn_names<'t>(toks: &'t [Tok], test: &Regions) -> Vec<&'t Tok> {
+/// A `pub fn` outside test regions (`pub(crate)` and narrower are not
+/// public API), with the type of the inherent `impl` it sits in.
+struct PubFn<'t> {
+    name: &'t Tok,
+    owner: Option<&'t str>,
+}
+
+fn pub_fns<'t>(toks: &'t [Tok], test: &Regions) -> Vec<PubFn<'t>> {
+    let blocks = self_blocks(toks);
     (0..toks.len())
         .filter(|&i| toks[i].is_ident("pub") && !in_regions(test, i))
         .filter_map(|i| {
@@ -493,12 +664,50 @@ fn pub_fn_names<'t>(toks: &'t [Tok], test: &Regions) -> Vec<&'t Tok> {
             {
                 k += 1;
             }
-            toks.get(k)
+            let name = toks
+                .get(k)
                 .filter(|t| t.is_ident("fn"))
                 .and_then(|_| toks.get(k + 1))
-                .filter(|t| t.kind == TokKind::Ident)
+                .filter(|t| t.kind == TokKind::Ident)?;
+            let owner = block_of(&blocks, i)
+                .filter(|b| b.inherent)
+                .map(|b| toks[b.at].text.as_str());
+            Some(PubFn { name, owner })
         })
         .collect()
+}
+
+impl WorkspaceFacts {
+    /// Add one file's L009 references and method definitions.
+    pub fn add_callers(&mut self, toks: &[Tok]) {
+        let (refs, defs) = file_refs(toks);
+        self.refs.push(refs);
+        for (name, owner) in defs {
+            self.methods.entry(name).or_default().insert(owner);
+        }
+    }
+
+    /// Does production code reach this `pub fn` of crate `krate`? A free
+    /// fn by any name or path reference; a method of `T` by a path through
+    /// `T`, or by a `.m(` call when no other type, trait or std type has an
+    /// `m` or the calling file names `T` or `T`'s crate.
+    fn is_called(&self, f: &PubFn, krate: &str) -> bool {
+        let name = &f.name.text;
+        let Some(ty) = f.owner else {
+            return self.refs.iter().any(|r| r.names.contains(name));
+        };
+        let unique = !STD_METHODS.contains(&name.as_str())
+            && self
+                .methods
+                .get(name)
+                .is_none_or(|o| o.iter().all(|o| o == ty));
+        let krate = krate.replace('-', "_");
+        self.refs.iter().any(|r| {
+            r.paths.contains(&(ty.to_string(), name.clone()))
+                || r.calls.contains(name)
+                    && (unique || r.named.contains(ty) || r.named.contains(&krate))
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1124,23 +1333,28 @@ pub fn lint_source_with(
 
     // L009: a `pub fn` under `crates/*/src` that only test code calls
     if crate_name != ROOT_PACKAGE {
-        let local_callers;
-        let callers = match facts {
-            Some(f) => &f.callers,
+        let local_facts;
+        let facts = match facts {
+            Some(f) => f,
             None => {
-                local_callers = production_references(&toks);
-                &local_callers
+                let mut f = WorkspaceFacts::default();
+                f.add_callers(&toks);
+                local_facts = f;
+                &local_facts
             }
         };
-        for name in pub_fn_names(&toks, &test) {
-            if !callers.contains(&name.text) {
+        for f in pub_fns(&toks, &test) {
+            if !facts.is_called(&f, &crate_name) {
+                let name = match f.owner {
+                    Some(ty) => format!("{ty}::{}", f.name.text),
+                    None => f.name.text.clone(),
+                };
                 raw.push((
-                    name.line,
-                    name.col,
+                    f.name.line,
+                    f.name.col,
                     "L009",
                     format!(
-                        "`pub fn {}` has no caller outside test code: delete it, move it into the test module that uses it, or allow it naming the suite it serves",
-                        name.text
+                        "`pub fn {name}` has no caller outside test code: delete it, move it into the test module that uses it, or allow it naming the suite it serves"
                     ),
                 ));
             }
@@ -1300,22 +1514,19 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
         sources.push((ctx, src));
     }
     let mut calls = Vec::new();
-    let mut callers = BTreeSet::new();
+    let mut facts = WorkspaceFacts::default();
     for (ctx, src) in &sources {
         let (toks, _) = tokenize(src);
         if is_fault_tolerant(&ctx.crate_name, &ctx.display) {
             calls.extend(flow::direct_calls(&toks));
         }
-        callers.extend(production_references(&toks));
+        facts.add_callers(&toks);
     }
     for path in caller_only_files(root)? {
         let (toks, _) = tokenize(&fs::read_to_string(&path)?);
-        callers.extend(production_references(&toks));
+        facts.add_callers(&toks);
     }
-    let facts = WorkspaceFacts {
-        emitters: flow::close_over_collectives(&calls),
-        callers,
-    };
+    facts.emitters = flow::close_over_collectives(&calls);
     let mut diags = Vec::new();
     for (ctx, src) in &sources {
         diags.extend(lint_source_with(ctx, src, Some(&facts)));
@@ -1450,10 +1661,8 @@ trait K {
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!((d[0].id, d[0].line, d[0].col), ("L009", 1, 8));
         // a call from another file of the workspace is a caller
-        let facts = WorkspaceFacts {
-            callers: BTreeSet::from(["helper".to_string()]),
-            ..WorkspaceFacts::default()
-        };
+        let mut facts = WorkspaceFacts::default();
+        facts.add_callers(&tokenize("fn main() { helper(); }").0);
         assert!(lint_source_with(&ctx("dft-core", "x.rs"), src, Some(&facts)).is_empty());
         // the root package's facade is read for callers, not linted
         assert!(lint_source(&ctx(ROOT_PACKAGE, "lib.rs"), src).is_empty());

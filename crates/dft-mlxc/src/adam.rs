@@ -27,11 +27,6 @@ impl Adam {
         }
     }
 
-    /// Current learning rate.
-    pub fn lr(&self) -> f64 {
-        self.lr
-    }
-
     /// One parameter update from accumulated gradients.
     pub fn step(&mut self, mlp: &mut Mlp, grads: &ParamGrads) {
         self.t += 1;

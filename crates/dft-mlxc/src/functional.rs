@@ -18,8 +18,7 @@
 //! backpropagates adjoints of all three outputs into the network
 //! parameters (double backprop through the input gradient).
 
-use crate::nn::{BatchedMlp, Mlp, ParamGrads};
-use dft_linalg::matrix::Matrix;
+use crate::nn::{Mlp, ParamGrads};
 
 /// Reduced-gradient prefactor `(3 pi^2)^{1/3} / 2`.
 pub const KS: f64 = 1.546_833_863_140_067_8;
@@ -112,35 +111,6 @@ impl MlxcModel {
             de_drho,
             de_dgrad,
         }
-    }
-
-    /// XC energy of a sampled density: `sum_i w_i e_i`.
-    ///
-    /// Only the network *value* enters the energy, so the whole sample is
-    /// evaluated in one [`BatchedMlp`] pass — one GEMM per layer over all
-    /// points — instead of a per-point forward with its input-gradient
-    /// sweep.
-    pub fn energy(&self, rho: &[f64], xi: &[f64], grad_norm: &[f64], weights: &[f64]) -> f64 {
-        let n = rho.len();
-        assert!(xi.len() == n && grad_norm.len() == n && weights.len() == n);
-        if n == 0 {
-            return 0.0;
-        }
-        let mut xs = Matrix::zeros(3, n);
-        for i in 0..n {
-            let rho_c = rho[i].max(RHO_FLOOR);
-            let s = Self::reduced_gradient(rho_c, grad_norm[i]);
-            let (t, _, _) = Self::descriptors(rho_c, xi[i], s);
-            xs.col_mut(i).copy_from_slice(&t);
-        }
-        let f = BatchedMlp::new(&self.net).forward_batch(&xs);
-        (0..n)
-            .map(|i| {
-                let rho_c = rho[i].max(RHO_FLOOR);
-                let phi = Self::phi(xi[i].clamp(-1.0, 1.0));
-                weights[i] * rho_c.powf(4.0 / 3.0) * phi * f[i]
-            })
-            .sum()
     }
 
     /// Accumulate parameter gradients for one point given output adjoints.
@@ -237,36 +207,6 @@ mod tests {
             "{} vs {fd}",
             p.de_dgrad
         );
-    }
-
-    #[test]
-    fn energy_scales_with_weights() {
-        let m = MlxcModel::new(2);
-        let rho = [0.5, 0.7];
-        let xi = [0.0, 0.0];
-        let gn = [0.1, 0.2];
-        let e1 = m.energy(&rho, &xi, &gn, &[1.0, 1.0]);
-        let e2 = m.energy(&rho, &xi, &gn, &[2.0, 2.0]);
-        assert!((e2 - 2.0 * e1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batched_energy_matches_per_point_sum() {
-        let m = MlxcModel::new(17);
-        let n = 29;
-        let rho: Vec<f64> = (0..n).map(|i| 0.05 + 0.03 * i as f64).collect();
-        let xi: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.4).sin() * 0.8).collect();
-        let gn: Vec<f64> = (0..n).map(|i| 0.1 + 0.02 * i as f64).collect();
-        let w: Vec<f64> = (0..n).map(|i| 0.5 + 0.01 * i as f64).collect();
-        let batched = m.energy(&rho, &xi, &gn, &w);
-        let per_point: f64 = (0..n)
-            .map(|i| w[i] * m.eval_point(rho[i], xi[i], gn[i]).e)
-            .sum();
-        assert!(
-            (batched - per_point).abs() < 1e-10 * (1.0 + per_point.abs()),
-            "{batched} vs {per_point}"
-        );
-        assert!((m.energy(&[], &[], &[], &[]) - 0.0).abs() < 1e-300);
     }
 
     #[test]

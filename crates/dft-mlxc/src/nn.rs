@@ -18,8 +18,6 @@
 //!
 //! All of it is validated against finite differences in the tests.
 
-use dft_linalg::gemm::{gemm_slices, Shape};
-use dft_linalg::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -122,14 +120,6 @@ impl ParamGrads {
         for (a, b) in self.b.iter_mut().zip(other.b.iter()) {
             for (x, y) in a.iter_mut().zip(b.iter()) {
                 *x += y;
-            }
-        }
-    }
-    /// Scale all entries.
-    pub fn scale(&mut self, s: f64) {
-        for a in self.w.iter_mut().chain(self.b.iter_mut()) {
-            for x in a.iter_mut() {
-                *x *= s;
             }
         }
     }
@@ -319,95 +309,6 @@ impl Mlp {
     }
 }
 
-/// Batched MLP inference: evaluate the network on many input points at
-/// once, turning the per-point `W h` matvecs into one GEMM per layer over
-/// the whole batch — which rides the packed SIMD microkernel engine of
-/// `dft_linalg` instead of the scalar row loops in [`Dense::matvec`].
-///
-/// `Dense` stores `W` row-major (`n_out x n_in`), which is exactly the
-/// column-major `n_in x n_out` matrix `W^T`; each layer is therefore
-/// `Z = op(W^T)^T H = gemm(W^T, ConjTrans, H)` with zero repacking cost.
-/// Activation buffers ping-pong and are recycled across calls.
-pub struct BatchedMlp {
-    /// Per-layer `(W^T as a column-major n_in x n_out matrix, bias)`.
-    layers: Vec<(Matrix<f64>, Vec<f64>)>,
-    h0: Vec<f64>,
-    h1: Vec<f64>,
-}
-
-impl BatchedMlp {
-    /// Capture the weights of `mlp` for batched evaluation.
-    pub fn new(mlp: &Mlp) -> Self {
-        let layers = mlp
-            .layers
-            .iter()
-            .map(|l| (Matrix::from_vec(l.n_in, l.n_out, l.w.clone()), l.b.clone()))
-            .collect();
-        Self {
-            layers,
-            h0: Vec::new(),
-            h1: Vec::new(),
-        }
-    }
-
-    /// Evaluate the network on `xs` (column-major `n_inputs x npoints`, one
-    /// point per column), writing the scalar outputs into `out` (resized to
-    /// `npoints`). Allocation-free in steady state.
-    // dftlint:hot
-    pub fn forward_batch_into(&mut self, xs: &Matrix<f64>, out: &mut Vec<f64>) {
-        let np = xs.ncols();
-        let nl = self.layers.len();
-        assert_eq!(
-            xs.nrows(),
-            self.layers[0].0.nrows(),
-            "BatchedMlp: input dimension mismatch"
-        );
-        let BatchedMlp { layers, h0, h1 } = self;
-        if h0.len() < xs.as_slice().len() {
-            h0.resize(xs.as_slice().len(), 0.0);
-        }
-        h0[..xs.as_slice().len()].copy_from_slice(xs.as_slice());
-        let mut cur: &mut Vec<f64> = h0;
-        let mut nxt: &mut Vec<f64> = h1;
-        let mut n_in = xs.nrows();
-        for (l, (wt, b)) in layers.iter().enumerate() {
-            let n_out = wt.ncols();
-            if nxt.len() < n_out * np {
-                nxt.resize(n_out * np, 0.0);
-            }
-            gemm_slices(
-                n_out,
-                np,
-                n_in,
-                1.0,
-                (wt.as_slice(), wt.nrows(), true),
-                (&cur[..n_in * np], n_in, false),
-                0.0,
-                &mut nxt[..n_out * np],
-                Shape::Full,
-            );
-            let last = l + 1 == nl;
-            for col in nxt[..n_out * np].chunks_exact_mut(n_out) {
-                for (v, &bo) in col.iter_mut().zip(b.iter()) {
-                    let z = *v + bo;
-                    *v = if last { z } else { elu(z) };
-                }
-            }
-            std::mem::swap(&mut cur, &mut nxt);
-            n_in = n_out;
-        }
-        out.resize(np, 0.0);
-        out.copy_from_slice(&cur[..np]);
-    }
-
-    /// Convenience wrapper returning a fresh output vector.
-    pub fn forward_batch(&mut self, xs: &Matrix<f64>) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.forward_batch_into(xs, &mut out);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,31 +448,6 @@ mod tests {
             net.layers[l].w[k] = orig;
             let fd = (pp - pm) / (2.0 * eps);
             assert!((grads.w[l][k] - fd).abs() < 1e-5 * (1.0 + fd.abs()));
-        }
-    }
-
-    #[test]
-    fn batched_forward_matches_per_point_forward() {
-        let net = Mlp::paper_architecture(3, 13);
-        let np = 37; // deliberately not a multiple of any tile width
-        let xs = Matrix::from_fn(3, np, |i, j| ((i * 11 + j * 7) as f64 * 0.13).sin());
-        let mut batched = BatchedMlp::new(&net);
-        let got = batched.forward_batch(&xs);
-        assert_eq!(got.len(), np);
-        for j in 0..np {
-            let want = net.forward(xs.col(j));
-            assert!(
-                (got[j] - want).abs() < 1e-12 * (1.0 + want.abs()),
-                "point {j}: {} vs {want}",
-                got[j]
-            );
-        }
-        // recycled buffers: a second (smaller) batch must still be right
-        let xs2 = Matrix::from_fn(3, 5, |i, j| ((i + j * 3) as f64 * 0.31).cos());
-        let got2 = batched.forward_batch(&xs2);
-        for j in 0..5 {
-            let want = net.forward(xs2.col(j));
-            assert!((got2[j] - want).abs() < 1e-12 * (1.0 + want.abs()));
         }
     }
 

@@ -229,6 +229,13 @@ mod tests {
         (0..n).map(|i| a[i] - div[i]).collect()
     }
 
+    /// The XC energy `sum_i w_i e_i` of one system.
+    fn xc_energy(model: &MlxcModel, sys: &SystemSample, gn: &[f64]) -> f64 {
+        (0..sys.rho.len())
+            .map(|i| sys.weights[i] * model.eval_point(sys.rho[i], sys.xi[i], gn[i]).e)
+            .sum()
+    }
+
     fn toy_system(model_teacher: &MlxcModel) -> SystemSample {
         // 1D periodic density profile; targets generated by a hidden
         // "teacher" functional (the synthetic-QMB pattern of DESIGN.md S2).
@@ -259,7 +266,7 @@ mod tests {
         };
         let v = evaluate_vxc(model_teacher, &sys_partial);
         let gn = sys_partial.grad_norm();
-        let e = model_teacher.energy(&sys_partial.rho, &sys_partial.xi, &gn, &sys_partial.weights);
+        let e = xc_energy(model_teacher, &sys_partial, &gn);
         SystemSample {
             vxc_target: v,
             exc_target: e,
@@ -351,7 +358,7 @@ mod tests {
         train(&mut student, &data, &cfg);
         let sys = &data[0];
         let gn = sys.grad_norm();
-        let e = student.energy(&sys.rho, &sys.xi, &gn, &sys.weights);
+        let e = xc_energy(&student, sys, &gn);
         assert!(
             (e - sys.exc_target).abs() < 0.05 * sys.exc_target.abs().max(0.1),
             "E {e} vs target {}",

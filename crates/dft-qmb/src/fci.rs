@@ -478,7 +478,7 @@ mod tests {
         let r = fci.solve(1e-9, 300);
         let rho = fci.density(&r.coefficients);
         let g = Grid1d::symmetric(20.0, 121);
-        let q = g.integrate(&rho);
+        let q = rho.iter().sum::<f64>() * g.h;
         assert!((q - 2.0).abs() < 1e-6, "charge {q}");
         // symmetric atom at the origin -> symmetric density
         let n = rho.len();

@@ -36,12 +36,6 @@ impl Grid1d {
         (0..self.n).map(|i| self.x(i)).collect()
     }
 
-    /// Trapezoid-free integration (midpoint weights `h`; functions vanish
-    /// at the ends for bound states).
-    pub fn integrate(&self, f: &[f64]) -> f64 {
-        f.iter().sum::<f64>() * self.h
-    }
-
     /// Lowest `n_orb` eigenpairs of `-1/2 d^2/dx^2 + v(x)` with Dirichlet
     /// ends (dense diagonalization of the 3-point stencil). Orbitals are
     /// grid-orthonormalized: `h * sum phi_p phi_q = delta_pq`.

@@ -26,11 +26,6 @@ impl RankPool {
         }
     }
 
-    /// Current capacity (initial size minus burned ranks).
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
     /// Idle slots.
     pub fn free(&self) -> usize {
         self.free
@@ -77,17 +72,17 @@ mod tests {
         assert_eq!(pool.alloc(3), Some(3));
         assert_eq!(pool.alloc(100), Some(5)); // clamped to what's free
         assert_eq!(pool.alloc(1), None); // exhausted
-        assert_eq!(pool.total() - pool.free(), 8);
+        assert_eq!(pool.total - pool.free(), 8);
 
         // a gang of 3 comes back with one rank dead
         pool.release(2);
         pool.burn(1);
-        assert_eq!(pool.total(), 7);
+        assert_eq!(pool.total, 7);
         assert_eq!(pool.free(), 2);
         assert_eq!(pool.burned(), 1);
 
         pool.release(5);
         assert_eq!(pool.free(), 7);
-        assert_eq!(pool.total() - pool.free(), 0);
+        assert_eq!(pool.total - pool.free(), 0);
     }
 }

@@ -134,14 +134,6 @@ impl DftServer {
         Ok(JobTicket { job_id, rx })
     }
 
-    /// Jobs currently waiting for dispatch (running jobs not included).
-    pub fn queued(&self) -> usize {
-        self.admission
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .queued
-    }
-
     /// Stop admitting, finish every queued and running job, and return
     /// the final counters.
     pub fn drain(mut self) -> ServerStats {

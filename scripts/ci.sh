@@ -83,7 +83,11 @@ done
 #    already-capped twin, a rank's SCF result is the ScfResult (the
 #    re-export crate keeps only an alias for benchmark/), one send has one
 #    name, and slow links are the schedule explorer's seeded delays, not a
-#    fault rule.
+#    fault rule;
+#  - production code is what production calls: L009 resolves a method
+#    through its type, and the methods that only tests (or nothing)
+#    reached are gone, as are the two scratch-pool checkouts that one
+#    with_scratch keyed by buffer type replaced.
 retired=(
   "benchmark-gate / tuning-file name|DFT_T""UNE|dft_t""une\.json|BEN""CH_|DFT_BEN""CH_GATE"
   "sibling path of the distributed solver, or the knob that selected it|Cluster""Reducer|enum Red""ucer|grid\.is_so""me\(\)|JobKind::Scr""een|warm_st""art:|with_over""lap|Pipelined""Filter|Cf""Driver"
@@ -100,6 +104,7 @@ retired=(
   "second force error type of the rank's assembly|DistForce""Error"
   "dense cell-batched GEMM route|batched_ge""mm|BatchLay""out"
   "rank entry that caps itself, its capped twin, the SCF result copy, the second send name or the fault delay rule|rank_thr""eads|scf_ra""nk|forces_ra""nk|fn distributed_for""ces\(|struct DistScf""Result|isend_f""64|DelayR""ule"
+  "method only tests or nothing reached, or a retired scratch-pool checkout|fn sc""ale\(&mut self|fn l""r\(|fn zer""os\(space:|pub fn que""ued\(|pub fn epo""ch\(|pub fn cle""ar\(&self\)|fn sco""pe\(&self, phase|pub fn ener""gy\(&self, rho|Batched""Mlp|pub fn inn""er\(&self, space|pub fn ev""al\(&self, space|fn loc""ate\(|fn eval_""all\(|fn from_l""ow\(m:|pub fn to""tal\(&self\)|pub fn sta""rt\(&self\)|pub fn integ""rate\(&self, f: &\[f64\]\)|with_pack_""buf|with_scr""atch3"
   "single-valued solver knob, the SCF's root-rank query or the serial snapshot cadence|mixing_al""pha|base\.checkpoint_ev""ery|fn is_ro""ot|cfg\.st""ep\b|eig_pa""sses|minres_t""ol|minres_max_it""er|dt_m""ax|max_di""sp|FireState::new\(.*,|quick_n""et|cfg\.max_resta""rts|knobs\.max_resta""rts|sub_blo""ck|opts\.use_c""cl"
 )
 for entry in "${retired[@]}"; do
