@@ -385,9 +385,10 @@ pub trait SubspaceReducer<T: Scalar> {
     /// Sum an `N x N` subspace matrix over all ranks, in place: the input
     /// holds this rank's [`Self::band_cols`] columns (the rest zero), the
     /// output is the fully assembled matrix, bit-identical on every rank.
-    /// `exact` forbids a lossy wire encoding: the FP64 CholGS cleanup pass
-    /// must sum in full precision.
-    fn reduce_matrix(&self, m: &mut Matrix<T>, exact: bool);
+    /// `fp32` lets the entries off the band-diagonal square travel in FP32
+    /// (Sec. 5.4.2); the caller then runs the FP64 CholGS cleanup pass,
+    /// which sums in full precision.
+    fn reduce_matrix(&self, m: &mut Matrix<T>, fp32: bool);
     /// Sum a small `f64` buffer over all ranks, in place.
     fn reduce_f64(&self, v: &mut [f64]);
     /// The contiguous column window `[j0, j1)` of an `n`-column subspace
@@ -399,20 +400,13 @@ pub trait SubspaceReducer<T: Scalar> {
     /// updated only its [`Self::band_cols`] window (allgather along the
     /// band axis). Nothing to do when the window is the whole subspace.
     fn assemble_cols(&self, _m: &mut Matrix<T>) {}
-    /// Whether a non-`exact` [`Self::reduce_matrix`] rounds on the wire
-    /// (e.g. FP32 off-diagonal blocks, Sec. 5.4.2). When set,
-    /// [`chfes_reduced`] runs its FP64 CholGS cleanup pass even if the
-    /// local compute is pure FP64.
-    fn lossy_wire(&self) -> bool {
-        false
-    }
 }
 
 /// The identity reduction of the shared-memory solver.
 pub struct NoReduce;
 
 impl<T: Scalar> SubspaceReducer<T> for NoReduce {
-    fn reduce_matrix(&self, _m: &mut Matrix<T>, _exact: bool) {}
+    fn reduce_matrix(&self, _m: &mut Matrix<T>, _fp32: bool) {}
     fn reduce_f64(&self, _v: &mut [f64]) {}
 }
 
@@ -541,17 +535,19 @@ fn install_window<T: Scalar>(
 /// Assemble this rank's `N x w` column block (window starting at `j0`) of a
 /// Hermitian subspace matrix into the reduced `N x N` matrix every rank
 /// factorizes or diagonalizes: the summed lower triangle, mirrored into the
-/// upper one ([`Matrix::hermitian_from_lower`]).
+/// upper one ([`Matrix::hermitian_from_lower`]). `fp64_block` is the
+/// subspace precision: under `Some` the reduction's off-band-diagonal
+/// entries may travel in FP32 ([`SubspaceReducer::reduce_matrix`]).
 fn reduce_window<T: Scalar>(
     block: &Matrix<T>,
     j0: usize,
     reducer: &dyn SubspaceReducer<T>,
-    exact: bool,
+    fp64_block: Option<usize>,
 ) -> Matrix<T> {
     let n = block.nrows();
     let mut m = Matrix::<T>::zeros(n, n);
     m.set_cols(j0, block);
-    reducer.reduce_matrix(&mut m, exact);
+    reducer.reduce_matrix(&mut m, fp64_block.is_some());
     m.hermitian_from_lower();
     m
 }
@@ -603,15 +599,14 @@ fn seen_columns<T: Scalar>(
 /// One CholGS pass over the band window `win` of `psi`: overlap block
 /// (CholGS-S) → reduce → Cholesky inverse (CholGS-CI) → orthonormalization
 /// GEMM into `work` → install (CholGS-O). `fp64_block` is the subspace
-/// precision (see [`adjoint_window`]), `exact` the reduction's. Fails,
-/// leaving `psi` as it was and naming the pivot, when the overlap is not
-/// numerically positive definite.
+/// precision of the products ([`adjoint_window`]) and of the reduction
+/// ([`reduce_window`]). Fails, leaving `psi` as it was and naming the
+/// pivot, when the overlap is not numerically positive definite.
 fn cholgs_pass<T: Scalar>(
     psi: &mut Matrix<T>,
     work: &mut Matrix<T>,
     win: (usize, usize),
     fp64_block: Option<usize>,
-    exact: bool,
     profile: Option<&Profile>,
     reducer: &dyn SubspaceReducer<T>,
 ) -> Result<(), LinalgError> {
@@ -625,7 +620,7 @@ fn cholgs_pass<T: Scalar>(
         scope.add_flops(product_flops::<T>(fp64_block.is_some(), lower, nd, n, win));
         scope.add_bytes(block_bytes + (n * n) as u64 * tsize);
         let sb = adjoint_window(psi, &window_cols(psi, win), j0, fp64_block);
-        reduce_window(&sb, j0, reducer, exact)
+        reduce_window(&sb, j0, reducer, fp64_block)
     };
     // factorization + triangular inverse (wall-time-only)
     let linv = {
@@ -835,12 +830,12 @@ pub fn chfes_reduced<T: Scalar>(
     let mut work = Matrix::<T>::zeros(nd, j1b - j0b);
 
     // [CholGS] at the configured subspace precision, then — iff FP32
-    // rounding entered, in the products or on the reduction wire, leaving
+    // rounding entered (in the products and the reduction), leaving
     // O(1e-7) non-orthogonality — once more in FP64 with an exact reduce,
     // which keeps RR well-posed.
     let subspace = opts.mixed_precision.then_some(bf);
     let mut refills = 0;
-    while let Err(e) = cholgs_pass(psi, &mut work, win, subspace, false, profile, reducer) {
+    while let Err(e) = cholgs_pass(psi, &mut work, win, subspace, profile, reducer) {
         // The filtered block is (numerically) rank-deficient: the overlap —
         // the same matrix on every rank — broke down at pivot `j`, so column
         // `j` depends on its predecessors. Trade it for `H` times itself, a
@@ -858,9 +853,8 @@ pub fn chfes_reduced<T: Scalar>(
         unit_columns(&mut fresh, reducer);
         psi.set_cols(j, &fresh);
     }
-    if subspace.is_some() || reducer.lossy_wire() {
-        cholgs_pass(psi, &mut work, win, None, true, profile, reducer)
-            .expect("FP64 CholGS cleanup pass");
+    if subspace.is_some() {
+        cholgs_pass(psi, &mut work, win, None, profile, reducer).expect("FP64 CholGS cleanup pass");
     }
 
     // [RR-P] projected Hamiltonian Hp = Psi† (H Psi): H is applied to the
@@ -873,7 +867,7 @@ pub fn chfes_reduced<T: Scalar>(
         scope.add_bytes(2 * block_bytes);
         h.apply(&window_cols(psi, win), &mut work);
         let hb = adjoint_window(psi, &work, j0b, subspace);
-        reduce_window(&hb, j0b, reducer, false)
+        reduce_window(&hb, j0b, reducer, subspace)
     };
 
     // [RR-D] dense diagonalization (wall-time-only)
@@ -1006,16 +1000,8 @@ pub fn random_subspace<T: Scalar>(ndofs: usize, n_states: usize, seed: u64) -> M
     let mut rng = StdRng::seed_from_u64(seed);
     let mut psi = Matrix::<T>::from_fn(ndofs, n_states, |_, _| T::from_f64(rng.gen::<f64>() - 0.5));
     let mut work = Matrix::<T>::zeros(ndofs, n_states);
-    cholgs_pass(
-        &mut psi,
-        &mut work,
-        (0, n_states),
-        None,
-        true,
-        None,
-        &NoReduce,
-    )
-    .expect("a random draw of n_states <= ndofs columns has full rank");
+    cholgs_pass(&mut psi, &mut work, (0, n_states), None, None, &NoReduce)
+        .expect("a random draw of n_states <= ndofs columns has full rank");
     psi
 }
 

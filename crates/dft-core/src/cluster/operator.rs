@@ -28,8 +28,8 @@ use dft_fem::space::{CellSweep, ColMajor, FeSpace, RowSlab};
 use dft_hpc::comm::{wire_tag_band, CommError, ThreadComm, WirePrecision};
 use dft_linalg::iterative::{LinearOperator, Recurrence};
 use dft_linalg::matrix::Matrix;
+use dft_linalg::pack::with_scratch;
 use dft_linalg::scalar::{Scalar, C64};
-use std::any::Any;
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -37,12 +37,7 @@ use std::time::Instant;
 /// The per-rank communicator behind a [`Mutex`], so operators that must be
 /// [`Sync`] (the [`LinearOperator`] supertrait bound) can share it. One rank
 /// is one thread, so the lock is never contended: it is taken once per
-/// exchange leg (post, each harvest poll, fold-back) and never waits. The
-/// apply's reused buffers sit behind the same kind of lock in the rank's
-/// [`DistSpace`]: only the rank's own thread ever takes it — the intra-rank
-/// cell-sweep workers borrow slices of the already-locked buffers and never
-/// touch the `Mutex` — so it makes the operators `Sync` without ever
-/// serializing anything.
+/// exchange leg (post, each harvest poll, fold-back) and never waits.
 pub struct SharedComm<'a>(pub Mutex<&'a mut ThreadComm>);
 
 impl<'a> SharedComm<'a> {
@@ -184,11 +179,17 @@ pub struct DistSpace<'a> {
     pub grid: ProcessGrid,
     /// This rank's decomposition (over the domain axis).
     pub dec: Decomposition,
-    /// The rank's reused apply buffers: an [`ApplyWorkspace<T>`] of the
-    /// scalar type last applied (a run applies one), type-erased because
-    /// the slab view is not generic over the scalar. Shared by every
-    /// operator on this slab, one apply at a time.
-    ws: Mutex<Box<dyn Any + Send>>,
+}
+
+impl Drop for DistSpace<'_> {
+    /// The rank's apply buffers ([`ApplyWorkspace`]) last as long as its
+    /// slab view: freed here, their memory serves what the rank runs next
+    /// (a relaxation step's force assembly and snapshot I/O) instead of
+    /// idling in the thread's scratch pool.
+    fn drop(&mut self) {
+        with_scratch(|ws: &mut ApplyWorkspace<f64>| *ws = ApplyWorkspace::default());
+        with_scratch(|ws: &mut ApplyWorkspace<C64>| *ws = ApplyWorkspace::default());
+    }
 }
 
 impl<'a> DistSpace<'a> {
@@ -213,7 +214,6 @@ impl<'a> DistSpace<'a> {
             space,
             dec: Decomposition::new(space, grid.dom, shape.n_dom),
             grid,
-            ws: Mutex::new(Box::new(())),
         }
     }
 
@@ -223,25 +223,6 @@ impl<'a> DistSpace<'a> {
     /// exactly once.
     pub fn owns_node(&self, node: usize) -> bool {
         self.dec.owned_node[node] && self.grid.owns_replicated_fields()
-    }
-
-    /// Run `f` on this rank's apply buffers. They are scratch, rewritten by
-    /// every apply, so a lock poisoned by a panicking apply stays usable.
-    fn with_workspace<T: WireScalar, R>(&self, f: impl FnOnce(&mut ApplyWorkspace<T>) -> R) -> R {
-        let mut slot = self
-            .ws
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match slot.downcast_mut::<ApplyWorkspace<T>>() {
-            Some(ws) => f(ws),
-            None => {
-                let (x_ext, y_ext, pack) = (Vec::<T>::new(), Vec::<T>::new(), Vec::new());
-                let mut ws = ApplyWorkspace { x_ext, y_ext, pack };
-                let r = f(&mut ws);
-                *slot = Box::new(ws);
-                r
-            }
-        }
     }
 
     /// Pack rows `idxs` of every column of `src` (leading dimension `ld`)
@@ -369,12 +350,21 @@ impl<'a> DistSpace<'a> {
 }
 
 /// Buffers one distributed apply reuses from call to call: the extended
-/// (owned + ghost) input and output blocks and the wire pack buffer. Grown
+/// (owned + ghost) input and output blocks and the wire pack buffer,
+/// checked out of the applying thread's scratch pool
+/// ([`with_scratch`]) — a rank's applies all run on its own thread. Grown
 /// on demand, never shrunk below the last block width.
 struct ApplyWorkspace<T> {
     x_ext: Vec<T>,
     y_ext: Vec<T>,
     pack: Vec<f64>,
+}
+
+impl<T> Default for ApplyWorkspace<T> {
+    fn default() -> Self {
+        let (x_ext, y_ext, pack) = (Vec::new(), Vec::new(), Vec::new());
+        Self { x_ext, y_ext, pack }
+    }
 }
 
 impl<T> ApplyWorkspace<T> {
@@ -440,7 +430,7 @@ impl<'a, 'c, T: WireScalar> DistHamiltonian<'a, 'c, T> {
         assert_eq!(out.shape(), x.shape());
         assert!(x_prev.is_none_or(|p| p.shape() == x.shape()));
         let wire = k.map_or(WirePrecision::Fp64, |_| self.wire);
-        let swept = self.dist.with_workspace(|ws| -> Result<(), CommError> {
+        let swept = with_scratch(|ws: &mut ApplyWorkspace<T>| -> Result<(), CommError> {
             let scale = Some(s.as_slice());
             self.dist
                 .apply_cells(self.comm, ws, x, self.phases, scale, wire)?;

@@ -12,15 +12,17 @@
 //! band window is the whole matrix, the grid row is every rank and the grid
 //! column is the rank itself: one all-rank FP64 sum and nothing else.
 //!
-//! The grid-row leg is one FP64 message per hop. Optionally it carries the
-//! off-band-diagonal rows in FP32 (the paper's mixed-precision subspace
-//! scheme) as a second message; the band-diagonal square every Cholesky
-//! pivot lives in stays FP64, and [`SubspaceReducer::lossy_wire`] makes
-//! `chfes_reduced` follow CholGS with its FP64, exactly-reduced cleanup
-//! pass. That FP64 square is a property of the *wire* and of the grid (one
-//! square per band slot). Which entries the *compute* side forms in FP64
-//! under `mixed_precision` is decided in `dft-core` and does not depend on
-//! the grid: the global `B_f x B_f` diagonal blocks, clipped to the window.
+//! The grid-row leg is one FP64 message per hop. Under `mixed_precision`
+//! (the one precision switch, Sec. 5.4.2) `chfes_reduced` asks for FP32
+//! on the first CholGS pass and on RR-P: the off-band-diagonal rows then
+//! travel in FP32 as a second message, while the band-diagonal square every
+//! Cholesky pivot lives in stays FP64, and the FP64 CholGS cleanup pass
+//! that follows reduces exactly. On a slab every row is band-diagonal, so
+//! nothing travels in FP32 there. That FP64 square is a property of the
+//! *wire* and of the grid (one square per band slot). Which entries the
+//! *compute* side forms in FP64 is decided in `dft-core` and does not
+//! depend on the grid: the global `B_f x B_f` diagonal blocks, clipped to
+//! the window.
 
 use super::grid::ProcessGrid;
 use super::operator::{SharedComm, WireScalar};
@@ -35,18 +37,12 @@ use dft_linalg::matrix::Matrix;
 pub struct GridReducer<'a, 'c> {
     comm: &'a SharedComm<'c>,
     grid: &'a ProcessGrid,
-    /// Ship off-band-diagonal rows of the grid-row reduction in FP32.
-    subspace_fp32: bool,
 }
 
 impl<'a, 'c> GridReducer<'a, 'c> {
     /// Wrap a shared communicator and this rank's grid view.
-    pub fn new(comm: &'a SharedComm<'c>, grid: &'a ProcessGrid, subspace_fp32: bool) -> Self {
-        Self {
-            comm,
-            grid,
-            subspace_fp32,
-        }
+    pub fn new(comm: &'a SharedComm<'c>, grid: &'a ProcessGrid) -> Self {
+        Self { comm, grid }
     }
 
     /// On a comm failure (already recorded in the poisoned communicator)
@@ -97,21 +93,22 @@ impl<'a, 'c> GridReducer<'a, 'c> {
     }
 
     /// Sum this rank's `[j0, j1)` column block over the grid row and
-    /// reassemble the full matrix along the grid column. An exact wire
-    /// sums the whole block in one FP64 leg; `lossy` splits it by row: the
-    /// band-diagonal square `[j0, j1) x [j0, j1)` still travels FP64
-    /// (Cholesky pivots live there), the rest in FP32.
+    /// reassemble the full matrix along the grid column. The whole block
+    /// sums in one FP64 leg, unless `fp32` and the window is narrower than
+    /// the matrix: then it splits by row, the band-diagonal square
+    /// `[j0, j1) x [j0, j1)` still travelling FP64 (Cholesky pivots live
+    /// there) and the rest in FP32.
     fn reduce_blocked<T: WireScalar>(
         &self,
         m: &mut Matrix<T>,
-        lossy: bool,
+        fp32: bool,
     ) -> Result<(), CommError> {
         let n = m.ncols();
         assert_eq!(m.nrows(), n, "subspace matrices are square");
         let (j0, j1) = self.grid.my_band_cols(n);
         let row = &self.grid.dom_group;
         let mut mine = Self::pack_band_block(m, (j0, j1));
-        if lossy {
+        if fp32 && j1 - j0 < n {
             let on_diag = |k: usize| (j0..j1).contains(&(k / T::COMPONENTS % n));
             let (mut diag, mut off) = (Vec::new(), Vec::new());
             for (k, &v) in mine.iter().enumerate() {
@@ -140,11 +137,8 @@ impl<'a, 'c> GridReducer<'a, 'c> {
 }
 
 impl<'a, 'c, T: WireScalar> SubspaceReducer<T> for GridReducer<'a, 'c> {
-    fn reduce_matrix(&self, m: &mut Matrix<T>, exact: bool) {
-        if self
-            .reduce_blocked(m, self.subspace_fp32 && !exact)
-            .is_err()
-        {
+    fn reduce_matrix(&self, m: &mut Matrix<T>, fp32: bool) {
+        if self.reduce_blocked(m, fp32).is_err() {
             Self::identity_substitute(m);
         }
     }
@@ -176,10 +170,6 @@ impl<'a, 'c, T: WireScalar> SubspaceReducer<T> for GridReducer<'a, 'c> {
         // poisoned communicator: the block stays as computed (the SCF loop
         // observes the failure right after the phase)
         let _ = self.gather_band_blocks(&mine, m);
-    }
-
-    fn lossy_wire(&self) -> bool {
-        self.subspace_fp32
     }
 }
 

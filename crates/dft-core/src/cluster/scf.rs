@@ -140,15 +140,15 @@ impl PreemptToken {
     }
 }
 
-/// Distributed SCF configuration: the serial knobs plus the wire precision
-/// of the Chebyshev-filter ghost exchange (the paper's Sec. 5.4.2 trick —
-/// CholGS/RR reductions and all collectives stay FP64 regardless).
-#[derive(Clone, Debug)]
+/// Distributed SCF configuration: the serial knobs plus the checkpoint,
+/// restart, grid and preemption plumbing of a cluster run. Precision has
+/// one switch, `base.mixed_precision` (Sec. 5.4.2): on a cluster it also
+/// puts the Chebyshev-filter ghost exchange and the off-band-diagonal rows
+/// of the subspace reductions on an FP32 wire.
+#[derive(Clone, Debug, Default)]
 pub struct DistScfConfig {
     /// The serial SCF knobs, applied unchanged.
     pub base: ScfConfig,
-    /// Wire precision of the boundary exchange during Chebyshev filtering.
-    pub wire: WirePrecision,
     /// Root directory for SCF restart snapshots; `None` disables
     /// checkpointing regardless of `checkpoint_every`.
     pub checkpoint_dir: Option<PathBuf>,
@@ -166,12 +166,6 @@ pub struct DistScfConfig {
     /// the same shape as `Some(GridShape::slab(nranks))` and runs the same
     /// code, message for message.
     pub grid: Option<GridShape>,
-    /// Ship the off-band-diagonal rows of the CholGS overlap and
-    /// Rayleigh-Ritz projected-Hamiltonian grid-row reductions in FP32
-    /// (Sec. 5.4.2). Moves FP32 bytes only when the grid has a band axis
-    /// (on a slab every row is band-diagonal); triggers the FP64
-    /// orthonormality cleanup pass after CholGS.
-    pub subspace_fp32: bool,
     /// Read-side override for `restart`: resume from the newest complete
     /// snapshot in *this* directory instead of `checkpoint_dir`. This is
     /// the warm-start path of the job server's converged-state cache —
@@ -193,23 +187,6 @@ pub struct DistScfConfig {
     /// [`ScfError::Preempted`]. `None` — the default — adds no
     /// communication and keeps the schedule bit-identical to earlier PRs.
     pub preempt: Option<PreemptToken>,
-}
-
-impl Default for DistScfConfig {
-    fn default() -> Self {
-        Self {
-            base: ScfConfig::default(),
-            wire: WirePrecision::Fp64,
-            checkpoint_dir: None,
-            checkpoint_every: 0,
-            restart: false,
-            grid: None,
-            subspace_fp32: false,
-            restart_from: None,
-            final_state_dir: None,
-            preempt: None,
-        }
-    }
 }
 
 /// Builder-style constructors, so server code and tests compose exactly
@@ -254,12 +231,6 @@ impl DistScfConfig {
     /// Run on the given process-grid shape.
     pub fn with_grid(mut self, shape: GridShape) -> Self {
         self.grid = Some(shape);
-        self
-    }
-
-    /// Ship off-band-diagonal subspace reduction rows in FP32.
-    pub fn with_subspace_fp32(mut self) -> Self {
-        self.subspace_fp32 = true;
         self
     }
 
@@ -363,9 +334,14 @@ impl ClusterSeam<'_, '_> {
             drop(scope);
             return run(&h, &NoReduce);
         }
-        // the configured (possibly FP32) wire carries the filter's ghosts;
-        // the Lanczos, CholGS and RR applies always exchange in FP64
-        let h = DistHamiltonian::new(self.dist, self.shared, v_eff, phases, self.cfg.wire);
+        // under `mixed_precision` the filter's ghosts travel in FP32; the
+        // Lanczos, CholGS and RR applies always exchange in FP64
+        let wire = if self.cfg.base.mixed_precision {
+            WirePrecision::Fp32
+        } else {
+            WirePrecision::Fp64
+        };
+        let h = DistHamiltonian::new(self.dist, self.shared, v_eff, phases, wire);
         drop(scope);
         run(&h, &self.reducer)
     }
@@ -639,7 +615,7 @@ pub(crate) fn solve_on<T: WireScalar + ScalarExt>(
         cfg,
         shared: &shared,
         dist: &dist,
-        reducer: GridReducer::new(&shared, &dist.grid, cfg.subspace_fp32),
+        reducer: GridReducer::new(&shared, &dist.grid),
     };
     let comm_start = CommVolume::snapshot(&shared);
 

@@ -105,7 +105,12 @@ pub struct ScfConfig {
     /// column block per thread below it) and the FP64 diagonal block of
     /// the mixed-precision subspace products.
     pub block_size: usize,
-    /// Mixed-precision CholGS / RR (Sec. 5.4.2).
+    /// The one precision switch (Sec. 5.4.2). On: the CholGS / RR subspace
+    /// products are FP32 off the `B_f` diagonal blocks, followed by an FP64
+    /// CholGS cleanup pass; on a cluster the Chebyshev-filter ghost
+    /// exchange and the off-band-diagonal rows of the `S` / `H_p` grid-row
+    /// reductions also travel in FP32. Off: every product and every wire is
+    /// FP64.
     pub mixed_precision: bool,
     /// Relative tolerance of the Poisson CG solves.
     pub poisson_tol: f64,

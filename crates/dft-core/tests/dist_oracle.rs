@@ -299,10 +299,7 @@ fn distributed_scf_matches_serial_energy() {
     let cfg = parity_cfg();
     let r_ser = scf(&space, &sys, &Lda, &cfg, &[KPoint::gamma()]);
     assert!(r_ser.converged);
-    let dcfg = DistScfConfig {
-        wire: WirePrecision::Fp64,
-        ..DistScfConfig::new(cfg)
-    };
+    let dcfg = DistScfConfig::new(cfg);
     for nranks in [2, 4] {
         let (results, _) = run_cluster(nranks, |comm| {
             distributed_scf(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()]).expect("scf")
@@ -566,10 +563,7 @@ fn energy_bits_do_not_depend_on_the_thread_count() {
             cap.install(|| {
                 if two_ranks {
                     let opts = ClusterOptions::default();
-                    let dcfg = DistScfConfig {
-                        wire: WirePrecision::Fp64,
-                        ..DistScfConfig::new(cfg.clone())
-                    };
+                    let dcfg = DistScfConfig::new(cfg.clone());
                     let report = scf_with_recovery(2, &opts, space, &sys, &Lda, &dcfg, kpts, 0)
                         .expect("2-rank scf");
                     assert_ranks_agree(&report.results, &format!("{threads} threads"));
@@ -611,10 +605,7 @@ fn energy_bits_do_not_depend_on_the_thread_count() {
 #[test]
 fn identical_runs_are_bit_identical_at_four_ranks() {
     let (space, sys) = parity_system();
-    let dcfg = DistScfConfig {
-        wire: WirePrecision::Fp64,
-        ..DistScfConfig::new(parity_cfg())
-    };
+    let dcfg = DistScfConfig::new(parity_cfg());
     let run = || {
         let (results, _) = run_cluster(4, |comm| {
             distributed_scf(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()]).expect("scf")
@@ -636,22 +627,24 @@ fn identical_runs_are_bit_identical_at_four_ranks() {
     }
 }
 
+/// `mixed_precision` on two ranks: the filter's ghosts travel in FP32, and
+/// the energy stays within 1e-8 Ha of the all-FP64 run while the wire
+/// carries fewer bytes.
 #[test]
 fn fp32_wire_matches_fp64_energy_and_halves_boundary_bytes() {
     let (space, sys) = parity_system();
-    let base = parity_cfg();
     let mut volumes = Vec::new();
     let mut energies = Vec::new();
-    for wire in [WirePrecision::Fp64, WirePrecision::Fp32] {
-        let dcfg = DistScfConfig {
-            wire,
-            ..DistScfConfig::new(base.clone())
-        };
+    for mixed_precision in [false, true] {
+        let dcfg = DistScfConfig::new(ScfConfig {
+            mixed_precision,
+            ..parity_cfg()
+        });
         let (results, stats) = run_cluster(2, |comm| {
             distributed_scf(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()]).expect("scf")
         });
         assert!(results.iter().all(|r| r.converged));
-        assert_ranks_agree(&results, &format!("{wire:?} wire"));
+        assert_ranks_agree(&results, &format!("mixed {mixed_precision}"));
         energies.push(results[0].energy.free_energy);
         volumes.push(stats.snapshot());
     }

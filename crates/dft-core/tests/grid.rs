@@ -2,8 +2,9 @@
 //! rank layout — slab, domain x band, domain x band x k-group — and match
 //! the serial solver to 1e-10 Ha; no grid and the slab grid must be one
 //! run, bits and messages; and the subspace reduction must send exactly
-//! the legs advertised (one FP64 leg, plus an FP32 one only when lossy,
-//! which stays 1e-8-close — as do FP32 subspace products, on any grid).
+//! the legs advertised (one FP64 leg, plus an FP32 one only under
+//! `mixed_precision` on a band window, which stays 1e-8-close with the
+//! FP32 subspace products and ghost wire, on any grid).
 
 use dft_core::chebyshev::{
     chfes_reduced, lanczos_bounds, random_subspace, ChfesOptions, NoReduce, SubspaceReducer,
@@ -171,7 +172,7 @@ fn narrowed_filter_sends_the_same_messages_and_fewer_bytes() {
         let (out, stats) = run_cluster(shape.nranks(), |comm| {
             let dist = DistSpace::on_grid(&space, Some(shape), comm.rank(), comm.size());
             let shared = SharedComm::new(comm);
-            let reducer = GridReducer::new(&shared, &dist.grid, false);
+            let reducer = GridReducer::new(&shared, &dist.grid);
             let h =
                 DistHamiltonian::<f64>::new(&dist, &shared, &v_eff, [1.0; 3], WirePrecision::Fp64);
             let mut psi = Matrix::<f64>::from_fn(dist.dec.n_owned(), N, |l, j| {
@@ -308,8 +309,9 @@ fn empty_band_blocks_match_serial_oracle() {
 /// One subspace-matrix reduction, counted on the wire. Exact: one FP64 leg
 /// up and down each grid row plus the grid-column allgather, so the slab
 /// sends what one all-rank allreduce sends. Lossy: one more (FP32) leg per
-/// grid row, and only then any FP32 bytes. Either way every rank ends with
-/// the sum over its column's grid row.
+/// grid row on a band window, and only then any FP32 bytes; on the slab,
+/// whose window is the whole matrix, nothing more. Either way every rank
+/// ends with the sum over its column's grid row.
 #[test]
 fn reduce_matrix_sends_one_fp64_leg_unless_lossy() {
     const N: usize = 5;
@@ -317,6 +319,7 @@ fn reduce_matrix_sends_one_fp64_leg_unless_lossy() {
     let entry = |rank: usize, i: usize, j: usize| (1 + rank * 100 + i * N + j) as f64;
     for (shape, lossy, messages) in [
         (GridShape::slab(4), false, 6),
+        (GridShape::slab(4), true, 6),
         (GridShape::new(2, 2, 1), false, 4 + 4),
         (GridShape::new(2, 2, 1), true, 4 + 4 + 4),
     ] {
@@ -324,7 +327,7 @@ fn reduce_matrix_sends_one_fp64_leg_unless_lossy() {
         let (reduced, stats) = run_cluster(nranks, |comm| {
             let grid = ProcessGrid::new(shape, comm.rank(), nranks);
             let shared = SharedComm::new(comm);
-            let reducer = GridReducer::new(&shared, &grid, lossy);
+            let reducer = GridReducer::new(&shared, &grid);
             let (j0, j1) = grid.my_band_cols(N);
             let mut m = Matrix::<f64>::from_fn(N, N, |i, j| {
                 if (j0..j1).contains(&j) {
@@ -333,7 +336,7 @@ fn reduce_matrix_sends_one_fp64_leg_unless_lossy() {
                     0.0
                 }
             });
-            reducer.reduce_matrix(&mut m, false);
+            reducer.reduce_matrix(&mut m, lossy);
             m
         });
         let want = Matrix::<f64>::from_fn(N, N, |i, j| {
@@ -353,37 +356,35 @@ fn reduce_matrix_sends_one_fp64_leg_unless_lossy() {
         assert_eq!(vol.messages, messages, "{shape} lossy {lossy}: messages");
         assert_eq!(
             vol.bytes_fp32 > 0,
-            lossy,
+            lossy && shape.n_band > 1,
             "{shape} lossy {lossy}: FP32 bytes"
         );
     }
 }
 
-/// The two places FP32 enters the subspace (Sec. 5.4.2) — FP32
-/// off-diagonal-block products (`mixed_precision`) and FP32 off-band-
-/// diagonal reductions (`subspace_fp32`) — alone and together, on a
-/// domain x band grid and on a pure band grid: the converged energy stays
-/// within 1e-8 Ha of the all-FP64 run of the same grid, the ranks of a run
-/// agree bitwise, and FP32 bytes move iff the reduction is lossy and its
-/// grid row has someone to send to. (The ghost wire is FP64 throughout, so
-/// any FP32 traffic is the subspace's.)
+/// The one precision switch (Sec. 5.4.2), off and on, on a domain slab, a
+/// domain x band grid and a pure band grid: with `mixed_precision` the
+/// subspace products are FP32 off the `B_f` diagonal blocks, the filter's
+/// ghosts and the off-band-diagonal reduction rows travel in FP32, and the
+/// converged energy stays within 1e-8 Ha of the all-FP64 run of the same
+/// grid; the ranks of a run agree bitwise; and FP32 bytes move iff the
+/// switch is on and the grid has a domain axis to send along.
 #[test]
-fn subspace_fp32_energy_within_tolerance_and_moves_fp32_bytes() {
+fn mixed_precision_energy_within_tolerance_and_moves_fp32_bytes() {
     let (space, sys) = parity_system();
-    for shape in [GridShape::new(2, 2, 1), GridShape::new(1, 2, 1)] {
+    for shape in [
+        GridShape::new(2, 1, 1),
+        GridShape::new(2, 2, 1),
+        GridShape::new(1, 2, 1),
+    ] {
         let mut e_fp64 = None;
-        for (mixed_precision, subspace_fp32) in
-            [(false, false), (false, true), (true, false), (true, true)]
-        {
-            let what = format!("{shape} mixed {mixed_precision} subspace_fp32 {subspace_fp32}");
+        for mixed_precision in [false, true] {
+            let what = format!("{shape} mixed {mixed_precision}");
             let cfg = ScfConfig {
                 mixed_precision,
                 ..parity_cfg()
             };
-            let mut dcfg = DistScfConfig::new(cfg).with_grid(shape);
-            if subspace_fp32 {
-                dcfg = dcfg.with_subspace_fp32();
-            }
+            let dcfg = DistScfConfig::new(cfg).with_grid(shape);
             let (results, stats) = run_cluster(shape.nranks(), |comm| {
                 distributed_scf(comm, &space, &sys, &Lda, &dcfg, &[KPoint::gamma()]).expect("scf")
             });
@@ -392,21 +393,23 @@ fn subspace_fp32_energy_within_tolerance_and_moves_fp32_bytes() {
             let e = results[0].energy.free_energy;
             let e_ref = *e_fp64.get_or_insert(e);
             let d = (e - e_ref).abs();
+            eprintln!("{what}: |dE| = {d:.3e} Ha against all-FP64");
             assert!(d <= 1e-8, "{what}: {e} vs all-FP64 {e_ref} (|d| = {d:.3e})");
             let (_, _, _, fp32_bytes) = stats.snapshot();
             assert_eq!(
                 fp32_bytes > 0,
-                subspace_fp32 && shape.n_dom > 1,
+                mixed_precision && shape.n_dom > 1,
                 "{what}: {fp32_bytes} FP32 bytes"
             );
         }
     }
 }
 
-/// One ChFES cycle straight on the grid, with FP32 rounding entering every
-/// way it can — in the subspace products on a full window (1x1x1), on band
-/// windows (one narrower than `B_f`, one straddling a `B_f` boundary), on
-/// the reduction wire, or both: the FP64 CholGS cleanup pass leaves
+/// One ChFES cycle straight on the grid in mixed precision, with FP32
+/// rounding entering every way it can — in the subspace products on a full
+/// window (1x1x1), on band windows (one narrower than `B_f`, one
+/// straddling a `B_f` boundary), on the filter's ghost wire and on the
+/// reduction wire: the FP64 CholGS cleanup pass leaves
 /// max |Psi† Psi - I| <= 1e-12 on every rank.
 #[test]
 fn chfes_cycle_is_orthonormal_after_fp32_products_and_fp32_wire() {
@@ -418,24 +421,23 @@ fn chfes_cycle_is_orthonormal_after_fp32_products_and_fp32_wire() {
     let (tmin, tmax) = lanczos_bounds(&KsHamiltonian::<f64>::new(&space, &v_eff, [1.0; 3]), 10, 7);
     let bounds = (tmin - 1.0, tmin + 0.2 * (tmax - tmin), tmax);
     let psi0 = random_subspace::<f64>(space.ndofs(), N, 5);
-    for (shape, mixed_precision, lossy) in [
-        (GridShape::new(1, 1, 1), true, false),
-        (GridShape::new(2, 2, 1), true, false),
-        (GridShape::new(1, 2, 1), true, false),
-        (GridShape::new(2, 2, 1), false, true),
-        (GridShape::new(2, 2, 1), true, true),
+    let opts = ChfesOptions {
+        cheb_degree: 12,
+        block_size: 4,
+        mixed_precision: true,
+    };
+    for shape in [
+        GridShape::new(1, 1, 1),
+        GridShape::new(2, 1, 1),
+        GridShape::new(2, 2, 1),
+        GridShape::new(1, 2, 1),
     ] {
-        let opts = ChfesOptions {
-            cheb_degree: 12,
-            block_size: 4,
-            mixed_precision,
-        };
         let (errs, _) = run_cluster(shape.nranks(), |comm| {
             let dist = DistSpace::on_grid(&space, Some(shape), comm.rank(), comm.size());
             let shared = SharedComm::new(comm);
-            let reducer = GridReducer::new(&shared, &dist.grid, lossy);
+            let reducer = GridReducer::new(&shared, &dist.grid);
             let h =
-                DistHamiltonian::<f64>::new(&dist, &shared, &v_eff, [1.0; 3], WirePrecision::Fp64);
+                DistHamiltonian::<f64>::new(&dist, &shared, &v_eff, [1.0; 3], WirePrecision::Fp32);
             let mut psi = Matrix::<f64>::from_fn(dist.dec.n_owned(), N, |l, j| {
                 psi0[(dist.dec.owned[l] as usize, j)]
             });
@@ -445,10 +447,7 @@ fn chfes_cycle_is_orthonormal_after_fp32_products_and_fp32_wire() {
             gram.max_abs_diff(&Matrix::identity(N))
         });
         for (rank, err) in errs.iter().enumerate() {
-            assert!(
-                *err <= 1e-12,
-                "{shape} mixed {mixed_precision} lossy {lossy}, rank {rank}: {err:.3e}"
-            );
+            assert!(*err <= 1e-12, "{shape}, rank {rank}: {err:.3e}");
         }
     }
 }
@@ -494,7 +493,7 @@ fn duplicated_column_is_rescued_serially_and_on_ranks() {
         let (out, _) = run_cluster(shape.nranks(), |comm| {
             let dist = DistSpace::on_grid(&space, Some(shape), comm.rank(), comm.size());
             let shared = SharedComm::new(comm);
-            let reducer = GridReducer::new(&shared, &dist.grid, false);
+            let reducer = GridReducer::new(&shared, &dist.grid);
             let h =
                 DistHamiltonian::<f64>::new(&dist, &shared, &v_eff, [1.0; 3], WirePrecision::Fp64);
             let mut psi = Matrix::<f64>::from_fn(dist.dec.n_owned(), N, |l, j| {
@@ -567,7 +566,7 @@ fn occupied_verdict_is_reduced_over_the_domain_group() {
     let (out, _) = run_cluster(shape.nranks(), |comm| {
         let dist = DistSpace::on_grid(&space, Some(shape), comm.rank(), comm.size());
         let shared = SharedComm::new(comm);
-        let reducer = GridReducer::new(&shared, &dist.grid, false);
+        let reducer = GridReducer::new(&shared, &dist.grid);
         let h = DistHamiltonian::<f64>::new(&dist, &shared, &v_eff, [1.0; 3], WirePrecision::Fp64);
         let mut psi = Matrix::<f64>::from_fn(dist.dec.n_owned(), N, |l, j| {
             psi0[(dist.dec.owned[l] as usize, j)]
@@ -697,7 +696,7 @@ fn lanczos_bounds_agree_across_layouts() {
         let (out, _) = run_cluster(shape.nranks(), |comm| {
             let dist = DistSpace::on_grid(space, Some(shape), comm.rank(), comm.size());
             let shared = SharedComm::new(comm);
-            let reducer = GridReducer::new(&shared, &dist.grid, false);
+            let reducer = GridReducer::new(&shared, &dist.grid);
             let h =
                 DistHamiltonian::<f64>::new(&dist, &shared, &v_eff, [1.0; 3], WirePrecision::Fp64);
             let rows = dist.dec.owned.iter().map(|&d| d as usize);

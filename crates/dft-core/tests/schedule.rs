@@ -24,7 +24,6 @@ use dft_core::system::{Atom, AtomKind, AtomicSystem};
 use dft_core::xc::Lda;
 use dft_fem::mesh::Mesh3d;
 use dft_fem::space::FeSpace;
-use dft_hpc::comm::WirePrecision;
 use dft_hpc::explore::{explore_schedules, schedules_from_env, SchedulePlan};
 use dft_hpc::ClusterOptions;
 
@@ -63,10 +62,7 @@ fn scf_and_forces_are_bit_identical_across_seeded_schedules() {
         return;
     }
     let (space, sys) = parity_system();
-    let dcfg = DistScfConfig {
-        wire: WirePrecision::Fp64,
-        ..DistScfConfig::new(short_cfg())
-    };
+    let dcfg = DistScfConfig::new(short_cfg());
 
     let fingerprints = explore_schedules(
         NRANKS,
@@ -100,8 +96,9 @@ fn scf_and_forces_are_bit_identical_across_seeded_schedules() {
     }
 }
 
-/// The FP32 boundary-exchange path is schedule-invariant too: demotion
-/// happens at a fixed pipeline point, not at delivery time.
+/// The mixed-precision path — FP32 products, FP32 boundary exchange — is
+/// schedule-invariant too: demotion happens at a fixed pipeline point, not
+/// at delivery time.
 #[test]
 fn fp32_wire_scf_is_bit_identical_across_seeded_schedules() {
     let n_schedules = schedules_from_env(N_SCHEDULES).min(4);
@@ -110,10 +107,10 @@ fn fp32_wire_scf_is_bit_identical_across_seeded_schedules() {
         return;
     }
     let (space, sys) = parity_system();
-    let dcfg = DistScfConfig {
-        wire: WirePrecision::Fp32,
-        ..DistScfConfig::new(short_cfg())
-    };
+    let dcfg = DistScfConfig::new(ScfConfig {
+        mixed_precision: true,
+        ..short_cfg()
+    });
     explore_schedules(
         NRANKS,
         n_schedules,

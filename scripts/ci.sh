@@ -19,7 +19,7 @@ mkdir -p target
 cargo run -q --offline --release -p dft-lint -- --workspace --json > target/dft-lint.json
 echo "    JSON artifact: target/dft-lint.json"
 
-echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep whatever the block layout, one distributed route, one ChFES cycle, one Chebyshev recurrence, one recurrence update, one rooted collective, one KS eigensolve step, one Fermi-Dirac function, one FE derivative, one trajectory loop, one durable writer, one thread-cap helper, one overlap model, one initial subspace, one dense eigensolver, one cell kernel, one Hamiltonian body, one shaped GEMM entry point, one triangle mirror, one SCF loop, one rank solver, one Lanczos recurrence with one start vector, one force assembly, one electrostatic solve, one block-MINRES and one invDFT adjoint preconditioner)"
+echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep whatever the block layout, one distributed route, one ChFES cycle, one Chebyshev recurrence, one recurrence update, one rooted collective, one KS eigensolve step, one Fermi-Dirac function, one FE derivative, one trajectory loop, one durable writer, one thread-cap helper, one overlap model, one initial subspace, one dense eigensolver, one cell kernel, one Hamiltonian body, one shaped GEMM entry point, one triangle mirror, one SCF loop, one rank solver, one Lanczos recurrence with one start vector, one force assembly, one electrostatic solve, one block-MINRES, one invDFT adjoint preconditioner and one precision switch)"
 for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a sweep_item chebyshev_filter_gated recurrence_update ks_eigensolve accumulate_density fermi deriv_mass deriv_mass_t trajectory_rank write_durable read_durable with_threads with_thread_share pipelined_blocks random_subspace eigh output_transform dof_potential ham_apply_flops filter_phase gemm_shaped hermitian_from_lower scf_loop distributed_scf lanczos_reduced lanczos_start distributed_forces_profiled solve_electrostatics block_minres laplacian_diagonal_prec; do
   n=$(grep -rhE "^\s*(pub(\([a-z]+\))? )?fn ${f}\b" crates/*/src | wc -l)
   if [ "$n" -ne 1 ]; then
@@ -87,7 +87,10 @@ done
 #  - production code is what production calls: L009 resolves a method
 #    through its type, and the methods that only tests (or nothing)
 #    reached are gone, as are the two scratch-pool checkouts that one
-#    with_scratch keyed by buffer type replaced.
+#    with_scratch keyed by buffer type replaced;
+#  - one precision switch: mixed_precision picks the FP32 products, the
+#    FP32 ghost wire and the FP32 subspace-reduction rows together, so no
+#    config field, with_ method or reducer query selects a wire on its own.
 retired=(
   "benchmark-gate / tuning-file name|DFT_T""UNE|dft_t""une\.json|BEN""CH_|DFT_BEN""CH_GATE"
   "sibling path of the distributed solver, or the knob that selected it|Cluster""Reducer|enum Red""ucer|grid\.is_so""me\(\)|JobKind::Scr""een|warm_st""art:|with_over""lap|Pipelined""Filter|Cf""Driver"
@@ -105,6 +108,7 @@ retired=(
   "dense cell-batched GEMM route|batched_ge""mm|BatchLay""out"
   "rank entry that caps itself, its capped twin, the SCF result copy, the second send name or the fault delay rule|rank_thr""eads|scf_ra""nk|forces_ra""nk|fn distributed_for""ces\(|struct DistScf""Result|isend_f""64|DelayR""ule"
   "method only tests or nothing reached, or a retired scratch-pool checkout|fn sc""ale\(&mut self|fn l""r\(|fn zer""os\(space:|pub fn que""ued\(|pub fn epo""ch\(|pub fn cle""ar\(&self\)|fn sco""pe\(&self, phase|pub fn ener""gy\(&self, rho|Batched""Mlp|pub fn inn""er\(&self, space|pub fn ev""al\(&self, space|fn loc""ate\(|fn eval_""all\(|fn from_l""ow\(m:|pub fn to""tal\(&self\)|pub fn sta""rt\(&self\)|pub fn integ""rate\(&self, f: &\[f64\]\)|with_pack_""buf|with_scr""atch3"
+  "precision setting apart from the one switch|with_subspace_f""p32|subspace_f""p32|fn lossy_w""ire"
   "single-valued solver knob, the SCF's root-rank query or the serial snapshot cadence|mixing_al""pha|base\.checkpoint_ev""ery|fn is_ro""ot|cfg\.st""ep\b|eig_pa""sses|minres_t""ol|minres_max_it""er|dt_m""ax|max_di""sp|FireState::new\(.*,|quick_n""et|cfg\.max_resta""rts|knobs\.max_resta""rts|sub_blo""ck|opts\.use_c""cl"
 )
 for entry in "${retired[@]}"; do
@@ -182,7 +186,7 @@ cargo test -q --offline --workspace
 echo "==> fault-injection suite (kills, timeouts, checkpoint/restart recovery)"
 cargo test -q --offline --release -p dft-core --test fault_tolerance
 
-echo "==> process-grid suite (2x2 and 2x2x2 layouts, slab = no grid, reduce legs, FP32 subspace, reshard restart)"
+echo "==> process-grid suite (2x2 and 2x2x2 layouts, slab = no grid, reduce legs, the one precision switch, reshard restart)"
 cargo test -q --offline --release -p dft-core --test grid
 
 echo "==> serve suite (multi-tenant scheduler: bursts, admission control, preemption, rank kill)"
