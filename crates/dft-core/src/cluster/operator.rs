@@ -145,10 +145,9 @@ fn harvest(
                     .zip(got.iter())
                     .find(|(_, s)| s.is_none())
                     .map_or(0, |(&p, _)| p);
-                let band = wire_tag_band(tag).0 + u64::from(wire == WirePrecision::Fp32);
                 let e = CommError::Timeout {
                     src: missing,
-                    tag: band,
+                    tag: wire.encode_tag(tag),
                 };
                 comm.with(|c| c.fail(e));
                 return Err(e);

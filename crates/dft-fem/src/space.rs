@@ -938,13 +938,6 @@ impl FeSpace {
         &self.cell_node[ci * self.nloc..(ci + 1) * self.nloc]
     }
 
-    /// Unique node counts per axis.
-    #[inline]
-    // dftlint:allow(L009, reason="node-grid shape of dft-fem/tests/golden_stiffness.rs and space::tests")
-    pub fn n_axis(&self) -> [usize; 3] {
-        self.n_axis
-    }
-
     /// Diagonal of the global (consistent, GLL-collocated) mass matrix.
     #[inline]
     pub fn mass_diag(&self) -> &[f64] {
@@ -1549,7 +1542,7 @@ mod tests {
             }
             let err = y.iter().zip(&dense).map(|(a, b)| (a - b).abs());
             let err = err.fold(0.0, f64::max);
-            assert!(err < 1e-12, "{:?}: max error {err:.3e}", s.n_axis());
+            assert!(err < 1e-12, "{:?}: max error {err:.3e}", s.n_axis);
         }
     }
 

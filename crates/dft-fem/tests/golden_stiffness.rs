@@ -23,12 +23,14 @@ use dft_linalg::scalar::{Real, Scalar, C64};
 fn dense_oracle<T: Scalar>(space: &FeSpace, x: &Matrix<T>, phases: [T; 3]) -> Matrix<T> {
     let p = space.mesh.degree;
     let n1 = p + 1;
-    let n_axis = space.n_axis();
     let periodic = space
         .mesh
         .axes
         .each_ref()
         .map(|a| a.bc() == BoundaryCondition::Periodic);
+    // `p` nodes per cell, plus the closing node of a non-periodic axis
+    let n_axis: [usize; 3] =
+        std::array::from_fn(|d| space.mesh.axes[d].ncells() * p + usize::from(!periodic[d]));
     let mut y = Matrix::<T>::zeros(x.nrows(), x.ncols());
     for cell in space.cells() {
         let k = space.dense_cell_stiffness(cell.h);

@@ -14,7 +14,8 @@
 //! `ThreadComm::rooted`, the only place a gather loop and a return loop are
 //! written: accumulation order (hence every bit), deadline, poisoning and
 //! the root's view of a lossy wire are decided there, once. Each collective
-//! owns one [`TagBand`].
+//! hands it one [`TagBand`], and rustc checks the registry of bands,
+//! [`TAG_BANDS`], on every build.
 //!
 //! # Fault tolerance
 //!
@@ -67,6 +68,13 @@ impl WirePrecision {
             WirePrecision::Fp64 => v,
             WirePrecision::Fp32 => v as f32 as f64,
         }
+    }
+
+    /// The wire tag that carries logical `tag` at this precision: the
+    /// precision travels in the low bit, so a receive must name the
+    /// precision its send used. Every wire tag is encoded here.
+    pub const fn encode_tag(self, tag: u64) -> u64 {
+        tag << 1 | matches!(self, WirePrecision::Fp32) as u64
     }
 }
 
@@ -172,19 +180,17 @@ pub const COLLECTIVE_TAGS: (u64, u64) = (1 << 60, u64::MAX);
 /// Upper bound on cluster size, which bounds every rank-indexed tag band:
 /// a band of `width = MAX_RANKS` can address `base + rank` for any rank
 /// without escaping its declared interval. [`run_cluster_with`] rejects
-/// larger clusters. The dft-lint L003 prover reads this constant to verify
-/// the bands below are pairwise disjoint on the wire.
+/// larger clusters, and the registry check under [`TAG_BANDS`] holds every
+/// rank-indexed band to this width.
 pub const MAX_RANKS: u64 = 4000;
 
-/// A declared interval of collective tags. Every collective primitive draws
-/// its tags from exactly one band, indexed by the *sending* rank; no tag
-/// literal may appear outside this registry (lint L003). Every band passes
-/// through the precision encoding (`tag << 1 | fp32_bit`), which doubles its
-/// wire interval.
+/// A declared interval of collective tags. Every collective primitive hands
+/// the one rooted routine exactly one band, which tags each message by its
+/// *sending* rank; no tag literal may appear outside this registry (lint
+/// L003). Every band passes through the precision encoding
+/// ([`WirePrecision::encode_tag`]), which doubles its wire interval.
 #[derive(Debug, Clone, Copy)]
 pub struct TagBand {
-    /// Human-readable band name (diagnostics only).
-    pub name: &'static str,
     /// First logical tag in the band.
     pub base: u64,
     /// Number of logical tags (`1` for single-tag bands, [`MAX_RANKS`] for
@@ -193,22 +199,24 @@ pub struct TagBand {
 }
 
 impl TagBand {
-    /// The band's single (or first) logical tag.
-    #[inline]
-    pub const fn tag(&self) -> u64 {
-        self.base
-    }
-
-    /// The logical tag a rank-indexed band assigns to `rank`.
+    /// The logical tag of a message from `rank`: `base + rank` in a
+    /// rank-indexed band, `base` for every sender in a single-tag band.
     #[inline]
     pub const fn for_rank(&self, rank: usize) -> u64 {
+        if self.width == 1 {
+            return self.base;
+        }
         debug_assert!((rank as u64) < self.width);
         self.base + rank as u64
     }
 
     /// Half-open interval of wire tags this band can emit.
     pub const fn wire_range(&self) -> (u64, u64) {
-        (self.base << 1, (self.base + self.width) << 1)
+        let fp64 = WirePrecision::Fp64;
+        (
+            fp64.encode_tag(self.base),
+            fp64.encode_tag(self.base + self.width),
+        )
     }
 
     /// Whether an observed wire tag falls inside this band.
@@ -221,7 +229,6 @@ impl TagBand {
 /// Barrier: one tag for both legs — every message is empty and `(src, dst)`
 /// tells the members apart.
 pub const BARRIER_BAND: TagBand = TagBand {
-    name: "barrier",
     base: (1 << 60) + 1,
     width: 1,
 };
@@ -229,7 +236,6 @@ pub const BARRIER_BAND: TagBand = TagBand {
 /// Allreduce: `base + rank` carries rank contributions to root, `base`
 /// (rank 0's own tag) carries the reduced result back.
 pub const ALLREDUCE_BAND: TagBand = TagBand {
-    name: "allreduce",
     base: (1 << 60) + 1000,
     width: MAX_RANKS,
 };
@@ -239,7 +245,6 @@ pub const ALLREDUCE_BAND: TagBand = TagBand {
 /// reduced result back. Disjoint groups may use the band concurrently —
 /// their `(src, dst)` pairs never collide.
 pub const GROUP_REDUCE_BAND: TagBand = TagBand {
-    name: "group-reduce",
     base: (1 << 60) + 11000,
     width: MAX_RANKS,
 };
@@ -248,7 +253,6 @@ pub const GROUP_REDUCE_BAND: TagBand = TagBand {
 /// wavefunction column blocks): `base + rank` carries a member's block to
 /// the group root, `base + root` carries the framed concatenation back.
 pub const GROUP_ASSEMBLE_BAND: TagBand = TagBand {
-    name: "group-assemble",
     base: (1 << 60) + 16000,
     width: MAX_RANKS,
 };
@@ -257,7 +261,6 @@ pub const GROUP_ASSEMBLE_BAND: TagBand = TagBand {
 /// group's root to its members (concurrent per-group broadcasts share the
 /// band; roots are distinct ranks).
 pub const KGROUP_BAND: TagBand = TagBand {
-    name: "kgroup",
     base: (1 << 60) + 21000,
     width: MAX_RANKS,
 };
@@ -270,15 +273,13 @@ pub const KGROUP_BAND: TagBand = TagBand {
 /// cluster is already its own comm namespace, and this band keeps its
 /// *control plane* disjoint from its data plane on the wire too.
 pub const PREEMPT_BAND: TagBand = TagBand {
-    name: "preempt",
     base: (1 << 60) + 26000,
     width: MAX_RANKS,
 };
 
-/// The complete collective tag registry. The dft-lint L003 pass statically
-/// proves these bands pairwise disjoint on the wire and contained in
-/// [`COLLECTIVE_TAGS`]; the `sanitize` feature additionally asserts at
-/// runtime that every observed collective wire tag lands in one of them.
+/// The complete collective tag registry. rustc checks it on every build
+/// (`check_tag_bands` below), and the `sanitize` feature asserts at run
+/// time that every observed collective wire tag lands in one of its bands.
 pub const TAG_BANDS: [TagBand; 6] = [
     BARRIER_BAND,
     ALLREDUCE_BAND,
@@ -288,11 +289,51 @@ pub const TAG_BANDS: [TagBand; 6] = [
     PREEMPT_BAND,
 ];
 
+// A registry that breaks a property of `check_tag_bands` does not compile.
+const _: () = check_tag_bands(&TAG_BANDS);
+
+/// Assert the properties that keep the collectives apart on the wire: every
+/// band is at least one tag wide, a rank-indexed band (wider than one tag)
+/// has a tag for each of [`MAX_RANKS`] senders, no band's wire range
+/// overflows a `u64`, every band lies inside [`COLLECTIVE_TAGS`], and no
+/// two bands share a wire tag.
+const fn check_tag_bands(bands: &[TagBand]) {
+    let mut i = 0;
+    while i < bands.len() {
+        let b = bands[i];
+        assert!(b.width > 0, "a TagBand has zero width");
+        assert!(
+            b.width == 1 || b.width >= MAX_RANKS,
+            "a rank-indexed TagBand is narrower than MAX_RANKS"
+        );
+        // the wire range ends at `(base + width) << 1`, which must fit
+        assert!(
+            matches!(b.base.checked_add(b.width), Some(end) if end <= u64::MAX / 2),
+            "a TagBand's wire range overflows u64"
+        );
+        let (lo, hi) = b.wire_range();
+        assert!(
+            COLLECTIVE_TAGS.0 <= lo && hi <= COLLECTIVE_TAGS.1,
+            "a TagBand escapes COLLECTIVE_TAGS"
+        );
+        let mut j = 0;
+        while j < i {
+            let (lo_j, hi_j) = bands[j].wire_range();
+            assert!(hi <= lo_j || hi_j <= lo, "two TagBands overlap on the wire");
+            j += 1;
+        }
+        i += 1;
+    }
+}
+
 /// The wire-tag band a logical point-to-point tag occupies after precision
 /// encoding (both FP64 and FP32 framings) — for [`FaultPlan`] rules
 /// targeting a specific exchange.
 pub const fn wire_tag_band(tag: u64) -> (u64, u64) {
-    (tag << 1, (tag << 1) + 2)
+    (
+        WirePrecision::Fp64.encode_tag(tag),
+        WirePrecision::Fp32.encode_tag(tag) + 1,
+    )
 }
 
 /// Cluster-wide run options: the receive deadline and the fault plan.
@@ -335,22 +376,12 @@ struct Packet {
     data: Vec<u8>,
 }
 
-/// Shared byte/message counters for a cluster run.
-///
-/// Every hop of every primitive — point-to-point sends, barrier
-/// control messages, and each leg of the collectives — passes through
-/// [`ThreadComm::send_bytes`], so `bytes_sent` is the exact payload volume
-/// that crossed the wire. Floating-point payloads are additionally broken
-/// down by wire precision (`bytes_fp64` / `bytes_fp32`), which is what
-/// makes the paper's "FP32 boundary exchange halves traffic" claim
-/// (Sec. 5.4.2) directly measurable. Fault-tolerance events (receive
-/// timeouts, injected kills) are tallied alongside.
-/// Debug-build message-leak detector (`sanitize` feature): the dynamic
-/// complement of the static L003 tag prover. Every successful
-/// [`ThreadComm::send_bytes`] records its `(src, dst, wire_tag)` triple;
-/// every delivery decrements it. At clean cluster shutdown
-/// ([`run_cluster_with`] with no rank failed) any nonzero entry is a
-/// message that was sent but never received — a protocol leak.
+/// Debug-build message-leak detector (`sanitize` feature): the run-time
+/// complement of the compile-time registry check under [`TAG_BANDS`].
+/// Every successful [`ThreadComm::send_bytes`] records its
+/// `(src, dst, wire_tag)` triple; every delivery decrements it. At clean
+/// cluster shutdown ([`run_cluster_with`] with no rank failed) any nonzero
+/// entry is a message that was sent but never received — a protocol leak.
 #[cfg(feature = "sanitize")]
 pub mod sanitize {
     use super::{COLLECTIVE_TAGS, TAG_BANDS};
@@ -409,8 +440,9 @@ pub mod sanitize {
             );
         }
 
-        /// Assert that a collective-range wire tag belongs to a declared
-        /// [`TagBand`](super::TagBand) — the runtime twin of lint L003.
+        /// Assert that a collective-range wire tag belongs to a band of
+        /// [`TAG_BANDS`]: the run-time check that catches a collective
+        /// whose band was left out of the registry rustc checks.
         pub fn assert_tag_registered(wire_tag: u64) {
             if wire_tag < COLLECTIVE_TAGS.0 {
                 return; // point-to-point tag space, unregistered by design
@@ -423,6 +455,16 @@ pub mod sanitize {
     }
 }
 
+/// Shared byte/message counters for a cluster run.
+///
+/// Every hop of every primitive — point-to-point sends, barrier
+/// control messages, and each leg of the collectives — passes through
+/// [`ThreadComm::send_bytes`], so `bytes_sent` is the exact payload volume
+/// that crossed the wire. Floating-point payloads are additionally broken
+/// down by wire precision (`bytes_fp64` / `bytes_fp32`), which is what
+/// makes the paper's "FP32 boundary exchange halves traffic" claim
+/// (Sec. 5.4.2) directly measurable. Fault-tolerance events (receive
+/// timeouts, injected kills) are tallied alongside.
 #[derive(Default)]
 pub struct CommStats {
     /// Debug-build message-leak tracker (`sanitize` feature only).
@@ -731,12 +773,6 @@ impl ThreadComm {
         Ok(None)
     }
 
-    fn wire_tag(tag: u64, wire: WirePrecision) -> u64 {
-        // the wire format travels in the low bit of the tag space so a
-        // receive must name the same precision the send used
-        tag << 1 | u64::from(wire == WirePrecision::Fp32)
-    }
-
     fn decode_f64(bytes: &[u8], wire: WirePrecision) -> Vec<f64> {
         match wire {
             WirePrecision::Fp64 => bytes
@@ -779,7 +815,7 @@ impl ThreadComm {
             }
         };
         counter.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        self.send_bytes(dst, Self::wire_tag(tag, wire), bytes)
+        self.send_bytes(dst, wire.encode_tag(tag), bytes)
     }
 
     /// Receive an `f64` slice sent with [`Self::send_f64`] (promoting FP32
@@ -790,7 +826,7 @@ impl ThreadComm {
         tag: u64,
         wire: WirePrecision,
     ) -> Result<Vec<f64>, CommError> {
-        let bytes = self.recv_bytes(src, Self::wire_tag(tag, wire))?;
+        let bytes = self.recv_bytes(src, wire.encode_tag(tag))?;
         Ok(Self::decode_f64(&bytes, wire))
     }
 
@@ -802,7 +838,7 @@ impl ThreadComm {
         wire: WirePrecision,
         deadline: Instant,
     ) -> Result<Vec<f64>, CommError> {
-        let bytes = self.recv_bytes_deadline(src, Self::wire_tag(tag, wire), deadline)?;
+        let bytes = self.recv_bytes_deadline(src, wire.encode_tag(tag), deadline)?;
         Ok(Self::decode_f64(&bytes, wire))
     }
 
@@ -815,7 +851,7 @@ impl ThreadComm {
         wire: WirePrecision,
     ) -> Result<Option<Vec<f64>>, CommError> {
         Ok(self
-            .try_recv_bytes(src, Self::wire_tag(tag, wire))?
+            .try_recv_bytes(src, wire.encode_tag(tag))?
             .map(|b| Self::decode_f64(&b, wire)))
     }
 
@@ -825,9 +861,10 @@ impl ThreadComm {
     /// payload (`fold: None` skips the gather leg: a broadcast), returns the
     /// result to every member and keeps what they decode
     /// ([`WirePrecision::delivered`]), so all members end with identical
-    /// bits on a lossy wire too. Every message travels on `tag(sender)`: a
-    /// band is indexed by the sending rank, so disjoint groups, and a
-    /// collective's two directions, never collide on one `(src, dst)` pair.
+    /// bits on a lossy wire too. Every message travels on the tag
+    /// `band.for_rank(sender)`, so disjoint groups, and a collective's two
+    /// directions, never collide on one `(src, dst)` pair, and a collective
+    /// cannot leave its one band.
     /// One deadline covers all receive legs, and a failed leg has already
     /// poisoned the communicator when it returns. A single member is its
     /// own result: it sends nothing, and `None` tells the caller that
@@ -835,7 +872,7 @@ impl ThreadComm {
     fn rooted(
         &mut self,
         members: &[usize],
-        tag: impl Fn(usize) -> u64,
+        band: TagBand,
         mine: &[f64],
         wire: WirePrecision,
         fold: Option<Fold<'_>>,
@@ -848,21 +885,21 @@ impl ThreadComm {
         let deadline = Instant::now() + self.timeout;
         if self.rank != root {
             if fold.is_some() {
-                self.send_f64(root, tag(self.rank), mine, wire)?;
+                self.send_f64(root, band.for_rank(self.rank), mine, wire)?;
             }
             return self
-                .recv_f64_deadline(root, tag(root), wire, deadline)
+                .recv_f64_deadline(root, band.for_rank(root), wire, deadline)
                 .map(Some);
         }
         let mut acc = mine.to_vec();
         if let Some(fold) = fold {
             for &m in peers {
-                let got = self.recv_f64_deadline(m, tag(m), wire, deadline)?;
+                let got = self.recv_f64_deadline(m, band.for_rank(m), wire, deadline)?;
                 fold(&mut acc, got);
             }
         }
         for &m in peers {
-            self.send_f64(m, tag(root), &acc, wire)?;
+            self.send_f64(m, band.for_rank(root), &acc, wire)?;
         }
         for a in &mut acc {
             *a = wire.delivered(*a);
@@ -877,9 +914,9 @@ impl ThreadComm {
 
     /// Barrier across all ranks: the empty payload, gathered and returned.
     pub fn barrier(&mut self) -> Result<(), CommError> {
-        let tag = |_| BARRIER_BAND.tag();
         let fold = &mut |_: &mut Vec<f64>, _| {};
-        self.rooted(&self.world(), tag, &[], WirePrecision::Fp64, Some(fold))?;
+        let world = self.world();
+        self.rooted(&world, BARRIER_BAND, &[], WirePrecision::Fp64, Some(fold))?;
         Ok(())
     }
 
@@ -891,9 +928,8 @@ impl ThreadComm {
         data: &mut [f64],
         wire: WirePrecision,
     ) -> Result<(), CommError> {
-        let tag = |r| ALLREDUCE_BAND.for_rank(r);
         let sum = &mut zip_with(|a, c| a + c);
-        if let Some(out) = self.rooted(&self.world(), tag, data, wire, Some(sum))? {
+        if let Some(out) = self.rooted(&self.world(), ALLREDUCE_BAND, data, wire, Some(sum))? {
             data.copy_from_slice(&out);
         }
         Ok(())
@@ -910,11 +946,11 @@ impl ThreadComm {
     pub fn allreduce_max_u64(&mut self, v: u64) -> Result<u64, CommError> {
         // dftlint:allow(L003, reason="2^53 is the exact-f64 range bound of the payload, not a wire tag")
         debug_assert!(v < (1 << 53), "control counter exceeds exact f64 range");
-        let tag = |r| PREEMPT_BAND.for_rank(r);
         // max of non-negative integers is exact in f64
         let max = &mut zip_with(f64::max);
         let mine = [v as f64];
-        let out = self.rooted(&self.world(), tag, &mine, WirePrecision::Fp64, Some(max))?;
+        let world = self.world();
+        let out = self.rooted(&world, PREEMPT_BAND, &mine, WirePrecision::Fp64, Some(max))?;
         Ok(out.and_then(|o| o.first().copied()).map_or(v, |m| m as u64))
     }
 
@@ -930,9 +966,8 @@ impl ThreadComm {
         data: &mut [f64],
         wire: WirePrecision,
     ) -> Result<(), CommError> {
-        let tag = |m| GROUP_REDUCE_BAND.for_rank(m);
         let sum = &mut zip_with(|a, c| a + c);
-        if let Some(out) = self.rooted(members, tag, data, wire, Some(sum))? {
+        if let Some(out) = self.rooted(members, GROUP_REDUCE_BAND, data, wire, Some(sum))? {
             data.copy_from_slice(&out);
         }
         Ok(())
@@ -963,8 +998,7 @@ impl ThreadComm {
             frame[slot] = block.len() as f64;
             frame.extend(block);
         };
-        let tag = |m| GROUP_ASSEMBLE_BAND.for_rank(m);
-        let frame = self.rooted(members, tag, &payload, wire, Some(fold))?;
+        let frame = self.rooted(members, GROUP_ASSEMBLE_BAND, &payload, wire, Some(fold))?;
         unframe(frame.as_deref().unwrap_or(&payload))
             .map_or_else(|| self.poison(CommError::PeerGone { peer: root }), Ok)
     }
@@ -979,8 +1013,7 @@ impl ThreadComm {
         data: &mut [f64],
         wire: WirePrecision,
     ) -> Result<(), CommError> {
-        let tag = |m| KGROUP_BAND.for_rank(m);
-        if let Some(got) = self.rooted(members, tag, data, wire, None)? {
+        if let Some(got) = self.rooted(members, KGROUP_BAND, data, wire, None)? {
             data.copy_from_slice(&got);
         }
         Ok(())
@@ -1929,6 +1962,67 @@ mod tests {
             let elapsed = t0.elapsed();
             assert!(elapsed < Duration::from_secs(5), "{op:?} took {elapsed:?}");
         }
+    }
+
+    /// A band for the registry-check tests.
+    fn band(base: u64, width: u64) -> TagBand {
+        TagBand { base, width }
+    }
+
+    #[test]
+    fn the_registry_passes_its_check() {
+        check_tag_bands(&TAG_BANDS);
+    }
+
+    #[test]
+    #[should_panic(expected = "two TagBands overlap on the wire")]
+    fn overlapping_bands_are_rejected() {
+        // a single-tag band inside a rank-indexed band's wire range
+        let allreduce = band((1 << 60) + 1000, MAX_RANKS);
+        check_tag_bands(&[allreduce, band((1 << 60) + 2000, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a TagBand has zero width")]
+    fn a_zero_width_band_is_rejected() {
+        check_tag_bands(&[band((1 << 60) + 1, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a rank-indexed TagBand is narrower than MAX_RANKS")]
+    fn a_narrow_rank_indexed_band_is_rejected() {
+        check_tag_bands(&[band((1 << 60) + 1000, MAX_RANKS - 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a TagBand escapes COLLECTIVE_TAGS")]
+    fn a_band_below_the_collective_tags_is_rejected() {
+        check_tag_bands(&[band(1 << 58, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a TagBand's wire range overflows u64")]
+    fn a_band_whose_wire_range_overflows_is_rejected() {
+        // `(base + width) << 1` is 2^64: the wire range wraps to zero
+        check_tag_bands(&[band((1 << 63) - MAX_RANKS, MAX_RANKS)]);
+    }
+
+    #[test]
+    fn bands_tag_each_sender_and_the_low_bit_carries_the_precision() {
+        for r in [0, 1, 3999] {
+            assert_eq!(BARRIER_BAND.for_rank(r), BARRIER_BAND.base);
+            assert_eq!(ALLREDUCE_BAND.for_rank(r), ALLREDUCE_BAND.base + r as u64);
+        }
+        assert_eq!(WirePrecision::Fp64.encode_tag(5), 10);
+        assert_eq!(WirePrecision::Fp32.encode_tag(5), 11);
+        assert_eq!(wire_tag_band(5), (10, 12));
+        assert_eq!(
+            ALLREDUCE_BAND.wire_range(),
+            (
+                ALLREDUCE_BAND.base << 1,
+                (ALLREDUCE_BAND.base + MAX_RANKS) << 1
+            )
+        );
     }
 
     /// The `sanitize` feature's message-leak detector and tag-band asserts.

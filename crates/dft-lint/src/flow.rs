@@ -1,5 +1,5 @@
 //! Statement/branch-aware intraprocedural analysis: the parse layer under
-//! the SPMD collective-protocol lints (L006–L008).
+//! the SPMD collective-protocol lints (L006–L007).
 //!
 //! The token lints (L001–L005) look at one token plus a fixed window. The
 //! collective-protocol lints need more structure: *which function* a call
@@ -7,7 +7,7 @@
 //! whether a condition depends on the local rank. This module recovers
 //! exactly that much structure from the token stream — function items with
 //! brace-matched bodies, `if`/`else if`/`else` chains, `match` arms — and
-//! runs three checks over it:
+//! runs two checks over it:
 //!
 //! * **L006** — every rank must issue the same collective sequence. A
 //!   rank-dependent `if`/`match` whose branches emit *different* collective
@@ -22,13 +22,12 @@
 //!   `.ok()`/`.unwrap_or*()` chained onto a comm call, and
 //!   `Err(_) => continue` / `Err(_) => {}` arms over a comm-call scrutinee
 //!   are all flagged.
-//! * **L008** — inside `comm.rs`, every collective (a function that calls
-//!   the one rooted routine `rooted`, or is named `group_*`) must derive
-//!   the tag it hands to `rooted` or to a point-to-point call from a single
-//!   registered `TagBand` const (`BAND.for_rank(..)` / `BAND.tag()`,
-//!   directly or through a local binding or closure); the band's bounds are
-//!   the ones the L003 const-evaluator already proves disjoint and
-//!   rank-indexable, so no world or sub-communicator offset can escape it.
+//!
+//! Tag-band safety inside `comm.rs` is not a lint: `rustc` checks the band
+//! registry on every build, the one rooted routine takes a single
+//! `TagBand` per collective, L003 keeps tag literals out of the rest of
+//! the file, and the `sanitize` build checks every collective wire tag at
+//! run time.
 
 use crate::matching_brace;
 use crate::token::{Tok, TokKind};
@@ -62,20 +61,6 @@ pub const COMM_FALLIBLE: &[&str] = &[
     "recv_f64_deadline",
     "try_recv_f64",
     "advance_epoch",
-];
-
-/// Calls whose second argument is the wire tag (L008): the one rooted
-/// collective routine (a tag per sending rank) and the point-to-point layer.
-const TAGGED_P2P: &[&str] = &[
-    "rooted",
-    "send_bytes",
-    "recv_bytes",
-    "recv_bytes_deadline",
-    "try_recv_bytes",
-    "send_f64",
-    "recv_f64",
-    "recv_f64_deadline",
-    "try_recv_f64",
 ];
 
 /// A raw finding before suppression filtering: `(line, col, message)`.
@@ -705,116 +690,6 @@ pub fn lint_poison_safety(toks: &[Tok], test: &[(usize, usize)], out: &mut Vec<R
     }
 }
 
-// ---------------------------------------------------------------------------
-// L008: tag-band discipline in group contexts (comm.rs)
-// ---------------------------------------------------------------------------
-
-/// L008 over `comm.rs`: inside every collective — a function that calls
-/// `rooted` or is named `group_*` — each tagged call must derive its tag
-/// from exactly one registered `TagBand` const via `.for_rank(..)` or
-/// `.tag()`. `band_consts` is the set of const names whose right-hand side
-/// declares a `TagBand` literal — the registry the L003 const-evaluator has
-/// already proven disjoint and wide enough for `base + rank` offsets.
-pub fn lint_group_tag_discipline(
-    toks: &[Tok],
-    test: &[(usize, usize)],
-    band_consts: &BTreeSet<String>,
-    out: &mut Vec<RawDiag>,
-) {
-    // the band a token slice starts deriving a tag from, if any
-    let band_of = |t: &[Tok]| match t {
-        [c, dot, m, ..]
-            if band_consts.contains(&c.text)
-                && dot.is_op(".")
-                && (m.is_ident("for_rank") || m.is_ident("tag")) =>
-        {
-            Some(c.text.clone())
-        }
-        _ => None,
-    };
-    for f in fn_items(toks) {
-        let body = f.body.0..f.body.1.min(toks.len());
-        let calls_rooted = body
-            .clone()
-            .any(|i| toks[i].is_ident("rooted") && is_call(toks, i));
-        if !(calls_rooted || f.name.starts_with("group_")) {
-            continue;
-        }
-        if test.iter().any(|&(a, b)| a <= f.body.0 && f.body.0 < b) {
-            continue;
-        }
-        // `let t = BAND.for_rank(..)` / `let t = |m| BAND.for_rank(m)`
-        // bindings usable as tag arguments
-        let mut bound: Vec<(String, String)> = Vec::new(); // (local, band)
-        for i in body.clone() {
-            if !(toks[i].is_ident("let")
-                && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident)
-                && toks.get(i + 2).is_some_and(|t| t.is_op("=")))
-            {
-                continue;
-            }
-            // skip a one-parameter closure header `|m|`
-            let rhs = if toks.get(i + 3).is_some_and(|t| t.is_op("|"))
-                && toks.get(i + 5).is_some_and(|t| t.is_op("|"))
-            {
-                i + 6
-            } else {
-                i + 3
-            };
-            if let Some(band) = toks.get(rhs..).and_then(band_of) {
-                bound.push((toks[i + 1].text.clone(), band));
-            }
-        }
-        let mut used: Vec<(String, u32, u32)> = Vec::new();
-        for i in body {
-            if !(is_call(toks, i)
-                && TAGGED_P2P.contains(&toks[i].text.as_str())
-                && i > 0
-                && toks[i - 1].is_op("."))
-            {
-                continue;
-            }
-            let open = i + 1;
-            let close = matching_paren(toks, open);
-            let args = crate::split_top_level(&toks[open + 1..close]);
-            let Some(&(a, b)) = args.get(1) else {
-                continue;
-            };
-            let arg = &toks[open + 1 + a..open + 1 + b];
-            let band = band_of(arg).or_else(|| match arg {
-                [v] if v.kind == TokKind::Ident => bound
-                    .iter()
-                    .find(|(local, _)| *local == v.text)
-                    .map(|(_, band)| band.clone()),
-                _ => None,
-            });
-            match band {
-                Some(b) => used.push((b, toks[i].line, toks[i].col)),
-                None => out.push((
-                    toks[i].line,
-                    toks[i].col,
-                    format!(
-                        "tag for `.{}()` in collective `{}` is not derived from a registered TagBand (`BAND.for_rank(..)`/`BAND.tag()`): collective tags must stay inside their L003-proven band",
-                        toks[i].text, f.name
-                    ),
-                )),
-            }
-        }
-        for w in used.windows(2) {
-            if w[1].0 != w[0].0 {
-                out.push((
-                    w[1].1,
-                    w[1].2,
-                    format!(
-                        "collective `{}` mixes tag bands `{}` and `{}`: one collective must stay inside one registered band",
-                        f.name, w[0].0, w[1].0
-                    ),
-                ));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -896,21 +771,5 @@ mod tests {
         let mut out = Vec::new();
         lint_poison_safety(&toks, &[], &mut out);
         assert_eq!(out.len(), 3, "{out:?}");
-    }
-
-    #[test]
-    fn l008_raw_tag_and_mixed_bands_flagged() {
-        let src = "fn group_x(c: &mut C) { c.send_f64(m, 77, &d, w)?; \
-                   c.send_f64(m, A_BAND.for_rank(r), &d, w)?; \
-                   c.recv_f64(m, B_BAND.tag(), w)?; }";
-        let (toks, _) = tokenize(src);
-        let bands: BTreeSet<String> = ["A_BAND", "B_BAND"].iter().map(|s| s.to_string()).collect();
-        let mut out = Vec::new();
-        lint_group_tag_discipline(&toks, &[], &bands, &mut out);
-        assert!(out.iter().any(|d| d.2.contains("not derived")), "{out:?}");
-        assert!(
-            out.iter().any(|d| d.2.contains("mixes tag bands")),
-            "{out:?}"
-        );
     }
 }

@@ -3,20 +3,23 @@
 //!
 //! The distributed ChFES/SCF stack (PRs 3–4) rests on conventions that
 //! rustc cannot check: no panic paths in fault-tolerant code, no blocking
-//! receive without a deadline, wire-tag bands that never collide, bitwise
-//! reproducible reductions, and allocation-free hot kernels. This crate
-//! turns each convention into a machine-checked lint with a stable ID:
+//! receive without a deadline, no wire tag minted outside the band
+//! registry, bitwise reproducible reductions, and allocation-free hot
+//! kernels. This crate turns each convention into a machine-checked lint
+//! with a stable ID. (The bands themselves rustc does check: a `const`
+//! assertion in `dft-hpc`'s `comm.rs` proves them disjoint, wide enough for
+//! every rank and inside `COLLECTIVE_TAGS`, and the rooted collective
+//! routine takes one `TagBand` per collective.)
 //!
 //! | ID   | Invariant |
 //! |------|-----------|
 //! | L001 | no `unwrap`/`expect`/`panic!`/`unreachable!` in non-test code of `dft-hpc`/`dft-serve` and `dft-core`'s `src/cluster/` (failures must surface as `CommError`/`ScfError`/`JobStatus::Failed`) |
 //! | L002 | no raw blocking receive (`recv_bytes`/`recv_f64`) outside `comm.rs` internals — use the `_deadline` or `try_` variants |
-//! | L003 | every wire tag in `comm.rs` comes from the declared `TagBand` registry, and the declared bands are statically proven pairwise disjoint, bounded by `MAX_RANKS`, and inside `COLLECTIVE_TAGS` |
+//! | L003 | no wire-tag literal of 2^40 or more in `comm.rs` outside the `TagBand` registry items (`MAX_RANKS`, `COLLECTIVE_TAGS`, the band consts and `TAG_BANDS`): every collective tag comes from a registered band, whose bounds rustc checks |
 //! | L004 | determinism: no `==`/`!=` on float expressions (workspace-wide), no `HashMap`/`HashSet` in the deterministic reduction code of `dft-hpc`/`dft-serve` and `dft-core`'s `src/cluster/` |
 //! | L005 | no allocation (`Vec::new`, `vec![`, `.collect()`, `.clone()`, `.to_vec()`) inside functions marked `dftlint:hot` on the preceding line |
 //! | L006 | SPMD collective ordering: no collective under rank-dependent control flow with divergent per-branch sequences, no early exit (`return`/`?`/`break`/`continue`) in a rank-dependent branch when collectives follow — resolved through a workspace call-summary graph |
 //! | L007 | poison safety: a `CommError` is never swallowed (`let _ =`, `.ok()`, `.unwrap_or*()`, `Err(_) => continue`/`{}`) — it must reach the poison cascade or a typed error |
-//! | L008 | collective tag discipline in `comm.rs`: every collective (a caller of the one rooted routine `rooted`, or a `group_*` function) derives the tag it hands on from exactly one registered `TagBand` (`BAND.for_rank(..)`/`BAND.tag()`), whose bounds the L003 const-evaluator proves |
 //! | L009 | production code is what production calls: every `pub fn` under `crates/*/src` is reached from non-test code — the crates' `src/` (bins included) and `benches/`, the root `src/` and `examples/`, and `benchmark/src`; test support and oracles carry an allow naming the suite they serve. A method of an inherent `impl T` is reached through `T`: a path `T::m`, `T::<..>::m`, or `Self::m`/`self.m(` inside an `impl T`, or a call `.m(` — anywhere when no other type, trait or common std type has an `m`, otherwise only in a file that names `T` or `T`'s crate (`dft_x`, or `x` through the root facade). A free `pub fn` is reached by any bare or path reference, not by a `.f(` call; in a file that binds `let [mut] x`, a bare `x` that is not called is that local, not a caller |
 //!
 //! A violation can be suppressed — with a mandatory justification — by a
@@ -32,11 +35,9 @@
 //! `file` may be a workspace-relative path
 //! (`file="crates/dft-core/src/cluster/scf.rs"`).
 
-pub mod expr;
 pub mod flow;
 pub mod token;
 
-use expr::ConstEnv;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
@@ -94,7 +95,7 @@ fn is_fault_tolerant(crate_name: &str, path: &str) -> bool {
 
 /// All known lint IDs (for `allow` validation and `--summary` buckets).
 pub const LINT_IDS: &[&str] = &[
-    "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008", "L009",
+    "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L009",
 ];
 
 /// The root package: its `src/` is read for L009 callers, but its items
@@ -711,39 +712,13 @@ impl WorkspaceFacts {
 }
 
 // ---------------------------------------------------------------------------
-// L003: the wire-tag band prover
+// L003: wire-tag literals outside the registry
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-struct Band {
-    name: String,
-    base: u64,
-    width: u64,
-    line: u32,
-    col: u32,
-}
-
-impl Band {
-    /// The half-open interval of wire tags this band can emit: every tag
-    /// passes through the precision encoding `tag << 1 | precision_bit`.
-    fn wire_range(&self) -> Option<(u64, u64)> {
-        let hi = self.base.checked_add(self.width)?;
-        Some((self.base.checked_shl(1)?, hi.checked_shl(1)?))
-    }
-}
-
-#[derive(Debug)]
-struct ConstItem {
-    name: String,
-    /// Token range of the whole `const .. ;` item.
-    span: (usize, usize),
-    /// Token range of the right-hand side (after `=`, before `;`).
-    rhs: (usize, usize),
-}
-
-/// Scan `const NAME: Ty = rhs;` items (module- or fn-local; `const fn` and
-/// `*const` are skipped).
-fn const_items(toks: &[Tok]) -> Vec<ConstItem> {
+/// Token spans of the registry items: the `const` items named `MAX_RANKS`,
+/// `COLLECTIVE_TAGS` or `TAG_BANDS`, or naming `TagBand` (module- or
+/// fn-local; `const fn` and `*const` are not items).
+fn registry_items(toks: &[Tok]) -> Regions {
     let mut out = Vec::new();
     let mut i = 0;
     while i < toks.len() {
@@ -755,311 +730,41 @@ fn const_items(toks: &[Tok]) -> Vec<ConstItem> {
             i += 1;
             continue;
         }
-        let name = toks[i + 1].text.clone();
-        // find `=` at delimiter depth 0
+        // the item ends at the first `;` at delimiter depth 0
         let mut depth = 0i64;
-        let mut j = i + 2;
-        let mut eq = None;
-        while j < toks.len() {
-            let t = &toks[j];
+        let mut end = i + 2;
+        while end < toks.len() {
+            let t = &toks[end];
             if t.kind == TokKind::Op {
                 match t.text.as_str() {
                     "(" | "[" | "{" => depth += 1,
                     ")" | "]" | "}" => depth -= 1,
-                    "=" if depth == 0 => {
-                        eq = Some(j);
-                        break;
-                    }
                     ";" if depth == 0 => break,
                     _ => {}
                 }
             }
-            j += 1;
+            end += 1;
         }
-        let Some(eq) = eq else {
-            i += 1;
-            continue;
-        };
-        // rhs until `;` at depth 0
-        let mut depth = 0i64;
-        let mut k = eq + 1;
-        let mut semi = toks.len();
-        while k < toks.len() {
-            let t = &toks[k];
-            if t.kind == TokKind::Op {
-                match t.text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    ";" if depth == 0 => {
-                        semi = k;
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            k += 1;
+        let named = matches!(
+            toks[i + 1].text.as_str(),
+            "MAX_RANKS" | "COLLECTIVE_TAGS" | "TAG_BANDS"
+        );
+        if named
+            || toks[i..end.min(toks.len())]
+                .iter()
+                .any(|t| t.is_ident("TagBand"))
+        {
+            out.push((i, end + 1));
         }
-        out.push(ConstItem {
-            name,
-            span: (i, semi + 1),
-            rhs: (eq + 1, semi),
-        });
-        i = semi + 1;
+        i = end + 1;
     }
     out
 }
 
-/// Split a token range on top-level commas.
-pub(crate) fn split_top_level(toks: &[Tok]) -> Vec<(usize, usize)> {
-    let mut parts = Vec::new();
-    let mut depth = 0i64;
-    let mut start = 0usize;
-    for (k, t) in toks.iter().enumerate() {
-        if t.kind == TokKind::Op {
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                "," if depth == 0 => {
-                    parts.push((start, k));
-                    start = k + 1;
-                }
-                _ => {}
-            }
-        }
-    }
-    parts.push((start, toks.len()));
-    parts
-}
-
-/// Parse every `TagBand { name: "..", base: .., width: .. }`
-/// struct literal in the token stream.
-fn tag_band_literals(
-    toks: &[Tok],
-    env: &ConstEnv,
-    diags: &mut Vec<(u32, u32, String)>,
-) -> Vec<Band> {
-    let mut bands = Vec::new();
-    let mut i = 0;
-    while i + 1 < toks.len() {
-        if !(toks[i].is_ident("TagBand") && toks[i + 1].is_op("{")) {
-            i += 1;
-            continue;
-        }
-        // `struct TagBand { .. }` / `impl TagBand { .. }` are the type's
-        // definition, not a band literal
-        if i > 0
-            && (toks[i - 1].is_ident("struct")
-                || toks[i - 1].is_ident("impl")
-                || toks[i - 1].is_ident("for"))
-        {
-            let close = matching_brace(toks, i + 1);
-            i = close + 1;
-            continue;
-        }
-        let (line, col) = (toks[i].line, toks[i].col);
-        let open = i + 1;
-        let close = matching_brace(toks, open);
-        let body = &toks[open + 1..close];
-        let mut name = None;
-        let mut base = None;
-        let mut width = None;
-        for (a, b) in split_top_level(body) {
-            let field = &body[a..b];
-            if field.len() < 3 || field[0].kind != TokKind::Ident || !field[1].is_op(":") {
-                continue;
-            }
-            let value = &field[2..];
-            match field[0].text.as_str() {
-                "name" => {
-                    if let Some(t) = value.first().filter(|t| t.kind == TokKind::Str) {
-                        name = Some(t.text.clone());
-                    }
-                }
-                "base" | "width" => match expr::eval(value, env) {
-                    Ok(v) => {
-                        if field[0].text == "base" {
-                            base = Some(v);
-                        } else {
-                            width = Some(v);
-                        }
-                    }
-                    Err(e) => diags.push((
-                        field[0].line,
-                        field[0].col,
-                        format!("cannot evaluate TagBand `{}`: {e}", field[0].text),
-                    )),
-                },
-                _ => {}
-            }
-        }
-        match (name, base, width) {
-            (Some(name), Some(base), Some(width)) => bands.push(Band {
-                name,
-                base,
-                width,
-                line,
-                col,
-            }),
-            _ => diags.push((
-                line,
-                col,
-                "TagBand literal is missing one of `name`/`base`/`width`".into(),
-            )),
-        }
-        i = close + 1;
-    }
-    bands
-}
-
-/// The full L003 pass over `comm.rs`: build the const environment, collect
-/// the `TagBand` registry, prove the bands disjoint/bounded/contained, and
-/// flag ad-hoc high-tag literals outside the registry.
-fn lint_tag_registry(toks: &[Tok], test: &Regions, out: &mut Vec<(u32, u32, String)>) {
-    let items = const_items(toks);
-
-    // const environment: fixed-point over evaluable scalar consts
-    let mut env = ConstEnv::new();
-    for _ in 0..3 {
-        for it in &items {
-            if env.contains_key(&it.name) {
-                continue;
-            }
-            let rhs = &toks[it.rhs.0..it.rhs.1];
-            if rhs.iter().any(|t| t.is_op("{") || t.is_op(",")) {
-                continue; // struct/tuple/array rhs
-            }
-            if let Ok(v) = expr::eval(rhs, &env) {
-                env.insert(it.name.clone(), v);
-            }
-        }
-    }
-
-    let mut band_diags = Vec::new();
-    let bands = tag_band_literals(toks, &env, &mut band_diags);
-    out.extend(band_diags);
-
-    // recognized registry spans: items declaring bands or registry consts
-    let mut registry: Regions = Vec::new();
-    for it in &items {
-        let recognized = matches!(
-            it.name.as_str(),
-            "MAX_RANKS" | "COLLECTIVE_TAGS" | "TAG_BANDS"
-        ) || toks[it.span.0..it.span.1]
-            .iter()
-            .any(|t| t.is_ident("TagBand"));
-        if recognized {
-            registry.push(it.span);
-        }
-    }
-
-    let max_ranks = env.get("MAX_RANKS").copied();
-    let collective = items
-        .iter()
-        .find(|it| it.name == "COLLECTIVE_TAGS")
-        .and_then(|it| {
-            let rhs = &toks[it.rhs.0..it.rhs.1];
-            let inner = rhs
-                .first()
-                .filter(|t| t.is_op("("))
-                .map(|_| &rhs[1..rhs.len() - 1])?;
-            let parts = split_top_level(inner);
-            if parts.len() != 2 {
-                return None;
-            }
-            let lo = expr::eval(&inner[parts[0].0..parts[0].1], &env).ok()?;
-            let hi = expr::eval(&inner[parts[1].0..parts[1].1], &env).ok()?;
-            Some((lo, hi))
-        });
-
-    if bands.is_empty() {
-        out.push((
-            1,
-            1,
-            "comm.rs declares no TagBand registry: every collective wire tag must come from a declared band".into(),
-        ));
-    } else {
-        if collective.is_none() {
-            out.push((
-                1,
-                1,
-                "comm.rs declares no evaluable `COLLECTIVE_TAGS` bound for its TagBand registry"
-                    .into(),
-            ));
-        }
-        if max_ranks.is_none() && bands.iter().any(|b| b.width > 1) {
-            out.push((
-                1,
-                1,
-                "comm.rs declares rank-indexed tag bands but no `MAX_RANKS` bound".into(),
-            ));
-        }
-    }
-
-    // per-band checks
-    let mut ranged: Vec<(&Band, (u64, u64))> = Vec::new();
-    for b in &bands {
-        if b.width == 0 {
-            out.push((
-                b.line,
-                b.col,
-                format!("TagBand `{}` has zero width", b.name),
-            ));
-            continue;
-        }
-        if b.width > 1 {
-            if let Some(m) = max_ranks {
-                if b.width < m {
-                    out.push((
-                        b.line,
-                        b.col,
-                        format!(
-                            "TagBand `{}` is rank-indexed but narrower than MAX_RANKS ({} < {m}): `base + rank` can escape the band",
-                            b.name, b.width
-                        ),
-                    ));
-                }
-            }
-        }
-        let Some(range) = b.wire_range() else {
-            out.push((
-                b.line,
-                b.col,
-                format!("TagBand `{}` overflows the u64 wire-tag space", b.name),
-            ));
-            continue;
-        };
-        if let Some((clo, chi)) = collective {
-            if range.0 < clo || range.1 > chi {
-                out.push((
-                    b.line,
-                    b.col,
-                    format!(
-                        "TagBand `{}` escapes COLLECTIVE_TAGS: wire range [{:#x}, {:#x}) vs [{clo:#x}, {chi:#x})",
-                        b.name, range.0, range.1
-                    ),
-                ));
-            }
-        }
-        ranged.push((b, range));
-    }
-
-    // pairwise disjointness (sort by wire lo; adjacent half-open touch is fine)
-    ranged.sort_by_key(|(_, r)| r.0);
-    for w in ranged.windows(2) {
-        let (a, ra) = &w[0];
-        let (b, rb) = &w[1];
-        if ra.1 > rb.0 {
-            out.push((
-                b.line,
-                b.col,
-                format!(
-                    "TagBand `{}` overlaps TagBand `{}` on the wire: [{:#x}, {:#x}) vs [{:#x}, {:#x})",
-                    b.name, a.name, rb.0, rb.1, ra.0, ra.1
-                ),
-            ));
-        }
-    }
-
+/// L003 over `comm.rs`: flag every high-tag literal outside the registry
+/// items. rustc itself checks the registry's bands.
+fn lint_tag_literals(toks: &[Tok], test: &Regions, out: &mut Vec<(u32, u32, String)>) {
+    let registry = registry_items(toks);
     // ad-hoc high-tag literals outside the registry
     const HIGH: u128 = 1 << 40;
     for (k, t) in toks.iter().enumerate() {
@@ -1274,10 +979,10 @@ pub fn lint_source_with(
         }
     }
 
-    // L003: the tag registry prover, comm.rs only
+    // L003: wire-tag literals outside the registry, comm.rs only
     if is_comm {
         let mut l3 = Vec::new();
-        lint_tag_registry(&toks, &test, &mut l3);
+        lint_tag_literals(&toks, &test, &mut l3);
         for (line, col, msg) in l3 {
             raw.push((line, col, "L003", msg));
         }
@@ -1286,8 +991,9 @@ pub fn lint_source_with(
     // L006/L007: SPMD collective ordering + poison safety in the
     // fault-tolerant crates. comm.rs itself is exempt from L006: its
     // rank-conditional root/leaf sends ARE the collective implementations
-    // (protocol safety there is carried by L003/L008 plus the runtime
-    // sanitizer and schedule explorer).
+    // (protocol safety there is carried by the compile-time band check,
+    // the one-band `rooted` signature, L003, and the runtime sanitizer and
+    // schedule explorer).
     if fault_tolerant {
         if !is_comm {
             let local_emitters;
@@ -1308,26 +1014,6 @@ pub fn lint_source_with(
         flow::lint_poison_safety(&toks, &test, &mut l7);
         for (line, col, msg) in l7 {
             raw.push((line, col, "L007", msg));
-        }
-    }
-
-    // L008: collective tag discipline, comm.rs only. Band consts are
-    // the ones whose rhs declares a `TagBand` literal — the registry L003
-    // has already proven disjoint and rank-indexable.
-    if is_comm {
-        let band_consts: BTreeSet<String> = const_items(&toks)
-            .iter()
-            .filter(|it| {
-                toks[it.rhs.0..it.rhs.1]
-                    .iter()
-                    .any(|t| t.is_ident("TagBand"))
-            })
-            .map(|it| it.name.clone())
-            .collect();
-        let mut l8 = Vec::new();
-        flow::lint_group_tag_discipline(&toks, &test, &band_consts, &mut l8);
-        for (line, col, msg) in l8 {
-            raw.push((line, col, "L008", msg));
         }
     }
 
@@ -1666,25 +1352,5 @@ trait K {
         assert!(lint_source_with(&ctx("dft-core", "x.rs"), src, Some(&facts)).is_empty());
         // the root package's facade is read for callers, not linted
         assert!(lint_source(&ctx(ROOT_PACKAGE, "lib.rs"), src).is_empty());
-    }
-
-    #[test]
-    fn l003_accepts_a_disjoint_registry_and_rejects_overlap() {
-        let ok = r#"
-// dftlint:fixture(crate="dft-hpc", file="comm.rs")
-pub const MAX_RANKS: u64 = 4000;
-pub const COLLECTIVE_TAGS: (u64, u64) = (1 << 60, u64::MAX);
-pub const A: TagBand = TagBand { name: "a", base: (1 << 60) + 1, width: 1 };
-pub const B: TagBand = TagBand { name: "b", base: (1 << 60) + 1000, width: MAX_RANKS };
-"#;
-        let d = lint_source(&ctx("fixture", "f.rs"), ok);
-        assert!(d.is_empty(), "{d:?}");
-        let overlap = ok.replace("+ 1000", "+ 1");
-        let d = lint_source(&ctx("fixture", "f.rs"), &overlap);
-        assert!(
-            d.iter()
-                .any(|x| x.id == "L003" && x.message.contains("overlaps")),
-            "{d:?}"
-        );
     }
 }

@@ -13,13 +13,13 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo bench --no-run"
 cargo bench --offline --workspace --no-run
 
-echo "==> dft-lint (project invariants: L001-L009, incl. the L006-L008 collective-protocol prover and the L009 production-caller check)"
+echo "==> dft-lint (project invariants: L001-L007 and L009, incl. the L006-L007 collective-protocol lints and the L009 production-caller check)"
 cargo run -q --offline --release -p dft-lint -- --workspace --deny-all --summary
 mkdir -p target
 cargo run -q --offline --release -p dft-lint -- --workspace --json > target/dft-lint.json
 echo "    JSON artifact: target/dft-lint.json"
 
-echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep whatever the block layout, one distributed route, one ChFES cycle, one Chebyshev recurrence, one recurrence update, one rooted collective, one KS eigensolve step, one Fermi-Dirac function, one FE derivative, one trajectory loop, one durable writer, one thread-cap helper, one overlap model, one initial subspace, one dense eigensolver, one cell kernel, one Hamiltonian body, one shaped GEMM entry point, one triangle mirror, one SCF loop, one rank solver, one Lanczos recurrence with one start vector, one force assembly, one electrostatic solve, one block-MINRES, one invDFT adjoint preconditioner and one precision switch)"
+echo "==> duplicate-definition and retired-name guards (one SCF spine, one binary codec, one measuring stack, one cell sweep whatever the block layout, one distributed route, one ChFES cycle, one Chebyshev recurrence, one recurrence update, one rooted collective, one KS eigensolve step, one Fermi-Dirac function, one FE derivative, one trajectory loop, one durable writer, one thread-cap helper, one overlap model, one initial subspace, one dense eigensolver, one cell kernel, one Hamiltonian body, one shaped GEMM entry point, one triangle mirror, one SCF loop, one rank solver, one Lanczos recurrence with one start vector, one force assembly, one electrostatic solve, one block-MINRES, one invDFT adjoint preconditioner, one precision switch and one band per collective)"
 for f in phases_for poisson_flops poisson_bytes poisson_bc_of fnv1a sweep_item chebyshev_filter_gated recurrence_update ks_eigensolve accumulate_density fermi deriv_mass deriv_mass_t trajectory_rank write_durable read_durable with_threads with_thread_share pipelined_blocks random_subspace eigh output_transform dof_potential ham_apply_flops filter_phase gemm_shaped hermitian_from_lower scf_loop distributed_scf lanczos_reduced lanczos_start distributed_forces_profiled solve_electrostatics block_minres laplacian_diagonal_prec; do
   n=$(grep -rhE "^\s*(pub(\([a-z]+\))? )?fn ${f}\b" crates/*/src | wc -l)
   if [ "$n" -ne 1 ]; then
@@ -91,6 +91,9 @@ done
 #  - one precision switch: mixed_precision picks the FP32 products, the
 #    FP32 ghost wire and the FP32 subspace-reduction rows together, so no
 #    config field, with_ method or reducer query selects a wire on its own.
+#  - rustc checks the collective tag bands: a const assertion in comm.rs
+#    replaces dft-lint's const evaluator and band prover, and rooted takes
+#    one TagBand, so the tag-discipline lint and the band's bare tag() go.
 retired=(
   "benchmark-gate / tuning-file name|DFT_T""UNE|dft_t""une\.json|BEN""CH_|DFT_BEN""CH_GATE"
   "sibling path of the distributed solver, or the knob that selected it|Cluster""Reducer|enum Red""ucer|grid\.is_so""me\(\)|JobKind::Scr""een|warm_st""art:|with_over""lap|Pipelined""Filter|Cf""Driver"
@@ -108,6 +111,7 @@ retired=(
   "dense cell-batched GEMM route|batched_ge""mm|BatchLay""out"
   "rank entry that caps itself, its capped twin, the SCF result copy, the second send name or the fault delay rule|rank_thr""eads|scf_ra""nk|forces_ra""nk|fn distributed_for""ces\(|struct DistScf""Result|isend_f""64|DelayR""ule"
   "method only tests or nothing reached, or a retired scratch-pool checkout|fn sc""ale\(&mut self|fn l""r\(|fn zer""os\(space:|pub fn que""ued\(|pub fn epo""ch\(|pub fn cle""ar\(&self\)|fn sco""pe\(&self, phase|pub fn ener""gy\(&self, rho|Batched""Mlp|pub fn inn""er\(&self, space|pub fn ev""al\(&self, space|fn loc""ate\(|fn eval_""all\(|fn from_l""ow\(m:|pub fn to""tal\(&self\)|pub fn sta""rt\(&self\)|pub fn integ""rate\(&self, f: &\[f64\]\)|with_pack_""buf|with_scr""atch3"
+  "dft-lint's const evaluator, band parser or tag-discipline lint, or the band's bare tag()|ConstE""nv|tag_band_lit""erals|lint_group_tag_disc""ipline|TAGGED_P""2P|BARRIER_BAND\.ta""g\("
   "precision setting apart from the one switch|with_subspace_f""p32|subspace_f""p32|fn lossy_w""ire"
   "single-valued solver knob, the SCF's root-rank query or the serial snapshot cadence|mixing_al""pha|base\.checkpoint_ev""ery|fn is_ro""ot|cfg\.st""ep\b|eig_pa""sses|minres_t""ol|minres_max_it""er|dt_m""ax|max_di""sp|FireState::new\(.*,|quick_n""et|cfg\.max_resta""rts|knobs\.max_resta""rts|sub_blo""ck|opts\.use_c""cl"
 )
